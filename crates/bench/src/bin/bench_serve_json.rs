@@ -530,7 +530,9 @@ fn main() {
             referee.verify(&ops, o, seed, "workers-warmup", &resp);
         }
         let sweep_pairs: Vec<(usize, u64)> = (0..sweep_per_op)
-            .flat_map(|r| (0..n_ops).map(move |o| (o, 0x0003_CA1E_1000 + (o as u64) * 64 + r as u64)))
+            .flat_map(|r| {
+                (0..n_ops).map(move |o| (o, 0x0003_CA1E_1000 + (o as u64) * 64 + r as u64))
+            })
             .collect();
         let reqs: Vec<SolveRequest> = sweep_pairs
             .iter()
@@ -662,10 +664,7 @@ fn main() {
         workers_speedup >= 1.8
     );
     let _ = writeln!(j, "    \"workers_p99_no_worse\": {workers_p99_ok},");
-    let _ = writeln!(
-        j,
-        "    \"workers_scaling_enforced\": {workers_enforced},"
-    );
+    let _ = writeln!(j, "    \"workers_scaling_enforced\": {workers_enforced},");
     let _ = writeln!(j, "    \"bitwise_all_match\": {bitwise_ok},");
     let _ = writeln!(j, "    \"verified_requests\": {}", referee.verified);
     let _ = writeln!(j, "  }},");

@@ -299,9 +299,14 @@ const ALGOS: [ReduceAlgo; 4] = [
 fn main() {
     let quick = BenchArgs::parse().quick;
     let (nx, ny, bx, by, iters, rank_counts): (_, _, _, _, _, &[usize]) = if quick {
-        (320usize, 240usize, 8usize, 6usize, 20usize, &[
-            4, 16, 64, 256, 1024,
-        ])
+        (
+            320usize,
+            240usize,
+            8usize,
+            6usize,
+            20usize,
+            &[4, 16, 64, 256, 1024],
+        )
     } else {
         (1152, 864, 6, 6, 20, &[4, 16, 64, 256, 1024, 4096, 16384])
     };
@@ -376,11 +381,7 @@ fn main() {
             ("pcsi", SolverKind::Pcsi(bounds)),
         ];
         // The exchange-schedule matrix this precond carries (see ALGOS).
-        let algos: &[ReduceAlgo] = if pname == "diag" {
-            &ALGOS
-        } else {
-            &ALGOS[..1]
-        };
+        let algos: &[ReduceAlgo] = if pname == "diag" { &ALGOS } else { &ALGOS[..1] };
         for (sname, kind) in solvers {
             let mut x_shared = DistVec::zeros(&layout);
             let mut ws = SolverWorkspace::new();
@@ -420,8 +421,8 @@ fn main() {
                             ));
                         }
                         let gx = out.x.to_global();
-                        if let Some(k) = (0..gx.len())
-                            .find(|&k| gx[k].to_bits() != ref_x[k].to_bits())
+                        if let Some(k) =
+                            (0..gx.len()).find(|&k| gx[k].to_bits() != ref_x[k].to_bits())
                         {
                             fail(&format!(
                                 "{label}: solution diverged bitwise from shared memory at \
@@ -459,10 +460,7 @@ fn main() {
                         if !traced && sname == "chrongear" && pname == "diag" && p >= 16 {
                             let path = std::path::Path::new("BENCH_ranksim_trace.json");
                             write_chrome_trace(&out.per_rank, path).expect("write trace");
-                            println!(
-                                "[wrote {} (p={p} chrongear+diag timeline)]",
-                                path.display()
-                            );
+                            println!("[wrote {} (p={p} chrongear+diag timeline)]", path.display());
                             traced = true;
                         }
 
@@ -471,7 +469,10 @@ fn main() {
                         eprintln!(
                             "[{label}] sim {:.4}s ({} of {} rank counts)",
                             out.sim_time,
-                            rank_counts.iter().position(|&q| q == p).map_or(0, |i| i + 1),
+                            rank_counts
+                                .iter()
+                                .position(|&q| q == p)
+                                .map_or(0, |i| i + 1),
                             rank_counts.len()
                         );
 
@@ -745,13 +746,31 @@ mod tests {
 
         // Reaching extreme scale without the comparison pair is itself an
         // error — the acceptance fact must not silently vanish.
-        let missing = vec![row_full("chrongear", "binomial", false, 4096, 1.0, 8.0e-3, 101)];
+        let missing = vec![row_full(
+            "chrongear",
+            "binomial",
+            false,
+            4096,
+            1.0,
+            8.0e-3,
+            101,
+        )];
         let err = check_hierarchy_wins(&missing).unwrap_err();
         assert!(err.contains("no hierarchical-vs-binomial"), "got: {err}");
 
         // A small sweep has nothing to prove.
-        let small = vec![row_full("chrongear", "binomial", false, 256, 1.0, 1.0e-3, 101)];
-        assert!(check_hierarchy_wins(&small).expect("small sweep ok").is_empty());
+        let small = vec![row_full(
+            "chrongear",
+            "binomial",
+            false,
+            256,
+            1.0,
+            1.0e-3,
+            101,
+        )];
+        assert!(check_hierarchy_wins(&small)
+            .expect("small sweep ok")
+            .is_empty());
     }
 
     #[test]
@@ -779,6 +798,8 @@ mod tests {
             row_full("pcsi", "binomial", false, 256, 2.0e-3, 1.0e-5, 6),
             row_full("pcsi", "binomial", true, 256, 1.5e-3, 1.0e-5, 6),
         ];
-        assert!(check_overlap_wins(&small).expect("small sweep ok").is_empty());
+        assert!(check_overlap_wins(&small)
+            .expect("small sweep ok")
+            .is_empty());
     }
 }

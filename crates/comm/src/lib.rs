@@ -35,11 +35,11 @@ pub mod transfer;
 pub mod world;
 
 pub use blockvec::{masked_block_dot, masked_block_max_abs, BlockVec};
-pub use transfer::{coarse_extent, parents, prolong_add_masked, restrict_masked};
 pub use communicator::{CommVec, Communicator};
 pub use distvec::DistVec;
 pub use layout::DistLayout;
 pub use multivec::{masked_dot_multi, MultiBlockVec, MultiCommVec, MultiDistVec};
+pub use transfer::{coarse_extent, parents, prolong_add_masked, restrict_masked};
 pub use world::{
     CommStats, CommWorld, ExecPolicy, StatsSnapshot, SweepPartials, MAX_SWEEP_PARTIALS,
 };

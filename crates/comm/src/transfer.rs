@@ -112,7 +112,13 @@ pub fn restrict_masked(fine: &BlockVec, fmask: &[u8], cx: bool, cy: bool, coarse
 /// land fine cells are left untouched (the V-cycle keeps them at exactly
 /// `0.0`). The exact adjoint of [`restrict_masked`] in the masked inner
 /// product.
-pub fn prolong_add_masked(coarse: &BlockVec, fmask: &[u8], cx: bool, cy: bool, fine: &mut BlockVec) {
+pub fn prolong_add_masked(
+    coarse: &BlockVec,
+    fmask: &[u8],
+    cx: bool,
+    cy: bool,
+    fine: &mut BlockVec,
+) {
     let (nx, ny) = (fine.nx, fine.ny);
     let (cnx, cny) = (coarse.nx, coarse.ny);
     debug_assert_eq!(fmask.len(), nx * ny, "fine mask size mismatch");
@@ -263,11 +269,9 @@ mod tests {
     fn prolongation_reproduces_constants_in_the_interior() {
         let (nx, ny) = (10, 7); // even nx: the last column is extrapolated
         let mask = vec![1u8; nx * ny];
-        let coarse = filled(
-            coarse_extent(nx, true),
-            coarse_extent(ny, true),
-            |_, _| 3.25,
-        );
+        let coarse = filled(coarse_extent(nx, true), coarse_extent(ny, true), |_, _| {
+            3.25
+        });
         let mut fine = BlockVec::zeros(nx, ny, 1);
         prolong_add_masked(&coarse, &mask, true, true, &mut fine);
         for j in 0..ny {

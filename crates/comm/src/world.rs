@@ -193,7 +193,9 @@ impl CommWorld {
         self.stats.allreduces.store(0, Ordering::Relaxed);
         self.stats.allreduce_scalars.store(0, Ordering::Relaxed);
         self.stats.allreduce_steps.store(0, Ordering::Relaxed);
-        self.stats.allreduce_bytes_on_wire.store(0, Ordering::Relaxed);
+        self.stats
+            .allreduce_bytes_on_wire
+            .store(0, Ordering::Relaxed);
         self.stats.barriers.store(0, Ordering::Relaxed);
         self.stats.retries.store(0, Ordering::Relaxed);
         self.stats.duplicates.store(0, Ordering::Relaxed);

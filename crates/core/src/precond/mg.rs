@@ -468,7 +468,10 @@ mod tests {
         let cfg = MgConfig::default();
         // 36×6: x-only coarsening until both extents drop below 4.
         let steps = cfg.schedule(36, 6);
-        assert_eq!(steps, vec![(true, true), (true, false), (true, false), (true, false)]);
+        assert_eq!(
+            steps,
+            vec![(true, true), (true, false), (true, false), (true, false)]
+        );
         // A tiny block never coarsens at all.
         assert!(cfg.schedule(3, 3).is_empty());
     }

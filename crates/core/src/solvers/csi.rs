@@ -251,8 +251,13 @@ impl CommSolver for Pcsi {
                 // squared norm is accumulated per block for free.
                 rr_sweep = comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
                     let mut p = [0.0; MAX_SWEEP_PARTIALS];
-                    p[0] =
-                        op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &layout.masks[bk]);
+                    p[0] = op.residual_block_into(
+                        bk,
+                        xv.block(bk),
+                        b.block(bk),
+                        rb,
+                        &layout.masks[bk],
+                    );
                     p
                 });
                 matvecs += 1;

@@ -61,7 +61,8 @@ impl SolveHistory {
     /// Mean measured iterations for the pair, `None` if never recorded.
     pub fn mean_iterations(&self, fingerprint: u64, precond: &str) -> Option<f64> {
         let map = self.inner.lock().expect("history store poisoned");
-        map.get(&(fingerprint, precond)).map(|s| s.mean_iterations())
+        map.get(&(fingerprint, precond))
+            .map(|s| s.mean_iterations())
     }
 
     /// Raw aggregate for the pair, `None` if never recorded.

@@ -149,7 +149,10 @@ mod tests {
         for ranks in [1usize, 2, 3, 5, 16, 64, 1000, 16384] {
             for scalars in [1u64, 3, 16, 64] {
                 for rpn in [1usize, 4, 16, 24] {
-                    assert_ne!(ReduceAlgo::Auto.resolve(ranks, scalars, rpn), ReduceAlgo::Auto);
+                    assert_ne!(
+                        ReduceAlgo::Auto.resolve(ranks, scalars, rpn),
+                        ReduceAlgo::Auto
+                    );
                 }
             }
         }

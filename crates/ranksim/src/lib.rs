@@ -65,6 +65,8 @@ pub use collective::ReduceAlgo;
 pub use driver::{solve_on_ranks, RankSolveOutcome, SolverKind};
 pub use fault::{FaultConfig, FaultPlan};
 pub use net::{HierarchicalNet, LatencyBandwidth, NetworkModel, ZeroCost};
-pub use runtime::{sim_time, RankComm, RankExecutor, RankReport, RankSimConfig, RankSweep, RankWorld};
+pub use runtime::{
+    sim_time, RankComm, RankExecutor, RankReport, RankSimConfig, RankSweep, RankWorld,
+};
 pub use trace::{chrome_trace_json, write_chrome_trace, Span, SpanKind};
 pub use vec::{MultiRankVec, RankVec};

@@ -1012,10 +1012,7 @@ impl Fabric {
             if self.dead.load(Ordering::SeqCst) {
                 panic!("peer rank terminated mid-protocol");
             }
-            q = queue
-                .cv
-                .wait(q)
-                .unwrap_or_else(|e| e.into_inner());
+            q = queue.cv.wait(q).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -1564,12 +1561,7 @@ impl RankComm {
     /// Binomial gather of rows to rank 0, deterministic fold there, binomial
     /// broadcast of the result — `2·⌈log₂ p⌉` hops on the critical path,
     /// every hop carrying the full `scalars` payload. The PR-2 baseline.
-    fn allreduce_binomial(
-        &self,
-        epoch: u64,
-        own: PartialRows,
-        scalars: u64,
-    ) -> SweepPartials {
+    fn allreduce_binomial(&self, epoch: u64, own: PartialRows, scalars: u64) -> SweepPartials {
         let (r, p) = (self.rank, self.p);
         let bytes = scalars.max(1) as usize * 8;
 
@@ -1711,12 +1703,7 @@ impl RankComm {
     /// up). Same stage count as binomial but total wire volume per rank
     /// `2·s·(p−1)/p` instead of `s·log₂ p` — the bandwidth-optimal choice
     /// for wide payloads.
-    fn allreduce_rabenseifner(
-        &self,
-        epoch: u64,
-        own: PartialRows,
-        scalars: u64,
-    ) -> SweepPartials {
+    fn allreduce_rabenseifner(&self, epoch: u64, own: PartialRows, scalars: u64) -> SweepPartials {
         let s = scalars.max(1);
         let full_bytes = s as usize * 8;
         let core = prev_power_of_two(self.p);
@@ -1748,12 +1735,7 @@ impl RankComm {
     ///
     /// On a flat network (`ranks_per_node() == 1`) every rank is its own
     /// leader and this degenerates to recursive doubling.
-    fn allreduce_hierarchical(
-        &self,
-        epoch: u64,
-        own: PartialRows,
-        scalars: u64,
-    ) -> SweepPartials {
+    fn allreduce_hierarchical(&self, epoch: u64, own: PartialRows, scalars: u64) -> SweepPartials {
         let (r, p) = (self.rank, self.p);
         let m = self.net.ranks_per_node().max(1);
         let bytes = scalars.max(1) as usize * 8;
@@ -2351,8 +2333,7 @@ impl RankWorld {
                     for &gb in self.owned[r].iter() {
                         let (nx, ny) = (info[gb].nx, info[gb].ny);
                         owned_points += (nx * ny) as f64;
-                        owned_core_points +=
-                            (nx.saturating_sub(2) * ny.saturating_sub(2)) as f64;
+                        owned_core_points += (nx.saturating_sub(2) * ny.saturating_sub(2)) as f64;
                     }
                     let comm = RankComm {
                         rank: r,
@@ -2744,7 +2725,10 @@ mod tests {
                 comm.reduce_sweep(&sweep, 48);
             });
             let steps: u64 = reports.iter().map(|r| r.stats.allreduce_steps).sum();
-            let bytes: u64 = reports.iter().map(|r| r.stats.allreduce_bytes_on_wire).sum();
+            let bytes: u64 = reports
+                .iter()
+                .map(|r| r.stats.allreduce_bytes_on_wire)
+                .sum();
             (steps, bytes)
         };
         let (rd_steps, rd_bytes) = stats_of(ReduceAlgo::RecursiveDoubling);
@@ -2858,7 +2842,11 @@ mod tests {
                     "p={p} rank {}: executor changed the numerics",
                     t.rank
                 );
-                assert_eq!(f.result.to_bits(), want.to_bits(), "p={p} differs from shared");
+                assert_eq!(
+                    f.result.to_bits(),
+                    want.to_bits(),
+                    "p={p} differs from shared"
+                );
                 assert_eq!(
                     t.clock.to_bits(),
                     f.clock.to_bits(),

@@ -270,8 +270,12 @@ impl SharedOperatorCache {
                     self.retire_flight(&key, &state);
                     return (state, true);
                 }
-                let state =
-                    OperatorState::build(op, precond, solver_needs_bounds.then_some(lanczos), world);
+                let state = OperatorState::build(
+                    op,
+                    precond,
+                    solver_needs_bounds.then_some(lanczos),
+                    world,
+                );
                 self.inner
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())

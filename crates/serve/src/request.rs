@@ -297,9 +297,6 @@ mod tests {
             b,
         );
         assert_eq!(req.priority, Priority::Interactive);
-        assert_eq!(
-            req.with_priority(Priority::Batch).priority,
-            Priority::Batch
-        );
+        assert_eq!(req.with_priority(Priority::Batch).priority, Priority::Batch);
     }
 }

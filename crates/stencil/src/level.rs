@@ -241,7 +241,14 @@ impl MgLevel {
             ae: self.ae.raw(),
             ane: self.ane.raw(),
         };
-        let _ = simd::residual(mode, &blk, rhs.raw(), r.raw_mut(), &self.mask, &self.maskbits);
+        let _ = simd::residual(
+            mode,
+            &blk,
+            rhs.raw(),
+            r.raw_mut(),
+            &self.mask,
+            &self.maskbits,
+        );
     }
 
     /// Zonal interior extent of this level.
@@ -363,16 +370,10 @@ impl MgLevel {
         let act = |mask: &[u8], i: usize, j: usize| mask[j * nx + i] != 0;
         for j in 0..ny {
             for i in 0..nx {
-                if !(act(&self.mask, i, j)
-                    && j + 1 < ny
-                    && act(&self.mask, i, j + 1))
-                {
+                if !(act(&self.mask, i, j) && j + 1 < ny && act(&self.mask, i, j + 1)) {
                     self.an.set(i, j, 0.0);
                 }
-                if !(act(&self.mask, i, j)
-                    && i + 1 < nx
-                    && act(&self.mask, i + 1, j))
-                {
+                if !(act(&self.mask, i, j) && i + 1 < nx && act(&self.mask, i + 1, j)) {
                     self.ae.set(i, j, 0.0);
                 }
                 let corner_ok = i + 1 < nx
@@ -407,14 +408,29 @@ mod tests {
                 // shift, so the stencil remains SPD by diagonal dominance.
                 let an = -0.5 - ((i + 2 * j + 4).rem_euclid(3)) as f64 * 0.25;
                 let ae = -0.25 - ((2 * i + j + 4).rem_euclid(3)) as f64 * 0.125;
-                let a0 = if i >= 0 && j >= 0 { ls.a0(i, j) + 4.0 } else { 0.0 };
+                let a0 = if i >= 0 && j >= 0 {
+                    ls.a0(i, j) + 4.0
+                } else {
+                    0.0
+                };
                 ls.set(i, j, a0, an, ae, ls.ane(i, j));
             }
         }
         for (i, j) in [(2, 2), (2, 3), (4, 1)] {
             ls.set(i, j, 0.0, 0.0, 0.0, 0.0);
         }
-        for (i, j) in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 0), (4, 0), (4, 1)] {
+        for (i, j) in [
+            (1, 1),
+            (1, 2),
+            (1, 3),
+            (2, 1),
+            (2, 2),
+            (2, 3),
+            (3, 1),
+            (3, 0),
+            (4, 0),
+            (4, 1),
+        ] {
             ls.set_ane(i, j, 0.0);
         }
         ls

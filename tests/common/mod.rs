@@ -114,7 +114,12 @@ pub fn run_world(
 
 /// Solve on `ranks` simulated message-passing ranks with a zero-cost
 /// network and the default (binomial) collective schedule.
-pub fn run_ranks(p: &Problem, pre: &dyn Preconditioner, kind: SolverKind, ranks: usize) -> Observables {
+pub fn run_ranks(
+    p: &Problem,
+    pre: &dyn Preconditioner,
+    kind: SolverKind,
+    ranks: usize,
+) -> Observables {
     run_ranks_cfg(p, pre, kind, ranks, RankSimConfig::default())
 }
 

@@ -238,7 +238,10 @@ fn mg_vcycle_is_finite_and_bitwise_stable_on_pathological_masks() {
         for j in 0..NY {
             for i in 0..NX {
                 let v = base[j * NX + i];
-                assert!(v.is_finite(), "seed {seed}: non-finite V-cycle at ({i},{j})");
+                assert!(
+                    v.is_finite(),
+                    "seed {seed}: non-finite V-cycle at ({i},{j})"
+                );
                 if !grid.is_ocean(i, j) {
                     assert_eq!(v, 0.0, "seed {seed}: land leaked at ({i},{j})");
                 }
@@ -250,9 +253,21 @@ fn mg_vcycle_is_finite_and_bitwise_stable_on_pathological_masks() {
         let scalar = apply(&serial);
         pop_simd::force_mode(None);
         for (k, v) in base.iter().enumerate() {
-            assert_eq!(v.to_bits(), again[k].to_bits(), "seed {seed}: repeat at {k}");
-            assert_eq!(v.to_bits(), threaded[k].to_bits(), "seed {seed}: threaded at {k}");
-            assert_eq!(v.to_bits(), scalar[k].to_bits(), "seed {seed}: scalar at {k}");
+            assert_eq!(
+                v.to_bits(),
+                again[k].to_bits(),
+                "seed {seed}: repeat at {k}"
+            );
+            assert_eq!(
+                v.to_bits(),
+                threaded[k].to_bits(),
+                "seed {seed}: threaded at {k}"
+            );
+            assert_eq!(
+                v.to_bits(),
+                scalar[k].to_bits(),
+                "seed {seed}: scalar at {k}"
+            );
         }
     }
 }

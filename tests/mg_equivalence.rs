@@ -54,7 +54,11 @@ fn mg_solves_are_bitwise_identical_across_backends_schedules_and_dispatch() {
                 )
             };
             assert_same(&tag("serial"), &base, &run_world(&serial, &p, &mg, kind));
-            assert_same(&tag("threaded"), &base, &run_world(&threaded, &p, &mg, kind));
+            assert_same(
+                &tag("threaded"),
+                &base,
+                &run_world(&threaded, &p, &mg, kind),
+            );
             for algo in [ReduceAlgo::Binomial, ReduceAlgo::Hierarchical] {
                 for ranks in [3usize, 16] {
                     assert_same(

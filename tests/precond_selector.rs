@@ -40,7 +40,12 @@ fn operators() -> Vec<(String, Grid, usize, usize, f64)> {
     for (gname, grid, bx, by) in [
         ("gx01", Grid::gx01_scaled(11, 90, 60), 18usize, 20usize),
         ("gx1", Grid::gx1_scaled(23, 40, 32), 10, 8),
-        ("basin", Grid::idealized_basin(48, 48, 4000.0, 100_000.0), 48, 48),
+        (
+            "basin",
+            Grid::idealized_basin(48, 48, 4000.0, 100_000.0),
+            48,
+            48,
+        ),
     ] {
         for tau in [30.0, 1800.0, 34560.0] {
             ops.push((format!("{gname} tau={tau}"), grid.clone(), bx, by, tau));
@@ -111,7 +116,10 @@ fn empty_history_falls_back_to_condition_estimates() {
         let empty = SolveHistory::new();
         let with_empty = selector.select(&p.op, &world, Some(&empty));
         let without = selector.select(&p.op, &world, None);
-        assert!(!with_empty.used_history, "{name}: empty store counted as history");
+        assert!(
+            !with_empty.used_history,
+            "{name}: empty store counted as history"
+        );
         assert_eq!(
             flatten(&with_empty),
             flatten(&without),
@@ -168,7 +176,10 @@ fn measured_history_overrides_condition_estimates_deterministically() {
         .iter()
         .find(|s| s.spec == PrecondSpec::Evp)
         .expect("evp is a default candidate");
-    assert!(evp.cost.is_none(), "unrecorded candidate must not be ranked");
+    assert!(
+        evp.cost.is_none(),
+        "unrecorded candidate must not be ranked"
+    );
     // Same store contents rebuilt from scratch → same decision.
     let rebuilt = SolveHistory::new();
     rebuilt.record(fp, "diag", 50_000);

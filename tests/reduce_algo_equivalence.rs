@@ -73,7 +73,11 @@ fn shared_solve(p: &Problem, pre: &dyn Preconditioner, kind: SolverKind) -> (Sol
     let mut x = DistVec::zeros(&p.layout);
     let mut ws = SolverWorkspace::new();
     let st = kind.solve(&p.op, pre, &shared, &p.rhs, &mut x, &solver_cfg(), &mut ws);
-    assert!(st.converged, "{}: shared-memory did not converge", kind.name());
+    assert!(
+        st.converged,
+        "{}: shared-memory did not converge",
+        kind.name()
+    );
     (st, x.to_global())
 }
 
@@ -126,7 +130,8 @@ fn check_ranksim(
     let total_steps: u64 = out.per_rank.iter().map(|r| r.stats.allreduce_steps).sum();
     let expected = st_shared.comm.allreduces * steps_per_collective(algo, ranks as u64, rpn);
     assert_eq!(
-        total_steps, expected,
+        total_steps,
+        expected,
         "{name}: collective message count drifted from the {} schedule's closed form",
         algo.name()
     );

@@ -331,7 +331,9 @@ fn worker_counts_are_bitwise_invisible() {
     let probs = [problem(47, 5500.0), problem(48, 8000.0)];
     let spec = SolverSpec::Pcsi;
     let precond = PrecondSpec::Evp;
-    let bs: Vec<(usize, DistVec)> = (0..6).map(|i| (i % 2, rhs(&probs[i % 2], 0xD0 + i as u64))).collect();
+    let bs: Vec<(usize, DistVec)> = (0..6)
+        .map(|i| (i % 2, rhs(&probs[i % 2], 0xD0 + i as u64)))
+        .collect();
     let refs: Vec<DistVec> = bs
         .iter()
         .map(|(pi, b)| standalone(&probs[*pi], spec, precond, b).0)
@@ -352,9 +354,15 @@ fn worker_counts_are_bitwise_invisible() {
                     Priority::Interactive
                 };
                 svc.submit(
-                    SolveRequest::new(i as u32, Arc::clone(&probs[*pi].op), spec, precond, b.clone())
-                        .with_tol(TOL)
-                        .with_priority(class),
+                    SolveRequest::new(
+                        i as u32,
+                        Arc::clone(&probs[*pi].op),
+                        spec,
+                        precond,
+                        b.clone(),
+                    )
+                    .with_tol(TOL)
+                    .with_priority(class),
                 )
                 .unwrap()
             })
