@@ -1,33 +1,22 @@
-//! Shared command-line parsing for the JSON bench binaries.
+//! Command-line parsing for `scaling_ranksim`.
 //!
-//! `bench_solvers_json`, `bench_kernels_json`, and `scaling_ranksim` each
-//! used to scan `std::env::args` on their own, so a typo like `--qiuck`
-//! silently ran the full-size benchmark. This helper owns the common
-//! flags in one place — strict about unknown options, with the same
-//! `POP_BENCH_QUICK` environment fallback the old ad-hoc scans honoured.
+//! Strict about unknown options: a typo like `--qiuck` must not silently
+//! run the full-size sweep.
 
-/// Options shared by the JSON bench binaries.
+/// Options of the rank-scaling sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
-    /// `--quick` / `--smoke` (or `POP_BENCH_QUICK=1`): smaller grids,
-    /// fewer samples, for CI smoke runs.
+    /// `--quick` / `--smoke`: smaller grid and rank range, for CI smoke
+    /// runs.
     pub quick: bool,
-    /// `--seed N`: base seed for grid generation and seeded RHS batches.
-    pub seed: u64,
 }
 
 impl BenchArgs {
-    /// The year of the paper, as everywhere else in the harness.
-    pub const DEFAULT_SEED: u64 = 2015;
-
-    /// Parse from the process arguments, honouring `POP_BENCH_QUICK`.
-    /// Unknown options abort with a message instead of being ignored.
+    /// Parse from the process arguments. Unknown options abort with a
+    /// message instead of being ignored.
     pub fn parse() -> Self {
         match Self::parse_from(std::env::args().skip(1)) {
-            Ok(mut a) => {
-                a.quick = a.quick || quick_env();
-                a
-            }
+            Ok(a) => a,
             Err(msg) => {
                 eprintln!("{msg}");
                 std::process::exit(2);
@@ -35,44 +24,21 @@ impl BenchArgs {
         }
     }
 
-    /// Parse from an explicit argument list (no environment), for tests.
+    /// Parse from an explicit argument list, for tests.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut out = BenchArgs {
-            quick: false,
-            seed: Self::DEFAULT_SEED,
-        };
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
+        let mut out = BenchArgs { quick: false };
+        for a in args {
             match a.as_str() {
                 "--quick" | "--smoke" => out.quick = true,
-                "--seed" => {
-                    out.seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--seed needs an integer")?;
-                }
                 other => {
                     return Err(format!(
-                        "unknown option {other} (supported: --quick | --smoke, --seed N)"
+                        "unknown option {other} (supported: --quick | --smoke)"
                     ))
                 }
             }
         }
         Ok(out)
     }
-}
-
-/// `POP_BENCH_QUICK` set to anything but `0`/empty.
-pub fn quick_env() -> bool {
-    std::env::var("POP_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
-}
-
-/// Lenient probe kept for the figure binaries that take other options:
-/// true when the argument list contains `--quick`/`--smoke` or the
-/// environment requests quick mode. New JSON benches should prefer
-/// [`BenchArgs::parse`], which also rejects typos.
-pub fn quick_requested() -> bool {
-    std::env::args().any(|a| a == "--quick" || a == "--smoke") || quick_env()
 }
 
 #[cfg(test)]
@@ -85,9 +51,7 @@ mod tests {
 
     #[test]
     fn defaults() {
-        let a = parse(&[]).unwrap();
-        assert!(!a.quick);
-        assert_eq!(a.seed, BenchArgs::DEFAULT_SEED);
+        assert!(!parse(&[]).unwrap().quick);
     }
 
     #[test]
@@ -97,21 +61,8 @@ mod tests {
     }
 
     #[test]
-    fn seed_parses() {
-        assert_eq!(parse(&["--seed", "7"]).unwrap().seed, 7);
-        assert_eq!(
-            parse(&["--smoke", "--seed", "7"]).unwrap(),
-            BenchArgs {
-                quick: true,
-                seed: 7
-            }
-        );
-    }
-
-    #[test]
-    fn unknown_and_malformed_options_are_rejected() {
+    fn unknown_options_are_rejected() {
         assert!(parse(&["--qiuck"]).is_err());
-        assert!(parse(&["--seed"]).is_err());
-        assert!(parse(&["--seed", "x"]).is_err());
+        assert!(parse(&["--seed", "7"]).is_err());
     }
 }

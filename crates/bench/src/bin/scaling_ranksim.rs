@@ -26,10 +26,10 @@
 //! baseline solve — the exchange schedule and the overlap choreography are
 //! timing models, never allowed to move the numbers.
 //!
-//! Writes `BENCH_ranksim.json` (with provenance, node topology, and
-//! per-row collective wire counters) plus a Chrome trace of one mid-size
-//! configuration. `--quick`/`--smoke` runs a 4 → 1024 sweep on a smaller
-//! grid for CI.
+//! Writes `results/scaling_ranksim.json` (with provenance, node topology,
+//! and per-row collective wire counters) plus a Chrome trace of one
+//! mid-size configuration beside it. `--quick`/`--smoke` runs a 4 → 1024
+//! sweep on a smaller grid for CI.
 
 use pop_bench::args::BenchArgs;
 use pop_bench::provenance::Provenance;
@@ -298,6 +298,7 @@ const ALGOS: [ReduceAlgo; 4] = [
 
 fn main() {
     let quick = BenchArgs::parse().quick;
+    std::fs::create_dir_all("results").expect("create results/");
     let (nx, ny, bx, by, iters, rank_counts): (_, _, _, _, _, &[usize]) = if quick {
         (
             320usize,
@@ -339,7 +340,7 @@ fn main() {
     // Fixed-iteration runs (tol = 0 never converges): the sweep compares
     // communication structure, so every configuration must do identical
     // iteration counts at every rank count. The live obs sink collects
-    // every solve's telemetry; its metrics land in the BENCH provenance.
+    // every solve's telemetry; its metrics ride along in the artifact.
     let obs = ObsSink::enabled();
     let cfg = SolverConfig {
         tol: 0.0,
@@ -458,7 +459,7 @@ fn main() {
                         // trace: the per-iteration allreduce bars are the
                         // figure.
                         if !traced && sname == "chrongear" && pname == "diag" && p >= 16 {
-                            let path = std::path::Path::new("BENCH_ranksim_trace.json");
+                            let path = std::path::Path::new("results/scaling_ranksim_trace.json");
                             write_chrome_trace(&out.per_rank, path).expect("write trace");
                             println!("[wrote {} (p={p} chrongear+diag timeline)]", path.display());
                             traced = true;
@@ -635,8 +636,8 @@ fn main() {
     }
     j.push_str("  ]\n}\n");
 
-    let out = "BENCH_ranksim.json";
-    std::fs::write(out, &j).expect("write BENCH_ranksim.json");
+    let out = "results/scaling_ranksim.json";
+    std::fs::write(out, &j).expect("write results/scaling_ranksim.json");
     println!("\n[wrote {out}]");
 }
 

@@ -15,7 +15,6 @@
 
 pub mod args;
 pub mod provenance;
-pub mod timing;
 
 use pop_comm::{CommWorld, DistLayout, DistVec};
 use pop_core::solvers::{SolveStats, SolverConfig};

@@ -1,9 +1,8 @@
-//! Run provenance for the JSON benchmark artifacts.
+//! Run provenance for the `scaling_ranksim` JSON artifact.
 //!
-//! Perf trajectories are only comparable when each data point says what
+//! A recorded sweep is only comparable to another when it says what
 //! produced it: the commit the binary was built from, whether the tree was
-//! dirty, how many threads the run used, and what platform it ran on. Every
-//! JSON-writing bench embeds one [`Provenance`] object.
+//! dirty, the kernel dispatch mode, the platform, and the fault plan.
 
 use std::process::Command;
 
@@ -15,16 +14,6 @@ pub struct Provenance {
     pub git_commit: String,
     /// Whether the working tree had uncommitted changes.
     pub git_dirty: bool,
-    /// Worker threads honoured by the threaded backend (`POP_BARO_THREADS`
-    /// or the machine's available parallelism).
-    pub threads: usize,
-    /// Worker count the global thread pool *actually* created — the number
-    /// the threaded backend really ran on (can differ from `threads` only
-    /// if the pool was sized before the env was set).
-    pub pool_threads: usize,
-    /// Raw `POP_BARO_THREADS` value, if set (distinguishes an explicit
-    /// request from machine-derived parallelism).
-    pub threads_env: Option<String>,
     /// Kernel dispatch mode the run resolved to (`POP_BARO_SIMD` / CPU
     /// detection): "scalar", "portable", or "avx2".
     pub simd_mode: &'static str,
@@ -50,15 +39,6 @@ fn git(args: &[&str]) -> Option<String> {
     String::from_utf8(out.stdout).ok()
 }
 
-/// The thread count the run will use: `POP_BARO_THREADS` wins, otherwise
-/// the machine's available parallelism (1 when undetectable).
-pub fn effective_threads() -> usize {
-    std::env::var("POP_BARO_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-}
-
 impl Provenance {
     /// Collect provenance for the current process and working directory.
     pub fn collect() -> Self {
@@ -72,9 +52,6 @@ impl Provenance {
         Provenance {
             git_commit,
             git_dirty,
-            threads: effective_threads(),
-            pool_threads: pop_comm::pool::global().n_threads(),
-            threads_env: std::env::var("POP_BARO_THREADS").ok(),
             simd_mode: pop_simd::mode().name(),
             avx2_detected: pop_simd::detected_avx2(),
             fma_detected: pop_simd::detected_fma(),
@@ -91,41 +68,18 @@ impl Provenance {
         self
     }
 
-    /// If the "threaded" backend is about to run on a single pool worker,
-    /// say so loudly: its numbers would measure pool overhead, not
-    /// parallelism, and are trivially mistaken for multi-thread results.
-    pub fn warn_if_single_threaded(&self, bench: &str) {
-        if self.pool_threads <= 1 {
-            eprintln!(
-                "WARNING [{bench}]: the \"threaded\" backend is running on a SINGLE pool \
-                 worker (pool_threads = {}, POP_BARO_THREADS = {}). Its timings measure \
-                 pool dispatch overhead, not parallel speedup — do not compare them \
-                 against multi-threaded runs.",
-                self.pool_threads,
-                self.threads_env.as_deref().unwrap_or("<unset>"),
-            );
-        }
-    }
-
     /// Render as a one-line JSON object.
     pub fn json(&self) -> String {
-        let threads_env = match &self.threads_env {
-            Some(v) => format!("\"{v}\""),
-            None => "null".to_string(),
-        };
         let fault_plan = match &self.fault_plan {
             Some(v) => format!("\"{v}\""),
             None => "null".to_string(),
         };
         format!(
-            "{{\"git_commit\": \"{}\", \"git_dirty\": {}, \"threads\": {}, \"pool_threads\": {}, \
-             \"threads_env\": {}, \"simd_mode\": \"{}\", \"avx2_detected\": {}, \
-             \"fma_detected\": {}, \"os\": \"{}\", \"arch\": \"{}\", \"fault_plan\": {}}}",
+            "{{\"git_commit\": \"{}\", \"git_dirty\": {}, \"simd_mode\": \"{}\", \
+             \"avx2_detected\": {}, \"fma_detected\": {}, \"os\": \"{}\", \"arch\": \"{}\", \
+             \"fault_plan\": {}}}",
             self.git_commit,
             self.git_dirty,
-            self.threads,
-            self.pool_threads,
-            threads_env,
             self.simd_mode,
             self.avx2_detected,
             self.fma_detected,
@@ -144,7 +98,6 @@ mod tests {
     fn collect_and_render() {
         let p = Provenance::collect();
         assert!(!p.git_commit.is_empty());
-        assert!(p.threads >= 1);
         let j = p.json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"git_commit\""));

@@ -234,29 +234,6 @@ impl CommWorld {
         }
     }
 
-    /// Map each block index to a value, preserving block order in the output
-    /// (so downstream folds are deterministic under both policies).
-    pub fn map_blocks<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync + Send,
-    {
-        match self.policy {
-            ExecPolicy::Serial => (0..n).map(f).collect(),
-            ExecPolicy::Threaded => {
-                let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-                let base = SendPtr(out.as_mut_ptr());
-                pool::global().run_indexed(n, &|k| {
-                    // SAFETY: disjoint element per claimed index.
-                    unsafe { *base.get().add(k) = Some(f(k)) };
-                });
-                out.into_iter()
-                    .map(|o| o.expect("pool visits every index"))
-                    .collect()
-            }
-        }
-    }
-
     /// Run a per-block partial-reduction kernel over `0..n`, writing each
     /// block's partials into the reusable scratch row for that block, then
     /// combine the rows **in block order**. This fixed combine order is what

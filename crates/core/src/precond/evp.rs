@@ -26,7 +26,7 @@ use super::evp_multi::{self, MultiEvpScratch};
 use super::evp_simd::{self, MarchPlan};
 use super::tiling::{tile_block, Tile};
 use super::Preconditioner;
-use pop_comm::{BlockVec, CommWorld, DistVec, MultiBlockVec};
+use pop_comm::{BlockVec, MultiBlockVec};
 use pop_simd::{SimdMode, LANES};
 use pop_stencil::dense::LuFactors;
 use pop_stencil::{DenseMatrix, LocalStencil, NinePoint};
@@ -714,47 +714,6 @@ impl Preconditioner for BlockEvp {
                             groups,
                             &mut scratch.multi,
                         );
-                    }
-                }
-            }
-        });
-    }
-
-    /// The seed implementation, verbatim: per-call scratch vectors, growth
-    /// from empty on every block, per-point setters. `solve_unfused` runs on
-    /// this so the fused-vs-unfused benches measure what the fused execution
-    /// model actually removed. Values are bit-identical to
-    /// [`BlockEvp::apply_block`].
-    fn apply_baseline(&self, world: &CommWorld, r: &DistVec, z: &mut DistVec) {
-        let subs = &self.subs;
-        let r_ref = r;
-        world.for_each_block(&mut z.blocks, |b, zb| {
-            let mut psi = Vec::new();
-            let mut out = Vec::new();
-            let mut scratch = EvpScratch::default();
-            for (t, sub) in &subs[b] {
-                match sub {
-                    None => {
-                        for j in t.j0..t.j0 + t.ny {
-                            for i in t.i0..t.i0 + t.nx {
-                                zb.set(i, j, 0.0);
-                            }
-                        }
-                    }
-                    Some(s) => {
-                        psi.clear();
-                        for j in t.j0..t.j0 + t.ny {
-                            let row = r_ref.blocks[b].interior_row(j);
-                            psi.extend_from_slice(&row[t.i0..t.i0 + t.nx]);
-                        }
-                        out.clear();
-                        out.resize(t.nx * t.ny, 0.0);
-                        s.solve(&psi, &mut out, &mut scratch);
-                        for j in 0..t.ny {
-                            for i in 0..t.nx {
-                                zb.set(t.i0 + i, t.j0 + j, out[j * t.nx + i]);
-                            }
-                        }
                     }
                 }
             }

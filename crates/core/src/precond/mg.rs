@@ -213,29 +213,6 @@ impl BlockMg {
         self.cfg
     }
 
-    /// Hierarchy geometry summed over blocks: one `(nx, ny, active)` entry
-    /// per level depth, where `nx`/`ny` are the largest block-level extents
-    /// at that depth and `active` the total active unknowns. Both parity
-    /// chains share their geometry and masks, so only the first is
-    /// reported. Feeds the per-level observability gauges.
-    pub fn level_geometry(&self) -> Vec<(usize, usize, usize)> {
-        let depth = self
-            .blocks
-            .iter()
-            .map(|h| h.chains[0].levels.len())
-            .max()
-            .unwrap_or(0);
-        let mut out = vec![(0usize, 0usize, 0usize); depth];
-        for h in &self.blocks {
-            for (l, lv) in h.chains[0].levels.iter().enumerate() {
-                out[l].0 = out[l].0.max(lv.nx());
-                out[l].1 = out[l].1.max(lv.ny());
-                out[l].2 += lv.active();
-            }
-        }
-        out
-    }
-
     /// One symmetric V(1,1) cycle on parity chain `c` of block `b`'s
     /// hierarchy, entirely inside `scratch`. `scratch.lvls[0].r` holds the
     /// input residual on entry and `scratch.lvls[0].z` the preconditioned

@@ -89,15 +89,6 @@ pub trait Preconditioner: Send + Sync {
         });
     }
 
-    /// The pre-fusion whole-vector application — what `solve_unfused` runs,
-    /// so fused-vs-unfused benches compare against the true baseline.
-    /// Implementations whose seed version allocated per call (block-EVP)
-    /// override this with that original code; values are always bit-identical
-    /// to [`Preconditioner::apply`].
-    fn apply_baseline(&self, world: &CommWorld, r: &DistVec, z: &mut DistVec) {
-        self.apply(world, r, z);
-    }
-
     /// Short label used in experiment output ("diagonal", "evp", ...).
     fn name(&self) -> &'static str;
 

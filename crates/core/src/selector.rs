@@ -25,11 +25,10 @@
 
 use crate::fingerprint::operator_fingerprint;
 use crate::lanczos::{estimate_bounds, LanczosConfig};
-use crate::setup::{OperatorState, PrecondSpec};
+use crate::setup::PrecondSpec;
 use pop_comm::CommWorld;
 use pop_obs::SolveHistory;
 use pop_stencil::NinePoint;
-use std::sync::Arc;
 
 /// Flops per ocean point one solver iteration spends outside the
 /// preconditioner: the nine-point matvec (≈ 9 multiply-adds) plus the
@@ -196,19 +195,6 @@ impl PrecondSelector {
             used_history,
             scores,
         }
-    }
-
-    /// Select, then build the full [`OperatorState`] for the winner (with
-    /// Lanczos bounds, so P-CSI can run on it directly).
-    pub fn select_and_build(
-        &self,
-        op: &NinePoint,
-        world: &CommWorld,
-        history: Option<&SolveHistory>,
-    ) -> (Arc<OperatorState>, Selection) {
-        let selection = self.select(op, world, history);
-        let state = OperatorState::build(op, selection.spec, Some(&self.cfg.lanczos), world);
-        (state, selection)
     }
 }
 

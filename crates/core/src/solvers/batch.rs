@@ -1046,7 +1046,7 @@ impl BatchCommSolver for Pcsi {
             // `rr_sweep` describing the last iteration's residual, exactly
             // as the split sweeps did.)
             comm.halo_update_multi(mx);
-            if iterations % cfg.check_every == 0 || iterations == cfg.max_iters {
+            if iterations % cfg.check_interval() == 0 || iterations == cfg.max_iters {
                 rr_sweep = comm.for_each_block_multi([&mut *mr], |bk, [rb]| {
                     let mut p = ZEROS;
                     op.residual_block_multi(bk, mx.block(bk), mb.block(bk), rb, &mut p[..slots]);
@@ -1057,7 +1057,7 @@ impl BatchCommSolver for Pcsi {
                 deferred_b = true;
             }
 
-            if iterations % cfg.check_every == 0 {
+            if iterations % cfg.check_interval() == 0 {
                 // ONE allreduce carries all k residuals: flat in k.
                 let rr = comm.reduce_sweep(&rr_sweep, slots as u64);
                 let out = ctl.assess(cfg, &rr, iterations, true);
@@ -1243,7 +1243,7 @@ impl BatchCommSolver for ChronGear {
             );
             ctl.clear_setup_rr();
 
-            if iterations % cfg.check_every == 0 {
+            if iterations % cfg.check_interval() == 0 {
                 let rr = comm.reduce_sweep(&rr_sweep, slots as u64);
                 let out = ctl.assess(cfg, &rr, iterations, true);
                 apply_check(comm, &mut ctl, &out, &*mx, mxg, xs);
@@ -1399,7 +1399,7 @@ impl BatchCommSolver for ClassicPcg {
                 ZEROS
             });
 
-            if iterations % cfg.check_every == 0 {
+            if iterations % cfg.check_interval() == 0 {
                 let rr = comm.reduce_sweep(&rr_sweep, slots as u64);
                 let out = ctl.assess(cfg, &rr, iterations, true);
                 apply_check(comm, &mut ctl, &out, &*mx, mxg, xs);
@@ -1591,7 +1591,7 @@ impl BatchCommSolver for PipelinedCg {
                 cfg,
                 &d[2 * slots..3 * slots],
                 iterations,
-                iterations % cfg.check_every == 0,
+                iterations % cfg.check_interval() == 0,
             );
             apply_check(comm, &mut ctl, &out, &*mx, mxg, xs);
             for &l in &out.restart {
@@ -1910,41 +1910,57 @@ mod tests {
         }
     }
 
-    /// P-CSI's per-iteration allreduce count is flat in k: a batch of 16
-    /// performs exactly as many allreduces as one single-RHS solve of the
-    /// same iteration count.
+    /// The allreduce count is flat in k: a batch of 16 performs exactly as
+    /// many allreduces as one single-RHS solve of the same iteration count —
+    /// for check-only P-CSI and per-iteration ChronGear, diagonal and EVP.
     #[test]
-    fn csi_allreduce_count_flat_in_k() {
+    fn allreduce_count_flat_in_k() {
         let grid = Grid::gx1_scaled(6, 60, 48);
         let f = fixture(&grid, 16, 13, 1800.0);
-        let pre = Diagonal::new(&f.op);
-        let bounds = crate::lanczos::estimate_bounds_fixed_steps(&f.op, &pre, &f.world, 30, 7);
-        let solver = Pcsi::new(bounds);
         // Fixed iteration count: tol 0 runs to the cap on every lane.
         let cfg = SolverConfig {
             tol: 0.0,
             max_iters: 40,
             ..Default::default()
         };
-
-        let mut ws = SolverWorkspace::default();
-        let mut x = DistVec::zeros(&f.layout);
-        let single = solver.solve_comm(&f.op, &pre, &f.world, &f.b, &mut x, &cfg, &mut ws);
-
         let k = 16;
         let bs_own: Vec<DistVec> = (0..k).map(|l| seeded_rhs(&f.b, l as u64 + 21)).collect();
-        let mut xs_own: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(&f.layout)).collect();
         let bs: Vec<&DistVec> = bs_own.iter().collect();
-        let mut xs: Vec<&mut DistVec> = xs_own.iter_mut().collect();
-        let mut bws = BatchWorkspace::new();
-        let stats = solver.solve_batch_comm(&f.op, &pre, &f.world, &bs, &mut xs, &cfg, &mut bws);
 
-        assert_eq!(stats[0].iterations, single.iterations);
-        assert_eq!(
-            stats[0].comm.allreduces, single.comm.allreduces,
-            "batched allreduce count must not grow with k"
-        );
-        assert_eq!(stats[0].comm.halo_updates, single.comm.halo_updates);
+        let pres: [&dyn Preconditioner; 2] =
+            [&Diagonal::new(&f.op), &BlockEvp::with_defaults(&f.op)];
+        for pre in pres {
+            let bounds = crate::lanczos::estimate_bounds_fixed_steps(&f.op, pre, &f.world, 30, 7);
+            let pcsi = Pcsi::new(bounds);
+            let mut ws = SolverWorkspace::default();
+            let mut bws = BatchWorkspace::new();
+            let mut x = DistVec::zeros(&f.layout);
+            let mut xs_own: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(&f.layout)).collect();
+            let mut xs: Vec<&mut DistVec> = xs_own.iter_mut().collect();
+            let (c, w, p) = (&f.world, &mut ws, &f.op);
+            let runs = [
+                (
+                    pcsi.solve_comm(p, pre, c, &f.b, &mut x, &cfg, w),
+                    pcsi.solve_batch_comm(p, pre, c, &bs, &mut xs, &cfg, &mut bws),
+                ),
+                (
+                    ChronGear.solve_comm(p, pre, c, &f.b, &mut x, &cfg, w),
+                    ChronGear.solve_batch_comm(p, pre, c, &bs, &mut xs, &cfg, &mut bws),
+                ),
+            ];
+            for (single, stats) in runs {
+                let what = format!("{}+{}", single.solver, pre.name());
+                assert_eq!(stats[0].iterations, single.iterations, "{what}");
+                assert_eq!(
+                    stats[0].comm.allreduces, single.comm.allreduces,
+                    "{what}: batched allreduce count must not grow with k"
+                );
+                assert_eq!(
+                    stats[0].comm.halo_updates, single.comm.halo_updates,
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

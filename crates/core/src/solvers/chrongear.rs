@@ -22,8 +22,8 @@ pub struct ChronGear;
 impl ChronGear {
     /// The pre-fusion loop: one whole-field pass per vector operation,
     /// reference stencil kernels, fresh temporaries every solve. Kept as the
-    /// baseline the fused path is pinned bit-identical to and benchmarked
-    /// against.
+    /// test oracle the fused path is pinned bit-identical to
+    /// (`tests/fused_determinism.rs`).
     pub fn solve_unfused(
         &self,
         op: &NinePoint,
@@ -58,7 +58,7 @@ impl ChronGear {
             iterations += 1;
 
             // Step 4: preconditioning r' = M⁻¹ r.
-            pre.apply_baseline(world, &r, &mut z);
+            pre.apply(world, &r, &mut z);
             precond_applies += 1;
 
             // Steps 5–6: z = B r' with its boundary update (the single halo
@@ -84,7 +84,7 @@ impl ChronGear {
             rho_old = rho;
 
             // Step 17: periodic convergence check (one extra reduction).
-            if iterations % cfg.check_every == 0 {
+            if iterations % cfg.check_interval() == 0 {
                 let rnorm = world.norm2_sq(&r).sqrt();
                 final_rel = rnorm / bnorm;
                 history.push((iterations, final_rel));
@@ -151,7 +151,7 @@ impl CommSolver for ChronGear {
         let mut outcome = SolveOutcome::MaxIters;
         let mut final_rel = f64::INFINITY;
         let mut history: Vec<(usize, f64)> =
-            Vec::with_capacity(cfg.max_iters / cfg.check_every.max(1) + 2);
+            Vec::with_capacity(cfg.max_iters / cfg.check_interval() + 2);
 
         // Each pass is one CG recurrence: the first from the caller's x₀, a
         // restart re-enters from the last good snapshot (DESIGN.md §10).
@@ -246,7 +246,7 @@ impl CommSolver for ChronGear {
                 // consuming the ‖r‖² partials carried by the update sweep). The
                 // reduced value is identical on every rank, so the recovery
                 // verdict is too.
-                if iterations % cfg.check_every == 0 {
+                if iterations % cfg.check_interval() == 0 {
                     obs.phase("iterate", || comm.stats());
                     let rr = comm.reduce_sweep(&rr_sweep, 1)[0];
                     final_rel = rr.sqrt() / bnorm;

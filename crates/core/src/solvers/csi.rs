@@ -41,8 +41,8 @@ impl Pcsi {
 impl Pcsi {
     /// The pre-fusion loop: one whole-field pass per vector operation,
     /// reference (per-point accessor) stencil kernels, and fresh temporaries
-    /// every solve. Kept as the baseline the fused path is pinned
-    /// bit-identical to and benchmarked against.
+    /// every solve. Kept as the test oracle the fused path is pinned
+    /// bit-identical to (`tests/fused_determinism.rs`).
     pub fn solve_unfused(
         &self,
         op: &NinePoint,
@@ -67,7 +67,7 @@ impl Pcsi {
         let mut r = DistVec::zeros(&layout);
         op.residual_reference(world, x, b, &mut r);
         let mut z = DistVec::zeros(&layout);
-        pre.apply_baseline(world, &r, &mut z);
+        pre.apply(world, &r, &mut z);
         let mut dx = z.clone();
         dx.scale(1.0 / gamma);
         x.axpy(1.0, &dx);
@@ -87,7 +87,7 @@ impl Pcsi {
             omega = 1.0 / (gamma - omega / (4.0 * alpha * alpha));
 
             // Step 6: preconditioning.
-            pre.apply_baseline(world, &r, &mut z);
+            pre.apply(world, &r, &mut z);
             precond_applies += 1;
 
             // Step 7: Δx_k = ω_k r' + (γ ω_k − 1) Δx_{k−1}. No reductions.
@@ -101,7 +101,7 @@ impl Pcsi {
             matvecs += 1;
 
             // Step 11: periodic convergence check — P-CSI's only reduction.
-            if iterations % cfg.check_every == 0 {
+            if iterations % cfg.check_interval() == 0 {
                 let rnorm = world.norm2_sq(&r).sqrt();
                 final_rel = rnorm / bnorm;
                 history.push((iterations, final_rel));
@@ -178,7 +178,7 @@ impl CommSolver for Pcsi {
         let mut outcome = SolveOutcome::MaxIters;
         let mut final_rel = f64::INFINITY;
         let mut history: Vec<(usize, f64)> =
-            Vec::with_capacity(cfg.max_iters / cfg.check_every.max(1) + 2);
+            Vec::with_capacity(cfg.max_iters / cfg.check_interval() + 2);
 
         // Each pass of this loop is one Chebyshev recurrence: the first
         // starts from the caller's x₀, a restart re-enters from the last
@@ -267,7 +267,7 @@ impl CommSolver for Pcsi {
                 // consumes them as a global norm; *that* is the allreduce).
                 // The reduced value is identical on every rank, so the
                 // recovery verdict below is too.
-                if iterations % cfg.check_every == 0 {
+                if iterations % cfg.check_interval() == 0 {
                     obs.phase("iterate", || comm.stats());
                     let rr = comm.reduce_sweep(&rr_sweep, 1)[0];
                     final_rel = rr.sqrt() / bnorm;

@@ -31,6 +31,7 @@ pub struct SolverConfig {
     pub max_iters: usize,
     /// Convergence is tested every `check_every` iterations (the paper
     /// checks every 10 in the 0.1° runs; each test costs one reduction).
+    /// 0 is read as 1.
     pub check_every: usize,
     /// Bounded graceful degradation when the recurrence breaks (NaN from a
     /// poisoned halo strip, exploding residual). Inert in healthy runs: the
@@ -66,6 +67,13 @@ impl SolverConfig {
             tol,
             ..Default::default()
         }
+    }
+
+    /// The convergence-check interval every solver loop reads:
+    /// `check_every`, with 0 (a zero divisor in `iterations % interval`)
+    /// meaning 1.
+    pub(crate) fn check_interval(&self) -> usize {
+        self.check_every.max(1)
     }
 
     /// The same config with observability routed to `sink`.
@@ -187,7 +195,7 @@ impl RecoveryMonitor {
     }
 }
 
-/// Outcome classification for the pre-recovery baseline loops
+/// Outcome classification for the pre-recovery test-oracle loops
 /// (`solve_unfused`), which run no restarts: non-finite residuals mean the
 /// recurrence diverged, anything else that missed the tolerance is an
 /// iteration-cap exit.

@@ -18,7 +18,7 @@ use pop_stencil::NinePoint;
 pub struct ClassicPcg;
 
 impl ClassicPcg {
-    /// The pre-fusion loop, kept as the bit-identical baseline of the fused
+    /// The pre-fusion loop, kept as the bit-identical test oracle of the fused
     /// path (see [`ChronGear::solve_unfused`](super::ChronGear)).
     pub fn solve_unfused(
         &self,
@@ -36,7 +36,7 @@ impl ClassicPcg {
         let mut r = DistVec::zeros(&layout);
         op.residual_reference(world, x, b, &mut r);
         let mut z = DistVec::zeros(&layout);
-        pre.apply_baseline(world, &r, &mut z);
+        pre.apply(world, &r, &mut z);
         let mut p = z.clone();
         let mut ap = DistVec::zeros(&layout);
         let mut rz = world.dot(&r, &z); // reduction #0 (setup)
@@ -61,7 +61,7 @@ impl ClassicPcg {
             x.axpy(alpha, &p);
             r.axpy(-alpha, &ap);
 
-            pre.apply_baseline(world, &r, &mut z);
+            pre.apply(world, &r, &mut z);
             precond_applies += 1;
 
             // Reduction #2 of the iteration.
@@ -70,7 +70,7 @@ impl ClassicPcg {
             rz = rz_new;
             p.xpay(&z, beta);
 
-            if iterations % cfg.check_every == 0 {
+            if iterations % cfg.check_interval() == 0 {
                 let rnorm = world.norm2_sq(&r).sqrt();
                 final_rel = rnorm / bnorm;
                 history.push((iterations, final_rel));
@@ -137,7 +137,7 @@ impl CommSolver for ClassicPcg {
         let mut outcome = SolveOutcome::MaxIters;
         let mut final_rel = f64::INFINITY;
         let mut history: Vec<(usize, f64)> =
-            Vec::with_capacity(cfg.max_iters / cfg.check_every.max(1) + 2);
+            Vec::with_capacity(cfg.max_iters / cfg.check_interval() + 2);
 
         'recurrence: loop {
             // ‖r₀‖² rides in lane 0, where the periodic check expects it.
@@ -225,7 +225,7 @@ impl CommSolver for ClassicPcg {
                     [0.0; MAX_SWEEP_PARTIALS]
                 });
 
-                if iterations % cfg.check_every == 0 {
+                if iterations % cfg.check_interval() == 0 {
                     obs.phase("iterate", || comm.stats());
                     let rr = comm.reduce_sweep(&rr_sweep, 1)[0];
                     final_rel = rr.sqrt() / bnorm;

@@ -31,7 +31,7 @@ use pop_stencil::NinePoint;
 pub struct PipelinedCg;
 
 impl PipelinedCg {
-    /// The pre-fusion loop, kept as the bit-identical baseline of the fused
+    /// The pre-fusion loop, kept as the bit-identical test oracle of the fused
     /// path (see [`ChronGear::solve_unfused`](super::ChronGear)).
     pub fn solve_unfused(
         &self,
@@ -50,7 +50,7 @@ impl PipelinedCg {
         let mut r = DistVec::zeros(&layout);
         op.residual_reference(world, x, b, &mut r);
         let mut u = DistVec::zeros(&layout);
-        pre.apply_baseline(world, &r, &mut u);
+        pre.apply(world, &r, &mut u);
         world.halo_update(&mut u);
         let mut w = DistVec::zeros(&layout);
         op.apply_reference(world, &u, &mut w);
@@ -84,7 +84,7 @@ impl PipelinedCg {
             let (gamma, delta, rr) = (d[0], d[1], d[2]);
 
             // Overlapped local work: m = M⁻¹w ; n = A m.
-            pre.apply_baseline(world, &w, &mut m);
+            pre.apply(world, &w, &mut m);
             precond_applies += 1;
             world.halo_update(&mut m);
             op.apply_reference(world, &m, &mut n);
@@ -112,12 +112,12 @@ impl PipelinedCg {
             alpha_old = alpha;
 
             final_rel = rr.sqrt() / bnorm;
-            if iterations % cfg.check_every == 0 {
+            if iterations % cfg.check_interval() == 0 {
                 history.push((iterations, final_rel));
             }
             if final_rel < cfg.tol {
                 converged = true;
-                if iterations % cfg.check_every != 0 {
+                if iterations % cfg.check_interval() != 0 {
                     history.push((iterations, final_rel));
                 }
                 break;
@@ -175,7 +175,7 @@ impl CommSolver for PipelinedCg {
         let mut outcome = SolveOutcome::MaxIters;
         let mut final_rel = f64::INFINITY;
         let mut history: Vec<(usize, f64)> =
-            Vec::with_capacity(cfg.max_iters / cfg.check_every.max(1) + 2);
+            Vec::with_capacity(cfg.max_iters / cfg.check_interval() + 2);
 
         'recurrence: loop {
             // The auxiliary recurrences must start from zero: after a restart
@@ -314,7 +314,7 @@ impl CommSolver for PipelinedCg {
                 alpha_old = alpha;
 
                 final_rel = rr.sqrt() / bnorm;
-                if iterations % cfg.check_every == 0 {
+                if iterations % cfg.check_interval() == 0 {
                     history.push((iterations, final_rel));
                 }
                 // The pipelined formulation checks every iteration for free, so
@@ -322,7 +322,7 @@ impl CommSolver for PipelinedCg {
                 match monitor.assess(final_rel) {
                     Verdict::Healthy { improved } => {
                         if final_rel < cfg.tol {
-                            if iterations % cfg.check_every != 0 {
+                            if iterations % cfg.check_interval() != 0 {
                                 history.push((iterations, final_rel));
                             }
                             outcome = SolveOutcome::Converged;

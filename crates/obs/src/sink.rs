@@ -97,29 +97,9 @@ impl ObsSink {
         export::json_lines(&self.metrics(), &self.traces())
     }
 
-    /// JSON array of metric samples (for embedding in BENCH provenance).
+    /// JSON array of metric samples (for embedding in result artifacts).
     pub fn metrics_json(&self) -> String {
         export::metrics_json_array(&self.metrics())
-    }
-
-    /// Record the geometry of a multigrid preconditioner hierarchy: one
-    /// gauge sample per level depth for the level extents and active-unknown
-    /// totals (summed over decomposition blocks). Registry label values
-    /// must be `&'static str`, so level indices come from a fixed table;
-    /// depths beyond it are aggregated into the last bucket's label.
-    pub fn record_mg_levels(&self, levels: &[(usize, usize, usize)]) {
-        static LEVEL_LABELS: [&str; 12] = [
-            "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11+",
-        ];
-        let Some(reg) = self.registry() else { return };
-        reg.gauge_set("mg_levels_total", &[], levels.len() as f64);
-        for (l, &(nx, ny, active)) in levels.iter().enumerate() {
-            let label = LEVEL_LABELS[l.min(LEVEL_LABELS.len() - 1)];
-            let labels = [("level", label)];
-            reg.gauge_set("mg_level_nx", &labels, nx as f64);
-            reg.gauge_set("mg_level_ny", &labels, ny as f64);
-            reg.gauge_set("mg_level_active_points", &labels, active as f64);
-        }
     }
 
     /// Begin recording one solve. `start` is the communicator's stats

@@ -370,6 +370,30 @@ mod tests {
         assert_eq!(s1.precond.name(), "diagonal");
     }
 
+    /// The two traffic shapes of the serving claim: operators cycling
+    /// through a capacity-1 cache never hit (every request pays setup),
+    /// and the same stream replayed against a cache that holds them all
+    /// is all hits.
+    #[test]
+    fn cycling_capacity_one_never_hits_and_a_replayed_warm_stream_always_hits() {
+        let (op, world) = op();
+        let lz = LanczosConfig::default();
+        let stream: Vec<u64> = (0..4).flat_map(|_| 1..=3u64).collect();
+        let mut cold = OperatorCache::new(1);
+        let mut warm = OperatorCache::new(3);
+        for &fp in &stream[..3] {
+            warm.get_or_build(fp, &op, PrecondSpec::Diagonal, false, &lz, &world);
+        }
+        for &fp in &stream {
+            let (_, hit) = cold.get_or_build(fp, &op, PrecondSpec::Diagonal, false, &lz, &world);
+            assert!(!hit, "cycling a capacity-1 cache must never hit");
+            let (_, hit) = warm.get_or_build(fp, &op, PrecondSpec::Diagonal, false, &lz, &world);
+            assert!(hit, "the replayed warm stream must be all cache hits");
+        }
+        assert_eq!(cold.stats().misses, stream.len() as u64);
+        assert_eq!(warm.stats().misses, 3, "only the warm-up pass builds");
+    }
+
     #[test]
     fn zero_capacity_disables_caching() {
         let (op, world) = op();

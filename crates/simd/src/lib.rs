@@ -66,12 +66,6 @@ impl SimdMode {
             SimdMode::Avx2 => "avx2",
         }
     }
-
-    /// Whether this mode runs the generic lane kernels (vs the scalar
-    /// reference loops).
-    pub fn uses_lanes(self) -> bool {
-        !matches!(self, SimdMode::Scalar)
-    }
 }
 
 /// Does this CPU support AVX2? (Always `false` off x86-64.)

@@ -187,3 +187,64 @@ fn measured_history_overrides_condition_estimates_deterministically() {
     let again = selector.select(&p.op, &world, Some(&rebuilt));
     assert_eq!(flatten(&again), flatten(&sel));
 }
+
+/// The operator regimes of DESIGN.md §15.3 land where the cost model says
+/// they should. On the 0.1°-shaped operator, measured P-CSI iteration
+/// counts feed a history the selector must then use, and MG must need
+/// strictly fewer iterations than diagonal. Without history, the stiff
+/// whole-domain basin (φ fades, one block spans the domain, estimated √κ ≈ 2
+/// for MG against ≈ 25 for EVP) must go to multigrid, and the φ-dominated
+/// short-timestep operator must keep a cheap preconditioner.
+#[test]
+fn regimes_select_the_expected_preconditioner() {
+    let world = CommWorld::serial();
+    let selector = PrecondSelector::default();
+
+    let grid = Grid::gx01_scaled(7, 180, 120);
+    let p = problem_on(&grid, 36, 24, 345.6, 7);
+    let cfg = SolverConfig {
+        check_every: 1,
+        ..common::solver_cfg()
+    };
+    let history = SolveHistory::new();
+    let fp = operator_fingerprint(&p.op);
+    let mut iters = Vec::new();
+    for spec in [PrecondSpec::Diagonal, PrecondSpec::Evp, PrecondSpec::Mg] {
+        let state = OperatorState::build(&p.op, spec, Some(&LanczosConfig::default()), &world);
+        let solver = Pcsi::new(state.bounds.expect("bounds requested"));
+        let mut x = DistVec::zeros(&p.layout);
+        let st = solver.solve(&p.op, state.precond.as_ref(), &world, &p.rhs, &mut x, &cfg);
+        assert!(st.converged, "pcsi+{}: {st:?}", spec.label());
+        history.record(fp, spec.label(), st.iterations);
+        iters.push(st.iterations);
+    }
+    assert!(
+        iters[2] < iters[0],
+        "MG-preconditioned P-CSI must need strictly fewer iterations than diagonal ({iters:?})"
+    );
+    assert!(selector.select(&p.op, &world, Some(&history)).used_history);
+
+    let basin = Grid::idealized_basin(120, 96, 4000.0, 100_000.0);
+    let stiff = problem_on(&basin, 120, 96, 345_600.0, 7);
+    let sel = selector.select(&stiff.op, &world, None);
+    assert_eq!(
+        sel.spec,
+        PrecondSpec::Mg,
+        "the stiff whole-domain basin operator must go to multigrid"
+    );
+    let sqrt_kappa = |spec| {
+        let score = sel.scores.iter().find(|s| s.spec == spec);
+        score.and_then(|s| s.sqrt_condition).expect("ranked")
+    };
+    assert!(
+        sqrt_kappa(PrecondSpec::Mg) < 3.0
+            && sqrt_kappa(PrecondSpec::Evp) > 5.0 * sqrt_kappa(PrecondSpec::Mg),
+        "MG must hold √κ near 2 where EVP's estimate is an order of magnitude higher"
+    );
+    let short = problem_on(&grid, 36, 24, 30.0, 7);
+    assert_ne!(
+        selector.select(&short.op, &world, None).spec,
+        PrecondSpec::Mg,
+        "the φ-dominated operator should keep a cheap preconditioner"
+    );
+}

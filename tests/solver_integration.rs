@@ -213,3 +213,57 @@ fn tighter_tolerance_costs_more_iterations() {
         last = st.iterations;
     }
 }
+
+/// `check_every: 0` used to divide by zero in every solver loop; it must
+/// run exactly the `check_every: 1` trajectory — fused, unfused, and
+/// batched.
+#[test]
+fn zero_check_interval_means_every_iteration() {
+    let grid = Grid::gx1_scaled(29, 48, 40);
+    let p = problem(&grid, 12, 10, 9000.0);
+    let pre = Diagonal::new(&p.op);
+    let (bounds, _) = estimate_bounds(&p.op, &pre, &p.world, &LanczosConfig::default());
+    let cfg = |check_every| SolverConfig {
+        tol: 1e-11,
+        max_iters: 50_000,
+        check_every,
+        ..SolverConfig::default()
+    };
+    let same = |what: &str, run: &dyn Fn(&SolverConfig, &mut DistVec) -> SolveStats| {
+        let (mut x0, mut x1) = (DistVec::zeros(&p.layout), DistVec::zeros(&p.layout));
+        let (st0, st1) = (run(&cfg(0), &mut x0), run(&cfg(1), &mut x1));
+        assert!(st0.converged, "{what}: {st0:?}");
+        assert_eq!(st0.iterations, st1.iterations, "{what}");
+        assert_eq!(st0.residual_history, st1.residual_history, "{what}");
+        for (a, b) in x0.to_global().iter().zip(&x1.to_global()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+        }
+    };
+    let (op, world, rhs) = (&p.op, &p.world, &p.rhs);
+    let pcsi = Pcsi::new(bounds);
+    same("pcg", &|c, x| ClassicPcg.solve(op, &pre, world, rhs, x, c));
+    same("chrongear", &|c, x| {
+        ChronGear.solve(op, &pre, world, rhs, x, c)
+    });
+    same("pipecg", &|c, x| {
+        PipelinedCg.solve(op, &pre, world, rhs, x, c)
+    });
+    same("pcsi", &|c, x| pcsi.solve(op, &pre, world, rhs, x, c));
+    same("pcg unfused", &|c, x| {
+        ClassicPcg.solve_unfused(op, &pre, world, rhs, x, c)
+    });
+    same("chrongear unfused", &|c, x| {
+        ChronGear.solve_unfused(op, &pre, world, rhs, x, c)
+    });
+    same("pipecg unfused", &|c, x| {
+        PipelinedCg.solve_unfused(op, &pre, world, rhs, x, c)
+    });
+    same("pcsi unfused", &|c, x| {
+        pcsi.solve_unfused(op, &pre, world, rhs, x, c)
+    });
+    same("pcsi batched", &|c, x| {
+        let mut ws = BatchWorkspace::new();
+        pcsi.solve_batch_comm(op, &pre, world, &[rhs], &mut [x], c, &mut ws)
+            .remove(0)
+    });
+}
