@@ -31,7 +31,6 @@
 //! mid-size configuration beside it. `--quick`/`--smoke` runs a 4 → 1024
 //! sweep on a smaller grid for CI.
 
-use pop_bench::args::BenchArgs;
 use pop_bench::provenance::Provenance;
 use pop_comm::{CommWorld, DistLayout, DistVec};
 use pop_core::lanczos::{estimate_bounds, LanczosConfig};
@@ -285,6 +284,23 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
+/// `--quick` / `--smoke` select the CI-sized sweep. Any other argument is
+/// an error: a typo like `--qiuck` must not silently run the full sweep.
+fn parse_quick(args: impl IntoIterator<Item = String>) -> Result<bool, String> {
+    let mut quick = false;
+    for a in args {
+        match a.as_str() {
+            "--quick" | "--smoke" => quick = true,
+            other => {
+                return Err(format!(
+                    "unknown option {other} (supported: --quick | --smoke)"
+                ))
+            }
+        }
+    }
+    Ok(quick)
+}
+
 /// The collective schedules under test. The diagonal preconditioner runs
 /// the full algorithm × overlap matrix; block-EVP rides with the binomial
 /// baseline in both halo modes (the precond changes the numerics, not the
@@ -297,7 +313,7 @@ const ALGOS: [ReduceAlgo; 4] = [
 ];
 
 fn main() {
-    let quick = BenchArgs::parse().quick;
+    let quick = parse_quick(std::env::args().skip(1)).unwrap_or_else(|msg| fail(&msg));
     std::fs::create_dir_all("results").expect("create results/");
     let (nx, ny, bx, by, iters, rank_counts): (_, _, _, _, _, &[usize]) = if quick {
         (
@@ -637,7 +653,7 @@ fn main() {
     j.push_str("  ]\n}\n");
 
     let out = "results/scaling_ranksim.json";
-    std::fs::write(out, &j).expect("write results/scaling_ranksim.json");
+    std::fs::write(out, &j).unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
     println!("\n[wrote {out}]");
 }
 
@@ -690,6 +706,15 @@ mod tests {
         let rows = vec![row("chrongear", 4, 1e-3, 101)];
         let err = check_crossover(&rows).unwrap_err();
         assert!(err.contains("no P-CSI rows"), "got: {err}");
+    }
+
+    #[test]
+    fn only_quick_and_smoke_are_accepted() {
+        let parse = |args: &[&str]| parse_quick(args.iter().map(|s| s.to_string()));
+        assert_eq!(parse(&[]), Ok(false));
+        assert_eq!(parse(&["--quick"]), Ok(true));
+        assert_eq!(parse(&["--smoke"]), Ok(true));
+        assert!(parse(&["--qiuck"]).is_err());
     }
 
     #[test]

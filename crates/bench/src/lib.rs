@@ -13,7 +13,6 @@
 //! 4. print the series next to the paper's reported values and append a CSV
 //!    under `results/`.
 
-pub mod args;
 pub mod provenance;
 
 use pop_comm::{CommWorld, DistLayout, DistVec};
