@@ -71,7 +71,9 @@ impl SolverConfig {
 
     /// The convergence-check interval every solver loop reads:
     /// `check_every`, with 0 (a zero divisor in `iterations % interval`)
-    /// meaning 1.
+    /// meaning 1. `#[inline]` because the generic solver loops that call it
+    /// every iteration are instantiated in downstream crates.
+    #[inline]
     pub(crate) fn check_interval(&self) -> usize {
         self.check_every.max(1)
     }

@@ -239,7 +239,7 @@ fn regimes_select_the_expected_preconditioner() {
     assert!(
         sqrt_kappa(PrecondSpec::Mg) < 3.0
             && sqrt_kappa(PrecondSpec::Evp) > 5.0 * sqrt_kappa(PrecondSpec::Mg),
-        "MG must hold √κ near 2 where EVP's estimate is an order of magnitude higher"
+        "MG must hold √κ near 2 where EVP's estimate is more than five times higher"
     );
     let short = problem_on(&grid, 36, 24, 30.0, 7);
     assert_ne!(
