@@ -5,7 +5,7 @@
 //! operators *the same* operator?" — same meaning bitwise-identical stencil
 //! coefficients on the same block structure, which is exactly the condition
 //! under which solves may share a fused batch or reuse cached setup state
-//! (EVP influence matrices, Lanczos eigenbounds, dense-LU land-tile
+//! (EVP influence matrices, Lanczos eigenbounds, band-LU land-tile
 //! factors) without perturbing a single bit of the result.
 //!
 //! # Hash construction

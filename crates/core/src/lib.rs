@@ -28,9 +28,9 @@
 //!   `O(n²)` per application after an `O(n³)` one-time setup. A `reduced`
 //!   mode drops the small N/S/E/W couplings, halving the marching cost, as
 //!   §4.3 of the paper describes.
-//! - [`precond::BlockLu`] — the same block-Jacobi structure with a dense LU
-//!   solve per sub-block; the `O(n⁴)`-setup reference EVP is compared
-//!   against.
+//! - [`precond::BlockLu`] — the same block-Jacobi structure with a band-LU
+//!   direct solve per sub-block (`O(n³)` per application); the reference
+//!   EVP is compared against.
 //!
 //! All solvers run over `pop-comm`'s counted communication layer, so a solve
 //! reports exactly how many reductions, halo updates, and bytes it needed —

@@ -1,23 +1,24 @@
-//! Block-Jacobi preconditioning with dense LU sub-block solves.
+//! Block-Jacobi preconditioning with direct LU sub-block solves.
 //!
 //! Identical block structure and sub-block matrices as [`super::BlockEvp`]
 //! (the raw principal submatrix of the operator over each tile, identity
-//! rows on land), but each tile is solved with a dense LU factorization:
-//! `O(n⁴)` work per block application versus EVP's `O(n²)` (paper §4.1).
-//! Kept as the reference the EVP solver is validated against and as the
-//! ablation baseline for the cost comparison.
+//! rows on land), but every tile is solved with an LU factorization —
+//! banded with half-width `n + 1` for an `n × n` tile, so `O(n³)` work per
+//! tile application versus EVP's `O(n²)` (paper §4.1; `O(n⁴)` is the cost
+//! of ignoring the band). Kept as the reference the EVP solver is validated
+//! against and as the ablation baseline for the cost comparison.
 
 use super::evp::TILE_SCRATCH;
 use super::tiling::{tile_block, Tile};
 use super::Preconditioner;
 use pop_comm::BlockVec;
-use pop_stencil::dense::LuFactors;
+use pop_stencil::dense::BandLu;
 use pop_stencil::NinePoint;
 
 /// One LU-factored tile.
 struct LuTile {
     tile: Tile,
-    lu: Option<LuFactors>, // None = all-land tile
+    lu: Option<BandLu>, // None = all-land tile
     mask: Vec<u8>,
 }
 
@@ -56,9 +57,8 @@ impl BlockLu {
                     .map(|(i, j)| u8::from(st.a0(i, j) > 0.0))
                     .collect();
                 let lu = st
-                    .to_dense()
-                    .lu()
-                    .expect("tile principal submatrix must be invertible");
+                    .band_lu()
+                    .expect("tile principal submatrix must be positive definite");
                 per_block.push(LuTile {
                     tile: t,
                     lu: Some(lu),
@@ -79,7 +79,7 @@ impl Preconditioner for BlockLu {
     fn apply_block(&self, b: usize, r: &BlockVec, z: &mut BlockVec) {
         TILE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            let (psi, out) = (&mut scratch.psi, &mut scratch.out);
+            let x = &mut scratch.tile;
             for lt in &self.subs[b] {
                 let t = lt.tile;
                 match &lt.lu {
@@ -91,18 +91,16 @@ impl Preconditioner for BlockLu {
                         }
                     }
                     Some(lu) => {
-                        psi.clear();
+                        x.clear();
                         for j in t.j0..t.j0 + t.ny {
                             let row = r.interior_row(j);
-                            psi.extend_from_slice(&row[t.i0..t.i0 + t.nx]);
+                            x.extend_from_slice(&row[t.i0..t.i0 + t.nx]);
                         }
-                        out.clear();
-                        out.resize(t.nx * t.ny, 0.0);
-                        lu.solve_into(psi, out);
+                        lu.solve_in_place(x);
                         for j in 0..t.ny {
                             for i in 0..t.nx {
                                 let k = j * t.nx + i;
-                                let v = if lt.mask[k] != 0 { out[k] } else { 0.0 };
+                                let v = if lt.mask[k] != 0 { x[k] } else { 0.0 };
                                 z.set(t.i0 + i, t.j0 + j, v);
                             }
                         }
@@ -114,12 +112,6 @@ impl Preconditioner for BlockLu {
 
     fn name(&self) -> &'static str {
         "block-lu"
-    }
-
-    fn flops_per_point(&self) -> f64 {
-        // Triangular solves cost ~2k² for the k = tile_size² unknowns of a
-        // tile, i.e. ~2·tile_size² flops per grid point.
-        2.0 * (self.tile_size * self.tile_size) as f64
     }
 }
 

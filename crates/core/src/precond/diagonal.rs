@@ -41,10 +41,6 @@ impl Preconditioner for Identity {
     fn name(&self) -> &'static str {
         "identity"
     }
-
-    fn flops_per_point(&self) -> f64 {
-        0.0
-    }
 }
 
 /// Diagonal (Jacobi) preconditioning `M = Λ(A)`: the default in CESM-POP,
@@ -115,10 +111,6 @@ impl Preconditioner for Diagonal {
 
     fn name(&self) -> &'static str {
         "diagonal"
-    }
-
-    fn flops_per_point(&self) -> f64 {
-        1.0
     }
 }
 

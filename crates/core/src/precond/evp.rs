@@ -15,8 +15,9 @@
 //! entries grow geometrically), so [`BlockEvp`] tiles each process block
 //! into sub-blocks of bounded size (default 12, the stability limit the
 //! paper quotes) and solves them independently as a block-Jacobi
-//! preconditioner. Setup falls back to a dense LU automatically if a tile's
-//! influence matrix is unusable.
+//! preconditioner. Tiles that cannot march — they touch land, or their
+//! influence matrix is unusable — are solved directly with a no-pivot band
+//! LU of the same matrix (DESIGN.md S5).
 //!
 //! The default drops the N/S/E/W couplings (`reduced = true`), halving the
 //! marching cost — the paper's §4.3 optimization, valid because those
@@ -28,7 +29,7 @@ use super::tiling::{tile_block, Tile};
 use super::Preconditioner;
 use pop_comm::{BlockVec, MultiBlockVec};
 use pop_simd::{SimdMode, LANES};
-use pop_stencil::dense::LuFactors;
+use pop_stencil::dense::BandLu;
 use pop_stencil::{DenseMatrix, LocalStencil, NinePoint};
 
 /// How a sub-block is solved.
@@ -44,8 +45,9 @@ enum SubSolver {
         /// Precomputed chain coefficients for the restructured march.
         plan: MarchPlan,
     },
-    /// Dense LU fallback (unstable or singular influence matrix).
-    DenseLu(LuFactors),
+    /// Direct band-LU solve (land-touching tile, or an unstable or singular
+    /// influence matrix).
+    Band(BandLu),
 }
 
 /// An exact solver for one sub-domain `B̃ x = ψ` (Dirichlet-0 exterior).
@@ -84,8 +86,7 @@ pub struct EvpScratch {
     corr: Vec<f64>,
     /// Per-row `g` buffer for the restructured marching sweep.
     g: Vec<f64>,
-    /// Contiguous-tile staging for the dense-LU fallback under strided calls.
-    psi_t: Vec<f64>,
+    /// Contiguous-tile staging for the band solve (in place: `ψ` in, `x` out).
     x_t: Vec<f64>,
 }
 
@@ -97,8 +98,8 @@ impl EvpSubBlock {
     /// preconditioner is undistorted block-Jacobi. What varies is the
     /// algorithm: tiles whose interior corners are all alive (no land in or
     /// diagonally adjacent to the tile — the overwhelmingly common case away
-    /// from coasts) are solved by EVP marching; land-touching tiles fall back
-    /// to a dense LU (DESIGN.md S5). A setup-time probe additionally demotes
+    /// from coasts) are solved by EVP marching; land-touching tiles take the
+    /// band LU (DESIGN.md S5). A setup-time probe additionally demotes
     /// tiles whose marching is too inaccurate (oversized blocks).
     pub fn new(raw: &LocalStencil, reduced: bool) -> Self {
         let stencil = if reduced { raw.reduced() } else { raw.clone() };
@@ -122,12 +123,16 @@ impl EvpSubBlock {
         let marchable = ane_max > 0.0
             && (0..ny as isize).all(|j| (0..nx as isize).all(|i| stencil.ane(i, j).abs() > floor));
 
-        let solver = if marchable {
-            Self::try_marching_setup(&stencil, reduced)
-                .unwrap_or_else(|| SubSolver::DenseLu(lu_of(&stencil)))
-        } else {
-            SubSolver::DenseLu(lu_of(&stencil))
-        };
+        let solver = marchable
+            .then(|| Self::try_marching_setup(&stencil, reduced))
+            .flatten()
+            .unwrap_or_else(|| {
+                SubSolver::Band(
+                    stencil
+                        .band_lu()
+                        .expect("sub-block principal submatrix must be positive definite"),
+                )
+            });
 
         let (e_idx, f_idx) = line_indices(nx, ny);
         let maskbits = pop_simd::mask_bits(&mask);
@@ -227,12 +232,12 @@ impl EvpSubBlock {
         // paper's 12×12 stability limit corresponds to this threshold on our
         // worst-case nearly-pure-Laplacian tiles.
         if worst > 1e-4 {
-            return None; // too unstable at this size; use LU
+            return None; // too unstable at this size; use the band LU
         }
         Some(probe.solver)
     }
 
-    /// Did setup keep the EVP fast path (vs. the dense LU fallback)?
+    /// Did setup keep the EVP fast path (vs. the band-LU direct solve)?
     pub fn uses_marching(&self) -> bool {
         matches!(self.solver, SubSolver::Evp { .. })
     }
@@ -340,34 +345,20 @@ impl EvpSubBlock {
                     &self.maskbits,
                 );
             }
-            SubSolver::DenseLu(lu) => {
-                // The dense fallback wants contiguous tiles; gather/scatter
-                // through scratch when the caller's tiles are strided.
-                if psi_stride == nx && x_stride == nx {
-                    lu.solve_into(&psi[..nx * ny], &mut x[..nx * ny]);
-                    for (v, &m) in x[..nx * ny].iter_mut().zip(&self.mask) {
-                        if m == 0 {
-                            *v = 0.0;
-                        }
-                    }
-                } else {
-                    scratch.psi_t.clear();
-                    for j in 0..ny {
-                        scratch
-                            .psi_t
-                            .extend_from_slice(&psi[j * psi_stride..j * psi_stride + nx]);
-                    }
-                    scratch.x_t.clear();
-                    scratch.x_t.resize(nx * ny, 0.0);
-                    lu.solve_into(&scratch.psi_t, &mut scratch.x_t);
-                    for (v, &m) in scratch.x_t.iter_mut().zip(&self.mask) {
-                        if m == 0 {
-                            *v = 0.0;
-                        }
-                    }
-                    for j in 0..ny {
-                        x[j * x_stride..j * x_stride + nx]
-                            .copy_from_slice(&scratch.x_t[j * nx..(j + 1) * nx]);
+            SubSolver::Band(lu) => {
+                // The substitutions run over one contiguous tile: gather ψ,
+                // solve in place, scatter with land zeroed.
+                let xt = &mut scratch.x_t;
+                xt.clear();
+                for j in 0..ny {
+                    xt.extend_from_slice(&psi[j * psi_stride..j * psi_stride + nx]);
+                }
+                lu.solve_in_place(xt);
+                for j in 0..ny {
+                    let row = j * nx..(j + 1) * nx;
+                    let dst = &mut x[j * x_stride..j * x_stride + nx];
+                    for ((d, &v), &m) in dst.iter_mut().zip(&xt[row.clone()]).zip(&self.mask[row]) {
+                        *d = if m == 0 { 0.0 } else { v };
                     }
                 }
             }
@@ -383,9 +374,9 @@ impl EvpSubBlock {
     /// (block stride · `LANES`). Marching tiles take the fused lane kernels
     /// of [`evp_multi`] (every coefficient and influence-matrix entry
     /// loaded once for all lanes of all groups, one independent chain
-    /// recurrence in flight per group); dense-LU fallback tiles stage one
-    /// lane at a time through the scalar LU path. Per lane the result is
-    /// bitwise identical to the single-RHS solve.
+    /// recurrence in flight per group); band-LU tiles run the lane-parallel
+    /// substitution of [`evp_multi::band_solve_multi`] on a staged copy. Per
+    /// lane the result is bitwise identical to the single-RHS solve.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn solve_strided_multi(
         &self,
@@ -468,27 +459,26 @@ impl EvpSubBlock {
                     groups,
                 );
             }
-            SubSolver::DenseLu(lu) => {
+            SubSolver::Band(lu) => {
                 // Every lane through one lane-parallel substitution: stage
                 // all tiles superlane-major, run the shared factorization's
-                // recurrences on the whole batch at once (the scalar
-                // fallback's serial chains are the single worst per-lane
-                // cost in a batched apply), then zero land and scatter.
-                // Per lane the staged values, solve sequence, and mask
-                // zeroing are exactly the one-lane-at-a-time path's.
+                // recurrences in place on the whole batch at once (the
+                // scalar substitution's serial chains are the single worst
+                // per-lane cost in a batched apply), then zero land and
+                // scatter. Per lane the staged values, solve sequence, and
+                // mask zeroing are exactly the one-lane-at-a-time path's.
                 let n = nx * ny;
-                scratch.psi_t.resize(n * sl, 0.0);
                 scratch.x_t.resize(n * sl, 0.0);
                 for g in 0..groups {
                     for j in 0..ny {
                         for i in 0..nx {
                             let p = (j * nx + i) * sl + g * LANES;
                             let s = g * psi_gstride + j * psi_stride + i * LANES;
-                            scratch.psi_t[p..p + LANES].copy_from_slice(&psi[s..s + LANES]);
+                            scratch.x_t[p..p + LANES].copy_from_slice(&psi[s..s + LANES]);
                         }
                     }
                 }
-                evp_multi::lu_solve_multi(mode, lu, &scratch.psi_t, &mut scratch.x_t, groups);
+                evp_multi::band_solve_multi(mode, lu, &mut scratch.x_t, groups);
                 for g in 0..groups {
                     for j in 0..ny {
                         for i in 0..nx {
@@ -534,10 +524,21 @@ fn r_inv_finite(m: &DenseMatrix) -> bool {
     (0..m.n()).all(|r| (0..m.n()).all(|c| m.get(r, c).is_finite()))
 }
 
-fn lu_of(st: &LocalStencil) -> LuFactors {
-    st.to_dense()
-        .lu()
-        .expect("regularized sub-block matrix must be invertible")
+/// A count of tiles and of the grid points they cover.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TileCount {
+    pub tiles: usize,
+    pub points: usize,
+}
+
+/// How one [`BlockEvp`] apply splits over its three tile paths: zero-filled
+/// all-land tiles, EVP marching tiles, and band-LU tiles (land-touching, or
+/// demoted by the set-up accuracy probe).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TileCensus {
+    pub all_land: TileCount,
+    pub marching: TileCount,
+    pub banded: TileCount,
 }
 
 /// The distributed block-EVP preconditioner: every process block tiled into
@@ -555,7 +556,7 @@ impl BlockEvp {
     /// The paper quotes marching stability "up to 12×12" for POP's operator;
     /// on our worst-case (nearly pure-Laplacian) tiles the growth is faster,
     /// so the default stays at 8 and the setup-time accuracy probe demotes
-    /// any tile that still marches poorly to the dense-LU fallback.
+    /// any tile that still marches poorly to the band-LU direct solve.
     pub fn with_defaults(op: &NinePoint) -> Self {
         Self::new(op, 8, true)
     }
@@ -587,23 +588,20 @@ impl BlockEvp {
         }
     }
 
-    /// Fraction of active tiles solved by marching (vs. LU fallback).
-    pub fn marching_fraction(&self) -> f64 {
-        let mut total = 0usize;
-        let mut marching = 0usize;
-        for per_block in &self.subs {
-            for (_, s) in per_block {
-                if let Some(s) = s {
-                    total += 1;
-                    marching += usize::from(s.uses_marching());
-                }
-            }
+    /// Which path every tile of one apply takes, in tiles and in the grid
+    /// points they cover.
+    pub fn census(&self) -> TileCensus {
+        let mut census = TileCensus::default();
+        for (t, s) in self.subs.iter().flatten() {
+            let class = match s {
+                None => &mut census.all_land,
+                Some(s) if s.uses_marching() => &mut census.marching,
+                Some(_) => &mut census.banded,
+            };
+            class.tiles += 1;
+            class.points += t.nx * t.ny;
         }
-        if total == 0 {
-            1.0
-        } else {
-            marching as f64 / total as f64
-        }
+        census
     }
 
     pub fn tile_size(&self) -> usize {
@@ -616,13 +614,13 @@ impl BlockEvp {
 }
 
 /// Per-thread reusable tile buffers for [`BlockEvp::apply_block`] /
-/// [`BlockLu`](super::BlockLu): gathered right-hand side, tile solution, and
-/// the EVP marching pads. Thread-local so steady-state preconditioner
-/// applications allocate nothing, even when blocks run on pool workers.
+/// [`BlockLu`](super::BlockLu): the staged contiguous tile and the EVP
+/// marching pads. Thread-local so steady-state preconditioner applications
+/// allocate nothing, even when blocks run on pool workers.
 #[derive(Default)]
 pub(super) struct TileScratch {
-    pub psi: Vec<f64>,
-    pub out: Vec<f64>,
+    /// [`BlockLu`](super::BlockLu)'s gathered right-hand side, solved in place.
+    pub tile: Vec<f64>,
     pub evp: EvpScratch,
     /// Lane-major pads/buffers for the batched tile solve.
     pub multi: MultiEvpScratch,
@@ -725,16 +723,6 @@ impl Preconditioner for BlockEvp {
             "evp"
         } else {
             "evp-full"
-        }
-    }
-
-    fn flops_per_point(&self) -> f64 {
-        // Paper §4.3: two sweeps of the (reduced) stencil plus the k² guess
-        // correction ⇒ T'_p ≈ 14 n²θ reduced, ~27 n²θ full.
-        if self.reduced {
-            14.0
-        } else {
-            27.0
         }
     }
 }
@@ -852,10 +840,10 @@ mod tests {
             "expected instability growth: resid(6)={small:e}, resid(10)={mid:e}"
         );
         // Past the stability limit the setup probe must demote the tile to
-        // the dense LU fallback.
+        // the band-LU direct solve.
         let big = LocalStencil::reference(28, 28, 100.0, 1.0);
         let sub = EvpSubBlock::new(&big, false);
-        assert!(!sub.uses_marching(), "28x28 must fall back to LU");
+        assert!(!sub.uses_marching(), "28x28 must fall back to the band LU");
     }
 
     #[test]
@@ -874,9 +862,9 @@ mod tests {
         sub.solve(&psi, &mut x, &mut EvpScratch::default());
         assert_eq!(x[3 * 8 + 3], 0.0, "land output zeroed");
         assert!(x.iter().all(|v| v.is_finite()));
-        // Land-containing tiles take the dense-LU path over the raw
+        // Land-containing tiles take the band-LU path over the raw
         // principal submatrix (identity land rows), then zero land.
-        assert!(!sub.uses_marching(), "land tile must use the LU fallback");
+        assert!(!sub.uses_marching(), "land tile must use the band LU");
         let mut want = dense_reference_solve(&raw, &psi);
         for (k, w) in want.iter_mut().enumerate() {
             if raw.a0((k % 8) as isize, (k / 8) as isize) <= 0.0 {
@@ -909,10 +897,20 @@ mod tests {
         let world = CommWorld::serial();
         let op = NinePoint::assemble(&g, &layout, &world, 1800.0);
         let pre = BlockEvp::new(&op, 8, false);
-        // On this small coastal-heavy grid most tiles touch land and fall
-        // back to LU; the result is identical either way (checked below).
-        let mf = pre.marching_fraction();
-        assert!((0.0..=1.0).contains(&mf));
+        // On this small coastal-heavy grid most tiles touch land and take
+        // the band LU; the result is identical either way (checked below).
+        // The census accounts for every tile and every point exactly once.
+        let c = pre.census();
+        assert!(c.banded.tiles > c.marching.tiles, "{c:?}");
+        assert_eq!(
+            c.all_land.points + c.marching.points + c.banded.points,
+            g.nx * g.ny
+        );
+        let tiles_per_block = tile_block(16, 10, 8).len();
+        assert_eq!(
+            c.all_land.tiles + c.marching.tiles + c.banded.tiles,
+            layout.n_blocks() * tiles_per_block
+        );
 
         let mut r = DistVec::zeros(&layout);
         r.fill_with(|i, j| ((i * 3 + j * 5) as f64 * 0.1).sin());
@@ -992,10 +990,10 @@ mod tests {
         let world = CommWorld::serial();
         let op = NinePoint::assemble(&g, &layout, &world, 3000.0);
         let pre = BlockEvp::new(&op, 8, false);
+        let c = pre.census();
         assert!(
-            pre.marching_fraction() > 0.3,
-            "interior tiles should march: {}",
-            pre.marching_fraction()
+            10 * c.marching.tiles > 3 * (c.marching.tiles + c.banded.tiles),
+            "interior tiles should march: {c:?}"
         );
     }
 }

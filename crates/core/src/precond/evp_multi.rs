@@ -32,7 +32,7 @@
 
 use super::evp_simd::MarchPlan;
 use pop_simd::{LaneF64, Portable4, SimdMode, LANES};
-use pop_stencil::dense::LuFactors;
+use pop_stencil::dense::BandLu;
 use pop_stencil::{DenseMatrix, LocalStencil};
 
 /// The most lane groups one batched tile solve interleaves:
@@ -57,8 +57,8 @@ pub(super) struct MultiEvpScratch {
     pub(super) fvals: Vec<f64>,
     /// Guess correction `R·f`: ring length × `groups·LANES`.
     pub(super) corr: Vec<f64>,
-    /// Per-lane contiguous staging tiles for the dense-LU fallback.
-    pub(super) psi_t: Vec<f64>,
+    /// Superlane-major contiguous staging tile for the band-LU solve (in
+    /// place: `ψ` in, `x` out).
     pub(super) x_t: Vec<f64>,
 }
 
@@ -444,43 +444,36 @@ pub(super) fn influence_apply_multi(
     }
 }
 
-/// Lane-parallel `PA = LU` solve: every lane of every group runs the exact
-/// scalar [`LuFactors::solve_into`] recurrence on its own right-hand side,
-/// with the shared factorization's entries splat once per coefficient. The
-/// substitutions are serial dependency chains per lane — the scalar
-/// fallback pays that latency once *per lane*, this kernel pays it once per
-/// batch with up to [`MAX_GROUPS`] independent chains in flight. `b` and
-/// `x` are `n` points of `groups · LANES` values (superlane-major).
+/// Lane-parallel band-LU solve, in place: every lane of every group runs the
+/// exact scalar [`BandLu::solve_in_place`] recurrence on its own right-hand
+/// side, with the shared factorization's entries splat once per coefficient.
+/// The substitutions are serial dependency chains per lane — the scalar
+/// path pays that latency once *per lane*, this kernel pays it once per
+/// batch with up to [`MAX_GROUPS`] independent chains in flight. `x` is `n`
+/// points of `groups · LANES` values (superlane-major), `b` on entry.
 ///
 /// # Safety
 /// With [`pop_simd::Avx2`] lanes the caller must be executing under the
-/// `avx2` target feature.
+/// `avx2` target feature. `band` must hold `n · (2w + 1)` entries and `x`
+/// `n · groups · LANES`, with `groups ≤ MAX_GROUPS`.
 #[inline(always)]
-unsafe fn lu_solve_multi_lanes<V: LaneF64>(
+unsafe fn band_solve_multi_lanes<V: LaneF64>(
     n: usize,
-    lu: &[f64],
-    piv: &[usize],
-    b: &[f64],
+    w: usize,
+    band: &[f64],
     x: &mut [f64],
     groups: usize,
 ) {
     let sl = groups * LANES;
-    // Apply permutation.
-    for (r, &pr) in piv.iter().enumerate().take(n) {
-        let src = pr * sl;
-        for gr in 0..groups {
-            V::load(b.as_ptr().add(src + gr * LANES))
-                .store(x.as_mut_ptr().add(r * sl + gr * LANES));
-        }
-    }
+    let bw = 2 * w + 1;
     // Forward substitution (unit lower).
     for r in 1..n {
         let mut acc = [V::splat(0.0); MAX_GROUPS];
         for (gr, a) in acc.iter_mut().enumerate().take(groups) {
             *a = V::load(x.as_ptr().add(r * sl + gr * LANES));
         }
-        for c in 0..r {
-            let lv = V::splat(lu[r * n + c]);
+        for c in r.saturating_sub(w)..r {
+            let lv = V::splat(band[r * bw + c + w - r]);
             for (gr, a) in acc.iter_mut().enumerate().take(groups) {
                 *a = a.sub(lv.mul(V::load(x.as_ptr().add(c * sl + gr * LANES))));
             }
@@ -495,13 +488,13 @@ unsafe fn lu_solve_multi_lanes<V: LaneF64>(
         for (gr, a) in acc.iter_mut().enumerate().take(groups) {
             *a = V::load(x.as_ptr().add(r * sl + gr * LANES));
         }
-        for c in r + 1..n {
-            let lv = V::splat(lu[r * n + c]);
+        for c in r + 1..(r + w + 1).min(n) {
+            let uv = V::splat(band[r * bw + c + w - r]);
             for (gr, a) in acc.iter_mut().enumerate().take(groups) {
-                *a = a.sub(lv.mul(V::load(x.as_ptr().add(c * sl + gr * LANES))));
+                *a = a.sub(uv.mul(V::load(x.as_ptr().add(c * sl + gr * LANES))));
             }
         }
-        let dv = V::splat(lu[r * n + r]);
+        let dv = V::splat(band[r * bw + w]);
         for (gr, a) in acc.iter().enumerate().take(groups) {
             a.div(dv).store(x.as_mut_ptr().add(r * sl + gr * LANES));
         }
@@ -510,43 +503,32 @@ unsafe fn lu_solve_multi_lanes<V: LaneF64>(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lu_solve_multi_avx2(
-    n: usize,
-    lu: &[f64],
-    piv: &[usize],
-    b: &[f64],
-    x: &mut [f64],
-    groups: usize,
-) {
-    lu_solve_multi_lanes::<pop_simd::Avx2>(n, lu, piv, b, x, groups);
+unsafe fn band_solve_multi_avx2(n: usize, w: usize, band: &[f64], x: &mut [f64], groups: usize) {
+    band_solve_multi_lanes::<pop_simd::Avx2>(n, w, band, x, groups);
 }
 
-/// Dispatch wrapper for the batched dense-LU fallback solve. As with the
-/// other batched kernels, scalar mode shares the portable instantiation:
-/// the substitution has one possible per-lane operation sequence (plain
-/// mul/sub chains, never contracted), so every dispatch mode's single-RHS
+/// Dispatch wrapper for the batched band-LU solve. As with the other
+/// batched kernels, scalar mode shares the portable instantiation: the
+/// substitution has one possible per-lane operation sequence (plain mul/sub
+/// chains, never contracted), so every dispatch mode's single-RHS
 /// trajectory is the same and one lane image matches them all.
-pub(super) fn lu_solve_multi(
-    mode: SimdMode,
-    factors: &LuFactors,
-    b: &[f64],
-    x: &mut [f64],
-    groups: usize,
-) {
+pub(super) fn band_solve_multi(mode: SimdMode, factors: &BandLu, x: &mut [f64], groups: usize) {
     assert!((1..=MAX_GROUPS).contains(&groups));
-    let (n, lu, piv) = factors.raw_parts();
-    debug_assert_eq!(b.len(), n * groups * LANES);
-    debug_assert_eq!(x.len(), n * groups * LANES);
+    let (n, w, band) = factors.raw_parts();
+    assert_eq!(band.len(), n * (2 * w + 1));
+    assert_eq!(x.len(), n * groups * LANES);
     match mode {
         SimdMode::Scalar | SimdMode::Portable => {
-            // SAFETY: portable lanes need no CPU features.
-            unsafe { lu_solve_multi_lanes::<Portable4>(n, lu, piv, b, x, groups) }
+            // SAFETY: portable lanes need no CPU features; the lengths the
+            // raw lane loads rely on were asserted above.
+            unsafe { band_solve_multi_lanes::<Portable4>(n, w, band, x, groups) }
         }
         SimdMode::Avx2 => {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: dispatch only selects Avx2 after runtime detection.
+            // SAFETY: dispatch only selects Avx2 after runtime detection;
+            // lengths asserted above.
             unsafe {
-                lu_solve_multi_avx2(n, lu, piv, b, x, groups)
+                band_solve_multi_avx2(n, w, band, x, groups)
             }
             #[cfg(not(target_arch = "x86_64"))]
             unreachable!("AVX2 dispatch off x86-64")
@@ -663,7 +645,7 @@ mod tests {
     }
 
     /// The batched tile solve is bitwise identical, per lane, to the
-    /// single-RHS solve — marching and dense-LU fallback tiles, reduced and
+    /// single-RHS solve — marching and band-LU tiles, reduced and
     /// full systems, every group count up to [`super::MAX_GROUPS`], every
     /// dispatch mode this machine supports.
     #[test]

@@ -12,7 +12,7 @@
 //! modes by construction: level applications and residuals go through the
 //! pinned lane kernels of `pop-stencil`, the smoother and transfers are
 //! fixed-order scalar loops, and the coarsest level is solved exactly with
-//! the same dense LU the block-LU preconditioner uses.
+//! a pivoted dense LU over its active cells.
 //!
 //! Symmetry (required by the CG-type solvers and by P-CSI's real-spectrum
 //! assumption): the weighted-Jacobi smoother matrix `D/ω` is symmetric, one
@@ -127,7 +127,6 @@ struct BlockHierarchy {
 pub struct BlockMg {
     blocks: Vec<BlockHierarchy>,
     cfg: MgConfig,
-    flops: f64,
 }
 
 /// Reusable per-level vectors for one V-cycle: the level right-hand side,
@@ -168,45 +167,29 @@ impl BlockMg {
         assert!(cfg.min_extent >= 2, "min_extent must be at least 2");
         assert!(cfg.max_levels >= 1);
         let mut blocks = Vec::with_capacity(op.layout.n_blocks());
-        let (mut fine_active, mut total_active, mut coarsest_cost) = (0u64, 0u64, 0.0f64);
         for (b, info) in op.layout.decomp.blocks.iter().enumerate() {
             let ls = op.extract_local(b, 0, 0, info.nx, info.ny);
             let steps = cfg.schedule(info.nx, info.ny);
             let finest = MgLevel::from_local(&ls);
             let conjugated = finest.parity_conjugate();
-            fine_active += finest.active() as u64;
             let chains = [finest, conjugated].map(|fine| {
                 let mut levels = vec![fine];
                 for &(cx, cy) in &steps {
                     let next = levels.last().expect("nonempty").coarsen(cx, cy);
                     levels.push(next);
                 }
-                for lv in &levels {
-                    total_active += lv.active() as u64;
-                }
                 let bottom = levels.last().expect("nonempty");
                 let coarse = if bottom.active() == 0 {
                     None
                 } else {
                     let (cells, dense) = bottom.to_dense_active();
-                    coarsest_cost += 2.0 * (cells.len() * cells.len()) as f64;
                     Some((cells, factor_coarsest(dense)))
                 };
                 Chain { levels, coarse }
             });
             blocks.push(BlockHierarchy { chains, steps });
         }
-        // Per fine ocean point and one dual-chain application: per chain,
-        // two damped-Jacobi sweeps, two residual evaluations (≈ 10 flops
-        // each through the nine-point kernel), and the two transfers,
-        // summed over levels weighted by their active counts; plus the
-        // coarsest triangular solves and the parity staging/combination.
-        let flops = if fine_active == 0 {
-            0.0
-        } else {
-            (26.0 * total_active as f64 + coarsest_cost) / fine_active as f64 + 4.0
-        };
-        BlockMg { blocks, cfg, flops }
+        BlockMg { blocks, cfg }
     }
 
     pub fn config(&self) -> MgConfig {
@@ -409,10 +392,6 @@ impl Preconditioner for BlockMg {
 
     fn name(&self) -> &'static str {
         "mg"
-    }
-
-    fn flops_per_point(&self) -> f64 {
-        self.flops
     }
 }
 

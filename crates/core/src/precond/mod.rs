@@ -16,7 +16,7 @@ mod tiling;
 
 pub use blocklu::BlockLu;
 pub use diagonal::{Diagonal, Identity};
-pub use evp::{BlockEvp, EvpScratch, EvpSubBlock};
+pub use evp::{BlockEvp, EvpScratch, EvpSubBlock, TileCensus, TileCount};
 pub use mg::{BlockMg, MgConfig};
 pub use regularize::regularize;
 pub use tiling::{tile_block, Tile};
@@ -91,11 +91,6 @@ pub trait Preconditioner: Send + Sync {
 
     /// Short label used in experiment output ("diagonal", "evp", ...).
     fn name(&self) -> &'static str;
-
-    /// Approximate floating-point operations per application per ocean
-    /// point, for the cost model (paper §4.3: diagonal = 1, EVP ≈ 27,
-    /// reduced EVP ≈ 14).
-    fn flops_per_point(&self) -> f64;
 }
 
 #[cfg(test)]
@@ -108,8 +103,7 @@ mod batched_tests {
     /// Every preconditioner's batched apply — fused overrides (identity,
     /// diagonal, block-EVP) and the default lane-staging path (block-LU) —
     /// is bitwise identical, per lane, to the single-RHS apply on a real
-    /// land-masked grid, ragged tails and coastal LU-fallback tiles
-    /// included.
+    /// land-masked grid, ragged tails and coastal band-LU tiles included.
     #[test]
     fn apply_block_multi_matches_single_rhs_per_lane() {
         let g = Grid::gx1_scaled(10, 48, 40);

@@ -67,7 +67,10 @@ pub fn nominal_flops_per_point(spec: PrecondSpec) -> f64 {
         PrecondSpec::Identity => 0.0,
         PrecondSpec::Diagonal => 1.0,
         PrecondSpec::Evp => 14.0,
-        PrecondSpec::BlockLu => 128.0,
+        // Band-LU substitutions at the default 8×8 tile: half-width
+        // w = 9, a multiply and a subtract per band entry (2w + 1 per
+        // row) and the pivot division.
+        PrecondSpec::BlockLu => 39.0,
         // Two parity-chain V(1,1) cycles (§15.2): two damped-Jacobi sweeps
         // and two residuals per level per chain, geometric-series level
         // sizes, plus the sign staging of the combination.

@@ -1,8 +1,8 @@
 //! Cache-reusable per-operator setup state.
 //!
 //! Everything expensive a solver needs *before* its first iteration on an
-//! operator — the preconditioner (EVP influence matrices are O(n³) to
-//! build, dense-LU land-tile factors likewise) and, for P-CSI, the Lanczos
+//! operator — the preconditioner (EVP influence matrices, O(n³) each to
+//! build, and land-tile band-LU factors) and, for P-CSI, the Lanczos
 //! eigenbound estimate — is bundled into one immutable, shareable
 //! [`OperatorState`]. `pop_ocean::SolverSetup` builds on it for the
 //! one-model-one-operator case; `pop-serve` keeps an LRU of them keyed by

@@ -49,7 +49,6 @@ pub struct BathymetryBuilder {
     n_islands: usize,
     n_straits: usize,
     periodic_x: bool,
-    wall_north_south: bool,
 }
 
 impl BathymetryBuilder {
@@ -64,7 +63,6 @@ impl BathymetryBuilder {
             n_islands: 12,
             n_straits: 3,
             periodic_x: true,
-            wall_north_south: true,
         }
     }
 
@@ -99,13 +97,6 @@ impl BathymetryBuilder {
     /// Whether the domain wraps zonally (a global ocean does).
     pub fn periodic_x(mut self, p: bool) -> Self {
         self.periodic_x = p;
-        self
-    }
-
-    /// Whether to force solid land at the first/last row (Arctic/Antarctic
-    /// closure; also keeps the dipole corner out of the picture).
-    pub fn polar_walls(mut self, w: bool) -> Self {
-        self.wall_north_south = w;
         self
     }
 
@@ -204,11 +195,11 @@ impl BathymetryBuilder {
             }
         }
 
-        if self.wall_north_south {
-            for i in 0..nx {
-                depth[i] = 0.0;
-                depth[(ny - 1) * nx + i] = 0.0;
-            }
+        // Solid land at the first/last row (Arctic/Antarctic closure; also
+        // keeps the dipole corner out of the picture).
+        for i in 0..nx {
+            depth[i] = 0.0;
+            depth[(ny - 1) * nx + i] = 0.0;
         }
 
         let mut b = Bathymetry { nx, ny, depth };

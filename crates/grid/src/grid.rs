@@ -157,12 +157,6 @@ impl Grid {
     pub fn ocean_fraction(&self) -> f64 {
         self.ocean_points() as f64 / (self.nx * self.ny) as f64
     }
-
-    /// Total number of T points.
-    #[inline]
-    pub fn total_points(&self) -> usize {
-        self.nx * self.ny
-    }
 }
 
 /// POP-style corner depth: minimum of the four surrounding T depths

@@ -91,15 +91,6 @@ impl BarotropicMode {
         self.setup.choice()
     }
 
-    pub fn solver_config(&self) -> &SolverConfig {
-        &self.cfg
-    }
-
-    /// Change the convergence tolerance (the §6 tolerance sweep).
-    pub fn set_tolerance(&mut self, tol: f64) {
-        self.cfg.tol = tol;
-    }
-
     /// Advance the surface height given the *forecast* field
     /// `f = ηⁿ − τ ∇·(H u*)` (what η would be without the implicit gravity
     /// wave correction). Returns the solve statistics.

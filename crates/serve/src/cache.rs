@@ -1,7 +1,7 @@
 //! LRU cache of per-operator setup state.
 //!
 //! The expensive, immutable part of a solve — EVP influence matrices,
-//! dense-LU land-tile factors, Lanczos eigenbounds — is an
+//! band-LU land-tile factors, Lanczos eigenbounds — is an
 //! [`OperatorState`] keyed by the operator's fingerprint plus the
 //! preconditioner spec and whether bounds were estimated. States are
 //! `Arc`-shared: eviction only drops the cache's reference, so a batch

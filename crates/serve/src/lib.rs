@@ -1,7 +1,7 @@
 //! `pop-serve`: a multi-tenant solve service over the barotropic solvers.
 //!
 //! The paper's P-CSI + block-EVP stack amortizes an expensive per-operator
-//! setup (O(n³) EVP influence matrices, dense-LU land-tile factors, a
+//! setup (O(n³) EVP influence matrices, band-LU land-tile factors, a
 //! seeded Lanczos eigenbound estimation) over many cheap solves. This
 //! crate turns that property into a serving architecture:
 //!

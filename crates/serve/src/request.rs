@@ -123,11 +123,6 @@ impl SolveRequest {
         self
     }
 
-    pub fn with_x0(mut self, x0: DistVec) -> Self {
-        self.x0 = Some(x0);
-        self
-    }
-
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
         self

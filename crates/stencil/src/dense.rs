@@ -1,14 +1,21 @@
 //! A small dense-matrix workhorse: storage, LU with partial pivoting, solves
-//! and inverses.
+//! and inverses — plus the no-pivot band LU the block preconditioners solve
+//! their nine-point tile matrices with.
 //!
 //! Index-style loops are deliberate here (triangular ranges, pivoted
-//! permutations); the iterator forms obscure the linear algebra.
+//! permutations, band windows); the iterator forms obscure the linear
+//! algebra.
 //!
-//! Used in two places: as the reference solver the block preconditioners are
-//! validated against (block-LU preconditioning, paper §4.1), and to invert
-//! the EVP influence-coefficient matrix `W` (paper Algorithm 3, step 8).
-//! Sizes stay small — sub-domain blocks of at most a few hundred unknowns —
-//! so a straightforward O(n³) factorization is the right tool.
+//! [`DenseMatrix::lu`] is the reference solver the block preconditioners are
+//! validated against, the coarsest-level solve of the multigrid
+//! preconditioner, and what inverts the (non-symmetric) EVP
+//! influence-coefficient matrix `W` (paper Algorithm 3, step 8). Sizes stay
+//! small — at most a few hundred unknowns — so a straightforward O(n³)
+//! factorization is the right tool there. [`BandLu`] is the production
+//! direct solve for a tile's principal submatrix (block-LU preconditioning,
+//! paper §4.1, and the land-touching tiles of block-EVP): symmetric positive
+//! definite and banded with half-width `nx + 1`, so it needs no pivoting and
+//! only the band is stored, factored and traversed.
 
 #![allow(clippy::needless_range_loop)]
 
@@ -127,6 +134,49 @@ impl DenseMatrix {
         Ok(LuFactors { n, lu, piv })
     }
 
+    /// No-pivot LU of a matrix whose non-zeros all lie within `half_width`
+    /// of the diagonal, in band storage: O(n·w²) work, `(2w+1)·n` doubles.
+    ///
+    /// Every in-band operation is the one [`DenseMatrix::lu`] performs when
+    /// it never pivots; the operations skipped have an exact zero as a
+    /// factor. So wherever the pivoted factorization keeps the diagonal —
+    /// every nine-point tile matrix met so far — the two solves agree bit
+    /// for bit. Fails on a pivot that is not positive and finite (the matrix
+    /// is not positive definite); panics on a non-zero outside the band,
+    /// which is a wrong `half_width`, not a property of the data.
+    pub fn band_lu(&self, half_width: usize) -> Result<BandLu, SingularMatrix> {
+        let n = self.n;
+        let w = half_width.min(n.saturating_sub(1));
+        let bw = 2 * w + 1;
+        // Row `r` holds columns `r − w ..= r + w` at `r·bw + (c + w − r)`.
+        let mut band = vec![0.0; n * bw];
+        for r in 0..n {
+            for c in 0..n {
+                let v = self.data[r * n + c];
+                if c + w >= r && c <= r + w {
+                    band[r * bw + c + w - r] = v;
+                } else {
+                    assert!(v == 0.0, "entry ({r},{c}) outside half-width {w}");
+                }
+            }
+        }
+        for k in 0..n {
+            let pivot = band[k * bw + w];
+            if !(pivot > 0.0 && pivot.is_finite()) {
+                return Err(SingularMatrix { pivot: k });
+            }
+            let end = (k + w + 1).min(n);
+            for r in k + 1..end {
+                let factor = band[r * bw + k + w - r] / pivot;
+                band[r * bw + k + w - r] = factor;
+                for c in k + 1..end {
+                    band[r * bw + c + w - r] -= factor * band[k * bw + c + w - k];
+                }
+            }
+        }
+        Ok(BandLu { n, w, band })
+    }
+
     /// Explicit inverse via LU (used for the EVP influence matrix `R = W⁻¹`).
     pub fn inverse(&self) -> Result<DenseMatrix, SingularMatrix> {
         let f = self.lu()?;
@@ -146,7 +196,20 @@ impl DenseMatrix {
     }
 }
 
-/// Error: zero pivot at the given elimination step.
+/// A no-pivot LU factorization (A = LU) in band storage, ready to solve.
+#[derive(Debug, Clone)]
+pub struct BandLu {
+    n: usize,
+    /// Half-width: entries `|r − c| > w` are structurally zero.
+    w: usize,
+    /// Row-major band, `2w + 1` entries per row (unit-lower `L` left of the
+    /// diagonal slot `w`, `U` from it rightwards).
+    band: Vec<f64>,
+}
+
+/// Error: unusable pivot at the given elimination step (zero for
+/// [`DenseMatrix::lu`], not positive and finite for
+/// [`DenseMatrix::band_lu`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SingularMatrix {
     pub pivot: usize,
@@ -194,20 +257,149 @@ impl LuFactors {
         self.solve_into(b, &mut x);
         x
     }
+}
 
-    /// The factorization's raw storage `(n, packed LU, pivot permutation)`,
-    /// for callers that run the [`LuFactors::solve_into`] recurrences
-    /// themselves — e.g. a lane-parallel multi-RHS substitution that shares
-    /// one factorization across a whole SIMD batch.
+impl BandLu {
+    /// Solve `A x = b` in place (`x` holds `b` on entry): forward then back
+    /// substitution over the band columns only, ascending column order,
+    /// plain `acc -= l * x` — [`LuFactors::solve_into`] without its
+    /// multiplications by structural zeros.
+    pub fn solve_in_place(&self, x: &mut [f64]) {
+        let (n, w) = (self.n, self.w);
+        let bw = 2 * w + 1;
+        assert_eq!(x.len(), n);
+        // Forward substitution (unit lower).
+        for r in 1..n {
+            let lo = r.saturating_sub(w);
+            let row = &self.band[r * bw + lo + w - r..r * bw + w];
+            let mut acc = x[r];
+            for (l, xc) in row.iter().zip(&x[lo..r]) {
+                acc -= l * xc;
+            }
+            x[r] = acc;
+        }
+        // Back substitution.
+        for r in (0..n).rev() {
+            let hi = (r + w + 1).min(n);
+            let row = &self.band[r * bw + w..r * bw + w + hi - r];
+            let mut acc = x[r];
+            for (u, xc) in row[1..].iter().zip(&x[r + 1..hi]) {
+                acc -= u * xc;
+            }
+            x[r] = acc / row[0];
+        }
+    }
+
+    /// Solve, allocating the result.
+    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x);
+        x
+    }
+
+    /// The factorization's raw storage `(n, half-width w, band)` — row `r`
+    /// holds columns `r − w ..= r + w` at `r·(2w+1) + (c + w − r)` — for
+    /// callers that run the [`BandLu::solve_in_place`] recurrences
+    /// themselves: the lane-parallel multi-RHS substitution that shares one
+    /// factorization across a whole SIMD batch.
     #[inline]
-    pub fn raw_parts(&self) -> (usize, &[f64], &[usize]) {
-        (self.n, &self.lu, &self.piv)
+    pub fn raw_parts(&self) -> (usize, usize, &[f64]) {
+        (self.n, self.w, &self.band)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LocalStencil;
+
+    /// A nine-point tile with position-dependent coefficients, axis
+    /// couplings included, and (when `land`) a few land cells: identity
+    /// rows, every coupling that touches one dead.
+    fn tile(nx: usize, ny: usize, land: bool) -> LocalStencil {
+        let dry = |i: isize, j: isize| land && i >= 0 && j >= 0 && (i * 5 + j * 3) % 7 == 0;
+        let mut st = LocalStencil::zeros(nx, ny);
+        for j in -1..ny as isize {
+            for i in -1..nx as isize {
+                let t = ((i * 7 + j * 13).rem_euclid(10)) as f64 / 10.0;
+                let w = 12.0 * (1.0 + 0.3 * t);
+                let live = |cells: &[(isize, isize)]| {
+                    if cells.iter().any(|&(di, dj)| dry(i + di, j + dj)) {
+                        0.0
+                    } else {
+                        1.0
+                    }
+                };
+                let a0 = if i >= 0 && j >= 0 {
+                    (17.0 * w + 2.5) * live(&[(0, 0)])
+                } else {
+                    0.0
+                };
+                st.set(
+                    i,
+                    j,
+                    a0,
+                    -0.05 * w * t * live(&[(0, 0), (0, 1)]),
+                    -0.04 * w * (1.0 - t) * live(&[(0, 0), (1, 0)]),
+                    -4.0 * w * live(&[(0, 0), (1, 0), (0, 1), (1, 1)]),
+                );
+            }
+        }
+        st
+    }
+
+    #[test]
+    fn band_lu_matches_dense_lu_bitwise_on_tile_matrices() {
+        for (nx, ny) in [(1, 5), (12, 3), (8, 8), (7, 11)] {
+            for land in [false, true] {
+                let raw = tile(nx, ny, land);
+                for st in [raw.clone(), raw.reduced()] {
+                    let a = st.to_dense();
+                    let n = nx * ny;
+                    let band = a.band_lu(nx + 1).expect("positive definite");
+                    let dense = a.lu().expect("nonsingular");
+                    assert_eq!(dense.piv, (0..n).collect::<Vec<_>>(), "oracle pivoted");
+                    let b: Vec<f64> = (0..n)
+                        .map(|k| ((k * 2654435761) % 1000) as f64 / 500.0 - 1.0)
+                        .collect();
+                    let (got, want) = (band.solve(&b), dense.solve(&b));
+                    for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "{nx}x{ny} land={land} row {k}: {g:e} vs {w:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn band_lu_storage_is_the_band() {
+        let f = tile(8, 8, false).band_lu().expect("positive definite");
+        let (n, w, band) = f.raw_parts();
+        assert_eq!((n, w, band.len()), (64, 9, 19 * 64));
+        // A half-width beyond the matrix is clamped, not over-allocated.
+        let f = tile(1, 5, false).to_dense().band_lu(40).expect("ok");
+        assert_eq!(f.raw_parts().1, 4);
+    }
+
+    #[test]
+    fn band_lu_rejects_indefinite_matrix() {
+        // Symmetric, nonsingular, but indefinite: the second pivot is
+        // 1 − 4 < 0. The pivoted dense LU factors it; the no-pivot band LU
+        // must report it at set-up instead of dividing through.
+        let a = DenseMatrix::from_fn(3, |r, c| {
+            [[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 3.0]][r][c]
+        });
+        assert!(a.lu().is_ok());
+        assert_eq!(a.band_lu(1).unwrap_err(), SingularMatrix { pivot: 1 });
+        // Non-finite data is a set-up failure as well, not a NaN factor.
+        let mut b = tile(4, 4, false).to_dense();
+        b.set(5, 5, f64::NAN);
+        assert_eq!(b.band_lu(5).unwrap_err().pivot, 5);
+    }
 
     #[test]
     fn solves_small_system() {

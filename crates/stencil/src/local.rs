@@ -1,7 +1,7 @@
 //! A self-contained copy of the stencil coefficients on a small sub-domain,
 //! used by the block preconditioners (EVP marching and block-LU).
 
-use crate::dense::DenseMatrix;
+use crate::dense::{BandLu, DenseMatrix, SingularMatrix};
 
 /// Nine-point coefficients for an `nx × ny` sub-domain, stored with a
 /// one-cell pad on the south and west sides so the symmetric couplings
@@ -159,6 +159,16 @@ impl LocalStencil {
             }
         }
         m
+    }
+
+    /// Factor the sub-domain operator of [`LocalStencil::to_dense`] for a
+    /// direct solve. In that row-major numbering a nine-point row reaches
+    /// at most `nx + 1` columns either side of the diagonal — the
+    /// north-east / south-west corners — so the matrix is banded with that
+    /// half-width, and being symmetric positive definite it needs no
+    /// pivoting.
+    pub fn band_lu(&self) -> Result<BandLu, SingularMatrix> {
+        self.to_dense().band_lu(self.nx + 1)
     }
 
     /// A synthetic all-ocean SPD stencil on an `nx × ny` sub-domain with unit

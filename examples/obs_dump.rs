@@ -22,6 +22,24 @@ fn main() {
     // The paper's production configuration: P-CSI with the block-EVP
     // preconditioner, spectral bounds from a one-time Lanczos estimation.
     let evp = BlockEvp::with_defaults(&op);
+    // Which tile path the preconditioner's work goes down: EVP marching
+    // away from coasts, the band-LU direct solve where a tile touches land.
+    let census = evp.census();
+    let paths = [
+        ("all-land", census.all_land),
+        ("marching", census.marching),
+        ("banded", census.banded),
+    ];
+    let points: usize = paths.iter().map(|(_, c)| c.points).sum();
+    println!("block-EVP tile census ({0}x{0} tiles):", evp.tile_size());
+    for (path, c) in paths {
+        println!(
+            "  {path:<9} {:>5} tiles {:>7} points ({:>5.1} % of points)",
+            c.tiles,
+            c.points,
+            100.0 * c.points as f64 / points as f64
+        );
+    }
     let (bounds, lanczos_steps) = estimate_bounds(&op, &evp, &world, &LanczosConfig::default());
     println!(
         "eigenbounds: nu = {:.6}, mu = {:.6} (condition {:.1}, {lanczos_steps} Lanczos steps)",

@@ -14,13 +14,16 @@
 //! reductions over near-empty blocks all get exercised in one sweep.
 
 use pop_baro::prelude::*;
+use pop_core::solvers::SolverWorkspace;
 use pop_grid::{Bathymetry, GridKind, Metrics};
 use pop_rng::SmallRng;
 use pop_simd::SimdMode;
 use std::sync::Arc;
 
 mod common;
-use common::{run_ranks, run_world, ModeGuard, Problem};
+use common::{
+    assert_same, observe, run_ranks, run_world, solver_cfg, ModeGuard, Observables, Problem,
+};
 
 const NX: usize = 64;
 const NY: usize = 40;
@@ -31,6 +34,10 @@ const BY: usize = 10;
 /// ocean basin (the guaranteed region); the rest is seeded noise with the
 /// four engineered degeneracies stamped on top.
 fn fuzzed_grid(seed: u64) -> Grid {
+    grid_of(fuzzed_depth(seed))
+}
+
+fn fuzzed_depth(seed: u64) -> Vec<f64> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut depth = vec![0.0f64; NX * NY];
     let d = |depth: &mut Vec<f64>, i: usize, j: usize, v: f64| depth[j * NX + i] = v;
@@ -83,6 +90,10 @@ fn fuzzed_grid(seed: u64) -> Grid {
         d(&mut depth, i, channel_j, 320.0);
     }
 
+    depth
+}
+
+fn grid_of(depth: Vec<f64>) -> Grid {
     let bathy = Bathymetry {
         nx: NX,
         ny: NY,
@@ -299,5 +310,98 @@ fn mg_preconditioned_solves_identically_on_pathological_masks() {
             let r = run_ranks(&p, &mg, kind, 4);
             assert!(r == base, "{name}: ranksim backend diverged from serial");
         }
+    }
+}
+
+/// The band-LU direct solve is the only tile path left standing when land
+/// reaches every tile: a fuzzed mask with a land cell stamped on every
+/// third row and column puts one inside the corner reach of every tile,
+/// ragged 8×2 edge tiles included, so nothing marches. On that operator
+/// the three implementations of the band solve — the scalar substitution
+/// of the single-RHS apply, the lane-parallel one the batched engine runs
+/// (k = 1, 4 and 16: one, one and four lane groups), and `BlockLu`'s —
+/// must agree bit for bit, under the startup dispatch and forced-scalar.
+#[test]
+fn all_banded_operator_is_bitwise_equal_across_single_batched_and_scalar_paths() {
+    let _guard = ModeGuard;
+    let mut depth = fuzzed_depth(29);
+    for j in (0..NY).step_by(3) {
+        for i in (0..NX).step_by(3) {
+            depth[j * NX + i] = 0.0;
+        }
+    }
+    let grid = grid_of(depth);
+    let layout = DistLayout::build(&grid, BX, BY);
+    let serial = CommWorld::serial();
+    let op = NinePoint::assemble(&grid, &layout, &serial, 9000.0);
+    let evp = BlockEvp::with_defaults(&op);
+    let census = evp.census();
+    assert_eq!(census.marching.tiles, 0, "{census:?}");
+    assert!(
+        census.banded.tiles > 20 && census.all_land.tiles > 0,
+        "{census:?}"
+    );
+
+    let rhss: Vec<DistVec> = (0..16).map(|l| rhs_for(&layout, &op, 100 + l)).collect();
+
+    // One apply: BlockLu factors the same reduced tile matrices with the
+    // same kernel, so with no marching tile the two preconditioners are
+    // the same function, bit for bit.
+    let lu = BlockLu::new(&op, evp.tile_size(), evp.is_reduced());
+    let (mut z_evp, mut z_lu) = (DistVec::zeros(&layout), DistVec::zeros(&layout));
+    evp.apply(&serial, &rhss[0], &mut z_evp);
+    lu.apply(&serial, &rhss[0], &mut z_lu);
+    for (k, (a, b)) in z_evp.to_global().iter().zip(&z_lu.to_global()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "BlockEvp vs BlockLu at {k}");
+    }
+
+    let (bounds, _) = estimate_bounds(&op, &evp, &serial, &LanczosConfig::default());
+    let cfg = solver_cfg();
+    let singles = |kind: SolverKind| -> Vec<Observables> {
+        let mut ws = SolverWorkspace::new();
+        rhss.iter()
+            .map(|b| {
+                let mut x = DistVec::zeros(&layout);
+                let st = kind.solve(&op, &evp, &serial, b, &mut x, &cfg, &mut ws);
+                observe(&st, &x)
+            })
+            .collect()
+    };
+    let batched = |kind: SolverKind, k: usize| -> Vec<Observables> {
+        let mut xs: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(&layout)).collect();
+        let bs: Vec<&DistVec> = rhss[..k].iter().collect();
+        let mut x_refs: Vec<&mut DistVec> = xs.iter_mut().collect();
+        let mut ws = BatchWorkspace::new();
+        let stats = match kind {
+            SolverKind::Pcsi(b) => {
+                Pcsi::new(b).solve_batch_comm(&op, &evp, &serial, &bs, &mut x_refs, &cfg, &mut ws)
+            }
+            _ => ChronGear.solve_batch_comm(&op, &evp, &serial, &bs, &mut x_refs, &cfg, &mut ws),
+        };
+        drop(x_refs);
+        stats
+            .iter()
+            .zip(&xs)
+            .map(|(st, x)| observe(st, x))
+            .collect()
+    };
+    for kind in [SolverKind::ChronGear, SolverKind::Pcsi(bounds)] {
+        let base = singles(kind);
+        for o in &base {
+            assert_eq!(o.outcome, SolveOutcome::Converged, "{}", kind.name());
+        }
+        for forced in [None, Some(SimdMode::Scalar)] {
+            pop_simd::force_mode(forced);
+            let tag = format!("{} forced={forced:?}", kind.name());
+            for (l, got) in singles(kind).iter().enumerate() {
+                assert_same(&format!("{tag} single rhs {l}"), &base[l], got);
+            }
+            for k in [1usize, 4, 16] {
+                for (l, got) in batched(kind, k).iter().enumerate() {
+                    assert_same(&format!("{tag} k={k} lane {l}"), &base[l], got);
+                }
+            }
+        }
+        pop_simd::force_mode(None);
     }
 }

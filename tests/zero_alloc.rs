@@ -62,6 +62,13 @@ fn fused_solve_iterations_allocate_nothing() {
 
     let diag = Diagonal::new(&op);
     let evp = BlockEvp::with_defaults(&op);
+    // A coastal operator: both tile paths (marching pads and the band-LU
+    // staging tile) are under audit.
+    let census = evp.census();
+    assert!(
+        census.marching.tiles > 0 && census.banded.tiles > 0,
+        "{census:?}"
+    );
     let (bounds, _) = estimate_bounds(&op, &evp, &world, &LanczosConfig::default());
 
     let preconds: [(&str, &dyn Preconditioner); 2] = [("diag", &diag), ("evp", &evp)];
