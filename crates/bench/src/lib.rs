@@ -16,6 +16,7 @@
 pub mod provenance;
 
 use pop_comm::{CommWorld, DistLayout, DistVec};
+use pop_core::setup::PrecondSpec;
 use pop_core::solvers::{SolveStats, SolverConfig};
 use pop_grid::Grid;
 use pop_ocean::{SolverChoice, SolverSetup};
@@ -129,7 +130,7 @@ impl MeasuredConfig {
             } else {
                 SolverKind::ChronGear
             },
-            precond: if self.choice.uses_evp() {
+            precond: if self.choice.precond == PrecondSpec::Evp {
                 PrecondKind::Evp
             } else {
                 PrecondKind::Diagonal

@@ -51,7 +51,7 @@ pub use precond::{BlockEvp, BlockLu, BlockMg, Diagonal, Identity, MgConfig, Prec
 pub use selector::{
     nominal_flops_per_point, CandidateScore, PrecondSelector, Selection, SelectorConfig,
 };
-pub use setup::{OperatorState, PrecondSpec};
+pub use setup::{OperatorState, PrecondSpec, Solver, SolverSpec};
 pub use solvers::{
     batch_key, operator_fingerprint, solve_many, BatchCommSolver, BatchKey, BatchPlanner,
     BatchWorkspace, ChronGear, ClassicPcg, CommSolver, LinearSolver, Pcsi, PipelinedCg,

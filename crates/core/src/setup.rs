@@ -1,4 +1,11 @@
-//! Cache-reusable per-operator setup state.
+//! The solver-layer vocabulary and the cache-reusable per-operator setup
+//! state it builds.
+//!
+//! A configuration is two orthogonal, data-less choices — a [`SolverSpec`]
+//! and a [`PrecondSpec`] — that every layer above speaks
+//! (`pop_ocean::SolverChoice` is the pair, `pop-serve` requests carry both,
+//! [`crate::selector::PrecondSelector`] picks the second). Building them on
+//! an operator gives an [`OperatorState`] and, from it, a [`Solver`].
 //!
 //! Everything expensive a solver needs *before* its first iteration on an
 //! operator — the preconditioner (EVP influence matrices, O(n³) each to
@@ -20,9 +27,118 @@
 use crate::fingerprint::operator_fingerprint;
 use crate::lanczos::{estimate_bounds, EigenBounds, LanczosConfig};
 use crate::precond::{BlockEvp, BlockLu, BlockMg, Diagonal, Identity, Preconditioner};
-use pop_comm::CommWorld;
+use crate::solvers::{
+    BatchCommSolver, BatchWorkspace, ChronGear, ClassicPcg, CommSolver, Pcsi, PipelinedCg,
+    SolveStats, SolverConfig, SolverWorkspace,
+};
+use pop_comm::{CommWorld, Communicator};
 use pop_stencil::NinePoint;
 use std::sync::Arc;
+
+/// Which iterative solver to run — the data-less name that can key a cache
+/// or a batch, as opposed to the built [`Solver`] (P-CSI's eigenbounds come
+/// from the [`OperatorState`], which is the point of caching it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SolverSpec {
+    /// Classic two-reduction PCG (pre-ChronGear baseline).
+    ClassicPcg,
+    /// POP's production solver (paper Algorithm 1).
+    ChronGear,
+    /// Pipelined CG (Ghysels & Vanroose; the paper's ref [16]).
+    PipelinedCg,
+    /// The paper's headline solver (Algorithm 2).
+    Pcsi,
+}
+
+impl SolverSpec {
+    /// The solver's reporting name: `LinearSolver::name`, the `solver`
+    /// label on every metric, the left half of a `SolverChoice` label.
+    pub const fn label(self) -> &'static str {
+        match self {
+            SolverSpec::ClassicPcg => "pcg",
+            SolverSpec::ChronGear => "chrongear",
+            SolverSpec::PipelinedCg => "pipecg",
+            SolverSpec::Pcsi => "pcsi",
+        }
+    }
+
+    /// P-CSI needs Lanczos eigenbounds in its setup state.
+    pub fn needs_bounds(self) -> bool {
+        matches!(self, SolverSpec::Pcsi)
+    }
+}
+
+/// A built solver: a [`SolverSpec`] plus the spectral bounds P-CSI iterates
+/// with (from a one-time Lanczos estimation; sharing the same bounds across
+/// runtimes keeps trajectories bit-identical). The two methods below are
+/// the only place a solver name becomes a solver type.
+#[derive(Debug, Clone, Copy)]
+pub enum Solver {
+    ClassicPcg,
+    ChronGear,
+    PipelinedCg,
+    Pcsi(EigenBounds),
+}
+
+impl Solver {
+    pub fn spec(&self) -> SolverSpec {
+        match self {
+            Solver::ClassicPcg => SolverSpec::ClassicPcg,
+            Solver::ChronGear => SolverSpec::ChronGear,
+            Solver::PipelinedCg => SolverSpec::PipelinedCg,
+            Solver::Pcsi(_) => SolverSpec::Pcsi,
+        }
+    }
+
+    /// The solver's reporting name (matches `LinearSolver::name`).
+    pub fn name(&self) -> &'static str {
+        self.spec().label()
+    }
+
+    /// Solve `A x = b` over any communicator (warm-started from `x`).
+    #[allow(clippy::too_many_arguments)]
+    pub fn solve<C: Communicator>(
+        &self,
+        op: &NinePoint,
+        pre: &dyn Preconditioner,
+        comm: &C,
+        b: &C::Vec,
+        x: &mut C::Vec,
+        cfg: &SolverConfig,
+        ws: &mut SolverWorkspace<C::Vec>,
+    ) -> SolveStats {
+        match self {
+            Solver::ClassicPcg => ClassicPcg.solve_comm(op, pre, comm, b, x, cfg, ws),
+            Solver::ChronGear => ChronGear.solve_comm(op, pre, comm, b, x, cfg, ws),
+            Solver::PipelinedCg => PipelinedCg.solve_comm(op, pre, comm, b, x, cfg, ws),
+            Solver::Pcsi(bounds) => Pcsi::new(*bounds).solve_comm(op, pre, comm, b, x, cfg, ws),
+        }
+    }
+
+    /// Solve `k ≤ MAX_BATCH` systems through the batched engine. Width-1
+    /// batches take the same path — the engine's lane-pinning contract is
+    /// what keeps every width bit-identical to [`Solver::solve`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn solve_batch<C: Communicator>(
+        &self,
+        op: &NinePoint,
+        pre: &dyn Preconditioner,
+        comm: &C,
+        bs: &[&C::Vec],
+        xs: &mut [&mut C::Vec],
+        cfg: &SolverConfig,
+        ws: &mut BatchWorkspace<C>,
+    ) -> Vec<SolveStats> {
+        match self {
+            Solver::ClassicPcg => ClassicPcg.solve_batch_comm(op, pre, comm, bs, xs, cfg, ws),
+            Solver::ChronGear => ChronGear.solve_batch_comm(op, pre, comm, bs, xs, cfg, ws),
+            Solver::PipelinedCg => PipelinedCg.solve_batch_comm(op, pre, comm, bs, xs, cfg, ws),
+            Solver::Pcsi(bounds) => {
+                Pcsi::new(*bounds).solve_batch_comm(op, pre, comm, bs, xs, cfg, ws)
+            }
+        }
+    }
+}
 
 /// Which preconditioner to construct — the data-less description that can
 /// key a cache, as opposed to the built `dyn Preconditioner` it produces.
@@ -113,6 +229,23 @@ impl OperatorState {
             lanczos_steps,
         })
     }
+
+    /// The built solver `spec` names on this operator — the one place that
+    /// pairs P-CSI with its eigenbounds.
+    ///
+    /// Panics if `spec` is P-CSI and the state was built without Lanczos
+    /// bounds (a cache-key or setup bug, not an input condition).
+    pub fn solver(&self, spec: SolverSpec) -> Solver {
+        match spec {
+            SolverSpec::ClassicPcg => Solver::ClassicPcg,
+            SolverSpec::ChronGear => Solver::ChronGear,
+            SolverSpec::PipelinedCg => Solver::PipelinedCg,
+            SolverSpec::Pcsi => Solver::Pcsi(
+                self.bounds
+                    .expect("P-CSI needs an OperatorState built with Lanczos bounds"),
+            ),
+        }
+    }
 }
 
 impl std::fmt::Debug for OperatorState {
@@ -162,6 +295,38 @@ mod tests {
         assert!(s.bounds.is_none());
         assert_eq!(s.lanczos_steps, 0);
         assert_eq!(s.precond.name(), "diagonal");
+    }
+
+    #[test]
+    fn solver_pairs_pcsi_with_the_state_bounds() {
+        let grid = Grid::gx1_scaled(24, 32, 24);
+        let f = fixture(&grid, 8, 6, 3000.0);
+        let lz = LanczosConfig::default();
+        let s = OperatorState::build(&f.op, PrecondSpec::Diagonal, Some(&lz), &f.world);
+        for spec in [
+            SolverSpec::ClassicPcg,
+            SolverSpec::ChronGear,
+            SolverSpec::PipelinedCg,
+            SolverSpec::Pcsi,
+        ] {
+            let solver = s.solver(spec);
+            assert_eq!(solver.spec(), spec);
+            assert_eq!(spec.needs_bounds(), matches!(solver, Solver::Pcsi(_)));
+        }
+        let Solver::Pcsi(bounds) = s.solver(SolverSpec::Pcsi) else {
+            unreachable!()
+        };
+        assert_eq!(bounds.nu.to_bits(), s.bounds.unwrap().nu.to_bits());
+    }
+
+    #[test]
+    fn solver_labels_are_the_metric_names() {
+        // The `solver` label on every exported series; `LinearSolver::name`
+        // is defined by these, so SLO metrics join with per-solve counters.
+        assert_eq!(SolverSpec::ClassicPcg.label(), "pcg");
+        assert_eq!(SolverSpec::ChronGear.label(), "chrongear");
+        assert_eq!(SolverSpec::PipelinedCg.label(), "pipecg");
+        assert_eq!(SolverSpec::Pcsi.label(), "pcsi");
     }
 
     #[test]

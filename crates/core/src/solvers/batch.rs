@@ -32,15 +32,15 @@
 //! reported.
 
 use super::{
-    CommSolver, RecoveryMonitor, SolveOutcome, SolveStats, SolverConfig, SolverWorkspace, Verdict,
+    Check, ChronGear, ClassicPcg, CommSolver, LinearSolver, Pcsi, PipelinedCg, SolveCtl,
+    SolveOutcome, SolveStats, SolverConfig, SolverWorkspace,
 };
 use crate::precond::Preconditioner;
-use crate::solvers::{ChronGear, ClassicPcg, LinearSolver, Pcsi, PipelinedCg};
 use pop_comm::{
     masked_dot_multi, CommVec, Communicator, DistLayout, MultiBlockVec, MultiCommVec,
     StatsSnapshot, MAX_SWEEP_PARTIALS,
 };
-use pop_obs::{ObsSink, SolveObs};
+use pop_obs::ObsSink;
 use pop_simd::{LaneF64, Portable4, LANES};
 use pop_stencil::NinePoint;
 use std::sync::Arc;
@@ -153,6 +153,24 @@ fn gather_lane<C: Communicator>(comm: &C, mv: &C::MultiVec, slot: usize, dst: &m
     });
 }
 
+/// Copy a finished lane's answer out: its last good snapshot if the solve
+/// diverged, its iterate otherwise.
+fn gather_answer<C: Communicator>(
+    comm: &C,
+    outcome: SolveOutcome,
+    mx: &C::MultiVec,
+    mxg: &C::MultiVec,
+    slot: usize,
+    dst: &mut C::Vec,
+) {
+    let from = if outcome == SolveOutcome::Diverged {
+        mxg
+    } else {
+        mx
+    };
+    gather_lane(comm, from, slot, dst);
+}
+
 /// Copy a single-RHS vector into lane `slot` of `mv` (full padded storage).
 fn scatter_lane<C: Communicator>(comm: &C, src: &C::Vec, mv: &mut C::MultiVec, slot: usize) {
     let _ = comm.for_each_block_multi([mv], |gb, [mb]| {
@@ -194,25 +212,6 @@ fn lane_finite_block(src: &MultiBlockVec, slot: usize) -> bool {
         i += LANES;
     }
     true
-}
-
-/// The lane image of `copy_vec`: copy the listed lanes `src → dst`.
-fn copy_lanes<C: Communicator>(
-    comm: &C,
-    src: &C::MultiVec,
-    dst: &mut C::MultiVec,
-    slots: &[usize],
-) {
-    if slots.is_empty() {
-        return;
-    }
-    let _ = comm.for_each_block_multi([dst], |gb, [db]| {
-        let sb = src.block(gb);
-        for &slot in slots {
-            lane_copy_block(sb, db, slot);
-        }
-        ZEROS
-    });
 }
 
 /// The lane image of `snapshot_vec`: refresh the listed lanes of the
@@ -266,13 +265,13 @@ fn zero_lanes<C: Communicator>(comm: &C, mv: &mut C::MultiVec, slots: &[usize]) 
 fn rhs_norms<C: Communicator>(
     comm: &C,
     mb: &mut C::MultiVec,
-    layout: &DistLayout,
+    masks: &[Vec<u8>],
     slots: usize,
     k: usize,
 ) -> Vec<f64> {
     let sweep = comm.for_each_block_multi([mb], |gb, [bb]| {
         let mut p = ZEROS;
-        masked_dot_multi(bb, bb, &layout.masks[gb], &mut p[..slots]);
+        masked_dot_multi(bb, bb, &masks[gb], &mut p[..slots]);
         p
     });
     let red = comm.reduce_sweep(&sweep, slots as u64);
@@ -577,104 +576,76 @@ fn pipecg_update_block(
 }
 
 // ---------------------------------------------------------------------------
-// Per-lane bookkeeping
+// Batch bookkeeping
 // ---------------------------------------------------------------------------
 
-/// One RHS's solve state inside a batch: its own recovery monitor, its own
-/// counters (frozen at retirement — satellite fix: `iterations` reports
-/// the per-RHS count, never the batch maximum), and its own observability
-/// handle.
-struct LaneCtl {
-    monitor: RecoveryMonitor,
-    obs: Option<SolveObs>,
-    history: Vec<(usize, f64)>,
-    final_rel: f64,
-    matvecs: usize,
-    precond_applies: usize,
-    iterations: usize,
-    outcome: SolveOutcome,
-    retired: bool,
-    /// `‖r‖²` reduced during this lane's staged restart setup. Stands in
-    /// for the shared residual sweep in the iteration-cap tail (whose slots
-    /// would otherwise describe pre-restart data for this lane) until the
-    /// next full batched iteration refreshes the sweep for every lane.
-    setup_rr: Option<f64>,
-}
-
-/// Retirement lists produced by one convergence check.
-#[derive(Default)]
-struct CheckOutcome {
-    converged: Vec<usize>,
-    aborted: Vec<usize>,
-    snapshot: Vec<usize>,
-    restart: Vec<usize>,
-}
-
-/// Batch-wide bookkeeping: per-lane controls plus the shared norms.
+/// Batch-wide bookkeeping: one [`SolveCtl`] per right-hand side.
 struct BatchCtl {
     solver: &'static str,
-    k: usize,
     slots: usize,
-    bnorm: Vec<f64>,
-    lanes: Vec<LaneCtl>,
+    lanes: Vec<SolveCtl>,
 }
 
 impl BatchCtl {
-    fn new(
+    /// Open a batch: one control per right-hand side, the lanes of `mb` /
+    /// `mx` loaded from `bs` / `xs`, all `k` norms reduced in ONE
+    /// allreduce, and the snapshot `mxg` seeded from the initial guesses.
+    #[allow(clippy::too_many_arguments)]
+    fn open<C: Communicator>(
+        comm: &C,
         cfg: &SolverConfig,
         solver: &'static str,
         precond: &'static str,
         start: StatsSnapshot,
-        k: usize,
-        slots: usize,
+        bs: &[&C::Vec],
+        xs: &[&mut C::Vec],
+        mb: &mut C::MultiVec,
+        mx: &mut C::MultiVec,
+        mxg: &mut C::MultiVec,
     ) -> Self {
+        let (k, slots) = (bs.len(), mb.groups() * LANES);
+        let mut lanes: Vec<SolveCtl> = (0..k)
+            .map(|_| SolveCtl::new(cfg, solver, precond, start))
+            .collect();
+        fill_lanes(comm, mb, bs);
+        let x0: Vec<&C::Vec> = xs.iter().map(|x| &**x).collect();
+        fill_lanes(comm, mx, &x0);
+        let bnorm = rhs_norms(comm, mb, &bs[0].layout().masks, slots, k);
+        for (lane, bn) in lanes.iter_mut().zip(bnorm) {
+            lane.bnorm = bn;
+        }
+        let _ = comm.for_each_block_multi([mxg], |gb, [good]| {
+            good.raw_mut().copy_from_slice(mx.block(gb).raw());
+            ZEROS
+        });
         BatchCtl {
             solver,
-            k,
             slots,
-            bnorm: Vec::new(),
-            lanes: (0..k)
-                .map(|_| LaneCtl {
-                    monitor: RecoveryMonitor::new(cfg.recovery),
-                    obs: Some(cfg.obs.begin_solve(solver, precond, start)),
-                    history: Vec::new(),
-                    final_rel: f64::INFINITY,
-                    matvecs: 0,
-                    precond_applies: 0,
-                    iterations: 0,
-                    outcome: SolveOutcome::MaxIters,
-                    retired: false,
-                    setup_rr: None,
-                })
-                .collect(),
+            lanes,
         }
     }
 
+    fn running(&mut self) -> impl Iterator<Item = &mut SolveCtl> {
+        self.lanes.iter_mut().filter(|l| l.running())
+    }
+
     fn active(&self) -> usize {
-        self.lanes.iter().filter(|l| !l.retired).count()
+        self.lanes.iter().filter(|l| l.running()).count()
     }
 
     fn all_retired(&self) -> bool {
         self.active() == 0
     }
 
-    /// Charge one batched iteration to every active lane. All four solvers
-    /// cost exactly one matvec and one preconditioner application per
-    /// iteration, so the per-lane totals match the single-RHS loops.
-    fn tick(&mut self, iteration: usize) {
-        for lane in self.lanes.iter_mut().filter(|l| !l.retired) {
-            lane.iterations = iteration;
-            lane.matvecs += 1;
-            lane.precond_applies += 1;
-        }
+    /// Charge one batched iteration to every active lane.
+    fn tick(&mut self) {
+        self.running().for_each(SolveCtl::tick);
     }
 
     /// Charge the (batched) setup sweeps to every active lane.
     fn charge_setup(&mut self, matvecs: usize, precond_applies: usize) {
-        for lane in self.lanes.iter_mut().filter(|l| !l.retired) {
-            lane.matvecs += matvecs;
-            lane.precond_applies += precond_applies;
-        }
+        self.running()
+            .for_each(|lane| lane.charge(matvecs, precond_applies));
     }
 
     /// Clear every lane's staged-restart residual: a fresh full residual
@@ -686,68 +657,45 @@ impl BatchCtl {
     }
 
     /// Feed every active lane's reduced `‖r‖²` (at `rr[l]`) through its
-    /// recovery monitor — the batched image of the single-RHS convergence
-    /// check, including the history-push cadence (`cadence` is false only
-    /// for PipeCG's off-cadence every-iteration assessments, which push a
-    /// late history entry on convergence exactly as the scalar loop does).
-    fn assess(
+    /// control — the batched image of the single-RHS convergence check —
+    /// and act on the answers that need no solver state: gather finished
+    /// lanes out of the iterate or the snapshot, refresh improved lanes'
+    /// snapshots. Returns the lanes that must restart. Batched solves make
+    /// no per-phase attribution (the sweeps are shared across lanes), so
+    /// the solve-level counters and the convergence trace are the per-lane
+    /// telemetry.
+    #[allow(clippy::too_many_arguments)]
+    fn check<C: Communicator>(
         &mut self,
+        comm: &C,
         cfg: &SolverConfig,
         rr: &[f64],
-        iteration: usize,
         cadence: bool,
-    ) -> CheckOutcome {
-        let mut out = CheckOutcome::default();
-        for (l, &rrl) in rr.iter().enumerate().take(self.k) {
-            if self.lanes[l].retired {
+        mx: &C::MultiVec,
+        mxg: &mut C::MultiVec,
+        xs: &mut [&mut C::Vec],
+    ) -> Vec<usize> {
+        let (mut snapshot, mut restart) = (Vec::new(), Vec::new());
+        for (l, lane) in self.lanes.iter_mut().enumerate() {
+            if !lane.running() {
                 continue;
             }
-            let rel = rrl.sqrt() / self.bnorm[l];
-            let lane = &mut self.lanes[l];
-            lane.final_rel = rel;
-            if cadence {
-                lane.history.push((iteration, rel));
-            }
-            match lane.monitor.assess(rel) {
-                Verdict::Healthy { improved } => {
-                    if rel < cfg.tol {
-                        if !cadence {
-                            lane.history.push((iteration, rel));
-                        }
-                        out.converged.push(l);
-                    } else if improved {
-                        out.snapshot.push(l);
-                    }
-                }
-                Verdict::Restart => out.restart.push(l),
-                Verdict::Abort => {
-                    lane.final_rel = lane.monitor.best_rel;
-                    out.aborted.push(l);
-                }
+            match lane.check(cfg, rr[l], cadence, &|| comm.stats()) {
+                Check::Continue => {}
+                Check::Snapshot => snapshot.push(l),
+                Check::Restart => restart.push(l),
+                Check::Done(outcome) => gather_answer(comm, outcome, mx, mxg, l, &mut *xs[l]),
             }
         }
-        out
-    }
-
-    /// Freeze a lane: record its outcome and flush its observability
-    /// handle. Batched solves make no per-phase attribution (the sweeps are
-    /// shared across lanes), so the solve-level counters and the
-    /// convergence trace are the per-lane telemetry.
-    fn retire(&mut self, l: usize, outcome: SolveOutcome, end: impl FnOnce() -> StatsSnapshot) {
-        let lane = &mut self.lanes[l];
-        lane.retired = true;
-        lane.outcome = outcome;
-        if let Some(obs) = lane.obs.take() {
-            obs.finish(
-                outcome.label(),
-                lane.final_rel,
-                lane.iterations,
-                lane.matvecs,
-                lane.precond_applies,
-                &lane.history,
-                end,
+        snapshot_lanes(comm, mx, mxg, &snapshot);
+        if let Some(reg) = cfg.obs.registry().filter(|_| !restart.is_empty()) {
+            reg.counter_add(
+                "pop_batch_lane_restarts_total",
+                &[("solver", self.solver)],
+                restart.len() as u64,
             );
         }
+        restart
     }
 
     /// Export `pop_batch_occupancy` (active lanes / k). Free when the sink
@@ -757,50 +705,26 @@ impl BatchCtl {
             reg.gauge_set(
                 "pop_batch_occupancy",
                 &[("solver", self.solver)],
-                self.active() as f64 / self.k as f64,
+                self.active() as f64 / self.lanes.len() as f64,
             );
         }
     }
 
-    /// Count one per-lane restart in `pop_batch_lane_restarts_total`.
-    fn record_lane_restart(&self, obs: &ObsSink) {
-        if let Some(reg) = obs.registry() {
-            reg.counter_add(
-                "pop_batch_lane_restarts_total",
-                &[("solver", self.solver)],
-                1,
-            );
-        }
-    }
-
-    /// Assemble the per-lane stats. The communication snapshot is the
+    /// The per-lane stats, in RHS order. The communication snapshot is the
     /// whole batch's delta, duplicated into each lane: events are shared
     /// across lanes by construction, so a per-lane split would be
     /// arbitrary (documented in DESIGN.md §12).
-    fn into_stats(self, precond: &'static str, comm_delta: StatsSnapshot) -> Vec<SolveStats> {
-        let solver = self.solver;
+    fn into_stats(self, now: StatsSnapshot) -> Vec<SolveStats> {
         self.lanes
             .into_iter()
-            .map(|lane| SolveStats {
-                solver,
-                preconditioner: precond,
-                iterations: lane.iterations,
-                converged: lane.outcome == SolveOutcome::Converged,
-                outcome: lane.outcome,
-                restarts: lane.monitor.restarts,
-                final_relative_residual: lane.final_rel,
-                matvecs: lane.matvecs,
-                precond_applies: lane.precond_applies,
-                comm: comm_delta,
-                residual_history: lane.history,
-            })
+            .map(|lane| lane.into_stats(now))
             .collect()
     }
 }
 
 /// Validate batch geometry: `1 ≤ k ≤ MAX_BATCH`, matching `bs`/`xs`, one
-/// shared layout. Returns `(k, groups, slots)`.
-fn batch_shape<C: Communicator>(bs: &[&C::Vec], xs: &[&mut C::Vec]) -> (usize, usize, usize) {
+/// shared layout. Returns `(groups, slots)`.
+fn batch_shape<C: Communicator>(bs: &[&C::Vec], xs: &[&mut C::Vec]) -> (usize, usize) {
     let k = bs.len();
     assert_eq!(k, xs.len(), "batch needs one x per rhs");
     assert!(
@@ -821,86 +745,41 @@ fn batch_shape<C: Communicator>(bs: &[&C::Vec], xs: &[&mut C::Vec]) -> (usize, u
         );
     }
     let groups = k.div_ceil(LANES);
-    (k, groups, groups * LANES)
+    (groups, groups * LANES)
 }
 
-/// Shared iteration-cap epilogue for the three check-cadence solvers:
-/// settle any lane whose residual was never reduced (one reduction of the
-/// standing sweep, unless the lane's staged restart already reduced a
-/// fresher value), then classify and gather every still-active lane
-/// exactly as the single-RHS tails do. PipeCG passes `rr_sweep = None`
-/// (it reduces every iteration, so `final_rel` is always settled).
-#[allow(clippy::too_many_arguments)]
+/// Shared iteration-cap epilogue: settle any lane whose residual was never
+/// reduced (one reduction of the standing sweep, unless the lane's staged
+/// restart already reduced a fresher value), then classify and gather
+/// every still-active lane exactly as the single-RHS tail does. PipeCG
+/// passes `rr_sweep = None` (it reduces every iteration, so every lane's
+/// residual is settled).
 fn settle_remaining<C: Communicator>(
     comm: &C,
     cfg: &SolverConfig,
     ctl: &mut BatchCtl,
-    iterations: usize,
     rr_sweep: Option<&C::Sweep>,
     mx: &C::MultiVec,
     mxg: &C::MultiVec,
     xs: &mut [&mut C::Vec],
 ) {
-    if ctl.all_retired() {
-        return;
-    }
-    let needs_reduce = rr_sweep.is_some()
-        && ctl
-            .lanes
+    let rr_sweep = rr_sweep.filter(|_| {
+        ctl.lanes
             .iter()
-            .any(|l| !l.retired && l.final_rel.is_infinite() && l.setup_rr.is_none());
-    let red = if needs_reduce {
-        Some(comm.reduce_sweep(rr_sweep.expect("checked above"), ctl.slots as u64))
-    } else {
-        None
-    };
-    for (l, xl) in xs.iter_mut().enumerate().take(ctl.k) {
-        if ctl.lanes[l].retired {
+            .any(|l| l.running() && l.unsettled() && l.setup_rr.is_none())
+    });
+    let red = rr_sweep.map(|sweep| comm.reduce_sweep(sweep, ctl.slots as u64));
+    for (l, (lane, xl)) in ctl.lanes.iter_mut().zip(xs).enumerate() {
+        if !lane.running() {
             continue;
         }
-        if rr_sweep.is_some() && ctl.lanes[l].final_rel.is_infinite() {
-            let rrv = ctl.lanes[l]
-                .setup_rr
-                .unwrap_or_else(|| red.as_ref().expect("reduced when any lane needs it")[l]);
-            let rel = rrv.sqrt() / ctl.bnorm[l];
-            ctl.lanes[l].final_rel = rel;
-            ctl.lanes[l].history.push((iterations, rel));
-        }
-        let rel = ctl.lanes[l].final_rel;
-        if rel < cfg.tol {
-            ctl.retire(l, SolveOutcome::Converged, || comm.stats());
-            gather_lane(comm, mx, l, &mut **xl);
-        } else if !rel.is_finite() {
-            ctl.lanes[l].final_rel = ctl.lanes[l].monitor.best_rel;
-            ctl.retire(l, SolveOutcome::Diverged, || comm.stats());
-            gather_lane(comm, mxg, l, &mut **xl);
-        } else {
-            ctl.retire(l, SolveOutcome::MaxIters, || comm.stats());
-            gather_lane(comm, mx, l, &mut **xl);
-        }
+        let rr = lane
+            .unsettled()
+            .then(|| lane.setup_rr.or(red.map(|red| red[l])))
+            .flatten();
+        let outcome = lane.settle(cfg, rr, &|| comm.stats());
+        gather_answer(comm, outcome, mx, mxg, l, &mut **xl);
     }
-}
-
-/// Handle the non-restart retirement lists of one check: gather converged
-/// lanes out of `x`, aborted lanes out of the snapshot, refresh improved
-/// lanes' snapshots.
-fn apply_check<C: Communicator>(
-    comm: &C,
-    ctl: &mut BatchCtl,
-    out: &CheckOutcome,
-    mx: &C::MultiVec,
-    mxg: &mut C::MultiVec,
-    xs: &mut [&mut C::Vec],
-) {
-    for &l in &out.converged {
-        ctl.retire(l, SolveOutcome::Converged, || comm.stats());
-        gather_lane(comm, mx, l, &mut *xs[l]);
-    }
-    for &l in &out.aborted {
-        ctl.retire(l, SolveOutcome::Diverged, || comm.stats());
-        gather_lane(comm, mxg, l, &mut *xs[l]);
-    }
-    snapshot_lanes(comm, mx, mxg, &out.snapshot);
 }
 
 // ---------------------------------------------------------------------------
@@ -941,30 +820,27 @@ impl BatchCommSolver for Pcsi {
         ws: &mut BatchWorkspace<C>,
     ) -> Vec<SolveStats> {
         let start = comm.stats();
-        let (k, groups, slots) = batch_shape::<C>(bs, xs);
-        let layout = Arc::clone(bs[0].layout());
+        let (groups, slots) = batch_shape::<C>(bs, xs);
         let BatchWorkspace { multis, stage } = ws;
         let [mb, mx, mr, mz, mdx, mxg] = multis.take(comm, bs[0], groups);
 
-        let mut ctl = BatchCtl::new(cfg, self.name(), pre.name(), start, k, slots);
-        let (nu, mu) = (self.bounds.nu, self.bounds.mu);
+        let mut ctl = BatchCtl::open(
+            comm,
+            cfg,
+            self.name(),
+            pre.name(),
+            start,
+            bs,
+            xs,
+            mb,
+            mx,
+            mxg,
+        );
         for lane in &mut ctl.lanes {
-            if let Some(obs) = lane.obs.as_mut() {
-                obs.eigen(nu, mu);
-            }
+            lane.obs.eigen(self.bounds.nu, self.bounds.mu);
         }
-        let alpha = 2.0 / (mu - nu);
-        let beta = (mu + nu) / (mu - nu);
-        let gamma = beta / alpha;
+        let (alpha, gamma) = self.chebyshev();
         let inv_gamma = 1.0 / gamma;
-
-        fill_lanes(comm, mb, bs);
-        {
-            let x0: Vec<&C::Vec> = xs.iter().map(|x| &**x).collect();
-            fill_lanes(comm, mx, &x0);
-        }
-        ctl.bnorm = rhs_norms(comm, mb, &layout, slots, k);
-        copy_lanes(comm, &*mx, mxg, &(0..slots).collect::<Vec<_>>());
 
         // Per-lane recurrence depth: restarts reset a single slot to ω₀.
         let mut omega = vec![2.0 / gamma; slots];
@@ -1006,7 +882,7 @@ impl BatchCommSolver for Pcsi {
         let mut iterations = 0usize;
         while iterations < cfg.max_iters && !ctl.all_retired() {
             iterations += 1;
-            ctl.tick(iterations);
+            ctl.tick();
             for s in 0..slots {
                 omega[s] = 1.0 / (gamma - omega[s] / (4.0 * alpha * alpha));
                 cs[s] = gamma * omega[s] - 1.0;
@@ -1060,63 +936,17 @@ impl BatchCommSolver for Pcsi {
             if iterations % cfg.check_interval() == 0 {
                 // ONE allreduce carries all k residuals: flat in k.
                 let rr = comm.reduce_sweep(&rr_sweep, slots as u64);
-                let out = ctl.assess(cfg, &rr, iterations, true);
-                apply_check(comm, &mut ctl, &out, &*mx, mxg, xs);
-                for &l in &out.restart {
-                    if let Some(obs) = ctl.lanes[l].obs.as_mut() {
-                        obs.restart(iterations);
-                    }
-                    ctl.record_lane_restart(&cfg.obs);
-                    // Restore the lane from its snapshot, then re-run the
-                    // solver's exact single-RHS setup through staging
-                    // vectors so the lane rejoins its scalar trajectory.
-                    copy_lanes(comm, &*mxg, mx, &[l]);
+                for l in ctl.check(comm, cfg, &rr, true, &*mx, mxg, xs) {
+                    // Stage the lane's snapshot, re-run the solver's
+                    // single-RHS start on it, and scatter the result back,
+                    // so the lane rejoins its scalar trajectory.
                     omega[l] = 2.0 / gamma;
                     let [sx, sr, sz, sdx] = stage.take(comm, bs[0]);
-                    gather_lane(comm, &*mx, l, sx);
-                    comm.halo_update(sx);
-                    let _ = comm.for_each_block_fused([&mut *sr], |bk, [rb]| {
-                        op.residual_block_into(
-                            bk,
-                            sx.block(bk),
-                            bs[l].block(bk),
-                            rb,
-                            &layout.masks[bk],
-                        );
-                        ZEROS
-                    });
-                    let _ = comm.for_each_block_fused(
-                        [&mut *sz, &mut *sdx, &mut *sx],
-                        |bk, [zb, dxb, xb]| {
-                            pre.apply_block(bk, sr.block(bk), zb);
-                            for j in 0..dxb.ny {
-                                let zr = zb.interior_row(j);
-                                let dxr = dxb.interior_row_mut(j);
-                                let xr = xb.interior_row_mut(j);
-                                for i in 0..dxr.len() {
-                                    let d = zr[i] * inv_gamma;
-                                    dxr[i] = d;
-                                    xr[i] += d;
-                                }
-                            }
-                            ZEROS
-                        },
-                    );
-                    comm.halo_update(sx);
-                    let s_sweep = comm.for_each_block_fused([&mut *sr], |bk, [rb]| {
-                        let mut p = ZEROS;
-                        p[0] = op.residual_block_into(
-                            bk,
-                            sx.block(bk),
-                            bs[l].block(bk),
-                            rb,
-                            &layout.masks[bk],
-                        );
-                        p
-                    });
-                    ctl.lanes[l].setup_rr = Some(comm.reduce_sweep(&s_sweep, 1)[0]);
-                    ctl.lanes[l].matvecs += 2;
-                    ctl.lanes[l].precond_applies += 1;
+                    gather_lane(comm, &*mxg, l, sx);
+                    let lane = &mut ctl.lanes[l];
+                    let s_sweep =
+                        Pcsi::start(op, pre, comm, inv_gamma, bs[l], sx, sr, sz, sdx, lane);
+                    lane.setup_rr = Some(comm.reduce_sweep(&s_sweep, 1)[0]);
                     scatter_lane(comm, &*sx, mx, l);
                     scatter_lane(comm, &*sr, mr, l);
                     scatter_lane(comm, &*sdx, mdx, l);
@@ -1125,17 +955,8 @@ impl BatchCommSolver for Pcsi {
             }
         }
 
-        settle_remaining(
-            comm,
-            cfg,
-            &mut ctl,
-            iterations,
-            Some(&rr_sweep),
-            &*mx,
-            &*mxg,
-            xs,
-        );
-        ctl.into_stats(pre.name(), comm.stats().since(&start))
+        settle_remaining(comm, cfg, &mut ctl, Some(&rr_sweep), &*mx, &*mxg, xs);
+        ctl.into_stats(comm.stats())
     }
 }
 
@@ -1151,19 +972,22 @@ impl BatchCommSolver for ChronGear {
         ws: &mut BatchWorkspace<C>,
     ) -> Vec<SolveStats> {
         let start = comm.stats();
-        let (k, groups, slots) = batch_shape::<C>(bs, xs);
+        let (groups, slots) = batch_shape::<C>(bs, xs);
         let layout = Arc::clone(bs[0].layout());
         let BatchWorkspace { multis, stage } = ws;
         let [mb, mx, mr, mz, maz, ms, mp, mxg] = multis.take(comm, bs[0], groups);
-        let mut ctl = BatchCtl::new(cfg, self.name(), pre.name(), start, k, slots);
-
-        fill_lanes(comm, mb, bs);
-        {
-            let x0: Vec<&C::Vec> = xs.iter().map(|x| &**x).collect();
-            fill_lanes(comm, mx, &x0);
-        }
-        ctl.bnorm = rhs_norms(comm, mb, &layout, slots, k);
-        copy_lanes(comm, &*mx, mxg, &(0..slots).collect::<Vec<_>>());
+        let mut ctl = BatchCtl::open(
+            comm,
+            cfg,
+            self.name(),
+            pre.name(),
+            start,
+            bs,
+            xs,
+            mb,
+            mx,
+            mxg,
+        );
 
         // Per-lane recurrence scalars (restarts reset single slots).
         let mut rho_old = vec![1.0f64; slots];
@@ -1184,7 +1008,7 @@ impl BatchCommSolver for ChronGear {
         let mut iterations = 0usize;
         while iterations < cfg.max_iters && !ctl.all_retired() {
             iterations += 1;
-            ctl.tick(iterations);
+            ctl.tick();
 
             // z = M⁻¹ r (its own sweep: z needs a boundary update before
             // the matvec).
@@ -1245,34 +1069,16 @@ impl BatchCommSolver for ChronGear {
 
             if iterations % cfg.check_interval() == 0 {
                 let rr = comm.reduce_sweep(&rr_sweep, slots as u64);
-                let out = ctl.assess(cfg, &rr, iterations, true);
-                apply_check(comm, &mut ctl, &out, &*mx, mxg, xs);
-                for &l in &out.restart {
-                    if let Some(obs) = ctl.lanes[l].obs.as_mut() {
-                        obs.restart(iterations);
-                    }
-                    ctl.record_lane_restart(&cfg.obs);
-                    copy_lanes(comm, &*mxg, mx, &[l]);
+                for l in ctl.check(comm, cfg, &rr, true, &*mx, mxg, xs) {
                     zero_lanes(comm, ms, &[l]);
                     zero_lanes(comm, mp, &[l]);
                     rho_old[l] = 1.0;
                     sigma[l] = 0.0;
                     let [sx, sr] = stage.take(comm, bs[0]);
-                    gather_lane(comm, &*mx, l, sx);
-                    comm.halo_update(sx);
-                    let s_sweep = comm.for_each_block_fused([&mut *sr], |bk, [rb]| {
-                        let mut p = ZEROS;
-                        p[0] = op.residual_block_into(
-                            bk,
-                            sx.block(bk),
-                            bs[l].block(bk),
-                            rb,
-                            &layout.masks[bk],
-                        );
-                        p
-                    });
-                    ctl.lanes[l].setup_rr = Some(comm.reduce_sweep(&s_sweep, 1)[0]);
-                    ctl.lanes[l].matvecs += 1;
+                    gather_lane(comm, &*mxg, l, sx);
+                    let lane = &mut ctl.lanes[l];
+                    let s_sweep = ChronGear::start(op, comm, bs[l], sx, sr, lane);
+                    lane.setup_rr = Some(comm.reduce_sweep(&s_sweep, 1)[0]);
                     scatter_lane(comm, &*sx, mx, l);
                     scatter_lane(comm, &*sr, mr, l);
                 }
@@ -1280,17 +1086,8 @@ impl BatchCommSolver for ChronGear {
             }
         }
 
-        settle_remaining(
-            comm,
-            cfg,
-            &mut ctl,
-            iterations,
-            Some(&rr_sweep),
-            &*mx,
-            &*mxg,
-            xs,
-        );
-        ctl.into_stats(pre.name(), comm.stats().since(&start))
+        settle_remaining(comm, cfg, &mut ctl, Some(&rr_sweep), &*mx, &*mxg, xs);
+        ctl.into_stats(comm.stats())
     }
 }
 
@@ -1306,19 +1103,22 @@ impl BatchCommSolver for ClassicPcg {
         ws: &mut BatchWorkspace<C>,
     ) -> Vec<SolveStats> {
         let start = comm.stats();
-        let (k, groups, slots) = batch_shape::<C>(bs, xs);
+        let (groups, slots) = batch_shape::<C>(bs, xs);
         let layout = Arc::clone(bs[0].layout());
         let BatchWorkspace { multis, stage } = ws;
         let [mb, mx, mr, mz, mp, map, mxg] = multis.take(comm, bs[0], groups);
-        let mut ctl = BatchCtl::new(cfg, self.name(), pre.name(), start, k, slots);
-
-        fill_lanes(comm, mb, bs);
-        {
-            let x0: Vec<&C::Vec> = xs.iter().map(|x| &**x).collect();
-            fill_lanes(comm, mx, &x0);
-        }
-        ctl.bnorm = rhs_norms(comm, mb, &layout, slots, k);
-        copy_lanes(comm, &*mx, mxg, &(0..slots).collect::<Vec<_>>());
+        let mut ctl = BatchCtl::open(
+            comm,
+            cfg,
+            self.name(),
+            pre.name(),
+            start,
+            bs,
+            xs,
+            mb,
+            mx,
+            mxg,
+        );
 
         let mut rz = vec![0.0f64; slots];
         let mut beta = vec![0.0f64; slots];
@@ -1349,7 +1149,7 @@ impl BatchCommSolver for ClassicPcg {
         let mut iterations = 0usize;
         while iterations < cfg.max_iters && !ctl.all_retired() {
             iterations += 1;
-            ctl.tick(iterations);
+            ctl.tick();
 
             // Sweep 1: Ap and its pᵀAp partials together.
             comm.halo_update_multi(mp);
@@ -1401,42 +1201,14 @@ impl BatchCommSolver for ClassicPcg {
 
             if iterations % cfg.check_interval() == 0 {
                 let rr = comm.reduce_sweep(&rr_sweep, slots as u64);
-                let out = ctl.assess(cfg, &rr, iterations, true);
-                apply_check(comm, &mut ctl, &out, &*mx, mxg, xs);
-                for &l in &out.restart {
-                    if let Some(obs) = ctl.lanes[l].obs.as_mut() {
-                        obs.restart(iterations);
-                    }
-                    ctl.record_lane_restart(&cfg.obs);
-                    copy_lanes(comm, &*mxg, mx, &[l]);
+                for l in ctl.check(comm, cfg, &rr, true, &*mx, mxg, xs) {
                     let [sx, sr, sz, sp] = stage.take(comm, bs[0]);
-                    gather_lane(comm, &*mx, l, sx);
-                    comm.halo_update(sx);
-                    let s_sweep = comm.for_each_block_fused([&mut *sr], |bk, [rb]| {
-                        let mut p = ZEROS;
-                        p[0] = op.residual_block_into(
-                            bk,
-                            sx.block(bk),
-                            bs[l].block(bk),
-                            rb,
-                            &layout.masks[bk],
-                        );
-                        p
-                    });
-                    let srz_sweep =
-                        comm.for_each_block_fused([&mut *sz, &mut *sp], |bk, [zb, pb]| {
-                            pre.apply_block(bk, sr.block(bk), zb);
-                            for j in 0..pb.ny {
-                                pb.interior_row_mut(j).copy_from_slice(zb.interior_row(j));
-                            }
-                            let mut p = ZEROS;
-                            p[0] = super::masked_block_dot(sr.block(bk), zb, &layout.masks[bk]);
-                            p
-                        });
-                    rz[l] = comm.reduce_sweep(&srz_sweep, 1)[0];
-                    ctl.lanes[l].setup_rr = Some(comm.reduce_sweep(&s_sweep, 1)[0]);
-                    ctl.lanes[l].matvecs += 1;
-                    ctl.lanes[l].precond_applies += 1;
+                    gather_lane(comm, &*mxg, l, sx);
+                    let lane = &mut ctl.lanes[l];
+                    let (s_sweep, srz) =
+                        ClassicPcg::start(op, pre, comm, bs[l], sx, sr, sz, sp, lane);
+                    rz[l] = srz;
+                    lane.setup_rr = Some(comm.reduce_sweep(&s_sweep, 1)[0]);
                     scatter_lane(comm, &*sx, mx, l);
                     scatter_lane(comm, &*sr, mr, l);
                     scatter_lane(comm, &*sp, mp, l);
@@ -1445,17 +1217,8 @@ impl BatchCommSolver for ClassicPcg {
             }
         }
 
-        settle_remaining(
-            comm,
-            cfg,
-            &mut ctl,
-            iterations,
-            Some(&rr_sweep),
-            &*mx,
-            &*mxg,
-            xs,
-        );
-        ctl.into_stats(pre.name(), comm.stats().since(&start))
+        settle_remaining(comm, cfg, &mut ctl, Some(&rr_sweep), &*mx, &*mxg, xs);
+        ctl.into_stats(comm.stats())
     }
 }
 
@@ -1471,19 +1234,22 @@ impl BatchCommSolver for PipelinedCg {
         ws: &mut BatchWorkspace<C>,
     ) -> Vec<SolveStats> {
         let start = comm.stats();
-        let (k, groups, slots) = batch_shape::<C>(bs, xs);
+        let (groups, slots) = batch_shape::<C>(bs, xs);
         let layout = Arc::clone(bs[0].layout());
         let BatchWorkspace { multis, stage } = ws;
         let [mb, mx, mr, mu, mw, mm, mn, mzz, mq, ms, mp, mxg] = multis.take(comm, bs[0], groups);
-        let mut ctl = BatchCtl::new(cfg, self.name(), pre.name(), start, k, slots);
-
-        fill_lanes(comm, mb, bs);
-        {
-            let x0: Vec<&C::Vec> = xs.iter().map(|x| &**x).collect();
-            fill_lanes(comm, mx, &x0);
-        }
-        ctl.bnorm = rhs_norms(comm, mb, &layout, slots, k);
-        copy_lanes(comm, &*mx, mxg, &(0..slots).collect::<Vec<_>>());
+        let mut ctl = BatchCtl::open(
+            comm,
+            cfg,
+            self.name(),
+            pre.name(),
+            start,
+            bs,
+            xs,
+            mb,
+            mx,
+            mxg,
+        );
 
         let mut gamma_old = vec![1.0f64; slots];
         let mut alpha_old = vec![1.0f64; slots];
@@ -1514,7 +1280,7 @@ impl BatchCommSolver for PipelinedCg {
         let mut iterations = 0usize;
         while iterations < cfg.max_iters && !ctl.all_retired() {
             iterations += 1;
-            ctl.tick(iterations);
+            ctl.tick();
 
             // Sweep 1: the fused reduction's three per-lane partials —
             // γ = (r,u), δ = (w,u), ‖r‖² — in the three slot bands, plus
@@ -1587,19 +1353,10 @@ impl BatchCommSolver for PipelinedCg {
 
             // The pipelined formulation checks every iteration for free;
             // history entries keep the check_every cadence.
-            let out = ctl.assess(
-                cfg,
-                &d[2 * slots..3 * slots],
-                iterations,
-                iterations % cfg.check_interval() == 0,
-            );
-            apply_check(comm, &mut ctl, &out, &*mx, mxg, xs);
-            for &l in &out.restart {
-                if let Some(obs) = ctl.lanes[l].obs.as_mut() {
-                    obs.restart(iterations);
-                }
-                ctl.record_lane_restart(&cfg.obs);
-                copy_lanes(comm, &*mxg, mx, &[l]);
+            let cadence = iterations % cfg.check_interval() == 0;
+            let active = ctl.active();
+            let restart = ctl.check(comm, cfg, &d[2 * slots..3 * slots], cadence, &*mx, mxg, xs);
+            for &l in &restart {
                 zero_lanes(comm, mzz, &[l]);
                 zero_lanes(comm, mq, &[l]);
                 zero_lanes(comm, ms, &[l]);
@@ -1608,52 +1365,22 @@ impl BatchCommSolver for PipelinedCg {
                 alpha_old[l] = 1.0;
                 first[l] = true;
                 let [sx, sr, su, sw] = stage.take(comm, bs[0]);
-                gather_lane(comm, &*mx, l, sx);
-                comm.halo_update(sx);
-                let _ = comm.for_each_block_fused([&mut *sr], |bk, [rb]| {
-                    op.residual_block_into(
-                        bk,
-                        sx.block(bk),
-                        bs[l].block(bk),
-                        rb,
-                        &layout.masks[bk],
-                    );
-                    ZEROS
-                });
-                let _ = comm.for_each_block_fused([&mut *su], |bk, [ub]| {
-                    pre.apply_block(bk, sr.block(bk), ub);
-                    ZEROS
-                });
-                comm.halo_update(su);
-                let _ = comm.for_each_block_fused([&mut *sw], |bk, [wb]| {
-                    op.apply_block_into(bk, su.block(bk), wb, &layout.masks[bk]);
-                    ZEROS
-                });
-                ctl.lanes[l].matvecs += 2;
-                ctl.lanes[l].precond_applies += 1;
+                gather_lane(comm, &*mxg, l, sx);
+                PipelinedCg::start(op, pre, comm, bs[l], sx, sr, su, sw, &mut ctl.lanes[l]);
                 scatter_lane(comm, &*sx, mx, l);
                 scatter_lane(comm, &*sr, mr, l);
                 scatter_lane(comm, &*su, mu, l);
                 scatter_lane(comm, &*sw, mw, l);
             }
-            if !out.converged.is_empty() || !out.aborted.is_empty() || !out.restart.is_empty() {
+            if ctl.active() != active || !restart.is_empty() {
                 ctl.record_occupancy(&cfg.obs);
             }
         }
 
         // PipeCG reduces every iteration, so every lane's final_rel is
         // settled; no standing-sweep tail exists in the scalar loop either.
-        settle_remaining(
-            comm,
-            cfg,
-            &mut ctl,
-            iterations,
-            None::<&C::Sweep>,
-            &*mx,
-            &*mxg,
-            xs,
-        );
-        ctl.into_stats(pre.name(), comm.stats().since(&start))
+        settle_remaining(comm, cfg, &mut ctl, None, &*mx, &*mxg, xs);
+        ctl.into_stats(comm.stats())
     }
 }
 

@@ -8,10 +8,11 @@
 //! Figure 2 — and what P-CSI removes.
 
 use super::{
-    copy_vec, masked_block_dot, rhs_norm, snapshot_vec, CommSolver, LinearSolver, RecoveryMonitor,
-    SolveOutcome, SolveStats, SolverConfig, SolverWorkspace, Verdict,
+    copy_vec, masked_block_dot, rhs_norm, Check, CommSolver, LinearSolver, SolveCtl, SolveStats,
+    SolverConfig, SolverWorkspace,
 };
 use crate::precond::Preconditioner;
+use crate::setup::SolverSpec;
 use pop_comm::{CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
 use pop_stencil::NinePoint;
 
@@ -120,6 +121,32 @@ impl ChronGear {
     }
 }
 
+impl ChronGear {
+    /// The recurrence's start: `r₀ = b − A x₀` with `‖r₀‖²` riding along as
+    /// a per-block partial (the caller zeroes `s` and `p` and resets
+    /// `ρ₀ = 1`, `σ₀ = 0`). Entered from the caller's `x₀` and again from
+    /// the last good snapshot on every restart — by `solve_comm` on its own
+    /// vectors and by the batched engine on a lane's staging vectors
+    /// (DESIGN.md §7); the other solvers' `start` functions likewise.
+    pub(crate) fn start<C: Communicator>(
+        op: &NinePoint,
+        comm: &C,
+        b: &C::Vec,
+        x: &mut C::Vec,
+        r: &mut C::Vec,
+        ctl: &mut SolveCtl,
+    ) -> C::Sweep {
+        let masks = &b.layout().masks;
+        let rr_sweep = comm.halo_sweep_fused(x, [r], |bk, xv, [rb]| {
+            let mut pt = [0.0; MAX_SWEEP_PARTIALS];
+            pt[0] = op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &masks[bk]);
+            pt
+        });
+        ctl.charge(1, 0); // the initial residual
+        rr_sweep
+    }
+}
+
 impl CommSolver for ChronGear {
     /// The fused loop: three block sweeps per iteration — preconditioning,
     /// matvec + both inner-product partials, then all four vector
@@ -136,42 +163,27 @@ impl CommSolver for ChronGear {
         cfg: &SolverConfig,
         ws: &mut SolverWorkspace<C::Vec>,
     ) -> SolveStats {
-        let start = comm.stats();
-        let mut obs = cfg.obs.begin_solve(self.name(), pre.name(), start);
+        let mut ctl = SolveCtl::new(cfg, self.name(), pre.name(), comm.stats());
+        ctl.bnorm = rhs_norm(comm, b);
         let layout = std::sync::Arc::clone(b.layout());
-        let bnorm = rhs_norm(comm, b);
 
         let [r, z, az, s, p, x_good] = ws.take(comm, b);
         copy_vec(comm, x, x_good);
-        let mut monitor = RecoveryMonitor::new(cfg.recovery);
-
-        let mut matvecs = 0usize;
-        let mut precond_applies = 0usize;
-        let mut iterations = 0usize;
-        let mut outcome = SolveOutcome::MaxIters;
-        let mut final_rel = f64::INFINITY;
-        let mut history: Vec<(usize, f64)> =
-            Vec::with_capacity(cfg.max_iters / cfg.check_interval() + 2);
 
         // Each pass is one CG recurrence: the first from the caller's x₀, a
         // restart re-enters from the last good snapshot (DESIGN.md §10).
+        let mut rr_sweep;
         'recurrence: loop {
-            // r₀ = b − A x₀ ; s₀ = 0 ; p₀ = 0 ; ρ₀ = 1 ; σ₀ = 0.
+            // s₀ = 0 ; p₀ = 0 ; ρ₀ = 1 ; σ₀ = 0.
             s.zero_fill();
             p.zero_fill();
-            let mut rr_sweep = comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
-                let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-                pt[0] =
-                    op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &layout.masks[bk]);
-                pt
-            });
+            rr_sweep = Self::start(op, comm, b, x, r, &mut ctl);
             let mut rho_old = 1.0f64;
             let mut sigma = 0.0f64;
-            matvecs += 1; // the initial residual
-            obs.phase("setup", || comm.stats());
+            ctl.obs.phase("setup", || comm.stats());
 
-            while iterations < cfg.max_iters {
-                iterations += 1;
+            while ctl.iterations() < cfg.max_iters {
+                ctl.tick();
 
                 // Step 4: preconditioning r' = M⁻¹ r (its own sweep: r' needs a
                 // boundary update before the matvec can run).
@@ -179,7 +191,6 @@ impl CommSolver for ChronGear {
                     pre.apply_block(bk, r.block(bk), zb);
                     [0.0; MAX_SWEEP_PARTIALS]
                 });
-                precond_applies += 1;
 
                 // Steps 5–6: the single halo exchange of the iteration,
                 // fused with the sweep computing z = B r' AND both
@@ -194,7 +205,6 @@ impl CommSolver for ChronGear {
                     pt[1] = masked_block_dot(azb, zv.block(bk), mask);
                     pt
                 });
-                matvecs += 1;
 
                 // Steps 7–9: consuming the pair is the iteration's ONE reduction.
                 let d = comm.reduce_sweep(&d_sweep, 2);
@@ -242,88 +252,24 @@ impl CommSolver for ChronGear {
                 );
                 rho_old = rho;
 
-                // Step 17: periodic convergence check (one extra reduction —
-                // consuming the ‖r‖² partials carried by the update sweep). The
-                // reduced value is identical on every rank, so the recovery
-                // verdict is too.
-                if iterations % cfg.check_interval() == 0 {
-                    obs.phase("iterate", || comm.stats());
-                    let rr = comm.reduce_sweep(&rr_sweep, 1)[0];
-                    final_rel = rr.sqrt() / bnorm;
-                    history.push((iterations, final_rel));
-                    obs.phase("check", || comm.stats());
-                    match monitor.assess(final_rel) {
-                        Verdict::Healthy { improved } => {
-                            if final_rel < cfg.tol {
-                                outcome = SolveOutcome::Converged;
-                                break 'recurrence;
-                            }
-                            if improved {
-                                snapshot_vec(comm, x, x_good);
-                            }
-                        }
-                        Verdict::Restart => {
-                            obs.restart(iterations);
-                            copy_vec(comm, x_good, x);
-                            continue 'recurrence;
-                        }
-                        Verdict::Abort => {
-                            copy_vec(comm, x_good, x);
-                            final_rel = monitor.best_rel;
-                            outcome = SolveOutcome::Diverged;
-                            break 'recurrence;
-                        }
+                // Step 17: periodic convergence check (one extra reduction).
+                if ctl.iterations() % cfg.check_interval() == 0 {
+                    match ctl.check_sweep(comm, cfg, &rr_sweep, x, x_good) {
+                        Check::Continue | Check::Snapshot => {}
+                        Check::Restart => continue 'recurrence,
+                        Check::Done(_) => break 'recurrence,
                     }
                 }
             }
-
-            // Iteration cap hit before any check: settle the final residual
-            // with one last reduction of the standing sweep (same event
-            // count as the pre-recovery loop).
-            if final_rel.is_infinite() {
-                let rr = comm.reduce_sweep(&rr_sweep, 1)[0];
-                final_rel = rr.sqrt() / bnorm;
-                history.push((iterations, final_rel));
-            }
-            if final_rel < cfg.tol {
-                outcome = SolveOutcome::Converged;
-            } else if !final_rel.is_finite() {
-                copy_vec(comm, x_good, x);
-                final_rel = monitor.best_rel;
-                outcome = SolveOutcome::Diverged;
-            }
-            break 'recurrence;
+            break;
         }
-
-        let stats = SolveStats {
-            solver: self.name(),
-            preconditioner: pre.name(),
-            iterations,
-            converged: outcome == SolveOutcome::Converged,
-            outcome,
-            restarts: monitor.restarts,
-            final_relative_residual: final_rel,
-            matvecs,
-            precond_applies,
-            comm: comm.stats().since(&start),
-            residual_history: history,
-        };
-        obs.finish(
-            stats.outcome.label(),
-            stats.final_relative_residual,
-            stats.iterations,
-            stats.matvecs,
-            stats.precond_applies,
-            &stats.residual_history,
-            || comm.stats(),
-        );
-        stats
+        ctl.finish(comm, cfg, Some(&rr_sweep), x, x_good)
     }
 }
 
 impl LinearSolver for ChronGear {
     fn name(&self) -> &'static str {
-        "chrongear"
+        SolverSpec::ChronGear.label()
     }
 
     /// Dynamic-dispatch entry point: the generic fused loop driven by the

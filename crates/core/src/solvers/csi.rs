@@ -13,11 +13,12 @@
 //! the paper measures and the reproduction tracks.
 
 use super::{
-    copy_vec, rhs_norm, snapshot_vec, CommSolver, LinearSolver, RecoveryMonitor, SolveOutcome,
-    SolveStats, SolverConfig, SolverWorkspace, Verdict,
+    copy_vec, rhs_norm, Check, CommSolver, LinearSolver, SolveCtl, SolveStats, SolverConfig,
+    SolverWorkspace,
 };
 use crate::lanczos::EigenBounds;
 use crate::precond::Preconditioner;
+use crate::setup::SolverSpec;
 use pop_comm::{CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
 use pop_stencil::NinePoint;
 
@@ -137,6 +138,67 @@ impl Pcsi {
     }
 }
 
+impl Pcsi {
+    /// The Chebyshev scalars `(α, γ)` of Algorithm 2, step 1:
+    /// `α = 2/(μ−ν)`, `γ = β/α = (μ+ν)/2`.
+    pub(crate) fn chebyshev(&self) -> (f64, f64) {
+        let (nu, mu) = (self.bounds.nu, self.bounds.mu);
+        let alpha = 2.0 / (mu - nu);
+        let beta = (mu + nu) / (mu - nu);
+        (alpha, beta / alpha)
+    }
+
+    /// The recurrence's start: `r₀ = b − A x₀ ; Δx₀ = γ⁻¹ M⁻¹ r₀ ;
+    /// x₁ = x₀ + Δx₀ ; r₁ = b − A x₁` with `‖r₁‖²` riding along (the caller
+    /// resets `ω` to `ω₀ = 2/γ`).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn start<C: Communicator>(
+        op: &NinePoint,
+        pre: &dyn Preconditioner,
+        comm: &C,
+        inv_gamma: f64,
+        b: &C::Vec,
+        x: &mut C::Vec,
+        r: &mut C::Vec,
+        z: &mut C::Vec,
+        dx: &mut C::Vec,
+        ctl: &mut SolveCtl,
+    ) -> C::Sweep {
+        let masks = &b.layout().masks;
+        // r₀ = b − A x₀ (halo exchange fused with the residual sweep so a
+        // split-phase communicator can hide the strip flight time).
+        comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
+            op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &masks[bk]);
+            [0.0; MAX_SWEEP_PARTIALS]
+        });
+
+        // Δx₀ = γ⁻¹ M⁻¹ r₀ ; x₁ = x₀ + Δx₀, fused into one sweep.
+        comm.for_each_block_fused([z, dx, &mut *x], |bk, [zb, dxb, xb]| {
+            pre.apply_block(bk, r.block(bk), zb);
+            for j in 0..dxb.ny {
+                let zr = zb.interior_row(j);
+                let dxr = dxb.interior_row_mut(j);
+                let xr = xb.interior_row_mut(j);
+                for i in 0..dxr.len() {
+                    let d = zr[i] * inv_gamma;
+                    dxr[i] = d;
+                    xr[i] += d;
+                }
+            }
+            [0.0; MAX_SWEEP_PARTIALS]
+        });
+
+        // r₁ = b − A x₁, with ‖r‖² riding along as a per-block partial.
+        let rr_sweep = comm.halo_sweep_fused(x, [r], |bk, xv, [rb]| {
+            let mut p = [0.0; MAX_SWEEP_PARTIALS];
+            p[0] = op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &masks[bk]);
+            p
+        });
+        ctl.charge(2, 1);
+        rr_sweep
+    }
+}
+
 impl CommSolver for Pcsi {
     /// The fused loop: each iteration is **two** block sweeps — sweep A runs
     /// the preconditioner and both vector recurrences per block while it is
@@ -156,72 +218,27 @@ impl CommSolver for Pcsi {
         cfg: &SolverConfig,
         ws: &mut SolverWorkspace<C::Vec>,
     ) -> SolveStats {
-        let start = comm.stats();
-        let mut obs = cfg.obs.begin_solve(self.name(), pre.name(), start);
+        let mut ctl = SolveCtl::new(cfg, self.name(), pre.name(), comm.stats());
+        ctl.bnorm = rhs_norm(comm, b);
         let layout = std::sync::Arc::clone(b.layout());
-        let bnorm = rhs_norm(comm, b);
 
-        // Chebyshev scalars (Algorithm 2, step 1).
-        let (nu, mu) = (self.bounds.nu, self.bounds.mu);
-        obs.eigen(nu, mu);
-        let alpha = 2.0 / (mu - nu);
-        let beta = (mu + nu) / (mu - nu);
-        let gamma = beta / alpha; // = (μ + ν)/2
+        ctl.obs.eigen(self.bounds.nu, self.bounds.mu);
+        let (alpha, gamma) = self.chebyshev();
 
         let [r, z, dx, x_good] = ws.take(comm, b);
         copy_vec(comm, x, x_good);
-        let mut monitor = RecoveryMonitor::new(cfg.recovery);
-
-        let mut matvecs = 0usize;
-        let mut precond_applies = 0usize;
-        let mut iterations = 0usize;
-        let mut outcome = SolveOutcome::MaxIters;
-        let mut final_rel = f64::INFINITY;
-        let mut history: Vec<(usize, f64)> =
-            Vec::with_capacity(cfg.max_iters / cfg.check_interval() + 2);
 
         // Each pass of this loop is one Chebyshev recurrence: the first
         // starts from the caller's x₀, a restart re-enters from the last
         // good snapshot after a broken check (DESIGN.md §10).
+        let mut rr_sweep;
         'recurrence: loop {
             let mut omega = 2.0 / gamma; // ω₀
+            rr_sweep = Self::start(op, pre, comm, 1.0 / gamma, b, x, r, z, dx, &mut ctl);
+            ctl.obs.phase("setup", || comm.stats());
 
-            // r₀ = b − A x₀ (halo exchange fused with the residual sweep so
-            // a split-phase communicator can hide the strip flight time).
-            comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
-                op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &layout.masks[bk]);
-                [0.0; MAX_SWEEP_PARTIALS]
-            });
-
-            // Δx₀ = γ⁻¹ M⁻¹ r₀ ; x₁ = x₀ + Δx₀, fused into one sweep.
-            let inv_gamma = 1.0 / gamma;
-            comm.for_each_block_fused([&mut *z, &mut *dx, &mut *x], |bk, [zb, dxb, xb]| {
-                pre.apply_block(bk, r.block(bk), zb);
-                for j in 0..dxb.ny {
-                    let zr = zb.interior_row(j);
-                    let dxr = dxb.interior_row_mut(j);
-                    let xr = xb.interior_row_mut(j);
-                    for i in 0..dxr.len() {
-                        let d = zr[i] * inv_gamma;
-                        dxr[i] = d;
-                        xr[i] += d;
-                    }
-                }
-                [0.0; MAX_SWEEP_PARTIALS]
-            });
-
-            // r₁ = b − A x₁, with ‖r‖² riding along as a per-block partial.
-            let mut rr_sweep = comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
-                let mut p = [0.0; MAX_SWEEP_PARTIALS];
-                p[0] = op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &layout.masks[bk]);
-                p
-            });
-            matvecs += 2;
-            precond_applies += 1;
-            obs.phase("setup", || comm.stats());
-
-            while iterations < cfg.max_iters {
-                iterations += 1;
+            while ctl.iterations() < cfg.max_iters {
+                ctl.tick();
 
                 // Step 5: the iterated weight ω_k = 1/(γ − ω_{k−1}/(4α²)).
                 omega = 1.0 / (gamma - omega / (4.0 * alpha * alpha));
@@ -244,7 +261,6 @@ impl CommSolver for Pcsi {
                     }
                     [0.0; MAX_SWEEP_PARTIALS]
                 });
-                precond_applies += 1;
 
                 // Steps 9–10: one halo update fused with the residual
                 // sweep (interior points can overlap the strip flight); the
@@ -260,91 +276,27 @@ impl CommSolver for Pcsi {
                     );
                     p
                 });
-                matvecs += 1;
 
                 // Step 11: periodic convergence check — P-CSI's only
-                // reduction (the partials stay local until `reduce_sweep`
+                // reduction (the partials stay local until the check
                 // consumes them as a global norm; *that* is the allreduce).
-                // The reduced value is identical on every rank, so the
-                // recovery verdict below is too.
-                if iterations % cfg.check_interval() == 0 {
-                    obs.phase("iterate", || comm.stats());
-                    let rr = comm.reduce_sweep(&rr_sweep, 1)[0];
-                    final_rel = rr.sqrt() / bnorm;
-                    history.push((iterations, final_rel));
-                    obs.phase("check", || comm.stats());
-                    match monitor.assess(final_rel) {
-                        Verdict::Healthy { improved } => {
-                            if final_rel < cfg.tol {
-                                outcome = SolveOutcome::Converged;
-                                break 'recurrence;
-                            }
-                            if improved {
-                                snapshot_vec(comm, x, x_good);
-                            }
-                        }
-                        Verdict::Restart => {
-                            obs.restart(iterations);
-                            copy_vec(comm, x_good, x);
-                            continue 'recurrence;
-                        }
-                        Verdict::Abort => {
-                            copy_vec(comm, x_good, x);
-                            final_rel = monitor.best_rel;
-                            outcome = SolveOutcome::Diverged;
-                            break 'recurrence;
-                        }
+                if ctl.iterations() % cfg.check_interval() == 0 {
+                    match ctl.check_sweep(comm, cfg, &rr_sweep, x, x_good) {
+                        Check::Continue | Check::Snapshot => {}
+                        Check::Restart => continue 'recurrence,
+                        Check::Done(_) => break 'recurrence,
                     }
                 }
             }
-
-            // Iteration cap hit before any check: settle the final residual
-            // with one last reduction of the standing sweep (same event
-            // count as the pre-recovery loop).
-            if final_rel.is_infinite() {
-                let rr = comm.reduce_sweep(&rr_sweep, 1)[0];
-                final_rel = rr.sqrt() / bnorm;
-                history.push((iterations, final_rel));
-            }
-            if final_rel < cfg.tol {
-                outcome = SolveOutcome::Converged;
-            } else if !final_rel.is_finite() {
-                copy_vec(comm, x_good, x);
-                final_rel = monitor.best_rel;
-                outcome = SolveOutcome::Diverged;
-            }
-            break 'recurrence;
+            break;
         }
-
-        let stats = SolveStats {
-            solver: self.name(),
-            preconditioner: pre.name(),
-            iterations,
-            converged: outcome == SolveOutcome::Converged,
-            outcome,
-            restarts: monitor.restarts,
-            final_relative_residual: final_rel,
-            matvecs,
-            precond_applies,
-            comm: comm.stats().since(&start),
-            residual_history: history,
-        };
-        obs.finish(
-            stats.outcome.label(),
-            stats.final_relative_residual,
-            stats.iterations,
-            stats.matvecs,
-            stats.precond_applies,
-            &stats.residual_history,
-            || comm.stats(),
-        );
-        stats
+        ctl.finish(comm, cfg, Some(&rr_sweep), x, x_good)
     }
 }
 
 impl LinearSolver for Pcsi {
     fn name(&self) -> &'static str {
-        "pcsi"
+        SolverSpec::Pcsi.label()
     }
 
     /// Dynamic-dispatch entry point: the generic fused loop driven by the

@@ -2,6 +2,7 @@
 
 mod batch;
 mod chrongear;
+mod control;
 mod csi;
 mod pcg;
 mod pipecg;
@@ -11,6 +12,7 @@ pub use batch::{
     BatchWorkspace, PlannedBatch, MAX_BATCH,
 };
 pub use chrongear::ChronGear;
+pub(crate) use control::{Check, SolveCtl};
 pub use csi::Pcsi;
 pub use pcg::ClassicPcg;
 pub use pipecg::PipelinedCg;
@@ -139,60 +141,6 @@ impl SolveOutcome {
             SolveOutcome::Converged => "converged",
             SolveOutcome::MaxIters => "max-iters",
             SolveOutcome::Diverged => "diverged",
-        }
-    }
-}
-
-/// Shared restart bookkeeping for the fused solver loops: feed it every
-/// *reduced* relative residual, act on the verdict.
-#[derive(Debug)]
-pub(crate) struct RecoveryMonitor {
-    cfg: RecoveryConfig,
-    /// Best (smallest) healthy relative residual seen so far.
-    pub best_rel: f64,
-    /// Restarts performed.
-    pub restarts: usize,
-}
-
-/// What a checked residual means for the solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Verdict {
-    /// The recurrence is healthy; `improved` says the snapshot should be
-    /// refreshed from the current iterate.
-    Healthy { improved: bool },
-    /// Broken, budget left: restart the recurrence from the snapshot.
-    Restart,
-    /// Broken, budget exhausted: restore the snapshot and give up.
-    Abort,
-}
-
-impl RecoveryMonitor {
-    pub(crate) fn new(cfg: RecoveryConfig) -> Self {
-        RecoveryMonitor {
-            cfg,
-            best_rel: f64::INFINITY,
-            restarts: 0,
-        }
-    }
-
-    /// Classify one reduced relative residual. Every rank of an SPMD solve
-    /// sees the same `rel`, so every rank gets the same verdict.
-    pub(crate) fn assess(&mut self, rel: f64) -> Verdict {
-        let diverged = !rel.is_finite()
-            || (self.best_rel.is_finite() && rel > self.cfg.divergence_factor * self.best_rel);
-        if diverged {
-            if self.restarts < self.cfg.max_restarts {
-                self.restarts += 1;
-                Verdict::Restart
-            } else {
-                Verdict::Abort
-            }
-        } else {
-            let improved = rel < self.best_rel;
-            if improved {
-                self.best_rel = rel;
-            }
-            Verdict::Healthy { improved }
         }
     }
 }

@@ -6,10 +6,11 @@
 //! measures exactly that difference.
 
 use super::{
-    copy_vec, masked_block_dot, rhs_norm, snapshot_vec, CommSolver, LinearSolver, RecoveryMonitor,
-    SolveOutcome, SolveStats, SolverConfig, SolverWorkspace, Verdict,
+    copy_vec, masked_block_dot, rhs_norm, Check, CommSolver, LinearSolver, SolveCtl, SolveStats,
+    SolverConfig, SolverWorkspace,
 };
 use crate::precond::Preconditioner;
+use crate::setup::SolverSpec;
 use pop_comm::{CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
 use pop_stencil::NinePoint;
 
@@ -106,6 +107,45 @@ impl ClassicPcg {
     }
 }
 
+impl ClassicPcg {
+    /// The recurrence's start: `r₀ = b − A x₀` (with `‖r₀‖²` in slot 0,
+    /// where the periodic check expects it), `z₀ = M⁻¹ r₀`, `p₀ = z₀`, and
+    /// the setup reduction `r₀ᵀz₀`. Returns the standing residual sweep and
+    /// `r₀ᵀz₀`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn start<C: Communicator>(
+        op: &NinePoint,
+        pre: &dyn Preconditioner,
+        comm: &C,
+        b: &C::Vec,
+        x: &mut C::Vec,
+        r: &mut C::Vec,
+        z: &mut C::Vec,
+        p: &mut C::Vec,
+        ctl: &mut SolveCtl,
+    ) -> (C::Sweep, f64) {
+        let masks = &b.layout().masks;
+        let rr_sweep = comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
+            let mut pt = [0.0; MAX_SWEEP_PARTIALS];
+            pt[0] = op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &masks[bk]);
+            pt
+        });
+        // z₀ = M⁻¹ r₀ and p₀ = z₀ in one sweep, with the setup rᵀz partial.
+        let rz_sweep = comm.for_each_block_fused([z, p], |bk, [zb, pb]| {
+            pre.apply_block(bk, r.block(bk), zb);
+            for j in 0..pb.ny {
+                pb.interior_row_mut(j).copy_from_slice(zb.interior_row(j));
+            }
+            let mut pt = [0.0; MAX_SWEEP_PARTIALS];
+            pt[0] = masked_block_dot(r.block(bk), zb, &masks[bk]);
+            pt
+        });
+        let rz = comm.reduce_sweep(&rz_sweep, 1)[0]; // reduction #0 (setup)
+        ctl.charge(1, 1);
+        (rr_sweep, rz)
+    }
+}
+
 impl CommSolver for ClassicPcg {
     /// The fused loop: matvec + pᵀAp partial in one sweep; then x/r updates,
     /// preconditioning, and the ‖r‖² / rᵀz partials in a second sweep; then
@@ -122,48 +162,21 @@ impl CommSolver for ClassicPcg {
         cfg: &SolverConfig,
         ws: &mut SolverWorkspace<C::Vec>,
     ) -> SolveStats {
-        let start = comm.stats();
-        let mut obs = cfg.obs.begin_solve(self.name(), pre.name(), start);
+        let mut ctl = SolveCtl::new(cfg, self.name(), pre.name(), comm.stats());
+        ctl.bnorm = rhs_norm(comm, b);
         let layout = std::sync::Arc::clone(b.layout());
-        let bnorm = rhs_norm(comm, b);
 
         let [r, z, p, ap, x_good] = ws.take(comm, b);
         copy_vec(comm, x, x_good);
-        let mut monitor = RecoveryMonitor::new(cfg.recovery);
 
-        let mut matvecs = 0usize;
-        let mut precond_applies = 0usize;
-        let mut iterations = 0usize;
-        let mut outcome = SolveOutcome::MaxIters;
-        let mut final_rel = f64::INFINITY;
-        let mut history: Vec<(usize, f64)> =
-            Vec::with_capacity(cfg.max_iters / cfg.check_interval() + 2);
-
+        let mut rr_sweep;
         'recurrence: loop {
-            // ‖r₀‖² rides in lane 0, where the periodic check expects it.
-            let mut rr_sweep = comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
-                let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-                pt[0] =
-                    op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &layout.masks[bk]);
-                pt
-            });
-            // z₀ = M⁻¹ r₀ and p₀ = z₀ in one sweep, with the setup rᵀz partial.
-            let rz_sweep = comm.for_each_block_fused([&mut *z, &mut *p], |bk, [zb, pb]| {
-                pre.apply_block(bk, r.block(bk), zb);
-                for j in 0..pb.ny {
-                    pb.interior_row_mut(j).copy_from_slice(zb.interior_row(j));
-                }
-                let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-                pt[0] = masked_block_dot(r.block(bk), zb, &layout.masks[bk]);
-                pt
-            });
-            let mut rz = comm.reduce_sweep(&rz_sweep, 1)[0]; // reduction #0 (setup)
-            matvecs += 1;
-            precond_applies += 1;
-            obs.phase("setup", || comm.stats());
+            let mut rz;
+            (rr_sweep, rz) = Self::start(op, pre, comm, b, x, r, z, p, &mut ctl);
+            ctl.obs.phase("setup", || comm.stats());
 
-            while iterations < cfg.max_iters {
-                iterations += 1;
+            while ctl.iterations() < cfg.max_iters {
+                ctl.tick();
 
                 // Sweep 1: the iteration's halo exchange fused with Ap and
                 // its pᵀAp partial (split-phase runtimes overlap the
@@ -175,7 +188,6 @@ impl CommSolver for ClassicPcg {
                     pt[0] = masked_block_dot(pv.block(bk), apb, mask);
                     pt
                 });
-                matvecs += 1;
 
                 // Reduction #1 of the iteration.
                 let pap = comm.reduce_sweep(&pap_sweep, 1)[0];
@@ -205,7 +217,6 @@ impl CommSolver for ClassicPcg {
                         pt[1] = masked_block_dot(rb, zb, mask);
                         pt
                     });
-                precond_applies += 1;
 
                 // Reduction #2 of the iteration (consumes rᵀz).
                 let rz_new = comm.reduce_sweep(&d_sweep, 1)[1];
@@ -225,83 +236,23 @@ impl CommSolver for ClassicPcg {
                     [0.0; MAX_SWEEP_PARTIALS]
                 });
 
-                if iterations % cfg.check_interval() == 0 {
-                    obs.phase("iterate", || comm.stats());
-                    let rr = comm.reduce_sweep(&rr_sweep, 1)[0];
-                    final_rel = rr.sqrt() / bnorm;
-                    history.push((iterations, final_rel));
-                    obs.phase("check", || comm.stats());
-                    match monitor.assess(final_rel) {
-                        Verdict::Healthy { improved } => {
-                            if final_rel < cfg.tol {
-                                outcome = SolveOutcome::Converged;
-                                break 'recurrence;
-                            }
-                            if improved {
-                                snapshot_vec(comm, x, x_good);
-                            }
-                        }
-                        Verdict::Restart => {
-                            obs.restart(iterations);
-                            copy_vec(comm, x_good, x);
-                            continue 'recurrence;
-                        }
-                        Verdict::Abort => {
-                            copy_vec(comm, x_good, x);
-                            final_rel = monitor.best_rel;
-                            outcome = SolveOutcome::Diverged;
-                            break 'recurrence;
-                        }
+                if ctl.iterations() % cfg.check_interval() == 0 {
+                    match ctl.check_sweep(comm, cfg, &rr_sweep, x, x_good) {
+                        Check::Continue | Check::Snapshot => {}
+                        Check::Restart => continue 'recurrence,
+                        Check::Done(_) => break 'recurrence,
                     }
                 }
             }
-
-            // Iteration cap hit before any check: settle the final residual
-            // with one last reduction (same event count as before recovery).
-            if final_rel.is_infinite() {
-                let rr = comm.reduce_sweep(&rr_sweep, 1)[0];
-                final_rel = rr.sqrt() / bnorm;
-                history.push((iterations, final_rel));
-            }
-            if final_rel < cfg.tol {
-                outcome = SolveOutcome::Converged;
-            } else if !final_rel.is_finite() {
-                copy_vec(comm, x_good, x);
-                final_rel = monitor.best_rel;
-                outcome = SolveOutcome::Diverged;
-            }
-            break 'recurrence;
+            break;
         }
-
-        let stats = SolveStats {
-            solver: self.name(),
-            preconditioner: pre.name(),
-            iterations,
-            converged: outcome == SolveOutcome::Converged,
-            outcome,
-            restarts: monitor.restarts,
-            final_relative_residual: final_rel,
-            matvecs,
-            precond_applies,
-            comm: comm.stats().since(&start),
-            residual_history: history,
-        };
-        obs.finish(
-            stats.outcome.label(),
-            stats.final_relative_residual,
-            stats.iterations,
-            stats.matvecs,
-            stats.precond_applies,
-            &stats.residual_history,
-            || comm.stats(),
-        );
-        stats
+        ctl.finish(comm, cfg, Some(&rr_sweep), x, x_good)
     }
 }
 
 impl LinearSolver for ClassicPcg {
     fn name(&self) -> &'static str {
-        "pcg"
+        SolverSpec::ClassicPcg.label()
     }
 
     /// Dynamic-dispatch entry point: the generic fused loop driven by the

@@ -19,10 +19,11 @@
 //! kernel benches and the convergence histories.
 
 use super::{
-    copy_vec, rhs_norm, snapshot_vec, CommSolver, LinearSolver, RecoveryMonitor, SolveOutcome,
-    SolveStats, SolverConfig, SolverWorkspace, Verdict,
+    copy_vec, rhs_norm, Check, CommSolver, LinearSolver, SolveCtl, SolveStats, SolverConfig,
+    SolverWorkspace,
 };
 use crate::precond::Preconditioner;
+use crate::setup::SolverSpec;
 use pop_comm::{CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
 use pop_stencil::NinePoint;
 
@@ -143,6 +144,39 @@ impl PipelinedCg {
     }
 }
 
+impl PipelinedCg {
+    /// The recurrence's start: `r₀ = b − A x₀ ; u₀ = M⁻¹ r₀ ; w₀ = A u₀`,
+    /// each halo exchange fused with the sweep that reads it (the caller
+    /// zeroes `z`, `q`, `s`, `p` and resets the recurrence scalars).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn start<C: Communicator>(
+        op: &NinePoint,
+        pre: &dyn Preconditioner,
+        comm: &C,
+        b: &C::Vec,
+        x: &mut C::Vec,
+        r: &mut C::Vec,
+        u: &mut C::Vec,
+        w: &mut C::Vec,
+        ctl: &mut SolveCtl,
+    ) {
+        let masks = &b.layout().masks;
+        comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
+            op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &masks[bk]);
+            [0.0; MAX_SWEEP_PARTIALS]
+        });
+        comm.for_each_block_fused([&mut *u], |bk, [ub]| {
+            pre.apply_block(bk, r.block(bk), ub);
+            [0.0; MAX_SWEEP_PARTIALS]
+        });
+        comm.halo_sweep_fused(u, [w], |bk, uv, [wb]| {
+            op.apply_block_into(bk, uv.block(bk), wb, &masks[bk]);
+            [0.0; MAX_SWEEP_PARTIALS]
+        });
+        ctl.charge(2, 1);
+    }
+}
+
 impl CommSolver for PipelinedCg {
     /// The fused loop: the three dot partials (γ, δ, ‖r‖²) and the
     /// preconditioner ride one sweep, the matvec a second, and all *eight*
@@ -160,22 +194,12 @@ impl CommSolver for PipelinedCg {
         cfg: &SolverConfig,
         ws: &mut SolverWorkspace<C::Vec>,
     ) -> SolveStats {
-        let start = comm.stats();
-        let mut obs = cfg.obs.begin_solve(self.name(), pre.name(), start);
+        let mut ctl = SolveCtl::new(cfg, self.name(), pre.name(), comm.stats());
+        ctl.bnorm = rhs_norm(comm, b);
         let layout = std::sync::Arc::clone(b.layout());
-        let bnorm = rhs_norm(comm, b);
 
         let [r, u, w, m, n, z, q, s, p, x_good] = ws.take(comm, b);
         copy_vec(comm, x, x_good);
-        let mut monitor = RecoveryMonitor::new(cfg.recovery);
-
-        let mut matvecs = 0usize;
-        let mut precond_applies = 0usize;
-        let mut iterations = 0usize;
-        let mut outcome = SolveOutcome::MaxIters;
-        let mut final_rel = f64::INFINITY;
-        let mut history: Vec<(usize, f64)> =
-            Vec::with_capacity(cfg.max_iters / cfg.check_interval() + 2);
 
         'recurrence: loop {
             // The auxiliary recurrences must start from zero: after a restart
@@ -184,31 +208,15 @@ impl CommSolver for PipelinedCg {
             q.zero_fill();
             s.zero_fill();
             p.zero_fill();
-
-            // r₀ = b − A x₀ ; u₀ = M⁻¹ r₀ ; w₀ = A u₀ — each halo exchange
-            // fused with the sweep that reads it.
-            comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
-                op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &layout.masks[bk]);
-                [0.0; MAX_SWEEP_PARTIALS]
-            });
-            comm.for_each_block_fused([&mut *u], |bk, [ub]| {
-                pre.apply_block(bk, r.block(bk), ub);
-                [0.0; MAX_SWEEP_PARTIALS]
-            });
-            comm.halo_sweep_fused(u, [&mut *w], |bk, uv, [wb]| {
-                op.apply_block_into(bk, uv.block(bk), wb, &layout.masks[bk]);
-                [0.0; MAX_SWEEP_PARTIALS]
-            });
+            Self::start(op, pre, comm, b, x, r, u, w, &mut ctl);
 
             let mut gamma_old = 1.0f64;
             let mut alpha_old = 1.0f64;
             let mut first = true;
-            matvecs += 2;
-            precond_applies += 1;
-            obs.phase("setup", || comm.stats());
+            ctl.obs.phase("setup", || comm.stats());
 
-            while iterations < cfg.max_iters {
-                iterations += 1;
+            while ctl.iterations() < cfg.max_iters {
+                ctl.tick();
 
                 // Sweep 1: the fused reduction's three partials — γ = (r,u),
                 // δ = (w,u), ‖r‖² — plus the preconditioner application
@@ -244,11 +252,10 @@ impl CommSolver for PipelinedCg {
                 // PipeCG's convergence check rides the fused per-iteration
                 // reduction, so the reduce itself is attributed to "check"
                 // and everything else to "iterate".
-                obs.phase("iterate", || comm.stats());
+                ctl.obs.phase("iterate", || comm.stats());
                 let d = comm.reduce_sweep(&d_sweep, 3);
-                obs.phase("check", || comm.stats());
+                ctl.obs.phase("check", || comm.stats());
                 let (gamma, delta, rr) = (d[0], d[1], d[2]);
-                precond_applies += 1;
 
                 // Sweep 2: n = A m, its halo exchange fused so a
                 // split-phase runtime overlaps the strips with the
@@ -257,7 +264,6 @@ impl CommSolver for PipelinedCg {
                     op.apply_block_into(bk, mv.block(bk), nb, &layout.masks[bk]);
                     [0.0; MAX_SWEEP_PARTIALS]
                 });
-                matvecs += 1;
 
                 let (alpha, beta) = if first {
                     first = false;
@@ -313,78 +319,26 @@ impl CommSolver for PipelinedCg {
                 gamma_old = gamma;
                 alpha_old = alpha;
 
-                final_rel = rr.sqrt() / bnorm;
-                if iterations % cfg.check_interval() == 0 {
-                    history.push((iterations, final_rel));
-                }
                 // The pipelined formulation checks every iteration for free, so
-                // the recovery monitor sees every residual too.
-                match monitor.assess(final_rel) {
-                    Verdict::Healthy { improved } => {
-                        if final_rel < cfg.tol {
-                            if iterations % cfg.check_interval() != 0 {
-                                history.push((iterations, final_rel));
-                            }
-                            outcome = SolveOutcome::Converged;
-                            break 'recurrence;
-                        }
-                        if improved {
-                            snapshot_vec(comm, x, x_good);
-                        }
-                    }
-                    Verdict::Restart => {
-                        obs.restart(iterations);
-                        copy_vec(comm, x_good, x);
-                        continue 'recurrence;
-                    }
-                    Verdict::Abort => {
-                        copy_vec(comm, x_good, x);
-                        final_rel = monitor.best_rel;
-                        outcome = SolveOutcome::Diverged;
-                        break 'recurrence;
-                    }
+                // the recovery monitor sees every residual too; history entries
+                // keep the check_every cadence.
+                let cadence = ctl.iterations() % cfg.check_interval() == 0;
+                match ctl.check_vec(comm, cfg, rr, cadence, x, x_good) {
+                    Check::Continue | Check::Snapshot => {}
+                    Check::Restart => continue 'recurrence,
+                    Check::Done(_) => break 'recurrence,
                 }
             }
-
-            if final_rel < cfg.tol {
-                outcome = SolveOutcome::Converged;
-            } else if !final_rel.is_finite() {
-                copy_vec(comm, x_good, x);
-                final_rel = monitor.best_rel;
-                outcome = SolveOutcome::Diverged;
-            }
-            break 'recurrence;
+            break;
         }
-
-        let stats = SolveStats {
-            solver: self.name(),
-            preconditioner: pre.name(),
-            iterations,
-            converged: outcome == SolveOutcome::Converged,
-            outcome,
-            restarts: monitor.restarts,
-            final_relative_residual: final_rel,
-            matvecs,
-            precond_applies,
-            comm: comm.stats().since(&start),
-            residual_history: history,
-        };
-        obs.finish(
-            stats.outcome.label(),
-            stats.final_relative_residual,
-            stats.iterations,
-            stats.matvecs,
-            stats.precond_applies,
-            &stats.residual_history,
-            || comm.stats(),
-        );
-        stats
+        // Every iteration reduced ‖r‖², so there is no standing sweep to settle.
+        ctl.finish(comm, cfg, None, x, x_good)
     }
 }
 
 impl LinearSolver for PipelinedCg {
     fn name(&self) -> &'static str {
-        "pipecg"
+        SolverSpec::PipelinedCg.label()
     }
 
     /// Dynamic-dispatch entry point: the generic fused loop driven by the

@@ -25,7 +25,6 @@
 pub mod bathymetry;
 pub mod decomp;
 pub mod grid;
-pub mod io;
 pub mod metrics;
 pub mod sfc;
 

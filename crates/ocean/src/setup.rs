@@ -1,50 +1,54 @@
 //! Solver/preconditioner configuration bundles.
 //!
-//! One place that knows how to stand up each of the paper's four
-//! solver/preconditioner combinations (plus the classic-PCG and block-LU
-//! ablation options) for a given operator: preconditioner construction,
-//! Lanczos eigenvalue estimation for P-CSI, and a uniform `solve` entry
-//! point. Used by the ocean model, the experiment binaries and the benches.
+//! [`SolverChoice`] pairs a `pop_core::setup::SolverSpec` with a
+//! `PrecondSpec` (the paper's four combinations and the ablations are named
+//! constants); [`SolverSetup`] stands one up on an operator —
+//! preconditioner construction, Lanczos eigenvalue estimation for P-CSI —
+//! behind a uniform `solve` entry point with a reusable workspace. Used by
+//! the ocean model, the experiment binaries and the benches.
 
 use pop_comm::{CommWorld, DistVec};
 use pop_core::lanczos::LanczosConfig;
 use pop_core::precond::Preconditioner;
-use pop_core::setup::{OperatorState, PrecondSpec};
-use pop_core::solvers::{
-    ChronGear, ClassicPcg, LinearSolver, Pcsi, PipelinedCg, SolveStats, SolverConfig,
-    SolverWorkspace,
-};
+use pop_core::setup::{OperatorState, PrecondSpec, Solver, SolverSpec};
+use pop_core::solvers::{SolveStats, SolverConfig, SolverWorkspace};
 use pop_stencil::NinePoint;
 use std::sync::{Arc, Mutex};
 
-/// The solver/preconditioner combinations of the paper's experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverChoice {
-    /// POP's production baseline (Alg. 1 + diagonal).
-    ChronGearDiag,
-    /// ChronGear with the new block-EVP preconditioner.
-    ChronGearEvp,
-    /// The paper's headline solver with diagonal preconditioning.
-    PcsiDiag,
-    /// The paper's headline solver with block-EVP preconditioning.
-    PcsiEvp,
-    /// Classic two-reduction PCG (pre-ChronGear baseline).
-    ClassicPcgDiag,
-    /// Pipelined CG (Ghysels & Vanroose; the paper's ref [16]): the
-    /// reduction-hiding alternative to abandoning CG.
-    PipelinedCgDiag,
-    /// ChronGear with unpreconditioned iterations (ablation).
-    ChronGearIdentity,
-    /// ChronGear with dense block-LU (ablation: same M as EVP).
-    ChronGearBlockLu,
-    /// The headline solver with the geometric-multigrid V-cycle
-    /// preconditioner (DESIGN.md §15).
-    PcsiMg,
-    /// ChronGear with the multigrid V-cycle preconditioner.
-    ChronGearMg,
+/// A solver/preconditioner combination: two orthogonal choices in
+/// `pop-core`'s vocabulary. The paper's configurations (and the ablations
+/// the experiments run) have names, as associated constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SolverChoice {
+    pub solver: SolverSpec,
+    pub precond: PrecondSpec,
 }
 
+#[allow(non_upper_case_globals)]
 impl SolverChoice {
+    /// POP's production baseline (Alg. 1 + diagonal).
+    pub const ChronGearDiag: Self = Self::of(SolverSpec::ChronGear, PrecondSpec::Diagonal);
+    /// ChronGear with the new block-EVP preconditioner.
+    pub const ChronGearEvp: Self = Self::of(SolverSpec::ChronGear, PrecondSpec::Evp);
+    /// The paper's headline solver with diagonal preconditioning.
+    pub const PcsiDiag: Self = Self::of(SolverSpec::Pcsi, PrecondSpec::Diagonal);
+    /// The paper's headline solver with block-EVP preconditioning.
+    pub const PcsiEvp: Self = Self::of(SolverSpec::Pcsi, PrecondSpec::Evp);
+    /// Classic two-reduction PCG (pre-ChronGear baseline).
+    pub const ClassicPcgDiag: Self = Self::of(SolverSpec::ClassicPcg, PrecondSpec::Diagonal);
+    /// Pipelined CG (Ghysels & Vanroose; the paper's ref [16]): the
+    /// reduction-hiding alternative to abandoning CG.
+    pub const PipelinedCgDiag: Self = Self::of(SolverSpec::PipelinedCg, PrecondSpec::Diagonal);
+    /// ChronGear with unpreconditioned iterations (ablation).
+    pub const ChronGearIdentity: Self = Self::of(SolverSpec::ChronGear, PrecondSpec::Identity);
+    /// ChronGear with band-LU block solves (ablation: same M as EVP).
+    pub const ChronGearBlockLu: Self = Self::of(SolverSpec::ChronGear, PrecondSpec::BlockLu);
+    /// The headline solver with the geometric-multigrid V-cycle
+    /// preconditioner (DESIGN.md §15).
+    pub const PcsiMg: Self = Self::of(SolverSpec::Pcsi, PrecondSpec::Mg);
+    /// ChronGear with the multigrid V-cycle preconditioner.
+    pub const ChronGearMg: Self = Self::of(SolverSpec::ChronGear, PrecondSpec::Mg);
+
     /// The four configurations the paper's figures sweep.
     pub const PAPER_SET: [SolverChoice; 4] = [
         SolverChoice::ChronGearDiag,
@@ -53,53 +57,23 @@ impl SolverChoice {
         SolverChoice::PcsiEvp,
     ];
 
-    pub fn label(self) -> &'static str {
-        match self {
-            SolverChoice::ChronGearDiag => "chrongear+diag",
-            SolverChoice::ChronGearEvp => "chrongear+evp",
-            SolverChoice::PcsiDiag => "pcsi+diag",
-            SolverChoice::PcsiEvp => "pcsi+evp",
-            SolverChoice::ClassicPcgDiag => "pcg+diag",
-            SolverChoice::PipelinedCgDiag => "pipecg+diag",
-            SolverChoice::ChronGearIdentity => "chrongear+identity",
-            SolverChoice::ChronGearBlockLu => "chrongear+blocklu",
-            SolverChoice::PcsiMg => "pcsi+mg",
-            SolverChoice::ChronGearMg => "chrongear+mg",
-        }
+    pub const fn of(solver: SolverSpec, precond: PrecondSpec) -> Self {
+        SolverChoice { solver, precond }
     }
 
-    pub fn uses_evp(self) -> bool {
-        matches!(self, SolverChoice::ChronGearEvp | SolverChoice::PcsiEvp)
+    /// `"<solver>+<precond>"`, e.g. `pcsi+evp`.
+    pub fn label(self) -> String {
+        format!("{}+{}", self.solver.label(), self.precond.label())
     }
 
     pub fn is_pcsi(self) -> bool {
-        matches!(
-            self,
-            SolverChoice::PcsiDiag | SolverChoice::PcsiEvp | SolverChoice::PcsiMg
-        )
+        self.solver == SolverSpec::Pcsi
     }
 
-    /// The cacheable preconditioner spec this choice builds
-    /// ([`pop_core::setup::PrecondSpec`]).
+    /// The cacheable preconditioner spec this choice builds.
     pub fn precond_spec(self) -> PrecondSpec {
-        match self {
-            SolverChoice::ChronGearDiag
-            | SolverChoice::PcsiDiag
-            | SolverChoice::ClassicPcgDiag
-            | SolverChoice::PipelinedCgDiag => PrecondSpec::Diagonal,
-            SolverChoice::ChronGearEvp | SolverChoice::PcsiEvp => PrecondSpec::Evp,
-            SolverChoice::ChronGearIdentity => PrecondSpec::Identity,
-            SolverChoice::ChronGearBlockLu => PrecondSpec::BlockLu,
-            SolverChoice::PcsiMg | SolverChoice::ChronGearMg => PrecondSpec::Mg,
-        }
+        self.precond
     }
-}
-
-enum SolverImpl {
-    ChronGear(ChronGear),
-    Pcsi(Pcsi),
-    Pcg(ClassicPcg),
-    PipeCg(PipelinedCg),
 }
 
 /// A ready-to-run solver: preconditioner built, eigenvalue bounds estimated.
@@ -112,7 +86,7 @@ enum SolverImpl {
 pub struct SolverSetup {
     choice: SolverChoice,
     state: Arc<OperatorState>,
-    solver: SolverImpl,
+    solver: Solver,
     /// Lanczos steps spent at setup (0 for CG-type solvers).
     pub lanczos_steps: usize,
     /// Reusable vector arena: after the first solve on a layout, repeated
@@ -147,8 +121,8 @@ impl SolverSetup {
     ) -> Self {
         let state = OperatorState::build(
             op,
-            choice.precond_spec(),
-            choice.is_pcsi().then_some(lanczos),
+            choice.precond,
+            choice.solver.needs_bounds().then_some(lanczos),
             world,
         );
         Self::from_state(choice, state)
@@ -163,22 +137,10 @@ impl SolverSetup {
     ///
     /// Panics if `choice` is P-CSI and `state` carries no eigenbounds.
     pub fn from_state(choice: SolverChoice, state: Arc<OperatorState>) -> Self {
-        let solver = if choice.is_pcsi() {
-            let bounds = state
-                .bounds
-                .expect("P-CSI setup needs an OperatorState built with Lanczos bounds");
-            SolverImpl::Pcsi(Pcsi::new(bounds))
-        } else if choice == SolverChoice::ClassicPcgDiag {
-            SolverImpl::Pcg(ClassicPcg)
-        } else if choice == SolverChoice::PipelinedCgDiag {
-            SolverImpl::PipeCg(PipelinedCg)
-        } else {
-            SolverImpl::ChronGear(ChronGear)
-        };
         SolverSetup {
             choice,
             lanczos_steps: state.lanczos_steps,
-            solver,
+            solver: state.solver(choice.solver),
             state,
             workspace: Mutex::new(SolverWorkspace::new()),
         }
@@ -209,12 +171,7 @@ impl SolverSetup {
     ) -> SolveStats {
         let ws = &mut *self.workspace.lock().unwrap_or_else(|e| e.into_inner());
         let pre = self.state.precond.as_ref();
-        match &self.solver {
-            SolverImpl::ChronGear(s) => s.solve_ws(op, pre, world, b, x, cfg, ws),
-            SolverImpl::Pcsi(s) => s.solve_ws(op, pre, world, b, x, cfg, ws),
-            SolverImpl::Pcg(s) => s.solve_ws(op, pre, world, b, x, cfg, ws),
-            SolverImpl::PipeCg(s) => s.solve_ws(op, pre, world, b, x, cfg, ws),
-        }
+        self.solver.solve(op, pre, world, b, x, cfg, ws)
     }
 }
 
@@ -287,7 +244,7 @@ mod tests {
             SolverChoice::PcsiMg,
             SolverChoice::ChronGearMg,
         ];
-        let mut labels: Vec<&str> = all.iter().map(|c| c.label()).collect();
+        let mut labels: Vec<String> = all.iter().map(|c| c.label()).collect();
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), all.len());

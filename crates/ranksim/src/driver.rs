@@ -9,57 +9,14 @@
 
 use crate::runtime::{sim_time, RankReport, RankWorld};
 use crate::trace::SpanKind;
-use pop_comm::{Communicator, DistVec};
-use pop_core::{
-    ChronGear, ClassicPcg, CommSolver, EigenBounds, Pcsi, PipelinedCg, Preconditioner, SolveStats,
-    SolverConfig, SolverWorkspace,
-};
+use pop_comm::DistVec;
+use pop_core::{Preconditioner, SolveStats, SolverConfig, SolverWorkspace};
 use pop_obs::ObsSink;
 use pop_stencil::NinePoint;
 
-/// Which solver to run, with the spectral bounds P-CSI needs baked in (the
-/// bounds come from a one-time Lanczos estimation; the paper amortizes it
-/// over a model run, and sharing the same bounds across runtimes keeps
-/// trajectories bit-identical).
-#[derive(Debug, Clone, Copy)]
-pub enum SolverKind {
-    ClassicPcg,
-    ChronGear,
-    PipelinedCg,
-    Pcsi(EigenBounds),
-}
-
-impl SolverKind {
-    /// The solver's reporting name (matches `LinearSolver::name`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SolverKind::ClassicPcg => "pcg",
-            SolverKind::ChronGear => "chrongear",
-            SolverKind::PipelinedCg => "pipecg",
-            SolverKind::Pcsi(_) => "pcsi",
-        }
-    }
-
-    /// Run the solver over any communicator.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve<C: Communicator>(
-        &self,
-        op: &NinePoint,
-        pre: &dyn Preconditioner,
-        comm: &C,
-        b: &C::Vec,
-        x: &mut C::Vec,
-        cfg: &SolverConfig,
-        ws: &mut SolverWorkspace<C::Vec>,
-    ) -> SolveStats {
-        match self {
-            SolverKind::ClassicPcg => ClassicPcg.solve_comm(op, pre, comm, b, x, cfg, ws),
-            SolverKind::ChronGear => ChronGear.solve_comm(op, pre, comm, b, x, cfg, ws),
-            SolverKind::PipelinedCg => PipelinedCg.solve_comm(op, pre, comm, b, x, cfg, ws),
-            SolverKind::Pcsi(bounds) => Pcsi::new(*bounds).solve_comm(op, pre, comm, b, x, cfg, ws),
-        }
-    }
-}
+/// Which solver to run, with the spectral bounds P-CSI needs baked in —
+/// the workspace's one built-solver type under its ranksim name.
+pub use pop_core::Solver as SolverKind;
 
 /// A distributed solve's outcome: the assembled solution, the per-rank
 /// reports (each carrying that rank's [`SolveStats`] with *per-rank*
@@ -200,7 +157,8 @@ mod tests {
 
         let mut x_shared = DistVec::zeros(&layout);
         let mut ws = SolverWorkspace::new();
-        let st_shared = ChronGear.solve_comm(&op, &pre, &shared, &b, &mut x_shared, &cfg, &mut ws);
+        let st_shared =
+            SolverKind::ChronGear.solve(&op, &pre, &shared, &b, &mut x_shared, &cfg, &mut ws);
         assert!(st_shared.converged);
 
         let world = RankWorld::new(&layout, 6, Arc::new(ZeroCost), RankSimConfig::default());

@@ -8,32 +8,10 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which iterative solver to run. Unlike `pop_ranksim::SolverKind` this
-/// carries no eigenbounds — for P-CSI they come from the cached
+/// Which iterative solver to run — `pop-core`'s data-less solver name. It
+/// carries no eigenbounds: for P-CSI they come from the cached
 /// [`pop_core::setup::OperatorState`], which is the point of the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SolverSpec {
-    ClassicPcg,
-    ChronGear,
-    PipelinedCg,
-    Pcsi,
-}
-
-impl SolverSpec {
-    pub fn label(self) -> &'static str {
-        match self {
-            SolverSpec::ClassicPcg => "pcg",
-            SolverSpec::ChronGear => "chrongear",
-            SolverSpec::PipelinedCg => "pipecg",
-            SolverSpec::Pcsi => "pcsi",
-        }
-    }
-
-    /// P-CSI needs Lanczos eigenbounds in its setup state.
-    pub fn needs_bounds(self) -> bool {
-        matches!(self, SolverSpec::Pcsi)
-    }
-}
+pub use pop_core::setup::SolverSpec;
 
 /// Tenant SLO class. The dispatcher keeps two priority lanes: the
 /// `Interactive` lane dispatches first, while a starvation bound
@@ -149,6 +127,10 @@ pub struct SolveResponse {
 /// request, with the numbers a client needs to back off sensibly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reject {
+    /// Admission: the request can never be solved as submitted — its
+    /// right-hand side or initial guess lives on a different layout than
+    /// its operator, or its tolerance is not a positive number.
+    Invalid { reason: &'static str },
     /// Admission: the bounded queue is full.
     QueueFull { depth: usize, capacity: usize },
     /// Admission: this tenant already has `in_flight` requests queued or
@@ -178,6 +160,7 @@ impl Reject {
     /// Stable short reason, used as the `reason` label on the shed counter.
     pub fn reason(&self) -> &'static str {
         match self {
+            Reject::Invalid { .. } => "invalid",
             Reject::QueueFull { .. } => "queue_full",
             Reject::TenantQuota { .. } => "tenant_quota",
             Reject::DeadlineUnmeetable { .. } => "deadline_unmeetable",
@@ -190,6 +173,7 @@ impl Reject {
 impl std::fmt::Display for Reject {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Reject::Invalid { reason } => write!(f, "invalid request: {reason}"),
             Reject::QueueFull { depth, capacity } => {
                 write!(f, "queue full ({depth}/{capacity})")
             }
@@ -235,6 +219,9 @@ mod tests {
     #[test]
     fn reject_reasons_are_stable_and_unique() {
         let all = [
+            Reject::Invalid {
+                reason: "tolerance must be positive",
+            },
             Reject::QueueFull {
                 depth: 4,
                 capacity: 4,
@@ -261,18 +248,6 @@ mod tests {
         for r in &all {
             assert!(!format!("{r}").is_empty());
         }
-    }
-
-    #[test]
-    fn solver_spec_labels_match_solver_names() {
-        // Labels must match `LinearSolver::name` so SLO metrics join with
-        // the per-solve counters the solvers already export.
-        assert_eq!(SolverSpec::ClassicPcg.label(), "pcg");
-        assert_eq!(SolverSpec::ChronGear.label(), "chrongear");
-        assert_eq!(SolverSpec::PipelinedCg.label(), "pipecg");
-        assert_eq!(SolverSpec::Pcsi.label(), "pcsi");
-        assert!(SolverSpec::Pcsi.needs_bounds());
-        assert!(!SolverSpec::ChronGear.needs_bounds());
     }
 
     #[test]

@@ -25,16 +25,15 @@
 use crate::cache::{CacheStats, SharedOperatorCache};
 use crate::request::{Priority, Reject, SolveRequest, SolveResponse, SolverSpec, Ticket};
 use crate::sched::{self, LaneState, QueueItem};
-use pop_comm::{CommWorld, Communicator, DistVec};
+use pop_comm::{CommWorld, DistVec};
 use pop_core::fingerprint::operator_fingerprint;
 use pop_core::lanczos::LanczosConfig;
 use pop_core::setup::OperatorState;
 use pop_core::solvers::{
-    batch_key, BatchCommSolver, BatchKey, BatchPlanner, BatchWorkspace, ChronGear, ClassicPcg,
-    Pcsi, PipelinedCg, SolveStats, SolverConfig, MAX_BATCH,
+    batch_key, BatchKey, BatchPlanner, BatchWorkspace, SolveStats, SolverConfig, MAX_BATCH,
 };
 use pop_obs::ObsSink;
-use pop_ranksim::{solve_on_ranks, FaultPlan, RankSimConfig, RankWorld, SolverKind, ZeroCost};
+use pop_ranksim::{solve_on_ranks, FaultPlan, RankSimConfig, RankWorld, ZeroCost};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -343,9 +342,13 @@ impl SolverService {
 
     /// Admission-controlled submit. Admission is synchronous: a returned
     /// [`Ticket`] means the request is queued (it can still be shed at
-    /// dispatch if its deadline expires while waiting).
+    /// dispatch if its deadline expires while waiting). Malformed requests
+    /// (foreign layout, non-positive tolerance) get [`Reject::Invalid`].
     pub fn submit(&self, req: SolveRequest) -> Result<Ticket, Reject> {
         let shared = &self.shared;
+        if let Some(reason) = invalid_reason(&req) {
+            return Err(self.shed_at_admission(Reject::Invalid { reason }));
+        }
         let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
         if st.shutdown {
             return Err(self.shed_at_admission(Reject::ShuttingDown));
@@ -488,6 +491,27 @@ impl SolverService {
 impl Drop for SolverService {
     fn drop(&mut self) {
         self.shutdown_inner();
+    }
+}
+
+/// Why a request can never be solved as submitted, if so. Checked at
+/// admission: inside a worker a foreign layout trips the batched engine's
+/// geometry assert (killing the worker and stranding its tenants' quota),
+/// and a tolerance no residual can get below burns `max_iters` iterations.
+fn invalid_reason(req: &SolveRequest) -> Option<&'static str> {
+    let layout = &req.op.layout;
+    if !Arc::ptr_eq(&req.b.layout, layout) {
+        Some("right-hand side is not on the operator's layout")
+    } else if req
+        .x0
+        .as_ref()
+        .is_some_and(|x0| !Arc::ptr_eq(&x0.layout, layout))
+    {
+        Some("initial guess is not on the operator's layout")
+    } else if req.tol.is_nan() || req.tol <= 0.0 {
+        Some("tolerance must be a positive number")
+    } else {
+        None
     }
 }
 
@@ -698,10 +722,10 @@ impl Worker {
                 let bs: Vec<&DistVec> = group.iter().map(|p| &p.req.b).collect();
                 let stats = {
                     let mut xrefs: Vec<&mut DistVec> = xs.iter_mut().collect();
-                    solve_batch_with(
-                        spec,
-                        &state,
+                    let pre = state.precond.as_ref();
+                    state.solver(spec).solve_batch(
                         &op,
+                        pre,
                         world,
                         &bs,
                         &mut xrefs,
@@ -740,34 +764,6 @@ impl Worker {
     }
 }
 
-/// Dispatch one batch to the chosen solver through the batched engine.
-/// Width-1 batches take the same code path — the engine's lane-pinning
-/// contract is what keeps every width bit-identical to standalone solves.
-#[allow(clippy::too_many_arguments)]
-fn solve_batch_with<C: Communicator>(
-    spec: SolverSpec,
-    state: &OperatorState,
-    op: &pop_stencil::NinePoint,
-    comm: &C,
-    bs: &[&C::Vec],
-    xs: &mut [&mut C::Vec],
-    cfg: &SolverConfig,
-    ws: &mut BatchWorkspace<C>,
-) -> Vec<SolveStats> {
-    let pre = state.precond.as_ref();
-    match spec {
-        SolverSpec::ClassicPcg => ClassicPcg.solve_batch_comm(op, pre, comm, bs, xs, cfg, ws),
-        SolverSpec::ChronGear => ChronGear.solve_batch_comm(op, pre, comm, bs, xs, cfg, ws),
-        SolverSpec::PipelinedCg => PipelinedCg.solve_batch_comm(op, pre, comm, bs, xs, cfg, ws),
-        SolverSpec::Pcsi => {
-            let bounds = state
-                .bounds
-                .expect("P-CSI state built without bounds — cache key bug");
-            Pcsi::new(bounds).solve_batch_comm(op, pre, comm, bs, xs, cfg, ws)
-        }
-    }
-}
-
 /// The ranksim (chaos) path: one simulated-MPI world per request, faults
 /// injected per the plan. No multi-RHS coalescing here — the rank runtime
 /// solves one system at a time; the group still shares cached setup state.
@@ -780,16 +776,7 @@ fn solve_group_ranksim(
     ranks: usize,
     faults: FaultPlan,
 ) -> (Vec<DistVec>, Vec<SolveStats>) {
-    let kind = match spec {
-        SolverSpec::ClassicPcg => SolverKind::ClassicPcg,
-        SolverSpec::ChronGear => SolverKind::ChronGear,
-        SolverSpec::PipelinedCg => SolverKind::PipelinedCg,
-        SolverSpec::Pcsi => SolverKind::Pcsi(
-            state
-                .bounds
-                .expect("P-CSI state built without bounds — cache key bug"),
-        ),
-    };
+    let kind = state.solver(spec);
     let mut xs = Vec::with_capacity(group.len());
     let mut stats = Vec::with_capacity(group.len());
     for p in group {

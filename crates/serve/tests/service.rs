@@ -148,6 +148,48 @@ fn queue_full_rejects_structurally() {
     }
 }
 
+/// Malformed requests are refused at the door with a structured reject:
+/// inside a worker a foreign layout would trip the batched engine's
+/// geometry assert (the worker dies, its tenants' quota is never released,
+/// a one-worker service wedges) and a tolerance nothing can reach would
+/// burn `max_iters` iterations.
+#[test]
+fn invalid_requests_are_rejected_at_submit() {
+    let p = problem(5);
+    let other = problem(6); // same shape, its own `DistLayout`
+    let obs = ObsSink::enabled();
+    let svc = SolverService::start(ServiceConfig {
+        workers: 1,
+        obs: obs.clone(),
+        ..ServiceConfig::default()
+    });
+
+    let mut foreign_b = request(&p, 0);
+    foreign_b.b = other.b.clone();
+    let mut foreign_x0 = request(&p, 0);
+    foreign_x0.x0 = Some(DistVec::zeros(&other.op.layout));
+    let mut bad = vec![foreign_b, foreign_x0];
+    bad.extend([0.0, -1.0, f64::NAN].map(|tol| request(&p, 0).with_tol(tol)));
+    let n_bad = bad.len() as u64;
+    for req in bad {
+        let r = svc.submit(req).err().expect("malformed request admitted");
+        assert!(matches!(r, Reject::Invalid { .. }), "{r}");
+        assert_eq!(r.reason(), "invalid");
+    }
+    assert_eq!(svc.tenant_load_len(), 0, "a refused request holds no quota");
+    let shed = obs
+        .metrics()
+        .into_iter()
+        .find(|m| m.name == "pop_serve_shed_total" && m.labels.contains(&("reason", "invalid")))
+        .expect("invalid rejects are counted as shed");
+    assert_eq!(shed.value, SampleValue::Counter(n_bad));
+
+    // The single worker is still alive and serving.
+    let resp = svc.submit(request(&p, 0)).unwrap().wait().unwrap();
+    assert!(resp.stats.converged);
+    assert_eq!(svc.tenant_load_len(), 0);
+}
+
 #[test]
 fn tenant_quota_rejects_only_the_hog() {
     let p = problem(7);

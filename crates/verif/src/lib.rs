@@ -26,11 +26,9 @@
 pub mod consistency;
 pub mod ensemble;
 pub mod mms;
-pub mod portcheck;
 pub mod stats;
 
 pub use consistency::{ConsistencyReport, Verdict};
 pub use ensemble::{EnsembleConfig, EnsembleStats, VerificationLab};
 pub use mms::MmsCase;
-pub use portcheck::{port_check, PortCheckReport, PortReference};
 pub use stats::{rmse, rmsz, rmsz_detailed, EnsembleMoments, RmszScore};

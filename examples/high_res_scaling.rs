@@ -41,7 +41,7 @@ fn main() {
                 } else {
                     SolverKind::ChronGear
                 },
-                precond: if choice.uses_evp() {
+                precond: if choice.precond == PrecondSpec::Evp {
                     PrecondKind::Evp
                 } else {
                     PrecondKind::Diagonal

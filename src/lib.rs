@@ -83,7 +83,7 @@ pub mod prelude {
         BlockEvp, BlockLu, BlockMg, Diagonal, Identity, MgConfig, Preconditioner,
     };
     pub use pop_core::selector::{PrecondSelector, Selection, SelectorConfig};
-    pub use pop_core::setup::{OperatorState, PrecondSpec};
+    pub use pop_core::setup::{OperatorState, PrecondSpec, Solver, SolverSpec};
     pub use pop_core::solvers::{
         batch_key, solve_many, BatchCommSolver, BatchPlanner, BatchWorkspace, ChronGear,
         ClassicPcg, LinearSolver, Pcsi, PipelinedCg, RecoveryConfig, SolveOutcome, SolveStats,

@@ -13,150 +13,19 @@
 //! converging and diverging systems (the poisoned lane must walk the full
 //! restart → abort recovery ladder without perturbing its neighbours).
 
+mod common;
+use common::{assert_same, observe, problem, solver_cfg, ModeGuard, Observables, Problem};
 use pop_baro::prelude::*;
-use pop_baro::ranksim::{RankSimConfig, RankWorld, SolverKind, ZeroCost};
-use pop_comm::Communicator;
-use pop_core::solvers::{BatchCommSolver, BatchWorkspace, SolverWorkspace};
+use pop_core::solvers::{BatchWorkspace, SolverWorkspace};
 use pop_simd::SimdMode;
 use std::sync::Arc;
-
-/// SplitMix64, as in the SIMD equivalence suite: reproducible fields from
-/// the seed alone, order-independent in (i, j).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-fn noise(seed: u64, i: usize, j: usize) -> f64 {
-    let mut s = seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15) ^ ((j as u64) << 32);
-    let bits = splitmix64(&mut s);
-    (bits >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-}
-
-struct Problem {
-    layout: Arc<pop_baro::comm::DistLayout>,
-    op: NinePoint,
-}
-
-/// A land-masked multi-block problem; 18×20 blocks keep a scalar tail in
-/// every kernel row.
-fn problem() -> Problem {
-    let grid = Grid::gx01_scaled(11, 90, 60);
-    let layout = DistLayout::build(&grid, 18, 20);
-    let world = CommWorld::serial();
-    let op = NinePoint::assemble(&grid, &layout, &world, 9000.0);
-    Problem { layout, op }
-}
 
 /// `k` independent right-hand sides in the operator's range, each from its
 /// own seeded noise field.
 fn seeded_batch(p: &Problem, k: usize, seed: u64) -> Vec<DistVec> {
-    let world = CommWorld::serial();
     (0..k)
-        .map(|l| {
-            let mut field = DistVec::zeros(&p.layout);
-            field.fill_with(|i, j| noise(seed.wrapping_add(l as u64), i, j));
-            world.halo_update(&mut field);
-            let mut rhs = DistVec::zeros(&p.layout);
-            p.op.apply(&world, &field, &mut rhs);
-            rhs
-        })
+        .map(|l| common::rhs_in_range(&p.op, seed.wrapping_add(l as u64)))
         .collect()
-}
-
-fn config() -> SolverConfig {
-    SolverConfig {
-        tol: 1e-10,
-        max_iters: 5000,
-        check_every: 10,
-        ..SolverConfig::default()
-    }
-}
-
-/// Everything a solve exposes per RHS, as raw bits.
-#[derive(PartialEq, Debug)]
-struct Outcome {
-    iterations: usize,
-    outcome: SolveOutcome,
-    restarts: usize,
-    matvecs: usize,
-    precond_applies: usize,
-    final_residual_bits: u64,
-    history_bits: Vec<(usize, u64)>,
-    x_bits: Vec<u64>,
-}
-
-fn outcome(st: &SolveStats, x: &DistVec) -> Outcome {
-    Outcome {
-        iterations: st.iterations,
-        outcome: st.outcome,
-        restarts: st.restarts,
-        matvecs: st.matvecs,
-        precond_applies: st.precond_applies,
-        final_residual_bits: st.final_relative_residual.to_bits(),
-        history_bits: st
-            .residual_history
-            .iter()
-            .map(|&(k, r)| (k, r.to_bits()))
-            .collect(),
-        x_bits: x.to_global().iter().map(|v| v.to_bits()).collect(),
-    }
-}
-
-fn assert_same(name: &str, base: &Outcome, got: &Outcome) {
-    assert_eq!(got.iterations, base.iterations, "{name}: iterations differ");
-    assert_eq!(got.outcome, base.outcome, "{name}: outcomes differ");
-    assert_eq!(got.restarts, base.restarts, "{name}: restart counts differ");
-    assert_eq!(got.matvecs, base.matvecs, "{name}: matvec counts differ");
-    assert_eq!(
-        got.precond_applies, base.precond_applies,
-        "{name}: preconditioner counts differ"
-    );
-    assert_eq!(
-        got.final_residual_bits,
-        base.final_residual_bits,
-        "{name}: final residuals differ ({:e} vs {:e})",
-        f64::from_bits(got.final_residual_bits),
-        f64::from_bits(base.final_residual_bits)
-    );
-    assert_eq!(
-        got.history_bits, base.history_bits,
-        "{name}: residual histories differ"
-    );
-    for (k, (a, b)) in got.x_bits.iter().zip(&base.x_bits).enumerate() {
-        assert_eq!(
-            a,
-            b,
-            "{name}: solution differs at point {k}: {:e} vs {:e}",
-            f64::from_bits(*a),
-            f64::from_bits(*b)
-        );
-    }
-}
-
-/// Dispatch a batched solve by solver kind over any communicator.
-#[allow(clippy::too_many_arguments)]
-fn batch_solve<C: Communicator>(
-    kind: SolverKind,
-    op: &NinePoint,
-    pre: &dyn Preconditioner,
-    comm: &C,
-    bs: &[&C::Vec],
-    xs: &mut [&mut C::Vec],
-    cfg: &SolverConfig,
-    ws: &mut BatchWorkspace<C>,
-) -> Vec<SolveStats> {
-    match kind {
-        SolverKind::ClassicPcg => ClassicPcg.solve_batch_comm(op, pre, comm, bs, xs, cfg, ws),
-        SolverKind::ChronGear => ChronGear.solve_batch_comm(op, pre, comm, bs, xs, cfg, ws),
-        SolverKind::PipelinedCg => PipelinedCg.solve_batch_comm(op, pre, comm, bs, xs, cfg, ws),
-        SolverKind::Pcsi(bounds) => {
-            Pcsi::new(bounds).solve_batch_comm(op, pre, comm, bs, xs, cfg, ws)
-        }
-    }
 }
 
 /// Per-RHS single-solve baselines on a shared-memory backend.
@@ -167,13 +36,13 @@ fn singles_shared(
     world: &CommWorld,
     bs: &[DistVec],
     cfg: &SolverConfig,
-) -> Vec<Outcome> {
+) -> Vec<Observables> {
     let mut ws = SolverWorkspace::new();
     bs.iter()
         .map(|b| {
             let mut x = DistVec::zeros(&p.layout);
             let st = kind.solve(&p.op, pre, world, b, &mut x, cfg, &mut ws);
-            outcome(&st, &x)
+            observe(&st, &x)
         })
         .collect()
 }
@@ -186,17 +55,17 @@ fn batch_shared(
     world: &CommWorld,
     bs: &[DistVec],
     cfg: &SolverConfig,
-) -> Vec<Outcome> {
+) -> Vec<Observables> {
     let mut xs_own: Vec<DistVec> = bs.iter().map(|_| DistVec::zeros(&p.layout)).collect();
     let b_refs: Vec<&DistVec> = bs.iter().collect();
     let mut x_refs: Vec<&mut DistVec> = xs_own.iter_mut().collect();
     let mut ws = BatchWorkspace::new();
-    let stats = batch_solve(kind, &p.op, pre, world, &b_refs, &mut x_refs, cfg, &mut ws);
+    let stats = kind.solve_batch(&p.op, pre, world, &b_refs, &mut x_refs, cfg, &mut ws);
     drop(x_refs);
     stats
         .iter()
         .zip(&xs_own)
-        .map(|(st, x)| outcome(st, x))
+        .map(|(st, x)| observe(st, x))
         .collect()
 }
 
@@ -210,7 +79,7 @@ fn batch_ranksim(
     ranks: usize,
     bs: &[DistVec],
     cfg: &SolverConfig,
-) -> Vec<Outcome> {
+) -> Vec<Observables> {
     let world = RankWorld::new(
         &p.layout,
         ranks,
@@ -229,16 +98,7 @@ fn batch_ranksim(
         let b_refs: Vec<_> = rbs.iter().collect();
         let mut x_refs: Vec<_> = rxs.iter_mut().collect();
         let mut ws = BatchWorkspace::new();
-        let stats = batch_solve(
-            kind,
-            &p.op,
-            pre,
-            comm,
-            &b_refs,
-            &mut x_refs,
-            &rank_cfg,
-            &mut ws,
-        );
+        let stats = kind.solve_batch(&p.op, pre, comm, &b_refs, &mut x_refs, &rank_cfg, &mut ws);
         drop(x_refs);
         let lanes: Vec<_> = rxs.into_iter().map(|x| x.into_blocks()).collect();
         (stats, lanes)
@@ -260,7 +120,7 @@ fn batch_ranksim(
         .expect("rank 0 reports")
         .iter()
         .zip(&xs)
-        .map(|(st, x)| outcome(st, x))
+        .map(|(st, x)| observe(st, x))
         .collect()
 }
 
@@ -269,7 +129,7 @@ fn batch_ranksim(
 /// every RHS bitwise equal to its independent single-RHS solve.
 #[test]
 fn batched_solves_match_single_rhs_bitwise_end_to_end() {
-    let p = problem();
+    let p = problem(0);
     let shared = CommWorld::serial();
     for (pname, pre, k) in [
         ("diag", &Diagonal::new(&p.op) as &dyn Preconditioner, 5usize),
@@ -283,7 +143,7 @@ fn batched_solves_match_single_rhs_bitwise_end_to_end() {
             SolverKind::PipelinedCg,
             SolverKind::Pcsi(bounds),
         ];
-        let cfg = config();
+        let cfg = solver_cfg();
         for kind in kinds {
             let serial = CommWorld::serial();
             let base = singles_shared(&p, pre, kind, &serial, &bs, &cfg);
@@ -318,14 +178,6 @@ fn batched_solves_match_single_rhs_bitwise_end_to_end() {
     }
 }
 
-/// Restores startup dispatch even if an assertion panics.
-struct ModeGuard;
-impl Drop for ModeGuard {
-    fn drop(&mut self) {
-        pop_simd::force_mode(None);
-    }
-}
-
 /// Forced-dispatch sweep: under pinned scalar and pinned lane modes the
 /// batch must still track its (same-mode) single-RHS baselines bitwise —
 /// the batched engine adds no mode-dependent operation of its own.
@@ -333,12 +185,12 @@ impl Drop for ModeGuard {
 #[test]
 fn batched_solves_match_single_rhs_under_forced_dispatch() {
     let _guard = ModeGuard;
-    let p = problem();
+    let p = problem(0);
     let shared = CommWorld::serial();
     let pre = Diagonal::new(&p.op);
     let (bounds, _) = estimate_bounds(&p.op, &pre, &shared, &LanczosConfig::default());
     let bs = seeded_batch(&p, 3, 0xd15_9a7c);
-    let cfg = config();
+    let cfg = solver_cfg();
     let mut modes = vec![SimdMode::Scalar, SimdMode::Portable];
     if pop_simd::detected_avx2() {
         modes.push(SimdMode::Avx2);
@@ -369,10 +221,10 @@ fn batched_solves_match_single_rhs_under_forced_dispatch() {
 /// unperturbed trajectory.
 #[test]
 fn mixed_converging_and_diverging_batch_retires_lanes_independently() {
-    let p = problem();
+    let p = problem(0);
     let serial = CommWorld::serial();
     let pre = Diagonal::new(&p.op);
-    let cfg = config();
+    let cfg = solver_cfg();
     let mut bs = seeded_batch(&p, 4, 0xbad_cafe);
     // Poison lane 1: one NaN at an ocean point makes every residual NaN,
     // which the recovery monitor classifies as divergence at each check.
@@ -390,8 +242,21 @@ fn mixed_converging_and_diverging_batch_retires_lanes_independently() {
         .expect("grid has ocean points");
     bs[1].blocks[pb].interior_row_mut(pj)[pi] = f64::NAN;
 
-    for kind in [SolverKind::ChronGear, SolverKind::PipelinedCg] {
-        let base = singles_shared(&p, &pre, kind, &serial, &bs, &cfg);
+    // All four restart paths, P-CSI through both preconditioners: each
+    // batched lane restart must land on its single-RHS restart trajectory.
+    let evp = BlockEvp::with_defaults(&p.op);
+    let lz = LanczosConfig::default();
+    let (b_diag, _) = estimate_bounds(&p.op, &pre, &serial, &lz);
+    let (b_evp, _) = estimate_bounds(&p.op, &evp, &serial, &lz);
+    let cases: [(&str, &dyn Preconditioner, SolverKind); 5] = [
+        ("diag", &pre, SolverKind::ClassicPcg),
+        ("diag", &pre, SolverKind::ChronGear),
+        ("diag", &pre, SolverKind::PipelinedCg),
+        ("diag", &pre, SolverKind::Pcsi(b_diag)),
+        ("evp", &evp, SolverKind::Pcsi(b_evp)),
+    ];
+    for (pname, pre, kind) in cases {
+        let base = singles_shared(&p, pre, kind, &serial, &bs, &cfg);
         assert_eq!(
             base[1].outcome,
             SolveOutcome::Diverged,
@@ -403,11 +268,15 @@ fn mixed_converging_and_diverging_batch_retires_lanes_independently() {
             "{}: recovery must restart",
             kind.name()
         );
-        for (l, got) in batch_shared(&p, &pre, kind, &serial, &bs, &cfg)
+        for (l, got) in batch_shared(&p, pre, kind, &serial, &bs, &cfg)
             .iter()
             .enumerate()
         {
-            assert_same(&format!("{} mixed lane {l}", kind.name()), &base[l], got);
+            assert_same(
+                &format!("{}+{pname} mixed lane {l}", kind.name()),
+                &base[l],
+                got,
+            );
         }
         for healthy in [0usize, 2, 3] {
             assert_eq!(
@@ -424,10 +293,10 @@ fn mixed_converging_and_diverging_batch_retires_lanes_independently() {
 /// max_batch=4 → batches of 4 and 2) without changing any per-RHS result.
 #[test]
 fn solve_many_chunking_preserves_per_rhs_bits() {
-    let p = problem();
+    let p = problem(0);
     let serial = CommWorld::serial();
     let pre = Diagonal::new(&p.op);
-    let cfg = config();
+    let cfg = solver_cfg();
     let bs = seeded_batch(&p, 6, 0xc0ffee);
     let base = singles_shared(&p, &pre, SolverKind::ChronGear, &serial, &bs, &cfg);
 
@@ -448,6 +317,6 @@ fn solve_many_chunking_preserves_per_rhs_bits() {
     );
     drop(x_refs);
     for (l, (st, x)) in stats.iter().zip(&xs_own).enumerate() {
-        assert_same(&format!("solve_many lane {l}"), &base[l], &outcome(st, x));
+        assert_same(&format!("solve_many lane {l}"), &base[l], &observe(st, x));
     }
 }

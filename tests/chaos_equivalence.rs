@@ -17,90 +17,19 @@
 //! Seeds are pinned (override with `POP_CHAOS_SEED`) so CI chaos runs are
 //! reproducible down to the individual dropped packet.
 
+mod common;
+use common::{
+    assert_same, observe, problem, solver_cfg as cfg, solver_matrix, ModeGuard, Observables,
+    Problem,
+};
 use pop_baro::prelude::*;
 use pop_baro::ranksim::RankReport;
-use pop_core::solvers::{SolveStats, SolverWorkspace};
+use pop_core::solvers::SolveStats;
 use pop_simd::SimdMode;
 use std::sync::Arc;
 
-/// SplitMix64: a tiny, stable PRNG so the "random" fields are reproducible
-/// from the seed alone.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// A uniform value in [-1, 1) derived from (seed, i, j).
-fn noise(seed: u64, i: usize, j: usize) -> f64 {
-    let mut s = seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15) ^ ((j as u64) << 32);
-    let bits = splitmix64(&mut s);
-    (bits >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-}
-
-struct Problem {
-    layout: std::sync::Arc<pop_baro::comm::DistLayout>,
-    op: NinePoint,
-    rhs: DistVec,
-}
-
-/// A masked multi-block problem with a pseudo-random right-hand side built
-/// in the operator's range, as in `tests/ranksim_equivalence.rs`.
-fn problem(seed: u64) -> Problem {
-    let grid = Grid::gx01_scaled(11, 90, 60);
-    let layout = DistLayout::build(&grid, 18, 20);
-    let world = CommWorld::serial();
-    let op = NinePoint::assemble(&grid, &layout, &world, 9000.0);
-    let mut field = DistVec::zeros(&layout);
-    field.fill_with(|i, j| noise(seed, i, j));
-    world.halo_update(&mut field);
-    let mut rhs = DistVec::zeros(&layout);
-    op.apply(&world, &field, &mut rhs);
-    Problem { layout, op, rhs }
-}
-
 fn chaos_seeds() -> Vec<u64> {
-    match std::env::var("POP_CHAOS_SEED") {
-        Ok(v) => vec![v.parse().expect("POP_CHAOS_SEED must be an integer")],
-        Err(_) => vec![0xBE9151, 0x0DD5EED],
-    }
-}
-
-fn cfg() -> SolverConfig {
-    SolverConfig {
-        tol: 1e-10,
-        max_iters: 5000,
-        check_every: 10,
-        ..SolverConfig::default()
-    }
-}
-
-/// Everything a solve produces that callers can observe, as raw bits.
-#[derive(PartialEq)]
-struct Observables {
-    iterations: usize,
-    outcome: SolveOutcome,
-    restarts: usize,
-    final_residual_bits: u64,
-    history_bits: Vec<(usize, u64)>,
-    x_bits: Vec<u64>,
-}
-
-fn observe(st: &SolveStats, x: &DistVec) -> Observables {
-    Observables {
-        iterations: st.iterations,
-        outcome: st.outcome,
-        restarts: st.restarts,
-        final_residual_bits: st.final_relative_residual.to_bits(),
-        history_bits: st
-            .residual_history
-            .iter()
-            .map(|&(k, r)| (k, r.to_bits()))
-            .collect(),
-        x_bits: x.to_global().iter().map(|v| v.to_bits()).collect(),
-    }
+    common::chaos_seeds([0xBE9151, 0x0DD5EED])
 }
 
 struct RankRun {
@@ -132,48 +61,7 @@ fn run_ranksim(
 }
 
 fn run_shared(p: &Problem, pre: &dyn Preconditioner, kind: SolverKind) -> Observables {
-    let world = CommWorld::serial();
-    let mut x = DistVec::zeros(&p.layout);
-    let mut ws = SolverWorkspace::new();
-    let st = kind.solve(&p.op, pre, &world, &p.rhs, &mut x, &cfg(), &mut ws);
-    observe(&st, &x)
-}
-
-fn assert_same(name: &str, base: &Observables, got: &Observables) {
-    assert_eq!(got.iterations, base.iterations, "{name}: iteration counts");
-    assert_eq!(got.outcome, base.outcome, "{name}: outcomes");
-    assert_eq!(got.restarts, base.restarts, "{name}: restart counts");
-    assert_eq!(
-        got.final_residual_bits,
-        base.final_residual_bits,
-        "{name}: final residuals differ ({:e} vs {:e})",
-        f64::from_bits(got.final_residual_bits),
-        f64::from_bits(base.final_residual_bits)
-    );
-    assert_eq!(
-        got.history_bits, base.history_bits,
-        "{name}: residual histories differ"
-    );
-    for (k, (a, b)) in got.x_bits.iter().zip(&base.x_bits).enumerate() {
-        assert_eq!(
-            a,
-            b,
-            "{name}: solution differs at point {k}: {:e} vs {:e}",
-            f64::from_bits(*a),
-            f64::from_bits(*b)
-        );
-    }
-}
-
-fn solver_matrix(p: &Problem, pre: &dyn Preconditioner) -> Vec<SolverKind> {
-    let shared = CommWorld::serial();
-    let (bounds, _) = estimate_bounds(&p.op, pre, &shared, &LanczosConfig::default());
-    vec![
-        SolverKind::ClassicPcg,
-        SolverKind::ChronGear,
-        SolverKind::PipelinedCg,
-        SolverKind::Pcsi(bounds),
-    ]
+    common::run_world(&CommWorld::serial(), p, pre, kind)
 }
 
 /// `FaultPlan::none()` is the pre-fault runtime, bit for bit: all four
@@ -239,14 +127,6 @@ fn benign_fault_plans_are_bitwise_conformant() {
                 );
             }
         }
-    }
-}
-
-/// Restores the startup dispatch decision even if an assertion panics.
-struct ModeGuard;
-impl Drop for ModeGuard {
-    fn drop(&mut self) {
-        pop_simd::force_mode(None);
     }
 }
 

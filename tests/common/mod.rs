@@ -55,14 +55,60 @@ pub fn problem(seed: u64) -> Problem {
 /// The fixture on an arbitrary grid, block shape, and timestep.
 pub fn problem_on(grid: &Grid, bx: usize, by: usize, tau: f64, seed: u64) -> Problem {
     let layout = DistLayout::build(grid, bx, by);
+    let op = NinePoint::assemble(grid, &layout, &CommWorld::serial(), tau);
+    let rhs = rhs_in_range(&op, seed);
+    Problem { layout, op, rhs }
+}
+
+/// A right-hand side in `op`'s range: `A` applied to a seeded noise field.
+pub fn rhs_in_range(op: &NinePoint, seed: u64) -> DistVec {
     let world = CommWorld::serial();
-    let op = NinePoint::assemble(grid, &layout, &world, tau);
-    let mut field = DistVec::zeros(&layout);
+    let mut field = DistVec::zeros(&op.layout);
     field.fill_with(|i, j| noise(seed, i, j));
     world.halo_update(&mut field);
-    let mut rhs = DistVec::zeros(&layout);
+    let mut rhs = DistVec::zeros(&op.layout);
     op.apply(&world, &field, &mut rhs);
-    Problem { layout, op, rhs }
+    rhs
+}
+
+/// The serve suites' fixture: an operator behind an `Arc` (what a
+/// `SolveRequest` carries) on a 48×40 global grid in 12×10 blocks; the
+/// right-hand sides come from [`rhs_in_range`] per request.
+pub struct ServeProblem {
+    pub layout: Arc<DistLayout>,
+    pub op: Arc<NinePoint>,
+}
+
+pub fn serve_problem(grid_seed: u64, tau: f64) -> ServeProblem {
+    let grid = Grid::gx1_scaled(grid_seed, 48, 40);
+    let layout = DistLayout::build(&grid, 12, 10);
+    let op = NinePoint::assemble(&grid, &layout, &CommWorld::serial(), tau);
+    ServeProblem {
+        layout,
+        op: Arc::new(op),
+    }
+}
+
+/// All four solvers on `(p.op, pre)`, P-CSI with Lanczos bounds estimated
+/// through `pre`.
+pub fn solver_matrix(p: &Problem, pre: &dyn Preconditioner) -> Vec<SolverKind> {
+    let shared = CommWorld::serial();
+    let (bounds, _) = estimate_bounds(&p.op, pre, &shared, &LanczosConfig::default());
+    vec![
+        SolverKind::ClassicPcg,
+        SolverKind::ChronGear,
+        SolverKind::PipelinedCg,
+        SolverKind::Pcsi(bounds),
+    ]
+}
+
+/// The fault-plan seeds of a chaos suite: `POP_CHAOS_SEED` when set (to
+/// replay one failure), else the suite's pinned pair.
+pub fn chaos_seeds(pinned: [u64; 2]) -> Vec<u64> {
+    match std::env::var("POP_CHAOS_SEED") {
+        Ok(v) => vec![v.parse().expect("POP_CHAOS_SEED must be an integer")],
+        Err(_) => pinned.to_vec(),
+    }
 }
 
 /// The suites' common solve settings: converge properly, never spin.
@@ -80,6 +126,9 @@ pub fn solver_cfg() -> SolverConfig {
 pub struct Observables {
     pub iterations: usize,
     pub outcome: SolveOutcome,
+    pub restarts: usize,
+    pub matvecs: usize,
+    pub precond_applies: usize,
     pub final_residual_bits: u64,
     pub history_bits: Vec<(usize, u64)>,
     pub x_bits: Vec<u64>,
@@ -89,6 +138,9 @@ pub fn observe(st: &SolveStats, x: &DistVec) -> Observables {
     Observables {
         iterations: st.iterations,
         outcome: st.outcome,
+        restarts: st.restarts,
+        matvecs: st.matvecs,
+        precond_applies: st.precond_applies,
         final_residual_bits: st.final_relative_residual.to_bits(),
         history_bits: st
             .residual_history
@@ -145,6 +197,12 @@ pub fn assert_same(name: &str, base: &Observables, got: &Observables) {
         "{name}: iteration counts differ"
     );
     assert_eq!(got.outcome, base.outcome, "{name}: solve outcome differs");
+    assert_eq!(got.restarts, base.restarts, "{name}: restart counts differ");
+    assert_eq!(got.matvecs, base.matvecs, "{name}: matvec counts differ");
+    assert_eq!(
+        got.precond_applies, base.precond_applies,
+        "{name}: preconditioner counts differ"
+    );
     assert_eq!(
         got.final_residual_bits,
         base.final_residual_bits,
@@ -164,6 +222,17 @@ pub fn assert_same(name: &str, base: &Observables, got: &Observables) {
             f64::from_bits(*a),
             f64::from_bits(*b)
         );
+    }
+}
+
+/// Interior-by-interior bitwise comparison of two solutions.
+pub fn assert_bits_equal(a: &DistVec, b: &DistVec, what: &str) {
+    for (ba, bb) in a.blocks.iter().zip(b.blocks.iter()) {
+        for j in 0..ba.ny {
+            for (va, vb) in ba.interior_row(j).iter().zip(bb.interior_row(j)) {
+                assert_eq!(va.to_bits(), vb.to_bits(), "{what}: solution bits differ");
+            }
+        }
     }
 }
 

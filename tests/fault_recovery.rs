@@ -16,58 +16,14 @@
 //! - **structured outcomes** — each run ends `Converged`, `MaxIters` or
 //!   `Diverged`, with restart and delivery-failure counters populated.
 
+mod common;
+use common::{problem, solver_cfg as cfg, solver_matrix, Problem};
 use pop_baro::prelude::*;
 use pop_baro::ranksim::RankSolveOutcome;
 use std::sync::Arc;
 
-/// SplitMix64-derived noise, as in the equivalence suites.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-fn noise(seed: u64, i: usize, j: usize) -> f64 {
-    let mut s = seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15) ^ ((j as u64) << 32);
-    let bits = splitmix64(&mut s);
-    (bits >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-}
-
-struct Problem {
-    layout: std::sync::Arc<pop_baro::comm::DistLayout>,
-    op: NinePoint,
-    rhs: DistVec,
-}
-
-fn problem(seed: u64) -> Problem {
-    let grid = Grid::gx01_scaled(11, 90, 60);
-    let layout = DistLayout::build(&grid, 18, 20);
-    let world = CommWorld::serial();
-    let op = NinePoint::assemble(&grid, &layout, &world, 9000.0);
-    let mut field = DistVec::zeros(&layout);
-    field.fill_with(|i, j| noise(seed, i, j));
-    world.halo_update(&mut field);
-    let mut rhs = DistVec::zeros(&layout);
-    op.apply(&world, &field, &mut rhs);
-    Problem { layout, op, rhs }
-}
-
 fn chaos_seeds() -> Vec<u64> {
-    match std::env::var("POP_CHAOS_SEED") {
-        Ok(v) => vec![v.parse().expect("POP_CHAOS_SEED must be an integer")],
-        Err(_) => vec![0xFA117, 0xC4A05],
-    }
-}
-
-fn cfg() -> SolverConfig {
-    SolverConfig {
-        tol: 1e-10,
-        max_iters: 5000,
-        check_every: 10,
-        ..SolverConfig::default()
-    }
+    common::chaos_seeds([0xFA117, 0xC4A05])
 }
 
 fn run(
@@ -84,17 +40,6 @@ fn run(
     );
     let x0 = DistVec::zeros(&p.layout);
     solve_on_ranks(&world, &p.op, pre, kind, &p.rhs, &x0, &cfg())
-}
-
-fn solver_matrix(p: &Problem, pre: &dyn Preconditioner) -> Vec<SolverKind> {
-    let shared = CommWorld::serial();
-    let (bounds, _) = estimate_bounds(&p.op, pre, &shared, &LanczosConfig::default());
-    vec![
-        SolverKind::ClassicPcg,
-        SolverKind::ChronGear,
-        SolverKind::PipelinedCg,
-        SolverKind::Pcsi(bounds),
-    ]
 }
 
 /// Validate one hostile run's structural guarantees; returns its

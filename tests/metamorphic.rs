@@ -15,77 +15,14 @@
 //!   un-scaling), while iteration counts and the relative-residual history
 //!   are bitwise unchanged.
 
+mod common;
+use common::{observe, problem, solver_cfg as cfg, solver_matrix, Observables, Problem};
 use pop_baro::prelude::*;
 use pop_core::solvers::{SolveStats, SolverWorkspace};
 use pop_grid::sfc::CurveKind;
 use pop_grid::RankAssignment;
 use pop_rng::SmallRng;
 use std::sync::Arc;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-fn noise(seed: u64, i: usize, j: usize) -> f64 {
-    let mut s = seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15) ^ ((j as u64) << 32);
-    let bits = splitmix64(&mut s);
-    (bits >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-}
-
-struct Problem {
-    layout: Arc<pop_baro::comm::DistLayout>,
-    op: NinePoint,
-    rhs: DistVec,
-}
-
-fn problem(seed: u64) -> Problem {
-    let grid = Grid::gx01_scaled(11, 90, 60);
-    let layout = DistLayout::build(&grid, 18, 20);
-    let world = CommWorld::serial();
-    let op = NinePoint::assemble(&grid, &layout, &world, 9000.0);
-    let mut field = DistVec::zeros(&layout);
-    field.fill_with(|i, j| noise(seed, i, j));
-    world.halo_update(&mut field);
-    let mut rhs = DistVec::zeros(&layout);
-    op.apply(&world, &field, &mut rhs);
-    Problem { layout, op, rhs }
-}
-
-fn cfg() -> SolverConfig {
-    SolverConfig {
-        tol: 1e-10,
-        max_iters: 5000,
-        check_every: 10,
-        ..SolverConfig::default()
-    }
-}
-
-#[derive(PartialEq)]
-struct Observables {
-    iterations: usize,
-    outcome: SolveOutcome,
-    final_residual_bits: u64,
-    history_bits: Vec<(usize, u64)>,
-    x_bits: Vec<u64>,
-}
-
-fn observe(st: &SolveStats, x: &DistVec) -> Observables {
-    Observables {
-        iterations: st.iterations,
-        outcome: st.outcome,
-        final_residual_bits: st.final_relative_residual.to_bits(),
-        history_bits: st
-            .residual_history
-            .iter()
-            .map(|&(k, r)| (k, r.to_bits()))
-            .collect(),
-        x_bits: x.to_global().iter().map(|v| v.to_bits()).collect(),
-    }
-}
 
 fn run_serial(
     p: &Problem,
@@ -139,17 +76,6 @@ fn random_assignment(p: &Problem, ranks: usize, seed: u64) -> RankAssignment {
         rank_of_block,
         blocks_of_rank,
     }
-}
-
-fn solver_matrix(p: &Problem, pre: &dyn Preconditioner) -> Vec<SolverKind> {
-    let shared = CommWorld::serial();
-    let (bounds, _) = estimate_bounds(&p.op, pre, &shared, &LanczosConfig::default());
-    vec![
-        SolverKind::ClassicPcg,
-        SolverKind::ChronGear,
-        SolverKind::PipelinedCg,
-        SolverKind::Pcsi(bounds),
-    ]
 }
 
 /// Ownership is a scheduling detail: every curve kind, rank count and a

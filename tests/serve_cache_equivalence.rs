@@ -15,53 +15,20 @@
 //! from `POP_SERVE_WORKERS` (CI runs the suite at 1 and 4); the explicit
 //! sweep test pins `workers ∈ {1, 2, 4}` regardless of environment.
 
+mod common;
+use common::{assert_bits_equal, serve_problem as problem, ServeProblem as Problem};
 use pop_baro::prelude::*;
 use pop_baro::serve::{ServiceConfig, SolveRequest, SolverService, SolverSpec, Ticket};
 use pop_core::setup::{OperatorState, PrecondSpec};
-use pop_core::solvers::{BatchCommSolver, BatchWorkspace, SolveStats};
-use std::sync::Arc;
-use std::time::Duration;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-fn noise(seed: u64, i: usize, j: usize) -> f64 {
-    let mut s = seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15) ^ ((j as u64) << 32);
-    let bits = splitmix64(&mut s);
-    (bits >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-}
-
-struct Problem {
-    layout: Arc<pop_baro::comm::DistLayout>,
-    op: Arc<NinePoint>,
-}
-
-fn problem(grid_seed: u64, tau: f64) -> Problem {
-    let grid = Grid::gx1_scaled(grid_seed, 48, 40);
-    let layout = DistLayout::build(&grid, 12, 10);
-    let world = CommWorld::serial();
-    let op = NinePoint::assemble(&grid, &layout, &world, tau);
-    Problem {
-        layout,
-        op: Arc::new(op),
-    }
-}
+use pop_core::solvers::{BatchWorkspace, SolveStats};
 
 /// An RHS in the operator's range so every solver converges crisply.
 fn rhs(p: &Problem, seed: u64) -> DistVec {
-    let world = CommWorld::serial();
-    let mut field = DistVec::zeros(&p.layout);
-    field.fill_with(|i, j| noise(seed, i, j));
-    world.halo_update(&mut field);
-    let mut b = DistVec::zeros(&p.layout);
-    p.op.apply(&world, &field, &mut b);
-    b
+    common::rhs_in_range(&p.op, seed)
 }
+
+use std::sync::Arc;
+use std::time::Duration;
 
 const TOL: f64 = 1e-11;
 
@@ -105,37 +72,11 @@ fn standalone(
     let mut x = DistVec::zeros(&p.layout);
     let mut ws = BatchWorkspace::new();
     let pre = state.precond.as_ref();
-    let stats = match spec {
-        SolverSpec::ClassicPcg => {
-            ClassicPcg.solve_batch_comm(&p.op, pre, &world, &[b], &mut [&mut x], &cfg, &mut ws)
-        }
-        SolverSpec::ChronGear => {
-            ChronGear.solve_batch_comm(&p.op, pre, &world, &[b], &mut [&mut x], &cfg, &mut ws)
-        }
-        SolverSpec::PipelinedCg => {
-            PipelinedCg.solve_batch_comm(&p.op, pre, &world, &[b], &mut [&mut x], &cfg, &mut ws)
-        }
-        SolverSpec::Pcsi => Pcsi::new(state.bounds.unwrap()).solve_batch_comm(
-            &p.op,
-            pre,
-            &world,
-            &[b],
-            &mut [&mut x],
-            &cfg,
-            &mut ws,
-        ),
-    };
+    let stats =
+        state
+            .solver(spec)
+            .solve_batch(&p.op, pre, &world, &[b], &mut [&mut x], &cfg, &mut ws);
     (x, stats.into_iter().next().unwrap())
-}
-
-fn assert_bits_equal(a: &DistVec, b: &DistVec, what: &str) {
-    for (ba, bb) in a.blocks.iter().zip(b.blocks.iter()) {
-        for j in 0..ba.ny {
-            for (va, vb) in ba.interior_row(j).iter().zip(bb.interior_row(j)) {
-                assert_eq!(va.to_bits(), vb.to_bits(), "{what}: solution bits differ");
-            }
-        }
-    }
 }
 
 fn assert_stats_equal(a: &SolveStats, b: &SolveStats, what: &str) {

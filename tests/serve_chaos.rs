@@ -18,57 +18,25 @@
 //! test pins `workers ∈ {1, 2, 4}` regardless of environment — fault
 //! injection must stay bitwise invisible at every pool size.
 
+mod common;
+use common::{assert_bits_equal, ServeProblem as Problem};
 use pop_baro::prelude::*;
 use pop_baro::serve::{Backend, ServiceConfig, SolveRequest, SolverService, SolverSpec};
-use pop_core::setup::PrecondSpec;
-use std::sync::Arc;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-fn noise(seed: u64, i: usize, j: usize) -> f64 {
-    let mut s = seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15) ^ ((j as u64) << 32);
-    let bits = splitmix64(&mut s);
-    (bits >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-}
-
-struct Problem {
-    layout: Arc<pop_baro::comm::DistLayout>,
-    op: Arc<NinePoint>,
-}
 
 fn problem() -> Problem {
-    let grid = Grid::gx1_scaled(12, 48, 40);
-    let layout = DistLayout::build(&grid, 12, 10);
-    let world = CommWorld::serial();
-    let op = NinePoint::assemble(&grid, &layout, &world, 8000.0);
-    Problem {
-        layout,
-        op: Arc::new(op),
-    }
+    common::serve_problem(12, 8000.0)
 }
 
 fn rhs(p: &Problem, seed: u64) -> DistVec {
-    let world = CommWorld::serial();
-    let mut field = DistVec::zeros(&p.layout);
-    field.fill_with(|i, j| noise(seed, i, j));
-    world.halo_update(&mut field);
-    let mut b = DistVec::zeros(&p.layout);
-    p.op.apply(&world, &field, &mut b);
-    b
+    common::rhs_in_range(&p.op, seed)
 }
 
 fn chaos_seeds() -> Vec<u64> {
-    match std::env::var("POP_CHAOS_SEED") {
-        Ok(v) => vec![v.parse().expect("POP_CHAOS_SEED must be an integer")],
-        Err(_) => vec![0x5EED_BA11, 0xBE9151],
-    }
+    common::chaos_seeds([0x5EED_BA11, 0xBE9151])
 }
+
+use pop_core::setup::PrecondSpec;
+use std::sync::Arc;
 
 const TOL: f64 = 1e-10;
 
@@ -101,16 +69,6 @@ fn standalone(p: &Problem, choice: SolverChoice, b: &DistVec) -> DistVec {
     let st = setup.solve(&p.op, &world, b, &mut x, &base_cfg());
     assert!(st.converged, "reference solve must converge");
     x
-}
-
-fn assert_bits_equal(a: &DistVec, b: &DistVec, what: &str) {
-    for (ba, bb) in a.blocks.iter().zip(b.blocks.iter()) {
-        for j in 0..ba.ny {
-            for (va, vb) in ba.interior_row(j).iter().zip(bb.interior_row(j)) {
-                assert_eq!(va.to_bits(), vb.to_bits(), "{what}: bits differ");
-            }
-        }
-    }
 }
 
 /// Benign chaos: served-under-faults results are bitwise identical to
