@@ -194,24 +194,6 @@ pub fn masked_block_dot(a: &BlockVec, b: &BlockVec, mask: &[u8]) -> f64 {
     acc
 }
 
-/// Masked max-|value| over one block's interior, the per-block partial of
-/// the global [`CommWorld::max_abs`](crate::CommWorld::max_abs) reduction.
-#[inline]
-pub fn masked_block_max_abs(a: &BlockVec, mask: &[u8]) -> f64 {
-    let nx = a.nx;
-    let mut m = 0.0f64;
-    for j in 0..a.ny {
-        let ra = a.interior_row(j);
-        let mrow = &mask[j * nx..(j + 1) * nx];
-        for i in 0..nx {
-            if mrow[i] != 0 {
-                m = m.max(ra[i].abs());
-            }
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,6 +11,21 @@
 //!   sends of boundary strips and global reductions run as a binomial tree
 //!   of messages, with a pluggable network model charging simulated time.
 //!
+//! # One surface for both tile types
+//!
+//! A distributed vector is a container of per-block [`Tile`]s — the
+//! point-vectorised [`BlockVec`] of a single right-hand side or the
+//! lane-vectorised [`MultiBlockVec`](crate::MultiBlockVec) of a batch — and
+//! neither a container nor an exchange looks inside a tile beyond the
+//! [`Tile`] operations. So each runtime has **one** container
+//! ([`DistField`] here, `RankField` in `pop-ranksim`), and the trait has
+//! one [`alloc`](Communicator::alloc), one
+//! [`halo_update`](Communicator::halo_update) and one fused sweep, each
+//! generic over the tile type: `C::Vec<BlockVec>` is what a single-RHS loop
+//! holds, `C::Vec<MultiBlockVec>` what a batched one does. Dispatch is
+//! static; the kernels a sweep runs inside a tile stay two families (point-
+//! and lane-vectorised — each is the faster one on a gated workload).
+//!
 //! # Deferred reduction semantics
 //!
 //! The key design point is how fused-sweep partials become global values.
@@ -35,40 +50,56 @@
 //! the blocks are spread over (`tests/ranksim_equivalence.rs` pins this).
 
 use crate::blockvec::BlockVec;
-use crate::distvec::DistVec;
+use crate::distvec::{DistField, DistVec};
 use crate::layout::DistLayout;
-use crate::multivec::{MultiBlockVec, MultiCommVec, MultiDistVec};
+use crate::tile::Tile;
 use crate::world::{CommWorld, StatsSnapshot, SweepPartials};
 use std::sync::Arc;
 
 /// A distributed field as seen by one communicator: block tiles addressed
 /// by **global** active-block id.
 ///
-/// [`DistVec`] (all blocks in one storage) and `pop-ranksim`'s `RankVec`
+/// [`DistField`] (all blocks in one storage) and `pop-ranksim`'s `RankField`
 /// (only the blocks a rank privately owns) both implement this, so solver
 /// kernels can read side operands with `v.block(bk)` under either runtime.
 pub trait CommVec: Send + Sync {
+    /// The per-block storage: [`BlockVec`] for a single right-hand side,
+    /// [`MultiBlockVec`](crate::MultiBlockVec) for a batch.
+    type Tile: Tile;
+
     /// The global layout this vector's blocks belong to.
     fn layout(&self) -> &Arc<DistLayout>;
+
+    /// Values per grid point: 1 for a single-RHS vector, the batch's slot
+    /// count for a batched one. Stored in the container, so a view that
+    /// holds no blocks still knows it.
+    fn width(&self) -> usize;
 
     /// Read-only access to the tile of global active block `gb`. Panics if
     /// this vector's view does not contain the block (a rank-private vector
     /// only holds the owning rank's blocks).
-    fn block(&self, gb: usize) -> &BlockVec;
+    fn block(&self, gb: usize) -> &Self::Tile;
 
     /// Zero every cell (interior and halo) of every block in this view,
     /// exactly as a freshly allocated vector would be.
     fn zero_fill(&mut self);
 }
 
-impl CommVec for DistVec {
+impl<T: Tile> CommVec for DistField<T> {
+    type Tile = T;
+
     #[inline]
     fn layout(&self) -> &Arc<DistLayout> {
         &self.layout
     }
 
     #[inline]
-    fn block(&self, gb: usize) -> &BlockVec {
+    fn width(&self) -> usize {
+        self.width
+    }
+
+    #[inline]
+    fn block(&self, gb: usize) -> &T {
         &self.blocks[gb]
     }
 
@@ -82,11 +113,13 @@ impl CommVec for DistVec {
 /// The communication surface of the barotropic solvers: halo updates, fused
 /// block sweeps, deferred global reductions, and event statistics.
 ///
-/// See the [module docs](self) for the deferred-reduction semantics and the
-/// determinism contract.
+/// See the [module docs](self) for the deferred-reduction semantics, the
+/// determinism contract and the tile-generic methods.
 pub trait Communicator {
-    /// The distributed-vector type this communicator drives.
-    type Vec: CommVec;
+    /// The distributed-vector type this communicator drives, per tile type:
+    /// `Vec<BlockVec>` is the single-RHS vector, `Vec<MultiBlockVec>` the
+    /// batched one.
+    type Vec<T: Tile>: CommVec<Tile = T>;
 
     /// Opaque handle to one fused sweep's per-block partial reductions.
     /// For [`CommWorld`] this is just the block-ordered fold
@@ -98,28 +131,32 @@ pub trait Communicator {
     /// communicator* (per-rank under a rank runtime).
     fn stats(&self) -> StatsSnapshot;
 
-    /// Allocate a zeroed vector with the same view (layout and block
-    /// ownership) as `model`.
-    fn alloc_like(&self, model: &Self::Vec) -> Self::Vec;
+    /// Allocate a zeroed vector of `width` values per point with the same
+    /// view (layout and block ownership) as `model`.
+    fn alloc<T: Tile>(&self, model: &Self::Vec<BlockVec>, width: usize) -> Self::Vec<T>;
 
     /// Update the halo ring of every block in `v`'s view from its
     /// neighbours' interiors (point-to-point messages under a rank
-    /// runtime; shared-memory copies under [`CommWorld`]).
-    fn halo_update(&self, v: &mut Self::Vec);
+    /// runtime; shared-memory copies under [`CommWorld`]). Each boundary
+    /// strip travels once carrying every value of its points, so the
+    /// message count is flat in `v.width()` and the bytes scale with it.
+    fn halo_update<T: Tile>(&self, v: &mut Self::Vec<T>);
 
     /// The fused execution primitive: walk every block of the view once,
     /// handing the kernel block `gb`'s tiles of all mutable operands, and
     /// collect up to [`MAX_SWEEP_PARTIALS`](crate::MAX_SWEEP_PARTIALS)
     /// partial reductions per block. Local work only — nothing global
     /// happens (and nothing is counted) until the returned handle is passed
-    /// to [`Communicator::reduce_sweep`].
-    fn for_each_block_fused<const M: usize, F>(
+    /// to [`Communicator::reduce_sweep`]. A batched kernel puts per-RHS
+    /// partials in per-lane slots of the same row, so one `reduce_sweep` —
+    /// **one** allreduce message — reduces all `k` residuals at once.
+    fn for_each_block_fused<T: Tile, const M: usize, F>(
         &self,
-        muts: [&mut Self::Vec; M],
+        muts: [&mut Self::Vec<T>; M],
         kernel: F,
     ) -> Self::Sweep
     where
-        F: Fn(usize, &mut [&mut BlockVec; M]) -> SweepPartials + Sync;
+        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync;
 
     /// A halo update immediately followed by a fused sweep that reads the
     /// freshly exchanged vector — the shape every solver iteration has
@@ -134,14 +171,14 @@ pub trait Communicator {
     /// while they fly, and wait only before the halo-reading edge points.
     /// Implementations must keep the numeric sweep order canonical so
     /// results stay bit-identical to the default.
-    fn halo_sweep_fused<const M: usize, F>(
+    fn halo_sweep_fused<T: Tile, const M: usize, F>(
         &self,
-        hv: &mut Self::Vec,
-        muts: [&mut Self::Vec; M],
+        hv: &mut Self::Vec<T>,
+        muts: [&mut Self::Vec<T>; M],
         kernel: F,
     ) -> Self::Sweep
     where
-        F: Fn(usize, &Self::Vec, &mut [&mut BlockVec; M]) -> SweepPartials + Sync,
+        F: Fn(usize, &Self::Vec<T>, &mut [&mut T; M]) -> SweepPartials + Sync,
     {
         self.halo_update(hv);
         let hv = &*hv;
@@ -157,59 +194,32 @@ pub trait Communicator {
     fn reduce_sweep(&self, sweep: &Self::Sweep, scalars: u64) -> SweepPartials;
 
     /// Masked global dot product via a fused sweep plus one reduction.
-    fn dot_fused(&self, x: &Self::Vec, y: &Self::Vec) -> f64;
-
-    /// The `k`-wide distributed-vector type this communicator drives
-    /// through batched solves.
-    type MultiVec: MultiCommVec;
-
-    /// Allocate a zeroed `groups * LANES`-wide vector with the same view
-    /// (layout and block ownership) as `model`.
-    fn alloc_multi(&self, model: &Self::Vec, groups: usize) -> Self::MultiVec;
-
-    /// Multi-RHS halo update: same message count as
-    /// [`Communicator::halo_update`] (each boundary strip travels once,
-    /// carrying all lanes), `k×` the bytes.
-    fn halo_update_multi(&self, v: &mut Self::MultiVec);
-
-    /// Multi-RHS fused sweep: the batched image of
-    /// [`Communicator::for_each_block_fused`]. Per-RHS partials occupy
-    /// per-lane slots of the same [`SweepPartials`] row, so one
-    /// [`Communicator::reduce_sweep`] call — **one** allreduce message —
-    /// reduces all `k` residuals at once and the per-iteration allreduce
-    /// count stays flat in `k`.
-    fn for_each_block_multi<const M: usize, F>(
-        &self,
-        muts: [&mut Self::MultiVec; M],
-        kernel: F,
-    ) -> Self::Sweep
-    where
-        F: Fn(usize, &mut [&mut MultiBlockVec; M]) -> SweepPartials + Sync;
+    fn dot_fused(&self, x: &Self::Vec<BlockVec>, y: &Self::Vec<BlockVec>) -> f64;
 }
 
 impl Communicator for CommWorld {
-    type Vec = DistVec;
+    type Vec<T: Tile> = DistField<T>;
     type Sweep = SweepPartials;
 
     fn stats(&self) -> StatsSnapshot {
         CommWorld::stats(self)
     }
 
-    fn alloc_like(&self, model: &DistVec) -> DistVec {
-        DistVec::zeros(&model.layout)
+    fn alloc<T: Tile>(&self, model: &DistVec, width: usize) -> DistField<T> {
+        DistField::with_width(&model.layout, width)
     }
 
-    fn halo_update(&self, v: &mut DistVec) {
+    fn halo_update<T: Tile>(&self, v: &mut DistField<T>) {
         CommWorld::halo_update(self, v);
     }
 
-    fn for_each_block_fused<const M: usize, F>(
+    fn for_each_block_fused<T: Tile, const M: usize, F>(
         &self,
-        muts: [&mut DistVec; M],
+        muts: [&mut DistField<T>; M],
         kernel: F,
     ) -> SweepPartials
     where
-        F: Fn(usize, &mut [&mut BlockVec; M]) -> SweepPartials + Sync,
+        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync,
     {
         CommWorld::for_each_block_fused(self, muts, kernel)
     }
@@ -224,27 +234,6 @@ impl Communicator for CommWorld {
     fn dot_fused(&self, x: &DistVec, y: &DistVec) -> f64 {
         CommWorld::dot_fused(self, x, y)
     }
-
-    type MultiVec = MultiDistVec;
-
-    fn alloc_multi(&self, model: &DistVec, groups: usize) -> MultiDistVec {
-        MultiDistVec::zeros(&model.layout, groups)
-    }
-
-    fn halo_update_multi(&self, v: &mut MultiDistVec) {
-        CommWorld::halo_update_multi(self, v);
-    }
-
-    fn for_each_block_multi<const M: usize, F>(
-        &self,
-        muts: [&mut MultiDistVec; M],
-        kernel: F,
-    ) -> SweepPartials
-    where
-        F: Fn(usize, &mut [&mut MultiBlockVec; M]) -> SweepPartials + Sync,
-    {
-        CommWorld::for_each_block_multi(self, muts, kernel)
-    }
 }
 
 #[cfg(test)]
@@ -254,9 +243,9 @@ mod tests {
 
     /// Exercise the whole trait surface through a generic function, driven
     /// by the shared-memory world, and pin it against the inherent methods.
-    fn trait_norm2<C: Communicator>(comm: &C, v: &C::Vec) -> (f64, StatsSnapshot) {
+    fn trait_norm2<C: Communicator>(comm: &C, v: &C::Vec<BlockVec>) -> (f64, StatsSnapshot) {
         let before = comm.stats();
-        let mut w = comm.alloc_like(v);
+        let mut w: C::Vec<BlockVec> = comm.alloc(v, 1);
         let sweep = comm.for_each_block_fused([&mut w], |gb, [wb]| {
             let src = v.block(gb);
             for j in 0..wb.ny {

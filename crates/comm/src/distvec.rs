@@ -2,33 +2,55 @@
 
 use crate::blockvec::BlockVec;
 use crate::layout::DistLayout;
+use crate::multivec::MultiBlockVec;
+use crate::tile::Tile;
 use std::sync::Arc;
 
 /// A field distributed over the active blocks of a [`DistLayout`], one
-/// halo-padded [`BlockVec`] per block.
+/// halo-padded [`Tile`] per block, every block in one address space — the
+/// shared-memory container. Its two instances are [`DistVec`] and
+/// [`MultiDistVec`].
+#[derive(Debug, Clone)]
+pub struct DistField<T: Tile> {
+    pub layout: Arc<DistLayout>,
+    pub blocks: Vec<T>,
+    /// Values per grid point (1 for a [`DistVec`]); read through
+    /// [`CommVec::width`](crate::CommVec::width).
+    pub(crate) width: usize,
+}
+
+/// The single-RHS field: one [`BlockVec`] per block.
 ///
 /// Purely local element-wise operations live here as plain methods; anything
 /// involving communication (halo updates, reductions) goes through
 /// [`crate::CommWorld`] so the event is counted and can be parallelized.
-#[derive(Debug, Clone)]
-pub struct DistVec {
-    pub layout: Arc<DistLayout>,
-    pub blocks: Vec<BlockVec>,
+pub type DistVec = DistField<BlockVec>;
+
+/// A `k`-wide field: one [`MultiBlockVec`] per block, `k = width()` RHS
+/// slots per point.
+pub type MultiDistVec = DistField<MultiBlockVec>;
+
+impl<T: Tile> DistField<T> {
+    /// A zero-filled field on `layout` carrying `width` values per point.
+    pub fn with_width(layout: &Arc<DistLayout>, width: usize) -> Self {
+        let blocks = layout
+            .decomp
+            .blocks
+            .iter()
+            .map(|b| T::zeros(b.nx, b.ny, layout.halo, width))
+            .collect();
+        DistField {
+            layout: Arc::clone(layout),
+            blocks,
+            width,
+        }
+    }
 }
 
 impl DistVec {
     /// A zero vector on `layout`.
     pub fn zeros(layout: &Arc<DistLayout>) -> Self {
-        let blocks = layout
-            .decomp
-            .blocks
-            .iter()
-            .map(|b| BlockVec::zeros(b.nx, b.ny, layout.halo))
-            .collect();
-        DistVec {
-            layout: Arc::clone(layout),
-            blocks,
-        }
+        Self::with_width(layout, 1)
     }
 
     /// Scatter a global row-major `nx × ny` field into a distributed vector.
@@ -135,23 +157,6 @@ impl DistVec {
             for j in 0..d.ny {
                 for v in d.interior_row_mut(j) {
                     *v *= a;
-                }
-            }
-        }
-    }
-
-    /// Zero every land point of the interior (halo untouched). Solvers call
-    /// this after operations that could smear values onto land.
-    pub fn zero_land(&mut self) {
-        for (b, d) in self.blocks.iter_mut().enumerate() {
-            let info = &self.layout.decomp.blocks[b];
-            let mask = &self.layout.masks[b];
-            for j in 0..info.ny {
-                let row = d.interior_row_mut(j);
-                for i in 0..info.nx {
-                    if mask[j * info.nx + i] == 0 {
-                        row[i] = 0.0;
-                    }
                 }
             }
         }
@@ -276,19 +281,5 @@ mod tests {
         a.fill_with(|_, _| 1.0);
         let total: f64 = (0..l.n_blocks()).map(|b| a.block_dot(&a, b)).sum();
         assert_eq!(total, l.ocean_points() as f64);
-    }
-
-    #[test]
-    fn zero_land_idempotent() {
-        let l = layout();
-        let mut a = DistVec::zeros(&l);
-        // Write garbage everywhere, including land.
-        for blk in &mut a.blocks {
-            blk.fill(3.0);
-        }
-        a.zero_land();
-        let g = a.to_global();
-        let ocean = g.iter().filter(|&&v| v != 0.0).count();
-        assert_eq!(ocean, l.ocean_points());
     }
 }

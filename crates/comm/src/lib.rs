@@ -31,14 +31,16 @@ pub mod halo;
 pub mod layout;
 pub mod multivec;
 pub mod pool;
+pub mod tile;
 pub mod transfer;
 pub mod world;
 
-pub use blockvec::{masked_block_dot, masked_block_max_abs, BlockVec};
+pub use blockvec::{masked_block_dot, BlockVec};
 pub use communicator::{CommVec, Communicator};
-pub use distvec::DistVec;
+pub use distvec::{DistField, DistVec, MultiDistVec};
 pub use layout::DistLayout;
-pub use multivec::{masked_dot_multi, MultiBlockVec, MultiCommVec, MultiDistVec};
+pub use multivec::{masked_dot_multi, MultiBlockVec};
+pub use tile::Tile;
 pub use transfer::{coarse_extent, parents, prolong_add_masked, restrict_masked};
 pub use world::{
     CommStats, CommWorld, ExecPolicy, StatsSnapshot, SweepPartials, MAX_SWEEP_PARTIALS,

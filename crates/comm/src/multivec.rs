@@ -23,10 +23,7 @@
 //! (`tests/batch_equivalence.rs`).
 
 use crate::blockvec::BlockVec;
-use crate::distvec::DistVec;
-use crate::layout::DistLayout;
 use pop_simd::{AlignedVec, LANES};
-use std::sync::Arc;
 
 /// One block's worth of `groups * LANES` right-hand sides, halo-padded,
 /// lane-major (see the [module docs](self) for the layout).
@@ -60,11 +57,6 @@ impl MultiBlockVec {
             stride,
             data: AlignedVec::zeros(groups * rows * stride * LANES),
         }
-    }
-
-    /// A zeroed multi-tile with the same shape as `model`.
-    pub fn like(model: &BlockVec, groups: usize) -> Self {
-        Self::zeros(model.nx, model.ny, model.halo, groups)
     }
 
     /// Number of lane groups (`k = groups * LANES` RHS slots).
@@ -271,75 +263,6 @@ pub fn masked_dot_multi(a: &MultiBlockVec, b: &MultiBlockVec, mask: &[u8], out: 
     }
 }
 
-/// A `k`-wide distributed field: one [`MultiBlockVec`] per active block of
-/// the layout. The multi image of [`DistVec`].
-#[derive(Debug, Clone)]
-pub struct MultiDistVec {
-    pub layout: Arc<DistLayout>,
-    pub blocks: Vec<MultiBlockVec>,
-}
-
-impl MultiDistVec {
-    /// A zero-filled `groups * LANES`-wide vector over `layout`.
-    pub fn zeros(layout: &Arc<DistLayout>, groups: usize) -> Self {
-        let blocks = layout
-            .decomp
-            .blocks
-            .iter()
-            .map(|b| MultiBlockVec::zeros(b.nx, b.ny, layout.halo, groups))
-            .collect();
-        MultiDistVec {
-            layout: Arc::clone(layout),
-            blocks,
-        }
-    }
-
-    /// A zeroed multi vector with `model`'s layout.
-    pub fn like(model: &DistVec, groups: usize) -> Self {
-        Self::zeros(&model.layout, groups)
-    }
-}
-
-/// A `k`-wide distributed field as seen by one communicator — the multi-RHS
-/// image of [`CommVec`](crate::CommVec): block tiles addressed by global
-/// active-block id.
-pub trait MultiCommVec: Send + Sync {
-    /// The global layout this vector's blocks belong to.
-    fn layout(&self) -> &Arc<DistLayout>;
-
-    /// Lane-group count (all blocks agree).
-    fn groups(&self) -> usize;
-
-    /// Read-only access to the multi-tile of global active block `gb`.
-    fn block(&self, gb: usize) -> &MultiBlockVec;
-
-    /// Zero every cell of every block, group, and lane.
-    fn zero_fill(&mut self);
-}
-
-impl MultiCommVec for MultiDistVec {
-    #[inline]
-    fn layout(&self) -> &Arc<DistLayout> {
-        &self.layout
-    }
-
-    #[inline]
-    fn groups(&self) -> usize {
-        self.blocks.first().map_or(0, |b| b.groups())
-    }
-
-    #[inline]
-    fn block(&self, gb: usize) -> &MultiBlockVec {
-        &self.blocks[gb]
-    }
-
-    fn zero_fill(&mut self) {
-        for b in &mut self.blocks {
-            b.fill(0.0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,7 +283,7 @@ mod tests {
     #[test]
     fn lane_roundtrip_is_bit_exact() {
         let src: Vec<BlockVec> = (0..8).map(|k| seeded_block(7, 5, 2, k)).collect();
-        let mut mv = MultiBlockVec::like(&src[0], 2);
+        let mut mv = MultiBlockVec::zeros(src[0].nx, src[0].ny, src[0].halo, 2);
         for (k, b) in src.iter().enumerate() {
             mv.load_lane(k / LANES, k % LANES, b);
         }
@@ -374,7 +297,7 @@ mod tests {
     #[test]
     fn indexing_matches_lane_copies() {
         let b = seeded_block(4, 3, 1, 9);
-        let mut mv = MultiBlockVec::like(&b, 1);
+        let mut mv = MultiBlockVec::zeros(b.nx, b.ny, b.halo, 1);
         mv.load_lane(0, 2, &b);
         assert_eq!(mv.at(0, 2, 1, 2).to_bits(), b.at(1, 2).to_bits());
         assert_eq!(mv.at(0, 2, -1, -1).to_bits(), b.at(-1, -1).to_bits());
@@ -385,7 +308,7 @@ mod tests {
     #[test]
     fn zero_halo_touches_only_halo() {
         let b = seeded_block(4, 4, 2, 3);
-        let mut mv = MultiBlockVec::like(&b, 2);
+        let mut mv = MultiBlockVec::zeros(b.nx, b.ny, b.halo, 2);
         for g in 0..2 {
             for l in 0..LANES {
                 mv.load_lane(g, l, &b);
@@ -411,7 +334,7 @@ mod tests {
     #[test]
     fn region_roundtrip_matches_single_rhs_regions() {
         let srcs: Vec<BlockVec> = (0..4).map(|k| seeded_block(6, 5, 2, 20 + k)).collect();
-        let mut mv = MultiBlockVec::like(&srcs[0], 1);
+        let mut mv = MultiBlockVec::zeros(srcs[0].nx, srcs[0].ny, srcs[0].halo, 1);
         for (l, b) in srcs.iter().enumerate() {
             mv.load_lane(0, l, b);
         }
@@ -419,7 +342,7 @@ mod tests {
         mv.extract_region(1, 2, 3, 2, &mut mbuf);
         assert_eq!(mbuf.len(), 3 * 2 * LANES);
 
-        let mut mdst = MultiBlockVec::like(&srcs[0], 1);
+        let mut mdst = MultiBlockVec::zeros(srcs[0].nx, srcs[0].ny, srcs[0].halo, 1);
         mdst.copy_region(-2, -2, &mbuf, 3, 2);
 
         // Each lane must match the single-RHS extract/copy of its source.
@@ -440,8 +363,8 @@ mod tests {
         let mask: Vec<u8> = (0..n * n).map(|k| (k % 3 != 0) as u8).collect();
         let xs: Vec<BlockVec> = (0..8).map(|k| seeded_block(n, n, 1, 50 + k)).collect();
         let ys: Vec<BlockVec> = (0..8).map(|k| seeded_block(n, n, 1, 90 + k)).collect();
-        let mut mx = MultiBlockVec::like(&xs[0], 2);
-        let mut my = MultiBlockVec::like(&ys[0], 2);
+        let mut mx = MultiBlockVec::zeros(xs[0].nx, xs[0].ny, xs[0].halo, 2);
+        let mut my = MultiBlockVec::zeros(ys[0].nx, ys[0].ny, ys[0].halo, 2);
         for k in 0..8 {
             mx.load_lane(k / LANES, k % LANES, &xs[k]);
             my.load_lane(k / LANES, k % LANES, &ys[k]);

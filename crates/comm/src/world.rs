@@ -1,9 +1,9 @@
 //! The communication world: executes collectives and counts them.
 
-use crate::blockvec::BlockVec;
-use crate::distvec::DistVec;
+use crate::distvec::{DistField, DistVec};
 use crate::halo::recv_region;
 use crate::pool;
+use crate::tile::Tile;
 use pop_grid::Direction;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -142,8 +142,8 @@ pub struct CommWorld {
     /// Reusable per-block partial-reduction slots for fused sweeps, so
     /// steady-state solver iterations allocate nothing.
     sweep_scratch: Mutex<Vec<SweepPartials>>,
-    /// Reusable flat per-block partials for the unfused `dot_many` /
-    /// `max_abs` paths, matching the zero-alloc discipline of the sweeps.
+    /// Reusable flat per-block partials for the unfused `dot_many` path,
+    /// matching the zero-alloc discipline of the sweeps.
     partials_scratch: Mutex<Vec<f64>>,
 }
 
@@ -279,13 +279,13 @@ impl CommWorld {
     ///
     /// All operands must share a layout; read-only operands are captured by
     /// the kernel closure directly.
-    pub fn for_each_block_fused<const M: usize, F>(
+    pub fn for_each_block_fused<T: Tile, const M: usize, F>(
         &self,
-        muts: [&mut DistVec; M],
+        muts: [&mut DistField<T>; M],
         kernel: F,
     ) -> SweepPartials
     where
-        F: Fn(usize, &mut [&mut BlockVec; M]) -> SweepPartials + Sync,
+        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync,
     {
         assert!(M > 0, "fused sweep needs a mutable operand");
         let n = muts[0].layout.n_blocks();
@@ -295,14 +295,14 @@ impl CommWorld {
                 "fused sweep operands must share a layout"
             );
         }
-        // Distinct `&mut DistVec` arguments are guaranteed disjoint by the
+        // Distinct `&mut DistField` arguments are guaranteed disjoint by the
         // borrow checker, so per-block tiles never alias across operands.
-        let bases: [SendPtr<BlockVec>; M] = muts.map(|v| SendPtr(v.blocks.as_mut_ptr()));
+        let bases: [SendPtr<T>; M] = muts.map(|v| SendPtr(v.blocks.as_mut_ptr()));
         let kernel = &kernel;
         self.sweep_reduce(n, move |b| {
             // SAFETY: disjoint block index per task; disjoint vectors per
             // the borrow argument above.
-            let mut tiles: [&mut BlockVec; M] =
+            let mut tiles: [&mut T; M] =
                 std::array::from_fn(|m| unsafe { &mut *bases[m].get().add(b) });
             kernel(b, &mut tiles)
         })
@@ -345,8 +345,11 @@ impl CommWorld {
     /// Update the halo ring of every block of `v` from its neighbours'
     /// interiors, zero-filling halo cells with no owner (land neighbours and
     /// domain boundaries). One call corresponds to one `update_halo` in the
-    /// paper's pseudocode (a message to each of up to 8 neighbours).
-    pub fn halo_update(&self, v: &mut DistVec) {
+    /// paper's pseudocode (a message to each of up to 8 neighbours). A
+    /// `k`-wide field sends the same messages — each (block, direction)
+    /// strip travels as one buffer carrying all `k` values of its points —
+    /// with honestly `k×` the byte volume.
+    pub fn halo_update<T: Tile>(&self, v: &mut DistField<T>) {
         let layout = std::sync::Arc::clone(&v.layout);
         let decomp = &layout.decomp;
         let halo = layout.halo;
@@ -393,7 +396,7 @@ impl CommWorld {
         // Phase 2: scatter buffers into each block's halo ring.
         {
             let scratch_ref = &*scratch;
-            let scatter = |b: usize, blk: &mut crate::BlockVec| {
+            let scatter = |b: usize, blk: &mut T| {
                 blk.zero_halo();
                 let me = &decomp.blocks[b];
                 for d in Direction::ALL {
@@ -415,112 +418,6 @@ impl CommWorld {
         self.stats
             .halo_bytes
             .fetch_add(elems * std::mem::size_of::<f64>() as u64, Ordering::Relaxed);
-    }
-
-    /// Multi-RHS image of [`CommWorld::halo_update`]: update the halo ring
-    /// of every block of a `k`-wide vector. Same message *count* as the
-    /// single-RHS exchange — each (block, direction) strip travels as one
-    /// buffer carrying all `k` lanes — with honestly `k×` the byte volume.
-    pub fn halo_update_multi(&self, v: &mut crate::MultiDistVec) {
-        let layout = std::sync::Arc::clone(&v.layout);
-        let decomp = &layout.decomp;
-        let halo = layout.halo;
-        let n = decomp.blocks.len();
-
-        let mut scratch = self.scratch.lock().expect("halo scratch poisoned");
-        if scratch.len() != n {
-            *scratch = (0..n)
-                .map(|_| std::array::from_fn(|_| Vec::new()))
-                .collect();
-        }
-
-        let mut messages = 0u64;
-        let mut elems = 0u64;
-
-        // Phase 1: gather outgoing regions (all groups and lanes per
-        // buffer). Reads are shared; each buffer row is written by one task.
-        {
-            let v_ref = &*v;
-            let gather = |b: usize, bufs: &mut [Vec<f64>; 8]| {
-                let me = &decomp.blocks[b];
-                for d in Direction::ALL {
-                    let buf = &mut bufs[d.index()];
-                    buf.clear();
-                    if let Some(nb) = decomp.neighbors[b][d.index()] {
-                        if let Some(r) = recv_region(me, &decomp.blocks[nb], d, halo) {
-                            v_ref.blocks[nb].extract_region(r.src_i, r.src_j, r.w, r.h, buf);
-                        }
-                    }
-                }
-            };
-            self.for_each_block(&mut scratch[..], gather);
-        }
-
-        for bufs in scratch.iter() {
-            for buf in bufs {
-                if !buf.is_empty() {
-                    messages += 1;
-                    elems += buf.len() as u64;
-                }
-            }
-        }
-
-        // Phase 2: scatter buffers into each block's halo ring.
-        {
-            let scratch_ref = &*scratch;
-            let scatter = |b: usize, blk: &mut crate::MultiBlockVec| {
-                blk.zero_halo();
-                let me = &decomp.blocks[b];
-                for d in Direction::ALL {
-                    if let Some(nb) = decomp.neighbors[b][d.index()] {
-                        if let Some(r) = recv_region(me, &decomp.blocks[nb], d, halo) {
-                            let buf = &scratch_ref[b][d.index()];
-                            blk.copy_region(r.dst_i, r.dst_j, buf, r.w, r.h);
-                        }
-                    }
-                }
-            };
-            self.for_each_block(&mut v.blocks, scatter);
-        }
-
-        self.stats.halo_updates.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .halo_messages
-            .fetch_add(messages, Ordering::Relaxed);
-        self.stats
-            .halo_bytes
-            .fetch_add(elems * std::mem::size_of::<f64>() as u64, Ordering::Relaxed);
-    }
-
-    /// Multi-RHS image of [`CommWorld::for_each_block_fused`]: one fused
-    /// sweep over `k`-wide tiles, collecting up to [`MAX_SWEEP_PARTIALS`]
-    /// per-block partials (per-RHS slots included) combined in block order.
-    pub fn for_each_block_multi<const M: usize, F>(
-        &self,
-        muts: [&mut crate::MultiDistVec; M],
-        kernel: F,
-    ) -> SweepPartials
-    where
-        F: Fn(usize, &mut [&mut crate::MultiBlockVec; M]) -> SweepPartials + Sync,
-    {
-        assert!(M > 0, "fused sweep needs a mutable operand");
-        let n = muts[0].layout.n_blocks();
-        for v in muts.iter().skip(1) {
-            assert!(
-                Arc::ptr_eq(&muts[0].layout, &v.layout),
-                "fused sweep operands must share a layout"
-            );
-        }
-        let bases: [SendPtr<crate::MultiBlockVec>; M] =
-            muts.map(|v| SendPtr(v.blocks.as_mut_ptr()));
-        let kernel = &kernel;
-        self.sweep_reduce(n, move |b| {
-            // SAFETY: disjoint block index per task; disjoint vectors per
-            // the distinct `&mut` arguments.
-            let mut tiles: [&mut crate::MultiBlockVec; M] =
-                std::array::from_fn(|m| unsafe { &mut *bases[m].get().add(b) });
-            kernel(b, &mut tiles)
-        })
     }
 
     /// Masked global dot products of several vector pairs, fused into a
@@ -569,33 +466,6 @@ impl CommWorld {
     /// Masked global squared 2-norm (one allreduce).
     pub fn norm2_sq(&self, x: &DistVec) -> f64 {
         self.dot(x, x)
-    }
-
-    /// Masked global max |value| (one allreduce).
-    pub fn max_abs(&self, x: &DistVec) -> f64 {
-        let n = x.layout.n_blocks();
-        let mut partials = self
-            .partials_scratch
-            .lock()
-            .expect("partials scratch poisoned");
-        partials.clear();
-        partials.resize(n, 0.0);
-        let base = SendPtr(partials.as_mut_ptr());
-        let run = |b: usize| {
-            // SAFETY: disjoint element per claimed index.
-            unsafe { *base.get().add(b) = x.block_max_abs(b) };
-        };
-        match self.policy {
-            ExecPolicy::Serial => (0..n).for_each(run),
-            ExecPolicy::Threaded => pool::global().run_indexed(n, &run),
-        }
-        self.record_allreduce(1);
-        partials.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// A global barrier (semantically a no-op here; counted for the model).
-    pub fn barrier(&self) {
-        self.stats.barriers.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -852,13 +722,50 @@ mod tests {
         assert_eq!(acc[1].to_bits(), expect[1].to_bits());
     }
 
+    /// The one generic exchange is lane-transparent: every lane of a
+    /// batched field comes out bitwise as the single-RHS exchange of its
+    /// source, in the same messages carrying `width×` the bytes.
     #[test]
-    fn max_abs_reduction() {
-        let g = Grid::idealized_basin(10, 10, 50.0, 1.0);
-        let layout = DistLayout::build(&g, 5, 5);
-        let world = CommWorld::serial();
-        let mut v = DistVec::zeros(&layout);
-        v.fill_with(|i, j| if (i, j) == (4, 5) { -42.0 } else { 1.0 });
-        assert_eq!(world.max_abs(&v), 42.0);
+    fn halo_update_is_lane_transparent() {
+        use crate::{BlockVec, MultiDistVec};
+        use pop_simd::LANES;
+        let g = Grid::gx1_scaled(21, 48, 40);
+        let layout = DistLayout::build(&g, 12, 10);
+        for k in [1usize, 3, 5] {
+            let width = k.next_multiple_of(LANES);
+            for world in [CommWorld::serial(), CommWorld::threaded()] {
+                let mut srcs: Vec<DistVec> = (0..k)
+                    .map(|l| {
+                        let mut v = DistVec::zeros(&layout);
+                        // Stale halos, so the exchange has something to fix.
+                        v.blocks.iter_mut().for_each(|b| b.fill(9.5));
+                        v.fill_with(|i, j| ((1 + l) * (1 + i * 7 + j * 131)) as f64);
+                        v
+                    })
+                    .collect();
+                let mut mv = MultiDistVec::with_width(&layout, width);
+                for (l, src) in srcs.iter().enumerate() {
+                    for (mb, sb) in mv.blocks.iter_mut().zip(&src.blocks) {
+                        mb.load_lane(l / LANES, l % LANES, sb);
+                    }
+                }
+                world.halo_update(&mut mv);
+                let multi = world.stats();
+                for (l, src) in srcs.iter_mut().enumerate() {
+                    world.reset_stats();
+                    world.halo_update(src);
+                    let single = world.stats();
+                    assert_eq!(multi.halo_messages, single.halo_messages, "k={k}");
+                    assert_eq!(multi.halo_bytes, width as u64 * single.halo_bytes, "k={k}");
+                    for (mb, sb) in mv.blocks.iter().zip(&src.blocks) {
+                        let mut got = BlockVec::zeros(sb.nx, sb.ny, sb.halo);
+                        mb.store_lane(l / LANES, l % LANES, &mut got);
+                        let bits =
+                            |t: &BlockVec| t.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(sb), "k={k} lane {l}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@ use crate::solvers::{
     BatchCommSolver, BatchWorkspace, ChronGear, ClassicPcg, CommSolver, Pcsi, PipelinedCg,
     SolveStats, SolverConfig, SolverWorkspace,
 };
-use pop_comm::{CommWorld, Communicator};
+use pop_comm::{BlockVec, CommWorld, Communicator};
 use pop_stencil::NinePoint;
 use std::sync::Arc;
 
@@ -102,10 +102,10 @@ impl Solver {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        b: &C::Vec,
-        x: &mut C::Vec,
+        b: &C::Vec<BlockVec>,
+        x: &mut C::Vec<BlockVec>,
         cfg: &SolverConfig,
-        ws: &mut SolverWorkspace<C::Vec>,
+        ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
     ) -> SolveStats {
         match self {
             Solver::ClassicPcg => ClassicPcg.solve_comm(op, pre, comm, b, x, cfg, ws),
@@ -124,8 +124,8 @@ impl Solver {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        bs: &[&C::Vec],
-        xs: &mut [&mut C::Vec],
+        bs: &[&C::Vec<BlockVec>],
+        xs: &mut [&mut C::Vec<BlockVec>],
         cfg: &SolverConfig,
         ws: &mut BatchWorkspace<C>,
     ) -> Vec<SolveStats> {

@@ -37,8 +37,8 @@ use super::{
 };
 use crate::precond::Preconditioner;
 use pop_comm::{
-    masked_dot_multi, CommVec, Communicator, DistLayout, MultiBlockVec, MultiCommVec,
-    StatsSnapshot, MAX_SWEEP_PARTIALS,
+    masked_dot_multi, BlockVec, CommVec, Communicator, MultiBlockVec, StatsSnapshot,
+    MAX_SWEEP_PARTIALS,
 };
 use pop_obs::ObsSink;
 use pop_simd::{LaneF64, Portable4, LANES};
@@ -58,23 +58,19 @@ const ZEROS: [f64; MAX_SWEEP_PARTIALS] = [0.0; MAX_SWEEP_PARTIALS];
 // Workspace
 // ---------------------------------------------------------------------------
 
-/// Reusable arena for the batched loops: the `k`-wide vectors plus a
-/// single-RHS [`SolverWorkspace`] used as staging space by the per-lane
-/// restart path. Like [`SolverWorkspace`], steady-state reuse across
-/// solves on one layout performs zero heap allocation.
+/// Reusable arena for the batched loops: a [`SolverWorkspace`] of `k`-wide
+/// vectors plus a single-RHS one used as staging space by the per-lane
+/// restart path. Steady-state reuse across solves on one layout and width
+/// performs zero heap allocation.
 pub struct BatchWorkspace<C: Communicator> {
-    multis: MultiArena<C>,
-    stage: SolverWorkspace<C::Vec>,
+    multis: SolverWorkspace<C::Vec<MultiBlockVec>>,
+    stage: SolverWorkspace<C::Vec<BlockVec>>,
 }
 
 impl<C: Communicator> Default for BatchWorkspace<C> {
     fn default() -> Self {
         BatchWorkspace {
-            multis: MultiArena {
-                layout: None,
-                groups: 0,
-                vecs: Vec::new(),
-            },
+            multis: SolverWorkspace::default(),
             stage: SolverWorkspace::default(),
         }
     }
@@ -86,41 +82,6 @@ impl<C: Communicator> BatchWorkspace<C> {
     }
 }
 
-struct MultiArena<C: Communicator> {
-    layout: Option<Arc<DistLayout>>,
-    groups: usize,
-    vecs: Vec<C::MultiVec>,
-}
-
-impl<C: Communicator> MultiArena<C> {
-    /// Borrow `N` zeroed `groups`-wide vectors matching `model`'s view,
-    /// allocating only on first use or when the layout/width changes.
-    fn take<const N: usize>(
-        &mut self,
-        comm: &C,
-        model: &C::Vec,
-        groups: usize,
-    ) -> [&mut C::MultiVec; N] {
-        let layout = model.layout();
-        let same =
-            self.layout.as_ref().is_some_and(|l| Arc::ptr_eq(l, layout)) && self.groups == groups;
-        if !same {
-            self.vecs.clear();
-            self.layout = Some(Arc::clone(layout));
-            self.groups = groups;
-        }
-        while self.vecs.len() < N {
-            self.vecs.push(comm.alloc_multi(model, groups));
-        }
-        let mut iter = self.vecs[..N].iter_mut();
-        std::array::from_fn(|_| {
-            let v = iter.next().expect("reserved above");
-            v.zero_fill();
-            v
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Lane plumbing
 // ---------------------------------------------------------------------------
@@ -128,9 +89,13 @@ impl<C: Communicator> MultiArena<C> {
 /// Load each lane `l < srcs.len()` from `srcs[l]`; ragged tail lanes get
 /// copies of `srcs[0]` so they follow a real (finite) trajectory instead
 /// of holding zeros that could reach a division.
-fn fill_lanes<C: Communicator>(comm: &C, mv: &mut C::MultiVec, srcs: &[&C::Vec]) {
-    let slots = mv.groups() * LANES;
-    let _ = comm.for_each_block_multi([mv], |gb, [mb]| {
+fn fill_lanes<C: Communicator>(
+    comm: &C,
+    mv: &mut C::Vec<MultiBlockVec>,
+    srcs: &[&C::Vec<BlockVec>],
+) {
+    let slots = mv.width();
+    let _ = comm.for_each_block_fused([mv], |gb, [mb]| {
         for slot in 0..slots {
             let src = if slot < srcs.len() {
                 srcs[slot]
@@ -146,7 +111,12 @@ fn fill_lanes<C: Communicator>(comm: &C, mv: &mut C::MultiVec, srcs: &[&C::Vec])
 /// Copy lane `slot` of `mv` out into a single-RHS vector (full padded
 /// storage, halo included). The dropped sweep handle means no reduction is
 /// consumed and nothing global is counted.
-fn gather_lane<C: Communicator>(comm: &C, mv: &C::MultiVec, slot: usize, dst: &mut C::Vec) {
+fn gather_lane<C: Communicator>(
+    comm: &C,
+    mv: &C::Vec<MultiBlockVec>,
+    slot: usize,
+    dst: &mut C::Vec<BlockVec>,
+) {
     let _ = comm.for_each_block_fused([dst], |gb, [db]| {
         mv.block(gb).store_lane(slot / LANES, slot % LANES, db);
         ZEROS
@@ -158,10 +128,10 @@ fn gather_lane<C: Communicator>(comm: &C, mv: &C::MultiVec, slot: usize, dst: &m
 fn gather_answer<C: Communicator>(
     comm: &C,
     outcome: SolveOutcome,
-    mx: &C::MultiVec,
-    mxg: &C::MultiVec,
+    mx: &C::Vec<MultiBlockVec>,
+    mxg: &C::Vec<MultiBlockVec>,
     slot: usize,
-    dst: &mut C::Vec,
+    dst: &mut C::Vec<BlockVec>,
 ) {
     let from = if outcome == SolveOutcome::Diverged {
         mxg
@@ -172,8 +142,13 @@ fn gather_answer<C: Communicator>(
 }
 
 /// Copy a single-RHS vector into lane `slot` of `mv` (full padded storage).
-fn scatter_lane<C: Communicator>(comm: &C, src: &C::Vec, mv: &mut C::MultiVec, slot: usize) {
-    let _ = comm.for_each_block_multi([mv], |gb, [mb]| {
+fn scatter_lane<C: Communicator>(
+    comm: &C,
+    src: &C::Vec<BlockVec>,
+    mv: &mut C::Vec<MultiBlockVec>,
+    slot: usize,
+) {
+    let _ = comm.for_each_block_fused([mv], |gb, [mb]| {
         mb.load_lane(slot / LANES, slot % LANES, src.block(gb));
         ZEROS
     });
@@ -219,14 +194,14 @@ fn lane_finite_block(src: &MultiBlockVec, slot: usize) -> bool {
 /// non-finite value so restarts always restore a finite field.
 fn snapshot_lanes<C: Communicator>(
     comm: &C,
-    src: &C::MultiVec,
-    dst: &mut C::MultiVec,
+    src: &C::Vec<MultiBlockVec>,
+    dst: &mut C::Vec<MultiBlockVec>,
     slots: &[usize],
 ) {
     if slots.is_empty() {
         return;
     }
-    let _ = comm.for_each_block_multi([dst], |gb, [db]| {
+    let _ = comm.for_each_block_fused([dst], |gb, [db]| {
         let sb = src.block(gb);
         for &slot in slots {
             if lane_finite_block(sb, slot) {
@@ -239,11 +214,11 @@ fn snapshot_lanes<C: Communicator>(
 
 /// Zero the listed lanes of `mv` (interior and halo), the lane image of
 /// `zero_fill` on a single-RHS vector.
-fn zero_lanes<C: Communicator>(comm: &C, mv: &mut C::MultiVec, slots: &[usize]) {
+fn zero_lanes<C: Communicator>(comm: &C, mv: &mut C::Vec<MultiBlockVec>, slots: &[usize]) {
     if slots.is_empty() {
         return;
     }
-    let _ = comm.for_each_block_multi([mv], |_gb, [db]| {
+    let _ = comm.for_each_block_fused([mv], |_gb, [db]| {
         for &slot in slots {
             let (g, lane) = (slot / LANES, slot % LANES);
             let r = group_range(db, g);
@@ -264,12 +239,12 @@ fn zero_lanes<C: Communicator>(comm: &C, mv: &mut C::MultiVec, slots: &[usize]) 
 /// skip-accumulate block dot and the fold order over blocks is identical).
 fn rhs_norms<C: Communicator>(
     comm: &C,
-    mb: &mut C::MultiVec,
+    mb: &mut C::Vec<MultiBlockVec>,
     masks: &[Vec<u8>],
     slots: usize,
     k: usize,
 ) -> Vec<f64> {
-    let sweep = comm.for_each_block_multi([mb], |gb, [bb]| {
+    let sweep = comm.for_each_block_fused([mb], |gb, [bb]| {
         let mut p = ZEROS;
         masked_dot_multi(bb, bb, &masks[gb], &mut p[..slots]);
         p
@@ -597,24 +572,24 @@ impl BatchCtl {
         solver: &'static str,
         precond: &'static str,
         start: StatsSnapshot,
-        bs: &[&C::Vec],
-        xs: &[&mut C::Vec],
-        mb: &mut C::MultiVec,
-        mx: &mut C::MultiVec,
-        mxg: &mut C::MultiVec,
+        bs: &[&C::Vec<BlockVec>],
+        xs: &[&mut C::Vec<BlockVec>],
+        mb: &mut C::Vec<MultiBlockVec>,
+        mx: &mut C::Vec<MultiBlockVec>,
+        mxg: &mut C::Vec<MultiBlockVec>,
     ) -> Self {
-        let (k, slots) = (bs.len(), mb.groups() * LANES);
+        let (k, slots) = (bs.len(), mb.width());
         let mut lanes: Vec<SolveCtl> = (0..k)
             .map(|_| SolveCtl::new(cfg, solver, precond, start))
             .collect();
         fill_lanes(comm, mb, bs);
-        let x0: Vec<&C::Vec> = xs.iter().map(|x| &**x).collect();
+        let x0: Vec<&C::Vec<BlockVec>> = xs.iter().map(|x| &**x).collect();
         fill_lanes(comm, mx, &x0);
         let bnorm = rhs_norms(comm, mb, &bs[0].layout().masks, slots, k);
         for (lane, bn) in lanes.iter_mut().zip(bnorm) {
             lane.bnorm = bn;
         }
-        let _ = comm.for_each_block_multi([mxg], |gb, [good]| {
+        let _ = comm.for_each_block_fused([mxg], |gb, [good]| {
             good.raw_mut().copy_from_slice(mx.block(gb).raw());
             ZEROS
         });
@@ -671,9 +646,9 @@ impl BatchCtl {
         cfg: &SolverConfig,
         rr: &[f64],
         cadence: bool,
-        mx: &C::MultiVec,
-        mxg: &mut C::MultiVec,
-        xs: &mut [&mut C::Vec],
+        mx: &C::Vec<MultiBlockVec>,
+        mxg: &mut C::Vec<MultiBlockVec>,
+        xs: &mut [&mut C::Vec<BlockVec>],
     ) -> Vec<usize> {
         let (mut snapshot, mut restart) = (Vec::new(), Vec::new());
         for (l, lane) in self.lanes.iter_mut().enumerate() {
@@ -723,8 +698,9 @@ impl BatchCtl {
 }
 
 /// Validate batch geometry: `1 ≤ k ≤ MAX_BATCH`, matching `bs`/`xs`, one
-/// shared layout. Returns `(groups, slots)`.
-fn batch_shape<C: Communicator>(bs: &[&C::Vec], xs: &[&mut C::Vec]) -> (usize, usize) {
+/// shared layout. Returns the batch's slot count: `k` rounded up to whole
+/// lane groups.
+fn batch_shape<C: Communicator>(bs: &[&C::Vec<BlockVec>], xs: &[&mut C::Vec<BlockVec>]) -> usize {
     let k = bs.len();
     assert_eq!(k, xs.len(), "batch needs one x per rhs");
     assert!(
@@ -744,8 +720,7 @@ fn batch_shape<C: Communicator>(bs: &[&C::Vec], xs: &[&mut C::Vec]) -> (usize, u
             "batched x must share the rhs layout"
         );
     }
-    let groups = k.div_ceil(LANES);
-    (groups, groups * LANES)
+    k.next_multiple_of(LANES)
 }
 
 /// Shared iteration-cap epilogue: settle any lane whose residual was never
@@ -759,9 +734,9 @@ fn settle_remaining<C: Communicator>(
     cfg: &SolverConfig,
     ctl: &mut BatchCtl,
     rr_sweep: Option<&C::Sweep>,
-    mx: &C::MultiVec,
-    mxg: &C::MultiVec,
-    xs: &mut [&mut C::Vec],
+    mx: &C::Vec<MultiBlockVec>,
+    mxg: &C::Vec<MultiBlockVec>,
+    xs: &mut [&mut C::Vec<BlockVec>],
 ) {
     let rr_sweep = rr_sweep.filter(|_| {
         ctl.lanes
@@ -801,8 +776,8 @@ pub trait BatchCommSolver: CommSolver {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        bs: &[&C::Vec],
-        xs: &mut [&mut C::Vec],
+        bs: &[&C::Vec<BlockVec>],
+        xs: &mut [&mut C::Vec<BlockVec>],
         cfg: &SolverConfig,
         ws: &mut BatchWorkspace<C>,
     ) -> Vec<SolveStats>;
@@ -814,15 +789,15 @@ impl BatchCommSolver for Pcsi {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        bs: &[&C::Vec],
-        xs: &mut [&mut C::Vec],
+        bs: &[&C::Vec<BlockVec>],
+        xs: &mut [&mut C::Vec<BlockVec>],
         cfg: &SolverConfig,
         ws: &mut BatchWorkspace<C>,
     ) -> Vec<SolveStats> {
         let start = comm.stats();
-        let (groups, slots) = batch_shape::<C>(bs, xs);
+        let slots = batch_shape::<C>(bs, xs);
         let BatchWorkspace { multis, stage } = ws;
-        let [mb, mx, mr, mz, mdx, mxg] = multis.take(comm, bs[0], groups);
+        let [mb, mx, mr, mz, mdx, mxg] = multis.take(comm, bs[0], slots);
 
         let mut ctl = BatchCtl::open(
             comm,
@@ -848,19 +823,19 @@ impl BatchCommSolver for Pcsi {
 
         // Batched setup: r₀ = b − A x₀ ; Δx₀ = γ⁻¹ M⁻¹ r₀ ; x₁ = x₀ + Δx₀ ;
         // r₁ = b − A x₁ with per-lane ‖r‖² partials riding along.
-        comm.halo_update_multi(mx);
-        let _ = comm.for_each_block_multi([&mut *mr], |bk, [rb]| {
+        comm.halo_update(mx);
+        let _ = comm.for_each_block_fused([&mut *mr], |bk, [rb]| {
             let mut p = ZEROS;
             op.residual_block_multi(bk, mx.block(bk), mb.block(bk), rb, &mut p[..slots]);
             ZEROS
         });
-        let _ = comm.for_each_block_multi([&mut *mz, &mut *mdx, &mut *mx], |bk, [zb, dxb, xb]| {
+        let _ = comm.for_each_block_fused([&mut *mz, &mut *mdx, &mut *mx], |bk, [zb, dxb, xb]| {
             pre.apply_block_multi(bk, mr.block(bk), zb);
             csi_setup_block(zb, dxb, xb, inv_gamma);
             ZEROS
         });
-        comm.halo_update_multi(mx);
-        let mut rr_sweep = comm.for_each_block_multi([&mut *mr], |bk, [rb]| {
+        comm.halo_update(mx);
+        let mut rr_sweep = comm.for_each_block_fused([&mut *mr], |bk, [rb]| {
             let mut p = ZEROS;
             op.residual_block_multi(bk, mx.block(bk), mb.block(bk), rb, &mut p[..slots]);
             p
@@ -892,7 +867,7 @@ impl BatchCommSolver for Pcsi {
             // led, when deferred, by the previous iteration's residual.
             if deferred_b {
                 deferred_b = false;
-                rr_sweep = comm.for_each_block_multi(
+                rr_sweep = comm.for_each_block_fused(
                     [&mut *mr, &mut *mz, &mut *mdx, &mut *mx],
                     |bk, [rb, zb, dxb, xb]| {
                         let mut p = ZEROS;
@@ -904,7 +879,7 @@ impl BatchCommSolver for Pcsi {
                 );
                 ctl.clear_setup_rr();
             } else {
-                let _ = comm.for_each_block_multi(
+                let _ = comm.for_each_block_fused(
                     [&mut *mz, &mut *mdx, &mut *mx],
                     |bk, [zb, dxb, xb]| {
                         pre.apply_block_multi(bk, mr.block(bk), zb);
@@ -921,9 +896,9 @@ impl BatchCommSolver for Pcsi {
             // changes only on check iterations, so every loop exit leaves
             // `rr_sweep` describing the last iteration's residual, exactly
             // as the split sweeps did.)
-            comm.halo_update_multi(mx);
+            comm.halo_update(mx);
             if iterations % cfg.check_interval() == 0 || iterations == cfg.max_iters {
-                rr_sweep = comm.for_each_block_multi([&mut *mr], |bk, [rb]| {
+                rr_sweep = comm.for_each_block_fused([&mut *mr], |bk, [rb]| {
                     let mut p = ZEROS;
                     op.residual_block_multi(bk, mx.block(bk), mb.block(bk), rb, &mut p[..slots]);
                     p
@@ -941,7 +916,7 @@ impl BatchCommSolver for Pcsi {
                     // single-RHS start on it, and scatter the result back,
                     // so the lane rejoins its scalar trajectory.
                     omega[l] = 2.0 / gamma;
-                    let [sx, sr, sz, sdx] = stage.take(comm, bs[0]);
+                    let [sx, sr, sz, sdx] = stage.take(comm, bs[0], 1);
                     gather_lane(comm, &*mxg, l, sx);
                     let lane = &mut ctl.lanes[l];
                     let s_sweep =
@@ -966,16 +941,16 @@ impl BatchCommSolver for ChronGear {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        bs: &[&C::Vec],
-        xs: &mut [&mut C::Vec],
+        bs: &[&C::Vec<BlockVec>],
+        xs: &mut [&mut C::Vec<BlockVec>],
         cfg: &SolverConfig,
         ws: &mut BatchWorkspace<C>,
     ) -> Vec<SolveStats> {
         let start = comm.stats();
-        let (groups, slots) = batch_shape::<C>(bs, xs);
+        let slots = batch_shape::<C>(bs, xs);
         let layout = Arc::clone(bs[0].layout());
         let BatchWorkspace { multis, stage } = ws;
-        let [mb, mx, mr, mz, maz, ms, mp, mxg] = multis.take(comm, bs[0], groups);
+        let [mb, mx, mr, mz, maz, ms, mp, mxg] = multis.take(comm, bs[0], slots);
         let mut ctl = BatchCtl::open(
             comm,
             cfg,
@@ -997,8 +972,8 @@ impl BatchCommSolver for ChronGear {
         let mut nalph = vec![0.0f64; slots];
 
         // Batched setup: r₀ = b − A x₀ (s and p start zeroed by take()).
-        comm.halo_update_multi(mx);
-        let mut rr_sweep = comm.for_each_block_multi([&mut *mr], |bk, [rb]| {
+        comm.halo_update(mx);
+        let mut rr_sweep = comm.for_each_block_fused([&mut *mr], |bk, [rb]| {
             let mut p = ZEROS;
             op.residual_block_multi(bk, mx.block(bk), mb.block(bk), rb, &mut p[..slots]);
             p
@@ -1012,15 +987,15 @@ impl BatchCommSolver for ChronGear {
 
             // z = M⁻¹ r (its own sweep: z needs a boundary update before
             // the matvec).
-            let _ = comm.for_each_block_multi([&mut *mz], |bk, [zb]| {
+            let _ = comm.for_each_block_fused([&mut *mz], |bk, [zb]| {
                 pre.apply_block_multi(bk, mr.block(bk), zb);
                 ZEROS
             });
 
             // The iteration's single halo exchange, then Az plus both
             // inner-product partials (ρ̃ = rᵀz, δ̃ = (Az)ᵀz) per lane.
-            comm.halo_update_multi(mz);
-            let d_sweep = comm.for_each_block_multi([&mut *maz], |bk, [azb]| {
+            comm.halo_update(mz);
+            let d_sweep = comm.for_each_block_fused([&mut *maz], |bk, [azb]| {
                 let mask = &layout.masks[bk];
                 op.apply_block_multi(bk, mz.block(bk), azb);
                 let mut p = ZEROS;
@@ -1046,7 +1021,7 @@ impl BatchCommSolver for ChronGear {
             // All four updates in one sweep, with per-lane ‖r‖² partials
             // for the periodic check. The dot re-reads the just-stored r
             // bits, so it equals the scalar loop's fused accumulate.
-            rr_sweep = comm.for_each_block_multi(
+            rr_sweep = comm.for_each_block_fused(
                 [&mut *ms, &mut *mp, &mut *mx, &mut *mr],
                 |bk, [sb, pb, xb, rb]| {
                     chrongear_update_block(
@@ -1074,7 +1049,7 @@ impl BatchCommSolver for ChronGear {
                     zero_lanes(comm, mp, &[l]);
                     rho_old[l] = 1.0;
                     sigma[l] = 0.0;
-                    let [sx, sr] = stage.take(comm, bs[0]);
+                    let [sx, sr] = stage.take(comm, bs[0], 1);
                     gather_lane(comm, &*mxg, l, sx);
                     let lane = &mut ctl.lanes[l];
                     let s_sweep = ChronGear::start(op, comm, bs[l], sx, sr, lane);
@@ -1097,16 +1072,16 @@ impl BatchCommSolver for ClassicPcg {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        bs: &[&C::Vec],
-        xs: &mut [&mut C::Vec],
+        bs: &[&C::Vec<BlockVec>],
+        xs: &mut [&mut C::Vec<BlockVec>],
         cfg: &SolverConfig,
         ws: &mut BatchWorkspace<C>,
     ) -> Vec<SolveStats> {
         let start = comm.stats();
-        let (groups, slots) = batch_shape::<C>(bs, xs);
+        let slots = batch_shape::<C>(bs, xs);
         let layout = Arc::clone(bs[0].layout());
         let BatchWorkspace { multis, stage } = ws;
-        let [mb, mx, mr, mz, mp, map, mxg] = multis.take(comm, bs[0], groups);
+        let [mb, mx, mr, mz, mp, map, mxg] = multis.take(comm, bs[0], slots);
         let mut ctl = BatchCtl::open(
             comm,
             cfg,
@@ -1127,13 +1102,13 @@ impl BatchCommSolver for ClassicPcg {
 
         // Batched setup: r₀ = b − A x₀ ; z₀ = M⁻¹ r₀ ; p₀ = z₀ ; plus the
         // setup rᵀz reduction (#0), all per lane.
-        comm.halo_update_multi(mx);
-        let mut rr_sweep = comm.for_each_block_multi([&mut *mr], |bk, [rb]| {
+        comm.halo_update(mx);
+        let mut rr_sweep = comm.for_each_block_fused([&mut *mr], |bk, [rb]| {
             let mut p = ZEROS;
             op.residual_block_multi(bk, mx.block(bk), mb.block(bk), rb, &mut p[..slots]);
             p
         });
-        let rz_sweep = comm.for_each_block_multi([&mut *mz, &mut *mp], |bk, [zb, pb]| {
+        let rz_sweep = comm.for_each_block_fused([&mut *mz, &mut *mp], |bk, [zb, pb]| {
             pre.apply_block_multi(bk, mr.block(bk), zb);
             copy_interior_block(zb, pb);
             let mut p = ZEROS;
@@ -1152,8 +1127,8 @@ impl BatchCommSolver for ClassicPcg {
             ctl.tick();
 
             // Sweep 1: Ap and its pᵀAp partials together.
-            comm.halo_update_multi(mp);
-            let pap_sweep = comm.for_each_block_multi([&mut *map], |bk, [apb]| {
+            comm.halo_update(mp);
+            let pap_sweep = comm.for_each_block_fused([&mut *map], |bk, [apb]| {
                 op.apply_block_multi(bk, mp.block(bk), apb);
                 let mut p = ZEROS;
                 masked_dot_multi(mp.block(bk), apb, &layout.masks[bk], &mut p[..slots]);
@@ -1171,7 +1146,7 @@ impl BatchCommSolver for ClassicPcg {
             // Sweep 2: x += αp, r −= αAp, z = M⁻¹r, with per-lane ‖r‖² and
             // rᵀz partials in the two slot bands.
             let d_sweep =
-                comm.for_each_block_multi([&mut *mx, &mut *mr, &mut *mz], |bk, [xb, rb, zb]| {
+                comm.for_each_block_fused([&mut *mx, &mut *mr, &mut *mz], |bk, [xb, rb, zb]| {
                     pcg_xr_block(mp.block(bk), map.block(bk), xb, rb, &alph, &nalph);
                     pre.apply_block_multi(bk, rb, zb);
                     let mask = &layout.masks[bk];
@@ -1194,7 +1169,7 @@ impl BatchCommSolver for ClassicPcg {
             ctl.clear_setup_rr();
 
             // Sweep 3: the direction update p = z + βp.
-            let _ = comm.for_each_block_multi([&mut *mp], |bk, [pb]| {
+            let _ = comm.for_each_block_fused([&mut *mp], |bk, [pb]| {
                 pcg_dir_block(mz.block(bk), pb, &beta);
                 ZEROS
             });
@@ -1202,7 +1177,7 @@ impl BatchCommSolver for ClassicPcg {
             if iterations % cfg.check_interval() == 0 {
                 let rr = comm.reduce_sweep(&rr_sweep, slots as u64);
                 for l in ctl.check(comm, cfg, &rr, true, &*mx, mxg, xs) {
-                    let [sx, sr, sz, sp] = stage.take(comm, bs[0]);
+                    let [sx, sr, sz, sp] = stage.take(comm, bs[0], 1);
                     gather_lane(comm, &*mxg, l, sx);
                     let lane = &mut ctl.lanes[l];
                     let (s_sweep, srz) =
@@ -1228,16 +1203,16 @@ impl BatchCommSolver for PipelinedCg {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        bs: &[&C::Vec],
-        xs: &mut [&mut C::Vec],
+        bs: &[&C::Vec<BlockVec>],
+        xs: &mut [&mut C::Vec<BlockVec>],
         cfg: &SolverConfig,
         ws: &mut BatchWorkspace<C>,
     ) -> Vec<SolveStats> {
         let start = comm.stats();
-        let (groups, slots) = batch_shape::<C>(bs, xs);
+        let slots = batch_shape::<C>(bs, xs);
         let layout = Arc::clone(bs[0].layout());
         let BatchWorkspace { multis, stage } = ws;
-        let [mb, mx, mr, mu, mw, mm, mn, mzz, mq, ms, mp, mxg] = multis.take(comm, bs[0], groups);
+        let [mb, mx, mr, mu, mw, mm, mn, mzz, mq, ms, mp, mxg] = multis.take(comm, bs[0], slots);
         let mut ctl = BatchCtl::open(
             comm,
             cfg,
@@ -1260,18 +1235,18 @@ impl BatchCommSolver for PipelinedCg {
 
         // Batched setup: r₀ = b − A x₀ ; u₀ = M⁻¹ r₀ ; w₀ = A u₀
         // (z, q, s, p start zeroed by take()).
-        comm.halo_update_multi(mx);
-        let _ = comm.for_each_block_multi([&mut *mr], |bk, [rb]| {
+        comm.halo_update(mx);
+        let _ = comm.for_each_block_fused([&mut *mr], |bk, [rb]| {
             let mut p = ZEROS;
             op.residual_block_multi(bk, mx.block(bk), mb.block(bk), rb, &mut p[..slots]);
             ZEROS
         });
-        let _ = comm.for_each_block_multi([&mut *mu], |bk, [ub]| {
+        let _ = comm.for_each_block_fused([&mut *mu], |bk, [ub]| {
             pre.apply_block_multi(bk, mr.block(bk), ub);
             ZEROS
         });
-        comm.halo_update_multi(mu);
-        let _ = comm.for_each_block_multi([&mut *mw], |bk, [wb]| {
+        comm.halo_update(mu);
+        let _ = comm.for_each_block_fused([&mut *mw], |bk, [wb]| {
             op.apply_block_multi(bk, mu.block(bk), wb);
             ZEROS
         });
@@ -1285,7 +1260,7 @@ impl BatchCommSolver for PipelinedCg {
             // Sweep 1: the fused reduction's three per-lane partials —
             // γ = (r,u), δ = (w,u), ‖r‖² — in the three slot bands, plus
             // m = M⁻¹w, all in one pass.
-            let d_sweep = comm.for_each_block_multi([&mut *mm], |bk, [mmb]| {
+            let d_sweep = comm.for_each_block_fused([&mut *mm], |bk, [mmb]| {
                 let mask = &layout.masks[bk];
                 let mut p = ZEROS;
                 masked_dot_multi(mr.block(bk), mu.block(bk), mask, &mut p[..slots]);
@@ -1303,8 +1278,8 @@ impl BatchCommSolver for PipelinedCg {
             let d = comm.reduce_sweep(&d_sweep, (3 * slots) as u64);
 
             // Sweep 2: n = A m.
-            comm.halo_update_multi(mm);
-            let _ = comm.for_each_block_multi([&mut *mn], |bk, [nb]| {
+            comm.halo_update(mm);
+            let _ = comm.for_each_block_fused([&mut *mn], |bk, [nb]| {
                 op.apply_block_multi(bk, mm.block(bk), nb);
                 ZEROS
             });
@@ -1325,7 +1300,7 @@ impl BatchCommSolver for PipelinedCg {
             }
 
             // Sweep 3: all eight pipelined recurrences fused per point.
-            let _ = comm.for_each_block_multi(
+            let _ = comm.for_each_block_fused(
                 [
                     &mut *mzz, &mut *mq, &mut *ms, &mut *mp, &mut *mx, &mut *mr, &mut *mu, &mut *mw,
                 ],
@@ -1364,7 +1339,7 @@ impl BatchCommSolver for PipelinedCg {
                 gamma_old[l] = 1.0;
                 alpha_old[l] = 1.0;
                 first[l] = true;
-                let [sx, sr, su, sw] = stage.take(comm, bs[0]);
+                let [sx, sr, su, sw] = stage.take(comm, bs[0], 1);
                 gather_lane(comm, &*mxg, l, sx);
                 PipelinedCg::start(op, pre, comm, bs[l], sx, sr, su, sw, &mut ctl.lanes[l]);
                 scatter_lane(comm, &*sx, mx, l);
@@ -1490,8 +1465,8 @@ pub fn solve_many<C: Communicator, S: BatchCommSolver>(
     op: &NinePoint,
     pre: &dyn Preconditioner,
     comm: &C,
-    bs: &[&C::Vec],
-    xs: &mut [&mut C::Vec],
+    bs: &[&C::Vec<BlockVec>],
+    xs: &mut [&mut C::Vec<BlockVec>],
     cfg: &SolverConfig,
     max_batch: usize,
     ws: &mut BatchWorkspace<C>,

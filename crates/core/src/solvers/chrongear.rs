@@ -13,7 +13,7 @@ use super::{
 };
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
-use pop_comm::{CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
+use pop_comm::{BlockVec, CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
 use pop_stencil::NinePoint;
 
 /// Chronopoulos–Gear preconditioned conjugate gradients.
@@ -131,9 +131,9 @@ impl ChronGear {
     pub(crate) fn start<C: Communicator>(
         op: &NinePoint,
         comm: &C,
-        b: &C::Vec,
-        x: &mut C::Vec,
-        r: &mut C::Vec,
+        b: &C::Vec<BlockVec>,
+        x: &mut C::Vec<BlockVec>,
+        r: &mut C::Vec<BlockVec>,
         ctl: &mut SolveCtl,
     ) -> C::Sweep {
         let masks = &b.layout().masks;
@@ -158,16 +158,16 @@ impl CommSolver for ChronGear {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        b: &C::Vec,
-        x: &mut C::Vec,
+        b: &C::Vec<BlockVec>,
+        x: &mut C::Vec<BlockVec>,
         cfg: &SolverConfig,
-        ws: &mut SolverWorkspace<C::Vec>,
+        ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
     ) -> SolveStats {
         let mut ctl = SolveCtl::new(cfg, self.name(), pre.name(), comm.stats());
         ctl.bnorm = rhs_norm(comm, b);
         let layout = std::sync::Arc::clone(b.layout());
 
-        let [r, z, az, s, p, x_good] = ws.take(comm, b);
+        let [r, z, az, s, p, x_good] = ws.take(comm, b, 1);
         copy_vec(comm, x, x_good);
 
         // Each pass is one CG recurrence: the first from the caller's x₀, a

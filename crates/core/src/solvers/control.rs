@@ -10,7 +10,7 @@
 //! wrappers at the bottom carry that out on `x` / `x_good`.
 
 use super::{copy_vec, snapshot_vec, RecoveryConfig, SolveOutcome, SolveStats, SolverConfig};
-use pop_comm::{Communicator, StatsSnapshot};
+use pop_comm::{BlockVec, Communicator, StatsSnapshot};
 use pop_obs::SolveObs;
 
 /// Restart bookkeeping: feed it every *reduced* relative residual, act on
@@ -289,8 +289,8 @@ impl SolveCtl {
         cfg: &SolverConfig,
         rr: f64,
         cadence: bool,
-        x: &mut C::Vec,
-        x_good: &mut C::Vec,
+        x: &mut C::Vec<BlockVec>,
+        x_good: &mut C::Vec<BlockVec>,
     ) -> Check {
         let check = self.check(cfg, rr, cadence, &|| comm.stats());
         match check {
@@ -309,8 +309,8 @@ impl SolveCtl {
         comm: &C,
         cfg: &SolverConfig,
         rr_sweep: &C::Sweep,
-        x: &mut C::Vec,
-        x_good: &mut C::Vec,
+        x: &mut C::Vec<BlockVec>,
+        x_good: &mut C::Vec<BlockVec>,
     ) -> Check {
         self.obs.phase("iterate", || comm.stats());
         let rr = comm.reduce_sweep(rr_sweep, 1)[0];
@@ -326,8 +326,8 @@ impl SolveCtl {
         comm: &C,
         cfg: &SolverConfig,
         rr_sweep: Option<&C::Sweep>,
-        x: &mut C::Vec,
-        x_good: &mut C::Vec,
+        x: &mut C::Vec<BlockVec>,
+        x_good: &mut C::Vec<BlockVec>,
     ) -> SolveStats {
         if self.running() {
             let rr = rr_sweep

@@ -19,7 +19,7 @@ use super::{
 use crate::lanczos::EigenBounds;
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
-use pop_comm::{CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
+use pop_comm::{BlockVec, CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
 use pop_stencil::NinePoint;
 
 /// Preconditioned Classical Stiefel Iteration.
@@ -157,11 +157,11 @@ impl Pcsi {
         pre: &dyn Preconditioner,
         comm: &C,
         inv_gamma: f64,
-        b: &C::Vec,
-        x: &mut C::Vec,
-        r: &mut C::Vec,
-        z: &mut C::Vec,
-        dx: &mut C::Vec,
+        b: &C::Vec<BlockVec>,
+        x: &mut C::Vec<BlockVec>,
+        r: &mut C::Vec<BlockVec>,
+        z: &mut C::Vec<BlockVec>,
+        dx: &mut C::Vec<BlockVec>,
         ctl: &mut SolveCtl,
     ) -> C::Sweep {
         let masks = &b.layout().masks;
@@ -213,10 +213,10 @@ impl CommSolver for Pcsi {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        b: &C::Vec,
-        x: &mut C::Vec,
+        b: &C::Vec<BlockVec>,
+        x: &mut C::Vec<BlockVec>,
         cfg: &SolverConfig,
-        ws: &mut SolverWorkspace<C::Vec>,
+        ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
     ) -> SolveStats {
         let mut ctl = SolveCtl::new(cfg, self.name(), pre.name(), comm.stats());
         ctl.bnorm = rhs_norm(comm, b);
@@ -225,7 +225,7 @@ impl CommSolver for Pcsi {
         ctl.obs.eigen(self.bounds.nu, self.bounds.mu);
         let (alpha, gamma) = self.chebyshev();
 
-        let [r, z, dx, x_good] = ws.take(comm, b);
+        let [r, z, dx, x_good] = ws.take(comm, b, 1);
         copy_vec(comm, x, x_good);
 
         // Each pass of this loop is one Chebyshev recurrence: the first

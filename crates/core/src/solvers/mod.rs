@@ -18,7 +18,7 @@ pub use pcg::ClassicPcg;
 pub use pipecg::PipelinedCg;
 
 use crate::precond::Preconditioner;
-use pop_comm::{CommVec, CommWorld, Communicator, DistLayout, DistVec, StatsSnapshot};
+use pop_comm::{BlockVec, CommVec, CommWorld, Communicator, DistLayout, DistVec, StatsSnapshot};
 use pop_obs::ObsSink;
 use pop_stencil::NinePoint;
 use std::sync::Arc;
@@ -162,7 +162,11 @@ pub(crate) fn baseline_outcome(converged: bool, final_rel: f64) -> SolveOutcome 
 /// Copy `src`'s interior into `dst` through a fused sweep (no reduction is
 /// consumed, no halo is touched): the snapshot/restore primitive of the
 /// recovery path. Works on any communicator's vectors.
-pub(crate) fn copy_vec<C: Communicator>(comm: &C, src: &mut C::Vec, dst: &mut C::Vec) {
+pub(crate) fn copy_vec<C: Communicator>(
+    comm: &C,
+    src: &mut C::Vec<BlockVec>,
+    dst: &mut C::Vec<BlockVec>,
+) {
     let _ = comm.for_each_block_fused([dst, src], |_, [d, s]| {
         d.raw_mut().copy_from_slice(s.raw());
         [0.0; pop_comm::MAX_SWEEP_PARTIALS]
@@ -178,7 +182,11 @@ pub(crate) fn copy_vec<C: Communicator>(comm: &C, src: &mut C::Vec, dst: &mut C:
 /// restore a finite field. The per-block decision is purely local — blocks
 /// are rank-private, so no cross-rank agreement is needed — and on a
 /// fault-free run it degenerates to `copy_vec` with an extra read pass.
-pub(crate) fn snapshot_vec<C: Communicator>(comm: &C, src: &mut C::Vec, dst: &mut C::Vec) {
+pub(crate) fn snapshot_vec<C: Communicator>(
+    comm: &C,
+    src: &mut C::Vec<BlockVec>,
+    dst: &mut C::Vec<BlockVec>,
+) {
     let _ = comm.for_each_block_fused([dst, src], |_, [d, s]| {
         if s.raw().iter().all(|v| v.is_finite()) {
             d.raw_mut().copy_from_slice(s.raw());
@@ -212,21 +220,23 @@ pub struct SolveStats {
     pub residual_history: Vec<(usize, f64)>,
 }
 
-/// Reusable vector arena for the fused solver loops.
+/// Reusable vector arena for the fused solver loops, single-RHS and
+/// batched alike.
 ///
 /// [`SolverWorkspace::take`] hands out `N` zeroed vectors matching a model
-/// vector's view, allocating only on first use or when the layout changes.
-/// POP calls the barotropic solver every time step on the same
+/// vector's view, allocating only on first use or when the (layout, width)
+/// key changes. POP calls the barotropic solver every time step on the same
 /// decomposition, so steady-state solves reuse these buffers and the
 /// iteration loops do zero heap allocation (DESIGN.md, "Fused execution
 /// model").
 ///
 /// Generic over the vector type so the same workspace discipline serves the
-/// shared-memory [`DistVec`] path and a rank runtime's private-slice
-/// vectors; the default parameter keeps existing `SolverWorkspace` call
-/// sites unchanged.
+/// shared-memory [`DistVec`] path, a rank runtime's private-slice vectors
+/// and both runtimes' `k`-wide batched vectors; the default parameter keeps
+/// existing `SolverWorkspace` call sites unchanged.
 pub struct SolverWorkspace<V = DistVec> {
     layout: Option<Arc<DistLayout>>,
+    width: usize,
     vecs: Vec<V>,
 }
 
@@ -234,6 +244,7 @@ impl<V> Default for SolverWorkspace<V> {
     fn default() -> Self {
         SolverWorkspace {
             layout: None,
+            width: 0,
             vecs: Vec::new(),
         }
     }
@@ -244,22 +255,25 @@ impl<V: CommVec> SolverWorkspace<V> {
         Self::default()
     }
 
-    /// Borrow `N` vectors with the same view as `model`, zeroed exactly as
-    /// fresh allocations would be (interior *and* halo), so a warm-started
-    /// solve is bit-identical to a cold one.
-    pub fn take<const N: usize, C: Communicator<Vec = V>>(
+    /// Borrow `N` vectors of `width` values per point with the same view as
+    /// `model`, zeroed exactly as fresh allocations would be (interior *and*
+    /// halo), so a warm-started solve is bit-identical to a cold one.
+    pub fn take<const N: usize, C: Communicator<Vec<V::Tile> = V>>(
         &mut self,
         comm: &C,
-        model: &V,
+        model: &C::Vec<BlockVec>,
+        width: usize,
     ) -> [&mut V; N] {
         let layout = model.layout();
-        let same = self.layout.as_ref().is_some_and(|l| Arc::ptr_eq(l, layout));
+        let same =
+            self.layout.as_ref().is_some_and(|l| Arc::ptr_eq(l, layout)) && self.width == width;
         if !same {
             self.vecs.clear();
             self.layout = Some(Arc::clone(layout));
+            self.width = width;
         }
         while self.vecs.len() < N {
-            self.vecs.push(comm.alloc_like(model));
+            self.vecs.push(comm.alloc::<V::Tile>(model, width));
         }
         let mut iter = self.vecs[..N].iter_mut();
         std::array::from_fn(|_| {
@@ -336,10 +350,10 @@ pub trait CommSolver: LinearSolver {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        b: &C::Vec,
-        x: &mut C::Vec,
+        b: &C::Vec<BlockVec>,
+        x: &mut C::Vec<BlockVec>,
         cfg: &SolverConfig,
-        ws: &mut SolverWorkspace<C::Vec>,
+        ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
     ) -> SolveStats;
 }
 
@@ -347,7 +361,7 @@ pub trait CommSolver: LinearSolver {
 /// instead of dividing by zero. Computed through the fused sweep so the
 /// solver setup path stays allocation-free; bit-identical to
 /// `world.norm2_sq(b).sqrt()`.
-pub(crate) fn rhs_norm<C: Communicator>(comm: &C, b: &C::Vec) -> f64 {
+pub(crate) fn rhs_norm<C: Communicator>(comm: &C, b: &C::Vec<BlockVec>) -> f64 {
     comm.dot_fused(b, b).sqrt().max(1e-300)
 }
 

@@ -11,7 +11,7 @@ use super::{
 };
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
-use pop_comm::{CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
+use pop_comm::{BlockVec, CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
 use pop_stencil::NinePoint;
 
 /// Classic PCG (Hestenes–Stiefel with preconditioning).
@@ -117,11 +117,11 @@ impl ClassicPcg {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        b: &C::Vec,
-        x: &mut C::Vec,
-        r: &mut C::Vec,
-        z: &mut C::Vec,
-        p: &mut C::Vec,
+        b: &C::Vec<BlockVec>,
+        x: &mut C::Vec<BlockVec>,
+        r: &mut C::Vec<BlockVec>,
+        z: &mut C::Vec<BlockVec>,
+        p: &mut C::Vec<BlockVec>,
         ctl: &mut SolveCtl,
     ) -> (C::Sweep, f64) {
         let masks = &b.layout().masks;
@@ -157,16 +157,16 @@ impl CommSolver for ClassicPcg {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        b: &C::Vec,
-        x: &mut C::Vec,
+        b: &C::Vec<BlockVec>,
+        x: &mut C::Vec<BlockVec>,
         cfg: &SolverConfig,
-        ws: &mut SolverWorkspace<C::Vec>,
+        ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
     ) -> SolveStats {
         let mut ctl = SolveCtl::new(cfg, self.name(), pre.name(), comm.stats());
         ctl.bnorm = rhs_norm(comm, b);
         let layout = std::sync::Arc::clone(b.layout());
 
-        let [r, z, p, ap, x_good] = ws.take(comm, b);
+        let [r, z, p, ap, x_good] = ws.take(comm, b, 1);
         copy_vec(comm, x, x_good);
 
         let mut rr_sweep;

@@ -24,7 +24,7 @@ use super::{
 };
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
-use pop_comm::{CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
+use pop_comm::{BlockVec, CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
 use pop_stencil::NinePoint;
 
 /// Pipelined PCG.
@@ -153,11 +153,11 @@ impl PipelinedCg {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        b: &C::Vec,
-        x: &mut C::Vec,
-        r: &mut C::Vec,
-        u: &mut C::Vec,
-        w: &mut C::Vec,
+        b: &C::Vec<BlockVec>,
+        x: &mut C::Vec<BlockVec>,
+        r: &mut C::Vec<BlockVec>,
+        u: &mut C::Vec<BlockVec>,
+        w: &mut C::Vec<BlockVec>,
         ctl: &mut SolveCtl,
     ) {
         let masks = &b.layout().masks;
@@ -189,16 +189,16 @@ impl CommSolver for PipelinedCg {
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        b: &C::Vec,
-        x: &mut C::Vec,
+        b: &C::Vec<BlockVec>,
+        x: &mut C::Vec<BlockVec>,
         cfg: &SolverConfig,
-        ws: &mut SolverWorkspace<C::Vec>,
+        ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
     ) -> SolveStats {
         let mut ctl = SolveCtl::new(cfg, self.name(), pre.name(), comm.stats());
         ctl.bnorm = rhs_norm(comm, b);
         let layout = std::sync::Arc::clone(b.layout());
 
-        let [r, u, w, m, n, z, q, s, p, x_good] = ws.take(comm, b);
+        let [r, u, w, m, n, z, q, s, p, x_good] = ws.take(comm, b, 1);
         copy_vec(comm, x, x_good);
 
         'recurrence: loop {

@@ -17,7 +17,8 @@
 //! Pieces:
 //!
 //! - [`RankWorld`] / [`RankComm`] — the runtime ([`runtime`]).
-//! - [`RankVec`] — a rank's private blocks ([`vec`]).
+//! - [`RankField`] ([`RankVec`], [`MultiRankVec`]) — a rank's private blocks
+//!   ([`vec`]).
 //! - [`NetworkModel`] ([`ZeroCost`], [`LatencyBandwidth`],
 //!   [`HierarchicalNet`]) — what a message costs in simulated seconds,
 //!   optionally node-aware ([`net`]).
@@ -69,4 +70,4 @@ pub use runtime::{
     sim_time, RankComm, RankExecutor, RankReport, RankSimConfig, RankSweep, RankWorld,
 };
 pub use trace::{chrome_trace_json, write_chrome_trace, Span, SpanKind};
-pub use vec::{MultiRankVec, RankVec};
+pub use vec::{MultiRankVec, RankField, RankVec};

@@ -41,11 +41,11 @@ use crate::collective::ReduceAlgo;
 use crate::fault::{shuffle, FaultPlan, SeqTracker};
 use crate::net::NetworkModel;
 use crate::trace::{Span, SpanKind};
-use crate::vec::{MultiRankVec, RankVec};
+use crate::vec::{RankField, RankVec};
 use pop_comm::halo::{recv_region, CopyRegion};
 use pop_comm::{
-    masked_block_dot, BlockVec, CommVec, Communicator, DistLayout, DistVec, MultiBlockVec,
-    MultiCommVec, StatsSnapshot, SweepPartials, MAX_SWEEP_PARTIALS,
+    masked_block_dot, CommVec, Communicator, DistLayout, DistVec, StatsSnapshot, SweepPartials,
+    Tile, MAX_SWEEP_PARTIALS,
 };
 use pop_grid::sfc::CurveKind;
 use pop_grid::{Direction, RankAssignment};
@@ -1256,7 +1256,7 @@ impl RankComm {
 
     /// A zeroed rank-private vector over this rank's blocks.
     pub fn zeros(&self) -> RankVec {
-        RankVec::zeros(&self.layout, &self.owned, &self.local_of)
+        RankVec::zeros(&self.layout, &self.owned, &self.local_of, 1)
     }
 
     /// Copy this rank's slice out of a full shared-memory vector (the
@@ -1333,20 +1333,9 @@ impl RankComm {
         self.push_span(SpanKind::Compute, t0, t1);
     }
 
-    fn check_view(&self, v: &RankVec) {
+    fn check_view<T: Tile>(&self, v: &RankField<T>) {
         assert!(
             Arc::ptr_eq(&self.layout, v.layout()),
-            "operand uses a different layout"
-        );
-        assert!(
-            Arc::ptr_eq(&self.owned, v.owned_arc()),
-            "operand belongs to a different rank's view"
-        );
-    }
-
-    fn check_view_multi(&self, v: &MultiRankVec) {
-        assert!(
-            Arc::ptr_eq(&self.layout, MultiCommVec::layout(v)),
             "operand uses a different layout"
         );
         assert!(
@@ -1802,7 +1791,7 @@ impl RankComm {
     /// wait is eager ([`Communicator::halo_update`]) or overlapped with
     /// interior compute (`halo_sweep_fused` under
     /// [`RankSimConfig::overlap_halo`]).
-    fn halo_exchange_data(&self, v: &mut RankVec) -> f64 {
+    fn halo_exchange_data<T: Tile>(&self, v: &mut RankField<T>) -> f64 {
         let epoch = self.halo_epoch.get();
         self.halo_epoch.set(epoch + 1);
         self.stats
@@ -1817,7 +1806,7 @@ impl RankComm {
             Vec::with_capacity(self.plan.sends[self.rank].len());
         for &(dst_rank, e) in &self.plan.sends[self.rank] {
             let r = e.region;
-            let mut data = Vec::with_capacity(r.w * r.h);
+            let mut data = Vec::new();
             v.block(e.src_block)
                 .extract_region(r.src_i, r.src_j, r.w, r.h, &mut data);
             let (seq, f) = self.next_message(dst_rank, true);
@@ -1911,22 +1900,25 @@ impl RankComm {
     /// the clock themselves ([`Communicator::for_each_block_fused`] charges
     /// the whole sweep after; the split-phase path charges core and edge
     /// points around the strip wait instead).
-    fn sweep_blocks<const M: usize, F>(&self, mut muts: [&mut RankVec; M], kernel: F) -> RankSweep
+    fn sweep_blocks<T: Tile, const M: usize, F>(
+        &self,
+        mut muts: [&mut RankField<T>; M],
+        kernel: F,
+    ) -> RankSweep
     where
-        F: Fn(usize, &mut [&mut BlockVec; M]) -> SweepPartials,
+        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials,
     {
         assert!(M > 0, "fused sweep needs a mutable operand");
         for v in &muts {
             self.check_view(v);
         }
-        let bases: [*mut BlockVec; M] = muts.each_mut().map(|v| v.blocks.as_mut_ptr());
+        let bases: [*mut T; M] = muts.each_mut().map(|v| v.blocks.as_mut_ptr());
         let mut rows = Vec::with_capacity(self.owned.len());
         for (li, &gb) in self.owned.iter().enumerate() {
-            // SAFETY: distinct `&mut RankVec` operands are disjoint by the
+            // SAFETY: distinct `&mut RankField` operands are disjoint by the
             // borrow checker, the loop is single-threaded, and each local
             // index names a distinct tile of each operand.
-            let mut tiles: [&mut BlockVec; M] =
-                std::array::from_fn(|m| unsafe { &mut *bases[m].add(li) });
+            let mut tiles: [&mut T; M] = std::array::from_fn(|m| unsafe { &mut *bases[m].add(li) });
             rows.push((gb as u32, kernel(gb, &mut tiles)));
         }
         RankSweep { rows }
@@ -1944,7 +1936,7 @@ impl RankComm {
 }
 
 impl Communicator for RankComm {
-    type Vec = RankVec;
+    type Vec<T: Tile> = RankField<T>;
     type Sweep = RankSweep;
 
     fn stats(&self) -> StatsSnapshot {
@@ -1963,15 +1955,19 @@ impl Communicator for RankComm {
         }
     }
 
-    fn alloc_like(&self, model: &RankVec) -> RankVec {
+    fn alloc<T: Tile>(&self, model: &RankVec, width: usize) -> RankField<T> {
         self.check_view(model);
-        self.zeros()
+        RankField::zeros(&self.layout, &self.owned, &self.local_of, width)
     }
 
     /// The halo exchange as real point-to-point traffic: post every remote
     /// strip as a message, copy rank-local strips directly, then wait for
-    /// the expected arrivals and advance the clock to the latest one.
-    fn halo_update(&self, v: &mut RankVec) {
+    /// the expected arrivals and advance the clock to the latest one. A
+    /// `k`-wide field uses the same plan, epochs and one [`Msg::Halo`] per
+    /// (block, direction) strip, each payload carrying all `k` values of
+    /// its points (`k×` bytes, message count flat in `k`). A halo epoch is
+    /// globally one width (SPMD lockstep), so payload shapes never mix.
+    fn halo_update<T: Tile>(&self, v: &mut RankField<T>) {
         self.check_view(v);
         self.charge_stall();
         let t0 = self.clock.get();
@@ -1990,14 +1986,14 @@ impl Communicator for RankComm {
     /// bit-identical; only the simulated clocks (and the span shapes) see
     /// the overlap. Total charged compute equals the eager path's, hence
     /// overlap can only ever *shorten* the simulated iteration.
-    fn halo_sweep_fused<const M: usize, F>(
+    fn halo_sweep_fused<T: Tile, const M: usize, F>(
         &self,
-        hv: &mut RankVec,
-        muts: [&mut RankVec; M],
+        hv: &mut RankField<T>,
+        muts: [&mut RankField<T>; M],
         kernel: F,
     ) -> RankSweep
     where
-        F: Fn(usize, &RankVec, &mut [&mut BlockVec; M]) -> SweepPartials + Sync,
+        F: Fn(usize, &RankField<T>, &mut [&mut T; M]) -> SweepPartials + Sync,
     {
         if !self.cfg.overlap_halo {
             self.halo_update(hv);
@@ -2022,13 +2018,13 @@ impl Communicator for RankComm {
         self.sweep_blocks(muts, move |gb, tiles| kernel(gb, hv, tiles))
     }
 
-    fn for_each_block_fused<const M: usize, F>(
+    fn for_each_block_fused<T: Tile, const M: usize, F>(
         &self,
-        muts: [&mut RankVec; M],
+        muts: [&mut RankField<T>; M],
         kernel: F,
     ) -> RankSweep
     where
-        F: Fn(usize, &mut [&mut BlockVec; M]) -> SweepPartials + Sync,
+        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync,
     {
         let sweep = self.sweep_blocks(muts, kernel);
         self.charge_compute();
@@ -2053,143 +2049,6 @@ impl Communicator for RankComm {
             .collect();
         self.charge_compute();
         self.reduce_rows(&rows, 1)[0]
-    }
-
-    type MultiVec = MultiRankVec;
-
-    fn alloc_multi(&self, model: &RankVec, groups: usize) -> MultiRankVec {
-        self.check_view(model);
-        MultiRankVec::zeros(&self.layout, &self.owned, &self.local_of, groups)
-    }
-
-    /// The batched halo exchange: identical message structure to
-    /// [`Communicator::halo_update`] — same plan, same epochs, one
-    /// [`Msg::Halo`] per (block, direction) strip — with each payload
-    /// carrying all `k` lanes of the strip (`k×` bytes, message count
-    /// flat in `k`). A halo epoch is globally either single- or multi-RHS
-    /// (SPMD lockstep), so payload shapes never mix.
-    fn halo_update_multi(&self, v: &mut MultiRankVec) {
-        self.check_view_multi(v);
-        self.charge_stall();
-        let epoch = self.halo_epoch.get();
-        self.halo_epoch.set(epoch + 1);
-        let t0 = self.clock.get();
-        self.stats
-            .halo_updates
-            .set(self.stats.halo_updates.get() + 1);
-
-        let mut burst: Vec<(usize, u64, bool, Msg)> =
-            Vec::with_capacity(self.plan.sends[self.rank].len());
-        for &(dst_rank, e) in &self.plan.sends[self.rank] {
-            let r = e.region;
-            let mut data = Vec::new();
-            MultiCommVec::block(v, e.src_block)
-                .extract_region(r.src_i, r.src_j, r.w, r.h, &mut data);
-            let (seq, f) = self.next_message(dst_rank, true);
-            if f.poison {
-                for x in data.iter_mut() {
-                    *x = f64::NAN;
-                }
-            }
-            let avail = self.clock.get()
-                + self.net.p2p_between(self.rank, dst_rank, data.len() * 8)
-                + f.extra_delay;
-            burst.push((
-                dst_rank,
-                seq,
-                f.duplicate,
-                Msg::Halo {
-                    epoch,
-                    dst_block: e.dst_block as u32,
-                    dir: e.dir,
-                    data,
-                    poisoned: f.poison,
-                    avail_at: avail,
-                },
-            ));
-        }
-        if let Some(shuffle_seed) = self.cfg.faults.reorder(self.rank, epoch) {
-            shuffle(&mut burst, shuffle_seed);
-        }
-        for (dst, seq, dup, msg) in burst {
-            self.post(dst, seq, dup, msg);
-        }
-
-        for blk in v.blocks.iter_mut() {
-            blk.zero_halo();
-        }
-
-        let mut msgs = 0u64;
-        let mut elems = 0u64;
-
-        let mut buf = Vec::new();
-        for e in &self.plan.locals[self.rank] {
-            let r = e.region;
-            MultiCommVec::block(v, e.src_block)
-                .extract_region(r.src_i, r.src_j, r.w, r.h, &mut buf);
-            msgs += 1;
-            elems += buf.len() as u64;
-            v.block_mut(e.dst_block)
-                .copy_region(r.dst_i, r.dst_j, &buf, r.w, r.h);
-        }
-
-        let mut arrive = self.clock.get();
-        for e in &self.plan.recvs[self.rank] {
-            let HaloArrival {
-                data,
-                avail_at,
-                poisoned,
-            } = self
-                .inbox
-                .borrow_mut()
-                .recv_halo(epoch, e.dst_block as u32, e.dir);
-            if poisoned {
-                self.stats
-                    .delivery_failures
-                    .set(self.stats.delivery_failures.get() + 1);
-            }
-            let r = e.region;
-            msgs += 1;
-            elems += data.len() as u64;
-            v.block_mut(e.dst_block)
-                .copy_region(r.dst_i, r.dst_j, &data, r.w, r.h);
-            arrive = arrive.max(avail_at);
-        }
-        self.clock.set(arrive);
-
-        self.stats
-            .halo_messages
-            .set(self.stats.halo_messages.get() + msgs);
-        self.stats
-            .halo_bytes
-            .set(self.stats.halo_bytes.get() + elems * std::mem::size_of::<f64>() as u64);
-        self.push_span(SpanKind::Halo, t0, self.clock.get());
-    }
-
-    fn for_each_block_multi<const M: usize, F>(
-        &self,
-        mut muts: [&mut MultiRankVec; M],
-        kernel: F,
-    ) -> RankSweep
-    where
-        F: Fn(usize, &mut [&mut MultiBlockVec; M]) -> SweepPartials + Sync,
-    {
-        assert!(M > 0, "fused sweep needs a mutable operand");
-        for v in &muts {
-            self.check_view_multi(v);
-        }
-        let bases: [*mut MultiBlockVec; M] = muts.each_mut().map(|v| v.blocks.as_mut_ptr());
-        let mut rows = Vec::with_capacity(self.owned.len());
-        for (li, &gb) in self.owned.iter().enumerate() {
-            // SAFETY: distinct `&mut MultiRankVec` operands are disjoint by
-            // the borrow checker, the loop is single-threaded, and each
-            // local index names a distinct tile of each operand.
-            let mut tiles: [&mut MultiBlockVec; M] =
-                std::array::from_fn(|m| unsafe { &mut *bases[m].add(li) });
-            rows.push((gb as u32, kernel(gb, &mut tiles)));
-        }
-        self.charge_compute();
-        RankSweep { rows }
     }
 }
 
@@ -2488,6 +2347,84 @@ mod tests {
             }
             assert_eq!(msgs, shared_stats.halo_messages, "p={p} message count");
             assert_eq!(bytes, shared_stats.halo_bytes, "p={p} byte volume");
+        }
+    }
+
+    /// The one generic exchange is lane-transparent under message passing
+    /// too: every lane of a batched field comes out bitwise as the
+    /// shared-memory single-RHS exchange of its source, each rank sending
+    /// the same messages with `width×` the bytes — with idle ranks in the
+    /// world and under a benign (delay + reorder + duplicate) fault plan.
+    #[test]
+    fn halo_update_is_lane_transparent() {
+        use crate::fault::FaultConfig;
+        use crate::vec::MultiRankVec;
+        use pop_comm::BlockVec;
+        use pop_simd::LANES;
+        let layout = layout();
+        let shared = CommWorld::serial();
+        let quiet = RankSimConfig::default();
+        let benign = quiet.with_faults(FaultPlan::seeded(2015, FaultConfig::benign()));
+        for k in [1usize, 3, 5] {
+            let width = k.next_multiple_of(LANES);
+            // Stale halos everywhere, so the exchange has something to fix.
+            let srcs: Vec<DistVec> = (0..k)
+                .map(|l| {
+                    let mut v = DistVec::zeros(&layout);
+                    v.blocks.iter_mut().for_each(|b| b.fill(9.5));
+                    v.fill_with(|i, j| ((1 + l) * (1 + i * 7 + j * 131)) as f64);
+                    v
+                })
+                .collect();
+            let want: Vec<DistVec> = srcs
+                .iter()
+                .map(|src| {
+                    let mut v = src.clone();
+                    shared.halo_update(&mut v);
+                    v
+                })
+                .collect();
+            let cases = [
+                (1, quiet),
+                (3, quiet),
+                (3, benign),
+                (layout.n_blocks() + 3, quiet),
+            ];
+            for (p, cfg) in cases {
+                let w = RankWorld::new(&layout, p, Arc::new(ZeroCost), cfg);
+                let reports = w.run(|comm| {
+                    let mut sv = comm.import(&srcs[0]);
+                    comm.halo_update(&mut sv);
+                    let single = comm.stats();
+                    let mut mv: MultiRankVec = comm.alloc(&sv, width);
+                    for (l, src) in srcs.iter().enumerate() {
+                        for &gb in comm.owned_blocks() {
+                            mv.block_mut(gb)
+                                .load_lane(l / LANES, l % LANES, &src.blocks[gb]);
+                        }
+                    }
+                    comm.halo_update(&mut mv);
+                    (single, comm.stats().since(&single), mv.into_blocks())
+                });
+                for rep in reports {
+                    let (single, multi, blocks) = rep.result;
+                    let tag = format!("k={k} p={p} rank {}", rep.rank);
+                    assert_eq!(multi.halo_messages, single.halo_messages, "{tag}");
+                    assert_eq!(multi.halo_bytes, width as u64 * single.halo_bytes, "{tag}");
+                    assert_eq!(multi.delivery_failures, 0, "{tag}");
+                    for (gb, mb) in blocks {
+                        for (l, v) in want.iter().enumerate() {
+                            let wb = &v.blocks[gb];
+                            let mut got = BlockVec::zeros(wb.nx, wb.ny, wb.halo);
+                            mb.store_lane(l / LANES, l % LANES, &mut got);
+                            let bits = |t: &BlockVec| {
+                                t.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                            };
+                            assert_eq!(bits(&got), bits(wb), "{tag} block {gb} lane {l}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -1,73 +1,87 @@
-//! [`RankVec`]: the slice of a distributed field that one simulated rank
+//! [`RankField`]: the slice of a distributed field that one simulated rank
 //! privately owns.
 //!
-//! Unlike [`DistVec`](pop_comm::DistVec), which holds every block of the
-//! decomposition in one address space, a `RankVec` holds only the blocks
-//! assigned to one rank. Blocks are still addressed by **global** active
-//! block id — the id space the solver kernels speak — and touching a block
-//! the rank does not own is a hard panic: under the rank runtime there is
-//! no shared memory to silently read through, exactly as on real MPI ranks.
+//! Unlike [`DistField`], which holds every block of the decomposition in one
+//! address space, a `RankField` holds only the blocks assigned to one rank.
+//! Blocks are still addressed by **global** active block id — the id space
+//! the solver kernels speak — and touching a block the rank does not own is
+//! a hard panic: under the rank runtime there is no shared memory to
+//! silently read through, exactly as on real MPI ranks.
 
-use pop_comm::{BlockVec, CommVec, DistLayout, DistVec, MultiBlockVec, MultiCommVec};
+use pop_comm::{BlockVec, CommVec, DistField, DistLayout, MultiBlockVec, Tile};
 use std::sync::Arc;
 
-/// One rank's private blocks of a distributed field.
+/// One rank's private blocks of a distributed field. Its two instances are
+/// [`RankVec`] and [`MultiRankVec`].
 #[derive(Debug, Clone)]
-pub struct RankVec {
+pub struct RankField<T: Tile> {
     layout: Arc<DistLayout>,
     /// Global ids of the blocks this rank owns, sorted ascending.
     owned: Arc<Vec<usize>>,
     /// Global block id -> index into `blocks`; `u32::MAX` marks blocks
     /// owned by other ranks.
     local_of: Arc<Vec<u32>>,
-    pub(crate) blocks: Vec<BlockVec>,
+    /// Values per grid point — stored, so a rank that owns no blocks still
+    /// knows the width of the batch it takes part in.
+    width: usize,
+    pub(crate) blocks: Vec<T>,
 }
 
-impl RankVec {
-    /// A zero-filled rank-private vector over `owned`.
+/// One rank's slice of a single-RHS field.
+pub type RankVec = RankField<BlockVec>;
+
+/// One rank's slice of a `k`-wide batched field.
+pub type MultiRankVec = RankField<MultiBlockVec>;
+
+impl<T: Tile> RankField<T> {
+    /// A zero-filled rank-private field over `owned`, `width` values per
+    /// point.
     pub(crate) fn zeros(
         layout: &Arc<DistLayout>,
         owned: &Arc<Vec<usize>>,
         local_of: &Arc<Vec<u32>>,
+        width: usize,
     ) -> Self {
         let blocks = owned
             .iter()
             .map(|&gb| {
                 let info = &layout.decomp.blocks[gb];
-                BlockVec::zeros(info.nx, info.ny, layout.halo)
+                T::zeros(info.nx, info.ny, layout.halo, width)
             })
             .collect();
-        RankVec {
+        RankField {
             layout: Arc::clone(layout),
             owned: Arc::clone(owned),
             local_of: Arc::clone(local_of),
+            width,
             blocks,
         }
     }
 
     /// Copy this rank's blocks (interior and halo) out of a full
-    /// shared-memory vector.
+    /// shared-memory field.
     pub(crate) fn from_dist(
-        src: &DistVec,
+        src: &DistField<T>,
         owned: &Arc<Vec<usize>>,
         local_of: &Arc<Vec<u32>>,
     ) -> Self {
         let blocks = owned.iter().map(|&gb| src.blocks[gb].clone()).collect();
-        RankVec {
+        RankField {
             layout: Arc::clone(&src.layout),
             owned: Arc::clone(owned),
             local_of: Arc::clone(local_of),
+            width: src.width(),
             blocks,
         }
     }
 
-    /// The global ids of the blocks this vector holds, sorted ascending.
+    /// The global ids of the blocks this field holds, sorted ascending.
     pub fn owned_blocks(&self) -> &[usize] {
         &self.owned
     }
 
-    /// Shared ownership marker: two `RankVec`s with the same `owned` Arc
-    /// belong to the same rank's view.
+    /// Shared ownership marker: two fields with the same `owned` Arc belong
+    /// to the same rank's view.
     pub(crate) fn owned_arc(&self) -> &Arc<Vec<usize>> {
         &self.owned
     }
@@ -85,113 +99,33 @@ impl RankVec {
     /// Mutable access to the tile of global block `gb`. Panics if the rank
     /// does not own it.
     #[inline]
-    pub fn block_mut(&mut self, gb: usize) -> &mut BlockVec {
+    pub fn block_mut(&mut self, gb: usize) -> &mut T {
         let li = self.local(gb);
         &mut self.blocks[li]
     }
 
-    /// Consume the vector into `(global_block_id, tile)` pairs, for
+    /// Consume the field into `(global_block_id, tile)` pairs, for
     /// assembling a full field from per-rank results.
-    pub fn into_blocks(self) -> Vec<(usize, BlockVec)> {
+    pub fn into_blocks(self) -> Vec<(usize, T)> {
         self.owned.iter().copied().zip(self.blocks).collect()
     }
 }
 
-/// One rank's private blocks of a `k`-wide multi-RHS field — the batched
-/// image of [`RankVec`]: same ownership discipline (global block ids,
-/// foreign blocks panic), [`MultiBlockVec`] tiles.
-#[derive(Debug, Clone)]
-pub struct MultiRankVec {
-    layout: Arc<DistLayout>,
-    owned: Arc<Vec<usize>>,
-    local_of: Arc<Vec<u32>>,
-    pub(crate) blocks: Vec<MultiBlockVec>,
-}
+impl<T: Tile> CommVec for RankField<T> {
+    type Tile = T;
 
-impl MultiRankVec {
-    /// A zero-filled rank-private multi vector over `owned`.
-    pub(crate) fn zeros(
-        layout: &Arc<DistLayout>,
-        owned: &Arc<Vec<usize>>,
-        local_of: &Arc<Vec<u32>>,
-        groups: usize,
-    ) -> Self {
-        let blocks = owned
-            .iter()
-            .map(|&gb| {
-                let info = &layout.decomp.blocks[gb];
-                MultiBlockVec::zeros(info.nx, info.ny, layout.halo, groups)
-            })
-            .collect();
-        MultiRankVec {
-            layout: Arc::clone(layout),
-            owned: Arc::clone(owned),
-            local_of: Arc::clone(local_of),
-            blocks,
-        }
-    }
-
-    /// The global ids of the blocks this vector holds, sorted ascending.
-    pub fn owned_blocks(&self) -> &[usize] {
-        &self.owned
-    }
-
-    /// Shared ownership marker (see [`RankVec::owned_arc`]).
-    pub(crate) fn owned_arc(&self) -> &Arc<Vec<usize>> {
-        &self.owned
-    }
-
-    #[inline]
-    fn local(&self, gb: usize) -> usize {
-        let li = self.local_of[gb];
-        assert!(
-            li != u32::MAX,
-            "block {gb} is owned by another rank; rank-private vectors have no shared memory to read through"
-        );
-        li as usize
-    }
-
-    /// Mutable access to the multi-tile of global block `gb`. Panics if the
-    /// rank does not own it.
-    #[inline]
-    pub fn block_mut(&mut self, gb: usize) -> &mut MultiBlockVec {
-        let li = self.local(gb);
-        &mut self.blocks[li]
-    }
-}
-
-impl MultiCommVec for MultiRankVec {
     #[inline]
     fn layout(&self) -> &Arc<DistLayout> {
         &self.layout
     }
 
     #[inline]
-    fn groups(&self) -> usize {
-        self.blocks.first().map_or(0, |b| b.groups())
+    fn width(&self) -> usize {
+        self.width
     }
 
     #[inline]
-    fn block(&self, gb: usize) -> &MultiBlockVec {
-        let li = self.local(gb);
-        &self.blocks[li]
-    }
-
-    fn zero_fill(&mut self) {
-        for b in &mut self.blocks {
-            b.fill(0.0);
-        }
-    }
-}
-
-impl CommVec for RankVec {
-    #[inline]
-    fn layout(&self) -> &Arc<DistLayout> {
-        &self.layout
-    }
-
-    #[inline]
-    fn block(&self, gb: usize) -> &BlockVec {
+    fn block(&self, gb: usize) -> &T {
         let li = self.local(gb);
         &self.blocks[li]
     }
@@ -206,6 +140,7 @@ impl CommVec for RankVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pop_comm::DistVec;
     use pop_grid::Grid;
 
     fn setup() -> (Arc<DistLayout>, Arc<Vec<usize>>, Arc<Vec<u32>>) {
@@ -223,7 +158,7 @@ mod tests {
     #[test]
     fn owns_only_assigned_blocks() {
         let (layout, owned, local_of) = setup();
-        let v = RankVec::zeros(&layout, &owned, &local_of);
+        let v = RankVec::zeros(&layout, &owned, &local_of, 1);
         assert_eq!(v.owned_blocks().len(), owned.len());
         let gb = owned[0];
         assert_eq!(v.block(gb).nx, layout.decomp.blocks[gb].nx);
@@ -233,7 +168,7 @@ mod tests {
     #[should_panic(expected = "owned by another rank")]
     fn foreign_block_panics() {
         let (layout, owned, local_of) = setup();
-        let v = RankVec::zeros(&layout, &owned, &local_of);
+        let v = RankVec::zeros(&layout, &owned, &local_of, 1);
         let _ = v.block(1); // odd ids belong to the "other rank"
     }
 

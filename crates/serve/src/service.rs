@@ -343,7 +343,8 @@ impl SolverService {
     /// Admission-controlled submit. Admission is synchronous: a returned
     /// [`Ticket`] means the request is queued (it can still be shed at
     /// dispatch if its deadline expires while waiting). Malformed requests
-    /// (foreign layout, non-positive tolerance) get [`Reject::Invalid`].
+    /// (foreign layout, non-positive tolerance, non-finite `b` or `x0`) get
+    /// [`Reject::Invalid`].
     pub fn submit(&self, req: SolveRequest) -> Result<Ticket, Reject> {
         let shared = &self.shared;
         if let Some(reason) = invalid_reason(&req) {
@@ -497,9 +498,16 @@ impl Drop for SolverService {
 /// Why a request can never be solved as submitted, if so. Checked at
 /// admission: inside a worker a foreign layout trips the batched engine's
 /// geometry assert (killing the worker and stranding its tenants' quota),
-/// and a tolerance no residual can get below burns `max_iters` iterations.
+/// a tolerance no residual can get below burns `max_iters` iterations, and
+/// a non-finite input burns the whole restart ladder on its way to
+/// `Diverged`.
 fn invalid_reason(req: &SolveRequest) -> Option<&'static str> {
     let layout = &req.op.layout;
+    let finite = |v: &DistVec| {
+        v.blocks
+            .iter()
+            .all(|b| b.raw().iter().all(|x| x.is_finite()))
+    };
     if !Arc::ptr_eq(&req.b.layout, layout) {
         Some("right-hand side is not on the operator's layout")
     } else if req
@@ -510,6 +518,10 @@ fn invalid_reason(req: &SolveRequest) -> Option<&'static str> {
         Some("initial guess is not on the operator's layout")
     } else if req.tol.is_nan() || req.tol <= 0.0 {
         Some("tolerance must be a positive number")
+    } else if !finite(&req.b) {
+        Some("right-hand side holds a non-finite value")
+    } else if req.x0.as_ref().is_some_and(|x0| !finite(x0)) {
+        Some("initial guess holds a non-finite value")
     } else {
         None
     }

@@ -151,8 +151,9 @@ fn queue_full_rejects_structurally() {
 /// Malformed requests are refused at the door with a structured reject:
 /// inside a worker a foreign layout would trip the batched engine's
 /// geometry assert (the worker dies, its tenants' quota is never released,
-/// a one-worker service wedges) and a tolerance nothing can reach would
-/// burn `max_iters` iterations.
+/// a one-worker service wedges), a tolerance nothing can reach would burn
+/// `max_iters` iterations, and a non-finite `b` or `x0` would burn the
+/// restart ladder to `Diverged`.
 #[test]
 fn invalid_requests_are_rejected_at_submit() {
     let p = problem(5);
@@ -170,6 +171,15 @@ fn invalid_requests_are_rejected_at_submit() {
     foreign_x0.x0 = Some(DistVec::zeros(&other.op.layout));
     let mut bad = vec![foreign_b, foreign_x0];
     bad.extend([0.0, -1.0, f64::NAN].map(|tol| request(&p, 0).with_tol(tol)));
+    for poison in [f64::NAN, f64::INFINITY] {
+        let mut bad_b = request(&p, 0);
+        bad_b.b.blocks[0].set(1, 1, poison);
+        let mut bad_x0 = request(&p, 0);
+        let mut x0 = DistVec::zeros(&p.op.layout);
+        x0.blocks[0].set(1, 1, poison);
+        bad_x0.x0 = Some(x0);
+        bad.extend([bad_b, bad_x0]);
+    }
     let n_bad = bad.len() as u64;
     for req in bad {
         let r = svc.submit(req).err().expect("malformed request admitted");

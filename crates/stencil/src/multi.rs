@@ -231,8 +231,8 @@ impl NinePoint {
 
     /// Batched `y_b = A x_b`: every lane of every group gets the single-RHS
     /// kernel's bits for its own RHS. `x`'s halo must be current (one
-    /// [`halo_update_multi`](pop_comm::Communicator::halo_update_multi) per
-    /// iteration, shared by all `k` RHS).
+    /// [`halo_update`](pop_comm::Communicator::halo_update) per iteration,
+    /// shared by all `k` RHS).
     pub fn apply_block_multi(&self, b: usize, x: &MultiBlockVec, y: &mut MultiBlockVec) {
         self.apply_block_multi_mode(pop_simd::mode(), b, x, y);
     }
@@ -381,8 +381,8 @@ mod tests {
         }
         for b in 0..layout.n_blocks() {
             let shape = &xs[0].blocks[b];
-            let mut mx = MultiBlockVec::like(shape, groups);
-            let mut mrhs = MultiBlockVec::like(shape, groups);
+            let mut mx = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
+            let mut mrhs = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
             for l in 0..k {
                 mx.load_lane(l / LANES, l % LANES, &xs[l].blocks[b]);
                 mrhs.load_lane(l / LANES, l % LANES, &rhss[l].blocks[b]);
@@ -410,11 +410,11 @@ mod tests {
             }
 
             for &mode in &modes {
-                let mut my = MultiBlockVec::like(shape, groups);
+                let mut my = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
                 my.fill(f64::NAN); // prove every interior lane is written
                 my.zero_halo();
                 op.apply_block_multi_mode(mode, b, &mx, &mut my);
-                let mut mr = MultiBlockVec::like(shape, groups);
+                let mut mr = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
                 mr.fill(f64::NAN);
                 mr.zero_halo();
                 let mut acc = vec![f64::NAN; k];

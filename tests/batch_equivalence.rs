@@ -16,7 +16,7 @@
 mod common;
 use common::{assert_same, observe, problem, solver_cfg, ModeGuard, Observables, Problem};
 use pop_baro::prelude::*;
-use pop_core::solvers::{BatchWorkspace, SolverWorkspace};
+use pop_core::solvers::{BatchWorkspace, SolveStats, SolverWorkspace};
 use pop_simd::SimdMode;
 use std::sync::Arc;
 
@@ -104,11 +104,36 @@ fn batch_ranksim(
         (stats, lanes)
     });
     let mut xs: Vec<DistVec> = bs.iter().map(|_| DistVec::zeros(&p.layout)).collect();
-    let mut stats0 = None;
+    // What every rank must agree on, owning blocks or not: the collectives
+    // it took part in and how far each lane ran.
+    let lockstep = |sts: &[SolveStats]| -> Vec<_> {
+        sts.iter()
+            .map(|st| {
+                let c = &st.comm;
+                (
+                    st.iterations,
+                    c.allreduces,
+                    c.allreduce_scalars,
+                    c.halo_updates,
+                )
+            })
+            .collect()
+    };
+    let mut stats0: Option<Vec<SolveStats>> = None;
     for rep in reports {
         let (st, lanes) = rep.result;
-        if rep.rank == 0 {
-            stats0 = Some(st);
+        match &stats0 {
+            None => {
+                assert_eq!(rep.rank, 0, "reports come in rank order");
+                stats0 = Some(st);
+            }
+            Some(st0) => assert_eq!(
+                lockstep(&st),
+                lockstep(st0),
+                "{} on {ranks} ranks: rank {} out of lockstep with rank 0",
+                kind.name(),
+                rep.rank
+            ),
         }
         for (l, blocks) in lanes.into_iter().enumerate() {
             for (gb, blk) in blocks {
@@ -168,11 +193,15 @@ fn batched_solves_match_single_rhs_bitwise_end_to_end() {
             {
                 assert_same(&tag("threaded", l), &base[l], got);
             }
-            for (l, got) in batch_ranksim(&p, pre, kind, 3, &bs, &cfg)
-                .iter()
-                .enumerate()
-            {
-                assert_same(&tag("ranksim", l), &base[l], got);
+            // 3 ranks share the blocks; `n_blocks + 3` leaves three ranks
+            // owning none, which must still run the batch at its real width.
+            for ranks in [3, p.layout.n_blocks() + 3] {
+                for (l, got) in batch_ranksim(&p, pre, kind, ranks, &bs, &cfg)
+                    .iter()
+                    .enumerate()
+                {
+                    assert_same(&tag(&format!("ranksim p={ranks}"), l), &base[l], got);
+                }
             }
         }
     }

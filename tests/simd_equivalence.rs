@@ -94,8 +94,8 @@ fn tile_bits(sub: &EvpSubBlock, mode: SimdMode, psi: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
 }
 
-/// A land-touching tile takes the dense-LU fallback; that path must also be
-/// identical under every dispatch mode (the LU factorization and
+/// A land-touching tile takes the band-LU fallback; that path must also be
+/// identical under every dispatch mode (the band factorization and
 /// back-substitution never vectorize — only the surrounding copy/masking
 /// does), including exact zeros on land outputs.
 #[test]
@@ -112,7 +112,7 @@ fn evp_lu_fallback_tile_is_bitwise_mode_invariant() {
         let sub = EvpSubBlock::new(&raw, reduced);
         assert!(
             !sub.uses_marching(),
-            "land tile must take the dense-LU fallback"
+            "land tile must take the band-LU fallback"
         );
         let psi = tile_rhs(64);
         let base = tile_bits(&sub, SimdMode::Scalar, &psi);
