@@ -23,7 +23,7 @@
 //! marching cost — the paper's §4.3 optimization, valid because those
 //! couplings are an order of magnitude smaller than the rest.
 
-use super::evp_multi::{self, MultiEvpScratch};
+use super::evp_multi::{self, Batched, LaneScratch, Member, Packed, PerTile, Shared, TileCoefs};
 use super::evp_simd::{self, MarchPlan};
 use super::tiling::{tile_block, Tile};
 use super::Preconditioner;
@@ -35,19 +35,26 @@ use pop_stencil::{DenseMatrix, LocalStencil, NinePoint};
 /// How a sub-block is solved.
 #[derive(Debug, Clone)]
 enum SubSolver {
-    /// EVP marching with the inverse influence matrix `R = W⁻¹`.
+    /// EVP marching with the inverse influence matrix `R = W⁻¹`. A marching
+    /// tile is all ocean, so it carries no mask.
     Evp {
-        r_inv: DenseMatrix,
+        /// `R`, row-major.
+        r_inv: Vec<f64>,
         /// `R` transposed into the lane layout (column-major, row count
         /// padded to `kp`) for the SIMD influence apply.
         r_inv_t: Vec<f64>,
         kp: usize,
-        /// Precomputed chain coefficients for the restructured march.
+        /// Every coefficient the restructured march reads.
         plan: MarchPlan,
     },
     /// Direct band-LU solve (land-touching tile, or an unstable or singular
     /// influence matrix).
-    Band(BandLu),
+    Band {
+        lu: BandLu,
+        /// Ocean mask of the *original* coefficients as `f64` mask words
+        /// (`all-ones`/`0.0`): outputs are zeroed on land, branch-free.
+        maskbits: Vec<f64>,
+    },
 }
 
 /// An exact solver for one sub-domain `B̃ x = ψ` (Dirichlet-0 exterior).
@@ -55,27 +62,7 @@ enum SubSolver {
 pub struct EvpSubBlock {
     pub nx: usize,
     pub ny: usize,
-    stencil: LocalStencil,
-    /// Ocean mask of the *original* coefficients; outputs are zeroed on land.
-    mask: Vec<u8>,
-    /// `f64` mask words (`all-ones`/`0.0`) for the branch-free copy-out.
-    maskbits: Vec<f64>,
     solver: SubSolver,
-    /// Pad indices of the guess line `e` and overshoot ring `f`, precomputed
-    /// at setup so `solve` never allocates (it runs per tile per iteration).
-    e_idx: Vec<usize>,
-    f_idx: Vec<usize>,
-}
-
-/// Pad-index forms of [`e_points`] / [`f_points`] for an `nx × ny` tile.
-fn line_indices(nx: usize, ny: usize) -> (Vec<usize>, Vec<usize>) {
-    let stride = nx + 2;
-    let to_idx = |pts: Vec<(usize, usize)>| {
-        pts.into_iter()
-            .map(|(i, j)| pad_idx(stride, i as isize, j as isize))
-            .collect()
-    };
-    (to_idx(e_points(nx, ny)), to_idx(f_points(nx, ny)))
 }
 
 /// Reusable scratch for [`EvpSubBlock::solve`].
@@ -88,6 +75,13 @@ pub struct EvpScratch {
     g: Vec<f64>,
     /// Contiguous-tile staging for the band solve (in place: `ψ` in, `x` out).
     x_t: Vec<f64>,
+}
+
+/// Branch-free masked select, the scalar image of `LaneF64::and_bits`:
+/// exactly `if ocean { v } else { 0.0 }` on all-ones / `+0.0` mask words.
+#[inline(always)]
+fn and_select(v: f64, maskword: f64) -> f64 {
+    f64::from_bits(v.to_bits() & maskword.to_bits())
 }
 
 impl EvpSubBlock {
@@ -104,48 +98,29 @@ impl EvpSubBlock {
     pub fn new(raw: &LocalStencil, reduced: bool) -> Self {
         let stencil = if reduced { raw.reduced() } else { raw.clone() };
         let (nx, ny) = (stencil.nx, stencil.ny);
-        let mut mask = vec![0u8; nx * ny];
-        for j in 0..ny as isize {
-            for i in 0..nx as isize {
-                mask[j as usize * nx + i as usize] = u8::from(raw.a0(i, j) > 0.0);
-            }
-        }
+        let cells = || (0..ny as isize).flat_map(|j| (0..nx as isize).map(move |i| (i, j)));
+        let mask: Vec<u8> = cells().map(|(i, j)| u8::from(raw.a0(i, j) > 0.0)).collect();
 
         // Marching requires a live corner coefficient at every interior
-        // center (it divides by ANE(i,j)).
-        let mut ane_max = 0.0f64;
-        for j in 0..ny as isize {
-            for i in 0..nx as isize {
-                ane_max = ane_max.max(stencil.ane(i, j).abs());
-            }
-        }
+        // center (it divides by ANE(i,j)) — which, on an assembled operator,
+        // implies that every point of the tile is ocean; that is required
+        // here too, so a marching tile never needs a land mask.
+        let ane_max = cells().fold(0.0f64, |m, (i, j)| m.max(stencil.ane(i, j).abs()));
         let floor = 1e-12 * ane_max;
         let marchable = ane_max > 0.0
-            && (0..ny as isize).all(|j| (0..nx as isize).all(|i| stencil.ane(i, j).abs() > floor));
+            && cells().all(|(i, j)| stencil.ane(i, j).abs() > floor)
+            && mask.iter().all(|&m| m != 0);
 
         let solver = marchable
             .then(|| Self::try_marching_setup(&stencil, reduced))
             .flatten()
-            .unwrap_or_else(|| {
-                SubSolver::Band(
-                    stencil
-                        .band_lu()
-                        .expect("sub-block principal submatrix must be positive definite"),
-                )
+            .unwrap_or_else(|| SubSolver::Band {
+                lu: stencil
+                    .band_lu()
+                    .expect("sub-block principal submatrix must be positive definite"),
+                maskbits: pop_simd::mask_bits(&mask),
             });
-
-        let (e_idx, f_idx) = line_indices(nx, ny);
-        let maskbits = pop_simd::mask_bits(&mask);
-        EvpSubBlock {
-            nx,
-            ny,
-            stencil,
-            mask,
-            maskbits,
-            solver,
-            e_idx,
-            f_idx,
-        }
+        EvpSubBlock { nx, ny, solver }
     }
 
     /// March out the influence matrix, invert it, and verify solve accuracy
@@ -154,57 +129,45 @@ impl EvpSubBlock {
     fn try_marching_setup(stencil: &LocalStencil, reduced: bool) -> Option<SubSolver> {
         let (nx, ny) = (stencil.nx, stencil.ny);
         let k = nx + ny - 1;
-        let e_list = e_points(nx, ny);
-        let f_list = f_points(nx, ny);
-        debug_assert_eq!(e_list.len(), k);
-        debug_assert_eq!(f_list.len(), k);
 
         // Chain coefficients exist because `marchable` held (ANE ≠ 0).
         let plan = MarchPlan::new(stencil, reduced);
         let mode = pop_simd::mode();
 
         // Influence matrix: column c = response on f to a unit guess on e[c].
-        let stride = nx + 2;
-        let mut xpad = vec![0.0; stride * (ny + 2)];
+        let mut xpad = vec![0.0; (nx + 2) * (ny + 2)];
+        let zero_row = vec![0.0; nx];
         let mut g = Vec::new();
         let mut w = DenseMatrix::zeros(k);
-        for (c, &(ei, ej)) in e_list.iter().enumerate() {
+        for (c, e) in evp_simd::e_line(nx, ny).enumerate() {
             xpad.fill(0.0);
-            xpad[pad_idx(stride, ei as isize, ej as isize)] = 1.0;
-            evp_simd::march(mode, stencil, &plan, &mut xpad, None, &mut g);
-            for (r, &(fi, fj)) in f_list.iter().enumerate() {
-                let v = xpad[pad_idx(stride, fi as isize, fj as isize)];
-                if !v.is_finite() {
+            xpad[e] = 1.0;
+            evp_simd::march(mode, &plan, &mut xpad, (&zero_row, 0), &mut g);
+            for (r, f) in evp_simd::f_line(nx, ny).enumerate() {
+                if !xpad[f].is_finite() {
                     return None;
                 }
-                w.set(r, c, v);
+                w.set(r, c, xpad[f]);
             }
         }
-        let r_inv = w.inverse().ok()?;
-        if !r_inv_finite(&r_inv) {
+        let inv = w.inverse().ok()?;
+        let r_inv: Vec<f64> = (0..k * k).map(|q| inv.get(q / k, q % k)).collect();
+        if !r_inv.iter().all(|v| v.is_finite()) {
             return None;
         }
         let kp = pop_simd::round_up_lanes(k);
-        let r_inv_t = evp_simd::transpose_padded(&r_inv, kp);
+        let r_inv_t = evp_simd::transpose_padded(&inv, kp);
 
         // Accuracy probe: solve for a pseudo-random ψ and check the residual.
-        let (e_idx, f_idx) = line_indices(nx, ny);
-        let mask = vec![1u8; nx * ny];
-        let maskbits = pop_simd::mask_bits(&mask);
         let probe = EvpSubBlock {
             nx,
             ny,
-            stencil: stencil.clone(),
-            mask,
-            maskbits,
             solver: SubSolver::Evp {
                 r_inv,
                 r_inv_t,
                 kp,
                 plan,
             },
-            e_idx,
-            f_idx,
         };
         let psi: Vec<f64> = (0..nx * ny)
             .map(|q| ((q.wrapping_mul(2654435761)) % 1000) as f64 / 500.0 - 1.0)
@@ -298,19 +261,14 @@ impl EvpSubBlock {
                 evp_simd::reset_march_pad(xpad, nx, ny);
 
                 // First sweep with zero guess.
-                evp_simd::march(
-                    mode,
-                    &self.stencil,
-                    plan,
-                    xpad,
-                    Some((psi, psi_stride)),
-                    &mut scratch.g,
-                );
+                evp_simd::march(mode, plan, xpad, (psi, psi_stride), &mut scratch.g);
 
-                // Mismatch on the Dirichlet ring (precomputed pad indices —
-                // this path must not allocate in steady state).
+                // Mismatch on the Dirichlet ring (this path must not
+                // allocate in steady state).
                 scratch.fvals.clear();
-                scratch.fvals.extend(self.f_idx.iter().map(|&k| xpad[k]));
+                scratch
+                    .fvals
+                    .extend(evp_simd::f_line(nx, ny).map(|k| xpad[k]));
 
                 // Corrected guess e = −R·F, then the definitive sweep.
                 evp_simd::influence_apply(
@@ -322,30 +280,17 @@ impl EvpSubBlock {
                     &mut scratch.corr,
                 );
                 evp_simd::reset_march_pad(xpad, nx, ny);
-                for (c, &k) in self.e_idx.iter().enumerate() {
+                for (c, k) in evp_simd::e_line(nx, ny).enumerate() {
                     xpad[k] = -scratch.corr[c];
                 }
-                evp_simd::march(
-                    mode,
-                    &self.stencil,
-                    plan,
-                    xpad,
-                    Some((psi, psi_stride)),
-                    &mut scratch.g,
-                );
+                evp_simd::march(mode, plan, xpad, (psi, psi_stride), &mut scratch.g);
 
-                evp_simd::masked_copy_out(
-                    mode,
-                    nx,
-                    ny,
-                    xpad,
-                    x,
-                    x_stride,
-                    &self.mask,
-                    &self.maskbits,
-                );
+                for j in 0..ny {
+                    let src = (j + 1) * stride + 1;
+                    x[j * x_stride..j * x_stride + nx].copy_from_slice(&xpad[src..src + nx]);
+                }
             }
-            SubSolver::Band(lu) => {
+            SubSolver::Band { lu, maskbits } => {
                 // The substitutions run over one contiguous tile: gather ψ,
                 // solve in place, scatter with land zeroed.
                 let xt = &mut scratch.x_t;
@@ -357,8 +302,8 @@ impl EvpSubBlock {
                 for j in 0..ny {
                     let row = j * nx..(j + 1) * nx;
                     let dst = &mut x[j * x_stride..j * x_stride + nx];
-                    for ((d, &v), &m) in dst.iter_mut().zip(&xt[row.clone()]).zip(&self.mask[row]) {
-                        *d = if m == 0 { 0.0 } else { v };
+                    for ((d, &v), &m) in dst.iter_mut().zip(&xt[row.clone()]).zip(&maskbits[row]) {
+                        *d = and_select(v, m);
                     }
                 }
             }
@@ -366,162 +311,113 @@ impl EvpSubBlock {
     }
 
     /// The batched image of [`EvpSubBlock::solve_strided_mode`]: solve the
-    /// tile for all `groups · LANES` right-hand sides at once, in place
-    /// inside lane-major [`MultiBlockVec`] storage. `psi`/`x` start at the
-    /// tile's first interior lane group of lane group 0; lane group `g`'s
-    /// tile sits `g · psi_gstride` (resp. `x_gstride`) elements later, and
-    /// each advances `psi_stride`/`x_stride` `f64` elements per tile row
-    /// (block stride · `LANES`). Marching tiles take the fused lane kernels
-    /// of [`evp_multi`] (every coefficient and influence-matrix entry
-    /// loaded once for all lanes of all groups, one independent chain
-    /// recurrence in flight per group); band-LU tiles run the lane-parallel
-    /// substitution of [`evp_multi::band_solve_multi`] on a staged copy. Per
-    /// lane the result is bitwise identical to the single-RHS solve.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn solve_strided_multi(
-        &self,
-        mode: SimdMode,
-        psi: &[f64],
-        psi_stride: usize,
-        psi_gstride: usize,
-        x: &mut [f64],
-        x_stride: usize,
-        x_gstride: usize,
-        groups: usize,
-        scratch: &mut MultiEvpScratch,
-    ) {
-        let (nx, ny) = (self.nx, self.ny);
-        let sl = groups * LANES;
+    /// tile for all `groups · LANES` right-hand sides `io` addresses at
+    /// once, through the lane kernels of [`evp_multi`] (every coefficient
+    /// and influence-matrix entry loaded once for all lanes of all groups,
+    /// one independent chain recurrence or band substitution in flight per
+    /// group). Per lane the result is bitwise identical to the single-RHS
+    /// solve.
+    pub(super) fn solve_batched(&self, mode: SimdMode, io: Batched, scratch: &mut LaneScratch) {
+        let coefs = self.coefs().map(Shared);
+        evp_multi::solve_tile(mode, (self.nx, self.ny), coefs, io, scratch);
+    }
+
+    /// The tile's set-up arrays as the lane kernels of [`evp_multi`] take
+    /// them.
+    fn coefs(&self) -> TileCoefs<&[f64]> {
         match &self.solver {
-            SubSolver::Evp { r_inv, plan, .. } => {
-                scratch.xpad.resize((nx + 2) * (ny + 2) * sl, 0.0);
-                let xpad = &mut scratch.xpad;
-                evp_multi::reset_march_pad_multi(xpad, nx, ny, sl);
-
-                // First sweep with zero guess, all lanes at once.
-                evp_multi::march_multi(
-                    mode,
-                    &self.stencil,
-                    plan,
-                    xpad,
-                    psi,
-                    psi_stride,
-                    psi_gstride,
-                    &mut scratch.g,
-                    groups,
-                );
-
-                // Mismatch on the Dirichlet ring, per lane (pure copies).
-                scratch.fvals.clear();
-                for &fk in &self.f_idx {
-                    scratch
-                        .fvals
-                        .extend_from_slice(&xpad[fk * sl..(fk + 1) * sl]);
-                }
-
-                // Corrected guess e = −R·F, then the definitive sweep. The
-                // e-line negation is the scalar unary `-` per lane (exact,
-                // unlike `0.0 − x` which loses `−0.0`).
-                evp_multi::influence_apply_multi(
-                    mode,
-                    r_inv,
-                    &scratch.fvals,
-                    &mut scratch.corr,
-                    groups,
-                );
-                evp_multi::reset_march_pad_multi(xpad, nx, ny, sl);
-                for (c, &ek) in self.e_idx.iter().enumerate() {
-                    for v in 0..sl {
-                        xpad[ek * sl + v] = -scratch.corr[c * sl + v];
-                    }
-                }
-                evp_multi::march_multi(
-                    mode,
-                    &self.stencil,
-                    plan,
-                    xpad,
-                    psi,
-                    psi_stride,
-                    psi_gstride,
-                    &mut scratch.g,
-                    groups,
-                );
-
-                evp_multi::masked_copy_out_multi(
-                    mode,
-                    nx,
-                    ny,
-                    xpad,
-                    x,
-                    x_stride,
-                    x_gstride,
-                    &self.maskbits,
-                    groups,
-                );
-            }
-            SubSolver::Band(lu) => {
-                // Every lane through one lane-parallel substitution: stage
-                // all tiles superlane-major, run the shared factorization's
-                // recurrences in place on the whole batch at once (the
-                // scalar substitution's serial chains are the single worst
-                // per-lane cost in a batched apply), then zero land and
-                // scatter. Per lane the staged values, solve sequence, and
-                // mask zeroing are exactly the one-lane-at-a-time path's.
-                let n = nx * ny;
-                scratch.x_t.resize(n * sl, 0.0);
-                for g in 0..groups {
-                    for j in 0..ny {
-                        for i in 0..nx {
-                            let p = (j * nx + i) * sl + g * LANES;
-                            let s = g * psi_gstride + j * psi_stride + i * LANES;
-                            scratch.x_t[p..p + LANES].copy_from_slice(&psi[s..s + LANES]);
-                        }
-                    }
-                }
-                evp_multi::band_solve_multi(mode, lu, &mut scratch.x_t, groups);
-                for g in 0..groups {
-                    for j in 0..ny {
-                        for i in 0..nx {
-                            let p = (j * nx + i) * sl + g * LANES;
-                            let d = g * x_gstride + j * x_stride + i * LANES;
-                            if self.mask[j * nx + i] == 0 {
-                                x[d..d + LANES].fill(0.0);
-                            } else {
-                                x[d..d + LANES].copy_from_slice(&scratch.x_t[p..p + LANES]);
-                            }
-                        }
-                    }
+            SubSolver::Evp { r_inv, plan, .. } => TileCoefs::March {
+                reduced: plan.reduced,
+                planes: &plan.c,
+                r_inv,
+            },
+            SubSolver::Band { lu, maskbits } => {
+                let (_, w, band) = lu.raw_parts();
+                TileCoefs::Band {
+                    w,
+                    band,
+                    mask: maskbits,
                 }
             }
         }
     }
 }
 
-/// Padded-array linear index for logical `(i, j)`, `-1 ≤ i ≤ nx`,
-/// `-1 ≤ j ≤ ny`, with row stride `stride = nx + 2`.
-#[inline]
-fn pad_idx(stride: usize, i: isize, j: isize) -> usize {
-    ((j + 1) as usize) * stride + (i + 1) as usize
+/// Up to [`LANES`] tiles of one block that share a shape and a solver class,
+/// solved together with one tile per lane (DESIGN.md §9). The pack's
+/// coefficients live lane-interleaved in its block's slab; the members'
+/// own [`EvpSubBlock`]s are gone.
+#[derive(Debug)]
+struct Pack {
+    nx: usize,
+    ny: usize,
+    /// Block-interior origin of each lane's tile; lanes `live..` repeat
+    /// lane 0 (its data too) and are never written out.
+    origin: [(usize, usize); LANES],
+    live: usize,
+    /// The solver class, carrying each array's length in the slab.
+    class: TileCoefs<usize>,
 }
 
-/// The initial-guess line `e`: south row then west column (paper Fig. 5).
-fn e_points(nx: usize, ny: usize) -> Vec<(usize, usize)> {
-    let mut e = Vec::with_capacity(nx + ny - 1);
-    e.extend((0..nx).map(|i| (i, 0)));
-    e.extend((1..ny).map(|j| (0, j)));
-    e
-}
+impl Pack {
+    /// Pack `members` (2 to [`LANES`] tiles of one shape and class),
+    /// appending their arrays to `slab` as `value[idx·LANES + lane]`, one
+    /// array after another in [`TileCoefs::arrays`] order.
+    fn new(members: &[(Tile, EvpSubBlock)], slab: &mut Vec<f64>) -> Pack {
+        let live = members.len();
+        assert!((2..=LANES).contains(&live));
+        let lane = |l: usize| &members[if l < live { l } else { 0 }];
+        let first = &members[0].1;
+        let class = first.coefs().map(|a| a.len() * LANES);
+        for l in 0..LANES {
+            let (t, s) = lane(l);
+            assert_eq!(
+                (t.nx, t.ny, s.nx, s.ny),
+                (first.nx, first.ny, first.nx, first.ny)
+            );
+            assert!(
+                s.coefs().map(|a| a.len() * LANES) == class,
+                "pack members must share one solver class"
+            );
+        }
+        let arrays: [_; LANES] = std::array::from_fn(|l| lane(l).1.coefs().arrays());
+        // The marching planes become one record per tile point; every other
+        // array keeps its order (a one-field record per entry).
+        let fields = match class {
+            TileCoefs::March { reduced, .. } => [evp_simd::planes(reduced), 1],
+            TileCoefs::Band { .. } => [1, 1],
+        };
+        for (a, nf) in fields.into_iter().enumerate() {
+            let points = arrays[0][a].len() / nf;
+            for idx in 0..points * nf {
+                let src = idx % nf * points + idx / nf;
+                slab.extend(arrays.iter().map(|of_lane| of_lane[a][src]));
+            }
+        }
+        Pack {
+            nx: first.nx,
+            ny: first.ny,
+            origin: std::array::from_fn(|l| (lane(l).0.i0, lane(l).0.j0)),
+            live,
+            class,
+        }
+    }
 
-/// The overshoot line `f` on the Dirichlet ring: north ring then east ring.
-fn f_points(nx: usize, ny: usize) -> Vec<(usize, usize)> {
-    let mut f = Vec::with_capacity(nx + ny - 1);
-    f.extend((1..=nx).map(|i| (i, ny)));
-    f.extend((1..ny).map(|j| (nx, j)));
-    f
-}
+    /// This pack's arrays, taken off the front of `slab`.
+    fn take<'a>(&self, slab: &mut &'a [f64]) -> TileCoefs<&'a [f64]> {
+        self.class.map(|len| {
+            let (head, rest) = slab.split_at(len);
+            *slab = rest;
+            head
+        })
+    }
 
-fn r_inv_finite(m: &DenseMatrix) -> bool {
-    (0..m.n()).all(|r| (0..m.n()).all(|c| m.get(r, c).is_finite()))
+    /// Offset of lane `l`'s tile origin in block storage of the given row
+    /// stride and halo — computed per apply, so any same-shape
+    /// [`BlockVec`] works, whatever its padding.
+    fn offsets(&self, stride: usize, halo: usize) -> [usize; LANES] {
+        self.origin.map(|(i0, j0)| (j0 + halo) * stride + halo + i0)
+    }
 }
 
 /// A count of tiles and of the grid points they cover.
@@ -533,19 +429,38 @@ pub struct TileCount {
 
 /// How one [`BlockEvp`] apply splits over its three tile paths: zero-filled
 /// all-land tiles, EVP marching tiles, and band-LU tiles (land-touching, or
-/// demoted by the set-up accuracy probe).
+/// demoted by the set-up accuracy probe) — and how many of the solved tiles
+/// go four at a time through a pack.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TileCensus {
     pub all_land: TileCount,
     pub marching: TileCount,
     pub banded: TileCount,
+    /// The marching and banded tiles solved through a pack (those with a
+    /// same-shape, same-class sibling in their block).
+    pub packed: TileCount,
+    /// The packs they form; `packed.tiles / packs` is the mean number of
+    /// live lanes.
+    pub packs: usize,
+}
+
+/// One parent block's tiles by the path that solves them.
+#[derive(Debug, Default)]
+struct BlockTiles {
+    /// All-land tiles: zero-filled.
+    land: Vec<Tile>,
+    /// Tiles alone in their shape and class: solved one at a time.
+    lone: Vec<(Tile, EvpSubBlock)>,
+    packs: Vec<Pack>,
+    /// Every pack's coefficients, in `packs` order — the one array a
+    /// block's packed solves stream through.
+    slab: Vec<f64>,
 }
 
 /// The distributed block-EVP preconditioner: every process block tiled into
 /// EVP sub-blocks, applied block-Jacobi style with no communication.
 pub struct BlockEvp {
-    /// Per parent block: its tiles and their solvers (`None` = all-land tile).
-    subs: Vec<Vec<(Tile, Option<EvpSubBlock>)>>,
+    blocks: Vec<BlockTiles>,
     tile_size: usize,
     reduced: bool,
 }
@@ -564,25 +479,57 @@ impl BlockEvp {
     /// Build with explicit tile size and reduction choice.
     pub fn new(op: &NinePoint, tile_size: usize, reduced: bool) -> Self {
         assert!(tile_size >= 1);
-        let mut subs = Vec::with_capacity(op.layout.n_blocks());
+        let mut blocks = Vec::with_capacity(op.layout.n_blocks());
         for (b, info) in op.layout.decomp.blocks.iter().enumerate() {
-            let tiles = tile_block(info.nx, info.ny, tile_size);
-            let mut per_block = Vec::with_capacity(tiles.len());
-            for t in tiles {
-                let mask = &op.layout.masks[b];
+            let mask = &op.layout.masks[b];
+            let mut blk = BlockTiles::default();
+            // Same shape, same class: the tiles one lane kernel can solve
+            // side by side. Each group's solvers live only until the group
+            // is packed, so a packed tile's coefficients exist once.
+            let mut groups: Vec<Vec<(Tile, EvpSubBlock)>> = Vec::new();
+            for t in tile_block(info.nx, info.ny, tile_size) {
                 let any_ocean = (t.j0..t.j0 + t.ny)
                     .any(|j| (t.i0..t.i0 + t.nx).any(|i| mask[j * info.nx + i] != 0));
                 if !any_ocean {
-                    per_block.push((t, None));
+                    blk.land.push(t);
                     continue;
                 }
                 let raw = op.extract_local(b, t.i0, t.j0, t.nx, t.ny);
-                per_block.push((t, Some(EvpSubBlock::new(&raw, reduced))));
+                let sub = EvpSubBlock::new(&raw, reduced);
+                let key = |t: &Tile, s: &EvpSubBlock| (t.nx, t.ny, s.uses_marching());
+                match groups
+                    .iter_mut()
+                    .find(|g| key(&g[0].0, &g[0].1) == key(&t, &sub))
+                {
+                    Some(g) => g.push((t, sub)),
+                    None => groups.push(vec![(t, sub)]),
+                }
             }
-            subs.push(per_block);
+            for group in groups {
+                // The sibling rule, and the only rule: a tile with at least
+                // one sibling is packed, a tile alone keeps its own solver.
+                if group.len() == 1 {
+                    blk.lone.extend(group);
+                    continue;
+                }
+                let mut rest = &group[..];
+                while !rest.is_empty() {
+                    // Never a last pack of one: five tiles are 3 + 2.
+                    let take = if rest.len() == LANES + 1 {
+                        LANES - 1
+                    } else {
+                        rest.len().min(LANES)
+                    };
+                    let (members, tail) = rest.split_at(take);
+                    blk.packs.push(Pack::new(members, &mut blk.slab));
+                    rest = tail;
+                }
+            }
+            blk.slab.shrink_to_fit();
+            blocks.push(blk);
         }
         BlockEvp {
-            subs,
+            blocks,
             tile_size,
             reduced,
         }
@@ -592,14 +539,31 @@ impl BlockEvp {
     /// points they cover.
     pub fn census(&self) -> TileCensus {
         let mut census = TileCensus::default();
-        for (t, s) in self.subs.iter().flatten() {
-            let class = match s {
-                None => &mut census.all_land,
-                Some(s) if s.uses_marching() => &mut census.marching,
-                Some(_) => &mut census.banded,
-            };
-            class.tiles += 1;
-            class.points += t.nx * t.ny;
+        let count = |class: &mut TileCount, tiles: usize, points: usize| {
+            class.tiles += tiles;
+            class.points += tiles * points;
+        };
+        for blk in &self.blocks {
+            for t in &blk.land {
+                count(&mut census.all_land, 1, t.nx * t.ny);
+            }
+            for (t, s) in &blk.lone {
+                let class = if s.uses_marching() {
+                    &mut census.marching
+                } else {
+                    &mut census.banded
+                };
+                count(class, 1, t.nx * t.ny);
+            }
+            for p in &blk.packs {
+                let class = match p.class {
+                    TileCoefs::March { .. } => &mut census.marching,
+                    TileCoefs::Band { .. } => &mut census.banded,
+                };
+                count(class, p.live, p.nx * p.ny);
+                count(&mut census.packed, p.live, p.nx * p.ny);
+            }
+            census.packs += blk.packs.len();
         }
         census
     }
@@ -622,8 +586,8 @@ pub(super) struct TileScratch {
     /// [`BlockLu`](super::BlockLu)'s gathered right-hand side, solved in place.
     pub tile: Vec<f64>,
     pub evp: EvpScratch,
-    /// Lane-major pads/buffers for the batched tile solve.
-    pub multi: MultiEvpScratch,
+    /// Lane-major pads/buffers for the packed and the batched tile solves.
+    pub lanes: LaneScratch,
 }
 
 thread_local! {
@@ -633,6 +597,7 @@ thread_local! {
 
 impl Preconditioner for BlockEvp {
     fn apply_block(&self, b: usize, r: &BlockVec, z: &mut BlockVec) {
+        let mode = pop_simd::mode();
         TILE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             let (stride, h) = (r.stride(), r.halo);
@@ -640,27 +605,38 @@ impl Preconditioner for BlockEvp {
             debug_assert_eq!(z.halo, h);
             let rraw = r.raw();
             let zraw = z.raw_mut();
-            for (t, sub) in &self.subs[b] {
-                match sub {
-                    None => {
-                        for j in t.j0..t.j0 + t.ny {
-                            let off = (j + h) * stride + h + t.i0;
-                            zraw[off..off + t.nx].fill(0.0);
-                        }
-                    }
-                    Some(s) => {
-                        // Solve the tile in place inside the block arrays —
-                        // no gather/scatter copies on the fused path.
-                        let off = (t.j0 + h) * stride + h + t.i0;
-                        s.solve_strided(
-                            &rraw[off..],
-                            stride,
-                            &mut zraw[off..],
-                            stride,
-                            &mut scratch.evp,
-                        );
-                    }
+            let blk = &self.blocks[b];
+            for t in &blk.land {
+                for j in t.j0..t.j0 + t.ny {
+                    let off = (j + h) * stride + h + t.i0;
+                    zraw[off..off + t.nx].fill(0.0);
                 }
+            }
+            for (t, s) in &blk.lone {
+                // Solve the tile in place inside the block arrays — no
+                // gather/scatter copies on the fused path.
+                let off = (t.j0 + h) * stride + h + t.i0;
+                s.solve_strided(
+                    &rraw[off..],
+                    stride,
+                    &mut zraw[off..],
+                    stride,
+                    &mut scratch.evp,
+                );
+            }
+            // Four tiles per solve, one per lane, streaming the block's
+            // slab front to back.
+            let mut slab = &blk.slab[..];
+            for p in &blk.packs {
+                let io = Packed {
+                    r: rraw,
+                    z: zraw,
+                    offs: p.offsets(stride, h),
+                    live: p.live,
+                    stride,
+                };
+                let coefs = p.take(&mut slab).map(PerTile);
+                evp_multi::solve_tile(mode, (p.nx, p.ny), coefs, io, &mut scratch.lanes);
             }
         });
     }
@@ -669,8 +645,9 @@ impl Preconditioner for BlockEvp {
     /// right-hand sides in one interleaved pass, so its influence matrix
     /// (or LU factors) and stencil coefficients are loaded once per batch
     /// instead of once per RHS — the amortization the batched solve engine
-    /// is built on (DESIGN.md §12). Per lane, bitwise identical to
-    /// [`BlockEvp::apply_block`].
+    /// is built on (DESIGN.md §12). A packed tile is served from its pack's
+    /// slab, one lane of it splat to every right-hand side. Per lane,
+    /// bitwise identical to [`BlockEvp::apply_block`].
     fn apply_block_multi(&self, b: usize, r: &MultiBlockVec, z: &mut MultiBlockVec) {
         let mode = pop_simd::mode();
         TILE_SCRATCH.with(|cell| {
@@ -682,37 +659,46 @@ impl Preconditioner for BlockEvp {
             let groups = r.groups();
             let rraw = r.raw();
             let zraw = z.raw_mut();
+            // A tile row advances `rs` floats; lane group `g`'s tile image
+            // sits `g · gs` past group 0's in the lane-major block storage.
             let rs = stride * LANES;
-            // Lane group `g`'s tile image sits `g · gs` elements past
-            // group 0's in the lane-major block storage.
             let gs = rows * stride * LANES;
-            for (t, sub) in &self.subs[b] {
-                match sub {
-                    None => {
-                        for g in 0..groups {
-                            let off = ((g * rows + t.j0 + h) * stride + h + t.i0) * LANES;
-                            for j in 0..t.ny {
-                                zraw[off + j * rs..off + j * rs + t.nx * LANES].fill(0.0);
-                            }
-                        }
+            let blk = &self.blocks[b];
+            for t in &blk.land {
+                for g in 0..groups {
+                    let off = ((g * rows + t.j0 + h) * stride + h + t.i0) * LANES;
+                    for j in 0..t.ny {
+                        zraw[off + j * rs..off + j * rs + t.nx * LANES].fill(0.0);
                     }
-                    Some(s) => {
-                        // Solve the tile for every lane group at once, in
-                        // place inside the lane-major block arrays — no
-                        // gather/scatter copies.
-                        let off = ((t.j0 + h) * stride + h + t.i0) * LANES;
-                        s.solve_strided_multi(
-                            mode,
-                            &rraw[off..],
-                            rs,
-                            gs,
-                            &mut zraw[off..],
-                            rs,
-                            gs,
-                            groups,
-                            &mut scratch.multi,
-                        );
-                    }
+                }
+            }
+            // Solve a tile for every lane group at once, in place inside
+            // the lane-major block arrays — no gather/scatter copies.
+            for (t, s) in &blk.lone {
+                let off = ((t.j0 + h) * stride + h + t.i0) * LANES;
+                let io = Batched {
+                    psi: &rraw[off..],
+                    x: &mut zraw[off..],
+                    stride: rs,
+                    gstride: gs,
+                    groups,
+                };
+                s.solve_batched(mode, io, &mut scratch.lanes);
+            }
+            let mut slab = &blk.slab[..];
+            for p in &blk.packs {
+                let coefs = p.take(&mut slab);
+                for (l, off) in p.offsets(stride, h)[..p.live].iter().enumerate() {
+                    let off = off * LANES;
+                    let io = Batched {
+                        psi: &rraw[off..],
+                        x: &mut zraw[off..],
+                        stride: rs,
+                        gstride: gs,
+                        groups,
+                    };
+                    let member = coefs.map(|a| Member(a, l));
+                    evp_multi::solve_tile(mode, (p.nx, p.ny), member, io, &mut scratch.lanes);
                 }
             }
         });
@@ -728,7 +714,7 @@ impl Preconditioner for BlockEvp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pop_comm::{CommWorld, DistLayout, DistVec};
     use pop_grid::Grid;
@@ -995,5 +981,282 @@ mod tests {
             10 * c.marching.tiles > 3 * (c.marching.tiles + c.banded.tiles),
             "interior tiles should march: {c:?}"
         );
+    }
+
+    /// SplitMix64 on `(seed, k)`, as a value in `[0, 1)`.
+    fn unit(seed: u64, k: usize) -> f64 {
+        let mut z = (seed ^ (k as u64) << 20).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A seeded SPD nine-point tile whose coefficients differ point by
+    /// point, axis couplings included (unlike [`LocalStencil::reference`],
+    /// whose `AN`/`AE` are zero, this exercises the full system's extra
+    /// terms), with `land` seeded land cells: identity-free zero rows with
+    /// every coupling that touches them dead.
+    pub(crate) fn seeded_tile(nx: usize, ny: usize, seed: u64, land: usize) -> LocalStencil {
+        let cell = |i: isize, j: isize| ((j + 1) as usize) * (nx + 1) + (i + 1) as usize;
+        let mut dry = vec![false; (nx + 1) * (ny + 1)];
+        for k in 0..land {
+            let q = (unit(seed ^ 0xd1ce, k) * (nx * ny) as f64) as usize;
+            dry[cell((q % nx) as isize, (q / nx) as isize)] = true;
+        }
+        let is_dry = |i: isize, j: isize| i < nx as isize && j < ny as isize && dry[cell(i, j)];
+        let mut st = LocalStencil::zeros(nx, ny);
+        for j in -1..ny as isize {
+            for i in -1..nx as isize {
+                let w = 15.0 * (1.0 + 0.3 * unit(seed, cell(i, j)));
+                let t = unit(seed ^ 0xa5a5, cell(i, j));
+                let live = |cells: &[(isize, isize)]| {
+                    f64::from(u8::from(
+                        !cells.iter().any(|&(di, dj)| is_dry(i + di, j + dj)),
+                    ))
+                };
+                let a0 = if i >= 0 && j >= 0 {
+                    (17.0 * w + 2.5) * live(&[(0, 0)])
+                } else {
+                    0.0
+                };
+                st.set(
+                    i,
+                    j,
+                    a0,
+                    -0.05 * w * t * live(&[(0, 0), (0, 1)]),
+                    -0.04 * w * (1.0 - t) * live(&[(0, 0), (1, 0)]),
+                    -4.0 * w * live(&[(0, 0), (1, 0), (0, 1), (1, 1)]),
+                );
+            }
+        }
+        st
+    }
+
+    /// Every dispatch mode this machine can run.
+    pub(crate) fn modes() -> Vec<SimdMode> {
+        let mut m = vec![SimdMode::Scalar, SimdMode::Portable];
+        if pop_simd::detected_avx2() {
+            m.push(SimdMode::Avx2);
+        }
+        m
+    }
+
+    /// A pack's output equals each member's own solve bit for bit — every
+    /// shape (lane multiples and ragged tails), both classes (band members
+    /// with distinct land masks), reduced and full systems, 2–4 live lanes,
+    /// every dispatch mode; idle lanes write nothing; and the block storage
+    /// may have any stride (the pack knows tile origins, not offsets).
+    #[test]
+    fn pack_matches_each_members_own_solve_bitwise() {
+        for (nx, ny) in [(8, 8), (8, 6), (7, 5), (5, 7), (12, 3)] {
+            for (marching, reduced, live) in [
+                (true, true, 4),
+                (true, true, 3),
+                (true, false, 2),
+                (true, false, 4),
+                (false, true, 4),
+                (false, true, 2),
+                (false, false, 3),
+            ] {
+                let members: Vec<(Tile, EvpSubBlock)> = (0..live)
+                    .map(|l| {
+                        let seed = (nx * 131 + ny * 17 + l * 7 + usize::from(reduced)) as u64;
+                        let land = if marching { 0 } else { 2 + l };
+                        let sub = EvpSubBlock::new(&seeded_tile(nx, ny, seed, land), reduced);
+                        assert_eq!(sub.uses_marching(), marching, "{nx}x{ny} lane {l}");
+                        let t = Tile {
+                            i0: 1 + l * (nx + 1),
+                            j0: 1 + l % 2,
+                            nx,
+                            ny,
+                        };
+                        (t, sub)
+                    })
+                    .collect();
+                let mut slab = Vec::new();
+                let pack = Pack::new(&members, &mut slab);
+                assert_eq!(pack.live, live);
+
+                // Two block widths with different padded strides.
+                for extra in [0, 5] {
+                    let (bx, by, halo) = (LANES * (nx + 1) + 3 + extra, ny + 4, 2);
+                    let mut r = BlockVec::zeros(bx, by, halo);
+                    for (k, v) in r.raw_mut().iter_mut().enumerate() {
+                        *v = 2.0 * unit(77, k) - 1.0;
+                    }
+                    for mode in modes() {
+                        let tag = format!(
+                            "{nx}x{ny} marching={marching} reduced={reduced} live={live} \
+                             bx={bx} {mode:?}"
+                        );
+                        let mut z = BlockVec::zeros(bx, by, halo);
+                        z.fill(f64::NAN);
+                        let mut rest = &slab[..];
+                        let coefs = pack.take(&mut rest).map(PerTile);
+                        assert!(rest.is_empty(), "{tag}: slab not consumed");
+                        let io = Packed {
+                            r: r.raw(),
+                            z: z.raw_mut(),
+                            offs: pack.offsets(r.stride(), halo),
+                            live,
+                            stride: r.stride(),
+                        };
+                        evp_multi::solve_tile(
+                            mode,
+                            (nx, ny),
+                            coefs,
+                            io,
+                            &mut LaneScratch::default(),
+                        );
+
+                        for (t, sub) in &members {
+                            let psi: Vec<f64> = (0..ny)
+                                .flat_map(|j| r.interior_row(t.j0 + j)[t.i0..t.i0 + nx].to_vec())
+                                .collect();
+                            let mut want = vec![0.0; nx * ny];
+                            sub.solve_mode(mode, &psi, &mut want, &mut EvpScratch::default());
+                            for j in 0..ny {
+                                for i in 0..nx {
+                                    let got = z.get(t.i0 + i, t.j0 + j);
+                                    assert_eq!(
+                                        got.to_bits(),
+                                        want[j * nx + i].to_bits(),
+                                        "{tag} tile {t:?} ({i},{j}): {got:e} vs {:e}",
+                                        want[j * nx + i]
+                                    );
+                                    *z.at_mut((t.i0 + i) as isize, (t.j0 + j) as isize) = f64::NAN;
+                                }
+                            }
+                        }
+                        assert!(
+                            z.raw().iter().all(|v| v.is_nan()),
+                            "{tag}: a store landed outside the live tiles"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over the bit patterns of a field.
+    fn fnv(values: &[f64]) -> u64 {
+        values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// On the operators the benchmark runs, one `BlockEvp::apply` — packs
+    /// and all — equals solving every tile on its own, bit for bit. Prints
+    /// the census and an FNV hash of the output per operator, so two
+    /// commits (or two `POP_BARO_SIMD` settings) can be compared by eye:
+    /// `cargo test -p pop-core block_apply_matches -- --nocapture`.
+    #[test]
+    fn block_apply_matches_tile_by_tile_solves_bitwise() {
+        // (name, grid, block shape, τ, packed tiles expected)
+        let cases = [
+            ("gx1 40x48", Grid::gx1(2015), (40, 48), 1100.0, 1316),
+            (
+                "gyre 16x12",
+                Grid::idealized_basin(64, 48, 500.0, 2.0e4),
+                (16, 12),
+                2400.0,
+                60,
+            ),
+            (
+                "serve-0 8x8",
+                Grid::gx1_scaled(2015, 96, 80),
+                (8, 8),
+                4000.0,
+                0,
+            ),
+            (
+                "serve-1 8x8",
+                Grid::gx1_scaled(2016, 96, 80),
+                (8, 8),
+                5500.0,
+                0,
+            ),
+        ];
+        let world = CommWorld::serial();
+        for (name, g, (bx, by), tau, packed) in cases {
+            let layout = DistLayout::build(&g, bx, by);
+            let op = NinePoint::assemble(&g, &layout, &world, tau);
+            let pre = BlockEvp::with_defaults(&op);
+            let c = pre.census();
+            assert_eq!(c.packed.tiles, packed, "{name}: {c:?}");
+            if name.starts_with("gx1") {
+                let tiles = |t: TileCount| t.tiles;
+                assert_eq!(
+                    (tiles(c.all_land), tiles(c.marching), tiles(c.banded)),
+                    (477, 1002, 321)
+                );
+            }
+
+            let mut r = DistVec::zeros(&layout);
+            r.fill_with(|i, j| ((i * 3 + j * 5) as f64 * 0.1).sin());
+            let mut z = DistVec::zeros(&layout);
+            pre.apply(&world, &r, &mut z);
+            // What the preconditioner keeps: the packs' slabs, and the lone
+            // tiles' own arrays.
+            let slab: usize = pre.blocks.iter().map(|b| b.slab.len()).sum();
+            let lone: usize = pre
+                .blocks
+                .iter()
+                .flat_map(|b| &b.lone)
+                .map(|(_, s)| match &s.solver {
+                    SubSolver::Evp {
+                        r_inv,
+                        r_inv_t,
+                        plan,
+                        ..
+                    } => r_inv.len() + r_inv_t.len() + plan.c.len(),
+                    SubSolver::Band { lu, maskbits } => lu.raw_parts().2.len() + maskbits.len(),
+                })
+                .sum();
+            println!(
+                "block-EVP apply fnv {name}: {:016x}  ({} dispatch; {} of {} tiles in {} packs, \
+                 slabs {} KiB, lone tiles {} KiB)",
+                fnv(&z.to_global()),
+                pop_simd::mode().name(),
+                c.packed.tiles,
+                c.marching.tiles + c.banded.tiles,
+                c.packs,
+                slab * 8 / 1024,
+                lone * 8 / 1024
+            );
+
+            let mut scratch = EvpScratch::default();
+            for (b, info) in layout.decomp.blocks.iter().enumerate() {
+                let (rb, stride) = (&r.blocks[b], r.blocks[b].stride());
+                let mut want = BlockVec::zeros(info.nx, info.ny, rb.halo);
+                want.fill(f64::NAN);
+                for t in tile_block(info.nx, info.ny, pre.tile_size()) {
+                    let raw = op.extract_local(b, t.i0, t.j0, t.nx, t.ny);
+                    let off = rb.offset(t.i0 as isize, t.j0 as isize);
+                    if (0..t.ny as isize).all(|j| (0..t.nx as isize).all(|i| raw.a0(i, j) <= 0.0)) {
+                        for j in 0..t.ny {
+                            want.interior_row_mut(t.j0 + j)[t.i0..t.i0 + t.nx].fill(0.0);
+                        }
+                        continue;
+                    }
+                    EvpSubBlock::new(&raw, pre.is_reduced()).solve_strided(
+                        &rb.raw()[off..],
+                        stride,
+                        &mut want.raw_mut()[off..],
+                        stride,
+                        &mut scratch,
+                    );
+                }
+                for j in 0..info.ny {
+                    for (i, w) in want.interior_row(j).iter().enumerate() {
+                        let got = z.blocks[b].get(i, j);
+                        assert_eq!(got.to_bits(), w.to_bits(), "{name} block {b} ({i},{j})");
+                    }
+                }
+            }
+        }
     }
 }

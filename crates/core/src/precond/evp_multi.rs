@@ -1,39 +1,45 @@
-//! `k`-wide lane-parallel kernels for the EVP tile solve: the batched image
-//! of [`super::evp_simd`].
+//! The lane kernels of the EVP tile solve: one march, one influence fold,
+//! one band substitution and one copy-out, each generic over *what rides
+//! the four lanes* and *where a coefficient comes from*.
 //!
-//! A batched tile solve marches **all `groups() · LANES` right-hand sides
-//! at once**. The marching pad is superlane-major (`groups · LANES`
-//! consecutive `f64` per pad point — lane group, then lane), every
-//! stencil/chain coefficient is splat once and shared by all lanes of all
-//! groups, and the influence matrix `R = W⁻¹` — the expensive setup
-//! product of a tile — is traversed once per application and applied to
-//! every overshoot vector in the same pass. That is where the batching win
-//! comes from, twice over: the coefficient and matrix loads that dominate
-//! a single-RHS tile solve are amortized across the full batch, and the
-//! latency-bound chain recurrence runs one *independent* chain per lane
-//! group, so up to [`MAX_GROUPS`] recurrences are in flight per row
-//! instead of one.
+//! Two things ride lanes here, and they are the same arithmetic:
+//!
+//! - **four tiles × one right-hand side** — the packed path of
+//!   [`super::BlockEvp`]'s single-RHS apply. Same-shape tiles of one block
+//!   are packed four to a lane group, their coefficients lane-interleaved
+//!   in the block's slab ([`PerTile`]: `V::load(&slab[idx·4])`), and the
+//!   serial recurrences that no dispatch mode can vectorise *within* a tile
+//!   (the marching chain `y_{i+1} = g_i − h2_i·y_{i−1}`, the band
+//!   substitutions) advance four tiles per step. [`Packed`] stages `ψ` in
+//!   and `x` out through a 4×4 transpose.
+//! - **one tile × `groups · LANES` right-hand sides** — the batched apply.
+//!   The pad is superlane-major (`groups · LANES` consecutive `f64` per pad
+//!   point — lane group, then lane), every coefficient is splat once and
+//!   shared by all lanes of all groups ([`Shared`] for a tile's own arrays,
+//!   [`Member`] for one tile of a pack's slab), and one *independent*
+//!   chain per lane group is in flight. [`Batched`] reads and writes the
+//!   lane-major [`pop_comm::MultiBlockVec`] storage in place.
 //!
 //! Each lane executes exactly the per-point operation sequence of the
-//! single-RHS lane kernels (which the dispatch layer pins bitwise identical
-//! to the scalar reference arms — `tests/simd_equivalence.rs`), so per-lane
-//! results are bitwise identical to [`super::EvpSubBlock::solve_strided_mode`]
-//! under every dispatch mode: interleaving independent lane groups reorders
-//! *instructions*, never any lane's arithmetic. Two rules carry over
-//! unchanged:
+//! single-tile, single-RHS solve ([`super::evp_simd`], whose dispatch arms
+//! `tests/simd_equivalence.rs` pins bitwise identical) — `(ψ − ((a0·xc +
+//! ane_s·xse) + ane_sw·xsw))·d⁻¹`, the axis terms summed among themselves
+//! first in the full system, `acc − l·x` over ascending band columns, `acc /
+//! u_rr` — so per-lane results are bitwise identical to
+//! [`super::EvpSubBlock::solve_strided_mode`] under every dispatch mode:
+//! interleaving lanes reorders *instructions*, never any lane's arithmetic.
+//! Scalar dispatch shares the portable instantiation for the same reason.
+//! Two rules carry over unchanged:
 //!
 //! - the chain recurrence's FMA contraction is keyed on the CPU property
-//!   [`pop_simd::detected_fma`], never on the dispatch mode, and the lane
-//!   form `fma(splat(−h), y, g)` is the exact lane image of the scalar
-//!   `(−h).mul_add(y, g)`;
+//!   [`pop_simd::detected_fma`], never on the dispatch mode: the chain
+//!   planes are stored signed for it, and `fma(−h, y, g)` on lanes is the
+//!   exact lane image of the scalar `(−h).mul_add(y, g)`;
 //! - the influence apply accumulates each output row over ascending columns
-//!   from `+0.0`, the scalar row dot product, with one splat per matrix
-//!   entry feeding all lanes.
+//!   from `+0.0`, the scalar row dot product.
 
-use super::evp_simd::MarchPlan;
+use super::evp_simd::{self, e_line, f_line, A0, AE, AE_W, ANE_S, ANE_SW, AN_S, D_INV, H1, H2};
 use pop_simd::{LaneF64, Portable4, SimdMode, LANES};
-use pop_stencil::dense::BandLu;
-use pop_stencil::{DenseMatrix, LocalStencil};
 
 /// The most lane groups one batched tile solve interleaves:
 /// `MAX_BATCH / LANES` (`crate::solvers::batch`). The kernels keep one
@@ -43,424 +49,407 @@ pub(super) const MAX_GROUPS: usize = 4;
 
 const _: () = assert!(crate::solvers::MAX_BATCH <= MAX_GROUPS * LANES);
 
-/// Reusable scratch for the batched tile solve; lives inside the same
-/// thread-local as the single-RHS tile scratch so steady-state batched
-/// preconditioner applications allocate nothing.
+/// Reusable scratch for the lane tile solve; lives inside the same
+/// thread-local as the lone-tile scratch so steady-state preconditioner
+/// applications allocate nothing.
 #[derive(Debug, Default, Clone)]
-pub(super) struct MultiEvpScratch {
+pub(super) struct LaneScratch {
     /// Superlane-major marching pad: `(nx+2)·(ny+2)` points of
     /// `groups·LANES` values.
-    pub(super) xpad: Vec<f64>,
+    xpad: Vec<f64>,
     /// Per-row `g` buffer: `nx` points of `groups·LANES` values.
-    pub(super) g: Vec<f64>,
-    /// Overshoot-ring values: ring length × `groups·LANES`.
-    pub(super) fvals: Vec<f64>,
-    /// Guess correction `R·f`: ring length × `groups·LANES`.
-    pub(super) corr: Vec<f64>,
-    /// Superlane-major contiguous staging tile for the band-LU solve (in
-    /// place: `ψ` in, `x` out).
-    pub(super) x_t: Vec<f64>,
+    g: Vec<f64>,
+    /// Overshoot-ring values, then the guess correction `R·f`: ring length
+    /// × `groups·LANES` each.
+    fvals: Vec<f64>,
+    corr: Vec<f64>,
+    /// Superlane-major contiguous tile: a pack's transposed `ψ`, or the
+    /// band-LU solve's staging (in place: `ψ` in, `x` out).
+    tile: Vec<f64>,
 }
 
-/// Zero the superlane-major pad cells a batched sweep reads before writing:
-/// the two full south pad rows and the two west pad columns of every higher
-/// row (see [`super::evp_simd::reset_march_pad`] for why the rest of the
-/// pad needs no reset). `sl = groups · LANES` is the per-point width.
-pub(super) fn reset_march_pad_multi(xpad: &mut [f64], nx: usize, ny: usize, sl: usize) {
-    let xs = (nx + 2) * sl;
-    xpad[..2 * xs].fill(0.0);
-    for j in 2..ny + 2 {
-        xpad[j * xs..j * xs + 2 * sl].fill(0.0);
+// ---------------------------------------------------------------------------
+// Where a coefficient comes from
+// ---------------------------------------------------------------------------
+
+/// A flat coefficient array as the lane kernels read it: entry `idx` as one
+/// value per lane.
+pub(super) trait Coefs: Copy {
+    /// Does the marching array hold one `fields`-long record per tile point
+    /// (a pack's slab, streamed front to back) rather than one `points`-long
+    /// plane per field (a tile's own [`super::evp_simd::MarchPlan`], whose
+    /// lone-tile kernels load along rows)?
+    const RECORDS: bool;
+
+    /// How many entries the array holds.
+    fn len(self) -> usize;
+
+    /// # Safety
+    /// `idx < self.len()` — unchecked: [`solve_tile`] checks every array's
+    /// length against the tile shape once, and the kernels index inside
+    /// those lengths by construction (the per-entry check measured ≈ 10 %
+    /// of a packed apply). With AVX2 lanes the caller must run under the
+    /// `avx2` target feature.
+    unsafe fn at<V: LaneF64>(self, idx: usize) -> V;
+
+    /// Field `f` of tile point `p` in the marching array.
+    ///
+    /// # Safety
+    /// As [`Coefs::at`], with `p < points` and `f < fields`.
+    #[inline(always)]
+    unsafe fn field<V: LaneF64>(self, p: usize, f: usize, points: usize, fields: usize) -> V {
+        self.at(if Self::RECORDS {
+            p * fields + f
+        } else {
+            f * points + p
+        })
     }
 }
 
-/// The lane-parallel southwest→northeast marching sweep over the
-/// superlane-major pad: per center row, a lane-wide g-pass then the
-/// lane-wide chain recurrences, all lane groups interleaved.
+/// One tile's own contiguous array: every lane is another right-hand side
+/// of the same tile, so the entry is splat.
+#[derive(Clone, Copy)]
+pub(super) struct Shared<'a>(pub &'a [f64]);
+
+/// A pack's lane-interleaved array (`value[idx·LANES + lane]`): lane `l` is
+/// the pack's tile `l`.
+#[derive(Clone, Copy)]
+pub(super) struct PerTile<'a>(pub &'a [f64]);
+
+/// Tile `.1` of a pack's lane-interleaved array, splat: the pack's data
+/// serving a batched solve of one member.
+#[derive(Clone, Copy)]
+pub(super) struct Member<'a>(pub &'a [f64], pub usize);
+
+impl Coefs for Shared<'_> {
+    const RECORDS: bool = false;
+
+    fn len(self) -> usize {
+        self.0.len()
+    }
+
+    #[inline(always)]
+    unsafe fn at<V: LaneF64>(self, idx: usize) -> V {
+        debug_assert!(idx < self.len());
+        V::splat(*self.0.get_unchecked(idx))
+    }
+}
+
+impl Coefs for PerTile<'_> {
+    const RECORDS: bool = true;
+
+    fn len(self) -> usize {
+        self.0.len() / LANES
+    }
+
+    #[inline(always)]
+    unsafe fn at<V: LaneF64>(self, idx: usize) -> V {
+        debug_assert!(idx < self.len());
+        V::load(self.0.as_ptr().add(idx * LANES))
+    }
+}
+
+impl Coefs for Member<'_> {
+    const RECORDS: bool = true;
+
+    fn len(self) -> usize {
+        assert!(self.1 < LANES);
+        self.0.len() / LANES
+    }
+
+    #[inline(always)]
+    unsafe fn at<V: LaneF64>(self, idx: usize) -> V {
+        debug_assert!(idx < self.len());
+        V::splat(*self.0.get_unchecked(idx * LANES + self.1))
+    }
+}
+
+/// The set-up data of one tile (or one pack of tiles) as `T`-typed arrays.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) enum TileCoefs<T> {
+    /// EVP marching: the [`super::evp_simd::MarchPlan`] planes and the
+    /// row-major inverse influence matrix `R = W⁻¹`. No mask: a marchable
+    /// tile is all ocean.
+    March { reduced: bool, planes: T, r_inv: T },
+    /// Band LU: the `n·(2w+1)` factor of [`pop_stencil::dense::BandLu`] and
+    /// the land mask words.
+    Band { w: usize, band: T, mask: T },
+}
+
+impl<T> TileCoefs<T> {
+    /// The arrays alone, in storage order (the order a pack's slab holds
+    /// them in).
+    pub(super) fn arrays(self) -> [T; 2] {
+        match self {
+            TileCoefs::March { planes, r_inv, .. } => [planes, r_inv],
+            TileCoefs::Band { band, mask, .. } => [band, mask],
+        }
+    }
+
+    /// The same tile with every array mapped through `f`, in storage order.
+    pub(super) fn map<U>(self, mut f: impl FnMut(T) -> U) -> TileCoefs<U> {
+        match self {
+            TileCoefs::March {
+                reduced,
+                planes,
+                r_inv,
+            } => TileCoefs::March {
+                reduced,
+                planes: f(planes),
+                r_inv: f(r_inv),
+            },
+            TileCoefs::Band { w, band, mask } => TileCoefs::Band {
+                w,
+                band: f(band),
+                mask: f(mask),
+            },
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The kernels
+// ---------------------------------------------------------------------------
+
+/// Zero the superlane-major pad cells a sweep reads before writing: the two
+/// full south pad rows and the two west pad columns of every higher row
+/// (see [`super::evp_simd::reset_march_pad`] for why the rest of the pad
+/// needs no reset). Lane stores rather than `fill`: the spans are a few
+/// lane groups long, shorter than a `memset` call.
 ///
-/// `psi` starts at the tile's first interior lane group of **lane group 0**
-/// inside its parent [`pop_comm::MultiBlockVec`] storage; lane group `g`'s
-/// tile sits `g · psi_gstride` elements later and each advances
-/// `psi_stride` `f64` elements per tile row (`block stride · LANES`); each
-/// lane reads its own right-hand side.
-///
-/// The full (non-reduced) g-pass sums its three extra terms in a
-/// **column-dependent** order, because the single-RHS kernels do: the
-/// scalar arm groups them (`q += t4 + t5 + t6`), while the lane arm adds
-/// them sequentially for full lane chunks and falls back to the scalar
-/// grouping for the `nx % LANES` tail columns. `tail_from` is the first
-/// column the single-RHS kernel of the active mode computed with the
-/// scalar grouping (0 under scalar dispatch, `nx − nx % LANES` under lane
-/// dispatch); matching it per column is what keeps every lane bitwise
-/// faithful. Reduced tiles have only three terms, whose order is the same
-/// in both arms.
+/// # Safety
+/// With AVX2 lanes the caller must run under the `avx2` target feature.
+#[inline(always)]
+unsafe fn reset_march_pad<V: LaneF64>(xpad: &mut [f64], nx: usize, ny: usize, groups: usize) {
+    let zero = V::splat(0.0);
+    let row = (nx + 2) * groups;
+    let mut clear = |from: usize, lane_groups: usize| {
+        for q in from..from + lane_groups {
+            zero.store(xpad[q * LANES..][..LANES].as_mut_ptr());
+        }
+    };
+    clear(0, 2 * row);
+    for j in 2..ny + 2 {
+        clear(j * row, 2 * groups);
+    }
+}
+
+/// The southwest→northeast marching sweep over the superlane-major pad:
+/// per center row, a lane-wide g-pass then the lane-wide chain recurrence —
+/// one independent chain per lane group, [`MAX_GROUPS`] in flight where the
+/// lone-tile kernel has one. `psi = (slice, row stride, group stride)`:
+/// lane group `g`'s right-hand sides of row `j`, column `i` are the `LANES`
+/// values at `g · group stride + j · row stride + i · LANES`.
 ///
 /// # Safety
 /// With AVX2 lanes the caller must run under the `avx2` target feature, and
-/// additionally `fma` when `use_fma` is set.
+/// additionally `fma` when `use_fma` is set. `planes` must hold the tile's
+/// planes, `xpad` `(nx+2)·(ny+2)` and `g` `nx` points of `groups · LANES`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn march_multi_lanes<V: LaneF64>(
-    st: &LocalStencil,
-    plan: &MarchPlan,
-    xpad: &mut [f64],
-    psi: &[f64],
-    psi_stride: usize,
-    psi_gstride: usize,
-    g: &mut [f64],
-    use_fma: bool,
-    tail_from: usize,
-    groups: usize,
-) {
-    let (nx, ny) = (st.nx, st.ny);
-    let xs = nx + 2;
-    let sl = groups * LANES;
-    let (cs, a0, an, ae, ane) = st.raw_parts();
-    let reduced = plan.reduced;
-    for j in 0..ny {
-        let crow = (j + 1) * cs + 1;
-        // Split so the g-pass reads only completed rows while the chain
-        // writes the in-progress output row — same aliasing discipline as
-        // the single-RHS sweep.
-        let (done, rest) = xpad.split_at_mut((j + 2) * xs * sl);
-        // Pad *point* index of `x(0, j)`'s cell; lane group `g` of point
-        // `p` lives at `p·sl + g·LANES`.
-        let xrow = (j + 1) * xs + 1;
-        for i in 0..nx {
-            let ck = crow + i;
-            let xk = xrow + i;
-            // One splat per coefficient, shared by every lane group.
-            let a0v = V::splat(a0[ck]);
-            let ane_n = V::splat(ane[ck - cs]);
-            let ane_sw = V::splat(ane[ck - cs - 1]);
-            let dv = V::splat(plan.d_inv[j * nx + i]);
-            let at = |p: usize, gr: usize| V::load(done.as_ptr().add(p * sl + gr * LANES));
-            if reduced {
-                for gr in 0..groups {
-                    let q = a0v.mul(at(xk, gr));
-                    let q = q.add(ane_n.mul(at(xk - (xs - 1), gr)));
-                    let q = q.add(ane_sw.mul(at(xk - (xs + 1), gr)));
-                    let rhs = V::load(
-                        psi.as_ptr()
-                            .add(gr * psi_gstride + j * psi_stride + i * LANES),
-                    );
-                    rhs.sub(q)
-                        .mul(dv)
-                        .store(g.as_mut_ptr().add(i * sl + gr * LANES));
-                }
-            } else {
-                let an_v = V::splat(an[ck - cs]);
-                let ae_e = V::splat(ae[ck]);
-                let ae_w = V::splat(ae[ck - 1]);
-                for gr in 0..groups {
-                    let q = a0v.mul(at(xk, gr));
-                    let q = q.add(ane_n.mul(at(xk - (xs - 1), gr)));
-                    let mut q = q.add(ane_sw.mul(at(xk - (xs + 1), gr)));
-                    let t4 = an_v.mul(at(xk - xs, gr));
-                    let t5 = ae_e.mul(at(xk + 1, gr));
-                    let t6 = ae_w.mul(at(xk - 1, gr));
-                    if i < tail_from {
-                        q = q.add(t4).add(t5).add(t6);
-                    } else {
-                        q = q.add(t4.add(t5).add(t6));
-                    }
-                    let rhs = V::load(
-                        psi.as_ptr()
-                            .add(gr * psi_gstride + j * psi_stride + i * LANES),
-                    );
-                    rhs.sub(q)
-                        .mul(dv)
-                        .store(g.as_mut_ptr().add(i * sl + gr * LANES));
-                }
-            }
-        }
-        let h1row = if reduced {
-            &[][..]
-        } else {
-            &plan.h1[j * nx..(j + 1) * nx]
-        };
-        chain_row_multi::<V>(
-            reduced,
-            h1row,
-            &plan.h2[j * nx..(j + 1) * nx],
-            g,
-            &mut rest[..xs * sl],
-            use_fma,
-            groups,
-        );
-    }
-}
-
-/// The lane-wide chain recurrence: each lane runs the scalar chain of
-/// [`super::evp_simd`] on its own RHS, with `h1`/`h2` splat once from the
-/// shared plan and fed to one independent recurrence per lane group —
-/// [`MAX_GROUPS`] chains in flight where the single-RHS kernel has one.
-/// `out` is the padded superlane-major output row: point 0 = west ring,
-/// point 1 = preset guess, point `i+2` receives `x(i+1, j+1)`.
-#[inline(always)]
-unsafe fn chain_row_multi<V: LaneF64>(
+unsafe fn march_sweep<V: LaneF64, C: Coefs>(
+    (nx, ny): (usize, usize),
     reduced: bool,
-    h1row: &[f64],
-    h2row: &[f64],
-    g: &[f64],
-    out: &mut [f64],
+    planes: C,
+    xpad: &mut [f64],
+    (psi, psi_stride, psi_gstride): (&[f64], usize, usize),
+    g: &mut [f64],
     use_fma: bool,
     groups: usize,
 ) {
-    let sl = groups * LANES;
-    let mut ym1 = [V::splat(0.0); MAX_GROUPS];
-    let mut y0 = [V::splat(0.0); MAX_GROUPS];
-    for gr in 0..groups {
-        ym1[gr] = V::load(out.as_ptr().add(gr * LANES));
-        y0[gr] = V::load(out.as_ptr().add(sl + gr * LANES));
-    }
-    for (i, &h2i) in h2row.iter().enumerate() {
-        let nh2 = V::splat(-h2i);
-        let h2v = V::splat(h2i);
-        let (nh1, h1v) = if reduced {
-            (V::splat(0.0), V::splat(0.0))
-        } else {
-            (V::splat(-h1row[i]), V::splat(h1row[i]))
-        };
+    let (n, nf, xs, sl) = (nx * ny, evp_simd::planes(reduced), nx + 2, groups * LANES);
+    let coef = |p: usize, f: usize| planes.field::<V>(p, f, n, nf);
+    for j in 0..ny {
+        // Split so the g-pass reads only completed rows while the chain
+        // writes the in-progress output row.
+        let (done, out) = xpad.split_at_mut((j + 2) * xs * sl);
+        // Pad *point* index of `x(0, j)`; lane group `g` of point `p` lives
+        // at `p·sl + g·LANES`.
+        let xrow = (j + 1) * xs + 1;
+        let at = |p: usize, gr: usize| V::load(done.as_ptr().add(p * sl + gr * LANES));
+        for i in 0..nx {
+            let (p, xk) = (j * nx + i, xrow + i);
+            // One load per coefficient, shared by every lane group.
+            let a0 = coef(p, A0);
+            let ane_s = coef(p, ANE_S);
+            let ane_sw = coef(p, ANE_SW);
+            let d_inv = coef(p, D_INV);
+            for gr in 0..groups {
+                let q = a0.mul(at(xk, gr));
+                let q = q.add(ane_s.mul(at(xk - (xs - 1), gr)));
+                let mut q = q.add(ane_sw.mul(at(xk - (xs + 1), gr)));
+                if !reduced {
+                    let t4 = coef(p, AN_S).mul(at(xk - xs, gr));
+                    let t5 = coef(p, AE).mul(at(xk + 1, gr));
+                    let t6 = coef(p, AE_W).mul(at(xk - 1, gr));
+                    q = q.add(t4.add(t5).add(t6));
+                }
+                let rhs = V::load(
+                    psi.as_ptr()
+                        .add(gr * psi_gstride + j * psi_stride + i * LANES),
+                );
+                rhs.sub(q)
+                    .mul(d_inv)
+                    .store(g.as_mut_ptr().add(i * sl + gr * LANES));
+            }
+        }
+        // The chain: each lane runs the scalar recurrence of
+        // `evp_simd::chain_row` on its own tile / right-hand side. Point 0
+        // of `out` is the west ring, point 1 the preset guess, point `i+2`
+        // receives `x(i+1, j+1)`.
+        let mut ym1 = [V::splat(0.0); MAX_GROUPS];
+        let mut y0 = [V::splat(0.0); MAX_GROUPS];
         for gr in 0..groups {
-            let gi = V::load(g.as_ptr().add(i * sl + gr * LANES));
-            let y = if reduced {
-                if use_fma {
-                    nh2.mul_add(ym1[gr], gi)
-                } else {
-                    gi.sub(h2v.mul(ym1[gr]))
-                }
-            } else if use_fma {
-                nh2.mul_add(ym1[gr], nh1.mul_add(y0[gr], gi))
-            } else {
-                gi.sub(h1v.mul(y0[gr])).sub(h2v.mul(ym1[gr]))
-            };
-            y.store(out.as_mut_ptr().add((i + 2) * sl + gr * LANES));
-            ym1[gr] = y0[gr];
-            y0[gr] = y;
+            ym1[gr] = V::load(out.as_ptr().add(gr * LANES));
+            y0[gr] = V::load(out.as_ptr().add(sl + gr * LANES));
+        }
+        for i in 0..nx {
+            let p = j * nx + i;
+            // Signed at set-up: `−h` on FMA CPUs, `h` elsewhere.
+            let h2 = coef(p, H2);
+            let h1 = if reduced { h2 } else { coef(p, H1) };
+            for gr in 0..groups {
+                let gi = V::load(g.as_ptr().add(i * sl + gr * LANES));
+                let y = match (reduced, use_fma) {
+                    (true, true) => h2.mul_add(ym1[gr], gi),
+                    (true, false) => gi.sub(h2.mul(ym1[gr])),
+                    (false, true) => h2.mul_add(ym1[gr], h1.mul_add(y0[gr], gi)),
+                    (false, false) => gi.sub(h1.mul(y0[gr])).sub(h2.mul(ym1[gr])),
+                };
+                y.store(out.as_mut_ptr().add((i + 2) * sl + gr * LANES));
+                ym1[gr] = y0[gr];
+                y0[gr] = y;
+            }
         }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn march_multi_avx2_fma(
-    st: &LocalStencil,
-    plan: &MarchPlan,
-    xpad: &mut [f64],
-    psi: &[f64],
-    psi_stride: usize,
-    psi_gstride: usize,
-    g: &mut [f64],
-    tail_from: usize,
-    groups: usize,
-) {
-    march_multi_lanes::<pop_simd::Avx2>(
-        st,
-        plan,
-        xpad,
-        psi,
-        psi_stride,
-        psi_gstride,
-        g,
-        true,
-        tail_from,
-        groups,
-    );
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-unsafe fn march_multi_avx2_nofma(
-    st: &LocalStencil,
-    plan: &MarchPlan,
-    xpad: &mut [f64],
-    psi: &[f64],
-    psi_stride: usize,
-    psi_gstride: usize,
-    g: &mut [f64],
-    tail_from: usize,
-    groups: usize,
-) {
-    march_multi_lanes::<pop_simd::Avx2>(
-        st,
-        plan,
-        xpad,
-        psi,
-        psi_stride,
-        psi_gstride,
-        g,
-        false,
-        tail_from,
-        groups,
-    );
-}
-
-/// Dispatch wrapper for the batched marching sweep. Scalar mode shares the
-/// portable instantiation: portable lanes *are* the per-lane scalar
-/// operation sequence, and the single-RHS dispatch arms are pinned bitwise
-/// identical, so one instantiation matches every single-RHS mode.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn march_multi(
-    mode: SimdMode,
-    st: &LocalStencil,
-    plan: &MarchPlan,
-    xpad: &mut [f64],
-    psi: &[f64],
-    psi_stride: usize,
-    psi_gstride: usize,
-    g: &mut Vec<f64>,
-    groups: usize,
-) {
-    assert!((1..=MAX_GROUPS).contains(&groups));
-    debug_assert_eq!(xpad.len(), (st.nx + 2) * (st.ny + 2) * groups * LANES);
-    g.clear();
-    g.resize(st.nx * groups * LANES, 0.0);
-    let use_fma = pop_simd::detected_fma();
-    // First column the single-RHS kernel of this mode computes with the
-    // scalar term grouping (see `march_multi_lanes`).
-    let tail_from = match mode {
-        SimdMode::Scalar => 0,
-        _ => st.nx - st.nx % LANES,
-    };
-    match mode {
-        SimdMode::Scalar | SimdMode::Portable => {
-            // SAFETY: portable lanes need no CPU features; `mul_add` is the
-            // (always available) `f64::mul_add`.
-            unsafe {
-                march_multi_lanes::<Portable4>(
-                    st,
-                    plan,
-                    xpad,
-                    psi,
-                    psi_stride,
-                    psi_gstride,
-                    g,
-                    use_fma,
-                    tail_from,
-                    groups,
-                )
-            }
-        }
-        SimdMode::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: dispatch only selects Avx2 after runtime detection;
-            // the fma-enabled arm runs only when FMA was also detected.
-            unsafe {
-                if use_fma {
-                    march_multi_avx2_fma(
-                        st,
-                        plan,
-                        xpad,
-                        psi,
-                        psi_stride,
-                        psi_gstride,
-                        g,
-                        tail_from,
-                        groups,
-                    )
-                } else {
-                    march_multi_avx2_nofma(
-                        st,
-                        plan,
-                        xpad,
-                        psi,
-                        psi_stride,
-                        psi_gstride,
-                        g,
-                        tail_from,
-                        groups,
-                    )
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX2 dispatch off x86-64")
-        }
-    }
-}
-
-/// `corr = R·f` for every lane's overshoot vector at once: the matrix is
-/// traversed once, each entry splat to all lanes of all groups; per lane
-/// every output row is the scalar ascending-column fold from `+0.0`.
+/// `RB` output rows of `corr = R·f` from row `r0`: the matrix is traversed
+/// once, each entry feeding all lanes of all groups; per lane every output
+/// row is the scalar ascending-column fold from `+0.0`. Several rows at once
+/// only so that enough independent accumulators hide the add latency.
+///
+/// # Safety
+/// As [`influence`], with `r0 + RB ≤ k`.
 #[inline(always)]
-unsafe fn influence_multi_lanes<V: LaneF64>(
-    r_inv: &DenseMatrix,
+unsafe fn influence_rows<V: LaneF64, C: Coefs, const RB: usize>(
+    r_inv: C,
+    k: usize,
+    f: &[f64],
+    corr: &mut [f64],
+    groups: usize,
+    r0: usize,
+) {
+    let sl = groups * LANES;
+    let mut acc = [[V::splat(0.0); MAX_GROUPS]; RB];
+    for c in 0..k {
+        for (rb, row) in acc.iter_mut().enumerate() {
+            let ev = r_inv.at::<V>((r0 + rb) * k + c);
+            for (gr, a) in row.iter_mut().enumerate().take(groups) {
+                *a = a.add(ev.mul(V::load(f.as_ptr().add(c * sl + gr * LANES))));
+            }
+        }
+    }
+    for (rb, row) in acc.iter().enumerate() {
+        for (gr, a) in row.iter().enumerate().take(groups) {
+            a.store(corr.as_mut_ptr().add((r0 + rb) * sl + gr * LANES));
+        }
+    }
+}
+
+/// `corr = R·f` for every lane's overshoot vector at once (`k` ring points
+/// of `groups · LANES` values each).
+///
+/// # Safety
+/// With AVX2 lanes the caller must run under the `avx2` target feature.
+/// `r_inv` must hold `k²` entries, `f` and `corr` `k · groups · LANES`
+/// values, with `groups ≤ MAX_GROUPS`.
+#[inline(always)]
+unsafe fn influence<V: LaneF64, C: Coefs>(
+    r_inv: C,
+    k: usize,
     f: &[f64],
     corr: &mut [f64],
     groups: usize,
 ) {
-    let k = r_inv.n();
-    let sl = groups * LANES;
-    for r in 0..k {
-        let mut acc = [V::splat(0.0); MAX_GROUPS];
-        for c in 0..k {
-            let ev = V::splat(r_inv.get(r, c));
-            for (gr, a) in acc.iter_mut().enumerate().take(groups) {
-                *a = a.add(ev.mul(V::load(f.as_ptr().add(c * sl + gr * LANES))));
-            }
-        }
-        for (gr, a) in acc.iter().enumerate().take(groups) {
-            a.store(corr.as_mut_ptr().add(r * sl + gr * LANES));
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn influence_multi_avx2(r_inv: &DenseMatrix, f: &[f64], corr: &mut [f64], groups: usize) {
-    influence_multi_lanes::<pop_simd::Avx2>(r_inv, f, corr, groups);
-}
-
-/// Batched influence apply: `corr` is resized to ring length × `groups ·
-/// LANES`.
-pub(super) fn influence_apply_multi(
-    mode: SimdMode,
-    r_inv: &DenseMatrix,
-    f: &[f64],
-    corr: &mut Vec<f64>,
-    groups: usize,
-) {
-    assert!((1..=MAX_GROUPS).contains(&groups));
-    let k = r_inv.n();
-    debug_assert_eq!(f.len(), k * groups * LANES);
-    corr.clear();
-    corr.resize(k * groups * LANES, 0.0);
-    match mode {
-        SimdMode::Scalar | SimdMode::Portable => {
-            // SAFETY: portable lanes need no CPU features.
-            unsafe { influence_multi_lanes::<Portable4>(r_inv, f, corr, groups) }
-        }
-        SimdMode::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: dispatch only selects Avx2 after runtime detection.
-            unsafe {
-                influence_multi_avx2(r_inv, f, corr, groups)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX2 dispatch off x86-64")
+    let mut r = 0;
+    while r < k {
+        // About MAX_GROUPS accumulator registers in flight either way.
+        let rb = (k - r).min(MAX_GROUPS / groups);
+        if rb >= 4 {
+            influence_rows::<V, C, 4>(r_inv, k, f, corr, groups, r);
+            r += 4;
+        } else if rb >= 2 {
+            influence_rows::<V, C, 2>(r_inv, k, f, corr, groups, r);
+            r += 2;
+        } else {
+            influence_rows::<V, C, 1>(r_inv, k, f, corr, groups, r);
+            r += 1;
         }
     }
 }
 
-/// Lane-parallel band-LU solve, in place: every lane of every group runs the
-/// exact scalar [`BandLu::solve_in_place`] recurrence on its own right-hand
-/// side, with the shared factorization's entries splat once per coefficient.
-/// The substitutions are serial dependency chains per lane — the scalar
-/// path pays that latency once *per lane*, this kernel pays it once per
-/// batch with up to [`MAX_GROUPS`] independent chains in flight. `x` is `n`
-/// points of `groups · LANES` values (superlane-major), `b` on entry.
+/// The whole marching solve into `xpad`: a sweep from the zero guess, the
+/// overshoot on the Dirichlet ring folded through `R`, and the definitive
+/// sweep from the corrected guess `e = −R·f`.
 ///
 /// # Safety
-/// With [`pop_simd::Avx2`] lanes the caller must be executing under the
-/// `avx2` target feature. `band` must hold `n · (2w + 1)` entries and `x`
-/// `n · groups · LANES`, with `groups ≤ MAX_GROUPS`.
+/// As [`march_sweep`] (the buffers are sized here) and [`influence`]:
+/// `planes` and `r_inv` must hold an `nx × ny` tile's arrays, and `psi` its
+/// right-hand sides.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn band_solve_multi_lanes<V: LaneF64>(
+unsafe fn march_solve<V: LaneF64, C: Coefs>(
+    (nx, ny): (usize, usize),
+    reduced: bool,
+    planes: C,
+    r_inv: C,
+    psi: (&[f64], usize, usize),
+    (xpad, g, fvals, corr): (&mut Vec<f64>, &mut Vec<f64>, &mut Vec<f64>, &mut Vec<f64>),
+    use_fma: bool,
+    groups: usize,
+) {
+    let (sl, k) = (groups * LANES, nx + ny - 1);
+    xpad.resize((nx + 2) * (ny + 2) * sl, 0.0);
+    g.resize(nx * sl, 0.0);
+    fvals.resize(k * sl, 0.0);
+    corr.resize(k * sl, 0.0);
+
+    reset_march_pad::<V>(xpad, nx, ny, groups);
+    march_sweep::<V, C>((nx, ny), reduced, planes, xpad, psi, g, use_fma, groups);
+    // Mismatch on the Dirichlet ring, per lane (pure copies).
+    for (c, fk) in f_line(nx, ny).enumerate() {
+        fvals[c * sl..(c + 1) * sl].copy_from_slice(&xpad[fk * sl..(fk + 1) * sl]);
+    }
+    influence::<V, C>(r_inv, k, fvals, corr, groups);
+    // The e-line negation is the scalar unary `-` per lane (exact, unlike
+    // `0.0 − x`, which loses `−0.0`).
+    reset_march_pad::<V>(xpad, nx, ny, groups);
+    for (c, ek) in e_line(nx, ny).enumerate() {
+        for v in 0..sl {
+            xpad[ek * sl + v] = -corr[c * sl + v];
+        }
+    }
+    march_sweep::<V, C>((nx, ny), reduced, planes, xpad, psi, g, use_fma, groups);
+}
+
+/// Lane-parallel band-LU solve, in place: every lane runs the exact scalar
+/// [`pop_stencil::dense::BandLu::solve_in_place`] recurrence — plain
+/// `acc − l·x` over ascending band columns, never contracted, then `acc /
+/// u_rr` — on its own right-hand side (and, in a pack, its own factor). The
+/// substitutions are serial dependency chains per lane; this pays their
+/// latency once per lane group with up to [`MAX_GROUPS`] independent chains
+/// in flight. `x` is `n` points of `groups · LANES` values, `b` on entry.
+///
+/// # Safety
+/// With AVX2 lanes the caller must run under the `avx2` target feature.
+/// `band` must hold `n · (2w + 1)` entries and `x` `n · groups · LANES`,
+/// with `groups ≤ MAX_GROUPS`.
+#[inline(always)]
+unsafe fn band_solve<V: LaneF64, C: Coefs>(
     n: usize,
     w: usize,
-    band: &[f64],
+    band: C,
     x: &mut [f64],
     groups: usize,
 ) {
@@ -473,7 +462,7 @@ unsafe fn band_solve_multi_lanes<V: LaneF64>(
             *a = V::load(x.as_ptr().add(r * sl + gr * LANES));
         }
         for c in r.saturating_sub(w)..r {
-            let lv = V::splat(band[r * bw + c + w - r]);
+            let lv = band.at::<V>(r * bw + c + w - r);
             for (gr, a) in acc.iter_mut().enumerate().take(groups) {
                 *a = a.sub(lv.mul(V::load(x.as_ptr().add(c * sl + gr * LANES))));
             }
@@ -489,130 +478,359 @@ unsafe fn band_solve_multi_lanes<V: LaneF64>(
             *a = V::load(x.as_ptr().add(r * sl + gr * LANES));
         }
         for c in r + 1..(r + w + 1).min(n) {
-            let uv = V::splat(band[r * bw + c + w - r]);
+            let uv = band.at::<V>(r * bw + c + w - r);
             for (gr, a) in acc.iter_mut().enumerate().take(groups) {
                 *a = a.sub(uv.mul(V::load(x.as_ptr().add(c * sl + gr * LANES))));
             }
         }
-        let dv = V::splat(band[r * bw + w]);
+        let dv = band.at::<V>(r * bw + w);
         for (gr, a) in acc.iter().enumerate().take(groups) {
             a.div(dv).store(x.as_mut_ptr().add(r * sl + gr * LANES));
         }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn band_solve_multi_avx2(n: usize, w: usize, band: &[f64], x: &mut [f64], groups: usize) {
-    band_solve_multi_lanes::<pop_simd::Avx2>(n, w, band, x, groups);
+// ---------------------------------------------------------------------------
+// Staging: what the lanes are
+// ---------------------------------------------------------------------------
+
+/// How a tile solve's `ψ` reaches the lanes and its `x` leaves them.
+pub(super) trait TileIo {
+    /// Lane groups riding the solve.
+    fn groups(&self) -> usize;
+
+    /// Panic unless an `nx × ny` tile lies inside the storage addressed.
+    fn assert_fits(&self, dims: (usize, usize));
+
+    /// `ψ` as the marching sweep reads it — `(slice, row stride, group
+    /// stride)` — in place where the storage is lane-major already, staged
+    /// into `buf` otherwise.
+    ///
+    /// # Safety
+    /// As [`TileIo::gather`].
+    unsafe fn psi<'s, V: LaneF64>(
+        &'s self,
+        dims: (usize, usize),
+        buf: &'s mut Vec<f64>,
+    ) -> (&'s [f64], usize, usize);
+
+    /// `ψ` as one contiguous superlane-major tile (`nx·ny` points of
+    /// `groups · LANES` values), for the in-place band substitution.
+    ///
+    /// # Safety
+    /// With AVX2 lanes the caller must run under the `avx2` target feature.
+    unsafe fn gather<V: LaneF64>(&self, dims: (usize, usize), dst: &mut Vec<f64>);
+
+    /// Write the solved tile out, land zeroed through the `mask` words (the
+    /// branch-free select; `None` = all ocean). Row `j` of the solution
+    /// starts at `src[j · pitch]`.
+    ///
+    /// # Safety
+    /// As [`TileIo::gather`]; `mask` must hold `nx·ny` entries.
+    unsafe fn scatter<V: LaneF64, C: Coefs>(
+        &mut self,
+        dims: (usize, usize),
+        src: &[f64],
+        pitch: usize,
+        mask: Option<C>,
+    );
 }
 
-/// Dispatch wrapper for the batched band-LU solve. As with the other
-/// batched kernels, scalar mode shares the portable instantiation: the
-/// substitution has one possible per-lane operation sequence (plain mul/sub
-/// chains, never contracted), so every dispatch mode's single-RHS
-/// trajectory is the same and one lane image matches them all.
-pub(super) fn band_solve_multi(mode: SimdMode, factors: &BandLu, x: &mut [f64], groups: usize) {
-    assert!((1..=MAX_GROUPS).contains(&groups));
-    let (n, w, band) = factors.raw_parts();
-    assert_eq!(band.len(), n * (2 * w + 1));
-    assert_eq!(x.len(), n * groups * LANES);
-    match mode {
-        SimdMode::Scalar | SimdMode::Portable => {
-            // SAFETY: portable lanes need no CPU features; the lengths the
-            // raw lane loads rely on were asserted above.
-            unsafe { band_solve_multi_lanes::<Portable4>(n, w, band, x, groups) }
+/// One tile × `groups · LANES` right-hand sides, in place inside lane-major
+/// [`pop_comm::MultiBlockVec`] storage. `psi`/`x` start at the tile's first
+/// interior lane group of lane group 0; lane group `g`'s tile sits `g ·
+/// gstride` elements later, and each advances `stride` `f64` elements per
+/// tile row (block stride · `LANES`).
+pub(super) struct Batched<'a> {
+    pub psi: &'a [f64],
+    pub x: &'a mut [f64],
+    pub stride: usize,
+    pub gstride: usize,
+    pub groups: usize,
+}
+
+impl TileIo for Batched<'_> {
+    fn groups(&self) -> usize {
+        self.groups
+    }
+
+    fn assert_fits(&self, (nx, ny): (usize, usize)) {
+        let end = (self.groups - 1) * self.gstride + (ny - 1) * self.stride + nx * LANES;
+        assert!(end <= self.psi.len() && end <= self.x.len());
+    }
+
+    #[inline(always)]
+    unsafe fn psi<'s, V: LaneF64>(
+        &'s self,
+        _: (usize, usize),
+        _: &'s mut Vec<f64>,
+    ) -> (&'s [f64], usize, usize) {
+        (self.psi, self.stride, self.gstride)
+    }
+
+    #[inline(always)]
+    unsafe fn gather<V: LaneF64>(&self, (nx, ny): (usize, usize), dst: &mut Vec<f64>) {
+        let sl = self.groups * LANES;
+        dst.resize(nx * ny * sl, 0.0);
+        for g in 0..self.groups {
+            for j in 0..ny {
+                for i in 0..nx {
+                    let p = (j * nx + i) * sl + g * LANES;
+                    let s = g * self.gstride + j * self.stride + i * LANES;
+                    dst[p..p + LANES].copy_from_slice(&self.psi[s..s + LANES]);
+                }
+            }
         }
+    }
+
+    #[inline(always)]
+    unsafe fn scatter<V: LaneF64, C: Coefs>(
+        &mut self,
+        (nx, ny): (usize, usize),
+        src: &[f64],
+        pitch: usize,
+        mask: Option<C>,
+    ) {
+        let sl = self.groups * LANES;
+        for j in 0..ny {
+            for i in 0..nx {
+                // One mask word per point, shared by every lane.
+                let m = mask.map(|m| m.at::<V>(j * nx + i));
+                for gr in 0..self.groups {
+                    let v = V::load(src.as_ptr().add(j * pitch + i * sl + gr * LANES));
+                    m.map_or(v, |m| v.and_bits(m)).store(
+                        self.x
+                            .as_mut_ptr()
+                            .add(gr * self.gstride + j * self.stride + i * LANES),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Four same-shape tiles × one right-hand side, staged through a 4×4
+/// transpose between the rows of a [`pop_comm::BlockVec`] (four columns of
+/// one tile per load) and the lane layout (one column of four tiles per
+/// load). Lanes `live..` duplicate tile 0 on the way in and are not stored
+/// on the way out.
+pub(super) struct Packed<'a> {
+    pub r: &'a [f64],
+    pub z: &'a mut [f64],
+    /// Offset of each lane's tile origin in the block storage.
+    pub offs: [usize; LANES],
+    pub live: usize,
+    pub stride: usize,
+}
+
+impl TileIo for Packed<'_> {
+    #[inline(always)]
+    fn groups(&self) -> usize {
+        1
+    }
+
+    fn assert_fits(&self, (nx, ny): (usize, usize)) {
+        assert!((1..=LANES).contains(&self.live) && nx <= self.stride);
+        let end = self.offs.iter().max().expect("LANES > 0") + (ny - 1) * self.stride + nx;
+        assert!(end <= self.r.len() && end <= self.z.len());
+    }
+
+    #[inline(always)]
+    unsafe fn psi<'s, V: LaneF64>(
+        &'s self,
+        dims: (usize, usize),
+        buf: &'s mut Vec<f64>,
+    ) -> (&'s [f64], usize, usize) {
+        self.gather::<V>(dims, buf);
+        (&buf[..], dims.0 * LANES, 0)
+    }
+
+    #[inline(always)]
+    unsafe fn gather<V: LaneF64>(&self, (nx, ny): (usize, usize), dst: &mut Vec<f64>) {
+        dst.resize(nx * ny * LANES, 0.0);
+        for j in 0..ny {
+            // (Plain loops over the lanes: `array::map` does not inline
+            // into a `target_feature` caller.)
+            let mut row = [self.r.as_ptr(); LANES];
+            for (t, o) in row.iter_mut().zip(self.offs) {
+                *t = self.r[o + j * self.stride..][..nx].as_ptr();
+            }
+            let out = dst[j * nx * LANES..][..nx * LANES].as_mut_ptr();
+            let mut i = 0;
+            while i + LANES <= nx {
+                let rows = [
+                    V::load(row[0].add(i)),
+                    V::load(row[1].add(i)),
+                    V::load(row[2].add(i)),
+                    V::load(row[3].add(i)),
+                ];
+                for (c, v) in V::transpose4(rows).into_iter().enumerate() {
+                    v.store(out.add((i + c) * LANES));
+                }
+                i += LANES;
+            }
+            for i in i..nx {
+                for (l, t) in row.iter().enumerate() {
+                    *out.add(i * LANES + l) = *t.add(i);
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn scatter<V: LaneF64, C: Coefs>(
+        &mut self,
+        (nx, ny): (usize, usize),
+        src: &[f64],
+        pitch: usize,
+        mask: Option<C>,
+    ) {
+        let col = |j: usize, i: usize| {
+            let v = V::load(src.as_ptr().add(j * pitch + i * LANES));
+            mask.map_or(v, |m| v.and_bits(m.at::<V>(j * nx + i)))
+        };
+        let live = &self.offs[..self.live];
+        for j in 0..ny {
+            let mut i = 0;
+            while i + LANES <= nx {
+                let cols = [col(j, i), col(j, i + 1), col(j, i + 2), col(j, i + 3)];
+                for (v, o) in V::transpose4(cols).into_iter().zip(live) {
+                    v.store(self.z[o + j * self.stride + i..][..LANES].as_mut_ptr());
+                }
+                i += LANES;
+            }
+            for i in i..nx {
+                let mut t = [0.0; LANES];
+                col(j, i).store(t.as_mut_ptr());
+                for (v, o) in t.into_iter().zip(live) {
+                    self.z[o + j * self.stride + i] = v;
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch
+// ---------------------------------------------------------------------------
+
+/// One tile solve, generic over the lanes' instruction set.
+struct Solve<'a, C, Io> {
+    dims: (usize, usize),
+    coefs: TileCoefs<C>,
+    io: Io,
+    scratch: &'a mut LaneScratch,
+}
+
+impl<C: Coefs, Io: TileIo> Solve<'_, C, Io> {
+    /// # Safety
+    /// With AVX2 lanes the caller must run under the `avx2` target feature,
+    /// and additionally `fma` when `use_fma` is set.
+    #[inline(always)]
+    unsafe fn run<V: LaneF64>(self, use_fma: bool) {
+        let Solve {
+            dims: (nx, ny),
+            coefs,
+            mut io,
+            scratch,
+        } = self;
+        let groups = io.groups();
+        let sl = groups * LANES;
+        let LaneScratch {
+            xpad,
+            g,
+            fvals,
+            corr,
+            tile,
+        } = scratch;
+        match coefs {
+            TileCoefs::March {
+                reduced,
+                planes,
+                r_inv,
+            } => {
+                let psi = io.psi::<V>((nx, ny), tile);
+                march_solve::<V, C>(
+                    (nx, ny),
+                    reduced,
+                    planes,
+                    r_inv,
+                    psi,
+                    (xpad, g, fvals, corr),
+                    use_fma,
+                    groups,
+                );
+                // The interior of the pad starts one row and one point in.
+                let xs = (nx + 2) * sl;
+                io.scatter::<V, C>((nx, ny), &xpad[xs + sl..], xs, None);
+            }
+            TileCoefs::Band { w, band, mask } => {
+                io.gather::<V>((nx, ny), tile);
+                band_solve::<V, C>(nx * ny, w, band, tile, groups);
+                io.scatter::<V, C>((nx, ny), tile, nx * sl, Some(mask));
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn run_avx2_fma<C: Coefs, Io: TileIo>(s: Solve<'_, C, Io>) {
+    s.run::<pop_simd::Avx2>(true)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2<C: Coefs, Io: TileIo>(s: Solve<'_, C, Io>) {
+    s.run::<pop_simd::Avx2>(false)
+}
+
+/// Solve one `nx × ny` tile — or one pack of them — on the lanes `io`
+/// describes, with the kernels `mode` selects. Scalar mode shares the
+/// portable instantiation: portable lanes *are* the per-lane scalar
+/// operation sequence, and the lone-tile dispatch arms are pinned bitwise
+/// identical, so one instantiation matches every one of them.
+///
+/// Panics unless `coefs` holds exactly an `nx × ny` tile's arrays and `io`
+/// addresses `nx × ny` points inside its storage — the lengths every
+/// unchecked access below this point relies on.
+pub(super) fn solve_tile<C: Coefs, Io: TileIo>(
+    mode: SimdMode,
+    dims: (usize, usize),
+    coefs: TileCoefs<C>,
+    io: Io,
+    scratch: &mut LaneScratch,
+) {
+    let (n, k) = (dims.0 * dims.1, dims.0 + dims.1 - 1);
+    let lens = coefs.map(Coefs::len).arrays();
+    let want = match coefs {
+        TileCoefs::March { reduced, .. } => [evp_simd::planes(reduced) * n, k * k],
+        TileCoefs::Band { w, .. } => [n * (2 * w + 1), n],
+    };
+    assert_eq!(lens, want, "tile arrays do not fit a {dims:?} tile");
+    assert!((1..=MAX_GROUPS).contains(&io.groups()));
+    io.assert_fits(dims);
+    let use_fma = pop_simd::detected_fma();
+    let solve = Solve {
+        dims,
+        coefs,
+        io,
+        scratch,
+    };
+    match mode {
+        // SAFETY: portable lanes need no CPU features; `mul_add` is the
+        // (always available) `f64::mul_add`.
+        SimdMode::Scalar | SimdMode::Portable => unsafe { solve.run::<Portable4>(use_fma) },
         SimdMode::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: dispatch only selects Avx2 after runtime detection;
-            // lengths asserted above.
+            // the fma-enabled arm runs only when FMA was also detected.
             unsafe {
-                band_solve_multi_avx2(n, w, band, x, groups)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX2 dispatch off x86-64")
-        }
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn copy_out_multi_lanes<V: LaneF64>(
-    nx: usize,
-    ny: usize,
-    xpad: &[f64],
-    x: &mut [f64],
-    x_stride: usize,
-    x_gstride: usize,
-    maskbits: &[f64],
-    groups: usize,
-) {
-    let sl = groups * LANES;
-    let xs = (nx + 2) * sl;
-    for j in 0..ny {
-        let src = (j + 1) * xs + sl;
-        for i in 0..nx {
-            let m = V::splat(maskbits[j * nx + i]);
-            for gr in 0..groups {
-                V::load(xpad.as_ptr().add(src + i * sl + gr * LANES))
-                    .and_bits(m)
-                    .store(
-                        x.as_mut_ptr()
-                            .add(gr * x_gstride + j * x_stride + i * LANES),
-                    );
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-unsafe fn copy_out_multi_avx2(
-    nx: usize,
-    ny: usize,
-    xpad: &[f64],
-    x: &mut [f64],
-    x_stride: usize,
-    x_gstride: usize,
-    maskbits: &[f64],
-    groups: usize,
-) {
-    copy_out_multi_lanes::<pop_simd::Avx2>(nx, ny, xpad, x, x_stride, x_gstride, maskbits, groups);
-}
-
-/// Copy the solved superlane-major interior out of the marching pad into
-/// the strided lane-major destination tiles (lane group `g` at `g ·
-/// x_gstride`), zeroing land via one mask-word splat per point — the lane
-/// image of the single-RHS masked copy-out.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn masked_copy_out_multi(
-    mode: SimdMode,
-    nx: usize,
-    ny: usize,
-    xpad: &[f64],
-    x: &mut [f64],
-    x_stride: usize,
-    x_gstride: usize,
-    maskbits: &[f64],
-    groups: usize,
-) {
-    assert!((1..=MAX_GROUPS).contains(&groups));
-    match mode {
-        SimdMode::Scalar | SimdMode::Portable => {
-            // SAFETY: portable lanes need no CPU features.
-            unsafe {
-                copy_out_multi_lanes::<Portable4>(
-                    nx, ny, xpad, x, x_stride, x_gstride, maskbits, groups,
-                )
-            }
-        }
-        SimdMode::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: dispatch only selects Avx2 after runtime detection.
-            unsafe {
-                copy_out_multi_avx2(nx, ny, xpad, x, x_stride, x_gstride, maskbits, groups)
+                if use_fma {
+                    run_avx2_fma(solve)
+                } else {
+                    run_avx2(solve)
+                }
             }
             #[cfg(not(target_arch = "x86_64"))]
             unreachable!("AVX2 dispatch off x86-64")
@@ -622,18 +840,11 @@ pub(super) fn masked_copy_out_multi(
 
 #[cfg(test)]
 mod tests {
+    use super::{Batched, LaneScratch, MAX_GROUPS};
+    use crate::precond::evp::tests::{modes, seeded_tile};
     use crate::precond::{EvpScratch, EvpSubBlock};
     use pop_comm::{BlockVec, MultiBlockVec};
-    use pop_simd::{SimdMode, LANES};
-    use pop_stencil::LocalStencil;
-
-    fn modes() -> Vec<SimdMode> {
-        let mut m = vec![SimdMode::Scalar, SimdMode::Portable];
-        if pop_simd::detected_avx2() {
-            m.push(SimdMode::Avx2);
-        }
-        m
-    }
+    use pop_simd::LANES;
 
     fn lane_rhs(n: usize, lane_salt: usize) -> Vec<f64> {
         (0..n)
@@ -645,25 +856,17 @@ mod tests {
     }
 
     /// The batched tile solve is bitwise identical, per lane, to the
-    /// single-RHS solve — marching and band-LU tiles, reduced and
-    /// full systems, every group count up to [`super::MAX_GROUPS`], every
-    /// dispatch mode this machine supports.
+    /// single-RHS solve — marching and band-LU tiles (with live axis
+    /// couplings, so the full system's extra terms count), a ragged shape,
+    /// reduced and full systems, every group count up to [`MAX_GROUPS`],
+    /// every dispatch mode this machine supports.
     #[test]
     fn batched_tile_solve_matches_single_rhs_bitwise() {
-        let mut land = LocalStencil::reference(8, 8, 90.0, 3.0);
-        for (i, j) in [(3, 3), (3, 4), (6, 1)] {
-            land.set(i, j, 0.0, 0.0, 0.0, 0.0);
-        }
-        for (i, j) in [(2, 2), (2, 3), (2, 4), (3, 2), (5, 0), (5, 1), (6, 0)] {
-            land.set_ane(i, j, 0.0);
-        }
-        let clean = LocalStencil::reference(8, 8, 120.0, 5.0);
-        for (raw, want_march) in [(&clean, true), (&land, false)] {
-            for reduced in [true, false] {
-                let sub = EvpSubBlock::new(raw, reduced);
-                assert_eq!(sub.uses_marching(), want_march);
-                let (nx, ny) = (sub.nx, sub.ny);
-                for groups in [1usize, 2, 4] {
+        for (nx, ny) in [(8, 8), (7, 5)] {
+            for (land, reduced) in [(0, true), (0, false), (3, true), (3, false)] {
+                let sub = EvpSubBlock::new(&seeded_tile(nx, ny, 41, land), reduced);
+                assert_eq!(sub.uses_marching(), land == 0);
+                for groups in [1usize, 2, MAX_GROUPS] {
                     // Seeded per-lane right-hand sides loaded into a multi
                     // block whose tile starts at the interior origin.
                     let mut rm = MultiBlockVec::zeros(nx, ny, 2, groups);
@@ -681,22 +884,15 @@ mod tests {
                     }
                     for mode in modes() {
                         let mut zm = MultiBlockVec::zeros(nx, ny, 2, groups);
-                        let rs = rm.stride() * LANES;
-                        let gs = rm.rows() * rm.stride() * LANES;
                         let off = rm.offset(0, 0, 0);
-                        let mut scratch = super::MultiEvpScratch::default();
-                        let (rraw, zraw) = (rm.raw(), zm.raw_mut());
-                        sub.solve_strided_multi(
-                            mode,
-                            &rraw[off..],
-                            rs,
-                            gs,
-                            &mut zraw[off..],
-                            rs,
-                            gs,
+                        let io = Batched {
+                            psi: &rm.raw()[off..],
+                            x: &mut zm.raw_mut()[off..],
+                            stride: rm.stride() * LANES,
+                            gstride: rm.rows() * rm.stride() * LANES,
                             groups,
-                            &mut scratch,
-                        );
+                        };
+                        sub.solve_batched(mode, io, &mut LaneScratch::default());
                         for (l, psi) in singles.iter().enumerate() {
                             let mut want = vec![0.0; nx * ny];
                             sub.solve_mode(mode, psi, &mut want, &mut EvpScratch::default());
@@ -706,7 +902,7 @@ mod tests {
                                     assert_eq!(
                                         got.to_bits(),
                                         want[j * nx + i].to_bits(),
-                                        "mode {mode:?} reduced={reduced} march={want_march} \
+                                        "mode {mode:?} {nx}x{ny} reduced={reduced} land={land} \
                                          groups={groups} lane {l} ({i},{j}): {got:e} vs {:e}",
                                         want[j * nx + i]
                                     );

@@ -1,10 +1,12 @@
 //! Lane-parallel kernels for the EVP sub-block solve.
 //!
-//! Three kernels dominate an EVP tile solve (DESIGN.md §9): the marching
-//! sweep, the dense influence-matrix apply, and the masked copy-out. Each
-//! is written once as a generic 4-lane kernel over [`pop_simd::LaneF64`]
-//! and instantiated for the portable lanes and AVX2, next to a scalar
-//! reference arm; all arms are bitwise identical.
+//! The solve of a tile that has no same-shape sibling in its block (the
+//! packed tiles of a block run four at a time through
+//! [`super::evp_multi`] instead). Two kernels dominate it (DESIGN.md §9):
+//! the marching sweep and the dense influence-matrix apply. Each is written
+//! once as a generic 4-lane kernel over [`pop_simd::LaneF64`] and
+//! instantiated for the portable lanes and AVX2, next to a scalar reference
+//! arm; all arms are bitwise identical.
 //!
 //! ## The restructured march
 //!
@@ -22,11 +24,12 @@
 //!    setup ([`MarchPlan`]).
 //!
 //! The chain keeps only a multiply and a subtract on the critical path
-//! (the divide became a setup-time reciprocal), and it runs as the
-//! *same scalar loop in every dispatch mode* — recurrences are
-//! order-sensitive, so sharing the code is what guarantees scalar↔SIMD
-//! bitwise identity. The g-pass is bitwise mode-independent because each
-//! lane performs the scalar operation sequence for its own column.
+//! (the divide became a setup-time reciprocal). Within one tile it is a
+//! serial recurrence, so here it runs as the *same scalar loop in every
+//! dispatch mode*; lanes only help it *across* tiles or right-hand sides,
+//! which is [`super::evp_multi`]'s job. The g-pass is bitwise
+//! mode-independent because each lane performs the scalar operation
+//! sequence for its own column.
 //!
 //! (Expanding the reduced recurrence one level — distance-4, four
 //! interleaved chains — was tried and measured *slower* at POP's 8–12
@@ -42,61 +45,108 @@
 use pop_simd::{LaneF64, Portable4, SimdMode, LANES};
 use pop_stencil::LocalStencil;
 
-/// Branch-free masked select, the scalar image of `LaneF64::and_bits`.
-#[inline(always)]
-fn and_select(v: f64, maskword: f64) -> f64 {
-    f64::from_bits(v.to_bits() & maskword.to_bits())
+/// The coefficient planes of a [`MarchPlan`], in storage order: plane `f`
+/// holds one value per tile point, row-major, at `c[f·nx·ny ..]`. The first
+/// [`planes`]`(true)` serve the reduced system; the full system adds the
+/// axis couplings.
+pub(super) const A0: usize = 0;
+/// `ANE(i, j−1)`, the coupling to `x(i+1, j−1)`.
+pub(super) const ANE_S: usize = 1;
+/// `ANE(i−1, j−1)`, the coupling to `x(i−1, j−1)`.
+pub(super) const ANE_SW: usize = 2;
+/// `1/ANE(i,j)`: the marching pivot as a reciprocal, so the per-point
+/// divide becomes a multiply in *every* arm (the arms stay bitwise
+/// identical; the one-time reciprocal rounding is absorbed by the influence
+/// matrix, which is marched with the same plan).
+pub(super) const D_INV: usize = 3;
+/// The chain coefficient `ANE(i−1,j)/ANE(i,j)`, stored ready for the chain
+/// step this CPU runs: negated where the step is `fma(−h2, y₋₂, g)`
+/// ([`pop_simd::detected_fma`]), as is where it is `g − h2·y₋₂`.
+pub(super) const H2: usize = 4;
+/// `AN(i, j−1)`.
+pub(super) const AN_S: usize = 5;
+pub(super) const AE: usize = 6;
+/// `AE(i−1, j)`.
+pub(super) const AE_W: usize = 7;
+/// `AN(i,j)/ANE(i,j)`, signed like [`H2`]. (The reduced system has no such
+/// plane: the term is dropped, not multiplied by zero — `0·y` is not
+/// bitwise neutral for `−0.0`.)
+pub(super) const H1: usize = 8;
+
+/// How many coefficient planes a marching tile carries.
+pub(super) const fn planes(reduced: bool) -> usize {
+    if reduced {
+        H2 + 1
+    } else {
+        H1 + 1
+    }
 }
 
-/// Setup-time precomputation for the restructured marching sweep: the
-/// chain coefficients `h1`/`h2` (row-major `nx × ny`, `h1` empty in
-/// reduced mode) and a zero right-hand-side row for the preprocessing
-/// sweeps. Built only for marchable tiles (`ANE ≠ 0` at every center).
+/// Setup-time precomputation for the restructured marching sweep: every
+/// coefficient a sweep reads, as row-major `nx × ny` planes (see [`A0`] …
+/// [`H1`]). Built only for marchable tiles (`ANE ≠ 0` at every center); the
+/// tile's `LocalStencil` is not needed afterwards.
 #[derive(Debug, Clone)]
 pub(super) struct MarchPlan {
+    pub(super) nx: usize,
+    pub(super) ny: usize,
     pub(super) reduced: bool,
-    /// `AN(i,j)/ANE(i,j)`; empty when reduced (the term is dropped, not
-    /// multiplied by zero — `0·y` is not bitwise neutral for `−0.0`).
-    pub(super) h1: Vec<f64>,
-    /// `ANE(i−1,j)/ANE(i,j)`.
-    pub(super) h2: Vec<f64>,
-    /// `1/ANE(i,j)`: the marching pivot as a reciprocal, so the per-point
-    /// divide becomes a multiply in *both* dispatch arms (the arms stay
-    /// bitwise identical; the one-time reciprocal rounding is absorbed by
-    /// the influence matrix, which is marched with the same plan).
-    pub(super) d_inv: Vec<f64>,
-    zeros_row: Vec<f64>,
+    pub(super) c: Vec<f64>,
 }
 
 impl MarchPlan {
     pub(super) fn new(st: &LocalStencil, reduced: bool) -> Self {
         let (nx, ny) = (st.nx, st.ny);
-        let (cs, _a0, an, _ae, ane) = st.raw_parts();
-        let mut h1 = Vec::new();
-        let mut h2 = Vec::with_capacity(nx * ny);
-        let mut d_inv = Vec::with_capacity(nx * ny);
-        if !reduced {
-            h1.reserve(nx * ny);
-        }
+        let (cs, a0, an, ae, ane) = st.raw_parts();
+        let n = nx * ny;
+        let chain = |h: f64| if pop_simd::detected_fma() { -h } else { h };
+        let mut c = vec![0.0; planes(reduced) * n];
         for j in 0..ny {
-            let crow = (j + 1) * cs + 1;
             for i in 0..nx {
-                let ck = crow + i;
-                h2.push(ane[ck - 1] / ane[ck]);
-                d_inv.push(1.0 / ane[ck]);
+                let (p, ck) = (j * nx + i, (j + 1) * cs + 1 + i);
+                c[A0 * n + p] = a0[ck];
+                c[ANE_S * n + p] = ane[ck - cs];
+                c[ANE_SW * n + p] = ane[ck - cs - 1];
+                c[D_INV * n + p] = 1.0 / ane[ck];
+                c[H2 * n + p] = chain(ane[ck - 1] / ane[ck]);
                 if !reduced {
-                    h1.push(an[ck] / ane[ck]);
+                    c[AN_S * n + p] = an[ck - cs];
+                    c[AE * n + p] = ae[ck];
+                    c[AE_W * n + p] = ae[ck - 1];
+                    c[H1 * n + p] = chain(an[ck] / ane[ck]);
                 }
             }
         }
-        MarchPlan {
-            reduced,
-            h1,
-            h2,
-            d_inv,
-            zeros_row: vec![0.0; nx],
-        }
+        MarchPlan { nx, ny, reduced, c }
     }
+
+    /// Row `j` of plane `f`; empty for a plane the reduced system lacks.
+    #[inline(always)]
+    fn row(&self, f: usize, j: usize) -> &[f64] {
+        if f >= planes(self.reduced) {
+            return &[];
+        }
+        // SAFETY: plane `f` exists and `j < ny` (debug-checked in `window`).
+        unsafe { pop_simd::window(&self.c, (f * self.ny + j) * self.nx, self.nx) }
+    }
+}
+
+/// Marching-pad indices (row stride `nx + 2`) of the initial-guess line
+/// `e`: south row then west column (paper Fig. 5).
+pub(super) fn e_line(nx: usize, ny: usize) -> impl Iterator<Item = usize> {
+    let xs = nx + 2;
+    (0..nx)
+        .map(move |i| xs + i + 1)
+        .chain((1..ny).map(move |j| (j + 1) * xs + 1))
+}
+
+/// Marching-pad indices of the overshoot line `f` on the Dirichlet ring:
+/// north ring then east ring. As long as [`e_line`]: `nx + ny − 1`.
+pub(super) fn f_line(nx: usize, ny: usize) -> impl Iterator<Item = usize> {
+    let xs = nx + 2;
+    (1..=nx)
+        .map(move |i| (ny + 1) * xs + i + 1)
+        .chain((1..ny).map(move |j| (j + 1) * xs + nx + 1))
 }
 
 /// The scalar chain pass shared verbatim by every dispatch mode. `out` is
@@ -107,8 +157,9 @@ impl MarchPlan {
 /// The recurrence is the tile solve's serial critical path, so on CPUs
 /// with FMA it runs as one fused `y = fma(−h2, y₋₂, g)` per step — half
 /// the dependency latency of `mul` then `sub`. The FMA choice is a CPU
-/// property, *not* a dispatch-mode property: every mode runs the same
-/// chain code, so scalar↔SIMD bitwise identity is preserved.
+/// property, *not* a dispatch-mode property (the plan's chain planes are
+/// signed for it at set-up): every mode runs the same chain code, so
+/// scalar↔SIMD bitwise identity is preserved.
 #[inline(always)]
 fn chain_row(reduced: bool, h1row: &[f64], h2row: &[f64], g: &[f64], out: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
@@ -143,7 +194,8 @@ fn chain_row_plain(reduced: bool, h1row: &[f64], h2row: &[f64], g: &[f64], out: 
 }
 
 /// [`chain_row_plain`] with each `g − h·y` contracted to `fma(−h, y, g)`
-/// (negation is exact, so this is the correctly-rounded fused form).
+/// (negation is exact, so this is the correctly-rounded fused form); the
+/// rows hold `−h`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
 unsafe fn chain_row_fma(reduced: bool, h1row: &[f64], h2row: &[f64], g: &[f64], out: &mut [f64]) {
@@ -151,15 +203,15 @@ unsafe fn chain_row_fma(reduced: bool, h1row: &[f64], h2row: &[f64], g: &[f64], 
     let mut y0 = out[1];
     let out = &mut out[2..2 + g.len()];
     if reduced {
-        for ((o, &gi), &h2i) in out.iter_mut().zip(g).zip(h2row) {
-            let y = (-h2i).mul_add(ym1, gi);
+        for ((o, &gi), &nh2) in out.iter_mut().zip(g).zip(h2row) {
+            let y = nh2.mul_add(ym1, gi);
             *o = y;
             ym1 = y0;
             y0 = y;
         }
     } else {
-        for (((o, &gi), &h1i), &h2i) in out.iter_mut().zip(g).zip(h1row).zip(h2row) {
-            let y = (-h2i).mul_add(ym1, (-h1i).mul_add(y0, gi));
+        for (((o, &gi), &nh1), &nh2) in out.iter_mut().zip(g).zip(h1row).zip(h2row) {
+            let y = nh2.mul_add(ym1, nh1.mul_add(y0, gi));
             *o = y;
             ym1 = y0;
             y0 = y;
@@ -187,32 +239,22 @@ struct GRows<'a> {
 
 impl<'a> GRows<'a> {
     #[inline(always)]
-    fn slice(
-        st: &'a LocalStencil,
-        plan: &'a MarchPlan,
-        done: &'a [f64],
-        xs: usize,
-        j: usize,
-    ) -> GRows<'a> {
-        let reduced = plan.reduced;
-        let nx = st.nx;
-        let (cs, a0, an, ae, ane) = st.raw_parts();
-        let crow = (j + 1) * cs + 1;
+    fn slice(plan: &'a MarchPlan, done: &'a [f64], xs: usize, j: usize) -> GRows<'a> {
+        let (reduced, nx) = (plan.reduced, plan.nx);
         let xrow = (j + 1) * xs + 1;
-        // SAFETY: `crow + nx ≤ (ny+1)(nx+1) = coef len`, plan rows are
-        // `nx × ny`, and `xrow + 1 + nx = (j+2)·xs = done.len()` for every
+        // SAFETY: `xrow + 1 + nx = (j+2)·xs = done.len()` for every
         // `j < ny`; all other windows start lower. (Debug-checked inside
         // `window`.)
         unsafe {
             let w = pop_simd::window;
             GRows {
-                a0c: w(a0, crow, nx),
-                d: w(&plan.d_inv, j * nx, nx),
-                ane_s: w(ane, crow - cs, nx),
-                ane_sw: w(ane, crow - cs - 1, nx),
-                an_s: if reduced { &[] } else { w(an, crow - cs, nx) },
-                aec: if reduced { &[] } else { w(ae, crow, nx) },
-                aew: if reduced { &[] } else { w(ae, crow - 1, nx) },
+                a0c: plan.row(A0, j),
+                d: plan.row(D_INV, j),
+                ane_s: plan.row(ANE_S, j),
+                ane_sw: plan.row(ANE_SW, j),
+                an_s: plan.row(AN_S, j),
+                aec: plan.row(AE, j),
+                aew: plan.row(AE_W, j),
                 xc: w(done, xrow, nx),
                 xe: if reduced { &[] } else { w(done, xrow + 1, nx) },
                 xw: if reduced { &[] } else { w(done, xrow - 1, nx) },
@@ -235,7 +277,9 @@ impl<'a> GRows<'a> {
     }
 
     /// The lane image of [`GRows::g_scalar`]: four columns per group, the
-    /// identical operation sequence in each lane.
+    /// identical operation sequence in each lane — the full system's three
+    /// axis terms are summed among themselves before joining `q`, as the
+    /// scalar `q += t4 + t5 + t6` does.
     ///
     /// # Safety
     /// `i + LANES <= nx`; with AVX2 lanes the caller must run under the
@@ -247,136 +291,95 @@ impl<'a> GRows<'a> {
         let q = q.add(at(self.ane_s).mul(at(self.xse)));
         let mut q = q.add(at(self.ane_sw).mul(at(self.xsw)));
         if !reduced {
-            q = q.add(at(self.an_s).mul(at(self.xs_)));
-            q = q.add(at(self.aec).mul(at(self.xe)));
-            q = q.add(at(self.aew).mul(at(self.xw)));
+            let t4 = at(self.an_s).mul(at(self.xs_));
+            let t5 = at(self.aec).mul(at(self.xe));
+            let t6 = at(self.aew).mul(at(self.xw));
+            q = q.add(t4.add(t5).add(t6));
         }
         at(rhs).sub(q).mul(at(self.d))
     }
 }
 
+/// One center row of the sweep: the g-pass (`lanes` picks its arm), then the
+/// chain into the output row.
 #[inline(always)]
-fn rhs_row<'a>(
-    psi: Option<(&'a [f64], usize)>,
-    plan: &'a MarchPlan,
-    nx: usize,
+fn march_row<V: LaneF64>(
+    lanes: bool,
+    plan: &MarchPlan,
+    xpad: &mut [f64],
+    rhs: &[f64],
+    g: &mut [f64],
     j: usize,
-) -> &'a [f64] {
-    match psi {
-        Some((p, ps)) => &p[j * ps..j * ps + nx],
-        None => &plan.zeros_row,
-    }
-}
-
-fn march_scalar(
-    st: &LocalStencil,
-    plan: &MarchPlan,
-    xpad: &mut [f64],
-    psi: Option<(&[f64], usize)>,
-    g: &mut [f64],
 ) {
-    let (nx, ny) = (st.nx, st.ny);
+    let nx = plan.nx;
     let xs = nx + 2;
-    for j in 0..ny {
-        let (done, rest) = xpad.split_at_mut((j + 2) * xs);
-        let rows = GRows::slice(st, plan, done, xs, j);
-        let rhs = rhs_row(psi, plan, nx, j);
-        for (i, gi) in g.iter_mut().enumerate() {
-            *gi = rows.g_scalar(plan.reduced, rhs, i);
+    let (done, rest) = xpad.split_at_mut((j + 2) * xs);
+    let rows = GRows::slice(plan, done, xs, j);
+    let mut i = 0;
+    while lanes && i + LANES <= nx {
+        // SAFETY: `i + LANES <= nx`, the length of every window and of `g`.
+        unsafe {
+            rows.g_lanes::<V>(plan.reduced, rhs, i)
+                .store(g.as_mut_ptr().add(i));
         }
-        let h1row = if plan.reduced {
-            &[][..]
-        } else {
-            &plan.h1[j * nx..(j + 1) * nx]
-        };
-        chain_row(
-            plan.reduced,
-            h1row,
-            &plan.h2[j * nx..(j + 1) * nx],
-            g,
-            &mut rest[..xs],
-        );
+        i += LANES;
     }
+    for (k, gk) in g.iter_mut().enumerate().take(nx).skip(i) {
+        *gk = rows.g_scalar(plan.reduced, rhs, k);
+    }
+    chain_row(
+        plan.reduced,
+        plan.row(H1, j),
+        plan.row(H2, j),
+        g,
+        &mut rest[..xs],
+    );
 }
 
 #[inline(always)]
-fn march_lanes<V: LaneF64>(
-    st: &LocalStencil,
+fn march_rows<V: LaneF64>(
+    lanes: bool,
     plan: &MarchPlan,
     xpad: &mut [f64],
-    psi: Option<(&[f64], usize)>,
+    (psi, psi_stride): (&[f64], usize),
     g: &mut [f64],
 ) {
-    let (nx, ny) = (st.nx, st.ny);
-    let xs = nx + 2;
-    for j in 0..ny {
-        let (done, rest) = xpad.split_at_mut((j + 2) * xs);
-        let rows = GRows::slice(st, plan, done, xs, j);
-        let rhs = rhs_row(psi, plan, nx, j);
-        let mut i = 0;
-        while i + LANES <= nx {
-            unsafe {
-                rows.g_lanes::<V>(plan.reduced, rhs, i)
-                    .store(g.as_mut_ptr().add(i));
-            }
-            i += LANES;
-        }
-        for (k, gk) in g.iter_mut().enumerate().take(nx).skip(i) {
-            *gk = rows.g_scalar(plan.reduced, rhs, k);
-        }
-        let h1row = if plan.reduced {
-            &[][..]
-        } else {
-            &plan.h1[j * nx..(j + 1) * nx]
-        };
-        chain_row(
-            plan.reduced,
-            h1row,
-            &plan.h2[j * nx..(j + 1) * nx],
-            g,
-            &mut rest[..xs],
-        );
+    for j in 0..plan.ny {
+        let rhs = &psi[j * psi_stride..j * psi_stride + plan.nx];
+        march_row::<V>(lanes, plan, xpad, rhs, g, j);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn march_avx2(
-    st: &LocalStencil,
-    plan: &MarchPlan,
-    xpad: &mut [f64],
-    psi: Option<(&[f64], usize)>,
-    g: &mut [f64],
-) {
-    march_lanes::<pop_simd::Avx2>(st, plan, xpad, psi, g);
+unsafe fn march_avx2(plan: &MarchPlan, xpad: &mut [f64], psi: (&[f64], usize), g: &mut [f64]) {
+    march_rows::<pop_simd::Avx2>(true, plan, xpad, psi, g);
 }
 
 /// One southwest→northeast marching sweep (paper Eq. 4) in the
-/// restructured g/chain form. `psi = None` means a zero right-hand side
-/// (the influence-matrix preprocessing sweeps); `Some((slice, stride))`
-/// reads the right-hand side in place. Values on the guess line `e` and
-/// the south/west ring must be preset; everything with `i ≥ 1 ∧ j ≥ 1` —
-/// including the north/east ring — is produced. `g` is caller scratch of
-/// length ≥ `nx` (resized here).
+/// restructured g/chain form. `psi = (slice, row stride)` is the right-hand
+/// side, read in place (the influence-matrix preprocessing sweeps pass one
+/// zero row with stride 0). Values on the guess line `e` and the south/west
+/// ring must be preset; everything with `i ≥ 1 ∧ j ≥ 1` — including the
+/// north/east ring — is produced. `g` is caller scratch (resized here).
 pub(super) fn march(
     mode: SimdMode,
-    st: &LocalStencil,
     plan: &MarchPlan,
     xpad: &mut [f64],
-    psi: Option<(&[f64], usize)>,
+    psi: (&[f64], usize),
     g: &mut Vec<f64>,
 ) {
-    debug_assert_eq!(xpad.len(), (st.nx + 2) * (st.ny + 2));
+    debug_assert_eq!(xpad.len(), (plan.nx + 2) * (plan.ny + 2));
     g.clear();
-    g.resize(st.nx, 0.0);
+    g.resize(plan.nx, 0.0);
     match mode {
-        SimdMode::Scalar => march_scalar(st, plan, xpad, psi, g),
-        SimdMode::Portable => march_lanes::<Portable4>(st, plan, xpad, psi, g),
+        SimdMode::Scalar => march_rows::<Portable4>(false, plan, xpad, psi, g),
+        SimdMode::Portable => march_rows::<Portable4>(true, plan, xpad, psi, g),
         SimdMode::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: dispatch only selects Avx2 after runtime detection.
             unsafe {
-                march_avx2(st, plan, xpad, psi, g)
+                march_avx2(plan, xpad, psi, g)
             }
             #[cfg(not(target_arch = "x86_64"))]
             unreachable!("AVX2 dispatch off x86-64")
@@ -418,11 +421,13 @@ pub(super) fn transpose_padded(r_inv: &pop_stencil::DenseMatrix, kp: usize) -> V
     rt
 }
 
-fn matvec_scalar(r_inv: &pop_stencil::DenseMatrix, x: &[f64], y: &mut [f64]) {
-    // The pre-existing scalar implementation: each output row is an
-    // ascending-column left fold from +0.0 — the accumulation order the
-    // lane kernel reproduces per output row.
-    r_inv.matvec(x, &mut y[..x.len()]);
+/// The scalar reference: each output row of the row-major `r_inv` is an
+/// ascending-column left fold from `+0.0` — the accumulation order the lane
+/// kernels reproduce per output row.
+fn matvec_scalar(r_inv: &[f64], x: &[f64], y: &mut [f64]) {
+    for (yr, row) in y.iter_mut().zip(r_inv.chunks_exact(x.len())) {
+        *yr = row.iter().zip(x).fold(0.0, |acc, (r, xc)| acc + r * xc);
+    }
 }
 
 #[inline(always)]
@@ -479,7 +484,7 @@ unsafe fn matvec_avx2(rt: &[f64], kp: usize, x: &[f64], y: &mut [f64]) {
 /// `kp`; entries `0..f.len()` carry the product (pad entries are zero).
 pub(super) fn influence_apply(
     mode: SimdMode,
-    r_inv: &pop_stencil::DenseMatrix,
+    r_inv: &[f64],
     rt: &[f64],
     kp: usize,
     f: &[f64],
@@ -502,68 +507,30 @@ pub(super) fn influence_apply(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Masked copy-out
-// ---------------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Copy the solved interior out of the marching pad into the (possibly
-/// strided) destination tile, zeroing land. The lane arms use the
-/// precomputed `f64` mask words; the scalar arm keeps the branch select —
-/// the two are bit-identical.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn masked_copy_out(
-    mode: SimdMode,
-    nx: usize,
-    ny: usize,
-    xpad: &[f64],
-    x: &mut [f64],
-    x_stride: usize,
-    mask: &[u8],
-    maskbits: &[f64],
-) {
-    let stride = nx + 2;
-    for j in 0..ny {
-        let src = &xpad[(j + 1) * stride + 1..(j + 1) * stride + 1 + nx];
-        let dst = &mut x[j * x_stride..j * x_stride + nx];
-        match mode {
-            SimdMode::Scalar => {
-                let mrow = &mask[j * nx..(j + 1) * nx];
-                for i in 0..nx {
-                    dst[i] = if mrow[i] != 0 { src[i] } else { 0.0 };
-                }
-            }
-            SimdMode::Portable => copy_row_lanes::<Portable4>(src, dst, &maskbits[j * nx..]),
-            SimdMode::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: dispatch only selects Avx2 after runtime detection.
-                unsafe {
-                    copy_row_avx2(src, dst, &maskbits[j * nx..])
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                unreachable!("AVX2 dispatch off x86-64")
+    /// Every arm folds a row from `+0.0`: products that are all `−0.0` sum
+    /// to `+0.0`, never to the `−0.0` an `Iterator::sum` fold starts from.
+    #[test]
+    fn influence_apply_folds_from_positive_zero_in_every_mode() {
+        let k = 7;
+        let r_inv: Vec<f64> = (0..k * k).map(|q| 1.0 + q as f64).collect();
+        let m = pop_stencil::DenseMatrix::from_fn(k, |r, c| r_inv[r * k + c]);
+        let kp = pop_simd::round_up_lanes(k);
+        let rt = transpose_padded(&m, kp);
+        let f = vec![-0.0; k];
+        let mut modes = vec![SimdMode::Scalar, SimdMode::Portable];
+        if pop_simd::detected_avx2() {
+            modes.push(SimdMode::Avx2);
+        }
+        for mode in modes {
+            let mut corr = vec![1.0; 3];
+            influence_apply(mode, &r_inv, &rt, kp, &f, &mut corr);
+            for (r, v) in corr[..k].iter().enumerate() {
+                assert_eq!(v.to_bits(), 0.0f64.to_bits(), "{mode:?} row {r}: {v:?}");
             }
         }
     }
-}
-
-#[inline(always)]
-fn copy_row_lanes<V: LaneF64>(src: &[f64], dst: &mut [f64], mbrow: &[f64]) {
-    let nx = dst.len();
-    let mut i = 0;
-    while i + LANES <= nx {
-        unsafe {
-            let v = V::load(src.as_ptr().add(i)).and_bits(V::load(mbrow.as_ptr().add(i)));
-            v.store(dst.as_mut_ptr().add(i));
-        }
-        i += LANES;
-    }
-    for k in i..nx {
-        dst[k] = and_select(src[k], mbrow[k]);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn copy_row_avx2(src: &[f64], dst: &mut [f64], mbrow: &[f64]) {
-    copy_row_lanes::<pop_simd::Avx2>(src, dst, mbrow);
 }

@@ -103,13 +103,29 @@ mod batched_tests {
     /// Every preconditioner's batched apply — fused overrides (identity,
     /// diagonal, block-EVP) and the default lane-staging path (block-LU) —
     /// is bitwise identical, per lane, to the single-RHS apply on a real
-    /// land-masked grid, ragged tails and coastal band-LU tiles included.
+    /// land-masked grid, ragged tails and coastal band-LU tiles included:
+    /// once on blocks whose tiles are all different (every tile solved on
+    /// its own), once on 24×20 blocks of 3×3 tiles in two shapes, where
+    /// block-EVP packs siblings and the batched apply is served from the
+    /// packs' slabs.
     #[test]
     fn apply_block_multi_matches_single_rhs_per_lane() {
-        let g = Grid::gx1_scaled(10, 48, 40);
-        let layout = DistLayout::build(&g, 13, 9);
+        for (g, bx, by, tau) in [
+            (Grid::gx1_scaled(10, 48, 40), 13, 9, 1800.0),
+            (Grid::gx1_scaled(2015, 96, 80), 24, 20, 1100.0),
+        ] {
+            apply_block_multi_matches_on(&g, bx, by, tau);
+        }
+    }
+
+    fn apply_block_multi_matches_on(g: &Grid, bx: usize, by: usize, tau: f64) {
+        let layout = DistLayout::build(g, bx, by);
         let world = CommWorld::serial();
-        let op = NinePoint::assemble(&g, &layout, &world, 1800.0);
+        let op = NinePoint::assemble(g, &layout, &world, tau);
+        for reduced in [true, false] {
+            let c = BlockEvp::new(&op, 8, reduced).census();
+            assert_eq!(c.packed.tiles > 0, bx == 24, "{bx}x{by} blocks: {c:?}");
+        }
         let pres: Vec<Box<dyn Preconditioner>> = vec![
             Box::new(Identity),
             Box::new(Diagonal::new(&op)),

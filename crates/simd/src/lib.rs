@@ -27,9 +27,11 @@
 //! 754 basic operations (`+ − × ÷`) are correctly rounded per lane, so a
 //! 4-lane kernel is **bitwise identical** to the scalar loop, and the
 //! serial/threaded/ranksim determinism guarantees of the solver stack are
-//! preserved under any dispatch choice. Order-sensitive scalar chains
-//! (residual-norm partial sums, the EVP marching recurrence) stay scalar
-//! in *all* paths.
+//! preserved under any dispatch choice. An order-sensitive chain is never
+//! split across lanes: residual-norm partial sums stay scalar in *all*
+//! paths, and the EVP recurrences put a different tile or right-hand side
+//! in each lane ([`LaneF64::transpose4`] stages them), each lane still
+//! running its own scalar sequence.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -224,6 +226,10 @@ pub trait LaneF64: Copy {
     /// gated on [`detected_fma`] — so scalar↔SIMD bitwise identity still
     /// holds. Implementations must never substitute `mul`+`add`.
     fn mul_add(self, a: Self, b: Self) -> Self;
+    /// The 4×4 transpose: lane `l` of output `c` is lane `c` of `rows[l]`.
+    /// Pure data movement — how four tiles' rows become one value per tile
+    /// in each lane, and back.
+    fn transpose4(rows: [Self; LANES]) -> [Self; LANES];
 }
 
 /// Portable `[f64; 4]` lanes: straight-line Rust the compiler is free to
@@ -303,6 +309,11 @@ impl LaneF64 for Portable4 {
             x[3].mul_add(y[3], z[3]),
         ])
     }
+
+    #[inline(always)]
+    fn transpose4(rows: [Self; LANES]) -> [Self; LANES] {
+        std::array::from_fn(|c| Portable4(std::array::from_fn(|l| rows[l].0[c])))
+    }
 }
 
 /// AVX2 lanes: one `__m256d` register. Every method is a single VEX
@@ -363,6 +374,29 @@ impl LaneF64 for Avx2 {
         // dispatched on CPUs that have AVX2, and every AVX2 CPU shipped
         // also has FMA — asserted at dispatch time by `detected_fma` users.
         unsafe { Avx2(std::arch::x86_64::_mm256_fmadd_pd(self.0, a.0, b.0)) }
+    }
+
+    #[inline(always)]
+    fn transpose4(rows: [Self; LANES]) -> [Self; LANES] {
+        use std::arch::x86_64::{_mm256_permute2f128_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd};
+        let [r0, r1, r2, r3] = rows;
+        unsafe {
+            // Pair up within 128-bit halves, then swap the halves across.
+            let (lo01, hi01) = (
+                _mm256_unpacklo_pd(r0.0, r1.0),
+                _mm256_unpackhi_pd(r0.0, r1.0),
+            );
+            let (lo23, hi23) = (
+                _mm256_unpacklo_pd(r2.0, r3.0),
+                _mm256_unpackhi_pd(r2.0, r3.0),
+            );
+            [
+                Avx2(_mm256_permute2f128_pd(lo01, lo23, 0x20)),
+                Avx2(_mm256_permute2f128_pd(hi01, hi23, 0x20)),
+                Avx2(_mm256_permute2f128_pd(lo01, lo23, 0x31)),
+                Avx2(_mm256_permute2f128_pd(hi01, hi23, 0x31)),
+            ]
+        }
     }
 }
 
@@ -545,6 +579,36 @@ mod tests {
                     assert_eq!(out[k].to_bits(), sc(a[k], b[k]).to_bits());
                 }
             }
+        }
+    }
+
+    /// `transpose4` is the 4×4 transpose in both instantiations, signed
+    /// zeros and NaN payloads included (it must never touch the values).
+    #[test]
+    fn transpose4_moves_lane_c_of_row_l_to_lane_l_of_output_c() {
+        fn check<V: LaneF64>() {
+            let mut m = [[0.0f64; 4]; 4];
+            for (l, row) in m.iter_mut().enumerate() {
+                for (c, v) in row.iter_mut().enumerate() {
+                    *v = f64::from_bits(0x7ff8_0000_0000_0100 + (4 * l + c) as u64);
+                }
+            }
+            m[1][2] = -0.0;
+            unsafe {
+                let out = V::transpose4(std::array::from_fn(|l| V::load(m[l].as_ptr())));
+                for (c, v) in out.iter().enumerate() {
+                    let mut got = [0.0f64; 4];
+                    v.store(got.as_mut_ptr());
+                    for l in 0..4 {
+                        assert_eq!(got[l].to_bits(), m[l][c].to_bits(), "out {c} lane {l}");
+                    }
+                }
+            }
+        }
+        check::<Portable4>();
+        #[cfg(target_arch = "x86_64")]
+        if detected_avx2() {
+            check::<Avx2>();
         }
     }
 

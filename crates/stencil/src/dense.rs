@@ -68,13 +68,15 @@ impl DenseMatrix {
         self.data[r * self.n + c] = v;
     }
 
-    /// `y = M x`.
+    /// `y = M x`, each row an ascending-column left fold from `+0.0`
+    /// (`Iterator::sum` folds `f64` from `−0.0`, which would make a row of
+    /// all-`−0.0` products come out `−0.0`).
     pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
         for r in 0..self.n {
             let row = &self.data[r * self.n..(r + 1) * self.n];
-            y[r] = row.iter().zip(x).map(|(a, b)| a * b).sum();
+            y[r] = row.iter().zip(x).fold(0.0, |acc, (a, b)| acc + a * b);
         }
     }
 
@@ -399,6 +401,20 @@ mod tests {
         let mut b = tile(4, 4, false).to_dense();
         b.set(5, 5, f64::NAN);
         assert_eq!(b.band_lu(5).unwrap_err().pivot, 5);
+    }
+
+    #[test]
+    fn matvec_folds_from_positive_zero() {
+        let a = DenseMatrix::from_fn(3, |r, c| (1 + r + c) as f64);
+        let mut y = [1.0; 3];
+        a.matvec(&[-0.0; 3], &mut y);
+        for v in y {
+            assert_eq!(
+                v.to_bits(),
+                0.0f64.to_bits(),
+                "−0.0 products must sum to +0.0"
+            );
+        }
     }
 
     #[test]

@@ -40,6 +40,16 @@ fn main() {
             100.0 * c.points as f64 / points as f64
         );
     }
+    // How many of the solved tiles go four at a time through a lane pack —
+    // a tile needs a same-shape, same-path sibling in its block for that,
+    // so one-tile blocks pack nothing and gain nothing from the packed path.
+    println!(
+        "  packed    {:>5} of {} solved tiles, in {} packs of {:.2} live lanes on average",
+        census.packed.tiles,
+        census.marching.tiles + census.banded.tiles,
+        census.packs,
+        census.packed.tiles as f64 / census.packs.max(1) as f64
+    );
     let (bounds, lanczos_steps) = estimate_bounds(&op, &evp, &world, &LanczosConfig::default());
     println!(
         "eigenbounds: nu = {:.6}, mu = {:.6} (condition {:.1}, {lanczos_steps} Lanczos steps)",

@@ -209,37 +209,50 @@ fn batched_solves_match_single_rhs_bitwise_end_to_end() {
 
 /// Forced-dispatch sweep: under pinned scalar and pinned lane modes the
 /// batch must still track its (same-mode) single-RHS baselines bitwise —
-/// the batched engine adds no mode-dependent operation of its own.
+/// the batched engine adds no mode-dependent operation of its own. With
+/// block-EVP the fixture's 18×20 blocks tile into 6×7 and 6×6 siblings, so
+/// the single-RHS side solves packs of four tiles per lane group while the
+/// batched side is served, tile by tile, from the same packs' slabs.
 /// `force_mode` is process-global, so the whole sweep lives in one test.
 #[test]
 fn batched_solves_match_single_rhs_under_forced_dispatch() {
     let _guard = ModeGuard;
     let p = problem(0);
     let shared = CommWorld::serial();
-    let pre = Diagonal::new(&p.op);
-    let (bounds, _) = estimate_bounds(&p.op, &pre, &shared, &LanczosConfig::default());
+    let evp = BlockEvp::with_defaults(&p.op);
+    let census = evp.census();
+    assert!(
+        census.packed.tiles > census.marching.tiles.max(census.banded.tiles),
+        "the fixture must pack tiles of both classes: {census:?}"
+    );
     let bs = seeded_batch(&p, 3, 0xd15_9a7c);
     let cfg = solver_cfg();
     let mut modes = vec![SimdMode::Scalar, SimdMode::Portable];
     if pop_simd::detected_avx2() {
         modes.push(SimdMode::Avx2);
     }
-    for kind in [SolverKind::ChronGear, SolverKind::Pcsi(bounds)] {
-        for mode in &modes {
-            pop_simd::force_mode(Some(*mode));
-            let base = singles_shared(&p, &pre, kind, &shared, &bs, &cfg);
-            for (l, got) in batch_shared(&p, &pre, kind, &shared, &bs, &cfg)
-                .iter()
-                .enumerate()
-            {
-                assert_same(
-                    &format!("{} {} lane {l}", kind.name(), mode.name()),
-                    &base[l],
-                    got,
-                );
+    for (pname, pre) in [
+        ("diag", &Diagonal::new(&p.op) as &dyn Preconditioner),
+        ("evp", &evp),
+    ] {
+        let (bounds, _) = estimate_bounds(&p.op, pre, &shared, &LanczosConfig::default());
+        for kind in [SolverKind::ChronGear, SolverKind::Pcsi(bounds)] {
+            for mode in &modes {
+                pop_simd::force_mode(Some(*mode));
+                let base = singles_shared(&p, pre, kind, &shared, &bs, &cfg);
+                for (l, got) in batch_shared(&p, pre, kind, &shared, &bs, &cfg)
+                    .iter()
+                    .enumerate()
+                {
+                    assert_same(
+                        &format!("{}+{pname} {} lane {l}", kind.name(), mode.name()),
+                        &base[l],
+                        got,
+                    );
+                }
             }
+            pop_simd::force_mode(None);
         }
-        pop_simd::force_mode(None);
     }
 }
 

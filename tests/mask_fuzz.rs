@@ -313,6 +313,66 @@ fn mg_preconditioned_solves_identically_on_pathological_masks() {
     }
 }
 
+/// One block-EVP apply — packs of sibling tiles and all — equals solving every
+/// tile on its own, bit for bit, over the whole fuzz family: the three
+/// engineered masks (marching and band packs, lone tiles, all-land tiles)
+/// and the all-banded one, reduced and full systems.
+#[test]
+fn block_evp_apply_matches_tile_by_tile_solves_on_fuzzed_masks() {
+    use pop_core::precond::{tile_block, EvpScratch, EvpSubBlock};
+    let serial = CommWorld::serial();
+    let mut depths: Vec<Vec<f64>> = [11u64, 29, 47].into_iter().map(fuzzed_depth).collect();
+    depths.push(all_banded_depth());
+    for (case, depth) in depths.into_iter().enumerate() {
+        let grid = grid_of(depth);
+        let layout = DistLayout::build(&grid, BX, BY);
+        let op = NinePoint::assemble(&grid, &layout, &serial, 9000.0);
+        let rhs = rhs_for(&layout, &op, case as u64);
+        for reduced in [true, false] {
+            let evp = BlockEvp::new(&op, 8, reduced);
+            let census = evp.census();
+            assert!(census.packed.tiles > 0, "case {case}: {census:?}");
+            let mut z = DistVec::zeros(&layout);
+            evp.apply(&serial, &rhs, &mut z);
+            let mut scratch = EvpScratch::default();
+            for (b, info) in layout.decomp.blocks.iter().enumerate() {
+                for t in tile_block(info.nx, info.ny, 8) {
+                    let raw = op.extract_local(b, t.i0, t.j0, t.nx, t.ny);
+                    let mut psi = Vec::new();
+                    for j in t.j0..t.j0 + t.ny {
+                        psi.extend_from_slice(&rhs.blocks[b].interior_row(j)[t.i0..t.i0 + t.nx]);
+                    }
+                    let mut want = vec![0.0; t.nx * t.ny];
+                    let land = |k: usize| raw.a0((k % t.nx) as isize, (k / t.nx) as isize) <= 0.0;
+                    if !(0..t.nx * t.ny).all(land) {
+                        EvpSubBlock::new(&raw, reduced).solve(&psi, &mut want, &mut scratch);
+                    }
+                    for (k, w) in want.iter().enumerate() {
+                        let got = z.blocks[b].get(t.i0 + k % t.nx, t.j0 + k / t.nx);
+                        assert_eq!(
+                            got.to_bits(),
+                            w.to_bits(),
+                            "case {case} reduced={reduced} block {b} {t:?} point {k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The fuzzed mask of seed 29 with a land cell stamped on every third row and
+/// column: one inside the corner reach of every tile, so nothing marches.
+fn all_banded_depth() -> Vec<f64> {
+    let mut depth = fuzzed_depth(29);
+    for j in (0..NY).step_by(3) {
+        for i in (0..NX).step_by(3) {
+            depth[j * NX + i] = 0.0;
+        }
+    }
+    depth
+}
+
 /// The band-LU direct solve is the only tile path left standing when land
 /// reaches every tile: a fuzzed mask with a land cell stamped on every
 /// third row and column puts one inside the corner reach of every tile,
@@ -324,13 +384,7 @@ fn mg_preconditioned_solves_identically_on_pathological_masks() {
 #[test]
 fn all_banded_operator_is_bitwise_equal_across_single_batched_and_scalar_paths() {
     let _guard = ModeGuard;
-    let mut depth = fuzzed_depth(29);
-    for j in (0..NY).step_by(3) {
-        for i in (0..NX).step_by(3) {
-            depth[j * NX + i] = 0.0;
-        }
-    }
-    let grid = grid_of(depth);
+    let grid = grid_of(all_banded_depth());
     let layout = DistLayout::build(&grid, BX, BY);
     let serial = CommWorld::serial();
     let op = NinePoint::assemble(&grid, &layout, &serial, 9000.0);
@@ -341,6 +395,9 @@ fn all_banded_operator_is_bitwise_equal_across_single_batched_and_scalar_paths()
         census.banded.tiles > 20 && census.all_land.tiles > 0,
         "{census:?}"
     );
+    // 16×10 blocks are four 8×5 tiles, so nearly every band tile has a
+    // sibling: the single-RHS side of this test is the packed band solve.
+    assert!(2 * census.packed.tiles > census.banded.tiles, "{census:?}");
 
     let rhss: Vec<DistVec> = (0..16).map(|l| rhs_for(&layout, &op, 100 + l)).collect();
 

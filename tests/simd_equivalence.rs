@@ -129,22 +129,47 @@ fn evp_lu_fallback_tile_is_bitwise_mode_invariant() {
 }
 
 /// The marching path at tile level, reduced and full systems, explicit
-/// modes — a focused diagnostic below the full solver sweep.
+/// modes — a focused diagnostic below the full solver sweep. The synthetic
+/// reference tiles have no axis couplings (`AN = AE = 0`), so the tiles of a
+/// real operator ride along: only they make the full system's three extra
+/// g-pass terms — and the order they are summed in — count.
 #[test]
 fn evp_marching_tile_is_bitwise_mode_invariant() {
-    for (n, reduced, phi) in [(8usize, true, 5.0), (8, false, 5.0), (12, true, 80.0)] {
-        let raw = LocalStencil::reference(n, n, 120.0, phi);
-        let sub = EvpSubBlock::new(&raw, reduced);
-        assert!(sub.uses_marching(), "{n}x{n} phi={phi} must march");
-        let psi = tile_rhs(n * n);
-        let base = tile_bits(&sub, SimdMode::Scalar, &psi);
-        for mode in lane_modes() {
-            assert_eq!(
-                tile_bits(&sub, mode, &psi),
-                base,
-                "marching tile {n}x{n} (reduced={reduced}) differs under {}",
-                mode.name()
-            );
+    let mut tiles: Vec<(String, LocalStencil)> = [(8usize, 5.0), (12, 80.0)]
+        .into_iter()
+        .map(|(n, phi)| {
+            (
+                format!("reference {n}x{n} phi={phi}"),
+                LocalStencil::reference(n, n, 120.0, phi),
+            )
+        })
+        .collect();
+    let grid = Grid::gx1_scaled(2015, 96, 80);
+    let layout = DistLayout::build(&grid, 24, 20);
+    let op = NinePoint::assemble(&grid, &layout, &CommWorld::serial(), 1100.0);
+    for (b, info) in layout.decomp.blocks.iter().enumerate() {
+        for t in pop_core::precond::tile_block(info.nx, info.ny, 8) {
+            let raw = op.extract_local(b, t.i0, t.j0, t.nx, t.ny);
+            if EvpSubBlock::new(&raw, false).uses_marching() {
+                tiles.push((format!("block {b} {t:?}"), raw));
+            }
+        }
+    }
+    assert!(tiles.len() > 20, "only {} marching tiles", tiles.len());
+    for (name, raw) in &tiles {
+        for reduced in [true, false] {
+            let sub = EvpSubBlock::new(raw, reduced);
+            assert!(sub.uses_marching(), "{name} (reduced={reduced}) must march");
+            let psi = tile_rhs(raw.nx * raw.ny);
+            let base = tile_bits(&sub, SimdMode::Scalar, &psi);
+            for mode in lane_modes() {
+                assert_eq!(
+                    tile_bits(&sub, mode, &psi),
+                    base,
+                    "marching tile {name} (reduced={reduced}) differs under {}",
+                    mode.name()
+                );
+            }
         }
     }
 }

@@ -62,11 +62,15 @@ fn fused_solve_iterations_allocate_nothing() {
 
     let diag = Diagonal::new(&op);
     let evp = BlockEvp::with_defaults(&op);
-    // A coastal operator: both tile paths (marching pads and the band-LU
-    // staging tile) are under audit.
+    // A coastal operator whose 18×20 blocks tile into same-shape siblings:
+    // both tile classes, packed four to a lane group (the pack pads and
+    // transposed staging tile in the thread-local lane scratch) and solved
+    // alone (the lone-tile pads), are under audit.
     let census = evp.census();
     assert!(
-        census.marching.tiles > 0 && census.banded.tiles > 0,
+        census.marching.tiles > 0
+            && census.banded.tiles > 0
+            && (1..census.marching.tiles + census.banded.tiles).contains(&census.packed.tiles),
         "{census:?}"
     );
     let (bounds, _) = estimate_bounds(&op, &evp, &world, &LanczosConfig::default());
