@@ -3,7 +3,7 @@
 //! The four barotropic solvers are written once, generically, against this
 //! trait (`pop_core::solvers::CommSolver`); two runtimes implement it:
 //!
-//! - [`CommWorld`](crate::CommWorld) — the shared-memory world (serial or
+//! - [`CommWorld`] — the shared-memory world (serial or
 //!   thread-pool), where every "message" is a copy inside one address space
 //!   and reductions are block-ordered folds.
 //! - `RankWorld`/`RankComm` (crate `pop-ranksim`) — a rank-per-OS-thread
@@ -44,7 +44,7 @@
 //!
 //! `reduce_sweep` must combine the per-block partial rows of the sweep in
 //! **global active-block order** with a flat left-fold starting from zero —
-//! exactly what [`CommWorld`](crate::CommWorld) does in shared memory. Any
+//! exactly what [`CommWorld`] does in shared memory. Any
 //! implementation honouring this produces bit-identical reduction values,
 //! hence bit-identical solver trajectories, regardless of how many ranks
 //! the blocks are spread over (`tests/ranksim_equivalence.rs` pins this).

@@ -2,7 +2,7 @@
 //! carried through one fused sweep.
 //!
 //! A [`MultiBlockVec`] stores `groups` interleaved images of a
-//! [`BlockVec`]: each *lane group* holds [`LANES`](pop_simd::LANES)
+//! [`BlockVec`]: each *lane group* holds [`LANES`]
 //! right-hand sides side by side, so the flat index of point `(i, j)` in
 //! group `g` is
 //!

@@ -21,7 +21,7 @@
 //! Framing each block with `(index, nx, ny)` prevents *aliasing* collisions
 //! between operators whose flattened coefficient streams coincide but whose
 //! shapes differ — e.g. a 3×4 block and its 4×3 transpose hash differently
-//! even when the payload bytes agree ([`tests::transposed_dims_fingerprint_differently`]).
+//! even when the payload bytes agree (test `transposed_dims_fingerprint_differently`).
 //!
 //! # Collision semantics
 //!

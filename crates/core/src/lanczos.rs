@@ -28,7 +28,7 @@ pub struct EigenBounds {
 
 impl EigenBounds {
     /// Whether the interval is usable by the Chebyshev recurrence:
-    /// `0 < ν < μ < ∞`. [`run`] only ever returns valid bounds, but the
+    /// `0 < ν < μ < ∞`. `run` only ever returns valid bounds, but the
     /// fields are public, so hand-built bounds are checked before use.
     pub fn is_valid(&self) -> bool {
         self.nu.is_finite() && self.mu.is_finite() && self.nu > 0.0 && self.mu > self.nu

@@ -10,7 +10,7 @@
 //!   (paper Algorithm 1): the two inner products are fused into **one**
 //!   global reduction per iteration.
 //! - [`solvers::PipelinedCg`] — the related-work alternative (the paper's
-//!   ref [16]): one fused reduction that *overlaps* with the matvec and
+//!   ref \[16\]): one fused reduction that *overlaps* with the matvec and
 //!   preconditioner, hiding latency until reductions outgrow an iteration's
 //!   local work.
 //! - [`solvers::Pcsi`] — the paper's Preconditioned Classical Stiefel

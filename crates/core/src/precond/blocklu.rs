@@ -10,7 +10,7 @@
 
 use super::evp::TILE_SCRATCH;
 use super::tiling::{tile_block, Tile};
-use super::Preconditioner;
+use super::{assert_same_shape, Preconditioner};
 use pop_comm::BlockVec;
 use pop_stencil::dense::BandLu;
 use pop_stencil::NinePoint;
@@ -77,6 +77,7 @@ impl BlockLu {
 
 impl Preconditioner for BlockLu {
     fn apply_block(&self, b: usize, r: &BlockVec, z: &mut BlockVec) {
+        assert_same_shape(r, z);
         TILE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             let x = &mut scratch.tile;

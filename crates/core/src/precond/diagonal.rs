@@ -1,18 +1,9 @@
 //! The trivial preconditioners: identity and POP's production diagonal.
 
-use super::Preconditioner;
+use super::{assert_same_shape, assert_same_shape_multi, Preconditioner};
 use pop_comm::{BlockVec, DistVec, MultiBlockVec};
 use pop_simd::{LaneF64, Portable4, LANES};
 use pop_stencil::NinePoint;
-
-/// Shape agreement for a batched apply: `r` and `z` must be views of the
-/// same block geometry so one offset computation serves both.
-#[inline]
-fn debug_assert_same_shape(r: &MultiBlockVec, z: &MultiBlockVec) {
-    debug_assert_eq!(r.groups(), z.groups());
-    debug_assert_eq!((r.nx, r.ny, r.halo), (z.nx, z.ny, z.halo));
-    debug_assert_eq!(r.stride(), z.stride());
-}
 
 /// No preconditioning (`M = I`); the baseline for convergence comparisons.
 #[derive(Debug, Clone, Default)]
@@ -20,13 +11,14 @@ pub struct Identity;
 
 impl Preconditioner for Identity {
     fn apply_block(&self, _b: usize, r: &BlockVec, z: &mut BlockVec) {
+        assert_same_shape(r, z);
         for j in 0..z.ny {
             z.interior_row_mut(j).copy_from_slice(r.interior_row(j));
         }
     }
 
     fn apply_block_multi(&self, _b: usize, r: &MultiBlockVec, z: &mut MultiBlockVec) {
-        debug_assert_same_shape(r, z);
+        assert_same_shape_multi(r, z);
         let rraw = r.raw();
         let zraw = z.raw_mut();
         for g in 0..r.groups() {
@@ -70,6 +62,7 @@ impl Diagonal {
 
 impl Preconditioner for Diagonal {
     fn apply_block(&self, b: usize, r: &BlockVec, z: &mut BlockVec) {
+        assert_same_shape(r, z);
         let inv = &self.inv_diag.blocks[b];
         for j in 0..z.ny {
             let zi = z.interior_row_mut(j);
@@ -88,7 +81,7 @@ impl Preconditioner for Diagonal {
     /// possible operation sequence, so there is nothing mode-dependent to
     /// mirror.
     fn apply_block_multi(&self, b: usize, r: &MultiBlockVec, z: &mut MultiBlockVec) {
-        debug_assert_same_shape(r, z);
+        assert_same_shape_multi(r, z);
         let inv = &self.inv_diag.blocks[b];
         let rraw = r.raw();
         let zraw = z.raw_mut();

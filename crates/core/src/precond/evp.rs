@@ -17,16 +17,21 @@
 //! paper quotes) and solves them independently as a block-Jacobi
 //! preconditioner. Tiles that cannot march — they touch land, or their
 //! influence matrix is unusable — are solved directly with a no-pivot band
-//! LU of the same matrix (DESIGN.md S5).
+//! LU of the same matrix (DESIGN.md S5). Every tile solve — a pack of four
+//! sibling tiles, a tile on its own, a tile under a batch of right-hand
+//! sides — runs on the lane kernels of [`evp_multi`] (DESIGN.md §9);
+//! [`EvpSubBlock::solve_reference`] is the scalar sequence they are pinned
+//! against.
 //!
 //! The default drops the N/S/E/W couplings (`reduced = true`), halving the
 //! marching cost — the paper's §4.3 optimization, valid because those
 //! couplings are an order of magnitude smaller than the rest.
 
-use super::evp_multi::{self, Batched, LaneScratch, Member, Packed, PerTile, Shared, TileCoefs};
-use super::evp_simd::{self, MarchPlan};
+use super::evp_multi::{
+    self, Batched, EvpScratch, MarchPlan, Member, Packed, PerTile, Shared, TileCoefs,
+};
 use super::tiling::{tile_block, Tile};
-use super::Preconditioner;
+use super::{assert_same_shape, assert_same_shape_multi, Preconditioner};
 use pop_comm::{BlockVec, MultiBlockVec};
 use pop_simd::{SimdMode, LANES};
 use pop_stencil::dense::BandLu;
@@ -40,10 +45,6 @@ enum SubSolver {
     Evp {
         /// `R`, row-major.
         r_inv: Vec<f64>,
-        /// `R` transposed into the lane layout (column-major, row count
-        /// padded to `kp`) for the SIMD influence apply.
-        r_inv_t: Vec<f64>,
-        kp: usize,
         /// Every coefficient the restructured march reads.
         plan: MarchPlan,
     },
@@ -63,18 +64,6 @@ pub struct EvpSubBlock {
     pub nx: usize,
     pub ny: usize,
     solver: SubSolver,
-}
-
-/// Reusable scratch for [`EvpSubBlock::solve`].
-#[derive(Debug, Default, Clone)]
-pub struct EvpScratch {
-    xpad: Vec<f64>,
-    fvals: Vec<f64>,
-    corr: Vec<f64>,
-    /// Per-row `g` buffer for the restructured marching sweep.
-    g: Vec<f64>,
-    /// Contiguous-tile staging for the band solve (in place: `ψ` in, `x` out).
-    x_t: Vec<f64>,
 }
 
 /// Branch-free masked select, the scalar image of `LaneF64::and_bits`:
@@ -132,48 +121,26 @@ impl EvpSubBlock {
 
         // Chain coefficients exist because `marchable` held (ANE ≠ 0).
         let plan = MarchPlan::new(stencil, reduced);
-        let mode = pop_simd::mode();
-
-        // Influence matrix: column c = response on f to a unit guess on e[c].
-        let mut xpad = vec![0.0; (nx + 2) * (ny + 2)];
-        let zero_row = vec![0.0; nx];
-        let mut g = Vec::new();
-        let mut w = DenseMatrix::zeros(k);
-        for (c, e) in evp_simd::e_line(nx, ny).enumerate() {
-            xpad.fill(0.0);
-            xpad[e] = 1.0;
-            evp_simd::march(mode, &plan, &mut xpad, (&zero_row, 0), &mut g);
-            for (r, f) in evp_simd::f_line(nx, ny).enumerate() {
-                if !xpad[f].is_finite() {
-                    return None;
-                }
-                w.set(r, c, xpad[f]);
-            }
-        }
-        let inv = w.inverse().ok()?;
-        let r_inv: Vec<f64> = (0..k * k).map(|q| inv.get(q / k, q % k)).collect();
-        if !r_inv.iter().all(|v| v.is_finite()) {
+        let mut scratch = EvpScratch::default();
+        let w = evp_multi::influence_matrix(pop_simd::mode(), &plan, &mut scratch);
+        let finite = |m: &DenseMatrix| (0..k * k).all(|q| m.get(q / k, q % k).is_finite());
+        if !finite(&w) {
             return None;
         }
-        let kp = pop_simd::round_up_lanes(k);
-        let r_inv_t = evp_simd::transpose_padded(&inv, kp);
+        let inv = w.inverse().ok().filter(finite)?;
+        let r_inv: Vec<f64> = (0..k * k).map(|q| inv.get(q / k, q % k)).collect();
 
         // Accuracy probe: solve for a pseudo-random ψ and check the residual.
         let probe = EvpSubBlock {
             nx,
             ny,
-            solver: SubSolver::Evp {
-                r_inv,
-                r_inv_t,
-                kp,
-                plan,
-            },
+            solver: SubSolver::Evp { r_inv, plan },
         };
         let psi: Vec<f64> = (0..nx * ny)
             .map(|q| ((q.wrapping_mul(2654435761)) % 1000) as f64 / 500.0 - 1.0)
             .collect();
         let mut x = vec![0.0; nx * ny];
-        probe.solve(&psi, &mut x, &mut EvpScratch::default());
+        probe.solve(&psi, &mut x, &mut scratch);
         let mut worst = 0.0f64;
         for j in 0..ny as isize {
             for i in 0..nx as isize {
@@ -211,119 +178,84 @@ impl EvpSubBlock {
     }
 
     /// [`EvpSubBlock::solve`] with an explicit kernel dispatch choice
-    /// (tests and benches; production callers use the global mode).
+    /// (tests and benches; production callers use the global mode). Every
+    /// mode is bitwise-identical (DESIGN.md §9).
     pub fn solve_mode(&self, mode: SimdMode, psi: &[f64], x: &mut [f64], scratch: &mut EvpScratch) {
+        assert_eq!(psi.len(), self.nx * self.ny);
+        assert_eq!(x.len(), self.nx * self.ny);
+        self.solve_at(mode, (psi, x), 0, self.nx, scratch);
+    }
+
+    /// Solve the tile whose first point sits at `off` in the row-strided
+    /// storage `(r, z)`, as a pack of one: the tile in lane 0, its own
+    /// arrays splat, the idle lanes repeating it and never stored.
+    fn solve_at(
+        &self,
+        mode: SimdMode,
+        (r, z): (&[f64], &mut [f64]),
+        off: usize,
+        stride: usize,
+        scratch: &mut EvpScratch,
+    ) {
+        let io = Packed {
+            r,
+            z,
+            offs: [off; LANES],
+            live: 1,
+            stride,
+        };
+        let coefs = self.coefs().map(Shared);
+        evp_multi::solve_tile(mode, (self.nx, self.ny), coefs, io, scratch);
+    }
+
+    /// Test oracle: the per-point scalar operation sequence every lane of
+    /// the `evp_multi` kernels is pinned against, bit for bit — plain
+    /// scalar g-pass, chain, ascending influence fold from `+0.0`, band
+    /// substitution and mask select; no dispatch, free to allocate.
+    pub fn solve_reference(&self, psi: &[f64], x: &mut [f64]) {
         let (nx, ny) = (self.nx, self.ny);
         assert_eq!(psi.len(), nx * ny);
         assert_eq!(x.len(), nx * ny);
-        self.solve_strided_mode(mode, psi, nx, x, nx, scratch);
-    }
-
-    /// [`EvpSubBlock::solve`] reading `ψ` and writing `x` in place with
-    /// arbitrary row strides — the tile is operated on directly inside its
-    /// parent [`pop_comm::BlockVec`] storage, so the fused preconditioner
-    /// sweep does no gather/scatter copies. Same arithmetic, same values.
-    pub fn solve_strided(
-        &self,
-        psi: &[f64],
-        psi_stride: usize,
-        x: &mut [f64],
-        x_stride: usize,
-        scratch: &mut EvpScratch,
-    ) {
-        self.solve_strided_mode(pop_simd::mode(), psi, psi_stride, x, x_stride, scratch);
-    }
-
-    /// [`EvpSubBlock::solve_strided`] with an explicit dispatch choice.
-    /// Every mode is bitwise-identical (DESIGN.md §9).
-    pub fn solve_strided_mode(
-        &self,
-        mode: SimdMode,
-        psi: &[f64],
-        psi_stride: usize,
-        x: &mut [f64],
-        x_stride: usize,
-        scratch: &mut EvpScratch,
-    ) {
-        let (nx, ny) = (self.nx, self.ny);
         match &self.solver {
-            SubSolver::Evp {
-                r_inv,
-                r_inv_t,
-                kp,
-                plan,
-            } => {
-                let stride = nx + 2;
-                scratch.xpad.resize(stride * (ny + 2), 0.0);
-                let xpad = &mut scratch.xpad;
-                // Zero guess = zeroed e-line/ring; the interior needs no
-                // reset (the sweep overwrites it before reading it).
-                evp_simd::reset_march_pad(xpad, nx, ny);
-
-                // First sweep with zero guess.
-                evp_simd::march(mode, plan, xpad, (psi, psi_stride), &mut scratch.g);
-
-                // Mismatch on the Dirichlet ring (this path must not
-                // allocate in steady state).
-                scratch.fvals.clear();
-                scratch
-                    .fvals
-                    .extend(evp_simd::f_line(nx, ny).map(|k| xpad[k]));
-
-                // Corrected guess e = −R·F, then the definitive sweep.
-                evp_simd::influence_apply(
-                    mode,
-                    r_inv,
-                    r_inv_t,
-                    *kp,
-                    &scratch.fvals,
-                    &mut scratch.corr,
-                );
-                evp_simd::reset_march_pad(xpad, nx, ny);
-                for (c, k) in evp_simd::e_line(nx, ny).enumerate() {
-                    xpad[k] = -scratch.corr[c];
+            SubSolver::Evp { r_inv, plan } => {
+                let xs = nx + 2;
+                // First sweep from the zero guess; its overshoot on the
+                // Dirichlet ring.
+                let mut xpad = vec![0.0; xs * (ny + 2)];
+                march_reference(plan, &mut xpad, psi);
+                let f: Vec<f64> = evp_multi::f_line(nx, ny).map(|k| xpad[k]).collect();
+                // Corrected guess e = −R·f, then the definitive sweep.
+                xpad.fill(0.0);
+                for (ek, row) in evp_multi::e_line(nx, ny).zip(r_inv.chunks_exact(f.len())) {
+                    xpad[ek] = -row.iter().zip(&f).fold(0.0, |acc, (r, fc)| acc + r * fc);
                 }
-                evp_simd::march(mode, plan, xpad, (psi, psi_stride), &mut scratch.g);
-
-                for j in 0..ny {
-                    let src = (j + 1) * stride + 1;
-                    x[j * x_stride..j * x_stride + nx].copy_from_slice(&xpad[src..src + nx]);
+                march_reference(plan, &mut xpad, psi);
+                for (j, row) in x.chunks_exact_mut(nx).enumerate() {
+                    row.copy_from_slice(&xpad[(j + 1) * xs + 1..][..nx]);
                 }
             }
             SubSolver::Band { lu, maskbits } => {
-                // The substitutions run over one contiguous tile: gather ψ,
-                // solve in place, scatter with land zeroed.
-                let xt = &mut scratch.x_t;
-                xt.clear();
-                for j in 0..ny {
-                    xt.extend_from_slice(&psi[j * psi_stride..j * psi_stride + nx]);
-                }
-                lu.solve_in_place(xt);
-                for j in 0..ny {
-                    let row = j * nx..(j + 1) * nx;
-                    let dst = &mut x[j * x_stride..j * x_stride + nx];
-                    for ((d, &v), &m) in dst.iter_mut().zip(&xt[row.clone()]).zip(&maskbits[row]) {
-                        *d = and_select(v, m);
-                    }
+                x.copy_from_slice(psi);
+                lu.solve_in_place(x);
+                for (v, &m) in x.iter_mut().zip(maskbits) {
+                    *v = and_select(*v, m);
                 }
             }
         }
     }
 
-    /// The batched image of [`EvpSubBlock::solve_strided_mode`]: solve the
-    /// tile for all `groups · LANES` right-hand sides `io` addresses at
-    /// once, through the lane kernels of [`evp_multi`] (every coefficient
-    /// and influence-matrix entry loaded once for all lanes of all groups,
-    /// one independent chain recurrence or band substitution in flight per
-    /// group). Per lane the result is bitwise identical to the single-RHS
-    /// solve.
-    pub(super) fn solve_batched(&self, mode: SimdMode, io: Batched, scratch: &mut LaneScratch) {
+    /// The batched image of [`EvpSubBlock::solve_mode`]: solve the tile for
+    /// all `groups · LANES` right-hand sides `io` addresses at once (every
+    /// coefficient and influence-matrix entry loaded once for all lanes of
+    /// all groups, one independent chain recurrence or band substitution in
+    /// flight per group). Per lane the result is bitwise identical to the
+    /// single-RHS solve.
+    pub(super) fn solve_batched(&self, mode: SimdMode, io: Batched, scratch: &mut EvpScratch) {
         let coefs = self.coefs().map(Shared);
         evp_multi::solve_tile(mode, (self.nx, self.ny), coefs, io, scratch);
     }
 
-    /// The tile's set-up arrays as the lane kernels of [`evp_multi`] take
-    /// them.
+    /// The tile's set-up arrays as the kernels of [`evp_multi`] take them.
     fn coefs(&self) -> TileCoefs<&[f64]> {
         match &self.solver {
             SubSolver::Evp { r_inv, plan, .. } => TileCoefs::March {
@@ -340,6 +272,38 @@ impl EvpSubBlock {
                 }
             }
         }
+    }
+}
+
+/// One scalar southwest→northeast marching sweep (paper Eq. 4) over the
+/// `(nx+2) × (ny+2)` pad, in the restructured g/chain form of [`evp_multi`]:
+/// the guess line `e` and the south/west ring are preset, everything with
+/// `i ≥ 1 ∧ j ≥ 1` is produced. The chain step is fused on CPUs with FMA
+/// (the plan's chain planes are signed for it).
+fn march_reference(plan: &MarchPlan, xpad: &mut [f64], psi: &[f64]) {
+    use evp_multi::{A0, AE, AE_W, ANE_S, ANE_SW, AN_S, D_INV, H1, H2};
+    let (nx, n, xs) = (plan.nx, plan.nx * plan.ny, plan.nx + 2);
+    assert_eq!(psi.len(), n);
+    let fma = pop_simd::detected_fma();
+    let c = |f: usize, p: usize| plan.c[f * n + p];
+    for (p, rhs) in psi.iter().enumerate() {
+        // Pad index of `x(i, j)`, the center of the equation that yields
+        // `x(i+1, j+1)`.
+        let xk = (p / nx + 1) * xs + p % nx + 1;
+        let at = |k: usize| xpad[k];
+        let mut q =
+            c(A0, p) * at(xk) + c(ANE_S, p) * at(xk - xs + 1) + c(ANE_SW, p) * at(xk - xs - 1);
+        if !plan.reduced {
+            q += c(AN_S, p) * at(xk - xs) + c(AE, p) * at(xk + 1) + c(AE_W, p) * at(xk - 1);
+        }
+        let g = (rhs - q) * c(D_INV, p);
+        let (ym1, y0) = (at(xk + xs - 1), at(xk + xs));
+        xpad[xk + xs + 1] = match (plan.reduced, fma) {
+            (true, true) => c(H2, p).mul_add(ym1, g),
+            (true, false) => g - c(H2, p) * ym1,
+            (false, true) => c(H2, p).mul_add(ym1, c(H1, p).mul_add(y0, g)),
+            (false, false) => (g - c(H1, p) * y0) - c(H2, p) * ym1,
+        };
     }
 }
 
@@ -384,7 +348,7 @@ impl Pack {
         // The marching planes become one record per tile point; every other
         // array keeps its order (a one-field record per entry).
         let fields = match class {
-            TileCoefs::March { reduced, .. } => [evp_simd::planes(reduced), 1],
+            TileCoefs::March { reduced, .. } => [evp_multi::planes(reduced), 1],
             TileCoefs::Band { .. } => [1, 1],
         };
         for (a, nf) in fields.into_iter().enumerate() {
@@ -579,15 +543,13 @@ impl BlockEvp {
 
 /// Per-thread reusable tile buffers for [`BlockEvp::apply_block`] /
 /// [`BlockLu`](super::BlockLu): the staged contiguous tile and the EVP
-/// marching pads. Thread-local so steady-state preconditioner applications
+/// lane pads. Thread-local so steady-state preconditioner applications
 /// allocate nothing, even when blocks run on pool workers.
 #[derive(Default)]
 pub(super) struct TileScratch {
     /// [`BlockLu`](super::BlockLu)'s gathered right-hand side, solved in place.
     pub tile: Vec<f64>,
     pub evp: EvpScratch,
-    /// Lane-major pads/buffers for the packed and the batched tile solves.
-    pub lanes: LaneScratch,
 }
 
 thread_local! {
@@ -600,9 +562,8 @@ impl Preconditioner for BlockEvp {
         let mode = pop_simd::mode();
         TILE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
+            assert_same_shape(r, z);
             let (stride, h) = (r.stride(), r.halo);
-            debug_assert_eq!(z.stride(), stride);
-            debug_assert_eq!(z.halo, h);
             let rraw = r.raw();
             let zraw = z.raw_mut();
             let blk = &self.blocks[b];
@@ -612,17 +573,10 @@ impl Preconditioner for BlockEvp {
                     zraw[off..off + t.nx].fill(0.0);
                 }
             }
+            // A tile alone in its class rides the lanes as a pack of one.
             for (t, s) in &blk.lone {
-                // Solve the tile in place inside the block arrays — no
-                // gather/scatter copies on the fused path.
                 let off = (t.j0 + h) * stride + h + t.i0;
-                s.solve_strided(
-                    &rraw[off..],
-                    stride,
-                    &mut zraw[off..],
-                    stride,
-                    &mut scratch.evp,
-                );
+                s.solve_at(mode, (rraw, zraw), off, stride, &mut scratch.evp);
             }
             // Four tiles per solve, one per lane, streaming the block's
             // slab front to back.
@@ -636,7 +590,7 @@ impl Preconditioner for BlockEvp {
                     stride,
                 };
                 let coefs = p.take(&mut slab).map(PerTile);
-                evp_multi::solve_tile(mode, (p.nx, p.ny), coefs, io, &mut scratch.lanes);
+                evp_multi::solve_tile(mode, (p.nx, p.ny), coefs, io, &mut scratch.evp);
             }
         });
     }
@@ -652,10 +606,8 @@ impl Preconditioner for BlockEvp {
         let mode = pop_simd::mode();
         TILE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
+            assert_same_shape_multi(r, z);
             let (stride, h, rows) = (r.stride(), r.halo, r.rows());
-            debug_assert_eq!(z.stride(), stride);
-            debug_assert_eq!(z.halo, h);
-            debug_assert_eq!(z.groups(), r.groups());
             let groups = r.groups();
             let rraw = r.raw();
             let zraw = z.raw_mut();
@@ -683,7 +635,7 @@ impl Preconditioner for BlockEvp {
                     gstride: gs,
                     groups,
                 };
-                s.solve_batched(mode, io, &mut scratch.lanes);
+                s.solve_batched(mode, io, &mut scratch.evp);
             }
             let mut slab = &blk.slab[..];
             for p in &blk.packs {
@@ -698,7 +650,7 @@ impl Preconditioner for BlockEvp {
                         groups,
                     };
                     let member = coefs.map(|a| Member(a, l));
-                    evp_multi::solve_tile(mode, (p.nx, p.ny), member, io, &mut scratch.lanes);
+                    evp_multi::solve_tile(mode, (p.nx, p.ny), member, io, &mut scratch.evp);
                 }
             }
         });
@@ -1041,22 +993,28 @@ pub(crate) mod tests {
         m
     }
 
-    /// A pack's output equals each member's own solve bit for bit — every
-    /// shape (lane multiples and ragged tails), both classes (band members
-    /// with distinct land masks), reduced and full systems, 2–4 live lanes,
-    /// every dispatch mode; idle lanes write nothing; and the block storage
-    /// may have any stride (the pack knows tile origins, not offsets).
+    /// The lanes' output equals each member's scalar reference solve bit
+    /// for bit — every shape (lane multiples and ragged tails), both classes
+    /// (band members with distinct land masks), reduced and full systems,
+    /// 1–4 live lanes (one = a lone tile's own arrays, splat), every
+    /// dispatch mode; idle lanes write nothing; and the block storage may
+    /// have any stride (the pack knows tile origins, not offsets).
     #[test]
     fn pack_matches_each_members_own_solve_bitwise() {
+        let mut scratch = EvpScratch::default();
         for (nx, ny) in [(8, 8), (8, 6), (7, 5), (5, 7), (12, 3)] {
             for (marching, reduced, live) in [
                 (true, true, 4),
                 (true, true, 3),
+                (true, true, 1),
                 (true, false, 2),
                 (true, false, 4),
+                (true, false, 1),
                 (false, true, 4),
                 (false, true, 2),
+                (false, true, 1),
                 (false, false, 3),
+                (false, false, 1),
             ] {
                 let members: Vec<(Tile, EvpSubBlock)> = (0..live)
                     .map(|l| {
@@ -1073,9 +1031,11 @@ pub(crate) mod tests {
                         (t, sub)
                     })
                     .collect();
+                // One member rides the lanes as `BlockEvp::apply_block`'s
+                // lone tiles do; more are packed.
                 let mut slab = Vec::new();
-                let pack = Pack::new(&members, &mut slab);
-                assert_eq!(pack.live, live);
+                let pack = (live > 1).then(|| Pack::new(&members, &mut slab));
+                let (t0, sub0) = &members[0];
 
                 // Two block widths with different padded strides.
                 for extra in [0, 5] {
@@ -1091,30 +1051,38 @@ pub(crate) mod tests {
                         );
                         let mut z = BlockVec::zeros(bx, by, halo);
                         z.fill(f64::NAN);
-                        let mut rest = &slab[..];
-                        let coefs = pack.take(&mut rest).map(PerTile);
-                        assert!(rest.is_empty(), "{tag}: slab not consumed");
+                        let stride = r.stride();
+                        let offs = match &pack {
+                            Some(p) => p.offsets(stride, halo),
+                            None => [r.offset(t0.i0 as isize, t0.j0 as isize); LANES],
+                        };
                         let io = Packed {
                             r: r.raw(),
                             z: z.raw_mut(),
-                            offs: pack.offsets(r.stride(), halo),
+                            offs,
                             live,
-                            stride: r.stride(),
+                            stride,
                         };
-                        evp_multi::solve_tile(
-                            mode,
-                            (nx, ny),
-                            coefs,
-                            io,
-                            &mut LaneScratch::default(),
-                        );
+                        match &pack {
+                            Some(p) => {
+                                assert_eq!(p.live, live);
+                                let mut rest = &slab[..];
+                                let coefs = p.take(&mut rest).map(PerTile);
+                                assert!(rest.is_empty(), "{tag}: slab not consumed");
+                                evp_multi::solve_tile(mode, (nx, ny), coefs, io, &mut scratch);
+                            }
+                            None => {
+                                let coefs = sub0.coefs().map(Shared);
+                                evp_multi::solve_tile(mode, (nx, ny), coefs, io, &mut scratch);
+                            }
+                        }
 
                         for (t, sub) in &members {
                             let psi: Vec<f64> = (0..ny)
                                 .flat_map(|j| r.interior_row(t.j0 + j)[t.i0..t.i0 + nx].to_vec())
                                 .collect();
                             let mut want = vec![0.0; nx * ny];
-                            sub.solve_mode(mode, &psi, &mut want, &mut EvpScratch::default());
+                            sub.solve_reference(&psi, &mut want);
                             for j in 0..ny {
                                 for i in 0..nx {
                                     let got = z.get(t.i0 + i, t.j0 + j);
@@ -1138,6 +1106,39 @@ pub(crate) mod tests {
         }
     }
 
+    /// Set-up marches the influence matrix four unit guesses per lane sweep;
+    /// one unit guess at a time through the reference march gives the same
+    /// `W`, bit for bit — reduced and full systems, lane-multiple and ragged
+    /// ring lengths, every dispatch mode, one scratch across all of them.
+    #[test]
+    fn influence_matrix_matches_one_guess_at_a_time_bitwise() {
+        let mut scratch = EvpScratch::default();
+        for (nx, ny) in [(8, 8), (7, 5), (12, 3), (1, 5), (2, 3)] {
+            for reduced in [true, false] {
+                let raw = seeded_tile(nx, ny, 97 + nx as u64, 0);
+                let st = if reduced { raw.reduced() } else { raw };
+                let plan = MarchPlan::new(&st, reduced);
+                let zero = vec![0.0; nx * ny];
+                for mode in modes() {
+                    let w = evp_multi::influence_matrix(mode, &plan, &mut scratch);
+                    assert_eq!(w.n(), nx + ny - 1);
+                    for (c, ek) in evp_multi::e_line(nx, ny).enumerate() {
+                        let mut xpad = vec![0.0; (nx + 2) * (ny + 2)];
+                        xpad[ek] = 1.0;
+                        march_reference(&plan, &mut xpad, &zero);
+                        for (r, fk) in evp_multi::f_line(nx, ny).enumerate() {
+                            assert_eq!(
+                                w.get(r, c).to_bits(),
+                                xpad[fk].to_bits(),
+                                "{nx}x{ny} reduced={reduced} {mode:?} W[{r}][{c}]"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// FNV-1a over the bit patterns of a field.
     fn fnv(values: &[f64]) -> u64 {
         values
@@ -1148,8 +1149,9 @@ pub(crate) mod tests {
             })
     }
 
-    /// On the operators the benchmark runs, one `BlockEvp::apply` — packs
-    /// and all — equals solving every tile on its own, bit for bit. Prints
+    /// On the operators the benchmark runs, one `BlockEvp::apply` — packs,
+    /// lone tiles and all — equals the scalar reference solve of every tile
+    /// on its own, bit for bit. Prints
     /// the census and an FNV hash of the output per operator, so two
     /// commits (or two `POP_BARO_SIMD` settings) can be compared by eye:
     /// `cargo test -p pop-core block_apply_matches -- --nocapture`.
@@ -1179,6 +1181,13 @@ pub(crate) mod tests {
                 5500.0,
                 0,
             ),
+            (
+                "ranks-1024 8x6",
+                Grid::gx1_scaled(2015, 320, 240),
+                (8, 6),
+                2700.0,
+                0,
+            ),
         ];
         let world = CommWorld::serial();
         for (name, g, (bx, by), tau, packed) in cases {
@@ -1186,6 +1195,8 @@ pub(crate) mod tests {
             let op = NinePoint::assemble(&g, &layout, &world, tau);
             let pre = BlockEvp::with_defaults(&op);
             let c = pre.census();
+            // (Zero on the three one-tile-per-block operators: every tile
+            // there rides the lanes alone.)
             assert_eq!(c.packed.tiles, packed, "{name}: {c:?}");
             if name.starts_with("gx1") {
                 let tiles = |t: TileCount| t.tiles;
@@ -1206,15 +1217,7 @@ pub(crate) mod tests {
                 .blocks
                 .iter()
                 .flat_map(|b| &b.lone)
-                .map(|(_, s)| match &s.solver {
-                    SubSolver::Evp {
-                        r_inv,
-                        r_inv_t,
-                        plan,
-                        ..
-                    } => r_inv.len() + r_inv_t.len() + plan.c.len(),
-                    SubSolver::Band { lu, maskbits } => lu.raw_parts().2.len() + maskbits.len(),
-                })
+                .map(|(_, s)| s.coefs().arrays().map(<[f64]>::len).iter().sum::<usize>())
                 .sum();
             println!(
                 "block-EVP apply fnv {name}: {:016x}  ({} dispatch; {} of {} tiles in {} packs, \
@@ -1228,27 +1231,23 @@ pub(crate) mod tests {
                 lone * 8 / 1024
             );
 
-            let mut scratch = EvpScratch::default();
             for (b, info) in layout.decomp.blocks.iter().enumerate() {
-                let (rb, stride) = (&r.blocks[b], r.blocks[b].stride());
+                let rb = &r.blocks[b];
                 let mut want = BlockVec::zeros(info.nx, info.ny, rb.halo);
                 want.fill(f64::NAN);
                 for t in tile_block(info.nx, info.ny, pre.tile_size()) {
                     let raw = op.extract_local(b, t.i0, t.j0, t.nx, t.ny);
-                    let off = rb.offset(t.i0 as isize, t.j0 as isize);
-                    if (0..t.ny as isize).all(|j| (0..t.nx as isize).all(|i| raw.a0(i, j) <= 0.0)) {
-                        for j in 0..t.ny {
-                            want.interior_row_mut(t.j0 + j)[t.i0..t.i0 + t.nx].fill(0.0);
-                        }
-                        continue;
+                    let mut x = vec![0.0; t.nx * t.ny];
+                    if !(0..t.ny as isize).all(|j| (0..t.nx as isize).all(|i| raw.a0(i, j) <= 0.0))
+                    {
+                        let psi: Vec<f64> = (t.j0..t.j0 + t.ny)
+                            .flat_map(|j| rb.interior_row(j)[t.i0..t.i0 + t.nx].to_vec())
+                            .collect();
+                        EvpSubBlock::new(&raw, pre.is_reduced()).solve_reference(&psi, &mut x);
                     }
-                    EvpSubBlock::new(&raw, pre.is_reduced()).solve_strided(
-                        &rb.raw()[off..],
-                        stride,
-                        &mut want.raw_mut()[off..],
-                        stride,
-                        &mut scratch,
-                    );
+                    for (j, row) in x.chunks_exact(t.nx).enumerate() {
+                        want.interior_row_mut(t.j0 + j)[t.i0..t.i0 + t.nx].copy_from_slice(row);
+                    }
                 }
                 for j in 0..info.ny {
                     for (i, w) in want.interior_row(j).iter().enumerate() {

@@ -1,17 +1,45 @@
-//! The lane kernels of the EVP tile solve: one march, one influence fold,
-//! one band substitution and one copy-out, each generic over *what rides
-//! the four lanes* and *where a coefficient comes from*.
+//! The EVP tile solve, the one kernel family behind [`super::BlockEvp`]: one
+//! march, one influence fold, one band substitution and one copy-out, each
+//! generic over *what rides the four lanes* and *where a coefficient comes
+//! from*.
 //!
-//! Two things ride lanes here, and they are the same arithmetic:
+//! ## The restructured march
 //!
-//! - **four tiles × one right-hand side** — the packed path of
-//!   [`super::BlockEvp`]'s single-RHS apply. Same-shape tiles of one block
-//!   are packed four to a lane group, their coefficients lane-interleaved
-//!   in the block's slab ([`PerTile`]: `V::load(&slab[idx·4])`), and the
-//!   serial recurrences that no dispatch mode can vectorise *within* a tile
-//!   (the marching chain `y_{i+1} = g_i − h2_i·y_{i−1}`, the band
-//!   substitutions) advance four tiles per step. [`Packed`] stages `ψ` in
-//!   and `x` out through a 4×4 transpose.
+//! The classic marching recurrence solves the equation centered at
+//! `(i, j)` for `x(i+1, j+1)`, which chains a divide into every step of a
+//! loop-carried dependency. Each center row is split into
+//!
+//! 1. a **g-pass** over terms from already-completed rows:
+//!    `g_i = (ψ_i − q_i) · d⁻¹_i` with `d⁻¹_i = 1/ANE(i,j)` precomputed at
+//!    set-up, and
+//! 2. a **chain pass** over the in-progress output row,
+//!    `y_{i+1} = g_i − h2_i·y_{i−1}` (reduced) or
+//!    `y_{i+1} = (g_i − h1_i·y_i) − h2_i·y_{i−1}` (full), with
+//!    `h1 = AN(i,j)/ANE(i,j)`, `h2 = ANE(i−1,j)/ANE(i,j)` precomputed at
+//!    set-up ([`MarchPlan`]).
+//!
+//! The chain keeps only a multiply and a subtract on the critical path (the
+//! divide became a set-up-time reciprocal). Within one tile it is a serial
+//! recurrence that no instruction set vectorises, so the lanes never run
+//! *along* a tile row: they hold independent chains. (Expanding the reduced
+//! recurrence one level — distance-4, four interleaved chains within a row
+//! — was tried and measured slower at POP's 8–12 column tiles.)
+//!
+//! ## What rides the lanes
+//!
+//! Three things, and they are the same arithmetic:
+//!
+//! - **four tiles × one right-hand side** — a pack of [`super::BlockEvp`]'s
+//!   single-RHS apply. Same-shape tiles of one block are packed four to a
+//!   lane group, their coefficients lane-interleaved in the block's slab
+//!   ([`PerTile`]: `V::load(&slab[idx·4])`), and the marching chain and the
+//!   band substitutions advance four tiles per step. [`Packed`] stages `ψ`
+//!   in and `x` out through a 4×4 transpose.
+//! - **one tile × one right-hand side** — a tile with no same-shape sibling
+//!   in its block, and [`super::EvpSubBlock::solve`]: a pack of one. The
+//!   tile's own arrays are splat ([`Shared`]), [`Packed`] stages it with
+//!   one live lane, and the three idle lanes repeat lane 0 and are never
+//!   stored.
 //! - **one tile × `groups · LANES` right-hand sides** — the batched apply.
 //!   The pad is superlane-major (`groups · LANES` consecutive `f64` per pad
 //!   point — lane group, then lane), every coefficient is splat once and
@@ -21,15 +49,14 @@
 //!   lane-major [`pop_comm::MultiBlockVec`] storage in place.
 //!
 //! Each lane executes exactly the per-point operation sequence of the
-//! single-tile, single-RHS solve ([`super::evp_simd`], whose dispatch arms
-//! `tests/simd_equivalence.rs` pins bitwise identical) — `(ψ − ((a0·xc +
-//! ane_s·xse) + ane_sw·xsw))·d⁻¹`, the axis terms summed among themselves
-//! first in the full system, `acc − l·x` over ascending band columns, `acc /
-//! u_rr` — so per-lane results are bitwise identical to
-//! [`super::EvpSubBlock::solve_strided_mode`] under every dispatch mode:
-//! interleaving lanes reorders *instructions*, never any lane's arithmetic.
-//! Scalar dispatch shares the portable instantiation for the same reason.
-//! Two rules carry over unchanged:
+//! scalar test oracle [`super::EvpSubBlock::solve_reference`] — `(ψ −
+//! ((a0·xc + ane_s·xse) + ane_sw·xsw))·d⁻¹`, the axis terms summed among
+//! themselves first in the full system, `acc − l·x` over ascending band
+//! columns, `acc / u_rr` — so per-lane results are bitwise identical to it
+//! under every dispatch mode: interleaving lanes reorders *instructions*,
+//! never any lane's arithmetic. Scalar dispatch shares the portable
+//! instantiation for the same reason: portable lanes *are* four copies of
+//! the scalar sequence. Two rules hold throughout:
 //!
 //! - the chain recurrence's FMA contraction is keyed on the CPU property
 //!   [`pop_simd::detected_fma`], never on the dispatch mode: the chain
@@ -38,22 +65,22 @@
 //! - the influence apply accumulates each output row over ascending columns
 //!   from `+0.0`, the scalar row dot product.
 
-use super::evp_simd::{self, e_line, f_line, A0, AE, AE_W, ANE_S, ANE_SW, AN_S, D_INV, H1, H2};
 use pop_simd::{LaneF64, Portable4, SimdMode, LANES};
+use pop_stencil::{DenseMatrix, LocalStencil};
 
 /// The most lane groups one batched tile solve interleaves:
 /// `MAX_BATCH / LANES` (`crate::solvers::batch`). The kernels keep one
 /// chain/accumulator register per group, so the bound is a compile-time
 /// array size.
-pub(super) const MAX_GROUPS: usize = 4;
+const MAX_GROUPS: usize = 4;
 
 const _: () = assert!(crate::solvers::MAX_BATCH <= MAX_GROUPS * LANES);
 
-/// Reusable scratch for the lane tile solve; lives inside the same
-/// thread-local as the lone-tile scratch so steady-state preconditioner
+/// Reusable scratch for an EVP tile solve ([`super::EvpSubBlock::solve`]);
+/// [`super::BlockEvp`] keeps one per thread so steady-state preconditioner
 /// applications allocate nothing.
 #[derive(Debug, Default, Clone)]
-pub(super) struct LaneScratch {
+pub struct EvpScratch {
     /// Superlane-major marching pad: `(nx+2)·(ny+2)` points of
     /// `groups·LANES` values.
     xpad: Vec<f64>,
@@ -69,6 +96,103 @@ pub(super) struct LaneScratch {
 }
 
 // ---------------------------------------------------------------------------
+// The marching coefficients
+// ---------------------------------------------------------------------------
+
+/// The coefficient planes of a [`MarchPlan`], in storage order: plane `f`
+/// holds one value per tile point, row-major, at `c[f·nx·ny ..]`. The first
+/// [`planes`]`(true)` serve the reduced system; the full system adds the
+/// axis couplings.
+pub(super) const A0: usize = 0;
+/// `ANE(i, j−1)`, the coupling to `x(i+1, j−1)`.
+pub(super) const ANE_S: usize = 1;
+/// `ANE(i−1, j−1)`, the coupling to `x(i−1, j−1)`.
+pub(super) const ANE_SW: usize = 2;
+/// `1/ANE(i,j)`: the marching pivot as a reciprocal, so the per-point
+/// divide is a multiply (the one-time reciprocal rounding is absorbed by
+/// the influence matrix, which is marched with the same plan).
+pub(super) const D_INV: usize = 3;
+/// The chain coefficient `ANE(i−1,j)/ANE(i,j)`, stored ready for the chain
+/// step this CPU runs: negated where the step is `fma(−h2, y₋₂, g)`
+/// ([`pop_simd::detected_fma`]), as is where it is `g − h2·y₋₂`.
+pub(super) const H2: usize = 4;
+/// `AN(i, j−1)`.
+pub(super) const AN_S: usize = 5;
+pub(super) const AE: usize = 6;
+/// `AE(i−1, j)`.
+pub(super) const AE_W: usize = 7;
+/// `AN(i,j)/ANE(i,j)`, signed like [`H2`]. (The reduced system has no such
+/// plane: the term is dropped, not multiplied by zero — `0·y` is not
+/// bitwise neutral for `−0.0`.)
+pub(super) const H1: usize = 8;
+
+/// How many coefficient planes a marching tile carries.
+pub(super) const fn planes(reduced: bool) -> usize {
+    if reduced {
+        H2 + 1
+    } else {
+        H1 + 1
+    }
+}
+
+/// Set-up-time precomputation for the restructured marching sweep: every
+/// coefficient a sweep reads, as row-major `nx × ny` planes (see [`A0`] …
+/// [`H1`]). Built only for marchable tiles (`ANE ≠ 0` at every center); the
+/// tile's `LocalStencil` is not needed afterwards.
+#[derive(Debug, Clone)]
+pub(super) struct MarchPlan {
+    pub(super) nx: usize,
+    pub(super) ny: usize,
+    pub(super) reduced: bool,
+    pub(super) c: Vec<f64>,
+}
+
+impl MarchPlan {
+    pub(super) fn new(st: &LocalStencil, reduced: bool) -> Self {
+        let (nx, ny) = (st.nx, st.ny);
+        let (cs, a0, an, ae, ane) = st.raw_parts();
+        let n = nx * ny;
+        let chain = |h: f64| if pop_simd::detected_fma() { -h } else { h };
+        let mut c = vec![0.0; planes(reduced) * n];
+        for j in 0..ny {
+            for i in 0..nx {
+                let (p, ck) = (j * nx + i, (j + 1) * cs + 1 + i);
+                c[A0 * n + p] = a0[ck];
+                c[ANE_S * n + p] = ane[ck - cs];
+                c[ANE_SW * n + p] = ane[ck - cs - 1];
+                c[D_INV * n + p] = 1.0 / ane[ck];
+                c[H2 * n + p] = chain(ane[ck - 1] / ane[ck]);
+                if !reduced {
+                    c[AN_S * n + p] = an[ck - cs];
+                    c[AE * n + p] = ae[ck];
+                    c[AE_W * n + p] = ae[ck - 1];
+                    c[H1 * n + p] = chain(an[ck] / ane[ck]);
+                }
+            }
+        }
+        MarchPlan { nx, ny, reduced, c }
+    }
+}
+
+/// Marching-pad indices (row stride `nx + 2`) of the initial-guess line
+/// `e`: south row then west column (paper Fig. 5).
+pub(super) fn e_line(nx: usize, ny: usize) -> impl Iterator<Item = usize> {
+    let xs = nx + 2;
+    (0..nx)
+        .map(move |i| xs + i + 1)
+        .chain((1..ny).map(move |j| (j + 1) * xs + 1))
+}
+
+/// Marching-pad indices of the overshoot line `f` on the Dirichlet ring:
+/// north ring then east ring. As long as [`e_line`]: `nx + ny − 1`.
+pub(super) fn f_line(nx: usize, ny: usize) -> impl Iterator<Item = usize> {
+    let xs = nx + 2;
+    (1..=nx)
+        .map(move |i| (ny + 1) * xs + i + 1)
+        .chain((1..ny).map(move |j| (j + 1) * xs + nx + 1))
+}
+
+// ---------------------------------------------------------------------------
 // Where a coefficient comes from
 // ---------------------------------------------------------------------------
 
@@ -77,8 +201,8 @@ pub(super) struct LaneScratch {
 pub(super) trait Coefs: Copy {
     /// Does the marching array hold one `fields`-long record per tile point
     /// (a pack's slab, streamed front to back) rather than one `points`-long
-    /// plane per field (a tile's own [`super::evp_simd::MarchPlan`], whose
-    /// lone-tile kernels load along rows)?
+    /// plane per field (a tile's own [`MarchPlan`], which
+    /// [`super::EvpSubBlock::solve_reference`] reads along rows)?
     const RECORDS: bool;
 
     /// How many entries the array holds.
@@ -167,7 +291,7 @@ impl Coefs for Member<'_> {
 /// The set-up data of one tile (or one pack of tiles) as `T`-typed arrays.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) enum TileCoefs<T> {
-    /// EVP marching: the [`super::evp_simd::MarchPlan`] planes and the
+    /// EVP marching: the [`MarchPlan`] planes and the
     /// row-major inverse influence matrix `R = W⁻¹`. No mask: a marchable
     /// tile is all ocean.
     March { reduced: bool, planes: T, r_inv: T },
@@ -211,11 +335,14 @@ impl<T> TileCoefs<T> {
 // The kernels
 // ---------------------------------------------------------------------------
 
-/// Zero the superlane-major pad cells a sweep reads before writing: the two
-/// full south pad rows and the two west pad columns of every higher row
-/// (see [`super::evp_simd::reset_march_pad`] for why the rest of the pad
-/// needs no reset). Lane stores rather than `fill`: the spans are a few
-/// lane groups long, shorter than a `memset` call.
+/// Zero exactly the superlane-major pad cells a sweep *reads before
+/// writing*: the two full south pad rows (ring plus south e-line) and the
+/// two west pad columns of every higher row (west ring plus west e-line).
+/// Everything else — the whole interior and the north/east ring — is written
+/// by the sweep's chain pass before any later row's g-pass reads it, so
+/// stale values from a previous sweep (or a previous tile's solve) are
+/// unreachable. Lane stores rather than `fill`: the spans are a few lane
+/// groups long, shorter than a `memset` call.
 ///
 /// # Safety
 /// With AVX2 lanes the caller must run under the `avx2` target feature.
@@ -236,8 +363,10 @@ unsafe fn reset_march_pad<V: LaneF64>(xpad: &mut [f64], nx: usize, ny: usize, gr
 
 /// The southwest→northeast marching sweep over the superlane-major pad:
 /// per center row, a lane-wide g-pass then the lane-wide chain recurrence —
-/// one independent chain per lane group, [`MAX_GROUPS`] in flight where the
-/// lone-tile kernel has one. `psi = (slice, row stride, group stride)`:
+/// one independent chain per lane group, up to [`MAX_GROUPS`] in flight.
+/// Values on the guess line `e` and the south/west ring must be preset;
+/// everything with `i ≥ 1 ∧ j ≥ 1` — including the north/east ring — is
+/// produced. `psi = (slice, row stride, group stride)`:
 /// lane group `g`'s right-hand sides of row `j`, column `i` are the `LANES`
 /// values at `g · group stride + j · row stride + i · LANES`.
 ///
@@ -257,7 +386,7 @@ unsafe fn march_sweep<V: LaneF64, C: Coefs>(
     use_fma: bool,
     groups: usize,
 ) {
-    let (n, nf, xs, sl) = (nx * ny, evp_simd::planes(reduced), nx + 2, groups * LANES);
+    let (n, nf, xs, sl) = (nx * ny, self::planes(reduced), nx + 2, groups * LANES);
     let coef = |p: usize, f: usize| planes.field::<V>(p, f, n, nf);
     for j in 0..ny {
         // Split so the g-pass reads only completed rows while the chain
@@ -293,10 +422,12 @@ unsafe fn march_sweep<V: LaneF64, C: Coefs>(
                     .store(g.as_mut_ptr().add(i * sl + gr * LANES));
             }
         }
-        // The chain: each lane runs the scalar recurrence of
-        // `evp_simd::chain_row` on its own tile / right-hand side. Point 0
-        // of `out` is the west ring, point 1 the preset guess, point `i+2`
-        // receives `x(i+1, j+1)`.
+        // The chain: each lane runs the scalar recurrence on its own tile /
+        // right-hand side — the solve's serial critical path, so on CPUs
+        // with FMA one fused `fma(−h2, y₋₂, g)` per step, half the
+        // dependency latency of `mul` then `sub`. Point 0 of `out` is the
+        // west ring, point 1 the preset guess, point `i+2` receives
+        // `x(i+1, j+1)`.
         let mut ym1 = [V::splat(0.0); MAX_GROUPS];
         let mut y0 = [V::splat(0.0); MAX_GROUPS];
         for gr in 0..groups {
@@ -714,18 +845,25 @@ impl TileIo for Packed<'_> {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// One tile solve, generic over the lanes' instruction set.
+/// A kernel body, generic over the lanes' instruction set, for [`dispatch`]
+/// to run under the lanes a mode selects. Whoever builds the job checks
+/// every length its body indexes unchecked.
+trait LaneJob {
+    /// # Safety
+    /// With AVX2 lanes the caller must run under the `avx2` target feature,
+    /// and additionally `fma` when `use_fma` is set.
+    unsafe fn run<V: LaneF64>(self, use_fma: bool);
+}
+
+/// One tile solve.
 struct Solve<'a, C, Io> {
     dims: (usize, usize),
     coefs: TileCoefs<C>,
     io: Io,
-    scratch: &'a mut LaneScratch,
+    scratch: &'a mut EvpScratch,
 }
 
-impl<C: Coefs, Io: TileIo> Solve<'_, C, Io> {
-    /// # Safety
-    /// With AVX2 lanes the caller must run under the `avx2` target feature,
-    /// and additionally `fma` when `use_fma` is set.
+impl<C: Coefs, Io: TileIo> LaneJob for Solve<'_, C, Io> {
     #[inline(always)]
     unsafe fn run<V: LaneF64>(self, use_fma: bool) {
         let Solve {
@@ -736,7 +874,7 @@ impl<C: Coefs, Io: TileIo> Solve<'_, C, Io> {
         } = self;
         let groups = io.groups();
         let sl = groups * LANES;
-        let LaneScratch {
+        let EvpScratch {
             xpad,
             g,
             fvals,
@@ -773,23 +911,72 @@ impl<C: Coefs, Io: TileIo> Solve<'_, C, Io> {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn run_avx2_fma<C: Coefs, Io: TileIo>(s: Solve<'_, C, Io>) {
-    s.run::<pop_simd::Avx2>(true)
+/// The set-up sweeps of one marching tile: its influence matrix `W`, column
+/// `c` the overshoot on the ring line `f` of a unit guess on `e[c]` with
+/// `ψ = 0` — four columns per sweep, one unit guess per lane.
+struct Influence<'a> {
+    plan: &'a MarchPlan,
+    w: &'a mut DenseMatrix,
+    scratch: &'a mut EvpScratch,
+}
+
+impl LaneJob for Influence<'_> {
+    #[inline(always)]
+    unsafe fn run<V: LaneF64>(self, use_fma: bool) {
+        let Influence { plan, w, scratch } = self;
+        let (nx, ny) = (plan.nx, plan.ny);
+        let EvpScratch { xpad, g, tile, .. } = scratch;
+        xpad.resize((nx + 2) * (ny + 2) * LANES, 0.0);
+        g.resize(nx * LANES, 0.0);
+        // One zero row of ψ, read for every tile row (row stride 0).
+        tile.clear();
+        tile.resize(nx * LANES, 0.0);
+        for c0 in (0..w.n()).step_by(LANES) {
+            reset_march_pad::<V>(xpad, nx, ny, 1);
+            let cols = e_line(nx, ny).skip(c0).take(LANES);
+            for (l, ek) in cols.enumerate() {
+                xpad[ek * LANES + l] = 1.0;
+            }
+            // `influence_matrix` checked the planes' length; the pads are
+            // sized above and `ψ` is one row of `nx` lane groups.
+            let planes = Shared(&plan.c);
+            let psi = (&tile[..], 0, 0);
+            march_sweep::<V, _>((nx, ny), plan.reduced, planes, xpad, psi, g, use_fma, 1);
+            for (r, fk) in f_line(nx, ny).enumerate() {
+                for c in c0..w.n().min(c0 + LANES) {
+                    w.set(r, c, xpad[fk * LANES + c - c0]);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn run_avx2<C: Coefs, Io: TileIo>(s: Solve<'_, C, Io>) {
-    s.run::<pop_simd::Avx2>(false)
+#[target_feature(enable = "avx2,fma")]
+unsafe fn run_avx2_fma<J: LaneJob>(job: J) {
+    job.run::<pop_simd::Avx2>(true)
+}
+
+/// Run `job` on the lanes `mode` selects. Scalar mode shares the portable
+/// instantiation: portable lanes *are* the per-lane scalar operation
+/// sequence. So does an AVX2 CPU without FMA (every mode computes the same
+/// bits, and no machine the suites run on could exercise a second AVX2
+/// arm).
+fn dispatch<J: LaneJob>(mode: SimdMode, job: J) {
+    let use_fma = pop_simd::detected_fma();
+    #[cfg(target_arch = "x86_64")]
+    if mode == SimdMode::Avx2 && use_fma {
+        // SAFETY: dispatch only selects Avx2 after runtime detection, and
+        // FMA was just detected.
+        return unsafe { run_avx2_fma(job) };
+    }
+    // SAFETY: portable lanes need no CPU features; `mul_add` is the (always
+    // available) `f64::mul_add`.
+    unsafe { job.run::<Portable4>(use_fma) }
 }
 
 /// Solve one `nx × ny` tile — or one pack of them — on the lanes `io`
-/// describes, with the kernels `mode` selects. Scalar mode shares the
-/// portable instantiation: portable lanes *are* the per-lane scalar
-/// operation sequence, and the lone-tile dispatch arms are pinned bitwise
-/// identical, so one instantiation matches every one of them.
+/// describes, with the kernels `mode` selects.
 ///
 /// Panics unless `coefs` holds exactly an `nx × ny` tile's arrays and `io`
 /// addresses `nx × ny` points inside its storage — the lengths every
@@ -799,52 +986,94 @@ pub(super) fn solve_tile<C: Coefs, Io: TileIo>(
     dims: (usize, usize),
     coefs: TileCoefs<C>,
     io: Io,
-    scratch: &mut LaneScratch,
+    scratch: &mut EvpScratch,
 ) {
     let (n, k) = (dims.0 * dims.1, dims.0 + dims.1 - 1);
     let lens = coefs.map(Coefs::len).arrays();
     let want = match coefs {
-        TileCoefs::March { reduced, .. } => [evp_simd::planes(reduced) * n, k * k],
+        TileCoefs::March { reduced, .. } => [planes(reduced) * n, k * k],
         TileCoefs::Band { w, .. } => [n * (2 * w + 1), n],
     };
     assert_eq!(lens, want, "tile arrays do not fit a {dims:?} tile");
     assert!((1..=MAX_GROUPS).contains(&io.groups()));
     io.assert_fits(dims);
-    let use_fma = pop_simd::detected_fma();
     let solve = Solve {
         dims,
         coefs,
         io,
         scratch,
     };
-    match mode {
-        // SAFETY: portable lanes need no CPU features; `mul_add` is the
-        // (always available) `f64::mul_add`.
-        SimdMode::Scalar | SimdMode::Portable => unsafe { solve.run::<Portable4>(use_fma) },
-        SimdMode::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: dispatch only selects Avx2 after runtime detection;
-            // the fma-enabled arm runs only when FMA was also detected.
-            unsafe {
-                if use_fma {
-                    run_avx2_fma(solve)
-                } else {
-                    run_avx2(solve)
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX2 dispatch off x86-64")
-        }
-    }
+    dispatch(mode, solve);
+}
+
+/// March out the influence matrix `W` of `plan`'s tile (`F = W·E`: the
+/// overshoot on the Dirichlet ring is linear in the guess error), four unit
+/// guesses per lane sweep. Each lane's sweep is the solve's own, so `W` is
+/// bit for bit the matrix one unit guess at a time would give.
+pub(super) fn influence_matrix(
+    mode: SimdMode,
+    plan: &MarchPlan,
+    scratch: &mut EvpScratch,
+) -> DenseMatrix {
+    // The length `march_sweep` indexes the planes inside, unchecked.
+    assert_eq!(plan.c.len(), planes(plan.reduced) * plan.nx * plan.ny);
+    let mut w = DenseMatrix::zeros(plan.nx + plan.ny - 1);
+    let job = Influence {
+        plan,
+        w: &mut w,
+        scratch,
+    };
+    dispatch(mode, job);
+    w
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{Batched, LaneScratch, MAX_GROUPS};
+    use super::*;
     use crate::precond::evp::tests::{modes, seeded_tile};
-    use crate::precond::{EvpScratch, EvpSubBlock};
+    use crate::precond::EvpSubBlock;
     use pop_comm::{BlockVec, MultiBlockVec};
-    use pop_simd::LANES;
+
+    /// `corr = R·f` on its own.
+    struct Fold<'a> {
+        r_inv: &'a [f64],
+        f: &'a [f64],
+        corr: &'a mut [f64],
+        groups: usize,
+    }
+
+    impl LaneJob for Fold<'_> {
+        unsafe fn run<V: LaneF64>(self, _use_fma: bool) {
+            let k = self.f.len() / (self.groups * LANES);
+            assert_eq!((self.r_inv.len(), self.corr.len()), (k * k, self.f.len()));
+            influence::<V, _>(Shared(self.r_inv), k, self.f, self.corr, self.groups)
+        }
+    }
+
+    /// Every mode folds a row from `+0.0`: products that are all `−0.0` sum
+    /// to `+0.0`, never to the `−0.0` an `Iterator::sum` fold starts from —
+    /// whether four, two or one output rows are in flight.
+    #[test]
+    fn influence_folds_from_positive_zero_in_every_mode() {
+        let k = 7;
+        let r_inv: Vec<f64> = (0..k * k).map(|q| 1.0 + q as f64).collect();
+        for groups in [1, 2, MAX_GROUPS] {
+            let f = vec![-0.0; k * groups * LANES];
+            for mode in modes() {
+                let mut corr = vec![1.0; f.len()];
+                let job = Fold {
+                    r_inv: &r_inv,
+                    f: &f,
+                    corr: &mut corr,
+                    groups,
+                };
+                dispatch(mode, job);
+                for (q, v) in corr.iter().enumerate() {
+                    assert_eq!(v.to_bits(), 0.0f64.to_bits(), "{mode:?} entry {q}: {v:?}");
+                }
+            }
+        }
+    }
 
     fn lane_rhs(n: usize, lane_salt: usize) -> Vec<f64> {
         (0..n)
@@ -855,13 +1084,14 @@ mod tests {
             .collect()
     }
 
-    /// The batched tile solve is bitwise identical, per lane, to the
-    /// single-RHS solve — marching and band-LU tiles (with live axis
+    /// The batched tile solve is bitwise identical, per lane, to the scalar
+    /// reference solve — marching and band-LU tiles (with live axis
     /// couplings, so the full system's extra terms count), a ragged shape,
     /// reduced and full systems, every group count up to [`MAX_GROUPS`],
     /// every dispatch mode this machine supports.
     #[test]
     fn batched_tile_solve_matches_single_rhs_bitwise() {
+        let mut scratch = EvpScratch::default();
         for (nx, ny) in [(8, 8), (7, 5)] {
             for (land, reduced) in [(0, true), (0, false), (3, true), (3, false)] {
                 let sub = EvpSubBlock::new(&seeded_tile(nx, ny, 41, land), reduced);
@@ -882,6 +1112,14 @@ mod tests {
                         rm.load_lane(l / LANES, l % LANES, &b);
                         singles.push(psi);
                     }
+                    let wants: Vec<Vec<f64>> = singles
+                        .iter()
+                        .map(|psi| {
+                            let mut want = vec![0.0; nx * ny];
+                            sub.solve_reference(psi, &mut want);
+                            want
+                        })
+                        .collect();
                     for mode in modes() {
                         let mut zm = MultiBlockVec::zeros(nx, ny, 2, groups);
                         let off = rm.offset(0, 0, 0);
@@ -892,10 +1130,8 @@ mod tests {
                             gstride: rm.rows() * rm.stride() * LANES,
                             groups,
                         };
-                        sub.solve_batched(mode, io, &mut LaneScratch::default());
-                        for (l, psi) in singles.iter().enumerate() {
-                            let mut want = vec![0.0; nx * ny];
-                            sub.solve_mode(mode, psi, &mut want, &mut EvpScratch::default());
+                        sub.solve_batched(mode, io, &mut scratch);
+                        for (l, want) in wants.iter().enumerate() {
                             for j in 0..ny {
                                 for i in 0..nx {
                                     let got = zm.at(l / LANES, l % LANES, i as isize, j as isize);

@@ -53,7 +53,7 @@
 //! any-ocean coarse-mask rule, so an all-land block yields an empty
 //! hierarchy whose application is exactly zero.
 
-use super::Preconditioner;
+use super::{assert_same_shape, Preconditioner};
 use pop_comm::{coarse_extent, prolong_add_masked, restrict_masked, BlockVec};
 use pop_stencil::dense::{DenseMatrix, LuFactors};
 use pop_stencil::{MgLevel, NinePoint};
@@ -332,6 +332,7 @@ impl Preconditioner for BlockMg {
         let levels = &h.chains[0].levels;
         let (nx, ny) = (levels[0].nx(), levels[0].ny());
         debug_assert_eq!((r.nx, r.ny), (nx, ny));
+        assert_same_shape(r, z);
         MG_SCRATCH.with(|cell| {
             let map = &mut *cell.borrow_mut();
             let scratch = map.entry((nx, ny)).or_default();

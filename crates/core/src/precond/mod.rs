@@ -9,14 +9,14 @@ mod blocklu;
 mod diagonal;
 mod evp;
 mod evp_multi;
-mod evp_simd;
 mod mg;
 mod regularize;
 mod tiling;
 
 pub use blocklu::BlockLu;
 pub use diagonal::{Diagonal, Identity};
-pub use evp::{BlockEvp, EvpScratch, EvpSubBlock, TileCensus, TileCount};
+pub use evp::{BlockEvp, EvpSubBlock, TileCensus, TileCount};
+pub use evp_multi::EvpScratch;
 pub use mg::{BlockMg, MgConfig};
 pub use regularize::regularize;
 pub use tiling::{tile_block, Tile};
@@ -30,6 +30,29 @@ thread_local! {
     /// and its result, reallocated only when the block geometry changes.
     static LANE_STAGE: std::cell::RefCell<Option<(BlockVec, BlockVec)>> =
         const { std::cell::RefCell::new(None) };
+}
+
+/// Panic unless `z` has `r`'s block geometry. The applies compute offsets
+/// from `r` and store into `z` at them — some through raw pointers — so this
+/// is an `assert!`, not a `debug_assert!`: a few integer compares per block
+/// apply.
+#[inline]
+fn assert_same_shape(r: &BlockVec, z: &BlockVec) {
+    assert_eq!(
+        (r.nx, r.ny, r.halo, r.stride()),
+        (z.nx, z.ny, z.halo, z.stride()),
+        "r and z must share one block geometry"
+    );
+}
+
+/// [`assert_same_shape`] for a batched apply: the lane-group count too.
+#[inline]
+fn assert_same_shape_multi(r: &MultiBlockVec, z: &MultiBlockVec) {
+    assert_eq!(
+        (r.nx, r.ny, r.halo, r.stride(), r.groups()),
+        (z.nx, z.ny, z.halo, z.stride(), z.groups()),
+        "r and z must share one block geometry"
+    );
 }
 
 /// A symmetric positive definite operator `M ≈ A` applied as `z = M⁻¹ r`.
@@ -65,7 +88,7 @@ pub trait Preconditioner: Send + Sync {
     /// matrices) override this with fused lane kernels under the same
     /// bitwise contract (DESIGN.md §12).
     fn apply_block_multi(&self, b: usize, r: &MultiBlockVec, z: &mut MultiBlockVec) {
-        debug_assert_eq!(r.groups(), z.groups());
+        assert_same_shape_multi(r, z);
         LANE_STAGE.with(|cell| {
             let slot = &mut *cell.borrow_mut();
             let fits = matches!(
@@ -116,6 +139,49 @@ mod batched_tests {
         ] {
             apply_block_multi_matches_on(&g, bx, by, tau);
         }
+    }
+
+    /// Apply `build`'s preconditioner to block 1 of a small coastal operator
+    /// with a `z` whose halo (hence stride) is not `r`'s.
+    fn apply_to_mismatched_z(build: fn(&NinePoint) -> Box<dyn Preconditioner>, multi: bool) {
+        let g = Grid::gx1_scaled(2015, 48, 40);
+        let layout = DistLayout::build(&g, 24, 20);
+        let op = NinePoint::assemble(&g, &layout, &CommWorld::serial(), 1100.0);
+        let pre = build(&op);
+        let (nx, ny, halo) = (24, 20, layout.halo);
+        if multi {
+            let r = MultiBlockVec::zeros(nx, ny, halo, 2);
+            pre.apply_block_multi(1, &r, &mut MultiBlockVec::zeros(nx, ny, halo + 4, 2));
+        } else {
+            let r = BlockVec::zeros(nx, ny, halo);
+            pre.apply_block(1, &r, &mut BlockVec::zeros(nx, ny, halo + 4));
+        }
+    }
+
+    /// `r` / `z` shape agreement is checked in release builds too (the
+    /// applies store into `z` at offsets computed from `r`): one case per
+    /// preconditioner × {single, batched}.
+    macro_rules! mismatched_z_panics {
+        ($($name:ident: $build:expr, $multi:expr;)*) => {$(
+            #[test]
+            #[should_panic(expected = "block geometry")]
+            fn $name() {
+                apply_to_mismatched_z($build, $multi);
+            }
+        )*};
+    }
+
+    mismatched_z_panics! {
+        identity_rejects_mismatched_z: |_| Box::new(Identity), false;
+        identity_rejects_mismatched_multi_z: |_| Box::new(Identity), true;
+        diagonal_rejects_mismatched_z: |op| Box::new(Diagonal::new(op)), false;
+        diagonal_rejects_mismatched_multi_z: |op| Box::new(Diagonal::new(op)), true;
+        block_evp_rejects_mismatched_z: |op| Box::new(BlockEvp::with_defaults(op)), false;
+        block_evp_rejects_mismatched_multi_z: |op| Box::new(BlockEvp::with_defaults(op)), true;
+        block_lu_rejects_mismatched_z: |op| Box::new(BlockLu::new(op, 8, true)), false;
+        block_lu_rejects_mismatched_multi_z: |op| Box::new(BlockLu::new(op, 8, true)), true;
+        block_mg_rejects_mismatched_z: |op| Box::new(BlockMg::with_defaults(op)), false;
+        block_mg_rejects_mismatched_multi_z: |op| Box::new(BlockMg::with_defaults(op)), true;
     }
 
     fn apply_block_multi_matches_on(g: &Grid, bx: usize, by: usize, tau: f64) {

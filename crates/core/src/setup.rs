@@ -44,7 +44,7 @@ pub enum SolverSpec {
     ClassicPcg,
     /// POP's production solver (paper Algorithm 1).
     ChronGear,
-    /// Pipelined CG (Ghysels & Vanroose; the paper's ref [16]).
+    /// Pipelined CG (Ghysels & Vanroose; the paper's ref \[16\]).
     PipelinedCg,
     /// The paper's headline solver (Algorithm 2).
     Pcsi,

@@ -49,7 +49,7 @@ impl SolveHistory {
     }
 
     /// Record one finished solve of the operator with `fingerprint` under
-    /// the preconditioner labelled `precond` (a [`PrecondSpec::label`]-style
+    /// the preconditioner labelled `precond` (a `PrecondSpec::label`-style
     /// static label) that took `iterations` iterations.
     pub fn record(&self, fingerprint: u64, precond: &'static str, iterations: usize) {
         let mut map = self.inner.lock().expect("history store poisoned");

@@ -36,7 +36,7 @@ impl SolverChoice {
     pub const PcsiEvp: Self = Self::of(SolverSpec::Pcsi, PrecondSpec::Evp);
     /// Classic two-reduction PCG (pre-ChronGear baseline).
     pub const ClassicPcgDiag: Self = Self::of(SolverSpec::ClassicPcg, PrecondSpec::Diagonal);
-    /// Pipelined CG (Ghysels & Vanroose; the paper's ref [16]): the
+    /// Pipelined CG (Ghysels & Vanroose; the paper's ref \[16\]): the
     /// reduction-hiding alternative to abandoning CG.
     pub const PipelinedCgDiag: Self = Self::of(SolverSpec::PipelinedCg, PrecondSpec::Diagonal);
     /// ChronGear with unpreconditioned iterations (ablation).

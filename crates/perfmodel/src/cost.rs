@@ -11,7 +11,7 @@ pub enum SolverKind {
     /// No loop-body reductions; only convergence checks reduce (Alg. 2 / Eq. 3).
     Pcsi,
     /// One fused reduction per iteration that *overlaps* the matvec and
-    /// preconditioner (Ghysels & Vanroose; the paper's ref [16]): only the
+    /// preconditioner (Ghysels & Vanroose; the paper's ref \[16\]): only the
     /// part of the reduction longer than the iteration's local work is paid.
     PipelinedCg,
 }

@@ -1,6 +1,6 @@
 //! Running the barotropic solvers on a [`RankWorld`].
 //!
-//! The solvers are generic over [`Communicator`]
+//! The solvers are generic over [`pop_comm::Communicator`]
 //! (`pop_core::solvers::CommSolver`), so the same fused kernels that run in
 //! shared memory run here — each rank drives them over its private blocks,
 //! and every halo update and reduction goes through the message-passing

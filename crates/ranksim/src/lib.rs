@@ -18,7 +18,7 @@
 //!
 //! - [`RankWorld`] / [`RankComm`] — the runtime ([`runtime`]).
 //! - [`RankField`] ([`RankVec`], [`MultiRankVec`]) — a rank's private blocks
-//!   ([`vec`]).
+//!   ([`mod@vec`]).
 //! - [`NetworkModel`] ([`ZeroCost`], [`LatencyBandwidth`],
 //!   [`HierarchicalNet`]) — what a message costs in simulated seconds,
 //!   optionally node-aware ([`net`]).

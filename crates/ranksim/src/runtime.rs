@@ -629,7 +629,7 @@ const INDEPENDENT_FOLD_MAX_RANKS: usize = 64;
 /// How simulated ranks map onto the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RankExecutor {
-    /// Threads up to [`FIBER_AUTO_THRESHOLD`] ranks, fibers beyond (where
+    /// Threads up to `FIBER_AUTO_THRESHOLD` ranks, fibers beyond (where
     /// supported). The right choice unless a test pins one path.
     #[default]
     Auto,
@@ -1963,7 +1963,7 @@ impl Communicator for RankComm {
     /// The halo exchange as real point-to-point traffic: post every remote
     /// strip as a message, copy rank-local strips directly, then wait for
     /// the expected arrivals and advance the clock to the latest one. A
-    /// `k`-wide field uses the same plan, epochs and one [`Msg::Halo`] per
+    /// `k`-wide field uses the same plan, epochs and one `Msg::Halo` per
     /// (block, direction) strip, each payload carrying all `k` values of
     /// its points (`k×` bytes, message count flat in `k`). A halo epoch is
     /// globally one width (SPMD lockstep), so payload shapes never mix.

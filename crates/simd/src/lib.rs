@@ -84,10 +84,12 @@ pub fn detected_avx2() -> bool {
 
 /// Does this CPU support scalar FMA? (Always `false` off x86-64.)
 ///
-/// This gates *mode-shared* scalar code only — e.g. the EVP chain pass runs
-/// one FMA-accelerated recurrence identically under every dispatch mode, so
-/// scalar↔SIMD bitwise identity is unaffected. The lane kernels themselves
-/// never use FMA (they must match plain scalar `mul`/`add` per lane).
+/// This gates code whose every dispatch mode makes the same choice — the EVP
+/// chain recurrence contracts `g − h·y` to `fma(−h, y, g)` on an FMA CPU
+/// under scalar, portable and AVX2 dispatch alike ([`LaneF64::mul_add`] is
+/// the lane image of `f64::mul_add`), so results depend on the CPU, never on
+/// the mode. No other lane kernel uses FMA: they match plain scalar
+/// `mul`/`add` per lane.
 pub fn detected_fma() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -431,7 +433,7 @@ struct Lane32([f64; LANES]);
 /// A fixed-length `f64` buffer whose base pointer is 32-byte aligned (one
 /// AVX2 register row), backed by `Vec<[f64; 4]>` groups.
 ///
-/// Grows never; [`BlockVec`]-style owners size it once at construction.
+/// Grows never; `BlockVec`-style owners size it once at construction.
 /// Exposes plain `&[f64]` / `&mut [f64]` views so scalar code is
 /// unaffected by the alignment guarantee.
 #[derive(Clone)]

@@ -27,7 +27,7 @@
 //!    vanishes on locally smooth coefficients and wherever the sanitizer
 //!    zeroes dead corners.)
 //!
-//! Level application reuses the pinned lane kernels of [`crate::simd`], so
+//! Level application reuses the pinned lane kernels of `crate::simd`, so
 //! it is bitwise identical under every SIMD dispatch mode by the same
 //! argument as the fine-grid apply.
 

@@ -1,6 +1,6 @@
 //! Batched multi-RHS kernels for the nine-point apply and residual.
 //!
-//! Where the single-RHS kernels ([`crate::simd`]) vectorize lane-parallel
+//! Where the single-RHS kernels (`crate::simd`) vectorize lane-parallel
 //! across grid *columns*, these kernels vectorize across *right-hand
 //! sides*: the four lanes of a [`MultiBlockVec`] group carry four
 //! independent RHS vectors, each operator coefficient is loaded **once**

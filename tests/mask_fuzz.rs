@@ -313,13 +313,14 @@ fn mg_preconditioned_solves_identically_on_pathological_masks() {
     }
 }
 
-/// One block-EVP apply — packs of sibling tiles and all — equals solving every
-/// tile on its own, bit for bit, over the whole fuzz family: the three
+/// One block-EVP apply — packs of sibling tiles and all — equals the scalar
+/// reference solve of every tile on its own, bit for bit, over the whole fuzz
+/// family: the three
 /// engineered masks (marching and band packs, lone tiles, all-land tiles)
 /// and the all-banded one, reduced and full systems.
 #[test]
 fn block_evp_apply_matches_tile_by_tile_solves_on_fuzzed_masks() {
-    use pop_core::precond::{tile_block, EvpScratch, EvpSubBlock};
+    use pop_core::precond::{tile_block, EvpSubBlock};
     let serial = CommWorld::serial();
     let mut depths: Vec<Vec<f64>> = [11u64, 29, 47].into_iter().map(fuzzed_depth).collect();
     depths.push(all_banded_depth());
@@ -334,7 +335,6 @@ fn block_evp_apply_matches_tile_by_tile_solves_on_fuzzed_masks() {
             assert!(census.packed.tiles > 0, "case {case}: {census:?}");
             let mut z = DistVec::zeros(&layout);
             evp.apply(&serial, &rhs, &mut z);
-            let mut scratch = EvpScratch::default();
             for (b, info) in layout.decomp.blocks.iter().enumerate() {
                 for t in tile_block(info.nx, info.ny, 8) {
                     let raw = op.extract_local(b, t.i0, t.j0, t.nx, t.ny);
@@ -345,7 +345,7 @@ fn block_evp_apply_matches_tile_by_tile_solves_on_fuzzed_masks() {
                     let mut want = vec![0.0; t.nx * t.ny];
                     let land = |k: usize| raw.a0((k % t.nx) as isize, (k / t.nx) as isize) <= 0.0;
                     if !(0..t.nx * t.ny).all(land) {
-                        EvpSubBlock::new(&raw, reduced).solve(&psi, &mut want, &mut scratch);
+                        EvpSubBlock::new(&raw, reduced).solve_reference(&psi, &mut want);
                     }
                     for (k, w) in want.iter().enumerate() {
                         let got = z.blocks[b].get(t.i0 + k % t.nx, t.j0 + k / t.nx);

@@ -87,17 +87,33 @@ fn tile_rhs(n: usize) -> Vec<f64> {
 }
 
 /// Solve one EVP tile under an explicit mode and return the solution bits.
-fn tile_bits(sub: &EvpSubBlock, mode: SimdMode, psi: &[f64]) -> Vec<u64> {
+fn tile_bits(sub: &EvpSubBlock, mode: SimdMode, psi: &[f64], scratch: &mut EvpScratch) -> Vec<u64> {
     let mut x = vec![0.0; psi.len()];
-    let mut scratch = EvpScratch::default();
-    sub.solve_mode(mode, psi, &mut x, &mut scratch);
+    sub.solve_mode(mode, psi, &mut x, scratch);
     x.iter().map(|v| v.to_bits()).collect()
 }
 
+/// The scalar reference solve of the tile, as bits: what every mode must
+/// reproduce.
+fn reference_bits(sub: &EvpSubBlock, psi: &[f64]) -> Vec<u64> {
+    let mut x = vec![0.0; psi.len()];
+    sub.solve_reference(psi, &mut x);
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every dispatch mode this machine can run, forced-scalar included (it
+/// shares the portable lanes' instantiation in the EVP tile solve, so it is
+/// one more mode to pin against the reference, not the reference).
+fn all_modes() -> Vec<SimdMode> {
+    let mut modes = vec![SimdMode::Scalar];
+    modes.extend(lane_modes());
+    modes
+}
+
 /// A land-touching tile takes the band-LU fallback; that path must also be
-/// identical under every dispatch mode (the band factorization and
-/// back-substitution never vectorize — only the surrounding copy/masking
-/// does), including exact zeros on land outputs.
+/// identical under every dispatch mode — the lanes run the scalar
+/// substitution of `BandLu::solve_in_place`, one tile per lane — including
+/// exact zeros on land outputs.
 #[test]
 fn evp_lu_fallback_tile_is_bitwise_mode_invariant() {
     let mut raw = LocalStencil::reference(8, 8, 90.0, 3.0);
@@ -108,6 +124,7 @@ fn evp_lu_fallback_tile_is_bitwise_mode_invariant() {
     for (i, j) in [(2, 2), (2, 3), (2, 4), (3, 2), (5, 0), (5, 1), (6, 0)] {
         raw.set_ane(i, j, 0.0);
     }
+    let mut scratch = EvpScratch::default();
     for reduced in [false, true] {
         let sub = EvpSubBlock::new(&raw, reduced);
         assert!(
@@ -115,11 +132,11 @@ fn evp_lu_fallback_tile_is_bitwise_mode_invariant() {
             "land tile must take the band-LU fallback"
         );
         let psi = tile_rhs(64);
-        let base = tile_bits(&sub, SimdMode::Scalar, &psi);
+        let base = reference_bits(&sub, &psi);
         assert_eq!(base[3 * 8 + 3], 0.0f64.to_bits(), "land output zeroed");
-        for mode in lane_modes() {
+        for mode in all_modes() {
             assert_eq!(
-                tile_bits(&sub, mode, &psi),
+                tile_bits(&sub, mode, &psi, &mut scratch),
                 base,
                 "LU fallback differs under {} dispatch (reduced={reduced})",
                 mode.name()
@@ -156,15 +173,16 @@ fn evp_marching_tile_is_bitwise_mode_invariant() {
         }
     }
     assert!(tiles.len() > 20, "only {} marching tiles", tiles.len());
+    let mut scratch = EvpScratch::default();
     for (name, raw) in &tiles {
         for reduced in [true, false] {
             let sub = EvpSubBlock::new(raw, reduced);
             assert!(sub.uses_marching(), "{name} (reduced={reduced}) must march");
             let psi = tile_rhs(raw.nx * raw.ny);
-            let base = tile_bits(&sub, SimdMode::Scalar, &psi);
-            for mode in lane_modes() {
+            let base = reference_bits(&sub, &psi);
+            for mode in all_modes() {
                 assert_eq!(
-                    tile_bits(&sub, mode, &psi),
+                    tile_bits(&sub, mode, &psi, &mut scratch),
                     base,
                     "marching tile {name} (reduced={reduced}) differs under {}",
                     mode.name()

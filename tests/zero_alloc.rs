@@ -51,9 +51,16 @@ use pop_baro::prelude::*;
 #[test]
 fn fused_solve_iterations_allocate_nothing() {
     let grid = Grid::gx01_scaled(11, 90, 60);
-    let layout = DistLayout::build(&grid, 18, 20);
+    // 18×20 blocks tile into same-shape siblings; an 8×8 block is one tile,
+    // so every tile of the second layout rides the lanes alone.
+    audit(&grid, 18, 20, false);
+    audit(&grid, 8, 8, true);
+}
+
+fn audit(grid: &Grid, bx: usize, by: usize, all_lone: bool) {
+    let layout = DistLayout::build(grid, bx, by);
     let world = CommWorld::serial();
-    let op = NinePoint::assemble(&grid, &layout, &world, 9000.0);
+    let op = NinePoint::assemble(grid, &layout, &world, 9000.0);
     let mut truth = DistVec::zeros(&layout);
     truth.fill_with(|i, j| ((i as f64) * 0.13).sin() * ((j as f64) * 0.09).cos() + 0.2);
     world.halo_update(&mut truth);
@@ -62,16 +69,21 @@ fn fused_solve_iterations_allocate_nothing() {
 
     let diag = Diagonal::new(&op);
     let evp = BlockEvp::with_defaults(&op);
-    // A coastal operator whose 18×20 blocks tile into same-shape siblings:
-    // both tile classes, packed four to a lane group (the pack pads and
-    // transposed staging tile in the thread-local lane scratch) and solved
-    // alone (the lone-tile pads), are under audit.
+    // A coastal operator: both tile classes are under audit, packed four to
+    // a lane group and alone in lane 0 — the same thread-local lane pads
+    // and transposed staging tile serve both — or, on the one-tile blocks,
+    // every one of them alone.
     let census = evp.census();
+    let solved = census.marching.tiles + census.banded.tiles;
     assert!(
         census.marching.tiles > 0
             && census.banded.tiles > 0
-            && (1..census.marching.tiles + census.banded.tiles).contains(&census.packed.tiles),
-        "{census:?}"
+            && if all_lone {
+                census.packed.tiles == 0
+            } else {
+                (1..solved).contains(&census.packed.tiles)
+            },
+        "{bx}x{by}: {census:?}"
     );
     let (bounds, _) = estimate_bounds(&op, &evp, &world, &LanczosConfig::default());
 
@@ -121,7 +133,7 @@ fn fused_solve_iterations_allocate_nothing() {
             assert_eq!(
                 during_long,
                 during_short,
-                "{sname}+{pname}: {} extra allocations across {} extra iterations \
+                "{bx}x{by} {sname}+{pname}: {} extra allocations across {} extra iterations \
                  (short solve: {during_short} allocs, long solve: {during_long})",
                 during_long as i64 - during_short as i64,
                 long - short
@@ -130,7 +142,7 @@ fn fused_solve_iterations_allocate_nothing() {
             // else — a handful of calls, not one per iteration or per block.
             assert!(
                 during_long <= 8,
-                "{sname}+{pname}: fused solve made {during_long} allocations after warm-up"
+                "{bx}x{by} {sname}+{pname}: fused solve made {during_long} allocations after warm-up"
             );
         }
     }
