@@ -1,9 +1,11 @@
 //! # pop-ranksim
 //!
 //! A rank-based message-passing runtime for the barotropic solvers: each
-//! simulated MPI rank is an OS thread owning a *private* slice of the block
+//! simulated MPI rank runs as its own worker (an OS thread; a cooperative
+//! fiber in worlds past 256 ranks) owning a *private* slice of the block
 //! decomposition, halo updates are explicit point-to-point messages of
-//! boundary strips, and global reductions run as binomial trees of messages
+//! boundary strips, and global reductions move per-block partial rows along
+//! a selectable message schedule (binomial tree, butterflies, node-aware)
 //! — so P-CSI's communication-avoidance is **executed**, not just counted.
 //!
 //! The shared-memory world (`pop_comm::CommWorld`) runs the solvers fast
@@ -16,7 +18,9 @@
 //!
 //! Pieces:
 //!
-//! - [`RankWorld`] / [`RankComm`] — the runtime ([`runtime`]).
+//! - [`RankWorld`] / [`RankComm`] — the runtime ([`runtime`]), over the
+//!   crate-private rank executors (`executor.rs`) and message fabric
+//!   (`fabric.rs`).
 //! - [`RankField`] ([`RankVec`], [`MultiRankVec`]) — a rank's private blocks
 //!   ([`mod@vec`]).
 //! - [`NetworkModel`] ([`ZeroCost`], [`LatencyBandwidth`],
@@ -24,7 +28,8 @@
 //!   optionally node-aware ([`net`]).
 //! - [`ReduceAlgo`] — which allreduce schedule collectives execute
 //!   (binomial, recursive doubling, Rabenseifner, hierarchical, or auto
-//!   selection), all bit-identical by construction ([`collective`]).
+//!   selection), all bit-identical by construction, and the schedules
+//!   themselves ([`collective`]).
 //! - [`FaultPlan`] / [`FaultConfig`] — seeded, deterministic network fault
 //!   injection: delay, duplication, reordering, drop-with-retry, poisoned
 //!   strips, whole-rank stalls ([`fault`]).
@@ -56,6 +61,8 @@
 
 pub mod collective;
 pub mod driver;
+mod executor;
+mod fabric;
 pub mod fault;
 pub mod net;
 pub mod runtime;
@@ -66,8 +73,6 @@ pub use collective::ReduceAlgo;
 pub use driver::{solve_on_ranks, RankSolveOutcome, SolverKind};
 pub use fault::{FaultConfig, FaultPlan};
 pub use net::{HierarchicalNet, LatencyBandwidth, NetworkModel, ZeroCost};
-pub use runtime::{
-    sim_time, RankComm, RankExecutor, RankReport, RankSimConfig, RankSweep, RankWorld,
-};
+pub use runtime::{sim_time, RankComm, RankReport, RankSimConfig, RankSweep, RankWorld};
 pub use trace::{chrome_trace_json, write_chrome_trace, Span, SpanKind};
 pub use vec::{MultiRankVec, RankField, RankVec};

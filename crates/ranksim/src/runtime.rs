@@ -1,22 +1,26 @@
-//! The rank runtime: one OS thread per simulated MPI rank, typed channels
-//! for messages, simulated clocks charged by a [`NetworkModel`].
+//! The rank runtime: every simulated MPI rank runs the same SPMD body over
+//! its private blocks, exchanges real messages through the fabric (`fabric.rs`),
+//! and carries a simulated clock charged by a [`NetworkModel`].
 //!
 //! # Execution model
 //!
-//! [`RankWorld::run`] spawns one thread per rank; each thread gets a
-//! [`RankComm`] — its private communicator — and runs the same SPMD body.
-//! A rank owns a private [`RankVec`] slice of every field (the blocks the
-//! space-filling-curve assignment gave it) and can only learn about remote
-//! data through messages:
+//! [`RankWorld::run`] starts one worker per rank — an OS thread in small
+//! worlds, a cooperative fiber in large ones (`executor.rs` decides;
+//! the choice is bitwise invisible). Each worker gets a [`RankComm`] — its
+//! private communicator — and runs the body. A rank owns a private
+//! [`RankVec`] slice of every field (the blocks the space-filling-curve
+//! assignment gave it) and can only learn about remote data through
+//! messages:
 //!
 //! - **Halo updates** send each boundary strip as an explicit point-to-point
 //!   message to the owning rank (same geometry, message count, and byte
 //!   count as [`CommWorld`](pop_comm::CommWorld) attributes in shared
 //!   memory; rank-local strips are plain copies and cost no wire time).
-//! - **Global reductions** run as a binomial gather of per-block partial
-//!   rows to rank 0, a deterministic fold there, and a binomial broadcast of
-//!   the result — `2·⌈log₂ p⌉` message hops on the critical path, exactly
-//!   the `log₂ p` scaling the paper's reduction model assumes.
+//! - **Global reductions** move per-block partial rows along the message
+//!   schedule [`RankSimConfig::reduce_algo`] selects — a binomial
+//!   gather/broadcast tree (`2·⌈log₂ p⌉` hops on the critical path, the
+//!   `log₂ p` scaling the paper's reduction model assumes), a butterfly, or
+//!   a node-aware mix of the two; see [`crate::collective`].
 //!
 //! # Simulated time
 //!
@@ -31,14 +35,17 @@
 //!
 //! # Determinism
 //!
-//! Reductions honour the [`Communicator`] contract: rank 0 places every
-//! gathered `(global block id, partials)` row into a slot array and folds
-//! slots `0..n_blocks` left-to-right from zero — bit-identical to
-//! [`CommWorld`](pop_comm::CommWorld)'s block-ordered fold, for *any* rank
-//! count or block assignment. `tests/ranksim_equivalence.rs` pins this.
+//! Reductions honour the [`Communicator`] contract: whichever rank holds
+//! the complete set of `(global block id, partials)` rows places each into
+//! a slot array and folds slots `0..n_blocks` left-to-right from zero —
+//! bit-identical to [`CommWorld`](pop_comm::CommWorld)'s block-ordered
+//! fold, for *any* rank count, block assignment or schedule.
+//! `tests/ranksim_equivalence.rs` pins this.
 
 use crate::collective::ReduceAlgo;
-use crate::fault::{shuffle, FaultPlan, SeqTracker};
+use crate::executor::{self, Executor};
+use crate::fabric::{Fabric, HaloArrival, Mailbox, Msg, PoisonOnPanic, RowRope};
+use crate::fault::{shuffle, FaultPlan};
 use crate::net::NetworkModel;
 use crate::trace::{Span, SpanKind};
 use crate::vec::{RankField, RankVec};
@@ -50,597 +57,8 @@ use pop_comm::{
 use pop_grid::sfc::CurveKind;
 use pop_grid::{Direction, RankAssignment};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-/// Stack reserved per rank thread. Rank bodies keep little on the stack
-/// (tiles live in the `RankVec` heap storage), and the default 8 MiB per
-/// thread would cost a 16384-rank world 128 GiB of address space; 1 MiB
-/// keeps huge worlds cheap to spawn.
-const RANK_THREAD_STACK: usize = 1 << 20;
-
-/// Spawn one worker per rank through `pthread_create` directly and join
-/// them all, collecting results in spawn order.
-///
-/// Why not `std::thread`: std installs a per-thread sigaltstack for stack
-/// overflow reporting, costing two extra VMAs per thread on top of the
-/// glibc stack's own guard + stack pair — four mappings each. A
-/// 16384-rank world then overruns the kernel's default `vm.max_map_count`
-/// (65530) before it finishes spawning. The raw path costs exactly the
-/// stack's two VMAs per thread, which fits the largest sweeps with room
-/// to spare. The price is std's friendly stack-overflow message (the
-/// guard page still faults, just without the banner) and thread names.
-///
-/// Soundness: the workers may borrow from the caller's stack. Every
-/// spawned thread is joined before this function returns on *all* paths —
-/// including a failed `pthread_create` mid-loop, where `on_spawn_fail` is
-/// invoked first so workers blocked on peers that will never exist can
-/// unblock (the caller poisons the message fabric). Worker panics are
-/// caught inside the thread and re-raised here after all joins complete.
-#[cfg(target_os = "linux")]
-mod raw_spawn {
-    use std::ffi::c_void;
-    use std::mem::MaybeUninit;
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::sync::Mutex;
-
-    #[allow(non_camel_case_types)]
-    type pthread_t = usize;
-
-    /// `pthread_attr_t`: 56 opaque bytes, word-aligned, on every Linux
-    /// libc this crate targets (glibc and musl, 64-bit).
-    #[repr(C, align(8))]
-    struct PthreadAttr([u8; 56]);
-
-    extern "C" {
-        fn pthread_create(
-            thread: *mut pthread_t,
-            attr: *const PthreadAttr,
-            start: extern "C" fn(*mut c_void) -> *mut c_void,
-            arg: *mut c_void,
-        ) -> i32;
-        fn pthread_join(thread: pthread_t, retval: *mut *mut c_void) -> i32;
-        fn pthread_attr_init(attr: *mut PthreadAttr) -> i32;
-        fn pthread_attr_destroy(attr: *mut PthreadAttr) -> i32;
-        fn pthread_attr_setstacksize(attr: *mut PthreadAttr, size: usize) -> i32;
-    }
-
-    /// The type-erased payload a thread runs. `'static` is a lie told to
-    /// the trampoline only — `run_all` joins every thread before its
-    /// borrows go out of scope.
-    type Payload = Box<dyn FnOnce() + Send + 'static>;
-
-    extern "C" fn trampoline(arg: *mut c_void) -> *mut c_void {
-        // The payload wraps the worker in catch_unwind, so no panic can
-        // reach this FFI boundary.
-        let f = unsafe { Box::from_raw(arg as *mut Payload) };
-        f();
-        std::ptr::null_mut()
-    }
-
-    pub fn run_all<T, F>(workers: Vec<F>, stack_size: usize, on_spawn_fail: impl Fn()) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let n = workers.len();
-        let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let mut tids: Vec<pthread_t> = Vec::with_capacity(n);
-        let mut spawn_err = None;
-        unsafe {
-            let mut attr = MaybeUninit::<PthreadAttr>::uninit();
-            assert_eq!(pthread_attr_init(attr.as_mut_ptr()), 0, "pthread_attr_init");
-            assert_eq!(
-                pthread_attr_setstacksize(attr.as_mut_ptr(), stack_size),
-                0,
-                "pthread_attr_setstacksize"
-            );
-            for (i, w) in workers.into_iter().enumerate() {
-                let slot = &slots[i];
-                let payload: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let r = catch_unwind(AssertUnwindSafe(w));
-                    *slot.lock().unwrap() = Some(r);
-                });
-                // Erase the borrow lifetime for the trampoline; every
-                // thread is joined below before the borrows expire.
-                let payload: Payload = std::mem::transmute(payload);
-                let arg = Box::into_raw(Box::new(payload)) as *mut c_void;
-                let mut tid: pthread_t = 0;
-                let rc = pthread_create(&mut tid, attr.as_ptr(), trampoline, arg);
-                if rc != 0 {
-                    drop(Box::from_raw(arg as *mut Payload));
-                    spawn_err = Some((i, rc));
-                    on_spawn_fail();
-                    break;
-                }
-                tids.push(tid);
-            }
-            pthread_attr_destroy(attr.as_mut_ptr());
-            for &tid in tids.iter() {
-                assert_eq!(
-                    pthread_join(tid, std::ptr::null_mut()),
-                    0,
-                    "pthread_join rank thread"
-                );
-            }
-        }
-        if let Some((i, rc)) = spawn_err {
-            panic!("spawn rank thread {i}: pthread_create returned {rc}");
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| {
-                match m
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .unwrap_or_else(|| panic!("rank thread {i} exited without a result"))
-                {
-                    Ok(v) => v,
-                    Err(e) => resume_unwind(e),
-                }
-            })
-            .collect()
-    }
-}
-
-/// Cooperative fiber executor for huge worlds.
-///
-/// One OS thread can only fan out so far: this container (like many CI
-/// sandboxes and batch nodes) caps the task count near 16 k, so a
-/// thread-per-rank world stalls at exactly the 16384-rank sweep the
-/// scaling study needs. Fibers sidestep the kernel entirely: every rank
-/// becomes a `ucontext` coroutine with a 1 MiB heap stack, multiplexed on
-/// the calling thread by a run-queue scheduler. A rank that would block
-/// in [`Fabric::recv`] parks its fiber instead; the matching
-/// [`Fabric::send`] moves it back to the run queue. Since rank bodies
-/// only ever block on the fabric, no other yield point is needed.
-///
-/// Determinism: the simulation is executor-independent by construction —
-/// simulated clocks come from `avail_at` stamps carried in envelopes, and
-/// every reduction folds rows in canonical block order, so thread
-/// scheduling never influenced results either. The fiber path additionally
-/// runs ranks in a deterministic cooperative order, and the equivalence is
-/// pinned by tests against both the thread executor and shared memory.
-///
-/// Platform: glibc x86_64 Linux only (`getcontext`/`swapcontext` plus the
-/// glibc ABI offsets of `uc_link` and `uc_stack`). Everything else falls
-/// back to threads; [`RankExecutor::Fibers`] panics there rather than
-/// silently running a different executor than asked.
-///
-/// Safety notes baked into the layout:
-/// - `ucontext_t` holds a self-pointer (`uc_mcontext.fpregs` aims at the
-///   blob's own FP save area), so contexts are initialised **in place**
-///   inside a pre-sized `Vec` that never reallocates, and the scheduler's
-///   own context lives in the same heap-boxed `SchedCore`.
-/// - Fiber stacks are `mmap`ed directly (lazy commit, `munmap` on drop,
-///   `PROT_NONE` guard page below) rather than `malloc`ed — glibc retains
-///   freed 1 MiB chunks in its arenas, which compounds into an OOM across
-///   back-to-back 16384-rank worlds.
-/// - Panics never cross a context switch: each fiber runs its worker under
-///   `catch_unwind`, records the payload, and exits over `uc_link`; the
-///   unwinding drops the rank's `PoisonOnPanic` guard, which poisons the
-///   fabric and wakes every parked peer so they unwind too. The first
-///   payload is re-raised on the scheduler thread after all fibers finish.
-#[cfg(all(target_os = "linux", target_arch = "x86_64", target_env = "gnu"))]
-mod fiber {
-    use std::cell::Cell;
-    use std::collections::VecDeque;
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
-    pub const SUPPORTED: bool = true;
-
-    /// Opaque `ucontext_t` blob; glibc's is 968 bytes on x86_64.
-    #[repr(C, align(16))]
-    struct Context([u8; 1024]);
-
-    impl Context {
-        fn zeroed() -> Self {
-            Context([0; 1024])
-        }
-    }
-
-    // glibc x86_64 `ucontext_t` field offsets: { unsigned long uc_flags;
-    // ucontext_t *uc_link; stack_t uc_stack; mcontext_t uc_mcontext; ... }
-    // with stack_t = { void *ss_sp; int ss_flags; size_t ss_size; }.
-    const UC_LINK: usize = 8;
-    const UC_STACK_SP: usize = 16;
-    const UC_STACK_FLAGS: usize = 24;
-    const UC_STACK_SIZE: usize = 32;
-
-    extern "C" {
-        fn getcontext(ucp: *mut Context) -> i32;
-        fn swapcontext(oucp: *mut Context, ucp: *const Context) -> i32;
-        fn makecontext(ucp: *mut Context, func: extern "C" fn(), argc: i32, ...);
-    }
-
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    enum State {
-        Ready,
-        Running,
-        Blocked,
-        Done,
-    }
-
-    extern "C" {
-        fn mmap(
-            addr: *mut std::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut std::ffi::c_void;
-        fn munmap(addr: *mut std::ffi::c_void, len: usize) -> i32;
-        fn mprotect(addr: *mut std::ffi::c_void, len: usize, prot: i32) -> i32;
-    }
-
-    const PROT_NONE: i32 = 0;
-    const PROT_READ_WRITE: i32 = 3;
-    const MAP_PRIVATE_ANON: i32 = 0x22;
-    /// Don't charge the (mostly untouched) reservation against commit
-    /// accounting: a 16384-fiber world reserves 16 GiB of stacks but
-    /// dirties only a few KiB of each.
-    const MAP_NORESERVE: i32 = 0x4000;
-    const PAGE: usize = 4096;
-
-    /// A fiber stack mapped straight from the kernel, with a `PROT_NONE`
-    /// guard page below it. Not `malloc`: glibc retains and fragments
-    /// freed 1 MiB chunks across its arenas, which compounds into an OOM
-    /// when ten 16384-rank worlds run back to back — `munmap` gives every
-    /// page back immediately, and fresh zero pages mean only the stack
-    /// depth actually touched ever gets committed. The guard page turns a
-    /// fiber stack overflow into a clean fault instead of silent
-    /// corruption of the neighbouring mapping.
-    struct FiberStack {
-        base: *mut u8,
-        len: usize,
-    }
-
-    impl FiberStack {
-        fn new(size: usize) -> FiberStack {
-            let len = size + PAGE;
-            unsafe {
-                let p = mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ_WRITE,
-                    MAP_PRIVATE_ANON | MAP_NORESERVE,
-                    -1,
-                    0,
-                );
-                assert!(p as isize != -1, "mmap fiber stack");
-                assert_eq!(mprotect(p, PAGE, PROT_NONE), 0, "mprotect fiber guard");
-                FiberStack {
-                    base: p as *mut u8,
-                    len,
-                }
-            }
-        }
-
-        /// Lowest usable stack address (just above the guard page).
-        fn sp(&self) -> *mut u8 {
-            unsafe { self.base.add(PAGE) }
-        }
-
-        fn size(&self) -> usize {
-            self.len - PAGE
-        }
-    }
-
-    impl Drop for FiberStack {
-        fn drop(&mut self) {
-            unsafe {
-                munmap(self.base as *mut std::ffi::c_void, self.len);
-            }
-        }
-    }
-
-    struct Fiber {
-        ctx: Context,
-        /// Keeps the mapping alive; `ctx` points into it.
-        #[allow(dead_code)]
-        stack: FiberStack,
-        state: State,
-    }
-
-    /// The non-generic half of the scheduler, reachable from the fabric
-    /// hooks through a thread-local pointer. The generic half (workers and
-    /// results) hangs off `outer`, reached only by the monomorphized
-    /// `entry` stored beside it.
-    struct SchedCore {
-        fibers: Vec<Fiber>,
-        run_q: VecDeque<usize>,
-        current: usize,
-        main_ctx: Context,
-        entry: fn(*mut SchedCore, usize),
-        outer: *mut (),
-    }
-
-    thread_local! {
-        static CURRENT: Cell<*mut SchedCore> = const { Cell::new(std::ptr::null_mut()) };
-    }
-
-    /// Is a fiber scheduler driving this thread right now?
-    pub fn active() -> bool {
-        CURRENT.with(|c| !c.get().is_null())
-    }
-
-    /// Park the running fiber until [`wake`] moves it back to the run
-    /// queue. Must only be called from inside a fiber (i.e. when
-    /// [`active`]); the caller must hold no locks.
-    pub fn park_current() {
-        let core = CURRENT.with(|c| c.get());
-        debug_assert!(!core.is_null(), "park_current outside a fiber scheduler");
-        unsafe {
-            // Scope every reborrow of the scheduler so no reference is
-            // live across the context switch — only raw pointers survive.
-            let (fctx, mctx) = {
-                let c = &mut *core;
-                let id = c.current;
-                c.fibers[id].state = State::Blocked;
-                let fctx: *mut Context = &mut c.fibers[id].ctx;
-                let mctx: *const Context = &c.main_ctx;
-                (fctx, mctx)
-            };
-            let rc = swapcontext(fctx, mctx);
-            assert_eq!(rc, 0, "swapcontext out of rank fiber");
-        }
-    }
-
-    /// A message landed in `dst`'s queue: if that fiber is parked, make it
-    /// runnable. No-op when no scheduler drives this thread (thread
-    /// executor) or the fiber is running/ready already.
-    pub fn wake(dst: usize) {
-        let core = CURRENT.with(|c| c.get());
-        if core.is_null() {
-            return;
-        }
-        unsafe {
-            let c = &mut *core;
-            if dst < c.fibers.len() && c.fibers[dst].state == State::Blocked {
-                c.fibers[dst].state = State::Ready;
-                c.run_q.push_back(dst);
-            }
-        }
-    }
-
-    /// Make every parked fiber runnable (poison path: they will observe
-    /// the fabric's dead flag and unwind).
-    pub fn wake_all() {
-        let core = CURRENT.with(|c| c.get());
-        if core.is_null() {
-            return;
-        }
-        unsafe {
-            let c = &mut *core;
-            for id in 0..c.fibers.len() {
-                if c.fibers[id].state == State::Blocked {
-                    c.fibers[id].state = State::Ready;
-                    c.run_q.push_back(id);
-                }
-            }
-        }
-    }
-
-    struct Outer<F, T> {
-        workers: Vec<Option<F>>,
-        results: Vec<Option<std::thread::Result<T>>>,
-    }
-
-    fn entry<F, T>(core: *mut SchedCore, id: usize)
-    where
-        F: FnOnce() -> T,
-    {
-        unsafe {
-            let outer = { (*core).outer as *mut Outer<F, T> };
-            let w = {
-                let o = &mut *outer;
-                o.workers[id].take().expect("fiber ran twice")
-            };
-            let r = catch_unwind(AssertUnwindSafe(w));
-            {
-                let o = &mut *outer;
-                o.results[id] = Some(r);
-            }
-            {
-                let c = &mut *core;
-                c.fibers[id].state = State::Done;
-            }
-        }
-    }
-
-    /// The common entry point every fiber starts in; dispatches to the
-    /// monomorphized `entry` and then returns over `uc_link` back to the
-    /// scheduler.
-    extern "C" fn fiber_main() {
-        let core = CURRENT.with(|c| c.get());
-        unsafe {
-            let (entry, id) = {
-                let c = &*core;
-                (c.entry, c.current)
-            };
-            entry(core, id);
-        }
-    }
-
-    /// Restores the previous thread-local scheduler on exit (supports
-    /// nested worlds and panics out of the scheduler loop).
-    struct CurrentGuard(*mut SchedCore);
-
-    impl CurrentGuard {
-        fn enter(core: *mut SchedCore) -> Self {
-            let prev = CURRENT.with(|c| c.replace(core));
-            CurrentGuard(prev)
-        }
-    }
-
-    impl Drop for CurrentGuard {
-        fn drop(&mut self) {
-            CURRENT.with(|c| c.set(self.0));
-        }
-    }
-
-    /// Run every worker as a fiber on the calling thread and collect the
-    /// results in order. `on_deadlock` is invoked (once) if the run queue
-    /// drains while fibers are still parked — the caller poisons the
-    /// fabric there, which unwinds the stuck ranks instead of hanging.
-    pub fn run_all<T, F>(workers: Vec<F>, stack_size: usize, on_deadlock: impl Fn()) -> Vec<T>
-    where
-        F: FnOnce() -> T,
-    {
-        let n = workers.len();
-        let mut outer = Outer::<F, T> {
-            workers: workers.into_iter().map(Some).collect(),
-            results: (0..n).map(|_| None).collect(),
-        };
-        let mut core = Box::new(SchedCore {
-            fibers: Vec::with_capacity(n),
-            run_q: (0..n).collect(),
-            current: 0,
-            main_ctx: Context::zeroed(),
-            entry: entry::<F, T>,
-            outer: &mut outer as *mut Outer<F, T> as *mut (),
-        });
-        for _ in 0..n {
-            core.fibers.push(Fiber {
-                ctx: Context::zeroed(),
-                stack: FiberStack::new(stack_size),
-                state: State::Ready,
-            });
-        }
-        let core_ptr: *mut SchedCore = &mut *core;
-        unsafe {
-            // Initialise contexts in place — `getcontext` plants a
-            // self-pointer, so the blobs must never move afterwards.
-            {
-                let c = &mut *core_ptr;
-                let main_ctx: *mut Context = &mut c.main_ctx;
-                for f in c.fibers.iter_mut() {
-                    let ctx: *mut Context = &mut f.ctx;
-                    assert_eq!(getcontext(ctx), 0, "getcontext for rank fiber");
-                    let base = ctx as *mut u8;
-                    (base.add(UC_LINK) as *mut *mut Context).write(main_ctx);
-                    (base.add(UC_STACK_SP) as *mut *mut u8).write(f.stack.sp());
-                    (base.add(UC_STACK_FLAGS) as *mut i32).write(0);
-                    (base.add(UC_STACK_SIZE) as *mut usize).write(f.stack.size());
-                    makecontext(ctx, fiber_main, 0);
-                }
-            }
-            let _guard = CurrentGuard::enter(core_ptr);
-            let mut poisoned_for_deadlock = false;
-            loop {
-                // Scope every reborrow so nothing references the
-                // scheduler while a fiber runs; only raw pointers cross
-                // the swap.
-                let mut deadlocked = false;
-                let swap = {
-                    let c = &mut *core_ptr;
-                    match c.run_q.pop_front() {
-                        None => {
-                            if c.fibers.iter().all(|f| f.state == State::Done) {
-                                break;
-                            }
-                            assert!(
-                                !poisoned_for_deadlock,
-                                "fiber scheduler wedged: ranks still parked after poisoning"
-                            );
-                            poisoned_for_deadlock = true;
-                            deadlocked = true;
-                            None
-                        }
-                        Some(id) if c.fibers[id].state != State::Ready => None,
-                        Some(id) => {
-                            c.fibers[id].state = State::Running;
-                            c.current = id;
-                            let fctx: *const Context = &c.fibers[id].ctx;
-                            let mctx: *mut Context = &mut c.main_ctx;
-                            Some((mctx, fctx))
-                        }
-                    }
-                };
-                if let Some((mctx, fctx)) = swap {
-                    let rc = swapcontext(mctx, fctx);
-                    assert_eq!(rc, 0, "swapcontext into rank fiber");
-                } else if deadlocked {
-                    // Outside the scoped borrow: poisoning the fabric
-                    // re-enters the scheduler through `wake_all`.
-                    on_deadlock();
-                }
-            }
-        }
-        drop(core);
-        outer
-            .results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                match r.unwrap_or_else(|| panic!("rank fiber {i} exited without a result")) {
-                    Ok(v) => v,
-                    Err(e) => resume_unwind(e),
-                }
-            })
-            .collect()
-    }
-}
-
-/// Stub for platforms without the glibc x86_64 context-switch ABI: the
-/// executor choice falls back to threads ([`RankExecutor::Fibers`] panics
-/// instead of silently substituting a different executor).
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64", target_env = "gnu")))]
-mod fiber {
-    pub const SUPPORTED: bool = false;
-
-    pub fn active() -> bool {
-        false
-    }
-
-    pub fn park_current() {
-        unreachable!("fiber executor unsupported on this platform")
-    }
-
-    pub fn wake(_dst: usize) {}
-
-    pub fn wake_all() {}
-
-    pub fn run_all<T, F>(_workers: Vec<F>, _stack: usize, _on_deadlock: impl Fn()) -> Vec<T>
-    where
-        F: FnOnce() -> T,
-    {
-        unreachable!("fiber executor unsupported on this platform")
-    }
-}
-
-/// Worlds larger than this run on fibers under [`RankExecutor::Auto`]:
-/// past any plausible core count the kernel scheduler only adds churn
-/// (and task-count limits bite near 16 k), while the cooperative
-/// scheduler keeps memory and context switches cheap.
-const FIBER_AUTO_THRESHOLD: usize = 256;
-
-/// Worlds up to this size fold every reduction independently on every rank
-/// and assert bitwise agreement through the fabric's fold memo; larger
-/// worlds reuse the memoized fold after an O(1) completeness check (see
-/// [`RankComm::fold_reduced`]). Covers every in-tree equivalence suite, so
-/// the per-rank fold path stays exercised where it's cheap.
-const INDEPENDENT_FOLD_MAX_RANKS: usize = 64;
-
-/// How simulated ranks map onto the host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RankExecutor {
-    /// Threads up to `FIBER_AUTO_THRESHOLD` ranks, fibers beyond (where
-    /// supported). The right choice unless a test pins one path.
-    #[default]
-    Auto,
-    /// One OS thread per rank (the pre-fiber behaviour). Caps out near the
-    /// host's task limit — a 16384-rank world needs more tasks than many
-    /// containers allow.
-    Threads,
-    /// Cooperative `ucontext` fibers on the calling thread; glibc x86_64
-    /// Linux only (panics elsewhere).
-    Fibers,
-}
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Tuning knobs of the simulation (the network model rides separately).
 #[derive(Debug, Clone, Copy)]
@@ -664,11 +82,6 @@ pub struct RankSimConfig {
     /// unchanged (the sweep still runs in canonical block order after every
     /// strip arrives); only the simulated clocks see the overlap.
     pub overlap_halo: bool,
-    /// How ranks map onto the host: OS threads, cooperative fibers, or
-    /// [`RankExecutor::Auto`] (threads for small worlds, fibers for huge
-    /// ones). Bitwise invisible — results, counters, and simulated clocks
-    /// are identical under every executor.
-    pub executor: RankExecutor,
 }
 
 impl Default for RankSimConfig {
@@ -679,7 +92,6 @@ impl Default for RankSimConfig {
             faults: FaultPlan::none(),
             reduce_algo: ReduceAlgo::Binomial,
             overlap_halo: false,
-            executor: RankExecutor::Auto,
         }
     }
 }
@@ -710,12 +122,6 @@ impl RankSimConfig {
     /// This config with split-phase halo/compute overlap toggled.
     pub fn with_overlap(mut self, overlap: bool) -> Self {
         self.overlap_halo = overlap;
-        self
-    }
-
-    /// This config with a rank executor pinned.
-    pub fn with_executor(mut self, executor: RankExecutor) -> Self {
-        self.executor = executor;
         self
     }
 }
@@ -775,401 +181,6 @@ impl HaloPlan {
     }
 }
 
-/// A message between ranks. Every variant carries the simulated time at
-/// which its payload is available to the receiver.
-#[derive(Clone)]
-enum Msg {
-    /// One halo boundary strip for `(dst_block, dir)` of halo epoch `epoch`.
-    Halo {
-        epoch: u64,
-        dst_block: u32,
-        dir: u8,
-        data: Vec<f64>,
-        /// The payload arrived corrupted (simulated checksum failure) or its
-        /// retry budget was exhausted; `data` is NaN-poisoned and the
-        /// receiver counts a delivery failure.
-        poisoned: bool,
-        avail_at: f64,
-    },
-    /// Partial-reduction rows flowing up a gather tree (binomial allreduce,
-    /// and the intra-node fold of the hierarchical one).
-    Gather {
-        epoch: u64,
-        from: usize,
-        rows: PartialRows,
-        avail_at: f64,
-    },
-    /// One stage of a butterfly exchange (recursive doubling /
-    /// Rabenseifner / inter-node leader phase). A reduce epoch revisits the
-    /// same partner across stages, so the stage index (`round`) is part of
-    /// the reorder-buffer key; the sender rides the envelope's `from`.
-    Xchg {
-        epoch: u64,
-        round: u32,
-        rows: PartialRows,
-        avail_at: f64,
-    },
-    /// The folded result flowing down a broadcast tree (or handed to the
-    /// odd partner of the non-power-of-two preamble).
-    /// Boxed: a full `SweepPartials` inline would dominate the enum's
-    /// size and make every queued halo strip pay for it.
-    Bcast {
-        epoch: u64,
-        vals: Box<SweepPartials>,
-        avail_at: f64,
-    },
-}
-
-/// Partial-reduction rows in transit: a rope of immutable shared segments.
-///
-/// Butterfly allreduces accumulate *every* rank's rows at *every* rank;
-/// physically copying the accumulated set each stage is
-/// O(p · n_blocks · log p) host memcpy — tens of gigabytes per collective
-/// at 16384 ranks, plus the same again sitting in transit queues. The rope
-/// makes concatenation O(1): an exchange clones `Arc` handles to
-/// already-built subtrees, and only the leaves (each rank's own sweep
-/// rows) are ever materialized. [`RankComm::fold_rows`] places rows in a
-/// global slot array indexed by block id, so traversal order is irrelevant
-/// and the fold stays bitwise identical to the flat representation.
-///
-/// Tree depth is one per gather child or butterfly stage — O(log p) — so
-/// the recursive visit and drop are shallow.
-#[derive(Clone, Default)]
-enum RowRope {
-    #[default]
-    Empty,
-    Leaf(Arc<[(u32, SweepPartials)]>),
-    Cat {
-        len: usize,
-        left: Arc<RowRope>,
-        right: Arc<RowRope>,
-    },
-}
-
-impl RowRope {
-    /// A single-segment rope holding a copy of `rows` (the one
-    /// materialization an allreduce performs per rank).
-    fn from_slice(rows: &[(u32, SweepPartials)]) -> Self {
-        if rows.is_empty() {
-            RowRope::Empty
-        } else {
-            RowRope::Leaf(rows.into())
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            RowRope::Empty => 0,
-            RowRope::Leaf(s) => s.len(),
-            RowRope::Cat { len, .. } => *len,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Append `other` in O(1) by linking subtrees — no row copies.
-    fn extend(&mut self, other: RowRope) {
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            *self = other;
-            return;
-        }
-        let left = std::mem::take(self);
-        *self = RowRope::Cat {
-            len: left.len() + other.len(),
-            left: Arc::new(left),
-            right: Arc::new(other),
-        };
-    }
-
-    /// Visit every row in the rope.
-    fn visit(&self, f: &mut impl FnMut(u32, &SweepPartials)) {
-        match self {
-            RowRope::Empty => {}
-            RowRope::Leaf(s) => {
-                for (gb, row) in s.iter() {
-                    f(*gb, row);
-                }
-            }
-            RowRope::Cat { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
-        }
-    }
-}
-
-/// Partial-reduction rows tagged with global block ids, as carried by
-/// gather messages and filed in the reorder buffer.
-type PartialRows = RowRope;
-
-/// A message on the wire: the payload plus the sender's identity and the
-/// per-link sequence number that makes delivery idempotent (duplicates are
-/// discarded at [`Mailbox::pump`] before they can be filed twice).
-struct Envelope {
-    from: u32,
-    seq: u64,
-    msg: Msg,
-}
-
-/// One filed halo strip: payload, simulated arrival time, poison flag.
-struct HaloArrival {
-    data: Vec<f64>,
-    avail_at: f64,
-    poisoned: bool,
-}
-
-/// One rank's incoming queue on the shared fabric.
-#[derive(Default)]
-struct RankQueue {
-    q: Mutex<VecDeque<Envelope>>,
-    cv: Condvar,
-}
-
-impl RankQueue {
-    /// Lock the queue, shrugging off mutex poisoning: a panicking peer
-    /// already raised the fabric's own dead flag, which is what receivers
-    /// act on.
-    fn lock(&self) -> MutexGuard<'_, VecDeque<Envelope>> {
-        self.q.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// The shared message fabric: one queue per rank plus a poison flag raised
-/// when any rank thread panics, so blocked receivers fail fast instead of
-/// hanging the world.
-///
-/// This replaces the earlier per-rank `Vec<mpsc::Sender>` wiring, which
-/// cloned `p` senders into each of `p` threads — O(p²) handles, ruinous at
-/// 16384 ranks (≈270 M senders). Here every rank shares one `Arc<Fabric>`
-/// and addresses peers by index, so fabric memory is O(p).
-struct Fabric {
-    queues: Vec<RankQueue>,
-    dead: AtomicBool,
-    /// Epoch-keyed memo of finished reduction folds. Every rank of a
-    /// butterfly collective accumulates the complete row multiset, so the
-    /// canonical block-ordered fold is rank-independent; at large worlds
-    /// the per-rank fold itself is the host bottleneck (p · n_blocks slot
-    /// writes per collective), so ranks beyond the first reuse the memo
-    /// after an O(1) completeness check. Small worlds fold independently
-    /// and *assert* agreement with the memo — see
-    /// [`RankComm::fold_reduced`].
-    folds: Mutex<HashMap<u64, SweepPartials>>,
-}
-
-impl Fabric {
-    fn new(p: usize) -> Self {
-        Fabric {
-            queues: (0..p).map(|_| RankQueue::default()).collect(),
-            dead: AtomicBool::new(false),
-            folds: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Lock the fold memo, shrugging off mutex poisoning like
-    /// [`RankQueue::lock`].
-    fn fold_memo(&self) -> MutexGuard<'_, HashMap<u64, SweepPartials>> {
-        self.folds.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn send(&self, dst: usize, env: Envelope) {
-        let queue = &self.queues[dst];
-        queue.lock().push_back(env);
-        queue.cv.notify_one();
-        // Under the fiber executor the receiver is a parked coroutine on
-        // this very thread, not a thread in a condvar wait.
-        fiber::wake(dst);
-    }
-
-    /// Block until a message addressed to `rank` arrives. Panics if the
-    /// world was poisoned — the peer this rank is waiting on may be gone.
-    fn recv(&self, rank: usize) -> Envelope {
-        if fiber::active() {
-            // Cooperative path: park this rank's fiber instead of the OS
-            // thread. No lost-wakeup window exists — sends only happen
-            // from sibling fibers on this same thread, so nothing can land
-            // between the failed pop and the park.
-            loop {
-                if let Some(env) = self.queues[rank].lock().pop_front() {
-                    return env;
-                }
-                if self.dead.load(Ordering::SeqCst) {
-                    panic!("peer rank terminated mid-protocol");
-                }
-                fiber::park_current();
-            }
-        }
-        let queue = &self.queues[rank];
-        let mut q = queue.lock();
-        loop {
-            if let Some(env) = q.pop_front() {
-                return env;
-            }
-            if self.dead.load(Ordering::SeqCst) {
-                panic!("peer rank terminated mid-protocol");
-            }
-            q = queue.cv.wait(q).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Raise the dead flag and wake every blocked receiver. Taking each
-    /// queue's lock before notifying closes the race with a receiver that
-    /// checked the flag and is about to wait.
-    fn poison(&self) {
-        self.dead.store(true, Ordering::SeqCst);
-        for queue in &self.queues {
-            drop(queue.lock());
-            queue.cv.notify_all();
-        }
-        // Parked fibers hold no condvar; requeue them so they observe the
-        // dead flag and unwind.
-        fiber::wake_all();
-    }
-}
-
-/// Poisons the fabric if its thread unwinds, so every peer blocked on a
-/// receive panics with a protocol error instead of deadlocking the world.
-struct PoisonOnPanic(Arc<Fabric>);
-
-impl Drop for PoisonOnPanic {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-    }
-}
-
-/// A rank's receive side: the fabric queue plus reorder buffers. Ranks
-/// drift (one may post epoch `e+1` halo sends while a neighbour still waits
-/// on epoch `e`), so every message is filed under its epoch key until asked
-/// for.
-struct Mailbox {
-    fabric: Arc<Fabric>,
-    rank: usize,
-    /// Per-sender sequence tracking for duplicate discard. Keyed lazily:
-    /// a rank only ever hears from its halo neighbours and collective
-    /// partners (O(log p) peers), so a dense `Vec` per rank would be
-    /// another O(p²) memory term at high rank counts.
-    seen: HashMap<u32, SeqTracker>,
-    /// Duplicate deliveries discarded so far.
-    duplicates: u64,
-    halos: HashMap<(u64, u32, u8), HaloArrival>,
-    gathers: HashMap<(u64, usize), (PartialRows, f64)>,
-    /// Butterfly stages, keyed `(epoch, round, from)` — one reduce epoch
-    /// exchanges with the same partner at several stages.
-    xchgs: HashMap<(u64, u32, u32), (PartialRows, f64)>,
-    bcasts: HashMap<u64, (SweepPartials, f64)>,
-}
-
-impl Mailbox {
-    fn new(fabric: Arc<Fabric>, rank: usize) -> Self {
-        Mailbox {
-            fabric,
-            rank,
-            seen: HashMap::new(),
-            duplicates: 0,
-            halos: HashMap::new(),
-            gathers: HashMap::new(),
-            xchgs: HashMap::new(),
-            bcasts: HashMap::new(),
-        }
-    }
-
-    /// Block on the fabric for one message and file it; duplicates (same
-    /// sender, same sequence number) are counted and dropped, so pumping
-    /// may file nothing.
-    fn pump(&mut self) {
-        let env = self.fabric.recv(self.rank);
-        if !self.seen.entry(env.from).or_default().accept(env.seq) {
-            self.duplicates += 1;
-            return;
-        }
-        let from = env.from;
-        match env.msg {
-            Msg::Halo {
-                epoch,
-                dst_block,
-                dir,
-                data,
-                poisoned,
-                avail_at,
-            } => {
-                self.halos.insert(
-                    (epoch, dst_block, dir),
-                    HaloArrival {
-                        data,
-                        avail_at,
-                        poisoned,
-                    },
-                );
-            }
-            Msg::Gather {
-                epoch,
-                from,
-                rows,
-                avail_at,
-            } => {
-                self.gathers.insert((epoch, from), (rows, avail_at));
-            }
-            Msg::Xchg {
-                epoch,
-                round,
-                rows,
-                avail_at,
-            } => {
-                self.xchgs.insert((epoch, round, from), (rows, avail_at));
-            }
-            Msg::Bcast {
-                epoch,
-                vals,
-                avail_at,
-            } => {
-                self.bcasts.insert(epoch, (*vals, avail_at));
-            }
-        }
-    }
-
-    fn recv_halo(&mut self, epoch: u64, dst_block: u32, dir: u8) -> HaloArrival {
-        loop {
-            if let Some(v) = self.halos.remove(&(epoch, dst_block, dir)) {
-                return v;
-            }
-            self.pump();
-        }
-    }
-
-    fn recv_gather(&mut self, epoch: u64, from: usize) -> (PartialRows, f64) {
-        loop {
-            if let Some(v) = self.gathers.remove(&(epoch, from)) {
-                return v;
-            }
-            self.pump();
-        }
-    }
-
-    fn recv_xchg(&mut self, epoch: u64, round: u32, from: u32) -> (PartialRows, f64) {
-        loop {
-            if let Some(v) = self.xchgs.remove(&(epoch, round, from)) {
-                return v;
-            }
-            self.pump();
-        }
-    }
-
-    fn recv_bcast(&mut self, epoch: u64) -> (SweepPartials, f64) {
-        loop {
-            if let Some(v) = self.bcasts.remove(&epoch) {
-                return v;
-            }
-            self.pump();
-        }
-    }
-}
-
 /// Per-rank communication counters (single-threaded, hence `Cell`s).
 #[derive(Debug, Default)]
 struct LocalStats {
@@ -1198,11 +209,11 @@ pub struct RankSweep {
 }
 
 /// One simulated rank's communicator: private blocks, the shared fabric, a
-/// mailbox, a clock. Not `Sync` — it lives on its rank's thread.
+/// mailbox, a clock. Not `Sync` — it lives on its rank's thread or fiber.
 pub struct RankComm {
     rank: usize,
     p: usize,
-    layout: Arc<DistLayout>,
+    pub(crate) layout: Arc<DistLayout>,
     owned: Arc<Vec<usize>>,
     local_of: Arc<Vec<u32>>,
     /// Sum of owned blocks' interior extents, for compute charging.
@@ -1215,9 +226,9 @@ pub struct RankComm {
     /// charged after the strips land.
     owned_edge_points: f64,
     plan: Arc<HaloPlan>,
-    net: Arc<dyn NetworkModel>,
+    pub(crate) net: Arc<dyn NetworkModel>,
     cfg: RankSimConfig,
-    fabric: Arc<Fabric>,
+    pub(crate) fabric: Arc<Fabric>,
     inbox: RefCell<Mailbox>,
     clock: Cell<f64>,
     halo_epoch: Cell<u64>,
@@ -1230,7 +241,7 @@ pub struct RankComm {
     fault_op: Cell<u64>,
     stats: LocalStats,
     spans: RefCell<Vec<Span>>,
-    fold_scratch: RefCell<Vec<SweepPartials>>,
+    pub(crate) fold_scratch: RefCell<Vec<SweepPartials>>,
 }
 
 impl RankComm {
@@ -1286,26 +297,6 @@ impl RankComm {
         (seq, f)
     }
 
-    /// Put `msg` on the wire to `dst` (twice when the plan duplicated it —
-    /// the receiver's sequence tracker discards the copy). Queues live on
-    /// the shared fabric for the whole world run, so a send after the
-    /// receiver logically finished just parks a message nobody drains —
-    /// which can only be a stale duplicate or a fault-delayed copy.
-    fn post(&self, dst: usize, seq: u64, duplicate: bool, msg: Msg) {
-        let from = self.rank as u32;
-        if duplicate {
-            self.fabric.send(
-                dst,
-                Envelope {
-                    from,
-                    seq,
-                    msg: msg.clone(),
-                },
-            );
-        }
-        self.fabric.send(dst, Envelope { from, seq, msg });
-    }
-
     /// Draw (and charge) a whole-rank stall for the next halo/reduction
     /// operation.
     fn charge_stall(&self) {
@@ -1344,175 +335,67 @@ impl RankComm {
         );
     }
 
-    /// Fold gathered rows exactly like `CommWorld::sweep_reduce`: place each
-    /// block's row in its global slot, then left-fold slots `0..n_blocks`
-    /// from zero. The slot array makes gather arrival order irrelevant.
-    fn fold_rows(&self, rows: impl Iterator<Item = (u32, SweepPartials)>) -> SweepPartials {
-        let n = self.layout.n_blocks();
-        let mut slots = self.fold_scratch.borrow_mut();
-        slots.clear();
-        slots.resize(n, [0.0; MAX_SWEEP_PARTIALS]);
-        for (gb, row) in rows {
-            slots[gb as usize] = row;
-        }
-        let mut acc = [0.0; MAX_SWEEP_PARTIALS];
-        for row in slots.iter() {
-            for (a, v) in acc.iter_mut().zip(row) {
-                *a += *v;
-            }
-        }
-        acc
-    }
-
-    /// Fold a *fully accumulated* rope — the terminal step of an allreduce,
-    /// where this rank holds every block's row.
-    ///
-    /// The completeness check is O(1) (the rope tracks its length; each
-    /// block contributes exactly one row, and exchange stages merge
-    /// disjoint groups, so a complete accumulation has exactly `n_blocks`
-    /// rows). The fold input multiset is then identical on every rank, so
-    /// the canonical block-ordered fold is rank-independent — which lets
-    /// large worlds memoize it per epoch through the fabric instead of
-    /// paying `p · n_blocks` slot writes per collective. Small worlds —
-    /// every in-tree equivalence test — fold independently on each rank
-    /// and assert bitwise agreement with the memo, keeping the per-rank
-    /// protocol cross-checked where it's cheap.
-    fn fold_reduced(&self, epoch: u64, rows: &RowRope) -> SweepPartials {
-        assert_eq!(
-            rows.len(),
-            self.layout.n_blocks(),
-            "allreduce accumulated an incomplete row set"
-        );
-        let fold = |rows: &RowRope| -> SweepPartials {
-            let n = self.layout.n_blocks();
-            let mut slots = self.fold_scratch.borrow_mut();
-            slots.clear();
-            slots.resize(n, [0.0; MAX_SWEEP_PARTIALS]);
-            rows.visit(&mut |gb, row| slots[gb as usize] = *row);
-            let mut acc = [0.0; MAX_SWEEP_PARTIALS];
-            for row in slots.iter() {
-                for (a, v) in acc.iter_mut().zip(row) {
-                    *a += *v;
-                }
-            }
-            acc
-        };
-        if self.p <= INDEPENDENT_FOLD_MAX_RANKS {
-            let mine = fold(rows);
-            let mut memo = self.fabric.fold_memo();
-            match memo.get(&epoch) {
-                Some(prev) => {
-                    let same = prev
-                        .iter()
-                        .zip(mine.iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(
-                        same,
-                        "rank {} folded a different reduction than its peers (epoch {})",
-                        self.rank, epoch
-                    );
-                }
-                None => {
-                    memo.insert(epoch, mine);
-                }
-            }
-            return mine;
-        }
-        if let Some(v) = self.fabric.fold_memo().get(&epoch) {
-            return *v;
-        }
-        let mine = fold(rows);
-        *self.fabric.fold_memo().entry(epoch).or_insert(mine)
-    }
-
-    /// Count one collective message of `bytes` modelled payload on the wire.
-    fn count_wire(&self, bytes: usize) {
-        self.stats
-            .allreduce_steps
-            .set(self.stats.allreduce_steps.get() + 1);
-        self.stats
+    /// Charge one collective hop of `bytes` modelled payload to world rank
+    /// `dst` on the (topology-aware) network, count it on the wire, and post
+    /// the message `msg` builds from its arrival time.
+    fn send_collective(&self, dst: usize, bytes: usize, msg: impl FnOnce(f64) -> Msg) {
+        let (seq, f) = self.next_message(dst, false);
+        let avail = self.clock.get() + self.net.hop_between(self.rank, dst, bytes) + f.extra_delay;
+        let stats = &self.stats;
+        stats.allreduce_steps.set(stats.allreduce_steps.get() + 1);
+        stats
             .allreduce_bytes_on_wire
-            .set(self.stats.allreduce_bytes_on_wire.get() + bytes as u64);
+            .set(stats.allreduce_bytes_on_wire.get() + bytes as u64);
+        self.fabric
+            .post(self.rank, dst, seq, f.duplicate, msg(avail));
     }
 
-    /// Send one butterfly-stage message to world rank `dst`, charged as a
-    /// collective hop of `bytes` on the (topology-aware) network.
-    fn send_xchg(&self, dst: usize, epoch: u64, round: u32, rows: PartialRows, bytes: usize) {
-        let (seq, f) = self.next_message(dst, false);
-        let avail = self.clock.get() + self.net.hop_between(self.rank, dst, bytes) + f.extra_delay;
-        self.count_wire(bytes);
-        self.post(
-            dst,
-            seq,
-            f.duplicate,
-            Msg::Xchg {
-                epoch,
-                round,
-                rows,
-                avail_at: avail,
-            },
-        );
+    /// Send partial rows to world rank `dst` under reorder-buffer slot
+    /// `round` (a butterfly stage index, `GATHER_ROUND` or `PREAMBLE_ROUND`).
+    pub(crate) fn send_rows(
+        &self,
+        dst: usize,
+        epoch: u64,
+        round: u32,
+        rows: RowRope,
+        bytes: usize,
+    ) {
+        self.send_collective(dst, bytes, |avail_at| Msg::Rows {
+            epoch,
+            round,
+            rows,
+            avail_at,
+        });
     }
 
-    /// Send gathered rows up a tree to world rank `dst` (binomial gather and
-    /// the hierarchical intra-node fold), charged as a collective hop.
-    fn send_gather(&self, dst: usize, epoch: u64, rows: PartialRows, bytes: usize) {
-        let (seq, f) = self.next_message(dst, false);
-        let avail = self.clock.get() + self.net.hop_between(self.rank, dst, bytes) + f.extra_delay;
-        self.count_wire(bytes);
-        self.post(
-            dst,
-            seq,
-            f.duplicate,
-            Msg::Gather {
-                epoch,
-                from: self.rank,
-                rows,
-                avail_at: avail,
-            },
-        );
+    /// Send the folded result down to world rank `dst`.
+    pub(crate) fn send_result(&self, dst: usize, epoch: u64, vals: SweepPartials, bytes: usize) {
+        self.send_collective(dst, bytes, |avail_at| Msg::Bcast {
+            epoch,
+            vals: Box::new(vals),
+            avail_at,
+        });
     }
 
-    /// Send the folded result down to world rank `dst`, charged as a
-    /// collective hop.
-    fn send_result(&self, dst: usize, epoch: u64, vals: SweepPartials, bytes: usize) {
-        let (seq, f) = self.next_message(dst, false);
-        let avail = self.clock.get() + self.net.hop_between(self.rank, dst, bytes) + f.extra_delay;
-        self.count_wire(bytes);
-        self.post(
-            dst,
-            seq,
-            f.duplicate,
-            Msg::Bcast {
-                epoch,
-                vals: Box::new(vals),
-                avail_at: avail,
-            },
-        );
-    }
-
-    /// Receive one butterfly-stage message, advancing the clock to its
-    /// arrival.
-    fn recv_xchg(&self, epoch: u64, round: u32, from: usize) -> PartialRows {
-        let (rows, avail) = self.inbox.borrow_mut().recv_xchg(epoch, round, from as u32);
+    /// Receive the rows world rank `from` sent under `round`, advancing the
+    /// clock to their arrival.
+    pub(crate) fn recv_rows(&self, epoch: u64, round: u32, from: usize) -> RowRope {
+        let (rows, avail) = self.inbox.borrow_mut().recv_rows(epoch, round, from as u32);
         self.clock.set(self.clock.get().max(avail));
         rows
     }
 
     /// Receive the folded result, advancing the clock to its arrival.
-    fn recv_result(&self, epoch: u64) -> SweepPartials {
+    pub(crate) fn recv_result(&self, epoch: u64) -> SweepPartials {
         let (vals, avail) = self.inbox.borrow_mut().recv_bcast(epoch);
         self.clock.set(self.clock.get().max(avail));
         vals
     }
 
-    /// THE allreduce. Every algorithm moves the same `(block id, partials)`
-    /// rows and produces the same block-ordered fold — the rows are the
-    /// determinism mechanism, not the modelled payload (a real
-    /// MPI_Allreduce moves only the reduced scalars, and each hop is
-    /// charged for the payload the real algorithm's schedule would carry).
-    /// What [`ReduceAlgo`] changes is the message *schedule*, hence the
-    /// simulated time and the wire-byte counters.
+    /// One allreduce of this rank's per-block `rows`, as the solvers see it:
+    /// stall draw, counters, a fresh reduce epoch, the message schedule
+    /// [`RankSimConfig::reduce_algo`] resolves to for this payload (run by
+    /// `collective.rs`), and the span it took on the simulated clock.
     fn reduce_rows(&self, rows: &[(u32, SweepPartials)], scalars: u64) -> SweepPartials {
         self.charge_stall();
         self.stats.allreduces.set(self.stats.allreduces.get() + 1);
@@ -1522,265 +405,12 @@ impl RankComm {
         let epoch = self.reduce_epoch.get();
         self.reduce_epoch.set(epoch + 1);
         let t0 = self.clock.get();
-
         let algo = self
             .cfg
             .reduce_algo
             .resolve(self.p, scalars, self.net.ranks_per_node());
-        let result = if self.p == 1 {
-            self.fold_rows(rows.iter().copied())
-        } else {
-            // The one materialization per rank: its own sweep rows become a
-            // rope leaf; everything downstream moves Arc handles.
-            let own = RowRope::from_slice(rows);
-            match algo {
-                ReduceAlgo::Binomial => self.allreduce_binomial(epoch, own, scalars),
-                ReduceAlgo::RecursiveDoubling => {
-                    self.allreduce_recursive_doubling(epoch, own, scalars)
-                }
-                ReduceAlgo::Rabenseifner => self.allreduce_rabenseifner(epoch, own, scalars),
-                ReduceAlgo::Hierarchical => self.allreduce_hierarchical(epoch, own, scalars),
-                ReduceAlgo::Auto => unreachable!("resolve() returns a concrete algorithm"),
-            }
-        };
+        let result = self.allreduce(algo, epoch, rows, scalars);
         self.push_span(SpanKind::Allreduce, t0, self.clock.get());
-        result
-    }
-
-    /// Binomial gather of rows to rank 0, deterministic fold there, binomial
-    /// broadcast of the result — `2·⌈log₂ p⌉` hops on the critical path,
-    /// every hop carrying the full `scalars` payload. The PR-2 baseline.
-    fn allreduce_binomial(&self, epoch: u64, own: PartialRows, scalars: u64) -> SweepPartials {
-        let (r, p) = (self.rank, self.p);
-        let bytes = scalars.max(1) as usize * 8;
-
-        // Gather phase: children (bit set) send up, parents absorb.
-        let mut acc = own;
-        let mut mask = 1usize;
-        while mask < p {
-            if r & mask != 0 {
-                let parent = r - mask;
-                self.send_gather(parent, epoch, std::mem::take(&mut acc), bytes);
-                break;
-            }
-            let child = r + mask;
-            if child < p {
-                let (theirs, avail) = self.inbox.borrow_mut().recv_gather(epoch, child);
-                self.clock.set(self.clock.get().max(avail));
-                acc.extend(theirs);
-            }
-            mask <<= 1;
-        }
-        let result = if r == 0 {
-            self.fold_reduced(epoch, &acc)
-        } else {
-            self.recv_result(epoch)
-        };
-
-        // Broadcast phase: forward to the subtree below our entry point.
-        let mut mask = if r == 0 {
-            p.next_power_of_two()
-        } else {
-            r & r.wrapping_neg() // lowest set bit: where we received
-        };
-        mask >>= 1;
-        while mask > 0 {
-            let dst = r + mask;
-            if dst < p {
-                self.send_result(dst, epoch, result, bytes);
-            }
-            mask >>= 1;
-        }
-        result
-    }
-
-    /// A butterfly exchange among a power-of-two participant set plus the
-    /// MPICH even/odd preamble for leftover ranks, shared by recursive
-    /// doubling, Rabenseifner, and the hierarchical leader phase.
-    ///
-    /// `me` is this rank's participant index in `0..n`; `to_rank` maps a
-    /// participant index to its world rank. `stages(n')` yields the
-    /// butterfly plan over the power-of-two core `n'`: per stage a
-    /// `(distance, payload bytes, carry rows)` triple. Stages that don't
-    /// carry rows still move (and charge) a message — Rabenseifner's
-    /// allgather phase transports segments of the already-reduced vector,
-    /// which the row mechanism has no need for but the clock must feel.
-    ///
-    /// Non-power-of-two `n`: the odd rank of each of the first `n − n'`
-    /// pairs folds its rows into its even partner up front and receives the
-    /// finished result at the end, exactly MPICH's reduction preamble.
-    #[allow(clippy::too_many_arguments)]
-    fn butterfly_allreduce(
-        &self,
-        epoch: u64,
-        me: usize,
-        n: usize,
-        to_rank: &dyn Fn(usize) -> usize,
-        mut acc: PartialRows,
-        stages: &[(usize, usize, bool)],
-        full_bytes: usize,
-    ) -> SweepPartials {
-        debug_assert!(n >= 1 && me < n);
-        if n == 1 {
-            return self.fold_reduced(epoch, &acc);
-        }
-        let core = prev_power_of_two(n);
-        let rem = n - core;
-
-        // Preamble round id: one fixed slot above every butterfly stage.
-        let preamble_round = u32::MAX;
-        if me < 2 * rem {
-            if me % 2 == 1 {
-                let partner = to_rank(me - 1);
-                self.send_xchg(partner, epoch, preamble_round, acc, full_bytes);
-                return self.recv_result(epoch);
-            }
-            let theirs = self.recv_xchg(epoch, preamble_round, to_rank(me + 1));
-            acc.extend(theirs);
-        }
-
-        // Relabel the survivors 0..core and run the butterfly.
-        let bme = if me < 2 * rem { me / 2 } else { me - rem };
-        let unlabel = |b: usize| -> usize {
-            if b < rem {
-                to_rank(2 * b)
-            } else {
-                to_rank(b + rem)
-            }
-        };
-        for (k, &(dist, bytes, carry)) in stages.iter().enumerate() {
-            let partner = unlabel(bme ^ dist);
-            // Carrying stages clone the rope — O(1) Arc handles, not rows.
-            let rows = if carry {
-                acc.clone()
-            } else {
-                PartialRows::default()
-            };
-            self.send_xchg(partner, epoch, k as u32, rows, bytes);
-            let theirs = self.recv_xchg(epoch, k as u32, partner);
-            acc.extend(theirs);
-        }
-        let result = self.fold_reduced(epoch, &acc);
-        if me < 2 * rem {
-            self.send_result(to_rank(me + 1), epoch, result, full_bytes);
-        }
-        result
-    }
-
-    /// Recursive doubling: `⌈log₂ p⌉` pairwise exchange stages at doubling
-    /// distances, full payload each stage; every rank holds the result when
-    /// its last exchange lands — half the latency of gather + broadcast.
-    fn allreduce_recursive_doubling(
-        &self,
-        epoch: u64,
-        own: PartialRows,
-        scalars: u64,
-    ) -> SweepPartials {
-        let bytes = scalars.max(1) as usize * 8;
-        let core = prev_power_of_two(self.p);
-        let mut stages = Vec::new();
-        let mut d = 1usize;
-        while d < core {
-            stages.push((d, bytes, true));
-            d <<= 1;
-        }
-        self.butterfly_allreduce(epoch, self.rank, self.p, &|i| i, own, &stages, bytes)
-    }
-
-    /// Rabenseifner: recursive-halving reduce-scatter (payload `s/2, s/4,
-    /// …`) followed by a recursive-doubling allgather (payload growing back
-    /// up). Same stage count as binomial but total wire volume per rank
-    /// `2·s·(p−1)/p` instead of `s·log₂ p` — the bandwidth-optimal choice
-    /// for wide payloads.
-    fn allreduce_rabenseifner(&self, epoch: u64, own: PartialRows, scalars: u64) -> SweepPartials {
-        let s = scalars.max(1);
-        let full_bytes = s as usize * 8;
-        let core = prev_power_of_two(self.p);
-        let q = core.trailing_zeros();
-        let mut stages = Vec::new();
-        // Reduce-scatter: halving distances, halving payloads. These stages
-        // carry the rows (the reduction data really flows here).
-        for k in 0..q {
-            let dist = core >> (k + 1);
-            let bytes = (s >> (k + 1)).max(1) as usize * 8;
-            stages.push((dist, bytes, true));
-        }
-        // Allgather: doubling distances, payloads growing back. Row-free —
-        // the reduced vector segments travel, not partial rows.
-        for k in 0..q {
-            let dist = 1usize << k;
-            let bytes = (s >> (q - k)).max(1) as usize * 8;
-            stages.push((dist, bytes, false));
-        }
-        self.butterfly_allreduce(epoch, self.rank, self.p, &|i| i, own, &stages, full_bytes)
-    }
-
-    /// Hierarchical allreduce over the network's node topology: binomial
-    /// fold to each node's leader over intra-node links, recursive doubling
-    /// among the node leaders over the fabric, binomial broadcast back down
-    /// each node. The only algorithm whose *inter-node* stage count is
-    /// `⌈log₂ (p/m)⌉` rather than `⌈log₂ p⌉` — on a node-aware network the
-    /// intra hops are nearly free, which is the whole win.
-    ///
-    /// On a flat network (`ranks_per_node() == 1`) every rank is its own
-    /// leader and this degenerates to recursive doubling.
-    fn allreduce_hierarchical(&self, epoch: u64, own: PartialRows, scalars: u64) -> SweepPartials {
-        let (r, p) = (self.rank, self.p);
-        let m = self.net.ranks_per_node().max(1);
-        let bytes = scalars.max(1) as usize * 8;
-        let node = r / m;
-        let base = node * m;
-        let size = m.min(p - base);
-        let rel = r - base;
-        let n_nodes = p.div_ceil(m);
-
-        // Phase 1: binomial gather to the node leader (rel 0), intra links.
-        let mut acc = own;
-        let mut mask = 1usize;
-        while mask < size {
-            if rel & mask != 0 {
-                let parent = base + (rel - mask);
-                self.send_gather(parent, epoch, std::mem::take(&mut acc), bytes);
-                break;
-            }
-            let child = rel + mask;
-            if child < size {
-                let (theirs, avail) = self.inbox.borrow_mut().recv_gather(epoch, base + child);
-                self.clock.set(self.clock.get().max(avail));
-                acc.extend(theirs);
-            }
-            mask <<= 1;
-        }
-
-        // Phase 2: leaders exchange across the fabric; members wait for the
-        // result to come back down.
-        let result = if rel == 0 {
-            let core = prev_power_of_two(n_nodes);
-            let mut stages = Vec::new();
-            let mut d = 1usize;
-            while d < core {
-                stages.push((d, bytes, true));
-                d <<= 1;
-            }
-            self.butterfly_allreduce(epoch, node, n_nodes, &|i| i * m, acc, &stages, bytes)
-        } else {
-            self.recv_result(epoch)
-        };
-
-        // Phase 3: binomial broadcast inside the node, intra links.
-        let mut bmask = if rel == 0 {
-            size.next_power_of_two()
-        } else {
-            rel & rel.wrapping_neg()
-        };
-        bmask >>= 1;
-        while bmask > 0 {
-            let dst = rel + bmask;
-            if dst < size {
-                self.send_result(base + dst, epoch, result, bytes);
-            }
-            bmask >>= 1;
-        }
         result
     }
 
@@ -1836,7 +466,7 @@ impl RankComm {
             shuffle(&mut burst, shuffle_seed);
         }
         for (dst, seq, dup, msg) in burst {
-            self.post(dst, seq, dup, msg);
+            self.fabric.post(self.rank, dst, seq, dup, msg);
         }
 
         for blk in v.blocks.iter_mut() {
@@ -2070,15 +700,8 @@ pub fn sim_time<R>(reports: &[RankReport<R>]) -> f64 {
     reports.iter().fold(0.0, |t, r| t.max(r.clock))
 }
 
-/// Largest power of two ≤ `n` (`n ≥ 1`) — the butterfly core of a
-/// non-power-of-two participant set.
-fn prev_power_of_two(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    1 << (usize::BITS - 1 - n.leading_zeros())
-}
-
 /// The world: a layout, a rank assignment, a network model. Reusable —
-/// each [`RankWorld::run`] spawns a fresh set of rank threads.
+/// each [`RankWorld::run`] starts a fresh set of ranks on a fresh fabric.
 #[derive(Debug)]
 pub struct RankWorld {
     layout: Arc<DistLayout>,
@@ -2167,10 +790,21 @@ impl RankWorld {
         &self.net
     }
 
-    /// Run `body` as an SPMD program: one OS thread per rank, each with its
-    /// own [`RankComm`]. Returns the per-rank reports in rank order.
-    /// Panics in any rank propagate.
+    /// Run `body` as an SPMD program: one worker per rank (threads or
+    /// fibers, by world size), each with its own [`RankComm`]. Returns the
+    /// per-rank reports in rank order. A panic in any rank unwinds its
+    /// blocked peers and propagates; the world stays usable.
     pub fn run<R, F>(&self, body: F) -> Vec<RankReport<R>>
+    where
+        R: Send,
+        F: Fn(&RankComm) -> R + Sync,
+    {
+        self.run_on(Executor::for_world(self.assignment.p), body)
+    }
+
+    /// [`RankWorld::run`] on a given executor (the equivalence tests pin
+    /// each side).
+    fn run_on<R, F>(&self, executor: Executor, body: F) -> Vec<RankReport<R>>
     where
         R: Send,
         F: Fn(&RankComm) -> R + Sync,
@@ -2222,45 +856,9 @@ impl RankWorld {
                 }
             })
             .collect();
-        let use_fibers = match self.cfg.executor {
-            RankExecutor::Threads => false,
-            RankExecutor::Fibers => {
-                if !fiber::SUPPORTED {
-                    panic!("RankExecutor::Fibers requires glibc x86_64 Linux");
-                }
-                true
-            }
-            RankExecutor::Auto => fiber::SUPPORTED && p > FIBER_AUTO_THRESHOLD,
-        };
-        if use_fibers {
-            // Poisoning the fabric on a detected deadlock unwinds parked
-            // ranks instead of wedging the scheduler.
-            return fiber::run_all(workers, RANK_THREAD_STACK, || fabric.poison());
-        }
-        #[cfg(target_os = "linux")]
-        {
-            // Poisoning the fabric on a failed spawn unblocks ranks
-            // already waiting on peers that will never exist.
-            raw_spawn::run_all(workers, RANK_THREAD_STACK, || fabric.poison())
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = workers
-                    .into_iter()
-                    .map(|w| {
-                        std::thread::Builder::new()
-                            .stack_size(RANK_THREAD_STACK)
-                            .spawn_scoped(s, w)
-                            .expect("spawn rank thread")
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("rank thread panicked"))
-                    .collect()
-            })
-        }
+        // A rank that cannot be started, or a protocol deadlock the fiber
+        // scheduler detects, must not leave its peers waiting forever.
+        executor::run_all(executor, workers, || fabric.poison())
     }
 }
 
@@ -2647,6 +1245,65 @@ mod tests {
         );
     }
 
+    /// `ReduceAlgo::Binomial` is the hierarchical schedule with one node
+    /// spanning the world: on a node-aware network whose nodes hold at least
+    /// `p` ranks the two algorithms must agree per rank on the result, the
+    /// simulated clock, and both wire counters — for narrow and wide
+    /// payloads, powers of two and not.
+    #[test]
+    fn hierarchical_on_one_node_is_the_binomial_tree() {
+        let layout = layout();
+        let m = MachineModel::yellowstone();
+        let topo = pop_perfmodel::machine::NodeTopology {
+            ranks_per_node: 32,
+            ..pop_perfmodel::machine::NodeTopology::yellowstone()
+        };
+        let net: Arc<dyn NetworkModel> =
+            Arc::new(crate::net::HierarchicalNet::from_machine(&m, &topo));
+        let mut v = DistVec::zeros(&layout);
+        v.fill_with(|i, j| ((i * 13 + j * 7) as f64 * 0.03).sin() * 1e8);
+        let masks = &layout.masks;
+        for p in [2usize, 3, 5, 8, 13, 16, 24] {
+            assert!(net.ranks_per_node() >= p);
+            for scalars in [48usize, 1] {
+                let run = |algo: ReduceAlgo| {
+                    // Modelled compute makes the ranks enter the collective
+                    // at different times, so the clocks see the tree shape.
+                    let cfg = RankSimConfig::modeled(&m).with_reduce_algo(algo);
+                    let w = RankWorld::new(&layout, p, Arc::clone(&net), cfg);
+                    w.run(|comm| {
+                        let mut x = comm.import(&v);
+                        let sweep = comm.for_each_block_fused([&mut x], |gb, [xb]| {
+                            let d = masked_block_dot(xb, xb, &masks[gb]);
+                            let mut part = [0.0; MAX_SWEEP_PARTIALS];
+                            for (k, slot) in part.iter_mut().take(scalars).enumerate() {
+                                *slot = d * (k + 1) as f64;
+                            }
+                            part
+                        });
+                        comm.reduce_sweep(&sweep, scalars as u64).map(f64::to_bits)
+                    })
+                };
+                let binomial = run(ReduceAlgo::Binomial);
+                let hier = run(ReduceAlgo::Hierarchical);
+                for (b, h) in binomial.iter().zip(hier.iter()) {
+                    let tag = format!("p={p} scalars={scalars} rank {}", b.rank);
+                    assert_eq!(b.result, h.result, "{tag}: result");
+                    assert_eq!(b.clock.to_bits(), h.clock.to_bits(), "{tag}: clock");
+                    assert!(b.clock > 0.0, "{tag}: the collective must cost time");
+                    assert_eq!(
+                        b.stats.allreduce_steps, h.stats.allreduce_steps,
+                        "{tag}: steps"
+                    );
+                    assert_eq!(
+                        b.stats.allreduce_bytes_on_wire, h.stats.allreduce_bytes_on_wire,
+                        "{tag}: wire bytes"
+                    );
+                }
+            }
+        }
+    }
+
     /// Rabenseifner's halving payload schedule must show up in the wire-byte
     /// counter: fewer modelled bytes than recursive doubling for wide
     /// payloads, at the cost of more messages.
@@ -2743,6 +1400,16 @@ mod tests {
         }
     }
 
+    /// The executors this platform has: threads everywhere, fibers where the
+    /// context-switch ABI is supported.
+    fn executors() -> Vec<Executor> {
+        let mut all = vec![Executor::Threads];
+        if Executor::for_world(usize::MAX) == Executor::Fibers {
+            all.push(Executor::Fibers);
+        }
+        all
+    }
+
     /// Swapping the executor must change nothing observable: results,
     /// counters, and simulated clocks stay bit-for-bit identical between
     /// fibers and threads (and match shared memory), including under
@@ -2757,19 +1424,17 @@ mod tests {
         let want = CommWorld::dot_fused(&shared, &v, &v);
         let net = Arc::new(LatencyBandwidth::from_machine(&MachineModel::yellowstone()));
         for p in [1, 3, 16] {
-            let run = |exec: RankExecutor| {
-                let cfg = RankSimConfig::modeled(&MachineModel::yellowstone())
-                    .with_overlap(true)
-                    .with_executor(exec);
+            let run = |exec: Executor| {
+                let cfg = RankSimConfig::modeled(&MachineModel::yellowstone()).with_overlap(true);
                 let w = RankWorld::new(&layout, p, net.clone(), cfg);
-                w.run(|comm| {
+                w.run_on(exec, |comm| {
                     let mut x = comm.import(&v);
                     comm.halo_update(&mut x);
                     comm.dot_fused(&x, &x)
                 })
             };
-            let threads = run(RankExecutor::Threads);
-            let fibers = run(RankExecutor::Fibers);
+            let threads = run(Executor::Threads);
+            let fibers = run(Executor::Fibers);
             assert_eq!(threads.len(), fibers.len());
             for (t, f) in threads.iter().zip(fibers.iter()) {
                 assert_eq!(t.rank, f.rank);
@@ -2799,29 +1464,39 @@ mod tests {
         }
     }
 
-    /// A panicking rank under the fiber executor must fail the whole run
-    /// (peers unwind off the poisoned fabric) instead of wedging the
-    /// cooperative scheduler.
+    /// A panicking rank must fail the whole run under either executor —
+    /// peers blocked on it unwind off the poisoned fabric instead of hanging
+    /// the join or wedging the cooperative scheduler — and leave the world
+    /// usable for the next run.
     #[test]
-    #[cfg(all(target_os = "linux", target_arch = "x86_64", target_env = "gnu"))]
-    fn fiber_executor_propagates_rank_panics() {
+    fn both_executors_propagate_rank_panics() {
         let layout = layout();
-        let w = RankWorld::new(
-            &layout,
-            4,
-            Arc::new(ZeroCost),
-            RankSimConfig::default().with_executor(RankExecutor::Fibers),
-        );
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            w.run(|comm| {
-                if comm.rank() == 1 {
-                    panic!("injected rank failure");
-                }
+        let w = world(&layout, 4);
+        for exec in executors() {
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                w.run_on(exec, |comm| {
+                    if comm.rank() == 1 {
+                        panic!("injected rank failure");
+                    }
+                    let x = comm.import(&DistVec::zeros(&layout));
+                    comm.dot_fused(&x, &x)
+                })
+            }));
+            assert!(
+                out.is_err(),
+                "{exec:?}: rank panic must propagate out of the world"
+            );
+            let again = w.run_on(exec, |comm| {
                 let x = comm.import(&DistVec::zeros(&layout));
                 comm.dot_fused(&x, &x)
-            })
-        }));
-        assert!(out.is_err(), "rank panic must propagate out of the world");
+            });
+            assert_eq!(
+                again.len(),
+                4,
+                "{exec:?}: world unusable after a rank panic"
+            );
+            assert!(again.iter().all(|rep| rep.result == 0.0));
+        }
     }
 
     /// A protocol deadlock (one rank waits on a collective its peers never
@@ -2831,14 +1506,9 @@ mod tests {
     #[cfg(all(target_os = "linux", target_arch = "x86_64", target_env = "gnu"))]
     fn fiber_deadlock_is_detected_not_hung() {
         let layout = layout();
-        let w = RankWorld::new(
-            &layout,
-            4,
-            Arc::new(ZeroCost),
-            RankSimConfig::default().with_executor(RankExecutor::Fibers),
-        );
+        let w = world(&layout, 4);
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            w.run(|comm| {
+            w.run_on(Executor::Fibers, |comm| {
                 if comm.rank() == 0 {
                     let x = comm.import(&DistVec::zeros(&layout));
                     comm.dot_fused(&x, &x); // peers never reduce: deadlock

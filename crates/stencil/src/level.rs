@@ -33,7 +33,7 @@
 
 use crate::dense::DenseMatrix;
 use crate::local::LocalStencil;
-use crate::simd::{self, StencilBlock};
+use crate::simd::{self, StencilBlock, TileShape};
 use pop_comm::{coarse_extent, parents, BlockVec};
 use pop_simd::SimdMode;
 
@@ -203,20 +203,7 @@ impl MgLevel {
     /// must be zero (the level is zero-Dirichlet); land outputs are exact
     /// zeros.
     pub fn apply_into(&self, mode: SimdMode, x: &BlockVec, y: &mut BlockVec) {
-        debug_assert_eq!((x.nx, x.ny, x.halo), (self.nx, self.ny, 1));
-        debug_assert_eq!((y.nx, y.ny, y.halo), (self.nx, self.ny, 1));
-        debug_assert_eq!(x.stride(), self.a0.stride(), "operand stride mismatch");
-        let blk = StencilBlock {
-            nx: self.nx,
-            ny: self.ny,
-            h: 1,
-            s: self.a0.stride(),
-            xr: x.raw(),
-            a0: self.a0.raw(),
-            an: self.an.raw(),
-            ae: self.ae.raw(),
-            ane: self.ane.raw(),
-        };
+        let blk = self.stencil_block(x, &[("y", y)]);
         simd::apply(mode, &blk, y.raw_mut(), &self.mask, &self.maskbits);
     }
 
@@ -226,21 +213,7 @@ impl MgLevel {
     /// pass-through `rhs` value; every consumer masks them out. `x`'s halo
     /// must be zero; `rhs` and `r` must share the level's padded layout.
     pub fn residual_into(&self, mode: SimdMode, x: &BlockVec, rhs: &BlockVec, r: &mut BlockVec) {
-        debug_assert_eq!((x.nx, x.ny, x.halo), (self.nx, self.ny, 1));
-        debug_assert_eq!((rhs.nx, rhs.ny, rhs.halo), (self.nx, self.ny, 1));
-        debug_assert_eq!((r.nx, r.ny, r.halo), (self.nx, self.ny, 1));
-        debug_assert_eq!(x.stride(), self.a0.stride(), "operand stride mismatch");
-        let blk = StencilBlock {
-            nx: self.nx,
-            ny: self.ny,
-            h: 1,
-            s: self.a0.stride(),
-            xr: x.raw(),
-            a0: self.a0.raw(),
-            an: self.an.raw(),
-            ae: self.ae.raw(),
-            ane: self.ane.raw(),
-        };
+        let blk = self.stencil_block(x, &[("rhs", rhs), ("r", r)]);
         let _ = simd::residual(
             mode,
             &blk,
@@ -249,6 +222,22 @@ impl MgLevel {
             &self.mask,
             &self.maskbits,
         );
+    }
+
+    /// The level's operand views for the flat kernels, after checking that
+    /// every operand has the level's own padded (halo-1) shape.
+    fn stencil_block<'a>(
+        &'a self,
+        x: &'a BlockVec,
+        others: &[(&str, &BlockVec)],
+    ) -> StencilBlock<'a> {
+        let shape = TileShape::of(&self.a0);
+        shape.check("x", x);
+        for (name, v) in others {
+            shape.check(name, v);
+        }
+        let coeffs = [&self.a0, &self.an, &self.ae, &self.ane].map(|c| c.raw());
+        StencilBlock::new(shape, x.raw(), coeffs)
     }
 
     /// Zonal interior extent of this level.
@@ -475,6 +464,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "stencil operand `x` shape mismatch")]
+    fn apply_rejects_an_operand_with_a_wider_halo() {
+        let lv = MgLevel::from_local(&masked_stencil(7, 5));
+        let x = BlockVec::zeros(7, 5, 2);
+        let mut y = BlockVec::zeros(7, 5, 1);
+        lv.apply_into(SimdMode::Scalar, &x, &mut y);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! portable-lane instantiation.
 
 use crate::op::NinePoint;
+use crate::simd::TileShape;
 use pop_comm::MultiBlockVec;
 use pop_simd::{LaneF64, Portable4, SimdMode, LANES};
 
@@ -214,18 +215,30 @@ unsafe fn residual_multi_avx2(
 }
 
 impl NinePoint {
-    fn coeff_block<'a>(&'a self, b: usize, x: &MultiBlockVec) -> CoeffBlock<'a> {
-        debug_assert!(x.halo >= 1, "stencil needs one halo layer");
-        debug_assert_eq!(self.a0.blocks[b].stride(), x.stride(), "stride mismatch");
+    /// Block `b`'s coefficient views for the batched kernels, after checking
+    /// that `x`, every other operand, the coefficient tiles and the mask
+    /// words all share `x`'s padded shape (and lane-group count).
+    fn coeff_block<'a>(
+        &'a self,
+        b: usize,
+        x: &MultiBlockVec,
+        others: &[(&str, &MultiBlockVec)],
+    ) -> CoeffBlock<'a> {
+        let shape = TileShape::of_multi(x);
+        for (name, v) in others {
+            shape.check_multi(name, v);
+        }
+        let [a0, an, ae, ane] = self.coeff_tiles(b, shape);
+        shape.check_interior_len("maskbits", self.layout.maskbits[b].len());
         CoeffBlock {
-            nx: x.nx,
-            ny: x.ny,
-            h: x.halo,
-            s: x.stride(),
-            a0: self.a0.blocks[b].raw(),
-            an: self.an.blocks[b].raw(),
-            ae: self.ae.blocks[b].raw(),
-            ane: self.ane.blocks[b].raw(),
+            nx: shape.nx,
+            ny: shape.ny,
+            h: shape.halo,
+            s: shape.stride,
+            a0,
+            an,
+            ae,
+            ane,
         }
     }
 
@@ -245,10 +258,8 @@ impl NinePoint {
         x: &MultiBlockVec,
         y: &mut MultiBlockVec,
     ) {
-        let c = self.coeff_block(b, x);
+        let c = self.coeff_block(b, x, &[("y", y)]);
         let groups = x.groups();
-        debug_assert_eq!(y.groups(), groups);
-        debug_assert_eq!((y.nx, y.ny), (c.nx, c.ny));
         let maskbits = &self.layout.maskbits[b];
         match mode {
             // Scalar and portable share one instantiation: the portable
@@ -293,11 +304,8 @@ impl NinePoint {
         r: &mut MultiBlockVec,
         partials: &mut [f64],
     ) {
-        let c = self.coeff_block(b, x);
+        let c = self.coeff_block(b, x, &[("rhs", rhs), ("r", r)]);
         let groups = x.groups();
-        debug_assert_eq!(rhs.groups(), groups);
-        debug_assert_eq!(r.groups(), groups);
-        debug_assert_eq!((r.nx, r.ny), (c.nx, c.ny));
         assert!(partials.len() >= groups * LANES, "partials slice too short");
         let maskbits = &self.layout.maskbits[b];
         match mode {
@@ -350,6 +358,45 @@ mod tests {
             (h % 1000) as f64 / 500.0 - 1.0 + 0.001
         });
         v
+    }
+
+    /// The odd-block operator with a two-group operand and a one-group
+    /// tile of the same block, for the shape-check tests below.
+    fn mismatched_groups_case() -> (NinePoint, MultiBlockVec, MultiBlockVec) {
+        let g = Grid::gx1_scaled(13, 65, 49);
+        let layout = DistLayout::build(&g, 13, 7);
+        let op = NinePoint::assemble(&g, &layout, &CommWorld::serial(), 1500.0);
+        let shape = &op.a0.blocks[0];
+        let two = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, 2);
+        let one = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, 1);
+        (op, two, one)
+    }
+
+    // Raw lane stores follow `x`'s group count: a narrower output is a heap
+    // overrun, so this must panic in release builds too.
+    #[test]
+    #[should_panic(expected = "stencil operand `y` shape mismatch")]
+    fn batched_apply_rejects_an_output_with_fewer_groups() {
+        let (op, mx, mut my) = mismatched_groups_case();
+        op.apply_block_multi(0, &mx, &mut my);
+    }
+
+    #[test]
+    #[should_panic(expected = "stencil operand `rhs` shape mismatch")]
+    fn batched_residual_rejects_a_right_hand_side_with_fewer_groups() {
+        let (op, mx, mrhs) = mismatched_groups_case();
+        let mut mr = mx.clone();
+        let mut partials = [0.0; 2 * LANES];
+        op.residual_block_multi(0, &mx, &mrhs, &mut mr, &mut partials);
+    }
+
+    #[test]
+    #[should_panic(expected = "partials slice too short")]
+    fn batched_residual_rejects_short_partials() {
+        let (op, mx, _) = mismatched_groups_case();
+        let mut mr = mx.clone();
+        let mut partials = [0.0; 2 * LANES - 1];
+        op.residual_block_multi(0, &mx, &mx, &mut mr, &mut partials);
     }
 
     /// Batched apply and residual must reproduce, lane for lane, the

@@ -6,7 +6,7 @@ use pop_simd::SimdMode;
 use std::sync::Arc;
 
 use crate::local::LocalStencil;
-use crate::simd::{self, StencilBlock};
+use crate::simd::{self, StencilBlock, TileShape};
 
 /// The distributed nine-point operator in POP's symmetric storage.
 ///
@@ -213,8 +213,7 @@ impl NinePoint {
         y: &mut BlockVec,
         mask: &[u8],
     ) {
-        let blk = self.stencil_block(b, x, y.halo, y.stride());
-        debug_assert_eq!((y.nx, y.ny), (blk.nx, blk.ny));
+        let blk = self.stencil_block(b, x, &[("y", y)], mask);
         simd::apply(mode, &blk, y.raw_mut(), mask, &self.layout.maskbits[b]);
     }
 
@@ -247,8 +246,7 @@ impl NinePoint {
         r: &mut BlockVec,
         mask: &[u8],
     ) -> f64 {
-        let blk = self.stencil_block(b, x, r.halo, r.stride());
-        debug_assert_eq!((r.nx, r.ny), (blk.nx, blk.ny));
+        let blk = self.stencil_block(b, x, &[("rhs", rhs), ("r", r)], mask);
         simd::residual(
             mode,
             &blk,
@@ -259,29 +257,32 @@ impl NinePoint {
         )
     }
 
-    /// Bundle block `b`'s operand views for the flat kernels, checking the
-    /// shared padded layout once.
+    /// Bundle block `b`'s operand views for the flat kernels, after checking
+    /// that `x`, every other operand, the four coefficient tiles and the
+    /// mask arrays all share `x`'s padded shape.
     fn stencil_block<'a>(
         &'a self,
         b: usize,
         x: &'a BlockVec,
-        halo: usize,
-        stride: usize,
+        others: &[(&str, &BlockVec)],
+        mask: &[u8],
     ) -> StencilBlock<'a> {
-        debug_assert!(halo >= 1, "stencil needs one halo layer");
-        debug_assert_eq!(x.stride(), stride, "operand stride mismatch");
-        debug_assert_eq!(self.a0.blocks[b].stride(), stride);
-        StencilBlock {
-            nx: x.nx,
-            ny: x.ny,
-            h: halo,
-            s: stride,
-            xr: x.raw(),
-            a0: self.a0.blocks[b].raw(),
-            an: self.an.blocks[b].raw(),
-            ae: self.ae.blocks[b].raw(),
-            ane: self.ane.blocks[b].raw(),
+        let shape = TileShape::of(x);
+        for (name, v) in others {
+            shape.check(name, v);
         }
+        shape.check_interior_len("mask", mask.len());
+        shape.check_interior_len("maskbits", self.layout.maskbits[b].len());
+        StencilBlock::new(shape, x.raw(), self.coeff_tiles(b, shape))
+    }
+
+    /// Block `b`'s coefficient tiles `[a0, an, ae, ane]` as raw storage,
+    /// each checked against the operand `shape`.
+    pub(crate) fn coeff_tiles(&self, b: usize, shape: TileShape) -> [&[f64]; 4] {
+        [&self.a0, &self.an, &self.ae, &self.ane].map(|c| {
+            shape.check_coeff(&c.blocks[b]);
+            c.blocks[b].raw()
+        })
     }
 
     /// Convenience: refresh `x`'s halo, then `r = b − A x`.
@@ -625,6 +626,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The operator and one halo-current operand of the odd-block case, for
+    /// the shape-check tests below.
+    fn odd_block_case() -> (Arc<DistLayout>, NinePoint, DistVec) {
+        let g = Grid::gx1_scaled(13, 65, 49);
+        let (layout, world, op) = setup(&g, 13, 7, 1500.0);
+        let mut x = test_field(&layout, 21);
+        world.halo_update(&mut x);
+        (layout, op, x)
+    }
+
+    // The kernels index every operand through one shape with unchecked
+    // windows, so these must panic in release builds too (CI runs this
+    // crate's tests under `--release`).
+
+    #[test]
+    #[should_panic(expected = "stencil operand `y` shape mismatch")]
+    fn apply_rejects_an_output_with_a_different_halo() {
+        let (layout, op, x) = odd_block_case();
+        let xb = &x.blocks[0];
+        let mut y = BlockVec::zeros(xb.nx, xb.ny, xb.halo + 1);
+        op.apply_block_into(0, xb, &mut y, &layout.masks[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stencil operand `rhs` shape mismatch")]
+    fn residual_rejects_a_right_hand_side_of_another_block() {
+        let (layout, op, x) = odd_block_case();
+        let xb = &x.blocks[0];
+        let rhs = BlockVec::zeros(xb.nx + 1, xb.ny, xb.halo);
+        let mut r = xb.clone();
+        op.residual_block_into(0, xb, &rhs, &mut r, &layout.masks[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "`mask` length mismatch")]
+    fn apply_rejects_a_wrong_length_mask() {
+        let (layout, op, x) = odd_block_case();
+        let mut y = x.blocks[0].clone();
+        let mask = &layout.masks[0];
+        op.apply_block_into(0, &x.blocks[0], &mut y, &mask[..mask.len() - 1]);
     }
 
     #[test]

@@ -15,10 +15,111 @@
 //! it stays a scalar row-major pass in *all* modes so the reduction feeding
 //! convergence checks never depends on dispatch.
 
+use pop_comm::{BlockVec, MultiBlockVec};
 use pop_simd::{LaneF64, Portable4, SimdMode, LANES};
 
+/// The padded layout the flat kernels index a tile by. Every operand of one
+/// block apply is read or written through windows computed from a single
+/// shape (unchecked `pop_simd::window`s and raw lane stores), so operands
+/// that disagree are out-of-bounds accesses, not wrong answers: the entry
+/// points compare shapes with plain `assert!`-strength checks, in release
+/// builds too — a few integer compares per block apply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TileShape {
+    pub nx: usize,
+    pub ny: usize,
+    pub halo: usize,
+    pub stride: usize,
+    /// `f64`s of storage; with the fields above it fixes the lane-group
+    /// count of a [`MultiBlockVec`].
+    pub len: usize,
+}
+
+impl TileShape {
+    /// The shape of the operand the kernels take their indexing from,
+    /// checked to describe its storage: a halo ring, and `(ny + 2·halo)`
+    /// rows of `stride ≥ nx + 2·halo` points. (`nx`, `ny` and `halo` are
+    /// public fields of the tiles, so the tile's word is not taken for it.)
+    pub(crate) fn of(x: &BlockVec) -> Self {
+        Self::claimed(x).validated(1)
+    }
+
+    /// [`TileShape::of`] for a batched operand.
+    pub(crate) fn of_multi(x: &MultiBlockVec) -> Self {
+        Self::claimed_multi(x).validated(x.groups() * LANES)
+    }
+
+    /// The shape a tile claims to have (its public fields, unverified).
+    fn claimed(v: &BlockVec) -> Self {
+        Self::new(v.nx, v.ny, v.halo, v.stride(), v.raw().len())
+    }
+
+    fn claimed_multi(v: &MultiBlockVec) -> Self {
+        Self::new(v.nx, v.ny, v.halo, v.stride(), v.raw().len())
+    }
+
+    fn new(nx: usize, ny: usize, halo: usize, stride: usize, len: usize) -> Self {
+        TileShape {
+            nx,
+            ny,
+            halo,
+            stride,
+            len,
+        }
+    }
+
+    fn validated(self, width: usize) -> Self {
+        assert!(self.halo >= 1, "stencil needs one halo layer");
+        assert!(
+            self.stride >= self.nx + 2 * self.halo
+                && self.len == (self.ny + 2 * self.halo) * self.stride * width,
+            "tile storage does not match its shape"
+        );
+        self
+    }
+
+    /// Panic unless the named operand has exactly this shape.
+    pub(crate) fn check(self, name: &str, v: &BlockVec) {
+        self.check_shape(name, Self::claimed(v));
+    }
+
+    /// [`TileShape::check`] for a batched operand.
+    pub(crate) fn check_multi(self, name: &str, v: &MultiBlockVec) {
+        self.check_shape(name, Self::claimed_multi(v));
+    }
+
+    fn check_shape(self, name: &str, got: TileShape) {
+        if got != self {
+            shape_mismatch(name, got, self);
+        }
+    }
+
+    /// Panic unless a coefficient tile (one value per point, whatever the
+    /// operand's width) has this shape's row stride and row count.
+    pub(crate) fn check_coeff(self, tile: &BlockVec) {
+        let rows = self.ny + 2 * self.halo;
+        assert!(
+            tile.stride() == self.stride && tile.raw().len() == rows * self.stride,
+            "coefficient tile stride mismatch"
+        );
+    }
+
+    /// Panic unless a per-point interior array (`mask`, `maskbits`) covers
+    /// the interior exactly.
+    pub(crate) fn check_interior_len(self, name: &str, len: usize) {
+        assert!(len == self.nx * self.ny, "`{name}` length mismatch");
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn shape_mismatch(name: &str, got: TileShape, want: TileShape) -> ! {
+    panic!("stencil operand `{name}` shape mismatch: {got:?}, expected {want:?}");
+}
+
 /// Borrowed views of one block's operands: padded solution/coefficient
-/// storage (row stride `s`, halo `h`) and the block interior shape.
+/// storage (row stride `s`, halo `h`) and the block interior shape. Built
+/// only from operands that passed [`TileShape::check`].
 pub(crate) struct StencilBlock<'a> {
     pub nx: usize,
     pub ny: usize,
@@ -29,6 +130,24 @@ pub(crate) struct StencilBlock<'a> {
     pub an: &'a [f64],
     pub ae: &'a [f64],
     pub ane: &'a [f64],
+}
+
+impl<'a> StencilBlock<'a> {
+    /// Views of the operand `xr` and the coefficient tiles
+    /// `[a0, an, ae, ane]`, every one of them checked to have `shape`.
+    pub(crate) fn new(shape: TileShape, xr: &'a [f64], [a0, an, ae, ane]: [&'a [f64]; 4]) -> Self {
+        StencilBlock {
+            nx: shape.nx,
+            ny: shape.ny,
+            h: shape.halo,
+            s: shape.stride,
+            xr,
+            a0,
+            an,
+            ae,
+            ane,
+        }
+    }
 }
 
 /// The row windows the nine-term kernel reads, sliced exactly as the
@@ -54,8 +173,9 @@ impl<'a> Rows<'a> {
         let base = (j + h) * s + h;
         // SAFETY: the northmost window ends at `base + s + nx + 1 ≤`
         // storage length for every interior row `j < ny` of a halo-padded
-        // block (`h ≥ 1`); all other windows end lower. (Debug-checked
-        // inside `window`.)
+        // block (`h ≥ 1`, `s ≥ nx + 2h`, `(ny + 2h)·s` floats — what
+        // `TileShape::checked` asserted of every slice in `blk`); all other
+        // windows end lower. (Debug-checked inside `window`.)
         let rows = unsafe {
             let w = pop_simd::window;
             Rows {

@@ -94,8 +94,8 @@ pub mod prelude {
     pub use pop_ocean::{BarotropicMode, MiniPop, MiniPopConfig, SolverChoice, SolverSetup};
     pub use pop_perfmodel::{MachineModel, PopConfig, PopModel};
     pub use pop_ranksim::{
-        solve_on_ranks, FaultConfig, FaultPlan, HierarchicalNet, LatencyBandwidth, RankExecutor,
-        RankSimConfig, RankWorld, ReduceAlgo, SolverKind, ZeroCost,
+        solve_on_ranks, FaultConfig, FaultPlan, HierarchicalNet, LatencyBandwidth, RankSimConfig,
+        RankWorld, ReduceAlgo, SolverKind, ZeroCost,
     };
     pub use pop_stencil::NinePoint;
     pub use pop_verif::{EnsembleConfig, MmsCase, VerificationLab};
