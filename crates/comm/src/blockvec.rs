@@ -16,6 +16,12 @@ use pop_simd::AlignedVec;
 /// row are storage-only — no kernel reads or writes them. All flat
 /// indexing must go through [`BlockVec::stride`], never recompute
 /// `nx + 2*halo`.
+///
+/// The shared-memory halo exchange writes the ring through the raw storage
+/// (row copies planned per layout, [`crate::halo`]); [`BlockVec::zero_halo`],
+/// [`BlockVec::extract_region`] and [`BlockVec::copy_region`] are the
+/// buffer-based equivalents the rank runtime's messages, the multigrid
+/// levels and the tests use.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockVec {
     /// Interior zonal extent.
@@ -127,38 +133,31 @@ impl BlockVec {
         self.data.as_mut_slice().fill(v);
     }
 
-    /// Zero only the halo ring, leaving the interior untouched.
+    /// Zero only the halo ring, leaving the interior (and the stride pad
+    /// columns) untouched, in `O(ring)`.
     pub fn zero_halo(&mut self) {
-        let h = self.halo as isize;
-        if h == 0 {
-            return;
-        }
-        let (nx, ny) = (self.nx as isize, self.ny as isize);
-        for j in -h..ny + h {
-            for i in -h..nx + h {
-                if i < 0 || i >= nx || j < 0 || j >= ny {
-                    let k = self.offset(i, j);
-                    self.data[k] = 0.0;
-                }
-            }
-        }
+        let rows = self.ny + 2 * self.halo;
+        zero_ring(&mut self.data, rows, self.stride, self.nx, self.halo, 1);
     }
 
-    /// Copy a rectangular region of `src` (interior coordinates, origin
-    /// `(si, sj)`, extent `w × h`) into this tile at logical origin
-    /// `(di, dj)` (halo coordinates allowed). Used by the halo exchange.
+    /// Copy a row-major `w × h` buffer (as [`BlockVec::extract_region`]
+    /// produces) into this tile at logical origin `(di, dj)` (halo
+    /// coordinates allowed), one row `memcpy` per row. The rank runtime's
+    /// halo unpack.
     pub fn copy_region(&mut self, di: isize, dj: isize, src: &[f64], w: usize, h: usize) {
-        debug_assert_eq!(src.len(), w * h, "region buffer size mismatch");
-        for r in 0..h {
-            for c in 0..w {
-                let k = self.offset(di + c as isize, dj + r as isize);
-                self.data[k] = src[r * w + c];
-            }
+        assert_eq!(src.len(), w * h, "region buffer size mismatch");
+        if w == 0 {
+            return;
+        }
+        debug_assert!(di + w as isize <= (self.nx + self.halo) as isize);
+        for (r, row) in src.chunks_exact(w).enumerate() {
+            let k = self.offset(di, dj + r as isize);
+            self.data[k..k + w].copy_from_slice(row);
         }
     }
 
     /// Extract a rectangular region of the interior (origin `(si, sj)`,
-    /// extent `w × h`) into `out`. Used by the halo exchange gather phase.
+    /// extent `w × h`) into `out`: the rank runtime's halo message payload.
     pub fn extract_region(&self, si: usize, sj: usize, w: usize, h: usize, out: &mut Vec<f64>) {
         debug_assert!(
             si + w <= self.nx && sj + h <= self.ny,
@@ -169,6 +168,33 @@ impl BlockVec {
         for r in 0..h {
             let row = self.interior_row(sj + r);
             out.extend_from_slice(&row[si..si + w]);
+        }
+    }
+}
+
+/// Zero the halo ring of every image in `data`: images of `rows` padded
+/// rows of `stride` points, `point` values per point, the interior `nx`
+/// points wide inside a ring `halo` wide. The one body behind
+/// [`BlockVec::zero_halo`] (one image, `point = 1`) and
+/// `MultiBlockVec::zero_halo` (`groups` images, `point = LANES`): `halo`
+/// whole rows at the bottom and top of an image, two `halo`-wide segments
+/// on every row between. Stride pad columns are not touched.
+pub(crate) fn zero_ring(
+    data: &mut [f64],
+    rows: usize,
+    stride: usize,
+    nx: usize,
+    halo: usize,
+    point: usize,
+) {
+    let (h, nx) = (halo * point, nx * point);
+    for (k, row) in data.chunks_exact_mut(stride * point).enumerate() {
+        let jj = k % rows;
+        if jj < halo || jj >= rows - halo {
+            row[..nx + 2 * h].fill(0.0);
+        } else {
+            row[..h].fill(0.0);
+            row[nx + h..nx + 2 * h].fill(0.0);
         }
     }
 }
@@ -223,6 +249,22 @@ mod tests {
         assert_eq!(b.at(-1, 0), 0.0);
         assert_eq!(b.at(3, 3), 0.0);
         assert_eq!(b.at(1, -1), 0.0);
+    }
+
+    /// Cell by cell: ring zeroed, interior and stride pad columns untouched
+    /// (a 5-wide block with halo 2 has a stride of 12, three pad columns).
+    #[test]
+    fn zero_halo_touches_exactly_the_ring() {
+        let mut b = BlockVec::zeros(5, 3, 2);
+        assert!(b.stride() > 9);
+        b.fill(9.0);
+        b.zero_halo();
+        for (jj, row) in b.raw().chunks_exact(b.stride()).enumerate() {
+            for (ii, &v) in row.iter().enumerate() {
+                let ring = ii < 9 && !((2..7).contains(&ii) && (2..5).contains(&jj));
+                assert_eq!(v, if ring { 0.0 } else { 9.0 }, "({ii},{jj})");
+            }
+        }
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! trait (`pop_core::solvers::CommSolver`); two runtimes implement it:
 //!
 //! - [`CommWorld`] — the shared-memory world (serial or
-//!   thread-pool), where every "message" is a copy inside one address space
-//!   and reductions are block-ordered folds.
-//! - `RankWorld`/`RankComm` (crate `pop-ranksim`) — a rank-per-OS-thread
-//!   message-passing runtime where halo updates are explicit point-to-point
-//!   sends of boundary strips and global reductions run as a binomial tree
-//!   of messages, with a pluggable network model charging simulated time.
+//!   thread-pool), where every "message" is a row copy inside one address
+//!   space (straight from a neighbour's interior into a ring, following the
+//!   layout's [`HaloPlan`](crate::halo::HaloPlan)) and reductions are
+//!   block-ordered folds.
+//! - `RankWorld`/`RankComm` (crate `pop-ranksim`) — a message-passing
+//!   runtime of simulated ranks (OS threads in small worlds, fibers in large
+//!   ones) where halo updates are explicit point-to-point sends of boundary
+//!   strips and global reductions run a selectable message schedule
+//!   (binomial tree, recursive doubling, Rabenseifner, hierarchical), with a
+//!   pluggable network model charging simulated time.
 //!
 //! # One surface for both tile types
 //!
@@ -17,7 +21,7 @@
 //! point-vectorised [`BlockVec`] of a single right-hand side or the
 //! lane-vectorised [`MultiBlockVec`](crate::MultiBlockVec) of a batch — and
 //! neither a container nor an exchange looks inside a tile beyond the
-//! [`Tile`] operations. So each runtime has **one** container
+//! [`Tile`] surface. So each runtime has **one** container
 //! ([`DistField`] here, `RankField` in `pop-ranksim`), and the trait has
 //! one [`alloc`](Communicator::alloc), one
 //! [`halo_update`](Communicator::halo_update) and one fused sweep, each

@@ -78,17 +78,32 @@ impl DistVec {
     /// Gather into a global row-major field; positions not covered by any
     /// active block (land blocks) are 0.
     pub fn to_global(&self) -> Vec<f64> {
-        let nx = self.layout.decomp.grid_nx;
-        let ny = self.layout.decomp.grid_ny;
-        let mut out = vec![0.0; nx * ny];
-        for (b, info) in self.layout.decomp.blocks.iter().enumerate() {
+        let d = &self.layout.decomp;
+        let mut out = vec![0.0; d.grid_nx * d.grid_ny];
+        self.to_global_into(&mut out);
+        out
+    }
+
+    /// [`DistVec::to_global`] into a caller-owned `nx × ny` buffer, every
+    /// position written exactly once: rows of active blocks copied, rows
+    /// under eliminated land blocks zeroed.
+    pub fn to_global_into(&self, out: &mut [f64]) {
+        let d = &self.layout.decomp;
+        let nx = d.grid_nx;
+        assert_eq!(out.len(), nx * d.grid_ny, "global field size mismatch");
+        for (blk, info) in self.blocks.iter().zip(&d.blocks) {
             for j in 0..info.ny {
-                let row = self.blocks[b].interior_row(j);
-                out[(info.j0 + j) * nx + info.i0..(info.j0 + j) * nx + info.i0 + info.nx]
-                    .copy_from_slice(row);
+                let at = (info.j0 + j) * nx + info.i0;
+                out[at..at + info.nx].copy_from_slice(blk.interior_row(j));
             }
         }
-        out
+        for (k, _) in d.block_at.iter().enumerate().filter(|(_, a)| a.is_none()) {
+            let (i0, j0) = (k % d.mx * d.block_nx, k / d.mx * d.block_ny);
+            let w = d.block_nx.min(nx - i0);
+            for j in j0..(j0 + d.block_ny).min(d.grid_ny) {
+                out[j * nx + i0..j * nx + i0 + w].fill(0.0);
+            }
+        }
     }
 
     /// Fill the interior with a function of the *global* coordinates,
@@ -233,6 +248,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn to_global_into_overwrites_every_position() {
+        let g = Grid::gx1_scaled(3, 50, 41); // ragged edge blocks
+        let layout = DistLayout::build(&g, 12, 10);
+        assert!(layout.decomp.eliminated_blocks > 0, "want land blocks");
+        let mut v = DistVec::zeros(&layout);
+        v.fill_with(|i, j| (1 + i + 100 * j) as f64);
+        let mut out = vec![f64::NAN; g.nx * g.ny];
+        v.to_global_into(&mut out);
+        assert_eq!(out, v.to_global());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The distributed layout: decomposition + halo width + per-block masks.
 
+use crate::halo::HaloPlan;
 use pop_grid::{Decomposition, Grid};
 use std::sync::Arc;
 
@@ -25,6 +26,10 @@ pub struct DistLayout {
     pub maskbits: Vec<Vec<f64>>,
     /// Per active block: number of ocean points (cached from the mask).
     pub ocean_per_block: Vec<usize>,
+    /// The halo exchange of this decomposition at this halo width, as flat
+    /// copy lists: what every [`crate::CommWorld::halo_update`] of a field
+    /// on this layout executes.
+    pub halo_plan: HaloPlan,
 }
 
 impl DistLayout {
@@ -46,12 +51,14 @@ impl DistLayout {
             masks.push(m);
         }
         let maskbits = masks.iter().map(|m| pop_simd::mask_bits(m)).collect();
+        let halo_plan = HaloPlan::build(&decomp, halo);
         Arc::new(DistLayout {
             decomp,
             halo,
             masks,
             maskbits,
             ocean_per_block: ocean,
+            halo_plan,
         })
     }
 

@@ -22,7 +22,7 @@
 //! batched trajectory bitwise identical to `k` independent solves
 //! (`tests/batch_equivalence.rs`).
 
-use crate::blockvec::BlockVec;
+use crate::blockvec::{zero_ring, BlockVec};
 use pop_simd::{AlignedVec, LANES};
 
 /// One block's worth of `groups * LANES` right-hand sides, halo-padded,
@@ -124,23 +124,11 @@ impl MultiBlockVec {
     }
 
     /// Zero the halo ring of every group (all lanes), leaving interiors
-    /// untouched — the multi image of [`BlockVec::zero_halo`].
+    /// (and the stride pad columns) untouched — the multi image of
+    /// [`BlockVec::zero_halo`], the same body.
     pub fn zero_halo(&mut self) {
-        let h = self.halo as isize;
-        if h == 0 {
-            return;
-        }
-        let (nx, ny) = (self.nx as isize, self.ny as isize);
-        for g in 0..self.groups {
-            for j in -h..ny + h {
-                for i in -h..nx + h {
-                    if i < 0 || i >= nx || j < 0 || j >= ny {
-                        let k = self.offset(g, i, j);
-                        self.data[k..k + LANES].fill(0.0);
-                    }
-                }
-            }
-        }
+        let (rows, stride) = (self.rows(), self.stride);
+        zero_ring(&mut self.data, rows, stride, self.nx, self.halo, LANES);
     }
 
     /// Extract a rectangular interior region of **all groups and lanes**

@@ -1,10 +1,9 @@
 //! The communication world: executes collectives and counts them.
 
 use crate::distvec::{DistField, DistVec};
-use crate::halo::recv_region;
+use crate::halo::Exchange;
 use crate::pool;
 use crate::tile::Tile;
-use pop_grid::Direction;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -30,10 +29,10 @@ pub const MAX_SWEEP_PARTIALS: usize = 64;
 /// Per-block (and combined) partial reductions of a fused sweep.
 pub type SweepPartials = [f64; MAX_SWEEP_PARTIALS];
 
-/// A raw pointer that may cross threads. Every use in this module hands each
-/// worker a *disjoint* element (one per claimed block index), so no two
-/// threads ever alias the same referent.
-struct SendPtr<T>(*mut T);
+/// A raw pointer that may cross threads. Every use in this crate hands each
+/// worker a *disjoint* referent (one element per claimed block index; in the
+/// halo exchange, one ring per block), so no two threads ever alias.
+pub(crate) struct SendPtr<T>(pub(crate) *mut T);
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 impl<T> Clone for SendPtr<T> {
@@ -44,7 +43,7 @@ impl<T> Clone for SendPtr<T> {
 impl<T> Copy for SendPtr<T> {}
 impl<T> SendPtr<T> {
     #[inline]
-    fn get(&self) -> *mut T {
+    pub(crate) fn get(&self) -> *mut T {
         self.0
     }
 }
@@ -130,15 +129,12 @@ impl StatsSnapshot {
     }
 }
 
-type HaloBufs = Vec<[Vec<f64>; 8]>;
-
 /// Executes collectives over the blocks of [`DistVec`]s and records
 /// communication statistics.
 #[derive(Debug)]
 pub struct CommWorld {
     pub policy: ExecPolicy,
     stats: CommStats,
-    scratch: Mutex<HaloBufs>,
     /// Reusable per-block partial-reduction slots for fused sweeps, so
     /// steady-state solver iterations allocate nothing.
     sweep_scratch: Mutex<Vec<SweepPartials>>,
@@ -152,7 +148,6 @@ impl CommWorld {
         CommWorld {
             policy,
             stats: CommStats::default(),
-            scratch: Mutex::new(Vec::new()),
             sweep_scratch: Mutex::new(Vec::new()),
             partials_scratch: Mutex::new(Vec::new()),
         }
@@ -347,77 +342,38 @@ impl CommWorld {
     /// domain boundaries). One call corresponds to one `update_halo` in the
     /// paper's pseudocode (a message to each of up to 8 neighbours). A
     /// `k`-wide field sends the same messages — each (block, direction)
-    /// strip travels as one buffer carrying all `k` values of its points —
-    /// with honestly `k×` the byte volume.
+    /// strip travels once carrying all `k` values of its points — with
+    /// honestly `k×` the byte volume.
+    ///
+    /// In shared memory a "message" is a row copy: the layout's
+    /// [`HaloPlan`](crate::halo::HaloPlan) lists, per block, the rows to
+    /// pull out of its neighbours' interiors and the ring rectangles to
+    /// zero, and one pass over the blocks does both (interiors are only
+    /// read and each ring has one writer, so blocks need no ordering).
     pub fn halo_update<T: Tile>(&self, v: &mut DistField<T>) {
-        let layout = std::sync::Arc::clone(&v.layout);
-        let decomp = &layout.decomp;
-        let halo = layout.halo;
-        let n = decomp.blocks.len();
-
-        let mut scratch = self.scratch.lock().expect("halo scratch poisoned");
-        if scratch.len() != n {
-            *scratch = (0..n)
-                .map(|_| std::array::from_fn(|_| Vec::new()))
-                .collect();
+        // The generic shell only collects tile storage; everything else is
+        // compiled once, in this crate.
+        let mut exchange = Exchange::begin(&v.layout.halo_plan, T::POINT_WIDTH, v.width);
+        for tile in &mut v.blocks {
+            exchange.push(tile.raw_mut());
         }
-
-        let mut messages = 0u64;
-        let mut elems = 0u64;
-
-        // Phase 1: gather every outgoing region into per-(block, direction)
-        // buffers. Reads are shared; each buffer row is written by one task.
-        {
-            let v_ref = &*v;
-            let gather = |b: usize, bufs: &mut [Vec<f64>; 8]| {
-                let me = &decomp.blocks[b];
-                for d in Direction::ALL {
-                    let buf = &mut bufs[d.index()];
-                    buf.clear();
-                    if let Some(nb) = decomp.neighbors[b][d.index()] {
-                        if let Some(r) = recv_region(me, &decomp.blocks[nb], d, halo) {
-                            v_ref.blocks[nb].extract_region(r.src_i, r.src_j, r.w, r.h, buf);
-                        }
-                    }
-                }
-            };
-            self.for_each_block(&mut scratch[..], gather);
-        }
-
-        for bufs in scratch.iter() {
-            for buf in bufs {
-                if !buf.is_empty() {
-                    messages += 1;
-                    elems += buf.len() as u64;
-                }
-            }
-        }
-
-        // Phase 2: scatter buffers into each block's halo ring.
-        {
-            let scratch_ref = &*scratch;
-            let scatter = |b: usize, blk: &mut T| {
-                blk.zero_halo();
-                let me = &decomp.blocks[b];
-                for d in Direction::ALL {
-                    if let Some(nb) = decomp.neighbors[b][d.index()] {
-                        if let Some(r) = recv_region(me, &decomp.blocks[nb], d, halo) {
-                            let buf = &scratch_ref[b][d.index()];
-                            blk.copy_region(r.dst_i, r.dst_j, buf, r.w, r.h);
-                        }
-                    }
-                }
-            };
-            self.for_each_block(&mut v.blocks, scatter);
-        }
-
+        self.run_exchange(&exchange);
         self.stats.halo_updates.fetch_add(1, Ordering::Relaxed);
+        let plan = &v.layout.halo_plan;
         self.stats
             .halo_messages
-            .fetch_add(messages, Ordering::Relaxed);
+            .fetch_add(plan.messages(), Ordering::Relaxed);
         self.stats
             .halo_bytes
-            .fetch_add(elems * std::mem::size_of::<f64>() as u64, Ordering::Relaxed);
+            .fetch_add(plan.bytes(v.width), Ordering::Relaxed);
+    }
+
+    fn run_exchange(&self, exchange: &Exchange) {
+        let n = exchange.n_blocks();
+        match self.policy {
+            ExecPolicy::Serial => (0..n).for_each(|b| exchange.run_block(b)),
+            ExecPolicy::Threaded => pool::global().run_indexed(n, &|b| exchange.run_block(b)),
+        }
     }
 
     /// Masked global dot products of several vector pairs, fused into a
@@ -469,63 +425,12 @@ impl CommWorld {
     }
 }
 
+// The exchange itself is pinned cell by cell in `tests/halo_exchange.rs`.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::DistLayout;
     use pop_grid::Grid;
-
-    #[test]
-    fn halo_update_matches_global_neighbors() {
-        let g = Grid::gx1_scaled(21, 48, 40);
-        let layout = DistLayout::build(&g, 12, 10);
-        let world = CommWorld::serial();
-        let mut v = DistVec::zeros(&layout);
-        let val = |i: usize, j: usize| (1 + i * 7 + j * 131) as f64;
-        v.fill_with(val);
-        world.halo_update(&mut v);
-
-        let nx = g.nx as isize;
-        let ny = g.ny as isize;
-        // Every halo cell must equal the global field value at the wrapped
-        // global coordinate (0 for land / off-domain).
-        for (b, info) in layout.decomp.blocks.iter().enumerate() {
-            let h = layout.halo as isize;
-            for j in -h..info.ny as isize + h {
-                for i in -h..info.nx as isize + h {
-                    let gi = info.i0 as isize + i;
-                    let gj = info.j0 as isize + j;
-                    let expect = if gj < 0 || gj >= ny {
-                        0.0
-                    } else {
-                        let gi = gi.rem_euclid(nx) as usize;
-                        let gj = gj as usize;
-                        if g.is_ocean(gi, gj) {
-                            val(gi, gj)
-                        } else {
-                            0.0
-                        }
-                    };
-                    let got = v.blocks[b].at(i, j);
-                    // A halo cell owned by a *land block* is zero even if the
-                    // underlying grid point is ocean-adjacent... but land
-                    // blocks have no ocean points by construction, so expect
-                    // only differs when the neighbour block was eliminated.
-                    if got != expect {
-                        let neighbor_eliminated = {
-                            let bi2 = gi.rem_euclid(nx) as usize / layout.decomp.block_nx;
-                            let bj2 = gj.max(0) as usize / layout.decomp.block_ny;
-                            layout.decomp.block_at[bj2 * layout.decomp.mx + bi2].is_none()
-                        };
-                        assert!(
-                            neighbor_eliminated && got == 0.0,
-                            "block {b} halo ({i},{j}): got {got}, expect {expect}"
-                        );
-                    }
-                }
-            }
-        }
-    }
 
     #[test]
     fn serial_and_threaded_identical() {

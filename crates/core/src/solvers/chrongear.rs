@@ -148,11 +148,18 @@ impl ChronGear {
 }
 
 impl CommSolver for ChronGear {
-    /// The fused loop: three block sweeps per iteration — preconditioning,
-    /// matvec + both inner-product partials, then all four vector
-    /// recurrences with the residual norm riding along. One reduction per
-    /// iteration (the fused ρ̃/δ̃ pair), exactly as the unfused path.
-    /// Bit-identical to [`ChronGear::solve_unfused`] on every runtime.
+    /// The fused loop: two block sweeps per iteration. **S** is the halo
+    /// exchange of `r'` plus the stencil kernel that stores `z = B r'` and
+    /// carries both inner-product partials; **U** is the four vector
+    /// recurrences with the next `r' = M⁻¹ r` applied to the block while `r`
+    /// is hot. A sweep carries a partial only on iterations that reduce it:
+    /// when a check will read `‖r‖²` (on cadence, or at the iteration cap
+    /// for `SolveCtl::finish`) U sums it and leaves `r'` alone, and the
+    /// preconditioner runs as its own sweep only once the check has said
+    /// the solve goes on — so nothing is applied past the exit. One
+    /// reduction per iteration (the fused ρ̃/δ̃ pair), exactly as the
+    /// unfused path; bit-identical to [`ChronGear::solve_unfused`] on every
+    /// runtime.
     fn solve_comm<C: Communicator>(
         &self,
         op: &NinePoint,
@@ -180,33 +187,38 @@ impl CommSolver for ChronGear {
             rr_sweep = Self::start(op, comm, b, x, r, &mut ctl);
             let mut rho_old = 1.0f64;
             let mut sigma = 0.0f64;
+            // Does `z` hold M⁻¹ of the current `r`? (After `start`, and after
+            // a U sweep that carried ‖r‖² instead, it does not.)
+            let mut preconditioned = false;
             ctl.obs.phase("setup", || comm.stats());
 
             while ctl.iterations() < cfg.max_iters {
                 ctl.tick();
+                let it = ctl.iterations();
 
-                // Step 4: preconditioning r' = M⁻¹ r (its own sweep: r' needs a
-                // boundary update before the matvec can run).
-                comm.for_each_block_fused([&mut *z], |bk, [zb]| {
-                    pre.apply_block(bk, r.block(bk), zb);
-                    [0.0; MAX_SWEEP_PARTIALS]
-                });
+                // Step 4: preconditioning r' = M⁻¹ r, where the last U sweep
+                // could not carry it.
+                if !preconditioned {
+                    comm.for_each_block_fused([&mut *z], |bk, [zb]| {
+                        pre.apply_block(bk, r.block(bk), zb);
+                        [0.0; MAX_SWEEP_PARTIALS]
+                    });
+                }
 
-                // Steps 5–6: the single halo exchange of the iteration,
-                // fused with the sweep computing z = B r' AND both
-                // inner-product partials ρ̃ = rᵀr', δ̃ = (Br')ᵀr' while the
-                // block is cache-hot (split-phase runtimes overlap the
+                // Steps 5–9, sweep S: the single halo exchange of the
+                // iteration, fused with the kernel computing z = B r' AND
+                // both inner-product partials ρ̃ = rᵀr', δ̃ = (Br')ᵀr' behind
+                // each stored lane group (split-phase runtimes overlap the
                 // strips with the interior stencil points).
                 let d_sweep = comm.halo_sweep_fused(z, [&mut *az], |bk, zv, [azb]| {
                     let mask = &layout.masks[bk];
-                    op.apply_block_into(bk, zv.block(bk), azb, mask);
+                    let d = op.apply_block_dots_into(bk, zv.block(bk), azb, r.block(bk), mask);
                     let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-                    pt[0] = masked_block_dot(r.block(bk), zv.block(bk), mask);
-                    pt[1] = masked_block_dot(azb, zv.block(bk), mask);
+                    pt[..2].copy_from_slice(&d);
                     pt
                 });
 
-                // Steps 7–9: consuming the pair is the iteration's ONE reduction.
+                // Consuming the pair is the iteration's ONE reduction.
                 let d = comm.reduce_sweep(&d_sweep, 2);
                 let (rho, delta) = (d[0], d[1]);
 
@@ -216,44 +228,50 @@ impl CommSolver for ChronGear {
                 let alpha = rho / sigma;
                 let nalpha = -alpha;
 
-                // Steps 13–16: all four updates in one sweep, with ‖r‖² as a
-                // free per-block partial for the periodic check.
-                rr_sweep = comm.for_each_block_fused(
-                    [&mut *s, &mut *p, &mut *x, &mut *r],
-                    |bk, [sb, pb, xb, rb]| {
-                        let mask = &layout.masks[bk];
+                // Steps 13–16, sweep U: all four updates, then either the
+                // next iteration's r' = M⁻¹ r on the still-hot block or — if
+                // a check is about to read it — the ‖r‖² partial.
+                let checked = it % cfg.check_interval() == 0;
+                let norm_wanted = checked || it == cfg.max_iters;
+                let u_sweep = comm.for_each_block_fused(
+                    [&mut *s, &mut *p, &mut *x, &mut *r, &mut *z],
+                    |bk, [sb, pb, xb, rb, zb]| {
                         let nx = sb.nx;
-                        let mut acc = 0.0f64;
                         for j in 0..sb.ny {
-                            let zr = z.block(bk).interior_row(j);
-                            let azr = az.block(bk).interior_row(j);
-                            let sr = sb.interior_row_mut(j);
-                            let pr = pb.interior_row_mut(j);
-                            let xr = xb.interior_row_mut(j);
-                            let rrow = rb.interior_row_mut(j);
-                            let mrow = &mask[j * nx..(j + 1) * nx];
+                            // One length for all six rows, so the loop is
+                            // free of bounds checks and vectorises.
+                            let zr = &zb.interior_row(j)[..nx];
+                            let azr = &az.block(bk).interior_row(j)[..nx];
+                            let sr = &mut sb.interior_row_mut(j)[..nx];
+                            let pr = &mut pb.interior_row_mut(j)[..nx];
+                            let xr = &mut xb.interior_row_mut(j)[..nx];
+                            let rrow = &mut rb.interior_row_mut(j)[..nx];
                             for i in 0..nx {
                                 let sv = zr[i] + beta * sr[i]; // s = r' + β s
                                 let pv = azr[i] + beta * pr[i]; // p = Br' + β p
                                 sr[i] = sv;
                                 pr[i] = pv;
                                 xr[i] += alpha * sv;
-                                let rv = rrow[i] + nalpha * pv;
-                                rrow[i] = rv;
-                                if mrow[i] != 0 {
-                                    acc += rv * rv;
-                                }
+                                rrow[i] += nalpha * pv;
                             }
                         }
                         let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-                        pt[0] = acc;
+                        if norm_wanted {
+                            pt[0] = masked_block_dot(rb, rb, &layout.masks[bk]);
+                        } else {
+                            pre.apply_block(bk, rb, zb);
+                        }
                         pt
                     },
                 );
+                preconditioned = !norm_wanted;
+                if norm_wanted {
+                    rr_sweep = u_sweep;
+                }
                 rho_old = rho;
 
                 // Step 17: periodic convergence check (one extra reduction).
-                if ctl.iterations() % cfg.check_interval() == 0 {
+                if checked {
                     match ctl.check_sweep(comm, cfg, &rr_sweep, x, x_good) {
                         Check::Continue | Check::Snapshot => {}
                         Check::Restart => continue 'recurrence,

@@ -28,6 +28,9 @@ pub struct BarotropicMode {
     pub eta: DistVec,
     /// φ·area per point, the factor that turns the forecast into ψ.
     phi_area: DistVec,
+    /// The right-hand side ψ, rewritten row by row every step. Its halo is
+    /// never written and stays zero (the solvers read `b`'s interior only).
+    rhs: DistVec,
     pub tau: f64,
     /// Cumulative iterations over all steps.
     pub total_iterations: usize,
@@ -73,6 +76,7 @@ impl BarotropicMode {
         let phi = 1.0 / (gravity * tau * tau);
         let metrics = grid.metrics.clone();
         phi_area.fill_with(|i, j| phi * metrics.area(i, j));
+        let rhs = DistVec::zeros(&layout);
         BarotropicMode {
             layout,
             op,
@@ -80,6 +84,7 @@ impl BarotropicMode {
             cfg,
             eta,
             phi_area,
+            rhs,
             tau,
             total_iterations: 0,
             solves: 0,
@@ -96,21 +101,27 @@ impl BarotropicMode {
     /// wave correction). Returns the solve statistics.
     pub fn step(&mut self, world: &CommWorld, forecast: &DistVec) -> &SolveStats {
         // ψ = φ·area · forecast
-        let mut rhs = DistVec::zeros(&self.layout);
-        for b in 0..self.layout.n_blocks() {
-            let nb = self.layout.decomp.blocks[b].ny;
-            for j in 0..nb {
-                let out = rhs.blocks[b].interior_row_mut(j);
-                let f = forecast.blocks[b].interior_row(j);
-                let pa = self.phi_area.blocks[b].interior_row(j);
-                for ((o, fv), pv) in out.iter_mut().zip(f).zip(pa) {
+        for ((out, f), pa) in self
+            .rhs
+            .blocks
+            .iter_mut()
+            .zip(&forecast.blocks)
+            .zip(&self.phi_area.blocks)
+        {
+            for j in 0..out.ny {
+                let row = out.interior_row_mut(j);
+                for ((o, fv), pv) in row
+                    .iter_mut()
+                    .zip(f.interior_row(j))
+                    .zip(pa.interior_row(j))
+                {
                     *o = fv * pv;
                 }
             }
         }
         let st = self
             .setup
-            .solve(&self.op, world, &rhs, &mut self.eta, &self.cfg);
+            .solve(&self.op, world, &self.rhs, &mut self.eta, &self.cfg);
         self.total_iterations += st.iterations;
         self.solves += 1;
         self.last_stats = Some(st);

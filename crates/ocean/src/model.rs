@@ -381,7 +381,7 @@ impl MiniPop {
 
         // --- 3. implicit solve for ηⁿ⁺¹ (the solver under test) ---
         self.barotropic.step(world, &self.forecast);
-        self.eta = self.barotropic.eta.to_global();
+        self.barotropic.eta.to_global_into(&mut self.eta);
 
         // --- 4. velocity correction by the new surface gradient ---
         for j in 0..ny {

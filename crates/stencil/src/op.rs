@@ -217,6 +217,45 @@ impl NinePoint {
         simd::apply(mode, &blk, y.raw_mut(), mask, &self.layout.maskbits[b]);
     }
 
+    /// [`NinePoint::apply_block_into`] with two masked dot-product partials
+    /// riding the kernel: returns `[Σ r·x, Σ y·x]` over the block's ocean
+    /// points for the freshly stored `y = A x` — ChronGear's `ρ̃` and `δ̃`.
+    /// Each sum accumulates in the row-major order of
+    /// [`pop_comm::masked_block_dot`] under every dispatch mode, so the pair
+    /// is bit-identical to an apply followed by two such passes.
+    pub fn apply_block_dots_into(
+        &self,
+        b: usize,
+        x: &BlockVec,
+        y: &mut BlockVec,
+        r: &BlockVec,
+        mask: &[u8],
+    ) -> [f64; 2] {
+        self.apply_block_dots_into_mode(pop_simd::mode(), b, x, y, r, mask)
+    }
+
+    /// [`NinePoint::apply_block_dots_into`] with an explicit dispatch
+    /// choice.
+    pub fn apply_block_dots_into_mode(
+        &self,
+        mode: SimdMode,
+        b: usize,
+        x: &BlockVec,
+        y: &mut BlockVec,
+        r: &BlockVec,
+        mask: &[u8],
+    ) -> [f64; 2] {
+        let blk = self.stencil_block(b, x, &[("y", y), ("r", r)], mask);
+        simd::apply_dots(
+            mode,
+            &blk,
+            y.raw_mut(),
+            r.raw(),
+            mask,
+            &self.layout.maskbits[b],
+        )
+    }
+
     /// Fused per-block residual: `r_b = rhs_b − (A x_b)` in one pass, plus
     /// the block's masked `‖r‖²` partial. The partial accumulates in the same
     /// row-major ocean-point order as `DistVec::block_dot`, so a convergence

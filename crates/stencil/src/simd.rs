@@ -1,4 +1,5 @@
-//! Lane-parallel kernels for the fused 9-point apply and residual.
+//! Lane-parallel kernels for the fused 9-point apply, apply-with-dots and
+//! residual.
 //!
 //! One generic 4-lane implementation ([`pop_simd::LaneF64`]) instantiated
 //! for the portable `[f64; 4]` lanes and for AVX2, plus the scalar
@@ -11,9 +12,10 @@
 //! (`DistLayout::maskbits`), equivalent bit-for-bit to the scalar
 //! `if ocean { v } else { 0.0 }` select.
 //!
-//! The residual's masked `‖r‖²` partial is an order-sensitive running sum;
-//! it stays a scalar row-major pass in *all* modes so the reduction feeding
-//! convergence checks never depends on dispatch.
+//! The residual's masked `‖r‖²` partial and the two dot-product partials of
+//! the apply-with-dots variant are order-sensitive running sums; they stay
+//! scalar row-major chains in *all* modes — folded in right behind each lane
+//! group's store — so no reduction ever depends on dispatch.
 
 use pop_comm::{BlockVec, MultiBlockVec};
 use pop_simd::{LaneF64, Portable4, SimdMode, LANES};
@@ -295,6 +297,112 @@ pub(crate) fn apply(
             // SAFETY: dispatch only selects Avx2 after runtime detection.
             unsafe {
                 apply_avx2(blk, yr, maskbits)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            unreachable!("AVX2 dispatch off x86-64")
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// apply + dots: y = A x, plus the masked Σ r·x and Σ y·x partials
+// ---------------------------------------------------------------------------
+
+/// One ocean point's contribution to the two running sums. Two independent
+/// scalar chains in row-major ocean-point order — the order (and hence the
+/// bits) of two `masked_block_dot` passes — that overlap each other and the
+/// next lane group's stencil loads instead of costing two passes of their
+/// own.
+#[inline(always)]
+fn fold_dots(acc: &mut [f64; 2], ocean: u8, r: f64, y: f64, x: f64) {
+    if ocean != 0 {
+        acc[0] += r * x;
+        acc[1] += y * x;
+    }
+}
+
+fn apply_dots_scalar(blk: &StencilBlock, yr: &mut [f64], rr: &[f64], mask: &[u8]) -> [f64; 2] {
+    let mut acc = [0.0f64; 2];
+    for j in 0..blk.ny {
+        let (base, rows) = Rows::slice(blk, j);
+        let yrow = &mut yr[base..base + blk.nx];
+        let rrow = &rr[base..base + blk.nx];
+        let mrow = &mask[j * blk.nx..(j + 1) * blk.nx];
+        for i in 0..blk.nx {
+            let v = rows.nine_scalar(i);
+            yrow[i] = if mrow[i] != 0 { v } else { 0.0 };
+            fold_dots(&mut acc, mrow[i], rrow[i], yrow[i], rows.xc[i + 1]);
+        }
+    }
+    acc
+}
+
+#[inline(always)]
+fn apply_dots_lanes<V: LaneF64>(
+    blk: &StencilBlock,
+    yr: &mut [f64],
+    rr: &[f64],
+    mask: &[u8],
+    maskbits: &[f64],
+) -> [f64; 2] {
+    let mut acc = [0.0f64; 2];
+    for j in 0..blk.ny {
+        let (base, rows) = Rows::slice(blk, j);
+        let yrow = &mut yr[base..base + blk.nx];
+        let rrow = &rr[base..base + blk.nx];
+        let mbrow = &maskbits[j * blk.nx..(j + 1) * blk.nx];
+        let mrow = &mask[j * blk.nx..(j + 1) * blk.nx];
+        let mut i = 0;
+        while i + LANES <= blk.nx {
+            unsafe {
+                let v = rows.nine_lanes::<V>(i);
+                let m = V::load(mbrow.as_ptr().add(i));
+                v.and_bits(m).store(yrow.as_mut_ptr().add(i));
+            }
+            // Folded in right behind the store, while the group is hot.
+            for k in i..i + LANES {
+                fold_dots(&mut acc, mrow[k], rrow[k], yrow[k], rows.xc[k + 1]);
+            }
+            i += LANES;
+        }
+        for k in i..blk.nx {
+            yrow[k] = and_select(rows.nine_scalar(k), mbrow[k]);
+            fold_dots(&mut acc, mrow[k], rrow[k], yrow[k], rows.xc[k + 1]);
+        }
+    }
+    acc
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn apply_dots_avx2(
+    blk: &StencilBlock,
+    yr: &mut [f64],
+    rr: &[f64],
+    mask: &[u8],
+    maskbits: &[f64],
+) -> [f64; 2] {
+    apply_dots_lanes::<pop_simd::Avx2>(blk, yr, rr, mask, maskbits)
+}
+
+pub(crate) fn apply_dots(
+    mode: SimdMode,
+    blk: &StencilBlock,
+    yr: &mut [f64],
+    rr: &[f64],
+    mask: &[u8],
+    maskbits: &[f64],
+) -> [f64; 2] {
+    debug_assert_eq!(mask.len(), blk.nx * blk.ny);
+    debug_assert_eq!(maskbits.len(), blk.nx * blk.ny);
+    match mode {
+        SimdMode::Scalar => apply_dots_scalar(blk, yr, rr, mask),
+        SimdMode::Portable => apply_dots_lanes::<Portable4>(blk, yr, rr, mask, maskbits),
+        SimdMode::Avx2 => {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: dispatch only selects Avx2 after runtime detection.
+            unsafe {
+                apply_dots_avx2(blk, yr, rr, mask, maskbits)
             }
             #[cfg(not(target_arch = "x86_64"))]
             unreachable!("AVX2 dispatch off x86-64")

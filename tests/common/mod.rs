@@ -12,6 +12,8 @@
 //! allow — each test binary compiles its own copy of this file.
 #![allow(dead_code)]
 
+pub mod fuzz;
+
 use pop_baro::prelude::*;
 use pop_core::solvers::{SolveStats, SolverWorkspace};
 use pop_simd::SimdMode;

@@ -7,8 +7,13 @@
 //! in completion order. These tests pin all of that down on a masked,
 //! multi-block global grid where land/ocean boundaries cut through blocks.
 
+use pop_baro::comm::BlockVec;
+use pop_baro::core::precond::Identity;
 use pop_baro::core::solvers::PipelinedCg;
 use pop_baro::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+mod common;
 
 struct Problem {
     layout: std::sync::Arc<pop_baro::comm::DistLayout>,
@@ -219,4 +224,133 @@ fn fused_comm_counts_match_unfused() {
         "pipecg allreduces"
     );
     assert_eq!(stf.comm.halo_updates, stu.comm.halo_updates, "pipecg halos");
+}
+
+/// A preconditioner that counts its block applies, to pin the number of
+/// `M⁻¹` applications a solve *executes* against the number it reports.
+struct Counting<'a> {
+    inner: &'a dyn Preconditioner,
+    block_applies: AtomicUsize,
+}
+
+impl<'a> Counting<'a> {
+    fn new(inner: &'a dyn Preconditioner) -> Self {
+        Counting {
+            inner,
+            block_applies: AtomicUsize::new(0),
+        }
+    }
+
+    fn take(&self) -> usize {
+        self.block_applies.swap(0, Ordering::Relaxed)
+    }
+}
+
+impl Preconditioner for Counting<'_> {
+    fn apply_block(&self, b: usize, r: &BlockVec, z: &mut BlockVec) {
+        self.block_applies.fetch_add(1, Ordering::Relaxed);
+        self.inner.apply_block(b, r, z);
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// ChronGear's two-sweep loop at every edge of the check cadence: the
+/// iteration cap before, on and after a check, a cap of one (and, at
+/// `check_every = 1`, of zero), several checks plus a tail, and a solve that
+/// converges. Everything a solve reports — solution, history, residual,
+/// every counter of the solve and of the communicator — equals the unfused
+/// oracle's, and the preconditioner is *applied* exactly as often as
+/// reported: once per iteration, none past the exit.
+#[test]
+fn chrongear_matches_unfused_at_every_cadence_edge() {
+    let p = problem();
+    let diag = Diagonal::new(&p.op);
+    let evp = BlockEvp::with_defaults(&p.op);
+    let n_blocks = p.layout.n_blocks();
+    for pre in [&Identity as &dyn Preconditioner, &diag, &evp] {
+        let pre = Counting::new(pre);
+        for ce in [1usize, 10] {
+            for max_iters in [1, ce - 1, ce, ce + 1, 3 * ce + 2, 50_000] {
+                let cfg = SolverConfig {
+                    tol: 1e-11,
+                    max_iters,
+                    check_every: ce,
+                    ..SolverConfig::default()
+                };
+                let name = format!("{} ce={ce} max_iters={max_iters}", pre.name());
+                let oracle = CommWorld::serial();
+                let mut x = DistVec::zeros(&p.layout);
+                let st = ChronGear.solve_unfused(&p.op, &pre, &oracle, &p.rhs, &mut x, &cfg);
+                assert_eq!(st.converged, max_iters == 50_000, "{name}");
+                assert_eq!(pre.take(), st.precond_applies * n_blocks, "{name}: oracle");
+                let want = common::observe(&st, &x);
+
+                for (bname, world) in [
+                    ("serial", CommWorld::serial()),
+                    ("threaded", CommWorld::threaded()),
+                ] {
+                    let name = format!("{name} fused/{bname}");
+                    let mut x = DistVec::zeros(&p.layout);
+                    let got = ChronGear.solve(&p.op, &pre, &world, &p.rhs, &mut x, &cfg);
+                    common::assert_same(&name, &want, &common::observe(&got, &x));
+                    assert_eq!(got.comm, st.comm, "{name}: communicator counters");
+                    assert_eq!(
+                        pre.take(),
+                        got.precond_applies * n_blocks,
+                        "{name}: applies executed vs reported"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A restart re-enters `ChronGear::start` and must re-apply `M⁻¹` before the
+/// first stencil sweep of the new recurrence (the `r'` left over from the
+/// broken one is stale). Driven through the rank runtime, whose light
+/// poisoning makes the same generic loop restart: every run converges with
+/// exactly one executed apply per iteration, and restarts did fire.
+#[test]
+fn chrongear_restart_reapplies_the_preconditioner() {
+    let p = common::problem(2015);
+    let diag = Diagonal::new(&p.op);
+    let pre = Counting::new(&diag);
+    let light = FaultConfig {
+        corrupt_prob: 1e-4,
+        ..FaultConfig::default()
+    };
+    let mut restarts = 0;
+    for seed in 1..=8u64 {
+        let world = RankWorld::new(
+            &p.layout,
+            6,
+            std::sync::Arc::new(ZeroCost),
+            RankSimConfig::default().with_faults(FaultPlan::seeded(seed, light)),
+        );
+        let x0 = DistVec::zeros(&p.layout);
+        let cfg = common::solver_cfg();
+        let out = solve_on_ranks(
+            &world,
+            &p.op,
+            &pre,
+            SolverKind::ChronGear,
+            &p.rhs,
+            &x0,
+            &cfg,
+        );
+        let st = out.stats();
+        assert_eq!(st.outcome, SolveOutcome::Converged, "seed {seed}");
+        assert_eq!(st.precond_applies, st.iterations, "seed {seed}");
+        assert_eq!(
+            pre.take(),
+            st.iterations * p.layout.n_blocks(),
+            "seed {seed}: {} restarts, applies executed vs iterations",
+            st.restarts
+        );
+        restarts += st.restarts;
+    }
+    assert!(restarts > 0, "no seed restarted: the path is untested");
 }

@@ -13,13 +13,15 @@
 //! right-hand sides are seeded pseudo-random fields over a land-masked
 //! grid, so the guarantee cannot lean on smooth data.
 
+use pop_baro::comm::{masked_block_dot, BlockVec};
 use pop_baro::prelude::*;
 use pop_core::precond::{EvpScratch, EvpSubBlock};
 use pop_simd::SimdMode;
 use pop_stencil::LocalStencil;
 
 mod common;
-use common::{assert_same, lane_modes, problem, run_ranks, run_world, ModeGuard};
+use common::fuzz;
+use common::{assert_same, lane_modes, noise, problem, run_ranks, run_world, ModeGuard};
 
 /// The tentpole guarantee: four solvers × {diag, EVP} × three execution
 /// backends (serial, thread pool, ranksim message passing), forced-scalar vs
@@ -190,4 +192,96 @@ fn evp_marching_tile_is_bitwise_mode_invariant() {
             }
         }
     }
+}
+
+/// A speckled-coast operator in 13×7 blocks (`nx % 4 ≠ 0`: every kernel row
+/// has a lane body and a scalar tail) in which block (2, 2) is entirely land —
+/// the decomposition is taken from an all-ocean grid of the same size, so
+/// land-block elimination does not drop it — plus a halo-current operand and
+/// a second field.
+fn dots_case() -> (NinePoint, DistVec, DistVec) {
+    let mut depth = fuzz::fuzzed_depth(29);
+    for j in 14..21 {
+        depth[j * fuzz::NX + 26..j * fuzz::NX + 39].fill(0.0);
+    }
+    let grid = fuzz::grid_of(depth);
+    let every_block = Decomposition::new(&fuzz::grid_of(vec![100.0; fuzz::NX * fuzz::NY]), 13, 7);
+    let layout = DistLayout::new(&grid, every_block, 2);
+    let world = CommWorld::serial();
+    let op = NinePoint::assemble(&grid, &layout, &world, 9000.0);
+    let mut x = DistVec::zeros(&layout);
+    x.fill_with(|i, j| noise(1, i, j));
+    world.halo_update(&mut x);
+    let mut r = DistVec::zeros(&layout);
+    r.fill_with(|i, j| noise(2, i, j));
+    (op, x, r)
+}
+
+/// The apply-with-dots kernel is the plain apply plus two
+/// `masked_block_dot` passes, bit for bit, under every dispatch mode: the
+/// stored block, `Σ r·x` and `Σ y·x` — on ragged blocks, an all-land block
+/// and coast-heavy ones.
+#[test]
+fn apply_with_dots_matches_apply_plus_two_dots_in_every_mode() {
+    let (op, x, r) = dots_case();
+    let layout = &op.layout;
+    let ocean = &layout.ocean_per_block;
+    assert_eq!(
+        ocean[2 * layout.decomp.mx + 2],
+        0,
+        "block (2, 2) must be all land"
+    );
+    assert!(
+        ocean.iter().any(|&n| n > 0 && n < 13 * 7 / 2),
+        "no coast-heavy block"
+    );
+    // Four block columns are 13 wide, the ragged fifth is 12 (no tail).
+    assert!(layout
+        .decomp
+        .blocks
+        .iter()
+        .all(|b| b.nx == 13 || b.nx == 12));
+    for (b, info) in layout.decomp.blocks.iter().enumerate() {
+        let (mask, xb, rb) = (&layout.masks[b], &x.blocks[b], &r.blocks[b]);
+        let fresh = || {
+            let mut y = BlockVec::zeros(info.nx, info.ny, layout.halo);
+            y.fill(f64::NAN); // prove every interior point is written
+            y
+        };
+        let bits = |y: &BlockVec| -> Vec<u64> {
+            (0..y.ny)
+                .flat_map(|j| y.interior_row(j).iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let mut want_y = fresh();
+        op.apply_block_into_mode(SimdMode::Scalar, b, xb, &mut want_y, mask);
+        let want = [
+            masked_block_dot(rb, xb, mask).to_bits(),
+            masked_block_dot(&want_y, xb, mask).to_bits(),
+        ];
+        for mode in all_modes() {
+            let mut y = fresh();
+            let got = op.apply_block_dots_into_mode(mode, b, xb, &mut y, rb, mask);
+            assert_eq!(bits(&y), bits(&want_y), "block {b} {}: y", mode.name());
+            assert_eq!(
+                got.map(f64::to_bits),
+                want,
+                "block {b} {}: dots",
+                mode.name()
+            );
+        }
+    }
+}
+
+/// The kernel indexes `r` through `x`'s shape with unchecked windows, so a
+/// mis-shaped `r` must be refused in release builds too (CI runs this suite
+/// under `--release`).
+#[test]
+#[should_panic(expected = "stencil operand `r` shape mismatch")]
+fn apply_with_dots_rejects_a_mis_shaped_r() {
+    let (op, x, _) = dots_case();
+    let xb = &x.blocks[0];
+    let mut y = xb.clone();
+    let r = BlockVec::zeros(xb.nx, xb.ny + 1, xb.halo);
+    op.apply_block_dots_into(0, xb, &mut y, &r, &op.layout.masks[0]);
 }

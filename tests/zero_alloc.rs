@@ -1,12 +1,18 @@
 //! Steady-state allocation audit for the fused solver loops.
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
-//! solve has sized the [`SolverWorkspace`], the halo scratch pool, and the
-//! preconditioner's thread-local tile buffers, the *per-iteration* heap
-//! allocation count of `solve_ws` must be exactly zero. That is asserted
+//! solve has sized the [`SolverWorkspace`], the halo exchange's pointer
+//! table, and the preconditioner's thread-local tile buffers, the
+//! *per-iteration* heap allocation count of `solve_ws` must be exactly
+//! zero. That is asserted
 //! differentially: a solve running 8× as many iterations must allocate
 //! exactly as much as a short one (the only per-solve allocation left is the
 //! fresh `SolveStats` residual history, identical for both).
+//!
+//! One level up, a warm [`BarotropicMode::step`] — right-hand side, solve,
+//! statistics — must allocate a small constant that does not grow with the
+//! number of blocks: the right-hand side is a field of the mode, not a fresh
+//! vector per step.
 //!
 //! This file holds a single `#[test]` so no concurrent test pollutes the
 //! counters, and it uses the serial backend so every allocation is made on
@@ -55,6 +61,52 @@ fn fused_solve_iterations_allocate_nothing() {
     // so every tile of the second layout rides the lanes alone.
     audit(&grid, 18, 20, false);
     audit(&grid, 8, 8, true);
+
+    // A warm model step costs the same few allocations on 15 blocks as on
+    // an order of magnitude more of them.
+    let coarse = step_allocs(&grid, 18, 20);
+    let fine = step_allocs(&grid, 6, 5);
+    assert_eq!(
+        coarse, fine,
+        "BarotropicMode::step allocations grow with the block count"
+    );
+    assert!(coarse <= 8, "warm step made {coarse} allocations");
+}
+
+/// Allocation count of one warm `BarotropicMode::step` on `bx × by` blocks.
+fn step_allocs(grid: &Grid, bx: usize, by: usize) -> u64 {
+    let world = CommWorld::serial();
+    // One check per solve, so both layouts keep a history of one entry.
+    let cfg = SolverConfig {
+        tol: 0.0,
+        max_iters: 40,
+        check_every: 40,
+        ..SolverConfig::default()
+    };
+    let mut mode = BarotropicMode::new(
+        grid,
+        &world,
+        bx,
+        by,
+        345.6,
+        SolverChoice::ChronGearDiag,
+        cfg,
+    );
+    let mut forecast = DistVec::zeros(&mode.layout);
+    forecast.fill_with(|i, j| ((i as f64) * 0.07).sin() * ((j as f64) * 0.11).cos());
+    for _ in 0..2 {
+        mode.step(&world, &forecast);
+    }
+    let before = allocs();
+    let iterations = mode.step(&world, &forecast).iterations;
+    let during = allocs() - before;
+    assert_eq!(iterations, 40);
+    assert!(
+        mode.layout.n_blocks() >= if bx == 6 { 150 } else { 10 },
+        "{bx}x{by}: {} blocks",
+        mode.layout.n_blocks()
+    );
+    during
 }
 
 fn audit(grid: &Grid, bx: usize, by: usize, all_lone: bool) {
@@ -113,7 +165,7 @@ fn audit(grid: &Grid, bx: usize, by: usize, all_lone: bool) {
         for (sname, solver) in solvers {
             let mut ws = SolverWorkspace::new();
             // Warm-up at the long length: sizes the workspace, the halo
-            // scratch pool, and thread-local preconditioner buffers.
+            // pointer table, and thread-local preconditioner buffers.
             x.set_zero();
             let st = solver.solve_ws(&op, pre, &world, &rhs, &mut x, &cfg_of(long), &mut ws);
             assert_eq!(st.iterations, long);
