@@ -15,7 +15,7 @@ pub struct Provenance {
     /// Whether the working tree had uncommitted changes.
     pub git_dirty: bool,
     /// Kernel dispatch mode the run resolved to (`POP_BARO_SIMD` / CPU
-    /// detection): "scalar", "portable", or "avx2".
+    /// detection): "portable" or "avx2".
     pub simd_mode: &'static str,
     /// Whether the CPU supports AVX2, regardless of the chosen mode.
     pub avx2_detected: bool,

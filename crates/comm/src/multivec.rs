@@ -118,6 +118,22 @@ impl MultiBlockVec {
         self.data.as_mut_slice()
     }
 
+    /// Interior row `j` of lane group `g`: `nx` points of `LANES` values,
+    /// `nx · LANES` floats — what a pointwise lane kernel walks with
+    /// `chunks_exact(LANES)`.
+    #[inline]
+    pub fn interior_lane_row(&self, g: usize, j: usize) -> &[f64] {
+        let at = self.offset(g, 0, j as isize);
+        &self.data[at..at + self.nx * LANES]
+    }
+
+    /// Mutable [`MultiBlockVec::interior_lane_row`].
+    #[inline]
+    pub fn interior_lane_row_mut(&mut self, g: usize, j: usize) -> &mut [f64] {
+        let at = self.offset(g, 0, j as isize);
+        &mut self.data[at..at + self.nx * LANES]
+    }
+
     /// Set every cell of every group and lane to `v`.
     pub fn fill(&mut self, v: f64) {
         self.data.as_mut_slice().fill(v);
@@ -237,8 +253,8 @@ pub fn masked_dot_multi(a: &MultiBlockVec, b: &MultiBlockVec, mask: &[u8], out: 
         let acc = &mut out[g * LANES..(g + 1) * LANES];
         acc.fill(0.0);
         for j in 0..ny {
-            let ra = &a.raw()[a.offset(g, 0, j as isize)..];
-            let rb = &b.raw()[b.offset(g, 0, j as isize)..];
+            let ra = a.interior_lane_row(g, j);
+            let rb = b.interior_lane_row(g, j);
             let mrow = &mask[j * nx..(j + 1) * nx];
             for i in 0..nx {
                 if mrow[i] != 0 {

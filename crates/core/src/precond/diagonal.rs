@@ -2,7 +2,7 @@
 
 use super::{assert_same_shape, assert_same_shape_multi, Preconditioner};
 use pop_comm::{BlockVec, DistVec, MultiBlockVec};
-use pop_simd::{LaneF64, Portable4, LANES};
+use pop_simd::LANES;
 use pop_stencil::NinePoint;
 
 /// No preconditioning (`M = I`); the baseline for convergence comparisons.
@@ -19,13 +19,10 @@ impl Preconditioner for Identity {
 
     fn apply_block_multi(&self, _b: usize, r: &MultiBlockVec, z: &mut MultiBlockVec) {
         assert_same_shape_multi(r, z);
-        let rraw = r.raw();
-        let zraw = z.raw_mut();
         for g in 0..r.groups() {
             for j in 0..r.ny {
-                let base = r.offset(g, 0, j as isize);
-                let w = r.nx * LANES;
-                zraw[base..base + w].copy_from_slice(&rraw[base..base + w]);
+                z.interior_lane_row_mut(g, j)
+                    .copy_from_slice(r.interior_lane_row(g, j));
             }
         }
     }
@@ -74,28 +71,25 @@ impl Preconditioner for Diagonal {
         }
     }
 
-    /// Fused lane kernel: one splat of `1/A0` per grid point serves all four
+    /// Fused lane kernel: one load of `1/A0` per grid point serves all four
     /// lanes; each lane performs the scalar `rv * dv`, so per-lane results
-    /// are bitwise identical to [`Diagonal::apply_block`]. Portable lanes
-    /// are used in every dispatch mode — a plain lanewise multiply has one
+    /// are bitwise identical to [`Diagonal::apply_block`]. Plain `f64`
+    /// arithmetic in every dispatch mode — a lanewise multiply has one
     /// possible operation sequence, so there is nothing mode-dependent to
     /// mirror.
     fn apply_block_multi(&self, b: usize, r: &MultiBlockVec, z: &mut MultiBlockVec) {
         assert_same_shape_multi(r, z);
         let inv = &self.inv_diag.blocks[b];
-        let rraw = r.raw();
-        let zraw = z.raw_mut();
         for g in 0..r.groups() {
             for j in 0..r.ny {
-                let base = r.offset(g, 0, j as isize);
-                let di = inv.interior_row(j);
-                for (i, &dv) in di.iter().enumerate() {
-                    // SAFETY: `base + i·LANES + LANES` stays inside the
-                    // interior row segment of group `g` for `i < nx`.
-                    unsafe {
-                        let rv = Portable4::load(rraw.as_ptr().add(base + i * LANES));
-                        rv.mul(Portable4::splat(dv))
-                            .store(zraw.as_mut_ptr().add(base + i * LANES));
+                let rows = z
+                    .interior_lane_row_mut(g, j)
+                    .chunks_exact_mut(LANES)
+                    .zip(r.interior_lane_row(g, j).chunks_exact(LANES))
+                    .zip(inv.interior_row(j));
+                for ((zv, rv), &dv) in rows {
+                    for l in 0..LANES {
+                        zv[l] = rv[l] * dv;
                     }
                 }
             }

@@ -178,8 +178,8 @@ impl EvpSubBlock {
     }
 
     /// [`EvpSubBlock::solve`] with an explicit kernel dispatch choice
-    /// (tests and benches; production callers use the global mode). Every
-    /// mode is bitwise-identical (DESIGN.md §9).
+    /// (tests and benches; production callers use the global mode). Both
+    /// lane types are bitwise-identical (DESIGN.md §9).
     pub fn solve_mode(&self, mode: SimdMode, psi: &[f64], x: &mut [f64], scratch: &mut EvpScratch) {
         assert_eq!(psi.len(), self.nx * self.ny);
         assert_eq!(x.len(), self.nx * self.ny);
@@ -986,7 +986,7 @@ pub(crate) mod tests {
 
     /// Every dispatch mode this machine can run.
     pub(crate) fn modes() -> Vec<SimdMode> {
-        let mut m = vec![SimdMode::Scalar, SimdMode::Portable];
+        let mut m = vec![SimdMode::Portable];
         if pop_simd::detected_avx2() {
             m.push(SimdMode::Avx2);
         }

@@ -53,10 +53,8 @@
 //! ((a0·xc + ane_s·xse) + ane_sw·xsw))·d⁻¹`, the axis terms summed among
 //! themselves first in the full system, `acc − l·x` over ascending band
 //! columns, `acc / u_rr` — so per-lane results are bitwise identical to it
-//! under every dispatch mode: interleaving lanes reorders *instructions*,
-//! never any lane's arithmetic. Scalar dispatch shares the portable
-//! instantiation for the same reason: portable lanes *are* four copies of
-//! the scalar sequence. Two rules hold throughout:
+//! on both lane types: interleaving lanes reorders *instructions*, never
+//! any lane's arithmetic. Two rules hold throughout:
 //!
 //! - the chain recurrence's FMA contraction is keyed on the CPU property
 //!   [`pop_simd::detected_fma`], never on the dispatch mode: the chain
@@ -65,7 +63,7 @@
 //! - the influence apply accumulates each output row over ascending columns
 //!   from `+0.0`, the scalar row dot product.
 
-use pop_simd::{LaneF64, Portable4, SimdMode, LANES};
+use pop_simd::{LaneF64, LaneJob, SimdMode, LANES};
 use pop_stencil::{DenseMatrix, LocalStencil};
 
 /// The most lane groups one batched tile solve interleaves:
@@ -212,8 +210,7 @@ pub(super) trait Coefs: Copy {
     /// `idx < self.len()` — unchecked: [`solve_tile`] checks every array's
     /// length against the tile shape once, and the kernels index inside
     /// those lengths by construction (the per-entry check measured ≈ 10 %
-    /// of a packed apply). With AVX2 lanes the caller must run under the
-    /// `avx2` target feature.
+    /// of a packed apply). [`LaneJob::run`]'s contract for `V` holds.
     unsafe fn at<V: LaneF64>(self, idx: usize) -> V;
 
     /// Field `f` of tile point `p` in the marching array.
@@ -345,7 +342,7 @@ impl<T> TileCoefs<T> {
 /// groups long, shorter than a `memset` call.
 ///
 /// # Safety
-/// With AVX2 lanes the caller must run under the `avx2` target feature.
+/// [`LaneJob::run`]'s contract for `V`.
 #[inline(always)]
 unsafe fn reset_march_pad<V: LaneF64>(xpad: &mut [f64], nx: usize, ny: usize, groups: usize) {
     let zero = V::splat(0.0);
@@ -371,9 +368,11 @@ unsafe fn reset_march_pad<V: LaneF64>(xpad: &mut [f64], nx: usize, ny: usize, gr
 /// values at `g · group stride + j · row stride + i · LANES`.
 ///
 /// # Safety
-/// With AVX2 lanes the caller must run under the `avx2` target feature, and
-/// additionally `fma` when `use_fma` is set. `planes` must hold the tile's
+/// [`LaneJob::run`]'s contract for `V`. `planes` must hold the tile's
 /// planes, `xpad` `(nx+2)·(ny+2)` and `g` `nx` points of `groups · LANES`.
+/// (`use_fma` is no safety matter — [`LaneF64::mul_add`] runs wherever its
+/// lanes do — but it must be the [`pop_simd::detected_fma`] the plan's chain
+/// planes were signed for.)
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 unsafe fn march_sweep<V: LaneF64, C: Coefs>(
@@ -492,8 +491,7 @@ unsafe fn influence_rows<V: LaneF64, C: Coefs, const RB: usize>(
 /// of `groups · LANES` values each).
 ///
 /// # Safety
-/// With AVX2 lanes the caller must run under the `avx2` target feature.
-/// `r_inv` must hold `k²` entries, `f` and `corr` `k · groups · LANES`
+/// [`LaneJob::run`]'s contract for `V`. `r_inv` must hold `k²` entries, `f` and `corr` `k · groups · LANES`
 /// values, with `groups ≤ MAX_GROUPS`.
 #[inline(always)]
 unsafe fn influence<V: LaneF64, C: Coefs>(
@@ -573,8 +571,7 @@ unsafe fn march_solve<V: LaneF64, C: Coefs>(
 /// in flight. `x` is `n` points of `groups · LANES` values, `b` on entry.
 ///
 /// # Safety
-/// With AVX2 lanes the caller must run under the `avx2` target feature.
-/// `band` must hold `n · (2w + 1)` entries and `x` `n · groups · LANES`,
+/// [`LaneJob::run`]'s contract for `V`. `band` must hold `n · (2w + 1)` entries and `x` `n · groups · LANES`,
 /// with `groups ≤ MAX_GROUPS`.
 #[inline(always)]
 unsafe fn band_solve<V: LaneF64, C: Coefs>(
@@ -649,7 +646,7 @@ pub(super) trait TileIo {
     /// `groups · LANES` values), for the in-place band substitution.
     ///
     /// # Safety
-    /// With AVX2 lanes the caller must run under the `avx2` target feature.
+    /// [`LaneJob::run`]'s contract for `V`.
     unsafe fn gather<V: LaneF64>(&self, dims: (usize, usize), dst: &mut Vec<f64>);
 
     /// Write the solved tile out, land zeroed through the `mask` words (the
@@ -842,18 +839,13 @@ impl TileIo for Packed<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch
+// The jobs
 // ---------------------------------------------------------------------------
-
-/// A kernel body, generic over the lanes' instruction set, for [`dispatch`]
-/// to run under the lanes a mode selects. Whoever builds the job checks
-/// every length its body indexes unchecked.
-trait LaneJob {
-    /// # Safety
-    /// With AVX2 lanes the caller must run under the `avx2` target feature,
-    /// and additionally `fma` when `use_fma` is set.
-    unsafe fn run<V: LaneF64>(self, use_fma: bool);
-}
+//
+// Each is a [`LaneJob`] for `pop_simd::dispatch`; whoever builds one checks
+// every length its body indexes unchecked. `use_fma` is the CPU property
+// [`pop_simd::detected_fma`], read where the job is built: the AVX2 lanes
+// only run where it is true, and the portable `mul_add` is `f64::mul_add`.
 
 /// One tile solve.
 struct Solve<'a, C, Io> {
@@ -861,16 +853,20 @@ struct Solve<'a, C, Io> {
     coefs: TileCoefs<C>,
     io: Io,
     scratch: &'a mut EvpScratch,
+    use_fma: bool,
 }
 
 impl<C: Coefs, Io: TileIo> LaneJob for Solve<'_, C, Io> {
+    type Out = ();
+
     #[inline(always)]
-    unsafe fn run<V: LaneF64>(self, use_fma: bool) {
+    unsafe fn run<V: LaneF64>(self) {
         let Solve {
             dims: (nx, ny),
             coefs,
             mut io,
             scratch,
+            use_fma,
         } = self;
         let groups = io.groups();
         let sl = groups * LANES;
@@ -918,12 +914,20 @@ struct Influence<'a> {
     plan: &'a MarchPlan,
     w: &'a mut DenseMatrix,
     scratch: &'a mut EvpScratch,
+    use_fma: bool,
 }
 
 impl LaneJob for Influence<'_> {
+    type Out = ();
+
     #[inline(always)]
-    unsafe fn run<V: LaneF64>(self, use_fma: bool) {
-        let Influence { plan, w, scratch } = self;
+    unsafe fn run<V: LaneF64>(self) {
+        let Influence {
+            plan,
+            w,
+            scratch,
+            use_fma,
+        } = self;
         let (nx, ny) = (plan.nx, plan.ny);
         let EvpScratch { xpad, g, tile, .. } = scratch;
         xpad.resize((nx + 2) * (ny + 2) * LANES, 0.0);
@@ -949,30 +953,6 @@ impl LaneJob for Influence<'_> {
             }
         }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn run_avx2_fma<J: LaneJob>(job: J) {
-    job.run::<pop_simd::Avx2>(true)
-}
-
-/// Run `job` on the lanes `mode` selects. Scalar mode shares the portable
-/// instantiation: portable lanes *are* the per-lane scalar operation
-/// sequence. So does an AVX2 CPU without FMA (every mode computes the same
-/// bits, and no machine the suites run on could exercise a second AVX2
-/// arm).
-fn dispatch<J: LaneJob>(mode: SimdMode, job: J) {
-    let use_fma = pop_simd::detected_fma();
-    #[cfg(target_arch = "x86_64")]
-    if mode == SimdMode::Avx2 && use_fma {
-        // SAFETY: dispatch only selects Avx2 after runtime detection, and
-        // FMA was just detected.
-        return unsafe { run_avx2_fma(job) };
-    }
-    // SAFETY: portable lanes need no CPU features; `mul_add` is the (always
-    // available) `f64::mul_add`.
-    unsafe { job.run::<Portable4>(use_fma) }
 }
 
 /// Solve one `nx × ny` tile — or one pack of them — on the lanes `io`
@@ -1002,8 +982,9 @@ pub(super) fn solve_tile<C: Coefs, Io: TileIo>(
         coefs,
         io,
         scratch,
+        use_fma: pop_simd::detected_fma(),
     };
-    dispatch(mode, solve);
+    pop_simd::dispatch(mode, solve);
 }
 
 /// March out the influence matrix `W` of `plan`'s tile (`F = W·E`: the
@@ -1022,8 +1003,9 @@ pub(super) fn influence_matrix(
         plan,
         w: &mut w,
         scratch,
+        use_fma: pop_simd::detected_fma(),
     };
-    dispatch(mode, job);
+    pop_simd::dispatch(mode, job);
     w
 }
 
@@ -1043,7 +1025,9 @@ mod tests {
     }
 
     impl LaneJob for Fold<'_> {
-        unsafe fn run<V: LaneF64>(self, _use_fma: bool) {
+        type Out = ();
+
+        unsafe fn run<V: LaneF64>(self) {
             let k = self.f.len() / (self.groups * LANES);
             assert_eq!((self.r_inv.len(), self.corr.len()), (k * k, self.f.len()));
             influence::<V, _>(Shared(self.r_inv), k, self.f, self.corr, self.groups)
@@ -1067,7 +1051,7 @@ mod tests {
                     corr: &mut corr,
                     groups,
                 };
-                dispatch(mode, job);
+                pop_simd::dispatch(mode, job);
                 for (q, v) in corr.iter().enumerate() {
                     assert_eq!(v.to_bits(), 0.0f64.to_bits(), "{mode:?} entry {q}: {v:?}");
                 }

@@ -8,8 +8,8 @@
 //! an application needs no halo update and no reduction, and the
 //! serial/threaded/ranksim bitwise-identity of the solvers is untouched.
 //!
-//! The cycle is deterministic and bitwise identical across SIMD dispatch
-//! modes by construction: level applications and residuals go through the
+//! The cycle is deterministic and bitwise identical on both SIMD lane
+//! types by construction: level applications and residuals go through the
 //! pinned lane kernels of `pop-stencil`, the smoother and transfers are
 //! fixed-order scalar loops, and the coarsest level is solved exactly with
 //! a pivoted dense LU over its active cells.
@@ -514,8 +514,8 @@ mod tests {
         }
     }
 
-    /// Applying the cycle twice, and under forced-scalar dispatch, gives
-    /// bitwise identical output.
+    /// Applying the cycle twice, and on every lane type this machine can
+    /// run, gives bitwise identical output.
     #[test]
     fn apply_is_bitwise_deterministic_across_dispatch() {
         let g = Grid::gx1_scaled(10, 48, 40);
@@ -529,22 +529,28 @@ mod tests {
         };
         let base = run();
         let again = run();
+        for (k, (a, b)) in base.iter().zip(&again).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "repeat diverged at {k}");
+        }
         struct Unforce;
         impl Drop for Unforce {
             fn drop(&mut self) {
                 pop_simd::force_mode(None);
             }
         }
-        let scalar = {
-            let _guard = Unforce;
-            pop_simd::force_mode(Some(pop_simd::SimdMode::Scalar));
-            run()
-        };
-        for (k, (a, b)) in base.iter().zip(&again).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "repeat diverged at {k}");
-        }
-        for (k, (a, b)) in base.iter().zip(&scalar).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "scalar dispatch diverged at {k}");
+        for mode in crate::precond::evp::tests::modes() {
+            let forced = {
+                let _guard = Unforce;
+                pop_simd::force_mode(Some(mode));
+                run()
+            };
+            for (k, (a, b)) in base.iter().zip(&forced).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{mode:?} dispatch diverged at {k}"
+                );
+            }
         }
     }
 }

@@ -41,7 +41,7 @@ use pop_comm::{
     MAX_SWEEP_PARTIALS,
 };
 use pop_obs::ObsSink;
-use pop_simd::{LaneF64, Portable4, LANES};
+use pop_simd::LANES;
 use pop_stencil::NinePoint;
 use std::sync::Arc;
 
@@ -258,26 +258,42 @@ fn rhs_norms<C: Communicator>(
 // ---------------------------------------------------------------------------
 //
 // Each kernel repeats the scalar recurrence's exact per-point operation
-// order, lanewise, with per-lane scalars broadcast from slot arrays.
-// Portable lanes are used in every dispatch mode: a plain lanewise
-// multiply-add chain has one possible operation sequence, so there is
-// nothing mode-dependent to mirror (same argument as the diagonal
-// preconditioner's fused kernel).
+// order in every lane, with per-lane scalars from slot arrays, over the
+// tiles' interior lane rows zipped point by point. Plain `f64` arithmetic
+// in every dispatch mode: a lanewise multiply-add chain has one possible
+// operation sequence, so there is nothing mode-dependent to mirror (same
+// argument as the diagonal preconditioner's fused kernel). Tiles of
+// different shapes would zip short, so the shapes are compared up front.
+// (One fused pass per point, not one pass per recurrence: a row at a time
+// through two-operand `y ← x + b·y` / `y ← y + a·x` updates was tried and
+// measured slower — EXPERIMENTS.md "PR 24".)
 
-/// The per-lane scalar broadcast for lane-group `g` of a `slots`-long array.
+/// Lane group `g`'s scalars out of a `slots`-long per-RHS array.
 #[inline]
-fn lanev(a: &[f64], g: usize) -> Portable4 {
-    debug_assert!(a.len() >= (g + 1) * LANES);
-    // SAFETY: bounds checked by the debug assert; callers size these
-    // arrays as groups()*LANES.
-    unsafe { Portable4::load(a.as_ptr().add(g * LANES)) }
+fn lane_scalars(a: &[f64], g: usize) -> [f64; LANES] {
+    std::array::from_fn(|l| a[g * LANES + l])
+}
+
+/// The points of interior row `j` of lane group `g`, `LANES` values each.
+#[inline]
+fn points(t: &MultiBlockVec, g: usize, j: usize) -> std::slice::ChunksExact<'_, f64> {
+    t.interior_lane_row(g, j).chunks_exact(LANES)
+}
+
+/// Mutable [`points`].
+#[inline]
+fn points_mut(t: &mut MultiBlockVec, g: usize, j: usize) -> std::slice::ChunksExactMut<'_, f64> {
+    t.interior_lane_row_mut(g, j).chunks_exact_mut(LANES)
 }
 
 #[inline]
-fn debug_assert_same_shape(a: &MultiBlockVec, b: &MultiBlockVec) {
-    debug_assert_eq!(a.groups(), b.groups());
-    debug_assert_eq!((a.nx, a.ny, a.halo), (b.nx, b.ny, b.halo));
-    debug_assert_eq!(a.stride(), b.stride());
+fn assert_same_shape(a: &MultiBlockVec, others: &[&MultiBlockVec]) {
+    for b in others {
+        assert!(
+            (a.nx, a.ny, a.groups()) == (b.nx, b.ny, b.groups()),
+            "batched tiles differ in shape"
+        );
+    }
 }
 
 /// P-CSI setup update, per lane: `d = γ⁻¹ z ; Δx = d ; x += d`.
@@ -287,26 +303,17 @@ fn csi_setup_block(
     xb: &mut MultiBlockVec,
     inv_gamma: f64,
 ) {
-    debug_assert_same_shape(zb, dxb);
-    debug_assert_same_shape(zb, xb);
-    let (nx, ny, h) = (zb.nx, zb.ny, zb.halo);
-    let (stride, rows, groups) = (zb.stride(), zb.rows(), zb.groups());
-    let ig = Portable4::splat(inv_gamma);
-    let zr = zb.raw();
-    let dxr = dxb.raw_mut();
-    let xr = xb.raw_mut();
-    for g in 0..groups {
-        for j in 0..ny {
-            let base = ((g * rows + j + h) * stride + h) * LANES;
-            for i in 0..nx {
-                let at = base + i * LANES;
-                // SAFETY: `at + LANES` stays inside lane-group `g`'s
-                // interior row for i < nx; all three tiles share the shape.
-                unsafe {
-                    let d = Portable4::load(zr.as_ptr().add(at)).mul(ig);
-                    d.store(dxr.as_mut_ptr().add(at));
-                    let x = Portable4::load(xr.as_ptr().add(at));
-                    x.add(d).store(xr.as_mut_ptr().add(at));
+    assert_same_shape(zb, &[dxb, xb]);
+    for g in 0..zb.groups() {
+        for j in 0..zb.ny {
+            let rows = points(zb, g, j)
+                .zip(points_mut(dxb, g, j))
+                .zip(points_mut(xb, g, j));
+            for ((z, dx), x) in rows {
+                for l in 0..LANES {
+                    let d = z[l] * inv_gamma;
+                    dx[l] = d;
+                    x[l] += d;
                 }
             }
         }
@@ -323,28 +330,18 @@ fn csi_update_block(
     omega: &[f64],
     c: &[f64],
 ) {
-    debug_assert_same_shape(zb, dxb);
-    debug_assert_same_shape(zb, xb);
-    let (nx, ny, h) = (zb.nx, zb.ny, zb.halo);
-    let (stride, rows, groups) = (zb.stride(), zb.rows(), zb.groups());
-    let zr = zb.raw();
-    let dxr = dxb.raw_mut();
-    let xr = xb.raw_mut();
-    for g in 0..groups {
-        let ov = lanev(omega, g);
-        let cv = lanev(c, g);
-        for j in 0..ny {
-            let base = ((g * rows + j + h) * stride + h) * LANES;
-            for i in 0..nx {
-                let at = base + i * LANES;
-                // SAFETY: interior offsets as in `csi_setup_block`.
-                unsafe {
-                    let z = Portable4::load(zr.as_ptr().add(at));
-                    let dx = Portable4::load(dxr.as_ptr().add(at));
-                    let d = dx.mul(cv).add(ov.mul(z));
-                    d.store(dxr.as_mut_ptr().add(at));
-                    let x = Portable4::load(xr.as_ptr().add(at));
-                    x.add(d).store(xr.as_mut_ptr().add(at));
+    assert_same_shape(zb, &[dxb, xb]);
+    for g in 0..zb.groups() {
+        let (ov, cv) = (lane_scalars(omega, g), lane_scalars(c, g));
+        for j in 0..zb.ny {
+            let rows = points(zb, g, j)
+                .zip(points_mut(dxb, g, j))
+                .zip(points_mut(xb, g, j));
+            for ((z, dx), x) in rows {
+                for l in 0..LANES {
+                    let d = dx[l] * cv[l] + ov[l] * z[l];
+                    dx[l] = d;
+                    x[l] += d;
                 }
             }
         }
@@ -365,38 +362,25 @@ fn chrongear_update_block(
     alpha: &[f64],
     nalpha: &[f64],
 ) {
-    debug_assert_same_shape(zb, sb);
-    debug_assert_same_shape(zb, rb);
-    let (nx, ny, h) = (zb.nx, zb.ny, zb.halo);
-    let (stride, rows, groups) = (zb.stride(), zb.rows(), zb.groups());
-    let zr = zb.raw();
-    let azr = azb.raw();
-    let sr = sb.raw_mut();
-    let pr = pb.raw_mut();
-    let xr = xb.raw_mut();
-    let rr = rb.raw_mut();
-    for g in 0..groups {
-        let bv = lanev(beta, g);
-        let av = lanev(alpha, g);
-        let nav = lanev(nalpha, g);
-        for j in 0..ny {
-            let base = ((g * rows + j + h) * stride + h) * LANES;
-            for i in 0..nx {
-                let at = base + i * LANES;
-                // SAFETY: interior offsets; all six tiles share the shape.
-                unsafe {
-                    let z = Portable4::load(zr.as_ptr().add(at));
-                    let az = Portable4::load(azr.as_ptr().add(at));
-                    let s = Portable4::load(sr.as_ptr().add(at));
-                    let p = Portable4::load(pr.as_ptr().add(at));
-                    let sv = z.add(bv.mul(s));
-                    let pv = az.add(bv.mul(p));
-                    sv.store(sr.as_mut_ptr().add(at));
-                    pv.store(pr.as_mut_ptr().add(at));
-                    let x = Portable4::load(xr.as_ptr().add(at));
-                    x.add(av.mul(sv)).store(xr.as_mut_ptr().add(at));
-                    let r = Portable4::load(rr.as_ptr().add(at));
-                    r.add(nav.mul(pv)).store(rr.as_mut_ptr().add(at));
+    assert_same_shape(zb, &[azb, sb, pb, xb, rb]);
+    for g in 0..zb.groups() {
+        let bv = lane_scalars(beta, g);
+        let (av, nav) = (lane_scalars(alpha, g), lane_scalars(nalpha, g));
+        for j in 0..zb.ny {
+            let rows = points(zb, g, j)
+                .zip(points(azb, g, j))
+                .zip(points_mut(sb, g, j))
+                .zip(points_mut(pb, g, j))
+                .zip(points_mut(xb, g, j))
+                .zip(points_mut(rb, g, j));
+            for (((((z, az), s), p), x), r) in rows {
+                for l in 0..LANES {
+                    let sv = z[l] + bv[l] * s[l];
+                    let pv = az[l] + bv[l] * p[l];
+                    s[l] = sv;
+                    p[l] = pv;
+                    x[l] += av[l] * sv;
+                    r[l] += nav[l] * pv;
                 }
             }
         }
@@ -412,29 +396,18 @@ fn pcg_xr_block(
     alpha: &[f64],
     nalpha: &[f64],
 ) {
-    debug_assert_same_shape(pb, xb);
-    debug_assert_same_shape(pb, rb);
-    let (nx, ny, h) = (pb.nx, pb.ny, pb.halo);
-    let (stride, rows, groups) = (pb.stride(), pb.rows(), pb.groups());
-    let pr = pb.raw();
-    let apr = apb.raw();
-    let xr = xb.raw_mut();
-    let rr = rb.raw_mut();
-    for g in 0..groups {
-        let av = lanev(alpha, g);
-        let nav = lanev(nalpha, g);
-        for j in 0..ny {
-            let base = ((g * rows + j + h) * stride + h) * LANES;
-            for i in 0..nx {
-                let at = base + i * LANES;
-                // SAFETY: interior offsets; all four tiles share the shape.
-                unsafe {
-                    let p = Portable4::load(pr.as_ptr().add(at));
-                    let ap = Portable4::load(apr.as_ptr().add(at));
-                    let x = Portable4::load(xr.as_ptr().add(at));
-                    x.add(av.mul(p)).store(xr.as_mut_ptr().add(at));
-                    let r = Portable4::load(rr.as_ptr().add(at));
-                    r.add(nav.mul(ap)).store(rr.as_mut_ptr().add(at));
+    assert_same_shape(pb, &[apb, xb, rb]);
+    for g in 0..pb.groups() {
+        let (av, nav) = (lane_scalars(alpha, g), lane_scalars(nalpha, g));
+        for j in 0..pb.ny {
+            let rows = points(pb, g, j)
+                .zip(points(apb, g, j))
+                .zip(points_mut(xb, g, j))
+                .zip(points_mut(rb, g, j));
+            for (((p, ap), x), r) in rows {
+                for l in 0..LANES {
+                    x[l] += av[l] * p[l];
+                    r[l] += nav[l] * ap[l];
                 }
             }
         }
@@ -443,22 +416,13 @@ fn pcg_xr_block(
 
 /// Classic PCG's direction update, per lane: `p = z + βp`.
 fn pcg_dir_block(zb: &MultiBlockVec, pb: &mut MultiBlockVec, beta: &[f64]) {
-    debug_assert_same_shape(zb, pb);
-    let (nx, ny, h) = (zb.nx, zb.ny, zb.halo);
-    let (stride, rows, groups) = (zb.stride(), zb.rows(), zb.groups());
-    let zr = zb.raw();
-    let pr = pb.raw_mut();
-    for g in 0..groups {
-        let bv = lanev(beta, g);
-        for j in 0..ny {
-            let base = ((g * rows + j + h) * stride + h) * LANES;
-            for i in 0..nx {
-                let at = base + i * LANES;
-                // SAFETY: interior offsets; both tiles share the shape.
-                unsafe {
-                    let z = Portable4::load(zr.as_ptr().add(at));
-                    let p = Portable4::load(pr.as_ptr().add(at));
-                    z.add(bv.mul(p)).store(pr.as_mut_ptr().add(at));
+    assert_same_shape(zb, &[pb]);
+    for g in 0..zb.groups() {
+        let bv = lane_scalars(beta, g);
+        for j in 0..zb.ny {
+            for (z, p) in points(zb, g, j).zip(points_mut(pb, g, j)) {
+                for l in 0..LANES {
+                    p[l] = z[l] + bv[l] * p[l];
                 }
             }
         }
@@ -467,14 +431,11 @@ fn pcg_dir_block(zb: &MultiBlockVec, pb: &mut MultiBlockVec, beta: &[f64]) {
 
 /// Interior-only copy `dst = src` for every lane (PCG's setup `p₀ = z₀`).
 fn copy_interior_block(src: &MultiBlockVec, dst: &mut MultiBlockVec) {
-    debug_assert_same_shape(src, dst);
-    let sr = src.raw();
-    let dr = dst.raw_mut();
+    assert_same_shape(src, &[dst]);
     for g in 0..src.groups() {
         for j in 0..src.ny {
-            let base = src.offset(g, 0, j as isize);
-            let w = src.nx * LANES;
-            dr[base..base + w].copy_from_slice(&sr[base..base + w]);
+            dst.interior_lane_row_mut(g, j)
+                .copy_from_slice(src.interior_lane_row(g, j));
         }
     }
 }
@@ -498,52 +459,35 @@ fn pipecg_update_block(
     alpha: &[f64],
     nalpha: &[f64],
 ) {
-    debug_assert_same_shape(nb, zb);
-    debug_assert_same_shape(nb, wb);
-    let (nx, ny, h) = (nb.nx, nb.ny, nb.halo);
-    let (stride, rows, groups) = (nb.stride(), nb.rows(), nb.groups());
-    let nr = nb.raw();
-    let mr = mb.raw();
-    let zr = zb.raw_mut();
-    let qr = qb.raw_mut();
-    let sr = sb.raw_mut();
-    let pr = pb.raw_mut();
-    let xr = xb.raw_mut();
-    let rr = rb.raw_mut();
-    let ur = ub.raw_mut();
-    let wr = wb.raw_mut();
-    for g in 0..groups {
-        let bv = lanev(beta, g);
-        let av = lanev(alpha, g);
-        let nav = lanev(nalpha, g);
-        for j in 0..ny {
-            let base = ((g * rows + j + h) * stride + h) * LANES;
-            for i in 0..nx {
-                let at = base + i * LANES;
-                // SAFETY: interior offsets; all ten tiles share the shape.
-                unsafe {
-                    let n = Portable4::load(nr.as_ptr().add(at));
-                    let m = Portable4::load(mr.as_ptr().add(at));
-                    let z = Portable4::load(zr.as_ptr().add(at));
-                    let q = Portable4::load(qr.as_ptr().add(at));
-                    let s = Portable4::load(sr.as_ptr().add(at));
-                    let p = Portable4::load(pr.as_ptr().add(at));
-                    let zv = n.add(bv.mul(z));
-                    let qv = m.add(bv.mul(q));
-                    let sv = Portable4::load(wr.as_ptr().add(at)).add(bv.mul(s));
-                    let pv = Portable4::load(ur.as_ptr().add(at)).add(bv.mul(p));
-                    zv.store(zr.as_mut_ptr().add(at));
-                    qv.store(qr.as_mut_ptr().add(at));
-                    sv.store(sr.as_mut_ptr().add(at));
-                    pv.store(pr.as_mut_ptr().add(at));
-                    let x = Portable4::load(xr.as_ptr().add(at));
-                    x.add(av.mul(pv)).store(xr.as_mut_ptr().add(at));
-                    let r = Portable4::load(rr.as_ptr().add(at));
-                    r.add(nav.mul(sv)).store(rr.as_mut_ptr().add(at));
-                    let u = Portable4::load(ur.as_ptr().add(at));
-                    u.add(nav.mul(qv)).store(ur.as_mut_ptr().add(at));
-                    let w = Portable4::load(wr.as_ptr().add(at));
-                    w.add(nav.mul(zv)).store(wr.as_mut_ptr().add(at));
+    assert_same_shape(nb, &[mb, zb, qb, sb, pb, xb, rb, ub, wb]);
+    for g in 0..nb.groups() {
+        let bv = lane_scalars(beta, g);
+        let (av, nav) = (lane_scalars(alpha, g), lane_scalars(nalpha, g));
+        for j in 0..nb.ny {
+            let rows = points(nb, g, j)
+                .zip(points(mb, g, j))
+                .zip(points_mut(zb, g, j))
+                .zip(points_mut(qb, g, j))
+                .zip(points_mut(sb, g, j))
+                .zip(points_mut(pb, g, j))
+                .zip(points_mut(xb, g, j))
+                .zip(points_mut(rb, g, j))
+                .zip(points_mut(ub, g, j))
+                .zip(points_mut(wb, g, j));
+            for (((((((((n, m), z), q), s), p), x), r), u), w) in rows {
+                for l in 0..LANES {
+                    let zv = n[l] + bv[l] * z[l];
+                    let qv = m[l] + bv[l] * q[l];
+                    let sv = w[l] + bv[l] * s[l];
+                    let pv = u[l] + bv[l] * p[l];
+                    z[l] = zv;
+                    q[l] = qv;
+                    s[l] = sv;
+                    p[l] = pv;
+                    x[l] += av[l] * pv;
+                    r[l] += nav[l] * sv;
+                    u[l] += nav[l] * qv;
+                    w[l] += nav[l] * zv;
                 }
             }
         }

@@ -1,37 +1,41 @@
 //! SIMD substrate for the barotropic solver kernels.
 //!
-//! The hot kernels — the fused 9-point stencil apply/residual, the EVP
-//! marching sweep, and the dense influence-matrix apply — are written once
-//! as generic 4-lane kernels over the [`LaneF64`] trait and instantiated
-//! twice: with [`Portable4`] (plain `[f64; 4]` arithmetic the compiler may
-//! or may not vectorize) and, on x86-64, with [`Avx2`] (`std::arch`
-//! 256-bit intrinsics). A scalar path is always kept alongside as the
-//! reference implementation.
+//! The hot kernels — the fused 9-point stencil sweeps and the EVP tile
+//! solve — are each written once as a [`LaneJob`]: a body generic over the
+//! 4-lane [`LaneF64`] trait. There are two lane types, [`Portable4`] (plain
+//! `[f64; 4]` arithmetic the compiler may or may not vectorize) and, on
+//! x86-64, the private `Avx2` (`std::arch` 256-bit intrinsics), and one
+//! place that picks between them: [`dispatch`]. The only scalar kernel code
+//! is a lane kernel's ragged-tail loop; the scalar *references* tests
+//! compare against (`NinePoint::apply_reference`,
+//! `EvpSubBlock::solve_reference`, …) live beside the kernels they pin.
 //!
 //! ## Dispatch
 //!
-//! The implementation is selected **once at startup** by [`mode`]:
-//! `POP_BARO_SIMD={auto,avx2,portable,scalar}` (default `auto`) combined
-//! with runtime CPU-feature detection. `auto` picks AVX2 when the CPU has
-//! it, the portable lanes otherwise; `avx2` on a machine without AVX2
-//! warns and falls back to `portable` rather than faulting. Tests and
-//! micro-benchmarks that need to compare implementations in-process can
-//! override the choice with [`force_mode`].
+//! The lane type is chosen **once at startup** by [`mode`]:
+//! `POP_BARO_SIMD={auto,avx2,portable}` (default `auto`) combined with
+//! runtime CPU-feature detection. `auto` picks AVX2 when the CPU has it,
+//! the portable lanes otherwise; `avx2` on a machine without AVX2 warns and
+//! falls back to `portable` rather than faulting. Tests and
+//! micro-benchmarks that need to compare the two in-process can override
+//! the choice with [`force_mode`], or hand [`dispatch`] a [`SimdMode`]
+//! directly — it checks the CPU itself before it runs an AVX2 instruction.
 //!
 //! ## Bitwise determinism
 //!
 //! Every kernel vectorizes *lane-parallel across independent outputs*
-//! (grid columns, matrix rows): each lane executes exactly the scalar
-//! instruction sequence for its own output point — same operations, same
-//! association order, no FMA contraction, no horizontal reductions. IEEE
-//! 754 basic operations (`+ − × ÷`) are correctly rounded per lane, so a
-//! 4-lane kernel is **bitwise identical** to the scalar loop, and the
-//! serial/threaded/ranksim determinism guarantees of the solver stack are
-//! preserved under any dispatch choice. An order-sensitive chain is never
-//! split across lanes: residual-norm partial sums stay scalar in *all*
-//! paths, and the EVP recurrences put a different tile or right-hand side
-//! in each lane ([`LaneF64::transpose4`] stages them), each lane still
-//! running its own scalar sequence.
+//! (grid columns, tiles, right-hand sides): each lane executes exactly the
+//! scalar reference's instruction sequence for its own output point — same
+//! operations, same association order, no FMA contraction, no horizontal
+//! reductions. IEEE 754 basic operations (`+ − × ÷`) are correctly rounded
+//! per lane, so both lane types are **bitwise identical** to the scalar
+//! reference, and the serial/threaded/ranksim determinism guarantees of the
+//! solver stack are preserved under either dispatch choice. An
+//! order-sensitive chain is never split across lanes: dot and norm partial
+//! sums stay scalar chains on both lane types, and the EVP recurrences put a
+//! different tile or right-hand side in each lane
+//! ([`LaneF64::transpose4`] stages them), each lane still running its own
+//! scalar sequence.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -49,32 +53,31 @@ pub const fn round_up_lanes(n: usize) -> usize {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// Which kernel implementation runs.
+/// Which lane type the kernels run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdMode {
-    /// Reference scalar loops.
-    Scalar,
-    /// Generic 4-lane kernels on `[f64; 4]` arithmetic.
+    /// [`Portable4`]: `[f64; 4]` arithmetic.
     Portable,
-    /// Generic 4-lane kernels on AVX2 256-bit intrinsics.
+    /// The private `Avx2` lanes: 256-bit intrinsics.
     Avx2,
 }
 
 impl SimdMode {
     pub fn name(self) -> &'static str {
         match self {
-            SimdMode::Scalar => "scalar",
             SimdMode::Portable => "portable",
             SimdMode::Avx2 => "avx2",
         }
     }
 }
 
-/// Does this CPU support AVX2? (Always `false` off x86-64.)
+/// Can this CPU run the AVX2 lanes — AVX2, and FMA for
+/// [`LaneF64::mul_add`]? (Every AVX2 CPU shipped has FMA too; always `false`
+/// off x86-64.)
 pub fn detected_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2")
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -86,10 +89,10 @@ pub fn detected_avx2() -> bool {
 ///
 /// This gates code whose every dispatch mode makes the same choice — the EVP
 /// chain recurrence contracts `g − h·y` to `fma(−h, y, g)` on an FMA CPU
-/// under scalar, portable and AVX2 dispatch alike ([`LaneF64::mul_add`] is
-/// the lane image of `f64::mul_add`), so results depend on the CPU, never on
-/// the mode. No other lane kernel uses FMA: they match plain scalar
-/// `mul`/`add` per lane.
+/// in the scalar reference and on both lane types alike
+/// ([`LaneF64::mul_add`] is the lane image of `f64::mul_add`), so results
+/// depend on the CPU, never on the mode. No other lane kernel uses FMA:
+/// they match plain scalar `mul`/`add` per lane.
 pub fn detected_fma() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -116,6 +119,8 @@ pub fn requested() -> String {
 #[inline(always)]
 pub unsafe fn window(s: &[f64], at: usize, len: usize) -> &[f64] {
     debug_assert!(at + len <= s.len());
+    // SAFETY: the caller guarantees the window lies inside `s`, whose
+    // lifetime the result keeps.
     std::slice::from_raw_parts(s.as_ptr().add(at), len)
 }
 
@@ -130,7 +135,6 @@ fn mode_from_env() -> SimdMode {
     let req = std::env::var("POP_BARO_SIMD").unwrap_or_default();
     match req.to_ascii_lowercase().as_str() {
         "" | "auto" => auto(),
-        "scalar" => SimdMode::Scalar,
         "portable" => SimdMode::Portable,
         "avx2" => {
             if detected_avx2() {
@@ -158,34 +162,38 @@ static FORCED_MODE: AtomicU8 = AtomicU8::new(0);
 /// is set, otherwise the environment/CPU decision, made once and cached.
 pub fn mode() -> SimdMode {
     match FORCED_MODE.load(Ordering::Relaxed) {
-        1 => SimdMode::Scalar,
-        2 => SimdMode::Portable,
-        3 => SimdMode::Avx2,
+        1 => SimdMode::Portable,
+        2 => SimdMode::Avx2,
         _ => *DEFAULT_MODE.get_or_init(mode_from_env),
     }
 }
 
 /// Override the dispatch choice process-wide (`None` restores the startup
 /// decision). This is a hook for equivalence tests and micro-benchmarks
-/// that must run *both* implementations in one process; production code
+/// that must run *both* lane types in one process; production code
 /// configures dispatch through `POP_BARO_SIMD` instead.
 ///
-/// Panics if `Some(Avx2)` is forced on a machine without AVX2 — running
-/// AVX2 intrinsics there would be undefined behaviour, not a slow path.
+/// Panics if `Some(Avx2)` is forced on a machine without AVX2 — as
+/// [`dispatch`] would on the first kernel, but at the call that asked.
 pub fn force_mode(m: Option<SimdMode>) {
-    if m == Some(SimdMode::Avx2) {
-        assert!(
-            detected_avx2(),
-            "cannot force AVX2 dispatch: CPU lacks AVX2"
-        );
-    }
     let v = match m {
         None => 0,
-        Some(SimdMode::Scalar) => 1,
-        Some(SimdMode::Portable) => 2,
-        Some(SimdMode::Avx2) => 3,
+        Some(SimdMode::Portable) => 1,
+        Some(SimdMode::Avx2) => {
+            assert_avx2();
+            2
+        }
     };
     FORCED_MODE.store(v, Ordering::Relaxed);
+}
+
+/// Panic unless the AVX2 lanes can run here: executing them on another
+/// CPU would be undefined behaviour, not a slow path.
+fn assert_avx2() {
+    assert!(
+        detected_avx2(),
+        "cannot force AVX2 dispatch: CPU lacks AVX2"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -195,15 +203,15 @@ pub fn force_mode(m: Option<SimdMode>) {
 /// Four `f64` lanes with IEEE 754 basic arithmetic.
 ///
 /// Kernels written against this trait perform, in each lane, exactly the
-/// operation sequence of the corresponding scalar loop iteration — the
-/// contract that makes lane kernels bitwise equal to scalar ones. No
-/// implementation may fuse multiply-add or reorder operands.
+/// operation sequence of the corresponding scalar reference — the contract
+/// that makes lane kernels bitwise equal to it. No implementation may fuse
+/// multiply-add (outside `mul_add`) or reorder operands.
 ///
 /// # Safety
 ///
 /// `load`/`store` are raw unaligned pointer accesses: the caller must
-/// guarantee `p .. p+4` is in bounds. The [`Avx2`] implementation must
-/// additionally only execute on CPUs with AVX2 (guaranteed by dispatch).
+/// guarantee `p .. p+4` is in bounds. The AVX2 implementation additionally
+/// only executes on CPUs with AVX2 and FMA, which [`dispatch`] guarantees.
 pub trait LaneF64: Copy {
     /// # Safety
     /// `p .. p+LANES` must be readable.
@@ -243,11 +251,14 @@ pub struct Portable4([f64; 4]);
 impl LaneF64 for Portable4 {
     #[inline(always)]
     unsafe fn load(p: *const f64) -> Self {
+        // SAFETY: the caller guarantees `p .. p+4` readable; an `f64`
+        // pointer derived from a slice is 8-byte aligned.
         Portable4([p.read(), p.add(1).read(), p.add(2).read(), p.add(3).read()])
     }
 
     #[inline(always)]
     unsafe fn store(self, p: *mut f64) {
+        // SAFETY: the caller guarantees `p .. p+4` writable.
         p.write(self.0[0]);
         p.add(1).write(self.0[1]);
         p.add(2).write(self.0[2]);
@@ -320,61 +331,74 @@ impl LaneF64 for Portable4 {
 
 /// AVX2 lanes: one `__m256d` register. Every method is a single VEX
 /// instruction with per-lane IEEE semantics identical to the scalar op
-/// (`vaddpd`/`vsubpd`/`vmulpd`/`vdivpd`/`vandpd`); no FMA is ever emitted.
+/// (`vaddpd`/`vsubpd`/`vmulpd`/`vdivpd`/`vandpd`); the only fused one is
+/// `mul_add` (`vfmadd213pd`).
 ///
-/// Instances must only be constructed/used on CPUs with AVX2 — the
-/// dispatch layer guarantees this before selecting [`SimdMode::Avx2`].
+/// Private, and that is what makes its safe methods sound: outside this
+/// crate the type can only be reached as the `V` of a [`LaneJob::run`]
+/// that [`dispatch`] started after checking [`detected_avx2`]; inside it,
+/// only `run_avx2` and the unit tests (which make the same check) name it.
+/// Each `unsafe` block below relies on exactly that — the CPU has AVX2 and
+/// FMA — and on nothing else: the intrinsics are pure register operations.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
-pub struct Avx2(std::arch::x86_64::__m256d);
+struct Avx2(std::arch::x86_64::__m256d);
 
 #[cfg(target_arch = "x86_64")]
 impl LaneF64 for Avx2 {
     #[inline(always)]
     unsafe fn load(p: *const f64) -> Self {
+        // SAFETY: the caller guarantees `p .. p+4` readable; `vmovupd` has
+        // no alignment requirement.
         Avx2(std::arch::x86_64::_mm256_loadu_pd(p))
     }
 
     #[inline(always)]
     unsafe fn store(self, p: *mut f64) {
+        // SAFETY: the caller guarantees `p .. p+4` writable.
         std::arch::x86_64::_mm256_storeu_pd(p, self.0);
     }
 
     #[inline(always)]
     fn splat(v: f64) -> Self {
+        // SAFETY: AVX2 CPU (see the type's docs).
         unsafe { Avx2(std::arch::x86_64::_mm256_set1_pd(v)) }
     }
 
     #[inline(always)]
     fn add(self, o: Self) -> Self {
+        // SAFETY: AVX2 CPU (see the type's docs).
         unsafe { Avx2(std::arch::x86_64::_mm256_add_pd(self.0, o.0)) }
     }
 
     #[inline(always)]
     fn sub(self, o: Self) -> Self {
+        // SAFETY: AVX2 CPU (see the type's docs).
         unsafe { Avx2(std::arch::x86_64::_mm256_sub_pd(self.0, o.0)) }
     }
 
     #[inline(always)]
     fn mul(self, o: Self) -> Self {
+        // SAFETY: AVX2 CPU (see the type's docs).
         unsafe { Avx2(std::arch::x86_64::_mm256_mul_pd(self.0, o.0)) }
     }
 
     #[inline(always)]
     fn div(self, o: Self) -> Self {
+        // SAFETY: AVX2 CPU (see the type's docs).
         unsafe { Avx2(std::arch::x86_64::_mm256_div_pd(self.0, o.0)) }
     }
 
     #[inline(always)]
     fn and_bits(self, o: Self) -> Self {
+        // SAFETY: AVX2 CPU (see the type's docs).
         unsafe { Avx2(std::arch::x86_64::_mm256_and_pd(self.0, o.0)) }
     }
 
     #[inline(always)]
     fn mul_add(self, a: Self, b: Self) -> Self {
-        // `vfmadd213pd` requires the FMA feature; Avx2 lanes are only
-        // dispatched on CPUs that have AVX2, and every AVX2 CPU shipped
-        // also has FMA — asserted at dispatch time by `detected_fma` users.
+        // SAFETY: `vfmadd213pd` needs FMA, which `detected_avx2` requires
+        // alongside AVX2 (see the type's docs).
         unsafe { Avx2(std::arch::x86_64::_mm256_fmadd_pd(self.0, a.0, b.0)) }
     }
 
@@ -382,6 +406,7 @@ impl LaneF64 for Avx2 {
     fn transpose4(rows: [Self; LANES]) -> [Self; LANES] {
         use std::arch::x86_64::{_mm256_permute2f128_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd};
         let [r0, r1, r2, r3] = rows;
+        // SAFETY: AVX2 CPU (see the type's docs); register shuffles only.
         unsafe {
             // Pair up within 128-bit halves, then swap the halves across.
             let (lo01, hi01) = (
@@ -400,6 +425,51 @@ impl LaneF64 for Avx2 {
             ]
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// One kernel body, run on the lanes a mode selects
+// ---------------------------------------------------------------------------
+
+/// A kernel body generic over the lane type, for [`dispatch`] to run.
+///
+/// A job is a value: its constructor checks every length the body indexes
+/// unchecked, so that holding one is the proof `run` needs and [`dispatch`]
+/// can stay a safe function.
+pub trait LaneJob {
+    type Out;
+
+    /// # Safety
+    /// With the AVX2 lanes for `V` the caller must be executing under the
+    /// `avx2` and `fma` target features on a CPU that has them.
+    /// ([`dispatch`] is the one caller outside tests; no other crate can
+    /// name that lane type.)
+    unsafe fn run<V: LaneF64>(self) -> Self::Out;
+}
+
+/// The workspace's one `#[target_feature]` function: a job's
+/// `#[inline(always)]` body inlined here is compiled with VEX encodings.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn run_avx2<J: LaneJob>(job: J) -> J::Out {
+    job.run::<Avx2>()
+}
+
+/// Run `job` on the lane type `mode` names — the only place a [`SimdMode`]
+/// becomes a lane type. Panics on [`SimdMode::Avx2`] where
+/// [`detected_avx2`] is false (std caches the CPUID probe, so the check is
+/// an atomic load per kernel call): a `SimdMode` is a plain value any caller
+/// can write down, and this function is safe.
+pub fn dispatch<J: LaneJob>(mode: SimdMode, job: J) -> J::Out {
+    if mode == SimdMode::Avx2 {
+        assert_avx2();
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 and FMA were detected on the line above.
+        return unsafe { run_avx2(job) };
+    }
+    // SAFETY: portable lanes are plain `f64` arithmetic (`mul_add` is
+    // `f64::mul_add`) and need no CPU feature.
+    unsafe { job.run::<Portable4>() }
 }
 
 // ---------------------------------------------------------------------------
@@ -461,10 +531,17 @@ impl AlignedVec {
     }
 
     pub fn as_slice(&self) -> &[f64] {
+        // SAFETY: `Lane32` is `repr(C)` around `[f64; LANES]` with no
+        // padding (32 bytes, align 32), so `chunks` is `chunks.len()·LANES`
+        // contiguous initialised `f64`s, and `zeros` sized it so that
+        // `len ≤ chunks.len()·LANES`.
+        debug_assert!(self.len <= self.chunks.len() * LANES);
         unsafe { std::slice::from_raw_parts(self.chunks.as_ptr().cast::<f64>(), self.len) }
     }
 
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        // SAFETY: as `as_slice`; `&mut self` makes the view unique.
+        debug_assert!(self.len <= self.chunks.len() * LANES);
         unsafe { std::slice::from_raw_parts_mut(self.chunks.as_mut_ptr().cast::<f64>(), self.len) }
     }
 }
@@ -537,6 +614,7 @@ mod tests {
         let a = [1.5e-300, -2.25, 3.5, f64::MAX / 2.0];
         let b = [7.0, -0.3, 1e200, 3.0];
         type ScalarOp = fn(f64, f64) -> f64;
+        // SAFETY: every load and store is of a whole `[f64; 4]` local.
         unsafe {
             let va = Portable4::load(a.as_ptr());
             let vb = Portable4::load(b.as_ptr());
@@ -565,6 +643,8 @@ mod tests {
         let a = [1.5e-300, -2.25, 3.5, f64::MAX / 2.0];
         let b = [7.0, -0.3, 1e200, 3.0];
         type ScalarOp = fn(f64, f64) -> f64;
+        // SAFETY: AVX2 was detected above; every load and store is of a
+        // whole `[f64; 4]` local.
         unsafe {
             let va = Avx2::load(a.as_ptr());
             let vb = Avx2::load(b.as_ptr());
@@ -596,6 +676,8 @@ mod tests {
                 }
             }
             m[1][2] = -0.0;
+            // SAFETY: the caller checked the CPU for `V`; every load and
+            // store is of a whole `[f64; 4]` local.
             unsafe {
                 let out = V::transpose4(std::array::from_fn(|l| V::load(m[l].as_ptr())));
                 for (c, v) in out.iter().enumerate() {
@@ -617,12 +699,48 @@ mod tests {
     #[test]
     fn dispatch_honours_force_override() {
         let before = mode();
-        force_mode(Some(SimdMode::Scalar));
-        assert_eq!(mode(), SimdMode::Scalar);
         force_mode(Some(SimdMode::Portable));
         assert_eq!(mode(), SimdMode::Portable);
+        if detected_avx2() {
+            force_mode(Some(SimdMode::Avx2));
+            assert_eq!(mode(), SimdMode::Avx2);
+        }
         force_mode(None);
         assert_eq!(mode(), before);
+    }
+
+    /// Reports the lane type it was run on.
+    struct LaneName;
+
+    impl LaneJob for LaneName {
+        type Out = &'static str;
+
+        unsafe fn run<V: LaneF64>(self) -> &'static str {
+            std::any::type_name::<V>()
+        }
+    }
+
+    #[test]
+    fn dispatch_runs_the_lane_type_the_mode_names() {
+        assert!(dispatch(SimdMode::Portable, LaneName).ends_with("Portable4"));
+        if detected_avx2() {
+            assert!(dispatch(SimdMode::Avx2, LaneName).ends_with("Avx2"));
+        }
+    }
+
+    /// `SimdMode::Avx2` is a value safe code can write on any machine; where
+    /// the CPU cannot run the lanes, `dispatch` must refuse, not execute.
+    #[test]
+    fn dispatch_refuses_avx2_on_a_cpu_without_it() {
+        if detected_avx2() {
+            return;
+        }
+        let refused = std::panic::catch_unwind(|| dispatch(SimdMode::Avx2, LaneName));
+        let msg = *refused
+            .expect_err("AVX2 dispatch ran")
+            .downcast::<&str>()
+            .expect("assert message");
+        assert_eq!(msg, "cannot force AVX2 dispatch: CPU lacks AVX2");
     }
 
     #[test]

@@ -18,30 +18,17 @@
 //! `+0.0`; that is bitwise identical to the scalar skip-accumulation
 //! because the accumulator starts at `+0.0` and can never become `-0.0`
 //! (round-to-nearest gives `x + (-x) = +0.0`), and `acc + (+0.0) == acc`
-//! exactly for every other value. Because the single-RHS kernels are
-//! themselves dispatch-invariant (scalar ≡ portable ≡ AVX2, pinned by
-//! `op.rs` tests), every dispatch mode here reproduces the single-RHS
-//! trajectory bit-for-bit — [`SimdMode::Scalar`] simply shares the
-//! portable-lane instantiation.
+//! exactly for every other value. So both lane types reproduce the
+//! single-RHS trajectory bit-for-bit.
+//!
+//! Like the column-lane kernels of `crate::simd`, the sweep is written once
+//! (`MultiSweep`, a [`LaneJob`]) and what becomes of a lane group's masked
+//! `A·x` is its `MultiEpilogue`: `Store` or `Residual`.
 
 use crate::op::NinePoint;
-use crate::simd::TileShape;
+use crate::simd::{StencilBlock, TileShape};
 use pop_comm::MultiBlockVec;
-use pop_simd::{LaneF64, Portable4, SimdMode, LANES};
-
-/// Borrowed views of one block's coefficient storage (single-RHS tiles:
-/// coefficients are shared by every lane) plus the interior shape.
-struct CoeffBlock<'a> {
-    nx: usize,
-    ny: usize,
-    h: usize,
-    /// Row stride in points — identical for coefficient and multi tiles.
-    s: usize,
-    a0: &'a [f64],
-    an: &'a [f64],
-    ae: &'a [f64],
-    ane: &'a [f64],
-}
+use pop_simd::{LaneF64, LaneJob, SimdMode, LANES};
 
 /// Most lane groups one interleaved pass advances: one register set per
 /// group, matching the batch engine's `MAX_BATCH / LANES` bound; wider
@@ -65,7 +52,7 @@ struct NineCoeffs<V> {
 }
 
 #[inline(always)]
-fn splat_nine<V: LaneF64>(c: &CoeffBlock, p: usize) -> NineCoeffs<V> {
+fn splat_nine<V: LaneF64>(c: &StencilBlock, p: usize) -> NineCoeffs<V> {
     NineCoeffs {
         c0: V::splat(c.a0[p]),
         cn: V::splat(c.an[p]),
@@ -88,11 +75,13 @@ fn splat_nine<V: LaneF64>(c: &CoeffBlock, p: usize) -> NineCoeffs<V> {
 ///
 /// # Safety
 /// `xb` must be an interior point's lane base with one halo row/column on
-/// each side in `xr`. With [`pop_simd::Avx2`] lanes the caller must be
-/// executing under the `avx2` target feature.
+/// each side in `xr`, and [`LaneJob::run`]'s contract for `V` holds.
 #[inline(always)]
 unsafe fn nine_multi_at<V: LaneF64>(k: &NineCoeffs<V>, s: usize, xr: &[f64], xb: usize) -> V {
     let sl = s * LANES;
+    // The lowest load starts at the south-west neighbour, the highest ends
+    // with the north-east one.
+    debug_assert!(xb >= sl + LANES && xb + sl + 2 * LANES <= xr.len());
     let at = |o: usize| V::load(xr.as_ptr().add(o));
     let v = k.c0.mul(at(xb));
     let v = v.add(k.cn.mul(at(xb + sl)));
@@ -105,141 +94,143 @@ unsafe fn nine_multi_at<V: LaneF64>(k: &NineCoeffs<V>, s: usize, xr: &[f64], xb:
     v.add(k.csw.mul(at(xb - sl - LANES)))
 }
 
-#[inline(always)]
-fn apply_multi_lanes<V: LaneF64>(
-    c: &CoeffBlock,
-    groups: usize,
-    xr: &[f64],
-    yr: &mut [f64],
-    maskbits: &[f64],
-) {
-    let rows = c.ny + 2 * c.h;
-    let gstride = rows * c.s * LANES;
-    let mut g0 = 0;
-    while g0 < groups {
-        let gn = (groups - g0).min(MAX_GROUPS);
-        for j in 0..c.ny {
-            let p0 = (j + c.h) * c.s + c.h;
-            let b0 = ((g0 * rows + j + c.h) * c.s + c.h) * LANES;
-            let mrow = &maskbits[j * c.nx..(j + 1) * c.nx];
-            for (i, &mi) in mrow.iter().enumerate() {
-                let k = splat_nine::<V>(c, p0 + i);
-                let m = V::splat(mi);
-                for g in 0..gn {
-                    unsafe {
-                        let xb = b0 + g * gstride + i * LANES;
-                        let v = nine_multi_at::<V>(&k, c.s, xr, xb);
-                        v.and_bits(m).store(yr.as_mut_ptr().add(xb));
-                    }
-                }
-            }
+/// What a [`MultiSweep`] stores for one lane group, given its masked `A·x`
+/// (`+0.0` on land) at lane base `xb`, and what it sums on the way.
+trait MultiEpilogue {
+    /// The lane group to store at `xb`. `m` is the point's mask word, splat;
+    /// `acc` the running register the sweep keeps for this lane group —
+    /// per-lane sums in spatial row-major order. (Interleaving groups
+    /// reorders only which register an instruction feeds, never the fold
+    /// order within any lane.)
+    ///
+    /// # Safety
+    /// `xb .. xb + LANES` must be an interior point's lane group of the
+    /// shape the epilogue's tiles were checked against, and
+    /// [`LaneJob::run`]'s contract for `V` holds.
+    #[inline(always)]
+    unsafe fn lanes<V: LaneF64>(&self, _xb: usize, ax: V, _m: V, _acc: &mut V) -> V {
+        ax
+    }
+
+    /// The finished registers of lane groups `g0 .. g0 + acc.len()`.
+    ///
+    /// # Safety
+    /// [`LaneJob::run`]'s contract for `V`.
+    #[inline(always)]
+    unsafe fn partials<V: LaneF64>(&mut self, _g0: usize, _acc: &[V]) {}
+}
+
+/// `y_b = A x_b`: the masked `A·x` itself, nothing summed.
+struct Store;
+
+impl MultiEpilogue for Store {}
+
+/// `r_b = rhs_b − A x_b`, plus the per-RHS masked `‖r‖²` partials. Masking
+/// `A·x` before the subtraction makes land produce `rhs − 0.0`, exactly the
+/// reference's land branch; land adds a masked `+0.0` to the sums (bitwise
+/// neutral — see the module docs).
+struct Residual<'a> {
+    rhs: &'a [f64],
+    /// `groups · LANES` slots (asserted where the job is built).
+    partials: &'a mut [f64],
+}
+
+impl MultiEpilogue for Residual<'_> {
+    #[inline(always)]
+    unsafe fn lanes<V: LaneF64>(&self, xb: usize, ax: V, m: V, acc: &mut V) -> V {
+        debug_assert!(xb + LANES <= self.rhs.len());
+        // SAFETY: in bounds by this function's contract.
+        let rv = V::load(self.rhs.as_ptr().add(xb)).sub(ax);
+        *acc = acc.add(rv.mul(rv).and_bits(m));
+        rv
+    }
+
+    #[inline(always)]
+    unsafe fn partials<V: LaneF64>(&mut self, g0: usize, acc: &[V]) {
+        for (slots, a) in self.partials[g0 * LANES..].chunks_exact_mut(LANES).zip(acc) {
+            // SAFETY: `slots` is `LANES` long.
+            a.store(slots.as_mut_ptr());
         }
-        g0 += gn;
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn apply_multi_avx2(
-    c: &CoeffBlock,
+/// The nine-point sweep over one block's `groups · LANES` right-hand sides
+/// into the tile `out`. Built only by [`NinePoint::apply_block_multi_mode`]
+/// and [`NinePoint::residual_block_multi_mode`], from a [`StencilBlock`]
+/// (its `xr` the batched operand: `LANES` values per point, coefficients
+/// one), an output and epilogue tiles that were all checked against one
+/// [`TileShape`] (lane-group count included).
+struct MultiSweep<'a, E> {
+    blk: StencilBlock<'a>,
     groups: usize,
-    xr: &[f64],
-    yr: &mut [f64],
-    maskbits: &[f64],
-) {
-    apply_multi_lanes::<pop_simd::Avx2>(c, groups, xr, yr, maskbits);
+    maskbits: &'a [f64],
+    out: &'a mut [f64],
+    epi: E,
 }
 
-#[inline(always)]
-fn residual_multi_lanes<V: LaneF64>(
-    c: &CoeffBlock,
-    groups: usize,
-    xr: &[f64],
-    rhs: &[f64],
-    rr: &mut [f64],
-    maskbits: &[f64],
-    partials: &mut [f64],
-) {
-    let rows = c.ny + 2 * c.h;
-    let gstride = rows * c.s * LANES;
-    let mut g0 = 0;
-    while g0 < groups {
-        let gn = (groups - g0).min(MAX_GROUPS);
-        // One accumulator register per group: per-lane running sums in
-        // spatial row-major order, land adding a masked `+0.0` (bitwise
-        // neutral — see the module docs). Interleaving groups reorders
-        // only which accumulator an instruction feeds, never the fold
-        // order within any lane.
-        let mut acc = [V::splat(0.0); MAX_GROUPS];
-        for j in 0..c.ny {
-            let p0 = (j + c.h) * c.s + c.h;
-            let b0 = ((g0 * rows + j + c.h) * c.s + c.h) * LANES;
-            let mrow = &maskbits[j * c.nx..(j + 1) * c.nx];
-            for (i, &mi) in mrow.iter().enumerate() {
-                let k = splat_nine::<V>(c, p0 + i);
-                let m = V::splat(mi);
-                for (g, a) in acc.iter_mut().enumerate().take(gn) {
-                    unsafe {
-                        // Masking A·x before the subtraction makes land
-                        // produce `rhs − 0.0`, exactly the scalar land
-                        // branch.
-                        let xb = b0 + g * gstride + i * LANES;
-                        let v = nine_multi_at::<V>(&k, c.s, xr, xb);
-                        let rv = V::load(rhs.as_ptr().add(xb)).sub(v.and_bits(m));
-                        rv.store(rr.as_mut_ptr().add(xb));
-                        *a = a.add(rv.mul(rv).and_bits(m));
+impl<E: MultiEpilogue> LaneJob for MultiSweep<'_, E> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: LaneF64>(self) {
+        let MultiSweep {
+            blk: c,
+            groups,
+            maskbits,
+            out,
+            mut epi,
+        } = self;
+        let rows = c.ny + 2 * c.h;
+        let gstride = rows * c.s * LANES;
+        let mut g0 = 0;
+        while g0 < groups {
+            let gn = (groups - g0).min(MAX_GROUPS);
+            let mut acc = [V::splat(0.0); MAX_GROUPS];
+            for j in 0..c.ny {
+                let p0 = (j + c.h) * c.s + c.h;
+                let b0 = ((g0 * rows + j + c.h) * c.s + c.h) * LANES;
+                let mrow = &maskbits[j * c.nx..(j + 1) * c.nx];
+                for (i, &mi) in mrow.iter().enumerate() {
+                    let k = splat_nine::<V>(&c, p0 + i);
+                    let m = V::splat(mi);
+                    for (g, a) in acc.iter_mut().enumerate().take(gn) {
+                        // SAFETY: `xb` is the lane base of interior point
+                        // `(i, j)` of group `g0 + g < groups` in the
+                        // checked shape, which `out` has too: a halo ring
+                        // (`h ≥ 1`) surrounds it.
+                        unsafe {
+                            let xb = b0 + g * gstride + i * LANES;
+                            debug_assert!(xb + LANES <= out.len());
+                            let ax = nine_multi_at::<V>(&k, c.s, c.xr, xb);
+                            let v = epi.lanes(xb, ax.and_bits(m), m, a);
+                            v.store(out.as_mut_ptr().add(xb));
+                        }
                     }
                 }
             }
+            // SAFETY: `V` is this call's own.
+            epi.partials(g0, &acc[..gn]);
+            g0 += gn;
         }
-        for (g, a) in acc.iter().enumerate().take(gn) {
-            unsafe { a.store(partials.as_mut_ptr().add((g0 + g) * LANES)) };
-        }
-        g0 += gn;
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn residual_multi_avx2(
-    c: &CoeffBlock,
-    groups: usize,
-    xr: &[f64],
-    rhs: &[f64],
-    rr: &mut [f64],
-    maskbits: &[f64],
-    partials: &mut [f64],
-) {
-    residual_multi_lanes::<pop_simd::Avx2>(c, groups, xr, rhs, rr, maskbits, partials);
 }
 
 impl NinePoint {
-    /// Block `b`'s coefficient views for the batched kernels, after checking
+    /// Block `b`'s operand views for the batched kernels, after checking
     /// that `x`, every other operand, the coefficient tiles and the mask
     /// words all share `x`'s padded shape (and lane-group count).
-    fn coeff_block<'a>(
+    fn multi_block<'a>(
         &'a self,
         b: usize,
-        x: &MultiBlockVec,
+        x: &'a MultiBlockVec,
         others: &[(&str, &MultiBlockVec)],
-    ) -> CoeffBlock<'a> {
+    ) -> StencilBlock<'a> {
         let shape = TileShape::of_multi(x);
         for (name, v) in others {
             shape.check_multi(name, v);
         }
-        let [a0, an, ae, ane] = self.coeff_tiles(b, shape);
         shape.check_interior_len("maskbits", self.layout.maskbits[b].len());
-        CoeffBlock {
-            nx: shape.nx,
-            ny: shape.ny,
-            h: shape.halo,
-            s: shape.stride,
-            a0,
-            an,
-            ae,
-            ane,
-        }
+        StencilBlock::new(shape, x.raw(), self.coeff_tiles(b, shape))
     }
 
     /// Batched `y_b = A x_b`: every lane of every group gets the single-RHS
@@ -258,25 +249,14 @@ impl NinePoint {
         x: &MultiBlockVec,
         y: &mut MultiBlockVec,
     ) {
-        let c = self.coeff_block(b, x, &[("y", y)]);
-        let groups = x.groups();
-        let maskbits = &self.layout.maskbits[b];
-        match mode {
-            // Scalar and portable share one instantiation: the portable
-            // lanes are the per-lane scalar ops by construction.
-            SimdMode::Scalar | SimdMode::Portable => {
-                apply_multi_lanes::<Portable4>(&c, groups, x.raw(), y.raw_mut(), maskbits)
-            }
-            SimdMode::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: dispatch only selects Avx2 after runtime detection.
-                unsafe {
-                    apply_multi_avx2(&c, groups, x.raw(), y.raw_mut(), maskbits)
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                unreachable!("AVX2 dispatch off x86-64")
-            }
-        }
+        let job = MultiSweep {
+            blk: self.multi_block(b, x, &[("y", y)]),
+            groups: x.groups(),
+            maskbits: &self.layout.maskbits[b],
+            out: y.raw_mut(),
+            epi: Store,
+        };
+        pop_simd::dispatch(mode, job)
     }
 
     /// Batched fused residual: `r_b = rhs_b − A x_b` for all `k` RHS in one
@@ -304,61 +284,31 @@ impl NinePoint {
         r: &mut MultiBlockVec,
         partials: &mut [f64],
     ) {
-        let c = self.coeff_block(b, x, &[("rhs", rhs), ("r", r)]);
+        let blk = self.multi_block(b, x, &[("rhs", rhs), ("r", r)]);
         let groups = x.groups();
         assert!(partials.len() >= groups * LANES, "partials slice too short");
-        let maskbits = &self.layout.maskbits[b];
-        match mode {
-            SimdMode::Scalar | SimdMode::Portable => residual_multi_lanes::<Portable4>(
-                &c,
-                groups,
-                x.raw(),
-                rhs.raw(),
-                r.raw_mut(),
-                maskbits,
+        let job = MultiSweep {
+            blk,
+            groups,
+            maskbits: &self.layout.maskbits[b],
+            out: r.raw_mut(),
+            epi: Residual {
+                rhs: rhs.raw(),
                 partials,
-            ),
-            SimdMode::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: dispatch only selects Avx2 after runtime detection.
-                unsafe {
-                    residual_multi_avx2(
-                        &c,
-                        groups,
-                        x.raw(),
-                        rhs.raw(),
-                        r.raw_mut(),
-                        maskbits,
-                        partials,
-                    )
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                unreachable!("AVX2 dispatch off x86-64")
-            }
-        }
+            },
+        };
+        pop_simd::dispatch(mode, job)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use pop_comm::{BlockVec, CommWorld, DistLayout, DistVec, MultiBlockVec};
+    use pop_comm::{masked_block_dot, BlockVec, CommWorld, DistLayout, DistVec, MultiBlockVec};
     use pop_grid::Grid;
-    use pop_simd::{SimdMode, LANES};
-    use std::sync::Arc;
+    use pop_simd::LANES;
 
+    use crate::op::tests::{all_modes, odd_block_cases, test_field};
     use crate::op::NinePoint;
-
-    fn test_field(layout: &Arc<DistLayout>, seed: u64) -> DistVec {
-        let mut v = DistVec::zeros(layout);
-        v.fill_with(|i, j| {
-            let h = (i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((j as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-                .wrapping_add(seed);
-            (h % 1000) as f64 / 500.0 - 1.0 + 0.001
-        });
-        v
-    }
 
     /// The odd-block operator with a two-group operand and a one-group
     /// tile of the same block, for the shape-check tests below.
@@ -399,93 +349,75 @@ mod tests {
         op.residual_block_multi(0, &mx, &mx, &mut mr, &mut partials);
     }
 
-    /// Batched apply and residual must reproduce, lane for lane, the
-    /// single-RHS kernels' bits — outputs and the order-sensitive norm
-    /// partials — on odd-sized blocks, under every dispatch mode.
+    /// Batched apply and residual reproduce, lane for lane, the references'
+    /// bits for that lane's right-hand side — `apply_reference`,
+    /// `residual_reference` and the `masked_block_dot` of the residual with
+    /// itself for the order-sensitive norm partials — on the odd-block
+    /// family (13×7, and blocks 1, 2, 3, 5 and 7 columns wide), on both
+    /// lane types.
     #[test]
     fn batched_kernels_bitwise_match_single_rhs() {
-        let g = Grid::gx1_scaled(13, 65, 49);
-        let layout = DistLayout::build(&g, 13, 7);
-        let world = CommWorld::serial();
-        let op = NinePoint::assemble(&g, &layout, &world, 1500.0);
-        let groups = 2;
-        let k = groups * LANES;
+        for (name, layout, world, op) in odd_block_cases() {
+            let groups = 2;
+            let k = groups * LANES;
 
-        let xs: Vec<DistVec> = (0..k as u64)
-            .map(|s| {
-                let mut x = test_field(&layout, 100 + s);
-                world.halo_update(&mut x);
-                x
-            })
-            .collect();
-        let rhss: Vec<DistVec> = (0..k as u64)
-            .map(|s| test_field(&layout, 200 + s))
-            .collect();
-
-        let mut modes = vec![SimdMode::Scalar, SimdMode::Portable];
-        if pop_simd::detected_avx2() {
-            modes.push(SimdMode::Avx2);
-        }
-        for b in 0..layout.n_blocks() {
-            let shape = &xs[0].blocks[b];
-            let mut mx = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
-            let mut mrhs = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
-            for l in 0..k {
-                mx.load_lane(l / LANES, l % LANES, &xs[l].blocks[b]);
-                mrhs.load_lane(l / LANES, l % LANES, &rhss[l].blocks[b]);
-            }
-            let mask = &layout.masks[b];
-
-            // Single-RHS reference (scalar mode — all modes agree).
-            let mut y_ref: Vec<BlockVec> = Vec::new();
-            let mut r_ref: Vec<BlockVec> = Vec::new();
-            let mut acc_ref = vec![0.0f64; k];
-            for l in 0..k {
-                let mut y = BlockVec::zeros(shape.nx, shape.ny, shape.halo);
-                op.apply_block_into_mode(SimdMode::Scalar, b, &xs[l].blocks[b], &mut y, mask);
-                let mut r = BlockVec::zeros(shape.nx, shape.ny, shape.halo);
-                acc_ref[l] = op.residual_block_into_mode(
-                    SimdMode::Scalar,
-                    b,
-                    &xs[l].blocks[b],
-                    &rhss[l].blocks[b],
-                    &mut r,
-                    mask,
-                );
+            let mut xs: Vec<DistVec> = (0..k as u64)
+                .map(|s| test_field(&layout, 100 + s))
+                .collect();
+            let rhss: Vec<DistVec> = (0..k as u64)
+                .map(|s| test_field(&layout, 200 + s))
+                .collect();
+            let mut y_ref = Vec::new();
+            let mut r_ref = Vec::new();
+            for (x, rhs) in xs.iter_mut().zip(&rhss) {
+                let mut r = DistVec::zeros(&layout);
+                op.residual_reference(&world, x, rhs, &mut r); // refreshes x's halo
+                let mut y = DistVec::zeros(&layout);
+                op.apply_reference(&world, x, &mut y);
                 y_ref.push(y);
                 r_ref.push(r);
             }
 
-            for &mode in &modes {
-                let mut my = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
-                my.fill(f64::NAN); // prove every interior lane is written
-                my.zero_halo();
-                op.apply_block_multi_mode(mode, b, &mx, &mut my);
-                let mut mr = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
-                mr.fill(f64::NAN);
-                mr.zero_halo();
-                let mut acc = vec![f64::NAN; k];
-                op.residual_block_multi_mode(mode, b, &mx, &mrhs, &mut mr, &mut acc);
-
-                let mut got = BlockVec::zeros(shape.nx, shape.ny, shape.halo);
+            for b in 0..layout.n_blocks() {
+                let shape = &xs[0].blocks[b];
+                let mut mx = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
+                let mut mrhs = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
                 for l in 0..k {
-                    my.store_lane(l / LANES, l % LANES, &mut got);
-                    for j in 0..got.ny {
-                        for (a, c) in got.interior_row(j).iter().zip(y_ref[l].interior_row(j)) {
-                            assert_eq!(a.to_bits(), c.to_bits(), "{mode:?} apply lane {l}");
+                    mx.load_lane(l / LANES, l % LANES, &xs[l].blocks[b]);
+                    mrhs.load_lane(l / LANES, l % LANES, &rhss[l].blocks[b]);
+                }
+                let mask = &layout.masks[b];
+
+                for mode in all_modes() {
+                    let mut my = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
+                    my.fill(f64::NAN); // prove every interior lane is written
+                    my.zero_halo();
+                    op.apply_block_multi_mode(mode, b, &mx, &mut my);
+                    let mut mr = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
+                    mr.fill(f64::NAN);
+                    mr.zero_halo();
+                    let mut acc = vec![f64::NAN; k];
+                    op.residual_block_multi_mode(mode, b, &mx, &mrhs, &mut mr, &mut acc);
+
+                    let mut got = BlockVec::zeros(shape.nx, shape.ny, shape.halo);
+                    for l in 0..k {
+                        let tag = format!("{name} block {b} {mode:?} lane {l}");
+                        let (y_want, r_want) = (&y_ref[l].blocks[b], &r_ref[l].blocks[b]);
+                        my.store_lane(l / LANES, l % LANES, &mut got);
+                        for j in 0..got.ny {
+                            for (a, c) in got.interior_row(j).iter().zip(y_want.interior_row(j)) {
+                                assert_eq!(a.to_bits(), c.to_bits(), "{tag} apply");
+                            }
                         }
-                    }
-                    mr.store_lane(l / LANES, l % LANES, &mut got);
-                    for j in 0..got.ny {
-                        for (a, c) in got.interior_row(j).iter().zip(r_ref[l].interior_row(j)) {
-                            assert_eq!(a.to_bits(), c.to_bits(), "{mode:?} residual lane {l}");
+                        mr.store_lane(l / LANES, l % LANES, &mut got);
+                        for j in 0..got.ny {
+                            for (a, c) in got.interior_row(j).iter().zip(r_want.interior_row(j)) {
+                                assert_eq!(a.to_bits(), c.to_bits(), "{tag} residual");
+                            }
                         }
+                        let acc_want = masked_block_dot(r_want, r_want, mask);
+                        assert_eq!(acc[l].to_bits(), acc_want.to_bits(), "{tag} norm partial");
                     }
-                    assert_eq!(
-                        acc[l].to_bits(),
-                        acc_ref[l].to_bits(),
-                        "{mode:?} norm partial lane {l}"
-                    );
                 }
             }
         }

@@ -190,11 +190,10 @@ impl NinePoint {
     }
 
     /// Flat, branch-light per-block kernel: `y_b = A x_b` over the interior
-    /// of block `b`, dispatched to the scalar loop or the 4-lane SIMD
-    /// kernel per the process-wide [`pop_simd::mode`]. All dispatch choices
-    /// are bitwise identical: the nine products are summed in the same
-    /// order as [`NinePoint::apply_reference`] (one column per lane), so
-    /// the paths stay pinned to the reference bit-for-bit.
+    /// of block `b`, on the lane type the process-wide [`pop_simd::mode`]
+    /// names. Both are bitwise identical: the nine products are summed in
+    /// the same order as [`NinePoint::apply_reference`] (one column per
+    /// lane), so the kernel stays pinned to the reference bit-for-bit.
     ///
     /// `x`'s halo must be current (the caller's one halo update per
     /// iteration).
@@ -203,8 +202,8 @@ impl NinePoint {
     }
 
     /// [`NinePoint::apply_block_into`] with an explicit dispatch choice —
-    /// the hook equivalence tests and micro-benchmarks use to compare
-    /// implementations in one process.
+    /// the hook equivalence tests and micro-benchmarks use to compare the
+    /// lane types in one process.
     pub fn apply_block_into_mode(
         &self,
         mode: SimdMode,
@@ -214,7 +213,7 @@ impl NinePoint {
         mask: &[u8],
     ) {
         let blk = self.stencil_block(b, x, &[("y", y)], mask);
-        simd::apply(mode, &blk, y.raw_mut(), mask, &self.layout.maskbits[b]);
+        simd::apply(mode, &blk, y.raw_mut(), &self.layout.maskbits[b]);
     }
 
     /// [`NinePoint::apply_block_into`] with two masked dot-product partials
@@ -406,10 +405,11 @@ impl NinePoint {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use pop_comm::{CommWorld, DistLayout};
+    use pop_comm::{masked_block_dot, CommWorld, DistLayout};
     use pop_grid::Grid;
+    use pop_simd::LANES;
 
     fn setup(
         grid: &Grid,
@@ -424,7 +424,7 @@ mod tests {
     }
 
     /// Pseudo-random ocean field, deterministic, nonzero on every ocean point.
-    fn test_field(layout: &Arc<DistLayout>, seed: u64) -> DistVec {
+    pub(crate) fn test_field(layout: &Arc<DistLayout>, seed: u64) -> DistVec {
         let mut v = DistVec::zeros(layout);
         v.fill_with(|i, j| {
             let h = (i as u64)
@@ -597,72 +597,113 @@ mod tests {
         assert_eq!(acc.to_bits(), norm_ref.to_bits(), "norm partial diverged");
     }
 
-    #[test]
-    fn simd_modes_bitwise_match_scalar_on_odd_blocks() {
-        // 13×7 blocks: nx is not a multiple of the lane width, so the lane
-        // kernels exercise both the vector body and the scalar tail. Every
-        // dispatch mode must reproduce the scalar kernel bit-for-bit —
-        // outputs, residuals, and the order-sensitive norm partials.
-        let g = Grid::gx1_scaled(13, 65, 49);
-        let (layout, world, op) = setup(&g, 13, 7, 1500.0);
-        let mut x = test_field(&layout, 21);
-        let rhs = test_field(&layout, 22);
-        world.halo_update(&mut x);
-
-        let mut modes = vec![pop_simd::SimdMode::Portable];
+    /// Every dispatch mode this machine can run.
+    pub(crate) fn all_modes() -> Vec<SimdMode> {
+        let mut modes = vec![SimdMode::Portable];
         if pop_simd::detected_avx2() {
-            modes.push(pop_simd::SimdMode::Avx2);
+            modes.push(SimdMode::Avx2);
         }
-        for b in 0..layout.n_blocks() {
-            let mask = &layout.masks[b];
-            let mut y_ref = BlockVec::zeros(x.blocks[b].nx, x.blocks[b].ny, x.blocks[b].halo);
-            op.apply_block_into_mode(
-                pop_simd::SimdMode::Scalar,
-                b,
-                &x.blocks[b],
-                &mut y_ref,
-                mask,
+        modes
+    }
+
+    /// Operators whose blocks exercise the lane kernels' ragged edges:
+    /// 13×7 blocks (whole lane groups *and* a scalar tail in every row),
+    /// then blocks narrower than a lane group (`nx ∈ {1, 2, 3}`: the tail
+    /// loop is the whole row) and `nx ∈ {5, 7}` (one group, then a tail) —
+    /// with land among the tail columns, so the tail's masked select and
+    /// the folds' skip both run.
+    pub(crate) fn odd_block_cases() -> Vec<(String, Arc<DistLayout>, CommWorld, NinePoint)> {
+        let mut cases = Vec::new();
+        let wide = Grid::gx1_scaled(13, 65, 49);
+        let narrow = Grid::gx1_scaled(29, 42, 30);
+        for (g, bx, by) in [
+            (&wide, 13, 7),
+            (&narrow, 1, 6),
+            (&narrow, 2, 5),
+            (&narrow, 3, 7),
+            (&narrow, 5, 6),
+            (&narrow, 7, 5),
+        ] {
+            let (layout, world, op) = setup(g, bx, by, 1500.0);
+            let tail_columns = |want_ocean: bool| {
+                layout.decomp.blocks.iter().enumerate().any(|(b, info)| {
+                    (0..info.ny).any(|j| {
+                        (info.nx / LANES * LANES..info.nx)
+                            .any(|i| layout.is_ocean(b, i, j) == want_ocean)
+                    })
+                })
+            };
+            assert!(
+                tail_columns(true) && tail_columns(false),
+                "{bx}x{by}: the tail columns need both land and ocean"
             );
-            let mut r_ref = y_ref.clone();
-            let acc_ref = op.residual_block_into_mode(
-                pop_simd::SimdMode::Scalar,
-                b,
-                &x.blocks[b],
-                &rhs.blocks[b],
-                &mut r_ref,
-                mask,
-            );
-            for &mode in &modes {
-                let mut y = y_ref.clone();
-                y.fill(f64::NAN); // prove every interior point is written
-                y.zero_halo();
-                op.apply_block_into_mode(mode, b, &x.blocks[b], &mut y, mask);
-                for j in 0..y.ny {
-                    for (a, c) in y.interior_row(j).iter().zip(y_ref.interior_row(j)) {
-                        assert_eq!(a.to_bits(), c.to_bits(), "{mode:?} apply diverged");
-                    }
+            cases.push((format!("{bx}x{by}"), layout, world, op));
+        }
+        cases
+    }
+
+    fn assert_rows_bitwise(got: &BlockVec, want: &BlockVec, what: &str) {
+        for j in 0..want.ny {
+            for (i, (a, c)) in got
+                .interior_row(j)
+                .iter()
+                .zip(want.interior_row(j))
+                .enumerate()
+            {
+                assert_eq!(a.to_bits(), c.to_bits(), "{what} diverged at ({i},{j})");
+            }
+        }
+    }
+
+    /// Every epilogue of the column-lane sweep, on both lane types, against
+    /// the named references: `apply_reference`, `residual_reference` with a
+    /// `masked_block_dot` of the residual with itself, and an apply followed
+    /// by two `masked_block_dot` passes — outputs and the order-sensitive
+    /// partials, bit for bit.
+    #[test]
+    fn simd_modes_bitwise_match_reference_on_odd_blocks() {
+        for (name, layout, world, op) in odd_block_cases() {
+            let mut x = test_field(&layout, 21);
+            let rhs = test_field(&layout, 22);
+            world.halo_update(&mut x);
+            let mut y_ref = DistVec::zeros(&layout);
+            op.apply_reference(&world, &x, &mut y_ref);
+            let mut r_ref = DistVec::zeros(&layout);
+            op.residual_reference(&world, &mut x, &rhs, &mut r_ref);
+
+            for b in 0..layout.n_blocks() {
+                let mask = &layout.masks[b];
+                let (xb, rhsb) = (&x.blocks[b], &rhs.blocks[b]);
+                let (y_want, r_want) = (&y_ref.blocks[b], &r_ref.blocks[b]);
+                let acc_want = masked_block_dot(r_want, r_want, mask);
+                let dots_want = [
+                    masked_block_dot(rhsb, xb, mask),
+                    masked_block_dot(y_want, xb, mask),
+                ];
+                // Prove every interior point is written.
+                let mut poisoned = BlockVec::zeros(xb.nx, xb.ny, xb.halo);
+                poisoned.fill(f64::NAN);
+                poisoned.zero_halo();
+                for mode in all_modes() {
+                    let tag = format!("{name} block {b} {mode:?}");
+                    let mut y = poisoned.clone();
+                    op.apply_block_into_mode(mode, b, xb, &mut y, mask);
+                    assert_rows_bitwise(&y, y_want, &format!("{tag} apply"));
+
+                    let mut y = poisoned.clone();
+                    let dots = op.apply_block_dots_into_mode(mode, b, xb, &mut y, rhsb, mask);
+                    assert_rows_bitwise(&y, y_want, &format!("{tag} apply+dots"));
+                    assert_eq!(
+                        dots.map(f64::to_bits),
+                        dots_want.map(f64::to_bits),
+                        "{tag} dots"
+                    );
+
+                    let mut r = poisoned.clone();
+                    let acc = op.residual_block_into_mode(mode, b, xb, rhsb, &mut r, mask);
+                    assert_rows_bitwise(&r, r_want, &format!("{tag} residual"));
+                    assert_eq!(acc.to_bits(), acc_want.to_bits(), "{tag} norm partial");
                 }
-                let mut r = r_ref.clone();
-                r.fill(f64::NAN);
-                r.zero_halo();
-                let acc = op.residual_block_into_mode(
-                    mode,
-                    b,
-                    &x.blocks[b],
-                    &rhs.blocks[b],
-                    &mut r,
-                    mask,
-                );
-                for j in 0..r.ny {
-                    for (a, c) in r.interior_row(j).iter().zip(r_ref.interior_row(j)) {
-                        assert_eq!(a.to_bits(), c.to_bits(), "{mode:?} residual diverged");
-                    }
-                }
-                assert_eq!(
-                    acc.to_bits(),
-                    acc_ref.to_bits(),
-                    "{mode:?} norm partial diverged"
-                );
             }
         }
     }

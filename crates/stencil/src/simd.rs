@@ -1,24 +1,27 @@
-//! Lane-parallel kernels for the fused 9-point apply, apply-with-dots and
+//! Column-lane kernels for the fused 9-point apply, apply-with-dots and
 //! residual.
 //!
-//! One generic 4-lane implementation ([`pop_simd::LaneF64`]) instantiated
-//! for the portable `[f64; 4]` lanes and for AVX2, plus the scalar
-//! reference loop; [`SimdMode`] selects among them. Each lane computes one
-//! grid column's output with the *exact* scalar operation sequence — the
-//! nine products are summed in the same fixed order as
-//! `NinePoint::apply_reference`, no FMA, no horizontal ops — so every
-//! dispatch choice produces bitwise-identical blocks. Land masking is a
-//! lanewise bitwise AND with precomputed `f64` mask words
-//! (`DistLayout::maskbits`), equivalent bit-for-bit to the scalar
-//! `if ocean { v } else { 0.0 }` select.
+//! The nine-point row sweep over a [`BlockVec`] is written once
+//! ([`Sweep`], a [`LaneJob`]): each of the four lanes computes one grid
+//! column's output with the *exact* operation sequence of
+//! `NinePoint::apply_reference` — the nine products summed in the same
+//! fixed order, no FMA, no horizontal ops — and the columns past the last
+//! whole lane group run the same sequence in the scalar tail loop
+//! ([`Rows::nine_scalar`]), the only scalar nine-point code there is. Land
+//! masking is a lanewise bitwise AND with precomputed `f64` mask words
+//! (`DistLayout::maskbits`), equivalent bit-for-bit to the reference's
+//! `if ocean { v } else { 0.0 }` select. What happens to a point's masked
+//! `A·x` is the sweep's [`Epilogue`]: [`Store`] it, [`StoreDots`], or
+//! subtract it from a right-hand side ([`Residual`]). `pop_simd::dispatch`
+//! picks the lane type; both produce bitwise-identical blocks.
 //!
 //! The residual's masked `‖r‖²` partial and the two dot-product partials of
 //! the apply-with-dots variant are order-sensitive running sums; they stay
-//! scalar row-major chains in *all* modes — folded in right behind each lane
-//! group's store — so no reduction ever depends on dispatch.
+//! scalar row-major chains — folded in right behind each lane group's
+//! store — so no reduction ever depends on dispatch.
 
 use pop_comm::{BlockVec, MultiBlockVec};
-use pop_simd::{LaneF64, Portable4, SimdMode, LANES};
+use pop_simd::{LaneF64, LaneJob, SimdMode, LANES};
 
 /// The padded layout the flat kernels index a tile by. Every operand of one
 /// block apply is read or written through windows computed from a single
@@ -121,7 +124,9 @@ fn shape_mismatch(name: &str, got: TileShape, want: TileShape) -> ! {
 
 /// Borrowed views of one block's operands: padded solution/coefficient
 /// storage (row stride `s`, halo `h`) and the block interior shape. Built
-/// only from operands that passed [`TileShape::check`].
+/// only from operands that passed [`TileShape::check`]. `xr` is a
+/// [`BlockVec`]'s storage for the column-lane sweep and a
+/// [`MultiBlockVec`]'s (`LANES` values per point) for the batched one.
 pub(crate) struct StencilBlock<'a> {
     pub nx: usize,
     pub ny: usize,
@@ -152,10 +157,9 @@ impl<'a> StencilBlock<'a> {
     }
 }
 
-/// The row windows the nine-term kernel reads, sliced exactly as the
-/// scalar loop in `NinePoint::apply_block_into` historically did: the
-/// `w`-suffixed coefficient windows start one cell west, the solution rows
-/// are one cell wider on each side (`xc[i + 1]` is `x(i, j)`).
+/// The row windows the nine-term kernel reads: the `w`-suffixed coefficient
+/// windows start one cell west, the solution rows are one cell wider on
+/// each side (`xc[i + 1]` is `x(i, j)`).
 struct Rows<'a> {
     a0r: &'a [f64],
     anr: &'a [f64],
@@ -173,11 +177,14 @@ impl<'a> Rows<'a> {
     fn slice(blk: &StencilBlock<'a>, j: usize) -> (usize, Rows<'a>) {
         let (nx, h, s) = (blk.nx, blk.h, blk.s);
         let base = (j + h) * s + h;
+        debug_assert!(j < blk.ny && h >= 1 && s >= nx + 2 * h);
         // SAFETY: the northmost window ends at `base + s + nx + 1 ≤`
         // storage length for every interior row `j < ny` of a halo-padded
         // block (`h ≥ 1`, `s ≥ nx + 2h`, `(ny + 2h)·s` floats — what
-        // `TileShape::checked` asserted of every slice in `blk`); all other
-        // windows end lower. (Debug-checked inside `window`.)
+        // `TileShape::validated` asserted of the shape every slice in
+        // `blk` was checked against), and the lowest starts at
+        // `base − s − 1 ≥ 0`; every other window lies between.
+        // (Debug-checked inside `window`.)
         let rows = unsafe {
             let w = pop_simd::window;
             Rows {
@@ -214,10 +221,12 @@ impl<'a> Rows<'a> {
     /// [`Rows::nine_scalar`].
     ///
     /// # Safety
-    /// `i + LANES <= nx`; with [`pop_simd::Avx2`] lanes the caller must be
-    /// executing under the `avx2` target feature.
+    /// `i + LANES <= nx`, and [`LaneJob::run`]'s contract for `V`.
     #[inline(always)]
     unsafe fn nine_lanes<V: LaneF64>(&self, i: usize) -> V {
+        // The widest load is `LANES` values from `i + 2` of an
+        // `nx + 2`-long solution window.
+        debug_assert!(i + LANES <= self.a0r.len() && self.xc.len() == self.a0r.len() + 2);
         let at = |s: &[f64], k: usize| V::load(s.as_ptr().add(k));
         let v = at(self.a0r, i).mul(at(self.xc, i + 1));
         let v = v.add(at(self.anr, i).mul(at(self.xn, i + 1)));
@@ -238,153 +247,176 @@ fn and_select(v: f64, maskword: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// apply: y = A x
+// The sweep and its epilogues
 // ---------------------------------------------------------------------------
 
-fn apply_scalar(blk: &StencilBlock, yr: &mut [f64], mask: &[u8]) {
-    for j in 0..blk.ny {
-        let (base, rows) = Rows::slice(blk, j);
-        let yrow = &mut yr[base..base + blk.nx];
-        let mrow = &mask[j * blk.nx..(j + 1) * blk.nx];
-        for i in 0..blk.nx {
-            let v = rows.nine_scalar(i);
-            yrow[i] = if mrow[i] != 0 { v } else { 0.0 };
+/// What a [`Sweep`] stores at each interior point, given the point's masked
+/// `A·x` (`+0.0` on land), and what it sums on the way. `at` is the point's
+/// offset in the padded tile storage, `p` its row-major interior index.
+trait Epilogue {
+    /// The four values to store from `at`.
+    ///
+    /// # Safety
+    /// `at .. at + LANES` must lie inside one interior row of the shape the
+    /// epilogue's tiles were checked against, and [`LaneJob::run`]'s
+    /// contract for `V` holds.
+    #[inline(always)]
+    unsafe fn lanes<V: LaneF64>(&self, _at: usize, ax: V) -> V {
+        ax
+    }
+
+    /// The value to store at one column of the ragged tail.
+    #[inline(always)]
+    fn point(&self, _at: usize, ax: f64) -> f64 {
+        ax
+    }
+
+    /// The order-sensitive running sums: called for every point in
+    /// row-major order, right behind the store into `out` that covers it
+    /// (while the lane group is hot); `x()` is the operand's value there.
+    ///
+    /// # Safety
+    /// `at` and `p` must be an interior point's storage offset and
+    /// row-major index in the shape `out` and the epilogue's tiles and mask
+    /// were checked against.
+    #[inline(always)]
+    unsafe fn fold(&mut self, _out: &[f64], _at: usize, _p: usize, _x: impl FnOnce() -> f64) {}
+}
+
+/// `y = A x`: the masked `A·x` itself, nothing summed.
+struct Store;
+
+impl Epilogue for Store {}
+
+/// `y = A x`, plus the masked `[Σ r·x, Σ y·x]`: two independent scalar
+/// chains in row-major ocean-point order — the order (and hence the bits)
+/// of two `masked_block_dot` passes — that overlap each other and the next
+/// lane group's stencil loads instead of costing two passes of their own.
+struct StoreDots<'a> {
+    r: &'a [f64],
+    mask: &'a [u8],
+    acc: [f64; 2],
+}
+
+impl Epilogue for StoreDots<'_> {
+    #[inline(always)]
+    unsafe fn fold(&mut self, y: &[f64], at: usize, p: usize, x: impl FnOnce() -> f64) {
+        debug_assert!(p < self.mask.len() && at < self.r.len() && at < y.len());
+        // SAFETY: in bounds by this function's contract — `r` and `y` had
+        // their shape checked and `mask` its interior length where the
+        // sweep was built. Unchecked because these three reads sit in the
+        // sweep's innermost loop: checked, each is a compare and a branch
+        // per point that the per-row slices this replaced did not pay.
+        if *self.mask.get_unchecked(p) != 0 {
+            let x = x();
+            self.acc[0] += *self.r.get_unchecked(at) * x;
+            self.acc[1] += *y.get_unchecked(at) * x;
         }
     }
 }
 
-#[inline(always)]
-fn apply_lanes<V: LaneF64>(blk: &StencilBlock, yr: &mut [f64], maskbits: &[f64]) {
-    for j in 0..blk.ny {
-        let (base, rows) = Rows::slice(blk, j);
-        let yrow = &mut yr[base..base + blk.nx];
-        let mrow = &maskbits[j * blk.nx..(j + 1) * blk.nx];
-        let mut i = 0;
-        while i + LANES <= blk.nx {
-            unsafe {
-                let v = rows.nine_lanes::<V>(i);
-                let m = V::load(mrow.as_ptr().add(i));
-                v.and_bits(m).store(yrow.as_mut_ptr().add(i));
+/// `r = rhs − A x`, plus the masked `‖r‖²`. Masking `A·x` before the
+/// subtraction makes land produce `rhs − 0.0`, exactly the reference's land
+/// branch.
+struct Residual<'a> {
+    rhs: &'a [f64],
+    mask: &'a [u8],
+    acc: f64,
+}
+
+impl Epilogue for Residual<'_> {
+    #[inline(always)]
+    unsafe fn lanes<V: LaneF64>(&self, at: usize, ax: V) -> V {
+        debug_assert!(at + LANES <= self.rhs.len());
+        // SAFETY: in bounds by this function's contract.
+        V::load(self.rhs.as_ptr().add(at)).sub(ax)
+    }
+
+    #[inline(always)]
+    fn point(&self, at: usize, ax: f64) -> f64 {
+        self.rhs[at] - ax
+    }
+
+    #[inline(always)]
+    unsafe fn fold(&mut self, r: &[f64], at: usize, p: usize, _x: impl FnOnce() -> f64) {
+        debug_assert!(p < self.mask.len() && at < r.len());
+        // SAFETY: as in `StoreDots::fold`.
+        if *self.mask.get_unchecked(p) != 0 {
+            let rv = *r.get_unchecked(at);
+            self.acc += rv * rv;
+        }
+    }
+}
+
+/// The nine-point row sweep over one block into the tile `out`; hands its
+/// epilogue back. Built only by [`apply`], [`apply_dots`] and [`residual`],
+/// from a [`StencilBlock`], an output and epilogue tiles that were all
+/// checked against one [`TileShape`].
+struct Sweep<'a, E> {
+    blk: &'a StencilBlock<'a>,
+    maskbits: &'a [f64],
+    out: &'a mut [f64],
+    epi: E,
+}
+
+impl<E: Epilogue> LaneJob for Sweep<'_, E> {
+    type Out = E;
+
+    #[inline(always)]
+    unsafe fn run<V: LaneF64>(self) -> E {
+        let Sweep {
+            blk,
+            maskbits,
+            out,
+            mut epi,
+        } = self;
+        let nx = blk.nx;
+        for j in 0..blk.ny {
+            let (base, rows) = Rows::slice(blk, j);
+            let mrow = &maskbits[j * nx..(j + 1) * nx];
+            let mut i = 0;
+            while i + LANES <= nx {
+                debug_assert!(base + i + LANES <= out.len());
+                // SAFETY: `i + LANES ≤ nx` keeps the loads inside the row
+                // windows and `base + i .. + LANES` inside interior row `j` of
+                // `out`, which has the block's shape.
+                unsafe {
+                    let ax = rows.nine_lanes::<V>(i);
+                    let m = V::load(mrow.as_ptr().add(i));
+                    let v = epi.lanes(base + i, ax.and_bits(m));
+                    v.store(out.as_mut_ptr().add(base + i));
+                }
+                for k in i..i + LANES {
+                    // SAFETY: `k < nx`: interior point `(k, j)`.
+                    unsafe { epi.fold(out, base + k, j * nx + k, || rows.xc[k + 1]) };
+                }
+                i += LANES;
             }
-            i += LANES;
-        }
-        for k in i..blk.nx {
-            yrow[k] = and_select(rows.nine_scalar(k), mrow[k]);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn apply_avx2(blk: &StencilBlock, yr: &mut [f64], maskbits: &[f64]) {
-    apply_lanes::<pop_simd::Avx2>(blk, yr, maskbits);
-}
-
-pub(crate) fn apply(
-    mode: SimdMode,
-    blk: &StencilBlock,
-    yr: &mut [f64],
-    mask: &[u8],
-    maskbits: &[f64],
-) {
-    debug_assert_eq!(mask.len(), blk.nx * blk.ny);
-    debug_assert_eq!(maskbits.len(), blk.nx * blk.ny);
-    match mode {
-        SimdMode::Scalar => apply_scalar(blk, yr, mask),
-        SimdMode::Portable => apply_lanes::<Portable4>(blk, yr, maskbits),
-        SimdMode::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: dispatch only selects Avx2 after runtime detection.
-            unsafe {
-                apply_avx2(blk, yr, maskbits)
+            for (k, &m) in mrow.iter().enumerate().skip(i) {
+                out[base + k] = epi.point(base + k, and_select(rows.nine_scalar(k), m));
+                // SAFETY: `k < nx`: interior point `(k, j)`.
+                unsafe { epi.fold(out, base + k, j * nx + k, || rows.xc[k + 1]) };
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX2 dispatch off x86-64")
         }
+        epi
     }
 }
 
-// ---------------------------------------------------------------------------
-// apply + dots: y = A x, plus the masked Σ r·x and Σ y·x partials
-// ---------------------------------------------------------------------------
-
-/// One ocean point's contribution to the two running sums. Two independent
-/// scalar chains in row-major ocean-point order — the order (and hence the
-/// bits) of two `masked_block_dot` passes — that overlap each other and the
-/// next lane group's stencil loads instead of costing two passes of their
-/// own.
-#[inline(always)]
-fn fold_dots(acc: &mut [f64; 2], ocean: u8, r: f64, y: f64, x: f64) {
-    if ocean != 0 {
-        acc[0] += r * x;
-        acc[1] += y * x;
-    }
+/// `y = A x` over the block's interior.
+pub(crate) fn apply(mode: SimdMode, blk: &StencilBlock, yr: &mut [f64], maskbits: &[f64]) {
+    let (out, epi) = (yr, Store);
+    pop_simd::dispatch(
+        mode,
+        Sweep {
+            blk,
+            maskbits,
+            out,
+            epi,
+        },
+    );
 }
 
-fn apply_dots_scalar(blk: &StencilBlock, yr: &mut [f64], rr: &[f64], mask: &[u8]) -> [f64; 2] {
-    let mut acc = [0.0f64; 2];
-    for j in 0..blk.ny {
-        let (base, rows) = Rows::slice(blk, j);
-        let yrow = &mut yr[base..base + blk.nx];
-        let rrow = &rr[base..base + blk.nx];
-        let mrow = &mask[j * blk.nx..(j + 1) * blk.nx];
-        for i in 0..blk.nx {
-            let v = rows.nine_scalar(i);
-            yrow[i] = if mrow[i] != 0 { v } else { 0.0 };
-            fold_dots(&mut acc, mrow[i], rrow[i], yrow[i], rows.xc[i + 1]);
-        }
-    }
-    acc
-}
-
-#[inline(always)]
-fn apply_dots_lanes<V: LaneF64>(
-    blk: &StencilBlock,
-    yr: &mut [f64],
-    rr: &[f64],
-    mask: &[u8],
-    maskbits: &[f64],
-) -> [f64; 2] {
-    let mut acc = [0.0f64; 2];
-    for j in 0..blk.ny {
-        let (base, rows) = Rows::slice(blk, j);
-        let yrow = &mut yr[base..base + blk.nx];
-        let rrow = &rr[base..base + blk.nx];
-        let mbrow = &maskbits[j * blk.nx..(j + 1) * blk.nx];
-        let mrow = &mask[j * blk.nx..(j + 1) * blk.nx];
-        let mut i = 0;
-        while i + LANES <= blk.nx {
-            unsafe {
-                let v = rows.nine_lanes::<V>(i);
-                let m = V::load(mbrow.as_ptr().add(i));
-                v.and_bits(m).store(yrow.as_mut_ptr().add(i));
-            }
-            // Folded in right behind the store, while the group is hot.
-            for k in i..i + LANES {
-                fold_dots(&mut acc, mrow[k], rrow[k], yrow[k], rows.xc[k + 1]);
-            }
-            i += LANES;
-        }
-        for k in i..blk.nx {
-            yrow[k] = and_select(rows.nine_scalar(k), mbrow[k]);
-            fold_dots(&mut acc, mrow[k], rrow[k], yrow[k], rows.xc[k + 1]);
-        }
-    }
-    acc
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn apply_dots_avx2(
-    blk: &StencilBlock,
-    yr: &mut [f64],
-    rr: &[f64],
-    mask: &[u8],
-    maskbits: &[f64],
-) -> [f64; 2] {
-    apply_dots_lanes::<pop_simd::Avx2>(blk, yr, rr, mask, maskbits)
-}
-
+/// [`apply`] plus the masked `[Σ r·x, Σ y·x]` partials.
 pub(crate) fn apply_dots(
     mode: SimdMode,
     blk: &StencilBlock,
@@ -393,105 +425,22 @@ pub(crate) fn apply_dots(
     mask: &[u8],
     maskbits: &[f64],
 ) -> [f64; 2] {
-    debug_assert_eq!(mask.len(), blk.nx * blk.ny);
-    debug_assert_eq!(maskbits.len(), blk.nx * blk.ny);
-    match mode {
-        SimdMode::Scalar => apply_dots_scalar(blk, yr, rr, mask),
-        SimdMode::Portable => apply_dots_lanes::<Portable4>(blk, yr, rr, mask, maskbits),
-        SimdMode::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: dispatch only selects Avx2 after runtime detection.
-            unsafe {
-                apply_dots_avx2(blk, yr, rr, mask, maskbits)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX2 dispatch off x86-64")
-        }
-    }
+    let (out, acc) = (yr, [0.0; 2]);
+    let epi = StoreDots { r: rr, mask, acc };
+    pop_simd::dispatch(
+        mode,
+        Sweep {
+            blk,
+            maskbits,
+            out,
+            epi,
+        },
+    )
+    .acc
 }
 
-// ---------------------------------------------------------------------------
-// residual: r = rhs − A x, plus the masked ‖r‖² partial
-// ---------------------------------------------------------------------------
-
-fn residual_scalar(blk: &StencilBlock, rhs: &[f64], rr: &mut [f64], mask: &[u8]) -> f64 {
-    let mut acc = 0.0f64;
-    for j in 0..blk.ny {
-        let (base, rows) = Rows::slice(blk, j);
-        let brow = &rhs[base..base + blk.nx];
-        let rrow = &mut rr[base..base + blk.nx];
-        let mrow = &mask[j * blk.nx..(j + 1) * blk.nx];
-        for i in 0..blk.nx {
-            let v = rows.nine_scalar(i);
-            if mrow[i] != 0 {
-                let rv = brow[i] - v;
-                rrow[i] = rv;
-                acc += rv * rv;
-            } else {
-                rrow[i] = brow[i] - 0.0;
-            }
-        }
-    }
-    acc
-}
-
-#[inline(always)]
-fn residual_lanes<V: LaneF64>(
-    blk: &StencilBlock,
-    rhs: &[f64],
-    rr: &mut [f64],
-    mask: &[u8],
-    maskbits: &[f64],
-) -> f64 {
-    let mut acc = 0.0f64;
-    for j in 0..blk.ny {
-        let (base, rows) = Rows::slice(blk, j);
-        let brow = &rhs[base..base + blk.nx];
-        let rrow = &mut rr[base..base + blk.nx];
-        let mbrow = &maskbits[j * blk.nx..(j + 1) * blk.nx];
-        let mrow = &mask[j * blk.nx..(j + 1) * blk.nx];
-        let mut i = 0;
-        while i + LANES <= blk.nx {
-            unsafe {
-                // Masking A·x before the subtraction makes land produce
-                // `rhs − 0.0`, exactly the scalar land branch.
-                let v = rows.nine_lanes::<V>(i);
-                let m = V::load(mbrow.as_ptr().add(i));
-                let rv = V::load(brow.as_ptr().add(i)).sub(v.and_bits(m));
-                rv.store(rrow.as_mut_ptr().add(i));
-            }
-            // The norm partial is an order-sensitive running sum: always
-            // the same scalar row-major accumulation, folded in right
-            // behind the store while the lane group is still in registers.
-            for k in i..i + LANES {
-                if mrow[k] != 0 {
-                    acc += rrow[k] * rrow[k];
-                }
-            }
-            i += LANES;
-        }
-        for k in i..blk.nx {
-            rrow[k] = brow[k] - and_select(rows.nine_scalar(k), mbrow[k]);
-            if mrow[k] != 0 {
-                acc += rrow[k] * rrow[k];
-            }
-        }
-    }
-    acc
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn residual_avx2(
-    blk: &StencilBlock,
-    rhs: &[f64],
-    rr: &mut [f64],
-    mask: &[u8],
-    maskbits: &[f64],
-) -> f64 {
-    residual_lanes::<pop_simd::Avx2>(blk, rhs, rr, mask, maskbits)
-}
-
+/// `r = rhs − A x` over the block's interior, plus the masked `‖r‖²`
+/// partial.
 pub(crate) fn residual(
     mode: SimdMode,
     blk: &StencilBlock,
@@ -500,19 +449,16 @@ pub(crate) fn residual(
     mask: &[u8],
     maskbits: &[f64],
 ) -> f64 {
-    debug_assert_eq!(mask.len(), blk.nx * blk.ny);
-    debug_assert_eq!(maskbits.len(), blk.nx * blk.ny);
-    match mode {
-        SimdMode::Scalar => residual_scalar(blk, rhs, rr, mask),
-        SimdMode::Portable => residual_lanes::<Portable4>(blk, rhs, rr, mask, maskbits),
-        SimdMode::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: dispatch only selects Avx2 after runtime detection.
-            unsafe {
-                residual_avx2(blk, rhs, rr, mask, maskbits)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX2 dispatch off x86-64")
-        }
-    }
+    let (out, acc) = (rr, 0.0);
+    let epi = Residual { rhs, mask, acc };
+    pop_simd::dispatch(
+        mode,
+        Sweep {
+            blk,
+            maskbits,
+            out,
+            epi,
+        },
+    )
+    .acc
 }

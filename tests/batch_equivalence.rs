@@ -14,10 +14,11 @@
 //! restart → abort recovery ladder without perturbing its neighbours).
 
 mod common;
-use common::{assert_same, observe, problem, solver_cfg, ModeGuard, Observables, Problem};
+use common::{
+    assert_same, lane_modes, observe, problem, solver_cfg, ModeGuard, Observables, Problem,
+};
 use pop_baro::prelude::*;
 use pop_core::solvers::{BatchWorkspace, SolveStats, SolverWorkspace};
-use pop_simd::SimdMode;
 use std::sync::Arc;
 
 /// `k` independent right-hand sides in the operator's range, each from its
@@ -207,8 +208,8 @@ fn batched_solves_match_single_rhs_bitwise_end_to_end() {
     }
 }
 
-/// Forced-dispatch sweep: under pinned scalar and pinned lane modes the
-/// batch must still track its (same-mode) single-RHS baselines bitwise —
+/// Forced-dispatch sweep: under each pinned lane mode the batch must still
+/// track its (same-mode) single-RHS baselines bitwise —
 /// the batched engine adds no mode-dependent operation of its own. With
 /// block-EVP the fixture's 18×20 blocks tile into 6×7 and 6×6 siblings, so
 /// the single-RHS side solves packs of four tiles per lane group while the
@@ -227,10 +228,7 @@ fn batched_solves_match_single_rhs_under_forced_dispatch() {
     );
     let bs = seeded_batch(&p, 3, 0xd15_9a7c);
     let cfg = solver_cfg();
-    let mut modes = vec![SimdMode::Scalar, SimdMode::Portable];
-    if pop_simd::detected_avx2() {
-        modes.push(SimdMode::Avx2);
-    }
+    let modes = lane_modes();
     for (pname, pre) in [
         ("diag", &Diagonal::new(&p.op) as &dyn Preconditioner),
         ("evp", &evp),

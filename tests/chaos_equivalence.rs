@@ -12,20 +12,19 @@
 //!   counts to the shared-memory world, with every fault counter zero.
 //! - A seeded benign plan perturbs only simulated clocks and fault
 //!   counters; solutions stay bitwise identical to the fault-free run, for
-//!   every solver, under default and forced-scalar SIMD dispatch.
+//!   every solver, under default and every forced SIMD dispatch mode.
 //!
 //! Seeds are pinned (override with `POP_CHAOS_SEED`) so CI chaos runs are
 //! reproducible down to the individual dropped packet.
 
 mod common;
 use common::{
-    assert_same, observe, problem, solver_cfg as cfg, solver_matrix, ModeGuard, Observables,
-    Problem,
+    assert_same, lane_modes, observe, problem, solver_cfg as cfg, solver_matrix, ModeGuard,
+    Observables, Problem,
 };
 use pop_baro::prelude::*;
 use pop_baro::ranksim::RankReport;
 use pop_core::solvers::SolveStats;
-use pop_simd::SimdMode;
 use std::sync::Arc;
 
 fn chaos_seeds() -> Vec<u64> {
@@ -130,22 +129,24 @@ fn benign_fault_plans_are_bitwise_conformant() {
     }
 }
 
-/// The conformance property holds under forced-scalar dispatch too: the
+/// The conformance property holds under every forced dispatch mode too: the
 /// fault layer and the SIMD layer compose without breaking bitwise identity.
 /// (`force_mode` is process-global, so this sweep lives in one `#[test]`.)
 #[test]
-fn benign_conformance_holds_under_forced_scalar_dispatch() {
+fn benign_conformance_holds_under_forced_dispatch() {
     let _guard = ModeGuard;
     let p = problem(2015);
     let diag = Diagonal::new(&p.op);
     let seed = chaos_seeds()[0];
     for kind in solver_matrix(&p, &diag) {
-        let name = format!("{} scalar chaos-seed={seed}", kind.name());
-        pop_simd::force_mode(Some(SimdMode::Scalar));
-        let base = run_shared(&p, &diag, kind);
-        let plan = FaultPlan::seeded(seed, FaultConfig::benign());
-        let chaotic = run_ranksim(&p, &diag, kind, 6, plan);
-        assert_same(&name, &base, &chaotic.obs);
+        for mode in lane_modes() {
+            let name = format!("{} {} chaos-seed={seed}", kind.name(), mode.name());
+            pop_simd::force_mode(Some(mode));
+            let base = run_shared(&p, &diag, kind);
+            let plan = FaultPlan::seeded(seed, FaultConfig::benign());
+            let chaotic = run_ranksim(&p, &diag, kind, 6, plan);
+            assert_same(&name, &base, &chaotic.obs);
+        }
         pop_simd::force_mode(None);
     }
 }

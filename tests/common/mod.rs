@@ -166,6 +166,22 @@ pub fn run_world(
     observe(&st, &x)
 }
 
+/// The whole solve's scalar oracle: the solver's pre-fusion path
+/// (`solve_unfused`), serial, built on `NinePoint::apply_reference` and
+/// whole-field vector passes — no fused sweep and no stencil lane kernel.
+pub fn run_unfused(p: &Problem, pre: &dyn Preconditioner, kind: SolverKind) -> Observables {
+    let world = CommWorld::serial();
+    let mut x = DistVec::zeros(&p.layout);
+    let (op, rhs, cfg) = (&p.op, &p.rhs, solver_cfg());
+    let st = match kind {
+        SolverKind::ClassicPcg => ClassicPcg.solve_unfused(op, pre, &world, rhs, &mut x, &cfg),
+        SolverKind::ChronGear => ChronGear.solve_unfused(op, pre, &world, rhs, &mut x, &cfg),
+        SolverKind::PipelinedCg => PipelinedCg.solve_unfused(op, pre, &world, rhs, &mut x, &cfg),
+        SolverKind::Pcsi(b) => Pcsi::new(b).solve_unfused(op, pre, &world, rhs, &mut x, &cfg),
+    };
+    observe(&st, &x)
+}
+
 /// Solve on `ranks` simulated message-passing ranks with a zero-cost
 /// network and the default (binomial) collective schedule.
 pub fn run_ranks(
@@ -227,6 +243,21 @@ pub fn assert_same(name: &str, base: &Observables, got: &Observables) {
     }
 }
 
+/// A run against [`run_unfused`]'s oracle: the solution, its iteration
+/// count and final residual, bit for bit. (The work counters differ by
+/// design — the fused loops fold the preconditioner into other sweeps.)
+pub fn assert_matches_oracle(name: &str, oracle: &Observables, got: &Observables) {
+    assert_eq!(
+        (got.iterations, got.final_residual_bits, &got.x_bits),
+        (
+            oracle.iterations,
+            oracle.final_residual_bits,
+            &oracle.x_bits
+        ),
+        "{name}: differs from the unfused oracle"
+    );
+}
+
 /// Interior-by-interior bitwise comparison of two solutions.
 pub fn assert_bits_equal(a: &DistVec, b: &DistVec, what: &str) {
     for (ba, bb) in a.blocks.iter().zip(b.blocks.iter()) {
@@ -238,13 +269,21 @@ pub fn assert_bits_equal(a: &DistVec, b: &DistVec, what: &str) {
     }
 }
 
-/// The lane modes to test against the scalar baseline on this machine.
+/// Every dispatch mode this machine can run: the portable lanes, and AVX2
+/// where detected.
 pub fn lane_modes() -> Vec<SimdMode> {
     let mut m = vec![SimdMode::Portable];
     if pop_simd::detected_avx2() {
         m.push(SimdMode::Avx2);
     }
     m
+}
+
+/// The startup dispatch decision (`None`), then every mode forced in turn.
+pub fn startup_then_forced_modes() -> Vec<Option<SimdMode>> {
+    std::iter::once(None)
+        .chain(lane_modes().into_iter().map(Some))
+        .collect()
 }
 
 /// Restores the startup dispatch decision even if an assertion panics, so a

@@ -17,13 +17,13 @@ use pop_baro::prelude::*;
 use pop_core::solvers::SolverWorkspace;
 use pop_grid::{Bathymetry, GridKind, Metrics};
 use pop_rng::SmallRng;
-use pop_simd::SimdMode;
 use std::sync::Arc;
 
 mod common;
 use common::fuzz::{fuzzed_depth, fuzzed_grid, grid_of, BX, BY, NX, NY};
 use common::{
-    assert_same, observe, run_ranks, run_world, solver_cfg, ModeGuard, Observables, Problem,
+    assert_same, lane_modes, observe, run_ranks, run_world, solver_cfg, startup_then_forced_modes,
+    ModeGuard, Observables, Problem,
 };
 
 /// A manufactured RHS in the operator's range, seeded like the mask.
@@ -148,7 +148,7 @@ fn degenerate_masks_yield_valid_eigenbounds() {
 /// collapse onto a single fine point (the singular-Galerkin corner the
 /// coarsest-level LU shift retry covers). The V-cycle must stay finite,
 /// keep land at exactly zero, and reproduce its own bits across repeat
-/// applications and forced-scalar dispatch.
+/// applications and every forced lane mode.
 #[test]
 fn mg_vcycle_is_finite_and_bitwise_stable_on_pathological_masks() {
     let _guard = ModeGuard;
@@ -179,9 +179,18 @@ fn mg_vcycle_is_finite_and_bitwise_stable_on_pathological_masks() {
         }
         let again = apply(&serial);
         let threaded = apply(&CommWorld::threaded());
-        pop_simd::force_mode(Some(SimdMode::Scalar));
-        let scalar = apply(&serial);
-        pop_simd::force_mode(None);
+        for mode in lane_modes() {
+            pop_simd::force_mode(Some(mode));
+            let forced = apply(&serial);
+            pop_simd::force_mode(None);
+            for (k, v) in base.iter().enumerate() {
+                assert_eq!(
+                    v.to_bits(),
+                    forced[k].to_bits(),
+                    "seed {seed}: {mode:?} at {k}"
+                );
+            }
+        }
         for (k, v) in base.iter().enumerate() {
             assert_eq!(
                 v.to_bits(),
@@ -192,11 +201,6 @@ fn mg_vcycle_is_finite_and_bitwise_stable_on_pathological_masks() {
                 v.to_bits(),
                 threaded[k].to_bits(),
                 "seed {seed}: threaded at {k}"
-            );
-            assert_eq!(
-                v.to_bits(),
-                scalar[k].to_bits(),
-                "seed {seed}: scalar at {k}"
             );
         }
     }
@@ -296,10 +300,11 @@ fn all_banded_depth() -> Vec<f64> {
 /// reaches every tile: a fuzzed mask with a land cell stamped on every
 /// third row and column puts one inside the corner reach of every tile,
 /// ragged 8×2 edge tiles included, so nothing marches. On that operator
-/// the three implementations of the band solve — the scalar substitution
-/// of the single-RHS apply, the lane-parallel one the batched engine runs
-/// (k = 1, 4 and 16: one, one and four lane groups), and `BlockLu`'s —
-/// must agree bit for bit, under the startup dispatch and forced-scalar.
+/// the three implementations of the band solve — the packed one of the
+/// single-RHS apply, the lane-parallel one the batched engine runs (k = 1,
+/// 4 and 16: one, one and four lane groups), and `BlockLu`'s scalar
+/// substitution — must agree bit for bit, under the startup dispatch and
+/// every forced lane mode.
 #[test]
 fn all_banded_operator_is_bitwise_equal_across_single_batched_and_scalar_paths() {
     let _guard = ModeGuard;
@@ -366,7 +371,7 @@ fn all_banded_operator_is_bitwise_equal_across_single_batched_and_scalar_paths()
         for o in &base {
             assert_eq!(o.outcome, SolveOutcome::Converged, "{}", kind.name());
         }
-        for forced in [None, Some(SimdMode::Scalar)] {
+        for forced in startup_then_forced_modes() {
             pop_simd::force_mode(forced);
             let tag = format!("{} forced={forced:?}", kind.name());
             for (l, got) in singles(kind).iter().enumerate() {

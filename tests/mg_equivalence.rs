@@ -20,14 +20,17 @@
 use pop_baro::prelude::*;
 use pop_baro::verif::mms::dipole_grid;
 use pop_core::solvers::SolverWorkspace;
-use pop_simd::SimdMode;
 
 mod common;
-use common::{assert_same, problem, run_ranks_cfg, run_world, ModeGuard};
+use common::{
+    assert_matches_oracle, assert_same, problem, run_ranks_cfg, run_unfused, run_world,
+    startup_then_forced_modes, ModeGuard,
+};
 
-/// Serial vs threaded vs ranksim × {binomial, hierarchical} × default vs
-/// forced-scalar dispatch: every MG-preconditioned solve observable is
-/// bitwise identical. One `#[test]` because `force_mode` is process-global.
+/// Serial vs threaded vs ranksim × {binomial, hierarchical} × default and
+/// every forced lane mode: every MG-preconditioned solve observable is
+/// bitwise identical, and the solution is the `solve_unfused` oracle's. One
+/// `#[test]` because `force_mode` is process-global.
 #[test]
 fn mg_solves_are_bitwise_identical_across_backends_schedules_and_dispatch() {
     let _guard = ModeGuard;
@@ -44,7 +47,9 @@ fn mg_solves_are_bitwise_identical_across_backends_schedules_and_dispatch() {
             "{}+mg: serial baseline did not converge",
             kind.name()
         );
-        for forced in [None, Some(SimdMode::Scalar)] {
+        let name = format!("{}+mg serial", kind.name());
+        assert_matches_oracle(&name, &run_unfused(&p, &mg, kind), &base);
+        for forced in startup_then_forced_modes() {
             pop_simd::force_mode(forced);
             let tag = |arm: &str| {
                 format!(

@@ -1,17 +1,18 @@
 //! SIMD dispatch is bitwise invisible to the solvers.
 //!
-//! The kernel layer (DESIGN.md §9) promises that every dispatch mode —
-//! scalar reference loops, portable 4-lane kernels, AVX2 intrinsics —
-//! computes *bit-identical* results: lane kernels execute the exact scalar
+//! The kernel layer (DESIGN.md §9) promises that both lane types — portable
+//! `[f64; 4]` lanes and AVX2 intrinsics — compute results *bit-identical*
+//! to the scalar references: lane kernels execute the exact scalar
 //! operation sequence per output point, with no FMA contraction, no
 //! reassociation, and order-sensitive reductions kept scalar everywhere.
 //!
 //! This suite enforces the promise end to end: every solver ×
 //! preconditioner × execution backend combination must produce the same
-//! solution bits, iteration count, and residual history under forced
-//! scalar dispatch as under each lane mode the machine supports. The
-//! right-hand sides are seeded pseudo-random fields over a land-masked
-//! grid, so the guarantee cannot lean on smooth data.
+//! solution bits, iteration count, and residual history on every lane type
+//! the machine supports, and the bits of the solver's pre-fusion scalar
+//! oracle `solve_unfused`; below that, each kernel is pinned to its named
+//! reference. The right-hand sides are seeded pseudo-random fields over a
+//! land-masked grid, so the guarantee cannot lean on smooth data.
 
 use pop_baro::comm::{masked_block_dot, BlockVec};
 use pop_baro::prelude::*;
@@ -21,11 +22,15 @@ use pop_stencil::LocalStencil;
 
 mod common;
 use common::fuzz;
-use common::{assert_same, lane_modes, noise, problem, run_ranks, run_world, ModeGuard};
+use common::{
+    assert_matches_oracle, assert_same, lane_modes, noise, problem, run_ranks, run_unfused,
+    run_world, ModeGuard,
+};
 
 /// The tentpole guarantee: four solvers × {diag, EVP} × three execution
-/// backends (serial, thread pool, ranksim message passing), forced-scalar vs
-/// every lane mode, all observables bitwise equal.
+/// backends (serial, thread pool, ranksim message passing), every lane mode
+/// against the portable run — all observables bitwise equal — and every
+/// mode's serial run against the `solve_unfused` oracle.
 ///
 /// `force_mode` is process-global, so the whole sweep lives in one `#[test]`;
 /// the other tests in this binary pass dispatch modes explicitly and are
@@ -51,31 +56,33 @@ fn dispatch_modes_are_bitwise_equivalent_end_to_end() {
             SolverKind::Pcsi(bounds),
         ];
         for kind in kinds {
-            pop_simd::force_mode(Some(SimdMode::Scalar));
-            let base_serial = run_world(&CommWorld::serial(), &p, pre, kind);
-            let base_threaded = run_world(&CommWorld::threaded(), &p, pre, kind);
-            let base_rank = run_ranks(&p, pre, kind, 3);
+            let oracle = run_unfused(&p, pre, kind);
             assert_eq!(
-                base_serial.outcome,
+                oracle.outcome,
                 SolveOutcome::Converged,
-                "{}+{pname}: scalar baseline did not converge",
+                "{}+{pname}: unfused oracle did not converge",
                 kind.name()
             );
+            let mut base = None;
             for mode in lane_modes() {
                 pop_simd::force_mode(Some(mode));
                 let tag =
                     |backend: &str| format!("{}+{pname} {backend} {}", kind.name(), mode.name());
-                assert_same(
-                    &tag("serial"),
-                    &base_serial,
-                    &run_world(&CommWorld::serial(), &p, pre, kind),
-                );
-                assert_same(
-                    &tag("threaded"),
-                    &base_threaded,
-                    &run_world(&CommWorld::threaded(), &p, pre, kind),
-                );
-                assert_same(&tag("ranksim"), &base_rank, &run_ranks(&p, pre, kind, 3));
+                let got = [
+                    ("serial", run_world(&CommWorld::serial(), &p, pre, kind)),
+                    ("threaded", run_world(&CommWorld::threaded(), &p, pre, kind)),
+                    ("ranksim", run_ranks(&p, pre, kind, 3)),
+                ];
+                assert_matches_oracle(&tag("serial"), &oracle, &got[0].1);
+                // The first mode is the portable run every other is held to.
+                match &base {
+                    None => base = Some(got),
+                    Some(portable) => {
+                        for ((backend, want), (_, run)) in portable.iter().zip(&got) {
+                            assert_same(&tag(backend), want, run);
+                        }
+                    }
+                }
             }
             pop_simd::force_mode(None);
         }
@@ -103,15 +110,6 @@ fn reference_bits(sub: &EvpSubBlock, psi: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Every dispatch mode this machine can run, forced-scalar included (it
-/// shares the portable lanes' instantiation in the EVP tile solve, so it is
-/// one more mode to pin against the reference, not the reference).
-fn all_modes() -> Vec<SimdMode> {
-    let mut modes = vec![SimdMode::Scalar];
-    modes.extend(lane_modes());
-    modes
-}
-
 /// A land-touching tile takes the band-LU fallback; that path must also be
 /// identical under every dispatch mode — the lanes run the scalar
 /// substitution of `BandLu::solve_in_place`, one tile per lane — including
@@ -136,7 +134,7 @@ fn evp_lu_fallback_tile_is_bitwise_mode_invariant() {
         let psi = tile_rhs(64);
         let base = reference_bits(&sub, &psi);
         assert_eq!(base[3 * 8 + 3], 0.0f64.to_bits(), "land output zeroed");
-        for mode in all_modes() {
+        for mode in lane_modes() {
             assert_eq!(
                 tile_bits(&sub, mode, &psi, &mut scratch),
                 base,
@@ -182,7 +180,7 @@ fn evp_marching_tile_is_bitwise_mode_invariant() {
             assert!(sub.uses_marching(), "{name} (reduced={reduced}) must march");
             let psi = tile_rhs(raw.nx * raw.ny);
             let base = reference_bits(&sub, &psi);
-            for mode in all_modes() {
+            for mode in lane_modes() {
                 assert_eq!(
                     tile_bits(&sub, mode, &psi, &mut scratch),
                     base,
@@ -217,7 +215,7 @@ fn dots_case() -> (NinePoint, DistVec, DistVec) {
     (op, x, r)
 }
 
-/// The apply-with-dots kernel is the plain apply plus two
+/// The apply-with-dots kernel is `apply_reference` plus two
 /// `masked_block_dot` passes, bit for bit, under every dispatch mode: the
 /// stored block, `Σ r·x` and `Σ y·x` — on ragged blocks, an all-land block
 /// and coast-heavy ones.
@@ -241,8 +239,11 @@ fn apply_with_dots_matches_apply_plus_two_dots_in_every_mode() {
         .blocks
         .iter()
         .all(|b| b.nx == 13 || b.nx == 12));
+    let mut want_y = DistVec::zeros(layout);
+    op.apply_reference(&CommWorld::serial(), &x, &mut want_y);
     for (b, info) in layout.decomp.blocks.iter().enumerate() {
         let (mask, xb, rb) = (&layout.masks[b], &x.blocks[b], &r.blocks[b]);
+        let want_y = &want_y.blocks[b];
         let fresh = || {
             let mut y = BlockVec::zeros(info.nx, info.ny, layout.halo);
             y.fill(f64::NAN); // prove every interior point is written
@@ -253,16 +254,14 @@ fn apply_with_dots_matches_apply_plus_two_dots_in_every_mode() {
                 .flat_map(|j| y.interior_row(j).iter().map(|v| v.to_bits()))
                 .collect()
         };
-        let mut want_y = fresh();
-        op.apply_block_into_mode(SimdMode::Scalar, b, xb, &mut want_y, mask);
         let want = [
             masked_block_dot(rb, xb, mask).to_bits(),
-            masked_block_dot(&want_y, xb, mask).to_bits(),
+            masked_block_dot(want_y, xb, mask).to_bits(),
         ];
-        for mode in all_modes() {
+        for mode in lane_modes() {
             let mut y = fresh();
             let got = op.apply_block_dots_into_mode(mode, b, xb, &mut y, rb, mask);
-            assert_eq!(bits(&y), bits(&want_y), "block {b} {}: y", mode.name());
+            assert_eq!(bits(&y), bits(want_y), "block {b} {}: y", mode.name());
             assert_eq!(
                 got.map(f64::to_bits),
                 want,
