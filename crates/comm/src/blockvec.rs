@@ -17,11 +17,10 @@ use pop_simd::AlignedVec;
 /// indexing must go through [`BlockVec::stride`], never recompute
 /// `nx + 2*halo`.
 ///
-/// The shared-memory halo exchange writes the ring through the raw storage
-/// (row copies planned per layout, [`crate::halo`]); [`BlockVec::zero_halo`],
-/// [`BlockVec::extract_region`] and [`BlockVec::copy_region`] are the
-/// buffer-based equivalents the rank runtime's messages, the multigrid
-/// levels and the tests use.
+/// The halo exchange of either runtime writes the ring through the raw
+/// storage, row by row from the layout's plan ([`crate::halo`]);
+/// [`BlockVec::zero_halo`] clears a ring outside an exchange (the multigrid
+/// smoother's scratch tile, tests).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockVec {
     /// Interior zonal extent.
@@ -139,37 +138,6 @@ impl BlockVec {
         let rows = self.ny + 2 * self.halo;
         zero_ring(&mut self.data, rows, self.stride, self.nx, self.halo, 1);
     }
-
-    /// Copy a row-major `w × h` buffer (as [`BlockVec::extract_region`]
-    /// produces) into this tile at logical origin `(di, dj)` (halo
-    /// coordinates allowed), one row `memcpy` per row. The rank runtime's
-    /// halo unpack.
-    pub fn copy_region(&mut self, di: isize, dj: isize, src: &[f64], w: usize, h: usize) {
-        assert_eq!(src.len(), w * h, "region buffer size mismatch");
-        if w == 0 {
-            return;
-        }
-        debug_assert!(di + w as isize <= (self.nx + self.halo) as isize);
-        for (r, row) in src.chunks_exact(w).enumerate() {
-            let k = self.offset(di, dj + r as isize);
-            self.data[k..k + w].copy_from_slice(row);
-        }
-    }
-
-    /// Extract a rectangular region of the interior (origin `(si, sj)`,
-    /// extent `w × h`) into `out`: the rank runtime's halo message payload.
-    pub fn extract_region(&self, si: usize, sj: usize, w: usize, h: usize, out: &mut Vec<f64>) {
-        debug_assert!(
-            si + w <= self.nx && sj + h <= self.ny,
-            "region out of interior"
-        );
-        out.clear();
-        out.reserve(w * h);
-        for r in 0..h {
-            let row = self.interior_row(sj + r);
-            out.extend_from_slice(&row[si..si + w]);
-        }
-    }
 }
 
 /// Zero the halo ring of every image in `data`: images of `rows` padded
@@ -273,24 +241,6 @@ mod tests {
         for j in 0..4 {
             assert_eq!(b.interior_row(j).len(), 5);
         }
-    }
-
-    #[test]
-    fn extract_then_copy_region_roundtrips() {
-        let mut src = BlockVec::zeros(6, 5, 2);
-        for j in 0..5 {
-            for i in 0..6 {
-                src.set(i, j, (10 * j + i) as f64);
-            }
-        }
-        let mut buf = Vec::new();
-        src.extract_region(1, 2, 3, 2, &mut buf);
-        assert_eq!(buf, vec![21.0, 22.0, 23.0, 31.0, 32.0, 33.0]);
-
-        let mut dst = BlockVec::zeros(6, 5, 2);
-        dst.copy_region(-2, -2, &buf, 3, 2);
-        assert_eq!(dst.at(-2, -2), 21.0);
-        assert_eq!(dst.at(0, -1), 33.0);
     }
 
     #[test]

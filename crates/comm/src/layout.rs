@@ -27,8 +27,9 @@ pub struct DistLayout {
     /// Per active block: number of ocean points (cached from the mask).
     pub ocean_per_block: Vec<usize>,
     /// The halo exchange of this decomposition at this halo width, as flat
-    /// copy lists: what every [`crate::CommWorld::halo_update`] of a field
-    /// on this layout executes.
+    /// copy lists: what every halo update of a field on this layout
+    /// executes, in shared memory ([`crate::CommWorld::halo_update`]) or
+    /// across `pop-ranksim`'s ranks.
     pub halo_plan: HaloPlan,
 }
 

@@ -147,43 +147,6 @@ impl MultiBlockVec {
         zero_ring(&mut self.data, rows, stride, self.nx, self.halo, LANES);
     }
 
-    /// Extract a rectangular interior region of **all groups and lanes**
-    /// into `out`: group-major, then row-major, `LANES` floats per point —
-    /// the batched halo message format. `out` holds
-    /// `groups * w * h * LANES` floats afterwards.
-    pub fn extract_region(&self, si: usize, sj: usize, w: usize, h: usize, out: &mut Vec<f64>) {
-        debug_assert!(
-            si + w <= self.nx && sj + h <= self.ny,
-            "region out of interior"
-        );
-        out.clear();
-        out.reserve(self.groups * w * h * LANES);
-        for g in 0..self.groups {
-            for r in 0..h {
-                let start = self.offset(g, si as isize, (sj + r) as isize);
-                out.extend_from_slice(&self.data[start..start + w * LANES]);
-            }
-        }
-    }
-
-    /// Scatter a region buffer produced by [`MultiBlockVec::extract_region`]
-    /// (possibly on a different block) into this tile at logical origin
-    /// `(di, dj)` (halo coordinates allowed).
-    pub fn copy_region(&mut self, di: isize, dj: isize, src: &[f64], w: usize, h: usize) {
-        debug_assert_eq!(
-            src.len(),
-            self.groups * w * h * LANES,
-            "region buffer size mismatch"
-        );
-        for g in 0..self.groups {
-            for r in 0..h {
-                let dst = self.offset(g, di, dj + r as isize);
-                let s = (g * h + r) * w * LANES;
-                self.data[dst..dst + w * LANES].copy_from_slice(&src[s..s + w * LANES]);
-            }
-        }
-    }
-
     /// Load one lane (group `g`, lane `lane`) from a single-RHS tile of the
     /// same shape, copying the full padded storage (interior **and** halo)
     /// so the lane starts bit-identical to the source vector.
@@ -332,32 +295,6 @@ mod tests {
                 assert_eq!(mv.at(g, l, -1, 0), 0.0);
                 assert_eq!(mv.at(g, l, 4, 5), 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn region_roundtrip_matches_single_rhs_regions() {
-        let srcs: Vec<BlockVec> = (0..4).map(|k| seeded_block(6, 5, 2, 20 + k)).collect();
-        let mut mv = MultiBlockVec::zeros(srcs[0].nx, srcs[0].ny, srcs[0].halo, 1);
-        for (l, b) in srcs.iter().enumerate() {
-            mv.load_lane(0, l, b);
-        }
-        let mut mbuf = Vec::new();
-        mv.extract_region(1, 2, 3, 2, &mut mbuf);
-        assert_eq!(mbuf.len(), 3 * 2 * LANES);
-
-        let mut mdst = MultiBlockVec::zeros(srcs[0].nx, srcs[0].ny, srcs[0].halo, 1);
-        mdst.copy_region(-2, -2, &mbuf, 3, 2);
-
-        // Each lane must match the single-RHS extract/copy of its source.
-        for (l, b) in srcs.iter().enumerate() {
-            let mut sbuf = Vec::new();
-            b.extract_region(1, 2, 3, 2, &mut sbuf);
-            let mut sdst = BlockVec::zeros(6, 5, 2);
-            sdst.copy_region(-2, -2, &sbuf, 3, 2);
-            let mut got = BlockVec::zeros(6, 5, 2);
-            mdst.store_lane(0, l, &mut got);
-            assert_eq!(got.raw(), sdst.raw(), "lane {l}");
         }
     }
 

@@ -165,8 +165,14 @@ impl ThreadPool {
             return;
         }
         let _turn = self.submit.lock().unwrap_or_else(|e| e.into_inner());
-        // Erase the closure's lifetime; validity is guaranteed by blocking
-        // below until every worker has checked in.
+        // Erase the closure's lifetime so workers can hold it as a `Job`.
+        // SAFETY: the transmute changes only the trait object's lifetime
+        // bound, not its layout. The erased pointer is dereferenced only by
+        // workers between the epoch bump below and their `remaining`
+        // check-in, and this frame does not return — not even by unwinding,
+        // since its own share runs under `catch_unwind` — until `remaining`
+        // is zero; `st.task` is cleared under the same lock before `f`'s
+        // borrow ends. So `f` outlives every use of the pointer.
         let job = Job(unsafe {
             std::mem::transmute::<
                 *const (dyn Fn(usize) + Sync),

@@ -1,4 +1,4 @@
-//! The [`Tile`] trait: what a distributed-vector container and a halo
+//! The [`Tile`] trait: what a distributed-vector container and the halo
 //! exchange need from one block's storage.
 //!
 //! Containers ([`DistField`](crate::DistField), `pop-ranksim`'s
@@ -8,12 +8,10 @@
 //! [`MultiBlockVec`]. Dispatch is static; every method forwards to the
 //! tile's inherent method of the same name.
 //!
-//! The two exchanges use different halves of it. The shared-memory exchange
-//! ([`CommWorld::halo_update`](crate::CommWorld::halo_update)) copies rows
-//! tile to tile from a per-layout plan and needs only the storage itself:
-//! [`Tile::raw_mut`] and [`Tile::POINT_WIDTH`]. The rank runtime moves
-//! strips as message payloads and needs the buffer operations:
-//! [`Tile::zero_halo`], [`Tile::extract_region`], [`Tile::copy_region`].
+//! The exchange ([`crate::halo`]) needs only the storage itself —
+//! [`Tile::raw_mut`] — and how many `f64`s sit side by side per point —
+//! [`Tile::POINT_WIDTH`]; every ring row it moves, tile to tile or through
+//! a rank runtime's message, it addresses from the layout's plan.
 
 use crate::blockvec::BlockVec;
 use crate::multivec::MultiBlockVec;
@@ -35,19 +33,6 @@ pub trait Tile: Clone + Send + Sync {
 
     /// Set every cell (interior and halo, every lane) to `v`.
     fn fill(&mut self, v: f64);
-
-    /// Zero the halo ring, leaving the interior untouched (`O(ring)`: whole
-    /// rows top and bottom, two segments per interior row).
-    fn zero_halo(&mut self);
-
-    /// Extract an interior region into `out` (a rank-runtime halo message
-    /// payload: `width * w * h` values).
-    fn extract_region(&self, si: usize, sj: usize, w: usize, h: usize, out: &mut Vec<f64>);
-
-    /// Scatter a payload produced by [`Tile::extract_region`] (possibly on
-    /// another block) at logical origin `(di, dj)`, halo coordinates
-    /// allowed, one row `memcpy` per row.
-    fn copy_region(&mut self, di: isize, dj: isize, src: &[f64], w: usize, h: usize);
 }
 
 impl Tile for BlockVec {
@@ -65,18 +50,6 @@ impl Tile for BlockVec {
     fn fill(&mut self, v: f64) {
         BlockVec::fill(self, v);
     }
-    #[inline]
-    fn zero_halo(&mut self) {
-        BlockVec::zero_halo(self);
-    }
-    #[inline]
-    fn extract_region(&self, si: usize, sj: usize, w: usize, h: usize, out: &mut Vec<f64>) {
-        BlockVec::extract_region(self, si, sj, w, h, out);
-    }
-    #[inline]
-    fn copy_region(&mut self, di: isize, dj: isize, src: &[f64], w: usize, h: usize) {
-        BlockVec::copy_region(self, di, dj, src, w, h);
-    }
 }
 
 impl Tile for MultiBlockVec {
@@ -93,17 +66,5 @@ impl Tile for MultiBlockVec {
     #[inline]
     fn fill(&mut self, v: f64) {
         MultiBlockVec::fill(self, v);
-    }
-    #[inline]
-    fn zero_halo(&mut self) {
-        MultiBlockVec::zero_halo(self);
-    }
-    #[inline]
-    fn extract_region(&self, si: usize, sj: usize, w: usize, h: usize, out: &mut Vec<f64>) {
-        MultiBlockVec::extract_region(self, si, sj, w, h, out);
-    }
-    #[inline]
-    fn copy_region(&mut self, di: isize, dj: isize, src: &[f64], w: usize, h: usize) {
-        MultiBlockVec::copy_region(self, di, dj, src, w, h);
     }
 }

@@ -33,8 +33,18 @@ pub type SweepPartials = [f64; MAX_SWEEP_PARTIALS];
 /// worker a *disjoint* referent (one element per claimed block index; in the
 /// halo exchange, one ring per block), so no two threads ever alias.
 pub(crate) struct SendPtr<T>(pub(crate) *mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+// SAFETY: a `SendPtr` only carries an address across threads; every
+// dereference is an `unsafe` site of its own with its own argument. Each
+// constructor takes the pointer from a `&mut` borrow that outlives every
+// task it is handed to (`for_each_block`, the sweeps and `dot_many` block on
+// the pool until all indices are done; an `Exchange` borrows its tiles for
+// its lifetime), and the tasks write disjoint elements — one per claimed
+// index, or one ring per block — so sharing the address races on nothing.
+// `T: Send` because those tasks write (and so take over) `T`s on other
+// threads.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: shared access only copies the address out.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 impl<T> Clone for SendPtr<T> {
     fn clone(&self) -> Self {
         *self
@@ -353,13 +363,13 @@ impl CommWorld {
     pub fn halo_update<T: Tile>(&self, v: &mut DistField<T>) {
         // The generic shell only collects tile storage; everything else is
         // compiled once, in this crate.
-        let mut exchange = Exchange::begin(&v.layout.halo_plan, T::POINT_WIDTH, v.width);
-        for tile in &mut v.blocks {
-            exchange.push(tile.raw_mut());
+        let (plan, n) = (&v.layout.halo_plan, v.blocks.len());
+        let mut exchange = Exchange::begin(plan, T::POINT_WIDTH, v.width);
+        for (b, tile) in v.blocks.iter_mut().enumerate() {
+            exchange.push(b, tile.raw_mut());
         }
-        self.run_exchange(&exchange);
+        self.run_exchange(&exchange, n);
         self.stats.halo_updates.fetch_add(1, Ordering::Relaxed);
-        let plan = &v.layout.halo_plan;
         self.stats
             .halo_messages
             .fetch_add(plan.messages(), Ordering::Relaxed);
@@ -368,11 +378,16 @@ impl CommWorld {
             .fetch_add(plan.bytes(v.width), Ordering::Relaxed);
     }
 
-    fn run_exchange(&self, exchange: &Exchange) {
-        let n = exchange.n_blocks();
+    /// Run blocks `0..n` of an exchange that holds every tile.
+    fn run_exchange(&self, exchange: &Exchange, n: usize) {
+        let run = |b: usize| {
+            // SAFETY: each block index runs exactly once, serially or as one
+            // pool task, so no two calls write the same ring.
+            unsafe { exchange.run_block_shared(b) }
+        };
         match self.policy {
-            ExecPolicy::Serial => (0..n).for_each(|b| exchange.run_block(b)),
-            ExecPolicy::Threaded => pool::global().run_indexed(n, &|b| exchange.run_block(b)),
+            ExecPolicy::Serial => (0..n).for_each(run),
+            ExecPolicy::Threaded => pool::global().run_indexed(n, &run),
         }
     }
 

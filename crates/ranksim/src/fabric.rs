@@ -17,11 +17,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// which its payload is available to the receiver.
 #[derive(Clone)]
 pub(crate) enum Msg {
-    /// One halo boundary strip for `(dst_block, dir)` of halo epoch `epoch`.
+    /// The rows of halo pull `pull` (its id in the layout's
+    /// [`HaloPlan`](pop_comm::halo::HaloPlan)) of halo epoch `epoch`.
     Halo {
         epoch: u64,
-        dst_block: u32,
-        dir: u8,
+        pull: u32,
         data: Vec<f64>,
         /// The payload arrived corrupted (simulated checksum failure) or its
         /// retry budget was exhausted; `data` is NaN-poisoned and the
@@ -298,7 +298,8 @@ pub(crate) struct Mailbox {
     seen: HashMap<u32, SeqTracker>,
     /// Duplicate deliveries discarded so far.
     pub(crate) duplicates: u64,
-    halos: HashMap<(u64, u32, u8), HaloArrival>,
+    /// Keyed `(epoch, pull)`.
+    halos: HashMap<(u64, u32), HaloArrival>,
     /// Keyed `(epoch, round, from)`.
     rows: HashMap<(u64, u32, u32), (RowRope, f64)>,
     bcasts: HashMap<u64, (SweepPartials, f64)>,
@@ -329,14 +330,13 @@ impl Mailbox {
         match env.msg {
             Msg::Halo {
                 epoch,
-                dst_block,
-                dir,
+                pull,
                 data,
                 poisoned,
                 avail_at,
             } => {
                 self.halos.insert(
-                    (epoch, dst_block, dir),
+                    (epoch, pull),
                     HaloArrival {
                         data,
                         avail_at,
@@ -372,8 +372,8 @@ impl Mailbox {
         }
     }
 
-    pub(crate) fn recv_halo(&mut self, epoch: u64, dst_block: u32, dir: u8) -> HaloArrival {
-        self.recv_filed(|m| m.halos.remove(&(epoch, dst_block, dir)))
+    pub(crate) fn recv_halo(&mut self, epoch: u64, pull: u32) -> HaloArrival {
+        self.recv_filed(|m| m.halos.remove(&(epoch, pull)))
     }
 
     pub(crate) fn recv_rows(&mut self, epoch: u64, round: u32, from: u32) -> (RowRope, f64) {

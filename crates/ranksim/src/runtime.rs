@@ -12,10 +12,14 @@
 //! assignment gave it) and can only learn about remote data through
 //! messages:
 //!
-//! - **Halo updates** send each boundary strip as an explicit point-to-point
-//!   message to the owning rank (same geometry, message count, and byte
-//!   count as [`CommWorld`](pop_comm::CommWorld) attributes in shared
-//!   memory; rank-local strips are plain copies and cost no wire time).
+//! - **Halo updates** run the layout's
+//!   [`HaloPlan`](pop_comm::halo::HaloPlan) — the one
+//!   [`CommWorld`](pop_comm::CommWorld) runs — over the rank's own tiles: a
+//!   pull between two ranks' blocks travels as one point-to-point message,
+//!   packed and unpacked by the plan's own row code, and a pull between one
+//!   rank's blocks is a row copy that costs no wire time. Messages and bytes
+//!   are counted as shared memory counts them. All this crate adds to the
+//!   plan is who holds which block (`RankHalo`).
 //! - **Global reductions** move per-block partial rows along the message
 //!   schedule [`RankSimConfig::reduce_algo`] selects — a binomial
 //!   gather/broadcast tree (`2·⌈log₂ p⌉` hops on the critical path, the
@@ -49,13 +53,13 @@ use crate::fault::{shuffle, FaultPlan};
 use crate::net::NetworkModel;
 use crate::trace::{Span, SpanKind};
 use crate::vec::{RankField, RankVec};
-use pop_comm::halo::{recv_region, CopyRegion};
+use pop_comm::halo::Exchange;
 use pop_comm::{
     masked_block_dot, CommVec, Communicator, DistLayout, DistVec, StatsSnapshot, SweepPartials,
     Tile, MAX_SWEEP_PARTIALS,
 };
 use pop_grid::sfc::CurveKind;
-use pop_grid::{Direction, RankAssignment};
+use pop_grid::RankAssignment;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -126,58 +130,41 @@ impl RankSimConfig {
     }
 }
 
-/// One copy operation of the halo exchange, in global block ids.
-#[derive(Debug, Clone, Copy)]
-struct PlanEntry {
-    src_block: usize,
-    dst_block: usize,
-    /// `Direction::ALL` index, seen from the *receiving* block.
-    dir: u8,
-    region: CopyRegion,
+/// One rank's share of the layout's halo exchange, as pull ids of its
+/// [`HaloPlan`](pop_comm::halo::HaloPlan) in plan order. Built once per
+/// world from the plan and the rank assignment. Pulls between the rank's
+/// own blocks need no list: [`Exchange::run_block`] copies every pull whose
+/// source tile it holds.
+#[derive(Debug, Default)]
+struct RankHalo {
+    /// Pulls whose source this rank holds and whose destination another
+    /// rank does, with that rank — in plan order, the order their sequence
+    /// numbers (and so their fault draws) are allocated in.
+    sends: Vec<(usize, usize)>,
+    /// Pulls into this rank's rings out of other ranks' blocks.
+    recvs: Vec<usize>,
+    /// Messages and points of one exchange, counted as
+    /// [`CommWorld`](pop_comm::CommWorld) counts them: every pull into this
+    /// rank's rings, rank-local ones included.
+    messages: u64,
+    points: u64,
 }
 
-/// The global halo exchange split by rank: who copies locally, who sends
-/// where, who expects what. Built once per world from the same
-/// `recv_region` geometry [`CommWorld`](pop_comm::CommWorld) uses.
-#[derive(Debug)]
-struct HaloPlan {
-    locals: Vec<Vec<PlanEntry>>,
-    sends: Vec<Vec<(usize, PlanEntry)>>,
-    recvs: Vec<Vec<PlanEntry>>,
-}
-
-impl HaloPlan {
-    fn build(layout: &DistLayout, ra: &RankAssignment) -> Self {
-        let d = &layout.decomp;
-        let mut plan = HaloPlan {
-            locals: vec![Vec::new(); ra.p],
-            sends: vec![Vec::new(); ra.p],
-            recvs: vec![Vec::new(); ra.p],
-        };
-        for (x, info) in d.blocks.iter().enumerate() {
-            for dir in Direction::ALL {
-                let Some(nb) = d.neighbors[x][dir.index()] else {
-                    continue;
-                };
-                let Some(region) = recv_region(info, &d.blocks[nb], dir, layout.halo) else {
-                    continue;
-                };
-                let e = PlanEntry {
-                    src_block: nb,
-                    dst_block: x,
-                    dir: dir.index() as u8,
-                    region,
-                };
-                let (sr, dr) = (ra.rank_of_block[nb], ra.rank_of_block[x]);
-                if sr == dr {
-                    plan.locals[dr].push(e);
-                } else {
-                    plan.sends[sr].push((dr, e));
-                    plan.recvs[dr].push(e);
-                }
+impl RankHalo {
+    /// Every rank's share of `layout`'s exchange under `ra`.
+    fn split(layout: &DistLayout, ra: &RankAssignment) -> Vec<RankHalo> {
+        let mut halos: Vec<RankHalo> = (0..ra.p).map(|_| RankHalo::default()).collect();
+        for (id, r) in layout.halo_plan.routes().enumerate() {
+            let (from, to) = (ra.rank_of_block[r.src], ra.rank_of_block[r.dst]);
+            let h = &mut halos[to];
+            h.messages += 1;
+            h.points += r.points as u64;
+            if from != to {
+                h.recvs.push(id);
+                halos[from].sends.push((id, to));
             }
         }
-        plan
+        halos
     }
 }
 
@@ -225,7 +212,7 @@ pub struct RankComm {
     /// The halo-adjacent remainder (`owned_points − owned_core_points`),
     /// charged after the strips land.
     owned_edge_points: f64,
-    plan: Arc<HaloPlan>,
+    halos: Arc<[RankHalo]>,
     pub(crate) net: Arc<dyn NetworkModel>,
     cfg: RankSimConfig,
     pub(crate) fabric: Arc<Fabric>,
@@ -414,8 +401,9 @@ impl RankComm {
         result
     }
 
-    /// The wire phase of a halo exchange: post every remote strip, copy
-    /// rank-local strips, drain the expected arrivals into `v`'s halos, and
+    /// The wire phase of a halo exchange, on the layout's plan: post every
+    /// pull another rank's ring waits for, run the owned blocks (fills
+    /// zeroed, rank-local pulls copied), unpack every arrival over them, and
     /// count messages/bytes. Returns the latest arrival time *without*
     /// touching the clock or pushing spans — callers decide whether the
     /// wait is eager ([`Communicator::halo_update`]) or overlapped with
@@ -427,23 +415,23 @@ impl RankComm {
         self.stats
             .halo_updates
             .set(self.stats.halo_updates.get() + 1);
+        let halo = &self.halos[self.rank];
+        let width = v.width();
+        let mut exchange = Exchange::begin(&self.layout.halo_plan, T::POINT_WIDTH, width);
+        for (&b, tile) in self.owned.iter().zip(v.blocks.iter_mut()) {
+            exchange.push(b, tile.raw_mut());
+        }
 
         // Post all sends first so no pair of ranks can deadlock. Sequence
         // numbers are allocated in plan order (the logical send order); a
         // reorder fault only permutes the physical posting of this one
         // burst, so no strip is ever held back across epochs.
-        let mut burst: Vec<(usize, u64, bool, Msg)> =
-            Vec::with_capacity(self.plan.sends[self.rank].len());
-        for &(dst_rank, e) in &self.plan.sends[self.rank] {
-            let r = e.region;
-            let mut data = Vec::new();
-            v.block(e.src_block)
-                .extract_region(r.src_i, r.src_j, r.w, r.h, &mut data);
+        let mut burst: Vec<(usize, u64, bool, Msg)> = Vec::with_capacity(halo.sends.len());
+        for &(id, dst_rank) in &halo.sends {
+            let mut data = exchange.pack(id);
             let (seq, f) = self.next_message(dst_rank, true);
             if f.poison {
-                for x in data.iter_mut() {
-                    *x = f64::NAN;
-                }
+                data.fill(f64::NAN);
             }
             let avail = self.clock.get()
                 + self.net.p2p_between(self.rank, dst_rank, data.len() * 8)
@@ -454,8 +442,7 @@ impl RankComm {
                 f.duplicate,
                 Msg::Halo {
                     epoch,
-                    dst_block: e.dst_block as u32,
-                    dir: e.dir,
+                    pull: id as u32,
                     data,
                     poisoned: f.poison,
                     avail_at: avail,
@@ -469,37 +456,17 @@ impl RankComm {
             self.fabric.post(self.rank, dst, seq, dup, msg);
         }
 
-        for blk in v.blocks.iter_mut() {
-            blk.zero_halo();
-        }
-
-        // Message/byte counts follow CommWorld's convention: one message per
-        // non-empty (block, direction) strip, local strips included — only
-        // the *wire time* distinguishes local from remote.
-        let mut msgs = 0u64;
-        let mut elems = 0u64;
-
-        let mut buf = Vec::new();
-        for e in &self.plan.locals[self.rank] {
-            let r = e.region;
-            v.block(e.src_block)
-                .extract_region(r.src_i, r.src_j, r.w, r.h, &mut buf);
-            msgs += 1;
-            elems += buf.len() as u64;
-            v.block_mut(e.dst_block)
-                .copy_region(r.dst_i, r.dst_j, &buf, r.w, r.h);
+        for &b in self.owned.iter() {
+            exchange.run_block(b);
         }
 
         let mut arrive = self.clock.get();
-        for e in &self.plan.recvs[self.rank] {
+        for &id in &halo.recvs {
             let HaloArrival {
                 data,
                 avail_at,
                 poisoned,
-            } = self
-                .inbox
-                .borrow_mut()
-                .recv_halo(epoch, e.dst_block as u32, e.dir);
+            } = self.inbox.borrow_mut().recv_halo(epoch, id as u32);
             if poisoned {
                 // Surfaced, not panicked: the NaN strip propagates into the
                 // next residual reduction, where the solvers' recovery
@@ -508,20 +475,17 @@ impl RankComm {
                     .delivery_failures
                     .set(self.stats.delivery_failures.get() + 1);
             }
-            let r = e.region;
-            msgs += 1;
-            elems += data.len() as u64;
-            v.block_mut(e.dst_block)
-                .copy_region(r.dst_i, r.dst_j, &data, r.w, r.h);
+            exchange.unpack(id, &data);
             arrive = arrive.max(avail_at);
         }
 
+        // Only the *wire time* distinguishes a remote pull from a local one.
         self.stats
             .halo_messages
-            .set(self.stats.halo_messages.get() + msgs);
-        self.stats
-            .halo_bytes
-            .set(self.stats.halo_bytes.get() + elems * std::mem::size_of::<f64>() as u64);
+            .set(self.stats.halo_messages.get() + halo.messages);
+        self.stats.halo_bytes.set(
+            self.stats.halo_bytes.get() + halo.points * (width * std::mem::size_of::<f64>()) as u64,
+        );
         arrive
     }
 
@@ -591,12 +555,12 @@ impl Communicator for RankComm {
     }
 
     /// The halo exchange as real point-to-point traffic: post every remote
-    /// strip as a message, copy rank-local strips directly, then wait for
+    /// pull as a message, copy rank-local pulls directly, then wait for
     /// the expected arrivals and advance the clock to the latest one. A
     /// `k`-wide field uses the same plan, epochs and one `Msg::Halo` per
-    /// (block, direction) strip, each payload carrying all `k` values of
-    /// its points (`k×` bytes, message count flat in `k`). A halo epoch is
-    /// globally one width (SPMD lockstep), so payload shapes never mix.
+    /// pull, each payload carrying all `k` values of its points (`k×`
+    /// bytes, message count flat in `k`). A halo epoch is globally one
+    /// width (SPMD lockstep), so payload shapes never mix.
     fn halo_update<T: Tile>(&self, v: &mut RankField<T>) {
         self.check_view(v);
         self.charge_stall();
@@ -708,7 +672,8 @@ pub struct RankWorld {
     assignment: Arc<RankAssignment>,
     net: Arc<dyn NetworkModel>,
     cfg: RankSimConfig,
-    plan: Arc<HaloPlan>,
+    /// Per rank: its share of the layout's halo exchange.
+    halos: Arc<[RankHalo]>,
     /// Per rank: owned global block ids, sorted ascending.
     owned: Vec<Arc<Vec<usize>>>,
     /// Per rank: global block id -> local index (or `u32::MAX`).
@@ -741,7 +706,7 @@ impl RankWorld {
             n,
             "assignment does not cover the layout's blocks"
         );
-        let plan = Arc::new(HaloPlan::build(layout, &assignment));
+        let halos = RankHalo::split(layout, &assignment).into();
         let mut owned = Vec::with_capacity(assignment.p);
         let mut local_of = Vec::with_capacity(assignment.p);
         for r in 0..assignment.p {
@@ -759,7 +724,7 @@ impl RankWorld {
             assignment: Arc::new(assignment),
             net,
             cfg,
-            plan,
+            halos,
             owned,
             local_of,
         }
@@ -837,7 +802,7 @@ impl RankWorld {
                         owned_points,
                         owned_core_points,
                         owned_edge_points: owned_points - owned_core_points,
-                        plan: Arc::clone(&self.plan),
+                        halos: Arc::clone(&self.halos),
                         net: Arc::clone(&self.net),
                         cfg: self.cfg,
                         fabric: Arc::clone(&fabric),
@@ -866,7 +831,7 @@ impl RankWorld {
 mod tests {
     use super::*;
     use crate::net::{LatencyBandwidth, ZeroCost};
-    use pop_comm::CommWorld;
+    use pop_comm::{BlockVec, CommWorld};
     use pop_grid::Grid;
     use pop_perfmodel::machine::MachineModel;
 
@@ -909,42 +874,160 @@ mod tests {
         }
     }
 
-    /// Message-passing halo exchange must produce the same halos as the
-    /// shared-memory exchange, and the per-rank message/byte counts must
-    /// sum to CommWorld's totals.
+    fn custom_grid(
+        nx: usize,
+        ny: usize,
+        periodic: bool,
+        ocean: impl Fn(usize, usize) -> bool,
+    ) -> Grid {
+        use pop_grid::{Bathymetry, GridKind, Metrics};
+        let depth = (0..nx * ny)
+            .map(|k| if ocean(k % nx, k / nx) { 300.0 } else { 0.0 })
+            .collect();
+        Grid::from_parts(
+            GridKind::Custom,
+            Metrics::uniform(nx, ny, 5.0e4),
+            &Bathymetry { nx, ny, depth },
+            periodic,
+        )
+    }
+
+    /// The layouts where halo geometry bites (the custom grids of
+    /// `pop-comm`'s cell-by-cell exchange oracle), this module's regular
+    /// one, and the layouts of the four gated benchmark workloads.
+    fn exchange_layouts() -> Vec<(&'static str, Arc<DistLayout>)> {
+        let narrow = custom_grid(17, 12, true, |_, j| (1..11).contains(&j));
+        let wide = custom_grid(12, 18, true, |i, j| (i + 2 * j) % 7 != 0);
+        let column = custom_grid(1, 8, true, |_, _| true);
+        let islands = custom_grid(30, 12, false, |i, j| {
+            (4..8).contains(&j) && (i / 6) % 2 == 1
+        });
+        let column_decomp = pop_grid::Decomposition::new(&column, 1, 4);
+        vec![
+            (
+                "edge block narrower than the halo",
+                DistLayout::build(&narrow, 8, 6),
+            ),
+            ("periodic, one block wide", DistLayout::build(&wide, 12, 6)),
+            (
+                "periodic, one column",
+                DistLayout::new(&column, column_decomp, 2),
+            ),
+            (
+                "every neighbour eliminated",
+                DistLayout::build(&islands, 6, 4),
+            ),
+            ("gx1 scaled 10x8", layout()),
+            ("gx1 40x48", DistLayout::build(&Grid::gx1(2015), 40, 48)),
+            (
+                "0.1deg 45x30",
+                DistLayout::build(&Grid::gx01_scaled(2015, 900, 600), 45, 30),
+            ),
+            (
+                "gyre 16x12",
+                DistLayout::build(&Grid::idealized_basin(64, 48, 500.0, 2.0e4), 16, 12),
+            ),
+            (
+                "serve 8x8",
+                DistLayout::build(&Grid::gx1_scaled(2015, 96, 80), 8, 8),
+            ),
+        ]
+    }
+
+    /// The message-passing exchange leaves every tile bitwise as the
+    /// shared-memory exchange does — starting from stale halos, so a ring
+    /// part neither pulled nor filled would show — single-RHS and five
+    /// lanes wide, from one rank (every pull local, self-pulls included) to
+    /// more ranks than blocks, on both executors; and the ranks' message and
+    /// byte counts sum to the plan's.
     #[test]
     fn halo_exchange_matches_shared_memory() {
-        let layout = layout();
+        use crate::vec::MultiRankVec;
+        use pop_simd::LANES;
         let shared = CommWorld::serial();
-        let mut v = DistVec::zeros(&layout);
-        v.fill_with(|i, j| (1 + i * 7 + j * 131) as f64);
-        let mut v_shared = v.clone();
-        shared.halo_update(&mut v_shared);
-        let shared_stats = shared.stats();
-
-        for p in [1, 3, 6, 11] {
-            let w = world(&layout, p);
-            let reports = w.run(|comm| {
-                let mut rv = comm.import(&v);
-                comm.halo_update(&mut rv);
-                rv.into_blocks()
-            });
-            let mut msgs = 0u64;
-            let mut bytes = 0u64;
-            for rep in reports {
-                msgs += rep.stats.halo_messages;
-                bytes += rep.stats.halo_bytes;
-                assert_eq!(rep.stats.halo_updates, 1);
-                for (gb, blk) in rep.result {
-                    assert_eq!(
-                        blk.raw(),
-                        v_shared.blocks[gb].raw(),
-                        "p={p}: block {gb} halo differs"
-                    );
+        let bits = |t: &BlockVec| t.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (name, layout) in exchange_layouts() {
+            let n = layout.n_blocks();
+            for k in [1usize, 5] {
+                let width = if k == 1 { 1 } else { k.next_multiple_of(LANES) };
+                let srcs: Vec<DistVec> = (0..k)
+                    .map(|l| {
+                        let mut v = DistVec::zeros(&layout);
+                        v.blocks.iter_mut().for_each(|b| b.fill(9.5));
+                        v.fill_with(|i, j| ((1 + l) * (1 + i * 7 + j * 131)) as f64);
+                        v
+                    })
+                    .collect();
+                let want: Vec<DistVec> = srcs
+                    .iter()
+                    .map(|src| {
+                        let mut v = src.clone();
+                        shared.halo_update(&mut v);
+                        v
+                    })
+                    .collect();
+                for p in [1, 2, 3, n + 3] {
+                    for exec in executors() {
+                        let w = world(&layout, p);
+                        let reports = w.run_on(exec, |comm| {
+                            // Every owned block's lanes after one exchange.
+                            let lanes: Vec<(usize, Vec<BlockVec>)> = if k == 1 {
+                                let mut rv = comm.import(&srcs[0]);
+                                comm.halo_update(&mut rv);
+                                rv.into_blocks()
+                                    .into_iter()
+                                    .map(|(gb, t)| (gb, vec![t]))
+                                    .collect()
+                            } else {
+                                let mut mv: MultiRankVec = comm.alloc(&comm.zeros(), width);
+                                for (l, src) in srcs.iter().enumerate() {
+                                    for &gb in comm.owned_blocks() {
+                                        mv.block_mut(gb).load_lane(
+                                            l / LANES,
+                                            l % LANES,
+                                            &src.blocks[gb],
+                                        );
+                                    }
+                                }
+                                comm.halo_update(&mut mv);
+                                mv.into_blocks()
+                                    .into_iter()
+                                    .map(|(gb, mb)| {
+                                        let lane = |l: usize| {
+                                            let mut t = srcs[l].blocks[gb].clone();
+                                            mb.store_lane(l / LANES, l % LANES, &mut t);
+                                            t
+                                        };
+                                        (gb, (0..k).map(lane).collect())
+                                    })
+                                    .collect()
+                            };
+                            (comm.stats(), lanes)
+                        });
+                        let tag = format!("{name} k={k} p={p} {exec:?}");
+                        let (mut msgs, mut bytes, mut seen) = (0, 0, 0);
+                        for rep in reports {
+                            let (stats, blocks) = rep.result;
+                            assert_eq!(stats.halo_updates, 1, "{tag}");
+                            msgs += stats.halo_messages;
+                            bytes += stats.halo_bytes;
+                            for (gb, lanes) in blocks {
+                                seen += 1;
+                                for (l, t) in lanes.iter().enumerate() {
+                                    assert_eq!(
+                                        bits(t),
+                                        bits(&want[l].blocks[gb]),
+                                        "{tag}: block {gb} lane {l} differs"
+                                    );
+                                }
+                            }
+                        }
+                        assert_eq!(seen, n, "{tag}: blocks");
+                        assert_eq!(msgs, layout.halo_plan.messages(), "{tag}: messages");
+                        assert_eq!(bytes, layout.halo_plan.bytes(width), "{tag}: bytes");
+                    }
                 }
             }
-            assert_eq!(msgs, shared_stats.halo_messages, "p={p} message count");
-            assert_eq!(bytes, shared_stats.halo_bytes, "p={p} byte volume");
         }
     }
 
@@ -957,7 +1040,6 @@ mod tests {
     fn halo_update_is_lane_transparent() {
         use crate::fault::FaultConfig;
         use crate::vec::MultiRankVec;
-        use pop_comm::BlockVec;
         use pop_simd::LANES;
         let layout = layout();
         let shared = CommWorld::serial();
@@ -1462,6 +1544,68 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The fault draws a halo-heavy loop implies, pinned. Each message's
+    /// delay, duplicate, drop and poison are drawn from `(src, dst, seq)`,
+    /// and sequence numbers follow each rank's send order, so a permuted
+    /// send order moves these numbers where the conformance suites (which
+    /// check results, not which strip got which draw) see nothing. Recorded
+    /// on the exchange that built its own plan and moved every strip through
+    /// a buffer; the fiber executor makes the duplicate count (which
+    /// depends on how far each mailbox got pumped) deterministic.
+    #[test]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", target_env = "gnu"))]
+    fn hostile_fault_draws_follow_the_send_order() {
+        use crate::fault::FaultConfig;
+        use crate::vec::MultiRankVec;
+        use pop_simd::LANES;
+        let layout = layout();
+        let m = MachineModel::yellowstone();
+        let faults = FaultConfig {
+            corrupt_prob: 0.01,
+            fail_prob: 5e-3,
+            ..FaultConfig::hostile()
+        };
+        let cfg = RankSimConfig::modeled(&m).with_faults(FaultPlan::seeded(2015, faults));
+        let net = Arc::new(LatencyBandwidth::from_machine(&m));
+        let w = RankWorld::new(&layout, 6, net, cfg);
+        let mut v = DistVec::zeros(&layout);
+        v.fill_with(|i, j| (1 + i * 7 + j * 131) as f64);
+        let reports = w.run_on(Executor::Fibers, |comm| {
+            let mut x = comm.import(&v);
+            let mut mx: MultiRankVec = comm.alloc(&x, 2 * LANES);
+            for it in 0..30 {
+                comm.halo_update(&mut x);
+                comm.halo_update(&mut mx);
+                if it % 5 == 4 {
+                    comm.dot_fused(&x, &x);
+                }
+            }
+        });
+        let got: Vec<(u64, u64, u64, u64)> = reports
+            .iter()
+            .map(|r| {
+                let s = &r.stats;
+                (
+                    r.clock.to_bits(),
+                    s.retries,
+                    s.duplicates,
+                    s.delivery_failures,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (4585704624509105886, 72, 103, 16),
+                (4585705274036258544, 117, 183, 30),
+                (4585753444613724410, 80, 89, 21),
+                (4585754094140877068, 98, 129, 29),
+                (4585705274036258544, 85, 166, 19),
+                (4585705923563411202, 63, 100, 16),
+            ]
+        );
     }
 
     /// A panicking rank must fail the whole run under either executor —

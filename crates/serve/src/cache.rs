@@ -47,11 +47,10 @@ struct Entry {
     last_used: u64,
 }
 
-/// Least-recently-used cache of [`OperatorState`]s.
-///
-/// Owned by the scheduler thread — no interior locking; concurrency safety
-/// comes from the `Arc` payloads, not the map.
-pub struct OperatorCache {
+/// Least-recently-used map of [`OperatorState`]s: the LRU half of
+/// [`SharedOperatorCache`], which locks it. No interior locking; eviction
+/// only drops the map's `Arc`.
+struct OperatorCache {
     capacity: usize,
     tick: u64,
     map: HashMap<CacheKey, Entry>,
@@ -59,8 +58,8 @@ pub struct OperatorCache {
 }
 
 impl OperatorCache {
-    /// `capacity = 0` disables caching (every lookup builds cold).
-    pub fn new(capacity: usize) -> OperatorCache {
+    /// `capacity = 0` disables retention (every lookup misses).
+    fn new(capacity: usize) -> OperatorCache {
         OperatorCache {
             capacity,
             tick: 0,
@@ -69,22 +68,10 @@ impl OperatorCache {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
     /// LRU lookup: bumps recency and the hit counter on success. The
     /// miss counter is charged by [`OperatorCache::insert_built`] so a
     /// (lookup, build, insert) sequence counts one miss.
-    pub fn lookup(&mut self, key: &CacheKey) -> Option<Arc<OperatorState>> {
+    fn lookup(&mut self, key: &CacheKey) -> Option<Arc<OperatorState>> {
         self.tick += 1;
         if let Some(e) = self.map.get_mut(key) {
             e.last_used = self.tick;
@@ -98,7 +85,7 @@ impl OperatorCache {
     /// returned `None`), evicting the LRU entry if at capacity. With
     /// `capacity = 0` the state is not retained — the miss is still
     /// counted.
-    pub fn insert_built(&mut self, key: CacheKey, state: &Arc<OperatorState>) {
+    fn insert_built(&mut self, key: CacheKey, state: &Arc<OperatorState>) {
         self.stats.misses += 1;
         if self.capacity > 0 {
             if self.map.len() >= self.capacity {
@@ -112,33 +99,6 @@ impl OperatorCache {
                 },
             );
         }
-    }
-
-    /// Fetch the setup state for `op`, building (and caching) it on miss.
-    /// Returns the state and whether it was a hit. The Lanczos estimation
-    /// runs only when `solver_needs_bounds` — CG-type traffic never pays
-    /// for bounds it won't use.
-    pub fn get_or_build(
-        &mut self,
-        fingerprint: u64,
-        op: &NinePoint,
-        precond: PrecondSpec,
-        solver_needs_bounds: bool,
-        lanczos: &LanczosConfig,
-        world: &CommWorld,
-    ) -> (Arc<OperatorState>, bool) {
-        let key = CacheKey {
-            fingerprint,
-            precond,
-            with_bounds: solver_needs_bounds,
-        };
-        if let Some(state) = self.lookup(&key) {
-            return (state, true);
-        }
-        let state =
-            OperatorState::build(op, precond, solver_needs_bounds.then_some(lanczos), world);
-        self.insert_built(key, &state);
-        (state, false)
     }
 
     fn evict_lru(&mut self) {
@@ -161,11 +121,11 @@ struct Flight {
     cv: Condvar,
 }
 
-/// Thread-safe wrapper around [`OperatorCache`] for the dispatch worker
-/// pool, with **single-flight** miss handling: when several workers miss
-/// on the same [`CacheKey`] concurrently, exactly one builds the
-/// `OperatorState` and the rest wait for that build instead of
-/// duplicating the (expensive, deterministic) work. Waiters count as
+/// The operator-state cache of the dispatch worker pool: an LRU of
+/// [`OperatorState`]s behind a lock, with **single-flight** miss handling:
+/// when several workers miss on the same [`CacheKey`] concurrently, exactly
+/// one builds the `OperatorState` and the rest wait for that build instead
+/// of duplicating the (expensive, deterministic) work. Waiters count as
 /// hits plus [`CacheStats::coalesced_builds`].
 ///
 /// The LRU lock is never held across a build — only across map lookups
@@ -189,21 +149,27 @@ impl SharedOperatorCache {
     }
 
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).stats()
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).stats
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .map
+            .len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Concurrent [`OperatorCache::get_or_build`]: LRU hit, wait on an
-    /// in-flight build of the same key, or claim the build. Returns the
+    /// Fetch the setup state for `op`: LRU hit, wait on an in-flight build
+    /// of the same key, or claim the build (and cache it). Returns the
     /// state and whether it was served without building (LRU hit or
-    /// coalesced onto another worker's build).
+    /// coalesced onto another worker's build). The Lanczos estimation runs
+    /// only when `solver_needs_bounds` — CG-type traffic never pays for
+    /// bounds it won't use.
     pub fn get_or_build(
         &self,
         fingerprint: u64,
@@ -319,7 +285,7 @@ mod tests {
         let (op, world) = op();
         let fp = pop_core::fingerprint::operator_fingerprint(&op);
         let lz = LanczosConfig::default();
-        let mut c = OperatorCache::new(4);
+        let c = SharedOperatorCache::new(4);
         let (a, hit_a) = c.get_or_build(fp, &op, PrecondSpec::Diagonal, false, &lz, &world);
         let (b, hit_b) = c.get_or_build(fp, &op, PrecondSpec::Diagonal, false, &lz, &world);
         assert!(!hit_a);
@@ -340,7 +306,7 @@ mod tests {
         let (op, world) = op();
         let fp = pop_core::fingerprint::operator_fingerprint(&op);
         let lz = LanczosConfig::default();
-        let mut c = OperatorCache::new(4);
+        let c = SharedOperatorCache::new(4);
         let (no_bounds, _) = c.get_or_build(fp, &op, PrecondSpec::Diagonal, false, &lz, &world);
         let (with_bounds, hit) = c.get_or_build(fp, &op, PrecondSpec::Diagonal, true, &lz, &world);
         assert!(!hit, "a CG-grade state must not satisfy a P-CSI lookup");
@@ -352,7 +318,7 @@ mod tests {
     fn lru_evicts_least_recently_used_and_keeps_arcs_alive() {
         let (op, world) = op();
         let lz = LanczosConfig::default();
-        let mut c = OperatorCache::new(2);
+        let c = SharedOperatorCache::new(2);
         // Distinct fingerprints stand in for distinct operators; the
         // builder only cares about the op it is given.
         let (s1, _) = c.get_or_build(1, &op, PrecondSpec::Diagonal, false, &lz, &world);
@@ -379,8 +345,8 @@ mod tests {
         let (op, world) = op();
         let lz = LanczosConfig::default();
         let stream: Vec<u64> = (0..4).flat_map(|_| 1..=3u64).collect();
-        let mut cold = OperatorCache::new(1);
-        let mut warm = OperatorCache::new(3);
+        let cold = SharedOperatorCache::new(1);
+        let warm = SharedOperatorCache::new(3);
         for &fp in &stream[..3] {
             warm.get_or_build(fp, &op, PrecondSpec::Diagonal, false, &lz, &world);
         }
@@ -398,7 +364,7 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let (op, world) = op();
         let lz = LanczosConfig::default();
-        let mut c = OperatorCache::new(0);
+        let c = SharedOperatorCache::new(0);
         let (_, h1) = c.get_or_build(9, &op, PrecondSpec::Diagonal, false, &lz, &world);
         let (_, h2) = c.get_or_build(9, &op, PrecondSpec::Diagonal, false, &lz, &world);
         assert!(!h1 && !h2);
@@ -437,19 +403,5 @@ mod tests {
         // Every hit either waited on the in-flight build or arrived after
         // it was published into the LRU.
         assert!(stats.coalesced_builds <= stats.hits);
-    }
-
-    #[test]
-    fn shared_cache_matches_unshared_semantics_sequentially() {
-        let (op, world) = op();
-        let fp = pop_core::fingerprint::operator_fingerprint(&op);
-        let lz = LanczosConfig::default();
-        let shared = SharedOperatorCache::new(2);
-        let (a, h1) = shared.get_or_build(fp, &op, PrecondSpec::Diagonal, false, &lz, &world);
-        let (b, h2) = shared.get_or_build(fp, &op, PrecondSpec::Diagonal, false, &lz, &world);
-        assert!(!h1 && h2);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(shared.len(), 1);
-        assert_eq!(shared.stats().coalesced_builds, 0);
     }
 }

@@ -52,7 +52,7 @@ pub mod request;
 pub mod sched;
 pub mod service;
 
-pub use cache::{CacheKey, CacheStats, OperatorCache, SharedOperatorCache};
+pub use cache::{CacheKey, CacheStats, SharedOperatorCache};
 pub use request::{Priority, Reject, SolveRequest, SolveResponse, SolverSpec, Ticket};
 pub use sched::{fair_order, LaneState, QueueItem, INTERACTIVE_STREAK_LIMIT};
 pub use service::{
