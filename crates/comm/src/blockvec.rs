@@ -1,21 +1,21 @@
 //! A halo-padded field tile for one decomposition block.
 
+use crate::tile::extent;
 use pop_simd::AlignedVec;
 
-/// One block's worth of a distributed field, stored with a halo ring of
-/// configurable width around the interior. POP keeps a halo of width 2 so a
-/// matrix–vector product *and* a non-diagonal preconditioner can run between
-/// boundary updates; we follow that default.
+/// One block's worth of a distributed field: the interior plus a halo ring
+/// `halo` cells wide, the layout's width — 1 from
+/// [`DistLayout::build`](crate::DistLayout::build), the reach of the
+/// nine-point stencil, since every sweep that reads a neighbour runs right
+/// after its own exchange.
 ///
 /// Storage is row-major; interior indices run `0..nx` × `0..ny`, and halo
 /// cells are addressed with negative or past-the-end indices through
-/// [`BlockVec::at`] / [`BlockVec::at_mut`]. For the SIMD kernel layer the
-/// backing buffer is 32-byte aligned and the row stride is `nx + 2*halo`
-/// rounded up to the 4-lane width ([`pop_simd::LANES`]), so consecutive
-/// rows keep the same alignment phase; the pad columns at the end of each
-/// row are storage-only — no kernel reads or writes them. All flat
-/// indexing must go through [`BlockVec::stride`], never recompute
-/// `nx + 2*halo`.
+/// [`BlockVec::at`] / [`BlockVec::at_mut`]. Rows are
+/// [`tile::extent`](crate::tile::extent) long — interior and ring, no lane
+/// padding — and the backing buffer is 32-byte aligned; rows themselves
+/// start wherever the stride puts them, and the kernels load unaligned.
+/// Flat indexing goes through [`BlockVec::stride`].
 ///
 /// The halo exchange of either runtime writes the ring through the raw
 /// storage, row by row from the layout's plan ([`crate::halo`]);
@@ -29,8 +29,7 @@ pub struct BlockVec {
     pub ny: usize,
     /// Halo width on each side.
     pub halo: usize,
-    /// Row stride of the padded storage: `nx + 2*halo` rounded up to the
-    /// SIMD lane width.
+    /// Row stride of the storage ([`tile::extent`](crate::tile::extent)).
     stride: usize,
     data: AlignedVec,
 }
@@ -39,8 +38,7 @@ impl BlockVec {
     /// A zero-filled tile.
     pub fn zeros(nx: usize, ny: usize, halo: usize) -> Self {
         assert!(nx > 0 && ny > 0, "empty block");
-        let stride = pop_simd::round_up_lanes(nx + 2 * halo);
-        let rows = ny + 2 * halo;
+        let (stride, rows) = extent(nx, ny, halo);
         BlockVec {
             nx,
             ny,
@@ -50,9 +48,8 @@ impl BlockVec {
         }
     }
 
-    /// Row stride of the padded storage (`nx + 2*halo` rounded up to the
-    /// SIMD lane width). Exposed for flat kernels that index
-    /// [`BlockVec::raw`] directly.
+    /// Row stride of the storage, `nx + 2·halo` points. Exposed for flat
+    /// kernels that index [`BlockVec::raw`] directly.
     #[inline]
     pub fn stride(&self) -> usize {
         self.stride
@@ -96,8 +93,8 @@ impl BlockVec {
         self.data[(j + self.halo) * s + i + self.halo] = v;
     }
 
-    /// The raw padded storage (including halo and stride padding),
-    /// row-major with [`BlockVec::stride`].
+    /// The raw storage (interior and halo ring), row-major with
+    /// [`BlockVec::stride`].
     #[inline]
     pub fn raw(&self) -> &[f64] {
         self.data.as_slice()
@@ -132,37 +129,29 @@ impl BlockVec {
         self.data.as_mut_slice().fill(v);
     }
 
-    /// Zero only the halo ring, leaving the interior (and the stride pad
-    /// columns) untouched, in `O(ring)`.
+    /// Zero only the halo ring, leaving the interior untouched, in
+    /// `O(ring)`.
     pub fn zero_halo(&mut self) {
-        let rows = self.ny + 2 * self.halo;
-        zero_ring(&mut self.data, rows, self.stride, self.nx, self.halo, 1);
+        zero_ring(&mut self.data, self.nx, self.ny, self.halo, 1);
     }
 }
 
-/// Zero the halo ring of every image in `data`: images of `rows` padded
-/// rows of `stride` points, `point` values per point, the interior `nx`
-/// points wide inside a ring `halo` wide. The one body behind
-/// [`BlockVec::zero_halo`] (one image, `point = 1`) and
-/// `MultiBlockVec::zero_halo` (`groups` images, `point = LANES`): `halo`
-/// whole rows at the bottom and top of an image, two `halo`-wide segments
-/// on every row between. Stride pad columns are not touched.
-pub(crate) fn zero_ring(
-    data: &mut [f64],
-    rows: usize,
-    stride: usize,
-    nx: usize,
-    halo: usize,
-    point: usize,
-) {
+/// Zero the halo ring of every image in `data`: images of an `nx × ny`
+/// interior inside a ring `halo` wide, stored by [`extent`], `point`
+/// values per point. The one body behind [`BlockVec::zero_halo`] (one
+/// image, `point = 1`) and `MultiBlockVec::zero_halo` (`groups` images,
+/// `point = LANES`): `halo` whole rows at the bottom and top of an image,
+/// two `halo`-wide segments on every row between.
+pub(crate) fn zero_ring(data: &mut [f64], nx: usize, ny: usize, halo: usize, point: usize) {
+    let (stride, rows) = extent(nx, ny, halo);
     let (h, nx) = (halo * point, nx * point);
     for (k, row) in data.chunks_exact_mut(stride * point).enumerate() {
         let jj = k % rows;
         if jj < halo || jj >= rows - halo {
-            row[..nx + 2 * h].fill(0.0);
+            row.fill(0.0);
         } else {
             row[..h].fill(0.0);
-            row[nx + h..nx + 2 * h].fill(0.0);
+            row[nx + h..].fill(0.0);
         }
     }
 }
@@ -219,18 +208,18 @@ mod tests {
         assert_eq!(b.at(1, -1), 0.0);
     }
 
-    /// Cell by cell: ring zeroed, interior and stride pad columns untouched
-    /// (a 5-wide block with halo 2 has a stride of 12, three pad columns).
+    /// Cell by cell: ring zeroed, interior untouched; a 5×3 block with
+    /// halo 2 is stored as exactly 9×7 cells.
     #[test]
     fn zero_halo_touches_exactly_the_ring() {
         let mut b = BlockVec::zeros(5, 3, 2);
-        assert!(b.stride() > 9);
+        assert_eq!((b.stride(), b.raw().len()), (9, 9 * 7));
         b.fill(9.0);
         b.zero_halo();
         for (jj, row) in b.raw().chunks_exact(b.stride()).enumerate() {
             for (ii, &v) in row.iter().enumerate() {
-                let ring = ii < 9 && !((2..7).contains(&ii) && (2..5).contains(&jj));
-                assert_eq!(v, if ring { 0.0 } else { 9.0 }, "({ii},{jj})");
+                let interior = (2..7).contains(&ii) && (2..5).contains(&jj);
+                assert_eq!(v, if interior { 9.0 } else { 0.0 }, "({ii},{jj})");
             }
         }
     }

@@ -28,6 +28,7 @@
 //! [`Direction::ALL`] — and [`HaloPlan::routes`] gives each one's source
 //! block, destination block and point count.
 
+use crate::tile::extent;
 use crate::world::SendPtr;
 use pop_grid::{BlockInfo, Decomposition, Direction};
 use std::cell::Cell;
@@ -95,14 +96,14 @@ struct Pull {
 }
 
 /// One block's share of the exchange, in the geometry of its tile: a tile
-/// stores `groups` images of `rows × stride` points (a
-/// [`BlockVec`](crate::BlockVec) one image of one `f64` per point, a
-/// [`MultiBlockVec`](crate::MultiBlockVec) `groups` images of
+/// stores `groups` images of `rows × stride` points, sized by
+/// [`extent`] (a [`BlockVec`](crate::BlockVec) one image of one `f64` per
+/// point, a [`MultiBlockVec`](crate::MultiBlockVec) `groups` images of
 /// [`LANES`](pop_simd::LANES) per point).
 #[derive(Debug, Clone)]
 struct BlockPlan {
     stride: usize,
-    /// Points per image: `stride × (ny + 2·halo)`.
+    /// Points per image: `stride × rows`.
     image: usize,
     /// This block's slice of [`HaloPlan::fills`] / [`HaloPlan::pulls`].
     fills: std::ops::Range<usize>,
@@ -139,7 +140,7 @@ pub struct HaloPlan {
 impl HaloPlan {
     /// Evaluate `recv_region` for every (block, direction) of `decomp`.
     pub(crate) fn build(decomp: &Decomposition, halo: usize) -> Self {
-        let stride_of = |b: &BlockInfo| pop_simd::round_up_lanes(b.nx + 2 * halo);
+        let stride_of = |b: &BlockInfo| extent(b.nx, b.ny, halo).0;
         // Origin and extent, along one axis of `n` interior points, of the
         // ring part at block offset `d`.
         let span = |d: isize, n: usize| match d {
@@ -154,7 +155,7 @@ impl HaloPlan {
             points: 0,
         };
         for (b, me) in decomp.blocks.iter().enumerate() {
-            let stride = stride_of(me);
+            let (stride, rows) = extent(me.nx, me.ny, halo);
             let rect = |i: isize, j: isize, w: usize, h: usize| Rect {
                 off: (j + halo as isize) as usize * stride + (i + halo as isize) as usize,
                 w,
@@ -186,7 +187,7 @@ impl HaloPlan {
             }
             plan.blocks.push(BlockPlan {
                 stride,
-                image: stride * (me.ny + 2 * halo),
+                image: stride * rows,
                 fills: fill0..plan.fills.len(),
                 pulls: pull0..plan.pulls.len(),
             });

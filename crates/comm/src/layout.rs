@@ -13,8 +13,10 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct DistLayout {
     pub decomp: Decomposition,
-    /// Halo width; POP uses 2 (one matvec plus one stencil-preconditioner
-    /// application per boundary update).
+    /// Halo width: the ring every tile of this layout stores and every
+    /// exchange refreshes. 1 from [`DistLayout::build`]; POP's 2 (a matvec
+    /// plus a stencil preconditioner between boundary updates) is available
+    /// through [`DistLayout::new`], and changes no result.
     pub halo: usize,
     /// Per active block: interior ocean mask (1 = ocean), row-major
     /// `nx × ny` of the block.
@@ -83,10 +85,13 @@ impl DistLayout {
     }
 
     /// Convenience constructor: decompose `grid` into blocks of the given
-    /// nominal size with POP's default halo of 2.
+    /// nominal size with a halo of 1 — the reach of the nine-point stencil.
+    /// Every sweep that reads a neighbour follows its own exchange, and no
+    /// path runs two stencil applications between updates, so a second ring
+    /// would only be bytes every sweep streams and nothing reads.
     pub fn build(grid: &Grid, block_nx: usize, block_ny: usize) -> Arc<Self> {
         let d = Decomposition::new(grid, block_nx, block_ny);
-        Self::new(grid, d, 2)
+        Self::new(grid, d, 1)
     }
 }
 

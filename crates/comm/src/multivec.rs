@@ -23,6 +23,7 @@
 //! (`tests/batch_equivalence.rs`).
 
 use crate::blockvec::{zero_ring, BlockVec};
+use crate::tile::extent;
 use pop_simd::{AlignedVec, LANES};
 
 /// One block's worth of `groups * LANES` right-hand sides, halo-padded,
@@ -41,14 +42,13 @@ pub struct MultiBlockVec {
 }
 
 impl MultiBlockVec {
-    /// A zero-filled multi-tile. `stride` matches [`BlockVec::zeros`] for
-    /// the same shape, so single↔multi lane copies are stride-preserving
-    /// row memcpys.
+    /// A zero-filled multi-tile. Each image follows the single-RHS tile's
+    /// rule ([`tile::extent`](crate::tile::extent)), so single↔multi lane
+    /// copies walk the same rows.
     pub fn zeros(nx: usize, ny: usize, halo: usize, groups: usize) -> Self {
         assert!(nx > 0 && ny > 0, "empty block");
         assert!(groups > 0, "batched tile needs at least one lane group");
-        let stride = pop_simd::round_up_lanes(nx + 2 * halo);
-        let rows = ny + 2 * halo;
+        let (stride, rows) = extent(nx, ny, halo);
         MultiBlockVec {
             nx,
             ny,
@@ -65,7 +65,7 @@ impl MultiBlockVec {
         self.groups
     }
 
-    /// Row stride in *points* (same value as the matching
+    /// Row stride in *points*, `nx + 2·halo` (the matching
     /// [`BlockVec::stride`]); the flat storage advances `stride * LANES`
     /// floats per row.
     #[inline]
@@ -73,10 +73,10 @@ impl MultiBlockVec {
         self.stride
     }
 
-    /// Padded row count (`ny + 2*halo`).
+    /// Rows per lane-group image, `ny + 2·halo`.
     #[inline]
     pub fn rows(&self) -> usize {
-        self.ny + 2 * self.halo
+        extent(self.nx, self.ny, self.halo).1
     }
 
     /// Flat index of the first lane of point `(i, j)` in group `g`
@@ -105,8 +105,8 @@ impl MultiBlockVec {
         self.data[k] = v;
     }
 
-    /// The raw lane-major storage (all groups, halo and stride padding
-    /// included), 32-byte aligned.
+    /// The raw lane-major storage (all groups, halo ring included), 32-byte
+    /// aligned.
     #[inline]
     pub fn raw(&self) -> &[f64] {
         self.data.as_slice()
@@ -140,11 +140,10 @@ impl MultiBlockVec {
     }
 
     /// Zero the halo ring of every group (all lanes), leaving interiors
-    /// (and the stride pad columns) untouched — the multi image of
-    /// [`BlockVec::zero_halo`], the same body.
+    /// untouched — the multi image of [`BlockVec::zero_halo`], the same
+    /// body.
     pub fn zero_halo(&mut self) {
-        let (rows, stride) = (self.rows(), self.stride);
-        zero_ring(&mut self.data, rows, stride, self.nx, self.halo, LANES);
+        zero_ring(&mut self.data, self.nx, self.ny, self.halo, LANES);
     }
 
     /// Load one lane (group `g`, lane `lane`) from a single-RHS tile of the

@@ -12,10 +12,23 @@
 //! [`Tile::raw_mut`] — and how many `f64`s sit side by side per point —
 //! [`Tile::POINT_WIDTH`]; every ring row it moves, tile to tile or through
 //! a rank runtime's message, it addresses from the layout's plan.
+//!
+//! Every tile, and the plan that addresses tiles, sizes its storage from
+//! one rule: [`extent`].
 
 use crate::blockvec::BlockVec;
 use crate::multivec::MultiBlockVec;
 use pop_simd::LANES;
+
+/// The storage rule of every block tile: `(stride, rows)`, in points, of a
+/// block of `nx × ny` interior points inside a ring `halo` wide. A row
+/// holds the interior and the ring on both sides, and nothing else — no
+/// lane rounding; the kernels load and store unaligned. An image is
+/// `stride × rows` points, and a tile stores one image per lane group.
+#[inline]
+pub const fn extent(nx: usize, ny: usize, halo: usize) -> (usize, usize) {
+    (nx + 2 * halo, ny + 2 * halo)
+}
 
 /// One block's halo-padded storage, `width` values per grid point.
 pub trait Tile: Clone + Send + Sync {
@@ -27,8 +40,7 @@ pub trait Tile: Clone + Send + Sync {
     /// `p` of lane-group image `g` is `(g * image_points + p) * POINT_WIDTH`.
     const POINT_WIDTH: usize;
 
-    /// The whole padded storage, every image, halo and stride padding
-    /// included.
+    /// The whole storage, every image, halo ring included.
     fn raw_mut(&mut self) -> &mut [f64];
 
     /// Set every cell (interior and halo, every lane) to `v`.

@@ -1037,7 +1037,7 @@ pub(crate) mod tests {
                 let pack = (live > 1).then(|| Pack::new(&members, &mut slab));
                 let (t0, sub0) = &members[0];
 
-                // Two block widths with different padded strides.
+                // Two block widths, so two row strides.
                 for extra in [0, 5] {
                     let (bx, by, halo) = (LANES * (nx + 1) + 3 + extra, ny + 4, 2);
                     let mut r = BlockVec::zeros(bx, by, halo);

@@ -120,7 +120,11 @@ pub fn iteration_cost(
         compute += machine.evp_apply_overhead;
     }
 
-    // T_b = 4α + (8N/√p)β  (four neighbour messages, two halo rows each).
+    // T_b = 4α + (8N/√p)β  (four neighbour messages, two halo rows each):
+    // the paper's model of POP's two-row halo, kept as published. The
+    // simulated runtime (`pop-ranksim`) moves the one row the reproduction
+    // stores (`DistLayout::build`), so this β term is about twice the
+    // simulated one by construction.
     let halo = 4.0 * machine.alpha + 8.0 * side / (p as f64).sqrt() * machine.beta;
 
     // T_g = 2(N²/p)θ (land masking) + [log₂(p)·α_r + p·α_lin] (binomial

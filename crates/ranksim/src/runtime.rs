@@ -906,6 +906,10 @@ mod tests {
         vec![
             (
                 "edge block narrower than the halo",
+                DistLayout::new(&narrow, pop_grid::Decomposition::new(&narrow, 8, 6), 2),
+            ),
+            (
+                "edge block one column wide",
                 DistLayout::build(&narrow, 8, 6),
             ),
             ("periodic, one block wide", DistLayout::build(&wide, 12, 6)),
@@ -1553,14 +1557,17 @@ mod tests {
     /// check results, not which strip got which draw) see nothing. Recorded
     /// on the exchange that built its own plan and moved every strip through
     /// a buffer; the fiber executor makes the duplicate count (which
-    /// depends on how far each mailbox got pumped) deterministic.
+    /// depends on how far each mailbox got pumped) deterministic. The
+    /// clocks follow from payload lengths, so the layout keeps the halo of
+    /// 2 they were recorded at.
     #[test]
     #[cfg(all(target_os = "linux", target_arch = "x86_64", target_env = "gnu"))]
     fn hostile_fault_draws_follow_the_send_order() {
         use crate::fault::FaultConfig;
         use crate::vec::MultiRankVec;
         use pop_simd::LANES;
-        let layout = layout();
+        let g = Grid::gx1_scaled(7, 60, 48);
+        let layout = DistLayout::new(&g, pop_grid::Decomposition::new(&g, 10, 8), 2);
         let m = MachineModel::yellowstone();
         let faults = FaultConfig {
             corrupt_prob: 0.01,

@@ -43,12 +43,6 @@ use std::sync::OnceLock;
 /// Lane width of the kernel layer: four `f64`s (one 256-bit AVX2 register).
 pub const LANES: usize = 4;
 
-/// Round `n` up to a multiple of [`LANES`].
-#[inline]
-pub const fn round_up_lanes(n: usize) -> usize {
-    n.div_ceil(LANES) * LANES
-}
-
 // ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
@@ -741,13 +735,5 @@ mod tests {
             .downcast::<&str>()
             .expect("assert message");
         assert_eq!(msg, "cannot force AVX2 dispatch: CPU lacks AVX2");
-    }
-
-    #[test]
-    fn round_up_is_lane_multiple() {
-        assert_eq!(round_up_lanes(0), 0);
-        assert_eq!(round_up_lanes(1), 4);
-        assert_eq!(round_up_lanes(4), 4);
-        assert_eq!(round_up_lanes(13), 16);
     }
 }

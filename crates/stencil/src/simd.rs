@@ -20,6 +20,7 @@
 //! scalar row-major chains — folded in right behind each lane group's
 //! store — so no reduction ever depends on dispatch.
 
+use pop_comm::tile::extent;
 use pop_comm::{BlockVec, MultiBlockVec};
 use pop_simd::{LaneF64, LaneJob, SimdMode, LANES};
 
@@ -43,8 +44,9 @@ pub(crate) struct TileShape {
 impl TileShape {
     /// The shape of the operand the kernels take their indexing from,
     /// checked to describe its storage: a halo ring, and `(ny + 2·halo)`
-    /// rows of `stride ≥ nx + 2·halo` points. (`nx`, `ny` and `halo` are
-    /// public fields of the tiles, so the tile's word is not taken for it.)
+    /// rows of `stride = nx + 2·halo` points ([`pop_comm::tile::extent`]).
+    /// (`nx`, `ny` and `halo` are public fields of the tiles, so the tile's
+    /// word is not taken for it.)
     pub(crate) fn of(x: &BlockVec) -> Self {
         Self::claimed(x).validated(1)
     }
@@ -75,9 +77,9 @@ impl TileShape {
 
     fn validated(self, width: usize) -> Self {
         assert!(self.halo >= 1, "stencil needs one halo layer");
+        let (stride, rows) = extent(self.nx, self.ny, self.halo);
         assert!(
-            self.stride >= self.nx + 2 * self.halo
-                && self.len == (self.ny + 2 * self.halo) * self.stride * width,
+            self.stride == stride && self.len == rows * stride * width,
             "tile storage does not match its shape"
         );
         self
@@ -102,7 +104,7 @@ impl TileShape {
     /// Panic unless a coefficient tile (one value per point, whatever the
     /// operand's width) has this shape's row stride and row count.
     pub(crate) fn check_coeff(self, tile: &BlockVec) {
-        let rows = self.ny + 2 * self.halo;
+        let rows = extent(self.nx, self.ny, self.halo).1;
         assert!(
             tile.stride() == self.stride && tile.raw().len() == rows * self.stride,
             "coefficient tile stride mismatch"
