@@ -162,31 +162,34 @@ pub trait Communicator {
     where
         F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync;
 
-    /// A halo update immediately followed by a fused sweep that reads the
-    /// freshly exchanged vector — the shape every solver iteration has
-    /// (exchange `x`, then sweep a residual/stencil that reads `x.block(gb)`
-    /// across block edges).
+    /// A halo update of `muts[0]` immediately followed by a fused sweep
+    /// over `muts` — the shape every solver iteration has (exchange `x`,
+    /// then sweep a residual/stencil that reads `x`'s tile and ring, and
+    /// perhaps goes on to update `x` itself).
     ///
-    /// Semantically identical to `halo_update(hv)` followed by
-    /// `for_each_block_fused(muts, …)` with `hv` captured read-only — and
-    /// that is exactly this default implementation. The seam exists so a
-    /// communicator that models communication time can run the exchange
-    /// *split-phase*: post the strips, charge the interior stencil points
-    /// while they fly, and wait only before the halo-reading edge points.
-    /// Implementations must keep the numeric sweep order canonical so
-    /// results stay bit-identical to the default.
+    /// Semantically identical to `halo_update(muts[0])` followed by
+    /// `for_each_block_fused(muts, …)` — and that is exactly this default
+    /// implementation. The exchanged vector is handed to the kernel mutably:
+    /// every kernel reads only its own block's tile and ring, and the
+    /// exchange has filled every ring (a split-phase exchange packs its
+    /// strips when it posts them) before any block's kernel runs, so a
+    /// kernel that writes the interior of `muts[0]` never changes what a
+    /// neighbour reads. The seam exists so a communicator that models
+    /// communication time can run the exchange *split-phase*: post the
+    /// strips, charge the interior stencil points while they fly, and wait
+    /// only before the halo-reading edge points. Implementations must keep
+    /// the numeric sweep order canonical so results stay bit-identical to
+    /// the default.
     fn halo_sweep_fused<T: Tile, const M: usize, F>(
         &self,
-        hv: &mut Self::Vec<T>,
         muts: [&mut Self::Vec<T>; M],
         kernel: F,
     ) -> Self::Sweep
     where
-        F: Fn(usize, &Self::Vec<T>, &mut [&mut T; M]) -> SweepPartials + Sync,
+        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync,
     {
-        self.halo_update(hv);
-        let hv = &*hv;
-        self.for_each_block_fused(muts, move |gb, tiles| kernel(gb, hv, tiles))
+        self.halo_update(&mut *muts[0]);
+        self.for_each_block_fused(muts, kernel)
     }
 
     /// THE global reduction: combine `sweep`'s per-block partials over all

@@ -7,13 +7,14 @@
 //! term that dominates the solver's cost at large core counts — the paper's
 //! Figure 2 — and what P-CSI removes.
 
+use super::control::copy_vec;
 use super::{
-    copy_vec, masked_block_dot, rhs_norm, Check, CommSolver, LinearSolver, SolveCtl, SolveStats,
-    SolverConfig, SolverWorkspace,
+    residual_sweep, rhs_norm, Control, LinearSolver, Recurrence, SolveCtl, SolveStats,
+    SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH, ZEROS,
 };
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
-use pop_comm::{BlockVec, CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
+use pop_comm::{CommVec, CommWorld, Communicator, DistVec};
 use pop_stencil::NinePoint;
 
 /// Chronopoulos–Gear preconditioned conjugate gradients.
@@ -122,187 +123,134 @@ impl ChronGear {
 }
 
 impl ChronGear {
-    /// The recurrence's start: `r₀ = b − A x₀` with `‖r₀‖²` riding along as
-    /// a per-block partial (the caller zeroes `s` and `p` and resets
-    /// `ρ₀ = 1`, `σ₀ = 0`). Entered from the caller's `x₀` and again from
-    /// the last good snapshot on every restart — by `solve_comm` on its own
-    /// vectors and by the batched engine on a lane's staging vectors
-    /// (DESIGN.md §7); the other solvers' `start` functions likewise.
-    pub(crate) fn start<C: Communicator>(
+    /// The recurrence's start: `r₀ = b − A x₀`, returning the sweep, which
+    /// carries `‖r₀‖²` (the caller zeroes `s` and `p` and resets `ρ₀ = 1`,
+    /// `σ₀ = 0`).
+    fn start<C: Communicator, T: TileKernels>(
         op: &NinePoint,
         comm: &C,
-        b: &C::Vec<BlockVec>,
-        x: &mut C::Vec<BlockVec>,
-        r: &mut C::Vec<BlockVec>,
-        ctl: &mut SolveCtl,
+        b: &C::Vec<T>,
+        [x, r]: [&mut C::Vec<T>; 2],
+        lanes: &mut [SolveCtl],
     ) -> C::Sweep {
-        let masks = &b.layout().masks;
-        let rr_sweep = comm.halo_sweep_fused(x, [r], |bk, xv, [rb]| {
-            let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-            pt[0] = op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &masks[bk]);
-            pt
-        });
-        ctl.charge(1, 0); // the initial residual
-        rr_sweep
+        let rr = residual_sweep(op, comm, b, x, r);
+        lanes.iter_mut().for_each(|lane| lane.charge(1, 0)); // the initial residual
+        rr
     }
 }
 
-impl CommSolver for ChronGear {
-    /// The fused loop: two block sweeps per iteration. **S** is the halo
-    /// exchange of `r'` plus the stencil kernel that stores `z = B r'` and
-    /// carries both inner-product partials; **U** is the four vector
-    /// recurrences with the next `r' = M⁻¹ r` applied to the block while `r`
-    /// is hot. A sweep carries a partial only on iterations that reduce it:
-    /// when a check will read `‖r‖²` (on cadence, or at the iteration cap
-    /// for `SolveCtl::finish`) U sums it and leaves `r'` alone, and the
-    /// preconditioner runs as its own sweep only once the check has said
-    /// the solve goes on — so nothing is applied past the exit. One
-    /// reduction per iteration (the fused ρ̃/δ̃ pair), exactly as the
-    /// unfused path; bit-identical to [`ChronGear::solve_unfused`] on every
-    /// runtime.
-    fn solve_comm<C: Communicator>(
+impl Recurrence for ChronGear {
+    const SPEC: SolverSpec = SolverSpec::ChronGear;
+
+    /// Two block sweeps per iteration. **S** is the halo exchange of `r'`
+    /// plus the stencil kernel that stores `z = B r'` and carries both
+    /// inner-product partials; **U** is the four vector recurrences with the
+    /// next `r' = M⁻¹ r` applied to the block while `r` is hot. A sweep
+    /// carries a partial only on iterations that reduce it: when a check
+    /// will read `‖r‖²` (on cadence, or at the iteration cap for the
+    /// settlement) U sums it and leaves `r'` alone, and the preconditioner
+    /// runs as its own sweep only once the check has said the solve goes on
+    /// — so nothing is applied past the exit. One reduction per iteration
+    /// (the fused ρ̃/δ̃ pair of every lane), exactly as the unfused path;
+    /// bit-identical to [`ChronGear::solve_unfused`] on every runtime, and
+    /// per lane in a batch.
+    fn recur<C: Communicator, T: TileKernels>(
         &self,
         op: &NinePoint,
         pre: &dyn Preconditioner,
-        comm: &C,
-        b: &C::Vec<BlockVec>,
-        x: &mut C::Vec<BlockVec>,
-        cfg: &SolverConfig,
-        ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
-    ) -> SolveStats {
-        let mut ctl = SolveCtl::new(cfg, self.name(), pre.name(), comm.stats());
-        ctl.bnorm = rhs_norm(comm, b);
-        let layout = std::sync::Arc::clone(b.layout());
+        b: &C::Vec<T>,
+        x: &mut C::Vec<T>,
+        ws: &mut SolverWorkspace<C::Vec<T>>,
+        ctl: &mut Control<'_, '_, C>,
+    ) {
+        let (comm, cfg, w) = (ctl.comm, ctl.cfg, ctl.width());
+        let masks = &b.layout().masks;
 
-        let [r, z, az, s, p, x_good] = ws.take(comm, b, 1);
+        // s₀ = 0 ; p₀ = 0 (zeroed by the workspace) ; ρ₀ = 1 ; σ₀ = 0.
+        let [r, z, az, s, p, x_good] = ws.take(comm, ctl.model(), w);
         copy_vec(comm, x, x_good);
+        let mut rr = Self::start(op, comm, b, [&mut *x, &mut *r], ctl.lanes());
+        let (mut rho_old, mut sigma) = ([1.0; MAX_BATCH], [0.0; MAX_BATCH]);
+        let (mut beta, mut alpha, mut nalpha) =
+            ([0.0; MAX_BATCH], [0.0; MAX_BATCH], [0.0; MAX_BATCH]);
+        // Does `z` hold M⁻¹ of the current `r`? (After `start`, and after
+        // a U sweep that carried ‖r‖² instead, it does not.)
+        let mut preconditioned = false;
+        ctl.phase("setup");
 
-        // Each pass is one CG recurrence: the first from the caller's x₀, a
-        // restart re-enters from the last good snapshot (DESIGN.md §10).
-        let mut rr_sweep;
-        'recurrence: loop {
-            // s₀ = 0 ; p₀ = 0 ; ρ₀ = 1 ; σ₀ = 0.
-            s.zero_fill();
-            p.zero_fill();
-            rr_sweep = Self::start(op, comm, b, x, r, &mut ctl);
-            let mut rho_old = 1.0f64;
-            let mut sigma = 0.0f64;
-            // Does `z` hold M⁻¹ of the current `r`? (After `start`, and after
-            // a U sweep that carried ‖r‖² instead, it does not.)
-            let mut preconditioned = false;
-            ctl.obs.phase("setup", || comm.stats());
+        while ctl.next() {
+            let it = ctl.iteration();
 
-            while ctl.iterations() < cfg.max_iters {
-                ctl.tick();
-                let it = ctl.iterations();
+            // Step 4: preconditioning r' = M⁻¹ r, where the last U sweep
+            // could not carry it.
+            if !preconditioned {
+                comm.for_each_block_fused([&mut *z], |bk, [zb]| {
+                    T::precond(pre, bk, r.block(bk), zb);
+                    ZEROS
+                });
+            }
 
-                // Step 4: preconditioning r' = M⁻¹ r, where the last U sweep
-                // could not carry it.
-                if !preconditioned {
-                    comm.for_each_block_fused([&mut *z], |bk, [zb]| {
-                        pre.apply_block(bk, r.block(bk), zb);
-                        [0.0; MAX_SWEEP_PARTIALS]
+            // Steps 5–9, sweep S: the single halo exchange of the
+            // iteration, fused with the kernel computing z = B r' AND both
+            // inner-product partials ρ̃ = rᵀr', δ̃ = (Br')ᵀr' (split-phase
+            // runtimes overlap the strips with the interior stencil points).
+            let d_sweep = comm.halo_sweep_fused([&mut *z, &mut *az], |bk, [zb, azb]| {
+                let mut pt = ZEROS;
+                T::apply_dots(op, bk, zb, azb, r.block(bk), &mut pt);
+                pt
+            });
+
+            // Consuming every lane's pair is the iteration's ONE reduction.
+            let d = comm.reduce_sweep(&d_sweep, 2 * w as u64);
+
+            // Steps 10–12: recurrence scalars.
+            for l in 0..w {
+                let (rho, delta) = (d[l], d[w + l]);
+                beta[l] = rho / rho_old[l];
+                sigma[l] = delta - beta[l] * beta[l] * sigma[l];
+                alpha[l] = rho / sigma[l];
+                nalpha[l] = -alpha[l];
+                rho_old[l] = rho;
+            }
+
+            // Steps 13–16, sweep U: all four updates, then either the next
+            // iteration's r' = M⁻¹ r on the still-hot block or — if a check
+            // is about to read it — the ‖r‖² partial.
+            let checked = it % cfg.check_interval() == 0;
+            let norm_wanted = checked || it == cfg.max_iters;
+            let (bv, av, nav) = (&beta[..w], &alpha[..w], &nalpha[..w]);
+            let u_sweep = comm.for_each_block_fused(
+                [&mut *s, &mut *p, &mut *x, &mut *r, &mut *z],
+                |bk, [sb, pb, xb, rb, zb]| {
+                    T::chrongear_update(zb, az.block(bk), sb, pb, xb, rb, bv, av, nav);
+                    let mut pt = ZEROS;
+                    if norm_wanted {
+                        T::dot(rb, rb, &masks[bk], &mut pt);
+                    } else {
+                        T::precond(pre, bk, rb, zb);
+                    }
+                    pt
+                },
+            );
+            preconditioned = !norm_wanted;
+            if norm_wanted {
+                rr = u_sweep;
+            }
+
+            // Step 17: periodic convergence check (one extra reduction).
+            if checked {
+                let red = ctl.reduce_check(&rr);
+                for l in ctl.check(&red[..w], true, x, x_good) {
+                    // s and p restart from zero: the staging vectors are.
+                    (rho_old[l], sigma[l]) = (1.0, 0.0);
+                    let vecs = [&mut *x, &mut *r, &mut *s, &mut *p];
+                    ctl.restart(l, x_good, vecs, |b, [sx, sr, ..], lane| {
+                        Some(Self::start(op, comm, b, [sx, sr], lane))
                     });
                 }
-
-                // Steps 5–9, sweep S: the single halo exchange of the
-                // iteration, fused with the kernel computing z = B r' AND
-                // both inner-product partials ρ̃ = rᵀr', δ̃ = (Br')ᵀr' behind
-                // each stored lane group (split-phase runtimes overlap the
-                // strips with the interior stencil points).
-                let d_sweep = comm.halo_sweep_fused(z, [&mut *az], |bk, zv, [azb]| {
-                    let mask = &layout.masks[bk];
-                    let d = op.apply_block_dots_into(bk, zv.block(bk), azb, r.block(bk), mask);
-                    let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-                    pt[..2].copy_from_slice(&d);
-                    pt
-                });
-
-                // Consuming the pair is the iteration's ONE reduction.
-                let d = comm.reduce_sweep(&d_sweep, 2);
-                let (rho, delta) = (d[0], d[1]);
-
-                // Steps 10–12: recurrence scalars.
-                let beta = rho / rho_old;
-                sigma = delta - beta * beta * sigma;
-                let alpha = rho / sigma;
-                let nalpha = -alpha;
-
-                // Steps 13–16, sweep U: all four updates, then either the
-                // next iteration's r' = M⁻¹ r on the still-hot block or — if
-                // a check is about to read it — the ‖r‖² partial.
-                let checked = it % cfg.check_interval() == 0;
-                let norm_wanted = checked || it == cfg.max_iters;
-                let u_sweep = comm.for_each_block_fused(
-                    [&mut *s, &mut *p, &mut *x, &mut *r, &mut *z],
-                    |bk, [sb, pb, xb, rb, zb]| {
-                        let nx = sb.nx;
-                        for j in 0..sb.ny {
-                            // One length for all six rows, so the loop is
-                            // free of bounds checks and vectorises.
-                            let zr = &zb.interior_row(j)[..nx];
-                            let azr = &az.block(bk).interior_row(j)[..nx];
-                            let sr = &mut sb.interior_row_mut(j)[..nx];
-                            let pr = &mut pb.interior_row_mut(j)[..nx];
-                            let xr = &mut xb.interior_row_mut(j)[..nx];
-                            let rrow = &mut rb.interior_row_mut(j)[..nx];
-                            for i in 0..nx {
-                                let sv = zr[i] + beta * sr[i]; // s = r' + β s
-                                let pv = azr[i] + beta * pr[i]; // p = Br' + β p
-                                sr[i] = sv;
-                                pr[i] = pv;
-                                xr[i] += alpha * sv;
-                                rrow[i] += nalpha * pv;
-                            }
-                        }
-                        let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-                        if norm_wanted {
-                            pt[0] = masked_block_dot(rb, rb, &layout.masks[bk]);
-                        } else {
-                            pre.apply_block(bk, rb, zb);
-                        }
-                        pt
-                    },
-                );
-                preconditioned = !norm_wanted;
-                if norm_wanted {
-                    rr_sweep = u_sweep;
-                }
-                rho_old = rho;
-
-                // Step 17: periodic convergence check (one extra reduction).
-                if checked {
-                    match ctl.check_sweep(comm, cfg, &rr_sweep, x, x_good) {
-                        Check::Continue | Check::Snapshot => {}
-                        Check::Restart => continue 'recurrence,
-                        Check::Done(_) => break 'recurrence,
-                    }
-                }
             }
-            break;
         }
-        ctl.finish(comm, cfg, Some(&rr_sweep), x, x_good)
-    }
-}
-
-impl LinearSolver for ChronGear {
-    fn name(&self) -> &'static str {
-        SolverSpec::ChronGear.label()
-    }
-
-    /// Dynamic-dispatch entry point: the generic fused loop driven by the
-    /// shared-memory world.
-    fn solve_ws(
-        &self,
-        op: &NinePoint,
-        pre: &dyn Preconditioner,
-        world: &CommWorld,
-        b: &DistVec,
-        x: &mut DistVec,
-        cfg: &SolverConfig,
-        ws: &mut SolverWorkspace,
-    ) -> SolveStats {
-        self.solve_comm(op, pre, world, b, x, cfg, ws)
+        ctl.settle(Some(&rr), x, x_good);
     }
 }
 

@@ -1,16 +1,19 @@
-//! Per-RHS solve control (DESIGN.md §10): the one place that classifies a
-//! checked residual, keeps the restart budget, and assembles [`SolveStats`].
+//! Solve control (DESIGN.md §10): the one place that classifies a checked
+//! residual, keeps the restart budget, retires and restarts right-hand
+//! sides, and assembles [`SolveStats`].
 //!
-//! Every solver loop — the four single-RHS `solve_comm` loops and the four
-//! batched `solve_batch_comm` loops — drives its recurrence kernels itself
-//! and hands everything that happens at check cadence or at solve start/end
-//! to a [`SolveCtl`]: a single-RHS solve holds one, a `k`-wide batch holds
-//! `k`. The control never touches a vector; it tells the caller what to do
-//! with the iterate and its snapshot ([`Check`]), and the single-RHS
-//! wrappers at the bottom carry that out on `x` / `x_good`.
+//! Each solver's recurrence is one loop, generic over the tile
+//! ([`super::kernels`]), run at width 1 by `solve_comm` and at `k` lanes by
+//! `solve_batch_comm`. The loop drives its kernels itself and hands
+//! everything that happens at check cadence, at a restart, or when the
+//! iteration cap falls to a [`Control`]: one [`SolveCtl`] per right-hand
+//! side, plus the lane plumbing that carries the answers out onto the
+//! iterate, its last good snapshot and the caller's vectors. At width 1 a
+//! lane is the whole vector, so the same calls are plain vector copies.
 
-use super::{copy_vec, snapshot_vec, RecoveryConfig, SolveOutcome, SolveStats, SolverConfig};
-use pop_comm::{BlockVec, Communicator, StatsSnapshot};
+use super::kernels::TileKernels;
+use super::{RecoveryConfig, SolveOutcome, SolveStats, SolverConfig, SolverWorkspace, ZEROS};
+use pop_comm::{BlockVec, CommVec, Communicator, StatsSnapshot, SweepPartials};
 use pop_obs::SolveObs;
 
 /// Restart bookkeeping: feed it every *reduced* relative residual, act on
@@ -69,13 +72,12 @@ impl RecoveryMonitor {
 
 /// What one convergence check asks of the loop that ran it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Check {
+enum Check {
     /// Healthy, nothing to do.
     Continue,
     /// Healthy and improved: refresh the snapshot from the iterate.
     Snapshot,
-    /// Broken with restart budget left: restore the snapshot and re-enter
-    /// the solver's start function.
+    /// Broken with restart budget left: restart from the snapshot.
     Restart,
     /// The solve is over (outcome recorded, telemetry flushed). A
     /// [`SolveOutcome::Diverged`] solve's answer is the last good snapshot;
@@ -102,11 +104,6 @@ pub(crate) struct SolveCtl {
     iterations: usize,
     /// `None` while the solve is running.
     outcome: Option<SolveOutcome>,
-    /// Batched lanes only: `‖r‖²` reduced during this lane's staged restart.
-    /// Stands in for the shared residual sweep in the iteration-cap tail
-    /// (whose slot would describe pre-restart data for this lane) until the
-    /// next full batched iteration refreshes the sweep for every lane.
-    pub(crate) setup_rr: Option<f64>,
 }
 
 impl SolveCtl {
@@ -131,30 +128,24 @@ impl SolveCtl {
             precond_applies: 0,
             iterations: 0,
             outcome: None,
-            setup_rr: None,
         }
     }
 
     #[inline]
-    pub(crate) fn running(&self) -> bool {
+    fn running(&self) -> bool {
         self.outcome.is_none()
-    }
-
-    #[inline]
-    pub(crate) fn iterations(&self) -> usize {
-        self.iterations
     }
 
     /// Count one iteration: every solver spends exactly one matvec and one
     /// preconditioner application per iteration.
     #[inline]
-    pub(crate) fn tick(&mut self) {
+    fn tick(&mut self) {
         self.iterations += 1;
         self.matvecs += 1;
         self.precond_applies += 1;
     }
 
-    /// Count the sweeps of a start function (or of a batched setup).
+    /// Count the sweeps of a start function.
     #[inline]
     pub(crate) fn charge(&mut self, matvecs: usize, precond_applies: usize) {
         self.matvecs += matvecs;
@@ -163,7 +154,7 @@ impl SolveCtl {
 
     /// Has no residual of this solve been reduced yet? (The iteration cap
     /// fell before the first check.)
-    pub(crate) fn unsettled(&self) -> bool {
+    fn unsettled(&self) -> bool {
         self.final_rel.is_infinite()
     }
 
@@ -184,7 +175,7 @@ impl SolveCtl {
     /// false only for PipeCG's off-cadence every-iteration assessments,
     /// which enter the history late, on convergence. `now` reads the
     /// communicator's counters if the solve ends here.
-    pub(crate) fn check(
+    fn check(
         &mut self,
         cfg: &SolverConfig,
         rr: f64,
@@ -215,7 +206,7 @@ impl SolveCtl {
 
     /// The iteration cap fell on a running solve: settle its residual (`rr`
     /// is the reduced standing `‖r‖²` when no check ever ran) and classify.
-    pub(crate) fn settle(
+    fn settle(
         &mut self,
         cfg: &SolverConfig,
         rr: Option<f64>,
@@ -278,65 +269,325 @@ impl SolveCtl {
             residual_history: self.history,
         }
     }
+}
 
-    // -- single-RHS wrappers: the control's answers carried out on x / x_good
+/// A set of lanes of one solve, iterated in ascending order. A bit mask, so
+/// the per-check bookkeeping of a batch allocates nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LaneSet(u32);
 
-    /// Run one check on a reduced `‖r‖²` and keep the iterate and its
-    /// snapshot in step with the answer.
-    pub(crate) fn check_vec<C: Communicator>(
-        &mut self,
-        comm: &C,
-        cfg: &SolverConfig,
-        rr: f64,
-        cadence: bool,
-        x: &mut C::Vec<BlockVec>,
-        x_good: &mut C::Vec<BlockVec>,
-    ) -> Check {
-        let check = self.check(cfg, rr, cadence, &|| comm.stats());
-        match check {
-            Check::Snapshot => snapshot_vec(comm, x, x_good),
-            Check::Restart | Check::Done(SolveOutcome::Diverged) => copy_vec(comm, x_good, x),
-            Check::Continue | Check::Done(_) => {}
+impl LaneSet {
+    fn insert(&mut self, lane: usize) {
+        self.0 |= 1 << lane;
+    }
+
+    fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
+impl Iterator for LaneSet {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        (self.0 != 0).then(|| {
+            let lane = self.0.trailing_zeros() as usize;
+            self.0 &= self.0 - 1;
+            lane
+        })
+    }
+}
+
+/// The control of one solve at width `w`: a [`SolveCtl`] per right-hand
+/// side, what a recurrence needs to restart one of them at width 1, and
+/// where each one's answer goes.
+///
+/// At width 1 the recurrence iterates on the caller's own `x`, so there is
+/// nothing to hand back. A batch iterates on `w`-wide copies; a lane that
+/// retires is gathered out into its caller's vector right away (its lane
+/// then keeps computing harmless garbage that no reduction slot or other
+/// lane ever reads). Only a width-1 solve attributes its events to phases:
+/// a batch's sweeps are shared by all its lanes.
+pub(crate) struct Control<'a, 'o, C: Communicator> {
+    pub(crate) comm: &'a C,
+    pub(crate) cfg: &'a SolverConfig,
+    lanes: &'a mut [SolveCtl],
+    /// Each lane's right-hand side at width 1, for its restarts.
+    bs: &'a [&'a C::Vec<BlockVec>],
+    /// Each lane's answer; empty at width 1, where the iterate is the answer.
+    answers: &'a mut [&'o mut C::Vec<BlockVec>],
+    /// Width-1 vectors a lane restart runs its start function on.
+    stage: &'a mut SolverWorkspace<C::Vec<BlockVec>>,
+    /// The `‖r‖²` sweep of each lane restarted this iteration: until the
+    /// next iteration refreshes the shared residual sweep, it is the only
+    /// one that describes that lane.
+    restarted: Vec<(usize, C::Sweep)>,
+    width: usize,
+    iterations: usize,
+}
+
+impl<'a, 'o, C: Communicator> Control<'a, 'o, C> {
+    /// Control `lanes` (their `‖b‖` already reduced) over `w`-wide vectors.
+    pub(crate) fn new(
+        comm: &'a C,
+        cfg: &'a SolverConfig,
+        lanes: &'a mut [SolveCtl],
+        bs: &'a [&'a C::Vec<BlockVec>],
+        answers: &'a mut [&'o mut C::Vec<BlockVec>],
+        stage: &'a mut SolverWorkspace<C::Vec<BlockVec>>,
+        width: usize,
+    ) -> Self {
+        Control {
+            comm,
+            cfg,
+            lanes,
+            bs,
+            answers,
+            stage,
+            restarted: Vec::new(),
+            width,
+            iterations: 0,
         }
-        check
     }
 
-    /// The periodic check of the check-cadence solvers: one extra reduction
-    /// consuming the `‖r‖²` partials the last sweep carried. The reduced
-    /// value is identical on every rank, so the answer is too.
-    pub(crate) fn check_sweep<C: Communicator>(
+    /// Values per point of the solve's vectors: 1, or the batch's slots.
+    #[inline]
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The view every vector of the solve shares (workspace key).
+    pub(crate) fn model(&self) -> &'a C::Vec<BlockVec> {
+        self.bs[0]
+    }
+
+    /// Every lane's control (a start function charges its sweeps to them).
+    pub(crate) fn lanes(&mut self) -> &mut [SolveCtl] {
+        self.lanes
+    }
+
+    /// Iterations run so far.
+    #[inline]
+    pub(crate) fn iteration(&self) -> usize {
+        self.iterations
+    }
+
+    /// Start the next iteration, if the cap allows and a lane still runs.
+    pub(crate) fn next(&mut self) -> bool {
+        if self.iterations >= self.cfg.max_iters || !self.lanes.iter().any(SolveCtl::running) {
+            return false;
+        }
+        self.iterations += 1;
+        self.restarted.clear();
+        self.lanes
+            .iter_mut()
+            .filter(|l| l.running())
+            .for_each(SolveCtl::tick);
+        true
+    }
+
+    /// Close a phase of a width-1 solve's telemetry.
+    pub(crate) fn phase(&mut self, name: &'static str) {
+        if self.width == 1 {
+            let comm = self.comm;
+            self.lanes[0].obs.phase(name, || comm.stats());
+        }
+    }
+
+    /// The periodic check's reduction: every lane's `‖r‖²` from the
+    /// partials the last residual sweep carried, in one allreduce.
+    pub(crate) fn reduce_check(&mut self, rr: &C::Sweep) -> SweepPartials {
+        self.phase("iterate");
+        let red = self.comm.reduce_sweep(rr, self.width as u64);
+        self.phase("check");
+        red
+    }
+
+    /// Feed every running lane's reduced `‖r‖²` (at `rr[l]`) through its
+    /// control and carry out the answers that need no recurrence state:
+    /// refresh improved lanes' snapshots, hand finished lanes' answers out.
+    /// Returns the lanes the recurrence must [`Control::restart`].
+    pub(crate) fn check<T: TileKernels>(
         &mut self,
-        comm: &C,
-        cfg: &SolverConfig,
-        rr_sweep: &C::Sweep,
-        x: &mut C::Vec<BlockVec>,
-        x_good: &mut C::Vec<BlockVec>,
-    ) -> Check {
-        self.obs.phase("iterate", || comm.stats());
-        let rr = comm.reduce_sweep(rr_sweep, 1)[0];
-        self.obs.phase("check", || comm.stats());
-        self.check_vec(comm, cfg, rr, true, x, x_good)
-    }
-
-    /// Close a single-RHS solve. If the loop ran out of iterations before
-    /// any check, one last reduction of the standing sweep settles the
-    /// final residual (PipeCG reduces every iteration and passes `None`).
-    pub(crate) fn finish<C: Communicator>(
-        mut self,
-        comm: &C,
-        cfg: &SolverConfig,
-        rr_sweep: Option<&C::Sweep>,
-        x: &mut C::Vec<BlockVec>,
-        x_good: &mut C::Vec<BlockVec>,
-    ) -> SolveStats {
-        if self.running() {
-            let rr = rr_sweep
-                .filter(|_| self.unsettled())
-                .map(|sweep| comm.reduce_sweep(sweep, 1)[0]);
-            if self.settle(cfg, rr, &|| comm.stats()) == SolveOutcome::Diverged {
-                copy_vec(comm, x_good, x);
+        rr: &[f64],
+        cadence: bool,
+        x: &mut C::Vec<T>,
+        x_good: &mut C::Vec<T>,
+    ) -> LaneSet {
+        let (comm, cfg) = (self.comm, self.cfg);
+        let [mut snapshot, mut restart, mut retired] = [LaneSet::default(); 3];
+        for (l, &rr) in rr.iter().enumerate().take(self.lanes.len()) {
+            let lane = &mut self.lanes[l];
+            if !lane.running() {
+                continue;
+            }
+            match lane.check(cfg, rr, cadence, &|| comm.stats()) {
+                Check::Continue => {}
+                Check::Snapshot => snapshot.insert(l),
+                Check::Restart => restart.insert(l),
+                Check::Done(outcome) => {
+                    retired.insert(l);
+                    self.answer(l, outcome, x, x_good);
+                }
             }
         }
-        self.into_stats(comm.stats())
+        if !snapshot.is_empty() {
+            // Skip any (block, lane) holding a non-finite value: the reduced
+            // residual can lag the iterate it describes (most sharply in
+            // PipeCG, whose dots of iteration k precede its updates), so a
+            // healthy verdict may arrive while the iterate is already
+            // poisoned, and restarts must always restore a finite field.
+            let x = &*x;
+            let _ = comm.for_each_block_fused([x_good], |bk, [good]| {
+                for l in snapshot {
+                    if x.block(bk).lane_finite(l) {
+                        T::lane_copy(x.block(bk), good, l);
+                    }
+                }
+                ZEROS
+            });
+        }
+        if self.width > 1 && !(restart.is_empty() && retired.is_empty()) {
+            self.record_batch_metrics(restart.count());
+        }
+        restart
     }
+
+    /// Restart lane `l` from its last good snapshot: gather the snapshot
+    /// into width-1 staging, run the solver's single-RHS `start` there, and
+    /// scatter the staged vectors back into lane `l` of `dst` (the first is
+    /// the iterate), so the lane rejoins its single-RHS trajectory. Staged
+    /// vectors `start` leaves alone scatter zeros. `start` returns the
+    /// `‖r‖²` sweep of its residual, if it computes one.
+    pub(crate) fn restart<T: TileKernels, const N: usize>(
+        &mut self,
+        l: usize,
+        x_good: &C::Vec<T>,
+        dst: [&mut C::Vec<T>; N],
+        start: impl FnOnce(
+            &C::Vec<BlockVec>,
+            [&mut C::Vec<BlockVec>; N],
+            &mut [SolveCtl],
+        ) -> Option<C::Sweep>,
+    ) {
+        let comm = self.comm;
+        let b = self.bs[l];
+        let mut staged = self.stage.take::<N, C>(comm, b, 1);
+        let _ = comm.for_each_block_fused([&mut *staged[0]], |bk, [sx]| {
+            x_good.block(bk).store_lane(l, sx);
+            ZEROS
+        });
+        let lane = std::slice::from_mut(&mut self.lanes[l]);
+        if let Some(rr) = start(b, staged.each_mut().map(|v| &mut **v), lane) {
+            self.restarted.push((l, rr));
+        }
+        for (src, dst) in staged.into_iter().zip(dst) {
+            let src = &*src;
+            let _ = comm.for_each_block_fused([dst], |bk, [d]| {
+                d.load_lane(l, src.block(bk));
+                ZEROS
+            });
+        }
+        self.phase("setup");
+    }
+
+    /// The iteration cap fell: settle every running lane — a lane no check
+    /// ever reduced takes its `‖r‖²` from `rr`, the last iteration's
+    /// residual sweep (or from its own restart, if it restarted on the last
+    /// iteration) — classify it, and hand its answer out. PipeCG reduces
+    /// every iteration and passes `None`.
+    pub(crate) fn settle<T: TileKernels>(
+        &mut self,
+        rr: Option<&C::Sweep>,
+        x: &mut C::Vec<T>,
+        x_good: &mut C::Vec<T>,
+    ) {
+        let (comm, cfg) = (self.comm, self.cfg);
+        let shared = rr
+            .filter(|_| {
+                (0..self.lanes.len()).any(|l| {
+                    let lane = &self.lanes[l];
+                    lane.running() && lane.unsettled() && self.restarted(l).is_none()
+                })
+            })
+            .map(|sweep| comm.reduce_sweep(sweep, self.width as u64));
+        for l in 0..self.lanes.len() {
+            if !self.lanes[l].running() {
+                continue;
+            }
+            let rr = self.lanes[l]
+                .unsettled()
+                .then(|| match self.restarted(l) {
+                    Some(sweep) => Some(comm.reduce_sweep(sweep, 1)[0]),
+                    None => shared.map(|red| red[l]),
+                })
+                .flatten();
+            let outcome = self.lanes[l].settle(cfg, rr, &|| comm.stats());
+            self.answer(l, outcome, x, x_good);
+        }
+    }
+
+    /// Lane `l`'s own `‖r‖²` sweep, if it restarted on this iteration.
+    fn restarted(&self, l: usize) -> Option<&C::Sweep> {
+        self.restarted
+            .iter()
+            .find(|(lane, _)| *lane == l)
+            .map(|(_, sweep)| sweep)
+    }
+
+    /// Lane `l` finished with `outcome`: restore its last good snapshot if
+    /// it diverged, then hand the lane out to its caller.
+    fn answer<T: TileKernels>(
+        &mut self,
+        l: usize,
+        outcome: SolveOutcome,
+        x: &mut C::Vec<T>,
+        x_good: &C::Vec<T>,
+    ) {
+        let comm = self.comm;
+        if outcome == SolveOutcome::Diverged {
+            let _ = comm.for_each_block_fused([&mut *x], |bk, [xb]| {
+                T::lane_copy(x_good.block(bk), xb, l);
+                ZEROS
+            });
+        }
+        if let Some(dst) = self.answers.get_mut(l) {
+            let x = &*x;
+            let _ = comm.for_each_block_fused([&mut **dst], |bk, [db]| {
+                x.block(bk).store_lane(l, db);
+                ZEROS
+            });
+        }
+    }
+
+    /// Export a batch's lane restarts (`pop_batch_lane_restarts_total`)
+    /// and occupancy (`pop_batch_occupancy`, running lanes / k). Free when
+    /// the sink is disabled: the registry handle is `None`.
+    fn record_batch_metrics(&self, restarts: usize) {
+        let Some(reg) = self.cfg.obs.registry() else {
+            return;
+        };
+        let solver = &[("solver", self.lanes[0].solver)];
+        if restarts > 0 {
+            reg.counter_add("pop_batch_lane_restarts_total", solver, restarts as u64);
+        }
+        let running = self.lanes.iter().filter(|l| l.running()).count();
+        reg.gauge_set(
+            "pop_batch_occupancy",
+            solver,
+            running as f64 / self.lanes.len() as f64,
+        );
+    }
+}
+
+/// Copy `src` into `dst`, halo included (seeding the snapshot).
+pub(crate) fn copy_vec<C: Communicator, T: TileKernels>(
+    comm: &C,
+    src: &C::Vec<T>,
+    dst: &mut C::Vec<T>,
+) {
+    let _ = comm.for_each_block_fused([dst], |bk, [d]| {
+        d.raw_mut().copy_from_slice(src.block(bk).raw());
+        ZEROS
+    });
 }

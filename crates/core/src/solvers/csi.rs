@@ -12,14 +12,15 @@
 //! tolerance, which is why P-CSI only wins at scale — exactly the crossover
 //! the paper measures and the reproduction tracks.
 
+use super::control::copy_vec;
 use super::{
-    copy_vec, rhs_norm, Check, CommSolver, LinearSolver, SolveCtl, SolveStats, SolverConfig,
-    SolverWorkspace,
+    residual_sweep, rhs_norm, Control, LinearSolver, Recurrence, SolveCtl, SolveStats,
+    SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH, ZEROS,
 };
 use crate::lanczos::EigenBounds;
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
-use pop_comm::{BlockVec, CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
+use pop_comm::{CommVec, CommWorld, Communicator, DistVec};
 use pop_stencil::NinePoint;
 
 /// Preconditioned Classical Stiefel Iteration.
@@ -141,7 +142,7 @@ impl Pcsi {
 impl Pcsi {
     /// The Chebyshev scalars `(α, γ)` of Algorithm 2, step 1:
     /// `α = 2/(μ−ν)`, `γ = β/α = (μ+ν)/2`.
-    pub(crate) fn chebyshev(&self) -> (f64, f64) {
+    fn chebyshev(&self) -> (f64, f64) {
         let (nu, mu) = (self.bounds.nu, self.bounds.mu);
         let alpha = 2.0 / (mu - nu);
         let beta = (mu + nu) / (mu - nu);
@@ -149,169 +150,140 @@ impl Pcsi {
     }
 
     /// The recurrence's start: `r₀ = b − A x₀ ; Δx₀ = γ⁻¹ M⁻¹ r₀ ;
-    /// x₁ = x₀ + Δx₀ ; r₁ = b − A x₁` with `‖r₁‖²` riding along (the caller
-    /// resets `ω` to `ω₀ = 2/γ`).
+    /// x₁ = x₀ + Δx₀ ; r₁ = b − A x₁`, returning the last sweep, which
+    /// carries `‖r₁‖²` (the caller resets `ω` to `ω₀ = 2/γ`). Entered from
+    /// the caller's `x₀` and again, at width 1, from a lane's last good
+    /// snapshot on every restart (DESIGN.md §10); the other solvers'
+    /// `start` functions likewise.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn start<C: Communicator>(
+    fn start<C: Communicator, T: TileKernels>(
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
         inv_gamma: f64,
-        b: &C::Vec<BlockVec>,
-        x: &mut C::Vec<BlockVec>,
-        r: &mut C::Vec<BlockVec>,
-        z: &mut C::Vec<BlockVec>,
-        dx: &mut C::Vec<BlockVec>,
-        ctl: &mut SolveCtl,
+        b: &C::Vec<T>,
+        [x, r, z, dx]: [&mut C::Vec<T>; 4],
+        lanes: &mut [SolveCtl],
     ) -> C::Sweep {
-        let masks = &b.layout().masks;
         // r₀ = b − A x₀ (halo exchange fused with the residual sweep so a
         // split-phase communicator can hide the strip flight time).
-        comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
-            op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &masks[bk]);
-            [0.0; MAX_SWEEP_PARTIALS]
-        });
+        residual_sweep(op, comm, b, x, r);
 
         // Δx₀ = γ⁻¹ M⁻¹ r₀ ; x₁ = x₀ + Δx₀, fused into one sweep.
         comm.for_each_block_fused([z, dx, &mut *x], |bk, [zb, dxb, xb]| {
-            pre.apply_block(bk, r.block(bk), zb);
-            for j in 0..dxb.ny {
-                let zr = zb.interior_row(j);
-                let dxr = dxb.interior_row_mut(j);
-                let xr = xb.interior_row_mut(j);
-                for i in 0..dxr.len() {
-                    let d = zr[i] * inv_gamma;
-                    dxr[i] = d;
-                    xr[i] += d;
-                }
-            }
-            [0.0; MAX_SWEEP_PARTIALS]
+            T::precond(pre, bk, r.block(bk), zb);
+            T::csi_start(zb, dxb, xb, inv_gamma);
+            ZEROS
         });
 
         // r₁ = b − A x₁, with ‖r‖² riding along as a per-block partial.
-        let rr_sweep = comm.halo_sweep_fused(x, [r], |bk, xv, [rb]| {
-            let mut p = [0.0; MAX_SWEEP_PARTIALS];
-            p[0] = op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &masks[bk]);
-            p
-        });
-        ctl.charge(2, 1);
-        rr_sweep
+        let rr = residual_sweep(op, comm, b, x, r);
+        lanes.iter_mut().for_each(|lane| lane.charge(2, 1));
+        rr
     }
 }
 
-impl CommSolver for Pcsi {
-    /// The fused loop: each iteration is **two** block sweeps — sweep A runs
-    /// the preconditioner and both vector recurrences per block while it is
-    /// cache-hot, sweep B recomputes the residual and carries its norm as a
-    /// per-block partial, consumed (as the iteration's only reduction) at
-    /// the periodic convergence checks. Between checks the loop performs
-    /// *zero* global reductions — under a rank runtime, literally zero
-    /// reduction messages — which is the paper's entire scalability story.
-    /// Bit-identical to [`Pcsi::solve_unfused`] on every runtime.
-    fn solve_comm<C: Communicator>(
+impl Recurrence for Pcsi {
+    const SPEC: SolverSpec = SolverSpec::Pcsi;
+
+    /// One sweep per iteration between checks. Iteration `k`'s residual has
+    /// no consumer of its own unless a check reads it (or the cap ends the
+    /// solve), so it is deferred and fused into iteration `k + 1`'s sweep:
+    /// exchange `x`, then `r = b − A x`, `z = M⁻¹ r`, `Δx = ωz + cΔx` and
+    /// `x += Δx`, back to back per block while the tiles are cache-hot.
+    /// Each block's residual reads its own pre-update storage plus a halo
+    /// ring the exchange filled before any block's update ran, so every
+    /// lane's arithmetic is the split sweeps' exactly. On check iterations
+    /// and at the cap the residual runs eagerly as its own sweep, carrying
+    /// `‖r‖²`; that check is P-CSI's only reduction, so between checks the
+    /// loop performs *zero* global reductions — under a rank runtime,
+    /// literally zero reduction messages — which is the paper's entire
+    /// scalability story. Bit-identical to [`Pcsi::solve_unfused`] on every
+    /// runtime, and per lane in a batch.
+    fn recur<C: Communicator, T: TileKernels>(
         &self,
         op: &NinePoint,
         pre: &dyn Preconditioner,
-        comm: &C,
-        b: &C::Vec<BlockVec>,
-        x: &mut C::Vec<BlockVec>,
-        cfg: &SolverConfig,
-        ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
-    ) -> SolveStats {
-        let mut ctl = SolveCtl::new(cfg, self.name(), pre.name(), comm.stats());
-        ctl.bnorm = rhs_norm(comm, b);
-        let layout = std::sync::Arc::clone(b.layout());
-
-        ctl.obs.eigen(self.bounds.nu, self.bounds.mu);
+        b: &C::Vec<T>,
+        x: &mut C::Vec<T>,
+        ws: &mut SolverWorkspace<C::Vec<T>>,
+        ctl: &mut Control<'_, '_, C>,
+    ) {
+        let (comm, cfg, w) = (ctl.comm, ctl.cfg, ctl.width());
+        for lane in ctl.lanes() {
+            lane.obs.eigen(self.bounds.nu, self.bounds.mu);
+        }
         let (alpha, gamma) = self.chebyshev();
+        let inv_gamma = 1.0 / gamma;
 
-        let [r, z, dx, x_good] = ws.take(comm, b, 1);
+        let [r, z, dx, x_good] = ws.take(comm, ctl.model(), w);
         copy_vec(comm, x, x_good);
 
-        // Each pass of this loop is one Chebyshev recurrence: the first
-        // starts from the caller's x₀, a restart re-enters from the last
-        // good snapshot after a broken check (DESIGN.md §10).
-        let mut rr_sweep;
-        'recurrence: loop {
-            let mut omega = 2.0 / gamma; // ω₀
-            rr_sweep = Self::start(op, pre, comm, 1.0 / gamma, b, x, r, z, dx, &mut ctl);
-            ctl.obs.phase("setup", || comm.stats());
+        // Per-lane recurrence depth: a restart resets one lane to ω₀.
+        let mut omega = [2.0 / gamma; MAX_BATCH];
+        let mut c = [0.0; MAX_BATCH];
+        let vecs = [&mut *x, &mut *r, &mut *z, &mut *dx];
+        let mut rr = Self::start(op, pre, comm, inv_gamma, b, vecs, ctl.lanes());
+        ctl.phase("setup");
 
-            while ctl.iterations() < cfg.max_iters {
-                ctl.tick();
+        let mut deferred = false;
+        while ctl.next() {
+            let it = ctl.iteration();
+            // Step 5: the iterated weight ω_k = 1/(γ − ω_{k−1}/(4α²)).
+            for s in 0..w {
+                omega[s] = 1.0 / (gamma - omega[s] / (4.0 * alpha * alpha));
+                c[s] = gamma * omega[s] - 1.0;
+            }
+            let (om, cs) = (&omega[..w], &c[..w]);
 
-                // Step 5: the iterated weight ω_k = 1/(γ − ω_{k−1}/(4α²)).
-                omega = 1.0 / (gamma - omega / (4.0 * alpha * alpha));
-                let c = gamma * omega - 1.0;
-
-                // Steps 6–8 as ONE sweep per block: r' = M⁻¹ r, then
-                // Δx = ω r' + c Δx and x += Δx while the tiles are
-                // cache-hot. No reductions.
+            // Steps 6–8: r' = M⁻¹ r, Δx = ω r' + c Δx and x += Δx, led,
+            // when deferred, by the previous iteration's residual (steps
+            // 9–10: its halo exchange is the iteration's only message).
+            if deferred {
+                comm.halo_sweep_fused(
+                    [&mut *x, &mut *r, &mut *z, &mut *dx],
+                    |bk, [xb, rb, zb, dxb]| {
+                        let mut p = ZEROS;
+                        T::residual(op, bk, xb, b.block(bk), rb, &mut p);
+                        T::precond(pre, bk, rb, zb);
+                        T::csi_update(zb, dxb, xb, om, cs);
+                        ZEROS
+                    },
+                );
+            } else {
                 comm.for_each_block_fused([&mut *z, &mut *dx, &mut *x], |bk, [zb, dxb, xb]| {
-                    pre.apply_block(bk, r.block(bk), zb);
-                    for j in 0..dxb.ny {
-                        let zr = zb.interior_row(j);
-                        let dxr = dxb.interior_row_mut(j);
-                        let xr = xb.interior_row_mut(j);
-                        for i in 0..dxr.len() {
-                            let d = dxr[i] * c + omega * zr[i];
-                            dxr[i] = d;
-                            xr[i] += d;
-                        }
-                    }
-                    [0.0; MAX_SWEEP_PARTIALS]
+                    T::precond(pre, bk, r.block(bk), zb);
+                    T::csi_update(zb, dxb, xb, om, cs);
+                    ZEROS
                 });
+            }
 
-                // Steps 9–10: one halo update fused with the residual
-                // sweep (interior points can overlap the strip flight); the
-                // squared norm is accumulated per block for free.
-                rr_sweep = comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
-                    let mut p = [0.0; MAX_SWEEP_PARTIALS];
-                    p[0] = op.residual_block_into(
-                        bk,
-                        xv.block(bk),
-                        b.block(bk),
-                        rb,
-                        &layout.masks[bk],
+            // Steps 9–10 eagerly, where something reads ‖r‖² this
+            // iteration: the check below, or the settlement at the cap.
+            let checked = it % cfg.check_interval() == 0;
+            deferred = !checked && it != cfg.max_iters;
+            if !deferred {
+                rr = residual_sweep(op, comm, b, x, r);
+            }
+
+            // Step 11: periodic convergence check — P-CSI's only reduction
+            // (the partials stay local until the check consumes them as a
+            // global norm; *that* is the allreduce). One allreduce carries
+            // every lane's residual: flat in k.
+            if checked {
+                let red = ctl.reduce_check(&rr);
+                for l in ctl.check(&red[..w], true, x, x_good) {
+                    omega[l] = 2.0 / gamma;
+                    ctl.restart(
+                        l,
+                        x_good,
+                        [&mut *x, &mut *r, &mut *z, &mut *dx],
+                        |b, v, lane| Some(Self::start(op, pre, comm, inv_gamma, b, v, lane)),
                     );
-                    p
-                });
-
-                // Step 11: periodic convergence check — P-CSI's only
-                // reduction (the partials stay local until the check
-                // consumes them as a global norm; *that* is the allreduce).
-                if ctl.iterations() % cfg.check_interval() == 0 {
-                    match ctl.check_sweep(comm, cfg, &rr_sweep, x, x_good) {
-                        Check::Continue | Check::Snapshot => {}
-                        Check::Restart => continue 'recurrence,
-                        Check::Done(_) => break 'recurrence,
-                    }
                 }
             }
-            break;
         }
-        ctl.finish(comm, cfg, Some(&rr_sweep), x, x_good)
-    }
-}
-
-impl LinearSolver for Pcsi {
-    fn name(&self) -> &'static str {
-        SolverSpec::Pcsi.label()
-    }
-
-    /// Dynamic-dispatch entry point: the generic fused loop driven by the
-    /// shared-memory world.
-    fn solve_ws(
-        &self,
-        op: &NinePoint,
-        pre: &dyn Preconditioner,
-        world: &CommWorld,
-        b: &DistVec,
-        x: &mut DistVec,
-        cfg: &SolverConfig,
-        ws: &mut SolverWorkspace,
-    ) -> SolveStats {
-        self.solve_comm(op, pre, world, b, x, cfg, ws)
+        ctl.settle(Some(&rr), x, x_good);
     }
 }
 

@@ -1,9 +1,18 @@
-//! The three barotropic solvers behind one interface.
+//! The barotropic solvers behind one interface.
+//!
+//! Each solver's recurrence is written once, as a loop generic over the
+//! block tile (`kernels.rs`): [`CommSolver::solve_comm`] runs it on
+//! [`BlockVec`]s for one right-hand side, [`BatchCommSolver::solve_batch_comm`]
+//! on `MultiBlockVec`s for a batch, and one solve control per right-hand
+//! side runs it either way (`control.rs`; DESIGN.md §7, §10, §12).
+//! Each solver also keeps its pre-fusion whole-vector loop, `solve_unfused`,
+//! as the independent test oracle.
 
 mod batch;
 mod chrongear;
 mod control;
 mod csi;
+mod kernels;
 mod pcg;
 mod pipecg;
 
@@ -12,16 +21,24 @@ pub use batch::{
     BatchWorkspace, PlannedBatch, MAX_BATCH,
 };
 pub use chrongear::ChronGear;
-pub(crate) use control::{Check, SolveCtl};
+pub(crate) use control::{Control, SolveCtl};
 pub use csi::Pcsi;
 pub use pcg::ClassicPcg;
 pub use pipecg::PipelinedCg;
 
 use crate::precond::Preconditioner;
-use pop_comm::{BlockVec, CommVec, CommWorld, Communicator, DistLayout, DistVec, StatsSnapshot};
+use crate::setup::SolverSpec;
+use kernels::TileKernels;
+use pop_comm::{
+    BlockVec, CommVec, CommWorld, Communicator, DistLayout, DistVec, StatsSnapshot, SweepPartials,
+    MAX_SWEEP_PARTIALS,
+};
 use pop_obs::ObsSink;
 use pop_stencil::NinePoint;
 use std::sync::Arc;
+
+/// The partials row of a sweep that reduces nothing.
+const ZEROS: SweepPartials = [0.0; MAX_SWEEP_PARTIALS];
 
 /// Stopping rule and bookkeeping shared by every solver.
 #[derive(Debug, Clone)]
@@ -159,42 +176,6 @@ pub(crate) fn baseline_outcome(converged: bool, final_rel: f64) -> SolveOutcome 
     }
 }
 
-/// Copy `src`'s interior into `dst` through a fused sweep (no reduction is
-/// consumed, no halo is touched): the snapshot/restore primitive of the
-/// recovery path. Works on any communicator's vectors.
-pub(crate) fn copy_vec<C: Communicator>(
-    comm: &C,
-    src: &mut C::Vec<BlockVec>,
-    dst: &mut C::Vec<BlockVec>,
-) {
-    let _ = comm.for_each_block_fused([dst, src], |_, [d, s]| {
-        d.raw_mut().copy_from_slice(s.raw());
-        [0.0; pop_comm::MAX_SWEEP_PARTIALS]
-    });
-}
-
-/// Refresh the snapshot `dst` from `src`, block by block, skipping any block
-/// that holds a non-finite value. The reduced residual a solver checks can
-/// lag the iterate it describes (most sharply in pipelined CG, where the
-/// dots of iteration *k* are taken before iteration *k*'s updates), so a
-/// "healthy" verdict may arrive while `src` is already poisoned: this guard
-/// keeps the poison out of the snapshot so restarts and aborts always
-/// restore a finite field. The per-block decision is purely local — blocks
-/// are rank-private, so no cross-rank agreement is needed — and on a
-/// fault-free run it degenerates to `copy_vec` with an extra read pass.
-pub(crate) fn snapshot_vec<C: Communicator>(
-    comm: &C,
-    src: &mut C::Vec<BlockVec>,
-    dst: &mut C::Vec<BlockVec>,
-) {
-    let _ = comm.for_each_block_fused([dst, src], |_, [d, s]| {
-        if s.raw().iter().all(|v| v.is_finite()) {
-            d.raw_mut().copy_from_slice(s.raw());
-        }
-        [0.0; pop_comm::MAX_SWEEP_PARTIALS]
-    });
-}
-
 /// What one solve did: iteration counts, convergence, and the exact
 /// communication events it generated (the cost-model inputs).
 #[derive(Debug, Clone)]
@@ -284,8 +265,6 @@ impl<V: CommVec> SolverWorkspace<V> {
     }
 }
 
-pub(crate) use pop_comm::masked_block_dot;
-
 /// A linear solver for the barotropic system `A x = b`.
 ///
 /// `x` carries the initial guess in and the solution out; POP warm-starts
@@ -357,12 +336,91 @@ pub trait CommSolver: LinearSolver {
     ) -> SolveStats;
 }
 
+/// A solver's recurrence, written once over the tile: `T = BlockVec` runs
+/// one right-hand side on the caller's `b` and `x`, `T = MultiBlockVec` a
+/// batch on its lane-loaded copies. `ctl` holds every right-hand side's
+/// control; the recurrence takes its own vectors from `ws`.
+pub(crate) trait Recurrence {
+    /// Which solver this is (its reporting name).
+    const SPEC: SolverSpec;
+
+    #[allow(clippy::too_many_arguments)]
+    fn recur<C: Communicator, T: TileKernels>(
+        &self,
+        op: &NinePoint,
+        pre: &dyn Preconditioner,
+        b: &C::Vec<T>,
+        x: &mut C::Vec<T>,
+        ws: &mut SolverWorkspace<C::Vec<T>>,
+        ctl: &mut Control<'_, '_, C>,
+    );
+}
+
+impl<S: Recurrence> LinearSolver for S {
+    fn name(&self) -> &'static str {
+        S::SPEC.label()
+    }
+
+    /// Dynamic-dispatch entry point: the generic fused loop driven by the
+    /// shared-memory world.
+    fn solve_ws(
+        &self,
+        op: &NinePoint,
+        pre: &dyn Preconditioner,
+        world: &CommWorld,
+        b: &DistVec,
+        x: &mut DistVec,
+        cfg: &SolverConfig,
+        ws: &mut SolverWorkspace,
+    ) -> SolveStats {
+        self.solve_comm(op, pre, world, b, x, cfg, ws)
+    }
+}
+
+impl<S: Recurrence> CommSolver for S {
+    fn solve_comm<C: Communicator>(
+        &self,
+        op: &NinePoint,
+        pre: &dyn Preconditioner,
+        comm: &C,
+        b: &C::Vec<BlockVec>,
+        x: &mut C::Vec<BlockVec>,
+        cfg: &SolverConfig,
+        ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
+    ) -> SolveStats {
+        let mut lane = SolveCtl::new(cfg, S::SPEC.label(), pre.name(), comm.stats());
+        lane.bnorm = rhs_norm(comm, b);
+        // Staging for a restart, which allocates only if one happens.
+        let mut stage = SolverWorkspace::default();
+        let (lanes, bs) = (std::slice::from_mut(&mut lane), [b]);
+        let mut ctl = Control::new(comm, cfg, lanes, &bs, &mut [], &mut stage, 1);
+        self.recur(op, pre, b, x, ws, &mut ctl);
+        lane.into_stats(comm.stats())
+    }
+}
+
 /// `‖b‖₂` with a floor so a zero right-hand side converges immediately
 /// instead of dividing by zero. Computed through the fused sweep so the
 /// solver setup path stays allocation-free; bit-identical to
 /// `world.norm2_sq(b).sqrt()`.
 pub(crate) fn rhs_norm<C: Communicator>(comm: &C, b: &C::Vec<BlockVec>) -> f64 {
     comm.dot_fused(b, b).sqrt().max(1e-300)
+}
+
+/// `r = b − A x` after `x`'s halo exchange, with each lane's `‖r‖²` riding
+/// along as a per-block partial: every recurrence's first sweep.
+pub(crate) fn residual_sweep<C: Communicator, T: TileKernels>(
+    op: &NinePoint,
+    comm: &C,
+    b: &C::Vec<T>,
+    x: &mut C::Vec<T>,
+    r: &mut C::Vec<T>,
+) -> C::Sweep {
+    comm.halo_sweep_fused([x, r], |bk, [xb, rb]| {
+        let mut p = ZEROS;
+        T::residual(op, bk, xb, b.block(bk), rb, &mut p);
+        p
+    })
 }
 
 #[cfg(test)]

@@ -5,13 +5,14 @@
 //! these two reductions into one, and the solver-kernel ablation bench
 //! measures exactly that difference.
 
+use super::control::copy_vec;
 use super::{
-    copy_vec, masked_block_dot, rhs_norm, Check, CommSolver, LinearSolver, SolveCtl, SolveStats,
-    SolverConfig, SolverWorkspace,
+    residual_sweep, rhs_norm, Control, LinearSolver, Recurrence, SolveCtl, SolveStats,
+    SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH, ZEROS,
 };
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
-use pop_comm::{BlockVec, CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
+use pop_comm::{CommVec, CommWorld, Communicator, DistVec};
 use pop_stencil::NinePoint;
 
 /// Classic PCG (Hestenes–Stiefel with preconditioning).
@@ -108,166 +109,126 @@ impl ClassicPcg {
 }
 
 impl ClassicPcg {
-    /// The recurrence's start: `r₀ = b − A x₀` (with `‖r₀‖²` in slot 0,
+    /// The recurrence's start: `r₀ = b − A x₀` (with `‖r₀‖²` in band 0,
     /// where the periodic check expects it), `z₀ = M⁻¹ r₀`, `p₀ = z₀`, and
-    /// the setup reduction `r₀ᵀz₀`. Returns the standing residual sweep and
-    /// `r₀ᵀz₀`.
+    /// the setup reduction of every lane's `r₀ᵀz₀` into `rz`. Returns the
+    /// residual sweep.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn start<C: Communicator>(
+    fn start<C: Communicator, T: TileKernels>(
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        b: &C::Vec<BlockVec>,
-        x: &mut C::Vec<BlockVec>,
-        r: &mut C::Vec<BlockVec>,
-        z: &mut C::Vec<BlockVec>,
-        p: &mut C::Vec<BlockVec>,
-        ctl: &mut SolveCtl,
-    ) -> (C::Sweep, f64) {
+        b: &C::Vec<T>,
+        [x, r, z, p]: [&mut C::Vec<T>; 4],
+        rz: &mut [f64],
+        lanes: &mut [SolveCtl],
+    ) -> C::Sweep {
         let masks = &b.layout().masks;
-        let rr_sweep = comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
-            let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-            pt[0] = op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &masks[bk]);
-            pt
-        });
+        let rr = residual_sweep(op, comm, b, x, r);
         // z₀ = M⁻¹ r₀ and p₀ = z₀ in one sweep, with the setup rᵀz partial.
         let rz_sweep = comm.for_each_block_fused([z, p], |bk, [zb, pb]| {
-            pre.apply_block(bk, r.block(bk), zb);
-            for j in 0..pb.ny {
-                pb.interior_row_mut(j).copy_from_slice(zb.interior_row(j));
-            }
-            let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-            pt[0] = masked_block_dot(r.block(bk), zb, &masks[bk]);
+            T::precond(pre, bk, r.block(bk), zb);
+            pb.raw_mut().copy_from_slice(zb.raw());
+            let mut pt = ZEROS;
+            T::dot(r.block(bk), zb, &masks[bk], &mut pt);
             pt
         });
-        let rz = comm.reduce_sweep(&rz_sweep, 1)[0]; // reduction #0 (setup)
-        ctl.charge(1, 1);
-        (rr_sweep, rz)
+        let w = rz.len();
+        rz.copy_from_slice(&comm.reduce_sweep(&rz_sweep, w as u64)[..w]); // reduction #0
+        lanes.iter_mut().for_each(|lane| lane.charge(1, 1));
+        rr
     }
 }
 
-impl CommSolver for ClassicPcg {
-    /// The fused loop: matvec + pᵀAp partial in one sweep; then x/r updates,
-    /// preconditioning, and the ‖r‖² / rᵀz partials in a second sweep; then
+impl Recurrence for ClassicPcg {
+    const SPEC: SolverSpec = SolverSpec::ClassicPcg;
+
+    /// Three sweeps per iteration: the matvec with its `pᵀAp` partial; the
+    /// `x`/`r` updates, preconditioning, and the `‖r‖²` / `rᵀz` partials;
     /// the direction update. Still two reductions per iteration — classic
-    /// PCG's defining cost — but each one now rides on a fused sweep.
-    /// Bit-identical to [`ClassicPcg::solve_unfused`] on every runtime.
-    fn solve_comm<C: Communicator>(
+    /// PCG's defining cost — but each one rides on a fused sweep.
+    /// Bit-identical to [`ClassicPcg::solve_unfused`] on every runtime, and
+    /// per lane in a batch.
+    fn recur<C: Communicator, T: TileKernels>(
         &self,
         op: &NinePoint,
         pre: &dyn Preconditioner,
-        comm: &C,
-        b: &C::Vec<BlockVec>,
-        x: &mut C::Vec<BlockVec>,
-        cfg: &SolverConfig,
-        ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
-    ) -> SolveStats {
-        let mut ctl = SolveCtl::new(cfg, self.name(), pre.name(), comm.stats());
-        ctl.bnorm = rhs_norm(comm, b);
-        let layout = std::sync::Arc::clone(b.layout());
+        b: &C::Vec<T>,
+        x: &mut C::Vec<T>,
+        ws: &mut SolverWorkspace<C::Vec<T>>,
+        ctl: &mut Control<'_, '_, C>,
+    ) {
+        let (comm, cfg, w) = (ctl.comm, ctl.cfg, ctl.width());
+        let masks = &b.layout().masks;
 
-        let [r, z, p, ap, x_good] = ws.take(comm, b, 1);
+        let [r, z, p, ap, x_good] = ws.take(comm, ctl.model(), w);
         copy_vec(comm, x, x_good);
+        let mut rz = [0.0; MAX_BATCH];
+        let (mut beta, mut alpha, mut nalpha) =
+            ([0.0; MAX_BATCH], [0.0; MAX_BATCH], [0.0; MAX_BATCH]);
+        let vecs = [&mut *x, &mut *r, &mut *z, &mut *p];
+        let mut rr = Self::start(op, pre, comm, b, vecs, &mut rz[..w], ctl.lanes());
+        ctl.phase("setup");
 
-        let mut rr_sweep;
-        'recurrence: loop {
-            let mut rz;
-            (rr_sweep, rz) = Self::start(op, pre, comm, b, x, r, z, p, &mut ctl);
-            ctl.obs.phase("setup", || comm.stats());
+        while ctl.next() {
+            // Sweep 1: the iteration's halo exchange fused with Ap and its
+            // pᵀAp partial (split-phase runtimes overlap the strips with the
+            // interior stencil points).
+            let pap_sweep = comm.halo_sweep_fused([&mut *p, &mut *ap], |bk, [pb, apb]| {
+                T::apply(op, bk, pb, apb);
+                let mut pt = ZEROS;
+                T::dot(pb, apb, &masks[bk], &mut pt);
+                pt
+            });
 
-            while ctl.iterations() < cfg.max_iters {
-                ctl.tick();
+            // Reduction #1 of the iteration.
+            let pap = comm.reduce_sweep(&pap_sweep, w as u64);
+            for l in 0..w {
+                alpha[l] = rz[l] / pap[l];
+                nalpha[l] = -alpha[l];
+            }
 
-                // Sweep 1: the iteration's halo exchange fused with Ap and
-                // its pᵀAp partial (split-phase runtimes overlap the
-                // strips with the interior stencil points).
-                let pap_sweep = comm.halo_sweep_fused(p, [&mut *ap], |bk, pv, [apb]| {
-                    let mask = &layout.masks[bk];
-                    op.apply_block_into(bk, pv.block(bk), apb, mask);
-                    let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-                    pt[0] = masked_block_dot(pv.block(bk), apb, mask);
+            // Sweep 2: x += αp, r −= αAp, z = M⁻¹r, and the ‖r‖² / rᵀz
+            // partials, all while the block is cache-hot. ‖r‖² in band 0:
+            // the periodic check re-reduces this sweep later.
+            let (av, nav) = (&alpha[..w], &nalpha[..w]);
+            let d_sweep =
+                comm.for_each_block_fused([&mut *x, &mut *r, &mut *z], |bk, [xb, rb, zb]| {
+                    T::pcg_update(p.block(bk), ap.block(bk), xb, rb, av, nav);
+                    T::precond(pre, bk, rb, zb);
+                    let mut pt = ZEROS;
+                    T::dot(rb, rb, &masks[bk], &mut pt[..w]);
+                    T::dot(rb, zb, &masks[bk], &mut pt[w..2 * w]);
                     pt
                 });
 
-                // Reduction #1 of the iteration.
-                let pap = comm.reduce_sweep(&pap_sweep, 1)[0];
-                let alpha = rz / pap;
-                let nalpha = -alpha;
+            // Reduction #2 of the iteration: both bands travel, rᵀz is read.
+            let red = comm.reduce_sweep(&d_sweep, 2 * w as u64);
+            rr = d_sweep;
+            for l in 0..w {
+                let rz_new = red[w + l];
+                beta[l] = rz_new / rz[l];
+                rz[l] = rz_new;
+            }
 
-                // Sweep 2: x += αp, r −= αAp, z = M⁻¹r, and the ‖r‖² / rᵀz
-                // partials, all while the block is cache-hot. ‖r‖² in lane 0:
-                // the periodic check re-reduces this sweep later.
-                let d_sweep =
-                    comm.for_each_block_fused([&mut *x, &mut *r, &mut *z], |bk, [xb, rb, zb]| {
-                        let mask = &layout.masks[bk];
-                        let nx = xb.nx;
-                        for j in 0..xb.ny {
-                            let prow = p.block(bk).interior_row(j);
-                            let aprow = ap.block(bk).interior_row(j);
-                            let xr = xb.interior_row_mut(j);
-                            let rrow = rb.interior_row_mut(j);
-                            for i in 0..nx {
-                                xr[i] += alpha * prow[i];
-                                rrow[i] += nalpha * aprow[i];
-                            }
-                        }
-                        pre.apply_block(bk, rb, zb);
-                        let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-                        pt[0] = masked_block_dot(rb, rb, mask);
-                        pt[1] = masked_block_dot(rb, zb, mask);
-                        pt
+            // Sweep 3: the direction update p = z + β p.
+            let bv = &beta[..w];
+            comm.for_each_block_fused([&mut *p], |bk, [pb]| {
+                T::pcg_direction(z.block(bk), pb, bv);
+                ZEROS
+            });
+
+            if ctl.iteration() % cfg.check_interval() == 0 {
+                let red = ctl.reduce_check(&rr);
+                for l in ctl.check(&red[..w], true, x, x_good) {
+                    let vecs = [&mut *x, &mut *r, &mut *z, &mut *p];
+                    ctl.restart(l, x_good, vecs, |b, v, lane| {
+                        Some(Self::start(op, pre, comm, b, v, &mut rz[l..=l], lane))
                     });
-
-                // Reduction #2 of the iteration (consumes rᵀz).
-                let rz_new = comm.reduce_sweep(&d_sweep, 1)[1];
-                rr_sweep = d_sweep;
-                let beta = rz_new / rz;
-                rz = rz_new;
-
-                // Sweep 3: the direction update p = z + β p.
-                comm.for_each_block_fused([&mut *p], |bk, [pb]| {
-                    for j in 0..pb.ny {
-                        let zr = z.block(bk).interior_row(j);
-                        let prow = pb.interior_row_mut(j);
-                        for i in 0..prow.len() {
-                            prow[i] = zr[i] + beta * prow[i];
-                        }
-                    }
-                    [0.0; MAX_SWEEP_PARTIALS]
-                });
-
-                if ctl.iterations() % cfg.check_interval() == 0 {
-                    match ctl.check_sweep(comm, cfg, &rr_sweep, x, x_good) {
-                        Check::Continue | Check::Snapshot => {}
-                        Check::Restart => continue 'recurrence,
-                        Check::Done(_) => break 'recurrence,
-                    }
                 }
             }
-            break;
         }
-        ctl.finish(comm, cfg, Some(&rr_sweep), x, x_good)
-    }
-}
-
-impl LinearSolver for ClassicPcg {
-    fn name(&self) -> &'static str {
-        SolverSpec::ClassicPcg.label()
-    }
-
-    /// Dynamic-dispatch entry point: the generic fused loop driven by the
-    /// shared-memory world.
-    fn solve_ws(
-        &self,
-        op: &NinePoint,
-        pre: &dyn Preconditioner,
-        world: &CommWorld,
-        b: &DistVec,
-        x: &mut DistVec,
-        cfg: &SolverConfig,
-        ws: &mut SolverWorkspace,
-    ) -> SolveStats {
-        self.solve_comm(op, pre, world, b, x, cfg, ws)
+        ctl.settle(Some(&rr), x, x_good);
     }
 }
 

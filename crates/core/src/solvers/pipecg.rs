@@ -18,13 +18,14 @@
 //! ChronGear) and slightly worse round-off behaviour — both visible in the
 //! kernel benches and the convergence histories.
 
+use super::control::copy_vec;
 use super::{
-    copy_vec, rhs_norm, Check, CommSolver, LinearSolver, SolveCtl, SolveStats, SolverConfig,
-    SolverWorkspace,
+    residual_sweep, rhs_norm, Control, LinearSolver, Recurrence, SolveCtl, SolveStats,
+    SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH, ZEROS,
 };
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
-use pop_comm::{BlockVec, CommVec, CommWorld, Communicator, DistVec, MAX_SWEEP_PARTIALS};
+use pop_comm::{CommVec, CommWorld, Communicator, DistVec};
 use pop_stencil::NinePoint;
 
 /// Pipelined PCG.
@@ -148,212 +149,142 @@ impl PipelinedCg {
     /// The recurrence's start: `r₀ = b − A x₀ ; u₀ = M⁻¹ r₀ ; w₀ = A u₀`,
     /// each halo exchange fused with the sweep that reads it (the caller
     /// zeroes `z`, `q`, `s`, `p` and resets the recurrence scalars).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn start<C: Communicator>(
+    fn start<C: Communicator, T: TileKernels>(
         op: &NinePoint,
         pre: &dyn Preconditioner,
         comm: &C,
-        b: &C::Vec<BlockVec>,
-        x: &mut C::Vec<BlockVec>,
-        r: &mut C::Vec<BlockVec>,
-        u: &mut C::Vec<BlockVec>,
-        w: &mut C::Vec<BlockVec>,
-        ctl: &mut SolveCtl,
+        b: &C::Vec<T>,
+        [x, r, u, w]: [&mut C::Vec<T>; 4],
+        lanes: &mut [SolveCtl],
     ) {
-        let masks = &b.layout().masks;
-        comm.halo_sweep_fused(x, [&mut *r], |bk, xv, [rb]| {
-            op.residual_block_into(bk, xv.block(bk), b.block(bk), rb, &masks[bk]);
-            [0.0; MAX_SWEEP_PARTIALS]
-        });
+        residual_sweep(op, comm, b, x, r);
         comm.for_each_block_fused([&mut *u], |bk, [ub]| {
-            pre.apply_block(bk, r.block(bk), ub);
-            [0.0; MAX_SWEEP_PARTIALS]
+            T::precond(pre, bk, r.block(bk), ub);
+            ZEROS
         });
-        comm.halo_sweep_fused(u, [w], |bk, uv, [wb]| {
-            op.apply_block_into(bk, uv.block(bk), wb, &masks[bk]);
-            [0.0; MAX_SWEEP_PARTIALS]
+        comm.halo_sweep_fused([u, w], |bk, [ub, wb]| {
+            T::apply(op, bk, ub, wb);
+            ZEROS
         });
-        ctl.charge(2, 1);
+        lanes.iter_mut().for_each(|lane| lane.charge(2, 1));
     }
 }
 
-impl CommSolver for PipelinedCg {
-    /// The fused loop: the three dot partials (γ, δ, ‖r‖²) and the
-    /// preconditioner ride one sweep, the matvec a second, and all *eight*
-    /// pipelined recurrences collapse into a single third sweep — the fusion
-    /// win is largest here because the pipelined formulation is the most
-    /// vector-heavy. Bit-identical to [`PipelinedCg::solve_unfused`] on
-    /// every runtime.
-    fn solve_comm<C: Communicator>(
+impl Recurrence for PipelinedCg {
+    const SPEC: SolverSpec = SolverSpec::PipelinedCg;
+
+    /// Three sweeps per iteration: the three dot partials (γ, δ, ‖r‖²) of
+    /// every lane and the preconditioner ride one, the matvec a second, and
+    /// all *eight* pipelined recurrences collapse into a single third — the
+    /// fusion win is largest here because the pipelined formulation is the
+    /// most vector-heavy. Bit-identical to [`PipelinedCg::solve_unfused`]
+    /// on every runtime, and per lane in a batch.
+    fn recur<C: Communicator, T: TileKernels>(
         &self,
         op: &NinePoint,
         pre: &dyn Preconditioner,
-        comm: &C,
-        b: &C::Vec<BlockVec>,
-        x: &mut C::Vec<BlockVec>,
-        cfg: &SolverConfig,
-        ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
-    ) -> SolveStats {
-        let mut ctl = SolveCtl::new(cfg, self.name(), pre.name(), comm.stats());
-        ctl.bnorm = rhs_norm(comm, b);
-        let layout = std::sync::Arc::clone(b.layout());
+        b: &C::Vec<T>,
+        x: &mut C::Vec<T>,
+        ws: &mut SolverWorkspace<C::Vec<T>>,
+        ctl: &mut Control<'_, '_, C>,
+    ) {
+        let (comm, cfg, k) = (ctl.comm, ctl.cfg, ctl.width());
+        let masks = &b.layout().masks;
 
-        let [r, u, w, m, n, z, q, s, p, x_good] = ws.take(comm, b, 1);
+        // z₀ = q₀ = s₀ = p₀ = 0 (zeroed by the workspace).
+        let [r, u, w, m, n, z, q, s, p, x_good] = ws.take(comm, ctl.model(), k);
         copy_vec(comm, x, x_good);
+        Self::start(
+            op,
+            pre,
+            comm,
+            b,
+            [&mut *x, &mut *r, &mut *u, &mut *w],
+            ctl.lanes(),
+        );
+        let (mut gamma_old, mut alpha_old) = ([1.0; MAX_BATCH], [1.0; MAX_BATCH]);
+        let mut first = [true; MAX_BATCH];
+        let (mut beta, mut alpha, mut nalpha) =
+            ([0.0; MAX_BATCH], [0.0; MAX_BATCH], [0.0; MAX_BATCH]);
+        ctl.phase("setup");
 
-        'recurrence: loop {
-            // The auxiliary recurrences must start from zero: after a restart
-            // they may hold non-finite values from the poisoned run.
-            z.zero_fill();
-            q.zero_fill();
-            s.zero_fill();
-            p.zero_fill();
-            Self::start(op, pre, comm, b, x, r, u, w, &mut ctl);
+        while ctl.next() {
+            // Sweep 1: the fused reduction's three partials — γ = (r,u),
+            // δ = (w,u), ‖r‖² — in three bands, plus the preconditioner
+            // application m = M⁻¹w, all in one pass over the block. On a
+            // real machine the allreduce is posted asynchronously and
+            // progresses WHILE the preconditioner and matvec run — which is
+            // why it is flagged overlappable for the cost model.
+            let d_sweep = comm.for_each_block_fused([&mut *m], |bk, [mb]| {
+                let (rb, ub, wb) = (r.block(bk), u.block(bk), w.block(bk));
+                let mut pt = ZEROS;
+                T::dot(rb, ub, &masks[bk], &mut pt[..k]);
+                T::dot(wb, ub, &masks[bk], &mut pt[k..2 * k]);
+                T::dot(rb, rb, &masks[bk], &mut pt[2 * k..3 * k]);
+                T::precond(pre, bk, wb, mb);
+                pt
+            });
+            // PipeCG's convergence check rides the fused per-iteration
+            // reduction, so the reduce itself is attributed to "check"
+            // and everything else to "iterate".
+            ctl.phase("iterate");
+            let d = comm.reduce_sweep(&d_sweep, 3 * k as u64);
+            ctl.phase("check");
 
-            let mut gamma_old = 1.0f64;
-            let mut alpha_old = 1.0f64;
-            let mut first = true;
-            ctl.obs.phase("setup", || comm.stats());
+            // Sweep 2: n = A m, its halo exchange fused so a split-phase
+            // runtime overlaps the strips with the interior stencil points.
+            comm.halo_sweep_fused([&mut *m, &mut *n], |bk, [mb, nb]| {
+                T::apply(op, bk, mb, nb);
+                ZEROS
+            });
 
-            while ctl.iterations() < cfg.max_iters {
-                ctl.tick();
-
-                // Sweep 1: the fused reduction's three partials — γ = (r,u),
-                // δ = (w,u), ‖r‖² — plus the preconditioner application
-                // m = M⁻¹w, all in one pass over the block. On a real machine
-                // the allreduce is posted asynchronously and progresses WHILE
-                // the preconditioner and matvec run — which is why it is
-                // flagged overlappable for the cost model.
-                let d_sweep = comm.for_each_block_fused([&mut *m], |bk, [mb]| {
-                    let mask = &layout.masks[bk];
-                    let (rb, ub, wb) = (r.block(bk), u.block(bk), w.block(bk));
-                    let nx = rb.nx;
-                    let (mut g, mut dl, mut rs) = (0.0, 0.0, 0.0);
-                    for j in 0..rb.ny {
-                        let rrow = rb.interior_row(j);
-                        let urow = ub.interior_row(j);
-                        let wrow = wb.interior_row(j);
-                        let mrow = &mask[j * nx..(j + 1) * nx];
-                        for i in 0..nx {
-                            if mrow[i] != 0 {
-                                g += rrow[i] * urow[i];
-                                dl += wrow[i] * urow[i];
-                                rs += rrow[i] * rrow[i];
-                            }
-                        }
-                    }
-                    pre.apply_block(bk, wb, mb);
-                    let mut pt = [0.0; MAX_SWEEP_PARTIALS];
-                    pt[0] = g;
-                    pt[1] = dl;
-                    pt[2] = rs;
-                    pt
-                });
-                // PipeCG's convergence check rides the fused per-iteration
-                // reduction, so the reduce itself is attributed to "check"
-                // and everything else to "iterate".
-                ctl.obs.phase("iterate", || comm.stats());
-                let d = comm.reduce_sweep(&d_sweep, 3);
-                ctl.obs.phase("check", || comm.stats());
-                let (gamma, delta, rr) = (d[0], d[1], d[2]);
-
-                // Sweep 2: n = A m, its halo exchange fused so a
-                // split-phase runtime overlaps the strips with the
-                // interior stencil points.
-                comm.halo_sweep_fused(m, [&mut *n], |bk, mv, [nb]| {
-                    op.apply_block_into(bk, mv.block(bk), nb, &layout.masks[bk]);
-                    [0.0; MAX_SWEEP_PARTIALS]
-                });
-
-                let (alpha, beta) = if first {
-                    first = false;
-                    (gamma / delta, 0.0)
+            for l in 0..k {
+                let (gamma, delta) = (d[l], d[k + l]);
+                if first[l] {
+                    first[l] = false;
+                    (alpha[l], beta[l]) = (gamma / delta, 0.0);
                 } else {
-                    let beta = gamma / gamma_old;
-                    let alpha = gamma / (delta - beta * gamma / alpha_old);
-                    (alpha, beta)
-                };
-                let nalpha = -alpha;
-
-                // Sweep 3: all eight pipelined recurrences fused per point. The
-                // direction updates read the *old* w and u of the same point
-                // (written only afterwards), exactly as the separate whole-vector
-                // passes did.
-                comm.for_each_block_fused(
-                    [
-                        &mut *z, &mut *q, &mut *s, &mut *p, &mut *x, &mut *r, &mut *u, &mut *w,
-                    ],
-                    |bk, [zb, qb, sb, pb, xb, rb, ub, wb]| {
-                        let (nb, mb) = (n.block(bk), m.block(bk));
-                        let nx = zb.nx;
-                        for j in 0..zb.ny {
-                            let nr = nb.interior_row(j);
-                            let mr = mb.interior_row(j);
-                            let zr = zb.interior_row_mut(j);
-                            let qr = qb.interior_row_mut(j);
-                            let sr = sb.interior_row_mut(j);
-                            let pr = pb.interior_row_mut(j);
-                            let xr = xb.interior_row_mut(j);
-                            let rrow = rb.interior_row_mut(j);
-                            let ur = ub.interior_row_mut(j);
-                            let wr = wb.interior_row_mut(j);
-                            for i in 0..nx {
-                                let zv = nr[i] + beta * zr[i];
-                                let qv = mr[i] + beta * qr[i];
-                                let sv = wr[i] + beta * sr[i];
-                                let pv = ur[i] + beta * pr[i];
-                                zr[i] = zv;
-                                qr[i] = qv;
-                                sr[i] = sv;
-                                pr[i] = pv;
-                                xr[i] += alpha * pv;
-                                rrow[i] += nalpha * sv;
-                                ur[i] += nalpha * qv;
-                                wr[i] += nalpha * zv;
-                            }
-                        }
-                        [0.0; MAX_SWEEP_PARTIALS]
-                    },
-                );
-
-                gamma_old = gamma;
-                alpha_old = alpha;
-
-                // The pipelined formulation checks every iteration for free, so
-                // the recovery monitor sees every residual too; history entries
-                // keep the check_every cadence.
-                let cadence = ctl.iterations() % cfg.check_interval() == 0;
-                match ctl.check_vec(comm, cfg, rr, cadence, x, x_good) {
-                    Check::Continue | Check::Snapshot => {}
-                    Check::Restart => continue 'recurrence,
-                    Check::Done(_) => break 'recurrence,
+                    beta[l] = gamma / gamma_old[l];
+                    alpha[l] = gamma / (delta - beta[l] * gamma / alpha_old[l]);
                 }
+                nalpha[l] = -alpha[l];
+                gamma_old[l] = gamma;
+                alpha_old[l] = alpha[l];
             }
-            break;
+
+            // Sweep 3: all eight pipelined recurrences fused per point.
+            let (bv, av, nav) = (&beta[..k], &alpha[..k], &nalpha[..k]);
+            comm.for_each_block_fused(
+                [
+                    &mut *z, &mut *q, &mut *s, &mut *p, &mut *x, &mut *r, &mut *u, &mut *w,
+                ],
+                |bk, [zb, qb, sb, pb, xb, rb, ub, wb]| {
+                    let (nb, mb) = (n.block(bk), m.block(bk));
+                    T::pipecg_update(nb, mb, zb, qb, sb, pb, xb, rb, ub, wb, bv, av, nav);
+                    ZEROS
+                },
+            );
+
+            // The pipelined formulation checks every iteration for free, so
+            // the recovery monitor sees every residual too; history entries
+            // keep the check_every cadence.
+            let cadence = ctl.iteration() % cfg.check_interval() == 0;
+            for l in ctl.check(&d[2 * k..3 * k], cadence, x, x_good) {
+                // The auxiliary recurrences restart from zero (the staging
+                // vectors are): they may hold non-finite values from the
+                // poisoned run.
+                (gamma_old[l], alpha_old[l], first[l]) = (1.0, 1.0, true);
+                let vecs = [
+                    &mut *x, &mut *r, &mut *u, &mut *w, &mut *z, &mut *q, &mut *s, &mut *p,
+                ];
+                ctl.restart(l, x_good, vecs, |b, [sx, sr, su, sw, ..], lane| {
+                    Self::start(op, pre, comm, b, [sx, sr, su, sw], lane);
+                    None
+                });
+            }
         }
         // Every iteration reduced ‖r‖², so there is no standing sweep to settle.
-        ctl.finish(comm, cfg, None, x, x_good)
-    }
-}
-
-impl LinearSolver for PipelinedCg {
-    fn name(&self) -> &'static str {
-        SolverSpec::PipelinedCg.label()
-    }
-
-    /// Dynamic-dispatch entry point: the generic fused loop driven by the
-    /// shared-memory world.
-    fn solve_ws(
-        &self,
-        op: &NinePoint,
-        pre: &dyn Preconditioner,
-        world: &CommWorld,
-        b: &DistVec,
-        x: &mut DistVec,
-        cfg: &SolverConfig,
-        ws: &mut SolverWorkspace,
-    ) -> SolveStats {
-        self.solve_comm(op, pre, world, b, x, cfg, ws)
+        ctl.settle(None, x, x_good);
     }
 }
 

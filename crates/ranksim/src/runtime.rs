@@ -582,22 +582,20 @@ impl Communicator for RankComm {
     /// overlap can only ever *shorten* the simulated iteration.
     fn halo_sweep_fused<T: Tile, const M: usize, F>(
         &self,
-        hv: &mut RankField<T>,
         muts: [&mut RankField<T>; M],
         kernel: F,
     ) -> RankSweep
     where
-        F: Fn(usize, &RankField<T>, &mut [&mut T; M]) -> SweepPartials + Sync,
+        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync,
     {
         if !self.cfg.overlap_halo {
-            self.halo_update(hv);
-            let hv = &*hv;
-            return self.for_each_block_fused(muts, move |gb, tiles| kernel(gb, hv, tiles));
+            self.halo_update(&mut *muts[0]);
+            return self.for_each_block_fused(muts, kernel);
         }
-        self.check_view(hv);
+        self.check_view(&*muts[0]);
         self.charge_stall();
         let t0 = self.clock.get();
-        let arrive = self.halo_exchange_data(hv);
+        let arrive = self.halo_exchange_data(&mut *muts[0]);
         // Core points (no halo cell in their stencil) run while strips fly.
         let t1 = t0 + self.owned_core_points * self.cfg.compute_per_point;
         self.push_span(SpanKind::Compute, t0, t1);
@@ -608,8 +606,7 @@ impl Communicator for RankComm {
         let t3 = t2 + self.owned_edge_points * self.cfg.compute_per_point;
         self.push_span(SpanKind::Compute, t2, t3);
         self.clock.set(t3);
-        let hv = &*hv;
-        self.sweep_blocks(muts, move |gb, tiles| kernel(gb, hv, tiles))
+        self.sweep_blocks(muts, kernel)
     }
 
     fn for_each_block_fused<T: Tile, const M: usize, F>(
@@ -1445,13 +1442,21 @@ mod tests {
                 let mut work = comm.zeros();
                 // The kernel reads the freshly exchanged halo cells (the
                 // whole raw tile, ring included), so any exchange defect
-                // changes the reduced value.
-                let sweep = comm.halo_sweep_fused(&mut x, [&mut work], |gb, hv, [wb]| {
-                    let mut p = [0.0; MAX_SWEEP_PARTIALS];
-                    p[0] = hv.block(gb).raw().iter().sum::<f64>() + wb.raw()[0];
-                    p
-                });
-                comm.reduce_sweep(&sweep, 1)[0]
+                // changes the reduced value; then it rewrites the exchanged
+                // vector's interior, which the second sweep's exchange
+                // must carry to the neighbours' rings.
+                let mut sweep = || {
+                    comm.halo_sweep_fused([&mut x, &mut work], |_, [xb, wb]| {
+                        let mut p = [0.0; MAX_SWEEP_PARTIALS];
+                        p[0] = xb.raw().iter().sum::<f64>() + wb.raw()[0];
+                        for j in 0..xb.ny {
+                            xb.interior_row_mut(j).iter_mut().for_each(|v| *v *= 0.5);
+                        }
+                        p
+                    })
+                };
+                let _ = sweep();
+                comm.reduce_sweep(&sweep(), 1)[0]
             });
             (reports[0].result.to_bits(), sim_time(&reports))
         };

@@ -360,3 +360,83 @@ fn solve_many_chunking_preserves_per_rhs_bits() {
         assert_same(&format!("solve_many lane {l}"), &base[l], &observe(st, x));
     }
 }
+
+/// Classic PCG's second reduction carries two bands of its sweep — every
+/// lane's `‖r‖²` and `rᵀz` — and declares both. Per lane that is 3 scalars
+/// an iteration (`pᵀAp`, then the pair), 2 at setup (`‖b‖`, `r₀ᵀz₀`) and
+/// 1 per check, at width 1 and in a k = 5 batch (8 slots). Under the rank
+/// runtime the wire carries exactly the declared payload: recursive
+/// doubling on 4 ranks moves every reduced scalar over log₂ 4 = 2 hops per
+/// rank.
+#[test]
+fn pcg_declares_the_scalars_it_reduces() {
+    let p = problem(0);
+    let pre = Diagonal::new(&p.op);
+    let cfg = solver_cfg();
+    let bs = seeded_batch(&p, 5, 0x9c6_5ca1);
+    let kind = SolverKind::ClassicPcg;
+    // Every solve converges on a check, so the checks are iterations / 10.
+    let declared = |iterations: usize, slots: u64| {
+        let n = iterations as u64;
+        slots * (2 + 3 * n + n / cfg.check_every as u64)
+    };
+    let ranks = RankWorld::new(
+        &p.layout,
+        4,
+        Arc::new(ZeroCost),
+        RankSimConfig::default().with_reduce_algo(ReduceAlgo::RecursiveDoubling),
+    );
+    let wire = |scalars: u64| 2 * 8 * scalars;
+
+    let serial = CommWorld::serial();
+    let x0 = DistVec::zeros(&p.layout);
+    let mut x = x0.clone();
+    let st = kind.solve(
+        &p.op,
+        &pre,
+        &serial,
+        &bs[0],
+        &mut x,
+        &cfg,
+        &mut SolverWorkspace::new(),
+    );
+    assert_eq!(st.outcome, SolveOutcome::Converged);
+    assert_eq!(
+        st.comm.allreduce_scalars,
+        declared(st.iterations, 1),
+        "width 1"
+    );
+    let out = solve_on_ranks(&ranks, &p.op, &pre, kind, &bs[0], &x0, &cfg);
+    for rep in &out.per_rank {
+        let c = &rep.result.comm;
+        assert_eq!(c.allreduce_scalars, declared(rep.result.iterations, 1));
+        assert_eq!(c.allreduce_bytes_on_wire, wire(c.allreduce_scalars));
+    }
+
+    let mut xs_own: Vec<DistVec> = bs.iter().map(|_| DistVec::zeros(&p.layout)).collect();
+    let b_refs: Vec<&DistVec> = bs.iter().collect();
+    let mut x_refs: Vec<&mut DistVec> = xs_own.iter_mut().collect();
+    let mut ws = BatchWorkspace::new();
+    let stats = kind.solve_batch(&p.op, &pre, &serial, &b_refs, &mut x_refs, &cfg, &mut ws);
+    let batch_iterations = stats.iter().map(|st| st.iterations).max().unwrap();
+    assert_eq!(
+        stats[0].comm.allreduce_scalars,
+        declared(batch_iterations, 8),
+        "k = 5"
+    );
+    let reports = ranks.run(|comm| {
+        let rbs: Vec<_> = bs.iter().map(|b| comm.import(b)).collect();
+        let mut rxs: Vec<_> = bs.iter().map(|_| comm.import(&x0)).collect();
+        let b_refs: Vec<_> = rbs.iter().collect();
+        let mut x_refs: Vec<_> = rxs.iter_mut().collect();
+        let mut ws = BatchWorkspace::new();
+        kind.solve_batch(&p.op, &pre, comm, &b_refs, &mut x_refs, &cfg, &mut ws)[0].comm
+    });
+    for rep in &reports {
+        assert_eq!(rep.result.allreduce_scalars, declared(batch_iterations, 8));
+        assert_eq!(
+            rep.result.allreduce_bytes_on_wire,
+            wire(rep.result.allreduce_scalars)
+        );
+    }
+}

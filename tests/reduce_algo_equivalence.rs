@@ -237,3 +237,77 @@ fn halo_overlap_is_bitwise_clean_under_benign_chaos() {
         }
     }
 }
+
+/// Split-phase overlap reaches the batch and P-CSI's fused sweep, whose
+/// kernel writes the vector it exchanges: a k = 5 P-CSI + EVP batch on 64
+/// ranks is bitwise the same with overlap on and off — every lane's
+/// iterations, residual history and solution — and strictly shorter on the
+/// simulated clock with it on.
+#[test]
+fn batched_pcsi_overlap_is_bitwise_and_shorter_on_64_ranks() {
+    let grid = Grid::gx1_scaled(2015, 128, 96);
+    let layout = DistLayout::build(&grid, 16, 12);
+    let shared = CommWorld::serial();
+    let op = NinePoint::assemble(&grid, &layout, &shared, 9000.0);
+    let evp = BlockEvp::with_defaults(&op);
+    let (bounds, _) = estimate_bounds(&op, &evp, &shared, &LanczosConfig::default());
+    let kind = SolverKind::Pcsi(bounds);
+    let bs: Vec<DistVec> = (0..5).map(|l| common::rhs_in_range(&op, 77 + l)).collect();
+    let x0 = DistVec::zeros(&layout);
+    let cfg = solver_cfg();
+    let m = MachineModel::yellowstone();
+    let run = |overlap: bool| {
+        let world = RankWorld::new(
+            &layout,
+            64,
+            Arc::new(LatencyBandwidth::from_machine(&m)),
+            RankSimConfig::modeled(&m).with_overlap(overlap),
+        );
+        let reports = world.run(|comm| {
+            let rbs: Vec<_> = bs.iter().map(|b| comm.import(b)).collect();
+            let mut rxs: Vec<_> = bs.iter().map(|_| comm.import(&x0)).collect();
+            let b_refs: Vec<_> = rbs.iter().collect();
+            let mut x_refs: Vec<_> = rxs.iter_mut().collect();
+            let mut ws = BatchWorkspace::new();
+            let stats = kind.solve_batch(&op, &evp, comm, &b_refs, &mut x_refs, &cfg, &mut ws);
+            let lanes: Vec<_> = stats
+                .iter()
+                .map(|st| {
+                    let history: Vec<_> = st
+                        .residual_history
+                        .iter()
+                        .map(|&(k, r)| (k, r.to_bits()))
+                        .collect();
+                    (st.outcome, st.iterations, history)
+                })
+                .collect();
+            let x_bits: Vec<Vec<(usize, Vec<u64>)>> = rxs
+                .into_iter()
+                .map(|x| {
+                    x.into_blocks()
+                        .into_iter()
+                        .map(|(gb, blk)| (gb, blk.raw().iter().map(|v| v.to_bits()).collect()))
+                        .collect()
+                })
+                .collect();
+            (lanes, x_bits)
+        });
+        let time = pop_baro::ranksim::sim_time(&reports);
+        let results: Vec<_> = reports.into_iter().map(|rep| rep.result).collect();
+        (results, time)
+    };
+    let (eager, eager_t) = run(false);
+    let (overlapped, overlap_t) = run(true);
+    assert!(
+        eager[0]
+            .0
+            .iter()
+            .all(|(o, _, _)| *o == SolveOutcome::Converged),
+        "every lane must converge"
+    );
+    assert!(eager == overlapped, "overlap changed the numerics");
+    assert!(
+        overlap_t < eager_t,
+        "overlap time {overlap_t} should undercut eager {eager_t}"
+    );
+}

@@ -14,6 +14,11 @@
 //! number of blocks: the right-hand side is a field of the mode, not a fresh
 //! vector per step.
 //!
+//! The batched engine is held to the same differential at k = 5 (two lane
+//! groups, one of them ragged), with a convergence check every 8 iterations
+//! so the long solve also runs 8× the checks: per-lane bookkeeping at a
+//! check — snapshots, retirements, restarts — allocates nothing either.
+//!
 //! This file holds a single `#[test]` so no concurrent test pollutes the
 //! counters, and it uses the serial backend so every allocation is made on
 //! this thread.
@@ -61,6 +66,7 @@ fn fused_solve_iterations_allocate_nothing() {
     // so every tile of the second layout rides the lanes alone.
     audit(&grid, 18, 20, false);
     audit(&grid, 8, 8, true);
+    batch_audit(&grid, 18, 20);
 
     // A warm model step costs the same few allocations on 15 blocks as on
     // an order of magnitude more of them.
@@ -195,6 +201,74 @@ fn audit(grid: &Grid, bx: usize, by: usize, all_lone: bool) {
             assert!(
                 during_long <= 8,
                 "{bx}x{by} {sname}+{pname}: fused solve made {during_long} allocations after warm-up"
+            );
+        }
+    }
+}
+
+/// The batched differential: a warm k = 5 `solve_batch_comm` running 8× the
+/// iterations (and 8× the checks) of a short one must allocate exactly as
+/// much — per solve, the lane controls, their histories and the returned
+/// stats; per iteration and per check, nothing.
+fn batch_audit(grid: &Grid, bx: usize, by: usize) {
+    let layout = DistLayout::build(grid, bx, by);
+    let world = CommWorld::serial();
+    let op = NinePoint::assemble(grid, &layout, &world, 9000.0);
+    let mut truth = DistVec::zeros(&layout);
+    truth.fill_with(|i, j| ((i as f64) * 0.13).sin() * ((j as f64) * 0.09).cos() + 0.2);
+    world.halo_update(&mut truth);
+    let mut rhs = DistVec::zeros(&layout);
+    op.apply(&world, &truth, &mut rhs);
+    let k = 5;
+    let bs_own: Vec<DistVec> = (0..k)
+        .map(|l| {
+            let mut b = rhs.clone();
+            b.scale(1.0 + 0.25 * l as f64);
+            b
+        })
+        .collect();
+    let bs: Vec<&DistVec> = bs_own.iter().collect();
+    let mut xs_own: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(&layout)).collect();
+
+    let diag = Diagonal::new(&op);
+    let evp = BlockEvp::with_defaults(&op);
+    let cfg_of = |iters: usize| SolverConfig {
+        tol: 0.0,
+        max_iters: iters,
+        check_every: 8,
+        ..SolverConfig::default()
+    };
+    let (short, long) = (64usize, 512usize);
+    for (pname, pre) in [("diag", &diag as &dyn Preconditioner), ("evp", &evp)] {
+        let (bounds, _) = estimate_bounds(&op, pre, &world, &LanczosConfig::default());
+        for kind in [
+            SolverKind::Pcsi(bounds),
+            SolverKind::ChronGear,
+            SolverKind::ClassicPcg,
+            SolverKind::PipelinedCg,
+        ] {
+            let mut ws = BatchWorkspace::new();
+            let mut solve = |iters: usize| {
+                xs_own.iter_mut().for_each(DistVec::set_zero);
+                let mut xs: Vec<&mut DistVec> = xs_own.iter_mut().collect();
+                let before = allocs();
+                let stats =
+                    kind.solve_batch(&op, pre, &world, &bs, &mut xs, &cfg_of(iters), &mut ws);
+                let during = allocs() - before;
+                assert!(stats.iter().all(|st| st.iterations == iters));
+                during
+            };
+            // Warm-up at the long length sizes every workspace and buffer.
+            solve(long);
+            let during_short = solve(short);
+            let during_long = solve(long);
+            assert_eq!(
+                during_long,
+                during_short,
+                "k={k} {}+{pname}: {} extra allocations across {} extra iterations",
+                kind.name(),
+                during_long as i64 - during_short as i64,
+                long - short
             );
         }
     }
