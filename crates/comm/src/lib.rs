@@ -39,7 +39,7 @@ pub use blockvec::{masked_block_dot, BlockVec};
 pub use communicator::{CommVec, Communicator};
 pub use distvec::{DistField, DistVec, MultiDistVec};
 pub use layout::DistLayout;
-pub use multivec::{masked_dot_multi, MultiBlockVec};
+pub use multivec::{masked_dot_multi, MultiBlockVec, MAX_GROUPS};
 pub use tile::Tile;
 pub use transfer::{coarse_extent, parents, prolong_add_masked, restrict_masked};
 pub use world::{

@@ -26,6 +26,13 @@ use crate::blockvec::{zero_ring, BlockVec};
 use crate::tile::extent;
 use pop_simd::{AlignedVec, LANES};
 
+/// The most lane groups a [`MultiBlockVec`] holds, and so the widest batch
+/// (`MAX_GROUPS · LANES` right-hand sides). The batched lane kernels keep
+/// one register per lane group along each serial chain and take the group
+/// count as a const generic `G ∈ 1..=MAX_GROUPS`, so this bound is also the
+/// number of instances each kernel is compiled in.
+pub const MAX_GROUPS: usize = 4;
+
 /// One block's worth of `groups * LANES` right-hand sides, halo-padded,
 /// lane-major (see the [module docs](self) for the layout).
 #[derive(Debug, Clone, PartialEq)]
@@ -44,10 +51,13 @@ pub struct MultiBlockVec {
 impl MultiBlockVec {
     /// A zero-filled multi-tile. Each image follows the single-RHS tile's
     /// rule ([`tile::extent`](crate::tile::extent)), so single↔multi lane
-    /// copies walk the same rows.
+    /// copies walk the same rows. Panics unless `groups ∈ 1..=MAX_GROUPS`.
     pub fn zeros(nx: usize, ny: usize, halo: usize, groups: usize) -> Self {
         assert!(nx > 0 && ny > 0, "empty block");
-        assert!(groups > 0, "batched tile needs at least one lane group");
+        assert!(
+            (1..=MAX_GROUPS).contains(&groups),
+            "batched tile holds 1..={MAX_GROUPS} lane groups, got {groups}"
+        );
         let (stride, rows) = extent(nx, ny, halo);
         MultiBlockVec {
             nx,
@@ -258,6 +268,12 @@ mod tests {
             mv.store_lane(k / LANES, k % LANES, &mut out);
             assert_eq!(out.raw(), b.raw(), "lane {k} roundtrip");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "batched tile holds 1..=4 lane groups, got 5")]
+    fn more_than_max_groups_is_rejected() {
+        MultiBlockVec::zeros(4, 3, 1, MAX_GROUPS + 1);
     }
 
     #[test]

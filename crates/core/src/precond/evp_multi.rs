@@ -48,6 +48,22 @@
 //!   chain per lane group is in flight. [`Batched`] reads and writes the
 //!   lane-major [`pop_comm::MultiBlockVec`] storage in place.
 //!
+//! ## The group count is a type parameter
+//!
+//! Every kernel that carries state along a serial chain — the marching
+//! chain ([`march_sweep`]), the influence fold ([`influence_rows`]), the
+//! band substitutions ([`band_solve`]) — and the copy-out
+//! ([`Batched`]'s `scatter`) takes the lane-group count as a const generic
+//! `G ∈ 1..=`[`MAX_GROUPS`]. The chain registers (`y₋₂`, `y₋₁`, the fold
+//! and substitution accumulators) are then `[V; G]` arrays the compiler
+//! keeps in registers, with the group loop unrolled; with a runtime count
+//! they were indexed through memory, so every serial step paid a store and
+//! a load. The job ([`Solve`]) maps its staging's runtime `groups()` to `G`
+//! with one `match` — the only dispatch. A pack and a lone tile
+//! ([`Packed`]) always have one group, so they are the `G = 1` instance.
+//! No lane's operation order depends on `G`: only which register an
+//! instruction feeds.
+//!
 //! Each lane executes exactly the per-point operation sequence of the
 //! scalar test oracle [`super::EvpSubBlock::solve_reference`] — `(ψ −
 //! ((a0·xc + ane_s·xse) + ane_sw·xsw))·d⁻¹`, the axis terms summed among
@@ -63,16 +79,9 @@
 //! - the influence apply accumulates each output row over ascending columns
 //!   from `+0.0`, the scalar row dot product.
 
+use pop_comm::MAX_GROUPS;
 use pop_simd::{LaneF64, LaneJob, SimdMode, LANES};
 use pop_stencil::{DenseMatrix, LocalStencil};
-
-/// The most lane groups one batched tile solve interleaves:
-/// `MAX_BATCH / LANES` (`crate::solvers::batch`). The kernels keep one
-/// chain/accumulator register per group, so the bound is a compile-time
-/// array size.
-const MAX_GROUPS: usize = 4;
-
-const _: () = assert!(crate::solvers::MAX_BATCH <= MAX_GROUPS * LANES);
 
 /// Reusable scratch for an EVP tile solve ([`super::EvpSubBlock::solve`]);
 /// [`super::BlockEvp`] keeps one per thread so steady-state preconditioner
@@ -360,7 +369,7 @@ unsafe fn reset_march_pad<V: LaneF64>(xpad: &mut [f64], nx: usize, ny: usize, gr
 
 /// The southwest→northeast marching sweep over the superlane-major pad:
 /// per center row, a lane-wide g-pass then the lane-wide chain recurrence —
-/// one independent chain per lane group, up to [`MAX_GROUPS`] in flight.
+/// one independent chain per lane group, `G` in flight in registers.
 /// Values on the guess line `e` and the south/west ring must be preset;
 /// everything with `i ≥ 1 ∧ j ≥ 1` — including the north/east ring — is
 /// produced. `psi = (slice, row stride, group stride)`:
@@ -369,13 +378,12 @@ unsafe fn reset_march_pad<V: LaneF64>(xpad: &mut [f64], nx: usize, ny: usize, gr
 ///
 /// # Safety
 /// [`LaneJob::run`]'s contract for `V`. `planes` must hold the tile's
-/// planes, `xpad` `(nx+2)·(ny+2)` and `g` `nx` points of `groups · LANES`.
+/// planes, `xpad` `(nx+2)·(ny+2)` and `g` `nx` points of `G · LANES`.
 /// (`use_fma` is no safety matter — [`LaneF64::mul_add`] runs wherever its
 /// lanes do — but it must be the [`pop_simd::detected_fma`] the plan's chain
 /// planes were signed for.)
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn march_sweep<V: LaneF64, C: Coefs>(
+unsafe fn march_sweep<V: LaneF64, C: Coefs, const G: usize>(
     (nx, ny): (usize, usize),
     reduced: bool,
     planes: C,
@@ -383,9 +391,8 @@ unsafe fn march_sweep<V: LaneF64, C: Coefs>(
     (psi, psi_stride, psi_gstride): (&[f64], usize, usize),
     g: &mut [f64],
     use_fma: bool,
-    groups: usize,
 ) {
-    let (n, nf, xs, sl) = (nx * ny, self::planes(reduced), nx + 2, groups * LANES);
+    let (n, nf, xs, sl) = (nx * ny, self::planes(reduced), nx + 2, G * LANES);
     let coef = |p: usize, f: usize| planes.field::<V>(p, f, n, nf);
     for j in 0..ny {
         // Split so the g-pass reads only completed rows while the chain
@@ -402,7 +409,7 @@ unsafe fn march_sweep<V: LaneF64, C: Coefs>(
             let ane_s = coef(p, ANE_S);
             let ane_sw = coef(p, ANE_SW);
             let d_inv = coef(p, D_INV);
-            for gr in 0..groups {
+            for gr in 0..G {
                 let q = a0.mul(at(xk, gr));
                 let q = q.add(ane_s.mul(at(xk - (xs - 1), gr)));
                 let mut q = q.add(ane_sw.mul(at(xk - (xs + 1), gr)));
@@ -427,9 +434,9 @@ unsafe fn march_sweep<V: LaneF64, C: Coefs>(
         // dependency latency of `mul` then `sub`. Point 0 of `out` is the
         // west ring, point 1 the preset guess, point `i+2` receives
         // `x(i+1, j+1)`.
-        let mut ym1 = [V::splat(0.0); MAX_GROUPS];
-        let mut y0 = [V::splat(0.0); MAX_GROUPS];
-        for gr in 0..groups {
+        let mut ym1 = [V::splat(0.0); G];
+        let mut y0 = [V::splat(0.0); G];
+        for gr in 0..G {
             ym1[gr] = V::load(out.as_ptr().add(gr * LANES));
             y0[gr] = V::load(out.as_ptr().add(sl + gr * LANES));
         }
@@ -438,7 +445,7 @@ unsafe fn march_sweep<V: LaneF64, C: Coefs>(
             // Signed at set-up: `−h` on FMA CPUs, `h` elsewhere.
             let h2 = coef(p, H2);
             let h1 = if reduced { h2 } else { coef(p, H1) };
-            for gr in 0..groups {
+            for gr in 0..G {
                 let gi = V::load(g.as_ptr().add(i * sl + gr * LANES));
                 let y = match (reduced, use_fma) {
                     (true, true) => h2.mul_add(ym1[gr], gi),
@@ -462,57 +469,55 @@ unsafe fn march_sweep<V: LaneF64, C: Coefs>(
 /// # Safety
 /// As [`influence`], with `r0 + RB ≤ k`.
 #[inline(always)]
-unsafe fn influence_rows<V: LaneF64, C: Coefs, const RB: usize>(
+unsafe fn influence_rows<V: LaneF64, C: Coefs, const RB: usize, const G: usize>(
     r_inv: C,
     k: usize,
     f: &[f64],
     corr: &mut [f64],
-    groups: usize,
     r0: usize,
 ) {
-    let sl = groups * LANES;
-    let mut acc = [[V::splat(0.0); MAX_GROUPS]; RB];
+    let sl = G * LANES;
+    let mut acc = [[V::splat(0.0); G]; RB];
     for c in 0..k {
         for (rb, row) in acc.iter_mut().enumerate() {
             let ev = r_inv.at::<V>((r0 + rb) * k + c);
-            for (gr, a) in row.iter_mut().enumerate().take(groups) {
+            for (gr, a) in row.iter_mut().enumerate() {
                 *a = a.add(ev.mul(V::load(f.as_ptr().add(c * sl + gr * LANES))));
             }
         }
     }
     for (rb, row) in acc.iter().enumerate() {
-        for (gr, a) in row.iter().enumerate().take(groups) {
+        for (gr, a) in row.iter().enumerate() {
             a.store(corr.as_mut_ptr().add((r0 + rb) * sl + gr * LANES));
         }
     }
 }
 
 /// `corr = R·f` for every lane's overshoot vector at once (`k` ring points
-/// of `groups · LANES` values each).
+/// of `G · LANES` values each).
 ///
 /// # Safety
-/// [`LaneJob::run`]'s contract for `V`. `r_inv` must hold `k²` entries, `f` and `corr` `k · groups · LANES`
-/// values, with `groups ≤ MAX_GROUPS`.
+/// [`LaneJob::run`]'s contract for `V`. `r_inv` must hold `k²` entries, `f`
+/// and `corr` `k · G · LANES` values.
 #[inline(always)]
-unsafe fn influence<V: LaneF64, C: Coefs>(
+unsafe fn influence<V: LaneF64, C: Coefs, const G: usize>(
     r_inv: C,
     k: usize,
     f: &[f64],
     corr: &mut [f64],
-    groups: usize,
 ) {
     let mut r = 0;
     while r < k {
         // About MAX_GROUPS accumulator registers in flight either way.
-        let rb = (k - r).min(MAX_GROUPS / groups);
+        let rb = (k - r).min(MAX_GROUPS / G);
         if rb >= 4 {
-            influence_rows::<V, C, 4>(r_inv, k, f, corr, groups, r);
+            influence_rows::<V, C, 4, G>(r_inv, k, f, corr, r);
             r += 4;
         } else if rb >= 2 {
-            influence_rows::<V, C, 2>(r_inv, k, f, corr, groups, r);
+            influence_rows::<V, C, 2, G>(r_inv, k, f, corr, r);
             r += 2;
         } else {
-            influence_rows::<V, C, 1>(r_inv, k, f, corr, groups, r);
+            influence_rows::<V, C, 1, G>(r_inv, k, f, corr, r);
             r += 1;
         }
     }
@@ -526,9 +531,8 @@ unsafe fn influence<V: LaneF64, C: Coefs>(
 /// As [`march_sweep`] (the buffers are sized here) and [`influence`]:
 /// `planes` and `r_inv` must hold an `nx × ny` tile's arrays, and `psi` its
 /// right-hand sides.
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn march_solve<V: LaneF64, C: Coefs>(
+unsafe fn march_solve<V: LaneF64, C: Coefs, const G: usize>(
     (nx, ny): (usize, usize),
     reduced: bool,
     planes: C,
@@ -536,30 +540,29 @@ unsafe fn march_solve<V: LaneF64, C: Coefs>(
     psi: (&[f64], usize, usize),
     (xpad, g, fvals, corr): (&mut Vec<f64>, &mut Vec<f64>, &mut Vec<f64>, &mut Vec<f64>),
     use_fma: bool,
-    groups: usize,
 ) {
-    let (sl, k) = (groups * LANES, nx + ny - 1);
+    let (sl, k) = (G * LANES, nx + ny - 1);
     xpad.resize((nx + 2) * (ny + 2) * sl, 0.0);
     g.resize(nx * sl, 0.0);
     fvals.resize(k * sl, 0.0);
     corr.resize(k * sl, 0.0);
 
-    reset_march_pad::<V>(xpad, nx, ny, groups);
-    march_sweep::<V, C>((nx, ny), reduced, planes, xpad, psi, g, use_fma, groups);
+    reset_march_pad::<V>(xpad, nx, ny, G);
+    march_sweep::<V, C, G>((nx, ny), reduced, planes, xpad, psi, g, use_fma);
     // Mismatch on the Dirichlet ring, per lane (pure copies).
     for (c, fk) in f_line(nx, ny).enumerate() {
         fvals[c * sl..(c + 1) * sl].copy_from_slice(&xpad[fk * sl..(fk + 1) * sl]);
     }
-    influence::<V, C>(r_inv, k, fvals, corr, groups);
+    influence::<V, C, G>(r_inv, k, fvals, corr);
     // The e-line negation is the scalar unary `-` per lane (exact, unlike
     // `0.0 − x`, which loses `−0.0`).
-    reset_march_pad::<V>(xpad, nx, ny, groups);
+    reset_march_pad::<V>(xpad, nx, ny, G);
     for (c, ek) in e_line(nx, ny).enumerate() {
         for v in 0..sl {
             xpad[ek * sl + v] = -corr[c * sl + v];
         }
     }
-    march_sweep::<V, C>((nx, ny), reduced, planes, xpad, psi, g, use_fma, groups);
+    march_sweep::<V, C, G>((nx, ny), reduced, planes, xpad, psi, g, use_fma);
 }
 
 /// Lane-parallel band-LU solve, in place: every lane runs the exact scalar
@@ -567,52 +570,51 @@ unsafe fn march_solve<V: LaneF64, C: Coefs>(
 /// `acc − l·x` over ascending band columns, never contracted, then `acc /
 /// u_rr` — on its own right-hand side (and, in a pack, its own factor). The
 /// substitutions are serial dependency chains per lane; this pays their
-/// latency once per lane group with up to [`MAX_GROUPS`] independent chains
-/// in flight. `x` is `n` points of `groups · LANES` values, `b` on entry.
+/// latency once per lane group with `G` independent chains in flight in
+/// registers. `x` is `n` points of `G · LANES` values, `b` on entry.
 ///
 /// # Safety
-/// [`LaneJob::run`]'s contract for `V`. `band` must hold `n · (2w + 1)` entries and `x` `n · groups · LANES`,
-/// with `groups ≤ MAX_GROUPS`.
+/// [`LaneJob::run`]'s contract for `V`. `band` must hold `n · (2w + 1)`
+/// entries and `x` `n · G · LANES`.
 #[inline(always)]
-unsafe fn band_solve<V: LaneF64, C: Coefs>(
+unsafe fn band_solve<V: LaneF64, C: Coefs, const G: usize>(
     n: usize,
     w: usize,
     band: C,
     x: &mut [f64],
-    groups: usize,
 ) {
-    let sl = groups * LANES;
+    let sl = G * LANES;
     let bw = 2 * w + 1;
     // Forward substitution (unit lower).
     for r in 1..n {
-        let mut acc = [V::splat(0.0); MAX_GROUPS];
-        for (gr, a) in acc.iter_mut().enumerate().take(groups) {
+        let mut acc = [V::splat(0.0); G];
+        for (gr, a) in acc.iter_mut().enumerate() {
             *a = V::load(x.as_ptr().add(r * sl + gr * LANES));
         }
         for c in r.saturating_sub(w)..r {
             let lv = band.at::<V>(r * bw + c + w - r);
-            for (gr, a) in acc.iter_mut().enumerate().take(groups) {
+            for (gr, a) in acc.iter_mut().enumerate() {
                 *a = a.sub(lv.mul(V::load(x.as_ptr().add(c * sl + gr * LANES))));
             }
         }
-        for (gr, a) in acc.iter().enumerate().take(groups) {
+        for (gr, a) in acc.iter().enumerate() {
             a.store(x.as_mut_ptr().add(r * sl + gr * LANES));
         }
     }
     // Back substitution.
     for r in (0..n).rev() {
-        let mut acc = [V::splat(0.0); MAX_GROUPS];
-        for (gr, a) in acc.iter_mut().enumerate().take(groups) {
+        let mut acc = [V::splat(0.0); G];
+        for (gr, a) in acc.iter_mut().enumerate() {
             *a = V::load(x.as_ptr().add(r * sl + gr * LANES));
         }
         for c in r + 1..(r + w + 1).min(n) {
             let uv = band.at::<V>(r * bw + c + w - r);
-            for (gr, a) in acc.iter_mut().enumerate().take(groups) {
+            for (gr, a) in acc.iter_mut().enumerate() {
                 *a = a.sub(uv.mul(V::load(x.as_ptr().add(c * sl + gr * LANES))));
             }
         }
         let dv = band.at::<V>(r * bw + w);
-        for (gr, a) in acc.iter().enumerate().take(groups) {
+        for (gr, a) in acc.iter().enumerate() {
             a.div(dv).store(x.as_mut_ptr().add(r * sl + gr * LANES));
         }
     }
@@ -654,8 +656,9 @@ pub(super) trait TileIo {
     /// starts at `src[j · pitch]`.
     ///
     /// # Safety
-    /// As [`TileIo::gather`]; `mask` must hold `nx·ny` entries.
-    unsafe fn scatter<V: LaneF64, C: Coefs>(
+    /// As [`TileIo::gather`]; `mask` must hold `nx·ny` entries, and `G`
+    /// must be [`TileIo::groups`].
+    unsafe fn scatter<V: LaneF64, C: Coefs, const G: usize>(
         &mut self,
         dims: (usize, usize),
         src: &[f64],
@@ -712,19 +715,20 @@ impl TileIo for Batched<'_> {
     }
 
     #[inline(always)]
-    unsafe fn scatter<V: LaneF64, C: Coefs>(
+    unsafe fn scatter<V: LaneF64, C: Coefs, const G: usize>(
         &mut self,
         (nx, ny): (usize, usize),
         src: &[f64],
         pitch: usize,
         mask: Option<C>,
     ) {
-        let sl = self.groups * LANES;
+        debug_assert_eq!(G, self.groups);
+        let sl = G * LANES;
         for j in 0..ny {
             for i in 0..nx {
                 // One mask word per point, shared by every lane.
                 let m = mask.map(|m| m.at::<V>(j * nx + i));
-                for gr in 0..self.groups {
+                for gr in 0..G {
                     let v = V::load(src.as_ptr().add(j * pitch + i * sl + gr * LANES));
                     m.map_or(v, |m| v.and_bits(m)).store(
                         self.x
@@ -806,13 +810,14 @@ impl TileIo for Packed<'_> {
     }
 
     #[inline(always)]
-    unsafe fn scatter<V: LaneF64, C: Coefs>(
+    unsafe fn scatter<V: LaneF64, C: Coefs, const G: usize>(
         &mut self,
         (nx, ny): (usize, usize),
         src: &[f64],
         pitch: usize,
         mask: Option<C>,
     ) {
+        debug_assert_eq!(G, 1);
         let col = |j: usize, i: usize| {
             let v = V::load(src.as_ptr().add(j * pitch + i * LANES));
             mask.map_or(v, |m| v.and_bits(m.at::<V>(j * nx + i)))
@@ -856,11 +861,13 @@ struct Solve<'a, C, Io> {
     use_fma: bool,
 }
 
-impl<C: Coefs, Io: TileIo> LaneJob for Solve<'_, C, Io> {
-    type Out = ();
-
+impl<C: Coefs, Io: TileIo> Solve<'_, C, Io> {
+    /// The solve with `G` lane groups riding the lanes.
+    ///
+    /// # Safety
+    /// [`LaneJob::run`]'s contract for `V`, and `G == self.io.groups()`.
     #[inline(always)]
-    unsafe fn run<V: LaneF64>(self) {
+    unsafe fn solve<V: LaneF64, const G: usize>(self) {
         let Solve {
             dims: (nx, ny),
             coefs,
@@ -868,8 +875,7 @@ impl<C: Coefs, Io: TileIo> LaneJob for Solve<'_, C, Io> {
             scratch,
             use_fma,
         } = self;
-        let groups = io.groups();
-        let sl = groups * LANES;
+        let sl = G * LANES;
         let EvpScratch {
             xpad,
             g,
@@ -884,7 +890,7 @@ impl<C: Coefs, Io: TileIo> LaneJob for Solve<'_, C, Io> {
                 r_inv,
             } => {
                 let psi = io.psi::<V>((nx, ny), tile);
-                march_solve::<V, C>(
+                march_solve::<V, C, G>(
                     (nx, ny),
                     reduced,
                     planes,
@@ -892,17 +898,33 @@ impl<C: Coefs, Io: TileIo> LaneJob for Solve<'_, C, Io> {
                     psi,
                     (xpad, g, fvals, corr),
                     use_fma,
-                    groups,
                 );
                 // The interior of the pad starts one row and one point in.
                 let xs = (nx + 2) * sl;
-                io.scatter::<V, C>((nx, ny), &xpad[xs + sl..], xs, None);
+                io.scatter::<V, C, G>((nx, ny), &xpad[xs + sl..], xs, None);
             }
             TileCoefs::Band { w, band, mask } => {
                 io.gather::<V>((nx, ny), tile);
-                band_solve::<V, C>(nx * ny, w, band, tile, groups);
-                io.scatter::<V, C>((nx, ny), tile, nx * sl, Some(mask));
+                band_solve::<V, C, G>(nx * ny, w, band, tile);
+                io.scatter::<V, C, G>((nx, ny), tile, nx * sl, Some(mask));
             }
+        }
+    }
+}
+
+impl<C: Coefs, Io: TileIo> LaneJob for Solve<'_, C, Io> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: LaneF64>(self) {
+        // `solve_tile` holds `groups()` to `1..=MAX_GROUPS`; a pack's is the
+        // constant 1, so only the `G = 1` arm survives inlining there.
+        match self.io.groups() {
+            1 => self.solve::<V, 1>(),
+            2 => self.solve::<V, 2>(),
+            3 => self.solve::<V, 3>(),
+            4 => self.solve::<V, 4>(),
+            g => unreachable!("{g} lane groups: a tile solve takes 1..={MAX_GROUPS}"),
         }
     }
 }
@@ -945,7 +967,7 @@ impl LaneJob for Influence<'_> {
             // sized above and `ψ` is one row of `nx` lane groups.
             let planes = Shared(&plan.c);
             let psi = (&tile[..], 0, 0);
-            march_sweep::<V, _>((nx, ny), plan.reduced, planes, xpad, psi, g, use_fma, 1);
+            march_sweep::<V, _, 1>((nx, ny), plan.reduced, planes, xpad, psi, g, use_fma);
             for (r, fk) in f_line(nx, ny).enumerate() {
                 for c in c0..w.n().min(c0 + LANES) {
                     w.set(r, c, xpad[fk * LANES + c - c0]);
@@ -1016,47 +1038,58 @@ mod tests {
     use crate::precond::EvpSubBlock;
     use pop_comm::{BlockVec, MultiBlockVec};
 
-    /// `corr = R·f` on its own.
-    struct Fold<'a> {
+    /// `corr = R·f` on its own, `G` lane groups wide.
+    struct Fold<'a, const G: usize> {
         r_inv: &'a [f64],
         f: &'a [f64],
         corr: &'a mut [f64],
-        groups: usize,
     }
 
-    impl LaneJob for Fold<'_> {
+    impl<const G: usize> LaneJob for Fold<'_, G> {
         type Out = ();
 
         unsafe fn run<V: LaneF64>(self) {
-            let k = self.f.len() / (self.groups * LANES);
+            let k = self.f.len() / (G * LANES);
             assert_eq!((self.r_inv.len(), self.corr.len()), (k * k, self.f.len()));
-            influence::<V, _>(Shared(self.r_inv), k, self.f, self.corr, self.groups)
+            influence::<V, _, G>(Shared(self.r_inv), k, self.f, self.corr)
+        }
+    }
+
+    /// Fold `−0.0` overshoots at `G` lane groups in every mode; every entry
+    /// must come out `+0.0`.
+    fn fold_negative_zeros<const G: usize>() {
+        let k = 7;
+        let r_inv: Vec<f64> = (0..k * k).map(|q| 1.0 + q as f64).collect();
+        let f = vec![-0.0; k * G * LANES];
+        for mode in modes() {
+            let mut corr = vec![1.0; f.len()];
+            let job = Fold::<G> {
+                r_inv: &r_inv,
+                f: &f,
+                corr: &mut corr,
+            };
+            pop_simd::dispatch(mode, job);
+            for (q, v) in corr.iter().enumerate() {
+                assert_eq!(
+                    v.to_bits(),
+                    0.0f64.to_bits(),
+                    "G={G} {mode:?} entry {q}: {v:?}"
+                );
+            }
         }
     }
 
     /// Every mode folds a row from `+0.0`: products that are all `−0.0` sum
     /// to `+0.0`, never to the `−0.0` an `Iterator::sum` fold starts from —
-    /// whether four, two or one output rows are in flight.
+    /// whether four, two or one output rows are in flight, at every
+    /// lane-group count.
     #[test]
     fn influence_folds_from_positive_zero_in_every_mode() {
-        let k = 7;
-        let r_inv: Vec<f64> = (0..k * k).map(|q| 1.0 + q as f64).collect();
-        for groups in [1, 2, MAX_GROUPS] {
-            let f = vec![-0.0; k * groups * LANES];
-            for mode in modes() {
-                let mut corr = vec![1.0; f.len()];
-                let job = Fold {
-                    r_inv: &r_inv,
-                    f: &f,
-                    corr: &mut corr,
-                    groups,
-                };
-                pop_simd::dispatch(mode, job);
-                for (q, v) in corr.iter().enumerate() {
-                    assert_eq!(v.to_bits(), 0.0f64.to_bits(), "{mode:?} entry {q}: {v:?}");
-                }
-            }
-        }
+        fold_negative_zeros::<1>();
+        fold_negative_zeros::<2>();
+        fold_negative_zeros::<3>();
+        fold_negative_zeros::<4>();
+        assert_eq!(MAX_GROUPS, 4, "one call per lane-group count");
     }
 
     fn lane_rhs(n: usize, lane_salt: usize) -> Vec<f64> {
@@ -1071,8 +1104,9 @@ mod tests {
     /// The batched tile solve is bitwise identical, per lane, to the scalar
     /// reference solve — marching and band-LU tiles (with live axis
     /// couplings, so the full system's extra terms count), a ragged shape,
-    /// reduced and full systems, every group count up to [`MAX_GROUPS`],
-    /// every dispatch mode this machine supports.
+    /// reduced and full systems, every group count up to [`MAX_GROUPS`]
+    /// (each its own instance of the kernels), every dispatch mode this
+    /// machine supports.
     #[test]
     fn batched_tile_solve_matches_single_rhs_bitwise() {
         let mut scratch = EvpScratch::default();
@@ -1080,7 +1114,7 @@ mod tests {
             for (land, reduced) in [(0, true), (0, false), (3, true), (3, false)] {
                 let sub = EvpSubBlock::new(&seeded_tile(nx, ny, 41, land), reduced);
                 assert_eq!(sub.uses_marching(), land == 0);
-                for groups in [1usize, 2, MAX_GROUPS] {
+                for groups in 1..=MAX_GROUPS {
                     // Seeded per-lane right-hand sides loaded into a multi
                     // block whose tile starts at the interior origin.
                     let mut rm = MultiBlockVec::zeros(nx, ny, 2, groups);

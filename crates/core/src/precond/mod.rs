@@ -119,7 +119,7 @@ pub trait Preconditioner: Send + Sync {
 #[cfg(test)]
 mod batched_tests {
     use super::*;
-    use pop_comm::DistLayout;
+    use pop_comm::{DistLayout, MAX_GROUPS};
     use pop_grid::Grid;
     use pop_stencil::NinePoint;
 
@@ -130,7 +130,8 @@ mod batched_tests {
     /// once on blocks whose tiles are all different (every tile solved on
     /// its own), once on 24×20 blocks of 3×3 tiles in two shapes, where
     /// block-EVP packs siblings and the batched apply is served from the
-    /// packs' slabs.
+    /// packs' slabs. Every lane-group count runs: each is its own instance
+    /// of the lane kernels.
     #[test]
     fn apply_block_multi_matches_single_rhs_per_lane() {
         for (g, bx, by, tau) in [
@@ -200,8 +201,10 @@ mod batched_tests {
             Box::new(BlockLu::new(&op, 8, true)),
             Box::new(BlockMg::with_defaults(&op)),
         ];
-        let groups = 2;
-        for pre in &pres {
+        let cases = pres
+            .iter()
+            .flat_map(|p| (1..=MAX_GROUPS).map(move |g| (p, g)));
+        for (pre, groups) in cases {
             for (b, info) in layout.decomp.blocks.iter().enumerate() {
                 let mut singles = Vec::new();
                 let mut rm = MultiBlockVec::zeros(info.nx, info.ny, layout.halo, groups);
@@ -228,7 +231,7 @@ mod batched_tests {
                             assert_eq!(
                                 got.to_bits(),
                                 want.to_bits(),
-                                "{} block {b} lane {l} ({i},{j}): {got:e} vs {want:e}",
+                                "{} block {b} groups {groups} lane {l} ({i},{j}): {got:e} vs {want:e}",
                                 pre.name()
                             );
                         }

@@ -31,17 +31,18 @@ use super::{
     Control, Recurrence, SolveCtl, SolveStats, SolverConfig, SolverWorkspace, TileKernels, ZEROS,
 };
 use crate::precond::Preconditioner;
-use pop_comm::{BlockVec, CommVec, Communicator, MultiBlockVec, MAX_SWEEP_PARTIALS};
+use pop_comm::{BlockVec, CommVec, Communicator, MultiBlockVec, MAX_GROUPS, MAX_SWEEP_PARTIALS};
 use pop_simd::LANES;
 use pop_stencil::NinePoint;
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// Widest batch the engine accepts: four lane groups. The binding
-/// constraint is the fused reduction row — PipeCG carries three scalars
-/// per RHS and `3 × MAX_BATCH ≤ MAX_SWEEP_PARTIALS` must hold so one
-/// allreduce still fits every lane's partials.
-pub const MAX_BATCH: usize = 16;
+/// Widest batch the engine accepts: every lane of the [`MAX_GROUPS`] lane
+/// groups a [`MultiBlockVec`] holds. The fused reduction row must fit it
+/// too — PipeCG carries three scalars per RHS and `3 × MAX_BATCH ≤
+/// MAX_SWEEP_PARTIALS` must hold so one allreduce still fits every lane's
+/// partials.
+pub const MAX_BATCH: usize = MAX_GROUPS * LANES;
 const _: () = assert!(3 * MAX_BATCH <= MAX_SWEEP_PARTIALS);
 
 /// Reusable arena for batched solves: the batch's lane-loaded right-hand

@@ -32,9 +32,10 @@
 //! (`butterfly_allreduce` — recursive doubling, Rabenseifner, and the
 //! tree's leader exchange). Both end in the one slot fold.
 
-use crate::fabric::{RowRope, GATHER_ROUND, PREAMBLE_ROUND};
+use crate::fabric::{MemoFold, RowRope, GATHER_ROUND, PREAMBLE_ROUND};
 use crate::runtime::RankComm;
 use pop_comm::{SweepPartials, MAX_SWEEP_PARTIALS};
+use std::collections::hash_map::Entry;
 
 /// Which allreduce exchange pattern the rank runtime executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -291,7 +292,7 @@ impl RankComm {
     ) -> SweepPartials {
         debug_assert!(n >= 1 && me < n);
         if n == 1 {
-            return self.fold_reduced(epoch, &acc);
+            return self.fold_reduced(epoch, &acc, 1);
         }
         let core = prev_power_of_two(n);
         let rem = n - core;
@@ -327,7 +328,8 @@ impl RankComm {
             let theirs = self.recv_rows(epoch, k as u32, partner);
             acc.extend(theirs);
         }
-        let result = self.fold_reduced(epoch, &acc);
+        // Every survivor of the preamble folds; the odd partners wait.
+        let result = self.fold_reduced(epoch, &acc, core);
         if me < 2 * rem {
             self.send_result(to_rank(me + 1), epoch, result, full_bytes);
         }
@@ -364,18 +366,38 @@ impl RankComm {
     /// every in-tree equivalence test — fold independently on each rank
     /// and assert bitwise agreement with the memo, keeping the per-rank
     /// protocol cross-checked where it's cheap.
-    fn fold_reduced(&self, epoch: u64, rows: &RowRope) -> SweepPartials {
+    ///
+    /// `folders` is how many ranks fold epoch `epoch` (the butterfly core).
+    /// The first to finish leaves its fold in the memo for the other
+    /// `folders − 1`, and the last of them removes the entry.
+    fn fold_reduced(&self, epoch: u64, rows: &RowRope, folders: usize) -> SweepPartials {
         assert_eq!(
             rows.len(),
             self.layout.n_blocks(),
             "allreduce accumulated an incomplete row set"
         );
-        if self.n_ranks() <= INDEPENDENT_FOLD_MAX_RANKS {
-            let mine = self.fold_slots(rows);
-            let mut memo = self.fabric.fold_memo();
-            match memo.get(&epoch) {
-                Some(prev) => {
-                    let same = prev
+        let independent = self.n_ranks() <= INDEPENDENT_FOLD_MAX_RANKS;
+        // Large worlds fold only while no peer has. An entry this rank sees
+        // stays until it has read it: it is one of the readers counted.
+        let mine = (independent || !self.fabric.fold_memo().contains_key(&epoch))
+            .then(|| self.fold_slots(rows));
+        let mut memo = self.fabric.fold_memo();
+        match memo.entry(epoch) {
+            Entry::Vacant(slot) => {
+                let vals = mine.expect("a rank that finds no memo entry has folded");
+                if folders > 1 {
+                    slot.insert(MemoFold {
+                        vals,
+                        readers_left: folders - 1,
+                    });
+                }
+                vals
+            }
+            Entry::Occupied(mut slot) => {
+                let entry = slot.get_mut();
+                let vals = entry.vals;
+                if let Some(mine) = mine {
+                    let same = vals
                         .iter()
                         .zip(mine.iter())
                         .all(|(a, b)| a.to_bits() == b.to_bits());
@@ -386,17 +408,13 @@ impl RankComm {
                         epoch
                     );
                 }
-                None => {
-                    memo.insert(epoch, mine);
+                entry.readers_left -= 1;
+                if entry.readers_left == 0 {
+                    slot.remove();
                 }
+                vals
             }
-            return mine;
         }
-        if let Some(v) = self.fabric.fold_memo().get(&epoch) {
-            return *v;
-        }
-        let mine = self.fold_slots(rows);
-        *self.fabric.fold_memo().entry(epoch).or_insert(mine)
     }
 }
 

@@ -190,7 +190,17 @@ pub(crate) struct Fabric {
     /// writes per collective), so ranks beyond the first reuse the memo
     /// after an O(1) completeness check. Small worlds fold independently
     /// and *assert* agreement with the memo — see `RankComm::fold_reduced`.
-    folds: Mutex<HashMap<u64, SweepPartials>>,
+    /// Each entry carries a countdown of the epoch's folding ranks that have
+    /// yet to read it; the last reader removes it, so the memo holds only
+    /// epochs still being folded.
+    folds: Mutex<HashMap<u64, MemoFold>>,
+}
+
+/// A finished reduction fold in [`Fabric`]'s memo, and how many of its
+/// epoch's folding ranks have yet to read it.
+pub(crate) struct MemoFold {
+    pub(crate) vals: SweepPartials,
+    pub(crate) readers_left: usize,
 }
 
 impl Fabric {
@@ -204,7 +214,7 @@ impl Fabric {
 
     /// Lock the fold memo, shrugging off mutex poisoning like
     /// [`RankQueue::lock`].
-    pub(crate) fn fold_memo(&self) -> MutexGuard<'_, HashMap<u64, SweepPartials>> {
+    pub(crate) fn fold_memo(&self) -> MutexGuard<'_, HashMap<u64, MemoFold>> {
         self.folds.lock().unwrap_or_else(|e| e.into_inner())
     }
 

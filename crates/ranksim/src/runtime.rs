@@ -1195,6 +1195,62 @@ mod tests {
         }
     }
 
+    /// The fabric's fold memo keeps an epoch only until every rank that
+    /// folds it has read it: after a P-CSI + EVP solve it is empty — under
+    /// every collective schedule at 64 ranks (each rank folds and checks
+    /// the memo), and past the independent-fold bound at 96 ranks (ranks
+    /// reuse the memo; a ragged world, so the butterfly has a preamble).
+    #[test]
+    fn fold_memo_is_empty_after_a_solve() {
+        use crate::driver::SolverKind;
+        use pop_core::solvers::SolveOutcome;
+        use pop_core::{estimate_bounds, BlockEvp, LanczosConfig, SolverConfig, SolverWorkspace};
+        use pop_stencil::NinePoint;
+        use std::sync::Mutex;
+
+        let g = Grid::gx1_scaled(7, 96, 80);
+        let layout = DistLayout::build(&g, 12, 10);
+        let shared = CommWorld::serial();
+        let op = NinePoint::assemble(&g, &layout, &shared, 1800.0);
+        let pre = BlockEvp::with_defaults(&op);
+        let (bounds, _) = estimate_bounds(&op, &pre, &shared, &LanczosConfig::default());
+        let mut field = DistVec::zeros(&layout);
+        field.fill_with(|i, j| ((i * 7 + j * 13) % 17) as f64 - 8.0);
+        shared.halo_update(&mut field);
+        let mut b = DistVec::zeros(&layout);
+        op.apply(&shared, &field, &mut b);
+        let cfg = SolverConfig::with_tol(1e-10);
+        let topo = pop_perfmodel::machine::NodeTopology::yellowstone();
+        let net: Arc<dyn NetworkModel> = Arc::new(crate::net::HierarchicalNet::from_machine(
+            &MachineModel::yellowstone(),
+            &topo,
+        ));
+        let runs = ReduceAlgo::ALL.map(|a| (64, a)).into_iter().chain([
+            (96, ReduceAlgo::RecursiveDoubling),
+            (96, ReduceAlgo::Hierarchical),
+        ]);
+        for (p, algo) in runs {
+            let sim = RankSimConfig::default().with_reduce_algo(algo);
+            let w = RankWorld::new(&layout, p, Arc::clone(&net), sim);
+            let fabric = Mutex::new(None);
+            let reports = w.run(|comm| {
+                fabric
+                    .lock()
+                    .unwrap()
+                    .get_or_insert(Arc::clone(&comm.fabric));
+                let rb = comm.import(&b);
+                let mut rx = comm.zeros();
+                let mut ws = SolverWorkspace::new();
+                SolverKind::Pcsi(bounds).solve(&op, &pre, comm, &rb, &mut rx, &cfg, &mut ws)
+            });
+            let st = &reports[0].result;
+            assert_eq!(st.outcome, SolveOutcome::Converged, "{algo:?} p={p}");
+            let fabric = fabric.into_inner().unwrap().expect("a rank ran");
+            let left = fabric.fold_memo().len();
+            assert_eq!(left, 0, "{algo:?} p={p}: {left} folds left in the memo");
+        }
+    }
+
     /// Compute charging: points × compute_per_point per sweep, recorded as
     /// trace spans when asked.
     #[test]

@@ -24,16 +24,23 @@
 //! Like the column-lane kernels of `crate::simd`, the sweep is written once
 //! (`MultiSweep`, a [`LaneJob`]) and what becomes of a lane group's masked
 //! `A·x` is its `MultiEpilogue`: `Store` or `Residual`.
+//!
+//! # The group count is a type parameter
+//!
+//! One sweep advances every lane group of the tile at each point, so the
+//! `‖r‖²` fold carries one accumulator per group from the first point to
+//! the last. The sweep body takes the group count as a const generic
+//! `G ∈ 1..=`[`MAX_GROUPS`], and the job maps the tile's runtime
+//! `groups()` to it with one `match`: the accumulators are then a `[V; G]`
+//! array the compiler keeps in registers and the per-point group loop is
+//! unrolled. With a runtime count the array is indexed through memory and
+//! every step of the fold goes through a store and a load. Which register
+//! an instruction feeds is all that changes; no lane's operation order does.
 
 use crate::op::NinePoint;
 use crate::simd::{StencilBlock, TileShape};
-use pop_comm::MultiBlockVec;
+use pop_comm::{MultiBlockVec, MAX_GROUPS};
 use pop_simd::{LaneF64, LaneJob, SimdMode, LANES};
-
-/// Most lane groups one interleaved pass advances: one register set per
-/// group, matching the batch engine's `MAX_BATCH / LANES` bound; wider
-/// vectors fall back to another chunked pass.
-const MAX_GROUPS: usize = 4;
 
 /// One point's nine coefficients, splat once and shared by every lane of
 /// every group the inner loop advances — the coefficient amortization the
@@ -112,12 +119,12 @@ trait MultiEpilogue {
         ax
     }
 
-    /// The finished registers of lane groups `g0 .. g0 + acc.len()`.
+    /// The finished registers, one per lane group.
     ///
     /// # Safety
     /// [`LaneJob::run`]'s contract for `V`.
     #[inline(always)]
-    unsafe fn partials<V: LaneF64>(&mut self, _g0: usize, _acc: &[V]) {}
+    unsafe fn partials<V: LaneF64>(&mut self, _acc: &[V]) {}
 }
 
 /// `y_b = A x_b`: the masked `A·x` itself, nothing summed.
@@ -146,8 +153,8 @@ impl MultiEpilogue for Residual<'_> {
     }
 
     #[inline(always)]
-    unsafe fn partials<V: LaneF64>(&mut self, g0: usize, acc: &[V]) {
-        for (slots, a) in self.partials[g0 * LANES..].chunks_exact_mut(LANES).zip(acc) {
+    unsafe fn partials<V: LaneF64>(&mut self, acc: &[V]) {
+        for (slots, a) in self.partials.chunks_exact_mut(LANES).zip(acc) {
             // SAFETY: `slots` is `LANES` long.
             a.store(slots.as_mut_ptr());
         }
@@ -168,11 +175,13 @@ struct MultiSweep<'a, E> {
     epi: E,
 }
 
-impl<E: MultiEpilogue> LaneJob for MultiSweep<'_, E> {
-    type Out = ();
-
+impl<E: MultiEpilogue> MultiSweep<'_, E> {
+    /// The sweep over all `G` lane groups, one accumulator register each.
+    ///
+    /// # Safety
+    /// [`LaneJob::run`]'s contract for `V`, and `G == self.groups`.
     #[inline(always)]
-    unsafe fn run<V: LaneF64>(self) {
+    unsafe fn sweep<V: LaneF64, const G: usize>(self) {
         let MultiSweep {
             blk: c,
             groups,
@@ -180,37 +189,49 @@ impl<E: MultiEpilogue> LaneJob for MultiSweep<'_, E> {
             out,
             mut epi,
         } = self;
+        debug_assert_eq!(G, groups);
         let rows = c.ny + 2 * c.h;
         let gstride = rows * c.s * LANES;
-        let mut g0 = 0;
-        while g0 < groups {
-            let gn = (groups - g0).min(MAX_GROUPS);
-            let mut acc = [V::splat(0.0); MAX_GROUPS];
-            for j in 0..c.ny {
-                let p0 = (j + c.h) * c.s + c.h;
-                let b0 = ((g0 * rows + j + c.h) * c.s + c.h) * LANES;
-                let mrow = &maskbits[j * c.nx..(j + 1) * c.nx];
-                for (i, &mi) in mrow.iter().enumerate() {
-                    let k = splat_nine::<V>(&c, p0 + i);
-                    let m = V::splat(mi);
-                    for (g, a) in acc.iter_mut().enumerate().take(gn) {
-                        // SAFETY: `xb` is the lane base of interior point
-                        // `(i, j)` of group `g0 + g < groups` in the
-                        // checked shape, which `out` has too: a halo ring
-                        // (`h ≥ 1`) surrounds it.
-                        unsafe {
-                            let xb = b0 + g * gstride + i * LANES;
-                            debug_assert!(xb + LANES <= out.len());
-                            let ax = nine_multi_at::<V>(&k, c.s, c.xr, xb);
-                            let v = epi.lanes(xb, ax.and_bits(m), m, a);
-                            v.store(out.as_mut_ptr().add(xb));
-                        }
+        let mut acc = [V::splat(0.0); G];
+        for j in 0..c.ny {
+            let p0 = (j + c.h) * c.s + c.h;
+            let b0 = ((j + c.h) * c.s + c.h) * LANES;
+            let mrow = &maskbits[j * c.nx..(j + 1) * c.nx];
+            for (i, &mi) in mrow.iter().enumerate() {
+                let k = splat_nine::<V>(&c, p0 + i);
+                let m = V::splat(mi);
+                for (g, a) in acc.iter_mut().enumerate() {
+                    // SAFETY: `xb` is the lane base of interior point
+                    // `(i, j)` of group `g < G = groups` in the checked
+                    // shape, which `out` has too: a halo ring (`h ≥ 1`)
+                    // surrounds it.
+                    unsafe {
+                        let xb = b0 + g * gstride + i * LANES;
+                        debug_assert!(xb + LANES <= out.len());
+                        let ax = nine_multi_at::<V>(&k, c.s, c.xr, xb);
+                        let v = epi.lanes(xb, ax.and_bits(m), m, a);
+                        v.store(out.as_mut_ptr().add(xb));
                     }
                 }
             }
-            // SAFETY: `V` is this call's own.
-            epi.partials(g0, &acc[..gn]);
-            g0 += gn;
+        }
+        // SAFETY: `V` is this call's own.
+        epi.partials(&acc);
+    }
+}
+
+impl<E: MultiEpilogue> LaneJob for MultiSweep<'_, E> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: LaneF64>(self) {
+        // `MultiBlockVec::zeros` holds `groups` to `1..=MAX_GROUPS`.
+        match self.groups {
+            1 => self.sweep::<V, 1>(),
+            2 => self.sweep::<V, 2>(),
+            3 => self.sweep::<V, 3>(),
+            4 => self.sweep::<V, 4>(),
+            g => unreachable!("{g} lane groups: a tile holds 1..={MAX_GROUPS}"),
         }
     }
 }
@@ -303,7 +324,9 @@ impl NinePoint {
 
 #[cfg(test)]
 mod tests {
-    use pop_comm::{masked_block_dot, BlockVec, CommWorld, DistLayout, DistVec, MultiBlockVec};
+    use pop_comm::{
+        masked_block_dot, BlockVec, CommWorld, DistLayout, DistVec, MultiBlockVec, MAX_GROUPS,
+    };
     use pop_grid::Grid;
     use pop_simd::LANES;
 
@@ -353,18 +376,17 @@ mod tests {
     /// bits for that lane's right-hand side — `apply_reference`,
     /// `residual_reference` and the `masked_block_dot` of the residual with
     /// itself for the order-sensitive norm partials — on the odd-block
-    /// family (13×7, and blocks 1, 2, 3, 5 and 7 columns wide), on both
-    /// lane types.
+    /// family (13×7, and blocks 1, 2, 3, 5 and 7 columns wide), at every
+    /// lane-group count (each its own instance of the sweep), on both lane
+    /// types.
     #[test]
     fn batched_kernels_bitwise_match_single_rhs() {
         for (name, layout, world, op) in odd_block_cases() {
-            let groups = 2;
-            let k = groups * LANES;
-
-            let mut xs: Vec<DistVec> = (0..k as u64)
+            let lanes = MAX_GROUPS * LANES;
+            let mut xs: Vec<DistVec> = (0..lanes as u64)
                 .map(|s| test_field(&layout, 100 + s))
                 .collect();
-            let rhss: Vec<DistVec> = (0..k as u64)
+            let rhss: Vec<DistVec> = (0..lanes as u64)
                 .map(|s| test_field(&layout, 200 + s))
                 .collect();
             let mut y_ref = Vec::new();
@@ -378,7 +400,10 @@ mod tests {
                 r_ref.push(r);
             }
 
-            for b in 0..layout.n_blocks() {
+            for (b, groups) in
+                (0..layout.n_blocks()).flat_map(|b| (1..=MAX_GROUPS).map(move |g| (b, g)))
+            {
+                let k = groups * LANES;
                 let shape = &xs[0].blocks[b];
                 let mut mx = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
                 let mut mrhs = MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
@@ -401,7 +426,7 @@ mod tests {
 
                     let mut got = BlockVec::zeros(shape.nx, shape.ny, shape.halo);
                     for l in 0..k {
-                        let tag = format!("{name} block {b} {mode:?} lane {l}");
+                        let tag = format!("{name} block {b} groups {groups} {mode:?} lane {l}");
                         let (y_want, r_want) = (&y_ref[l].blocks[b], &r_ref[l].blocks[b]);
                         my.store_lane(l / LANES, l % LANES, &mut got);
                         for j in 0..got.ny {

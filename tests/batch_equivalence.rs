@@ -5,13 +5,14 @@
 //! take: same solution bits, same iteration count, same residual history,
 //! same outcome — under every execution backend (serial, thread pool,
 //! ranksim message passing) and every SIMD dispatch mode (the CI `batch`
-//! job re-runs this binary with `POP_BARO_SIMD=scalar`).
+//! job re-runs this binary with `POP_BARO_SIMD=portable`).
 //!
 //! This suite enforces the promise end to end: four solvers × {diagonal,
-//! block-EVP} × three backends on ragged batches (k=3 and k=5, neither a
-//! lane multiple), plus forced-dispatch sweeps and a batch mixing
-//! converging and diverging systems (the poisoned lane must walk the full
-//! restart → abort recovery ladder without perturbing its neighbours).
+//! block-EVP} × three backends on batches of one to four lane groups (k=3,
+//! 5, 9 — not lane multiples — and 16), plus forced-dispatch sweeps and a
+//! batch mixing converging and diverging systems (the poisoned lane must
+//! walk the full restart → abort recovery ladder without perturbing its
+//! neighbours).
 
 mod common;
 use common::{
@@ -151,17 +152,22 @@ fn batch_ranksim(
 }
 
 /// The tentpole guarantee: four solvers × {diag, EVP} × {serial, threaded,
-/// ranksim}, ragged batch widths (k=5 with the diagonal, k=3 with EVP),
-/// every RHS bitwise equal to its independent single-RHS solve.
+/// ranksim}, every RHS bitwise equal to its independent single-RHS solve.
+/// Batch widths: k=5 with the diagonal, and k=3, 9 and 16 with EVP — one,
+/// three and four lane groups, each its own instance of the EVP and
+/// stencil lane kernels; 3 and 9 are ragged.
 #[test]
 fn batched_solves_match_single_rhs_bitwise_end_to_end() {
     let p = problem(0);
     let shared = CommWorld::serial();
-    for (pname, pre, k) in [
-        ("diag", &Diagonal::new(&p.op) as &dyn Preconditioner, 5usize),
-        ("evp", &BlockEvp::with_defaults(&p.op), 3),
+    for (pname, pre, widths) in [
+        (
+            "diag",
+            &Diagonal::new(&p.op) as &dyn Preconditioner,
+            &[5usize][..],
+        ),
+        ("evp", &BlockEvp::with_defaults(&p.op), &[3, 9, 16]),
     ] {
-        let bs = seeded_batch(&p, k, 0x5eed_0000 + k as u64);
         let (bounds, _) = estimate_bounds(&p.op, pre, &shared, &LanczosConfig::default());
         let kinds = [
             SolverKind::ClassicPcg,
@@ -170,7 +176,8 @@ fn batched_solves_match_single_rhs_bitwise_end_to_end() {
             SolverKind::Pcsi(bounds),
         ];
         let cfg = solver_cfg();
-        for kind in kinds {
+        for (&k, kind) in widths.iter().flat_map(|k| kinds.map(|kind| (k, kind))) {
+            let bs = seeded_batch(&p, k, 0x5eed_0000 + k as u64);
             let serial = CommWorld::serial();
             let base = singles_shared(&p, pre, kind, &serial, &bs, &cfg);
             assert!(
