@@ -67,15 +67,22 @@
 //! Each lane executes exactly the per-point operation sequence of the
 //! scalar test oracle [`super::EvpSubBlock::solve_reference`] — `(ψ −
 //! ((a0·xc + ane_s·xse) + ane_sw·xsw))·d⁻¹`, the axis terms summed among
-//! themselves first in the full system, `acc − l·x` over ascending band
-//! columns, `acc / u_rr` — so per-lane results are bitwise identical to it
-//! on both lane types: interleaving lanes reorders *instructions*, never
-//! any lane's arithmetic. Two rules hold throughout:
+//! themselves first in the full system, the band substitutions of
+//! [`pop_stencil::dense::BandLu::solve_in_place`] — so per-lane results are
+//! bitwise identical to it on both lane types: interleaving lanes reorders
+//! *instructions*, never any lane's arithmetic. Three rules hold
+//! throughout:
 //!
 //! - the chain recurrence's FMA contraction is keyed on the CPU property
 //!   [`pop_simd::detected_fma`], never on the dispatch mode: the chain
 //!   planes are stored signed for it, and `fma(−h, y, g)` on lanes is the
 //!   exact lane image of the scalar `(−h).mul_add(y, g)`;
+//! - the band substitutions follow the same key: each row is one chain
+//!   from `acc = x[r]` with its newest unknown last (forward columns
+//!   ascending, back columns descending), one `fma(−f, x, acc)` per step
+//!   on FMA CPUs and `acc + (−f)·x` elsewhere — the factors are stored
+//!   negated for it — and a back row ends `acc · (1/u_rr)`, so no tile
+//!   solve divides;
 //! - the influence apply accumulates each output row over ascending columns
 //!   from `+0.0`, the scalar row dot product.
 
@@ -301,8 +308,8 @@ pub(super) enum TileCoefs<T> {
     /// row-major inverse influence matrix `R = W⁻¹`. No mask: a marchable
     /// tile is all ocean.
     March { reduced: bool, planes: T, r_inv: T },
-    /// Band LU: the `n·(2w+1)` factor of [`pop_stencil::dense::BandLu`] and
-    /// the land mask words.
+    /// Band LU: the `n·(2w+1)` factor of [`pop_stencil::dense::BandLu`]
+    /// (`−l`, `1/u_rr`, `−u`) and the land mask words.
     Band { w: usize, band: T, mask: T },
 }
 
@@ -566,57 +573,92 @@ unsafe fn march_solve<V: LaneF64, C: Coefs, const G: usize>(
 }
 
 /// Lane-parallel band-LU solve, in place: every lane runs the exact scalar
-/// [`pop_stencil::dense::BandLu::solve_in_place`] recurrence — plain
-/// `acc − l·x` over ascending band columns, never contracted, then `acc /
-/// u_rr` — on its own right-hand side (and, in a pack, its own factor). The
-/// substitutions are serial dependency chains per lane; this pays their
-/// latency once per lane group with `G` independent chains in flight in
-/// registers. `x` is `n` points of `G · LANES` values, `b` on entry.
+/// [`pop_stencil::dense::BandLu::solve_in_place`] recurrence on its own
+/// right-hand side (and, in a pack, its own factor) — per row one chain
+/// from `acc = x[r]`, a step `fma(−f, x, acc)` (or `acc + (−f)·x` where
+/// `use_fma` is false) per band column, the newest unknown last, and a back
+/// row ending `acc · (1/u_rr)`. The substitutions are serial dependency
+/// chains per lane, so their latency is the cost: `G` independent chains
+/// are in flight in registers, and the newest unknown is taken from the
+/// register that produced it rather than reloaded from the tile. `x` is `n`
+/// points of `G · LANES` values, `b` on entry.
 ///
 /// # Safety
 /// [`LaneJob::run`]'s contract for `V`. `band` must hold `n · (2w + 1)`
-/// entries and `x` `n · G · LANES`.
+/// entries and `x` `n · G · LANES`. (`use_fma` must be the
+/// [`pop_simd::detected_fma`] the scalar reference keys on.)
 #[inline(always)]
 unsafe fn band_solve<V: LaneF64, C: Coefs, const G: usize>(
     n: usize,
     w: usize,
     band: C,
     x: &mut [f64],
+    use_fma: bool,
 ) {
-    let sl = G * LANES;
-    let bw = 2 * w + 1;
-    // Forward substitution (unit lower).
+    let (sl, bw) = (G * LANES, 2 * w + 1);
+    let xp = x.as_mut_ptr();
+    let at = |p: usize, gr: usize| V::load(xp.add(p * sl + gr * LANES));
+    // Row `p` of every group into the chain registers (plain loops:
+    // `array::from_fn` does not inline into a `target_feature` caller).
+    let row = |p: usize| {
+        let mut acc = [V::splat(0.0); G];
+        for (gr, a) in acc.iter_mut().enumerate() {
+            *a = at(p, gr);
+        }
+        acc
+    };
+    let step = |acc: V, f: V, xc: V| {
+        if use_fma {
+            f.mul_add(xc, acc)
+        } else {
+            acc.add(f.mul(xc))
+        }
+    };
+    // Forward substitution (unit lower), columns ascending; `newest` holds
+    // `x[r − 1]`.
+    let mut newest = if n > 0 { row(0) } else { [V::splat(0.0); G] };
     for r in 1..n {
-        let mut acc = [V::splat(0.0); G];
-        for (gr, a) in acc.iter_mut().enumerate() {
-            *a = V::load(x.as_ptr().add(r * sl + gr * LANES));
-        }
-        for c in r.saturating_sub(w)..r {
-            let lv = band.at::<V>(r * bw + c + w - r);
+        let lo = r.saturating_sub(w);
+        let mut acc = row(r);
+        for c in lo..r - 1 {
+            let f = band.at::<V>(r * bw + c + w - r);
             for (gr, a) in acc.iter_mut().enumerate() {
-                *a = a.sub(lv.mul(V::load(x.as_ptr().add(c * sl + gr * LANES))));
+                *a = step(*a, f, at(c, gr));
+            }
+        }
+        if lo < r {
+            let f = band.at::<V>(r * bw + w - 1);
+            for (a, y) in acc.iter_mut().zip(&newest) {
+                *a = step(*a, f, *y);
             }
         }
         for (gr, a) in acc.iter().enumerate() {
-            a.store(x.as_mut_ptr().add(r * sl + gr * LANES));
+            a.store(xp.add(r * sl + gr * LANES));
         }
+        newest = acc;
     }
-    // Back substitution.
+    // Back substitution, columns descending; `newest` holds `x[r + 1]`.
     for r in (0..n).rev() {
-        let mut acc = [V::splat(0.0); G];
-        for (gr, a) in acc.iter_mut().enumerate() {
-            *a = V::load(x.as_ptr().add(r * sl + gr * LANES));
-        }
-        for c in r + 1..(r + w + 1).min(n) {
-            let uv = band.at::<V>(r * bw + c + w - r);
+        let hi = (r + w + 1).min(n);
+        let mut acc = row(r);
+        for c in (r + 2..hi).rev() {
+            let f = band.at::<V>(r * bw + c + w - r);
             for (gr, a) in acc.iter_mut().enumerate() {
-                *a = a.sub(uv.mul(V::load(x.as_ptr().add(c * sl + gr * LANES))));
+                *a = step(*a, f, at(c, gr));
             }
         }
-        let dv = band.at::<V>(r * bw + w);
-        for (gr, a) in acc.iter().enumerate() {
-            a.div(dv).store(x.as_mut_ptr().add(r * sl + gr * LANES));
+        if r + 1 < hi {
+            let f = band.at::<V>(r * bw + w + 1);
+            for (a, y) in acc.iter_mut().zip(&newest) {
+                *a = step(*a, f, *y);
+            }
         }
+        let inv_pivot = band.at::<V>(r * bw + w);
+        for (gr, a) in acc.iter_mut().enumerate() {
+            *a = a.mul(inv_pivot);
+            a.store(xp.add(r * sl + gr * LANES));
+        }
+        newest = acc;
     }
 }
 
@@ -905,7 +947,7 @@ impl<C: Coefs, Io: TileIo> Solve<'_, C, Io> {
             }
             TileCoefs::Band { w, band, mask } => {
                 io.gather::<V>((nx, ny), tile);
-                band_solve::<V, C, G>(nx * ny, w, band, tile);
+                band_solve::<V, C, G>(nx * ny, w, band, tile, use_fma);
                 io.scatter::<V, C, G>((nx, ny), tile, nx * sl, Some(mask));
             }
         }

@@ -193,7 +193,8 @@ impl Recurrence for Pcsi {
     /// `x += Δx`, back to back per block while the tiles are cache-hot.
     /// Each block's residual reads its own pre-update storage plus a halo
     /// ring the exchange filled before any block's update ran, so every
-    /// lane's arithmetic is the split sweeps' exactly. On check iterations
+    /// lane's arithmetic is the split sweeps' exactly; nothing reads its
+    /// `‖r‖²`, so it runs without the fold. On check iterations
     /// and at the cap the residual runs eagerly as its own sweep, carrying
     /// `‖r‖²`; that check is P-CSI's only reduction, so between checks the
     /// loop performs *zero* global reductions — under a rank runtime,
@@ -243,8 +244,7 @@ impl Recurrence for Pcsi {
                 comm.halo_sweep_fused(
                     [&mut *x, &mut *r, &mut *z, &mut *dx],
                     |bk, [xb, rb, zb, dxb]| {
-                        let mut p = ZEROS;
-                        T::residual(op, bk, xb, b.block(bk), rb, &mut p);
+                        T::residual_no_norm(op, bk, xb, b.block(bk), rb);
                         T::precond(pre, bk, rb, zb);
                         T::csi_update(zb, dxb, xb, om, cs);
                         ZEROS

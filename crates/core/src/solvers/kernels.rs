@@ -26,7 +26,7 @@
 
 use crate::precond::Preconditioner;
 use pop_comm::{masked_block_dot, masked_dot_multi, BlockVec, MultiBlockVec, Tile};
-use pop_simd::LANES;
+use pop_simd::{LaneF64, LaneJob, LANES};
 use pop_stencil::NinePoint;
 
 /// What a solver recurrence does to one block of one tile type. See the
@@ -35,6 +35,10 @@ pub(crate) trait TileKernels: Tile {
     /// `r = b − A x` over block `bk`'s interior, `‖r‖²` per lane in
     /// `out[..w]`. `x`'s halo must be current.
     fn residual(op: &NinePoint, bk: usize, x: &Self, b: &Self, r: &mut Self, out: &mut [f64]);
+
+    /// [`TileKernels::residual`] without the `‖r‖²` fold: the same `r`
+    /// bits, for a sweep whose norm nobody reads.
+    fn residual_no_norm(op: &NinePoint, bk: usize, x: &Self, b: &Self, r: &mut Self);
 
     /// `y = A x` over block `bk`'s interior. `x`'s halo must be current.
     fn apply(op: &NinePoint, bk: usize, x: &Self, y: &mut Self);
@@ -120,6 +124,11 @@ impl TileKernels for BlockVec {
     #[inline]
     fn residual(op: &NinePoint, bk: usize, x: &Self, b: &Self, r: &mut Self, out: &mut [f64]) {
         out[0] = op.residual_block_into(bk, x, b, r, &op.layout.masks[bk]);
+    }
+
+    #[inline]
+    fn residual_no_norm(op: &NinePoint, bk: usize, x: &Self, b: &Self, r: &mut Self) {
+        op.residual_block_no_norm_into(bk, x, b, r, &op.layout.masks[bk]);
     }
 
     #[inline]
@@ -302,10 +311,12 @@ impl TileKernels for BlockVec {
 //
 // Each pointwise kernel repeats the point kernel's per-point operation order
 // in every lane, with per-lane scalars from slot arrays, over the tiles'
-// interior lane rows zipped point by point. Plain `f64` arithmetic in every
-// dispatch mode: a lanewise multiply-add chain has one possible operation
-// sequence, so there is nothing mode-dependent to mirror. Tiles of
-// different shapes would zip short, so the shapes are compared up front.
+// interior lane rows zipped point by point — or, for P-CSI's update, the
+// one that runs every iteration, as a lane job (`CsiUpdate`) on the
+// dispatched lane type. Plain `mul`/`add` either way: a lanewise
+// multiply-add chain has one possible operation sequence, so there is
+// nothing mode-dependent to mirror. Tiles of different shapes would zip
+// short, so the shapes are compared up front.
 // (One fused pass per point, not one pass per recurrence: a row at a time
 // through two-operand `y ← x + b·y` / `y ← y + a·x` updates was tried and
 // measured slower — EXPERIMENTS.md "PR 24".)
@@ -362,10 +373,61 @@ fn lane_values_mut(t: &mut MultiBlockVec, slot: usize) -> impl Iterator<Item = &
     t.raw_mut()[r].iter_mut().skip(slot % LANES).step_by(LANES)
 }
 
+/// P-CSI's batched update as one lane job: at every interior point of each
+/// lane group, `d = Δx·c + ω·z ; Δx = d ; x += d` with the group's per-lane
+/// `ω` and `c` in registers — the point kernel's operation order in every
+/// lane, plain `mul`/`add`, never `mul_add`. Built only by
+/// [`TileKernels::csi_update`], after the three tiles' shapes were compared.
+struct CsiUpdate<'a> {
+    z: &'a MultiBlockVec,
+    dx: &'a mut MultiBlockVec,
+    x: &'a mut MultiBlockVec,
+    omega: &'a [f64],
+    c: &'a [f64],
+}
+
+impl LaneJob for CsiUpdate<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: LaneF64>(self) {
+        let CsiUpdate { z, dx, x, omega, c } = self;
+        for g in 0..z.groups() {
+            let ov = V::load(omega[g * LANES..][..LANES].as_ptr());
+            let cv = V::load(c[g * LANES..][..LANES].as_ptr());
+            for j in 0..z.ny {
+                let zr = z.interior_lane_row(g, j);
+                let (dxr, xr) = (
+                    dx.interior_lane_row_mut(g, j),
+                    x.interior_lane_row_mut(g, j),
+                );
+                // One length for the three rows (`nx` points of `LANES`
+                // values): the shapes were compared where the job was built.
+                let n = zr.len();
+                assert!(dxr.len() == n && xr.len() == n);
+                let (zp, dxp, xp) = (zr.as_ptr(), dxr.as_mut_ptr(), xr.as_mut_ptr());
+                let mut i = 0;
+                while i + LANES <= n {
+                    // SAFETY: `i + LANES ≤ n`.
+                    let d = V::load(dxp.add(i)).mul(cv).add(ov.mul(V::load(zp.add(i))));
+                    d.store(dxp.add(i));
+                    V::load(xp.add(i)).add(d).store(xp.add(i));
+                    i += LANES;
+                }
+            }
+        }
+    }
+}
+
 impl TileKernels for MultiBlockVec {
     #[inline]
     fn residual(op: &NinePoint, bk: usize, x: &Self, b: &Self, r: &mut Self, out: &mut [f64]) {
         op.residual_block_multi(bk, x, b, r, out);
+    }
+
+    #[inline]
+    fn residual_no_norm(op: &NinePoint, bk: usize, x: &Self, b: &Self, r: &mut Self) {
+        op.residual_block_multi_no_norm(bk, x, b, r);
     }
 
     #[inline]
@@ -410,21 +472,8 @@ impl TileKernels for MultiBlockVec {
 
     fn csi_update(z: &Self, dx: &mut Self, x: &mut Self, omega: &[f64], c: &[f64]) {
         assert_same_shape(z, &[dx, x]);
-        for g in 0..z.groups() {
-            let (ov, cv) = (lane_scalars(omega, g), lane_scalars(c, g));
-            for j in 0..z.ny {
-                let rows = points(z, g, j)
-                    .zip(points_mut(dx, g, j))
-                    .zip(points_mut(x, g, j));
-                for ((z, dx), x) in rows {
-                    for l in 0..LANES {
-                        let d = dx[l] * cv[l] + ov[l] * z[l];
-                        dx[l] = d;
-                        x[l] += d;
-                    }
-                }
-            }
-        }
+        let job = CsiUpdate { z, dx, x, omega, c };
+        pop_simd::dispatch(pop_simd::mode(), job);
     }
 
     fn chrongear_update(

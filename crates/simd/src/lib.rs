@@ -82,11 +82,12 @@ pub fn detected_avx2() -> bool {
 /// Does this CPU support scalar FMA? (Always `false` off x86-64.)
 ///
 /// This gates code whose every dispatch mode makes the same choice — the EVP
-/// chain recurrence contracts `g − h·y` to `fma(−h, y, g)` on an FMA CPU
-/// in the scalar reference and on both lane types alike
-/// ([`LaneF64::mul_add`] is the lane image of `f64::mul_add`), so results
-/// depend on the CPU, never on the mode. No other lane kernel uses FMA:
-/// they match plain scalar `mul`/`add` per lane.
+/// chain recurrence contracts `g − h·y` to `fma(−h, y, g)`, and the band-LU
+/// substitutions `acc + (−f)·x` to `fma(−f, x, acc)`, on an FMA CPU in the
+/// scalar reference and on both lane types alike ([`LaneF64::mul_add`] is
+/// the lane image of `f64::mul_add`), so results depend on the CPU, never
+/// on the mode. No other lane kernel uses FMA: they match plain scalar
+/// `mul`/`add` per lane.
 pub fn detected_fma() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -226,9 +227,10 @@ pub trait LaneF64: Copy {
     /// rounding, the lane image of scalar `f64::mul_add`. This is the one
     /// deliberate exception to the "no fusion" rule: kernels may call it
     /// only where the scalar reference path also runs `mul_add` under the
-    /// same (mode-independent) condition — e.g. the EVP chain recurrence
-    /// gated on [`detected_fma`] — so scalar↔SIMD bitwise identity still
-    /// holds. Implementations must never substitute `mul`+`add`.
+    /// same (mode-independent) condition — the EVP chain recurrence and band
+    /// substitutions, gated on [`detected_fma`] — so scalar↔SIMD bitwise
+    /// identity still holds. Implementations must never substitute
+    /// `mul`+`add`.
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// The 4×4 transpose: lane `l` of output `c` is lane `c` of `rows[l]`.
     /// Pure data movement — how four tiles' rows become one value per tile

@@ -16,6 +16,15 @@
 //! paper §4.1, and the land-touching tiles of block-EVP): symmetric positive
 //! definite and banded with half-width `nx + 1`, so it needs no pivoting and
 //! only the band is stored, factored and traversed.
+//!
+//! [`BandLu::solve_in_place`] is written for latency, not for agreement with
+//! [`LuFactors::solve_into`]: each substitution row is one serial chain, so
+//! its newest unknown — `x[r−1]` forward, `x[r+1]` backward — enters the
+//! chain last, every step is `fma(−f, x, acc)` on CPUs with FMA
+//! ([`pop_simd::detected_fma`]) and `acc + (−f)·x` elsewhere, and a back
+//! row ends with a multiply by the stored `1/u_rr`. The factors it reads
+//! are the dense no-pivot LU's, bit for bit; the solve agrees with
+//! [`DenseMatrix::lu`]'s to rounding.
 
 #![allow(clippy::needless_range_loop)]
 
@@ -142,8 +151,10 @@ impl DenseMatrix {
     /// Every in-band operation is the one [`DenseMatrix::lu`] performs when
     /// it never pivots; the operations skipped have an exact zero as a
     /// factor. So wherever the pivoted factorization keeps the diagonal —
-    /// every nine-point tile matrix met so far — the two solves agree bit
-    /// for bit. Fails on a pivot that is not positive and finite (the matrix
+    /// every nine-point tile matrix met so far — the factors are the dense
+    /// ones bit for bit. They are stored ready for
+    /// [`BandLu::solve_in_place`]: `−l` and `−u` off the diagonal, `1/u_rr`
+    /// on it. Fails on a pivot that is not positive and finite (the matrix
     /// is not positive definite); panics on a non-zero outside the band,
     /// which is a wrong `half_width`, not a property of the data.
     pub fn band_lu(&self, half_width: usize) -> Result<BandLu, SingularMatrix> {
@@ -176,6 +187,14 @@ impl DenseMatrix {
                 }
             }
         }
+        // Signed for the substitution steps `acc + (−f)·x`, the pivot as
+        // its reciprocal; slots outside the matrix stay `+0.0`.
+        for r in 0..n {
+            for c in r.saturating_sub(w)..(r + w + 1).min(n) {
+                let f = &mut band[r * bw + c + w - r];
+                *f = if c == r { 1.0 / *f } else { -*f };
+            }
+        }
         Ok(BandLu { n, w, band })
     }
 
@@ -204,8 +223,9 @@ pub struct BandLu {
     n: usize,
     /// Half-width: entries `|r − c| > w` are structurally zero.
     w: usize,
-    /// Row-major band, `2w + 1` entries per row (unit-lower `L` left of the
-    /// diagonal slot `w`, `U` from it rightwards).
+    /// Row-major band, `2w + 1` entries per row: the unit-lower `L`'s `−l`
+    /// left of the diagonal slot `w`, `1/u_rr` in it, `U`'s `−u` right of
+    /// it.
     band: Vec<f64>,
 }
 
@@ -263,32 +283,45 @@ impl LuFactors {
 
 impl BandLu {
     /// Solve `A x = b` in place (`x` holds `b` on entry): forward then back
-    /// substitution over the band columns only, ascending column order,
-    /// plain `acc -= l * x` — [`LuFactors::solve_into`] without its
-    /// multiplications by structural zeros.
+    /// substitution over the band columns only. Each row is one chain from
+    /// `acc = x[r]`, one step `acc + (−f)·x[c]` per band column — fused to
+    /// `fma(−f, x[c], acc)` where [`pop_simd::detected_fma`] holds — with
+    /// the newest unknown last: columns ascending forward, descending
+    /// backward. A back row ends `acc · (1/u_rr)`. This is the scalar
+    /// sequence every lane of the block-EVP band substitution repeats.
     pub fn solve_in_place(&self, x: &mut [f64]) {
+        if pop_simd::detected_fma() {
+            self.substitute::<true>(x);
+        } else {
+            self.substitute::<false>(x);
+        }
+    }
+
+    /// [`BandLu::solve_in_place`] with the FMA choice made.
+    fn substitute<const FMA: bool>(&self, x: &mut [f64]) {
         let (n, w) = (self.n, self.w);
         let bw = 2 * w + 1;
         assert_eq!(x.len(), n);
+        let step = |acc: f64, (f, xc): (&f64, &f64)| {
+            if FMA {
+                f.mul_add(*xc, acc)
+            } else {
+                acc + f * xc
+            }
+        };
         // Forward substitution (unit lower).
         for r in 1..n {
             let lo = r.saturating_sub(w);
             let row = &self.band[r * bw + lo + w - r..r * bw + w];
-            let mut acc = x[r];
-            for (l, xc) in row.iter().zip(&x[lo..r]) {
-                acc -= l * xc;
-            }
+            let acc = row.iter().zip(&x[lo..r]).fold(x[r], step);
             x[r] = acc;
         }
         // Back substitution.
         for r in (0..n).rev() {
             let hi = (r + w + 1).min(n);
             let row = &self.band[r * bw + w..r * bw + w + hi - r];
-            let mut acc = x[r];
-            for (u, xc) in row[1..].iter().zip(&x[r + 1..hi]) {
-                acc -= u * xc;
-            }
-            x[r] = acc / row[0];
+            let acc = row[1..].iter().zip(&x[r + 1..hi]).rev().fold(x[r], step);
+            x[r] = acc * row[0];
         }
     }
 
@@ -300,7 +333,8 @@ impl BandLu {
     }
 
     /// The factorization's raw storage `(n, half-width w, band)` — row `r`
-    /// holds columns `r − w ..= r + w` at `r·(2w+1) + (c + w − r)` — for
+    /// holds columns `r − w ..= r + w` at `r·(2w+1) + (c + w − r)`: `−l`,
+    /// then `1/u_rr`, then `−u`; slots outside the matrix are `+0.0` — for
     /// callers that run the [`BandLu::solve_in_place`] recurrences
     /// themselves: the lane-parallel multi-RHS substitution that shares one
     /// factorization across a whole SIMD batch.
@@ -350,38 +384,131 @@ mod tests {
         st
     }
 
-    #[test]
-    fn band_lu_matches_dense_lu_bitwise_on_tile_matrices() {
+    /// The tile family the band LU is checked on: full and ragged shapes,
+    /// dry and with land, full and reduced systems — each with its band
+    /// factorization and the pivoted dense LU, which must not have pivoted.
+    fn tile_factorizations() -> Vec<(String, BandLu, LuFactors)> {
+        let mut cases = Vec::new();
         for (nx, ny) in [(1, 5), (12, 3), (8, 8), (7, 11)] {
             for land in [false, true] {
                 let raw = tile(nx, ny, land);
-                for st in [raw.clone(), raw.reduced()] {
+                for (reduced, st) in [(false, raw.clone()), (true, raw.reduced())] {
                     let a = st.to_dense();
-                    let n = nx * ny;
                     let band = a.band_lu(nx + 1).expect("positive definite");
                     let dense = a.lu().expect("nonsingular");
-                    assert_eq!(dense.piv, (0..n).collect::<Vec<_>>(), "oracle pivoted");
-                    let b: Vec<f64> = (0..n)
-                        .map(|k| ((k * 2654435761) % 1000) as f64 / 500.0 - 1.0)
-                        .collect();
-                    let (got, want) = (band.solve(&b), dense.solve(&b));
-                    for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            g.to_bits(),
-                            w.to_bits(),
-                            "{nx}x{ny} land={land} row {k}: {g:e} vs {w:e}"
-                        );
+                    assert_eq!(dense.piv, (0..a.n()).collect::<Vec<_>>(), "oracle pivoted");
+                    cases.push((
+                        format!("{nx}x{ny} land={land} reduced={reduced}"),
+                        band,
+                        dense,
+                    ));
+                }
+            }
+        }
+        cases
+    }
+
+    fn rhs(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|k| ((k * 2654435761) % 1000) as f64 / 500.0 - 1.0)
+            .collect()
+    }
+
+    #[test]
+    fn band_lu_stores_the_dense_factors_negated_with_reciprocal_pivots() {
+        for (tag, band, dense) in tile_factorizations() {
+            let (n, w, stored) = band.raw_parts();
+            let bw = 2 * w + 1;
+            for r in 0..n {
+                for c in 0..n {
+                    let d = dense.lu[r * n + c];
+                    if c + w < r || c > r + w {
+                        assert_eq!(d, 0.0, "{tag}: fill outside the band at ({r},{c})");
+                        continue;
                     }
+                    let want = if c == r { 1.0 / d } else { -d };
+                    let got = stored[r * bw + c + w - r];
+                    assert_eq!(got.to_bits(), want.to_bits(), "{tag} ({r},{c})");
                 }
             }
         }
     }
 
     #[test]
+    fn band_solve_matches_dense_lu_to_rounding() {
+        for (tag, band, dense) in tile_factorizations() {
+            let b = rhs(dense.n);
+            let (got, want) = (band.solve(&b), dense.solve(&b));
+            let scale = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let err = got
+                .iter()
+                .zip(&want)
+                .fold(0.0f64, |m, (g, w)| m.max((g - w).abs()));
+            assert!(
+                err <= 1e-13 * scale,
+                "{tag}: max error {err:e} (scale {scale:e})"
+            );
+        }
+    }
+
+    /// Each substitution row is one chain with its newest unknown last, one
+    /// `fma(−f, x, acc)` per step on an FMA CPU and `acc − f·x` elsewhere,
+    /// and a back row ends by multiplying with the reciprocal pivot — here
+    /// spelled out with `f64::mul_add` over the dense factors and checked
+    /// bit for bit.
+    #[test]
+    fn band_substitution_follows_the_fma_rule() {
+        let fma = pop_simd::detected_fma();
+        let step = |acc: f64, f: f64, x: f64| {
+            if fma {
+                (-f).mul_add(x, acc)
+            } else {
+                acc - f * x
+            }
+        };
+        for (tag, band, dense) in tile_factorizations() {
+            let (n, w, _) = band.raw_parts();
+            let lu = |r: usize, c: usize| dense.lu[r * n + c];
+            let mut want = rhs(n);
+            for r in 1..n {
+                let mut acc = want[r];
+                for c in r.saturating_sub(w)..r {
+                    acc = step(acc, lu(r, c), want[c]);
+                }
+                want[r] = acc;
+            }
+            for r in (0..n).rev() {
+                let mut acc = want[r];
+                for c in (r + 1..(r + w + 1).min(n)).rev() {
+                    acc = step(acc, lu(r, c), want[c]);
+                }
+                want[r] = acc * (1.0 / lu(r, r));
+            }
+            for (k, (g, v)) in band.solve(&rhs(n)).iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), v.to_bits(), "{tag} fma={fma} row {k}");
+            }
+        }
+    }
+
+    #[test]
     fn band_lu_storage_is_the_band() {
+        let a = tile(8, 8, false).to_dense();
         let f = tile(8, 8, false).band_lu().expect("positive definite");
         let (n, w, band) = f.raw_parts();
         assert_eq!((n, w, band.len()), (64, 9, 19 * 64));
+        let at = |r: usize, c: usize| band[r * (2 * w + 1) + c + w - r];
+        // Row 0 of `U` is row 0 of `A`: its pivot stored as `1/a₀₀`, its
+        // couplings negated; row 1's multiplier is `−a₁₀/a₀₀`.
+        assert_eq!(at(0, 0).to_bits(), (1.0 / a.get(0, 0)).to_bits());
+        for c in 1..=w {
+            assert_eq!(at(0, c).to_bits(), (-a.get(0, c)).to_bits(), "(0,{c})");
+        }
+        assert_eq!(at(1, 0).to_bits(), (-(a.get(1, 0) / a.get(0, 0))).to_bits());
+        // Slots outside the matrix hold `+0.0`.
+        for k in 0..w {
+            assert_eq!(band[k].to_bits(), 0.0f64.to_bits(), "row 0 slot {k}");
+            assert_eq!(band[band.len() - 1 - k].to_bits(), 0.0f64.to_bits());
+        }
         // A half-width beyond the matrix is clamped, not over-allocated.
         let f = tile(1, 5, false).to_dense().band_lu(40).expect("ok");
         assert_eq!(f.raw_parts().1, 4);

@@ -208,13 +208,13 @@ impl MgLevel {
     }
 
     /// `r = rhs − A_level x` over the active interior, via the pinned
-    /// residual kernels (the local norm they return is discarded — the
-    /// V-cycle needs no reduction here). Land entries of `r` receive the
-    /// pass-through `rhs` value; every consumer masks them out. `x`'s halo
-    /// must be zero; `rhs` and `r` must share the level's padded layout.
+    /// residual kernel without its norm fold (the V-cycle needs no
+    /// reduction here). Land entries of `r` receive the pass-through `rhs`
+    /// value; every consumer masks them out. `x`'s halo must be zero; `rhs`
+    /// and `r` must share the level's padded layout.
     pub fn residual_into(&self, mode: SimdMode, x: &BlockVec, rhs: &BlockVec, r: &mut BlockVec) {
         let blk = self.stencil_block(x, &[("rhs", rhs), ("r", r)]);
-        let _ = simd::residual(
+        simd::residual::<false>(
             mode,
             &blk,
             rhs.raw(),

@@ -23,7 +23,8 @@
 //!
 //! Like the column-lane kernels of `crate::simd`, the sweep is written once
 //! (`MultiSweep`, a [`LaneJob`]) and what becomes of a lane group's masked
-//! `A·x` is its `MultiEpilogue`: `Store` or `Residual`.
+//! `A·x` is its `MultiEpilogue`: `Store` or `Residual` — the latter with or
+//! without its `‖r‖²` folds, a compile-time choice (`Residual<NORM>`).
 //!
 //! # The group count is a type parameter
 //!
@@ -132,28 +133,34 @@ struct Store;
 
 impl MultiEpilogue for Store {}
 
-/// `r_b = rhs_b − A x_b`, plus the per-RHS masked `‖r‖²` partials. Masking
-/// `A·x` before the subtraction makes land produce `rhs − 0.0`, exactly the
-/// reference's land branch; land adds a masked `+0.0` to the sums (bitwise
-/// neutral — see the module docs).
-struct Residual<'a> {
+/// `r_b = rhs_b − A x_b`, plus the per-RHS masked `‖r‖²` partials when
+/// `NORM` (a sweep whose norms nobody reads skips the fold, not the
+/// residual). Masking `A·x` before the subtraction makes land produce
+/// `rhs − 0.0`, exactly the reference's land branch; land adds a masked
+/// `+0.0` to the sums (bitwise neutral — see the module docs).
+struct Residual<'a, const NORM: bool> {
     rhs: &'a [f64],
-    /// `groups · LANES` slots (asserted where the job is built).
+    /// `groups · LANES` slots when `NORM` (asserted where the job is built).
     partials: &'a mut [f64],
 }
 
-impl MultiEpilogue for Residual<'_> {
+impl<const NORM: bool> MultiEpilogue for Residual<'_, NORM> {
     #[inline(always)]
     unsafe fn lanes<V: LaneF64>(&self, xb: usize, ax: V, m: V, acc: &mut V) -> V {
         debug_assert!(xb + LANES <= self.rhs.len());
         // SAFETY: in bounds by this function's contract.
         let rv = V::load(self.rhs.as_ptr().add(xb)).sub(ax);
-        *acc = acc.add(rv.mul(rv).and_bits(m));
+        if NORM {
+            *acc = acc.add(rv.mul(rv).and_bits(m));
+        }
         rv
     }
 
     #[inline(always)]
     unsafe fn partials<V: LaneF64>(&mut self, acc: &[V]) {
+        if !NORM {
+            return;
+        }
         for (slots, a) in self.partials.chunks_exact_mut(LANES).zip(acc) {
             // SAFETY: `slots` is `LANES` long.
             a.store(slots.as_mut_ptr());
@@ -305,15 +312,42 @@ impl NinePoint {
         r: &mut MultiBlockVec,
         partials: &mut [f64],
     ) {
-        let blk = self.multi_block(b, x, &[("rhs", rhs), ("r", r)]);
-        let groups = x.groups();
-        assert!(partials.len() >= groups * LANES, "partials slice too short");
+        assert!(
+            partials.len() >= x.groups() * LANES,
+            "partials slice too short"
+        );
+        self.residual_multi::<true>(mode, b, x, rhs, r, partials);
+    }
+
+    /// [`NinePoint::residual_block_multi`] without the `‖r‖²` folds, for a
+    /// sweep whose norms nobody reads: the same kernel writing the same `r`
+    /// bits.
+    pub fn residual_block_multi_no_norm(
+        &self,
+        b: usize,
+        x: &MultiBlockVec,
+        rhs: &MultiBlockVec,
+        r: &mut MultiBlockVec,
+    ) {
+        self.residual_multi::<false>(pop_simd::mode(), b, x, rhs, r, &mut []);
+    }
+
+    /// The batched residual, its `‖r‖²` partials folded when `NORM`.
+    fn residual_multi<const NORM: bool>(
+        &self,
+        mode: SimdMode,
+        b: usize,
+        x: &MultiBlockVec,
+        rhs: &MultiBlockVec,
+        r: &mut MultiBlockVec,
+        partials: &mut [f64],
+    ) {
         let job = MultiSweep {
-            blk,
-            groups,
+            blk: self.multi_block(b, x, &[("rhs", rhs), ("r", r)]),
+            groups: x.groups(),
             maskbits: &self.layout.maskbits[b],
             out: r.raw_mut(),
-            epi: Residual {
+            epi: Residual::<NORM> {
                 rhs: rhs.raw(),
                 partials,
             },
@@ -370,6 +404,46 @@ mod tests {
         let mut mr = mx.clone();
         let mut partials = [0.0; 2 * LANES - 1];
         op.residual_block_multi(0, &mx, &mx, &mut mr, &mut partials);
+    }
+
+    /// The batched residual without its norm folds writes exactly the
+    /// residual the folding sweep writes — odd-block family, every
+    /// lane-group count, both lane types.
+    #[test]
+    fn no_norm_residual_matches_the_folding_residual_at_every_group_count() {
+        let bits = |v: &MultiBlockVec| v.raw().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (name, layout, _, op) in odd_block_cases() {
+            let lanes = MAX_GROUPS * LANES;
+            let xs: Vec<DistVec> = (0..lanes as u64)
+                .map(|s| test_field(&layout, 300 + s))
+                .collect();
+            let rhss: Vec<DistVec> = (0..lanes as u64)
+                .map(|s| test_field(&layout, 400 + s))
+                .collect();
+            for (b, groups) in
+                (0..layout.n_blocks()).flat_map(|b| (1..=MAX_GROUPS).map(move |g| (b, g)))
+            {
+                let shape = &xs[0].blocks[b];
+                let tile = || MultiBlockVec::zeros(shape.nx, shape.ny, shape.halo, groups);
+                let (mut mx, mut mrhs) = (tile(), tile());
+                for l in 0..groups * LANES {
+                    mx.load_lane(l / LANES, l % LANES, &xs[l].blocks[b]);
+                    mrhs.load_lane(l / LANES, l % LANES, &rhss[l].blocks[b]);
+                }
+                for mode in all_modes() {
+                    let mut want = tile();
+                    want.fill(f64::NAN);
+                    let mut got = want.clone();
+                    let mut partials = vec![0.0; groups * LANES];
+                    op.residual_block_multi_mode(mode, b, &mx, &mrhs, &mut want, &mut partials);
+                    op.residual_multi::<false>(mode, b, &mx, &mrhs, &mut got, &mut []);
+                    assert!(
+                        bits(&got) == bits(&want),
+                        "{name} block {b} groups {groups} {mode:?}"
+                    );
+                }
+            }
+        }
     }
 
     /// Batched apply and residual reproduce, lane for lane, the references'

@@ -284,8 +284,35 @@ impl NinePoint {
         r: &mut BlockVec,
         mask: &[u8],
     ) -> f64 {
+        self.residual_block::<true>(mode, b, x, rhs, r, mask)
+    }
+
+    /// [`NinePoint::residual_block_into`] without the `‖r‖²` fold, for a
+    /// sweep whose norm nobody reads: the same kernel writing the same `r`
+    /// bits.
+    pub fn residual_block_no_norm_into(
+        &self,
+        b: usize,
+        x: &BlockVec,
+        rhs: &BlockVec,
+        r: &mut BlockVec,
+        mask: &[u8],
+    ) {
+        self.residual_block::<false>(pop_simd::mode(), b, x, rhs, r, mask);
+    }
+
+    /// The fused residual, its `‖r‖²` partial folded when `NORM`.
+    fn residual_block<const NORM: bool>(
+        &self,
+        mode: SimdMode,
+        b: usize,
+        x: &BlockVec,
+        rhs: &BlockVec,
+        r: &mut BlockVec,
+        mask: &[u8],
+    ) -> f64 {
         let blk = self.stencil_block(b, x, &[("rhs", rhs), ("r", r)], mask);
-        simd::residual(
+        simd::residual::<NORM>(
             mode,
             &blk,
             rhs.raw(),
@@ -703,6 +730,31 @@ pub(crate) mod tests {
                     let acc = op.residual_block_into_mode(mode, b, xb, rhsb, &mut r, mask);
                     assert_rows_bitwise(&r, r_want, &format!("{tag} residual"));
                     assert_eq!(acc.to_bits(), acc_want.to_bits(), "{tag} norm partial");
+                }
+            }
+        }
+    }
+
+    /// The residual without its norm fold writes exactly the residual the
+    /// folding sweep writes, on both lane types.
+    #[test]
+    fn no_norm_residual_matches_the_folding_residual_on_odd_blocks() {
+        for (name, layout, world, op) in odd_block_cases() {
+            let mut x = test_field(&layout, 23);
+            let rhs = test_field(&layout, 24);
+            world.halo_update(&mut x);
+            for b in 0..layout.n_blocks() {
+                let mask = &layout.masks[b];
+                let (xb, rhsb) = (&x.blocks[b], &rhs.blocks[b]);
+                let mut poisoned = BlockVec::zeros(xb.nx, xb.ny, xb.halo);
+                poisoned.fill(f64::NAN);
+                poisoned.zero_halo();
+                for mode in all_modes() {
+                    let mut want = poisoned.clone();
+                    op.residual_block_into_mode(mode, b, xb, rhsb, &mut want, mask);
+                    let mut got = poisoned.clone();
+                    op.residual_block::<false>(mode, b, xb, rhsb, &mut got, mask);
+                    assert_rows_bitwise(&got, &want, &format!("{name} block {b} {mode:?}"));
                 }
             }
         }

@@ -18,7 +18,9 @@
 //! The residual's masked `‖r‖²` partial and the two dot-product partials of
 //! the apply-with-dots variant are order-sensitive running sums; they stay
 //! scalar row-major chains — folded in right behind each lane group's
-//! store — so no reduction ever depends on dispatch.
+//! store — so no reduction ever depends on dispatch. Whether the residual
+//! folds its norm at all is a compile-time choice (`Residual<NORM>`): a
+//! sweep whose norm nobody reads runs the same body without the fold.
 
 use pop_comm::tile::extent;
 use pop_comm::{BlockVec, MultiBlockVec};
@@ -317,16 +319,17 @@ impl Epilogue for StoreDots<'_> {
     }
 }
 
-/// `r = rhs − A x`, plus the masked `‖r‖²`. Masking `A·x` before the
+/// `r = rhs − A x`, plus the masked `‖r‖²` when `NORM` (a sweep whose norm
+/// nobody reads skips the fold, not the residual). Masking `A·x` before the
 /// subtraction makes land produce `rhs − 0.0`, exactly the reference's land
 /// branch.
-struct Residual<'a> {
+struct Residual<'a, const NORM: bool> {
     rhs: &'a [f64],
     mask: &'a [u8],
     acc: f64,
 }
 
-impl Epilogue for Residual<'_> {
+impl<const NORM: bool> Epilogue for Residual<'_, NORM> {
     #[inline(always)]
     unsafe fn lanes<V: LaneF64>(&self, at: usize, ax: V) -> V {
         debug_assert!(at + LANES <= self.rhs.len());
@@ -343,7 +346,7 @@ impl Epilogue for Residual<'_> {
     unsafe fn fold(&mut self, r: &[f64], at: usize, p: usize, _x: impl FnOnce() -> f64) {
         debug_assert!(p < self.mask.len() && at < r.len());
         // SAFETY: as in `StoreDots::fold`.
-        if *self.mask.get_unchecked(p) != 0 {
+        if NORM && *self.mask.get_unchecked(p) != 0 {
             let rv = *r.get_unchecked(at);
             self.acc += rv * rv;
         }
@@ -442,8 +445,8 @@ pub(crate) fn apply_dots(
 }
 
 /// `r = rhs − A x` over the block's interior, plus the masked `‖r‖²`
-/// partial.
-pub(crate) fn residual(
+/// partial when `NORM` (`0.0` otherwise).
+pub(crate) fn residual<const NORM: bool>(
     mode: SimdMode,
     blk: &StencilBlock,
     rhs: &[f64],
@@ -452,7 +455,7 @@ pub(crate) fn residual(
     maskbits: &[f64],
 ) -> f64 {
     let (out, acc) = (rr, 0.0);
-    let epi = Residual { rhs, mask, acc };
+    let epi = Residual::<NORM> { rhs, mask, acc };
     pop_simd::dispatch(
         mode,
         Sweep {
