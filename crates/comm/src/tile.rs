@@ -14,7 +14,9 @@
 //! a rank runtime's message, it addresses from the layout's plan.
 //!
 //! Every tile, and the plan that addresses tiles, sizes its storage from
-//! one rule: [`extent`].
+//! one rule: [`extent`]. With a tile's [`Tile::shape`] and its point width
+//! that rule locates every row of every lane-group image, which is all a
+//! pointwise kernel over both tile types needs.
 
 use crate::blockvec::BlockVec;
 use crate::multivec::MultiBlockVec;
@@ -40,7 +42,13 @@ pub trait Tile: Clone + Send + Sync {
     /// `p` of lane-group image `g` is `(g * image_points + p) * POINT_WIDTH`.
     const POINT_WIDTH: usize;
 
+    /// `(nx, ny, halo)`: the interior extent and the ring width.
+    fn shape(&self) -> (usize, usize, usize);
+
     /// The whole storage, every image, halo ring included.
+    fn raw(&self) -> &[f64];
+
+    /// Mutable [`Tile::raw`].
     fn raw_mut(&mut self) -> &mut [f64];
 
     /// Set every cell (interior and halo, every lane) to `v`.
@@ -49,6 +57,14 @@ pub trait Tile: Clone + Send + Sync {
 
 impl Tile for BlockVec {
     const POINT_WIDTH: usize = 1;
+    #[inline]
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.nx, self.ny, self.halo)
+    }
+    #[inline]
+    fn raw(&self) -> &[f64] {
+        BlockVec::raw(self)
+    }
     #[inline]
     fn raw_mut(&mut self) -> &mut [f64] {
         BlockVec::raw_mut(self)
@@ -66,6 +82,14 @@ impl Tile for BlockVec {
 
 impl Tile for MultiBlockVec {
     const POINT_WIDTH: usize = LANES;
+    #[inline]
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.nx, self.ny, self.halo)
+    }
+    #[inline]
+    fn raw(&self) -> &[f64] {
+        MultiBlockVec::raw(self)
+    }
     #[inline]
     fn raw_mut(&mut self) -> &mut [f64] {
         MultiBlockVec::raw_mut(self)

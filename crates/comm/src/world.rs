@@ -36,10 +36,10 @@ pub(crate) struct SendPtr<T>(pub(crate) *mut T);
 // SAFETY: a `SendPtr` only carries an address across threads; every
 // dereference is an `unsafe` site of its own with its own argument. Each
 // constructor takes the pointer from a `&mut` borrow that outlives every
-// task it is handed to (`for_each_block`, the sweeps and `dot_many` block on
-// the pool until all indices are done; an `Exchange` borrows its tiles for
-// its lifetime), and the tasks write disjoint elements — one per claimed
-// index, or one ring per block — so sharing the address races on nothing.
+// task it is handed to (`for_each_block` and the sweeps block on the pool
+// until all indices are done; an `Exchange` borrows its tiles for its
+// lifetime), and the tasks write disjoint elements — one per claimed index,
+// or one ring per block — so sharing the address races on nothing.
 // `T: Send` because those tasks write (and so take over) `T`s on other
 // threads.
 unsafe impl<T: Send> Send for SendPtr<T> {}
@@ -145,12 +145,9 @@ impl StatsSnapshot {
 pub struct CommWorld {
     pub policy: ExecPolicy,
     stats: CommStats,
-    /// Reusable per-block partial-reduction slots for fused sweeps, so
-    /// steady-state solver iterations allocate nothing.
+    /// Reusable per-block partial-reduction slots for fused sweeps and
+    /// `dot_many`, so steady-state solver iterations allocate nothing.
     sweep_scratch: Mutex<Vec<SweepPartials>>,
-    /// Reusable flat per-block partials for the unfused `dot_many` path,
-    /// matching the zero-alloc discipline of the sweeps.
-    partials_scratch: Mutex<Vec<f64>>,
 }
 
 impl CommWorld {
@@ -159,7 +156,6 @@ impl CommWorld {
             policy,
             stats: CommStats::default(),
             sweep_scratch: Mutex::new(Vec::new()),
-            partials_scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -215,60 +211,29 @@ impl CommWorld {
         }
     }
 
+    /// Run `f(i)` once for every `i` in `0..n`: in order under
+    /// [`ExecPolicy::Serial`], as pool tasks under [`ExecPolicy::Threaded`].
+    /// The one place the policy is read for block work.
+    fn each<F: Fn(usize) + Sync>(&self, n: usize, f: F) {
+        match self.policy {
+            ExecPolicy::Serial => (0..n).for_each(f),
+            ExecPolicy::Threaded => pool::global().run_indexed(n, &f),
+        }
+    }
+
     /// Run `f` over an indexed mutable slice, serially or on the pool.
     pub fn for_each_block<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
-        match self.policy {
-            ExecPolicy::Serial => {
-                for (k, it) in items.iter_mut().enumerate() {
-                    f(k, it);
-                }
-            }
-            ExecPolicy::Threaded => {
-                let base = SendPtr(items.as_mut_ptr());
-                pool::global().run_indexed(items.len(), &|k| {
-                    // SAFETY: the pool claims each index exactly once, so
-                    // every task gets a disjoint element.
-                    let it = unsafe { &mut *base.get().add(k) };
-                    f(k, it);
-                });
-            }
-        }
-    }
-
-    /// Run a per-block partial-reduction kernel over `0..n`, writing each
-    /// block's partials into the reusable scratch row for that block, then
-    /// combine the rows **in block order**. This fixed combine order is what
-    /// keeps fused reductions bit-identical between the serial and threaded
-    /// backends. Allocation-free once the scratch has grown to `n` rows.
-    fn sweep_reduce<F>(&self, n: usize, f: F) -> SweepPartials
-    where
-        F: Fn(usize) -> SweepPartials + Sync,
-    {
-        let mut partials = self.sweep_scratch.lock().expect("sweep scratch poisoned");
-        if partials.len() != n {
-            partials.clear();
-            partials.resize(n, [0.0; MAX_SWEEP_PARTIALS]);
-        }
-        let base = SendPtr(partials.as_mut_ptr());
-        let run = |b: usize| {
-            // SAFETY: disjoint row per claimed index.
-            unsafe { *base.get().add(b) = f(b) };
-        };
-        match self.policy {
-            ExecPolicy::Serial => (0..n).for_each(run),
-            ExecPolicy::Threaded => pool::global().run_indexed(n, &run),
-        }
-        let mut acc = [0.0; MAX_SWEEP_PARTIALS];
-        for row in partials.iter() {
-            for (a, v) in acc.iter_mut().zip(row) {
-                *a += *v;
-            }
-        }
-        acc
+        let base = SendPtr(items.as_mut_ptr());
+        self.each(items.len(), |k| {
+            // SAFETY: `each` runs each index exactly once, so every call
+            // gets a disjoint element.
+            let it = unsafe { &mut *base.get().add(k) };
+            f(k, it);
+        });
     }
 
     /// The fused execution primitive: walk all blocks **once**, handing the
@@ -304,7 +269,7 @@ impl CommWorld {
         // borrow checker, so per-block tiles never alias across operands.
         let bases: [SendPtr<T>; M] = muts.map(|v| SendPtr(v.blocks.as_mut_ptr()));
         let kernel = &kernel;
-        self.sweep_reduce(n, move |b| {
+        self.reduce_blocks_fused(n, move |b| {
             // SAFETY: disjoint block index per task; disjoint vectors per
             // the borrow argument above.
             let mut tiles: [&mut T; M] =
@@ -313,14 +278,33 @@ impl CommWorld {
         })
     }
 
-    /// Read-only fused sweep over `0..n` blocks: per-block partials combined
-    /// in block order. Same accounting rules as
-    /// [`CommWorld::for_each_block_fused`].
+    /// Read-only fused sweep over `0..n` blocks: each block's partials go
+    /// into the reusable scratch row for that block, and the rows are then
+    /// combined **in block order**. This fixed combine order is what keeps
+    /// fused reductions bit-identical between the serial and threaded
+    /// backends. Allocation-free once the scratch has grown to `n` rows.
+    /// Same accounting rules as [`CommWorld::for_each_block_fused`].
     pub fn reduce_blocks_fused<F>(&self, n: usize, f: F) -> SweepPartials
     where
         F: Fn(usize) -> SweepPartials + Sync,
     {
-        self.sweep_reduce(n, f)
+        let mut partials = self.sweep_scratch.lock().expect("sweep scratch poisoned");
+        if partials.len() != n {
+            partials.clear();
+            partials.resize(n, [0.0; MAX_SWEEP_PARTIALS]);
+        }
+        let base = SendPtr(partials.as_mut_ptr());
+        self.each(n, |b| {
+            // SAFETY: `each` runs each index exactly once: a disjoint row.
+            unsafe { *base.get().add(b) = f(b) };
+        });
+        let mut acc = [0.0; MAX_SWEEP_PARTIALS];
+        for row in partials.iter() {
+            for (a, v) in acc.iter_mut().zip(row) {
+                *a += *v;
+            }
+        }
+        acc
     }
 
     /// Record one allreduce of `scalars` values whose arithmetic was carried
@@ -368,7 +352,11 @@ impl CommWorld {
         for (b, tile) in v.blocks.iter_mut().enumerate() {
             exchange.push(b, tile.raw_mut());
         }
-        self.run_exchange(&exchange, n);
+        self.each(n, |b| {
+            // SAFETY: `each` runs each block index exactly once, so no two
+            // calls write the same ring.
+            unsafe { exchange.run_block_shared(b) }
+        });
         self.stats.halo_updates.fetch_add(1, Ordering::Relaxed);
         self.stats
             .halo_messages
@@ -378,55 +366,26 @@ impl CommWorld {
             .fetch_add(plan.bytes(v.width), Ordering::Relaxed);
     }
 
-    /// Run blocks `0..n` of an exchange that holds every tile.
-    fn run_exchange(&self, exchange: &Exchange, n: usize) {
-        let run = |b: usize| {
-            // SAFETY: each block index runs exactly once, serially or as one
-            // pool task, so no two calls write the same ring.
-            unsafe { exchange.run_block_shared(b) }
-        };
-        match self.policy {
-            ExecPolicy::Serial => (0..n).for_each(run),
-            ExecPolicy::Threaded => pool::global().run_indexed(n, &run),
-        }
-    }
-
     /// Masked global dot products of several vector pairs, fused into a
     /// *single* recorded allreduce. ChronGear's step 9 fuses exactly two
     /// (`ρ̃`, `δ̃`); the convergence check uses one.
     pub fn dot_many(&self, pairs: &[(&DistVec, &DistVec)]) -> Vec<f64> {
-        assert!(!pairs.is_empty(), "no dot products requested");
-        let n = pairs[0].0.layout.n_blocks();
         let k = pairs.len();
-        let mut partials = self
-            .partials_scratch
-            .lock()
-            .expect("partials scratch poisoned");
-        partials.clear();
-        partials.resize(n * k, 0.0);
-        {
-            let base = SendPtr(partials.as_mut_ptr());
-            let run = |b: usize| {
-                // SAFETY: disjoint k-wide row per claimed block index.
-                let row = unsafe { std::slice::from_raw_parts_mut(base.get().add(b * k), k) };
-                for (slot, (x, y)) in row.iter_mut().zip(pairs) {
-                    *slot = x.block_dot(y, b);
-                }
-            };
-            match self.policy {
-                ExecPolicy::Serial => (0..n).for_each(run),
-                ExecPolicy::Threaded => pool::global().run_indexed(n, &run),
+        assert!(k > 0, "no dot products requested");
+        assert!(
+            k <= MAX_SWEEP_PARTIALS,
+            "more dot products than sweep partials"
+        );
+        let n = pairs[0].0.layout.n_blocks();
+        let acc = self.reduce_blocks_fused(n, |b| {
+            let mut p = [0.0; MAX_SWEEP_PARTIALS];
+            for (slot, (x, y)) in p.iter_mut().zip(pairs) {
+                *slot = x.block_dot(y, b);
             }
-        }
-        // Combine in block order: deterministic under both policies.
-        let mut out = vec![0.0; k];
-        for b in 0..n {
-            for (o, v) in out.iter_mut().zip(&partials[b * k..(b + 1) * k]) {
-                *o += v;
-            }
-        }
+            p
+        });
         self.record_allreduce(k as u64);
-        out
+        acc[..k].to_vec()
     }
 
     /// Masked global dot product (one allreduce).

@@ -30,7 +30,7 @@ pub struct BlockLu {
 }
 
 impl BlockLu {
-    /// Build with the same tiling and regularization pipeline as
+    /// Build with the same tiling and the same raw tile submatrices as
     /// [`super::BlockEvp::new`], so both preconditioners represent the *same*
     /// matrix `M` and produce identical iteration counts.
     pub fn new(op: &NinePoint, tile_size: usize, reduced: bool) -> Self {

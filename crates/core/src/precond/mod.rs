@@ -10,7 +10,6 @@ mod diagonal;
 mod evp;
 mod evp_multi;
 mod mg;
-mod regularize;
 mod tiling;
 
 pub use blocklu::BlockLu;
@@ -18,7 +17,6 @@ pub use diagonal::{Diagonal, Identity};
 pub use evp::{BlockEvp, EvpSubBlock, TileCensus, TileCount};
 pub use evp_multi::EvpScratch;
 pub use mg::{BlockMg, MgConfig};
-pub use regularize::regularize;
 pub use tiling::{tile_block, Tile};
 
 use pop_comm::{BlockVec, CommWorld, DistVec, MultiBlockVec};

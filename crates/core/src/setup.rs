@@ -151,8 +151,8 @@ pub enum PrecondSpec {
     Evp,
     /// Unpreconditioned (ablation).
     Identity,
-    /// Dense block-LU ablation (tile cap 8, regularized) — same block
-    /// structure as EVP, O(n⁴) setup reference.
+    /// Block-LU ablation (tile cap 8): a band LU of each tile's raw
+    /// submatrix — the same block structure as EVP, solved directly.
     BlockLu,
     /// Geometric multigrid V-cycle with default tuning
     /// ([`BlockMg::with_defaults`], DESIGN.md §15).

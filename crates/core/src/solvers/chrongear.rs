@@ -8,6 +8,7 @@
 //! Figure 2 — and what P-CSI removes.
 
 use super::control::copy_vec;
+use super::kernels::{update, ChronGearUpdate};
 use super::{
     residual_sweep, rhs_norm, Control, LinearSolver, Recurrence, SolveCtl, SolveStats,
     SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH, ZEROS,
@@ -222,7 +223,8 @@ impl Recurrence for ChronGear {
             let u_sweep = comm.for_each_block_fused(
                 [&mut *s, &mut *p, &mut *x, &mut *r, &mut *z],
                 |bk, [sb, pb, xb, rb, zb]| {
-                    T::chrongear_update(zb, az.block(bk), sb, pb, xb, rb, bv, av, nav);
+                    let read = [&**zb, az.block(bk)];
+                    update(ChronGearUpdate, read, [sb, pb, xb, rb], [bv, av, nav]);
                     let mut pt = ZEROS;
                     if norm_wanted {
                         T::dot(rb, rb, &masks[bk], &mut pt);

@@ -13,6 +13,7 @@
 //! the paper measures and the reproduction tracks.
 
 use super::control::copy_vec;
+use super::kernels::{update, CsiStart, CsiUpdate};
 use super::{
     residual_sweep, rhs_norm, Control, LinearSolver, Recurrence, SolveCtl, SolveStats,
     SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH, ZEROS,
@@ -172,7 +173,7 @@ impl Pcsi {
         // Δx₀ = γ⁻¹ M⁻¹ r₀ ; x₁ = x₀ + Δx₀, fused into one sweep.
         comm.for_each_block_fused([z, dx, &mut *x], |bk, [zb, dxb, xb]| {
             T::precond(pre, bk, r.block(bk), zb);
-            T::csi_start(zb, dxb, xb, inv_gamma);
+            update(CsiStart, [&**zb], [dxb, xb], [&[inv_gamma; MAX_BATCH]]);
             ZEROS
         });
 
@@ -246,14 +247,14 @@ impl Recurrence for Pcsi {
                     |bk, [xb, rb, zb, dxb]| {
                         T::residual_no_norm(op, bk, xb, b.block(bk), rb);
                         T::precond(pre, bk, rb, zb);
-                        T::csi_update(zb, dxb, xb, om, cs);
+                        update(CsiUpdate, [&**zb], [dxb, xb], [om, cs]);
                         ZEROS
                     },
                 );
             } else {
                 comm.for_each_block_fused([&mut *z, &mut *dx, &mut *x], |bk, [zb, dxb, xb]| {
                     T::precond(pre, bk, r.block(bk), zb);
-                    T::csi_update(zb, dxb, xb, om, cs);
+                    update(CsiUpdate, [&**zb], [dxb, xb], [om, cs]);
                     ZEROS
                 });
             }

@@ -1,19 +1,26 @@
-//! The per-block kernels of the solver recurrences, once per tile type.
+//! The per-block kernels of the solver recurrences.
 //!
 //! Each recurrence (`csi.rs`, `chrongear.rs`, `pcg.rs`, `pipecg.rs`) is one
 //! loop generic over `T: TileKernels`, instantiated on [`BlockVec`] for one
-//! right-hand side and on [`MultiBlockVec`] for a `k`-wide batch. Everything
-//! that differs between the two widths lives behind this trait: the stencil
-//! and preconditioner calls, the masked dot products, the pointwise vector
-//! updates, and the lane plumbing of per-RHS control (copy, finite check,
-//! gather, scatter of one lane — the whole tile for a [`BlockVec`]).
-//! This is the only solver module that names a lane kernel.
+//! right-hand side and on [`MultiBlockVec`] for a `k`-wide batch. What
+//! differs between the two widths lives behind this trait: the stencil and
+//! preconditioner calls, the masked dot products, and the lane plumbing of
+//! per-RHS control (copy, finite check, gather, scatter of one lane — the
+//! whole tile for a [`BlockVec`]). This is the only solver module that names
+//! a lane kernel.
 //!
-//! Both families stay: the point-vectorised kernels are the faster ones for
-//! one right-hand side, the lane-vectorised ones for a batch. Every lane
-//! kernel repeats the point kernel's exact per-point operation order in each
-//! lane, with per-lane scalars, which is what keeps every lane of a batch
-//! bitwise on its single-RHS trajectory (`tests/batch_equivalence.rs`).
+//! The stencil, preconditioner and dot calls stay two families: the
+//! point-vectorised kernels are the faster ones for one right-hand side, the
+//! lane-vectorised ones for a batch. Every lane kernel repeats the point
+//! kernel's exact per-point operation order in each lane, with per-lane
+//! scalars, which is what keeps every lane of a batch bitwise on its
+//! single-RHS trajectory (`tests/batch_equivalence.rs`).
+//!
+//! The pointwise vector updates are one family. A [`BlockVec`] interior row
+//! is `nx` contiguous values sharing one scalar; a [`MultiBlockVec`] lane
+//! row is `nx · LANES` contiguous values whose scalars repeat every `LANES`
+//! values. So each update is one [`Update`] body over `LANES`-wide vectors,
+//! and [`update`] runs it over every interior row of either tile type.
 //!
 //! # Widths and scalars
 //!
@@ -25,12 +32,15 @@
 //! lane's partials.
 
 use crate::precond::Preconditioner;
+use pop_comm::tile::extent;
 use pop_comm::{masked_block_dot, masked_dot_multi, BlockVec, MultiBlockVec, Tile};
-use pop_simd::{LaneF64, LaneJob, LANES};
+use pop_simd::{LaneF64, LaneJob, LANES, MASK_LAND, MASK_OCEAN};
 use pop_stencil::NinePoint;
+use std::marker::PhantomData;
 
-/// What a solver recurrence does to one block of one tile type. See the
-/// [module docs](self) for the width and partial-band conventions.
+/// What a solver recurrence does to one block of one tile type, where the
+/// two widths differ. See the [module docs](self) for the width and
+/// partial-band conventions.
 pub(crate) trait TileKernels: Tile {
     /// `r = b − A x` over block `bk`'s interior, `‖r‖²` per lane in
     /// `out[..w]`. `x`'s halo must be current.
@@ -53,55 +63,6 @@ pub(crate) trait TileKernels: Tile {
     /// Masked `aᵀb` per lane into `out[..w]`, in row-major ocean-point
     /// order (the canonical per-block partial).
     fn dot(a: &Self, b: &Self, mask: &[u8], out: &mut [f64]);
-
-    /// P-CSI's start: `d = γ⁻¹ z ; Δx = d ; x += d`.
-    fn csi_start(z: &Self, dx: &mut Self, x: &mut Self, inv_gamma: f64);
-
-    /// P-CSI's update: `d = c·Δx + ω·z ; Δx = d ; x += d`.
-    fn csi_update(z: &Self, dx: &mut Self, x: &mut Self, omega: &[f64], c: &[f64]);
-
-    /// ChronGear's four recurrences:
-    /// `s = z + βs ; p = Az + βp ; x += αs ; r += (−α)p`.
-    #[allow(clippy::too_many_arguments)]
-    fn chrongear_update(
-        z: &Self,
-        az: &Self,
-        s: &mut Self,
-        p: &mut Self,
-        x: &mut Self,
-        r: &mut Self,
-        beta: &[f64],
-        alpha: &[f64],
-        nalpha: &[f64],
-    );
-
-    /// Classic PCG's iterate update: `x += αp ; r += (−α)Ap`.
-    fn pcg_update(p: &Self, ap: &Self, x: &mut Self, r: &mut Self, alpha: &[f64], nalpha: &[f64]);
-
-    /// Classic PCG's direction update: `p = z + βp`.
-    fn pcg_direction(z: &Self, p: &mut Self, beta: &[f64]);
-
-    /// PipeCG's eight recurrences. The direction updates read the *old*
-    /// `w` and `u` of the point, which are written only afterwards.
-    #[allow(clippy::too_many_arguments)]
-    fn pipecg_update(
-        n: &Self,
-        m: &Self,
-        z: &mut Self,
-        q: &mut Self,
-        s: &mut Self,
-        p: &mut Self,
-        x: &mut Self,
-        r: &mut Self,
-        u: &mut Self,
-        w: &mut Self,
-        beta: &[f64],
-        alpha: &[f64],
-        nalpha: &[f64],
-    );
-
-    /// The whole storage, read-only.
-    fn raw(&self) -> &[f64];
 
     /// Copy lane `slot` of `src` into `dst` (interior and halo).
     fn lane_copy(src: &Self, dst: &mut Self, slot: usize);
@@ -152,142 +113,6 @@ impl TileKernels for BlockVec {
         out[0] = masked_block_dot(a, b, mask);
     }
 
-    fn csi_start(z: &Self, dx: &mut Self, x: &mut Self, inv_gamma: f64) {
-        for j in 0..dx.ny {
-            let zr = z.interior_row(j);
-            let dxr = dx.interior_row_mut(j);
-            let xr = x.interior_row_mut(j);
-            for i in 0..dxr.len() {
-                let d = zr[i] * inv_gamma;
-                dxr[i] = d;
-                xr[i] += d;
-            }
-        }
-    }
-
-    fn csi_update(z: &Self, dx: &mut Self, x: &mut Self, omega: &[f64], c: &[f64]) {
-        let (omega, c) = (omega[0], c[0]);
-        for j in 0..dx.ny {
-            let zr = z.interior_row(j);
-            let dxr = dx.interior_row_mut(j);
-            let xr = x.interior_row_mut(j);
-            for i in 0..dxr.len() {
-                let d = dxr[i] * c + omega * zr[i];
-                dxr[i] = d;
-                xr[i] += d;
-            }
-        }
-    }
-
-    fn chrongear_update(
-        z: &Self,
-        az: &Self,
-        s: &mut Self,
-        p: &mut Self,
-        x: &mut Self,
-        r: &mut Self,
-        beta: &[f64],
-        alpha: &[f64],
-        nalpha: &[f64],
-    ) {
-        let (beta, alpha, nalpha) = (beta[0], alpha[0], nalpha[0]);
-        let nx = s.nx;
-        for j in 0..s.ny {
-            // One length for all six rows, so the loop is free of bounds
-            // checks and vectorises.
-            let zr = &z.interior_row(j)[..nx];
-            let azr = &az.interior_row(j)[..nx];
-            let sr = &mut s.interior_row_mut(j)[..nx];
-            let pr = &mut p.interior_row_mut(j)[..nx];
-            let xr = &mut x.interior_row_mut(j)[..nx];
-            let rr = &mut r.interior_row_mut(j)[..nx];
-            for i in 0..nx {
-                let sv = zr[i] + beta * sr[i];
-                let pv = azr[i] + beta * pr[i];
-                sr[i] = sv;
-                pr[i] = pv;
-                xr[i] += alpha * sv;
-                rr[i] += nalpha * pv;
-            }
-        }
-    }
-
-    fn pcg_update(p: &Self, ap: &Self, x: &mut Self, r: &mut Self, alpha: &[f64], nalpha: &[f64]) {
-        let (alpha, nalpha) = (alpha[0], nalpha[0]);
-        let nx = x.nx;
-        for j in 0..x.ny {
-            let pr = p.interior_row(j);
-            let apr = ap.interior_row(j);
-            let xr = x.interior_row_mut(j);
-            let rr = r.interior_row_mut(j);
-            for i in 0..nx {
-                xr[i] += alpha * pr[i];
-                rr[i] += nalpha * apr[i];
-            }
-        }
-    }
-
-    fn pcg_direction(z: &Self, p: &mut Self, beta: &[f64]) {
-        let beta = beta[0];
-        for j in 0..p.ny {
-            let zr = z.interior_row(j);
-            let pr = p.interior_row_mut(j);
-            for i in 0..pr.len() {
-                pr[i] = zr[i] + beta * pr[i];
-            }
-        }
-    }
-
-    fn pipecg_update(
-        n: &Self,
-        m: &Self,
-        z: &mut Self,
-        q: &mut Self,
-        s: &mut Self,
-        p: &mut Self,
-        x: &mut Self,
-        r: &mut Self,
-        u: &mut Self,
-        w: &mut Self,
-        beta: &[f64],
-        alpha: &[f64],
-        nalpha: &[f64],
-    ) {
-        let (beta, alpha, nalpha) = (beta[0], alpha[0], nalpha[0]);
-        let nx = z.nx;
-        for j in 0..z.ny {
-            let nr = n.interior_row(j);
-            let mr = m.interior_row(j);
-            let zr = z.interior_row_mut(j);
-            let qr = q.interior_row_mut(j);
-            let sr = s.interior_row_mut(j);
-            let pr = p.interior_row_mut(j);
-            let xr = x.interior_row_mut(j);
-            let rr = r.interior_row_mut(j);
-            let ur = u.interior_row_mut(j);
-            let wr = w.interior_row_mut(j);
-            for i in 0..nx {
-                let zv = nr[i] + beta * zr[i];
-                let qv = mr[i] + beta * qr[i];
-                let sv = wr[i] + beta * sr[i];
-                let pv = ur[i] + beta * pr[i];
-                zr[i] = zv;
-                qr[i] = qv;
-                sr[i] = sv;
-                pr[i] = pv;
-                xr[i] += alpha * pv;
-                rr[i] += nalpha * sv;
-                ur[i] += nalpha * qv;
-                wr[i] += nalpha * zv;
-            }
-        }
-    }
-
-    #[inline]
-    fn raw(&self) -> &[f64] {
-        BlockVec::raw(self)
-    }
-
     fn lane_copy(src: &Self, dst: &mut Self, _slot: usize) {
         dst.raw_mut().copy_from_slice(src.raw());
     }
@@ -308,46 +133,6 @@ impl TileKernels for BlockVec {
 // ---------------------------------------------------------------------------
 // A batch: the lane-vectorised kernels
 // ---------------------------------------------------------------------------
-//
-// Each pointwise kernel repeats the point kernel's per-point operation order
-// in every lane, with per-lane scalars from slot arrays, over the tiles'
-// interior lane rows zipped point by point — or, for P-CSI's update, the
-// one that runs every iteration, as a lane job (`CsiUpdate`) on the
-// dispatched lane type. Plain `mul`/`add` either way: a lanewise
-// multiply-add chain has one possible operation sequence, so there is
-// nothing mode-dependent to mirror. Tiles of different shapes would zip
-// short, so the shapes are compared up front.
-// (One fused pass per point, not one pass per recurrence: a row at a time
-// through two-operand `y ← x + b·y` / `y ← y + a·x` updates was tried and
-// measured slower — EXPERIMENTS.md "PR 24".)
-
-/// Lane group `g`'s scalars out of a `slots`-long per-RHS array.
-#[inline]
-fn lane_scalars(a: &[f64], g: usize) -> [f64; LANES] {
-    std::array::from_fn(|l| a[g * LANES + l])
-}
-
-/// The points of interior row `j` of lane group `g`, `LANES` values each.
-#[inline]
-fn points(t: &MultiBlockVec, g: usize, j: usize) -> std::slice::ChunksExact<'_, f64> {
-    t.interior_lane_row(g, j).chunks_exact(LANES)
-}
-
-/// Mutable [`points`].
-#[inline]
-fn points_mut(t: &mut MultiBlockVec, g: usize, j: usize) -> std::slice::ChunksExactMut<'_, f64> {
-    t.interior_lane_row_mut(g, j).chunks_exact_mut(LANES)
-}
-
-#[inline]
-fn assert_same_shape(a: &MultiBlockVec, others: &[&MultiBlockVec]) {
-    for b in others {
-        assert!(
-            (a.nx, a.ny, a.groups()) == (b.nx, b.ny, b.groups()),
-            "batched tiles differ in shape"
-        );
-    }
-}
 
 /// Flat index range of lane-group `g`'s storage in a multi-tile.
 #[inline]
@@ -371,52 +156,6 @@ fn lane_values(t: &MultiBlockVec, slot: usize) -> impl Iterator<Item = &f64> {
 fn lane_values_mut(t: &mut MultiBlockVec, slot: usize) -> impl Iterator<Item = &mut f64> {
     let r = group_range(t, slot / LANES);
     t.raw_mut()[r].iter_mut().skip(slot % LANES).step_by(LANES)
-}
-
-/// P-CSI's batched update as one lane job: at every interior point of each
-/// lane group, `d = Δx·c + ω·z ; Δx = d ; x += d` with the group's per-lane
-/// `ω` and `c` in registers — the point kernel's operation order in every
-/// lane, plain `mul`/`add`, never `mul_add`. Built only by
-/// [`TileKernels::csi_update`], after the three tiles' shapes were compared.
-struct CsiUpdate<'a> {
-    z: &'a MultiBlockVec,
-    dx: &'a mut MultiBlockVec,
-    x: &'a mut MultiBlockVec,
-    omega: &'a [f64],
-    c: &'a [f64],
-}
-
-impl LaneJob for CsiUpdate<'_> {
-    type Out = ();
-
-    #[inline(always)]
-    unsafe fn run<V: LaneF64>(self) {
-        let CsiUpdate { z, dx, x, omega, c } = self;
-        for g in 0..z.groups() {
-            let ov = V::load(omega[g * LANES..][..LANES].as_ptr());
-            let cv = V::load(c[g * LANES..][..LANES].as_ptr());
-            for j in 0..z.ny {
-                let zr = z.interior_lane_row(g, j);
-                let (dxr, xr) = (
-                    dx.interior_lane_row_mut(g, j),
-                    x.interior_lane_row_mut(g, j),
-                );
-                // One length for the three rows (`nx` points of `LANES`
-                // values): the shapes were compared where the job was built.
-                let n = zr.len();
-                assert!(dxr.len() == n && xr.len() == n);
-                let (zp, dxp, xp) = (zr.as_ptr(), dxr.as_mut_ptr(), xr.as_mut_ptr());
-                let mut i = 0;
-                while i + LANES <= n {
-                    // SAFETY: `i + LANES ≤ n`.
-                    let d = V::load(dxp.add(i)).mul(cv).add(ov.mul(V::load(zp.add(i))));
-                    d.store(dxp.add(i));
-                    V::load(xp.add(i)).add(d).store(xp.add(i));
-                    i += LANES;
-                }
-            }
-        }
-    }
 }
 
 impl TileKernels for MultiBlockVec {
@@ -452,154 +191,6 @@ impl TileKernels for MultiBlockVec {
         masked_dot_multi(a, b, mask, out);
     }
 
-    fn csi_start(z: &Self, dx: &mut Self, x: &mut Self, inv_gamma: f64) {
-        assert_same_shape(z, &[dx, x]);
-        for g in 0..z.groups() {
-            for j in 0..z.ny {
-                let rows = points(z, g, j)
-                    .zip(points_mut(dx, g, j))
-                    .zip(points_mut(x, g, j));
-                for ((z, dx), x) in rows {
-                    for l in 0..LANES {
-                        let d = z[l] * inv_gamma;
-                        dx[l] = d;
-                        x[l] += d;
-                    }
-                }
-            }
-        }
-    }
-
-    fn csi_update(z: &Self, dx: &mut Self, x: &mut Self, omega: &[f64], c: &[f64]) {
-        assert_same_shape(z, &[dx, x]);
-        let job = CsiUpdate { z, dx, x, omega, c };
-        pop_simd::dispatch(pop_simd::mode(), job);
-    }
-
-    fn chrongear_update(
-        z: &Self,
-        az: &Self,
-        s: &mut Self,
-        p: &mut Self,
-        x: &mut Self,
-        r: &mut Self,
-        beta: &[f64],
-        alpha: &[f64],
-        nalpha: &[f64],
-    ) {
-        assert_same_shape(z, &[az, s, p, x, r]);
-        for g in 0..z.groups() {
-            let bv = lane_scalars(beta, g);
-            let (av, nav) = (lane_scalars(alpha, g), lane_scalars(nalpha, g));
-            for j in 0..z.ny {
-                let rows = points(z, g, j)
-                    .zip(points(az, g, j))
-                    .zip(points_mut(s, g, j))
-                    .zip(points_mut(p, g, j))
-                    .zip(points_mut(x, g, j))
-                    .zip(points_mut(r, g, j));
-                for (((((z, az), s), p), x), r) in rows {
-                    for l in 0..LANES {
-                        let sv = z[l] + bv[l] * s[l];
-                        let pv = az[l] + bv[l] * p[l];
-                        s[l] = sv;
-                        p[l] = pv;
-                        x[l] += av[l] * sv;
-                        r[l] += nav[l] * pv;
-                    }
-                }
-            }
-        }
-    }
-
-    fn pcg_update(p: &Self, ap: &Self, x: &mut Self, r: &mut Self, alpha: &[f64], nalpha: &[f64]) {
-        assert_same_shape(p, &[ap, x, r]);
-        for g in 0..p.groups() {
-            let (av, nav) = (lane_scalars(alpha, g), lane_scalars(nalpha, g));
-            for j in 0..p.ny {
-                let rows = points(p, g, j)
-                    .zip(points(ap, g, j))
-                    .zip(points_mut(x, g, j))
-                    .zip(points_mut(r, g, j));
-                for (((p, ap), x), r) in rows {
-                    for l in 0..LANES {
-                        x[l] += av[l] * p[l];
-                        r[l] += nav[l] * ap[l];
-                    }
-                }
-            }
-        }
-    }
-
-    fn pcg_direction(z: &Self, p: &mut Self, beta: &[f64]) {
-        assert_same_shape(z, &[p]);
-        for g in 0..z.groups() {
-            let bv = lane_scalars(beta, g);
-            for j in 0..z.ny {
-                for (z, p) in points(z, g, j).zip(points_mut(p, g, j)) {
-                    for l in 0..LANES {
-                        p[l] = z[l] + bv[l] * p[l];
-                    }
-                }
-            }
-        }
-    }
-
-    fn pipecg_update(
-        n: &Self,
-        m: &Self,
-        z: &mut Self,
-        q: &mut Self,
-        s: &mut Self,
-        p: &mut Self,
-        x: &mut Self,
-        r: &mut Self,
-        u: &mut Self,
-        w: &mut Self,
-        beta: &[f64],
-        alpha: &[f64],
-        nalpha: &[f64],
-    ) {
-        assert_same_shape(n, &[m, z, q, s, p, x, r, u, w]);
-        for g in 0..n.groups() {
-            let bv = lane_scalars(beta, g);
-            let (av, nav) = (lane_scalars(alpha, g), lane_scalars(nalpha, g));
-            for j in 0..n.ny {
-                let rows = points(n, g, j)
-                    .zip(points(m, g, j))
-                    .zip(points_mut(z, g, j))
-                    .zip(points_mut(q, g, j))
-                    .zip(points_mut(s, g, j))
-                    .zip(points_mut(p, g, j))
-                    .zip(points_mut(x, g, j))
-                    .zip(points_mut(r, g, j))
-                    .zip(points_mut(u, g, j))
-                    .zip(points_mut(w, g, j));
-                for (((((((((n, m), z), q), s), p), x), r), u), w) in rows {
-                    for l in 0..LANES {
-                        let zv = n[l] + bv[l] * z[l];
-                        let qv = m[l] + bv[l] * q[l];
-                        let sv = w[l] + bv[l] * s[l];
-                        let pv = u[l] + bv[l] * p[l];
-                        z[l] = zv;
-                        q[l] = qv;
-                        s[l] = sv;
-                        p[l] = pv;
-                        x[l] += av[l] * pv;
-                        r[l] += nav[l] * sv;
-                        u[l] += nav[l] * qv;
-                        w[l] += nav[l] * zv;
-                    }
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn raw(&self) -> &[f64] {
-        MultiBlockVec::raw(self)
-    }
-
     fn lane_copy(src: &Self, dst: &mut Self, slot: usize) {
         for (d, s) in lane_values_mut(dst, slot).zip(lane_values(src, slot)) {
             *d = *s;
@@ -618,3 +209,262 @@ impl TileKernels for MultiBlockVec {
         MultiBlockVec::load_lane(self, slot / LANES, slot % LANES, src);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Both widths: the pointwise updates
+// ---------------------------------------------------------------------------
+
+/// One pointwise recurrence update: at each interior point, `R` operands
+/// read, `W` operands read and rewritten and `S` per-slot scalars, `LANES`
+/// values of each at a time, lane `l` of every argument in the same slot.
+/// A body keeps the per-element order of the unfused oracles
+/// (`solve_unfused`) with plain `mul`/`add`, never `mul_add` — a lanewise
+/// chain has one possible operation sequence, so both lane types give the
+/// same bits — in one fused pass per point: a row at a time through
+/// two-operand `y ← x + b·y` / `y ← y + a·x` updates measured slower
+/// (EXPERIMENTS.md "PR 24").
+pub(crate) trait Update<const R: usize, const W: usize, const S: usize> {
+    fn point<V: LaneF64>(read: [V; R], write: &mut [V; W], scalars: [V; S]);
+}
+
+/// P-CSI's start: `d = γ⁻¹ z ; Δx = d ; x += d`.
+pub(crate) struct CsiStart;
+
+impl Update<1, 2, 1> for CsiStart {
+    #[inline(always)]
+    fn point<V: LaneF64>([z]: [V; 1], [dx, x]: &mut [V; 2], [inv_gamma]: [V; 1]) {
+        let d = z.mul(inv_gamma);
+        *dx = d;
+        *x = x.add(d);
+    }
+}
+
+/// P-CSI's update: `d = Δx·c + ω·z ; Δx = d ; x += d`.
+pub(crate) struct CsiUpdate;
+
+impl Update<1, 2, 2> for CsiUpdate {
+    #[inline(always)]
+    fn point<V: LaneF64>([z]: [V; 1], [dx, x]: &mut [V; 2], [omega, c]: [V; 2]) {
+        let d = dx.mul(c).add(omega.mul(z));
+        *dx = d;
+        *x = x.add(d);
+    }
+}
+
+/// ChronGear's four recurrences:
+/// `s = z + βs ; p = Az + βp ; x += αs ; r += (−α)p`.
+pub(crate) struct ChronGearUpdate;
+
+impl Update<2, 4, 3> for ChronGearUpdate {
+    #[inline(always)]
+    fn point<V: LaneF64>([z, az]: [V; 2], [s, p, x, r]: &mut [V; 4], [b, a, na]: [V; 3]) {
+        let sv = z.add(b.mul(*s));
+        let pv = az.add(b.mul(*p));
+        *s = sv;
+        *p = pv;
+        *x = x.add(a.mul(sv));
+        *r = r.add(na.mul(pv));
+    }
+}
+
+/// Classic PCG's iterate update: `x += αp ; r += (−α)Ap`.
+pub(crate) struct PcgUpdate;
+
+impl Update<2, 2, 2> for PcgUpdate {
+    #[inline(always)]
+    fn point<V: LaneF64>([p, ap]: [V; 2], [x, r]: &mut [V; 2], [a, na]: [V; 2]) {
+        *x = x.add(a.mul(p));
+        *r = r.add(na.mul(ap));
+    }
+}
+
+/// Classic PCG's direction update: `p = z + βp`.
+pub(crate) struct PcgDirection;
+
+impl Update<1, 1, 1> for PcgDirection {
+    #[inline(always)]
+    fn point<V: LaneF64>([z]: [V; 1], [p]: &mut [V; 1], [b]: [V; 1]) {
+        *p = z.add(b.mul(*p));
+    }
+}
+
+/// PipeCG's eight recurrences. The direction updates read the *old* `w`
+/// and `u` of the point, which are written only afterwards.
+pub(crate) struct PipeCgUpdate;
+
+impl Update<2, 8, 3> for PipeCgUpdate {
+    #[inline(always)]
+    fn point<V: LaneF64>(
+        [n, m]: [V; 2],
+        [z, q, s, p, x, r, u, w]: &mut [V; 8],
+        [b, a, na]: [V; 3],
+    ) {
+        let zv = n.add(b.mul(*z));
+        let qv = m.add(b.mul(*q));
+        let sv = w.add(b.mul(*s));
+        let pv = u.add(b.mul(*p));
+        *z = zv;
+        *q = qv;
+        *s = sv;
+        *p = pv;
+        *x = x.add(a.mul(pv));
+        *r = r.add(na.mul(sv));
+        *u = u.add(na.mul(qv));
+        *w = w.add(na.mul(zv));
+    }
+}
+
+/// Apply `U` at every interior point of same-shape tiles of either width:
+/// `read` are only read, `write` are read and rewritten, and `scalars` are
+/// per-slot arrays (slot 0 at width 1; `groups · LANES` slots for a batch).
+/// Halo rings are never written (a ragged row's last load reaches into the
+/// ring, and those lanes are cleared). One dispatched lane job per call.
+pub(crate) fn update<T, U, const R: usize, const W: usize, const S: usize>(
+    _: U,
+    read: [&T; R],
+    write: [&mut T; W],
+    scalars: [&[f64]; S],
+) where
+    T: Tile,
+    U: Update<R, W, S>,
+{
+    let (nx, ny, halo) = write[0].shape();
+    let len = write[0].raw().len();
+    let same = |t: &T| t.shape() == (nx, ny, halo) && t.raw().len() == len;
+    assert!(
+        read.iter().all(|t| same(t)) && write.iter().all(|t| same(t)),
+        "pointwise update operands differ in shape"
+    );
+    let (stride, rows) = extent(nx, ny, halo);
+    let image = rows * stride * T::POINT_WIDTH;
+    assert!(
+        halo >= 1 && (T::POINT_WIDTH == 1 || T::POINT_WIDTH == LANES) && len % image == 0,
+        "tile storage does not match its shape, or has no halo ring"
+    );
+    let job = Sweep::<U, R, W, S> {
+        read: read.map(|t| t.raw().as_ptr()),
+        write: write.map(|t| t.raw_mut().as_mut_ptr()),
+        scalars,
+        shape: (nx, ny, halo),
+        point: T::POINT_WIDTH,
+        images: len / image,
+        update: PhantomData,
+    };
+    pop_simd::dispatch(pop_simd::mode(), job);
+}
+
+/// [`update`]'s lane job. Built and run only inside [`update`], which holds
+/// the operands' borrows throughout and checked that every operand stores
+/// `images` images of `extent(shape)` points of `point` values each.
+struct Sweep<'a, U, const R: usize, const W: usize, const S: usize> {
+    read: [*const f64; R],
+    write: [*mut f64; W],
+    scalars: [&'a [f64]; S],
+    shape: (usize, usize, usize),
+    point: usize,
+    images: usize,
+    update: PhantomData<U>,
+}
+
+impl<U: Update<R, W, S>, const R: usize, const W: usize, const S: usize> LaneJob
+    for Sweep<'_, U, R, W, S>
+{
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: LaneF64>(self) {
+        let (read, write, point, (nx, ny, halo)) = (self.read, self.write, self.point, self.shape);
+        let (stride, rows) = extent(nx, ny, halo);
+        let n = nx * point;
+        let live: [f64; LANES] =
+            std::array::from_fn(|l| if l < n % LANES { MASK_OCEAN } else { MASK_LAND });
+        let live = V::load(live.as_ptr());
+        let mut s = [V::splat(0.0); S];
+        for g in 0..self.images {
+            for (v, a) in s.iter_mut().zip(self.scalars) {
+                // SAFETY: the slice is bounds-checked: `LANES` readable.
+                *v = if point == 1 {
+                    V::splat(a[0])
+                } else {
+                    V::load(a[g * LANES..][..LANES].as_ptr())
+                };
+            }
+            for j in 0..ny {
+                let row = ((g * rows + j + halo) * stride + halo) * point;
+                // SAFETY: `update` checked that every operand holds `images`
+                // images of `rows × stride` points of `point` values: row `j`
+                // of image `g` is the `n` values from `row`, followed in its
+                // image by `halo · (stride + 1) ≥ 4` ring values, so whole
+                // vectors stay in the row and a ragged last one reaches at
+                // most `LANES − 1` values into the ring.
+                // One loop for whole and ragged vectors: its branch also stops
+                // LLVM re-vectorising the portable lanes (≈ 1.4× slower).
+                let mut i = 0;
+                while i < n {
+                    let at = row + i;
+                    if i + LANES <= n {
+                        let wv = step::<V, U, R, W, S>(read, write, at, s, None);
+                        for k in 0..W {
+                            wv[k].store(write[k].add(at));
+                        }
+                    } else {
+                        // The last `n − i` points, zero-padded; only they are stored.
+                        let wv = step::<V, U, R, W, S>(read, write, at, s, Some(live));
+                        let mut out = [[0.0; LANES]; W];
+                        for k in 0..W {
+                            wv[k].store(out[k].as_mut_ptr());
+                        }
+                        #[allow(clippy::needless_range_loop)] // guarded: no `memcpy`
+                        for l in 0..LANES {
+                            if l < n - i {
+                                for k in 0..W {
+                                    *write[k].add(at + l) = out[k][l];
+                                }
+                            }
+                        }
+                    }
+                    i += LANES;
+                }
+            }
+        }
+    }
+}
+
+/// `U` on the `LANES` values at offset `at` of every operand (masked by
+/// `live`, if given), returning the written operands' new values. Plain
+/// loops, no closures: a closure is compiled without the lane type's target
+/// features, so the lane operations inside it would not inline.
+///
+/// # Safety
+/// `r[k] + at .. + LANES` and `w[k] + at .. + LANES` must be readable for
+/// every `k`, and `V` must be runnable on this CPU.
+#[inline(always)]
+unsafe fn step<V, U, const R: usize, const W: usize, const S: usize>(
+    r: [*const f64; R],
+    w: [*mut f64; W],
+    at: usize,
+    s: [V; S],
+    live: Option<V>,
+) -> [V; W]
+where
+    V: LaneF64,
+    U: Update<R, W, S>,
+{
+    let (mut rv, mut wv) = ([V::splat(0.0); R], [V::splat(0.0); W]);
+    for k in 0..R {
+        rv[k] = V::load(r[k].add(at));
+    }
+    for k in 0..W {
+        wv[k] = V::load(w[k].add(at));
+    }
+    if let Some(live) = live {
+        for v in rv.iter_mut().chain(wv.iter_mut()) {
+            *v = v.and_bits(live);
+        }
+    }
+    U::point(rv, &mut wv, s);
+    wv
+}
+
+#[cfg(test)]
+mod tests;

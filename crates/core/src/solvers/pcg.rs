@@ -6,6 +6,7 @@
 //! measures exactly that difference.
 
 use super::control::copy_vec;
+use super::kernels::{update, PcgDirection, PcgUpdate};
 use super::{
     residual_sweep, rhs_norm, Control, LinearSolver, Recurrence, SolveCtl, SolveStats,
     SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH, ZEROS,
@@ -194,7 +195,7 @@ impl Recurrence for ClassicPcg {
             let (av, nav) = (&alpha[..w], &nalpha[..w]);
             let d_sweep =
                 comm.for_each_block_fused([&mut *x, &mut *r, &mut *z], |bk, [xb, rb, zb]| {
-                    T::pcg_update(p.block(bk), ap.block(bk), xb, rb, av, nav);
+                    update(PcgUpdate, [p.block(bk), ap.block(bk)], [xb, rb], [av, nav]);
                     T::precond(pre, bk, rb, zb);
                     let mut pt = ZEROS;
                     T::dot(rb, rb, &masks[bk], &mut pt[..w]);
@@ -214,7 +215,7 @@ impl Recurrence for ClassicPcg {
             // Sweep 3: the direction update p = z + β p.
             let bv = &beta[..w];
             comm.for_each_block_fused([&mut *p], |bk, [pb]| {
-                T::pcg_direction(z.block(bk), pb, bv);
+                update(PcgDirection, [z.block(bk)], [pb], [bv]);
                 ZEROS
             });
 

@@ -19,6 +19,7 @@
 //! kernel benches and the convergence histories.
 
 use super::control::copy_vec;
+use super::kernels::{update, PipeCgUpdate};
 use super::{
     residual_sweep, rhs_norm, Control, LinearSolver, Recurrence, SolveCtl, SolveStats,
     SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH, ZEROS,
@@ -260,7 +261,8 @@ impl Recurrence for PipelinedCg {
                 ],
                 |bk, [zb, qb, sb, pb, xb, rb, ub, wb]| {
                     let (nb, mb) = (n.block(bk), m.block(bk));
-                    T::pipecg_update(nb, mb, zb, qb, sb, pb, xb, rb, ub, wb, bv, av, nav);
+                    let write = [zb, qb, sb, pb, xb, rb, ub, wb].map(|t| &mut **t);
+                    update(PipeCgUpdate, [nb, mb], write, [bv, av, nav]);
                     ZEROS
                 },
             );

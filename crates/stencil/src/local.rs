@@ -75,12 +75,6 @@ impl LocalStencil {
         (self.nx + 1, &self.a0, &self.an, &self.ae, &self.ane)
     }
 
-    /// Add to the diagonal coefficient at `(i, j)`.
-    pub fn add_a0(&mut self, i: isize, j: isize, v: f64) {
-        let k = self.k(i, j);
-        self.a0[k] += v;
-    }
-
     /// Overwrite the corner (NE) coefficient at `(i, j)`.
     pub fn set_ane(&mut self, i: isize, j: isize, v: f64) {
         let k = self.k(i, j);
@@ -172,9 +166,7 @@ impl LocalStencil {
     }
 
     /// A synthetic all-ocean SPD stencil on an `nx × ny` sub-domain with unit
-    /// spacing and depth `h`, plus diagonal shift `phi`. Used by tests and as
-    /// the regularization template for land-containing EVP blocks
-    /// (substitution S5 in DESIGN.md).
+    /// spacing and depth `h`, plus diagonal shift `phi`, for tests.
     pub fn reference(nx: usize, ny: usize, h: f64, phi: f64) -> LocalStencil {
         let mut ls = LocalStencil::zeros(nx, ny);
         // Energy weights of an isotropic grid: wx = wy = h/8. Every cell is
