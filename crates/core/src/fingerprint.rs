@@ -1,12 +1,19 @@
 //! Operator identity fingerprints.
 //!
 //! Batching ([`crate::solvers::BatchPlanner`]) and operator-state caching
-//! (`pop-serve`) both need a cheap answer to "are these two assembled
-//! operators *the same* operator?" — same meaning bitwise-identical stencil
+//! (`pop-serve`) both need an answer to "are these two assembled operators
+//! *the same* operator?" — same meaning bitwise-identical stencil
 //! coefficients on the same block structure, which is exactly the condition
 //! under which solves may share a fused batch or reuse cached setup state
 //! (EVP influence matrices, Lanczos eigenbounds, band-LU land-tile
 //! factors) without perturbing a single bit of the result.
+//!
+//! The answer is not cheap: [`operator_fingerprint`] reads every interior
+//! coefficient and folds it in a byte at a time, a median 0.42 ms on the
+//! 96×80 serve operator and 7.5 ms on gx1 (320×384) on one core of a 2-vCPU
+//! x86-64 Xeon host. Hot paths memoise it per operator rather than hashing
+//! per request: `pop-serve` keys each operator allocation once, at
+//! admission (DESIGN.md §13).
 //!
 //! # Hash construction
 //!

@@ -208,6 +208,14 @@ pub fn batch_key(op: &NinePoint) -> BatchKey {
     }
 }
 
+impl BatchKey {
+    /// The operator's [`operator_fingerprint`], for a consumer that keys on
+    /// the coefficients alone (the serve operator cache).
+    pub fn fingerprint(&self) -> u64 {
+        self.op
+    }
+}
+
 /// One planned batch: request indices (submission order preserved) that
 /// share `key`, at most `max_batch` of them.
 #[derive(Debug, Clone, PartialEq, Eq)]

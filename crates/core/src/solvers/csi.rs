@@ -13,7 +13,7 @@
 //! the paper measures and the reproduction tracks.
 
 use super::control::copy_vec;
-use super::kernels::{update, CsiStart, CsiUpdate};
+use super::kernels::{update, with_temps, CsiStart, CsiUpdate};
 use super::{
     residual_sweep, rhs_norm, Control, LinearSolver, Recurrence, SolveCtl, SolveStats,
     SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH, ZEROS,
@@ -163,17 +163,21 @@ impl Pcsi {
         comm: &C,
         inv_gamma: f64,
         b: &C::Vec<T>,
-        [x, r, z, dx]: [&mut C::Vec<T>; 4],
+        [x, r, dx]: [&mut C::Vec<T>; 3],
         lanes: &mut [SolveCtl],
     ) -> C::Sweep {
         // r₀ = b − A x₀ (halo exchange fused with the residual sweep so a
         // split-phase communicator can hide the strip flight time).
         residual_sweep(op, comm, b, x, r);
 
-        // Δx₀ = γ⁻¹ M⁻¹ r₀ ; x₁ = x₀ + Δx₀, fused into one sweep.
-        comm.for_each_block_fused([z, dx, &mut *x], |bk, [zb, dxb, xb]| {
-            T::precond(pre, bk, r.block(bk), zb);
-            update(CsiStart, [&**zb], [dxb, xb], [&[inv_gamma; MAX_BATCH]]);
+        // Δx₀ = γ⁻¹ M⁻¹ r₀ ; x₁ = x₀ + Δx₀, fused into one sweep, M⁻¹ r₀
+        // in a block temporary.
+        let w = x.width();
+        comm.for_each_block_fused([dx, &mut *x], |bk, [dxb, xb]| {
+            with_temps(xb.shape(), w, |[zb, _]| {
+                T::precond(pre, bk, r.block(bk), zb);
+                update(CsiStart, [&*zb], [dxb, xb], [&[inv_gamma; MAX_BATCH]]);
+            });
             ZEROS
         });
 
@@ -195,13 +199,17 @@ impl Recurrence for Pcsi {
     /// Each block's residual reads its own pre-update storage plus a halo
     /// ring the exchange filled before any block's update ran, so every
     /// lane's arithmetic is the split sweeps' exactly; nothing reads its
-    /// `‖r‖²`, so it runs without the fold. On check iterations
-    /// and at the cap the residual runs eagerly as its own sweep, carrying
-    /// `‖r‖²`; that check is P-CSI's only reduction, so between checks the
-    /// loop performs *zero* global reductions — under a rank runtime,
-    /// literally zero reduction messages — which is the paper's entire
-    /// scalability story. Bit-identical to [`Pcsi::solve_unfused`] on every
-    /// runtime, and per lane in a batch.
+    /// `‖r‖²`, so it runs without the fold, and nothing reads it after its
+    /// block's update, so it lives in a block temporary
+    /// ([`kernels::with_temps`](super::kernels::with_temps)), as `z` does in
+    /// every sweep: the deferred sweep streams only `x`, `Δx` and `b`. On
+    /// check iterations and at the cap the residual runs eagerly as its own
+    /// sweep into the whole-field `r`, carrying `‖r‖²`, for the check and
+    /// the next sweep to read; that check is P-CSI's only reduction, so
+    /// between checks the loop performs *zero* global reductions — under a
+    /// rank runtime, literally zero reduction messages — which is the
+    /// paper's entire scalability story. Bit-identical to
+    /// [`Pcsi::solve_unfused`] on every runtime, and per lane in a batch.
     fn recur<C: Communicator, T: TileKernels>(
         &self,
         op: &NinePoint,
@@ -218,13 +226,13 @@ impl Recurrence for Pcsi {
         let (alpha, gamma) = self.chebyshev();
         let inv_gamma = 1.0 / gamma;
 
-        let [r, z, dx, x_good] = ws.take(comm, ctl.model(), w);
+        let [r, dx, x_good] = ws.take(comm, ctl.model(), w);
         copy_vec(comm, x, x_good);
 
         // Per-lane recurrence depth: a restart resets one lane to ω₀.
         let mut omega = [2.0 / gamma; MAX_BATCH];
         let mut c = [0.0; MAX_BATCH];
-        let vecs = [&mut *x, &mut *r, &mut *z, &mut *dx];
+        let vecs = [&mut *x, &mut *r, &mut *dx];
         let mut rr = Self::start(op, pre, comm, inv_gamma, b, vecs, ctl.lanes());
         ctl.phase("setup");
 
@@ -241,20 +249,22 @@ impl Recurrence for Pcsi {
             // Steps 6–8: r' = M⁻¹ r, Δx = ω r' + c Δx and x += Δx, led,
             // when deferred, by the previous iteration's residual (steps
             // 9–10: its halo exchange is the iteration's only message).
+            // `r'`, and a deferred residual, live in block temporaries.
             if deferred {
-                comm.halo_sweep_fused(
-                    [&mut *x, &mut *r, &mut *z, &mut *dx],
-                    |bk, [xb, rb, zb, dxb]| {
+                comm.halo_sweep_fused([&mut *x, &mut *dx], |bk, [xb, dxb]| {
+                    with_temps(xb.shape(), w, |[rb, zb]| {
                         T::residual_no_norm(op, bk, xb, b.block(bk), rb);
                         T::precond(pre, bk, rb, zb);
-                        update(CsiUpdate, [&**zb], [dxb, xb], [om, cs]);
-                        ZEROS
-                    },
-                );
+                        update(CsiUpdate, [&*zb], [dxb, xb], [om, cs]);
+                    });
+                    ZEROS
+                });
             } else {
-                comm.for_each_block_fused([&mut *z, &mut *dx, &mut *x], |bk, [zb, dxb, xb]| {
-                    T::precond(pre, bk, r.block(bk), zb);
-                    update(CsiUpdate, [&**zb], [dxb, xb], [om, cs]);
+                comm.for_each_block_fused([&mut *dx, &mut *x], |bk, [dxb, xb]| {
+                    with_temps(xb.shape(), w, |[zb, _]| {
+                        T::precond(pre, bk, r.block(bk), zb);
+                        update(CsiUpdate, [&*zb], [dxb, xb], [om, cs]);
+                    });
                     ZEROS
                 });
             }
@@ -275,12 +285,9 @@ impl Recurrence for Pcsi {
                 let red = ctl.reduce_check(&rr);
                 for l in ctl.check(&red[..w], true, x, x_good) {
                     omega[l] = 2.0 / gamma;
-                    ctl.restart(
-                        l,
-                        x_good,
-                        [&mut *x, &mut *r, &mut *z, &mut *dx],
-                        |b, v, lane| Some(Self::start(op, pre, comm, inv_gamma, b, v, lane)),
-                    );
+                    ctl.restart(l, x_good, [&mut *x, &mut *r, &mut *dx], |b, v, lane| {
+                        Some(Self::start(op, pre, comm, inv_gamma, b, v, lane))
+                    });
                 }
             }
         }

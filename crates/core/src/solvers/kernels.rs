@@ -30,12 +30,21 @@
 //! partial sums are written in bands of `w` slots: band `j` of a kernel's
 //! output is `out[j * w..(j + 1) * w]`, so one reduction row carries every
 //! lane's partials.
+//!
+//! # Block temporaries
+//!
+//! A vector that one block's kernel both writes and consumes — P-CSI's
+//! `z = M⁻¹r`, and its residual in a deferred sweep — never needs a
+//! whole-field home: [`with_temps`] lends the kernel a pair of this
+//! thread's tiles of the block's shape instead, so the sweep streams only
+//! the vectors that outlive it.
 
 use crate::precond::Preconditioner;
 use pop_comm::tile::extent;
 use pop_comm::{masked_block_dot, masked_dot_multi, BlockVec, MultiBlockVec, Tile};
 use pop_simd::{LaneF64, LaneJob, LANES, MASK_LAND, MASK_OCEAN};
 use pop_stencil::NinePoint;
+use std::cell::RefCell;
 use std::marker::PhantomData;
 
 /// What a solver recurrence does to one block of one tile type, where the
@@ -75,6 +84,9 @@ pub(crate) trait TileKernels: Tile {
 
     /// Copy a single-RHS tile into lane `slot` (full storage).
     fn load_lane(&mut self, slot: usize, src: &BlockVec);
+
+    /// This tile kind's shelf of a thread's [`BlockTemps`].
+    fn shelf(temps: &mut BlockTemps) -> &mut Vec<(TempKey, [Self; 2])>;
 }
 
 // ---------------------------------------------------------------------------
@@ -127,6 +139,10 @@ impl TileKernels for BlockVec {
 
     fn load_lane(&mut self, _slot: usize, src: &BlockVec) {
         self.raw_mut().copy_from_slice(src.raw());
+    }
+
+    fn shelf(temps: &mut BlockTemps) -> &mut Vec<(TempKey, [Self; 2])> {
+        &mut temps.single
     }
 }
 
@@ -208,6 +224,67 @@ impl TileKernels for MultiBlockVec {
     fn load_lane(&mut self, slot: usize, src: &BlockVec) {
         MultiBlockVec::load_lane(self, slot / LANES, slot % LANES, src);
     }
+
+    fn shelf(temps: &mut BlockTemps) -> &mut Vec<(TempKey, [Self; 2])> {
+        &mut temps.multi
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Both widths: per-thread block temporaries
+// ---------------------------------------------------------------------------
+
+/// What a pair of block temporaries is kept by: the tile's
+/// [`Tile::shape`] and its values per point.
+pub(crate) type TempKey = ((usize, usize, usize), usize);
+
+/// Shapes a thread keeps temporaries for, per tile kind: a layout has at
+/// most four block shapes (interior, ragged east and north edges, their
+/// corner), so two layouts solved alternately stay allocation-free. Past
+/// it, the oldest shape goes.
+const TEMP_SHAPES: usize = 8;
+
+/// A thread's block temporaries, a shelf per tile kind.
+#[derive(Default)]
+pub(crate) struct BlockTemps {
+    single: Vec<(TempKey, [BlockVec; 2])>,
+    multi: Vec<(TempKey, [MultiBlockVec; 2])>,
+}
+
+thread_local! {
+    static BLOCK_TEMPS: RefCell<BlockTemps> = RefCell::new(BlockTemps::default());
+}
+
+/// Run `f` on this thread's pair of temporaries of `shape` at `width`
+/// values per point, allocating them only on the shape's first use here.
+/// Their contents are whatever the last borrower left: a kernel must write
+/// every interior point it reads, and nothing reads a temporary's halo
+/// ring (the pointwise updates mask it, a preconditioner never reads its
+/// input's, a residual writes only the interior). Call it only inside one
+/// block's kernel, never around a communicator call: rank-runtime ranks
+/// are fibers sharing one OS thread, and a second borrow panics.
+pub(crate) fn with_temps<T: TileKernels>(
+    shape: (usize, usize, usize),
+    width: usize,
+    f: impl FnOnce(&mut [T; 2]),
+) {
+    BLOCK_TEMPS.with(|cell| {
+        let temps = &mut *cell.borrow_mut();
+        let shelf = T::shelf(temps);
+        let key = (shape, width);
+        let at = match shelf.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                if shelf.len() == TEMP_SHAPES {
+                    shelf.remove(0);
+                }
+                let (nx, ny, halo) = shape;
+                shelf.push((key, std::array::from_fn(|_| T::zeros(nx, ny, halo, width))));
+                shelf.len() - 1
+            }
+        };
+        f(&mut shelf[at].1)
+    })
 }
 
 // ---------------------------------------------------------------------------

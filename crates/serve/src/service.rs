@@ -14,7 +14,9 @@
 //! first, batch promoted within a starvation bound), and takes the first
 //! [`BatchPlanner`] group of at most `max_batch` requests sharing an
 //! (operator fingerprint, layout identity, solver, preconditioner,
-//! tolerance bits) key. The lock is released before the solve, so
+//! tolerance bits) key — computed once per request at admission, before
+//! the lock, from a per-operator memo (`KeyMemo`), so dispatch compares
+//! stored keys and never hashes. The lock is released before the solve, so
 //! independent groups solve concurrently across workers. Results are
 //! bit-identical to standalone solves of the same requests regardless of
 //! batching, cache state, worker count, or arrival order — the batched
@@ -26,7 +28,6 @@ use crate::cache::{CacheStats, SharedOperatorCache};
 use crate::request::{Priority, Reject, SolveRequest, SolveResponse, SolverSpec, Ticket};
 use crate::sched::{self, LaneState, QueueItem};
 use pop_comm::{CommWorld, DistVec};
-use pop_core::fingerprint::operator_fingerprint;
 use pop_core::lanczos::LanczosConfig;
 use pop_core::setup::OperatorState;
 use pop_core::solvers::{
@@ -34,9 +35,10 @@ use pop_core::solvers::{
 };
 use pop_obs::ObsSink;
 use pop_ranksim::{solve_on_ranks, FaultPlan, RankSimConfig, RankWorld, ZeroCost};
+use pop_stencil::NinePoint;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -161,6 +163,8 @@ impl ServiceConfig {
 
 struct Pending {
     req: SolveRequest,
+    /// The request's coalescing key, computed at admission.
+    key: ServeKey,
     submitted: Instant,
     /// Effective deadline: the request's own, or its class default.
     deadline: Option<Duration>,
@@ -215,6 +219,8 @@ struct Shared {
     /// Operator-state cache, shared across workers with single-flight
     /// builds.
     cache: SharedOperatorCache,
+    /// Each live operator's batch key.
+    keys: KeyMemo,
     /// EWMA of per-request service time, f64 seconds as bits. Admission
     /// uses it to judge deadline feasibility before any queueing happens.
     ema_service_secs: AtomicU64,
@@ -325,6 +331,7 @@ impl SolverService {
             }),
             cv: Condvar::new(),
             cache,
+            keys: KeyMemo::default(),
             ema_service_secs: AtomicU64::new(0),
             ema_batch_width: AtomicU64::new(0),
         });
@@ -350,6 +357,8 @@ impl SolverService {
         if let Some(reason) = invalid_reason(&req) {
             return Err(self.shed_at_admission(Reject::Invalid { reason }));
         }
+        // Outside the queue lock: a first sight of an operator hashes it.
+        let key = serve_key(&req, shared.keys.key(&req.op));
         let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
         if st.shutdown {
             return Err(self.shed_at_admission(Reject::ShuttingDown));
@@ -392,6 +401,7 @@ impl SolverService {
         *st.tenant_load.entry(req.tenant).or_insert(0) += 1;
         st.queue.push_back(Pending {
             req,
+            key,
             submitted: Instant::now(),
             deadline,
             tx,
@@ -540,12 +550,58 @@ struct ServeKey {
     tol_bits: u64,
 }
 
-fn serve_key(req: &SolveRequest) -> ServeKey {
+fn serve_key(req: &SolveRequest, batch: BatchKey) -> ServeKey {
     ServeKey {
-        batch: batch_key(&req.op),
+        batch,
         solver: req.solver,
         precond: req.precond,
         tol_bits: req.tol.to_bits(),
+    }
+}
+
+/// Batch keys memoised per operator allocation. A key hashes every
+/// coefficient of the operator (`operator_fingerprint`, ≈ 0.4 ms on the
+/// 96×80 serve operator, ≈ 7.5 ms on gx1), so it is computed once per
+/// operator, not once per request or per dispatch.
+///
+/// An entry holds a [`Weak`]: while it lives, `Arc::get_mut` refuses the
+/// operator and `Arc::make_mut` moves it to a fresh allocation, so a
+/// memoised allocation is never changed in place. A hit must still upgrade
+/// and point at the same allocation. Dead entries are pruned on insert, so
+/// the memo holds about as many entries as there are live operators.
+#[derive(Default)]
+struct KeyMemo {
+    entries: Mutex<Vec<(Weak<NinePoint>, BatchKey)>>,
+    /// Keys computed: memo misses.
+    computed: AtomicU64,
+}
+
+impl KeyMemo {
+    /// `op`'s batch key, hashed only on the first sight of its allocation.
+    fn key(&self, op: &Arc<NinePoint>) -> BatchKey {
+        if let Some(key) = self.lookup(op) {
+            return key;
+        }
+        // Hashed outside the memo lock: submitters of other operators go on.
+        let key = batch_key(op);
+        self.computed.fetch_add(1, Ordering::Relaxed);
+        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        entries.retain(|(w, _)| w.strong_count() > 0);
+        if !entries
+            .iter()
+            .any(|(w, _)| std::ptr::eq(w.as_ptr(), Arc::as_ptr(op)))
+        {
+            entries.push((Arc::downgrade(op), key));
+        }
+        key
+    }
+
+    fn lookup(&self, op: &Arc<NinePoint>) -> Option<BatchKey> {
+        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        entries.iter().find_map(|(w, key)| {
+            let same = w.upgrade().is_some_and(|live| Arc::ptr_eq(&live, op));
+            same.then_some(*key)
+        })
     }
 }
 
@@ -657,10 +713,7 @@ impl Worker {
                 Priority::Interactive => interactive,
                 Priority::Batch => batch,
             };
-            let keys: Vec<ServeKey> = order
-                .iter()
-                .map(|&qi| serve_key(&st.queue[qi].req))
-                .collect();
+            let keys: Vec<ServeKey> = order.iter().map(|&qi| st.queue[qi].key).collect();
             let (_key, members) = self
                 .planner
                 .plan_by(&keys)
@@ -697,7 +750,7 @@ impl Worker {
         let precond = group[0].req.precond;
         let priority = group[0].req.priority;
         let op = Arc::clone(&group[0].req.op);
-        let fingerprint = operator_fingerprint(&op);
+        let fingerprint = group[0].key.batch.fingerprint();
 
         let setup_start = Instant::now();
         let (state, cache_hit) = self.shared.cache.get_or_build(
@@ -781,7 +834,7 @@ impl Worker {
 /// solves one system at a time; the group still shares cached setup state.
 fn solve_group_ranksim(
     group: &[Pending],
-    op: &pop_stencil::NinePoint,
+    op: &NinePoint,
     state: &OperatorState,
     spec: SolverSpec,
     cfg: &SolverConfig,
@@ -813,6 +866,72 @@ fn solve_group_ranksim(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pop_comm::DistLayout;
+    use pop_core::setup::PrecondSpec;
+    use pop_grid::Grid;
+
+    fn operator(seed: u64) -> Arc<NinePoint> {
+        let grid = Grid::gx1_scaled(seed, 32, 24);
+        let layout = DistLayout::build(&grid, 8, 6);
+        Arc::new(NinePoint::assemble(
+            &grid,
+            &layout,
+            &CommWorld::serial(),
+            3000.0,
+        ))
+    }
+
+    /// Dispatch compares stored keys: a burst of 64 requests on one
+    /// operator hashes it once, at the first admission.
+    #[test]
+    fn one_operator_is_fingerprinted_once() {
+        let op = operator(7);
+        let mut b = DistVec::zeros(&op.layout);
+        b.fill_with(|i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
+        let svc = SolverService::start(ServiceConfig {
+            start_paused: true,
+            ..ServiceConfig::default()
+        });
+        let tickets: Vec<_> = (0..64)
+            .map(|i| {
+                let req = SolveRequest::new(
+                    i % 4,
+                    Arc::clone(&op),
+                    SolverSpec::ChronGear,
+                    PrecondSpec::Diagonal,
+                    b.clone(),
+                );
+                svc.submit(req.with_tol(1e-8)).unwrap()
+            })
+            .collect();
+        svc.resume();
+        for t in tickets {
+            assert!(t.wait().unwrap().stats.converged);
+        }
+        assert_eq!(svc.shared.keys.computed.load(Ordering::Relaxed), 1);
+    }
+
+    /// The memo never outgrows the live operators: each insert prunes the
+    /// entries whose operators were dropped.
+    #[test]
+    fn key_memo_holds_only_live_operators() {
+        let memo = KeyMemo::default();
+        let live = operator(8);
+        let key = memo.key(&live);
+        for _ in 0..100 {
+            let dropped = Arc::new((*live).clone());
+            assert_eq!(memo.key(&dropped), key, "bit-equal operators share a key");
+        }
+        let newest = operator(9);
+        assert_ne!(memo.key(&newest), key);
+        {
+            let entries = memo.entries.lock().unwrap();
+            assert_eq!(entries.len(), 2);
+            assert!(entries.iter().all(|(w, _)| w.strong_count() > 0));
+        }
+        assert_eq!(memo.key(&live), key);
+        assert_eq!(memo.computed.load(Ordering::Relaxed), 102);
+    }
 
     #[test]
     fn release_tenant_removes_entries_at_zero() {

@@ -114,6 +114,59 @@ fn mixed_operators_split_batches() {
     assert_eq!(t3.wait().unwrap().batch_width, 2);
 }
 
+/// Coalescing keys on the coefficients, not the allocation: requests on two
+/// `Arc`s holding bit-equal operators ride one batch.
+#[test]
+fn bit_equal_operators_in_distinct_arcs_coalesce() {
+    let p = problem(5);
+    let twin = Problem {
+        op: Arc::new((*p.op).clone()),
+        b: p.b.clone(),
+    };
+    assert!(!Arc::ptr_eq(&p.op, &twin.op));
+    let svc = SolverService::start(ServiceConfig {
+        start_paused: true,
+        ..ServiceConfig::default()
+    });
+    let tickets: Vec<Ticket> = (0..6)
+        .map(|i| {
+            svc.submit(request(if i % 2 == 0 { &p } else { &twin }, i))
+                .unwrap()
+        })
+        .collect();
+    svc.resume();
+    for t in tickets {
+        assert_eq!(t.wait().unwrap().batch_width, 6);
+    }
+}
+
+/// An operator changed through `Arc::make_mut` once its requests finished
+/// is a new operator to the service: re-keyed, so it neither reuses the old
+/// cached setup state nor coalesces with the old coefficients.
+#[test]
+fn operator_changed_through_make_mut_is_rekeyed() {
+    let mut p = problem(6);
+    let svc = SolverService::start(ServiceConfig::default());
+    let first = svc.submit(request(&p, 0)).unwrap().wait().unwrap();
+    assert!(!first.cache_hit);
+    let again = svc.submit(request(&p, 0)).unwrap().wait().unwrap();
+    assert!(
+        again.cache_hit,
+        "an unchanged operator reuses its setup state"
+    );
+
+    let op = Arc::make_mut(&mut p.op);
+    let v = op.a0.blocks[0].interior_row_mut(0);
+    v[0] = f64::from_bits(v[0].to_bits() ^ 1);
+    let changed = svc.submit(request(&p, 0)).unwrap().wait().unwrap();
+    assert!(
+        !changed.cache_hit,
+        "a one-ulp coefficient change must miss the operator cache"
+    );
+    let cache = svc.shutdown();
+    assert_eq!((cache.hits, cache.misses), (1, 2));
+}
+
 #[test]
 fn tolerance_gates_coalescing() {
     // Same operator, different tol: must not share a SolverConfig.
