@@ -19,8 +19,8 @@ pub enum ExecPolicy {
 }
 
 /// Width of the per-block partial-reduction slot of a fused sweep. Wide
-/// enough for the hungriest solver at the widest RHS batch (pipelined CG
-/// fuses three dot products per RHS; a 16-wide batch needs 48 slots);
+/// enough for the hungriest solver at the widest RHS batch (ChronGear
+/// fuses two dot products per RHS; a 16-wide batch needs 32 slots);
 /// unused lanes stay `0.0` and add nothing. Both runtimes charge allreduce
 /// cost by the *requested* scalar count, not this capacity, so widening the
 /// slot is free.

@@ -1,23 +1,20 @@
 //! Barotropic solvers for the POP-like ocean model — the primary
 //! contribution of the reproduced paper.
 //!
-//! Three iterative solvers for the elliptic sea-surface-height system
-//! `A η = ψ` share one interface:
+//! The paper's two iterative solvers for the elliptic sea-surface-height
+//! system `A η = ψ` share one interface:
 //!
-//! - [`solvers::ClassicPcg`] — textbook preconditioned conjugate gradients,
-//!   **two** global reductions per iteration (the historical baseline).
 //! - [`solvers::ChronGear`] — the Chronopoulos–Gear PCG variant POP ships
 //!   (paper Algorithm 1): the two inner products are fused into **one**
 //!   global reduction per iteration.
-//! - [`solvers::PipelinedCg`] — the related-work alternative (the paper's
-//!   ref \[16\]): one fused reduction that *overlaps* with the matvec and
-//!   preconditioner, hiding latency until reductions outgrow an iteration's
-//!   local work.
 //! - [`solvers::Pcsi`] — the paper's Preconditioned Classical Stiefel
 //!   Iteration (Algorithm 2), a Chebyshev-type method with **zero** global
 //!   reductions in the loop body; only the periodic convergence check
 //!   reduces. It needs bounds `[ν, μ]` on the spectrum of `M⁻¹A`, supplied
 //!   by [`lanczos::estimate_bounds`].
+//!
+//! Pipelined CG, the alternative the paper's §7 weighs against P-CSI (its
+//! ref \[16\]), is a cost model in `pop-perfmodel`, not a solver here.
 //!
 //! Three preconditioners, also behind one trait:
 //!
@@ -54,7 +51,6 @@ pub use selector::{
 pub use setup::{OperatorState, PrecondSpec, Solver, SolverSpec};
 pub use solvers::{
     batch_key, operator_fingerprint, solve_many, BatchCommSolver, BatchKey, BatchPlanner,
-    BatchWorkspace, ChronGear, ClassicPcg, CommSolver, LinearSolver, Pcsi, PipelinedCg,
-    PlannedBatch, RecoveryConfig, SolveOutcome, SolveStats, SolverConfig, SolverWorkspace,
-    MAX_BATCH,
+    BatchWorkspace, ChronGear, CommSolver, LinearSolver, Pcsi, PlannedBatch, RecoveryConfig,
+    SolveOutcome, SolveStats, SolverConfig, SolverWorkspace, MAX_BATCH,
 };

@@ -28,8 +28,8 @@ use crate::fingerprint::operator_fingerprint;
 use crate::lanczos::{estimate_bounds, EigenBounds, LanczosConfig};
 use crate::precond::{BlockEvp, BlockLu, BlockMg, Diagonal, Identity, Preconditioner};
 use crate::solvers::{
-    BatchCommSolver, BatchWorkspace, ChronGear, ClassicPcg, CommSolver, Pcsi, PipelinedCg,
-    SolveStats, SolverConfig, SolverWorkspace,
+    BatchCommSolver, BatchWorkspace, ChronGear, CommSolver, Pcsi, SolveStats, SolverConfig,
+    SolverWorkspace,
 };
 use pop_comm::{BlockVec, CommWorld, Communicator};
 use pop_stencil::NinePoint;
@@ -40,12 +40,8 @@ use std::sync::Arc;
 /// from the [`OperatorState`], which is the point of caching it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverSpec {
-    /// Classic two-reduction PCG (pre-ChronGear baseline).
-    ClassicPcg,
     /// POP's production solver (paper Algorithm 1).
     ChronGear,
-    /// Pipelined CG (Ghysels & Vanroose; the paper's ref \[16\]).
-    PipelinedCg,
     /// The paper's headline solver (Algorithm 2).
     Pcsi,
 }
@@ -55,9 +51,7 @@ impl SolverSpec {
     /// label on every metric, the left half of a `SolverChoice` label.
     pub const fn label(self) -> &'static str {
         match self {
-            SolverSpec::ClassicPcg => "pcg",
             SolverSpec::ChronGear => "chrongear",
-            SolverSpec::PipelinedCg => "pipecg",
             SolverSpec::Pcsi => "pcsi",
         }
     }
@@ -74,18 +68,14 @@ impl SolverSpec {
 /// the only place a solver name becomes a solver type.
 #[derive(Debug, Clone, Copy)]
 pub enum Solver {
-    ClassicPcg,
     ChronGear,
-    PipelinedCg,
     Pcsi(EigenBounds),
 }
 
 impl Solver {
     pub fn spec(&self) -> SolverSpec {
         match self {
-            Solver::ClassicPcg => SolverSpec::ClassicPcg,
             Solver::ChronGear => SolverSpec::ChronGear,
-            Solver::PipelinedCg => SolverSpec::PipelinedCg,
             Solver::Pcsi(_) => SolverSpec::Pcsi,
         }
     }
@@ -108,9 +98,7 @@ impl Solver {
         ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
     ) -> SolveStats {
         match self {
-            Solver::ClassicPcg => ClassicPcg.solve_comm(op, pre, comm, b, x, cfg, ws),
             Solver::ChronGear => ChronGear.solve_comm(op, pre, comm, b, x, cfg, ws),
-            Solver::PipelinedCg => PipelinedCg.solve_comm(op, pre, comm, b, x, cfg, ws),
             Solver::Pcsi(bounds) => Pcsi::new(*bounds).solve_comm(op, pre, comm, b, x, cfg, ws),
         }
     }
@@ -130,9 +118,7 @@ impl Solver {
         ws: &mut BatchWorkspace<C>,
     ) -> Vec<SolveStats> {
         match self {
-            Solver::ClassicPcg => ClassicPcg.solve_batch_comm(op, pre, comm, bs, xs, cfg, ws),
             Solver::ChronGear => ChronGear.solve_batch_comm(op, pre, comm, bs, xs, cfg, ws),
-            Solver::PipelinedCg => PipelinedCg.solve_batch_comm(op, pre, comm, bs, xs, cfg, ws),
             Solver::Pcsi(bounds) => {
                 Pcsi::new(*bounds).solve_batch_comm(op, pre, comm, bs, xs, cfg, ws)
             }
@@ -237,9 +223,7 @@ impl OperatorState {
     /// bounds (a cache-key or setup bug, not an input condition).
     pub fn solver(&self, spec: SolverSpec) -> Solver {
         match spec {
-            SolverSpec::ClassicPcg => Solver::ClassicPcg,
             SolverSpec::ChronGear => Solver::ChronGear,
-            SolverSpec::PipelinedCg => Solver::PipelinedCg,
             SolverSpec::Pcsi => Solver::Pcsi(
                 self.bounds
                     .expect("P-CSI needs an OperatorState built with Lanczos bounds"),
@@ -303,12 +287,7 @@ mod tests {
         let f = fixture(&grid, 8, 6, 3000.0);
         let lz = LanczosConfig::default();
         let s = OperatorState::build(&f.op, PrecondSpec::Diagonal, Some(&lz), &f.world);
-        for spec in [
-            SolverSpec::ClassicPcg,
-            SolverSpec::ChronGear,
-            SolverSpec::PipelinedCg,
-            SolverSpec::Pcsi,
-        ] {
+        for spec in [SolverSpec::ChronGear, SolverSpec::Pcsi] {
             let solver = s.solver(spec);
             assert_eq!(solver.spec(), spec);
             assert_eq!(spec.needs_bounds(), matches!(solver, Solver::Pcsi(_)));
@@ -323,9 +302,7 @@ mod tests {
     fn solver_labels_are_the_metric_names() {
         // The `solver` label on every exported series; `LinearSolver::name`
         // is defined by these, so SLO metrics join with per-solve counters.
-        assert_eq!(SolverSpec::ClassicPcg.label(), "pcg");
         assert_eq!(SolverSpec::ChronGear.label(), "chrongear");
-        assert_eq!(SolverSpec::PipelinedCg.label(), "pipecg");
         assert_eq!(SolverSpec::Pcsi.label(), "pcsi");
     }
 

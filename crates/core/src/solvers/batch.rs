@@ -39,11 +39,11 @@ use std::sync::Arc;
 
 /// Widest batch the engine accepts: every lane of the [`MAX_GROUPS`] lane
 /// groups a [`MultiBlockVec`] holds. The fused reduction row must fit it
-/// too — PipeCG carries three scalars per RHS and `3 × MAX_BATCH ≤
-/// MAX_SWEEP_PARTIALS` must hold so one allreduce still fits every lane's
-/// partials.
+/// too — ChronGear carries two scalars per RHS (`ρ̃`, `δ̃`) and `2 ×
+/// MAX_BATCH ≤ MAX_SWEEP_PARTIALS` must hold so one allreduce still fits
+/// every lane's partials.
 pub const MAX_BATCH: usize = MAX_GROUPS * LANES;
-const _: () = assert!(3 * MAX_BATCH <= MAX_SWEEP_PARTIALS);
+const _: () = assert!(2 * MAX_BATCH <= MAX_SWEEP_PARTIALS);
 
 /// Reusable arena for batched solves: the batch's lane-loaded right-hand
 /// sides and iterates, the recurrence's own `k`-wide vectors, and width-1

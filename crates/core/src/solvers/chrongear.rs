@@ -242,17 +242,17 @@ impl Recurrence for ChronGear {
             // Step 17: periodic convergence check (one extra reduction).
             if checked {
                 let red = ctl.reduce_check(&rr);
-                for l in ctl.check(&red[..w], true, x, x_good) {
+                for l in ctl.check(&red[..w], x, x_good) {
                     // s and p restart from zero: the staging vectors are.
                     (rho_old[l], sigma[l]) = (1.0, 0.0);
                     let vecs = [&mut *x, &mut *r, &mut *s, &mut *p];
                     ctl.restart(l, x_good, vecs, |b, [sx, sr, ..], lane| {
-                        Some(Self::start(op, comm, b, [sx, sr], lane))
+                        Self::start(op, comm, b, [sx, sr], lane)
                     });
                 }
             }
         }
-        ctl.settle(Some(&rr), x, x_good);
+        ctl.settle(&rr, x, x_good);
     }
 }
 

@@ -171,29 +171,14 @@ impl SolveCtl {
         }
     }
 
-    /// Feed one reduced `‖r‖²` through the recovery monitor. `cadence` is
-    /// false only for PipeCG's off-cadence every-iteration assessments,
-    /// which enter the history late, on convergence. `now` reads the
-    /// communicator's counters if the solve ends here.
-    fn check(
-        &mut self,
-        cfg: &SolverConfig,
-        rr: f64,
-        cadence: bool,
-        now: &dyn Fn() -> StatsSnapshot,
-    ) -> Check {
+    /// Feed one reduced `‖r‖²` through the recovery monitor. `now` reads
+    /// the communicator's counters if the solve ends here.
+    fn check(&mut self, cfg: &SolverConfig, rr: f64, now: &dyn Fn() -> StatsSnapshot) -> Check {
         let rel = self.relative(rr);
         self.final_rel = rel;
-        if cadence {
-            self.history.push((self.iterations, rel));
-        }
+        self.history.push((self.iterations, rel));
         match self.monitor.assess(rel) {
-            Verdict::Healthy { .. } if rel < cfg.tol => {
-                if !cadence {
-                    self.history.push((self.iterations, rel));
-                }
-                self.retire(SolveOutcome::Converged, now)
-            }
+            Verdict::Healthy { .. } if rel < cfg.tol => self.retire(SolveOutcome::Converged, now),
             Verdict::Healthy { improved: true } => Check::Snapshot,
             Verdict::Healthy { improved: false } => Check::Continue,
             Verdict::Restart => {
@@ -410,7 +395,6 @@ impl<'a, 'o, C: Communicator> Control<'a, 'o, C> {
     pub(crate) fn check<T: TileKernels>(
         &mut self,
         rr: &[f64],
-        cadence: bool,
         x: &mut C::Vec<T>,
         x_good: &mut C::Vec<T>,
     ) -> LaneSet {
@@ -421,7 +405,7 @@ impl<'a, 'o, C: Communicator> Control<'a, 'o, C> {
             if !lane.running() {
                 continue;
             }
-            match lane.check(cfg, rr, cadence, &|| comm.stats()) {
+            match lane.check(cfg, rr, &|| comm.stats()) {
                 Check::Continue => {}
                 Check::Snapshot => snapshot.insert(l),
                 Check::Restart => restart.insert(l),
@@ -432,11 +416,10 @@ impl<'a, 'o, C: Communicator> Control<'a, 'o, C> {
             }
         }
         if !snapshot.is_empty() {
-            // Skip any (block, lane) holding a non-finite value: the reduced
-            // residual can lag the iterate it describes (most sharply in
-            // PipeCG, whose dots of iteration k precede its updates), so a
-            // healthy verdict may arrive while the iterate is already
-            // poisoned, and restarts must always restore a finite field.
+            // Skip any (block, lane) holding a non-finite value: a healthy
+            // verdict vouches for the reduced ocean-point `‖r‖²`, not for
+            // every value of the lane (its halo ring, its land points), and
+            // restarts must always restore a finite field.
             let x = &*x;
             let _ = comm.for_each_block_fused([x_good], |bk, [good]| {
                 for l in snapshot {
@@ -458,17 +441,13 @@ impl<'a, 'o, C: Communicator> Control<'a, 'o, C> {
     /// scatter the staged vectors back into lane `l` of `dst` (the first is
     /// the iterate), so the lane rejoins its single-RHS trajectory. Staged
     /// vectors `start` leaves alone scatter zeros. `start` returns the
-    /// `‖r‖²` sweep of its residual, if it computes one.
+    /// `‖r‖²` sweep of its residual.
     pub(crate) fn restart<T: TileKernels, const N: usize>(
         &mut self,
         l: usize,
         x_good: &C::Vec<T>,
         dst: [&mut C::Vec<T>; N],
-        start: impl FnOnce(
-            &C::Vec<BlockVec>,
-            [&mut C::Vec<BlockVec>; N],
-            &mut [SolveCtl],
-        ) -> Option<C::Sweep>,
+        start: impl FnOnce(&C::Vec<BlockVec>, [&mut C::Vec<BlockVec>; N], &mut [SolveCtl]) -> C::Sweep,
     ) {
         let comm = self.comm;
         let b = self.bs[l];
@@ -478,9 +457,8 @@ impl<'a, 'o, C: Communicator> Control<'a, 'o, C> {
             ZEROS
         });
         let lane = std::slice::from_mut(&mut self.lanes[l]);
-        if let Some(rr) = start(b, staged.each_mut().map(|v| &mut **v), lane) {
-            self.restarted.push((l, rr));
-        }
+        let rr = start(b, staged.each_mut().map(|v| &mut **v), lane);
+        self.restarted.push((l, rr));
         for (src, dst) in staged.into_iter().zip(dst) {
             let src = &*src;
             let _ = comm.for_each_block_fused([dst], |bk, [d]| {
@@ -494,23 +472,20 @@ impl<'a, 'o, C: Communicator> Control<'a, 'o, C> {
     /// The iteration cap fell: settle every running lane — a lane no check
     /// ever reduced takes its `‖r‖²` from `rr`, the last iteration's
     /// residual sweep (or from its own restart, if it restarted on the last
-    /// iteration) — classify it, and hand its answer out. PipeCG reduces
-    /// every iteration and passes `None`.
+    /// iteration) — classify it, and hand its answer out.
     pub(crate) fn settle<T: TileKernels>(
         &mut self,
-        rr: Option<&C::Sweep>,
+        rr: &C::Sweep,
         x: &mut C::Vec<T>,
         x_good: &mut C::Vec<T>,
     ) {
         let (comm, cfg) = (self.comm, self.cfg);
-        let shared = rr
-            .filter(|_| {
-                (0..self.lanes.len()).any(|l| {
-                    let lane = &self.lanes[l];
-                    lane.running() && lane.unsettled() && self.restarted(l).is_none()
-                })
+        let shared = (0..self.lanes.len())
+            .any(|l| {
+                let lane = &self.lanes[l];
+                lane.running() && lane.unsettled() && self.restarted(l).is_none()
             })
-            .map(|sweep| comm.reduce_sweep(sweep, self.width as u64));
+            .then(|| comm.reduce_sweep(rr, self.width as u64));
         for l in 0..self.lanes.len() {
             if !self.lanes[l].running() {
                 continue;
@@ -590,4 +565,118 @@ pub(crate) fn copy_vec<C: Communicator, T: TileKernels>(
         d.raw_mut().copy_from_slice(src.block(bk).raw());
         ZEROS
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pop_comm::{CommWorld, DistField, DistLayout, DistVec, MultiBlockVec};
+    use pop_grid::Grid;
+    use pop_simd::LANES;
+
+    /// A poisoned lane's `‖r‖²` arrives as whichever NaN its kernel's
+    /// operand order produced (the point- and lane-vectorised kernels have
+    /// disagreed on the sign), so the history records the canonical
+    /// `f64::NAN` for every one of them, and the report's final residual is
+    /// never a NaN: the best healthy check, or `∞` when none completed.
+    #[test]
+    fn a_nan_residual_of_either_sign_is_recorded_as_the_canonical_nan() {
+        let cfg = SolverConfig {
+            recovery: RecoveryConfig {
+                max_restarts: 1,
+                ..RecoveryConfig::default()
+            },
+            ..SolverConfig::default()
+        };
+        let now = StatsSnapshot::default;
+        let negative = f64::from_bits(f64::NAN.to_bits() | 1 << 63);
+        let payload = f64::from_bits(0xfff8_dead_beef_0001);
+        for rr in [f64::NAN, negative, payload] {
+            for healthy_first in [false, true] {
+                let mut lane = SolveCtl::new(&cfg, "chrongear", "diagonal", now());
+                lane.bnorm = 2.0;
+                let mut want = vec![];
+                if healthy_first {
+                    lane.tick();
+                    assert_eq!(lane.check(&cfg, 1.0, &now), Check::Snapshot);
+                    want.push((1, 0.5f64.to_bits()));
+                }
+                lane.tick();
+                assert_eq!(lane.check(&cfg, rr, &now), Check::Restart);
+                lane.tick();
+                let done = lane.check(&cfg, rr, &now);
+                assert_eq!(done, Check::Done(SolveOutcome::Diverged));
+                let n = want.len();
+                want.extend([(n + 1, f64::NAN.to_bits()), (n + 2, f64::NAN.to_bits())]);
+
+                let stats = lane.into_stats(now());
+                let got: Vec<_> = stats
+                    .residual_history
+                    .iter()
+                    .map(|&(it, rel)| (it, rel.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "history for ‖r‖² bits {:#x}", rr.to_bits());
+                let best = if healthy_first { 0.5 } else { f64::INFINITY };
+                assert_eq!(stats.final_relative_residual.to_bits(), best.to_bits());
+                assert_eq!((stats.restarts, stats.converged), (1, false));
+            }
+        }
+    }
+
+    /// Refresh a snapshot at `width` from an iterate of ones whose lane
+    /// `width − 1` holds one NaN in block 1: that (block, lane) keeps its
+    /// old zeros, every other one takes the ones.
+    fn snapshot_skips_the_non_finite_block_lane<T: TileKernels>(width: usize) {
+        let grid = Grid::gx1_scaled(23, 40, 32);
+        let layout = DistLayout::build(&grid, 10, 8);
+        let (comm, cfg) = (CommWorld::serial(), SolverConfig::default());
+        let b = DistVec::zeros(&layout);
+        let poisoned = (1, width - 1);
+        let filled = |bk: usize, value: f64| {
+            let mut v = b.blocks[bk].clone();
+            v.raw_mut().fill(value);
+            v
+        };
+        let mut x: DistField<T> = comm.alloc(&b, width);
+        let mut x_good: DistField<T> = comm.alloc(&b, width);
+        for (bk, tile) in x.blocks.iter_mut().enumerate() {
+            for l in 0..width {
+                let mut v = filled(bk, 1.0);
+                if (bk, l) == poisoned {
+                    let mid = v.raw().len() / 2;
+                    v.raw_mut()[mid] = f64::NAN;
+                }
+                tile.load_lane(l, &v);
+            }
+        }
+        let mut lanes: Vec<SolveCtl> = (0..width)
+            .map(|_| {
+                let mut lane = SolveCtl::new(&cfg, "chrongear", "diagonal", comm.stats());
+                lane.bnorm = 1.0;
+                lane
+            })
+            .collect();
+        let (bs, mut stage) = ([&b], SolverWorkspace::default());
+        let mut ctl = Control::new(&comm, &cfg, &mut lanes, &bs, &mut [], &mut stage, width);
+        // A healthy, improved, unconverged residual in every lane.
+        let restart = ctl.check(&vec![1.0; width], &mut x, &mut x_good);
+        assert!(restart.is_empty());
+        for bk in 0..x_good.blocks.len() {
+            for l in 0..width {
+                let mut got = filled(bk, f64::NAN);
+                x_good.blocks[bk].store_lane(l, &mut got);
+                let want = filled(bk, if (bk, l) == poisoned { 0.0 } else { 1.0 });
+                assert_eq!(got.raw(), want.raw(), "width {width}, block {bk}, lane {l}");
+            }
+        }
+    }
+
+    /// A healthy verdict vouches for the reduced `‖r‖²`, not for every
+    /// value of the iterate, so the snapshot refresh it triggers takes no
+    /// non-finite (block, lane): a restart always restores a finite field.
+    #[test]
+    fn a_snapshot_skips_each_block_lane_holding_a_non_finite_value() {
+        snapshot_skips_the_non_finite_block_lane::<BlockVec>(1);
+        snapshot_skips_the_non_finite_block_lane::<MultiBlockVec>(2 * LANES);
+    }
 }

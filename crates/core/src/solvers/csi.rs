@@ -283,15 +283,15 @@ impl Recurrence for Pcsi {
             // every lane's residual: flat in k.
             if checked {
                 let red = ctl.reduce_check(&rr);
-                for l in ctl.check(&red[..w], true, x, x_good) {
+                for l in ctl.check(&red[..w], x, x_good) {
                     omega[l] = 2.0 / gamma;
                     ctl.restart(l, x_good, [&mut *x, &mut *r, &mut *dx], |b, v, lane| {
-                        Some(Self::start(op, pre, comm, inv_gamma, b, v, lane))
+                        Self::start(op, pre, comm, inv_gamma, b, v, lane)
                     });
                 }
             }
         }
-        ctl.settle(Some(&rr), x, x_good);
+        ctl.settle(&rr, x, x_good);
     }
 }
 

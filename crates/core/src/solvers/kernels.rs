@@ -1,13 +1,13 @@
 //! The per-block kernels of the solver recurrences.
 //!
-//! Each recurrence (`csi.rs`, `chrongear.rs`, `pcg.rs`, `pipecg.rs`) is one
-//! loop generic over `T: TileKernels`, instantiated on [`BlockVec`] for one
-//! right-hand side and on [`MultiBlockVec`] for a `k`-wide batch. What
-//! differs between the two widths lives behind this trait: the stencil and
-//! preconditioner calls, the masked dot products, and the lane plumbing of
-//! per-RHS control (copy, finite check, gather, scatter of one lane — the
-//! whole tile for a [`BlockVec`]). This is the only solver module that names
-//! a lane kernel.
+//! Each recurrence (`csi.rs`, `chrongear.rs`) is one loop generic over
+//! `T: TileKernels`, instantiated on [`BlockVec`] for one right-hand side
+//! and on [`MultiBlockVec`] for a `k`-wide batch. What differs between the
+//! two widths lives behind this trait: the stencil and preconditioner
+//! calls, the masked dot products, and the lane plumbing of per-RHS
+//! control (copy, finite check, gather, scatter of one lane — the whole
+//! tile for a [`BlockVec`]). This is the only solver module that names a
+//! lane kernel.
 //!
 //! The stencil, preconditioner and dot calls stay two families: the
 //! point-vectorised kernels are the faster ones for one right-hand side, the
@@ -59,9 +59,6 @@ pub(crate) trait TileKernels: Tile {
     /// bits, for a sweep whose norm nobody reads.
     fn residual_no_norm(op: &NinePoint, bk: usize, x: &Self, b: &Self, r: &mut Self);
 
-    /// `y = A x` over block `bk`'s interior. `x`'s halo must be current.
-    fn apply(op: &NinePoint, bk: usize, x: &Self, y: &mut Self);
-
     /// `y = A x` with `rᵀx` in band 0 of `out` and `yᵀx` in band 1:
     /// ChronGear's `ρ̃` and `δ̃`.
     fn apply_dots(op: &NinePoint, bk: usize, x: &Self, y: &mut Self, r: &Self, out: &mut [f64]);
@@ -102,11 +99,6 @@ impl TileKernels for BlockVec {
     #[inline]
     fn residual_no_norm(op: &NinePoint, bk: usize, x: &Self, b: &Self, r: &mut Self) {
         op.residual_block_no_norm_into(bk, x, b, r, &op.layout.masks[bk]);
-    }
-
-    #[inline]
-    fn apply(op: &NinePoint, bk: usize, x: &Self, y: &mut Self) {
-        op.apply_block_into(bk, x, y, &op.layout.masks[bk]);
     }
 
     #[inline]
@@ -183,11 +175,6 @@ impl TileKernels for MultiBlockVec {
     #[inline]
     fn residual_no_norm(op: &NinePoint, bk: usize, x: &Self, b: &Self, r: &mut Self) {
         op.residual_block_multi_no_norm(bk, x, b, r);
-    }
-
-    #[inline]
-    fn apply(op: &NinePoint, bk: usize, x: &Self, y: &mut Self) {
-        op.apply_block_multi(bk, x, y);
     }
 
     fn apply_dots(op: &NinePoint, bk: usize, x: &Self, y: &mut Self, r: &Self, out: &mut [f64]) {
@@ -341,53 +328,6 @@ impl Update<2, 4, 3> for ChronGearUpdate {
         *p = pv;
         *x = x.add(a.mul(sv));
         *r = r.add(na.mul(pv));
-    }
-}
-
-/// Classic PCG's iterate update: `x += αp ; r += (−α)Ap`.
-pub(crate) struct PcgUpdate;
-
-impl Update<2, 2, 2> for PcgUpdate {
-    #[inline(always)]
-    fn point<V: LaneF64>([p, ap]: [V; 2], [x, r]: &mut [V; 2], [a, na]: [V; 2]) {
-        *x = x.add(a.mul(p));
-        *r = r.add(na.mul(ap));
-    }
-}
-
-/// Classic PCG's direction update: `p = z + βp`.
-pub(crate) struct PcgDirection;
-
-impl Update<1, 1, 1> for PcgDirection {
-    #[inline(always)]
-    fn point<V: LaneF64>([z]: [V; 1], [p]: &mut [V; 1], [b]: [V; 1]) {
-        *p = z.add(b.mul(*p));
-    }
-}
-
-/// PipeCG's eight recurrences. The direction updates read the *old* `w`
-/// and `u` of the point, which are written only afterwards.
-pub(crate) struct PipeCgUpdate;
-
-impl Update<2, 8, 3> for PipeCgUpdate {
-    #[inline(always)]
-    fn point<V: LaneF64>(
-        [n, m]: [V; 2],
-        [z, q, s, p, x, r, u, w]: &mut [V; 8],
-        [b, a, na]: [V; 3],
-    ) {
-        let zv = n.add(b.mul(*z));
-        let qv = m.add(b.mul(*q));
-        let sv = w.add(b.mul(*s));
-        let pv = u.add(b.mul(*p));
-        *z = zv;
-        *q = qv;
-        *s = sv;
-        *p = pv;
-        *x = x.add(a.mul(pv));
-        *r = r.add(na.mul(sv));
-        *u = u.add(na.mul(qv));
-        *w = w.add(na.mul(zv));
     }
 }
 

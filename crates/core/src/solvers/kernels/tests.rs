@@ -1,4 +1,4 @@
-//! The six pointwise updates through [`update`], against their scalar
+//! The three pointwise updates through [`update`], against their scalar
 //! formulas written out below in each update's per-element order: at width
 //! 1 on every row length from 1 to 8 (each ragged tail, and rows that are
 //! only tail), on every lane-group count, in every dispatch mode, with
@@ -153,34 +153,6 @@ fn every_update_matches_its_scalar_formula_at_both_widths_in_every_mode() {
             *p = pv;
             *x += alpha * sv;
             *r += nalpha * pv;
-        },
-    );
-    sweep(
-        || PcgUpdate,
-        |[p, ap], [x, r]: &mut [f64; 2], [alpha, nalpha]| {
-            *x += alpha * p;
-            *r += nalpha * ap;
-        },
-    );
-    sweep(
-        || PcgDirection,
-        |[z], [p]: &mut [f64; 1], [beta]| *p = z + beta * *p,
-    );
-    sweep(
-        || PipeCgUpdate,
-        |[n, m], [z, q, s, p, x, r, u, w]: &mut [f64; 8], [beta, alpha, nalpha]| {
-            let zv = n + beta * *z;
-            let qv = m + beta * *q;
-            let sv = *w + beta * *s;
-            let pv = *u + beta * *p;
-            *z = zv;
-            *q = qv;
-            *s = sv;
-            *p = pv;
-            *x += alpha * pv;
-            *r += nalpha * sv;
-            *u += nalpha * qv;
-            *w += nalpha * zv;
         },
     );
 }

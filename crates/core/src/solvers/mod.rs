@@ -1,4 +1,5 @@
-//! The barotropic solvers behind one interface.
+//! The paper's two barotropic solvers behind one interface: ChronGear
+//! (Algorithm 1, `chrongear.rs`) and P-CSI (Algorithm 2, `csi.rs`).
 //!
 //! Each solver's recurrence is written once, as a loop generic over the
 //! block tile (`kernels.rs`): [`CommSolver::solve_comm`] runs it on
@@ -13,8 +14,6 @@ mod chrongear;
 mod control;
 mod csi;
 mod kernels;
-mod pcg;
-mod pipecg;
 
 pub use batch::{
     batch_key, operator_fingerprint, solve_many, BatchCommSolver, BatchKey, BatchPlanner,
@@ -23,8 +22,6 @@ pub use batch::{
 pub use chrongear::ChronGear;
 pub(crate) use control::{Control, SolveCtl};
 pub use csi::Pcsi;
-pub use pcg::ClassicPcg;
-pub use pipecg::PipelinedCg;
 
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;

@@ -34,11 +34,6 @@ impl SolverChoice {
     pub const PcsiDiag: Self = Self::of(SolverSpec::Pcsi, PrecondSpec::Diagonal);
     /// The paper's headline solver with block-EVP preconditioning.
     pub const PcsiEvp: Self = Self::of(SolverSpec::Pcsi, PrecondSpec::Evp);
-    /// Classic two-reduction PCG (pre-ChronGear baseline).
-    pub const ClassicPcgDiag: Self = Self::of(SolverSpec::ClassicPcg, PrecondSpec::Diagonal);
-    /// Pipelined CG (Ghysels & Vanroose; the paper's ref \[16\]): the
-    /// reduction-hiding alternative to abandoning CG.
-    pub const PipelinedCgDiag: Self = Self::of(SolverSpec::PipelinedCg, PrecondSpec::Diagonal);
     /// ChronGear with unpreconditioned iterations (ablation).
     pub const ChronGearIdentity: Self = Self::of(SolverSpec::ChronGear, PrecondSpec::Identity);
     /// ChronGear with band-LU block solves (ablation: same M as EVP).
@@ -204,8 +199,6 @@ mod tests {
             SolverChoice::ChronGearEvp,
             SolverChoice::PcsiDiag,
             SolverChoice::PcsiEvp,
-            SolverChoice::ClassicPcgDiag,
-            SolverChoice::PipelinedCgDiag,
             SolverChoice::ChronGearIdentity,
             SolverChoice::ChronGearBlockLu,
             SolverChoice::PcsiMg,
@@ -237,8 +230,6 @@ mod tests {
             SolverChoice::ChronGearEvp,
             SolverChoice::PcsiDiag,
             SolverChoice::PcsiEvp,
-            SolverChoice::ClassicPcgDiag,
-            SolverChoice::PipelinedCgDiag,
             SolverChoice::ChronGearIdentity,
             SolverChoice::ChronGearBlockLu,
             SolverChoice::PcsiMg,

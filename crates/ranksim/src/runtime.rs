@@ -1169,7 +1169,7 @@ mod tests {
     }
 
     /// Re-reducing the same sweep handle is a fresh collective with
-    /// identical results (the PCG check path relies on this).
+    /// identical results, as `Communicator::reduce_sweep` promises.
     #[test]
     fn repeated_reduce_is_fresh_collective() {
         let layout = layout();

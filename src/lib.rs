@@ -17,7 +17,7 @@
 //!   reductions, communication counters.
 //! - [`stencil`] — the nine-point barotropic operator in POP's symmetric
 //!   `{A0, AN, AE, ANE}` storage.
-//! - [`core`] — the solvers (classic PCG, ChronGear, P-CSI) and
+//! - [`core`] — the paper's two solvers (ChronGear, P-CSI) and
 //!   preconditioners (diagonal, block-LU, block-EVP), plus Lanczos
 //!   eigenvalue estimation.
 //! - [`ranksim`] — the rank-based message-passing runtime: each simulated
@@ -86,8 +86,7 @@ pub mod prelude {
     pub use pop_core::setup::{OperatorState, PrecondSpec, Solver, SolverSpec};
     pub use pop_core::solvers::{
         batch_key, solve_many, BatchCommSolver, BatchPlanner, BatchWorkspace, ChronGear,
-        ClassicPcg, LinearSolver, Pcsi, PipelinedCg, RecoveryConfig, SolveOutcome, SolveStats,
-        SolverConfig, MAX_BATCH,
+        LinearSolver, Pcsi, RecoveryConfig, SolveOutcome, SolveStats, SolverConfig, MAX_BATCH,
     };
     pub use pop_grid::{Decomposition, Grid};
     pub use pop_obs::{ConvergenceTrace, ObsSink, SolveHistory};

@@ -7,7 +7,7 @@
 //! ranksim message passing) and every SIMD dispatch mode (the CI `batch`
 //! job re-runs this binary with `POP_BARO_SIMD=portable`).
 //!
-//! This suite enforces the promise end to end: four solvers × {diagonal,
+//! This suite enforces the promise end to end: both solvers × {diagonal,
 //! block-EVP} × three backends on batches of one to four lane groups (k=3,
 //! 5, 9 — not lane multiples — and 16), plus forced-dispatch sweeps and a
 //! batch mixing converging and diverging systems (the poisoned lane must
@@ -151,7 +151,7 @@ fn batch_ranksim(
         .collect()
 }
 
-/// The tentpole guarantee: four solvers × {diag, EVP} × {serial, threaded,
+/// The tentpole guarantee: both solvers × {diag, EVP} × {serial, threaded,
 /// ranksim}, every RHS bitwise equal to its independent single-RHS solve.
 /// Batch widths: k=5 with the diagonal, and k=3, 9 and 16 with EVP — one,
 /// three and four lane groups, each its own instance of the EVP and
@@ -169,12 +169,7 @@ fn batched_solves_match_single_rhs_bitwise_end_to_end() {
         ("evp", &BlockEvp::with_defaults(&p.op), &[3, 9, 16]),
     ] {
         let (bounds, _) = estimate_bounds(&p.op, pre, &shared, &LanczosConfig::default());
-        let kinds = [
-            SolverKind::ClassicPcg,
-            SolverKind::ChronGear,
-            SolverKind::PipelinedCg,
-            SolverKind::Pcsi(bounds),
-        ];
+        let kinds = [SolverKind::ChronGear, SolverKind::Pcsi(bounds)];
         let cfg = solver_cfg();
         for (&k, kind) in widths.iter().flat_map(|k| kinds.map(|kind| (k, kind))) {
             let bs = seeded_batch(&p, k, 0x5eed_0000 + k as u64);
@@ -289,16 +284,14 @@ fn mixed_converging_and_diverging_batch_retires_lanes_independently() {
         .expect("grid has ocean points");
     bs[1].blocks[pb].interior_row_mut(pj)[pi] = f64::NAN;
 
-    // All four restart paths, P-CSI through both preconditioners: each
-    // batched lane restart must land on its single-RHS restart trajectory.
+    // Both restart paths, P-CSI through both preconditioners: each batched
+    // lane restart must land on its single-RHS restart trajectory.
     let evp = BlockEvp::with_defaults(&p.op);
     let lz = LanczosConfig::default();
     let (b_diag, _) = estimate_bounds(&p.op, &pre, &serial, &lz);
     let (b_evp, _) = estimate_bounds(&p.op, &evp, &serial, &lz);
-    let cases: [(&str, &dyn Preconditioner, SolverKind); 5] = [
-        ("diag", &pre, SolverKind::ClassicPcg),
+    let cases: [(&str, &dyn Preconditioner, SolverKind); 3] = [
         ("diag", &pre, SolverKind::ChronGear),
-        ("diag", &pre, SolverKind::PipelinedCg),
         ("diag", &pre, SolverKind::Pcsi(b_diag)),
         ("evp", &evp, SolverKind::Pcsi(b_evp)),
     ];
@@ -368,24 +361,24 @@ fn solve_many_chunking_preserves_per_rhs_bits() {
     }
 }
 
-/// Classic PCG's second reduction carries two bands of its sweep — every
-/// lane's `‖r‖²` and `rᵀz` — and declares both. Per lane that is 3 scalars
-/// an iteration (`pᵀAp`, then the pair), 2 at setup (`‖b‖`, `r₀ᵀz₀`) and
-/// 1 per check, at width 1 and in a k = 5 batch (8 slots). Under the rank
-/// runtime the wire carries exactly the declared payload: recursive
-/// doubling on 4 ranks moves every reduced scalar over log₂ 4 = 2 hops per
-/// rank.
+/// ChronGear's one reduction an iteration carries two bands of its sweep —
+/// every lane's `ρ̃ = rᵀr'` and `δ̃ = (Br')ᵀr'` — in one `2·slots` message,
+/// and declares both. Per lane that is 2 scalars an iteration, 1 at setup
+/// (`‖b‖`) and 1 per check, at width 1 and in a k = 5 batch (8 slots).
+/// Under the rank runtime the wire carries exactly the declared payload:
+/// recursive doubling on 4 ranks moves every reduced scalar over
+/// log₂ 4 = 2 hops per rank.
 #[test]
-fn pcg_declares_the_scalars_it_reduces() {
+fn chrongear_declares_the_scalars_it_reduces() {
     let p = problem(0);
     let pre = Diagonal::new(&p.op);
     let cfg = solver_cfg();
     let bs = seeded_batch(&p, 5, 0x9c6_5ca1);
-    let kind = SolverKind::ClassicPcg;
+    let kind = SolverKind::ChronGear;
     // Every solve converges on a check, so the checks are iterations / 10.
     let declared = |iterations: usize, slots: u64| {
         let n = iterations as u64;
-        slots * (2 + 3 * n + n / cfg.check_every as u64)
+        slots * (1 + 2 * n + n / cfg.check_every as u64)
     };
     let ranks = RankWorld::new(
         &p.layout,

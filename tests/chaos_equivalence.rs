@@ -63,7 +63,7 @@ fn run_shared(p: &Problem, pre: &dyn Preconditioner, kind: SolverKind) -> Observ
     common::run_world(&CommWorld::serial(), p, pre, kind)
 }
 
-/// `FaultPlan::none()` is the pre-fault runtime, bit for bit: all four
+/// `FaultPlan::none()` is the pre-fault runtime, bit for bit: both
 /// solvers, both preconditioners, counters silent.
 #[test]
 fn disabled_fault_plan_is_bitwise_identical_and_counter_free() {

@@ -91,17 +91,12 @@ pub fn serve_problem(grid_seed: u64, tau: f64) -> ServeProblem {
     }
 }
 
-/// All four solvers on `(p.op, pre)`, P-CSI with Lanczos bounds estimated
+/// Both solvers on `(p.op, pre)`, P-CSI with Lanczos bounds estimated
 /// through `pre`.
 pub fn solver_matrix(p: &Problem, pre: &dyn Preconditioner) -> Vec<SolverKind> {
     let shared = CommWorld::serial();
     let (bounds, _) = estimate_bounds(&p.op, pre, &shared, &LanczosConfig::default());
-    vec![
-        SolverKind::ClassicPcg,
-        SolverKind::ChronGear,
-        SolverKind::PipelinedCg,
-        SolverKind::Pcsi(bounds),
-    ]
+    vec![SolverKind::ChronGear, SolverKind::Pcsi(bounds)]
 }
 
 /// The fault-plan seeds of a chaos suite: `POP_CHAOS_SEED` when set (to
@@ -174,9 +169,7 @@ pub fn run_unfused(p: &Problem, pre: &dyn Preconditioner, kind: SolverKind) -> O
     let mut x = DistVec::zeros(&p.layout);
     let (op, rhs, cfg) = (&p.op, &p.rhs, solver_cfg());
     let st = match kind {
-        SolverKind::ClassicPcg => ClassicPcg.solve_unfused(op, pre, &world, rhs, &mut x, &cfg),
         SolverKind::ChronGear => ChronGear.solve_unfused(op, pre, &world, rhs, &mut x, &cfg),
-        SolverKind::PipelinedCg => PipelinedCg.solve_unfused(op, pre, &world, rhs, &mut x, &cfg),
         SolverKind::Pcsi(b) => Pcsi::new(b).solve_unfused(op, pre, &world, rhs, &mut x, &cfg),
     };
     observe(&st, &x)

@@ -9,7 +9,6 @@
 
 use pop_baro::comm::BlockVec;
 use pop_baro::core::precond::Identity;
-use pop_baro::core::solvers::PipelinedCg;
 use pop_baro::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -136,12 +135,8 @@ fn fused_serial_matches_threaded_all_solvers() {
         ("evp", &BlockEvp::with_defaults(&p.op)),
     ] {
         let (bounds, _) = estimate_bounds(&p.op, pre, &world, &LanczosConfig::default());
-        let solvers: [(&str, &dyn LinearSolver); 4] = [
-            ("pcsi", &Pcsi::new(bounds)),
-            ("chrongear", &ChronGear),
-            ("pcg", &ClassicPcg),
-            ("pipecg", &PipelinedCg),
-        ];
+        let solvers: [(&str, &dyn LinearSolver); 2] =
+            [("pcsi", &Pcsi::new(bounds)), ("chrongear", &ChronGear)];
         for (sname, solver) in solvers {
             check_solver(&format!("{sname}+{pname}"), &p, pre, solver);
         }
@@ -160,18 +155,6 @@ fn fused_matches_unfused_bitwise_pcsi_chrongear() {
         check_fused_matches_unfused!(format!("pcsi+{pname}"), &p, pre, &Pcsi::new(bounds));
         check_fused_matches_unfused!(format!("chrongear+{pname}"), &p, pre, &ChronGear);
     }
-}
-
-#[test]
-fn fused_matches_unfused_bitwise_pcg_pipecg() {
-    let p = problem();
-    let pre = Diagonal::new(&p.op);
-    check_fused_matches_unfused!("pcg+diag", &p, &pre, &ClassicPcg);
-    check_fused_matches_unfused!("pipecg+diag", &p, &pre, &PipelinedCg);
-
-    let evp = BlockEvp::with_defaults(&p.op);
-    check_fused_matches_unfused!("pcg+evp", &p, &evp, &ClassicPcg);
-    check_fused_matches_unfused!("pipecg+evp", &p, &evp, &PipelinedCg);
 }
 
 /// The comm accounting of the fused paths must match the paper's counts —
@@ -213,17 +196,6 @@ fn fused_comm_counts_match_unfused() {
         stf.comm.halo_updates, stu.comm.halo_updates,
         "chrongear halos"
     );
-
-    let (stf, stu) = counts!(ClassicPcg);
-    assert_eq!(stf.comm.allreduces, stu.comm.allreduces, "pcg allreduces");
-    assert_eq!(stf.comm.halo_updates, stu.comm.halo_updates, "pcg halos");
-
-    let (stf, stu) = counts!(PipelinedCg);
-    assert_eq!(
-        stf.comm.allreduces, stu.comm.allreduces,
-        "pipecg allreduces"
-    );
-    assert_eq!(stf.comm.halo_updates, stu.comm.halo_updates, "pipecg halos");
 }
 
 /// A preconditioner that counts its block applies, to pin the number of

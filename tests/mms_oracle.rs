@@ -28,12 +28,7 @@ fn cfg() -> SolverConfig {
 fn solver_matrix(op: &NinePoint, pre: &dyn Preconditioner) -> Vec<SolverKind> {
     let world = CommWorld::serial();
     let (bounds, _) = estimate_bounds(op, pre, &world, &LanczosConfig::default());
-    vec![
-        SolverKind::ClassicPcg,
-        SolverKind::ChronGear,
-        SolverKind::PipelinedCg,
-        SolverKind::Pcsi(bounds),
-    ]
+    vec![SolverKind::ChronGear, SolverKind::Pcsi(bounds)]
 }
 
 /// Solve the manufactured system with `kind` and return the relative L2

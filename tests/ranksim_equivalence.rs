@@ -104,12 +104,7 @@ fn run_all(ranks: &[usize]) {
             ("evp", &BlockEvp::with_defaults(&p.op)),
         ] {
             let (bounds, _) = estimate_bounds(&p.op, pre, &shared, &LanczosConfig::default());
-            let kinds = [
-                SolverKind::ClassicPcg,
-                SolverKind::ChronGear,
-                SolverKind::PipelinedCg,
-                SolverKind::Pcsi(bounds),
-            ];
+            let kinds = [SolverKind::ChronGear, SolverKind::Pcsi(bounds)];
             for kind in kinds {
                 for &r in ranks {
                     check(

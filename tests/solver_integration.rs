@@ -144,7 +144,6 @@ fn solvers_agree_with_each_other() {
     };
     let mut sols = Vec::new();
     for choice in [
-        SolverChoice::ClassicPcgDiag,
         SolverChoice::ChronGearDiag,
         SolverChoice::ChronGearBlockLu,
         SolverChoice::PcsiDiag,
@@ -161,7 +160,7 @@ fn solvers_agree_with_each_other() {
         let mut d = x.clone();
         d.axpy(-1.0, &sols[0].1);
         let diff = p.world.norm2_sq(&d).sqrt() / scale;
-        assert!(diff < 1e-9, "{label} disagrees with pcg: {diff}");
+        assert!(diff < 1e-9, "{label} disagrees with {}: {diff}", sols[0].0);
     }
 }
 
@@ -241,22 +240,12 @@ fn zero_check_interval_means_every_iteration() {
     };
     let (op, world, rhs) = (&p.op, &p.world, &p.rhs);
     let pcsi = Pcsi::new(bounds);
-    same("pcg", &|c, x| ClassicPcg.solve(op, &pre, world, rhs, x, c));
     same("chrongear", &|c, x| {
         ChronGear.solve(op, &pre, world, rhs, x, c)
     });
-    same("pipecg", &|c, x| {
-        PipelinedCg.solve(op, &pre, world, rhs, x, c)
-    });
     same("pcsi", &|c, x| pcsi.solve(op, &pre, world, rhs, x, c));
-    same("pcg unfused", &|c, x| {
-        ClassicPcg.solve_unfused(op, &pre, world, rhs, x, c)
-    });
     same("chrongear unfused", &|c, x| {
         ChronGear.solve_unfused(op, &pre, world, rhs, x, c)
-    });
-    same("pipecg unfused", &|c, x| {
-        PipelinedCg.solve_unfused(op, &pre, world, rhs, x, c)
     });
     same("pcsi unfused", &|c, x| {
         pcsi.solve_unfused(op, &pre, world, rhs, x, c)

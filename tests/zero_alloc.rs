@@ -56,7 +56,7 @@ fn allocs() -> u64 {
     ALLOC_CALLS.load(Ordering::SeqCst)
 }
 
-use pop_baro::core::solvers::{PipelinedCg, SolverWorkspace};
+use pop_baro::core::solvers::SolverWorkspace;
 use pop_baro::prelude::*;
 
 #[test]
@@ -147,12 +147,7 @@ fn audit(grid: &Grid, bx: usize, by: usize, all_lone: bool) {
 
     let preconds: [(&str, &dyn Preconditioner); 2] = [("diag", &diag), ("evp", &evp)];
     let pcsi = Pcsi::new(bounds);
-    let solvers: [(&str, &dyn LinearSolver); 4] = [
-        ("pcsi", &pcsi),
-        ("chrongear", &ChronGear),
-        ("pcg", &ClassicPcg),
-        ("pipecg", &PipelinedCg),
-    ];
+    let solvers: [(&str, &dyn LinearSolver); 2] = [("pcsi", &pcsi), ("chrongear", &ChronGear)];
 
     // Fixed iteration counts (tol = 0 never converges) with a single
     // convergence check each, so the two runs differ only in how many inner
@@ -241,12 +236,7 @@ fn batch_audit(grid: &Grid, bx: usize, by: usize) {
     let (short, long) = (64usize, 512usize);
     for (pname, pre) in [("diag", &diag as &dyn Preconditioner), ("evp", &evp)] {
         let (bounds, _) = estimate_bounds(&op, pre, &world, &LanczosConfig::default());
-        for kind in [
-            SolverKind::Pcsi(bounds),
-            SolverKind::ChronGear,
-            SolverKind::ClassicPcg,
-            SolverKind::PipelinedCg,
-        ] {
+        for kind in [SolverKind::Pcsi(bounds), SolverKind::ChronGear] {
             let mut ws = BatchWorkspace::new();
             let mut solve = |iters: usize| {
                 xs_own.iter_mut().for_each(DistVec::set_zero);
