@@ -7,6 +7,12 @@
 //! tile application versus EVP's `O(n²)` (paper §4.1; `O(n⁴)` is the cost
 //! of ignoring the band). Kept as the reference the EVP solver is validated
 //! against and as the ablation baseline for the cost comparison.
+//!
+//! Every tile keeps natural (row-major) order, reduced or not, whereas
+//! [`super::BlockEvp`] factors a reduced band tile in colour order (DESIGN.md
+//! S5). On an operator with no marching tile the two must still agree bit
+//! for bit, so `tests/mask_fuzz.rs`'s all-banded `BlockEvp ≡ BlockLu` test
+//! is the cross-order oracle.
 
 use super::evp::TILE_SCRATCH;
 use super::tiling::{tile_block, Tile};

@@ -17,18 +17,20 @@
 //! paper quotes) and solves them independently as a block-Jacobi
 //! preconditioner. Tiles that cannot march — they touch land, or their
 //! influence matrix is unusable — are solved directly with a no-pivot band
-//! LU of the same matrix (DESIGN.md S5). Every tile solve — a pack of four
-//! sibling tiles, a tile on its own, a tile under a batch of right-hand
-//! sides — runs on the lane kernels of [`evp_multi`] (DESIGN.md §9);
-//! [`EvpSubBlock::solve_reference`] is the scalar sequence they are pinned
-//! against.
+//! LU of the same matrix (DESIGN.md S5), factored in colour order (red
+//! points, then black) for the reduced system, whose two colours never
+//! couple, and in natural order for the full one. Every tile solve — a
+//! pack of four sibling tiles, a tile on its own, a tile under a batch of
+//! right-hand sides — runs on the lane kernels of [`evp_multi`] (DESIGN.md
+//! §9); [`EvpSubBlock::solve_reference`] is the scalar sequence they are
+//! pinned against.
 //!
 //! The default drops the N/S/E/W couplings (`reduced = true`), halving the
 //! marching cost — the paper's §4.3 optimization, valid because those
 //! couplings are an order of magnitude smaller than the rest.
 
 use super::evp_multi::{
-    self, Batched, EvpScratch, MarchPlan, Member, Packed, PerTile, Shared, TileCoefs,
+    self, Batched, EvpScratch, Layout, MarchPlan, Member, Packed, PerTile, Shared, TileCoefs,
 };
 use super::tiling::{tile_block, Tile};
 use super::{assert_same_shape, assert_same_shape_multi, Preconditioner};
@@ -51,9 +53,13 @@ enum SubSolver {
     /// Direct band-LU solve (land-touching tile, or an unstable or singular
     /// influence matrix).
     Band {
+        /// The reduced system is factored in colour order, the full one in
+        /// natural order ([`Layout::band`]).
+        reduced: bool,
         lu: BandLu,
         /// Ocean mask of the *original* coefficients as `f64` mask words
-        /// (`all-ones`/`0.0`): outputs are zeroed on land, branch-free.
+        /// (`all-ones`/`0.0`), row-major: outputs are zeroed on land,
+        /// branch-free.
         maskbits: Vec<f64>,
     },
 }
@@ -103,13 +109,37 @@ impl EvpSubBlock {
         let solver = marchable
             .then(|| Self::try_marching_setup(&stencil, reduced))
             .flatten()
-            .unwrap_or_else(|| SubSolver::Band {
-                lu: stencil
-                    .band_lu()
-                    .expect("sub-block principal submatrix must be positive definite"),
-                maskbits: pop_simd::mask_bits(&mask),
-            });
+            .unwrap_or_else(|| Self::band_setup(&stencil, &mask, reduced));
         EvpSubBlock { nx, ny, solver }
+    }
+
+    /// Factor the tile's matrix for the band-LU solve, in the order its
+    /// solve stages the tile ([`Layout::band`]): the full system in natural
+    /// order at half-width `nx + 1`; the reduced one as `P·B̃·Pᵀ` in colour
+    /// order at [`evp_multi::colour_half_width`], two decoupled colours.
+    /// Every cross-colour entry of the natural-order factor is an exact
+    /// zero, and the same-colour entries are this factor's, bit for bit.
+    fn band_setup(stencil: &LocalStencil, mask: &[u8], reduced: bool) -> SubSolver {
+        let (nx, ny) = (stencil.nx, stencil.ny);
+        let a = stencil.to_dense();
+        let lu = if reduced {
+            // The point held in each band row.
+            let mut at_row = vec![0; nx * ny];
+            for j in 0..ny {
+                for i in 0..nx {
+                    at_row[evp_multi::colour_row((nx, ny), i, j)] = j * nx + i;
+                }
+            }
+            DenseMatrix::from_fn(nx * ny, |r, c| a.get(at_row[r], at_row[c]))
+                .band_lu(evp_multi::colour_half_width((nx, ny)))
+        } else {
+            a.band_lu(nx + 1)
+        };
+        SubSolver::Band {
+            reduced,
+            lu: lu.expect("sub-block principal submatrix must be positive definite"),
+            maskbits: pop_simd::mask_bits(mask),
+        }
     }
 
     /// March out the influence matrix, invert it, and verify solve accuracy
@@ -234,11 +264,21 @@ impl EvpSubBlock {
                     row.copy_from_slice(&xpad[(j + 1) * xs + 1..][..nx]);
                 }
             }
-            SubSolver::Band { lu, maskbits } => {
-                x.copy_from_slice(psi);
-                lu.solve_in_place(x);
-                for (v, &m) in x.iter_mut().zip(maskbits) {
-                    *v = and_select(*v, m);
+            SubSolver::Band {
+                reduced,
+                lu,
+                maskbits,
+            } => {
+                // Into the factor's order, solved, and back out masked.
+                let layout = Layout::band(*reduced, nx);
+                let row = |p: usize| layout.point((nx, ny), p % nx, p / nx);
+                let mut y = vec![0.0; nx * ny];
+                for (p, v) in psi.iter().enumerate() {
+                    y[row(p)] = *v;
+                }
+                lu.solve_in_place(&mut y);
+                for (p, (v, &m)) in x.iter_mut().zip(maskbits).enumerate() {
+                    *v = and_select(y[row(p)], m);
                 }
             }
         }
@@ -263,9 +303,14 @@ impl EvpSubBlock {
                 planes: &plan.c,
                 r_inv,
             },
-            SubSolver::Band { lu, maskbits } => {
+            SubSolver::Band {
+                reduced,
+                lu,
+                maskbits,
+            } => {
                 let (_, w, band) = lu.raw_parts();
                 TileCoefs::Band {
+                    reduced: *reduced,
                     w,
                     band,
                     mask: maskbits,
@@ -1139,6 +1184,133 @@ pub(crate) mod tests {
         }
     }
 
+    /// Why a reduced band tile may solve in colour order bit for bit: the
+    /// reduced stencil couples each point only to its diagonal neighbours,
+    /// which share its colour, so every cross-colour entry of the
+    /// natural-order factor is an exact zero, every same-colour entry is
+    /// the colour-order factor's, and the colour-order solve is the
+    /// natural-order one minus `fma(±0, x, acc)` steps — no-ops for finite
+    /// `x` and a non-zero `acc`, which random `ψ` gives. Square, ragged,
+    /// odd-width (colours of unequal size) and one-point-wide (half-width 0)
+    /// shapes, all ocean and with land.
+    #[test]
+    fn colour_order_band_tiles_are_the_natural_order_ones_bit_for_bit() {
+        let shapes = [
+            (8, 8),
+            (8, 6),
+            (8, 5),
+            (7, 6),
+            (7, 7),
+            (5, 3),
+            (8, 2),
+            (2, 8),
+            (1, 5),
+            (5, 1),
+        ];
+        for (nx, ny) in shapes {
+            let n = nx * ny;
+            let colour_w = evp_multi::colour_half_width((nx, ny));
+            if nx == 1 || ny == 1 {
+                assert_eq!(colour_w, 0, "{nx}x{ny}");
+            }
+            for land in [0, 2] {
+                let tag = format!("{nx}x{ny} land={land}");
+                let raw = seeded_tile(nx, ny, (nx * 31 + ny) as u64, land);
+                let st = raw.reduced();
+                let mask: Vec<u8> = (0..n)
+                    .map(|p| u8::from(raw.a0((p % nx) as isize, (p / nx) as isize) > 0.0))
+                    .collect();
+                let sub = EvpSubBlock {
+                    nx,
+                    ny,
+                    solver: EvpSubBlock::band_setup(&st, &mask, true),
+                };
+                let SubSolver::Band { lu, maskbits, .. } = &sub.solver else {
+                    unreachable!()
+                };
+                let natural = st.band_lu().expect("positive definite");
+                let (_, nw, nband) = natural.raw_parts();
+                let (cn, cw, cband) = lu.raw_parts();
+                assert_eq!((cn, cw, cband.len()), (n, colour_w, n * (2 * colour_w + 1)));
+                if (nx, ny) == (8, 8) {
+                    assert_eq!((cw, cband.len()), (5, 64 * 11), "{tag}");
+                }
+
+                // Entry (p, q) of each factor, if its band holds it.
+                let row = |p: usize| evp_multi::colour_row((nx, ny), p % nx, p / nx);
+                let entry = |band: &[f64], w: usize, r: usize, c: usize| {
+                    (r.abs_diff(c) <= w).then(|| band[r * (2 * w + 1) + c + w - r])
+                };
+                let red = |p: usize| (p % nx + p / nx) % 2 == 0;
+                for p in 0..n {
+                    for q in 0..n {
+                        let nat = entry(nband, nw, p, q);
+                        let col = entry(cband, cw, row(p), row(q));
+                        if red(p) != red(q) {
+                            for v in [nat, col].into_iter().flatten() {
+                                assert_eq!(v, 0.0, "{tag}: cross-colour ({p},{q}) = {v:e}");
+                            }
+                            continue;
+                        }
+                        match (nat, col) {
+                            (Some(a), Some(b)) => assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{tag}: same-colour ({p},{q}): {a:e} vs {b:e}"
+                            ),
+                            (Some(v), None) | (None, Some(v)) => {
+                                assert_eq!(v, 0.0, "{tag}: ({p},{q}) outside one band = {v:e}")
+                            }
+                            (None, None) => {}
+                        }
+                    }
+                }
+
+                for seed in 0..3 {
+                    let psi: Vec<f64> = (0..n).map(|k| 2.0 * unit(seed, k) - 1.0).collect();
+                    let mut want = psi.clone();
+                    natural.solve_in_place(&mut want);
+                    let mut got = vec![f64::NAN; n];
+                    sub.solve_reference(&psi, &mut got);
+                    for (p, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let w = and_select(*w, maskbits[p]);
+                        assert_eq!(g.to_bits(), w.to_bits(), "{tag} seed {seed} point {p}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A NaN in `ψ` fills its whole band tile in colour order, as it did in
+    /// natural order: the substitutions step over every in-band entry,
+    /// exact zeros included, and `fma(±0, NaN, acc)` is NaN. Land still
+    /// comes out `+0.0`. Only a tile one point wide (half-width 0) keeps the
+    /// NaN at its own point.
+    #[test]
+    fn a_nan_in_psi_fills_its_band_tile_but_not_its_land() {
+        for (nx, ny) in [(8, 8), (7, 5), (1, 5)] {
+            let n = nx * ny;
+            let sub = EvpSubBlock::new(&seeded_tile(nx, ny, 5, 2), true);
+            let SubSolver::Band { lu, maskbits, .. } = &sub.solver else {
+                panic!("{nx}x{ny}: a tile with land takes the band LU");
+            };
+            let ocean = |p: usize| maskbits[p].to_bits() != 0;
+            let p0 = (0..n).find(|&p| ocean(p)).expect("an ocean point");
+            let mut psi = rhs(n);
+            psi[p0] = f64::NAN;
+            let mut x = vec![0.0; n];
+            sub.solve_reference(&psi, &mut x);
+            let alone = lu.raw_parts().1 == 0;
+            for (p, v) in x.iter().enumerate() {
+                if !ocean(p) {
+                    assert_eq!(v.to_bits(), 0, "{nx}x{ny} land point {p}: {v}");
+                } else {
+                    assert_eq!(v.is_nan(), !alone || p == p0, "{nx}x{ny} point {p}: {v}");
+                }
+            }
+        }
+    }
+
     /// FNV-1a over the bit patterns of a field.
     fn fnv(values: &[f64]) -> u64 {
         values
@@ -1151,21 +1323,30 @@ pub(crate) mod tests {
 
     /// On the operators the benchmark runs, one `BlockEvp::apply` — packs,
     /// lone tiles and all — equals the scalar reference solve of every tile
-    /// on its own, bit for bit. Prints
-    /// the census and an FNV hash of the output per operator, so two
-    /// commits (or two `POP_BARO_SIMD` settings) can be compared by eye:
+    /// on its own, bit for bit. Prints the census and an FNV hash of the
+    /// output per operator, and on a CPU with FMA (the hashes depend on it,
+    /// not on `POP_BARO_SIMD`) holds each hash to the one recorded, so a
+    /// change that moves any bit of `M⁻¹` on these operators fails here:
     /// `cargo test -p pop-core block_apply_matches -- --nocapture`.
     #[test]
     fn block_apply_matches_tile_by_tile_solves_bitwise() {
-        // (name, grid, block shape, τ, packed tiles expected)
+        // (name, grid, block shape, τ, packed tiles expected, FMA hash)
         let cases = [
-            ("gx1 40x48", Grid::gx1(2015), (40, 48), 1100.0, 1316),
+            (
+                "gx1 40x48",
+                Grid::gx1(2015),
+                (40, 48),
+                1100.0,
+                1316,
+                0x7dde_e637_90eb_2c57,
+            ),
             (
                 "gyre 16x12",
                 Grid::idealized_basin(64, 48, 500.0, 2.0e4),
                 (16, 12),
                 2400.0,
                 60,
+                0x9294_b4c5_be4f_38fd,
             ),
             (
                 "serve-0 8x8",
@@ -1173,6 +1354,7 @@ pub(crate) mod tests {
                 (8, 8),
                 4000.0,
                 0,
+                0xa399_6557_cd90_b074,
             ),
             (
                 "serve-1 8x8",
@@ -1180,6 +1362,7 @@ pub(crate) mod tests {
                 (8, 8),
                 5500.0,
                 0,
+                0x0f2d_4dec_7d44_fbbb,
             ),
             (
                 "ranks-1024 8x6",
@@ -1187,10 +1370,11 @@ pub(crate) mod tests {
                 (8, 6),
                 2700.0,
                 0,
+                0x40cd_3bd9_cfd6_5069,
             ),
         ];
         let world = CommWorld::serial();
-        for (name, g, (bx, by), tau, packed) in cases {
+        for (name, g, (bx, by), tau, packed, fma_hash) in cases {
             let layout = DistLayout::build(&g, bx, by);
             let op = NinePoint::assemble(&g, &layout, &world, tau);
             let pre = BlockEvp::with_defaults(&op);
@@ -1219,10 +1403,10 @@ pub(crate) mod tests {
                 .flat_map(|b| &b.lone)
                 .map(|(_, s)| s.coefs().arrays().map(<[f64]>::len).iter().sum::<usize>())
                 .sum();
+            let hash = fnv(&z.to_global());
             println!(
-                "block-EVP apply fnv {name}: {:016x}  ({} dispatch; {} of {} tiles in {} packs, \
+                "block-EVP apply fnv {name}: {hash:016x}  ({} dispatch; {} of {} tiles in {} packs, \
                  slabs {} KiB, lone tiles {} KiB)",
-                fnv(&z.to_global()),
                 pop_simd::mode().name(),
                 c.packed.tiles,
                 c.marching.tiles + c.banded.tiles,
@@ -1230,6 +1414,9 @@ pub(crate) mod tests {
                 slab * 8 / 1024,
                 lone * 8 / 1024
             );
+            if pop_simd::detected_fma() {
+                assert_eq!(hash, fma_hash, "{name}: {hash:016x} vs {fma_hash:016x}");
+            }
 
             for (b, info) in layout.decomp.blocks.iter().enumerate() {
                 let rb = &r.blocks[b];

@@ -64,14 +64,25 @@
 //! No lane's operation order depends on `G`: only which register an
 //! instruction feeds.
 //!
+//! ## Band tiles in colour order
+//!
+//! A reduced band tile's factor numbers its unknowns red (`i + j` even)
+//! first, then black ([`colour_row`]). The reduced stencil couples a point
+//! only to its diagonal neighbours, which share its colour, so that factor
+//! is two decoupled systems at about half the natural half-width (5 rather
+//! than 9 at 8×8). [`TileIo::gather`] writes `ψ` straight into that order
+//! and [`TileIo::scatter`] reads `x` back out of it ([`Layout`]): the
+//! permutation rides copies the band solve makes anyway, and
+//! [`band_solve`] never sees it. Full-system band tiles keep natural order.
+//!
 //! Each lane executes exactly the per-point operation sequence of the
 //! scalar test oracle [`super::EvpSubBlock::solve_reference`] — `(ψ −
 //! ((a0·xc + ane_s·xse) + ane_sw·xsw))·d⁻¹`, the axis terms summed among
 //! themselves first in the full system, the band substitutions of
-//! [`pop_stencil::dense::BandLu::solve_in_place`] — so per-lane results are
-//! bitwise identical to it on both lane types: interleaving lanes reorders
-//! *instructions*, never any lane's arithmetic. Three rules hold
-//! throughout:
+//! [`pop_stencil::dense::BandLu::solve_in_place`] in the factor's order —
+//! so per-lane results are bitwise identical to it on both lane types:
+//! interleaving lanes reorders *instructions*, never any lane's
+//! arithmetic. Three rules hold throughout:
 //!
 //! - the chain recurrence's FMA contraction is keyed on the CPU property
 //!   [`pop_simd::detected_fma`], never on the dispatch mode: the chain
@@ -207,6 +218,77 @@ pub(super) fn f_line(nx: usize, ny: usize) -> impl Iterator<Item = usize> {
 }
 
 // ---------------------------------------------------------------------------
+// Where a staged point lives
+// ---------------------------------------------------------------------------
+
+/// Band row of point `(i, j)` of a reduced `nx × ny` band tile: colour
+/// order, red points (`i + j` even) first, then black, row-major within each
+/// colour. With `p = j·nx + i` that is row `⌊p/2⌋`, plus `⌈n/2⌉` for a black
+/// point: an even `nx` puts `nx/2` points of each colour in every row, and an
+/// odd `nx` makes the colour `p`'s parity. The reduced stencil couples a point
+/// only to its diagonal neighbours, which share its colour, so the factor
+/// ordered this way is two decoupled systems of half the natural half-width
+/// (DESIGN.md S5). The one place the order is written: the factor's
+/// permutation, [`Layout::Colour`]'s staging and
+/// [`super::EvpSubBlock::solve_reference`] all come here.
+#[inline(always)]
+pub(super) fn colour_row((nx, ny): (usize, usize), i: usize, j: usize) -> usize {
+    (j * nx + i) / 2 + (i + j) % 2 * (nx * ny).div_ceil(2)
+}
+
+/// Half-width of a reduced `nx × ny` tile's matrix in colour order: the
+/// farthest [`colour_row`] distance between diagonal neighbours. It is a
+/// function of the shape alone (5 for 8×8, against `nx + 1` = 9 in natural
+/// order), so same-shape tiles keep one solver class; 0 for a tile one
+/// point wide or high, which has no diagonal neighbours.
+pub(super) fn colour_half_width((nx, ny): (usize, usize)) -> usize {
+    let row = |i, j| colour_row((nx, ny), i, j);
+    (1..ny)
+        .flat_map(|j| (1..nx).map(move |i| (i, j)))
+        .flat_map(|(i, j)| {
+            [
+                row(i, j).abs_diff(row(i - 1, j - 1)),
+                row(i - 1, j).abs_diff(row(i, j - 1)),
+            ]
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// Where a staged tile keeps point `(i, j)`, counted in points of `groups ·
+/// LANES` values.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Layout {
+    /// Row `j` starts `j · pitch` points in: `ψ` for the march and a
+    /// full-system band tile (pitch `nx`), the march pad's interior (pitch
+    /// `nx + 2`).
+    Rows(usize),
+    /// A reduced band tile's colour order ([`colour_row`]).
+    Colour,
+}
+
+impl Layout {
+    /// The order a band tile's factor holds its unknowns in: colour order
+    /// for the reduced system, natural for the full one.
+    pub(super) fn band(reduced: bool, nx: usize) -> Layout {
+        if reduced {
+            Layout::Colour
+        } else {
+            Layout::Rows(nx)
+        }
+    }
+
+    /// Point `(i, j)` of an `nx × ny` tile.
+    #[inline(always)]
+    pub(super) fn point(self, dims: (usize, usize), i: usize, j: usize) -> usize {
+        match self {
+            Layout::Rows(pitch) => j * pitch + i,
+            Layout::Colour => colour_row(dims, i, j),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Where a coefficient comes from
 // ---------------------------------------------------------------------------
 
@@ -309,8 +391,14 @@ pub(super) enum TileCoefs<T> {
     /// tile is all ocean.
     March { reduced: bool, planes: T, r_inv: T },
     /// Band LU: the `n·(2w+1)` factor of [`pop_stencil::dense::BandLu`]
-    /// (`−l`, `1/u_rr`, `−u`) and the land mask words.
-    Band { w: usize, band: T, mask: T },
+    /// (`−l`, `1/u_rr`, `−u`), in [`Layout::band`]`(reduced)` order, and the
+    /// land mask words, row-major.
+    Band {
+        reduced: bool,
+        w: usize,
+        band: T,
+        mask: T,
+    },
 }
 
 impl<T> TileCoefs<T> {
@@ -335,7 +423,13 @@ impl<T> TileCoefs<T> {
                 planes: f(planes),
                 r_inv: f(r_inv),
             },
-            TileCoefs::Band { w, band, mask } => TileCoefs::Band {
+            TileCoefs::Band {
+                reduced,
+                w,
+                band,
+                mask,
+            } => TileCoefs::Band {
+                reduced,
                 w,
                 band: f(band),
                 mask: f(mask),
@@ -687,24 +781,28 @@ pub(super) trait TileIo {
     ) -> (&'s [f64], usize, usize);
 
     /// `ψ` as one contiguous superlane-major tile (`nx·ny` points of
-    /// `groups · LANES` values), for the in-place band substitution.
+    /// `groups · LANES` values), point `(i, j)` at `layout`'s place — for
+    /// the in-place band substitution, the order its factor was built in.
     ///
     /// # Safety
-    /// [`LaneJob::run`]'s contract for `V`.
-    unsafe fn gather<V: LaneF64>(&self, dims: (usize, usize), dst: &mut Vec<f64>);
+    /// [`LaneJob::run`]'s contract for `V`. `layout` must place every point
+    /// below `nx·ny` ([`Layout::Colour`], or [`Layout::Rows`] of pitch `nx`).
+    unsafe fn gather<V: LaneF64>(&self, dims: (usize, usize), layout: Layout, dst: &mut Vec<f64>);
 
-    /// Write the solved tile out, land zeroed through the `mask` words (the
-    /// branch-free select; `None` = all ocean). Row `j` of the solution
-    /// starts at `src[j · pitch]`.
+    /// Write the solved tile out, land zeroed through the row-major `mask`
+    /// words (the branch-free select; `None` = all ocean). Point `(i, j)` of
+    /// the solution is the `groups · LANES` values at `layout`'s place in
+    /// `src`.
     ///
     /// # Safety
-    /// As [`TileIo::gather`]; `mask` must hold `nx·ny` entries, and `G`
-    /// must be [`TileIo::groups`].
+    /// As [`TileIo::gather`], except that `src` must hold every point
+    /// `layout` places; `mask` must hold `nx·ny` entries, and `G` must be
+    /// [`TileIo::groups`].
     unsafe fn scatter<V: LaneF64, C: Coefs, const G: usize>(
         &mut self,
         dims: (usize, usize),
         src: &[f64],
-        pitch: usize,
+        layout: Layout,
         mask: Option<C>,
     );
 }
@@ -742,13 +840,18 @@ impl TileIo for Batched<'_> {
     }
 
     #[inline(always)]
-    unsafe fn gather<V: LaneF64>(&self, (nx, ny): (usize, usize), dst: &mut Vec<f64>) {
+    unsafe fn gather<V: LaneF64>(
+        &self,
+        (nx, ny): (usize, usize),
+        layout: Layout,
+        dst: &mut Vec<f64>,
+    ) {
         let sl = self.groups * LANES;
         dst.resize(nx * ny * sl, 0.0);
         for g in 0..self.groups {
             for j in 0..ny {
                 for i in 0..nx {
-                    let p = (j * nx + i) * sl + g * LANES;
+                    let p = layout.point((nx, ny), i, j) * sl + g * LANES;
                     let s = g * self.gstride + j * self.stride + i * LANES;
                     dst[p..p + LANES].copy_from_slice(&self.psi[s..s + LANES]);
                 }
@@ -761,7 +864,7 @@ impl TileIo for Batched<'_> {
         &mut self,
         (nx, ny): (usize, usize),
         src: &[f64],
-        pitch: usize,
+        layout: Layout,
         mask: Option<C>,
     ) {
         debug_assert_eq!(G, self.groups);
@@ -770,8 +873,9 @@ impl TileIo for Batched<'_> {
             for i in 0..nx {
                 // One mask word per point, shared by every lane.
                 let m = mask.map(|m| m.at::<V>(j * nx + i));
+                let s = src.as_ptr().add(layout.point((nx, ny), i, j) * sl);
                 for gr in 0..G {
-                    let v = V::load(src.as_ptr().add(j * pitch + i * sl + gr * LANES));
+                    let v = V::load(s.add(gr * LANES));
                     m.map_or(v, |m| v.and_bits(m)).store(
                         self.x
                             .as_mut_ptr()
@@ -815,13 +919,24 @@ impl TileIo for Packed<'_> {
         dims: (usize, usize),
         buf: &'s mut Vec<f64>,
     ) -> (&'s [f64], usize, usize) {
-        self.gather::<V>(dims, buf);
+        self.gather::<V>(dims, Layout::Rows(dims.0), buf);
         (&buf[..], dims.0 * LANES, 0)
     }
 
     #[inline(always)]
-    unsafe fn gather<V: LaneF64>(&self, (nx, ny): (usize, usize), dst: &mut Vec<f64>) {
+    unsafe fn gather<V: LaneF64>(
+        &self,
+        (nx, ny): (usize, usize),
+        layout: Layout,
+        dst: &mut Vec<f64>,
+    ) {
         dst.resize(nx * ny * LANES, 0.0);
+        let base = dst.as_mut_ptr();
+        let out = |i: usize, j: usize| {
+            let p = layout.point((nx, ny), i, j);
+            debug_assert!(p < nx * ny);
+            base.add(p * LANES)
+        };
         for j in 0..ny {
             // (Plain loops over the lanes: `array::map` does not inline
             // into a `target_feature` caller.)
@@ -829,7 +944,6 @@ impl TileIo for Packed<'_> {
             for (t, o) in row.iter_mut().zip(self.offs) {
                 *t = self.r[o + j * self.stride..][..nx].as_ptr();
             }
-            let out = dst[j * nx * LANES..][..nx * LANES].as_mut_ptr();
             let mut i = 0;
             while i + LANES <= nx {
                 let rows = [
@@ -839,13 +953,13 @@ impl TileIo for Packed<'_> {
                     V::load(row[3].add(i)),
                 ];
                 for (c, v) in V::transpose4(rows).into_iter().enumerate() {
-                    v.store(out.add((i + c) * LANES));
+                    v.store(out(i + c, j));
                 }
                 i += LANES;
             }
             for i in i..nx {
                 for (l, t) in row.iter().enumerate() {
-                    *out.add(i * LANES + l) = *t.add(i);
+                    *out(i, j).add(l) = *t.add(i);
                 }
             }
         }
@@ -856,12 +970,12 @@ impl TileIo for Packed<'_> {
         &mut self,
         (nx, ny): (usize, usize),
         src: &[f64],
-        pitch: usize,
+        layout: Layout,
         mask: Option<C>,
     ) {
         debug_assert_eq!(G, 1);
         let col = |j: usize, i: usize| {
-            let v = V::load(src.as_ptr().add(j * pitch + i * LANES));
+            let v = V::load(src.as_ptr().add(layout.point((nx, ny), i, j) * LANES));
             mask.map_or(v, |m| v.and_bits(m.at::<V>(j * nx + i)))
         };
         let live = &self.offs[..self.live];
@@ -943,12 +1057,19 @@ impl<C: Coefs, Io: TileIo> Solve<'_, C, Io> {
                 );
                 // The interior of the pad starts one row and one point in.
                 let xs = (nx + 2) * sl;
-                io.scatter::<V, C, G>((nx, ny), &xpad[xs + sl..], xs, None);
+                io.scatter::<V, C, G>((nx, ny), &xpad[xs + sl..], Layout::Rows(nx + 2), None);
             }
-            TileCoefs::Band { w, band, mask } => {
-                io.gather::<V>((nx, ny), tile);
+            TileCoefs::Band {
+                reduced,
+                w,
+                band,
+                mask,
+            } => {
+                // Staged straight into the factor's order, and back out of it.
+                let layout = Layout::band(reduced, nx);
+                io.gather::<V>((nx, ny), layout, tile);
                 band_solve::<V, C, G>(nx * ny, w, band, tile, use_fma);
-                io.scatter::<V, C, G>((nx, ny), tile, nx * sl, Some(mask));
+                io.scatter::<V, C, G>((nx, ny), tile, layout, Some(mask));
             }
         }
     }
