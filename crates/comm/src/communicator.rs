@@ -33,7 +33,7 @@
 //! # Deferred reduction semantics
 //!
 //! The key design point is how fused-sweep partials become global values.
-//! [`Communicator::for_each_block_fused`] returns an opaque
+//! [`Communicator::for_each_group_fused`] returns an opaque
 //! [`Communicator::Sweep`] handle; the partials it carries are **not yet
 //! global**. Only [`Communicator::reduce_sweep`] turns them into globally
 //! combined sums — and *that* call is the allreduce: it is counted in
@@ -55,6 +55,7 @@
 
 use crate::blockvec::BlockVec;
 use crate::distvec::{DistField, DistVec};
+use crate::group::{blockwise, Group};
 use crate::layout::DistLayout;
 use crate::tile::Tile;
 use crate::world::{CommWorld, StatsSnapshot, SweepPartials};
@@ -146,29 +147,45 @@ pub trait Communicator {
     /// message count is flat in `v.width()` and the bytes scale with it.
     fn halo_update<T: Tile>(&self, v: &mut Self::Vec<T>);
 
-    /// The fused execution primitive: walk every block of the view once,
-    /// handing the kernel block `gb`'s tiles of all mutable operands, and
-    /// collect up to [`MAX_SWEEP_PARTIALS`](crate::MAX_SWEEP_PARTIALS)
-    /// partial reductions per block. Local work only — nothing global
-    /// happens (and nothing is counted) until the returned handle is passed
-    /// to [`Communicator::reduce_sweep`]. A batched kernel puts per-RHS
+    /// The fused execution primitive: walk every sweep group
+    /// ([`crate::group`]) of the view once, handing the kernel every block
+    /// of a group this runtime owns — each block's tiles of all mutable
+    /// operands — and collect up to
+    /// [`MAX_SWEEP_PARTIALS`](crate::MAX_SWEEP_PARTIALS) partial reductions
+    /// per block ([`Group::members_with_rows`]). Local work only — nothing
+    /// global happens (and nothing is counted) until the returned handle is
+    /// passed to [`Communicator::reduce_sweep`]. A batched kernel puts per-RHS
     /// partials in per-lane slots of the same row, so one `reduce_sweep` —
     /// **one** allreduce message — reduces all `k` residuals at once.
+    fn for_each_group_fused<T: Tile, const M: usize, F>(
+        &self,
+        muts: [&mut Self::Vec<T>; M],
+        kernel: F,
+    ) -> Self::Sweep
+    where
+        F: Fn(&mut Group<'_, T, M>) + Sync;
+
+    /// [`Communicator::for_each_group_fused`] with a per-block kernel: block
+    /// `gb`'s partial row is `kernel(gb, tiles)` ([`blockwise`]).
     fn for_each_block_fused<T: Tile, const M: usize, F>(
         &self,
         muts: [&mut Self::Vec<T>; M],
         kernel: F,
     ) -> Self::Sweep
     where
-        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync;
+        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync,
+    {
+        self.for_each_group_fused(muts, blockwise(kernel))
+    }
 
-    /// A halo update of `muts[0]` immediately followed by a fused sweep
-    /// over `muts` — the shape every solver iteration has (exchange `x`,
-    /// then sweep a residual/stencil that reads `x`'s tile and ring, and
-    /// perhaps goes on to update `x` itself).
+    /// A halo update of `muts[0]` immediately followed by a fused group
+    /// sweep over `muts` — the shape every solver iteration has (exchange
+    /// `x`, then sweep a residual/stencil that reads `x`'s tile and ring,
+    /// and perhaps goes on to update `x` itself). A per-block kernel passes
+    /// through [`blockwise`].
     ///
     /// Semantically identical to `halo_update(muts[0])` followed by
-    /// `for_each_block_fused(muts, …)` — and that is exactly this default
+    /// `for_each_group_fused(muts, …)` — and that is exactly this default
     /// implementation. The exchanged vector is handed to the kernel mutably:
     /// every kernel reads only its own block's tile and ring, and the
     /// exchange has filled every ring (a split-phase exchange packs its
@@ -186,10 +203,10 @@ pub trait Communicator {
         kernel: F,
     ) -> Self::Sweep
     where
-        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync,
+        F: Fn(&mut Group<'_, T, M>) + Sync,
     {
         self.halo_update(&mut *muts[0]);
-        self.for_each_block_fused(muts, kernel)
+        self.for_each_group_fused(muts, kernel)
     }
 
     /// THE global reduction: combine `sweep`'s per-block partials over all
@@ -220,15 +237,15 @@ impl Communicator for CommWorld {
         CommWorld::halo_update(self, v);
     }
 
-    fn for_each_block_fused<T: Tile, const M: usize, F>(
+    fn for_each_group_fused<T: Tile, const M: usize, F>(
         &self,
         muts: [&mut DistField<T>; M],
         kernel: F,
     ) -> SweepPartials
     where
-        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync,
+        F: Fn(&mut Group<'_, T, M>) + Sync,
     {
-        CommWorld::for_each_block_fused(self, muts, kernel)
+        CommWorld::for_each_group_fused(self, muts, kernel)
     }
 
     /// In shared memory the sweep's fold is already the global value;

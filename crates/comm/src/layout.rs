@@ -1,5 +1,6 @@
 //! The distributed layout: decomposition + halo width + per-block masks.
 
+use crate::group::SweepGroups;
 use crate::halo::HaloPlan;
 use pop_grid::{Decomposition, Grid};
 use std::sync::Arc;
@@ -33,6 +34,10 @@ pub struct DistLayout {
     /// executes, in shared memory ([`crate::CommWorld::halo_update`]) or
     /// across `pop-ranksim`'s ranks.
     pub halo_plan: HaloPlan,
+    /// The sweep groups ([`crate::group`]): runs of up to `LANES`
+    /// consecutive same-shape blocks, the unit every fused sweep hands its
+    /// kernel and the block-EVP preconditioner packs tiles across.
+    pub groups: SweepGroups,
 }
 
 impl DistLayout {
@@ -55,6 +60,7 @@ impl DistLayout {
         }
         let maskbits = masks.iter().map(|m| pop_simd::mask_bits(m)).collect();
         let halo_plan = HaloPlan::build(&decomp, halo);
+        let groups = SweepGroups::new(&decomp.blocks);
         Arc::new(DistLayout {
             decomp,
             halo,
@@ -62,6 +68,7 @@ impl DistLayout {
             maskbits,
             ocean_per_block: ocean,
             halo_plan,
+            groups,
         })
     }
 

@@ -27,6 +27,7 @@
 pub mod blockvec;
 pub mod communicator;
 pub mod distvec;
+pub mod group;
 pub mod halo;
 pub mod layout;
 pub mod multivec;
@@ -38,6 +39,7 @@ pub mod world;
 pub use blockvec::{masked_block_dot, BlockVec};
 pub use communicator::{CommVec, Communicator};
 pub use distvec::{DistField, DistVec, MultiDistVec};
+pub use group::{blockwise, Group, SweepGroups, GROUP_BLOCKS};
 pub use layout::DistLayout;
 pub use multivec::{masked_dot_multi, MultiBlockVec, MAX_GROUPS};
 pub use tile::Tile;

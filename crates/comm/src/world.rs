@@ -1,9 +1,11 @@
 //! The communication world: executes collectives and counts them.
 
 use crate::distvec::{DistField, DistVec};
+use crate::group::{blockwise, Group};
 use crate::halo::Exchange;
 use crate::pool;
 use crate::tile::Tile;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -146,8 +148,9 @@ pub struct CommWorld {
     pub policy: ExecPolicy,
     stats: CommStats,
     /// Reusable per-block partial-reduction slots for fused sweeps and
-    /// `dot_many`, so steady-state solver iterations allocate nothing.
-    sweep_scratch: Mutex<Vec<SweepPartials>>,
+    /// `dot_many`, and per-task "rows written" flags, so steady-state
+    /// solver iterations allocate nothing.
+    sweep_scratch: Mutex<(Vec<SweepPartials>, Vec<bool>)>,
 }
 
 impl CommWorld {
@@ -155,7 +158,7 @@ impl CommWorld {
         CommWorld {
             policy,
             stats: CommStats::default(),
-            sweep_scratch: Mutex::new(Vec::new()),
+            sweep_scratch: Mutex::new((Vec::new(), Vec::new())),
         }
     }
 
@@ -236,10 +239,11 @@ impl CommWorld {
         });
     }
 
-    /// The fused execution primitive: walk all blocks **once**, handing the
-    /// kernel block `b`'s tiles of every mutable operand back-to-back while
-    /// the block is cache-hot, and accumulate up to [`MAX_SWEEP_PARTIALS`]
-    /// partial reductions per block.
+    /// The fused execution primitive: walk the layout's sweep groups
+    /// ([`crate::group`]) **once**, one pool task per group, handing the
+    /// kernel every block of a group — each block's tiles of every mutable
+    /// operand — while they are cache-hot, with one partial row of up to
+    /// [`MAX_SWEEP_PARTIALS`] reductions per block.
     ///
     /// The returned partials are combined in block order (deterministic under
     /// both policies). Nothing is recorded in [`CommStats`]: a fused sweep is
@@ -249,6 +253,45 @@ impl CommWorld {
     ///
     /// All operands must share a layout; read-only operands are captured by
     /// the kernel closure directly.
+    pub fn for_each_group_fused<T: Tile, const M: usize, F>(
+        &self,
+        muts: [&mut DistField<T>; M],
+        kernel: F,
+    ) -> SweepPartials
+    where
+        F: Fn(&mut Group<'_, T, M>) + Sync,
+    {
+        assert!(M > 0, "fused sweep needs a mutable operand");
+        let layout = Arc::clone(&muts[0].layout);
+        for v in muts.iter().skip(1) {
+            assert!(
+                Arc::ptr_eq(&layout, &v.layout),
+                "fused sweep operands must share a layout"
+            );
+        }
+        let groups = &layout.groups;
+        // Distinct `&mut DistField` arguments are guaranteed disjoint by the
+        // borrow checker, so per-block tiles never alias across operands.
+        let bases: [SendPtr<T>; M] = muts.map(|v| SendPtr(v.blocks.as_mut_ptr()));
+        let kernel = &kernel;
+        let span = |g: usize| groups.range(g);
+        self.run_fused(groups.len(), layout.n_blocks(), span, move |g, rows| {
+            let span = groups.range(g);
+            // SAFETY: each task owns a disjoint block range; disjoint
+            // vectors per the borrow argument above.
+            let tiles = std::array::from_fn(|m| {
+                (m < span.len()).then(|| {
+                    std::array::from_fn(|k| unsafe { &mut *bases[k].get().add(span.start + m) })
+                })
+            });
+            let mut group = Group::new(span.start, tiles, rows);
+            kernel(&mut group);
+            group.wrote_rows()
+        })
+    }
+
+    /// [`CommWorld::for_each_group_fused`] with a per-block kernel
+    /// ([`blockwise`]): block `b`'s partial row is `kernel(b, tiles)`.
     pub fn for_each_block_fused<T: Tile, const M: usize, F>(
         &self,
         muts: [&mut DistField<T>; M],
@@ -257,48 +300,66 @@ impl CommWorld {
     where
         F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync,
     {
-        assert!(M > 0, "fused sweep needs a mutable operand");
-        let n = muts[0].layout.n_blocks();
-        for v in muts.iter().skip(1) {
-            assert!(
-                Arc::ptr_eq(&muts[0].layout, &v.layout),
-                "fused sweep operands must share a layout"
-            );
-        }
-        // Distinct `&mut DistField` arguments are guaranteed disjoint by the
-        // borrow checker, so per-block tiles never alias across operands.
-        let bases: [SendPtr<T>; M] = muts.map(|v| SendPtr(v.blocks.as_mut_ptr()));
-        let kernel = &kernel;
-        self.reduce_blocks_fused(n, move |b| {
-            // SAFETY: disjoint block index per task; disjoint vectors per
-            // the borrow argument above.
-            let mut tiles: [&mut T; M] =
-                std::array::from_fn(|m| unsafe { &mut *bases[m].get().add(b) });
-            kernel(b, &mut tiles)
-        })
+        self.for_each_group_fused(muts, blockwise(kernel))
     }
 
-    /// Read-only fused sweep over `0..n` blocks: each block's partials go
-    /// into the reusable scratch row for that block, and the rows are then
-    /// combined **in block order**. This fixed combine order is what keeps
-    /// fused reductions bit-identical between the serial and threaded
-    /// backends. Allocation-free once the scratch has grown to `n` rows.
-    /// Same accounting rules as [`CommWorld::for_each_block_fused`].
+    /// Read-only fused sweep over `0..n` blocks, one partial row each,
+    /// combined **in block order**. Same accounting rules as
+    /// [`CommWorld::for_each_group_fused`].
     pub fn reduce_blocks_fused<F>(&self, n: usize, f: F) -> SweepPartials
     where
         F: Fn(usize) -> SweepPartials + Sync,
     {
-        let mut partials = self.sweep_scratch.lock().expect("sweep scratch poisoned");
+        self.run_fused(
+            n,
+            n,
+            |b| b..b + 1,
+            |b, rows| {
+                rows[0] = f(b);
+                true
+            },
+        )
+    }
+
+    /// The one executor of fused sweeps: `task(t, rows)` for every task
+    /// `t < tasks`, handed the scratch rows `span(t)` of `0..n` (disjoint
+    /// per task, any contents) and returning whether it wrote them; then
+    /// every row combined **in row order**, an unwritten one counting as
+    /// zero. This fixed combine order is what keeps fused reductions
+    /// bit-identical between the serial and threaded backends. A sweep no
+    /// task wrote rows in is zero without a fold. Allocation-free once the
+    /// scratch has grown to `n` rows and `tasks` flags.
+    fn run_fused<S, F>(&self, tasks: usize, n: usize, span: S, task: F) -> SweepPartials
+    where
+        S: Fn(usize) -> Range<usize> + Sync,
+        F: Fn(usize, &mut [SweepPartials]) -> bool + Sync,
+    {
+        let mut scratch = self.sweep_scratch.lock().expect("sweep scratch poisoned");
+        let (partials, wrote) = &mut *scratch;
         if partials.len() != n {
             partials.clear();
             partials.resize(n, [0.0; MAX_SWEEP_PARTIALS]);
         }
-        let base = SendPtr(partials.as_mut_ptr());
-        self.each(n, |b| {
-            // SAFETY: `each` runs each index exactly once: a disjoint row.
-            unsafe { *base.get().add(b) = f(b) };
+        wrote.clear();
+        wrote.resize(tasks, false);
+        let (base, flags) = (SendPtr(partials.as_mut_ptr()), SendPtr(wrote.as_mut_ptr()));
+        self.each(tasks, |t| {
+            let rows = span(t);
+            assert!(rows.end <= n);
+            // SAFETY: the spans of distinct tasks are disjoint and `each`
+            // runs each task exactly once, so each also owns its flag.
+            unsafe {
+                let rows = std::slice::from_raw_parts_mut(base.get().add(rows.start), rows.len());
+                *flags.get().add(t) = task(t, rows);
+            }
         });
         let mut acc = [0.0; MAX_SWEEP_PARTIALS];
+        if !wrote.contains(&true) {
+            return acc;
+        }
+        for t in (0..tasks).filter(|&t| !wrote[t]) {
+            partials[span(t)].fill([0.0; MAX_SWEEP_PARTIALS]);
+        }
         for row in partials.iter() {
             for (a, v) in acc.iter_mut().zip(row) {
                 *a += *v;

@@ -20,21 +20,30 @@
 //! LU of the same matrix (DESIGN.md S5), factored in colour order (red
 //! points, then black) for the reduced system, whose two colours never
 //! couple, and in natural order for the full one. Every tile solve — a
-//! pack of four sibling tiles, a tile on its own, a tile under a batch of
-//! right-hand sides — runs on the lane kernels of [`evp_multi`] (DESIGN.md
-//! §9); [`EvpSubBlock::solve_reference`] is the scalar sequence they are
-//! pinned against.
+//! pack of four sibling tiles, a tile on its own, a pack or a tile under a
+//! batch of right-hand sides — runs on the lane kernels of [`evp_multi`]
+//! (DESIGN.md §9); [`EvpSubBlock::solve_reference`] is the scalar sequence
+//! they are pinned against.
+//!
+//! Packs form across the blocks of each sweep group ([`pop_comm::group`]:
+//! up to four consecutive same-shape blocks), so the fused sweeps, which
+//! hand the preconditioner a whole group
+//! ([`Preconditioner::apply_group`]), fill the lanes with tiles of up to
+//! four blocks even where a block holds one tile. A lane whose block is not
+//! handed in — [`Preconditioner::apply_block`], or a rank that owns part of
+//! a group — runs as an idle lane.
 //!
 //! The default drops the N/S/E/W couplings (`reduced = true`), halving the
 //! marching cost — the paper's §4.3 optimization, valid because those
 //! couplings are an order of magnitude smaller than the rest.
 
 use super::evp_multi::{
-    self, Batched, EvpScratch, Layout, MarchPlan, Member, Packed, PerTile, Shared, TileCoefs,
+    self, Batched, EvpScratch, LaneOut, Layout, MarchPlan, Member, Packed, PerTile, Shared,
+    TileCoefs,
 };
 use super::tiling::{tile_block, Tile};
 use super::{assert_same_shape, assert_same_shape_multi, Preconditioner};
-use pop_comm::{BlockVec, MultiBlockVec};
+use pop_comm::{BlockVec, MultiBlockVec, SweepGroups};
 use pop_simd::{SimdMode, LANES};
 use pop_stencil::dense::BandLu;
 use pop_stencil::{DenseMatrix, LocalStencil, NinePoint};
@@ -227,13 +236,11 @@ impl EvpSubBlock {
         stride: usize,
         scratch: &mut EvpScratch,
     ) {
-        let io = Packed {
-            r,
-            z,
-            offs: [off; LANES],
-            live: 1,
-            stride,
-        };
+        let z = std::ptr::from_mut(&mut z[off..]);
+        let mut zl = [None; LANES];
+        zl[0] = Some(z);
+        // SAFETY: one stored lane, through the exclusive borrow of `z`.
+        let io = unsafe { Packed::new([&r[off..]; LANES], zl, stride) };
         let coefs = self.coefs().map(Shared);
         evp_multi::solve_tile(mode, (self.nx, self.ny), coefs, io, scratch);
     }
@@ -352,34 +359,36 @@ fn march_reference(plan: &MarchPlan, xpad: &mut [f64], psi: &[f64]) {
     }
 }
 
-/// Up to [`LANES`] tiles of one block that share a shape and a solver class,
-/// solved together with one tile per lane (DESIGN.md §9). The pack's
-/// coefficients live lane-interleaved in its block's slab; the members'
-/// own [`EvpSubBlock`]s are gone.
+/// Up to [`LANES`] tiles of one sweep group that share a shape and a solver
+/// class, solved together with one tile per lane (DESIGN.md §9). The
+/// pack's coefficients live lane-interleaved in its group's slab; the
+/// members' own [`EvpSubBlock`]s are gone.
 #[derive(Debug)]
 struct Pack {
     nx: usize,
     ny: usize,
-    /// Block-interior origin of each lane's tile; lanes `live..` repeat
-    /// lane 0 (its data too) and are never written out.
-    origin: [(usize, usize); LANES],
+    /// Each lane's tile: the group member (block `first + m`) it came from
+    /// and its block-interior origin. Lanes `live..` repeat lane 0 (its data
+    /// too) and are never written out.
+    origin: [(usize, usize, usize); LANES],
     live: usize,
     /// The solver class, carrying each array's length in the slab.
     class: TileCoefs<usize>,
 }
 
 impl Pack {
-    /// Pack `members` (2 to [`LANES`] tiles of one shape and class),
-    /// appending their arrays to `slab` as `value[idx·LANES + lane]`, one
-    /// array after another in [`TileCoefs::arrays`] order.
-    fn new(members: &[(Tile, EvpSubBlock)], slab: &mut Vec<f64>) -> Pack {
+    /// Pack `members` (2 to [`LANES`] `(member, tile, solver)` of one shape
+    /// and class), appending their arrays to `slab` as
+    /// `value[idx·LANES + lane]`, one array after another in
+    /// [`TileCoefs::arrays`] order.
+    fn new(members: &[(usize, Tile, EvpSubBlock)], slab: &mut Vec<f64>) -> Pack {
         let live = members.len();
         assert!((2..=LANES).contains(&live));
         let lane = |l: usize| &members[if l < live { l } else { 0 }];
-        let first = &members[0].1;
+        let first = &members[0].2;
         let class = first.coefs().map(|a| a.len() * LANES);
         for l in 0..LANES {
-            let (t, s) = lane(l);
+            let (_, t, s) = lane(l);
             assert_eq!(
                 (t.nx, t.ny, s.nx, s.ny),
                 (first.nx, first.ny, first.nx, first.ny)
@@ -389,7 +398,7 @@ impl Pack {
                 "pack members must share one solver class"
             );
         }
-        let arrays: [_; LANES] = std::array::from_fn(|l| lane(l).1.coefs().arrays());
+        let arrays: [_; LANES] = std::array::from_fn(|l| lane(l).2.coefs().arrays());
         // The marching planes become one record per tile point; every other
         // array keeps its order (a one-field record per entry).
         let fields = match class {
@@ -406,7 +415,10 @@ impl Pack {
         Pack {
             nx: first.nx,
             ny: first.ny,
-            origin: std::array::from_fn(|l| (lane(l).0.i0, lane(l).0.j0)),
+            origin: std::array::from_fn(|l| {
+                let (m, t, _) = lane(l);
+                (*m, t.i0, t.j0)
+            }),
             live,
             class,
         }
@@ -421,11 +433,44 @@ impl Pack {
         })
     }
 
-    /// Offset of lane `l`'s tile origin in block storage of the given row
-    /// stride and halo — computed per apply, so any same-shape
-    /// [`BlockVec`] works, whatever its padding.
-    fn offsets(&self, stride: usize, halo: usize) -> [usize; LANES] {
-        self.origin.map(|(i0, j0)| (j0 + halo) * stride + halo + i0)
+    /// Each lane's member and the offset of its tile origin in block
+    /// storage of the given row stride and halo — computed per apply, so
+    /// any same-shape [`BlockVec`] works, whatever its padding.
+    fn offsets(&self, stride: usize, halo: usize) -> [(usize, usize); LANES] {
+        self.origin
+            .map(|(m, i0, j0)| (m, (j0 + halo) * stride + halo + i0))
+    }
+
+    /// Each lane's `ψ` and output for one solve of this pack over the
+    /// members' storage handed in (`None`: not handed in), lane `l`'s tile
+    /// starting at its offset in its member's storage: a live lane whose
+    /// member is handed in reads and writes its tile; every other lane
+    /// reads the first such lane's and is not stored. `None` if no lane is
+    /// live. Offsets past a storage's end panic.
+    fn lanes<'a>(
+        &self,
+        stride: usize,
+        halo: usize,
+        r: [Option<&'a [f64]>; LANES],
+        z: [LaneOut; LANES],
+    ) -> Option<([&'a [f64]; LANES], [LaneOut; LANES])> {
+        let offs = self.offsets(stride, halo);
+        let live = |l: usize| l < self.live && r[offs[l].0].is_some();
+        let lead = (0..LANES).find(|&l| live(l))?;
+        let psi = |l: usize| &r[offs[l].0].expect("a live lane")[offs[l].1..];
+        let rl = std::array::from_fn(|l| psi(if live(l) { l } else { lead }));
+        let zl = std::array::from_fn(|l| {
+            let (m, off) = offs[l];
+            z[m].filter(|_| live(l)).map(|zb| {
+                assert!(off <= zb.len());
+                // In bounds: checked just above.
+                std::ptr::slice_from_raw_parts_mut(
+                    zb.cast::<f64>().wrapping_add(off),
+                    zb.len() - off,
+                )
+            })
+        });
+        Some((rl, zl))
     }
 }
 
@@ -438,38 +483,61 @@ pub struct TileCount {
 
 /// How one [`BlockEvp`] apply splits over its three tile paths: zero-filled
 /// all-land tiles, EVP marching tiles, and band-LU tiles (land-touching, or
-/// demoted by the set-up accuracy probe) — and how many of the solved tiles
-/// go four at a time through a pack.
+/// demoted by the set-up accuracy probe) — how many of the solved tiles go
+/// four at a time through a pack, and how many lane slots the solves fill.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TileCensus {
     pub all_land: TileCount,
     pub marching: TileCount,
     pub banded: TileCount,
     /// The marching and banded tiles solved through a pack (those with a
-    /// same-shape, same-class sibling in their block).
+    /// same-shape, same-class sibling in their sweep group).
     pub packed: TileCount,
     /// The packs they form; `packed.tiles / packs` is the mean number of
     /// live lanes.
     pub packs: usize,
+    /// Lane slots of one apply: [`LANES`] per tile solve (a pack, or a lone
+    /// tile riding the lanes as a pack of one), so `lanes / LANES` is the
+    /// solve count and `1 − (marching + banded tiles) / lanes` the idle
+    /// share.
+    pub lanes: usize,
 }
 
-/// One parent block's tiles by the path that solves them.
+impl TileCensus {
+    /// The share of lane slots that carry no tile.
+    pub fn idle_share(&self) -> f64 {
+        let solved = self.marching.tiles + self.banded.tiles;
+        if self.lanes == 0 {
+            0.0
+        } else {
+            1.0 - solved as f64 / self.lanes as f64
+        }
+    }
+}
+
+/// One sweep group's tiles by the path that solves them; every tile names
+/// the group member (block `first + m`) it belongs to.
 #[derive(Debug, Default)]
-struct BlockTiles {
+struct GroupTiles {
     /// All-land tiles: zero-filled.
-    land: Vec<Tile>,
+    land: Vec<(usize, Tile)>,
     /// Tiles alone in their shape and class: solved one at a time.
-    lone: Vec<(Tile, EvpSubBlock)>,
+    lone: Vec<(usize, Tile, EvpSubBlock)>,
     packs: Vec<Pack>,
     /// Every pack's coefficients, in `packs` order — the one array a
-    /// block's packed solves stream through.
+    /// group's packed solves stream through.
     slab: Vec<f64>,
 }
 
 /// The distributed block-EVP preconditioner: every process block tiled into
-/// EVP sub-blocks, applied block-Jacobi style with no communication.
+/// EVP sub-blocks, applied block-Jacobi style with no communication. Tiles
+/// are packed across the blocks of each sweep group, so a sweep that hands
+/// it a whole group ([`Preconditioner::apply_group`]) fills the lanes with
+/// tiles of up to four blocks.
 pub struct BlockEvp {
-    blocks: Vec<BlockTiles>,
+    /// The layout's sweep groups, and each one's tiles.
+    groups: SweepGroups,
+    tiles: Vec<GroupTiles>,
     tile_size: usize,
     reduced: bool,
 }
@@ -488,40 +556,44 @@ impl BlockEvp {
     /// Build with explicit tile size and reduction choice.
     pub fn new(op: &NinePoint, tile_size: usize, reduced: bool) -> Self {
         assert!(tile_size >= 1);
-        let mut blocks = Vec::with_capacity(op.layout.n_blocks());
-        for (b, info) in op.layout.decomp.blocks.iter().enumerate() {
-            let mask = &op.layout.masks[b];
-            let mut blk = BlockTiles::default();
+        let layout = &op.layout;
+        let mut tiles = Vec::with_capacity(layout.groups.len());
+        for span in layout.groups.iter() {
+            let mut grp = GroupTiles::default();
             // Same shape, same class: the tiles one lane kernel can solve
-            // side by side. Each group's solvers live only until the group
+            // side by side. Each class's solvers live only until the class
             // is packed, so a packed tile's coefficients exist once.
-            let mut groups: Vec<Vec<(Tile, EvpSubBlock)>> = Vec::new();
-            for t in tile_block(info.nx, info.ny, tile_size) {
-                let any_ocean = (t.j0..t.j0 + t.ny)
-                    .any(|j| (t.i0..t.i0 + t.nx).any(|i| mask[j * info.nx + i] != 0));
-                if !any_ocean {
-                    blk.land.push(t);
-                    continue;
-                }
-                let raw = op.extract_local(b, t.i0, t.j0, t.nx, t.ny);
-                let sub = EvpSubBlock::new(&raw, reduced);
-                let key = |t: &Tile, s: &EvpSubBlock| (t.nx, t.ny, s.uses_marching());
-                match groups
-                    .iter_mut()
-                    .find(|g| key(&g[0].0, &g[0].1) == key(&t, &sub))
-                {
-                    Some(g) => g.push((t, sub)),
-                    None => groups.push(vec![(t, sub)]),
+            let mut classes: Vec<Vec<(usize, Tile, EvpSubBlock)>> = Vec::new();
+            for (m, b) in span.enumerate() {
+                let (info, mask) = (&layout.decomp.blocks[b], &layout.masks[b]);
+                for t in tile_block(info.nx, info.ny, tile_size) {
+                    let any_ocean = (t.j0..t.j0 + t.ny)
+                        .any(|j| (t.i0..t.i0 + t.nx).any(|i| mask[j * info.nx + i] != 0));
+                    if !any_ocean {
+                        grp.land.push((m, t));
+                        continue;
+                    }
+                    let raw = op.extract_local(b, t.i0, t.j0, t.nx, t.ny);
+                    let sub = EvpSubBlock::new(&raw, reduced);
+                    let key = |t: &Tile, s: &EvpSubBlock| (t.nx, t.ny, s.uses_marching());
+                    match classes
+                        .iter_mut()
+                        .find(|c| key(&c[0].1, &c[0].2) == key(&t, &sub))
+                    {
+                        Some(c) => c.push((m, t, sub)),
+                        None => classes.push(vec![(m, t, sub)]),
+                    }
                 }
             }
-            for group in groups {
+            for class in classes {
                 // The sibling rule, and the only rule: a tile with at least
-                // one sibling is packed, a tile alone keeps its own solver.
-                if group.len() == 1 {
-                    blk.lone.extend(group);
+                // one sibling in its group is packed, a tile alone keeps its
+                // own solver.
+                if class.len() == 1 {
+                    grp.lone.extend(class);
                     continue;
                 }
-                let mut rest = &group[..];
+                let mut rest = &class[..];
                 while !rest.is_empty() {
                     // Never a last pack of one: five tiles are 3 + 2.
                     let take = if rest.len() == LANES + 1 {
@@ -530,33 +602,34 @@ impl BlockEvp {
                         rest.len().min(LANES)
                     };
                     let (members, tail) = rest.split_at(take);
-                    blk.packs.push(Pack::new(members, &mut blk.slab));
+                    grp.packs.push(Pack::new(members, &mut grp.slab));
                     rest = tail;
                 }
             }
-            blk.slab.shrink_to_fit();
-            blocks.push(blk);
+            grp.slab.shrink_to_fit();
+            tiles.push(grp);
         }
         BlockEvp {
-            blocks,
+            groups: layout.groups.clone(),
+            tiles,
             tile_size,
             reduced,
         }
     }
 
     /// Which path every tile of one apply takes, in tiles and in the grid
-    /// points they cover.
+    /// points they cover, and the lane slots the solves fill.
     pub fn census(&self) -> TileCensus {
         let mut census = TileCensus::default();
         let count = |class: &mut TileCount, tiles: usize, points: usize| {
             class.tiles += tiles;
             class.points += tiles * points;
         };
-        for blk in &self.blocks {
-            for t in &blk.land {
+        for grp in &self.tiles {
+            for (_, t) in &grp.land {
                 count(&mut census.all_land, 1, t.nx * t.ny);
             }
-            for (t, s) in &blk.lone {
+            for (_, t, s) in &grp.lone {
                 let class = if s.uses_marching() {
                     &mut census.marching
                 } else {
@@ -564,7 +637,7 @@ impl BlockEvp {
                 };
                 count(class, 1, t.nx * t.ny);
             }
-            for p in &blk.packs {
+            for p in &grp.packs {
                 let class = match p.class {
                     TileCoefs::March { .. } => &mut census.marching,
                     TileCoefs::Band { .. } => &mut census.banded,
@@ -572,7 +645,8 @@ impl BlockEvp {
                 count(class, p.live, p.nx * p.ny);
                 count(&mut census.packed, p.live, p.nx * p.ny);
             }
-            census.packs += blk.packs.len();
+            census.packs += grp.packs.len();
+            census.lanes += (grp.lone.len() + grp.packs.len()) * LANES;
         }
         census
     }
@@ -583,6 +657,20 @@ impl BlockEvp {
 
     pub fn is_reduced(&self) -> bool {
         self.reduced
+    }
+
+    /// The tiles of the sweep group holding block `b`, and `b`'s member
+    /// index in it.
+    fn group_of(&self, b: usize) -> (&GroupTiles, usize) {
+        let g = self.groups.of(b);
+        (&self.tiles[g], b - self.groups.range(g).start)
+    }
+
+    /// The tiles of the sweep group that block `first` opens.
+    fn group_at(&self, first: usize) -> &GroupTiles {
+        let (grp, m) = self.group_of(first);
+        assert_eq!(m, 0, "block {first} does not open a sweep group");
+        grp
     }
 }
 
@@ -602,100 +690,181 @@ thread_local! {
         std::cell::RefCell::new(TileScratch::default());
 }
 
+/// The row stride and halo every member handed in to a group apply shares,
+/// or `None` if no member is. Panics unless `r` and `z` name the same
+/// members and every pair, and every member, has one geometry (`check`
+/// compares a pair).
+fn group_geometry<T: pop_comm::Tile>(
+    r: &[Option<&T>; LANES],
+    z: &[Option<&mut T>; LANES],
+    check: fn(&T, &T),
+) -> Option<(usize, usize)> {
+    let mut geometry = None;
+    for (r, z) in r.iter().zip(z) {
+        match (r, z) {
+            (Some(r), Some(z)) => {
+                check(r, z);
+                let geo = (r.shape(), r.raw().len());
+                assert!(
+                    geometry.is_none_or(|g| g == geo),
+                    "a sweep group's blocks share one geometry"
+                );
+                geometry = Some(geo);
+            }
+            (None, None) => {}
+            _ => panic!("r and z must hand in the same members"),
+        }
+    }
+    geometry.map(|((nx, ny, halo), _)| (pop_comm::tile::extent(nx, ny, halo).0, halo))
+}
+
 impl Preconditioner for BlockEvp {
+    /// Block `b` alone: its group's packs run with only `b`'s lanes stored,
+    /// as a rank that owns part of a group runs them.
     fn apply_block(&self, b: usize, r: &BlockVec, z: &mut BlockVec) {
+        let (_, m) = self.group_of(b);
+        let (rs, zs) = pop_comm::group::alone(m, r, z);
+        self.apply_group(b - m, rs, zs);
+    }
+
+    /// Every member of one sweep group handed in, at once: each pack solves
+    /// its tiles — of up to four blocks — side by side, one per lane,
+    /// streaming the group's slab front to back. A lane whose member is not
+    /// handed in runs as an idle lane does (another lane's data in, nothing
+    /// stored).
+    fn apply_group(
+        &self,
+        first: usize,
+        r: [Option<&BlockVec>; LANES],
+        mut z: [Option<&mut BlockVec>; LANES],
+    ) {
+        let grp = self.group_at(first);
+        let Some((stride, h)) = group_geometry(&r, &z, assert_same_shape) else {
+            return;
+        };
         let mode = pop_simd::mode();
         TILE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            assert_same_shape(r, z);
-            let (stride, h) = (r.stride(), r.halo);
-            let rraw = r.raw();
-            let zraw = z.raw_mut();
-            let blk = &self.blocks[b];
-            for t in &blk.land {
-                for j in t.j0..t.j0 + t.ny {
-                    let off = (j + h) * stride + h + t.i0;
-                    zraw[off..off + t.nx].fill(0.0);
+            for (m, t) in &grp.land {
+                if let Some(zb) = z[*m].as_deref_mut() {
+                    let zraw = zb.raw_mut();
+                    for j in t.j0..t.j0 + t.ny {
+                        let off = (j + h) * stride + h + t.i0;
+                        zraw[off..off + t.nx].fill(0.0);
+                    }
                 }
             }
             // A tile alone in its class rides the lanes as a pack of one.
-            for (t, s) in &blk.lone {
-                let off = (t.j0 + h) * stride + h + t.i0;
-                s.solve_at(mode, (rraw, zraw), off, stride, &mut scratch.evp);
+            for (m, t, s) in &grp.lone {
+                if let (Some(rb), Some(zb)) = (r[*m], z[*m].as_deref_mut()) {
+                    let off = (t.j0 + h) * stride + h + t.i0;
+                    s.solve_at(
+                        mode,
+                        (rb.raw(), zb.raw_mut()),
+                        off,
+                        stride,
+                        &mut scratch.evp,
+                    );
+                }
             }
-            // Four tiles per solve, one per lane, streaming the block's
-            // slab front to back.
-            let mut slab = &blk.slab[..];
-            for p in &blk.packs {
-                let io = Packed {
-                    r: rraw,
-                    z: zraw,
-                    offs: p.offsets(stride, h),
-                    live: p.live,
-                    stride,
-                };
+            // Four tiles per solve, one per lane, from up to four blocks.
+            let rraw = r.map(|r| r.map(BlockVec::raw));
+            let zraw = z.map(|z| z.map(|zb| std::ptr::from_mut(zb.raw_mut())));
+            let mut slab = &grp.slab[..];
+            for p in &grp.packs {
                 let coefs = p.take(&mut slab).map(PerTile);
+                let Some((rl, zl)) = p.lanes(stride, h, rraw, zraw) else {
+                    continue;
+                };
+                // SAFETY: `Pack::lanes`' stored lanes are distinct tiles of
+                // blocks handed in as `&mut`, whose borrows the raw pointers
+                // inherit for this call; `r` blocks are shared borrows of
+                // other storage.
+                let io = unsafe { Packed::new(rl, zl, stride) };
                 evp_multi::solve_tile(mode, (p.nx, p.ny), coefs, io, &mut scratch.evp);
             }
         });
+    }
+
+    /// Block `b` alone, batched: [`BlockEvp::apply_group_multi`] with one
+    /// member.
+    fn apply_block_multi(&self, b: usize, r: &MultiBlockVec, z: &mut MultiBlockVec) {
+        let (_, m) = self.group_of(b);
+        let (rs, zs) = pop_comm::group::alone(m, r, z);
+        self.apply_group_multi(b - m, rs, zs);
     }
 
     /// Fused batched apply: every tile is solved for all `groups() × LANES`
     /// right-hand sides in one interleaved pass, so its influence matrix
     /// (or LU factors) and stencil coefficients are loaded once per batch
     /// instead of once per RHS — the amortization the batched solve engine
-    /// is built on (DESIGN.md §12). A packed tile is served from its pack's
-    /// slab, one lane of it splat to every right-hand side. Per lane,
-    /// bitwise identical to [`BlockEvp::apply_block`].
-    fn apply_block_multi(&self, b: usize, r: &MultiBlockVec, z: &mut MultiBlockVec) {
+    /// is built on (DESIGN.md §12). The right-hand sides fill the lanes, so
+    /// each tile of a pack is solved on its own, from its lane of the
+    /// pack's slab. Per lane, bitwise identical to
+    /// [`BlockEvp::apply_block`].
+    fn apply_group_multi(
+        &self,
+        first: usize,
+        r: [Option<&MultiBlockVec>; LANES],
+        mut z: [Option<&mut MultiBlockVec>; LANES],
+    ) {
+        let grp = self.group_at(first);
+        let Some((stride, h)) = group_geometry(&r, &z, assert_same_shape_multi) else {
+            return;
+        };
         let mode = pop_simd::mode();
         TILE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            assert_same_shape_multi(r, z);
-            let (stride, h, rows) = (r.stride(), r.halo, r.rows());
-            let groups = r.groups();
-            let rraw = r.raw();
-            let zraw = z.raw_mut();
+            let lead = r.iter().flatten().next().expect("a member is handed in");
+            let (rows, groups) = (lead.rows(), lead.groups());
             // A tile row advances `rs` floats; lane group `g`'s tile image
             // sits `g · gs` past group 0's in the lane-major block storage.
             let rs = stride * LANES;
             let gs = rows * stride * LANES;
-            let blk = &self.blocks[b];
-            for t in &blk.land {
-                for g in 0..groups {
-                    let off = ((g * rows + t.j0 + h) * stride + h + t.i0) * LANES;
-                    for j in 0..t.ny {
-                        zraw[off + j * rs..off + j * rs + t.nx * LANES].fill(0.0);
-                    }
-                }
-            }
-            // Solve a tile for every lane group at once, in place inside
-            // the lane-major block arrays — no gather/scatter copies.
-            for (t, s) in &blk.lone {
-                let off = ((t.j0 + h) * stride + h + t.i0) * LANES;
-                let io = Batched {
-                    psi: &rraw[off..],
-                    x: &mut zraw[off..],
+            // Solve a tile of member `m` at block offset `off` for every
+            // lane group at once, in place inside the lane-major block
+            // arrays — no gather/scatter copies.
+            fn io<'a>(
+                (rb, zb): (&'a MultiBlockVec, &'a mut MultiBlockVec),
+                off: usize,
+                (rs, gs, groups): (usize, usize, usize),
+            ) -> Batched<'a> {
+                let off = off * LANES;
+                Batched {
+                    psi: &rb.raw()[off..],
+                    x: &mut zb.raw_mut()[off..],
                     stride: rs,
                     gstride: gs,
                     groups,
-                };
-                s.solve_batched(mode, io, &mut scratch.evp);
+                }
             }
-            let mut slab = &blk.slab[..];
-            for p in &blk.packs {
+            let lanes = (rs, gs, groups);
+            for (m, t) in &grp.land {
+                if let Some(zb) = z[*m].as_deref_mut() {
+                    let zraw = zb.raw_mut();
+                    for g in 0..groups {
+                        let off = ((g * rows + t.j0 + h) * stride + h + t.i0) * LANES;
+                        for j in 0..t.ny {
+                            zraw[off + j * rs..off + j * rs + t.nx * LANES].fill(0.0);
+                        }
+                    }
+                }
+            }
+            for (m, t, s) in &grp.lone {
+                if let (Some(rb), Some(zb)) = (r[*m], z[*m].as_deref_mut()) {
+                    let off = (t.j0 + h) * stride + h + t.i0;
+                    s.solve_batched(mode, io((rb, zb), off, lanes), &mut scratch.evp);
+                }
+            }
+            let mut slab = &grp.slab[..];
+            for p in &grp.packs {
                 let coefs = p.take(&mut slab);
-                for (l, off) in p.offsets(stride, h)[..p.live].iter().enumerate() {
-                    let off = off * LANES;
-                    let io = Batched {
-                        psi: &rraw[off..],
-                        x: &mut zraw[off..],
-                        stride: rs,
-                        gstride: gs,
-                        groups,
-                    };
-                    let member = coefs.map(|a| Member(a, l));
-                    evp_multi::solve_tile(mode, (p.nx, p.ny), member, io, &mut scratch.evp);
+                for (l, &(m, off)) in p.offsets(stride, h)[..p.live].iter().enumerate() {
+                    if let (Some(rb), Some(zb)) = (r[m], z[m].as_deref_mut()) {
+                        let member = coefs.map(|a| Member(a, l));
+                        let io = io((rb, zb), off, lanes);
+                        evp_multi::solve_tile(mode, (p.nx, p.ny), member, io, &mut scratch.evp);
+                    }
                 }
             }
         });
@@ -1041,9 +1210,10 @@ pub(crate) mod tests {
     /// The lanes' output equals each member's scalar reference solve bit
     /// for bit — every shape (lane multiples and ragged tails), both classes
     /// (band members with distinct land masks), reduced and full systems,
-    /// 1–4 live lanes (one = a lone tile's own arrays, splat), every
-    /// dispatch mode; idle lanes write nothing; and the block storage may
-    /// have any stride (the pack knows tile origins, not offsets).
+    /// 1–4 live lanes (one = a lone tile's own arrays, splat), members from
+    /// two blocks, every dispatch mode; idle and unstored lanes write
+    /// nothing; and the block storage may have any stride (the pack knows
+    /// tile origins, not offsets).
     #[test]
     fn pack_matches_each_members_own_solve_bitwise() {
         let mut scratch = EvpScratch::default();
@@ -1061,7 +1231,8 @@ pub(crate) mod tests {
                 (false, false, 3),
                 (false, false, 1),
             ] {
-                let members: Vec<(Tile, EvpSubBlock)> = (0..live)
+                // Lane `l` comes from member block `l % 2`.
+                let members: Vec<(usize, Tile, EvpSubBlock)> = (0..live)
                     .map(|l| {
                         let seed = (nx * 131 + ny * 17 + l * 7 + usize::from(reduced)) as u64;
                         let land = if marching { 0 } else { 2 + l };
@@ -1073,41 +1244,57 @@ pub(crate) mod tests {
                             nx,
                             ny,
                         };
-                        (t, sub)
+                        (l % 2, t, sub)
                     })
                     .collect();
-                // One member rides the lanes as `BlockEvp::apply_block`'s
-                // lone tiles do; more are packed.
+                // One member rides the lanes as `BlockEvp`'s lone tiles do;
+                // more are packed.
                 let mut slab = Vec::new();
                 let pack = (live > 1).then(|| Pack::new(&members, &mut slab));
-                let (t0, sub0) = &members[0];
+                let (_, t0, sub0) = &members[0];
 
-                // Two block widths, so two row strides.
-                for extra in [0, 5] {
+                // Two block widths, so two row strides; every stored subset
+                // of the live lanes.
+                for (extra, stored) in [(0, 0b1111), (5, 0b1111), (0, 0b1010), (5, 0b0101)] {
+                    let stored = |l: usize| l < live && (live == 1 || stored >> l & 1 == 1);
                     let (bx, by, halo) = (LANES * (nx + 1) + 3 + extra, ny + 4, 2);
-                    let mut r = BlockVec::zeros(bx, by, halo);
-                    for (k, v) in r.raw_mut().iter_mut().enumerate() {
-                        *v = 2.0 * unit(77, k) - 1.0;
-                    }
+                    let rs: [BlockVec; 2] = std::array::from_fn(|m| {
+                        let mut r = BlockVec::zeros(bx, by, halo);
+                        for (k, v) in r.raw_mut().iter_mut().enumerate() {
+                            *v = 2.0 * unit(77 + m as u64, k) - 1.0;
+                        }
+                        r
+                    });
                     for mode in modes() {
                         let tag = format!(
                             "{nx}x{ny} marching={marching} reduced={reduced} live={live} \
                              bx={bx} {mode:?}"
                         );
-                        let mut z = BlockVec::zeros(bx, by, halo);
-                        z.fill(f64::NAN);
-                        let stride = r.stride();
+                        let mut zs: [BlockVec; 2] = std::array::from_fn(|_| {
+                            let mut z = BlockVec::zeros(bx, by, halo);
+                            z.fill(f64::NAN);
+                            z
+                        });
+                        let stride = rs[0].stride();
                         let offs = match &pack {
                             Some(p) => p.offsets(stride, halo),
-                            None => [r.offset(t0.i0 as isize, t0.j0 as isize); LANES],
+                            None => [(0, rs[0].offset(t0.i0 as isize, t0.j0 as isize)); LANES],
                         };
-                        let io = Packed {
-                            r: r.raw(),
-                            z: z.raw_mut(),
-                            offs,
-                            live,
-                            stride,
-                        };
+                        let zraw = zs.each_mut().map(|z| std::ptr::from_mut(z.raw_mut()));
+                        let rl = offs.map(|(m, off)| &rs[m].raw()[off..]);
+                        let zl: [LaneOut; LANES] = std::array::from_fn(|l| {
+                            let (m, off) = offs[l];
+                            let len = zraw[m].len() - off;
+                            stored(l).then(|| {
+                                std::ptr::slice_from_raw_parts_mut(
+                                    zraw[m].cast::<f64>().wrapping_add(off),
+                                    len,
+                                )
+                            })
+                        });
+                        // SAFETY: stored lanes are distinct tiles of `zs`,
+                        // which nothing else touches until the solve ends.
+                        let io = unsafe { Packed::new(rl, zl, stride) };
                         match &pack {
                             Some(p) => {
                                 assert_eq!(p.live, live);
@@ -1122,7 +1309,11 @@ pub(crate) mod tests {
                             }
                         }
 
-                        for (t, sub) in &members {
+                        for (l, (m, t, sub)) in members.iter().enumerate() {
+                            if !stored(l) {
+                                continue;
+                            }
+                            let (r, z) = (&rs[*m], &mut zs[*m]);
                             let psi: Vec<f64> = (0..ny)
                                 .flat_map(|j| r.interior_row(t.j0 + j)[t.i0..t.i0 + nx].to_vec())
                                 .collect();
@@ -1142,8 +1333,8 @@ pub(crate) mod tests {
                             }
                         }
                         assert!(
-                            z.raw().iter().all(|v| v.is_nan()),
-                            "{tag}: a store landed outside the live tiles"
+                            zs.iter().all(|z| z.raw().iter().all(|v| v.is_nan())),
+                            "{tag}: a store landed outside the stored tiles"
                         );
                     }
                 }
@@ -1330,14 +1521,15 @@ pub(crate) mod tests {
     /// `cargo test -p pop-core block_apply_matches -- --nocapture`.
     #[test]
     fn block_apply_matches_tile_by_tile_solves_bitwise() {
-        // (name, grid, block shape, τ, packed tiles expected, FMA hash)
+        // (name, grid, block shape, τ, packed tiles and tile solves
+        // expected, FMA hash)
         let cases = [
             (
                 "gx1 40x48",
                 Grid::gx1(2015),
                 (40, 48),
                 1100.0,
-                1316,
+                (1323, 341),
                 0x7dde_e637_90eb_2c57,
             ),
             (
@@ -1345,7 +1537,7 @@ pub(crate) mod tests {
                 Grid::idealized_basin(64, 48, 500.0, 2.0e4),
                 (16, 12),
                 2400.0,
-                60,
+                (64, 18),
                 0x9294_b4c5_be4f_38fd,
             ),
             (
@@ -1353,7 +1545,7 @@ pub(crate) mod tests {
                 Grid::gx1_scaled(2015, 96, 80),
                 (8, 8),
                 4000.0,
-                0,
+                (95, 38),
                 0xa399_6557_cd90_b074,
             ),
             (
@@ -1361,7 +1553,7 @@ pub(crate) mod tests {
                 Grid::gx1_scaled(2016, 96, 80),
                 (8, 8),
                 5500.0,
-                0,
+                (93, 39),
                 0x0f2d_4dec_7d44_fbbb,
             ),
             (
@@ -1369,7 +1561,7 @@ pub(crate) mod tests {
                 Grid::gx1_scaled(2015, 320, 240),
                 (8, 6),
                 2700.0,
-                0,
+                (1068, 365),
                 0x40cd_3bd9_cfd6_5069,
             ),
         ];
@@ -1379,9 +1571,9 @@ pub(crate) mod tests {
             let op = NinePoint::assemble(&g, &layout, &world, tau);
             let pre = BlockEvp::with_defaults(&op);
             let c = pre.census();
-            // (Zero on the three one-tile-per-block operators: every tile
-            // there rides the lanes alone.)
-            assert_eq!(c.packed.tiles, packed, "{name}: {c:?}");
+            // Packs form across the blocks of a sweep group, so even the
+            // one-tile-per-block operators fill most lanes.
+            assert_eq!((c.packed.tiles, c.lanes / LANES), packed, "{name}: {c:?}");
             if name.starts_with("gx1") {
                 let tiles = |t: TileCount| t.tiles;
                 assert_eq!(
@@ -1396,21 +1588,23 @@ pub(crate) mod tests {
             pre.apply(&world, &r, &mut z);
             // What the preconditioner keeps: the packs' slabs, and the lone
             // tiles' own arrays.
-            let slab: usize = pre.blocks.iter().map(|b| b.slab.len()).sum();
+            let slab: usize = pre.tiles.iter().map(|g| g.slab.len()).sum();
             let lone: usize = pre
-                .blocks
+                .tiles
                 .iter()
-                .flat_map(|b| &b.lone)
-                .map(|(_, s)| s.coefs().arrays().map(<[f64]>::len).iter().sum::<usize>())
+                .flat_map(|g| &g.lone)
+                .map(|(_, _, s)| s.coefs().arrays().map(<[f64]>::len).iter().sum::<usize>())
                 .sum();
             let hash = fnv(&z.to_global());
             println!(
                 "block-EVP apply fnv {name}: {hash:016x}  ({} dispatch; {} of {} tiles in {} packs, \
-                 slabs {} KiB, lone tiles {} KiB)",
+                 {} tile solves, {:.1} % of lanes idle, slabs {} KiB, lone tiles {} KiB)",
                 pop_simd::mode().name(),
                 c.packed.tiles,
                 c.marching.tiles + c.banded.tiles,
                 c.packs,
+                c.lanes / LANES,
+                100.0 * c.idle_share(),
                 slab * 8 / 1024,
                 lone * 8 / 1024
             );

@@ -30,13 +30,14 @@
 //! Three things, and they are the same arithmetic:
 //!
 //! - **four tiles × one right-hand side** — a pack of [`super::BlockEvp`]'s
-//!   single-RHS apply. Same-shape tiles of one block are packed four to a
-//!   lane group, their coefficients lane-interleaved in the block's slab
-//!   ([`PerTile`]: `V::load(&slab[idx·4])`), and the marching chain and the
-//!   band substitutions advance four tiles per step. [`Packed`] stages `ψ`
-//!   in and `x` out through a 4×4 transpose.
+//!   single-RHS apply. Same-shape tiles of one sweep group (up to four
+//!   consecutive same-shape blocks) are packed four to a lane group, their
+//!   coefficients lane-interleaved in the group's slab ([`PerTile`]:
+//!   `V::load(&slab[idx·4])`), and the marching chain and the band
+//!   substitutions advance four tiles per step. [`Packed`] stages `ψ` in
+//!   and `x` out through a 4×4 transpose, each lane from its own block.
 //! - **one tile × one right-hand side** — a tile with no same-shape sibling
-//!   in its block, and [`super::EvpSubBlock::solve`]: a pack of one. The
+//!   in its group, and [`super::EvpSubBlock::solve`]: a pack of one. The
 //!   tile's own arrays are splat ([`Shared`]), [`Packed`] stages it with
 //!   one live lane, and the three idle lanes repeat lane 0 and are never
 //!   stored.
@@ -100,6 +101,7 @@
 use pop_comm::MAX_GROUPS;
 use pop_simd::{LaneF64, LaneJob, SimdMode, LANES};
 use pop_stencil::{DenseMatrix, LocalStencil};
+use std::marker::PhantomData;
 
 /// Reusable scratch for an EVP tile solve ([`super::EvpSubBlock::solve`]);
 /// [`super::BlockEvp`] keeps one per thread so steady-state preconditioner
@@ -887,18 +889,38 @@ impl TileIo for Batched<'_> {
     }
 }
 
+/// One lane's output: its tile's first point onwards, in block storage
+/// other lanes may share, or `None` for a lane that is not stored.
+pub(super) type LaneOut = Option<*mut [f64]>;
+
 /// Four same-shape tiles × one right-hand side, staged through a 4×4
-/// transpose between the rows of a [`pop_comm::BlockVec`] (four columns of
+/// transpose between the rows of [`pop_comm::BlockVec`]s (four columns of
 /// one tile per load) and the lane layout (one column of four tiles per
-/// load). Lanes `live..` duplicate tile 0 on the way in and are not stored
-/// on the way out.
+/// load). Each lane reads and writes its own tile, in its own block or in
+/// one it shares with other lanes; an idle lane reads a live lane's `ψ` and
+/// is not stored.
 pub(super) struct Packed<'a> {
-    pub r: &'a [f64],
-    pub z: &'a mut [f64],
-    /// Offset of each lane's tile origin in the block storage.
-    pub offs: [usize; LANES],
-    pub live: usize,
-    pub stride: usize,
+    /// Lane `l`'s `ψ`: its tile's first point onwards, rows `stride` apart.
+    r: [&'a [f64]; LANES],
+    /// Lane `l`'s output likewise, `None` for a lane that is not stored.
+    z: [LaneOut; LANES],
+    stride: usize,
+    _z: PhantomData<&'a mut [f64]>,
+}
+
+impl<'a> Packed<'a> {
+    /// # Safety
+    /// Every `Some` in `z` must be valid for writes for `'a`, unaliased by
+    /// `r` and by anything else used during `'a`, and the `nx × ny` tiles
+    /// (rows `stride` apart) that different lanes store must not overlap.
+    pub(super) unsafe fn new(r: [&'a [f64]; LANES], z: [LaneOut; LANES], stride: usize) -> Self {
+        Packed {
+            r,
+            z,
+            stride,
+            _z: PhantomData,
+        }
+    }
 }
 
 impl TileIo for Packed<'_> {
@@ -908,9 +930,10 @@ impl TileIo for Packed<'_> {
     }
 
     fn assert_fits(&self, (nx, ny): (usize, usize)) {
-        assert!((1..=LANES).contains(&self.live) && nx <= self.stride);
-        let end = self.offs.iter().max().expect("LANES > 0") + (ny - 1) * self.stride + nx;
-        assert!(end <= self.r.len() && end <= self.z.len());
+        assert!(nx <= self.stride);
+        let end = (ny - 1) * self.stride + nx;
+        assert!(self.r.iter().all(|r| end <= r.len()));
+        assert!(self.z.iter().flatten().all(|z| end <= z.len()));
     }
 
     #[inline(always)]
@@ -940,9 +963,9 @@ impl TileIo for Packed<'_> {
         for j in 0..ny {
             // (Plain loops over the lanes: `array::map` does not inline
             // into a `target_feature` caller.)
-            let mut row = [self.r.as_ptr(); LANES];
-            for (t, o) in row.iter_mut().zip(self.offs) {
-                *t = self.r[o + j * self.stride..][..nx].as_ptr();
+            let mut row = [self.r[0].as_ptr(); LANES];
+            for (t, r) in row.iter_mut().zip(self.r) {
+                *t = r[j * self.stride..][..nx].as_ptr();
             }
             let mut i = 0;
             while i + LANES <= nx {
@@ -978,21 +1001,27 @@ impl TileIo for Packed<'_> {
             let v = V::load(src.as_ptr().add(layout.point((nx, ny), i, j) * LANES));
             mask.map_or(v, |m| v.and_bits(m.at::<V>(j * nx + i)))
         };
-        let live = &self.offs[..self.live];
+        // `assert_fits` held every stored row inside its lane's storage.
+        let out = self.z.map(|z| z.map(|z| z.cast::<f64>()));
         for j in 0..ny {
+            let row = j * self.stride;
             let mut i = 0;
             while i + LANES <= nx {
                 let cols = [col(j, i), col(j, i + 1), col(j, i + 2), col(j, i + 3)];
-                for (v, o) in V::transpose4(cols).into_iter().zip(live) {
-                    v.store(self.z[o + j * self.stride + i..][..LANES].as_mut_ptr());
+                for (v, z) in V::transpose4(cols).into_iter().zip(out) {
+                    if let Some(z) = z {
+                        v.store(z.add(row + i));
+                    }
                 }
                 i += LANES;
             }
             for i in i..nx {
                 let mut t = [0.0; LANES];
                 col(j, i).store(t.as_mut_ptr());
-                for (v, o) in t.into_iter().zip(live) {
-                    self.z[o + j * self.stride + i] = v;
+                for (v, z) in t.into_iter().zip(out) {
+                    if let Some(z) = z {
+                        *z.add(row + i) = v;
+                    }
                 }
             }
         }

@@ -63,12 +63,30 @@ pub trait Preconditioner: Send + Sync {
     /// buffers in thread-local scratch).
     fn apply_block(&self, b: usize, r: &BlockVec, z: &mut BlockVec);
 
-    /// `z = M⁻¹ r` over all blocks: one block sweep of
-    /// [`Preconditioner::apply_block`].
+    /// Apply to the members of one sweep group ([`pop_comm::group`]) at
+    /// once: `z[m] = M⁻¹ r[m]` for block `first + m` wherever both are
+    /// `Some` (a rank runtime hands in only the members it owns). Every
+    /// member's result must equal its own [`Preconditioner::apply_block`],
+    /// bit for bit. The default applies block by block; [`BlockEvp`] solves
+    /// same-shape tiles of different members side by side on the lanes.
+    fn apply_group(
+        &self,
+        first: usize,
+        r: [Option<&BlockVec>; LANES],
+        z: [Option<&mut BlockVec>; LANES],
+    ) {
+        for (m, (r, z)) in r.into_iter().zip(z).enumerate() {
+            if let (Some(r), Some(z)) = (r, z) {
+                self.apply_block(first + m, r, z);
+            }
+        }
+    }
+
+    /// `z = M⁻¹ r` over all blocks: one group sweep of
+    /// [`Preconditioner::apply_group`].
     fn apply(&self, world: &CommWorld, r: &DistVec, z: &mut DistVec) {
-        let r_ref = r;
-        world.for_each_block(&mut z.blocks, |b, zb| {
-            self.apply_block(b, &r_ref.blocks[b], zb);
+        let _ = world.for_each_group_fused([z], |g| {
+            self.apply_group(g.first, g.blocks_of(r), g.operand(0));
         });
     }
 
@@ -110,6 +128,23 @@ pub trait Preconditioner: Send + Sync {
         });
     }
 
+    /// Batched image of [`Preconditioner::apply_group`]: every member's
+    /// result equals its own [`Preconditioner::apply_block_multi`], bit for
+    /// bit. The default applies block by block; [`BlockEvp`] solves a
+    /// pack's members back to back.
+    fn apply_group_multi(
+        &self,
+        first: usize,
+        r: [Option<&MultiBlockVec>; LANES],
+        z: [Option<&mut MultiBlockVec>; LANES],
+    ) {
+        for (m, (r, z)) in r.into_iter().zip(z).enumerate() {
+            if let (Some(r), Some(z)) = (r, z) {
+                self.apply_block_multi(first + m, r, z);
+            }
+        }
+    }
+
     /// Short label used in experiment output ("diagonal", "evp", ...).
     fn name(&self) -> &'static str;
 }
@@ -125,10 +160,12 @@ mod batched_tests {
     /// diagonal, block-EVP) and the default lane-staging path (block-LU) —
     /// is bitwise identical, per lane, to the single-RHS apply on a real
     /// land-masked grid, ragged tails and coastal band-LU tiles included:
-    /// once on blocks whose tiles are all different (every tile solved on
-    /// its own), once on 24×20 blocks of 3×3 tiles in two shapes, where
-    /// block-EVP packs siblings and the batched apply is served from the
-    /// packs' slabs. Every lane-group count runs: each is its own instance
+    /// once on 13×9 blocks whose tiles all differ within a block, so
+    /// block-EVP packs them across the three blocks of a sweep group
+    /// (ragged packs), and the ragged east-edge blocks, each alone in its
+    /// group, keep lone tiles; once on 24×20 blocks of 3×3 tiles in two
+    /// shapes, all packed, full and ragged packs both. The batched apply is
+    /// served from the packs' slabs. Every lane-group count runs: each is its own instance
     /// of the lane kernels.
     #[test]
     fn apply_block_multi_matches_single_rhs_per_lane() {
@@ -189,7 +226,15 @@ mod batched_tests {
         let op = NinePoint::assemble(g, &layout, &world, tau);
         for reduced in [true, false] {
             let c = BlockEvp::new(&op, 8, reduced).census();
-            assert_eq!(c.packed.tiles > 0, bx == 24, "{bx}x{by} blocks: {c:?}");
+            let solved = c.marching.tiles + c.banded.tiles;
+            // (Mean live lanes above three: some pack is full.)
+            let lone = c.packed.tiles < solved;
+            let full = c.packed.tiles > (LANES - 1) * c.packs;
+            let ragged = c.packed.tiles < LANES * c.packs;
+            assert!(
+                c.packs > 0 && ragged && lone == (bx == 13) && full == (bx == 24),
+                "{bx}x{by} blocks: {c:?}"
+            );
         }
         let pres: Vec<Box<dyn Preconditioner>> = vec![
             Box::new(Identity),

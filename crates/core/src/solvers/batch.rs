@@ -157,7 +157,7 @@ impl<S: Recurrence> BatchCommSolver for S {
         let BatchWorkspace { io, vecs, stage } = ws;
         let [mb, mx] = io.take(comm, bs[0], slots);
         let mut lanes: Vec<SolveCtl> = (0..bs.len())
-            .map(|_| SolveCtl::new(cfg, S::SPEC.label(), pre.name(), start))
+            .map(|_| SolveCtl::new(cfg, S::SPEC.label(), pre.name(), start, vecs.lend_history()))
             .collect();
         fill_lanes(comm, mb, bs);
         fill_lanes(comm, mx, xs);
@@ -177,7 +177,12 @@ impl<S: Recurrence> BatchCommSolver for S {
         let mut ctl = Control::new(comm, cfg, &mut lanes, bs, xs, stage, slots);
         self.recur(op, pre, mb, mx, vecs, &mut ctl);
         let now = comm.stats();
-        lanes.into_iter().map(|lane| lane.into_stats(now)).collect()
+        let stats = lanes.into_iter().map(|lane| {
+            let (stats, history) = lane.into_stats(now);
+            vecs.keep_history(history);
+            stats
+        });
+        stats.collect()
     }
 }
 

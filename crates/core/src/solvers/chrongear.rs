@@ -15,7 +15,7 @@ use super::{
 };
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
-use pop_comm::{CommVec, CommWorld, Communicator, DistVec};
+use pop_comm::{blockwise, CommVec, CommWorld, Communicator, DistVec};
 use pop_stencil::NinePoint;
 
 /// Chronopoulos–Gear preconditioned conjugate gradients.
@@ -185,9 +185,9 @@ impl Recurrence for ChronGear {
             // Step 4: preconditioning r' = M⁻¹ r, where the last U sweep
             // could not carry it.
             if !preconditioned {
-                comm.for_each_block_fused([&mut *z], |bk, [zb]| {
-                    T::precond(pre, bk, r.block(bk), zb);
-                    ZEROS
+                comm.for_each_group_fused([&mut *z], |g| {
+                    let rs = g.blocks_of(&*r);
+                    T::precond_group(pre, g.first, rs, g.operand(0));
                 });
             }
 
@@ -195,11 +195,12 @@ impl Recurrence for ChronGear {
             // iteration, fused with the kernel computing z = B r' AND both
             // inner-product partials ρ̃ = rᵀr', δ̃ = (Br')ᵀr' (split-phase
             // runtimes overlap the strips with the interior stencil points).
-            let d_sweep = comm.halo_sweep_fused([&mut *z, &mut *az], |bk, [zb, azb]| {
+            let dots = |bk: usize, [zb, azb]: &mut [&mut T; 2]| {
                 let mut pt = ZEROS;
                 T::apply_dots(op, bk, zb, azb, r.block(bk), &mut pt);
                 pt
-            });
+            };
+            let d_sweep = comm.halo_sweep_fused([&mut *z, &mut *az], blockwise(dots));
 
             // Consuming every lane's pair is the iteration's ONE reduction.
             let d = comm.reduce_sweep(&d_sweep, 2 * w as u64);
@@ -220,20 +221,25 @@ impl Recurrence for ChronGear {
             let checked = it % cfg.check_interval() == 0;
             let norm_wanted = checked || it == cfg.max_iters;
             let (bv, av, nav) = (&beta[..w], &alpha[..w], &nalpha[..w]);
-            let u_sweep = comm.for_each_block_fused(
-                [&mut *s, &mut *p, &mut *x, &mut *r, &mut *z],
-                |bk, [sb, pb, xb, rb, zb]| {
-                    let read = [&**zb, az.block(bk)];
-                    update(ChronGearUpdate, read, [sb, pb, xb, rb], [bv, av, nav]);
-                    let mut pt = ZEROS;
-                    if norm_wanted {
-                        T::dot(rb, rb, &masks[bk], &mut pt);
-                    } else {
-                        T::precond(pre, bk, rb, zb);
+            let u_sweep =
+                comm.for_each_group_fused([&mut *s, &mut *p, &mut *x, &mut *r, &mut *z], |g| {
+                    let first = g.first;
+                    for (m, [sb, pb, xb, rb, zb]) in g.members() {
+                        let bk = first + m;
+                        let read = [&**zb, az.block(bk)];
+                        update(ChronGearUpdate, read, [sb, pb, xb, rb], [bv, av, nav]);
                     }
-                    pt
-                },
-            );
+                    if norm_wanted {
+                        for (m, [.., rb, _], row) in g.members_with_rows() {
+                            T::dot(rb, rb, &masks[first + m], row);
+                        }
+                    } else {
+                        // The group's r' = M⁻¹ r at once: each block's
+                        // reads only its own, already updated, r.
+                        let (rs, zs) = g.operands(3, 4);
+                        T::precond_group(pre, first, rs, zs);
+                    }
+                });
             preconditioned = !norm_wanted;
             if norm_wanted {
                 rr = u_sweep;

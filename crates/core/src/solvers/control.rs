@@ -108,20 +108,25 @@ pub(crate) struct SolveCtl {
 
 impl SolveCtl {
     /// A control whose `bnorm` the caller still has to set. `start` is the
-    /// communicator's counters from the top of the solve.
+    /// communicator's counters from the top of the solve; `history` is a
+    /// reusable buffer ([`SolverWorkspace`]), cleared and reserved for the
+    /// worst case here so that no check allocates.
     pub(crate) fn new(
         cfg: &SolverConfig,
         solver: &'static str,
         precond: &'static str,
         start: StatsSnapshot,
+        mut history: Vec<(usize, f64)>,
     ) -> Self {
+        history.clear();
+        history.reserve(cfg.max_iters / cfg.check_interval() + 2);
         SolveCtl {
             solver,
             precond,
             start,
             monitor: RecoveryMonitor::new(cfg.recovery),
             obs: cfg.obs.begin_solve(solver, precond, start),
-            history: Vec::with_capacity(cfg.max_iters / cfg.check_interval() + 2),
+            history,
             bnorm: f64::NAN,
             final_rel: f64::INFINITY,
             matvecs: 0,
@@ -232,15 +237,15 @@ impl SolveCtl {
         Check::Done(outcome)
     }
 
-    /// The finished solve's report; `now` is the communicator's counters at
-    /// the end of the solve (of the whole batch, for a lane: events are
-    /// shared across lanes by construction, DESIGN.md §12).
-    pub(crate) fn into_stats(mut self, now: StatsSnapshot) -> SolveStats {
+    /// The finished solve's report, and its history buffer back for reuse;
+    /// `now` is the communicator's counters at the end of the solve (of the
+    /// whole batch, for a lane: events are shared across lanes by
+    /// construction, DESIGN.md §12).
+    pub(crate) fn into_stats(self, now: StatsSnapshot) -> (SolveStats, Vec<(usize, f64)>) {
         let outcome = self.outcome.expect("into_stats on a running solve");
-        // The history was reserved for the worst case so that no check
-        // allocates; callers keep the stats, so hand back only what was used.
-        self.history.shrink_to_fit();
-        SolveStats {
+        // Callers keep the stats, so they get an exact-size copy of the
+        // worst-case buffer.
+        let stats = SolveStats {
             solver: self.solver,
             preconditioner: self.precond,
             iterations: self.iterations,
@@ -251,8 +256,9 @@ impl SolveCtl {
             matvecs: self.matvecs,
             precond_applies: self.precond_applies,
             comm: now.since(&self.start),
-            residual_history: self.history,
-        }
+            residual_history: self.history.clone(),
+        };
+        (stats, self.history)
     }
 }
 
@@ -593,7 +599,7 @@ mod tests {
         let payload = f64::from_bits(0xfff8_dead_beef_0001);
         for rr in [f64::NAN, negative, payload] {
             for healthy_first in [false, true] {
-                let mut lane = SolveCtl::new(&cfg, "chrongear", "diagonal", now());
+                let mut lane = SolveCtl::new(&cfg, "chrongear", "diagonal", now(), Vec::new());
                 lane.bnorm = 2.0;
                 let mut want = vec![];
                 if healthy_first {
@@ -609,7 +615,7 @@ mod tests {
                 let n = want.len();
                 want.extend([(n + 1, f64::NAN.to_bits()), (n + 2, f64::NAN.to_bits())]);
 
-                let stats = lane.into_stats(now());
+                let (stats, _) = lane.into_stats(now());
                 let got: Vec<_> = stats
                     .residual_history
                     .iter()
@@ -651,7 +657,8 @@ mod tests {
         }
         let mut lanes: Vec<SolveCtl> = (0..width)
             .map(|_| {
-                let mut lane = SolveCtl::new(&cfg, "chrongear", "diagonal", comm.stats());
+                let mut lane =
+                    SolveCtl::new(&cfg, "chrongear", "diagonal", comm.stats(), Vec::new());
                 lane.bnorm = 1.0;
                 lane
             })

@@ -13,10 +13,10 @@
 //! the paper measures and the reproduction tracks.
 
 use super::control::copy_vec;
-use super::kernels::{update, with_temps, CsiStart, CsiUpdate};
+use super::kernels::{split_temps, update, with_temps, CsiStart, CsiUpdate};
 use super::{
     residual_sweep, rhs_norm, Control, LinearSolver, Recurrence, SolveCtl, SolveStats,
-    SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH, ZEROS,
+    SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH,
 };
 use crate::lanczos::EigenBounds;
 use crate::precond::Preconditioner;
@@ -171,14 +171,17 @@ impl Pcsi {
         residual_sweep(op, comm, b, x, r);
 
         // Δx₀ = γ⁻¹ M⁻¹ r₀ ; x₁ = x₀ + Δx₀, fused into one sweep, M⁻¹ r₀
-        // in a block temporary.
+        // of a whole group in block temporaries.
         let w = x.width();
-        comm.for_each_block_fused([dx, &mut *x], |bk, [dxb, xb]| {
-            with_temps(xb.shape(), w, |[zb, _]| {
-                T::precond(pre, bk, r.block(bk), zb);
-                update(CsiStart, [&*zb], [dxb, xb], [&[inv_gamma; MAX_BATCH]]);
+        comm.for_each_group_fused([dx, &mut *x], |g| {
+            with_temps(g.shape(), w, |temps| {
+                let (_, zs) = split_temps(temps, g.owned());
+                T::precond_group(pre, g.first, g.blocks_of(&*r), zs);
+                for (i, (_, [dxb, xb])) in g.members().enumerate() {
+                    let zb = &temps[i][1];
+                    update(CsiStart, [zb], [dxb, xb], [&[inv_gamma; MAX_BATCH]]);
+                }
             });
-            ZEROS
         });
 
         // r₁ = b − A x₁, with ‖r‖² riding along as a per-block partial.
@@ -250,22 +253,33 @@ impl Recurrence for Pcsi {
             // when deferred, by the previous iteration's residual (steps
             // 9–10: its halo exchange is the iteration's only message).
             // `r'`, and a deferred residual, live in block temporaries.
+            // A group's residuals are all computed before any of its
+            // blocks updates `x`: each reads only its own block's
+            // pre-update tile and the ring the exchange filled.
             if deferred {
-                comm.halo_sweep_fused([&mut *x, &mut *dx], |bk, [xb, dxb]| {
-                    with_temps(xb.shape(), w, |[rb, zb]| {
-                        T::residual_no_norm(op, bk, xb, b.block(bk), rb);
-                        T::precond(pre, bk, rb, zb);
-                        update(CsiUpdate, [&*zb], [dxb, xb], [om, cs]);
+                comm.halo_sweep_fused([&mut *x, &mut *dx], |g| {
+                    let (first, owned) = (g.first, g.owned());
+                    with_temps(g.shape(), w, |temps| {
+                        for (i, (m, [xb, _])) in g.members().enumerate() {
+                            let bk = first + m;
+                            T::residual_no_norm(op, bk, xb, b.block(bk), &mut temps[i][0]);
+                        }
+                        let (rs, zs) = split_temps(temps, owned);
+                        T::precond_group(pre, first, rs, zs);
+                        for (i, (_, [xb, dxb])) in g.members().enumerate() {
+                            update(CsiUpdate, [&temps[i][1]], [dxb, xb], [om, cs]);
+                        }
                     });
-                    ZEROS
                 });
             } else {
-                comm.for_each_block_fused([&mut *dx, &mut *x], |bk, [dxb, xb]| {
-                    with_temps(xb.shape(), w, |[zb, _]| {
-                        T::precond(pre, bk, r.block(bk), zb);
-                        update(CsiUpdate, [&*zb], [dxb, xb], [om, cs]);
+                comm.for_each_group_fused([&mut *dx, &mut *x], |g| {
+                    with_temps(g.shape(), w, |temps| {
+                        let (_, zs) = split_temps(temps, g.owned());
+                        T::precond_group(pre, g.first, g.blocks_of(&*r), zs);
+                        for (i, (_, [dxb, xb])) in g.members().enumerate() {
+                            update(CsiUpdate, [&temps[i][1]], [dxb, xb], [om, cs]);
+                        }
                     });
-                    ZEROS
                 });
             }
 

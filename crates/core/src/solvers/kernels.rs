@@ -33,11 +33,11 @@
 //!
 //! # Block temporaries
 //!
-//! A vector that one block's kernel both writes and consumes — P-CSI's
+//! A vector that one group's kernel both writes and consumes — P-CSI's
 //! `z = M⁻¹r`, and its residual in a deferred sweep — never needs a
 //! whole-field home: [`with_temps`] lends the kernel a pair of this
-//! thread's tiles of the block's shape instead, so the sweep streams only
-//! the vectors that outlive it.
+//! thread's tiles of the group's block shape per member instead, so the
+//! sweep streams only the vectors that outlive it.
 
 use crate::precond::Preconditioner;
 use pop_comm::tile::extent;
@@ -63,8 +63,14 @@ pub(crate) trait TileKernels: Tile {
     /// ChronGear's `ρ̃` and `δ̃`.
     fn apply_dots(op: &NinePoint, bk: usize, x: &Self, y: &mut Self, r: &Self, out: &mut [f64]);
 
-    /// `z = M⁻¹ r` over the block's interior.
-    fn precond(pre: &dyn Preconditioner, bk: usize, r: &Self, z: &mut Self);
+    /// `z[m] = M⁻¹ r[m]` over the interior of every member `m` of one
+    /// sweep group (block `first + m`) handed in.
+    fn precond_group(
+        pre: &dyn Preconditioner,
+        first: usize,
+        r: [Option<&Self>; LANES],
+        z: [Option<&mut Self>; LANES],
+    );
 
     /// Masked `aᵀb` per lane into `out[..w]`, in row-major ocean-point
     /// order (the canonical per-block partial).
@@ -83,7 +89,7 @@ pub(crate) trait TileKernels: Tile {
     fn load_lane(&mut self, slot: usize, src: &BlockVec);
 
     /// This tile kind's shelf of a thread's [`BlockTemps`].
-    fn shelf(temps: &mut BlockTemps) -> &mut Vec<(TempKey, [Self; 2])>;
+    fn shelf(temps: &mut BlockTemps) -> &mut Vec<(TempKey, GroupTemps<Self>)>;
 }
 
 // ---------------------------------------------------------------------------
@@ -108,8 +114,13 @@ impl TileKernels for BlockVec {
     }
 
     #[inline]
-    fn precond(pre: &dyn Preconditioner, bk: usize, r: &Self, z: &mut Self) {
-        pre.apply_block(bk, r, z);
+    fn precond_group(
+        pre: &dyn Preconditioner,
+        first: usize,
+        r: [Option<&Self>; LANES],
+        z: [Option<&mut Self>; LANES],
+    ) {
+        pre.apply_group(first, r, z);
     }
 
     #[inline]
@@ -133,7 +144,7 @@ impl TileKernels for BlockVec {
         self.raw_mut().copy_from_slice(src.raw());
     }
 
-    fn shelf(temps: &mut BlockTemps) -> &mut Vec<(TempKey, [Self; 2])> {
+    fn shelf(temps: &mut BlockTemps) -> &mut Vec<(TempKey, GroupTemps<Self>)> {
         &mut temps.single
     }
 }
@@ -185,8 +196,13 @@ impl TileKernels for MultiBlockVec {
     }
 
     #[inline]
-    fn precond(pre: &dyn Preconditioner, bk: usize, r: &Self, z: &mut Self) {
-        pre.apply_block_multi(bk, r, z);
+    fn precond_group(
+        pre: &dyn Preconditioner,
+        first: usize,
+        r: [Option<&Self>; LANES],
+        z: [Option<&mut Self>; LANES],
+    ) {
+        pre.apply_group_multi(first, r, z);
     }
 
     #[inline]
@@ -212,7 +228,7 @@ impl TileKernels for MultiBlockVec {
         MultiBlockVec::load_lane(self, slot / LANES, slot % LANES, src);
     }
 
-    fn shelf(temps: &mut BlockTemps) -> &mut Vec<(TempKey, [Self; 2])> {
+    fn shelf(temps: &mut BlockTemps) -> &mut Vec<(TempKey, GroupTemps<Self>)> {
         &mut temps.multi
     }
 }
@@ -221,9 +237,12 @@ impl TileKernels for MultiBlockVec {
 // Both widths: per-thread block temporaries
 // ---------------------------------------------------------------------------
 
-/// What a pair of block temporaries is kept by: the tile's
-/// [`Tile::shape`] and its values per point.
+/// What a group's block temporaries are kept by: the tiles'
+/// [`Tile::shape`] and their values per point.
 pub(crate) type TempKey = ((usize, usize, usize), usize);
+
+/// One sweep group's block temporaries: a pair per member.
+pub(crate) type GroupTemps<T> = [[T; 2]; LANES];
 
 /// Shapes a thread keeps temporaries for, per tile kind: a layout has at
 /// most four block shapes (interior, ragged east and north edges, their
@@ -234,26 +253,27 @@ const TEMP_SHAPES: usize = 8;
 /// A thread's block temporaries, a shelf per tile kind.
 #[derive(Default)]
 pub(crate) struct BlockTemps {
-    single: Vec<(TempKey, [BlockVec; 2])>,
-    multi: Vec<(TempKey, [MultiBlockVec; 2])>,
+    single: Vec<(TempKey, GroupTemps<BlockVec>)>,
+    multi: Vec<(TempKey, GroupTemps<MultiBlockVec>)>,
 }
 
 thread_local! {
     static BLOCK_TEMPS: RefCell<BlockTemps> = RefCell::new(BlockTemps::default());
 }
 
-/// Run `f` on this thread's pair of temporaries of `shape` at `width`
-/// values per point, allocating them only on the shape's first use here.
-/// Their contents are whatever the last borrower left: a kernel must write
-/// every interior point it reads, and nothing reads a temporary's halo
-/// ring (the pointwise updates mask it, a preconditioner never reads its
-/// input's, a residual writes only the interior). Call it only inside one
-/// block's kernel, never around a communicator call: rank-runtime ranks
-/// are fibers sharing one OS thread, and a second borrow panics.
+/// Run `f` on this thread's group temporaries — a pair per member — of
+/// `shape` at `width` values per point, allocating them only on the
+/// shape's first use here. Their contents are whatever the last borrower
+/// left: a kernel must write every interior point it reads, and nothing
+/// reads a temporary's halo ring (the pointwise updates mask it, a
+/// preconditioner never reads its input's, a residual writes only the
+/// interior). Call it only inside one group's kernel, never around a
+/// communicator call: rank-runtime ranks are fibers sharing one OS thread,
+/// and a second borrow panics.
 pub(crate) fn with_temps<T: TileKernels>(
     shape: (usize, usize, usize),
     width: usize,
-    f: impl FnOnce(&mut [T; 2]),
+    f: impl FnOnce(&mut GroupTemps<T>),
 ) {
     BLOCK_TEMPS.with(|cell| {
         let temps = &mut *cell.borrow_mut();
@@ -266,12 +286,29 @@ pub(crate) fn with_temps<T: TileKernels>(
                     shelf.remove(0);
                 }
                 let (nx, ny, halo) = shape;
-                shelf.push((key, std::array::from_fn(|_| T::zeros(nx, ny, halo, width))));
+                let pair = || std::array::from_fn(|_| T::zeros(nx, ny, halo, width));
+                shelf.push((key, std::array::from_fn(|_| pair())));
                 shelf.len() - 1
             }
         };
         f(&mut shelf[at].1)
     })
+}
+
+/// The owned members' temporaries as a group apply takes them, slot `m`
+/// of each array holding the pair of the `i`-th owned member at `temps[i]`
+/// (so a rank owning some members uses the first pairs): the first of each pair to read,
+/// the second to write.
+pub(crate) fn split_temps<T>(
+    temps: &mut GroupTemps<T>,
+    owned: [bool; LANES],
+) -> ([Option<&T>; LANES], [Option<&mut T>; LANES]) {
+    let (mut read, mut write) = ([None; LANES], [(); LANES].map(|_| None));
+    let members = owned.iter().enumerate().filter(|(_, &own)| own);
+    for ([a, b], (m, _)) in temps.iter_mut().zip(members) {
+        (read[m], write[m]) = (Some(&*a), Some(b));
+    }
+    (read, write)
 }
 
 // ---------------------------------------------------------------------------

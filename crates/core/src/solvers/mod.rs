@@ -27,8 +27,8 @@ use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
 use kernels::TileKernels;
 use pop_comm::{
-    BlockVec, CommVec, CommWorld, Communicator, DistLayout, DistVec, StatsSnapshot, SweepPartials,
-    MAX_SWEEP_PARTIALS,
+    blockwise, BlockVec, CommVec, CommWorld, Communicator, DistLayout, DistVec, StatsSnapshot,
+    SweepPartials, MAX_SWEEP_PARTIALS,
 };
 use pop_obs::ObsSink;
 use pop_stencil::NinePoint;
@@ -212,10 +212,15 @@ pub struct SolveStats {
 /// shared-memory [`DistVec`] path, a rank runtime's private-slice vectors
 /// and both runtimes' `k`-wide batched vectors; the default parameter keeps
 /// existing `SolverWorkspace` call sites unchanged.
+///
+/// It also keeps the solves' convergence-history buffers, reserved for the
+/// worst case so that no check allocates: each solve hands its
+/// [`SolveStats`] an exact-size copy and returns the buffer here.
 pub struct SolverWorkspace<V = DistVec> {
     layout: Option<Arc<DistLayout>>,
     width: usize,
     vecs: Vec<V>,
+    histories: Vec<Vec<(usize, f64)>>,
 }
 
 impl<V> Default for SolverWorkspace<V> {
@@ -224,7 +229,20 @@ impl<V> Default for SolverWorkspace<V> {
             layout: None,
             width: 0,
             vecs: Vec::new(),
+            histories: Vec::new(),
         }
+    }
+}
+
+impl<V> SolverWorkspace<V> {
+    /// A history buffer for one lane of a solve (empty on first use).
+    pub(crate) fn lend_history(&mut self) -> Vec<(usize, f64)> {
+        self.histories.pop().unwrap_or_default()
+    }
+
+    /// Take a lent history buffer back for the next solve.
+    pub(crate) fn keep_history(&mut self, history: Vec<(usize, f64)>) {
+        self.histories.push(history);
     }
 }
 
@@ -385,14 +403,17 @@ impl<S: Recurrence> CommSolver for S {
         cfg: &SolverConfig,
         ws: &mut SolverWorkspace<C::Vec<BlockVec>>,
     ) -> SolveStats {
-        let mut lane = SolveCtl::new(cfg, S::SPEC.label(), pre.name(), comm.stats());
+        let history = ws.lend_history();
+        let mut lane = SolveCtl::new(cfg, S::SPEC.label(), pre.name(), comm.stats(), history);
         lane.bnorm = rhs_norm(comm, b);
         // Staging for a restart, which allocates only if one happens.
         let mut stage = SolverWorkspace::default();
         let (lanes, bs) = (std::slice::from_mut(&mut lane), [b]);
         let mut ctl = Control::new(comm, cfg, lanes, &bs, &mut [], &mut stage, 1);
         self.recur(op, pre, b, x, ws, &mut ctl);
-        lane.into_stats(comm.stats())
+        let (stats, history) = lane.into_stats(comm.stats());
+        ws.keep_history(history);
+        stats
     }
 }
 
@@ -413,11 +434,12 @@ pub(crate) fn residual_sweep<C: Communicator, T: TileKernels>(
     x: &mut C::Vec<T>,
     r: &mut C::Vec<T>,
 ) -> C::Sweep {
-    comm.halo_sweep_fused([x, r], |bk, [xb, rb]| {
+    let residual = |bk: usize, [xb, rb]: &mut [&mut T; 2]| {
         let mut p = ZEROS;
         T::residual(op, bk, xb, b.block(bk), rb, &mut p);
         p
-    })
+    };
+    comm.halo_sweep_fused([x, r], blockwise(residual))
 }
 
 #[cfg(test)]

@@ -55,8 +55,8 @@ use crate::trace::{Span, SpanKind};
 use crate::vec::{RankField, RankVec};
 use pop_comm::halo::Exchange;
 use pop_comm::{
-    masked_block_dot, CommVec, Communicator, DistLayout, DistVec, StatsSnapshot, SweepPartials,
-    Tile, MAX_SWEEP_PARTIALS,
+    masked_block_dot, CommVec, Communicator, DistLayout, DistVec, Group, StatsSnapshot,
+    SweepPartials, Tile, GROUP_BLOCKS, MAX_SWEEP_PARTIALS,
 };
 use pop_grid::sfc::CurveKind;
 use pop_grid::RankAssignment;
@@ -489,31 +489,51 @@ impl RankComm {
         arrive
     }
 
-    /// The fused-sweep loop with no compute charge: every owned block's
-    /// tiles handed to the kernel in ascending block order. Callers charge
-    /// the clock themselves ([`Communicator::for_each_block_fused`] charges
-    /// the whole sweep after; the split-phase path charges core and edge
-    /// points around the strip wait instead).
-    fn sweep_blocks<T: Tile, const M: usize, F>(
+    /// The fused-sweep loop with no compute charge: the layout's sweep
+    /// groups, cut to the blocks this rank owns, handed to the kernel in
+    /// ascending block order (a member another rank owns is `None`). Callers
+    /// charge the clock themselves ([`Communicator::for_each_group_fused`]
+    /// charges the whole sweep after; the split-phase path charges core and
+    /// edge points around the strip wait instead).
+    fn sweep_groups<T: Tile, const M: usize, F>(
         &self,
         mut muts: [&mut RankField<T>; M],
         kernel: F,
     ) -> RankSweep
     where
-        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials,
+        F: Fn(&mut Group<'_, T, M>),
     {
         assert!(M > 0, "fused sweep needs a mutable operand");
         for v in &muts {
             self.check_view(v);
         }
+        let groups = &self.layout.groups;
         let bases: [*mut T; M] = muts.each_mut().map(|v| v.blocks.as_mut_ptr());
         let mut rows = Vec::with_capacity(self.owned.len());
-        for (li, &gb) in self.owned.iter().enumerate() {
-            // SAFETY: distinct `&mut RankField` operands are disjoint by the
-            // borrow checker, the loop is single-threaded, and each local
-            // index names a distinct tile of each operand.
-            let mut tiles: [&mut T; M] = std::array::from_fn(|m| unsafe { &mut *bases[m].add(li) });
-            rows.push((gb as u32, kernel(gb, &mut tiles)));
+        let mut partials = [[0.0; MAX_SWEEP_PARTIALS]; GROUP_BLOCKS];
+        let mut li = 0;
+        while li < self.owned.len() {
+            // The owned members of one group: a run of `owned`.
+            let span = groups.range(groups.of(self.owned[li]));
+            let end = li
+                + self.owned[li..]
+                    .iter()
+                    .take_while(|&&gb| gb < span.end)
+                    .count();
+            let mut tiles: [Option<[&mut T; M]>; GROUP_BLOCKS] = Default::default();
+            for (at, &gb) in (li..end).zip(&self.owned[li..end]) {
+                // SAFETY: distinct `&mut RankField` operands are disjoint by
+                // the borrow checker, the loop is single-threaded, and each
+                // local index names a distinct tile of each operand.
+                tiles[gb - span.start] =
+                    Some(std::array::from_fn(|m| unsafe { &mut *bases[m].add(at) }));
+            }
+            let mut group = Group::new(span.start, tiles, &mut partials[..span.len()]);
+            kernel(&mut group);
+            for &gb in &self.owned[li..end] {
+                rows.push((gb as u32, group.row(gb - span.start)));
+            }
+            li = end;
         }
         RankSweep { rows }
     }
@@ -586,11 +606,11 @@ impl Communicator for RankComm {
         kernel: F,
     ) -> RankSweep
     where
-        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync,
+        F: Fn(&mut Group<'_, T, M>) + Sync,
     {
         if !self.cfg.overlap_halo {
             self.halo_update(&mut *muts[0]);
-            return self.for_each_block_fused(muts, kernel);
+            return self.for_each_group_fused(muts, kernel);
         }
         self.check_view(&*muts[0]);
         self.charge_stall();
@@ -606,18 +626,18 @@ impl Communicator for RankComm {
         let t3 = t2 + self.owned_edge_points * self.cfg.compute_per_point;
         self.push_span(SpanKind::Compute, t2, t3);
         self.clock.set(t3);
-        self.sweep_blocks(muts, kernel)
+        self.sweep_groups(muts, kernel)
     }
 
-    fn for_each_block_fused<T: Tile, const M: usize, F>(
+    fn for_each_group_fused<T: Tile, const M: usize, F>(
         &self,
         muts: [&mut RankField<T>; M],
         kernel: F,
     ) -> RankSweep
     where
-        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync,
+        F: Fn(&mut Group<'_, T, M>) + Sync,
     {
-        let sweep = self.sweep_blocks(muts, kernel);
+        let sweep = self.sweep_groups(muts, kernel);
         self.charge_compute();
         sweep
     }
@@ -1502,14 +1522,15 @@ mod tests {
                 // vector's interior, which the second sweep's exchange
                 // must carry to the neighbours' rings.
                 let mut sweep = || {
-                    comm.halo_sweep_fused([&mut x, &mut work], |_, [xb, wb]| {
+                    let kernel = |_: usize, [xb, wb]: &mut [&mut BlockVec; 2]| {
                         let mut p = [0.0; MAX_SWEEP_PARTIALS];
                         p[0] = xb.raw().iter().sum::<f64>() + wb.raw()[0];
                         for j in 0..xb.ny {
                             xb.interior_row_mut(j).iter_mut().for_each(|v| *v *= 0.5);
                         }
                         p
-                    })
+                    };
+                    comm.halo_sweep_fused([&mut x, &mut work], pop_comm::blockwise(kernel))
                 };
                 let _ = sweep();
                 comm.reduce_sweep(&sweep(), 1)[0]

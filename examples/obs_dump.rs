@@ -41,14 +41,21 @@ fn main() {
         );
     }
     // How many of the solved tiles go four at a time through a lane pack —
-    // a tile needs a same-shape, same-path sibling in its block for that,
-    // so one-tile blocks pack nothing and gain nothing from the packed path.
+    // a tile needs a same-shape, same-path sibling in its sweep group (up
+    // to four consecutive same-shape blocks) — and how many of the lane
+    // slots the apply's tile solves fill.
     println!(
         "  packed    {:>5} of {} solved tiles, in {} packs of {:.2} live lanes on average",
         census.packed.tiles,
         census.marching.tiles + census.banded.tiles,
         census.packs,
         census.packed.tiles as f64 / census.packs.max(1) as f64
+    );
+    println!(
+        "  lanes     {:>5} slots in {} tile solves, {:.1} % idle",
+        census.lanes,
+        census.lanes / 4,
+        100.0 * census.idle_share()
     );
     let (bounds, lanczos_steps) = estimate_bounds(&op, &evp, &world, &LanczosConfig::default());
     println!(

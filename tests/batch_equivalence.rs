@@ -16,7 +16,8 @@
 
 mod common;
 use common::{
-    assert_same, lane_modes, observe, problem, solver_cfg, ModeGuard, Observables, Problem,
+    assert_same, lane_modes, observe, problem, problem_on, solver_cfg, ModeGuard, Observables,
+    Problem,
 };
 use pop_baro::prelude::*;
 use pop_core::solvers::{BatchWorkspace, SolveStats, SolverWorkspace};
@@ -213,20 +214,27 @@ fn batched_solves_match_single_rhs_bitwise_end_to_end() {
 /// Forced-dispatch sweep: under each pinned lane mode the batch must still
 /// track its (same-mode) single-RHS baselines bitwise —
 /// the batched engine adds no mode-dependent operation of its own. With
-/// block-EVP the fixture's 18×20 blocks tile into 6×7 and 6×6 siblings, so
-/// the single-RHS side solves packs of four tiles per lane group while the
-/// batched side is served, tile by tile, from the same packs' slabs.
+/// block-EVP the fixture's 14×10 blocks (6×10 on the ragged east edge)
+/// tile into 7×5 and 6×5 siblings that pack across the blocks of each
+/// sweep group, and a few tiles stay alone in theirs, so the single-RHS
+/// side solves full packs, ragged packs and lone tiles while the batched
+/// side is served, tile by tile, from the same packs' slabs.
 /// `force_mode` is process-global, so the whole sweep lives in one test.
 #[test]
 fn batched_solves_match_single_rhs_under_forced_dispatch() {
     let _guard = ModeGuard;
-    let p = problem(0);
+    let p = problem_on(&Grid::gx01_scaled(11, 90, 60), 14, 10, 9000.0, 0);
     let shared = CommWorld::serial();
     let evp = BlockEvp::with_defaults(&p.op);
     let census = evp.census();
+    let solved = census.marching.tiles + census.banded.tiles;
     assert!(
-        census.packed.tiles > census.marching.tiles.max(census.banded.tiles),
-        "the fixture must pack tiles of both classes: {census:?}"
+        census.packed.tiles > census.marching.tiles.max(census.banded.tiles)
+            && census.packed.tiles < solved
+            && census.packed.tiles > 3 * census.packs
+            && census.packed.tiles < 4 * census.packs,
+        "the fixture must pack tiles of both classes, in full and ragged packs, \
+         and keep a lone tile: {census:?}"
     );
     let bs = seeded_batch(&p, 3, 0xd15_9a7c);
     let cfg = solver_cfg();

@@ -13,7 +13,7 @@
 use pop_baro::prelude::*;
 use pop_comm::tile::extent;
 use pop_comm::{
-    masked_block_dot, BlockVec, Communicator, DistField, MultiBlockVec, StatsSnapshot,
+    masked_block_dot, BlockVec, Communicator, DistField, Group, MultiBlockVec, StatsSnapshot,
     SweepPartials, Tile,
 };
 use pop_core::solvers::SolverWorkspace;
@@ -126,15 +126,15 @@ impl Communicator for PoisonRingTwo {
         poison_ring_two(v);
     }
 
-    fn for_each_block_fused<T: Tile, const M: usize, F>(
+    fn for_each_group_fused<T: Tile, const M: usize, F>(
         &self,
         muts: [&mut DistField<T>; M],
         kernel: F,
     ) -> SweepPartials
     where
-        F: Fn(usize, &mut [&mut T; M]) -> SweepPartials + Sync,
+        F: Fn(&mut Group<'_, T, M>) + Sync,
     {
-        Communicator::for_each_block_fused(&self.0, muts, kernel)
+        Communicator::for_each_group_fused(&self.0, muts, kernel)
     }
 
     fn reduce_sweep(&self, sweep: &SweepPartials, scalars: u64) -> SweepPartials {

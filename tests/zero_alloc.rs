@@ -62,9 +62,11 @@ use pop_baro::prelude::*;
 #[test]
 fn fused_solve_iterations_allocate_nothing() {
     let grid = Grid::gx01_scaled(11, 90, 60);
-    // 18×20 blocks tile into same-shape siblings; an 8×8 block is one tile,
-    // so every tile of the second layout rides the lanes alone.
-    audit(&grid, 18, 20, false);
+    // Block-EVP packs same-shape tiles across the blocks of a sweep group.
+    // 14×10 blocks tile into siblings, and a few tiles stay alone in their
+    // group; an 8×8 block is one tile, so every pack of the second layout
+    // spans blocks. Both solve through per-group temporaries.
+    audit(&grid, 14, 10, false);
     audit(&grid, 8, 8, true);
     batch_audit(&grid, 18, 20);
 
@@ -115,7 +117,7 @@ fn step_allocs(grid: &Grid, bx: usize, by: usize) -> u64 {
     during
 }
 
-fn audit(grid: &Grid, bx: usize, by: usize, all_lone: bool) {
+fn audit(grid: &Grid, bx: usize, by: usize, one_tile_blocks: bool) {
     let layout = DistLayout::build(grid, bx, by);
     let world = CommWorld::serial();
     let op = NinePoint::assemble(grid, &layout, &world, 9000.0);
@@ -127,20 +129,20 @@ fn audit(grid: &Grid, bx: usize, by: usize, all_lone: bool) {
 
     let diag = Diagonal::new(&op);
     let evp = BlockEvp::with_defaults(&op);
-    // A coastal operator: both tile classes are under audit, packed four to
-    // a lane group and alone in lane 0 — the same thread-local lane pads
-    // and transposed staging tile serve both — or, on the one-tile blocks,
-    // every one of them alone.
+    // A coastal operator: both tile classes are under audit, in full and
+    // ragged packs and alone in lane 0 — the same thread-local lane pads
+    // and transposed staging tile serve all three — the packs of the
+    // one-tile blocks each gathered from several blocks.
     let census = evp.census();
     let solved = census.marching.tiles + census.banded.tiles;
+    let tiles = solved + census.all_land.tiles;
     assert!(
         census.marching.tiles > 0
             && census.banded.tiles > 0
-            && if all_lone {
-                census.packed.tiles == 0
-            } else {
-                (1..solved).contains(&census.packed.tiles)
-            },
+            && (1..solved).contains(&census.packed.tiles)
+            && census.packed.tiles < 4 * census.packs
+            && (tiles == layout.n_blocks()) == one_tile_blocks
+            && (census.packed.tiles > 3 * census.packs) != one_tile_blocks,
         "{bx}x{by}: {census:?}"
     );
     let (bounds, _) = estimate_bounds(&op, &evp, &world, &LanczosConfig::default());
