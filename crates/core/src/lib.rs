@@ -16,7 +16,7 @@
 //! Pipelined CG, the alternative the paper's §7 weighs against P-CSI (its
 //! ref \[16\]), is a cost model in `pop-perfmodel`, not a solver here.
 //!
-//! Three preconditioners, also behind one trait:
+//! The paper's two preconditioners, also behind one trait:
 //!
 //! - [`precond::Diagonal`] — POP's production default.
 //! - [`precond::BlockEvp`] — the paper's new block preconditioner: each
@@ -25,9 +25,11 @@
 //!   `O(n²)` per application after an `O(n³)` one-time setup. A `reduced`
 //!   mode drops the small N/S/E/W couplings, halving the marching cost, as
 //!   §4.3 of the paper describes.
-//! - [`precond::BlockLu`] — the same block-Jacobi structure with a band-LU
-//!   direct solve per sub-block (`O(n³)` per application); the reference
-//!   EVP is compared against.
+//!
+//! [`setup::PrecondSpec`] names exactly those two; [`precond::BlockLu`] (a
+//! band-LU direct solve per sub-block, the oracle EVP is compared against),
+//! [`precond::Identity`] and [`precond::BlockMg`] are types for tests and
+//! the benchmark, not configurations.
 //!
 //! All solvers run over `pop-comm`'s counted communication layer, so a solve
 //! reports exactly how many reductions, halo updates, and bytes it needed —
@@ -37,7 +39,6 @@
 pub mod fingerprint;
 pub mod lanczos;
 pub mod precond;
-pub mod selector;
 pub mod setup;
 pub mod solvers;
 pub mod tridiag;
@@ -45,12 +46,9 @@ pub mod tridiag;
 pub use fingerprint::Fnv1a;
 pub use lanczos::{estimate_bounds, EigenBounds, LanczosConfig};
 pub use precond::{BlockEvp, BlockLu, BlockMg, Diagonal, Identity, MgConfig, Preconditioner};
-pub use selector::{
-    nominal_flops_per_point, CandidateScore, PrecondSelector, Selection, SelectorConfig,
-};
 pub use setup::{OperatorState, PrecondSpec, Solver, SolverSpec};
 pub use solvers::{
-    batch_key, operator_fingerprint, solve_many, BatchCommSolver, BatchKey, BatchPlanner,
-    BatchWorkspace, ChronGear, CommSolver, LinearSolver, Pcsi, PlannedBatch, RecoveryConfig,
-    SolveOutcome, SolveStats, SolverConfig, SolverWorkspace, MAX_BATCH,
+    batch_key, BatchCommSolver, BatchKey, BatchPlanner, BatchWorkspace, ChronGear, CommSolver,
+    LinearSolver, Pcsi, RecoveryConfig, SolveOutcome, SolveStats, SolverConfig, SolverWorkspace,
+    MAX_BATCH,
 };

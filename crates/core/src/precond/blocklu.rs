@@ -6,7 +6,7 @@
 //! banded with half-width `n + 1` for an `n × n` tile, so `O(n³)` work per
 //! tile application versus EVP's `O(n²)` (paper §4.1; `O(n⁴)` is the cost
 //! of ignoring the band). Kept as the reference the EVP solver is validated
-//! against and as the ablation baseline for the cost comparison.
+//! against; no `PrecondSpec` names it.
 //!
 //! Every tile keeps natural (row-major) order, reduced or not, whereas
 //! [`super::BlockEvp`] factors a reduced band tile in colour order (DESIGN.md

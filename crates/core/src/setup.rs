@@ -2,10 +2,10 @@
 //! state it builds.
 //!
 //! A configuration is two orthogonal, data-less choices — a [`SolverSpec`]
-//! and a [`PrecondSpec`] — that every layer above speaks
-//! (`pop_ocean::SolverChoice` is the pair, `pop-serve` requests carry both,
-//! [`crate::selector::PrecondSelector`] picks the second). Building them on
-//! an operator gives an [`OperatorState`] and, from it, a [`Solver`].
+//! and a [`PrecondSpec`], the paper's two solvers and two preconditioners —
+//! that every layer above speaks (`pop_ocean::SolverChoice` is the pair,
+//! `pop-serve` requests carry both). Building them on an operator gives an
+//! [`OperatorState`] and, from it, a [`Solver`].
 //!
 //! Everything expensive a solver needs *before* its first iteration on an
 //! operator — the preconditioner (EVP influence matrices, O(n³) each to
@@ -26,7 +26,7 @@
 
 use crate::fingerprint::operator_fingerprint;
 use crate::lanczos::{estimate_bounds, EigenBounds, LanczosConfig};
-use crate::precond::{BlockEvp, BlockLu, BlockMg, Diagonal, Identity, Preconditioner};
+use crate::precond::{BlockEvp, Diagonal, Preconditioner};
 use crate::solvers::{
     BatchCommSolver, BatchWorkspace, ChronGear, CommSolver, Pcsi, SolveStats, SolverConfig,
     SolverWorkspace,
@@ -135,14 +135,6 @@ pub enum PrecondSpec {
     /// The paper's block-EVP with the reduced-coupling defaults
     /// ([`BlockEvp::with_defaults`]).
     Evp,
-    /// Unpreconditioned (ablation).
-    Identity,
-    /// Block-LU ablation (tile cap 8): a band LU of each tile's raw
-    /// submatrix — the same block structure as EVP, solved directly.
-    BlockLu,
-    /// Geometric multigrid V-cycle with default tuning
-    /// ([`BlockMg::with_defaults`], DESIGN.md §15).
-    Mg,
 }
 
 impl PrecondSpec {
@@ -150,9 +142,6 @@ impl PrecondSpec {
         match self {
             PrecondSpec::Diagonal => "diag",
             PrecondSpec::Evp => "evp",
-            PrecondSpec::Identity => "identity",
-            PrecondSpec::BlockLu => "blocklu",
-            PrecondSpec::Mg => "mg",
         }
     }
 
@@ -162,9 +151,6 @@ impl PrecondSpec {
         match self {
             PrecondSpec::Diagonal => Arc::new(Diagonal::new(op)),
             PrecondSpec::Evp => Arc::new(BlockEvp::with_defaults(op)),
-            PrecondSpec::Identity => Arc::new(Identity),
-            PrecondSpec::BlockLu => Arc::new(BlockLu::new(op, 8, true)),
-            PrecondSpec::Mg => Arc::new(BlockMg::with_defaults(op)),
         }
     }
 }
@@ -308,13 +294,7 @@ mod tests {
 
     #[test]
     fn spec_labels_unique() {
-        let all = [
-            PrecondSpec::Diagonal,
-            PrecondSpec::Evp,
-            PrecondSpec::Identity,
-            PrecondSpec::BlockLu,
-            PrecondSpec::Mg,
-        ];
+        let all = [PrecondSpec::Diagonal, PrecondSpec::Evp];
         let mut labels: Vec<&str> = all.iter().map(|s| s.label()).collect();
         labels.sort_unstable();
         labels.dedup();

@@ -30,6 +30,7 @@
 use super::{
     Control, Recurrence, SolveCtl, SolveStats, SolverConfig, SolverWorkspace, TileKernels, ZEROS,
 };
+use crate::fingerprint::operator_fingerprint;
 use crate::precond::Preconditioner;
 use pop_comm::{BlockVec, CommVec, Communicator, MultiBlockVec, MAX_GROUPS, MAX_SWEEP_PARTIALS};
 use pop_simd::LANES;
@@ -200,11 +201,6 @@ pub struct BatchKey {
     op: u64,
 }
 
-// The fingerprint lives in `crate::fingerprint` (shared with the serve
-// operator cache); re-exported here so `solvers::batch::operator_fingerprint`
-// keeps working.
-pub use crate::fingerprint::operator_fingerprint;
-
 /// The batch key of one solve request against `op`.
 pub fn batch_key(op: &NinePoint) -> BatchKey {
     BatchKey {
@@ -219,14 +215,6 @@ impl BatchKey {
     pub fn fingerprint(&self) -> u64 {
         self.op
     }
-}
-
-/// One planned batch: request indices (submission order preserved) that
-/// share `key`, at most `max_batch` of them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannedBatch {
-    pub key: BatchKey,
-    pub indices: Vec<usize>,
 }
 
 /// Groups solve requests into batches: requests sharing a [`BatchKey`]
@@ -250,14 +238,6 @@ impl Default for BatchPlanner {
 impl BatchPlanner {
     pub fn new(max_batch: usize) -> Self {
         BatchPlanner { max_batch }
-    }
-
-    /// Plan batches for the request keys, in first-seen group order.
-    pub fn plan(&self, keys: &[BatchKey]) -> Vec<PlannedBatch> {
-        self.plan_by(keys)
-            .into_iter()
-            .map(|(key, indices)| PlannedBatch { key, indices })
-            .collect()
     }
 
     /// Plan over an arbitrary coalescing key. `pop-serve` keys on more than
@@ -288,31 +268,6 @@ impl BatchPlanner {
         }
         out
     }
-}
-
-/// Convenience driver for a homogeneous request set (one operator, one
-/// preconditioner): chunk the `k` systems into batches of at most
-/// `max_batch` and run each through the batched engine. Stats come back
-/// in RHS order.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_many<C: Communicator, S: BatchCommSolver>(
-    solver: &S,
-    op: &NinePoint,
-    pre: &dyn Preconditioner,
-    comm: &C,
-    bs: &[&C::Vec<BlockVec>],
-    xs: &mut [&mut C::Vec<BlockVec>],
-    cfg: &SolverConfig,
-    max_batch: usize,
-    ws: &mut BatchWorkspace<C>,
-) -> Vec<SolveStats> {
-    assert_eq!(bs.len(), xs.len(), "solve_many needs one x per rhs");
-    let cap = max_batch.clamp(1, MAX_BATCH);
-    let mut out = Vec::with_capacity(bs.len());
-    for (bc, xc) in bs.chunks(cap).zip(xs.chunks_mut(cap)) {
-        out.extend(solver.solve_batch_comm(op, pre, comm, bc, xc, cfg, ws));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -505,23 +460,10 @@ mod tests {
         let ka = BatchKey { layout: 1, op: 10 };
         let kb = BatchKey { layout: 1, op: 20 };
         let keys = [ka, kb, ka, ka, kb, ka, ka, ka];
-        let plan = BatchPlanner::new(4).plan(&keys);
+        let plan = BatchPlanner::new(4).plan_by(&keys);
         assert_eq!(
             plan,
-            vec![
-                PlannedBatch {
-                    key: ka,
-                    indices: vec![0, 2, 3, 5]
-                },
-                PlannedBatch {
-                    key: ka,
-                    indices: vec![6, 7]
-                },
-                PlannedBatch {
-                    key: kb,
-                    indices: vec![1, 4]
-                },
-            ]
+            vec![(ka, vec![0, 2, 3, 5]), (ka, vec![6, 7]), (kb, vec![1, 4])]
         );
     }
 
@@ -533,37 +475,5 @@ mod tests {
         assert_eq!(operator_fingerprint(&f.op), operator_fingerprint(&f.op));
         assert_ne!(operator_fingerprint(&f.op), operator_fingerprint(&f2.op));
         assert_ne!(batch_key(&f.op), batch_key(&f2.op));
-    }
-
-    /// solve_many chunks a 6-wide homogeneous request set into 4 + 2 and
-    /// returns per-RHS stats in submission order.
-    #[test]
-    fn solve_many_chunks_and_orders() {
-        let grid = Grid::gx1_scaled(6, 60, 48);
-        let f = fixture(&grid, 16, 13, 1800.0);
-        let pre = Diagonal::new(&f.op);
-        let solver = ChronGear;
-        let cfg = SolverConfig::with_tol(1e-10);
-        let k = 6;
-        let bs_own: Vec<DistVec> = (0..k).map(|l| seeded_rhs(&f.b, l as u64 + 31)).collect();
-        let mut xs_own: Vec<DistVec> = (0..k).map(|_| DistVec::zeros(&f.layout)).collect();
-        let bs: Vec<&DistVec> = bs_own.iter().collect();
-        let mut xs: Vec<&mut DistVec> = xs_own.iter_mut().collect();
-        let mut bws = BatchWorkspace::new();
-        let stats = solve_many(
-            &solver, &f.op, &pre, &f.world, &bs, &mut xs, &cfg, 4, &mut bws,
-        );
-        assert_eq!(stats.len(), k);
-        let mut ws = SolverWorkspace::default();
-        for (l, b) in bs_own.iter().enumerate() {
-            let mut x = DistVec::zeros(&f.layout);
-            let st = solver.solve_comm(&f.op, &pre, &f.world, b, &mut x, &cfg, &mut ws);
-            assert_eq!(stats[l].iterations, st.iterations, "lane {l}");
-            let got = xs_own[l].to_global();
-            let want = x.to_global();
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.to_bits(), w.to_bits(), "lane {l}");
-            }
-        }
     }
 }

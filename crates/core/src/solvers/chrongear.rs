@@ -10,118 +10,16 @@
 use super::control::copy_vec;
 use super::kernels::{update, ChronGearUpdate};
 use super::{
-    residual_sweep, rhs_norm, Control, LinearSolver, Recurrence, SolveCtl, SolveStats,
-    SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH, ZEROS,
+    residual_sweep, Control, Recurrence, SolveCtl, SolverWorkspace, TileKernels, MAX_BATCH, ZEROS,
 };
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
-use pop_comm::{blockwise, CommVec, CommWorld, Communicator, DistVec};
+use pop_comm::{blockwise, CommVec, Communicator};
 use pop_stencil::NinePoint;
 
 /// Chronopoulos–Gear preconditioned conjugate gradients.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChronGear;
-
-impl ChronGear {
-    /// The pre-fusion loop: one whole-field pass per vector operation,
-    /// reference stencil kernels, fresh temporaries every solve. Kept as the
-    /// test oracle the fused path is pinned bit-identical to
-    /// (`tests/fused_determinism.rs`).
-    pub fn solve_unfused(
-        &self,
-        op: &NinePoint,
-        pre: &dyn Preconditioner,
-        world: &CommWorld,
-        b: &DistVec,
-        x: &mut DistVec,
-        cfg: &SolverConfig,
-    ) -> SolveStats {
-        let start = world.stats();
-        let layout = std::sync::Arc::clone(&x.layout);
-        let bnorm = rhs_norm(world, b);
-
-        // r₀ = b − A x₀ ; s₀ = 0 ; p₀ = 0 ; ρ₀ = 1 ; σ₀ = 0.
-        let mut r = DistVec::zeros(&layout);
-        op.residual_reference(world, x, b, &mut r);
-        let mut z = DistVec::zeros(&layout); // r'_k in the paper
-        let mut az = DistVec::zeros(&layout); // z_k = B r'_k in the paper
-        let mut s = DistVec::zeros(&layout);
-        let mut p = DistVec::zeros(&layout);
-        let mut rho_old = 1.0f64;
-        let mut sigma = 0.0f64;
-
-        let mut matvecs = 1usize; // the initial residual
-        let mut precond_applies = 0usize;
-        let mut iterations = 0usize;
-        let mut converged = false;
-        let mut final_rel = f64::INFINITY;
-        let mut history: Vec<(usize, f64)> = Vec::new();
-
-        while iterations < cfg.max_iters {
-            iterations += 1;
-
-            // Step 4: preconditioning r' = M⁻¹ r.
-            pre.apply(world, &r, &mut z);
-            precond_applies += 1;
-
-            // Steps 5–6: z = B r' with its boundary update (the single halo
-            // exchange of the iteration).
-            world.halo_update(&mut z);
-            op.apply_reference(world, &z, &mut az);
-            matvecs += 1;
-
-            // Steps 7–9: ρ̃ = rᵀr', δ̃ = (Br')ᵀr', fused into ONE reduction.
-            let d = world.dot_many(&[(&r, &z), (&az, &z)]);
-            let (rho, delta) = (d[0], d[1]);
-
-            // Steps 10–12: recurrence scalars.
-            let beta = rho / rho_old;
-            sigma = delta - beta * beta * sigma;
-            let alpha = rho / sigma;
-
-            // Steps 13–16: direction and state updates.
-            s.xpay(&z, beta); // s = r' + β s
-            p.xpay(&az, beta); // p = Br' + β p
-            x.axpy(alpha, &s);
-            r.axpy(-alpha, &p);
-            rho_old = rho;
-
-            // Step 17: periodic convergence check (one extra reduction).
-            if iterations % cfg.check_interval() == 0 {
-                let rnorm = world.norm2_sq(&r).sqrt();
-                final_rel = rnorm / bnorm;
-                history.push((iterations, final_rel));
-                if final_rel < cfg.tol {
-                    converged = true;
-                    break;
-                }
-                if !final_rel.is_finite() {
-                    break; // diverged; report as not converged
-                }
-            }
-        }
-
-        if final_rel.is_infinite() {
-            final_rel = world.norm2_sq(&r).sqrt() / bnorm;
-            converged = final_rel < cfg.tol;
-            history.push((iterations, final_rel));
-        }
-
-        SolveStats {
-            solver: self.name(),
-            preconditioner: pre.name(),
-            iterations,
-            converged,
-            outcome: super::baseline_outcome(converged, final_rel),
-            restarts: 0,
-            final_relative_residual: final_rel,
-            matvecs,
-            precond_applies,
-            comm: world.stats().since(&start),
-            residual_history: history,
-        }
-    }
-}
 
 impl ChronGear {
     /// The recurrence's start: `r₀ = b − A x₀`, returning the sweep, which
@@ -152,9 +50,9 @@ impl Recurrence for ChronGear {
     /// settlement) U sums it and leaves `r'` alone, and the preconditioner
     /// runs as its own sweep only once the check has said the solve goes on
     /// — so nothing is applied past the exit. One reduction per iteration
-    /// (the fused ρ̃/δ̃ pair of every lane), exactly as the unfused path;
-    /// bit-identical to [`ChronGear::solve_unfused`] on every runtime, and
-    /// per lane in a batch.
+    /// (the fused ρ̃/δ̃ pair of every lane); bit-identical on every runtime,
+    /// and per lane in a batch, to the whole-field reference solve the
+    /// integration tests hold it to (`tests/common/reference.rs`).
     fn recur<C: Communicator, T: TileKernels>(
         &self,
         op: &NinePoint,
@@ -265,8 +163,10 @@ impl Recurrence for ChronGear {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::{fixture, rel_error};
+    use super::super::{LinearSolver, SolverConfig};
     use super::*;
     use crate::precond::{BlockEvp, Diagonal, Identity};
+    use pop_comm::DistVec;
     use pop_grid::Grid;
 
     #[test]

@@ -15,13 +15,12 @@
 use super::control::copy_vec;
 use super::kernels::{split_temps, update, with_temps, CsiStart, CsiUpdate};
 use super::{
-    residual_sweep, rhs_norm, Control, LinearSolver, Recurrence, SolveCtl, SolveStats,
-    SolverConfig, SolverWorkspace, TileKernels, MAX_BATCH,
+    residual_sweep, Control, Recurrence, SolveCtl, SolverWorkspace, TileKernels, MAX_BATCH,
 };
 use crate::lanczos::EigenBounds;
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
-use pop_comm::{CommVec, CommWorld, Communicator, DistVec};
+use pop_comm::{CommVec, Communicator};
 use pop_stencil::NinePoint;
 
 /// Preconditioned Classical Stiefel Iteration.
@@ -38,105 +37,6 @@ impl Pcsi {
             "invalid eigenvalue bounds: {bounds:?}"
         );
         Pcsi { bounds }
-    }
-}
-
-impl Pcsi {
-    /// The pre-fusion loop: one whole-field pass per vector operation,
-    /// reference (per-point accessor) stencil kernels, and fresh temporaries
-    /// every solve. Kept as the test oracle the fused path is pinned
-    /// bit-identical to (`tests/fused_determinism.rs`).
-    pub fn solve_unfused(
-        &self,
-        op: &NinePoint,
-        pre: &dyn Preconditioner,
-        world: &CommWorld,
-        b: &DistVec,
-        x: &mut DistVec,
-        cfg: &SolverConfig,
-    ) -> SolveStats {
-        let start = world.stats();
-        let layout = std::sync::Arc::clone(&x.layout);
-        let bnorm = rhs_norm(world, b);
-
-        // Chebyshev scalars (Algorithm 2, step 1).
-        let (nu, mu) = (self.bounds.nu, self.bounds.mu);
-        let alpha = 2.0 / (mu - nu);
-        let beta = (mu + nu) / (mu - nu);
-        let gamma = beta / alpha; // = (μ + ν)/2
-        let mut omega = 2.0 / gamma; // ω₀
-
-        // r₀ = b − A x₀ ; Δx₀ = γ⁻¹ M⁻¹ r₀ ; x₁ = x₀ + Δx₀ ; r₁ = b − A x₁.
-        let mut r = DistVec::zeros(&layout);
-        op.residual_reference(world, x, b, &mut r);
-        let mut z = DistVec::zeros(&layout);
-        pre.apply(world, &r, &mut z);
-        let mut dx = z.clone();
-        dx.scale(1.0 / gamma);
-        x.axpy(1.0, &dx);
-        op.residual_reference(world, x, b, &mut r);
-
-        let mut matvecs = 2usize;
-        let mut precond_applies = 1usize;
-        let mut iterations = 0usize;
-        let mut converged = false;
-        let mut final_rel = f64::INFINITY;
-        let mut history: Vec<(usize, f64)> = Vec::new();
-
-        while iterations < cfg.max_iters {
-            iterations += 1;
-
-            // Step 5: the iterated weight ω_k = 1/(γ − ω_{k−1}/(4α²)).
-            omega = 1.0 / (gamma - omega / (4.0 * alpha * alpha));
-
-            // Step 6: preconditioning.
-            pre.apply(world, &r, &mut z);
-            precond_applies += 1;
-
-            // Step 7: Δx_k = ω_k r' + (γ ω_k − 1) Δx_{k−1}. No reductions.
-            dx.scale(gamma * omega - 1.0);
-            dx.axpy(omega, &z);
-
-            // Steps 8–10: advance the state; one halo update inside the
-            // residual's matvec — the iteration's only communication.
-            x.axpy(1.0, &dx);
-            op.residual_reference(world, x, b, &mut r);
-            matvecs += 1;
-
-            // Step 11: periodic convergence check — P-CSI's only reduction.
-            if iterations % cfg.check_interval() == 0 {
-                let rnorm = world.norm2_sq(&r).sqrt();
-                final_rel = rnorm / bnorm;
-                history.push((iterations, final_rel));
-                if final_rel < cfg.tol {
-                    converged = true;
-                    break;
-                }
-                if !final_rel.is_finite() {
-                    break;
-                }
-            }
-        }
-
-        if final_rel.is_infinite() {
-            final_rel = world.norm2_sq(&r).sqrt() / bnorm;
-            converged = final_rel < cfg.tol;
-            history.push((iterations, final_rel));
-        }
-
-        SolveStats {
-            solver: self.name(),
-            preconditioner: pre.name(),
-            iterations,
-            converged,
-            outcome: super::baseline_outcome(converged, final_rel),
-            restarts: 0,
-            final_relative_residual: final_rel,
-            matvecs,
-            precond_applies,
-            comm: world.stats().since(&start),
-            residual_history: history,
-        }
     }
 }
 
@@ -211,8 +111,9 @@ impl Recurrence for Pcsi {
     /// the next sweep to read; that check is P-CSI's only reduction, so
     /// between checks the loop performs *zero* global reductions — under a
     /// rank runtime, literally zero reduction messages — which is the
-    /// paper's entire scalability story. Bit-identical to
-    /// [`Pcsi::solve_unfused`] on every runtime, and per lane in a batch.
+    /// paper's entire scalability story. Bit-identical on every runtime, and
+    /// per lane in a batch, to the whole-field reference solve the
+    /// integration tests hold it to (`tests/common/reference.rs`).
     fn recur<C: Communicator, T: TileKernels>(
         &self,
         op: &NinePoint,
@@ -312,10 +213,11 @@ impl Recurrence for Pcsi {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::{fixture, rel_error};
-    use super::super::ChronGear;
+    use super::super::{ChronGear, LinearSolver, SolverConfig};
     use super::*;
     use crate::lanczos::{estimate_bounds, LanczosConfig};
     use crate::precond::{BlockEvp, Diagonal};
+    use pop_comm::DistVec;
     use pop_grid::Grid;
 
     #[test]

@@ -318,10 +318,10 @@ pub(crate) fn split_temps<T>(
 /// One pointwise recurrence update: at each interior point, `R` operands
 /// read, `W` operands read and rewritten and `S` per-slot scalars, `LANES`
 /// values of each at a time, lane `l` of every argument in the same slot.
-/// A body keeps the per-element order of the unfused oracles
-/// (`solve_unfused`) with plain `mul`/`add`, never `mul_add` — a lanewise
-/// chain has one possible operation sequence, so both lane types give the
-/// same bits — in one fused pass per point: a row at a time through
+/// A body keeps the per-element order of the whole-field reference solve
+/// (`tests/common/reference.rs`) with plain `mul`/`add`, never `mul_add` —
+/// a lanewise chain has one possible operation sequence, so both lane types
+/// give the same bits — in one fused pass per point: a row at a time through
 /// two-operand `y ← x + b·y` / `y ← y + a·x` updates measured slower
 /// (EXPERIMENTS.md "PR 24").
 pub(crate) trait Update<const R: usize, const W: usize, const S: usize> {

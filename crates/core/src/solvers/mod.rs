@@ -6,8 +6,8 @@
 //! [`BlockVec`]s for one right-hand side, [`BatchCommSolver::solve_batch_comm`]
 //! on `MultiBlockVec`s for a batch, and one solve control per right-hand
 //! side runs it either way (`control.rs`; DESIGN.md §7, §10, §12).
-//! Each solver also keeps its pre-fusion whole-vector loop, `solve_unfused`,
-//! as the independent test oracle.
+//! The independent oracle both are held to is a whole-field reference
+//! composition under `tests/` (`tests/common/reference.rs`).
 
 mod batch;
 mod chrongear;
@@ -15,10 +15,7 @@ mod control;
 mod csi;
 mod kernels;
 
-pub use batch::{
-    batch_key, operator_fingerprint, solve_many, BatchCommSolver, BatchKey, BatchPlanner,
-    BatchWorkspace, PlannedBatch, MAX_BATCH,
-};
+pub use batch::{batch_key, BatchCommSolver, BatchKey, BatchPlanner, BatchWorkspace, MAX_BATCH};
 pub use chrongear::ChronGear;
 pub(crate) use control::{Control, SolveCtl};
 pub use csi::Pcsi;
@@ -156,20 +153,6 @@ impl SolveOutcome {
             SolveOutcome::MaxIters => "max-iters",
             SolveOutcome::Diverged => "diverged",
         }
-    }
-}
-
-/// Outcome classification for the pre-recovery test-oracle loops
-/// (`solve_unfused`), which run no restarts: non-finite residuals mean the
-/// recurrence diverged, anything else that missed the tolerance is an
-/// iteration-cap exit.
-pub(crate) fn baseline_outcome(converged: bool, final_rel: f64) -> SolveOutcome {
-    if converged {
-        SolveOutcome::Converged
-    } else if final_rel.is_finite() {
-        SolveOutcome::MaxIters
-    } else {
-        SolveOutcome::Diverged
     }
 }
 

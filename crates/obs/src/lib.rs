@@ -20,13 +20,11 @@
 //! The metric catalogue and trace schema are documented in DESIGN.md §11.
 
 pub mod export;
-pub mod history;
 pub mod quantile;
 pub mod registry;
 pub mod sink;
 pub mod trace;
 
-pub use history::{CandidateStats, SolveHistory};
 pub use quantile::{histogram_quantile, slo_quantiles, Quantiles};
 pub use registry::{MetricSample, Registry, SampleValue, MAX_LABELS};
 pub use sink::{ObsSink, SolveObs, RESIDUAL_BUCKETS};

@@ -1,8 +1,8 @@
 //! Solver/preconditioner configuration bundles.
 //!
 //! [`SolverChoice`] pairs a `pop_core::setup::SolverSpec` with a
-//! `PrecondSpec` (the paper's four combinations and the ablations are named
-//! constants); [`SolverSetup`] stands one up on an operator —
+//! `PrecondSpec` (the paper's four combinations are named constants);
+//! [`SolverSetup`] stands one up on an operator —
 //! preconditioner construction, Lanczos eigenvalue estimation for P-CSI —
 //! behind a uniform `solve` entry point with a reusable workspace. Used by
 //! the ocean model, the experiment binaries and the benches.
@@ -16,8 +16,8 @@ use pop_stencil::NinePoint;
 use std::sync::{Arc, Mutex};
 
 /// A solver/preconditioner combination: two orthogonal choices in
-/// `pop-core`'s vocabulary. The paper's configurations (and the ablations
-/// the experiments run) have names, as associated constants.
+/// `pop-core`'s vocabulary. The paper's four configurations have names, as
+/// associated constants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SolverChoice {
     pub solver: SolverSpec,
@@ -34,15 +34,6 @@ impl SolverChoice {
     pub const PcsiDiag: Self = Self::of(SolverSpec::Pcsi, PrecondSpec::Diagonal);
     /// The paper's headline solver with block-EVP preconditioning.
     pub const PcsiEvp: Self = Self::of(SolverSpec::Pcsi, PrecondSpec::Evp);
-    /// ChronGear with unpreconditioned iterations (ablation).
-    pub const ChronGearIdentity: Self = Self::of(SolverSpec::ChronGear, PrecondSpec::Identity);
-    /// ChronGear with band-LU block solves (ablation: same M as EVP).
-    pub const ChronGearBlockLu: Self = Self::of(SolverSpec::ChronGear, PrecondSpec::BlockLu);
-    /// The headline solver with the geometric-multigrid V-cycle
-    /// preconditioner (DESIGN.md §15).
-    pub const PcsiMg: Self = Self::of(SolverSpec::Pcsi, PrecondSpec::Mg);
-    /// ChronGear with the multigrid V-cycle preconditioner.
-    pub const ChronGearMg: Self = Self::of(SolverSpec::ChronGear, PrecondSpec::Mg);
 
     /// The four configurations the paper's figures sweep.
     pub const PAPER_SET: [SolverChoice; 4] = [
@@ -194,16 +185,7 @@ mod tests {
             check_every: 10,
             ..SolverConfig::default()
         };
-        for choice in [
-            SolverChoice::ChronGearDiag,
-            SolverChoice::ChronGearEvp,
-            SolverChoice::PcsiDiag,
-            SolverChoice::PcsiEvp,
-            SolverChoice::ChronGearIdentity,
-            SolverChoice::ChronGearBlockLu,
-            SolverChoice::PcsiMg,
-            SolverChoice::ChronGearMg,
-        ] {
+        for choice in SolverChoice::PAPER_SET {
             let setup = SolverSetup::new(choice, &op, &world);
             let mut x = DistVec::zeros(&layout);
             let st = setup.solve(&op, &world, &b, &mut x, &cfg);
@@ -225,16 +207,7 @@ mod tests {
 
     #[test]
     fn labels_unique() {
-        let all = [
-            SolverChoice::ChronGearDiag,
-            SolverChoice::ChronGearEvp,
-            SolverChoice::PcsiDiag,
-            SolverChoice::PcsiEvp,
-            SolverChoice::ChronGearIdentity,
-            SolverChoice::ChronGearBlockLu,
-            SolverChoice::PcsiMg,
-            SolverChoice::ChronGearMg,
-        ];
+        let all = SolverChoice::PAPER_SET;
         let mut labels: Vec<String> = all.iter().map(|c| c.label()).collect();
         labels.sort_unstable();
         labels.dedup();

@@ -153,8 +153,8 @@ impl NinePoint {
 
     /// The pre-fusion `y = A x`: per-point halo-coordinate accessors instead
     /// of the flat row-slice kernel. Kept as the reference implementation —
-    /// the unfused solver test oracle uses it, and a unit test pins it
-    /// bit-identical to [`NinePoint::apply`].
+    /// the whole-solve reference under `tests/` uses it, and a unit test
+    /// pins it bit-identical to [`NinePoint::apply`].
     pub fn apply_reference(&self, world: &CommWorld, x: &DistVec, y: &mut DistVec) {
         let layout = Arc::clone(&self.layout);
         let a0 = &self.a0;
@@ -360,8 +360,8 @@ impl NinePoint {
 
     /// The pre-fusion residual: separate apply, negate, and axpy passes over
     /// the whole field (what every solver iteration paid before the fused
-    /// sweeps). Kept for the unfused test oracle; bit-identical to the fused
-    /// [`NinePoint::residual_block_into`] path.
+    /// sweeps). Kept for the whole-solve reference under `tests/`;
+    /// bit-identical to the fused [`NinePoint::residual_block_into`] path.
     pub fn residual_reference(
         &self,
         world: &CommWorld,

@@ -18,8 +18,8 @@
 //! - [`stencil`] — the nine-point barotropic operator in POP's symmetric
 //!   `{A0, AN, AE, ANE}` storage.
 //! - [`core`] — the paper's two solvers (ChronGear, P-CSI) and
-//!   preconditioners (diagonal, block-LU, block-EVP), plus Lanczos
-//!   eigenvalue estimation.
+//!   preconditioners (diagonal, block-EVP), plus Lanczos eigenvalue
+//!   estimation.
 //! - [`ranksim`] — the rank-based message-passing runtime: each simulated
 //!   MPI rank is a thread owning private blocks, halos travel as
 //!   point-to-point messages, reductions climb binomial trees, and a
@@ -82,14 +82,13 @@ pub mod prelude {
     pub use pop_core::precond::{
         BlockEvp, BlockLu, BlockMg, Diagonal, Identity, MgConfig, Preconditioner,
     };
-    pub use pop_core::selector::{PrecondSelector, Selection, SelectorConfig};
     pub use pop_core::setup::{OperatorState, PrecondSpec, Solver, SolverSpec};
     pub use pop_core::solvers::{
-        batch_key, solve_many, BatchCommSolver, BatchPlanner, BatchWorkspace, ChronGear,
-        LinearSolver, Pcsi, RecoveryConfig, SolveOutcome, SolveStats, SolverConfig, MAX_BATCH,
+        batch_key, BatchCommSolver, BatchPlanner, BatchWorkspace, ChronGear, LinearSolver, Pcsi,
+        RecoveryConfig, SolveOutcome, SolveStats, SolverConfig, MAX_BATCH,
     };
     pub use pop_grid::{Decomposition, Grid};
-    pub use pop_obs::{ConvergenceTrace, ObsSink, SolveHistory};
+    pub use pop_obs::{ConvergenceTrace, ObsSink};
     pub use pop_ocean::{BarotropicMode, MiniPop, MiniPopConfig, SolverChoice, SolverSetup};
     pub use pop_perfmodel::{MachineModel, PopConfig, PopModel};
     pub use pop_ranksim::{

@@ -337,38 +337,6 @@ fn mixed_converging_and_diverging_batch_retires_lanes_independently() {
     }
 }
 
-/// `solve_many` chunks wider request sets through the engine (k=6 through
-/// max_batch=4 → batches of 4 and 2) without changing any per-RHS result.
-#[test]
-fn solve_many_chunking_preserves_per_rhs_bits() {
-    let p = problem(0);
-    let serial = CommWorld::serial();
-    let pre = Diagonal::new(&p.op);
-    let cfg = solver_cfg();
-    let bs = seeded_batch(&p, 6, 0xc0ffee);
-    let base = singles_shared(&p, &pre, SolverKind::ChronGear, &serial, &bs, &cfg);
-
-    let mut xs_own: Vec<DistVec> = bs.iter().map(|_| DistVec::zeros(&p.layout)).collect();
-    let b_refs: Vec<&DistVec> = bs.iter().collect();
-    let mut x_refs: Vec<&mut DistVec> = xs_own.iter_mut().collect();
-    let mut ws = BatchWorkspace::new();
-    let stats = solve_many(
-        &ChronGear,
-        &p.op,
-        &pre,
-        &serial,
-        &b_refs,
-        &mut x_refs,
-        &cfg,
-        4,
-        &mut ws,
-    );
-    drop(x_refs);
-    for (l, (st, x)) in stats.iter().zip(&xs_own).enumerate() {
-        assert_same(&format!("solve_many lane {l}"), &base[l], &observe(st, x));
-    }
-}
-
 /// ChronGear's one reduction an iteration carries two bands of its sweep —
 /// every lane's `ρ̃ = rᵀr'` and `δ̃ = (Br')ᵀr'` — in one `2·slots` message,
 /// and declares both. Per lane that is 2 scalars an iteration, 1 at setup

@@ -13,6 +13,9 @@
 #![allow(dead_code)]
 
 pub mod fuzz;
+pub mod reference;
+
+pub use reference::solve_reference;
 
 use pop_baro::prelude::*;
 use pop_core::solvers::{SolveStats, SolverWorkspace};
@@ -161,17 +164,13 @@ pub fn run_world(
     observe(&st, &x)
 }
 
-/// The whole solve's scalar oracle: the solver's pre-fusion path
-/// (`solve_unfused`), serial, built on `NinePoint::apply_reference` and
-/// whole-field vector passes — no fused sweep and no stencil lane kernel.
-pub fn run_unfused(p: &Problem, pre: &dyn Preconditioner, kind: SolverKind) -> Observables {
-    let world = CommWorld::serial();
+/// The whole solve's scalar oracle, serial: [`solve_reference`], built on
+/// `NinePoint::apply_reference` and whole-field vector passes — no fused
+/// sweep and no stencil lane kernel.
+pub fn run_reference(p: &Problem, pre: &dyn Preconditioner, kind: SolverKind) -> Observables {
     let mut x = DistVec::zeros(&p.layout);
-    let (op, rhs, cfg) = (&p.op, &p.rhs, solver_cfg());
-    let st = match kind {
-        SolverKind::ChronGear => ChronGear.solve_unfused(op, pre, &world, rhs, &mut x, &cfg),
-        SolverKind::Pcsi(b) => Pcsi::new(b).solve_unfused(op, pre, &world, rhs, &mut x, &cfg),
-    };
+    let world = CommWorld::serial();
+    let st = solve_reference(kind, &p.op, pre, &world, &p.rhs, &mut x, &solver_cfg());
     observe(&st, &x)
 }
 
@@ -236,7 +235,7 @@ pub fn assert_same(name: &str, base: &Observables, got: &Observables) {
     }
 }
 
-/// A run against [`run_unfused`]'s oracle: the solution, its iteration
+/// A run against [`run_reference`]'s oracle: the solution, its iteration
 /// count and final residual, bit for bit. (The work counters differ by
 /// design — the fused loops fold the preconditioner into other sweeps.)
 pub fn assert_matches_oracle(name: &str, oracle: &Observables, got: &Observables) {
@@ -247,7 +246,7 @@ pub fn assert_matches_oracle(name: &str, oracle: &Observables, got: &Observables
             oracle.final_residual_bits,
             &oracle.x_bits
         ),
-        "{name}: differs from the unfused oracle"
+        "{name}: differs from the reference solve"
     );
 }
 

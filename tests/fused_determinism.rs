@@ -1,14 +1,15 @@
 //! Bitwise determinism of the fused solver paths.
 //!
 //! The fused block-sweep loops (`LinearSolver::solve_ws`) must produce
-//! solutions bit-identical to the pre-fusion whole-vector baselines
-//! (`solve_unfused`), and the threaded backend must be bit-identical to the
-//! serial one — per-block partials are combined in fixed block order, never
-//! in completion order. These tests pin all of that down on a masked,
+//! solutions bit-identical to the whole-vector reference solve
+//! (`common::solve_reference`), and the threaded backend must be
+//! bit-identical to the serial one — per-block partials are combined in
+//! fixed block order, never in completion order. These tests pin all of that down on a masked,
 //! multi-block global grid where land/ocean boundaries cut through blocks.
 
 use pop_baro::comm::BlockVec;
 use pop_baro::core::precond::Identity;
+use pop_baro::core::solvers::SolverWorkspace;
 use pop_baro::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -83,47 +84,46 @@ fn check_solver(name: &str, p: &Problem, pre: &dyn Preconditioner, solver: &dyn 
     );
 }
 
-/// The unfused baseline for each concrete solver, compared bitwise against
-/// the fused path on both backends.
-macro_rules! check_fused_matches_unfused {
-    ($name:expr, $p:expr, $pre:expr, $solver:expr) => {{
-        let p = $p;
-        let pre = $pre;
-        let solver = $solver;
-        let cfg = SolverConfig {
-            tol: 1e-11,
-            max_iters: 50_000,
-            check_every: 10,
-            ..SolverConfig::default()
-        };
-        let serial = CommWorld::serial();
-        let threaded = CommWorld::threaded();
+/// The reference solve for one solver, compared bitwise against the fused
+/// path on both backends.
+fn check_fused_matches_reference(
+    name: &str,
+    p: &Problem,
+    pre: &dyn Preconditioner,
+    kind: SolverKind,
+) {
+    let cfg = SolverConfig {
+        tol: 1e-11,
+        max_iters: 50_000,
+        check_every: 10,
+        ..SolverConfig::default()
+    };
+    let serial = CommWorld::serial();
+    let threaded = CommWorld::threaded();
 
-        let mut x_unfused = DistVec::zeros(&p.layout);
-        let st_unfused = solver.solve_unfused(&p.op, pre, &serial, &p.rhs, &mut x_unfused, &cfg);
-        assert!(st_unfused.converged, "{} unfused did not converge", $name);
+    let mut x_ref = DistVec::zeros(&p.layout);
+    let st_ref = common::solve_reference(kind, &p.op, pre, &serial, &p.rhs, &mut x_ref, &cfg);
+    assert!(st_ref.converged, "{name} reference did not converge");
 
-        for (bname, world) in [("serial", &serial), ("threaded", &threaded)] {
-            let mut x_fused = DistVec::zeros(&p.layout);
-            let st_fused = solver.solve(&p.op, pre, world, &p.rhs, &mut x_fused, &cfg);
-            assert_eq!(
-                st_unfused.iterations, st_fused.iterations,
-                "{} fused/{bname} vs unfused iteration counts differ",
-                $name
-            );
-            assert_eq!(
-                st_unfused.final_relative_residual.to_bits(),
-                st_fused.final_relative_residual.to_bits(),
-                "{} fused/{bname} vs unfused residuals differ",
-                $name
-            );
-            assert_bitwise_eq(
-                &x_unfused,
-                &x_fused,
-                &format!("{} fused/{bname} vs unfused", $name),
-            );
-        }
-    }};
+    for (bname, world) in [("serial", &serial), ("threaded", &threaded)] {
+        let mut x_fused = DistVec::zeros(&p.layout);
+        let mut ws = SolverWorkspace::new();
+        let st_fused = kind.solve(&p.op, pre, world, &p.rhs, &mut x_fused, &cfg, &mut ws);
+        assert_eq!(
+            st_ref.iterations, st_fused.iterations,
+            "{name} fused/{bname} vs reference iteration counts differ"
+        );
+        assert_eq!(
+            st_ref.final_relative_residual.to_bits(),
+            st_fused.final_relative_residual.to_bits(),
+            "{name} fused/{bname} vs reference residuals differ"
+        );
+        assert_bitwise_eq(
+            &x_ref,
+            &x_fused,
+            &format!("{name} fused/{bname} vs reference"),
+        );
+    }
 }
 
 #[test]
@@ -152,8 +152,9 @@ fn fused_matches_unfused_bitwise_pcsi_chrongear() {
         ("evp", &BlockEvp::with_defaults(&p.op)),
     ] {
         let (bounds, _) = estimate_bounds(&p.op, pre, &world, &LanczosConfig::default());
-        check_fused_matches_unfused!(format!("pcsi+{pname}"), &p, pre, &Pcsi::new(bounds));
-        check_fused_matches_unfused!(format!("chrongear+{pname}"), &p, pre, &ChronGear);
+        for kind in [SolverKind::Pcsi(bounds), SolverKind::ChronGear] {
+            check_fused_matches_reference(&format!("{}+{pname}", kind.name()), &p, pre, kind);
+        }
     }
 }
 
@@ -170,32 +171,21 @@ fn fused_comm_counts_match_unfused() {
         ..SolverConfig::default()
     };
 
-    macro_rules! counts {
-        ($solver:expr) => {{
-            let serial = CommWorld::serial();
-            let mut xf = DistVec::zeros(&p.layout);
-            let stf = $solver.solve(&p.op, &pre, &serial, &p.rhs, &mut xf, &cfg);
-            let serial2 = CommWorld::serial();
-            let mut xu = DistVec::zeros(&p.layout);
-            let stu = $solver.solve_unfused(&p.op, &pre, &serial2, &p.rhs, &mut xu, &cfg);
-            (stf, stu)
-        }};
-    }
-
     let (bounds, _) = estimate_bounds(&p.op, &pre, &CommWorld::serial(), &LanczosConfig::default());
-    let (stf, stu) = counts!(Pcsi::new(bounds));
-    assert_eq!(stf.comm.allreduces, stu.comm.allreduces, "pcsi allreduces");
-    assert_eq!(stf.comm.halo_updates, stu.comm.halo_updates, "pcsi halos");
-
-    let (stf, stu) = counts!(ChronGear);
-    assert_eq!(
-        stf.comm.allreduces, stu.comm.allreduces,
-        "chrongear allreduces"
-    );
-    assert_eq!(
-        stf.comm.halo_updates, stu.comm.halo_updates,
-        "chrongear halos"
-    );
+    for kind in [SolverKind::Pcsi(bounds), SolverKind::ChronGear] {
+        let serial = CommWorld::serial();
+        let mut xf = DistVec::zeros(&p.layout);
+        let mut ws = SolverWorkspace::new();
+        let fused = kind
+            .solve(&p.op, &pre, &serial, &p.rhs, &mut xf, &cfg, &mut ws)
+            .comm;
+        let serial2 = CommWorld::serial();
+        let mut xr = DistVec::zeros(&p.layout);
+        let st = common::solve_reference(kind, &p.op, &pre, &serial2, &p.rhs, &mut xr, &cfg);
+        let name = kind.name();
+        assert_eq!(fused.allreduces, st.comm.allreduces, "{name} allreduces");
+        assert_eq!(fused.halo_updates, st.comm.halo_updates, "{name} halos");
+    }
 }
 
 /// A preconditioner that counts its block applies, to pin the number of
@@ -233,9 +223,9 @@ impl Preconditioner for Counting<'_> {
 /// iteration cap before, on and after a check, a cap of one (and, at
 /// `check_every = 1`, of zero), several checks plus a tail, and a solve that
 /// converges. Everything a solve reports — solution, history, residual,
-/// every counter of the solve and of the communicator — equals the unfused
-/// oracle's, and the preconditioner is *applied* exactly as often as
-/// reported: once per iteration, none past the exit.
+/// every counter of the solve and of the communicator — equals the
+/// reference solve's, and the preconditioner is *applied* exactly as often
+/// as reported: once per iteration, none past the exit.
 #[test]
 fn chrongear_matches_unfused_at_every_cadence_edge() {
     let p = problem();
@@ -255,7 +245,8 @@ fn chrongear_matches_unfused_at_every_cadence_edge() {
                 let name = format!("{} ce={ce} max_iters={max_iters}", pre.name());
                 let oracle = CommWorld::serial();
                 let mut x = DistVec::zeros(&p.layout);
-                let st = ChronGear.solve_unfused(&p.op, &pre, &oracle, &p.rhs, &mut x, &cfg);
+                let kind = SolverKind::ChronGear;
+                let st = common::solve_reference(kind, &p.op, &pre, &oracle, &p.rhs, &mut x, &cfg);
                 assert_eq!(st.converged, max_iters == 50_000, "{name}");
                 assert_eq!(pre.take(), st.precond_applies * n_blocks, "{name}: oracle");
                 let want = common::observe(&st, &x);

@@ -14,7 +14,8 @@
 //!   lanes idle — equals `EvpSubBlock::solve_reference` tile by tile;
 //! - P-CSI+EVP and ChronGear+EVP solves — serial, threaded, and on 16
 //!   simulated ranks whose Hilbert segments cut groups, at width 1 and in a
-//!   k = 5 batch — equal `solve_unfused` bit for bit, per right-hand side.
+//!   k = 5 batch — equal the reference solve bit for bit, per right-hand
+//!   side.
 
 mod common;
 use common::{assert_matches_oracle, observe, Observables};
@@ -284,17 +285,8 @@ fn grouped_packs_are_bitwise_invisible_everywhere() {
                 .iter()
                 .map(|b| {
                     let mut x = DistVec::zeros(layout);
-                    let st = match kind {
-                        SolverKind::Pcsi(bounds) => Pcsi::new(bounds).solve_unfused(
-                            &l.op,
-                            &l.evp,
-                            &serial,
-                            b,
-                            &mut x,
-                            &cfg(),
-                        ),
-                        _ => ChronGear.solve_unfused(&l.op, &l.evp, &serial, b, &mut x, &cfg()),
-                    };
+                    let st =
+                        common::solve_reference(kind, &l.op, &l.evp, &serial, b, &mut x, &cfg());
                     assert_eq!(st.outcome, SolveOutcome::Converged, "{}", l.name);
                     observe(&st, &x)
                 })

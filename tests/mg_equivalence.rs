@@ -23,13 +23,13 @@ use pop_core::solvers::SolverWorkspace;
 
 mod common;
 use common::{
-    assert_matches_oracle, assert_same, problem, run_ranks_cfg, run_unfused, run_world,
+    assert_matches_oracle, assert_same, problem, run_ranks_cfg, run_reference, run_world,
     startup_then_forced_modes, ModeGuard,
 };
 
 /// Serial vs threaded vs ranksim × {binomial, hierarchical} × default and
 /// every forced lane mode: every MG-preconditioned solve observable is
-/// bitwise identical, and the solution is the `solve_unfused` oracle's. One
+/// bitwise identical, and the solution is the reference solve's. One
 /// `#[test]` because `force_mode` is process-global.
 #[test]
 fn mg_solves_are_bitwise_identical_across_backends_schedules_and_dispatch() {
@@ -48,7 +48,7 @@ fn mg_solves_are_bitwise_identical_across_backends_schedules_and_dispatch() {
             kind.name()
         );
         let name = format!("{}+mg serial", kind.name());
-        assert_matches_oracle(&name, &run_unfused(&p, &mg, kind), &base);
+        assert_matches_oracle(&name, &run_reference(&p, &mg, kind), &base);
         for forced in startup_then_forced_modes() {
             pop_simd::force_mode(forced);
             let tag = |arm: &str| {
@@ -93,13 +93,25 @@ fn mms_cfg() -> SolverConfig {
     }
 }
 
-/// Solve `case` under `spec` preconditioning and return the relative L2
-/// error of the recovered field against the case's reference solution.
-fn recovered_error(case: &MmsCase, block: (usize, usize), spec: PrecondSpec) -> f64 {
+/// A preconditioner built on the case's operator.
+type Build = fn(&NinePoint) -> Box<dyn Preconditioner>;
+
+fn mg(op: &NinePoint) -> Box<dyn Preconditioner> {
+    Box::new(BlockMg::with_defaults(op))
+}
+
+fn diag(op: &NinePoint) -> Box<dyn Preconditioner> {
+    Box::new(Diagonal::new(op))
+}
+
+/// Solve `case` under the preconditioner `build` makes and return the
+/// relative L2 error of the recovered field against the case's reference
+/// solution.
+fn recovered_error(case: &MmsCase, block: (usize, usize), build: Build) -> f64 {
     let layout = DistLayout::build(&case.grid, block.0, block.1);
     let world = CommWorld::serial();
     let op = NinePoint::assemble(&case.grid, &layout, &world, case.tau);
-    let pre = spec.build(&op);
+    let pre = build(&op);
     let (bounds, _) = estimate_bounds(&op, pre.as_ref(), &world, &LanczosConfig::default());
     let rhs = DistVec::from_global(&layout, &case.rhs);
     let mut x = DistVec::zeros(&layout);
@@ -123,8 +135,8 @@ fn recovered_error(case: &MmsCase, block: (usize, usize), spec: PrecondSpec) -> 
 fn mg_mms_error_is_second_order_and_matches_the_diag_oracle() {
     let coarse_case = MmsCase::uniform_basin(24, 500.0, 1.0e6, 1800.0);
     let fine_case = MmsCase::uniform_basin(48, 500.0, 1.0e6, 1800.0);
-    let coarse_mg = recovered_error(&coarse_case, (6, 6), PrecondSpec::Mg);
-    let fine_mg = recovered_error(&fine_case, (12, 12), PrecondSpec::Mg);
+    let coarse_mg = recovered_error(&coarse_case, (6, 6), mg);
+    let fine_mg = recovered_error(&fine_case, (12, 12), mg);
     assert!(
         fine_mg < 5e-2,
         "mg: discretization error too large at n=48: {fine_mg:e}"
@@ -139,7 +151,7 @@ fn mg_mms_error_is_second_order_and_matches_the_diag_oracle() {
         (&coarse_case, (6, 6), coarse_mg),
         (&fine_case, (12, 12), fine_mg),
     ] {
-        let diag_err = recovered_error(case, block, PrecondSpec::Diagonal);
+        let diag_err = recovered_error(case, block, diag);
         assert!(
             (mg_err - diag_err).abs() <= 1e-6 * diag_err.max(1e-30),
             "mg and diag recovered different answers: {mg_err:e} vs {diag_err:e}"
@@ -155,12 +167,11 @@ fn mg_recovers_the_sampled_oracle_on_dipole_metrics() {
     let grid = dipole_grid(3, 48, 32);
     let layout = DistLayout::build(&grid, 12, 8);
     let case = MmsCase::sampled(grid, &layout, 1800.0);
-    for spec in [PrecondSpec::Mg, PrecondSpec::Diagonal] {
-        let err = recovered_error(&case, (12, 8), spec);
+    for (name, build) in [("mg", mg as Build), ("diag", diag)] {
+        let err = recovered_error(&case, (12, 8), build);
         assert!(
             err < 1e-7,
-            "{}: sampled oracle missed on dipole grid: rel L2 {err:e}",
-            spec.label()
+            "{name}: sampled oracle missed on dipole grid: rel L2 {err:e}"
         );
     }
 }

@@ -8,7 +8,7 @@
 //! north edges), two such layouts solved alternately on the same threads,
 //! serial and threaded, at width 1 and batched k ∈ {3, 5} (one and two lane
 //! groups), under the diagonal and block-EVP preconditioners. Every
-//! right-hand side must land bitwise on its unfused oracle.
+//! right-hand side must land bitwise on its reference solve.
 
 mod common;
 use common::{assert_matches_oracle, observe, problem_on, Observables, Problem};
@@ -62,8 +62,8 @@ fn case(grid: &Grid, bx: usize, by: usize, evp: bool) -> Case {
         .iter()
         .map(|b| {
             let mut x = DistVec::zeros(&p.layout);
-            let st =
-                Pcsi::new(bounds).solve_unfused(&p.op, pre.as_ref(), &world, b, &mut x, &cfg());
+            let kind = SolverKind::Pcsi(bounds);
+            let st = common::solve_reference(kind, &p.op, pre.as_ref(), &world, b, &mut x, &cfg());
             assert_eq!(st.outcome, SolveOutcome::Converged);
             observe(&st, &x)
         })

@@ -90,16 +90,14 @@ fn assert_stats_equal(a: &SolveStats, b: &SolveStats, what: &str) {
     );
 }
 
-const ALL: [(SolverSpec, PrecondSpec); 6] = [
+const ALL: [(SolverSpec, PrecondSpec); 4] = [
     (SolverSpec::ChronGear, PrecondSpec::Diagonal),
     (SolverSpec::ChronGear, PrecondSpec::Evp),
-    (SolverSpec::ChronGear, PrecondSpec::Mg),
     (SolverSpec::Pcsi, PrecondSpec::Diagonal),
     (SolverSpec::Pcsi, PrecondSpec::Evp),
-    (SolverSpec::Pcsi, PrecondSpec::Mg),
 ];
 
-/// For both solvers × {diag, EVP, MG}: a cold-cache serve, a warm-cache
+/// For both solvers × {diag, EVP}: a cold-cache serve, a warm-cache
 /// serve, and the standalone solve all produce identical bits and stats.
 #[test]
 fn warm_cache_solves_bitwise_identical_to_cold_setup() {

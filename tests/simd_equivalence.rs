@@ -10,7 +10,7 @@
 //! preconditioner × execution backend combination must produce the same
 //! solution bits, iteration count, and residual history on every lane type
 //! the machine supports, and the bits of the solver's pre-fusion scalar
-//! oracle `solve_unfused`; below that, each kernel is pinned to its named
+//! oracle `common::solve_reference`; below that, each kernel is pinned to its named
 //! reference. The right-hand sides are seeded pseudo-random fields over a
 //! land-masked grid, so the guarantee cannot lean on smooth data.
 
@@ -23,14 +23,14 @@ use pop_stencil::LocalStencil;
 mod common;
 use common::fuzz;
 use common::{
-    assert_matches_oracle, assert_same, lane_modes, noise, problem, run_ranks, run_unfused,
+    assert_matches_oracle, assert_same, lane_modes, noise, problem, run_ranks, run_reference,
     run_world, ModeGuard,
 };
 
 /// The tentpole guarantee: both solvers × {diag, EVP} × three execution
 /// backends (serial, thread pool, ranksim message passing), every lane mode
 /// against the portable run — all observables bitwise equal — and every
-/// mode's serial run against the `solve_unfused` oracle.
+/// mode's serial run against the reference solve.
 ///
 /// `force_mode` is process-global, so the whole sweep lives in one `#[test]`;
 /// the other tests in this binary pass dispatch modes explicitly and are
@@ -51,7 +51,7 @@ fn dispatch_modes_are_bitwise_equivalent_end_to_end() {
         let (bounds, _) = estimate_bounds(&p.op, pre, &shared, &LanczosConfig::default());
         let kinds = [SolverKind::ChronGear, SolverKind::Pcsi(bounds)];
         for kind in kinds {
-            let oracle = run_unfused(&p, pre, kind);
+            let oracle = run_reference(&p, pre, kind);
             assert_eq!(
                 oracle.outcome,
                 SolveOutcome::Converged,

@@ -4,6 +4,8 @@
 
 use pop_baro::prelude::*;
 
+mod common;
+
 /// A manufactured problem on any grid.
 struct Problem {
     layout: std::sync::Arc<pop_baro::comm::DistLayout>,
@@ -143,12 +145,7 @@ fn solvers_agree_with_each_other() {
         ..SolverConfig::default()
     };
     let mut sols = Vec::new();
-    for choice in [
-        SolverChoice::ChronGearDiag,
-        SolverChoice::ChronGearBlockLu,
-        SolverChoice::PcsiDiag,
-        SolverChoice::PcsiEvp,
-    ] {
+    for choice in SolverChoice::PAPER_SET {
         let setup = SolverSetup::new(choice, &p.op, &p.world);
         let mut x = DistVec::zeros(&p.layout);
         let st = setup.solve(&p.op, &p.world, &p.rhs, &mut x, &cfg);
@@ -214,8 +211,8 @@ fn tighter_tolerance_costs_more_iterations() {
 }
 
 /// `check_every: 0` used to divide by zero in every solver loop; it must
-/// run exactly the `check_every: 1` trajectory — fused, unfused, and
-/// batched.
+/// run exactly the `check_every: 1` trajectory — fused, batched, and in the
+/// reference solve.
 #[test]
 fn zero_check_interval_means_every_iteration() {
     let grid = Grid::gx1_scaled(29, 48, 40);
@@ -244,15 +241,60 @@ fn zero_check_interval_means_every_iteration() {
         ChronGear.solve(op, &pre, world, rhs, x, c)
     });
     same("pcsi", &|c, x| pcsi.solve(op, &pre, world, rhs, x, c));
-    same("chrongear unfused", &|c, x| {
-        ChronGear.solve_unfused(op, &pre, world, rhs, x, c)
-    });
-    same("pcsi unfused", &|c, x| {
-        pcsi.solve_unfused(op, &pre, world, rhs, x, c)
-    });
+    for kind in [SolverKind::ChronGear, SolverKind::Pcsi(bounds)] {
+        same(&format!("{} reference", kind.name()), &|c, x| {
+            common::solve_reference(kind, op, &pre, world, rhs, x, c)
+        });
+    }
     same("pcsi batched", &|c, x| {
         let mut ws = BatchWorkspace::new();
         pcsi.solve_batch_comm(op, &pre, world, &[rhs], &mut [x], c, &mut ws)
             .remove(0)
     });
+}
+
+/// P-CSI trusts the interval `[ν, μ]` it is given. Handed Lanczos bounds
+/// that are off — μ halved, so the top of the spectrum of `M⁻¹A` lies
+/// outside the Chebyshev interval and grows every iteration, or ν × 10, so
+/// the bottom is damped too slowly — a solve must still return, without a
+/// panic and with a finite iterate. The outcome, iteration count and
+/// restarts of each case are today's, pinned so that a change in how P-CSI
+/// meets bad bounds (or where its bounds come from) shows here: with μ
+/// halved the recovery path restarts three times and gives up at iteration
+/// 90 with the last good iterate; with ν × 10 the solve still converges, in
+/// 3.6 (diagonal) and 3.8 (EVP) times the iterations.
+#[test]
+fn pcsi_survives_wrong_eigenbounds() {
+    use SolveOutcome::{Converged, Diverged};
+    let grid = Grid::gx1_scaled(29, 48, 40);
+    let p = problem(&grid, 12, 10, 9000.0);
+    let cfg = SolverConfig {
+        tol: 1e-10,
+        max_iters: 2000,
+        check_every: 10,
+        ..SolverConfig::default()
+    };
+    let diag = Diagonal::new(&p.op);
+    let evp = BlockEvp::with_defaults(&p.op);
+    // (outcome, iterations, restarts) under exact, μ/2 and 10ν bounds.
+    type Pinned = [(SolveOutcome, usize, usize); 3];
+    let diag_pins: Pinned = [(Converged, 260, 0), (Diverged, 90, 3), (Converged, 930, 0)];
+    let evp_pins: Pinned = [(Converged, 110, 0), (Diverged, 90, 3), (Converged, 420, 0)];
+    for (pre, pinned) in [(&diag as &dyn Preconditioner, diag_pins), (&evp, evp_pins)] {
+        let (bounds, _) = estimate_bounds(&p.op, pre, &p.world, &LanczosConfig::default());
+        let (nu, mu) = (bounds.nu, bounds.mu);
+        let wrong = [
+            ("exact", nu, mu),
+            ("mu/2", nu, 0.5 * mu),
+            ("nu*10", 10.0 * nu, mu),
+        ];
+        for ((what, nu, mu), want) in wrong.into_iter().zip(pinned) {
+            let name = format!("pcsi+{} {what}", pre.name());
+            let mut x = DistVec::zeros(&p.layout);
+            let pcsi = Pcsi::new(EigenBounds { nu, mu });
+            let st = pcsi.solve(&p.op, pre, &p.world, &p.rhs, &mut x, &cfg);
+            assert_eq!((st.outcome, st.iterations, st.restarts), want, "{name}");
+            assert!(x.to_global().iter().all(|v| v.is_finite()), "{name}");
+        }
+    }
 }
