@@ -365,11 +365,7 @@ fn main() {
         obs: obs.clone(),
         ..SolverConfig::default()
     };
-    let lanczos = LanczosConfig {
-        tol: 0.01,
-        max_steps: 300,
-        ..Default::default()
-    };
+    let lanczos = LanczosConfig::SETUP;
 
     let machine = MachineModel::yellowstone();
     let topo = NodeTopology::yellowstone();

@@ -126,24 +126,19 @@ impl EvpSubBlock {
     /// solve stages the tile ([`Layout::band`]): the full system in natural
     /// order at half-width `nx + 1`; the reduced one as `P·B̃·Pᵀ` in colour
     /// order at [`evp_multi::colour_half_width`], two decoupled colours.
-    /// Every cross-colour entry of the natural-order factor is an exact
-    /// zero, and the same-colour entries are this factor's, bit for bit.
+    /// The band is assembled in that order straight from the coefficients
+    /// ([`LocalStencil::band_lu_in`]). Every cross-colour entry of the
+    /// natural-order factor is an exact zero, and the same-colour entries
+    /// are this factor's, bit for bit.
     fn band_setup(stencil: &LocalStencil, mask: &[u8], reduced: bool) -> SubSolver {
-        let (nx, ny) = (stencil.nx, stencil.ny);
-        let a = stencil.to_dense();
-        let lu = if reduced {
-            // The point held in each band row.
-            let mut at_row = vec![0; nx * ny];
-            for j in 0..ny {
-                for i in 0..nx {
-                    at_row[evp_multi::colour_row((nx, ny), i, j)] = j * nx + i;
-                }
-            }
-            DenseMatrix::from_fn(nx * ny, |r, c| a.get(at_row[r], at_row[c]))
-                .band_lu(evp_multi::colour_half_width((nx, ny)))
+        let dims = (stencil.nx, stencil.ny);
+        let layout = Layout::band(reduced, dims.0);
+        let w = if reduced {
+            evp_multi::colour_half_width(dims)
         } else {
-            a.band_lu(nx + 1)
+            dims.0 + 1
         };
+        let lu = stencil.band_lu_in(w, |i, j| layout.point(dims, i, j));
         SubSolver::Band {
             reduced,
             lu: lu.expect("sub-block principal submatrix must be positive definite"),
@@ -405,11 +400,14 @@ impl Pack {
             TileCoefs::March { reduced, .. } => [evp_multi::planes(reduced), 1],
             TileCoefs::Band { .. } => [1, 1],
         };
+        slab.reserve(class.arrays().iter().sum());
         for (a, nf) in fields.into_iter().enumerate() {
             let points = arrays[0][a].len() / nf;
-            for idx in 0..points * nf {
-                let src = idx % nf * points + idx / nf;
-                slab.extend(arrays.iter().map(|of_lane| of_lane[a][src]));
+            for p in 0..points {
+                for f in 0..nf {
+                    let src = f * points + p;
+                    slab.extend(arrays.iter().map(|of_lane| of_lane[a][src]));
+                }
             }
         }
         Pack {

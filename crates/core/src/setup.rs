@@ -14,7 +14,9 @@
 //! [`OperatorState`]. `pop_ocean::SolverSetup` builds on it for the
 //! one-model-one-operator case; `pop-serve` keeps an LRU of them keyed by
 //! [`crate::fingerprint::operator_fingerprint`] so repeat multi-tenant
-//! traffic skips setup entirely.
+//! traffic skips setup entirely. The state itself never hashes the
+//! operator: the service computes each operator's key once, at admission,
+//! and a model that owns its operator needs none.
 //!
 //! The build is deterministic: the preconditioner construction is pure
 //! arithmetic on the operator's coefficients and the Lanczos estimation is
@@ -24,7 +26,6 @@
 //! what lets the serve layer promise cache-transparency
 //! (`tests/serve_cache_equivalence.rs`).
 
-use crate::fingerprint::operator_fingerprint;
 use crate::lanczos::{estimate_bounds, EigenBounds, LanczosConfig};
 use crate::precond::{BlockEvp, Diagonal, Preconditioner};
 use crate::solvers::{
@@ -162,8 +163,6 @@ impl PrecondSpec {
 /// it are in flight — eviction from a cache can never invalidate a batch
 /// that already holds the `Arc`.
 pub struct OperatorState {
-    /// [`operator_fingerprint`] of the operator this state was built on.
-    pub fingerprint: u64,
     /// The spec the preconditioner was built from (cache-key component).
     pub spec: PrecondSpec,
     pub precond: Arc<dyn Preconditioner>,
@@ -194,7 +193,6 @@ impl OperatorState {
             None => (None, 0),
         };
         Arc::new(OperatorState {
-            fingerprint: operator_fingerprint(op),
             spec,
             precond,
             bounds,
@@ -221,7 +219,6 @@ impl OperatorState {
 impl std::fmt::Debug for OperatorState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OperatorState")
-            .field("fingerprint", &format_args!("{:#018x}", self.fingerprint))
             .field("spec", &self.spec)
             .field("bounds", &self.bounds)
             .field("lanczos_steps", &self.lanczos_steps)
@@ -233,6 +230,7 @@ impl std::fmt::Debug for OperatorState {
 mod tests {
     use super::*;
     use crate::solvers::testutil::fixture;
+    use pop_comm::DistVec;
     use pop_grid::Grid;
 
     #[test]
@@ -242,7 +240,19 @@ mod tests {
         let lz = LanczosConfig::default();
         let a = OperatorState::build(&f.op, PrecondSpec::Evp, Some(&lz), &f.world);
         let b = OperatorState::build(&f.op, PrecondSpec::Evp, Some(&lz), &f.world);
-        assert_eq!(a.fingerprint, b.fingerprint);
+        // The two builds' M⁻¹ are the same values: one apply each, bit for bit.
+        let mut r = DistVec::zeros(&f.layout);
+        r.fill_with(|i, j| ((i * 7 + j * 3) as f64 * 0.17).sin());
+        let (mut za, mut zb) = (DistVec::zeros(&f.layout), DistVec::zeros(&f.layout));
+        a.precond.apply(&f.world, &r, &mut za);
+        b.precond.apply(&f.world, &r, &mut zb);
+        let bits = |z: &DistVec| {
+            z.to_global()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&za), bits(&zb), "same EVP apply bits");
         let (ba, bb) = (a.bounds.unwrap(), b.bounds.unwrap());
         assert_eq!(
             ba.nu.to_bits(),

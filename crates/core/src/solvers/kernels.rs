@@ -368,6 +368,28 @@ impl Update<2, 4, 3> for ChronGearUpdate {
     }
 }
 
+/// The Lanczos estimate's residual step `r += (−α)·Ap`, in `DistVec::axpy`'s
+/// per-element order (the whole-field reference loop's).
+pub(crate) struct Axpy;
+
+impl Update<1, 1, 1> for Axpy {
+    #[inline(always)]
+    fn point<V: LaneF64>([x]: [V; 1], [y]: &mut [V; 1], [a]: [V; 1]) {
+        *y = y.add(a.mul(x));
+    }
+}
+
+/// The Lanczos estimate's direction step `p = z + β·p`, in `DistVec::xpay`'s
+/// per-element order (the whole-field reference loop's).
+pub(crate) struct Xpay;
+
+impl Update<1, 1, 1> for Xpay {
+    #[inline(always)]
+    fn point<V: LaneF64>([x]: [V; 1], [y]: &mut [V; 1], [a]: [V; 1]) {
+        *y = x.add(a.mul(*y));
+    }
+}
+
 /// Apply `U` at every interior point of same-shape tiles of either width:
 /// `read` are only read, `write` are read and rewritten, and `scalars` are
 /// per-slot arrays (slot 0 at width 1; `groups · LANES` slots for a batch).

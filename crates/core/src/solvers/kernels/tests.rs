@@ -1,4 +1,4 @@
-//! The three pointwise updates through [`update`], against their scalar
+//! The pointwise updates through [`update`], against their scalar
 //! formulas written out below in each update's per-element order: at width
 //! 1 on every row length from 1 to 8 (each ragged tail, and rows that are
 //! only tail), on every lane-group count, in every dispatch mode, with
@@ -153,6 +153,19 @@ fn every_update_matches_its_scalar_formula_at_both_widths_in_every_mode() {
             *p = pv;
             *x += alpha * sv;
             *r += nalpha * pv;
+        },
+    );
+    // The Lanczos estimate's two, in `DistVec::axpy` / `xpay`'s order.
+    sweep(
+        || Axpy,
+        |[x], [y]: &mut [f64; 1], [a]| {
+            *y += a * x;
+        },
+    );
+    sweep(
+        || Xpay,
+        |[x], [y]: &mut [f64; 1], [a]| {
+            *y = x + a * *y;
         },
     );
 }

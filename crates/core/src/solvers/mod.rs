@@ -19,10 +19,10 @@ pub use batch::{batch_key, BatchCommSolver, BatchKey, BatchPlanner, BatchWorkspa
 pub use chrongear::ChronGear;
 pub(crate) use control::{Control, SolveCtl};
 pub use csi::Pcsi;
+pub(crate) use kernels::{update, Axpy, TileKernels, Xpay};
 
 use crate::precond::Preconditioner;
 use crate::setup::SolverSpec;
-use kernels::TileKernels;
 use pop_comm::{
     blockwise, BlockVec, CommVec, CommWorld, Communicator, DistLayout, DistVec, StatsSnapshot,
     SweepPartials, MAX_SWEEP_PARTIALS,

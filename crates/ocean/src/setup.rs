@@ -83,19 +83,14 @@ pub struct SolverSetup {
 impl SolverSetup {
     /// Build everything the chosen configuration needs on `op`.
     ///
-    /// For P-CSI this runs the Lanczos estimation. The paper quotes ε = 0.15
-    /// as sufficient for POP's grids; on our synthetic grids the smallest
-    /// eigenvalue of `M⁻¹A` settles more slowly (clustered low modes from the
-    /// generated island field), so the default here is stricter — the cost
-    /// is still only a few ChronGear-solve equivalents, paid once per
-    /// operator. Use [`SolverSetup::with_lanczos`] to control it explicitly.
+    /// For P-CSI this runs the Lanczos estimation under
+    /// [`LanczosConfig::SETUP`]. The paper quotes ε = 0.15 as sufficient for
+    /// POP's grids; on our synthetic grids the smallest eigenvalue of `M⁻¹A`
+    /// settles more slowly (clustered low modes from the generated island
+    /// field), so the set-up tolerance is stricter, paid once per operator.
+    /// Use [`SolverSetup::with_lanczos`] to control it explicitly.
     pub fn new(choice: SolverChoice, op: &NinePoint, world: &CommWorld) -> Self {
-        let lanczos = LanczosConfig {
-            tol: 0.01,
-            max_steps: 300,
-            ..Default::default()
-        };
-        Self::with_lanczos(choice, op, world, &lanczos)
+        Self::with_lanczos(choice, op, world, &LanczosConfig::SETUP)
     }
 
     /// Build with an explicit Lanczos configuration (Fig 3 sweeps this).

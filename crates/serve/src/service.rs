@@ -122,11 +122,7 @@ impl Default for ServiceConfig {
             interactive_deadline: None,
             batch_deadline: None,
             cache_capacity: 8,
-            lanczos: LanczosConfig {
-                tol: 0.01,
-                max_steps: 300,
-                ..Default::default()
-            },
+            lanczos: LanczosConfig::SETUP,
             base: SolverConfig::default(),
             backend: Backend::Serial,
             obs: ObsSink::disabled(),

@@ -15,7 +15,10 @@
 //! direct solve for a tile's principal submatrix (block-LU preconditioning,
 //! paper §4.1, and the land-touching tiles of block-EVP): symmetric positive
 //! definite and banded with half-width `nx + 1`, so it needs no pivoting and
-//! only the band is stored, factored and traversed.
+//! only the band is assembled ([`LocalStencil::band_lu_in`], straight from
+//! the tile's coefficients), factored and traversed.
+//!
+//! [`LocalStencil::band_lu_in`]: crate::LocalStencil::band_lu_in
 //!
 //! [`BandLu::solve_in_place`] is written for latency, not for agreement with
 //! [`LuFactors::solve_into`]: each substitution row is one serial chain, so
@@ -133,12 +136,17 @@ impl DenseMatrix {
                 }
                 piv.swap(k, p);
             }
+            // Eliminate below the pivot, each row a slice update against
+            // the pivot row's tail (the same operations as an indexed
+            // double loop, free of bounds checks, so they vectorise).
             let pivot = lu[k * n + k];
-            for r in k + 1..n {
-                let factor = lu[r * n + k] / pivot;
-                lu[r * n + k] = factor;
-                for c in k + 1..n {
-                    lu[r * n + c] -= factor * lu[k * n + c];
+            let (top, below) = lu.split_at_mut((k + 1) * n);
+            let prow = &top[k * n + k + 1..];
+            for row in below.chunks_exact_mut(n) {
+                let factor = row[k] / pivot;
+                row[k] = factor;
+                for (a, b) in row[k + 1..].iter_mut().zip(prow) {
+                    *a -= factor * b;
                 }
             }
         }
@@ -146,18 +154,12 @@ impl DenseMatrix {
     }
 
     /// No-pivot LU of a matrix whose non-zeros all lie within `half_width`
-    /// of the diagonal, in band storage: O(n·w²) work, `(2w+1)·n` doubles.
-    ///
-    /// Every in-band operation is the one [`DenseMatrix::lu`] performs when
-    /// it never pivots; the operations skipped have an exact zero as a
-    /// factor. So wherever the pivoted factorization keeps the diagonal —
-    /// every nine-point tile matrix met so far — the factors are the dense
-    /// ones bit for bit. They are stored ready for
-    /// [`BandLu::solve_in_place`]: `−l` and `−u` off the diagonal, `1/u_rr`
-    /// on it. Fails on a pivot that is not positive and finite (the matrix
-    /// is not positive definite); panics on a non-zero outside the band,
-    /// which is a wrong `half_width`, not a property of the data.
-    pub fn band_lu(&self, half_width: usize) -> Result<BandLu, SingularMatrix> {
+    /// of the diagonal, through the dense matrix: the test reference the
+    /// direct route, [`LocalStencil::band_lu_in`](crate::LocalStencil::band_lu_in),
+    /// is held to. Panics on a non-zero outside the band; fails as
+    /// [`BandLu::factor`] does.
+    #[cfg(test)]
+    pub(crate) fn band_lu(&self, half_width: usize) -> Result<BandLu, SingularMatrix> {
         let n = self.n;
         let w = half_width.min(n.saturating_sub(1));
         let bw = 2 * w + 1;
@@ -173,47 +175,51 @@ impl DenseMatrix {
                 }
             }
         }
-        for k in 0..n {
-            let pivot = band[k * bw + w];
-            if !(pivot > 0.0 && pivot.is_finite()) {
-                return Err(SingularMatrix { pivot: k });
-            }
-            let end = (k + w + 1).min(n);
-            for r in k + 1..end {
-                let factor = band[r * bw + k + w - r] / pivot;
-                band[r * bw + k + w - r] = factor;
-                for c in k + 1..end {
-                    band[r * bw + c + w - r] -= factor * band[k * bw + c + w - k];
-                }
-            }
-        }
-        // Signed for the substitution steps `acc + (−f)·x`, the pivot as
-        // its reciprocal; slots outside the matrix stay `+0.0`.
-        for r in 0..n {
-            for c in r.saturating_sub(w)..(r + w + 1).min(n) {
-                let f = &mut band[r * bw + c + w - r];
-                *f = if c == r { 1.0 / *f } else { -*f };
-            }
-        }
-        Ok(BandLu { n, w, band })
+        BandLu::factor(n, w, band)
     }
 
-    /// Explicit inverse via LU (used for the EVP influence matrix `R = W⁻¹`).
+    /// Explicit inverse via LU (used for the EVP influence matrix `R = W⁻¹`):
+    /// [`LuFactors::solve_into`] on every column of the identity at once.
+    /// Each column's substitutions are that solve's operations in its order
+    /// — only the loop nest differs, with the columns innermost, where they
+    /// vectorise and overlap — so column `c` is the solve of `e_c` bit for
+    /// bit. No operand is skipped for being zero: `acc − l·0` is not an
+    /// identity on signed zeros.
     pub fn inverse(&self) -> Result<DenseMatrix, SingularMatrix> {
         let f = self.lu()?;
         let n = self.n;
-        let mut inv = DenseMatrix::zeros(n);
-        let mut e = vec![0.0; n];
-        let mut x = vec![0.0; n];
-        for c in 0..n {
-            e.fill(0.0);
-            e[c] = 1.0;
-            f.solve_into(&e, &mut x);
-            for r in 0..n {
-                inv.set(r, c, x[r]);
+        // Row `r` of the permuted identity `P·I`: a one in column `piv[r]`.
+        let mut x = vec![0.0; n * n];
+        for (r, &p) in f.piv.iter().enumerate() {
+            x[r * n + p] = 1.0;
+        }
+        // Forward substitution (unit lower), every column at once.
+        for r in 1..n {
+            let (done, rest) = x.split_at_mut(r * n);
+            let xr = &mut rest[..n];
+            for (c, xc) in done.chunks_exact(n).enumerate() {
+                let l = f.lu[r * n + c];
+                for (a, b) in xr.iter_mut().zip(xc) {
+                    *a -= l * b;
+                }
             }
         }
-        Ok(inv)
+        // Back substitution.
+        for r in (0..n).rev() {
+            let (head, tail) = x.split_at_mut((r + 1) * n);
+            let xr = &mut head[r * n..];
+            for (c, xc) in (r + 1..n).zip(tail.chunks_exact(n)) {
+                let u = f.lu[r * n + c];
+                for (a, b) in xr.iter_mut().zip(xc) {
+                    *a -= u * b;
+                }
+            }
+            let pivot = f.lu[r * n + r];
+            for a in xr.iter_mut() {
+                *a /= pivot;
+            }
+        }
+        Ok(DenseMatrix { n, data: x })
     }
 }
 
@@ -230,8 +236,7 @@ pub struct BandLu {
 }
 
 /// Error: unusable pivot at the given elimination step (zero for
-/// [`DenseMatrix::lu`], not positive and finite for
-/// [`DenseMatrix::band_lu`]).
+/// [`DenseMatrix::lu`], not positive and finite for the band LU).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SingularMatrix {
     pub pivot: usize,
@@ -282,6 +287,51 @@ impl LuFactors {
 }
 
 impl BandLu {
+    /// No-pivot LU of an `n × n` matrix given as its band of half-width `w`
+    /// — row `r` holds columns `r − w ..= r + w` at `r·(2w+1) + (c + w − r)`,
+    /// `+0.0` in the slots outside the matrix: O(n·w²) work, `(2w+1)·n`
+    /// doubles.
+    ///
+    /// Every in-band operation is the one [`DenseMatrix::lu`] performs when
+    /// it never pivots; the operations skipped have an exact zero as a
+    /// factor. So wherever the pivoted factorization keeps the diagonal —
+    /// every nine-point tile matrix met so far — the factors are the dense
+    /// ones bit for bit. They are stored ready for
+    /// [`BandLu::solve_in_place`]: `−l` and `−u` off the diagonal, `1/u_rr`
+    /// on it. Fails on a pivot that is not positive and finite (the matrix
+    /// is not positive definite).
+    pub(crate) fn factor(n: usize, w: usize, mut band: Vec<f64>) -> Result<BandLu, SingularMatrix> {
+        let bw = 2 * w + 1;
+        assert_eq!(
+            band.len(),
+            n * bw,
+            "band storage of {n} rows at half-width {w}"
+        );
+        for k in 0..n {
+            let pivot = band[k * bw + w];
+            if !(pivot > 0.0 && pivot.is_finite()) {
+                return Err(SingularMatrix { pivot: k });
+            }
+            let end = (k + w + 1).min(n);
+            for r in k + 1..end {
+                let factor = band[r * bw + k + w - r] / pivot;
+                band[r * bw + k + w - r] = factor;
+                for c in k + 1..end {
+                    band[r * bw + c + w - r] -= factor * band[k * bw + c + w - k];
+                }
+            }
+        }
+        // Signed for the substitution steps `acc + (−f)·x`, the pivot as
+        // its reciprocal; slots outside the matrix stay `+0.0`.
+        for r in 0..n {
+            for c in r.saturating_sub(w)..(r + w + 1).min(n) {
+                let f = &mut band[r * bw + c + w - r];
+                *f = if c == r { 1.0 / *f } else { -*f };
+            }
+        }
+        Ok(BandLu { n, w, band })
+    }
+
     /// Solve `A x = b` in place (`x` holds `b` on entry): forward then back
     /// substitution over the band columns only. Each row is one chain from
     /// `acc = x[r]`, one step `acc + (−f)·x[c]` per band column — fused to
@@ -394,7 +444,7 @@ mod tests {
                 let raw = tile(nx, ny, land);
                 for (reduced, st) in [(false, raw.clone()), (true, raw.reduced())] {
                     let a = st.to_dense();
-                    let band = a.band_lu(nx + 1).expect("positive definite");
+                    let band = st.band_lu().expect("positive definite");
                     let dense = a.lu().expect("nonsingular");
                     assert_eq!(dense.piv, (0..a.n()).collect::<Vec<_>>(), "oracle pivoted");
                     cases.push((
@@ -512,6 +562,139 @@ mod tests {
         // A half-width beyond the matrix is clamped, not over-allocated.
         let f = tile(1, 5, false).to_dense().band_lu(40).expect("ok");
         assert_eq!(f.raw_parts().1, 4);
+    }
+
+    /// A red-black order of an `nx × ny` tile, `rows[j·nx + i]` the row of
+    /// point `(i, j)`: the even points row-major, then the odd ones.
+    fn red_black(nx: usize, ny: usize) -> Vec<usize> {
+        let mut rows = vec![0; nx * ny];
+        let mut next = 0;
+        for colour in 0..2 {
+            for j in 0..ny {
+                for i in (0..nx).filter(|i| (i ^ j) & 1 == colour) {
+                    rows[j * nx + i] = next;
+                    next += 1;
+                }
+            }
+        }
+        rows
+    }
+
+    /// The dense route to a band factor: `to_dense`, permuted so point `p`
+    /// sits in row `rows[p]`, then the dense-scan [`DenseMatrix::band_lu`]
+    /// at the narrowest half-width holding every non-zero.
+    fn dense_route(st: &LocalStencil, rows: &[usize]) -> (usize, Result<BandLu, SingularMatrix>) {
+        let a = st.to_dense();
+        let n = a.n();
+        let mut at_row = vec![0; n];
+        for (p, &r) in rows.iter().enumerate() {
+            at_row[r] = p;
+        }
+        let pa = DenseMatrix::from_fn(n, |r, c| a.get(at_row[r], at_row[c]));
+        let w = (0..n * n)
+            .filter(|&q| pa.get(q / n, q % n) != 0.0)
+            .map(|q| (q / n).abs_diff(q % n))
+            .max()
+            .unwrap_or(0);
+        (w, pa.band_lu(w))
+    }
+
+    /// The band assembled straight from the stencil, in natural and in
+    /// red-black order, is factored to the dense route's bits: full and
+    /// reduced systems, with and without land, and the one-point-wide edge
+    /// tiles.
+    #[test]
+    fn direct_band_factor_is_the_dense_route() {
+        let shapes = [(1, 7), (9, 1), (1, 1), (12, 3), (8, 8), (7, 11), (12, 12)];
+        for (nx, ny) in shapes {
+            for land in [false, true] {
+                let raw = tile(nx, ny, land);
+                for (reduced, st) in [(false, raw.clone()), (true, raw.reduced())] {
+                    let natural: Vec<usize> = (0..nx * ny).collect();
+                    for (order, rows) in [("natural", natural), ("red-black", red_black(nx, ny))] {
+                        let tag = format!("{nx}x{ny} land={land} reduced={reduced} {order}");
+                        let (w, want) = dense_route(&st, &rows);
+                        let want = want.expect("positive definite");
+                        let got = st
+                            .band_lu_in(w, |i, j| rows[j * nx + i])
+                            .expect("positive definite");
+                        let ((gn, gw, gb), (wn, ww, wb)) = (got.raw_parts(), want.raw_parts());
+                        assert_eq!((gn, gw), (wn, ww), "{tag}");
+                        let bits = |b: &[f64]| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(gb), bits(wb), "{tag}");
+                    }
+                }
+            }
+        }
+        // The natural order is `band_lu`'s, at half-width `nx + 1`.
+        let st = tile(7, 11, true);
+        let (a, b) = (st.band_lu().unwrap(), st.to_dense().band_lu(8).unwrap());
+        assert_eq!(a.raw_parts().2, b.raw_parts().2);
+    }
+
+    /// A tile that is not positive definite fails at the same elimination
+    /// step through both routes.
+    #[test]
+    fn indefinite_tile_fails_at_the_same_pivot_both_routes() {
+        // Corner couplings as strong as the centre: the first pivot is
+        // positive, a later one is not.
+        let st = LocalStencil::reference(5, 4, 8.0, -12.0);
+        for rows in [(0..20).collect(), red_black(5, 4)] {
+            let (w, dense) = dense_route(&st, &rows);
+            let direct = st.band_lu_in(w, |i, j| rows[j * 5 + i]);
+            let pivot = dense.expect_err("indefinite").pivot;
+            assert!(pivot > 0, "the first pivot is positive");
+            assert_eq!(direct.expect_err("indefinite").pivot, pivot);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside half-width")]
+    fn direct_band_rejects_a_coupling_outside_the_half_width() {
+        let _ = tile(6, 4, false).band_lu_in(6, |i, j| j * 6 + i);
+    }
+
+    /// The old inverse, one column at a time through `solve_into`.
+    fn inverse_by_columns(a: &DenseMatrix) -> Vec<f64> {
+        let (f, n) = (a.lu().expect("nonsingular"), a.n());
+        let mut inv = vec![0.0; n * n];
+        let (mut e, mut x) = (vec![0.0; n], vec![0.0; n]);
+        for c in 0..n {
+            e.fill(0.0);
+            e[c] = 1.0;
+            f.solve_into(&e, &mut x);
+            for r in 0..n {
+                inv[r * n + c] = x[r];
+            }
+        }
+        inv
+    }
+
+    /// All columns at once give every column's solve, bit for bit, on
+    /// sizes 1–23 — each with a weak diagonal, so partial pivoting swaps
+    /// rows, and with exact zeros among the entries.
+    #[test]
+    fn inverse_is_the_column_at_a_time_solve_bitwise() {
+        let mut swapped = 0;
+        for n in 1..=23usize {
+            let a = DenseMatrix::from_fn(n, |r, c| {
+                let h = ((r * 131 + c * 71 + n * 17) % 97) as f64;
+                match (r + 2 * c + n) % 5 {
+                    0 => 0.0,
+                    _ if r == c => 0.05 + h / 970.0,
+                    _ => h / 48.5 - 1.0,
+                }
+            });
+            let f = a.lu().expect("nonsingular");
+            swapped += usize::from(f.piv.iter().enumerate().any(|(r, &p)| r != p));
+            let got = a.inverse().expect("nonsingular");
+            let want = inverse_by_columns(&a);
+            for (q, w) in want.iter().enumerate() {
+                let g = got.get(q / n, q % n);
+                assert_eq!(g.to_bits(), w.to_bits(), "n={n} ({}, {})", q / n, q % n);
+            }
+        }
+        assert!(swapped >= 20, "only {swapped} sizes pivoted");
     }
 
     #[test]

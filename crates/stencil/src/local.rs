@@ -114,6 +114,27 @@ impl LocalStencil {
         r
     }
 
+    /// The couplings of active point `(i, j)`'s row inside the sub-domain:
+    /// `f(ii, jj, v)` for each of its nine neighbours `(ii, jj)` within
+    /// the tile whose coefficient `v` is non-zero, each neighbour once.
+    fn row_couplings(&self, i: isize, j: isize, mut f: impl FnMut(usize, usize, f64)) {
+        let (nx, ny) = (self.nx as isize, self.ny as isize);
+        let mut add = |ii: isize, jj: isize, v: f64| {
+            if v != 0.0 && ii >= 0 && jj >= 0 && ii < nx && jj < ny {
+                f(ii as usize, jj as usize, v);
+            }
+        };
+        add(i, j, self.a0(i, j));
+        add(i, j + 1, self.an(i, j));
+        add(i, j - 1, self.an(i, j - 1));
+        add(i + 1, j, self.ae(i, j));
+        add(i - 1, j, self.ae(i - 1, j));
+        add(i + 1, j + 1, self.ane(i, j));
+        add(i + 1, j - 1, self.ane(i, j - 1));
+        add(i - 1, j + 1, self.ane(i - 1, j));
+        add(i - 1, j - 1, self.ane(i - 1, j - 1));
+    }
+
     /// Materialize the sub-domain operator as a dense matrix over all
     /// `nx*ny` points (row-major, Dirichlet-0 exterior). Inactive (land)
     /// points get identity rows so the matrix stays invertible; the
@@ -121,35 +142,16 @@ impl LocalStencil {
     pub fn to_dense(&self) -> DenseMatrix {
         let n = self.nx * self.ny;
         let mut m = DenseMatrix::zeros(n);
-        let idx = |i: isize, j: isize| j as usize * self.nx + i as usize;
-        for j in 0..self.ny as isize {
-            for i in 0..self.nx as isize {
-                let row = idx(i, j);
-                if !self.is_active(i, j) {
+        for j in 0..self.ny {
+            for i in 0..self.nx {
+                let row = j * self.nx + i;
+                if !self.is_active(i as isize, j as isize) {
                     m.set(row, row, 1.0);
                     continue;
                 }
-                let mut add = |ii: isize, jj: isize, v: f64| {
-                    if v != 0.0
-                        && ii >= 0
-                        && jj >= 0
-                        && ii < self.nx as isize
-                        && jj < self.ny as isize
-                    {
-                        let col = idx(ii, jj);
-                        let old = m.get(row, col);
-                        m.set(row, col, old + v);
-                    }
-                };
-                add(i, j, self.a0(i, j));
-                add(i, j + 1, self.an(i, j));
-                add(i, j - 1, self.an(i, j - 1));
-                add(i + 1, j, self.ae(i, j));
-                add(i - 1, j, self.ae(i - 1, j));
-                add(i + 1, j + 1, self.ane(i, j));
-                add(i + 1, j - 1, self.ane(i, j - 1));
-                add(i - 1, j + 1, self.ane(i - 1, j));
-                add(i - 1, j - 1, self.ane(i - 1, j - 1));
+                self.row_couplings(i as isize, j as isize, |ii, jj, v| {
+                    m.set(row, jj * self.nx + ii, v);
+                });
             }
         }
         m
@@ -162,7 +164,46 @@ impl LocalStencil {
     /// half-width, and being symmetric positive definite it needs no
     /// pivoting.
     pub fn band_lu(&self) -> Result<BandLu, SingularMatrix> {
-        self.to_dense().band_lu(self.nx + 1)
+        self.band_lu_in(self.nx + 1, |i, j| j * self.nx + i)
+    }
+
+    /// [`LocalStencil::band_lu`] with point `(i, j)` held in row
+    /// `row(i, j)` (a permutation of `0..nx·ny`) at half-width
+    /// `half_width`: the band of `P·B̃·Pᵀ` is assembled straight from the
+    /// coefficients — the entries of [`LocalStencil::to_dense`], permuted —
+    /// and factored in band storage, with no dense matrix in between.
+    /// Fails on a pivot that is not positive and finite (the tile is not
+    /// positive definite); panics on a coupling outside the half-width,
+    /// which is a wrong `half_width` for the order, not a property of the
+    /// data.
+    pub fn band_lu_in(
+        &self,
+        half_width: usize,
+        row: impl Fn(usize, usize) -> usize,
+    ) -> Result<BandLu, SingularMatrix> {
+        let n = self.nx * self.ny;
+        let w = half_width.min(n - 1);
+        let bw = 2 * w + 1;
+        // Row `r` holds columns `r − w ..= r + w` at `r·bw + (c + w − r)`.
+        let mut band = vec![0.0; n * bw];
+        for j in 0..self.ny {
+            for i in 0..self.nx {
+                let r = row(i, j);
+                if !self.is_active(i as isize, j as isize) {
+                    band[r * bw + w] = 1.0;
+                    continue;
+                }
+                self.row_couplings(i as isize, j as isize, |ii, jj, v| {
+                    let c = row(ii, jj);
+                    assert!(
+                        c + w >= r && c <= r + w,
+                        "entry ({r},{c}) outside half-width {w}"
+                    );
+                    band[r * bw + c + w - r] = v;
+                });
+            }
+        }
+        BandLu::factor(n, w, band)
     }
 
     /// A synthetic all-ocean SPD stencil on an `nx × ny` sub-domain with unit

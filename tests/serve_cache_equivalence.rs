@@ -53,11 +53,7 @@ fn standalone(
     b: &DistVec,
 ) -> (DistVec, SolveStats) {
     let world = CommWorld::serial();
-    let lanczos = LanczosConfig {
-        tol: 0.01,
-        max_steps: 300,
-        ..Default::default()
-    };
+    let lanczos = LanczosConfig::SETUP;
     let state = OperatorState::build(
         &p.op,
         precond,
