@@ -56,23 +56,31 @@ impl DistVec {
     /// Scatter a global row-major `nx × ny` field into a distributed vector.
     /// Land points are zeroed regardless of the input value.
     pub fn from_global(layout: &Arc<DistLayout>, global: &[f64]) -> Self {
+        let mut v = Self::zeros(layout);
+        v.fill_from_global(global);
+        v
+    }
+
+    /// [`DistVec::from_global`] into this vector's interior, a row at a
+    /// time: what [`DistVec::fill_with`] of the field writes.
+    pub fn fill_from_global(&mut self, global: &[f64]) {
+        let layout = Arc::clone(&self.layout);
         let nx = layout.decomp.grid_nx;
         assert_eq!(
             global.len(),
             nx * layout.decomp.grid_ny,
             "global field size mismatch"
         );
-        let mut v = Self::zeros(layout);
-        for (b, info) in layout.decomp.blocks.iter().enumerate() {
+        let parts = layout.decomp.blocks.iter().zip(&layout.masks);
+        for (blk, (info, mask)) in self.blocks.iter_mut().zip(parts) {
             for j in 0..info.ny {
-                for i in 0..info.nx {
-                    if layout.masks[b][j * info.nx + i] != 0 {
-                        v.blocks[b].set(i, j, global[(info.j0 + j) * nx + info.i0 + i]);
-                    }
+                let src = &global[(info.j0 + j) * nx + info.i0..][..info.nx];
+                let ocean = &mask[j * info.nx..][..info.nx];
+                for ((d, &s), &o) in blk.interior_row_mut(j).iter_mut().zip(src).zip(ocean) {
+                    *d = if o != 0 { s } else { 0.0 };
                 }
             }
         }
-        v
     }
 
     /// Gather into a global row-major field; positions not covered by any
@@ -109,10 +117,11 @@ impl DistVec {
     /// Fill the interior with a function of the *global* coordinates,
     /// zeroing land. Useful for manufactured solutions and forcing fields.
     pub fn fill_with(&mut self, f: impl Fn(usize, usize) -> f64) {
-        for (b, info) in self.layout.decomp.blocks.clone().iter().enumerate() {
+        let layout = Arc::clone(&self.layout);
+        for (b, info) in layout.decomp.blocks.iter().enumerate() {
             for j in 0..info.ny {
                 for i in 0..info.nx {
-                    let v = if self.layout.masks[b][j * info.nx + i] != 0 {
+                    let v = if layout.masks[b][j * info.nx + i] != 0 {
                         f(info.i0 + i, info.j0 + j)
                     } else {
                         0.0

@@ -67,8 +67,15 @@ impl Pcsi {
         lanes: &mut [SolveCtl],
     ) -> C::Sweep {
         // r₀ = b − A x₀ (halo exchange fused with the residual sweep so a
-        // split-phase communicator can hide the strip flight time).
-        residual_sweep(op, comm, b, x, r);
+        // split-phase communicator can hide the strip flight time). Nothing
+        // reads ‖r₀‖², so the sweep runs without the fold.
+        comm.halo_sweep_fused([&mut *x, &mut *r], |g| {
+            let first = g.first;
+            for (m, [xb, rb]) in g.members() {
+                let bk = first + m;
+                T::residual_no_norm(op, bk, xb, b.block(bk), rb);
+            }
+        });
 
         // Δx₀ = γ⁻¹ M⁻¹ r₀ ; x₁ = x₀ + Δx₀, fused into one sweep, M⁻¹ r₀
         // of a whole group in block temporaries.

@@ -409,7 +409,8 @@ pub(crate) fn rhs_norm<C: Communicator>(comm: &C, b: &C::Vec<BlockVec>) -> f64 {
 }
 
 /// `r = b − A x` after `x`'s halo exchange, with each lane's `‖r‖²` riding
-/// along as a per-block partial: every recurrence's first sweep.
+/// along as a per-block partial: ChronGear's first sweep, and every P-CSI
+/// residual whose norm a check or the start's caller reads.
 pub(crate) fn residual_sweep<C: Communicator, T: TileKernels>(
     op: &NinePoint,
     comm: &C,

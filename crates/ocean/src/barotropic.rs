@@ -74,8 +74,7 @@ impl BarotropicMode {
         let eta = DistVec::zeros(&layout);
         let mut phi_area = DistVec::zeros(&layout);
         let phi = 1.0 / (gravity * tau * tau);
-        let metrics = grid.metrics.clone();
-        phi_area.fill_with(|i, j| phi * metrics.area(i, j));
+        phi_area.fill_with(|i, j| phi * grid.metrics.area(i, j));
         let rhs = DistVec::zeros(&layout);
         BarotropicMode {
             layout,

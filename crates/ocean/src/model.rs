@@ -164,6 +164,7 @@ pub struct MiniPop {
     forecast: DistVec,
     scratch: Vec<f64>,
     tbar: Vec<f64>,
+    nbrs: Neighbours,
 }
 
 impl MiniPop {
@@ -204,6 +205,7 @@ impl MiniPop {
             temp.push(layer);
         }
         let forecast = DistVec::zeros(&barotropic.layout);
+        let nbrs = Neighbours::new(&grid);
         MiniPop {
             grid,
             config,
@@ -218,257 +220,285 @@ impl MiniPop {
             forecast,
             scratch: vec![0.0; n],
             tbar: vec![0.0; n],
+            nbrs,
         }
-    }
-
-    /// Wrapped cell/corner index, or `None` past a non-periodic edge.
-    #[inline]
-    fn nb(&self, i: isize, j: isize) -> Option<usize> {
-        let (nx, ny) = (self.grid.nx as isize, self.grid.ny as isize);
-        if j < 0 || j >= ny {
-            return None;
-        }
-        let i = if i >= 0 && i < nx {
-            i
-        } else if self.grid.periodic_x {
-            i.rem_euclid(nx)
-        } else {
-            return None;
-        };
-        Some((j * nx + i) as usize)
-    }
-
-    /// Is corner `k` active (all four surrounding cells ocean)?
-    #[inline]
-    fn corner_active(&self, k: usize) -> bool {
-        self.grid.hu[k] > 0.0
-    }
-
-    /// Corner-lattice neighbour value with zero-gradient fallback at
-    /// inactive corners (free-slip-ish lateral condition).
-    #[inline]
-    fn corner_or(&self, field: &[f64], i: isize, j: isize, center: f64) -> f64 {
-        match self.nb(i, j) {
-            Some(k) if self.corner_active(k) => field[k],
-            _ => center,
-        }
-    }
-
-    /// The 4-cell gradient of a T-point field at corner `(i, j)` (must be
-    /// active). Returns `(∂/∂x, ∂/∂y)`.
-    #[inline]
-    fn corner_grad(&self, field: &[f64], i: usize, j: usize) -> (f64, f64) {
-        let nx = self.grid.nx;
-        let ie = if i + 1 < nx { i + 1 } else { 0 }; // active ⇒ wrap is legal
-        let k_sw = j * nx + i;
-        let k_se = j * nx + ie;
-        let k_nw = (j + 1) * nx + i;
-        let k_ne = (j + 1) * nx + ie;
-        let gx = (field[k_se] + field[k_ne] - field[k_sw] - field[k_nw])
-            / (2.0 * self.grid.metrics.dxu[k_sw]);
-        let gy = (field[k_nw] + field[k_ne] - field[k_sw] - field[k_se])
-            / (2.0 * self.grid.metrics.dyu[k_sw]);
-        (gx, gy)
     }
 
     /// Advance the model one barotropic time step.
+    ///
+    /// Every explicit pass sweeps whole rows: each point reads its
+    /// neighbours at `k ± 1` and `k ± nx` (wrapped at the two edge columns,
+    /// clamped to the point's own row past the south and north edges) and
+    /// picks them, or its own value, by the flags (`Neighbours`) found once
+    /// in [`MiniPop::new`]; land and inactive corners are computed like any
+    /// other point and then selected away. No branch depends on the data,
+    /// so the interior columns of a row vectorise, divisions included. Each
+    /// value is the same expression, on the same operands in the same
+    /// order, as a search over the point's neighbours would give (the
+    /// per-point step kept in `tests/common/minipop_reference.rs`): the
+    /// trajectory is bit for bit the same.
     pub fn step(&mut self, world: &CommWorld) {
-        let (nx, ny) = (self.grid.nx, self.grid.ny);
-        let tau = self.config.tau;
-        let n = nx * ny;
+        let MiniPop {
+            grid,
+            config: cfg,
+            barotropic,
+            u,
+            v,
+            eta,
+            temp,
+            steps,
+            u_star,
+            v_star,
+            forecast,
+            scratch,
+            tbar,
+            nbrs,
+        } = self;
+        let (nx, ny) = (grid.nx, grid.ny);
+        let tau = cfg.tau;
+        let m = &grid.metrics;
+        // The rows north and south of row `j`, or row `j` itself past an
+        // edge (the flags then pick the centre).
+        let north = |j: usize| (j + 1).min(ny - 1);
+        let south = |j: usize| j.saturating_sub(1);
 
         // --- 0. depth-mean temperature (buoyancy source) ---
-        let inv_nlev = 1.0 / self.config.nlev as f64;
-        for k in 0..n {
-            self.tbar[k] = self.temp.iter().map(|l| l[k]).sum::<f64>() * inv_nlev;
+        // Level by level from `Iterator::sum`'s start value, −0.0.
+        tbar.fill(-0.0);
+        for layer in temp.iter() {
+            for (t, l) in tbar.iter_mut().zip(layer) {
+                *t += l;
+            }
+        }
+        let inv_nlev = 1.0 / cfg.nlev as f64;
+        for t in tbar.iter_mut() {
+            *t *= inv_nlev;
         }
 
         // --- 1. explicit momentum at corners ---
         for j in 0..ny {
-            let lat = self.grid.metrics.lat_t[j];
-            let f_cor = coriolis(lat);
+            let f_cor = coriolis(m.lat_t[j]);
             let yf = (j as f64 + 1.0) / ny as f64; // corner sits between rows
-            let wind = double_gyre_wind(self.config.wind_tau0, yf);
+            let wind = double_gyre_wind(cfg.wind_tau0, yf);
             let (sin_f, cos_f) = (f_cor * tau).sin_cos();
-            for i in 0..nx {
-                let k = j * nx + i;
-                if !self.corner_active(k) {
-                    self.u_star[k] = 0.0;
-                    self.v_star[k] = 0.0;
-                    continue;
-                }
-                let (ii, jj) = (i as isize, j as isize);
-                let dx = self.grid.metrics.dxu[k];
-                let dy = self.grid.metrics.dyu[k];
-                let (uc, vc) = (self.u[k], self.v[k]);
+            let (jn, js) = (north(j), south(j));
+            let (uc, un, us) = (row(u, nx, j), row(u, nx, jn), row(u, nx, js));
+            let (vc, vn, vs) = (row(v, nx, j), row(v, nx, jn), row(v, nx, js));
+            let (tb, tb_n) = (row(tbar, nx, j), row(tbar, nx, jn));
+            let (dxu, dyu) = (row(&m.dxu, nx, j), row(&m.dyu, nx, j));
+            let (hu, fl) = (row(&grid.hu, nx, j), row(&nbrs.corner, nx, j));
+            let u_out = row_mut(u_star, nx, j);
+            let v_out = row_mut(v_star, nx, j);
+            columns(
+                nx,
+                #[inline(always)]
+                |i, w, e| {
+                    let f = fl[i];
+                    let (u0, v0) = (uc[i], vc[i]);
+                    // A missing or inactive neighbour reads the centre: a
+                    // zero-gradient (free-slip-ish) lateral condition.
+                    let u_e = pick(f, E, uc[e], u0);
+                    let u_w = pick(f, W, uc[w], u0);
+                    let u_n = pick(f, N, un[i], u0);
+                    let u_s = pick(f, S, us[i], u0);
+                    let v_e = pick(f, E, vc[e], v0);
+                    let v_w = pick(f, W, vc[w], v0);
+                    let v_n = pick(f, N, vn[i], v0);
+                    let v_s = pick(f, S, vs[i], v0);
+                    let (dx, dy) = (dxu[i], dyu[i]);
+                    let (dx2, dy2) = (2.0 * dx, 2.0 * dy);
+                    let (dxx, dyy) = (dx * dx, dy * dy);
 
-                let u_e = self.corner_or(&self.u, ii + 1, jj, uc);
-                let u_w = self.corner_or(&self.u, ii - 1, jj, uc);
-                let u_n = self.corner_or(&self.u, ii, jj + 1, uc);
-                let u_s = self.corner_or(&self.u, ii, jj - 1, uc);
-                let v_e = self.corner_or(&self.v, ii + 1, jj, vc);
-                let v_w = self.corner_or(&self.v, ii - 1, jj, vc);
-                let v_n = self.corner_or(&self.v, ii, jj + 1, vc);
-                let v_s = self.corner_or(&self.v, ii, jj - 1, vc);
+                    // Nonlinear advection (centered) — the chaos source.
+                    let adv_u = u0 * (u_e - u_w) / dx2 + v0 * (u_n - u_s) / dy2;
+                    let adv_v = u0 * (v_e - v_w) / dx2 + v0 * (v_n - v_s) / dy2;
+                    // Lateral friction: constant background plus Smagorinsky
+                    // deformation-dependent eddy viscosity.
+                    let lap_u = (u_e - 2.0 * u0 + u_w) / dxx + (u_n - 2.0 * u0 + u_s) / dyy;
+                    let lap_v = (v_e - 2.0 * v0 + v_w) / dxx + (v_n - 2.0 * v0 + v_s) / dyy;
+                    let d_t = (u_e - u_w) / dx2 - (v_n - v_s) / dy2;
+                    let d_s = (v_e - v_w) / dx2 + (u_n - u_s) / dy2;
+                    let nu_eff =
+                        cfg.viscosity + cfg.smagorinsky * dx * dy * (d_t * d_t + d_s * d_s).sqrt();
+                    // Wind stress felt by the column.
+                    let depth = hu[i].max(50.0);
+                    let wind_u = wind / (1025.0 * depth);
+                    // Buoyancy: depth-mean temperature gradient (all 4 cells of
+                    // an active corner are ocean, so the gradient is clean).
+                    let (gtx, gty) = corner_grad(tb, tb_n, i, e, dx2, dy2);
+                    let buoy_u = cfg.buoyancy * depth * gtx;
+                    let buoy_v = cfg.buoyancy * depth * gty;
 
-                // Nonlinear advection (centered) — the chaos source.
-                let adv_u = uc * (u_e - u_w) / (2.0 * dx) + vc * (u_n - u_s) / (2.0 * dy);
-                let adv_v = uc * (v_e - v_w) / (2.0 * dx) + vc * (v_n - v_s) / (2.0 * dy);
-                // Lateral friction: constant background plus Smagorinsky
-                // deformation-dependent eddy viscosity.
-                let lap_u = (u_e - 2.0 * uc + u_w) / (dx * dx) + (u_n - 2.0 * uc + u_s) / (dy * dy);
-                let lap_v = (v_e - 2.0 * vc + v_w) / (dx * dx) + (v_n - 2.0 * vc + v_s) / (dy * dy);
-                let d_t = (u_e - u_w) / (2.0 * dx) - (v_n - v_s) / (2.0 * dy);
-                let d_s = (v_e - v_w) / (2.0 * dx) + (u_n - u_s) / (2.0 * dy);
-                let nu_eff = self.config.viscosity
-                    + self.config.smagorinsky * dx * dy * (d_t * d_t + d_s * d_s).sqrt();
-                // Wind stress felt by the column.
-                let depth = self.grid.hu[k].max(50.0);
-                let wind_u = wind / (1025.0 * depth);
-                // Buoyancy: depth-mean temperature gradient (all 4 cells of
-                // an active corner are ocean, so the gradient is clean).
-                let (gtx, gty) = self.corner_grad(&self.tbar, i, j);
-                let buoy_u = self.config.buoyancy * depth * gtx;
-                let buoy_v = self.config.buoyancy * depth * gty;
-
-                let du =
-                    uc + tau * (-adv_u - self.config.drag * uc + nu_eff * lap_u + wind_u + buoy_u);
-                let dv = vc + tau * (-adv_v - self.config.drag * vc + nu_eff * lap_v + buoy_v);
-                // Exact inertial rotation (neutrally stable Coriolis).
-                self.u_star[k] = cos_f * du + sin_f * dv;
-                self.v_star[k] = -sin_f * du + cos_f * dv;
-            }
+                    let du = u0 + tau * (-adv_u - cfg.drag * u0 + nu_eff * lap_u + wind_u + buoy_u);
+                    let dv = v0 + tau * (-adv_v - cfg.drag * v0 + nu_eff * lap_v + buoy_v);
+                    // Exact inertial rotation (neutrally stable Coriolis).
+                    let active = f & ACTIVE != 0;
+                    u_out[i] = if active { cos_f * du + sin_f * dv } else { 0.0 };
+                    v_out[i] = if active {
+                        -sin_f * du + cos_f * dv
+                    } else {
+                        0.0
+                    };
+                },
+            );
         }
 
         // --- 2. forecast surface: f = ηⁿ − (τ/area)·DIV(hu·u*) ---
         // DIV is the exact adjoint of the corner gradient; see module docs.
+        // The cell's corners in the order they are summed: NE, NW, SE, SW.
+        // An inactive one adds +0.0, which leaves the sum exact: it starts
+        // at +0.0 and so can never be −0.0.
         for j in 0..ny {
-            for i in 0..nx {
-                let k = j * nx + i;
-                if !self.grid.mask[k] {
-                    self.scratch[k] = 0.0;
-                    continue;
-                }
-                let (ii, jj) = (i as isize, j as isize);
-                let mut div = 0.0;
-                // (corner offset, sₓ for this cell, s_y for this cell)
-                let corners = [
-                    ((ii, jj), -1.0, -1.0),       // cell is SW of its NE corner
-                    ((ii - 1, jj), 1.0, -1.0),    // cell is SE of its NW corner
-                    ((ii, jj - 1), -1.0, 1.0),    // cell is NW of its SE corner
-                    ((ii - 1, jj - 1), 1.0, 1.0), // cell is NE of its SW corner
-                ];
-                for ((ci, cj), sx, sy) in corners {
-                    if let Some(ck) = self.nb(ci, cj) {
-                        let hu = self.grid.hu[ck];
-                        if hu > 0.0 {
-                            div += sx * hu * self.grid.metrics.dyu[ck] * 0.5 * self.u_star[ck]
-                                + sy * hu * self.grid.metrics.dxu[ck] * 0.5 * self.v_star[ck];
-                        }
-                    }
-                }
-                // `div` here is the adjoint form, equal to −area·∇·(H u):
-                // on u = Gη it reproduces +A_lap η (the positive-definite
-                // Laplacian), so the *physical* forecast adds it.
-                let area = self.grid.metrics.area(i, j);
-                self.scratch[k] = self.eta[k] + tau * div / area;
-            }
+            let js = south(j);
+            let (hu, hu_s) = (row(&grid.hu, nx, j), row(&grid.hu, nx, js));
+            let (dxu, dxu_s) = (row(&m.dxu, nx, j), row(&m.dxu, nx, js));
+            let (dyu, dyu_s) = (row(&m.dyu, nx, j), row(&m.dyu, nx, js));
+            let (us, us_s) = (row(u_star, nx, j), row(u_star, nx, js));
+            let (vs, vs_s) = (row(v_star, nx, j), row(v_star, nx, js));
+            let (dxt, dyt) = (row(&m.dxt, nx, j), row(&m.dyt, nx, j));
+            let (fl, ocean, eta_c) = (
+                row(&nbrs.cell, nx, j),
+                row(&grid.mask, nx, j),
+                row(eta, nx, j),
+            );
+            let out = row_mut(scratch, nx, j);
+            columns(
+                nx,
+                #[inline(always)]
+                |i, w, _| {
+                    let f = fl[i];
+                    // A corner's term, (sₓ, s_y) the cell's signs at it: the
+                    // cell is SW of its NE corner, SE of its NW corner, NW of
+                    // its SE corner and NE of its SW corner.
+                    let flux = |sx: f64, sy: f64, hu: f64, dyu: f64, dxu: f64, u: f64, v: f64| {
+                        sx * hu * dyu * 0.5 * u + sy * hu * dxu * 0.5 * v
+                    };
+                    let ne = flux(-1.0, -1.0, hu[i], dyu[i], dxu[i], us[i], vs[i]);
+                    let nw = flux(1.0, -1.0, hu[w], dyu[w], dxu[w], us[w], vs[w]);
+                    let se = flux(-1.0, 1.0, hu_s[i], dyu_s[i], dxu_s[i], us_s[i], vs_s[i]);
+                    let sw = flux(1.0, 1.0, hu_s[w], dyu_s[w], dxu_s[w], us_s[w], vs_s[w]);
+                    let div = 0.0
+                        + pick(f, CORNER_NE, ne, 0.0)
+                        + pick(f, CORNER_NW, nw, 0.0)
+                        + pick(f, CORNER_SE, se, 0.0)
+                        + pick(f, CORNER_SW, sw, 0.0);
+                    // `div` here is the adjoint form, equal to −area·∇·(H u):
+                    // on u = Gη it reproduces +A_lap η (the positive-definite
+                    // Laplacian), so the *physical* forecast adds it.
+                    let area = dxt[i] * dyt[i];
+                    out[i] = if ocean[i] {
+                        eta_c[i] + tau * div / area
+                    } else {
+                        0.0
+                    };
+                },
+            );
         }
-        {
-            let f_ref = &self.scratch;
-            self.forecast.fill_with(|i, j| f_ref[j * nx + i]);
-        }
+        forecast.fill_from_global(scratch);
 
         // --- 3. implicit solve for ηⁿ⁺¹ (the solver under test) ---
-        self.barotropic.step(world, &self.forecast);
-        self.barotropic.eta.to_global_into(&mut self.eta);
+        barotropic.step(world, forecast);
+        barotropic.eta.to_global_into(eta);
 
         // --- 4. velocity correction by the new surface gradient ---
+        let g_tau = cfg.gravity * tau;
         for j in 0..ny {
-            for i in 0..nx {
-                let k = j * nx + i;
-                if !self.corner_active(k) {
-                    self.u[k] = 0.0;
-                    self.v[k] = 0.0;
-                    continue;
-                }
-                let (gx, gy) = self.corner_grad(&self.eta, i, j);
-                self.u[k] = self.u_star[k] - self.config.gravity * tau * gx;
-                self.v[k] = self.v_star[k] - self.config.gravity * tau * gy;
-            }
+            let (ec, en) = (row(eta, nx, j), row(eta, nx, north(j)));
+            let (dxu, dyu) = (row(&m.dxu, nx, j), row(&m.dyu, nx, j));
+            let fl = row(&nbrs.corner, nx, j);
+            let (us, vs) = (row(u_star, nx, j), row(v_star, nx, j));
+            let (u_out, v_out) = (row_mut(u, nx, j), row_mut(v, nx, j));
+            columns(
+                nx,
+                #[inline(always)]
+                |i, _, e| {
+                    let (gx, gy) = corner_grad(ec, en, i, e, 2.0 * dxu[i], 2.0 * dyu[i]);
+                    let active = fl[i] & ACTIVE != 0;
+                    u_out[i] = if active { us[i] - g_tau * gx } else { 0.0 };
+                    v_out[i] = if active { vs[i] - g_tau * gy } else { 0.0 };
+                },
+            );
         }
 
         // --- 5. temperature: upwind advection + diffusion + restoring ---
-        let nlev = self.config.nlev;
-        for kl in 0..nlev {
+        // The cell-centred velocity, the mean of the cell's active corners
+        // (summed NE, NW, SE, SW as in the forecast), does not depend on
+        // the level: it is divided once, into the storage of the spent
+        // u*, v*, and each level scales it. An all-inactive cell keeps its
+        // +0.0 sum, which any level's (positive) scale leaves +0.0.
+        let (u_cell, v_cell) = (u_star, v_star);
+        for j in 0..ny {
+            let js = south(j);
+            let (uc, us, vc, vs) = (row(u, nx, j), row(u, nx, js), row(v, nx, j), row(v, nx, js));
+            let fl = row(&nbrs.cell, nx, j);
+            let u_out = row_mut(u_cell, nx, j);
+            let v_out = row_mut(v_cell, nx, j);
+            columns(
+                nx,
+                #[inline(always)]
+                |i, w, _| {
+                    let f = fl[i];
+                    let uk = 0.0
+                        + pick(f, CORNER_NE, uc[i], 0.0)
+                        + pick(f, CORNER_NW, uc[w], 0.0)
+                        + pick(f, CORNER_SE, us[i], 0.0)
+                        + pick(f, CORNER_SW, us[w], 0.0);
+                    let vk = 0.0
+                        + pick(f, CORNER_NE, vc[i], 0.0)
+                        + pick(f, CORNER_NW, vc[w], 0.0)
+                        + pick(f, CORNER_SE, vs[i], 0.0)
+                        + pick(f, CORNER_SW, vs[w], 0.0);
+                    let cnt = f64::from((f & CORNERS).count_ones());
+                    u_out[i] = if cnt > 0.0 { uk / cnt } else { uk };
+                    v_out[i] = if cnt > 0.0 { vk / cnt } else { vk };
+                },
+            );
+        }
+        let nlev = cfg.nlev;
+        for (kl, layer) in temp.iter_mut().enumerate() {
             let scale = 1.0 - 0.8 * (kl as f64 + 0.5) / nlev as f64;
             let zf = (kl as f64 + 0.5) / nlev as f64;
-            {
-                let t_old = &self.temp[kl];
-                for j in 0..ny {
-                    let yf = (j as f64 + 0.5) / ny as f64;
-                    let t_ref = reference_temperature(yf, zf);
-                    for i in 0..nx {
-                        let k = j * nx + i;
-                        if !self.grid.mask[k] {
-                            self.scratch[k] = 0.0;
-                            continue;
-                        }
-                        let (ii, jj) = (i as isize, j as isize);
-                        let dx = self.grid.metrics.dx(i, j);
-                        let dy = self.grid.metrics.dy(i, j);
-                        // Cell-centered velocity: mean of active corners.
-                        let mut uk = 0.0;
-                        let mut vk = 0.0;
-                        let mut cnt = 0.0;
-                        for (ci, cj) in [(ii, jj), (ii - 1, jj), (ii, jj - 1), (ii - 1, jj - 1)] {
-                            if let Some(ck) = self.nb(ci, cj) {
-                                if self.corner_active(ck) {
-                                    uk += self.u[ck];
-                                    vk += self.v[ck];
-                                    cnt += 1.0;
-                                }
-                            }
-                        }
-                        if cnt > 0.0 {
-                            uk = uk / cnt * scale;
-                            vk = vk / cnt * scale;
-                        }
-                        let tc = t_old[k];
-                        let at = |di: isize, dj: isize| -> f64 {
-                            match self.nb(ii + di, jj + dj) {
-                                Some(kk) if self.grid.mask[kk] => t_old[kk],
-                                _ => tc,
-                            }
-                        };
-                        let t_e = at(1, 0);
-                        let t_w = at(-1, 0);
-                        let t_n = at(0, 1);
-                        let t_s = at(0, -1);
+            for j in 0..ny {
+                let yf = (j as f64 + 0.5) / ny as f64;
+                let t_ref = reference_temperature(yf, zf);
+                let (tc_row, tn, ts) = (
+                    row(layer, nx, j),
+                    row(layer, nx, north(j)),
+                    row(layer, nx, south(j)),
+                );
+                let (dxt, dyt) = (row(&m.dxt, nx, j), row(&m.dyt, nx, j));
+                let (ub, vb) = (row(u_cell, nx, j), row(v_cell, nx, j));
+                let (fl, ocean) = (row(&nbrs.cell, nx, j), row(&grid.mask, nx, j));
+                let out = row_mut(scratch, nx, j);
+                columns(
+                    nx,
+                    #[inline(always)]
+                    |i, w, e| {
+                        let f = fl[i];
+                        let tc = tc_row[i];
+                        let t_e = pick(f, E, tc_row[e], tc);
+                        let t_w = pick(f, W, tc_row[w], tc);
+                        let t_n = pick(f, N, tn[i], tc);
+                        let t_s = pick(f, S, ts[i], tc);
+                        let (dx, dy) = (dxt[i], dyt[i]);
+                        let (uk, vk) = (ub[i] * scale, vb[i] * scale);
                         // First-order upwind keeps the field bounded.
-                        let adv = if uk >= 0.0 {
-                            uk * (tc - t_w) / dx
-                        } else {
-                            uk * (t_e - tc) / dx
-                        } + if vk >= 0.0 {
-                            vk * (tc - t_s) / dy
-                        } else {
-                            vk * (t_n - tc) / dy
-                        };
+                        let adv = uk * (if uk >= 0.0 { tc - t_w } else { t_e - tc }) / dx
+                            + vk * (if vk >= 0.0 { tc - t_s } else { t_n - tc }) / dy;
                         let lap =
                             (t_e - 2.0 * tc + t_w) / (dx * dx) + (t_n - 2.0 * tc + t_s) / (dy * dy);
-                        self.scratch[k] = tc
-                            + tau
-                                * (-adv
-                                    + self.config.kappa * lap
-                                    + self.config.restoring * (t_ref - tc));
-                    }
-                }
+                        out[i] = if ocean[i] {
+                            tc + tau * (-adv + cfg.kappa * lap + cfg.restoring * (t_ref - tc))
+                        } else {
+                            0.0
+                        };
+                    },
+                );
             }
-            std::mem::swap(&mut self.temp[kl], &mut self.scratch);
+            std::mem::swap(layer, scratch);
         }
 
-        self.steps += 1;
+        *steps += 1;
     }
 
     /// Run `n` steps.
@@ -499,9 +529,7 @@ impl MiniPop {
         self.eta.clone_from(&state.eta);
         self.temp.clone_from(&state.temp);
         self.steps = state.steps;
-        let nx = self.grid.nx;
-        let eta_ref = &self.eta;
-        self.barotropic.eta.fill_with(|i, j| eta_ref[j * nx + i]);
+        self.barotropic.eta.fill_from_global(&self.eta);
     }
 
     /// Apply a tiny multiplicative perturbation to the initial temperature —
@@ -598,6 +626,137 @@ impl MiniPop {
             .all(|x| x.is_finite() && (-5.0..45.0).contains(x));
         speed_ok && eta_ok && t_ok
     }
+}
+
+/// Neighbour flag bits: the point's east, west, north or south neighbour on
+/// its own lattice exists (inside the grid, or across a periodic seam) and
+/// is ocean (a T cell) or active (a corner).
+const E: u8 = 1;
+const W: u8 = 1 << 1;
+const N: u8 = 1 << 2;
+const S: u8 = 1 << 3;
+/// A corner's own flag: it is active (`hu > 0`).
+const ACTIVE: u8 = 1 << 4;
+/// A cell's corner flags: that corner of the cell exists and is active.
+const CORNER_NE: u8 = 1 << 4;
+const CORNER_NW: u8 = 1 << 5;
+const CORNER_SE: u8 = 1 << 6;
+const CORNER_SW: u8 = 1 << 7;
+const CORNERS: u8 = CORNER_NE | CORNER_NW | CORNER_SE | CORNER_SW;
+
+/// Which neighbours of each point the explicit passes read: one flag byte
+/// per point on each lattice, found once from the grid's mask and `hu` by
+/// [`Neighbours::new`] (which also decides the periodic seam and the grid's
+/// edges). The passes read the neighbour at `k ± 1` / `k ± nx` and the flag
+/// picks it or the fallback.
+struct Neighbours {
+    /// T lattice: `E | W | N | S` for ocean neighbour cells, and
+    /// `CORNER_NE | CORNER_NW | CORNER_SE | CORNER_SW` for the cell's
+    /// active corners (`(i, j)`, `(i − 1, j)`, `(i, j − 1)`,
+    /// `(i − 1, j − 1)` on the corner lattice).
+    cell: Vec<u8>,
+    /// Corner lattice: `ACTIVE`, and `E | W | N | S` for active neighbour
+    /// corners.
+    corner: Vec<u8>,
+}
+
+impl Neighbours {
+    /// One pass over the grid, a row at a time, on 0/1 bytes of the mask
+    /// and of `hu > 0`.
+    fn new(grid: &Grid) -> Self {
+        let (nx, ny) = (grid.nx, grid.ny);
+        let ocean: Vec<u8> = grid.mask.iter().map(|&o| u8::from(o)).collect();
+        let active: Vec<u8> = grid.hu.iter().map(|&h| u8::from(h > 0.0)).collect();
+        let mut cell = vec![0u8; nx * ny];
+        let mut corner = vec![0u8; nx * ny];
+        for j in 0..ny {
+            // 0 or 1: is there a row north / south of `j`.
+            let (has_n, has_s) = (u8::from(j + 1 < ny), u8::from(j > 0));
+            let (jn, js) = ((j + 1).min(ny - 1), j.saturating_sub(1));
+            let (oc, on, os) = (row(&ocean, nx, j), row(&ocean, nx, jn), row(&ocean, nx, js));
+            let (ac, an, as_) = (
+                row(&active, nx, j),
+                row(&active, nx, jn),
+                row(&active, nx, js),
+            );
+            let (cells, corners) = (row_mut(&mut cell, nx, j), row_mut(&mut corner, nx, j));
+            columns(
+                nx,
+                #[inline(always)]
+                |i, w, e| {
+                    let has_e = u8::from(grid.periodic_x || i + 1 < nx);
+                    let has_w = u8::from(grid.periodic_x || i > 0);
+                    let bit = |b: u8, yes: u8| b * yes;
+                    cells[i] = bit(E, has_e & oc[e])
+                        | bit(W, has_w & oc[w])
+                        | bit(N, has_n & on[i])
+                        | bit(S, has_s & os[i])
+                        | bit(CORNER_NE, ac[i])
+                        | bit(CORNER_NW, has_w & ac[w])
+                        | bit(CORNER_SE, has_s & as_[i])
+                        | bit(CORNER_SW, has_s & has_w & as_[w]);
+                    corners[i] = bit(ACTIVE, ac[i])
+                        | bit(E, has_e & ac[e])
+                        | bit(W, has_w & ac[w])
+                        | bit(N, has_n & an[i])
+                        | bit(S, has_s & as_[i]);
+                },
+            );
+        }
+        Neighbours { cell, corner }
+    }
+}
+
+/// `v` where flag `bit` is set in `f`, else `fallback`: a select, not a
+/// branch.
+#[inline(always)]
+fn pick(f: u8, bit: u8, v: f64, fallback: f64) -> f64 {
+    if f & bit != 0 {
+        v
+    } else {
+        fallback
+    }
+}
+
+/// Row `j` of a row-major field `nx` wide.
+#[inline(always)]
+fn row<T>(x: &[T], nx: usize, j: usize) -> &[T] {
+    &x[j * nx..][..nx]
+}
+
+#[inline(always)]
+fn row_mut<T>(x: &mut [T], nx: usize, j: usize) -> &mut [T] {
+    &mut x[j * nx..][..nx]
+}
+
+/// Calls `point(i, w, e)` for every column `i` of a row `nx` wide, `w` and
+/// `e` its west and east columns wrapped around the row (the flags mask the
+/// wrap where the grid is not periodic). The interior columns are one loop
+/// at unit offsets, which the compiler vectorises once `point` is inlined:
+/// callers mark the closure `#[inline(always)]`, since it is called from
+/// three places.
+#[inline(always)]
+fn columns(nx: usize, mut point: impl FnMut(usize, usize, usize)) {
+    if nx == 1 {
+        point(0, 0, 0);
+        return;
+    }
+    point(0, nx - 1, 1);
+    for i in 1..nx - 1 {
+        point(i, i - 1, i + 1);
+    }
+    point(nx - 1, nx - 2, 0);
+}
+
+/// The 4-cell gradient `(∂/∂x, ∂/∂y)` of a T-point field at corner `i` of
+/// a row, from the field's rows `c` (south of the corner) and `n` (north),
+/// `e` the wrapped east column and `dx2`, `dy2` twice the corner's spacing.
+/// Meaningful at an active corner, whose four cells are ocean.
+#[inline(always)]
+fn corner_grad(c: &[f64], n: &[f64], i: usize, e: usize, dx2: f64, dy2: f64) -> (f64, f64) {
+    let gx = (c[e] + n[e] - c[i] - n[i]) / dx2;
+    let gy = (n[i] + n[e] - c[i] - c[e]) / dy2;
+    (gx, gy)
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 #![allow(dead_code)]
 
 pub mod fuzz;
+pub mod minipop_reference;
 pub mod reference;
 
 pub use reference::solve_reference;
