@@ -1,47 +1,15 @@
-//! Run every figure/table reproduction in sequence (quick settings) and
-//! leave their CSVs under `results/`. See `EXPERIMENTS.md` for the
-//! paper-vs-measured record.
-
-use std::process::Command;
+//! Reproduce the paper's figures and Table 1 in one process:
+//! `run_all [--full] [--seed N] [figNN|table1 …]`. Names choose figures
+//! (none means all); CSVs go under `results/` (`results/full/` with
+//! `--full`). See `EXPERIMENTS.md` for the paper-vs-measured record.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let bins = [
-        "fig01_barotropic_fraction",
-        "fig02_comm_breakdown",
-        "fig03_lanczos_steps",
-        "fig04_sparsity",
-        "fig05_evp_marching",
-        "fig06_iteration_counts",
-        "fig07_lowres_scaling",
-        "table1_total_improvement",
-        "fig08_highres_yellowstone",
-        "fig09_pcsi_fraction",
-        "fig10_solver_components",
-        "fig11_highres_edison",
-        "fig12_rmse_tolerance",
-        "fig13_rmsz_ensemble",
-    ];
-    let exe_dir = std::env::current_exe()
-        .expect("current exe")
-        .parent()
-        .expect("exe dir")
-        .to_path_buf();
-    let mut failures = Vec::new();
-    for bin in bins {
-        println!("\n################ {bin} ################");
-        let status = Command::new(exe_dir.join(bin))
-            .args(&args)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {bin}: {e} (build with `cargo build -p pop-bench --release --bins` first)"));
-        if !status.success() {
-            failures.push(bin);
-        }
-    }
-    if failures.is_empty() {
-        println!("\nall experiments completed; CSVs under results/");
-    } else {
-        println!("\nFAILED: {failures:?}");
+    let opts = pop_bench::RunOptions::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("run_all: {e}");
+        std::process::exit(2);
+    });
+    if let Err(e) = pop_bench::figures::run(opts) {
+        eprintln!("run_all: {e}");
         std::process::exit(1);
     }
 }

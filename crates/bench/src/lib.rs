@@ -1,18 +1,21 @@
-//! Shared support for the per-figure experiment binaries.
+//! The experiment harness behind `run_all`: every table and figure of the
+//! paper is one entry of [`figures::FIGURES`], run over one shared
+//! [`Measurements`] memo.
 //!
-//! Every binary follows the same recipe:
+//! Every entry follows the same recipe:
 //!
-//! 1. build the relevant grid (full paper dimensions with `--full`, a
-//!    proportionally scaled grid by default so the whole suite runs in
-//!    minutes on a laptop);
+//! 1. take the relevant grid from the memo (full paper dimensions with
+//!    `--full`, a proportionally scaled grid by default so the whole suite
+//!    runs in minutes on a laptop);
 //! 2. run the *real* solvers to measure iteration counts and communication
-//!    events;
+//!    events, each configuration at most once per grid and run;
 //! 3. where the figure reports wall time at production core counts, feed
 //!    those measurements through the calibrated machine model
 //!    (`pop-perfmodel`, substitution S2);
-//! 4. print the series next to the paper's reported values and append a CSV
-//!    under `results/`.
+//! 4. return its tables, which the driver prints and writes as CSVs under
+//!    `results/` (`results/full/` with `--full`).
 
+pub mod figures;
 pub mod provenance;
 
 use pop_comm::{CommWorld, DistLayout, DistVec};
@@ -22,27 +25,33 @@ use pop_grid::Grid;
 use pop_ocean::{SolverChoice, SolverSetup};
 use pop_perfmodel::cost::{PrecondKind, SolverKind, SolverProfile};
 use pop_stencil::NinePoint;
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::cell::{OnceCell, RefCell};
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Command-line options shared by every experiment binary.
+/// `run_all`'s command line: `[--full] [--seed N] [figNN|table1 …]`.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Use the paper's full grid dimensions (3600×2400 for 0.1°).
+    /// Use the paper's full grid dimensions (3600×2400 for 0.1°) and the
+    /// saturated 12-month ensemble horizons.
     pub full: bool,
-    /// Random seed for grid generation.
+    /// Random seed for grid generation and the machine model's noise.
     pub seed: u64,
+    /// The figures to run, by name; empty means all of them.
+    pub figures: Vec<String>,
 }
 
 impl RunOptions {
-    /// Parse from `std::env::args` (`--full`, `--seed N`).
-    pub fn from_args() -> Self {
+    /// Parse the arguments after the program name. An unknown option or
+    /// figure name is an error naming what is accepted.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut opts = RunOptions {
             full: false,
             seed: 2015, // the year of the paper
+            figures: Vec::new(),
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--full" => opts.full = true,
@@ -50,13 +59,36 @@ impl RunOptions {
                     opts.seed = args
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .expect("--seed needs an integer");
+                        .ok_or("--seed needs an integer")?;
                 }
-                other => panic!("unknown option {other} (supported: --full, --seed N)"),
+                name if figures::FIGURES.iter().any(|f| f.name == name) => opts.figures.push(a),
+                other => {
+                    let known: Vec<&str> = figures::FIGURES.iter().map(|f| f.name).collect();
+                    return Err(format!(
+                        "unknown argument {other} (options: --full, --seed N; figures: {})",
+                        known.join(" ")
+                    ));
+                }
             }
         }
-        opts
+        Ok(opts)
     }
+
+    /// Where this setting's CSVs live, so neither overwrites the other's.
+    pub fn results_dir(&self) -> PathBuf {
+        if self.full {
+            PathBuf::from("results/full")
+        } else {
+            PathBuf::from("results")
+        }
+    }
+}
+
+/// The two production resolutions the figures measure on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Res {
+    Gx1,
+    Gx01,
 }
 
 /// The two production grids at either full or scaled dimensions, with
@@ -69,52 +101,50 @@ pub struct ExperimentGrid {
     /// Process-block extents used when measuring solver statistics.
     pub bx: usize,
     pub by: usize,
-    /// Solves per simulated day for the whole-POP model.
-    pub solves_per_day: usize,
 }
 
-/// The 1°-like grid. Full size is cheap, so `--full` only affects 0.1°.
-pub fn gx1(opts: &RunOptions) -> ExperimentGrid {
-    let grid = Grid::gx1(opts.seed);
-    ExperimentGrid {
-        grid,
-        label: "1deg",
-        // Stiffness-calibrated: our synthetic bathymetry/metrics make the
-        // operator somewhat harder than the real gx1 grid, so τ is chosen
-        // where the measured ChronGear+diagonal iteration count lands in the
-        // paper's regime (~180 at tol 1e-13) rather than at the nominal
-        // one-hour coupling step. See DESIGN.md S4.
-        tau: 1100.0,
-        bx: 40,
-        by: 48,
-        solves_per_day: pop_perfmodel::paper::yellowstone_1::DT_COUNT,
-    }
-}
-
-/// The 0.1°-like grid: 3600×2400 with `--full`, 900×600 otherwise.
-/// The time step scales with the grid spacing so the gravity-wave stiffness
-/// `gHτ²/dx²` (and hence the iteration count regime) matches production.
-pub fn gx01(opts: &RunOptions) -> ExperimentGrid {
-    // τ is stiffness-calibrated (measured K ≈ the paper's ~150 for
-    // ChronGear+diagonal at tol 1e-13); the 4x-coarser quick grid keeps the
-    // same gravity-wave CFL regime with 4x the τ. See DESIGN.md S4.
-    let (nx, ny, tau) = if opts.full {
-        (3600usize, 2400usize, 86.4)
-    } else {
-        (900, 600, 345.6)
-    };
-    let grid = Grid::gx01_scaled(opts.seed, nx, ny);
-    ExperimentGrid {
-        grid,
-        label: "0.1deg",
-        tau,
-        bx: (nx / 20).max(8),
-        by: (ny / 20).max(8),
-        solves_per_day: pop_perfmodel::paper::yellowstone_01::DT_COUNT,
+impl ExperimentGrid {
+    pub fn new(res: Res, opts: &RunOptions) -> Self {
+        match res {
+            // The 1°-like grid. Full size is cheap, so `--full` only affects
+            // 0.1°.
+            Res::Gx1 => ExperimentGrid {
+                grid: Grid::gx1(opts.seed),
+                label: "1deg",
+                // Stiffness-calibrated: our synthetic bathymetry/metrics make
+                // the operator somewhat harder than the real gx1 grid, so τ is
+                // chosen where the measured ChronGear+diagonal iteration count
+                // lands in the paper's regime (~180 at tol 1e-13) rather than
+                // at the nominal one-hour coupling step. See DESIGN.md S4.
+                tau: 1100.0,
+                bx: 40,
+                by: 48,
+            },
+            // The 0.1°-like grid: 3600×2400 with `--full`, 900×600 otherwise.
+            // τ is stiffness-calibrated (measured K ≈ the paper's ~150 for
+            // ChronGear+diagonal at tol 1e-13); the 4x-coarser quick grid
+            // keeps the same gravity-wave CFL regime `gHτ²/dx²` with 4x the τ.
+            // See DESIGN.md S4.
+            Res::Gx01 => {
+                let (nx, ny, tau) = if opts.full {
+                    (3600usize, 2400usize, 86.4)
+                } else {
+                    (900, 600, 345.6)
+                };
+                ExperimentGrid {
+                    grid: Grid::gx01_scaled(opts.seed, nx, ny),
+                    label: "0.1deg",
+                    tau,
+                    bx: (nx / 20).max(8),
+                    by: (ny / 20).max(8),
+                }
+            }
+        }
     }
 }
 
 /// Measured behaviour of one solver configuration on a real grid.
+#[derive(Debug, Clone)]
 pub struct MeasuredConfig {
     pub choice: SolverChoice,
     pub stats: SolveStats,
@@ -178,7 +208,8 @@ impl Workload {
     /// spin-up solve (discarded), then a warm-started solve against a
     /// shifted right-hand side — each production time step starts from the
     /// previous surface height, which is what the paper's average iteration
-    /// counts reflect.
+    /// counts reflect. Deterministic: a serial world, and the comm counters
+    /// are reset before the warm solve.
     pub fn measure(&self, choice: SolverChoice, cfg: &SolverConfig) -> MeasuredConfig {
         let setup = SolverSetup::new(choice, &self.op, &self.world);
         let mut x = DistVec::zeros(&self.layout);
@@ -217,65 +248,130 @@ impl Workload {
             lanczos_steps: setup.lanczos_steps,
         }
     }
+}
 
-    /// Measure all four paper configurations.
-    pub fn measure_paper_set(&self, cfg: &SolverConfig) -> Vec<MeasuredConfig> {
-        SolverChoice::PAPER_SET
+/// One run's shared state: each resolution's [`Workload`] is built on first
+/// use, and each (resolution, configuration) is measured at most once —
+/// [`Workload::measure`] is deterministic, so a shared result is the value
+/// every figure would compute on its own.
+pub struct Measurements {
+    pub opts: RunOptions,
+    /// The solver config every measurement uses.
+    pub cfg: SolverConfig,
+    grid_of: fn(Res, &RunOptions) -> ExperimentGrid,
+    workloads: [OnceCell<(ExperimentGrid, Workload)>; 2],
+    measured: RefCell<Vec<(Res, MeasuredConfig)>>,
+}
+
+impl Measurements {
+    /// The production grids of [`ExperimentGrid::new`].
+    pub fn new(opts: RunOptions) -> Self {
+        Self::with_grids(opts, ExperimentGrid::new)
+    }
+
+    /// Measure on the grids `grid_of` builds instead.
+    pub fn with_grids(opts: RunOptions, grid_of: fn(Res, &RunOptions) -> ExperimentGrid) -> Self {
+        Measurements {
+            opts,
+            // Production tolerance, POP's check-every-10 cadence.
+            cfg: SolverConfig {
+                tol: 1e-13,
+                max_iters: 100_000,
+                check_every: 10,
+                ..SolverConfig::default()
+            },
+            grid_of,
+            workloads: Default::default(),
+            measured: RefCell::default(),
+        }
+    }
+
+    /// The grid and system at `res`, built on first use.
+    pub fn workload(&self, res: Res) -> (&ExperimentGrid, &Workload) {
+        let (eg, wl) = self.workloads[res as usize].get_or_init(|| {
+            let eg = (self.grid_of)(res, &self.opts);
+            let wl = Workload::new(&eg);
+            (eg, wl)
+        });
+        (eg, wl)
+    }
+
+    /// `choice` measured at `res`, the first request running the solves.
+    pub fn measure(&self, res: Res, choice: SolverChoice) -> MeasuredConfig {
+        let known = self
+            .measured
+            .borrow()
             .iter()
-            .map(|&c| self.measure(c, cfg))
-            .collect()
+            .find_map(|(r, m)| (*r == res && m.choice == choice).then(|| m.clone()));
+        known.unwrap_or_else(|| {
+            let m = self.workload(res).1.measure(choice, &self.cfg);
+            self.measured.borrow_mut().push((res, m.clone()));
+            m
+        })
+    }
+
+    /// The paper's four configurations at `res`, in `PAPER_SET` order.
+    pub fn paper_set(&self, res: Res) -> [MeasuredConfig; 4] {
+        SolverChoice::PAPER_SET.map(|c| self.measure(res, c))
     }
 }
 
-/// The solver config the experiments use (production tolerance, POP's
-/// check-every-10 cadence).
-pub fn production_solver_config() -> SolverConfig {
-    SolverConfig {
-        tol: 1e-13,
-        max_iters: 100_000,
-        check_every: 10,
-        ..SolverConfig::default()
-    }
+/// One table of a figure: printed, then written as one CSV.
+pub struct Table {
+    pub title: String,
+    pub headers: Vec<String>,
+    pub rows: Vec<Vec<String>>,
 }
 
-/// Render an aligned text table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
+impl Table {
+    pub fn new<H: ToString>(
+        title: &str,
+        headers: impl IntoIterator<Item = H>,
+        rows: Vec<Vec<String>>,
+    ) -> Self {
+        Table {
+            title: title.to_string(),
+            headers: headers.into_iter().map(|h| h.to_string()).collect(),
+            rows,
         }
     }
-    let line = |cells: Vec<String>| {
-        let mut s = String::new();
-        for (w, c) in widths.iter().zip(cells) {
-            s.push_str(&format!("{c:>w$}  ", w = w));
+
+    /// Render as an aligned text table.
+    pub fn print(&self) {
+        println!("\n== {} ==", self.title);
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
+            }
         }
-        println!("{}", s.trim_end());
-    };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for row in rows {
-        line(row.clone());
+        let line = |cells: &[String]| {
+            let mut s = String::new();
+            for (w, c) in widths.iter().zip(cells) {
+                s.push_str(&format!("{c:>w$}  ", w = w));
+            }
+            println!("{}", s.trim_end());
+        };
+        line(&self.headers);
+        line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
+        for row in &self.rows {
+            line(row);
+        }
     }
 }
 
-/// Append a CSV file under `results/`.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let dir = PathBuf::from("results");
-    if std::fs::create_dir_all(&dir).is_err() {
-        return; // results directory is best-effort
-    }
+/// Write `table` as `dir/name.csv`, creating `dir` if needed.
+pub fn write_csv(dir: &Path, name: &str, table: &Table) -> io::Result<()> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.csv"));
-    let Ok(mut f) = std::fs::File::create(&path) else {
-        return;
-    };
-    let _ = writeln!(f, "{}", headers.join(","));
-    for row in rows {
-        let _ = writeln!(f, "{}", row.join(","));
+    let mut f = io::BufWriter::new(std::fs::File::create(&path)?);
+    writeln!(f, "{}", table.headers.join(","))?;
+    for row in &table.rows {
+        writeln!(f, "{}", row.join(","))?;
     }
+    f.flush()?;
     println!("[wrote {}]", path.display());
+    Ok(())
 }
 
 /// Two-significant-digit formatting helper for time columns.
@@ -286,5 +382,64 @@ pub fn fmt_s(v: f64) -> String {
         format!("{v:.2}")
     } else {
         format!("{v:.3}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_csv_that_cannot_be_written_is_an_error() {
+        let file = std::env::temp_dir().join(format!("pop_bench_not_a_dir_{}", std::process::id()));
+        std::fs::write(&file, "").unwrap();
+        let table = Table::new("t", ["a"], vec![vec!["1".to_string()]]);
+        let result = write_csv(&file.join("results"), "t", &table);
+        std::fs::remove_file(&file).unwrap();
+        assert!(result.is_err());
+    }
+
+    /// Two small basins stand in for the production grids.
+    fn small(res: Res, _: &RunOptions) -> ExperimentGrid {
+        let n = match res {
+            Res::Gx1 => 24,
+            Res::Gx01 => 32,
+        };
+        ExperimentGrid {
+            grid: Grid::idealized_basin(n, n, 1000.0, 5.0e4),
+            label: "small",
+            tau: 1800.0,
+            bx: 8,
+            by: 8,
+        }
+    }
+
+    #[test]
+    fn each_configuration_is_measured_once_and_as_a_fresh_measurement() {
+        let m = Measurements::with_grids(RunOptions::parse([]).unwrap(), small);
+        let first = m.measure(Res::Gx1, SolverChoice::PcsiEvp);
+        let again = m.measure(Res::Gx1, SolverChoice::PcsiEvp);
+        let set = m.paper_set(Res::Gx01);
+        assert_eq!(
+            m.measured.borrow().len(),
+            5,
+            "one measurement per distinct (grid, choice)"
+        );
+
+        let fresh_gx1 = Workload::new(&small(Res::Gx1, &m.opts));
+        let fresh_gx01 = Workload::new(&small(Res::Gx01, &m.opts));
+        let pairs = [(&fresh_gx1, &first), (&fresh_gx1, &again)]
+            .into_iter()
+            .chain(set.iter().map(|s| (&fresh_gx01, s)));
+        for (wl, got) in pairs {
+            let want = wl.measure(got.choice, &m.cfg);
+            assert_eq!(got.stats.iterations, want.stats.iterations);
+            assert_eq!(got.stats.comm, want.stats.comm);
+            assert_eq!(got.lanczos_steps, want.lanczos_steps);
+        }
+        assert_eq!(
+            set.iter().map(|s| s.choice).collect::<Vec<_>>(),
+            SolverChoice::PAPER_SET
+        );
     }
 }

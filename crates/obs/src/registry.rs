@@ -4,8 +4,9 @@
 //! path is atomics-only: once a (name, labels) slot has been claimed, every
 //! subsequent `counter_add` / `gauge_set` / `observe` on that series is a
 //! handful of relaxed atomic operations with no locking and no allocation.
-//! Slot *creation* uses a CAS claim with a short spin for racing creators;
-//! that cost is paid once per series for the lifetime of the registry.
+//! Slot *creation* goes through the slot's `OnceLock`: racing creators of a
+//! slot block until the winner's series is set, a cost paid once per series
+//! for the lifetime of the registry.
 //!
 //! Keys are `&'static str` by design: the metric catalogue is fixed at
 //! compile time (DESIGN.md §11), which removes string hashing ambiguity,
@@ -13,7 +14,8 @@
 //! be `'static` — in practice they are solver/preconditioner/outcome names,
 //! which already live in the binary.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Maximum labels per series. Three covers the widest series in the
 /// catalogue (`solver`, `precond`, `outcome`).
@@ -22,11 +24,6 @@ pub const MAX_LABELS: usize = 3;
 /// Fixed slot count. The catalogue defines a few dozen series; 512 keeps
 /// the table far below the load factors where open addressing degrades.
 const CAPACITY: usize = 512;
-
-/// Slot lifecycle for the CAS claim protocol.
-const EMPTY: u8 = 0;
-const CLAIMING: u8 = 1;
-const READY: u8 = 2;
 
 /// A metric series identity: static metric name plus up to [`MAX_LABELS`]
 /// static label pairs. Labels are compared in the order given, so callers
@@ -116,26 +113,9 @@ fn f64_add(a: &AtomicU64, v: f64) {
     }
 }
 
-struct Slot {
-    state: AtomicU8,
-    key: std::cell::UnsafeCell<Option<Key>>,
-    metric: std::cell::UnsafeCell<Option<Metric>>,
-}
-
-// Safety: `key`/`metric` are written exactly once, by the thread that wins
-// the EMPTY→CLAIMING CAS, before it publishes READY with a release store;
-// readers only touch them after observing READY with an acquire load.
-unsafe impl Sync for Slot {}
-
-impl Slot {
-    const fn new() -> Slot {
-        Slot {
-            state: AtomicU8::new(EMPTY),
-            key: std::cell::UnsafeCell::new(None),
-            metric: std::cell::UnsafeCell::new(None),
-        }
-    }
-}
+/// A slot is set once, to the series that first claims it, and never
+/// changes again.
+type Slot = OnceLock<(Key, Metric)>;
 
 /// One exported sample, produced by [`Registry::snapshot`].
 #[derive(Debug, Clone, PartialEq)]
@@ -187,41 +167,11 @@ impl Registry {
         let start = (key.hash() as usize) % CAPACITY;
         for probe in 0..CAPACITY {
             let slot = &self.slots[(start + probe) % CAPACITY];
-            loop {
-                match slot.state.load(Ordering::Acquire) {
-                    READY => {
-                        // Safety: READY published with release ordering.
-                        let k = unsafe { &*slot.key.get() };
-                        if k.as_ref() == Some(&key) {
-                            let m = unsafe { (*slot.metric.get()).as_ref() };
-                            return m.expect("READY slot has a metric");
-                        }
-                        break; // occupied by another key: next probe
-                    }
-                    CLAIMING => std::hint::spin_loop(),
-                    _ => {
-                        match slot.state.compare_exchange(
-                            EMPTY,
-                            CLAIMING,
-                            Ordering::Acquire,
-                            Ordering::Acquire,
-                        ) {
-                            Ok(_) => {
-                                // Safety: we own the slot until READY.
-                                unsafe {
-                                    *slot.key.get() = Some(key);
-                                    *slot.metric.get() =
-                                        Some(make.take().expect("claim wins once")());
-                                }
-                                slot.state.store(READY, Ordering::Release);
-                                let m = unsafe { (*slot.metric.get()).as_ref() };
-                                return m.expect("just created");
-                            }
-                            Err(_) => continue, // lost the race: re-read state
-                        }
-                    }
-                }
+            let (k, m) = slot.get_or_init(|| (key, make.take().expect("a claim wins once")()));
+            if *k == key {
+                return m;
             }
+            // Occupied by another key: next probe.
         }
         panic!(
             "metrics registry full ({CAPACITY} series) registering {}",
@@ -313,13 +263,7 @@ impl Registry {
     /// registry is only snapshotted at quiesce points in this codebase).
     pub fn snapshot(&self) -> Vec<MetricSample> {
         let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            if slot.state.load(Ordering::Acquire) != READY {
-                continue;
-            }
-            // Safety: READY published with release ordering.
-            let key = unsafe { (*slot.key.get()).as_ref() }.expect("READY slot has a key");
-            let metric = unsafe { (*slot.metric.get()).as_ref() }.expect("READY slot has a metric");
+        for (key, metric) in self.slots.iter().filter_map(OnceLock::get) {
             let value = match metric {
                 Metric::Counter(c) => SampleValue::Counter(c.load(Ordering::Relaxed)),
                 Metric::FloatCounter(c) => {
@@ -452,6 +396,61 @@ mod tests {
         match time.value {
             SampleValue::FloatCounter(v) => assert!((v - 80.0).abs() < 1e-6),
             _ => panic!("wrong type"),
+        }
+    }
+
+    /// A leaked, distinct static metric name per index.
+    fn name(i: usize) -> &'static str {
+        Box::leak(format!("series_{i}").into_boxed_str())
+    }
+
+    #[test]
+    fn colliding_keys_get_their_own_series_under_racing_threads() {
+        let start = |n: &'static str| (Key::new(n, &[]).hash() as usize) % CAPACITY;
+        let first = name(0);
+        let second = (1..)
+            .map(name)
+            .find(|&n| start(n) == start(first))
+            .expect("two names share a start slot");
+        let r = Arc::new(Registry::new());
+        let start_line = Arc::new(std::sync::Barrier::new(8));
+        let threads: Vec<_> = (0..8)
+            .map(|t| {
+                let r = Arc::clone(&r);
+                let start_line = Arc::clone(&start_line);
+                // Half the threads claim in each order.
+                let (a, b) = if t % 2 == 0 {
+                    (first, second)
+                } else {
+                    (second, first)
+                };
+                std::thread::spawn(move || {
+                    // All eight race for the shared start slot at once.
+                    start_line.wait();
+                    for _ in 0..1_000 {
+                        r.counter_add(a, &[], 1);
+                        r.counter_add(b, &[], 2);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let snap = r.snapshot();
+        assert_eq!(snap.len(), 2);
+        for s in &snap {
+            assert!(s.name == first || s.name == second);
+            assert_eq!(s.value, SampleValue::Counter(8 * 1_000 * 3 / 2));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "registry full")]
+    fn the_series_past_capacity_panics() {
+        let r = Registry::new();
+        for i in 0..=CAPACITY {
+            r.counter_add(name(i), &[], 1);
         }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! This is the fast demonstration; the full-fidelity campaign (40 members,
 //! saturated horizons) is `cargo run -p pop-bench --release --bin
-//! fig13_rmsz_ensemble -- --full`.
+//! run_all -- --full fig13`.
 //!
 //! Run with: `cargo run --release --example ensemble_verification`
 
