@@ -363,9 +363,7 @@ impl<'a> Exchange<'a> {
                     continue;
                 };
                 let n = p.ring.w * pt;
-                self.for_rows(p, |from, to| {
-                    std::ptr::copy_nonoverlapping(src.add(from), dst.add(to), n);
-                });
+                self.for_rows(p, |from, to| copy_row(src.add(from), dst.add(to), n));
             }
         }
     }
@@ -410,6 +408,28 @@ impl<'a> Exchange<'a> {
             // writer, and `row` is the caller's buffer, not a tile.
             unsafe { std::ptr::copy_nonoverlapping(row.as_ptr(), dst.add(to), n) };
         });
+    }
+}
+
+/// Rows up to this many floats [`copy_row`] moves inline.
+const SHORT_ROW: usize = 8;
+
+/// Copy one row of `n` floats. A runtime-length `copy_nonoverlapping` is a
+/// `memcpy` call, and most rows of an exchange are short — an east or west
+/// pull moves one point per row — so rows of at most [`SHORT_ROW`] floats
+/// are copied by an inline loop instead.
+///
+/// # Safety
+/// As `copy_nonoverlapping`: `src .. src + n` readable, `dst .. dst + n`
+/// writable, the two disjoint.
+#[inline(always)]
+unsafe fn copy_row(src: *const f64, dst: *mut f64, n: usize) {
+    if n <= SHORT_ROW {
+        for k in 0..n {
+            dst.add(k).write(src.add(k).read());
+        }
+    } else {
+        std::ptr::copy_nonoverlapping(src, dst, n);
     }
 }
 

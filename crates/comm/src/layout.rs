@@ -19,14 +19,11 @@ pub struct DistLayout {
     /// plus a stencil preconditioner between boundary updates) is available
     /// through [`DistLayout::new`], and changes no result.
     pub halo: usize,
-    /// Per active block: interior ocean mask (1 = ocean), row-major
-    /// `nx × ny` of the block.
+    /// Per active block: interior ocean mask, row-major `nx × ny` of the
+    /// block — built 1 = ocean, 0 = land; every reader takes any nonzero
+    /// byte for ocean. The nine-point sweeps expand it to AND-mask words in
+    /// registers (`pop_simd::LaneF64::load_mask`).
     pub masks: Vec<Vec<u8>>,
-    /// Per active block: the same mask expanded to `f64` AND-mask words
-    /// (ocean ↦ all-ones, land ↦ `+0.0`), row-major `nx × ny`. Precomputed
-    /// here so the branch-free SIMD kernels never expand masks in the hot
-    /// loop.
-    pub maskbits: Vec<Vec<f64>>,
     /// Per active block: number of ocean points (cached from the mask).
     pub ocean_per_block: Vec<usize>,
     /// The halo exchange of this decomposition at this halo width, as flat
@@ -55,17 +52,15 @@ impl DistLayout {
                     m.push(u8::from(grid.mask[j * grid.nx + i]));
                 }
             }
-            ocean.push(m.iter().map(|&v| v as usize).sum());
+            ocean.push(m.iter().filter(|&&v| v != 0).count());
             masks.push(m);
         }
-        let maskbits = masks.iter().map(|m| pop_simd::mask_bits(m)).collect();
         let halo_plan = HaloPlan::build(&decomp, halo);
         let groups = SweepGroups::new(&decomp.blocks);
         Arc::new(DistLayout {
             decomp,
             halo,
             masks,
-            maskbits,
             ocean_per_block: ocean,
             halo_plan,
             groups,

@@ -399,16 +399,22 @@ mod tests {
         }
     }
 
-    /// A leaked, distinct static metric name per index.
+    /// How many distinct names [`name`] holds.
+    const NAMES: usize = 4 * CAPACITY;
+
+    /// A distinct metric name per index below [`NAMES`], `'static` as the
+    /// registry wants: the table lives in a static for the whole test
+    /// binary, so nothing is leaked.
     fn name(i: usize) -> &'static str {
-        Box::leak(format!("series_{i}").into_boxed_str())
+        static TABLE: OnceLock<Vec<String>> = OnceLock::new();
+        &TABLE.get_or_init(|| (0..NAMES).map(|i| format!("series_{i}")).collect())[i]
     }
 
     #[test]
     fn colliding_keys_get_their_own_series_under_racing_threads() {
         let start = |n: &'static str| (Key::new(n, &[]).hash() as usize) % CAPACITY;
         let first = name(0);
-        let second = (1..)
+        let second = (1..NAMES)
             .map(name)
             .find(|&n| start(n) == start(first))
             .expect("two names share a start slot");

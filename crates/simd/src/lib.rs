@@ -223,6 +223,14 @@ pub trait LaneF64: Copy {
     /// mask: `and_bits(v, ALL_ONES) == v` (bit-exact), `and_bits(v, 0.0)
     /// == +0.0`.
     fn and_bits(self, o: Self) -> Self;
+    /// The mask words of the four bytes at `p`: a nonzero byte gives
+    /// [`MASK_OCEAN`], a zero one [`MASK_LAND`] — lane for lane the word
+    /// [`mask_word`] gives, built in a register so that a branch-free land
+    /// mask streams one byte per point instead of eight.
+    ///
+    /// # Safety
+    /// `p .. p+LANES` must be readable.
+    unsafe fn load_mask(p: *const u8) -> Self;
     /// Lanewise fused multiply-add `self * a + b` with a **single**
     /// rounding, the lane image of scalar `f64::mul_add`. This is the one
     /// deliberate exception to the "no fusion" rule: kernels may call it
@@ -304,6 +312,12 @@ impl LaneF64 for Portable4 {
             f64::from_bits(a[2].to_bits() & b[2].to_bits()),
             f64::from_bits(a[3].to_bits() & b[3].to_bits()),
         ])
+    }
+
+    #[inline(always)]
+    unsafe fn load_mask(p: *const u8) -> Self {
+        // SAFETY: the caller guarantees `p .. p+4` readable.
+        Portable4(std::array::from_fn(|k| mask_word(p.add(k).read())))
     }
 
     #[inline(always)]
@@ -389,6 +403,24 @@ impl LaneF64 for Avx2 {
     fn and_bits(self, o: Self) -> Self {
         // SAFETY: AVX2 CPU (see the type's docs).
         unsafe { Avx2(std::arch::x86_64::_mm256_and_pd(self.0, o.0)) }
+    }
+
+    #[inline(always)]
+    unsafe fn load_mask(p: *const u8) -> Self {
+        use std::arch::x86_64::{
+            _mm256_castsi256_pd, _mm256_cmpgt_epi64, _mm256_cvtepu8_epi64, _mm256_setzero_si256,
+            _mm_cvtsi32_si128,
+        };
+        // SAFETY: the caller guarantees `p .. p+4` readable (read
+        // unaligned); AVX2 CPU for the rest (see the type's docs). The
+        // bytes widen to 64-bit lanes (`vpmovzxbq`), where "greater than
+        // zero" is "nonzero" and the compare writes all-ones or zero.
+        let bytes = _mm_cvtsi32_si128(p.cast::<i32>().read_unaligned());
+        let wide = _mm256_cvtepu8_epi64(bytes);
+        Avx2(_mm256_castsi256_pd(_mm256_cmpgt_epi64(
+            wide,
+            _mm256_setzero_si256(),
+        )))
     }
 
     #[inline(always)]
@@ -478,12 +510,22 @@ pub const MASK_OCEAN: f64 = f64::from_bits(u64::MAX);
 /// The land mask word: `and_bits(v, MASK_LAND)` is `+0.0`.
 pub const MASK_LAND: f64 = 0.0;
 
-/// Expand a `u8` land/ocean mask into `f64` mask words for branch-free
-/// lane kernels: nonzero ↦ all-ones, zero ↦ `+0.0`.
+/// The mask word of one land/ocean byte: nonzero ↦ [`MASK_OCEAN`], zero ↦
+/// [`MASK_LAND`]. The nine-point sweeps build these in registers
+/// ([`LaneF64::load_mask`]) from the layout's bytes.
+#[inline(always)]
+pub fn mask_word(m: u8) -> f64 {
+    if m != 0 {
+        MASK_OCEAN
+    } else {
+        MASK_LAND
+    }
+}
+
+/// Expand a `u8` land/ocean mask into stored `f64` mask words — what a
+/// band-LU tile keeps per point for its branch-free substitutions.
 pub fn mask_bits(mask: &[u8]) -> Vec<f64> {
-    mask.iter()
-        .map(|&m| if m != 0 { MASK_OCEAN } else { MASK_LAND })
-        .collect()
+    mask.iter().map(|&m| mask_word(m)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -603,6 +645,64 @@ mod tests {
         assert_eq!(sel(bits[1]).to_bits(), probe.to_bits());
         assert_eq!(sel(bits[2]).to_bits(), probe.to_bits());
         assert_eq!(sel(bits[3]).to_bits(), 0.0f64.to_bits());
+    }
+
+    /// `load_mask` gives exactly the stored word of `mask_bits` for every
+    /// byte value in every lane, on both lane types, and ANDing with it
+    /// keeps an ocean value's bits (NaN payloads and `-0.0` included) and
+    /// gives `+0.0` on land.
+    #[test]
+    fn load_mask_expands_every_byte_to_its_mask_word() {
+        fn check<V: LaneF64>() {
+            let bytes: Vec<u8> = (0..=255).collect();
+            let words = mask_bits(&bytes);
+            let probes = [
+                f64::from_bits(0x7ff8_0000_dead_beef),
+                f64::from_bits(0xfff0_0000_0000_0001),
+                -0.0,
+                -3.25,
+            ];
+            for b in 0..=255u8 {
+                // The byte in each lane in turn, its neighbours other bytes.
+                for lane in 0..LANES {
+                    let mut four: [u8; LANES] = std::array::from_fn(|k| b.wrapping_add(k as u8));
+                    four.swap(0, lane);
+                    // SAFETY: the caller checked the CPU for `V`; every load
+                    // and store is of a whole local array.
+                    let (got, masked) = unsafe {
+                        let m = V::load_mask(four.as_ptr());
+                        let mut got = [0.0f64; LANES];
+                        m.store(got.as_mut_ptr());
+                        let mut masked = [0.0f64; LANES];
+                        V::load(probes.as_ptr())
+                            .and_bits(m)
+                            .store(masked.as_mut_ptr());
+                        (got, masked)
+                    };
+                    for k in 0..LANES {
+                        let word = words[four[k] as usize];
+                        assert_eq!(
+                            got[k].to_bits(),
+                            word.to_bits(),
+                            "byte {} lane {k}",
+                            four[k]
+                        );
+                        let want = if four[k] != 0 { probes[k] } else { 0.0 };
+                        assert_eq!(
+                            masked[k].to_bits(),
+                            want.to_bits(),
+                            "byte {} lane {k}",
+                            four[k]
+                        );
+                    }
+                }
+            }
+        }
+        check::<Portable4>();
+        #[cfg(target_arch = "x86_64")]
+        if detected_avx2() {
+            check::<Avx2>();
+        }
     }
 
     #[test]

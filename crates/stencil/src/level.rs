@@ -51,8 +51,6 @@ pub struct MgLevel {
     ane: BlockVec,
     /// Interior ocean mask, row-major `nx × ny` (1 = active unknown).
     mask: Vec<u8>,
-    /// `f64` AND-mask words for the lane kernels, image of `mask`.
-    maskbits: Vec<f64>,
     /// `1 / a0` on active cells, `0.0` on land, row-major.
     inv_diag: Vec<f64>,
     active: usize,
@@ -204,7 +202,7 @@ impl MgLevel {
     /// zeros.
     pub fn apply_into(&self, mode: SimdMode, x: &BlockVec, y: &mut BlockVec) {
         let blk = self.stencil_block(x, &[("y", y)]);
-        simd::apply(mode, &blk, y.raw_mut(), &self.maskbits);
+        simd::apply(mode, &blk, y.raw_mut(), &self.mask);
     }
 
     /// `r = rhs − A_level x` over the active interior, via the pinned
@@ -214,14 +212,7 @@ impl MgLevel {
     /// and `r` must share the level's padded layout.
     pub fn residual_into(&self, mode: SimdMode, x: &BlockVec, rhs: &BlockVec, r: &mut BlockVec) {
         let blk = self.stencil_block(x, &[("rhs", rhs), ("r", r)]);
-        simd::residual::<false>(
-            mode,
-            &blk,
-            rhs.raw(),
-            r.raw_mut(),
-            &self.mask,
-            &self.maskbits,
-        );
+        simd::residual::<false>(mode, &blk, rhs.raw(), r.raw_mut(), &self.mask, &self.mask);
     }
 
     /// The level's operand views for the flat kernels, after checking that
@@ -336,7 +327,6 @@ impl MgLevel {
             ae: BlockVec::zeros(nx, ny, 1),
             ane: BlockVec::zeros(nx, ny, 1),
             mask: vec![0; nx * ny],
-            maskbits: vec![0.0; nx * ny],
             inv_diag: vec![0.0; nx * ny],
             active: 0,
         }
@@ -376,7 +366,6 @@ impl MgLevel {
                 }
             }
         }
-        self.maskbits = pop_simd::mask_bits(&self.mask);
         self.active = self.mask.iter().filter(|&&m| m != 0).count();
     }
 }

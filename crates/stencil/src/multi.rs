@@ -5,7 +5,7 @@
 //! sides*: the four lanes of a [`MultiBlockVec`] group carry four
 //! independent RHS vectors, each operator coefficient is loaded **once**
 //! per point and splatted across lanes, and one sweep advances all of
-//! them. That amortization — coefficients, mask words, halo traffic, and
+//! them. That amortization — coefficients, mask bytes, halo traffic, and
 //! loop overhead shared by `k` solves — is the batched engine's speedup.
 //!
 //! # Bitwise determinism
@@ -177,7 +177,7 @@ impl<const NORM: bool> MultiEpilogue for Residual<'_, NORM> {
 struct MultiSweep<'a, E> {
     blk: StencilBlock<'a>,
     groups: usize,
-    maskbits: &'a [f64],
+    mask: &'a [u8],
     out: &'a mut [f64],
     epi: E,
 }
@@ -192,7 +192,7 @@ impl<E: MultiEpilogue> MultiSweep<'_, E> {
         let MultiSweep {
             blk: c,
             groups,
-            maskbits,
+            mask,
             out,
             mut epi,
         } = self;
@@ -203,10 +203,10 @@ impl<E: MultiEpilogue> MultiSweep<'_, E> {
         for j in 0..c.ny {
             let p0 = (j + c.h) * c.s + c.h;
             let b0 = ((j + c.h) * c.s + c.h) * LANES;
-            let mrow = &maskbits[j * c.nx..(j + 1) * c.nx];
+            let mrow = &mask[j * c.nx..(j + 1) * c.nx];
             for (i, &mi) in mrow.iter().enumerate() {
                 let k = splat_nine::<V>(&c, p0 + i);
-                let m = V::splat(mi);
+                let m = V::splat(pop_simd::mask_word(mi));
                 for (g, a) in acc.iter_mut().enumerate() {
                     // SAFETY: `xb` is the lane base of interior point
                     // `(i, j)` of group `g < G = groups` in the checked
@@ -257,7 +257,7 @@ impl NinePoint {
         for (name, v) in others {
             shape.check_multi(name, v);
         }
-        shape.check_interior_len("maskbits", self.layout.maskbits[b].len());
+        shape.check_interior_len("layout mask", self.layout.masks[b].len());
         StencilBlock::new(shape, x.raw(), self.coeff_tiles(b, shape))
     }
 
@@ -280,7 +280,7 @@ impl NinePoint {
         let job = MultiSweep {
             blk: self.multi_block(b, x, &[("y", y)]),
             groups: x.groups(),
-            maskbits: &self.layout.maskbits[b],
+            mask: &self.layout.masks[b],
             out: y.raw_mut(),
             epi: Store,
         };
@@ -345,7 +345,7 @@ impl NinePoint {
         let job = MultiSweep {
             blk: self.multi_block(b, x, &[("rhs", rhs), ("r", r)]),
             groups: x.groups(),
-            maskbits: &self.layout.maskbits[b],
+            mask: &self.layout.masks[b],
             out: r.raw_mut(),
             epi: Residual::<NORM> {
                 rhs: rhs.raw(),

@@ -213,7 +213,7 @@ impl NinePoint {
         mask: &[u8],
     ) {
         let blk = self.stencil_block(b, x, &[("y", y)], mask);
-        simd::apply(mode, &blk, y.raw_mut(), &self.layout.maskbits[b]);
+        simd::apply(mode, &blk, y.raw_mut(), &self.layout.masks[b]);
     }
 
     /// [`NinePoint::apply_block_into`] with two masked dot-product partials
@@ -251,7 +251,7 @@ impl NinePoint {
             y.raw_mut(),
             r.raw(),
             mask,
-            &self.layout.maskbits[b],
+            &self.layout.masks[b],
         )
     }
 
@@ -318,7 +318,7 @@ impl NinePoint {
             rhs.raw(),
             r.raw_mut(),
             mask,
-            &self.layout.maskbits[b],
+            &self.layout.masks[b],
         )
     }
 
@@ -337,7 +337,6 @@ impl NinePoint {
             shape.check(name, v);
         }
         shape.check_interior_len("mask", mask.len());
-        shape.check_interior_len("maskbits", self.layout.maskbits[b].len());
         StencilBlock::new(shape, x.raw(), self.coeff_tiles(b, shape))
     }
 
@@ -638,7 +637,9 @@ pub(crate) mod tests {
     /// then blocks narrower than a lane group (`nx ∈ {1, 2, 3}`: the tail
     /// loop is the whole row) and `nx ∈ {5, 7}` (one group, then a tail) —
     /// with land among the tail columns, so the tail's masked select and
-    /// the folds' skip both run.
+    /// the folds' skip both run. Each shape comes twice: as built, and with
+    /// its layout's ocean bytes relabelled 2 and 255 in turn, which every
+    /// mask reader must take for ocean exactly as it takes 1.
     pub(crate) fn odd_block_cases() -> Vec<(String, Arc<DistLayout>, CommWorld, NinePoint)> {
         let mut cases = Vec::new();
         let wide = Grid::gx1_scaled(13, 65, 49);
@@ -664,7 +665,25 @@ pub(crate) mod tests {
                 tail_columns(true) && tail_columns(false),
                 "{bx}x{by}: the tail columns need both land and ocean"
             );
+            let mut relabelled = DistLayout::build(g, bx, by);
+            let ocean = Arc::get_mut(&mut relabelled)
+                .expect("a fresh layout")
+                .masks
+                .iter_mut()
+                .flatten()
+                .filter(|m| **m != 0);
+            for (k, m) in ocean.enumerate() {
+                *m = [2, 255][k % 2];
+            }
+            let relabelled_op = NinePoint::assemble(g, &relabelled, &world, 1500.0);
             cases.push((format!("{bx}x{by}"), layout, world, op));
+            let world = CommWorld::serial();
+            cases.push((
+                format!("{bx}x{by} bytes 2/255"),
+                relabelled,
+                world,
+                relabelled_op,
+            ));
         }
         cases
     }

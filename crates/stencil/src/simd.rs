@@ -8,8 +8,9 @@
 //! fixed order, no FMA, no horizontal ops — and the columns past the last
 //! whole lane group run the same sequence in the scalar tail loop
 //! ([`Rows::nine_scalar`]), the only scalar nine-point code there is. Land
-//! masking is a lanewise bitwise AND with precomputed `f64` mask words
-//! (`DistLayout::maskbits`), equivalent bit-for-bit to the reference's
+//! masking is a lanewise bitwise AND with `f64` mask words built in
+//! registers from the block's `u8` land/ocean bytes
+//! (`LaneF64::load_mask`), equivalent bit-for-bit to the reference's
 //! `if ocean { v } else { 0.0 }` select. What happens to a point's masked
 //! `A·x` is the sweep's [`Epilogue`]: [`Store`] it, [`StoreDots`], or
 //! subtract it from a right-hand side ([`Residual`]). `pop_simd::dispatch`
@@ -18,9 +19,10 @@
 //! The residual's masked `‖r‖²` partial and the two dot-product partials of
 //! the apply-with-dots variant are order-sensitive running sums; they stay
 //! scalar row-major chains — folded in right behind each lane group's
-//! store — so no reduction ever depends on dispatch. Whether the residual
-//! folds its norm at all is a compile-time choice (`Residual<NORM>`): a
-//! sweep whose norm nobody reads runs the same body without the fold.
+//! store, each term one lane of a vector product — so no reduction ever
+//! depends on dispatch. Whether the residual folds its norm at all is a
+//! compile-time choice (`Residual<NORM>`): a sweep whose norm nobody reads
+//! runs the same body without the fold.
 
 use pop_comm::tile::extent;
 use pop_comm::{BlockVec, MultiBlockVec};
@@ -113,7 +115,7 @@ impl TileShape {
         );
     }
 
-    /// Panic unless a per-point interior array (`mask`, `maskbits`) covers
+    /// Panic unless a per-point interior array (a mask) covers
     /// the interior exactly.
     pub(crate) fn check_interior_len(self, name: &str, len: usize) {
         assert!(len == self.nx * self.ny, "`{name}` length mismatch");
@@ -244,10 +246,43 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// Branch-free masked select, the scalar image of `LaneF64::and_bits`.
+/// Branch-free masked select, the scalar image of `LaneF64::and_bits` with
+/// the word `LaneF64::load_mask` builds from the byte `m`.
 #[inline(always)]
-fn and_select(v: f64, maskword: f64) -> f64 {
-    f64::from_bits(v.to_bits() & maskword.to_bits())
+fn and_select(v: f64, m: u8) -> f64 {
+    f64::from_bits(v.to_bits() & pop_simd::mask_word(m).to_bits())
+}
+
+/// The fold mask at one lane group or point: the sweep's `folds` bytes
+/// (nonzero = ocean) and the interior index `p`.
+#[derive(Clone, Copy)]
+struct FoldAt<'a> {
+    folds: &'a [u8],
+    p: usize,
+}
+
+impl FoldAt<'_> {
+    /// The four terms from `p` with land's zeroed.
+    ///
+    /// # Safety
+    /// `p + LANES ≤ folds.len()`, and [`LaneJob::run`]'s contract for `V`.
+    #[inline(always)]
+    unsafe fn lanes<V: LaneF64>(self, t: V) -> V {
+        debug_assert!(self.p + LANES <= self.folds.len());
+        // SAFETY: by this function's contract.
+        t.and_bits(V::load_mask(self.folds.as_ptr().add(self.p)))
+    }
+
+    /// Is point `p` ocean?
+    ///
+    /// # Safety
+    /// `p < folds.len()`.
+    #[inline(always)]
+    unsafe fn ocean(self) -> bool {
+        debug_assert!(self.p < self.folds.len());
+        // SAFETY: by this function's contract.
+        *self.folds.get_unchecked(self.p) != 0
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -256,7 +291,7 @@ fn and_select(v: f64, maskword: f64) -> f64 {
 
 /// What a [`Sweep`] stores at each interior point, given the point's masked
 /// `A·x` (`+0.0` on land), and what it sums on the way. `at` is the point's
-/// offset in the padded tile storage, `p` its row-major interior index.
+/// offset in the padded tile storage.
 trait Epilogue {
     /// The four values to store from `at`.
     ///
@@ -275,16 +310,41 @@ trait Epilogue {
         ax
     }
 
-    /// The order-sensitive running sums: called for every point in
-    /// row-major order, right behind the store into `out` that covers it
-    /// (while the lane group is hot); `x()` is the operand's value there.
+    /// The order-sensitive running sums over the lane group just stored
+    /// from `at`, while it is hot: `out` is what was stored, `x` the
+    /// operand there. Each point's term is one lane of a vector product
+    /// (the scalar product's bits) with land's zeroed by `fold`, and only
+    /// the adds stay on the scalar chain, in row-major order. Adding
+    /// land's `+0.0` is adding nothing: a sum that starts at `+0.0` is
+    /// never `-0.0` (round-to-nearest gives `a + (-a) = +0.0`), and
+    /// `s + (+0.0)` is `s` bit for bit for every other `s`, NaN included.
     ///
     /// # Safety
-    /// `at` and `p` must be an interior point's storage offset and
-    /// row-major index in the shape `out` and the epilogue's tiles and mask
-    /// were checked against.
+    /// As [`Epilogue::lanes`], and `fold` must hold the interior index of
+    /// the group's first point in that same row.
     #[inline(always)]
-    unsafe fn fold(&mut self, _out: &[f64], _at: usize, _p: usize, _x: impl FnOnce() -> f64) {}
+    unsafe fn fold_lanes<V: LaneF64>(&mut self, _at: usize, _fold: FoldAt, _out: V, _x: V) {}
+
+    /// [`Epilogue::fold_lanes`] for one column of the ragged tail.
+    ///
+    /// # Safety
+    /// `at` and `fold` must hold an interior point's storage offset and
+    /// row-major index in the shape the epilogue's tiles and mask were
+    /// checked against.
+    #[inline(always)]
+    unsafe fn fold(&mut self, _at: usize, _fold: FoldAt, _out: f64, _x: f64) {}
+}
+
+/// The four lanes of `v`, for the scalar chains.
+///
+/// # Safety
+/// [`LaneJob::run`]'s contract for `V`.
+#[inline(always)]
+unsafe fn spill<V: LaneF64>(v: V) -> [f64; LANES] {
+    let mut a = [0.0; LANES];
+    // SAFETY: `a` is `LANES` long.
+    v.store(a.as_mut_ptr());
+    a
 }
 
 /// `y = A x`: the masked `A·x` itself, nothing summed.
@@ -298,23 +358,31 @@ impl Epilogue for Store {}
 /// lane group's stencil loads instead of costing two passes of their own.
 struct StoreDots<'a> {
     r: &'a [f64],
-    mask: &'a [u8],
     acc: [f64; 2],
 }
 
 impl Epilogue for StoreDots<'_> {
     #[inline(always)]
-    unsafe fn fold(&mut self, y: &[f64], at: usize, p: usize, x: impl FnOnce() -> f64) {
-        debug_assert!(p < self.mask.len() && at < self.r.len() && at < y.len());
-        // SAFETY: in bounds by this function's contract — `r` and `y` had
-        // their shape checked and `mask` its interior length where the
-        // sweep was built. Unchecked because these three reads sit in the
-        // sweep's innermost loop: checked, each is a compare and a branch
-        // per point that the per-row slices this replaced did not pay.
-        if *self.mask.get_unchecked(p) != 0 {
-            let x = x();
+    unsafe fn fold_lanes<V: LaneF64>(&mut self, at: usize, fold: FoldAt, y: V, x: V) {
+        debug_assert!(at + LANES <= self.r.len());
+        // SAFETY: in bounds by this function's contract — `r` had its
+        // shape checked where the sweep was built. Unchecked because these
+        // reads sit in the sweep's innermost loop.
+        let rx = spill(fold.lanes(V::load(self.r.as_ptr().add(at)).mul(x)));
+        let yx = spill(fold.lanes(y.mul(x)));
+        for k in 0..LANES {
+            self.acc[0] += rx[k];
+            self.acc[1] += yx[k];
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn fold(&mut self, at: usize, fold: FoldAt, y: f64, x: f64) {
+        debug_assert!(at < self.r.len());
+        // SAFETY: as in `fold_lanes`.
+        if fold.ocean() {
             self.acc[0] += *self.r.get_unchecked(at) * x;
-            self.acc[1] += *y.get_unchecked(at) * x;
+            self.acc[1] += y * x;
         }
     }
 }
@@ -325,7 +393,6 @@ impl Epilogue for StoreDots<'_> {
 /// branch.
 struct Residual<'a, const NORM: bool> {
     rhs: &'a [f64],
-    mask: &'a [u8],
     acc: f64,
 }
 
@@ -343,12 +410,20 @@ impl<const NORM: bool> Epilogue for Residual<'_, NORM> {
     }
 
     #[inline(always)]
-    unsafe fn fold(&mut self, r: &[f64], at: usize, p: usize, _x: impl FnOnce() -> f64) {
-        debug_assert!(p < self.mask.len() && at < r.len());
-        // SAFETY: as in `StoreDots::fold`.
-        if NORM && *self.mask.get_unchecked(p) != 0 {
-            let rv = *r.get_unchecked(at);
-            self.acc += rv * rv;
+    unsafe fn fold_lanes<V: LaneF64>(&mut self, _at: usize, fold: FoldAt, r: V, _x: V) {
+        if NORM {
+            // SAFETY: by this function's contract.
+            for t in spill(fold.lanes(r.mul(r))) {
+                self.acc += t;
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn fold(&mut self, _at: usize, fold: FoldAt, r: f64, _x: f64) {
+        // SAFETY: by this function's contract.
+        if NORM && fold.ocean() {
+            self.acc += r * r;
         }
     }
 }
@@ -356,10 +431,14 @@ impl<const NORM: bool> Epilogue for Residual<'_, NORM> {
 /// The nine-point row sweep over one block into the tile `out`; hands its
 /// epilogue back. Built only by [`apply`], [`apply_dots`] and [`residual`],
 /// from a [`StencilBlock`], an output and epilogue tiles that were all
-/// checked against one [`TileShape`].
+/// checked against one [`TileShape`], and two interior masks of that
+/// shape as bytes (nonzero = ocean): `words`, which the stored `A·x` is
+/// ANDed with, and `folds`, over whose ocean points the epilogue sums.
+/// The mask bytes become AND-mask words in registers.
 struct Sweep<'a, E> {
     blk: &'a StencilBlock<'a>,
-    maskbits: &'a [f64],
+    words: &'a [u8],
+    folds: &'a [u8],
     out: &'a mut [f64],
     epi: E,
 }
@@ -371,99 +450,102 @@ impl<E: Epilogue> LaneJob for Sweep<'_, E> {
     unsafe fn run<V: LaneF64>(self) -> E {
         let Sweep {
             blk,
-            maskbits,
+            words,
+            folds,
             out,
             mut epi,
         } = self;
         let nx = blk.nx;
+        debug_assert!(words.len() == nx * blk.ny && folds.len() == nx * blk.ny);
         for j in 0..blk.ny {
             let (base, rows) = Rows::slice(blk, j);
-            let mrow = &maskbits[j * nx..(j + 1) * nx];
             let mut i = 0;
             while i + LANES <= nx {
+                let p = j * nx + i;
                 debug_assert!(base + i + LANES <= out.len());
                 // SAFETY: `i + LANES ≤ nx` keeps the loads inside the row
-                // windows and `base + i .. + LANES` inside interior row `j` of
-                // `out`, which has the block's shape.
+                // windows and the masks' row `j`, and `base + i .. + LANES`
+                // inside interior row `j` of `out`, which has the block's
+                // shape.
                 unsafe {
                     let ax = rows.nine_lanes::<V>(i);
-                    let m = V::load(mrow.as_ptr().add(i));
-                    let v = epi.lanes(base + i, ax.and_bits(m));
+                    let ax = ax.and_bits(V::load_mask(words.as_ptr().add(p)));
+                    let v = epi.lanes(base + i, ax);
                     v.store(out.as_mut_ptr().add(base + i));
-                }
-                for k in i..i + LANES {
-                    // SAFETY: `k < nx`: interior point `(k, j)`.
-                    unsafe { epi.fold(out, base + k, j * nx + k, || rows.xc[k + 1]) };
+                    let x = V::load(rows.xc.as_ptr().add(i + 1));
+                    epi.fold_lanes(base + i, FoldAt { folds, p }, v, x);
                 }
                 i += LANES;
             }
-            for (k, &m) in mrow.iter().enumerate().skip(i) {
-                out[base + k] = epi.point(base + k, and_select(rows.nine_scalar(k), m));
+            for k in i..nx {
+                let p = j * nx + k;
+                let v = epi.point(base + k, and_select(rows.nine_scalar(k), words[p]));
+                out[base + k] = v;
                 // SAFETY: `k < nx`: interior point `(k, j)`.
-                unsafe { epi.fold(out, base + k, j * nx + k, || rows.xc[k + 1]) };
+                unsafe { epi.fold(base + k, FoldAt { folds, p }, v, rows.xc[k + 1]) };
             }
         }
         epi
     }
 }
 
-/// `y = A x` over the block's interior.
-pub(crate) fn apply(mode: SimdMode, blk: &StencilBlock, yr: &mut [f64], maskbits: &[f64]) {
-    let (out, epi) = (yr, Store);
+/// Run `epi` over the block with stores masked by `words` and sums by
+/// `folds`, after checking that each mask covers the block's interior (the
+/// sweep reads them unchecked).
+fn sweep<E: Epilogue>(
+    mode: SimdMode,
+    blk: &StencilBlock,
+    out: &mut [f64],
+    words: &[u8],
+    folds: &[u8],
+    epi: E,
+) -> E {
+    let n = blk.nx * blk.ny;
+    assert!(words.len() == n && folds.len() == n, "mask length mismatch");
     pop_simd::dispatch(
         mode,
         Sweep {
             blk,
-            maskbits,
+            words,
+            folds,
             out,
             epi,
         },
-    );
+    )
 }
 
-/// [`apply`] plus the masked `[Σ r·x, Σ y·x]` partials.
+/// `y = A x` over the block's interior, masked by `words`.
+pub(crate) fn apply(mode: SimdMode, blk: &StencilBlock, yr: &mut [f64], words: &[u8]) {
+    sweep(mode, blk, yr, words, words, Store);
+}
+
+/// [`apply`] plus the `[Σ r·x, Σ y·x]` partials over `folds`' ocean points.
 pub(crate) fn apply_dots(
     mode: SimdMode,
     blk: &StencilBlock,
     yr: &mut [f64],
     rr: &[f64],
-    mask: &[u8],
-    maskbits: &[f64],
+    folds: &[u8],
+    words: &[u8],
 ) -> [f64; 2] {
-    let (out, acc) = (yr, [0.0; 2]);
-    let epi = StoreDots { r: rr, mask, acc };
-    pop_simd::dispatch(
-        mode,
-        Sweep {
-            blk,
-            maskbits,
-            out,
-            epi,
-        },
-    )
-    .acc
+    let epi = StoreDots {
+        r: rr,
+        acc: [0.0; 2],
+    };
+    sweep(mode, blk, yr, words, folds, epi).acc
 }
 
-/// `r = rhs − A x` over the block's interior, plus the masked `‖r‖²`
-/// partial when `NORM` (`0.0` otherwise).
+/// `r = rhs − A x` over the block's interior, `A x` masked by `words`, plus
+/// the `‖r‖²` partial over `folds`' ocean points when `NORM` (`0.0`
+/// otherwise).
 pub(crate) fn residual<const NORM: bool>(
     mode: SimdMode,
     blk: &StencilBlock,
     rhs: &[f64],
     rr: &mut [f64],
-    mask: &[u8],
-    maskbits: &[f64],
+    folds: &[u8],
+    words: &[u8],
 ) -> f64 {
-    let (out, acc) = (rr, 0.0);
-    let epi = Residual::<NORM> { rhs, mask, acc };
-    pop_simd::dispatch(
-        mode,
-        Sweep {
-            blk,
-            maskbits,
-            out,
-            epi,
-        },
-    )
-    .acc
+    let epi = Residual::<NORM> { rhs, acc: 0.0 };
+    sweep(mode, blk, rr, words, folds, epi).acc
 }
