@@ -354,7 +354,7 @@ impl<'a> Exchange<'a> {
                     for row in 0..r.h {
                         let at = r.off + row * bp.stride;
                         debug_assert!(at + r.w <= bp.image);
-                        dst.add((g * bp.image + at) * pt).write_bytes(0, r.w * pt);
+                        zero_row(dst.add((g * bp.image + at) * pt), r.w * pt);
                     }
                 }
             }
@@ -411,7 +411,7 @@ impl<'a> Exchange<'a> {
     }
 }
 
-/// Rows up to this many floats [`copy_row`] moves inline.
+/// Rows up to this many floats [`copy_row`] and [`zero_row`] write inline.
 const SHORT_ROW: usize = 8;
 
 /// Copy one row of `n` floats. A runtime-length `copy_nonoverlapping` is a
@@ -430,6 +430,30 @@ unsafe fn copy_row(src: *const f64, dst: *mut f64, n: usize) {
         }
     } else {
         std::ptr::copy_nonoverlapping(src, dst, n);
+    }
+}
+
+/// Zero one row of `n` floats. As in [`copy_row`], a runtime-length
+/// `write_bytes` is a `memset` call and an east or west fill is one point
+/// per row, so rows of at most [`SHORT_ROW`] floats are zeroed inline: by
+/// two fixed-width stores, one from each end, that overlap when `n` is not
+/// their sum (a store loop would be compiled back into the `memset` call).
+/// `+0.0` is all-zero bits, so either way the row ends the same.
+///
+/// # Safety
+/// As `write_bytes`: `dst .. dst + n` writable.
+#[inline(always)]
+unsafe fn zero_row(dst: *mut f64, n: usize) {
+    unsafe fn ends<const W: usize>(dst: *mut f64, n: usize) {
+        dst.cast::<[f64; W]>().write([0.0; W]);
+        dst.add(n - W).cast::<[f64; W]>().write([0.0; W]);
+    }
+    match n {
+        0 => {}
+        1 => dst.write(0.0),
+        2..=3 => ends::<2>(dst, n),
+        4..=SHORT_ROW => ends::<4>(dst, n),
+        _ => dst.write_bytes(0, n),
     }
 }
 

@@ -26,24 +26,23 @@
 //!
 //! **Correctness contract.** Every served result is bit-identical to a
 //! standalone solve of the same request — regardless of batching width,
-//! cache state, arrival order, **worker count**, or injected ranksim
-//! faults (benign plans). Three properties compose to give this: the
-//! batched engine pins each request to a lane bitwise-equal to its
-//! single-RHS trajectory (PR 6),
+//! cache state, arrival order or **worker count**. Two properties compose
+//! to give this: the batched engine pins each request to a lane
+//! bitwise-equal to its single-RHS trajectory, and
 //! [`pop_core::setup::OperatorState::build`] is deterministic so a cache
 //! hit (or a single-flighted concurrent build) returns the same bits a
-//! cold build would, and the solvers are bitwise identical across
-//! serial/threaded/ranksim backends. Workers never share solve state —
-//! each has its own workspace and communicator world.
-//! `tests/serve_cache_equivalence.rs` and `tests/serve_chaos.rs` enforce
-//! it end to end across `workers ∈ {1, 2, 4}`.
+//! cold build would. Workers never share solve state — each has its own
+//! workspace and serial communicator world.
+//! `tests/serve_cache_equivalence.rs` enforces it end to end across
+//! `workers ∈ {1, 2, 4}`.
 //!
 //! **Degradation contract.** Overload shows up as structured [`Reject`]s
 //! (queue full, tenant quota, infeasible or expired deadline), never as
-//! silent queue growth; ranksim faults show up as latency and solver
-//! restarts, never as wrong results. SLO metrics (queue depth, latency
-//! histograms with p50/p90/p99 via `pop_obs::quantile`, cache hit/shed
-//! counters) export through the standard `pop-obs` registry.
+//! silent queue growth; a solve that does not converge still resolves its
+//! ticket, with a structured outcome and a finite answer. SLO metrics
+//! (queue depth, latency histograms with p50/p90/p99 via
+//! `pop_obs::quantile`, cache hit/shed counters) export through the
+//! standard `pop-obs` registry.
 //!
 //! See DESIGN.md §13 for the full architecture discussion.
 
@@ -55,6 +54,4 @@ pub mod service;
 pub use cache::{CacheKey, CacheStats, SharedOperatorCache};
 pub use request::{Priority, Reject, SolveRequest, SolveResponse, SolverSpec, Ticket};
 pub use sched::{fair_order, LaneState, QueueItem, INTERACTIVE_STREAK_LIMIT};
-pub use service::{
-    Backend, ServiceConfig, SolverService, LATENCY_BUCKETS, MAX_WORKERS, WIDTH_BUCKETS,
-};
+pub use service::{ServiceConfig, SolverService, LATENCY_BUCKETS, MAX_WORKERS, WIDTH_BUCKETS};

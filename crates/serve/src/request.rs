@@ -17,10 +17,7 @@ pub use pop_core::setup::SolverSpec;
 /// `Interactive` lane dispatches first, while a starvation bound
 /// guarantees `Batch` work still progresses — and, symmetrically, that an
 /// interactive request never waits behind more than one batch group (see
-/// `sched::LaneState`). Each class can carry its own default deadline
-/// ([`crate::ServiceConfig::interactive_deadline`] /
-/// [`crate::ServiceConfig::batch_deadline`]), applied at admission when a
-/// request doesn't set one explicitly.
+/// `sched::LaneState`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Priority {
     /// Latency-sensitive traffic: dispatched ahead of `Batch` work.
@@ -62,8 +59,8 @@ pub struct SolveRequest {
     pub tol: f64,
     /// Relative deadline from submission. Expired requests are shed at
     /// dispatch time with a structured reject; a request already solving
-    /// when its deadline passes is completed, not interrupted. When unset,
-    /// the service applies the per-class default for `priority`.
+    /// when its deadline passes is completed, not interrupted. Unset means
+    /// no deadline.
     pub deadline: Option<Duration>,
     /// SLO class: which dispatch lane the request rides
     /// ([`Priority::Interactive`] by default).
@@ -114,8 +111,7 @@ pub struct SolveResponse {
     pub stats: SolveStats,
     /// Whether the operator's setup state came from the cache.
     pub cache_hit: bool,
-    /// How many requests shared the batched solve this one rode in
-    /// (1 on the ranksim backend — batching is the shared-memory fast path).
+    /// How many requests shared the batched solve this one rode in.
     pub batch_width: usize,
     /// Time from submission to dispatch.
     pub queue_wait: Duration,

@@ -29,12 +29,10 @@ use crate::request::{Priority, Reject, SolveRequest, SolveResponse, SolverSpec, 
 use crate::sched::{self, LaneState, QueueItem};
 use pop_comm::{CommWorld, DistVec};
 use pop_core::lanczos::LanczosConfig;
-use pop_core::setup::OperatorState;
 use pop_core::solvers::{
     batch_key, BatchKey, BatchPlanner, BatchWorkspace, SolveStats, SolverConfig, MAX_BATCH,
 };
 use pop_obs::ObsSink;
-use pop_ranksim::{solve_on_ranks, FaultPlan, RankSimConfig, RankWorld, ZeroCost};
 use pop_stencil::NinePoint;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,24 +55,6 @@ pub static WIDTH_BUCKETS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
 /// marginal thread only adds queue-lock contention.
 pub const MAX_WORKERS: usize = 8;
 
-/// Where solves execute.
-#[derive(Debug, Clone)]
-pub enum Backend {
-    /// Shared-memory serial sweeps (deterministic, single-threaded per
-    /// worker — the worker pool itself provides the parallelism).
-    Serial,
-    /// Shared-memory threaded sweeps (the global worker pool).
-    Threaded,
-    /// A fresh ranksim world per solve: `ranks` simulated MPI ranks with a
-    /// seeded [`FaultPlan`]. The chaos backend — faults may stretch
-    /// latency and trigger solver restarts, but results stay correct
-    /// (benign plans are bitwise conformant; hostile plans degrade to
-    /// structured non-converged outcomes, never panics or NaN).
-    /// Requests run one at a time here: multi-RHS coalescing is the
-    /// shared-memory fast path.
-    RankSim { ranks: usize, faults: FaultPlan },
-}
-
 /// Service tuning knobs. `Default` is sized for tests and smoke loads.
 #[derive(Clone)]
 pub struct ServiceConfig {
@@ -90,11 +70,6 @@ pub struct ServiceConfig {
     /// else the host's available parallelism, clamped to
     /// `1..=`[`MAX_WORKERS`].
     pub workers: usize,
-    /// Default deadline applied at admission to `Interactive` requests
-    /// that don't set one explicitly. `None` (default) = no deadline.
-    pub interactive_deadline: Option<Duration>,
-    /// Default deadline for `Batch` requests without an explicit one.
-    pub batch_deadline: Option<Duration>,
     /// Operator-state LRU entries; 0 disables caching.
     pub cache_capacity: usize,
     /// Lanczos configuration for P-CSI setup state. Service-wide so equal
@@ -103,7 +78,6 @@ pub struct ServiceConfig {
     /// Base solver configuration; `tol` is overridden per request and the
     /// service's [`ObsSink`] is attached.
     pub base: SolverConfig,
-    pub backend: Backend,
     /// Metrics sink; [`ObsSink::disabled`] costs nothing.
     pub obs: ObsSink,
     /// Start with the dispatch paused: submissions are admitted and
@@ -119,12 +93,9 @@ impl Default for ServiceConfig {
             tenant_quota: 32,
             max_batch: MAX_BATCH,
             workers: 0,
-            interactive_deadline: None,
-            batch_deadline: None,
             cache_capacity: 8,
             lanczos: LanczosConfig::SETUP,
             base: SolverConfig::default(),
-            backend: Backend::Serial,
             obs: ObsSink::disabled(),
             start_paused: false,
         }
@@ -148,13 +119,6 @@ impl ServiceConfig {
             .unwrap_or(1)
             .clamp(1, MAX_WORKERS)
     }
-
-    fn class_deadline(&self, priority: Priority) -> Option<Duration> {
-        match priority {
-            Priority::Interactive => self.interactive_deadline,
-            Priority::Batch => self.batch_deadline,
-        }
-    }
 }
 
 struct Pending {
@@ -162,8 +126,6 @@ struct Pending {
     /// The request's coalescing key, computed at admission.
     key: ServeKey,
     submitted: Instant,
-    /// Effective deadline: the request's own, or its class default.
-    deadline: Option<Duration>,
     tx: mpsc::Sender<Result<SolveResponse, Reject>>,
 }
 
@@ -373,8 +335,7 @@ impl SolverService {
                 quota: shared.cfg.tenant_quota,
             }));
         }
-        let deadline = req.deadline.or(shared.cfg.class_deadline(req.priority));
-        if let Some(deadline) = deadline {
+        if let Some(deadline) = req.deadline {
             let ema = shared.ema();
             if ema > 0.0 {
                 // Wait estimate for the request at the back of the queue:
@@ -399,7 +360,6 @@ impl SolverService {
             req,
             key,
             submitted: Instant::now(),
-            deadline,
             tx,
         });
         shared.gauge_depth(&st);
@@ -609,27 +569,20 @@ impl KeyMemo {
 struct Worker {
     shared: Arc<Shared>,
     planner: BatchPlanner,
-    world: Option<CommWorld>,
+    /// Serial sweeps for cache builds and solves alike: the worker pool
+    /// itself is the service's parallelism.
+    world: CommWorld,
     bws: BatchWorkspace<CommWorld>,
-    /// Serial world for cache builds when the backend is ranksim (bounds
-    /// and preconditioners are backend-independent by construction).
-    setup_world: CommWorld,
 }
 
 impl Worker {
     fn new(shared: Arc<Shared>) -> Worker {
-        let world = match shared.cfg.backend {
-            Backend::Serial => Some(CommWorld::serial()),
-            Backend::Threaded => Some(CommWorld::threaded()),
-            Backend::RankSim { .. } => None,
-        };
         let planner = BatchPlanner::new(shared.cfg.max_batch.clamp(1, MAX_BATCH));
         Worker {
             shared,
             planner,
-            world,
+            world: CommWorld::serial(),
             bws: BatchWorkspace::new(),
-            setup_world: CommWorld::serial(),
         }
     }
 
@@ -680,7 +633,7 @@ impl Worker {
         let mut shed: Vec<Pending> = Vec::new();
         let mut i = 0;
         while i < st.queue.len() {
-            let expired = match st.queue[i].deadline {
+            let expired = match st.queue[i].req.deadline {
                 Some(d) => now.duration_since(st.queue[i].submitted) > d,
                 None => false,
             };
@@ -734,7 +687,7 @@ impl Worker {
         for p in shed {
             self.shared.count_shed("deadline_expired");
             let waited = now.duration_since(p.submitted);
-            let deadline = p.deadline.expect("only deadlined requests expire");
+            let deadline = p.req.deadline.expect("only deadlined requests expire");
             let _ = p.tx.send(Err(Reject::DeadlineExpired { waited, deadline }));
         }
         group
@@ -755,7 +708,7 @@ impl Worker {
             precond,
             spec.needs_bounds(),
             &self.shared.cfg.lanczos,
-            &self.setup_world,
+            &self.world,
         );
         let setup_secs = setup_start.elapsed().as_secs_f64();
         self.shared.record_cache(cache_hit, setup_secs);
@@ -765,37 +718,27 @@ impl Worker {
         cfg.obs = self.shared.cfg.obs.clone();
 
         let solve_start = Instant::now();
-        let (xs, stats) = match &self.shared.cfg.backend {
-            Backend::RankSim { ranks, faults } => {
-                solve_group_ranksim(&group, &op, &state, spec, &cfg, *ranks, *faults)
-            }
-            _ => {
-                let world = self.world.as_ref().expect("shared-memory backend");
-                let mut xs: Vec<DistVec> = group
-                    .iter()
-                    .map(|p| {
-                        p.req
-                            .x0
-                            .clone()
-                            .unwrap_or_else(|| DistVec::zeros(&op.layout))
-                    })
-                    .collect();
-                let bs: Vec<&DistVec> = group.iter().map(|p| &p.req.b).collect();
-                let stats = {
-                    let mut xrefs: Vec<&mut DistVec> = xs.iter_mut().collect();
-                    let pre = state.precond.as_ref();
-                    state.solver(spec).solve_batch(
-                        &op,
-                        pre,
-                        world,
-                        &bs,
-                        &mut xrefs,
-                        &cfg,
-                        &mut self.bws,
-                    )
-                };
-                (xs, stats)
-            }
+        let mut xs: Vec<DistVec> = group
+            .iter()
+            .map(|p| {
+                p.req
+                    .x0
+                    .clone()
+                    .unwrap_or_else(|| DistVec::zeros(&op.layout))
+            })
+            .collect();
+        let bs: Vec<&DistVec> = group.iter().map(|p| &p.req.b).collect();
+        let stats = {
+            let mut xrefs: Vec<&mut DistVec> = xs.iter_mut().collect();
+            state.solver(spec).solve_batch(
+                &op,
+                state.precond.as_ref(),
+                &self.world,
+                &bs,
+                &mut xrefs,
+                &cfg,
+                &mut self.bws,
+            )
         };
         let solve_secs = solve_start.elapsed().as_secs_f64();
         ewma_update(&self.shared.ema_service_secs, solve_secs / k as f64);
@@ -823,40 +766,6 @@ impl Worker {
         let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
         release_tenant(&mut st.tenant_load, tenant);
     }
-}
-
-/// The ranksim (chaos) path: one simulated-MPI world per request, faults
-/// injected per the plan. No multi-RHS coalescing here — the rank runtime
-/// solves one system at a time; the group still shares cached setup state.
-fn solve_group_ranksim(
-    group: &[Pending],
-    op: &NinePoint,
-    state: &OperatorState,
-    spec: SolverSpec,
-    cfg: &SolverConfig,
-    ranks: usize,
-    faults: FaultPlan,
-) -> (Vec<DistVec>, Vec<SolveStats>) {
-    let kind = state.solver(spec);
-    let mut xs = Vec::with_capacity(group.len());
-    let mut stats = Vec::with_capacity(group.len());
-    for p in group {
-        let world = RankWorld::new(
-            &op.layout,
-            ranks,
-            Arc::new(ZeroCost),
-            RankSimConfig::default().with_faults(faults),
-        );
-        let x0 = p
-            .req
-            .x0
-            .clone()
-            .unwrap_or_else(|| DistVec::zeros(&op.layout));
-        let out = solve_on_ranks(&world, op, state.precond.as_ref(), kind, &p.req.b, &x0, cfg);
-        stats.push(out.stats().clone());
-        xs.push(out.x);
-    }
-    (xs, stats)
 }
 
 #[cfg(test)]
