@@ -1,7 +1,8 @@
-//! Reproduce the paper's figures and Table 1 in one process:
-//! `run_all [--full] [--seed N] [figNN|table1 …]`. Names choose figures
-//! (none means all); CSVs go under `results/` (`results/full/` with
-//! `--full`). See `EXPERIMENTS.md` for the paper-vs-measured record.
+//! Reproduce the paper's figures, Table 1 and the simulated-rank sweep in
+//! one process: `run_all [--full] [--seed N] [figNN|table1|ranksim …]`.
+//! Names choose figures (none means all); CSVs go under `results/`
+//! (`results/full/` with `--full`). See `EXPERIMENTS.md` for the
+//! paper-vs-measured record.
 
 fn main() {
     let opts = pop_bench::RunOptions::parse(std::env::args().skip(1)).unwrap_or_else(|e| {

@@ -1,5 +1,6 @@
-//! The paper's figures and Table 1, one [`Figure`] entry each, and the
-//! driver that runs a selection of them over one [`Measurements`] memo.
+//! The paper's figures and Table 1, and the simulated-rank sweep
+//! (`ranksim`), one [`Figure`] entry each, and the driver that runs a
+//! selection of them over one [`Measurements`] memo.
 
 use crate::{fmt_s, write_csv, MeasuredConfig, Measurements, Res, RunOptions, Table};
 use pop_comm::{CommWorld, DistLayout, DistVec};
@@ -15,6 +16,8 @@ use pop_stencil::{LocalStencil, NinePoint};
 use pop_verif::consistency::{evaluate, DEFAULT_ALLOWED_FAILURES, DEFAULT_MARGIN};
 use pop_verif::{rmse, EnsembleConfig, Verdict, VerificationLab};
 use std::io;
+
+mod ranksim;
 
 /// One table or figure of the paper.
 pub struct Figure {
@@ -36,7 +39,7 @@ impl Figure {
 }
 
 /// Every reproduction, in the order `run_all` runs them.
-pub static FIGURES: [Figure; 14] = [
+pub static FIGURES: [Figure; 15] = [
     Figure::new("fig01", &["fig01_barotropic_fraction"], fig01),
     Figure::new("fig02", &["fig02_comm_breakdown"], fig02),
     Figure::new("fig03", &["fig03_lanczos_steps"], fig03),
@@ -58,6 +61,7 @@ pub static FIGURES: [Figure; 14] = [
     Figure::new("fig11", &["fig11_highres_edison_time"], fig11),
     Figure::new("fig12", &["fig12_rmse_tolerance"], fig12),
     Figure::new("fig13", &["fig13_rmsz_ensemble"], fig13),
+    Figure::new("ranksim", &["ranksim_scaling"], ranksim::ranksim),
 ];
 
 /// Run the figures `opts` selects (all when it names none), printing each

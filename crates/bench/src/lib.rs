@@ -1,6 +1,6 @@
 //! The experiment harness behind `run_all`: every table and figure of the
-//! paper is one entry of [`figures::FIGURES`], run over one shared
-//! [`Measurements`] memo.
+//! paper, and the simulated-rank sweep, is one entry of
+//! [`figures::FIGURES`], run over one shared [`Measurements`] memo.
 //!
 //! Every entry follows the same recipe:
 //!
@@ -16,7 +16,6 @@
 //!    `results/` (`results/full/` with `--full`).
 
 pub mod figures;
-pub mod provenance;
 
 use pop_comm::{CommWorld, DistLayout, DistVec};
 use pop_core::setup::PrecondSpec;
@@ -30,7 +29,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// `run_all`'s command line: `[--full] [--seed N] [figNN|table1 …]`.
+/// `run_all`'s command line: `[--full] [--seed N] [figNN|table1|ranksim …]`.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Use the paper's full grid dimensions (3600×2400 for 0.1°) and the
@@ -397,6 +396,22 @@ mod tests {
         let result = write_csv(&file.join("results"), "t", &table);
         std::fs::remove_file(&file).unwrap();
         assert!(result.is_err());
+    }
+
+    /// A typo must not silently run the default (all figures, or the full
+    /// settings of one): `--qiuck` is an error, and so is the old sweep's
+    /// `--quick`, since quick is what runs without `--full`.
+    #[test]
+    fn a_misspelt_argument_is_an_error_and_ranksim_is_a_figure() {
+        let parse = |args: &[&str]| RunOptions::parse(args.iter().map(|s| s.to_string()));
+        for bad in ["--qiuck", "--quick", "--smoke", "ransim"] {
+            let err = parse(&[bad]).unwrap_err();
+            assert!(err.contains(bad) && err.contains("ranksim"), "got: {err}");
+        }
+        let quick = parse(&["ranksim"]).unwrap();
+        assert!(!quick.full);
+        assert_eq!(quick.figures, ["ranksim"]);
+        assert!(parse(&["--full", "ranksim"]).unwrap().full);
     }
 
     /// Two small basins stand in for the production grids.

@@ -193,28 +193,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// One-line description for benchmark provenance.
-    pub fn describe(&self) -> Option<String> {
-        if !self.enabled {
-            return None;
-        }
-        let c = &self.cfg;
-        Some(format!(
-            "seed={} delay={}/{} dup={} reorder={} drop={}x{} corrupt={} fail={} stall={}/{}",
-            self.seed,
-            c.delay_prob,
-            c.delay_max,
-            c.dup_prob,
-            c.reorder_prob,
-            c.drop_prob,
-            c.max_retries,
-            c.corrupt_prob,
-            c.fail_prob,
-            c.stall_prob,
-            c.stall_max,
-        ))
-    }
-
     /// A fresh RNG stream keyed by this plan's seed and a message/operation
     /// identity. Pure: the same key always yields the same stream.
     fn stream(&self, kind: u64, a: u64, b: u64, c: u64) -> SmallRng {
@@ -372,7 +350,6 @@ mod tests {
         }
         assert_eq!(p.stall(3, 17), 0.0);
         assert!(p.reorder(2, 5).is_none());
-        assert!(p.describe().is_none());
     }
 
     #[test]
