@@ -16,23 +16,38 @@
 //!                                     (operator, solver, precond, tol)
 //!                                     via BatchPlanner, release the lock
 //!                                                ▼
-//!                  shared LRU operator-state cache ──► batched multi-RHS
-//!                  (fingerprint-keyed, Arc'd,            solve, per-worker
-//!                   single-flight builds)                workspace
+//!                  shared LRU operator-state cache ──► solve, per-worker
+//!                  (fingerprint-keyed, Arc'd,            workspaces:
+//!                   single-flight builds)                1–2 requests, one
+//!                                                        by one, single-RHS;
+//!                                                        3+, batched
 //!                                                         │
 //!                                                         ▼
 //!                                     per-request response channels
 //! ```
 //!
+//! **Which engine.** A group of at most `LANES / 2 = 2` requests solves
+//! its members one after another on the single-RHS engine
+//! ([`pop_core::setup::Solver::solve`]); a wider group rides the batched
+//! engine ([`pop_core::setup::Solver::solve_batch`]), a lane per request.
+//! The batched engine fills four SIMD lanes whatever the width, so one
+//! request would pay for four and solve each EVP tile on its own, where
+//! the single-RHS engine packs four tiles across blocks: on the 96×80
+//! serve operator one request takes 9.5 ms batched and 4.3 ms single, and
+//! three requests are the first group the batched engine solves faster.
+//! The choice is a fixed rule, with no setting; `batch_width` and the
+//! width metrics report the width the planner coalesced, whichever engine
+//! ran it.
+//!
 //! **Correctness contract.** Every served result is bit-identical to a
 //! standalone solve of the same request — regardless of batching width,
-//! cache state, arrival order or **worker count**. Two properties compose
-//! to give this: the batched engine pins each request to a lane
+//! engine, cache state, arrival order or **worker count**. Two properties
+//! compose to give this: the batched engine pins each request to a lane
 //! bitwise-equal to its single-RHS trajectory, and
 //! [`pop_core::setup::OperatorState::build`] is deterministic so a cache
 //! hit (or a single-flighted concurrent build) returns the same bits a
 //! cold build would. Workers never share solve state — each has its own
-//! workspace and serial communicator world.
+//! workspaces and serial communicator world.
 //! `tests/serve_cache_equivalence.rs` enforces it end to end across
 //! `workers ∈ {1, 2, 4}`.
 //!

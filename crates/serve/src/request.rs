@@ -111,7 +111,9 @@ pub struct SolveResponse {
     pub stats: SolveStats,
     /// Whether the operator's setup state came from the cache.
     pub cache_hit: bool,
-    /// How many requests shared the batched solve this one rode in.
+    /// How many requests the planner coalesced into this one's group. A
+    /// group of one or two solves on the single-RHS engine, a wider one
+    /// on the batched engine.
     pub batch_width: usize,
     /// Time from submission to dispatch.
     pub queue_wait: Duration,

@@ -17,12 +17,14 @@
 //! tolerance bits) key — computed once per request at admission, before
 //! the lock, from a per-operator memo (`KeyMemo`), so dispatch compares
 //! stored keys and never hashes. The lock is released before the solve, so
-//! independent groups solve concurrently across workers. Results are
+//! independent groups solve concurrently across workers. A group of one or
+//! two requests solves member by member on the single-RHS engine, a wider
+//! one on the batched engine. Results are
 //! bit-identical to standalone solves of the same requests regardless of
-//! batching, cache state, worker count, or arrival order — the batched
-//! engine pins each request to a lane, the cached setup state is
+//! batching, engine, cache state, worker count, or arrival order — the
+//! batched engine pins each request to a lane, the cached setup state is
 //! deterministic (and single-flighted, so concurrent misses share one
-//! build), and each worker solves in its own workspace.
+//! build), and each worker solves in its own workspaces.
 
 use crate::cache::{CacheStats, SharedOperatorCache};
 use crate::request::{Priority, Reject, SolveRequest, SolveResponse, SolverSpec, Ticket};
@@ -30,9 +32,11 @@ use crate::sched::{self, LaneState, QueueItem};
 use pop_comm::{CommWorld, DistVec};
 use pop_core::lanczos::LanczosConfig;
 use pop_core::solvers::{
-    batch_key, BatchKey, BatchPlanner, BatchWorkspace, SolveStats, SolverConfig, MAX_BATCH,
+    batch_key, BatchKey, BatchPlanner, BatchWorkspace, SolveStats, SolverConfig, SolverWorkspace,
+    MAX_BATCH,
 };
 use pop_obs::ObsSink;
+use pop_simd::LANES;
 use pop_stencil::NinePoint;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,8 +51,17 @@ pub static LATENCY_BUCKETS: [f64; 12] = [
     1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0,
 ];
 
-/// Batch-width histogram bounds (lanes per dispatched batch).
+/// Batch-width histogram bounds (requests per dispatched group).
 pub static WIDTH_BUCKETS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
+
+/// Widest coalesced group that solves on the single-RHS engine, one member
+/// after another: half a lane group. Up to it, the batched engine's four
+/// lanes cost more than the solves they carry (a lone request pays for all
+/// four, and its EVP tiles are solved one at a time instead of four to a
+/// pack across blocks); past it, they cost less. Measured on the 96×80
+/// serve operator: one request 9.5 ms batched against 4.3 ms single, two
+/// requests 15 ms against 8.6 ms, three 15.1 ms against ≈ 16 ms.
+const SINGLE_RHS_MAX_WIDTH: usize = LANES / 2;
 
 /// Cap on auto-sized worker pools: dispatch rounds are short and the
 /// solves are memory-bandwidth-hungry, so past a handful of workers the
@@ -182,7 +195,8 @@ struct Shared {
     /// EWMA of per-request service time, f64 seconds as bits. Admission
     /// uses it to judge deadline feasibility before any queueing happens.
     ema_service_secs: AtomicU64,
-    /// EWMA of dispatched batch width (lanes per group), f64 as bits.
+    /// EWMA of dispatched batch width (requests per coalesced group,
+    /// whichever engine solves it), f64 as bits.
     /// Together with the worker count it gives the effective dispatch
     /// parallelism the admission estimate divides by.
     ema_batch_width: AtomicU64,
@@ -572,6 +586,10 @@ struct Worker {
     /// Serial sweeps for cache builds and solves alike: the worker pool
     /// itself is the service's parallelism.
     world: CommWorld,
+    /// The single-RHS engine's vectors, for groups of at most
+    /// [`SINGLE_RHS_MAX_WIDTH`].
+    ws: SolverWorkspace,
+    /// The batched engine's vectors, for wider groups.
     bws: BatchWorkspace<CommWorld>,
 }
 
@@ -582,6 +600,7 @@ impl Worker {
             shared,
             planner,
             world: CommWorld::serial(),
+            ws: SolverWorkspace::new(),
             bws: BatchWorkspace::new(),
         }
     }
@@ -693,6 +712,11 @@ impl Worker {
         group
     }
 
+    /// Solve one coalesced group and answer its tickets. A group of at
+    /// most [`SINGLE_RHS_MAX_WIDTH`] requests solves its members one after
+    /// another on the single-RHS engine; a wider one rides the batched
+    /// engine, a lane per request. Both give every request the bits of its
+    /// standalone solve; only the time differs.
     fn run_batch(&mut self, group: Vec<Pending>) {
         let k = group.len();
         let spec = group[0].req.solver;
@@ -727,18 +751,18 @@ impl Worker {
                     .unwrap_or_else(|| DistVec::zeros(&op.layout))
             })
             .collect();
-        let bs: Vec<&DistVec> = group.iter().map(|p| &p.req.b).collect();
-        let stats = {
+        let solver = state.solver(spec);
+        let pre = state.precond.as_ref();
+        let stats: Vec<SolveStats> = if k <= SINGLE_RHS_MAX_WIDTH {
+            group
+                .iter()
+                .zip(&mut xs)
+                .map(|(p, x)| solver.solve(&op, pre, &self.world, &p.req.b, x, &cfg, &mut self.ws))
+                .collect()
+        } else {
+            let bs: Vec<&DistVec> = group.iter().map(|p| &p.req.b).collect();
             let mut xrefs: Vec<&mut DistVec> = xs.iter_mut().collect();
-            state.solver(spec).solve_batch(
-                &op,
-                state.precond.as_ref(),
-                &self.world,
-                &bs,
-                &mut xrefs,
-                &cfg,
-                &mut self.bws,
-            )
+            solver.solve_batch(&op, pre, &self.world, &bs, &mut xrefs, &cfg, &mut self.bws)
         };
         let solve_secs = solve_start.elapsed().as_secs_f64();
         ewma_update(&self.shared.ema_service_secs, solve_secs / k as f64);

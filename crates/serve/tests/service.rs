@@ -7,8 +7,8 @@
 //! race the scheduler).
 
 use pop_comm::{CommWorld, DistLayout, DistVec};
-use pop_core::setup::PrecondSpec;
-use pop_core::solvers::{SolveOutcome, SolverConfig};
+use pop_core::setup::{OperatorState, PrecondSpec};
+use pop_core::solvers::{BatchWorkspace, SolveOutcome, SolveStats, SolverConfig, SolverWorkspace};
 use pop_grid::Grid;
 use pop_obs::{ObsSink, SampleValue};
 use pop_serve::{Priority, Reject, ServiceConfig, SolveRequest, SolverService, SolverSpec, Ticket};
@@ -558,6 +558,117 @@ fn non_converged_solve_resolves_its_ticket_with_a_finite_answer() {
     for blk in &resp.x.blocks {
         for j in 0..blk.ny {
             assert!(blk.interior_row(j).iter().all(|v| v.is_finite()));
+        }
+    }
+}
+
+/// `A·x_l` for a smooth field that differs per `l`: right-hand sides whose
+/// solves follow their own trajectories.
+fn distinct_rhs(p: &Problem, l: usize) -> DistVec {
+    let world = CommWorld::serial();
+    let mut x = DistVec::zeros(&p.op.layout);
+    let (fi, fj) = (0.13 + 0.04 * l as f64, 0.07 + 0.03 * l as f64);
+    x.fill_with(|i, j| ((i as f64) * fi).sin() * ((j as f64) * fj).cos() + 0.1 * l as f64);
+    world.halo_update(&mut x);
+    let mut b = DistVec::zeros(&p.op.layout);
+    p.op.apply(&world, &x, &mut b);
+    b
+}
+
+fn same_bits(a: &DistVec, b: &DistVec) -> bool {
+    a.blocks.iter().zip(&b.blocks).all(|(ba, bb)| {
+        (0..ba.ny).all(|j| {
+            let (ra, rb) = (ba.interior_row(j), bb.interior_row(j));
+            ra.iter()
+                .zip(rb)
+                .all(|(va, vb)| va.to_bits() == vb.to_bits())
+        })
+    })
+}
+
+/// A group of one or two requests solves on the single-RHS engine, one
+/// member after another; a group of three rides the batched engine. Every
+/// answer is the bits of the batched engine's solve at the group's width.
+/// The comm counters tell the engines apart: the batched engine reduces
+/// every norm of a lane group (`‖b‖`, then each check's `‖r‖²`) in one
+/// allreduce of four slots, the single-RHS engine one value per system.
+#[test]
+fn narrow_groups_solve_on_the_single_rhs_engine_bitwise() {
+    let p = problem(40);
+    let rhs: Vec<DistVec> = (0..3).map(|l| distinct_rhs(&p, l)).collect();
+    let world = CommWorld::serial();
+    let lanczos = ServiceConfig::default().lanczos;
+    let tol = 1e-11;
+    let cfg = SolverConfig {
+        tol,
+        ..SolverConfig::default()
+    };
+    let stacks = [
+        (SolverSpec::Pcsi, PrecondSpec::Evp),
+        (SolverSpec::ChronGear, PrecondSpec::Diagonal),
+    ];
+    for (spec, precond) in stacks {
+        let bounds = spec.needs_bounds().then_some(&lanczos);
+        let state = OperatorState::build(&p.op, precond, bounds, &world);
+        let (solver, pre) = (state.solver(spec), state.precond.as_ref());
+        for width in 1..=3 {
+            let svc = SolverService::start(ServiceConfig {
+                workers: 1,
+                start_paused: true,
+                ..ServiceConfig::default()
+            });
+            let tickets: Vec<Ticket> = rhs[..width]
+                .iter()
+                .map(|b| {
+                    let req = SolveRequest::new(0, Arc::clone(&p.op), spec, precond, b.clone());
+                    svc.submit(req.with_tol(tol)).unwrap()
+                })
+                .collect();
+            svc.resume();
+
+            let bs: Vec<&DistVec> = rhs[..width].iter().collect();
+            let mut xs: Vec<DistVec> = bs.iter().map(|_| DistVec::zeros(&p.op.layout)).collect();
+            let batched = {
+                let mut xr: Vec<&mut DistVec> = xs.iter_mut().collect();
+                let mut bws = BatchWorkspace::new();
+                solver.solve_batch(&p.op, pre, &world, &bs, &mut xr, &cfg, &mut bws)
+            };
+            let single: Vec<SolveStats> = bs
+                .iter()
+                .map(|b| {
+                    let mut x = DistVec::zeros(&p.op.layout);
+                    let mut ws = SolverWorkspace::new();
+                    solver.solve(&p.op, pre, &world, b, &mut x, &cfg, &mut ws)
+                })
+                .collect();
+
+            let label = format!("{}+{} width {width}", spec.label(), precond.label());
+            for (l, t) in tickets.into_iter().enumerate() {
+                let resp = t.wait().unwrap();
+                let (want, one) = (&batched[l], &single[l]);
+                assert_eq!(resp.batch_width, width, "{label}: coalesced width");
+                assert!(resp.stats.converged, "{label} lane {l}");
+                assert_eq!(resp.stats.iterations, want.iterations, "{label} lane {l}");
+                assert_eq!(
+                    resp.stats.final_relative_residual.to_bits(),
+                    want.final_relative_residual.to_bits(),
+                    "{label} lane {l}: final residual"
+                );
+                assert!(
+                    same_bits(&resp.x, &xs[l]),
+                    "{label} lane {l}: solution bits"
+                );
+                assert_ne!(one.comm, want.comm, "{label}: the engines' counters differ");
+                let (engine, expected) = if width <= 2 {
+                    ("single-RHS", one.comm)
+                } else {
+                    ("batched", want.comm)
+                };
+                assert_eq!(
+                    resp.stats.comm, expected,
+                    "{label} lane {l} must solve on the {engine} engine"
+                );
+            }
         }
     }
 }

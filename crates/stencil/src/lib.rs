@@ -31,7 +31,6 @@
 //! term adds a strictly positive diagonal.
 
 pub mod dense;
-pub mod diagnostics;
 pub mod level;
 pub mod local;
 pub mod multi;
@@ -39,7 +38,6 @@ pub mod op;
 mod simd;
 
 pub use dense::DenseMatrix;
-pub use diagnostics::OperatorDiagnostics;
 pub use level::MgLevel;
 pub use local::LocalStencil;
 pub use op::NinePoint;

@@ -23,8 +23,8 @@ pub struct NinePoint {
     pub an: DistVec,
     pub ae: DistVec,
     pub ane: DistVec,
-    /// The time-step weight φ·area added to the diagonal (kept for
-    /// diagnostics and operator rescaling between time steps).
+    /// The time-step weight φ·area added to the diagonal (part of the
+    /// operator's fingerprint; kept for rescaling between time steps).
     pub phi: f64,
 }
 
@@ -498,25 +498,40 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn constant_field_hits_only_phi_term_in_open_water() {
-        // On an interior point far from land, the Laplacian of a constant is
-        // zero, so (A·1)(p) = φ·area(p).
-        let g = Grid::idealized_basin(16, 16, 1000.0, 5.0e4);
-        let (layout, world, op) = setup(&g, 16, 16, 3600.0);
-        let mut one = DistVec::zeros(&layout);
-        one.fill_with(|_, _| 1.0);
-        world.halo_update(&mut one);
-        let mut y = DistVec::zeros(&layout);
-        op.apply(&world, &one, &mut y);
-        // Point (8, 8) is ≥ 2 cells from any land.
-        let info = &layout.decomp.blocks[0];
-        assert_eq!(info.i0, 0);
-        let got = y.blocks[0].get(8, 8);
-        let expect = op.phi * g.metrics.area(8, 8);
-        assert!(
-            (got - expect).abs() < 1e-9 * expect.abs(),
-            "got {got}, expect {expect}"
-        );
+    fn constant_field_hits_only_phi_term_on_every_ocean_row() {
+        // The Laplacian of a constant is zero, so (A·1)(p) = φ·area(p) on
+        // every ocean row, open water and coast alike (the assembly drops
+        // land couplings: natural no-flux boundaries, exact volume
+        // conservation).
+        for g in [
+            Grid::idealized_basin(20, 20, 800.0, 5.0e4),
+            Grid::gx1_scaled(3, 48, 40),
+            Grid::gx01_scaled(3, 60, 40),
+        ] {
+            let (layout, world, op) = setup(&g, (g.nx / 3).max(4), (g.ny / 3).max(4), 6000.0);
+            let mut one = DistVec::zeros(&layout);
+            one.fill_with(|_, _| 1.0);
+            world.halo_update(&mut one);
+            let mut y = DistVec::zeros(&layout);
+            op.apply(&world, &one, &mut y);
+            let (mut worst, mut max_diag) = (0.0f64, 0.0f64);
+            for (b, info) in layout.decomp.blocks.iter().enumerate() {
+                for j in 0..info.ny {
+                    for i in 0..info.nx {
+                        if layout.masks[b][j * info.nx + i] == 0 {
+                            continue;
+                        }
+                        let area = g.metrics.area(info.i0 + i, info.j0 + j);
+                        worst = worst.max((y.blocks[b].get(i, j) - op.phi * area).abs());
+                        max_diag = max_diag.max(op.a0.blocks[b].get(i, j));
+                    }
+                }
+            }
+            assert!(
+                worst < 1e-12 * max_diag,
+                "row sums not conservative: {worst} against a diagonal of {max_diag}"
+            );
+        }
     }
 
     #[test]

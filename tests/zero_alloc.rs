@@ -19,9 +19,18 @@
 //! so the long solve also runs 8× the checks: per-lane bookkeeping at a
 //! check — snapshots, retirements, restarts — allocates nothing either.
 //!
+//! A warm `pop-serve` worker is held to the same contract per coalesced
+//! group: one more group of one, two or three requests costs its answers
+//! and a constant, the same on 15 blocks as on 180 and at 8× the
+//! iterations. Groups of one and two solve on the single-RHS engine out of
+//! the worker's one `SolverWorkspace`, a group of three on the batched
+//! engine.
+//!
 //! This file holds a single `#[test]` so no concurrent test pollutes the
 //! counters, and it uses the serial backend so every allocation is made on
-//! this thread.
+//! this thread — except the served audit's, whose window spans its
+//! worker's whole life, from `SolverService::start` to the join in
+//! `shutdown`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,6 +67,8 @@ fn allocs() -> u64 {
 
 use pop_baro::core::solvers::SolverWorkspace;
 use pop_baro::prelude::*;
+use pop_baro::serve::{ServiceConfig, SolveRequest, SolverService};
+use std::sync::Arc;
 
 #[test]
 fn fused_solve_iterations_allocate_nothing() {
@@ -69,6 +80,7 @@ fn fused_solve_iterations_allocate_nothing() {
     audit(&grid, 14, 10, false);
     audit(&grid, 8, 8, true);
     batch_audit(&grid, 18, 20);
+    serve_audit(&grid);
 
     // A warm model step costs the same few allocations on 15 blocks as on
     // an order of magnitude more of them.
@@ -264,4 +276,106 @@ fn batch_audit(grid: &Grid, bx: usize, by: usize) {
             );
         }
     }
+}
+
+/// The served differential, per group width: what one more staged group
+/// costs a fresh one-worker service, net of its answers, on 18×20 blocks
+/// at 32 and 256 iterations and on 6×5 blocks (180 of them) at 32. A
+/// workspace vector or any other per-block allocation would differ between
+/// the layouts; a per-iteration one between the iteration counts.
+fn serve_audit(grid: &Grid) {
+    let world = CommWorld::serial();
+    let cases = [(18, 20, 32), (18, 20, 256), (6, 5, 32)];
+    let problems: Vec<(Arc<NinePoint>, DistVec, u64)> = cases
+        .iter()
+        .map(|&(bx, by, _)| {
+            let layout = DistLayout::build(grid, bx, by);
+            let op = NinePoint::assemble(grid, &layout, &world, 9000.0);
+            let mut truth = DistVec::zeros(&layout);
+            truth.fill_with(|i, j| ((i as f64) * 0.13).sin() * ((j as f64) * 0.09).cos());
+            world.halo_update(&mut truth);
+            let mut rhs = DistVec::zeros(&layout);
+            op.apply(&world, &truth, &mut rhs);
+            let before = allocs();
+            let answer = DistVec::zeros(&layout);
+            let answer_allocs = allocs() - before;
+            drop(answer);
+            (Arc::new(op), rhs, answer_allocs)
+        })
+        .collect();
+    assert!(problems[2].0.layout.n_blocks() >= 150);
+    for width in 1..=3 {
+        let nets: Vec<u64> = cases
+            .iter()
+            .zip(&problems)
+            .map(|(&(_, _, iters), (op, rhs, answer))| {
+                let extra_group = served_allocs(op, rhs, width, 3, iters)
+                    - served_allocs(op, rhs, width, 2, iters);
+                extra_group - width as u64 * answer
+            })
+            .collect();
+        assert!(
+            nets.iter().all(|&n| n == nets[0]),
+            "width {width}: one more served group, net of its answers, allocates \
+             {nets:?} on (18x20, 32 its), (18x20, 256 its), (6x5, 32 its)"
+        );
+        assert!(
+            nets[0] <= 64,
+            "width {width}: {} allocations a group",
+            nets[0]
+        );
+    }
+}
+
+/// Allocations from starting a one-worker P-CSI+EVP service to joining it
+/// in `shutdown`, while it serves `groups` staged groups of `width`
+/// iteration-capped requests. Shutdown waits until the last request's
+/// quota is released, which the worker does just before answering it, and
+/// the tickets are read after the count, so the test thread never blocks
+/// on a channel inside the window.
+fn served_allocs(
+    op: &Arc<NinePoint>,
+    rhs: &DistVec,
+    width: usize,
+    groups: usize,
+    iters: usize,
+) -> u64 {
+    let reqs: Vec<SolveRequest> = (0..width * groups)
+        .map(|_| {
+            let req = SolveRequest::new(
+                0,
+                Arc::clone(op),
+                SolverSpec::Pcsi,
+                PrecondSpec::Evp,
+                rhs.clone(),
+            );
+            req.with_tol(f64::MIN_POSITIVE)
+        })
+        .collect();
+    let mut tickets = Vec::with_capacity(reqs.len());
+    let before = allocs();
+    let svc = SolverService::start(ServiceConfig {
+        workers: 1,
+        max_batch: width,
+        start_paused: true,
+        base: SolverConfig {
+            max_iters: iters,
+            ..SolverConfig::default()
+        },
+        ..ServiceConfig::default()
+    });
+    for req in reqs {
+        tickets.push(svc.submit(req).unwrap());
+    }
+    svc.resume();
+    while svc.tenant_load_len() > 0 {
+        std::thread::yield_now();
+    }
+    let _ = svc.shutdown();
+    let during = allocs() - before;
+    for t in tickets {
+        let resp = t.wait().unwrap();
+        assert_eq!((resp.batch_width, resp.stats.iterations), (width, iters));
+    }
+    during
 }
