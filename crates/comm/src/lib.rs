@@ -44,6 +44,4 @@ pub use layout::DistLayout;
 pub use multivec::{masked_dot_multi, MultiBlockVec, MAX_GROUPS};
 pub use tile::Tile;
 pub use transfer::{coarse_extent, parents, prolong_add_masked, restrict_masked};
-pub use world::{
-    CommStats, CommWorld, ExecPolicy, StatsSnapshot, SweepPartials, MAX_SWEEP_PARTIALS,
-};
+pub use world::{CommStats, CommWorld, StatsSnapshot, SweepPartials, MAX_SWEEP_PARTIALS};

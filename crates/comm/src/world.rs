@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 
 /// How block-level work is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecPolicy {
+enum ExecPolicy {
     /// One thread, blocks processed in order. Deterministic reference.
     Serial,
     /// Blocks processed on the crate's persistent worker pool
@@ -145,7 +145,7 @@ impl StatsSnapshot {
 /// communication statistics.
 #[derive(Debug)]
 pub struct CommWorld {
-    pub policy: ExecPolicy,
+    policy: ExecPolicy,
     stats: CommStats,
     /// Reusable per-block partial-reduction slots for fused sweeps and
     /// `dot_many`, and per-task "rows written" flags, so steady-state
@@ -154,7 +154,7 @@ pub struct CommWorld {
 }
 
 impl CommWorld {
-    pub fn new(policy: ExecPolicy) -> Self {
+    fn new(policy: ExecPolicy) -> Self {
         CommWorld {
             policy,
             stats: CommStats::default(),
@@ -162,12 +162,14 @@ impl CommWorld {
         }
     }
 
-    /// Serial deterministic world.
+    /// Serial deterministic world: one thread, blocks processed in order.
     pub fn serial() -> Self {
         Self::new(ExecPolicy::Serial)
     }
 
-    /// Thread-pool world.
+    /// Thread-pool world: blocks processed on the crate's persistent worker
+    /// pool ([`crate::pool`]). Reductions still combine partials in block
+    /// order, so results are bit-identical to [`CommWorld::serial`]'s.
     pub fn threaded() -> Self {
         Self::new(ExecPolicy::Threaded)
     }
@@ -206,7 +208,7 @@ impl CommWorld {
         self.stats.delivery_failures.store(0, Ordering::Relaxed);
     }
 
-    /// Total parallelism behind this world (1 under [`ExecPolicy::Serial`]).
+    /// Total parallelism behind this world (1 for [`CommWorld::serial`]).
     pub fn threads(&self) -> usize {
         match self.policy {
             ExecPolicy::Serial => 1,

@@ -1,10 +1,10 @@
 //! Operator identity fingerprints.
 //!
-//! Batching ([`crate::solvers::BatchPlanner`]) and operator-state caching
-//! (`pop-serve`) both need an answer to "are these two assembled operators
-//! *the same* operator?" — same meaning bitwise-identical stencil
-//! coefficients on the same block structure, which is exactly the condition
-//! under which solves may share a fused batch or reuse cached setup state
+//! `pop-serve`'s request coalescing and its operator-state cache both need
+//! an answer to "are these two assembled operators *the same* operator?" —
+//! same meaning bitwise-identical stencil coefficients on the same block
+//! structure, which is exactly the condition under which solves may share
+//! a fused batch or reuse cached setup state
 //! (EVP influence matrices, Lanczos eigenbounds, band-LU land-tile
 //! factors) without perturbing a single bit of the result.
 //!
@@ -12,8 +12,9 @@
 //! coefficient and folds it in a byte at a time, a median 0.42 ms on the
 //! 96×80 serve operator and 7.5 ms on gx1 (320×384) on one core of a 2-vCPU
 //! x86-64 Xeon host. Hot paths memoise it per operator rather than hashing
-//! per request: `pop-serve` keys each operator allocation once, at
-//! admission (DESIGN.md §13).
+//! per request: `pop-serve` fingerprints each operator allocation once, at
+//! admission, and stores it in the request's coalescing key (DESIGN.md
+//! §13).
 //!
 //! # Hash construction
 //!
@@ -53,20 +54,15 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental 64-bit FNV-1a over little-endian `u64` words.
-///
-/// Exposed so callers composing richer identity keys (operator fingerprint
-/// plus solver discriminant plus tolerance bits, as `pop-serve` does) can
-/// reuse the same hash with the same framing discipline.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
+struct Fnv1a(u64);
 
 impl Fnv1a {
-    pub fn new() -> Fnv1a {
+    fn new() -> Fnv1a {
         Fnv1a(FNV_OFFSET)
     }
 
     /// Absorb one word, byte-at-a-time per FNV-1a.
-    pub fn eat(&mut self, v: u64) {
+    fn eat(&mut self, v: u64) {
         for byte in v.to_le_bytes() {
             self.0 ^= byte as u64;
             self.0 = self.0.wrapping_mul(FNV_PRIME);
@@ -74,18 +70,12 @@ impl Fnv1a {
     }
 
     /// Absorb a float's raw IEEE-754 bits (bitwise identity, not `==`).
-    pub fn eat_f64(&mut self, v: f64) {
+    fn eat_f64(&mut self, v: f64) {
         self.eat(v.to_bits());
     }
 
-    pub fn finish(self) -> u64 {
+    fn finish(self) -> u64 {
         self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
     }
 }
 
@@ -133,6 +123,15 @@ mod tests {
         // Re-assembling the same operator from the same inputs is also equal.
         let f2 = test_op();
         assert_eq!(a, operator_fingerprint(&f2.op));
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_operators() {
+        let grid = Grid::gx1_scaled(6, 60, 48);
+        let f = fixture(&grid, 16, 13, 1800.0);
+        let f2 = fixture(&grid, 16, 13, 3600.0);
+        assert_eq!(operator_fingerprint(&f.op), operator_fingerprint(&f.op));
+        assert_ne!(operator_fingerprint(&f.op), operator_fingerprint(&f2.op));
     }
 
     /// Near-miss: flipping the lowest mantissa bit of ONE interior

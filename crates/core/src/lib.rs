@@ -26,10 +26,11 @@
 //!   mode drops the small N/S/E/W couplings, halving the marching cost, as
 //!   §4.3 of the paper describes.
 //!
-//! [`setup::PrecondSpec`] names exactly those two; [`precond::BlockLu`] (a
-//! band-LU direct solve per sub-block, the oracle EVP is compared against),
-//! [`precond::Identity`] and [`precond::BlockMg`] are types for tests and
-//! the benchmark, not configurations.
+//! [`setup::PrecondSpec`] names exactly those two; [`precond::BlockMg`] is
+//! a type for tests and the benchmark, not a configuration. The test-only
+//! preconditioners — the identity, and the block-LU direct solve per
+//! sub-block that EVP is compared against (paper §4.1's `O(n³)` yardstick)
+//! — live with the tests that use them.
 //!
 //! All solvers run over `pop-comm`'s counted communication layer, so a solve
 //! reports exactly how many reductions, halo updates, and bytes it needed —
@@ -43,12 +44,10 @@ pub mod setup;
 pub mod solvers;
 pub mod tridiag;
 
-pub use fingerprint::Fnv1a;
 pub use lanczos::{estimate_bounds, EigenBounds, LanczosConfig};
-pub use precond::{BlockEvp, BlockLu, BlockMg, Diagonal, Identity, MgConfig, Preconditioner};
+pub use precond::{BlockEvp, BlockMg, Diagonal, MgConfig, Preconditioner};
 pub use setup::{OperatorState, PrecondSpec, Solver, SolverSpec};
 pub use solvers::{
-    batch_key, BatchCommSolver, BatchKey, BatchPlanner, BatchWorkspace, ChronGear, CommSolver,
-    LinearSolver, Pcsi, RecoveryConfig, SolveOutcome, SolveStats, SolverConfig, SolverWorkspace,
-    MAX_BATCH,
+    BatchCommSolver, BatchWorkspace, ChronGear, CommSolver, LinearSolver, Pcsi, RecoveryConfig,
+    SolveOutcome, SolveStats, SolverConfig, SolverWorkspace, MAX_BATCH,
 };

@@ -1,36 +1,10 @@
-//! The trivial preconditioners: identity and POP's production diagonal.
+//! POP's production diagonal preconditioner, and (for the unit tests) the
+//! identity.
 
 use super::{assert_same_shape, assert_same_shape_multi, Preconditioner};
 use pop_comm::{BlockVec, DistVec, MultiBlockVec};
 use pop_simd::LANES;
 use pop_stencil::NinePoint;
-
-/// No preconditioning (`M = I`); the baseline for convergence comparisons.
-#[derive(Debug, Clone, Default)]
-pub struct Identity;
-
-impl Preconditioner for Identity {
-    fn apply_block(&self, _b: usize, r: &BlockVec, z: &mut BlockVec) {
-        assert_same_shape(r, z);
-        for j in 0..z.ny {
-            z.interior_row_mut(j).copy_from_slice(r.interior_row(j));
-        }
-    }
-
-    fn apply_block_multi(&self, _b: usize, r: &MultiBlockVec, z: &mut MultiBlockVec) {
-        assert_same_shape_multi(r, z);
-        for g in 0..r.groups() {
-            for j in 0..r.ny {
-                z.interior_lane_row_mut(g, j)
-                    .copy_from_slice(r.interior_lane_row(g, j));
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-}
 
 /// Diagonal (Jacobi) preconditioning `M = Λ(A)`: the default in CESM-POP,
 /// and the baseline every figure of the paper compares against.
@@ -102,10 +76,38 @@ impl Preconditioner for Diagonal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use pop_comm::{CommWorld, DistLayout};
     use pop_grid::Grid;
+
+    /// No preconditioning (`M = I`); the baseline for convergence
+    /// comparisons.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct Identity;
+
+    impl Preconditioner for Identity {
+        fn apply_block(&self, _b: usize, r: &BlockVec, z: &mut BlockVec) {
+            assert_same_shape(r, z);
+            for j in 0..z.ny {
+                z.interior_row_mut(j).copy_from_slice(r.interior_row(j));
+            }
+        }
+
+        fn apply_block_multi(&self, _b: usize, r: &MultiBlockVec, z: &mut MultiBlockVec) {
+            assert_same_shape_multi(r, z);
+            for g in 0..r.groups() {
+                for j in 0..r.ny {
+                    z.interior_lane_row_mut(g, j)
+                        .copy_from_slice(r.interior_lane_row(g, j));
+                }
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "identity"
+        }
+    }
 
     #[test]
     fn diagonal_inverts_diagonal() {

@@ -672,20 +672,12 @@ impl BlockEvp {
     }
 }
 
-/// Per-thread reusable tile buffers for [`BlockEvp::apply_block`] /
-/// [`BlockLu`](super::BlockLu): the staged contiguous tile and the EVP
-/// lane pads. Thread-local so steady-state preconditioner applications
-/// allocate nothing, even when blocks run on pool workers.
-#[derive(Default)]
-pub(super) struct TileScratch {
-    /// [`BlockLu`](super::BlockLu)'s gathered right-hand side, solved in place.
-    pub tile: Vec<f64>,
-    pub evp: EvpScratch,
-}
-
 thread_local! {
-    pub(super) static TILE_SCRATCH: std::cell::RefCell<TileScratch> =
-        std::cell::RefCell::new(TileScratch::default());
+    /// Per-thread EVP lane pads for [`BlockEvp`]'s applies. Thread-local so
+    /// steady-state preconditioner applications allocate nothing, even
+    /// when blocks run on pool workers.
+    static TILE_SCRATCH: std::cell::RefCell<EvpScratch> =
+        std::cell::RefCell::new(EvpScratch::default());
 }
 
 /// The row stride and halo every member handed in to a group apply shares,
@@ -756,13 +748,7 @@ impl Preconditioner for BlockEvp {
             for (m, t, s) in &grp.lone {
                 if let (Some(rb), Some(zb)) = (r[*m], z[*m].as_deref_mut()) {
                     let off = (t.j0 + h) * stride + h + t.i0;
-                    s.solve_at(
-                        mode,
-                        (rb.raw(), zb.raw_mut()),
-                        off,
-                        stride,
-                        &mut scratch.evp,
-                    );
+                    s.solve_at(mode, (rb.raw(), zb.raw_mut()), off, stride, scratch);
                 }
             }
             // Four tiles per solve, one per lane, from up to four blocks.
@@ -779,7 +765,7 @@ impl Preconditioner for BlockEvp {
                 // inherit for this call; `r` blocks are shared borrows of
                 // other storage.
                 let io = unsafe { Packed::new(rl, zl, stride) };
-                evp_multi::solve_tile(mode, (p.nx, p.ny), coefs, io, &mut scratch.evp);
+                evp_multi::solve_tile(mode, (p.nx, p.ny), coefs, io, scratch);
             }
         });
     }
@@ -851,7 +837,7 @@ impl Preconditioner for BlockEvp {
             for (m, t, s) in &grp.lone {
                 if let (Some(rb), Some(zb)) = (r[*m], z[*m].as_deref_mut()) {
                     let off = (t.j0 + h) * stride + h + t.i0;
-                    s.solve_batched(mode, io((rb, zb), off, lanes), &mut scratch.evp);
+                    s.solve_batched(mode, io((rb, zb), off, lanes), scratch);
                 }
             }
             let mut slab = &grp.slab[..];
@@ -861,7 +847,7 @@ impl Preconditioner for BlockEvp {
                     if let (Some(rb), Some(zb)) = (r[m], z[m].as_deref_mut()) {
                         let member = coefs.map(|a| Member(a, l));
                         let io = io((rb, zb), off, lanes);
-                        evp_multi::solve_tile(mode, (p.nx, p.ny), member, io, &mut scratch.evp);
+                        evp_multi::solve_tile(mode, (p.nx, p.ny), member, io, scratch);
                     }
                 }
             }
@@ -1417,7 +1403,9 @@ pub(crate) mod tests {
                 let SubSolver::Band { lu, maskbits, .. } = &sub.solver else {
                     unreachable!()
                 };
-                let natural = st.band_lu().expect("positive definite");
+                let natural = st
+                    .band_lu_in(nx + 1, |i, j| j * nx + i)
+                    .expect("positive definite");
                 let (_, nw, nband) = natural.raw_parts();
                 let (cn, cw, cband) = lu.raw_parts();
                 assert_eq!((cn, cw, cband.len()), (n, colour_w, n * (2 * colour_w + 1)));

@@ -5,15 +5,15 @@
 //! communication accounting (one boundary update and — for ChronGear — one
 //! fused reduction per iteration, nothing extra for preconditioning).
 
-mod blocklu;
 mod diagonal;
 mod evp;
 mod evp_multi;
 mod mg;
 mod tiling;
 
-pub use blocklu::BlockLu;
-pub use diagonal::{Diagonal, Identity};
+#[cfg(test)]
+pub(crate) use diagonal::tests::Identity;
+pub use diagonal::Diagonal;
 pub use evp::{BlockEvp, EvpSubBlock, TileCensus, TileCount};
 pub use evp_multi::EvpScratch;
 pub use mg::{BlockMg, MgConfig};
@@ -157,7 +157,7 @@ mod batched_tests {
     use pop_stencil::NinePoint;
 
     /// Every preconditioner's batched apply — fused overrides (identity,
-    /// diagonal, block-EVP) and the default lane-staging path (block-LU) —
+    /// diagonal, block-EVP) and the default lane-staging path (block-MG) —
     /// is bitwise identical, per lane, to the single-RHS apply on a real
     /// land-masked grid, ragged tails and coastal band-LU tiles included:
     /// once on 13×9 blocks whose tiles all differ within a block, so
@@ -214,8 +214,6 @@ mod batched_tests {
         diagonal_rejects_mismatched_multi_z: |op| Box::new(Diagonal::new(op)), true;
         block_evp_rejects_mismatched_z: |op| Box::new(BlockEvp::with_defaults(op)), false;
         block_evp_rejects_mismatched_multi_z: |op| Box::new(BlockEvp::with_defaults(op)), true;
-        block_lu_rejects_mismatched_z: |op| Box::new(BlockLu::new(op, 8, true)), false;
-        block_lu_rejects_mismatched_multi_z: |op| Box::new(BlockLu::new(op, 8, true)), true;
         block_mg_rejects_mismatched_z: |op| Box::new(BlockMg::with_defaults(op)), false;
         block_mg_rejects_mismatched_multi_z: |op| Box::new(BlockMg::with_defaults(op)), true;
     }
@@ -241,7 +239,6 @@ mod batched_tests {
             Box::new(Diagonal::new(&op)),
             Box::new(BlockEvp::with_defaults(&op)),
             Box::new(BlockEvp::new(&op, 8, false)),
-            Box::new(BlockLu::new(&op, 8, true)),
             Box::new(BlockMg::with_defaults(&op)),
         ];
         let cases = pres

@@ -30,7 +30,6 @@
 use super::{
     Control, Recurrence, SolveCtl, SolveStats, SolverConfig, SolverWorkspace, TileKernels, ZEROS,
 };
-use crate::fingerprint::operator_fingerprint;
 use crate::precond::Preconditioner;
 use pop_comm::{BlockVec, CommVec, Communicator, MultiBlockVec, MAX_GROUPS, MAX_SWEEP_PARTIALS};
 use pop_simd::LANES;
@@ -184,89 +183,6 @@ impl<S: Recurrence> BatchCommSolver for S {
             stats
         });
         stats.collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batch planner
-// ---------------------------------------------------------------------------
-
-/// Identity key deciding which solve requests may share a batch: the
-/// decomposition (layout identity) and the operator's exact coefficient
-/// bits. Solves with equal keys follow identical sweep structure, so their
-/// lanes can ride one fused pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BatchKey {
-    layout: usize,
-    op: u64,
-}
-
-/// The batch key of one solve request against `op`.
-pub fn batch_key(op: &NinePoint) -> BatchKey {
-    BatchKey {
-        layout: Arc::as_ptr(&op.layout) as usize,
-        op: operator_fingerprint(op),
-    }
-}
-
-impl BatchKey {
-    /// The operator's [`operator_fingerprint`], for a consumer that keys on
-    /// the coefficients alone (the serve operator cache).
-    pub fn fingerprint(&self) -> u64 {
-        self.op
-    }
-}
-
-/// Groups solve requests into batches: requests sharing a [`BatchKey`]
-/// coalesce (submission order preserved within and across groups), each
-/// group is chunked into batches of at most `max_batch` RHS. Ragged tails
-/// are fine — the engine pads them with shadow lanes.
-#[derive(Debug, Clone)]
-pub struct BatchPlanner {
-    /// Widest batch to emit; clamped to `1..=MAX_BATCH`.
-    pub max_batch: usize,
-}
-
-impl Default for BatchPlanner {
-    fn default() -> Self {
-        BatchPlanner {
-            max_batch: MAX_BATCH,
-        }
-    }
-}
-
-impl BatchPlanner {
-    pub fn new(max_batch: usize) -> Self {
-        BatchPlanner { max_batch }
-    }
-
-    /// Plan over an arbitrary coalescing key. `pop-serve` keys on more than
-    /// operator identity (solver kind, preconditioner spec, tolerance bits
-    /// all gate lane-sharing), so the grouping is generic: requests with
-    /// equal keys coalesce in first-seen group order, each group chunked to
-    /// at most `max_batch` indices, submission order preserved throughout.
-    pub fn plan_by<K: PartialEq + Copy>(&self, keys: &[K]) -> Vec<(K, Vec<usize>)> {
-        let cap = self.max_batch.clamp(1, MAX_BATCH);
-        // Linear scan instead of a hash map: request counts are tiny and
-        // this keeps group order deterministic by first appearance.
-        let mut order: Vec<K> = Vec::new();
-        let mut members: Vec<Vec<usize>> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            match order.iter().position(|o| o == key) {
-                Some(g) => members[g].push(i),
-                None => {
-                    order.push(*key);
-                    members.push(vec![i]);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for (key, idxs) in order.into_iter().zip(members) {
-            for chunk in idxs.chunks(cap) {
-                out.push((key, chunk.to_vec()));
-            }
-        }
-        out
     }
 }
 
@@ -453,27 +369,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn planner_groups_by_key_and_chunks() {
-        let ka = BatchKey { layout: 1, op: 10 };
-        let kb = BatchKey { layout: 1, op: 20 };
-        let keys = [ka, kb, ka, ka, kb, ka, ka, ka];
-        let plan = BatchPlanner::new(4).plan_by(&keys);
-        assert_eq!(
-            plan,
-            vec![(ka, vec![0, 2, 3, 5]), (ka, vec![6, 7]), (kb, vec![1, 4])]
-        );
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_operators() {
-        let grid = Grid::gx1_scaled(6, 60, 48);
-        let f = fixture(&grid, 16, 13, 1800.0);
-        let f2 = fixture(&grid, 16, 13, 3600.0);
-        assert_eq!(operator_fingerprint(&f.op), operator_fingerprint(&f.op));
-        assert_ne!(operator_fingerprint(&f.op), operator_fingerprint(&f2.op));
-        assert_ne!(batch_key(&f.op), batch_key(&f2.op));
     }
 }

@@ -15,7 +15,7 @@ mod control;
 mod csi;
 mod kernels;
 
-pub use batch::{batch_key, BatchCommSolver, BatchKey, BatchPlanner, BatchWorkspace, MAX_BATCH};
+pub use batch::{BatchCommSolver, BatchWorkspace, MAX_BATCH};
 pub use chrongear::ChronGear;
 pub(crate) use control::{Control, SolveCtl};
 pub use csi::Pcsi;

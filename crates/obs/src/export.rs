@@ -164,13 +164,6 @@ fn metric_json(s: &MetricSample) -> String {
     o
 }
 
-/// A JSON array of metric samples, for embedding under a `"metrics"` key in
-/// the BENCH provenance blocks.
-pub fn metrics_json_array(samples: &[MetricSample]) -> String {
-    let parts: Vec<String> = samples.iter().map(metric_json).collect();
-    format!("[{}]", parts.join(","))
-}
-
 /// The SLO view of a registry snapshot: every histogram sample rendered as
 /// one JSON object with estimated p50/p90/p99
 /// ([`crate::quantile::histogram_quantile`], linear interpolation) beside

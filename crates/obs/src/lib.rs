@@ -11,8 +11,8 @@
 //! * [`ConvergenceTrace`] — the per-solve record: residual at every
 //!   convergence check, eigenbound estimates, restart events, and
 //!   communication counts attributed to solver phases.
-//! * [`export`] — Prometheus text format and JSON-lines renderers, plus the
-//!   JSON array embedded in BENCH provenance.
+//! * [`export`] — Prometheus text format, JSON-lines and SLO-quantile
+//!   renderers.
 //! * [`ObsSink`] — the handle threaded through `SolverConfig`. The default
 //!   sink is disabled and costs nothing on the hot path; solver output is
 //!   bit-identical with observability on or off (`tests/obs_equivalence.rs`).

@@ -97,11 +97,6 @@ impl ObsSink {
         export::json_lines(&self.metrics(), &self.traces())
     }
 
-    /// JSON array of metric samples (for embedding in result artifacts).
-    pub fn metrics_json(&self) -> String {
-        export::metrics_json_array(&self.metrics())
-    }
-
     /// Begin recording one solve. `start` is the communicator's stats
     /// snapshot from the top of the solve; on the disabled sink the returned
     /// recorder is a no-op shell.

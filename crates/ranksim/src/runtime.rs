@@ -762,14 +762,9 @@ impl RankWorld {
         &self.layout
     }
 
-    /// The simulation config this world runs under (for provenance).
+    /// The simulation config this world runs under.
     pub fn sim_config(&self) -> RankSimConfig {
         self.cfg
-    }
-
-    /// The network model this world charges (for provenance).
-    pub fn network(&self) -> &Arc<dyn NetworkModel> {
-        &self.net
     }
 
     /// Run `body` as an SPMD program: one worker per rank (threads or

@@ -14,7 +14,7 @@
 //!                                                ▼
 //!                                     take ONE coalesced group per
 //!                                     (operator, solver, precond, tol)
-//!                                     via BatchPlanner, release the lock
+//!                                     in one pass, release the lock
 //!                                                ▼
 //!                  shared LRU operator-state cache ──► solve, per-worker
 //!                  (fingerprint-keyed, Arc'd,            workspaces:
@@ -36,7 +36,7 @@
 //! serve operator one request takes 9.5 ms batched and 4.3 ms single, and
 //! three requests are the first group the batched engine solves faster.
 //! The choice is a fixed rule, with no setting; `batch_width` and the
-//! width metrics report the width the planner coalesced, whichever engine
+//! width metrics report the width the dispatcher coalesced, whichever engine
 //! ran it.
 //!
 //! **Correctness contract.** Every served result is bit-identical to a

@@ -11,12 +11,13 @@
 //! under the queue lock it sheds requests whose deadlines expired while
 //! queued, orders survivors per priority lane round-robin by tenant
 //! (`sched::fair_order`), picks the lane (`sched::LaneState` — Interactive
-//! first, batch promoted within a starvation bound), and takes the first
-//! [`BatchPlanner`] group of at most `max_batch` requests sharing an
-//! (operator fingerprint, layout identity, solver, preconditioner,
-//! tolerance bits) key — computed once per request at admission, before
-//! the lock, from a per-operator memo (`KeyMemo`), so dispatch compares
-//! stored keys and never hashes. The lock is released before the solve, so
+//! first, batch promoted within a starvation bound), and takes the lane's
+//! first request in that order together with the requests after it that
+//! share its (operator fingerprint, layout identity, solver,
+//! preconditioner, tolerance bits) key, `max_batch` at most. The key is
+//! computed once per request at admission, before the lock, from a
+//! per-operator fingerprint memo (`KeyMemo`), so dispatch compares stored
+//! keys and never hashes. The lock is released before the solve, so
 //! independent groups solve concurrently across workers. A group of one or
 //! two requests solves member by member on the single-RHS engine, a wider
 //! one on the batched engine. Results are
@@ -30,11 +31,9 @@ use crate::cache::{CacheStats, SharedOperatorCache};
 use crate::request::{Priority, Reject, SolveRequest, SolveResponse, SolverSpec, Ticket};
 use crate::sched::{self, LaneState, QueueItem};
 use pop_comm::{CommWorld, DistVec};
+use pop_core::fingerprint::operator_fingerprint;
 use pop_core::lanczos::LanczosConfig;
-use pop_core::solvers::{
-    batch_key, BatchKey, BatchPlanner, BatchWorkspace, SolveStats, SolverConfig, SolverWorkspace,
-    MAX_BATCH,
-};
+use pop_core::solvers::{BatchWorkspace, SolveStats, SolverConfig, SolverWorkspace, MAX_BATCH};
 use pop_obs::ObsSink;
 use pop_simd::LANES;
 use pop_stencil::NinePoint;
@@ -190,7 +189,7 @@ struct Shared {
     /// Operator-state cache, shared across workers with single-flight
     /// builds.
     cache: SharedOperatorCache,
-    /// Each live operator's batch key.
+    /// Each live operator's fingerprint.
     keys: KeyMemo,
     /// EWMA of per-request service time, f64 seconds as bits. Admission
     /// uses it to judge deadline feasibility before any queueing happens.
@@ -508,29 +507,34 @@ fn invalid_reason(req: &SolveRequest) -> Option<&'static str> {
 }
 
 /// Coalescing identity: requests may share a batch iff *all* of this
-/// matches — operator bits + layout identity ([`BatchKey`]), solver,
-/// preconditioner spec, and tolerance bits (lanes share one
-/// `SolverConfig`). Priority is not part of the key because each dispatch
-/// group is drawn from a single lane.
+/// matches — layout identity, operator bits, solver, preconditioner spec,
+/// and tolerance bits (lanes share one `SolverConfig`). Equal layouts and
+/// operators give equal sweep structure, so the lanes can ride one fused
+/// pass. Priority is not part of the key because each dispatch group is
+/// drawn from a single lane.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ServeKey {
-    batch: BatchKey,
+    /// The layout's allocation.
+    layout: usize,
+    /// The operator's [`operator_fingerprint`].
+    fingerprint: u64,
     solver: SolverSpec,
     precond: pop_core::setup::PrecondSpec,
     tol_bits: u64,
 }
 
-fn serve_key(req: &SolveRequest, batch: BatchKey) -> ServeKey {
+fn serve_key(req: &SolveRequest, fingerprint: u64) -> ServeKey {
     ServeKey {
-        batch,
+        layout: Arc::as_ptr(&req.op.layout) as usize,
+        fingerprint,
         solver: req.solver,
         precond: req.precond,
         tol_bits: req.tol.to_bits(),
     }
 }
 
-/// Batch keys memoised per operator allocation. A key hashes every
-/// coefficient of the operator (`operator_fingerprint`, ≈ 0.4 ms on the
+/// Operator fingerprints memoised per operator allocation.
+/// [`operator_fingerprint`] hashes every coefficient (≈ 0.4 ms on the
 /// 96×80 serve operator, ≈ 7.5 ms on gx1), so it is computed once per
 /// operator, not once per request or per dispatch.
 ///
@@ -541,19 +545,20 @@ fn serve_key(req: &SolveRequest, batch: BatchKey) -> ServeKey {
 /// the memo holds about as many entries as there are live operators.
 #[derive(Default)]
 struct KeyMemo {
-    entries: Mutex<Vec<(Weak<NinePoint>, BatchKey)>>,
-    /// Keys computed: memo misses.
+    entries: Mutex<Vec<(Weak<NinePoint>, u64)>>,
+    /// Fingerprints computed: memo misses.
     computed: AtomicU64,
 }
 
 impl KeyMemo {
-    /// `op`'s batch key, hashed only on the first sight of its allocation.
-    fn key(&self, op: &Arc<NinePoint>) -> BatchKey {
+    /// `op`'s fingerprint, hashed only on the first sight of its
+    /// allocation.
+    fn key(&self, op: &Arc<NinePoint>) -> u64 {
         if let Some(key) = self.lookup(op) {
             return key;
         }
         // Hashed outside the memo lock: submitters of other operators go on.
-        let key = batch_key(op);
+        let key = operator_fingerprint(op);
         self.computed.fetch_add(1, Ordering::Relaxed);
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         entries.retain(|(w, _)| w.strong_count() > 0);
@@ -566,7 +571,7 @@ impl KeyMemo {
         key
     }
 
-    fn lookup(&self, op: &Arc<NinePoint>) -> Option<BatchKey> {
+    fn lookup(&self, op: &Arc<NinePoint>) -> Option<u64> {
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         entries.iter().find_map(|(w, key)| {
             let same = w.upgrade().is_some_and(|live| Arc::ptr_eq(&live, op));
@@ -577,12 +582,14 @@ impl KeyMemo {
 
 /// One dispatch worker: pulls a batch group under the queue lock, solves
 /// it in its own context, responds, repeats. The dispatcher logic
-/// (shedding, lane pick, fair order, planning) lives in
+/// (shedding, lane pick, fair order, group pick) lives in
 /// [`Worker::take_next_group`] and runs entirely under the lock; the
 /// solve never does.
 struct Worker {
     shared: Arc<Shared>,
-    planner: BatchPlanner,
+    /// Widest group to take: [`ServiceConfig::max_batch`] clamped to
+    /// `1..=MAX_BATCH`.
+    max_batch: usize,
     /// Serial sweeps for cache builds and solves alike: the worker pool
     /// itself is the service's parallelism.
     world: CommWorld,
@@ -595,10 +602,10 @@ struct Worker {
 
 impl Worker {
     fn new(shared: Arc<Shared>) -> Worker {
-        let planner = BatchPlanner::new(shared.cfg.max_batch.clamp(1, MAX_BATCH));
+        let max_batch = shared.cfg.max_batch.clamp(1, MAX_BATCH);
         Worker {
             shared,
-            planner,
+            max_batch,
             world: CommWorld::serial(),
             ws: SolverWorkspace::new(),
             bws: BatchWorkspace::new(),
@@ -642,7 +649,7 @@ impl Worker {
     }
 
     /// The dispatcher: shed expired deadlines, pick a lane, order it
-    /// fairly, and take the first planned batch group off the queue.
+    /// fairly, and take its first group off the queue.
     /// Runs under the queue lock (`st` is the locked state); returns
     /// `None` when the queue has nothing dispatchable.
     fn take_next_group(&self, st: &mut QueueState) -> Option<Vec<Pending>> {
@@ -681,26 +688,25 @@ impl Worker {
                 Priority::Interactive => interactive,
                 Priority::Batch => batch,
             };
-            let keys: Vec<ServeKey> = order.iter().map(|&qi| st.queue[qi].key).collect();
-            let (_key, members) = self
-                .planner
-                .plan_by(&keys)
+            // The lane's first request, then those after it that share
+            // its key: fair order throughout.
+            let lead = st.queue[order[0]].key;
+            let members: Vec<usize> = order
                 .into_iter()
-                .next()
-                .expect("non-empty lane plans at least one group");
-            let queue_idx: Vec<usize> = members.into_iter().map(|m| order[m]).collect();
-            // Remove highest-index-first so earlier indices stay valid,
-            // then restore the planned (fair) order.
-            let mut desc = queue_idx.clone();
-            desc.sort_unstable_by(|a, b| b.cmp(a));
-            let mut taken: HashMap<usize, Pending> = desc
-                .into_iter()
-                .map(|qi| (qi, st.queue.remove(qi).expect("index in bounds")))
+                .filter(|&qi| st.queue[qi].key == lead)
+                .take(self.max_batch)
                 .collect();
-            queue_idx
+            // Highest queue position first, so the lower ones stay valid.
+            let mut group: Vec<Option<Pending>> = members.iter().map(|_| None).collect();
+            for qi in (0..st.queue.len()).rev() {
+                if let Some(m) = members.iter().position(|&x| x == qi) {
+                    group[m] = st.queue.remove(qi);
+                }
+            }
+            group
                 .into_iter()
-                .map(|qi| taken.remove(&qi).expect("taken once"))
-                .collect::<Vec<Pending>>()
+                .map(|p| p.expect("member queued"))
+                .collect()
         });
         self.shared.gauge_depth(st);
         for p in shed {
@@ -723,7 +729,7 @@ impl Worker {
         let precond = group[0].req.precond;
         let priority = group[0].req.priority;
         let op = Arc::clone(&group[0].req.op);
-        let fingerprint = group[0].key.batch.fingerprint();
+        let fingerprint = group[0].key.fingerprint;
 
         let setup_start = Instant::now();
         let (state, cache_hit) = self.shared.cache.get_or_build(
@@ -860,6 +866,81 @@ mod tests {
         }
         assert_eq!(memo.key(&live), key);
         assert_eq!(memo.computed.load(Ordering::Relaxed), 102);
+    }
+
+    /// The queue positions of the first `picks` groups a fresh service
+    /// with `max_batch = cap` takes from a queue of `(tenant, priority,
+    /// tolerance)` requests; the tolerance splits the requests into keys.
+    fn first_groups(queue: &[(u32, Priority, f64)], cap: usize, picks: usize) -> Vec<Vec<u64>> {
+        let op = operator(7);
+        let svc = SolverService::start(ServiceConfig {
+            workers: 1,
+            max_batch: cap,
+            start_paused: true,
+            ..ServiceConfig::default()
+        });
+        // Each request's deadline, far off, tags its queue position.
+        let tag = |at: u64| Duration::from_secs(3600 + at);
+        let _tickets: Vec<_> = queue
+            .iter()
+            .zip(0..)
+            .map(|(&(tenant, priority, tol), at)| {
+                let b = DistVec::zeros(&op.layout);
+                let req = SolveRequest::new(
+                    tenant,
+                    Arc::clone(&op),
+                    SolverSpec::ChronGear,
+                    PrecondSpec::Diagonal,
+                    b,
+                );
+                let req = req.with_tol(tol).with_priority(priority);
+                svc.submit(req.with_deadline(tag(at))).unwrap()
+            })
+            .collect();
+        // The service stays paused: this worker is the only dispatcher.
+        let worker = Worker::new(Arc::clone(&svc.shared));
+        let mut st = svc.shared.state.lock().unwrap();
+        (0..picks)
+            .map(|_| {
+                let group = worker.take_next_group(&mut st).expect("a group");
+                let at = |p: &Pending| p.req.deadline.unwrap().as_secs() - 3600;
+                group.iter().map(at).collect()
+            })
+            .collect()
+    }
+
+    /// A group is the lane's first request in fair order and the requests
+    /// after it in that order that share its key, `max_batch` at most:
+    /// at every pick, the members and member order of the first group a
+    /// plan of the whole fair-ordered lane (every key's requests, chunked
+    /// to the cap) would give.
+    #[test]
+    fn group_pick_takes_the_lead_key_in_fair_order_up_to_the_cap() {
+        use Priority::{Batch, Interactive};
+        let (a, b) = (1e-8, 1e-9);
+        // One tenant, one lane: keys a b a a b a a a, cap 4.
+        let one: Vec<_> = [a, b, a, a, b, a, a, a]
+            .into_iter()
+            .map(|tol| (0, Interactive, tol))
+            .collect();
+        let picks = [vec![0, 2, 3, 5], vec![1, 4], vec![6, 7]];
+        assert_eq!(first_groups(&one, 4, 3), picks);
+        // Three tenants, both lanes, cap 3. The interactive lane's fair
+        // order is 0 1 5 2 4 8 6 9, keyed a b a a a a b a; the batch
+        // request 3 shares key a and a tenant with 5 but not the lane.
+        let mixed = [
+            (1, Interactive, a),
+            (2, Interactive, b),
+            (1, Interactive, a),
+            (3, Batch, a),
+            (2, Interactive, a),
+            (3, Interactive, a),
+            (1, Interactive, b),
+            (2, Batch, b),
+            (3, Interactive, a),
+            (1, Interactive, a),
+        ];
+        assert_eq!(first_groups(&mixed, 3, 2), [vec![0, 5, 2], vec![1, 6]]);
     }
 
     #[test]

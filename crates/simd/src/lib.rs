@@ -99,11 +99,6 @@ pub fn detected_fma() -> bool {
     }
 }
 
-/// What `POP_BARO_SIMD` asked for (`"auto"` when unset), for provenance.
-pub fn requested() -> String {
-    std::env::var("POP_BARO_SIMD").unwrap_or_else(|_| "auto".to_string())
-}
-
 /// A bounds-check-free window `&s[at..at + len]` for kernel row slicing.
 /// The hot kernels carve a dozen row windows per grid row; the arithmetic
 /// behind `at`/`len` is validated once per block (and re-checked here in

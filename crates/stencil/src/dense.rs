@@ -434,6 +434,12 @@ mod tests {
         st
     }
 
+    /// `st`'s band LU in natural (row-major) order, at half-width `nx + 1`.
+    fn natural_band_lu(st: &LocalStencil) -> BandLu {
+        st.band_lu_in(st.nx + 1, |i, j| j * st.nx + i)
+            .expect("positive definite")
+    }
+
     /// The tile family the band LU is checked on: full and ragged shapes,
     /// dry and with land, full and reduced systems — each with its band
     /// factorization and the pivoted dense LU, which must not have pivoted.
@@ -444,7 +450,7 @@ mod tests {
                 let raw = tile(nx, ny, land);
                 for (reduced, st) in [(false, raw.clone()), (true, raw.reduced())] {
                     let a = st.to_dense();
-                    let band = st.band_lu().expect("positive definite");
+                    let band = natural_band_lu(&st);
                     let dense = a.lu().expect("nonsingular");
                     assert_eq!(dense.piv, (0..a.n()).collect::<Vec<_>>(), "oracle pivoted");
                     cases.push((
@@ -543,7 +549,7 @@ mod tests {
     #[test]
     fn band_lu_storage_is_the_band() {
         let a = tile(8, 8, false).to_dense();
-        let f = tile(8, 8, false).band_lu().expect("positive definite");
+        let f = natural_band_lu(&tile(8, 8, false));
         let (n, w, band) = f.raw_parts();
         assert_eq!((n, w, band.len()), (64, 9, 19 * 64));
         let at = |r: usize, c: usize| band[r * (2 * w + 1) + c + w - r];
@@ -626,9 +632,9 @@ mod tests {
                 }
             }
         }
-        // The natural order is `band_lu`'s, at half-width `nx + 1`.
+        // The natural order, at half-width `nx + 1`.
         let st = tile(7, 11, true);
-        let (a, b) = (st.band_lu().unwrap(), st.to_dense().band_lu(8).unwrap());
+        let (a, b) = (natural_band_lu(&st), st.to_dense().band_lu(8).unwrap());
         assert_eq!(a.raw_parts().2, b.raw_parts().2);
     }
 

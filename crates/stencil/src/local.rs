@@ -158,20 +158,14 @@ impl LocalStencil {
     }
 
     /// Factor the sub-domain operator of [`LocalStencil::to_dense`] for a
-    /// direct solve. In that row-major numbering a nine-point row reaches
-    /// at most `nx + 1` columns either side of the diagonal — the
-    /// north-east / south-west corners — so the matrix is banded with that
-    /// half-width, and being symmetric positive definite it needs no
-    /// pivoting.
-    pub fn band_lu(&self) -> Result<BandLu, SingularMatrix> {
-        self.band_lu_in(self.nx + 1, |i, j| j * self.nx + i)
-    }
-
-    /// [`LocalStencil::band_lu`] with point `(i, j)` held in row
-    /// `row(i, j)` (a permutation of `0..nx·ny`) at half-width
-    /// `half_width`: the band of `P·B̃·Pᵀ` is assembled straight from the
-    /// coefficients — the entries of [`LocalStencil::to_dense`], permuted —
-    /// and factored in band storage, with no dense matrix in between.
+    /// direct solve, with point `(i, j)` held in row `row(i, j)` (a
+    /// permutation of `0..nx·ny`) at half-width `half_width`: the band of
+    /// `P·B̃·Pᵀ` is assembled straight from the coefficients — the entries
+    /// of [`LocalStencil::to_dense`], permuted — and factored in band
+    /// storage, with no dense matrix in between. In the row-major
+    /// numbering a nine-point row reaches at most `nx + 1` columns either
+    /// side of the diagonal — the north-east / south-west corners — and
+    /// the matrix is symmetric positive definite, so it needs no pivoting.
     /// Fails on a pivot that is not positive and finite (the tile is not
     /// positive definite); panics on a coupling outside the half-width,
     /// which is a wrong `half_width` for the order, not a property of the

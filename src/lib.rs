@@ -77,15 +77,13 @@ pub use pop_verif as verif;
 
 /// The most commonly used types in one import.
 pub mod prelude {
-    pub use pop_comm::{CommWorld, DistLayout, DistVec, ExecPolicy};
+    pub use pop_comm::{CommWorld, DistLayout, DistVec};
     pub use pop_core::lanczos::{estimate_bounds, EigenBounds, LanczosConfig};
-    pub use pop_core::precond::{
-        BlockEvp, BlockLu, BlockMg, Diagonal, Identity, MgConfig, Preconditioner,
-    };
+    pub use pop_core::precond::{BlockEvp, BlockMg, Diagonal, MgConfig, Preconditioner};
     pub use pop_core::setup::{OperatorState, PrecondSpec, Solver, SolverSpec};
     pub use pop_core::solvers::{
-        batch_key, BatchCommSolver, BatchPlanner, BatchWorkspace, ChronGear, LinearSolver, Pcsi,
-        RecoveryConfig, SolveOutcome, SolveStats, SolverConfig, MAX_BATCH,
+        BatchCommSolver, BatchWorkspace, ChronGear, LinearSolver, Pcsi, RecoveryConfig,
+        SolveOutcome, SolveStats, SolverConfig, MAX_BATCH,
     };
     pub use pop_grid::{Decomposition, Grid};
     pub use pop_obs::{ConvergenceTrace, ObsSink};

@@ -14,6 +14,7 @@
 
 pub mod fuzz;
 pub mod minipop_reference;
+pub mod precond;
 pub mod reference;
 
 pub use reference::solve_reference;

@@ -8,12 +8,12 @@
 //! multi-block global grid where land/ocean boundaries cut through blocks.
 
 use pop_baro::comm::BlockVec;
-use pop_baro::core::precond::Identity;
 use pop_baro::core::solvers::SolverWorkspace;
 use pop_baro::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod common;
+use common::precond::Identity;
 
 struct Problem {
     layout: std::sync::Arc<pop_baro::comm::DistLayout>,

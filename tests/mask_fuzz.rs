@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 mod common;
 use common::fuzz::{fuzzed_depth, fuzzed_grid, grid_of, BX, BY, NX, NY};
+use common::precond::BlockLu;
 use common::{
     assert_same, lane_modes, observe, run_ranks, run_world, solver_cfg, startup_then_forced_modes,
     ModeGuard, Observables, Problem,
@@ -387,5 +388,57 @@ fn all_banded_operator_is_bitwise_equal_across_single_batched_and_scalar_paths()
             }
         }
         pop_simd::force_mode(None);
+    }
+}
+
+/// The block-LU oracle against block-EVP on the full (unreduced) system of
+/// a land-cut gx1 operator: same tiling, same raw principal submatrices,
+/// so the same preconditioner action up to EVP marching round-off.
+#[test]
+fn block_lu_and_block_evp_agree() {
+    let g = Grid::gx1_scaled(6, 40, 36);
+    let layout = DistLayout::build(&g, 10, 9);
+    let world = CommWorld::serial();
+    let op = NinePoint::assemble(&g, &layout, &world, 1500.0);
+    let lu = BlockLu::new(&op, 9, false);
+    let evp = BlockEvp::new(&op, 9, false);
+
+    let mut r = DistVec::zeros(&layout);
+    r.fill_with(|i, j| ((i as f64 - 11.5) * 0.2).sin() * ((j as f64) * 0.15).cos());
+    let mut z_lu = DistVec::zeros(&layout);
+    let mut z_evp = DistVec::zeros(&layout);
+    lu.apply(&world, &r, &mut z_lu);
+    evp.apply(&world, &r, &mut z_evp);
+
+    let a = z_lu.to_global();
+    let b = z_evp.to_global();
+    let scale = a.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-30);
+    for (x, y) in a.iter().zip(&b) {
+        assert!(
+            (x - y).abs() < 1e-5 * scale,
+            "LU {x} vs EVP {y} (scale {scale})"
+        );
+    }
+}
+
+/// The block-LU oracle writes zero on every land point.
+#[test]
+fn block_lu_land_outputs_zero() {
+    let g = Grid::gx1_scaled(14, 36, 30);
+    let layout = DistLayout::build(&g, 12, 10);
+    let world = CommWorld::serial();
+    let op = NinePoint::assemble(&g, &layout, &world, 1500.0);
+    let lu = BlockLu::new(&op, 6, true);
+    let mut r = DistVec::zeros(&layout);
+    r.fill_with(|_, _| 1.0);
+    let mut z = DistVec::zeros(&layout);
+    lu.apply(&world, &r, &mut z);
+    let global = z.to_global();
+    for j in 0..g.ny {
+        for i in 0..g.nx {
+            if !g.is_ocean(i, j) {
+                assert_eq!(global[j * g.nx + i], 0.0);
+            }
+        }
     }
 }
